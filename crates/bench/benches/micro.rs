@@ -9,9 +9,9 @@ use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::{Lru2, PageIo};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
-use turbopool_core::{PageBufPool, SsdConfig, SsdDesign, SsdManager};
+use turbopool_core::{PageBufPool, SsdConfig, SsdDesign, SsdManager, TacCache};
 use turbopool_engine::{Database, DbConfig};
-use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId};
+use turbopool_iosim::{fault, Clk, DeviceSetup, IoManager, Locality, PageId, SECOND};
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
@@ -138,6 +138,100 @@ fn bench_ssd_manager() {
     });
 }
 
+/// The paper's page size: the frame-path rungs below run at 8 KB.
+const FRAME: usize = 8192;
+
+/// The two checksum kernels over one 8 KB frame: byte-serial FNV-1a (the
+/// WAL/fingerprint format) against the word-parallel frame sum `IoManager`
+/// runs on every SSD frame read and write.
+fn bench_checksums() {
+    let frame: Vec<u8> = (0..FRAME).map(|i| (i * 31 + 7) as u8).collect();
+    bench("fnv1a_8k", 50_000, || {
+        std::hint::black_box(fault::checksum(std::hint::black_box(&frame)));
+    });
+    bench("frame_sum_8k", 500_000, || {
+        std::hint::black_box(fault::frame_sum(std::hint::black_box(&frame)));
+    });
+}
+
+/// One SSD frame through `IoManager`: device booking, store copy and the
+/// frame sum — what `SsdManager`/`TacCache` pay per hit and per admission.
+fn bench_ssd_frame() {
+    const FRAMES: u64 = 1024;
+    let io = IoManager::new(&DeviceSetup::paper(FRAME, 16, FRAMES));
+    let data = vec![0x5Au8; FRAME];
+    let mut buf = vec![0u8; FRAME];
+    let mut clk = Clk::new();
+    let mut i = 0u64;
+    bench("ssd_frame_write", 200_000, || {
+        i += 1;
+        let frame = (i * 7919) % FRAMES;
+        // Wait each write out so the device queue stays one deep.
+        let done = io.write_ssd_async(clk.now, frame, &data, PageId(frame));
+        clk.wait_until(done.expect("no fault plan attached"));
+    });
+    bench("ssd_frame_read", 200_000, || {
+        i += 1;
+        let read = io.read_ssd(&mut clk, (i * 7919) % FRAMES, &mut buf);
+        read.expect("no fault plan attached");
+    });
+}
+
+/// A 32-page read-ahead request through each cache's `read_run`, with the
+/// first two pages and the last page of every run SSD-resident (so the
+/// request trims both ends and reads a 29-page middle from disk). Reported
+/// per request; divide by 32 for the per-page cost.
+fn bench_read_run() {
+    const RUN: u64 = 32;
+    const RUNS: u64 = 64;
+    // Exactly the frames the resident pages need: the cache is full once
+    // they are in, so the timed loop admits nothing and stays steady.
+    const SSD_FRAMES: u64 = 3 * RUNS;
+    let data = vec![0xC3u8; FRAME];
+    for tac in [false, true] {
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(
+            FRAME,
+            RUN * RUNS,
+            SSD_FRAMES,
+        )));
+        let mut clk = Clk::new();
+        for p in 0..RUN * RUNS {
+            let done = io.write_disk_async(clk.now, PageId(p), &data, Locality::Sequential);
+            clk.wait_until(done.expect("no fault plan attached"));
+        }
+        let (name, layer): (&str, Box<dyn PageIo>) = if tac {
+            let cfg = SsdConfig::new(SsdDesign::Tac, SSD_FRAMES);
+            ("read_run_32_pages_tac", Box::new(TacCache::new(cfg, io)))
+        } else {
+            let cfg = SsdConfig::new(SsdDesign::DualWrite, SSD_FRAMES);
+            (
+                "read_run_32_pages_ssd_manager",
+                Box::new(SsdManager::new(cfg, io)),
+            )
+        };
+        let mut buf = vec![0u8; FRAME];
+        for r in 0..RUNS {
+            for off in [0, 1, RUN - 1] {
+                // TAC admits on the random read, the SSD manager on the
+                // clean eviction; each ignores the other call.
+                let pid = PageId(r * RUN + off);
+                layer
+                    .read_page(&mut clk, pid, Locality::Random, &mut buf)
+                    .expect("no fault plan attached");
+                layer.evict_page(clk.now, pid, &buf, false, Locality::Random);
+            }
+        }
+        // Let every admission write complete (TAC frames turn valid then).
+        clk.elapse(SECOND);
+        let mut r = 0u64;
+        bench(name, 20_000, || {
+            r = (r + 1) % RUNS;
+            let pages = layer.read_run(&mut clk, PageId(r * RUN), RUN);
+            std::hint::black_box(pages.expect("no fault plan attached"));
+        });
+    }
+}
+
 /// The clean-batch staging-buffer delta (ISSUE 4 satellite): gathering a
 /// page used to allocate a fresh `Vec<u8>` per page; `PageBufPool`
 /// recycles them. Both variants do the same page-sized fill the gather
@@ -213,6 +307,9 @@ fn main() {
     bench_lru2();
     bench_history_prune();
     bench_ssd_manager();
+    bench_checksums();
+    bench_ssd_frame();
+    bench_read_run();
     bench_page_buf();
     bench_engine();
 

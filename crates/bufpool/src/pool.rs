@@ -288,8 +288,8 @@ pub struct BufferPool {
     /// `shards` in `lock_order.toml`) and is a leaf.
     classifier: Mutex<Classifier>,
     locks: Vec<LockCounters>,
-    /// Recycled page-sized staging buffers for checkpoint copy-out and
-    /// prefetch victim snapshots (zero-allocation steady state).
+    /// Recycled page-sized staging buffers for checkpoint copy-out
+    /// (zero-allocation steady state).
     bufs: PageBufPool,
     data: Vec<RwLock<PageBuf>>,
 }
@@ -433,9 +433,14 @@ impl BufferPool {
                     return Err(e);
                 }
             };
-            self.data[slot].write().copy_from(pages[0].as_slice());
-            for (i, page) in pages.into_iter().enumerate().skip(1) {
-                let extra = pid.offset(i as u64);
+            // Run pages are installed by moving their buffers into the
+            // frames (the frame's old buffer is dropped), not by copying.
+            debug_assert!(pages.iter().all(|p| p.len() == self.cfg.page_size));
+            let mut pages = pages.into_iter();
+            // lint: allow(panic) — read_run returns exactly the `expand >= 2` pages asked for.
+            *self.data[slot].write() = pages.next().expect("run has a first page");
+            for (i, page) in pages.enumerate() {
+                let extra = pid.offset(i as u64 + 1);
                 let es = self.shard_idx(extra);
                 let mut sh = self.lock_shard(es);
                 if sh.map.contains_key(&extra) {
@@ -461,9 +466,7 @@ impl BufferPool {
                 sh.map.insert(extra, l);
                 sh.policy.on_install(l, extra);
                 sh.stats.expanded_fill_pages += 1;
-                self.data[self.bases[es] + l]
-                    .write()
-                    .copy_from(page.as_slice());
+                *self.data[self.bases[es] + l].write() = page;
                 if sh.free.is_empty() {
                     sh.filled_once = true;
                 }
@@ -555,18 +558,19 @@ impl BufferPool {
         // A failed read-ahead installs nothing; the scan that requested it
         // simply falls back to demand reads of the same pages.
         let pages = self.layer.read_run(clk, first, n)?;
+        debug_assert!(pages.iter().all(|p| p.len() == self.cfg.page_size));
         // Pages of this run evicted *while installing it*: their entries in
         // `pages` were snapshotted before the eviction wrote newer bytes
         // below, so installing them would resurrect stale data. They are
         // skipped here and re-read (fresh) if the scan reaches them.
         let mut stale: Vec<bool> = vec![false; n as usize];
         // Evictions decided inside the loop owe write-behind I/O that must
-        // not run under a shard latch. The victims' bytes are snapshotted
-        // (into recycled staging buffers) before their frames are reused
-        // and flushed after the loop; every booking lands at the same
-        // virtual instant either way, so the deferral is invisible to the
-        // simulation.
-        let mut owed: Vec<(PendingEvict, Vec<u8>)> = Vec::new();
+        // not run under a shard latch. A run page is installed by swapping
+        // its buffer into the frame, so the victim's bytes come out as the
+        // frame's old buffer — no copy either way — and are flushed after
+        // the loop; every booking lands at the same virtual instant either
+        // way, so the deferral is invisible to the simulation.
+        let mut owed: Vec<(PendingEvict, PageBuf)> = Vec::new();
         for (i, page) in pages.into_iter().enumerate() {
             let pid = first.offset(i as u64);
             let es = self.shard_idx(pid);
@@ -576,14 +580,14 @@ impl BufferPool {
             }
             let assigned = self.classifier.lock().classify_prefetch(pid);
             let (local, evicted) = sh.vacate_slot();
-            if let Some(mut ev) = evicted {
-                ev.slot += self.bases[es];
+            // `vacate_slot` hands back the victim's own slot, so the buffer
+            // swapped out of it holds the victim's bytes.
+            let old = std::mem::replace(&mut *self.data[self.bases[es] + local].write(), page);
+            if let Some(ev) = evicted {
                 if ev.victim.0 >= first.0 && ev.victim.0 < first.0 + n {
                     stale[(ev.victim.0 - first.0) as usize] = true;
                 }
-                let mut snap = self.bufs.take();
-                snap.copy_from_slice(self.data[ev.slot].read().as_slice());
-                owed.push((ev, snap));
+                owed.push((ev, old));
             }
             sh.meta[local] = FrameMeta {
                 pid: Some(pid),
@@ -604,14 +608,10 @@ impl BufferPool {
             sh.policy.on_install(local, pid);
             sh.policy.on_access(local);
             sh.stats.prefetched_pages += 1;
-            self.data[self.bases[es] + local]
-                .write()
-                .copy_from(page.as_slice());
         }
         for (ev, snap) in owed {
             self.layer
-                .evict_page(clk.now, ev.victim, &snap, ev.dirty, ev.class);
-            self.bufs.put(snap);
+                .evict_page(clk.now, ev.victim, snap.as_slice(), ev.dirty, ev.class);
         }
         Ok(())
     }

@@ -985,8 +985,12 @@ impl PageIo for SsdManager {
             // counter records the degradation for the harnesses.
             SsdMetrics::bump(&self.metrics.quarantined_reads);
         }
+        // Each page buffer is built once: disk pages arrive as the buffers
+        // `read_disk_run` made from the store bytes and are moved into
+        // `out`; only pages read from the SSD get a zeroed buffer to read
+        // into.
         let ps = self.io.page_size();
-        let mut out: Vec<PageBuf> = (0..n).map(|_| PageBuf::zeroed(ps)).collect();
+        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
         let status: Vec<Option<(u64, bool)>> =
             (0..n).map(|i| self.run_status(first.offset(i))).collect();
         let now0 = clk.now;
@@ -1024,19 +1028,18 @@ impl PageIo for SsdManager {
                     trail += 1;
                 }
                 let mid = lead..(n as usize - trail);
+                out.extend((0..lead).map(|_| PageBuf::zeroed(ps)));
                 if !mid.is_empty() {
                     let mut tmp = Clk::at(now0);
-                    let pages = self.disk_read_run(
+                    out.extend(self.disk_read_run(
                         &mut tmp,
                         first.offset(mid.start as u64),
                         mid.len() as u64,
                         Locality::Sequential,
-                    )?;
+                    )?);
                     done = done.max(tmp.now);
-                    for (k, page) in pages.into_iter().enumerate() {
-                        out[mid.start + k] = page;
-                    }
                 }
+                out.extend((0..trail).map(|_| PageBuf::zeroed(ps)));
                 for i in 0..n as usize {
                     let pid = first.offset(i as u64);
                     let in_ends = i < lead || i >= n as usize - trail;
@@ -1067,6 +1070,7 @@ impl PageIo for SsdManager {
                     match status[i] {
                         Some((frame, dirty)) if dirty || !throttled => {
                             let pid = first.offset(i as u64);
+                            out.push(PageBuf::zeroed(ps));
                             let t = self.patch_from_ssd(
                                 now0,
                                 pid,
@@ -1085,27 +1089,21 @@ impl PageIo for SsdManager {
                                 i += 1;
                             }
                             let mut tmp = Clk::at(now0);
-                            let pages = self.disk_read_run(
+                            out.extend(self.disk_read_run(
                                 &mut tmp,
                                 first.offset(seg_start as u64),
                                 (i - seg_start) as u64,
                                 Locality::Random,
-                            )?;
+                            )?);
                             done = done.max(tmp.now);
-                            for (k, page) in pages.into_iter().enumerate() {
-                                out[seg_start + k] = page;
-                            }
                         }
                     }
                 }
             }
             MultiPageMode::DiskOnly => {
                 let mut tmp = Clk::at(now0);
-                let pages = self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?;
+                out.extend(self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?);
                 done = done.max(tmp.now);
-                for (k, page) in pages.into_iter().enumerate() {
-                    out[k] = page;
-                }
                 // Correctness: dirty SSD copies are newer than what the
                 // disk returned.
                 for i in 0..n as usize {

@@ -613,7 +613,6 @@ impl PageIo for TacCache {
             SsdMetrics::bump(&self.metrics.quarantined_reads);
         }
         let ps = self.io.page_size();
-        let mut out: Vec<PageBuf> = (0..n).map(|_| PageBuf::zeroed(ps)).collect();
         let now0 = clk.now;
         let mut done = now0;
         let hedging = self.hedge_or_probe();
@@ -644,6 +643,11 @@ impl PageIo for TacCache {
             trail += 1;
         }
         let mid = lead..(n as usize - trail);
+        // Each page buffer is built once: the middle's pages are the
+        // buffers `read_disk_run` made from the store bytes, moved into
+        // `out`; only the trimmed ends get zeroed buffers to read into.
+        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
+        out.extend((0..lead).map(|_| PageBuf::zeroed(ps)));
         if !mid.is_empty() {
             let mut tmp = Clk::at(now0);
             let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
@@ -657,7 +661,7 @@ impl PageIo for TacCache {
             SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
             let pages = res?;
             done = done.max(tmp.now);
-            for (k, page) in pages.into_iter().enumerate() {
+            for (k, page) in pages.iter().enumerate() {
                 let pid = first.offset((mid.start + k) as u64);
                 // TAC's write-on-read applies to every page it reads;
                 // during aggressive filling even sequential pages are
@@ -665,9 +669,10 @@ impl PageIo for TacCache {
                 // admitted"). After filling, cold extents are rejected by
                 // the temperature rule inside.
                 self.admit_on_read(tmp.now, pid, page.as_slice(), Locality::Sequential);
-                out[mid.start + k] = page;
             }
+            out.extend(pages);
         }
+        out.extend((0..trail).map(|_| PageBuf::zeroed(ps)));
         for i in (0..lead).chain(n as usize - trail..n as usize) {
             // lint: allow(panic) — lead/trail indices were counted as Some in the pass above.
             let frame = status[i].unwrap();

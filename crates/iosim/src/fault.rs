@@ -431,8 +431,14 @@ impl std::fmt::Debug for FaultPlan {
 // Checksums
 // ----------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash over a frame's bytes — the per-frame checksum the
-/// SSD tier stores beside its page-id tag and verifies on every read.
+/// FNV-1a 64-bit hash — the *format* checksum. Three things are defined
+/// over its exact values and break if it changes: the WAL record trailer
+/// (`turbopool-wal` `record.rs`, bytes already "on the log device"), the
+/// crash-schedule explorer's digests (`turbopool-engine` `explorer.rs`),
+/// and the pinned store fingerprints in `tests/policy_default_regression.rs`
+/// / `tests/driver_determinism.rs` / `tests/shard_determinism.rs`. It is
+/// byte-serial (one dependent multiply per byte) and fine for those short
+/// or offline inputs; SSD frames use [`frame_sum`] instead.
 pub fn checksum(data: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in data {
@@ -440,6 +446,73 @@ pub fn checksum(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Lanes of [`frame_sum`]: one 8-byte word of every 32-byte block each.
+const FRAME_LANES: usize = 4;
+
+/// Per-lane start values (the fractional bits of √2, √3, √5, √7).
+const FRAME_SEED: [u64; FRAME_LANES] = [
+    0x6A09_E667_F3BC_C908,
+    0xBB67_AE85_84CA_A73B,
+    0x3C6E_F372_FE94_F82B,
+    0xA54F_F53A_5F1D_36F1,
+];
+
+/// Per-lane odd multipliers (odd ⇒ multiplication is a bijection mod 2⁶⁴).
+const FRAME_MUL: [u64; FRAME_LANES] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xD6E8_FEB8_6659_FD93,
+];
+
+/// Rotation after every lane step, so high input bits reach low output
+/// bits (a multiply alone only carries upwards).
+const FRAME_ROT: u32 = 29;
+
+/// One lane step: a bijection of `lane` for every fixed `word`, and of
+/// `word` for every fixed `lane`.
+#[inline(always)]
+fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
+    (lane ^ word).wrapping_mul(mul).rotate_left(FRAME_ROT)
+}
+
+/// The SSD frame checksum: what `IoManager` records at every frame write
+/// and verifies on every frame read.
+///
+/// Word-parallel where [`checksum`] is byte-serial: the frame is consumed
+/// as little-endian `u64`s, four to a 32-byte block, each word folded into
+/// its own lane, so the four multiply chains are independent and overlap
+/// in the pipeline (an 8 KB frame costs 256 dependent steps per lane
+/// instead of 8,192 dependent multiplies). Bytes past the last whole block
+/// (page sizes that are not a multiple of 32) are folded one per step,
+/// round-robin over the lanes. The lanes are then combined under distinct
+/// rotations together with the length.
+///
+/// Every input byte enters exactly one lane through a step that is a
+/// bijection of that lane, so two frames that differ in a single word (any
+/// single-bit flip, any tear confined to one word) always differ in exactly
+/// one final lane and therefore in the sum; wider differences collide with
+/// probability 2⁻⁶⁴. The value is independent of host endianness. Not a
+/// format: nothing persists it across builds, so it may be retuned freely
+/// — unlike [`checksum`].
+pub fn frame_sum(data: &[u8]) -> u64 {
+    let mut lanes = FRAME_SEED;
+    let mut blocks = data.chunks_exact(8 * FRAME_LANES);
+    for block in &mut blocks {
+        for ((lane, word), mul) in lanes.iter_mut().zip(block.chunks_exact(8)).zip(FRAME_MUL) {
+            // The unwrap cannot fire: `chunks_exact(8)` yields 8-byte slices.
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            *lane = lane_step(*lane, word, mul);
+        }
+    }
+    for (i, &b) in blocks.remainder().iter().enumerate() {
+        let l = i % FRAME_LANES;
+        lanes[l] = lane_step(lanes[l], u64::from(b), FRAME_MUL[l]);
+    }
+    (lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48))
+        .wrapping_add(data.len() as u64)
 }
 
 // ----------------------------------------------------------------------
@@ -646,6 +719,94 @@ mod tests {
                 let mut t = data.clone();
                 t[byte] ^= 1 << bit;
                 assert_ne!(checksum(&t), base, "flip {byte}.{bit} undetected");
+            }
+        }
+    }
+
+    /// The 8 KB test frame of the pinned vectors: byte `i` is `31 i + 7`.
+    fn ramp(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn fnv1a_values_are_pinned() {
+        // `checksum` is a format, not an implementation detail: the WAL
+        // record trailer, the crash-schedule explorer's digests and the
+        // pinned store fingerprints in tests/{policy_default_regression,
+        // driver_determinism,shard_determinism}.rs are all defined over
+        // these exact values. Speed up `frame_sum`, never this.
+        assert_eq!(checksum(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(checksum(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(checksum(&ramp(8192)), 0x69B5_5A22_CAA2_A325);
+    }
+
+    #[test]
+    fn frame_sum_values_are_pinned() {
+        // Words are read with `from_le_bytes`, so these hold on any host.
+        // The 200-byte prefix covers the byte tail (200 = 6 * 32 + 8).
+        let v = ramp(8192);
+        assert_eq!(frame_sum(&v), 0x6D3F_0C77_32C5_E0B6);
+        assert_eq!(frame_sum(&v[..200]), 0xECC8_CDEA_DA2B_6D05);
+    }
+
+    /// Page sizes the frame-sum properties are checked at: below one
+    /// block, whole blocks, a byte tail (200), and the paper's 8 KB.
+    const FRAME_SIZES: [usize; 5] = [16, 64, 200, 256, 8192];
+
+    fn random_page(rng: &mut SmallRng, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect()
+    }
+
+    #[test]
+    fn frame_sum_detects_any_single_bitflip() {
+        let mut rng = SmallRng::seed_from_u64(0xF5A3);
+        for n in FRAME_SIZES {
+            let data = random_page(&mut rng, n);
+            let base = frame_sum(&data);
+            let mut t = data.clone();
+            for byte in 0..n {
+                for bit in 0..8 {
+                    t[byte] ^= 1 << bit;
+                    assert_ne!(frame_sum(&t), base, "{n}: flip {byte}.{bit} undetected");
+                    t[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_sum_detects_every_torn_prefix() {
+        let mut rng = SmallRng::seed_from_u64(0x70_2E);
+        for n in FRAME_SIZES {
+            let old = random_page(&mut rng, n);
+            let new = random_page(&mut rng, n);
+            let intended = frame_sum(&new);
+            // `merged` grows the new prefix over the old tail one byte at
+            // a time: after step `keep` it is new[..keep] ++ old[keep..].
+            let mut merged = old.clone();
+            for keep in 1..n {
+                merged[keep - 1] = new[keep - 1];
+                if merged != new {
+                    assert_ne!(
+                        frame_sum(&merged),
+                        intended,
+                        "{n}: tear at {keep} undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_sum_of_zero_pages_depends_on_length() {
+        let sums: Vec<u64> = FRAME_SIZES
+            .iter()
+            .map(|&n| frame_sum(&vec![0u8; n]))
+            .collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert_ne!(*a, 0, "zero page of {} bytes sums to 0", FRAME_SIZES[i]);
+            for b in &sums[i + 1..] {
+                assert_ne!(a, b, "two zero-page lengths collide");
             }
         }
     }

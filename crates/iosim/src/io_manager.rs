@@ -17,6 +17,7 @@ use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
 use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
 use crate::health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
 use crate::page::{PageBuf, PageId};
+use crate::pagebuf::PageBufPool;
 use crate::profiles;
 use crate::store::{MemStore, PageStore};
 use crate::sync::RwLock;
@@ -95,13 +96,18 @@ pub struct IoManager {
     /// real cache stores inside each cached page — persisted with the page
     /// at no extra I/O cost, and the basis of warm-restart validation.
     ssd_tags: Vec<std::sync::atomic::AtomicU64>,
-    /// FNV-1a checksum of the bytes each SSD frame was *meant* to hold,
-    /// recorded at write submission and verified on every read. Models the
-    /// in-page checksum a real cache stores beside the page-id header (same
-    /// persistence argument as `ssd_tags`): injected torn writes and bit
-    /// flips corrupt the stored bytes but not this intent record, so the
-    /// next read detects the damage instead of returning bad bytes.
+    /// [`fault::frame_sum`] of the bytes each SSD frame was *meant* to
+    /// hold, recorded at write submission and verified on every read.
+    /// Models the in-page checksum a real cache stores beside the page-id
+    /// header (same persistence argument as `ssd_tags`): injected torn
+    /// writes and bit flips corrupt the stored bytes but not this intent
+    /// record, so the next read detects the damage instead of returning
+    /// bad bytes. Lives and dies with this `IoManager`, so unlike the
+    /// WAL's FNV-1a record trailer it is not a format.
     ssd_sums: Vec<std::sync::atomic::AtomicU64>,
+    /// Recycled frame-sized staging buffers for the injected-fault write
+    /// paths (torn merge, bit flip), so a fault costs no allocation.
+    scratch: PageBufPool,
     log_dev: SimDevice,
     log_lba: crate::sync::Mutex<u64>,
     /// Fault stream for the database disk group, if any.
@@ -139,6 +145,7 @@ impl IoManager {
             ssd_sums: (0..setup.ssd_frames)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
+            scratch: PageBufPool::new(setup.page_size, 2),
             log_dev: SimDevice::new("log", setup.log_profile),
             log_lba: crate::sync::Mutex::new(0),
             disk_fault: RwLock::new(None),
@@ -368,12 +375,9 @@ impl IoManager {
         let t = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, first, n, None, scale);
-        let mut out = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let mut buf = PageBuf::zeroed(self.page_size);
-            self.disk_store.read(first.offset(i), buf.as_mut_slice());
-            out.push(buf);
-        }
+        let out = (0..n)
+            .map(|i| self.disk_store.read_buf(first.offset(i)))
+            .collect();
         let done = t.complete + extra;
         self.disk_health
             .observe(Self::observed_ns(&t, extra, n), depth);
@@ -595,7 +599,7 @@ impl IoManager {
         clk.wait_until(done);
         let written = self.ssd_tags[frame as usize].load(std::sync::atomic::Ordering::Relaxed) != 0;
         if written
-            && fault::checksum(buf)
+            && fault::frame_sum(buf)
                 != self.ssd_sums[frame as usize].load(std::sync::atomic::Ordering::Relaxed)
         {
             return Err(IoError::new(
@@ -630,14 +634,8 @@ impl IoManager {
                 // are updated — so the next read of this frame reports
                 // `ChecksumMismatch` instead of serving the hybrid.
                 let keep = (self.page_size / 2).max(1).min(data.len());
-                let mut merged = vec![0u8; self.page_size];
-                self.ssd_store.read(PageId(frame), &mut merged);
-                merged[..keep].copy_from_slice(&data[..keep]);
-                self.ssd_store.write(PageId(frame), &merged);
-                self.ssd_sums[frame as usize]
-                    .store(fault::checksum(data), std::sync::atomic::Ordering::Relaxed);
-                self.ssd_tags[frame as usize]
-                    .store(tag.0 + 1, std::sync::atomic::Ordering::Relaxed);
+                self.tear_ssd_frame(frame, data, keep);
+                self.record_ssd_intent(frame, data, tag);
                 return Err(Self::power_err(FaultDevice::Ssd, now));
             }
             // Dropped: the old frame (tag, checksum, bytes) stays intact —
@@ -654,22 +652,34 @@ impl IoManager {
             .observe(Self::observed_ns(&t, extra, 1), depth);
         let plan = self.plan_for(FaultDevice::Ssd);
         if let Some(len) = plan.as_ref().and_then(|p| p.torn_prefix(data.len())) {
-            // Torn frame: the new prefix lands over the old frame tail.
-            let mut merged = vec![0u8; self.page_size];
-            self.ssd_store.read(PageId(frame), &mut merged);
-            merged[..len].copy_from_slice(&data[..len]);
-            self.ssd_store.write(PageId(frame), &merged);
+            self.tear_ssd_frame(frame, data, len);
         } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(data.len())) {
-            let mut flipped = data.to_vec();
+            let mut flipped = self.scratch.lease();
+            flipped.copy_from_slice(data);
             flipped[byte] ^= mask;
             self.ssd_store.write(PageId(frame), &flipped);
         } else {
             self.ssd_store.write(PageId(frame), data);
         }
-        self.ssd_sums[frame as usize]
-            .store(fault::checksum(data), std::sync::atomic::Ordering::Relaxed);
-        self.ssd_tags[frame as usize].store(tag.0 + 1, std::sync::atomic::Ordering::Relaxed);
+        self.record_ssd_intent(frame, data, tag);
         Ok(t.complete + extra)
+    }
+
+    /// Torn frame write: the first `keep` bytes of `data` land over the
+    /// old frame's tail.
+    fn tear_ssd_frame(&self, frame: u64, data: &[u8], keep: usize) {
+        let mut merged = self.scratch.lease();
+        self.ssd_store.read(PageId(frame), &mut merged);
+        merged[..keep].copy_from_slice(&data[..keep]);
+        self.ssd_store.write(PageId(frame), &merged);
+    }
+
+    /// Update `frame`'s intent records — the sum of the bytes it was meant
+    /// to hold and the page it caches — whatever actually reached the store.
+    fn record_ssd_intent(&self, frame: u64, data: &[u8], tag: PageId) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.ssd_sums[frame as usize].store(fault::frame_sum(data), Relaxed);
+        self.ssd_tags[frame as usize].store(tag.0 + 1, Relaxed);
     }
 
     /// Synchronously write one SSD frame.

@@ -8,7 +8,7 @@
 
 use crate::sync::RwLock;
 
-use crate::page::PageId;
+use crate::page::{PageBuf, PageId};
 
 /// Byte storage addressed by page id.
 pub trait PageStore: Send + Sync {
@@ -52,6 +52,15 @@ impl MemStore {
         self.pages
             .get(pid.0 as usize)
             .unwrap_or_else(|| panic!("page {pid} out of bounds ({} pages)", self.pages.len()))
+    }
+
+    /// Page `pid` as a freshly built buffer — one pass over the bytes,
+    /// where `read` into a new zeroed buffer would make two.
+    pub fn read_buf(&self, pid: PageId) -> PageBuf {
+        match &*self.slot(pid).read() {
+            Some(data) => PageBuf::from_slice(data),
+            None => PageBuf::zeroed(self.page_size),
+        }
     }
 }
 
@@ -107,6 +116,14 @@ mod tests {
         let mut buf = [0u8; 8];
         s.read(PageId(1), &mut buf);
         assert_eq!(buf, [7u8; 8]);
+    }
+
+    #[test]
+    fn read_buf_matches_read() {
+        let s = MemStore::new(4, 8);
+        s.write(PageId(1), &[7u8; 8]);
+        assert_eq!(s.read_buf(PageId(1)).as_slice(), &[7u8; 8]);
+        assert_eq!(s.read_buf(PageId(2)).as_slice(), &[0u8; 8]);
     }
 
     #[test]

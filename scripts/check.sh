@@ -24,6 +24,14 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark/ builds against the facade and passes its own gates"
+# Nothing else builds the standalone benchmark package: the smoke run fails
+# on a broken facade signature, reps that disagree to the bit, a traced rep
+# that differs from the untraced one, or audit violations. Standard output
+# is the eight result lines (one JSON object each); failures go to stderr.
+benchmark/run.sh --smoke >/dev/null
+(cd benchmark && cargo test -q)
+
 echo "==> fault matrix (invariant auditor compiled out: --no-default-features)"
 cargo test -q --no-default-features --test fault_injection --test crash_torture
 
