@@ -9,9 +9,10 @@ use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::{Lru2, PageIo};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
-use turbopool_core::{PageBufPool, SsdConfig, SsdDesign, SsdManager, TacCache};
+use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
+use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{Database, DbConfig};
-use turbopool_iosim::{fault, Clk, DeviceSetup, IoManager, Locality, PageId, SECOND};
+use turbopool_iosim::{fault, Clk, DeviceSetup, IoManager, Locality, PageBufPool, PageId, SECOND};
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
@@ -253,7 +254,59 @@ fn bench_page_buf() {
     });
 }
 
+/// The redo diff over one 8 KB page, as `Txn::write_page` runs it after
+/// every mutation: one 8-byte field changed (a ledger balance, a TPC-C
+/// stock quantity — the common case, almost all of the page is skipped),
+/// and sixteen 4-byte fields scattered a record apart (sixteen ranges).
+fn bench_diff() {
+    let before: Vec<u8> = (0..FRAME).map(|i| (i * 131 + 5) as u8).collect();
+    let mut one_field = before.clone();
+    for b in &mut one_field[5000..5008] {
+        *b ^= 0x3C;
+    }
+    let mut scattered = before.clone();
+    for field in 0..16 {
+        for b in &mut scattered[200 + field * 500..][..4] {
+            *b ^= 0x55;
+        }
+    }
+    for (name, after, ranges) in [
+        ("diff_ranges_8k_one_field", &one_field, 1),
+        ("diff_ranges_8k_scattered", &scattered, 16),
+    ] {
+        assert_eq!(diff_ranges(&before, after).len(), ranges);
+        bench(name, 500_000, || {
+            std::hint::black_box(diff_ranges(
+                std::hint::black_box(&before),
+                std::hint::black_box(after),
+            ));
+        });
+    }
+}
+
 fn bench_engine() {
+    {
+        // The whole transaction write path at the paper's page size: first
+        // touch of five resident pages, one field changed on each (snapshot,
+        // mutate, diff), then log append + flush + publication.
+        let mut cfg = DbConfig::new(FRAME, 256, 64);
+        cfg.fill_expansion = 1;
+        let db = Database::open(cfg);
+        let mut clk = Clk::new();
+        let mut k = 0u64;
+        bench("txn_update_commit_5_pages", 50_000, || {
+            k += 1;
+            let mut txn = db.begin(&mut clk);
+            for p in 0..5 {
+                let pid = PageId((k * 7 + p * 11) % 48);
+                txn.write_page(pid, Locality::Random, |b| {
+                    b[4000..4008].copy_from_slice(&k.to_le_bytes());
+                });
+            }
+            txn.commit();
+        });
+    }
+
     {
         let mut cfg = DbConfig::small_for_tests();
         cfg.db_pages = 4096;
@@ -311,6 +364,7 @@ fn main() {
     bench_ssd_frame();
     bench_read_run();
     bench_page_buf();
+    bench_diff();
     bench_engine();
 
     let rows = RESULTS.lock().map(|r| r.clone()).unwrap_or_default();

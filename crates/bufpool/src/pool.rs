@@ -371,22 +371,8 @@ impl BufferPool {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
         let shard = self.shard_idx(pid);
         let mut sh = self.lock_shard(shard);
-        if let Some(&l) = sh.map.get(&pid) {
-            sh.meta[l].pin += 1;
-            sh.policy.on_access(l);
-            sh.stats.hits += 1;
-            // Hits deliberately do NOT touch the shared classifier:
-            // `Classifier::observe_hit` is a no-op for every kind (the
-            // proximity window learns from I/O-layer traffic only), and
-            // taking its global latch here would re-serialize the hit
-            // path that sharding just spread out.
-            return Ok(PageGuard {
-                pool: self,
-                shard,
-                local: l,
-                slot: self.bases[shard] + l,
-                pid,
-            });
+        if let Some(g) = self.pin_resident(&mut sh, shard, pid) {
+            return Ok(g);
         }
         sh.stats.misses += 1;
         let assigned = self.classifier.lock().classify_miss(pid, declared);
@@ -499,6 +485,42 @@ impl BufferPool {
         })
     }
 
+    /// The hit half of [`get`](Self::get), under the shard latch the
+    /// caller already holds: pin `pid` if it is resident, counting a hit
+    /// and stamping the replacement policy. A non-resident page changes
+    /// nothing (the miss is the caller's to count).
+    fn pin_resident(&self, sh: &mut Shard, shard: usize, pid: PageId) -> Option<PageGuard<'_>> {
+        let &l = sh.map.get(&pid)?;
+        sh.meta[l].pin += 1;
+        sh.policy.on_access(l);
+        sh.stats.hits += 1;
+        // Hits deliberately do NOT touch the shared classifier:
+        // `Classifier::observe_hit` is a no-op for every kind (the
+        // proximity window learns from I/O-layer traffic only), and
+        // taking its global latch here would re-serialize the hit
+        // path that sharding just spread out.
+        Some(PageGuard {
+            pool: self,
+            shard,
+            local: l,
+            slot: self.bases[shard] + l,
+            pid,
+        })
+    }
+
+    /// Pin `pid` only if it is already resident — exactly what
+    /// [`get`](Self::get) does on a hit (same counters, same policy
+    /// stamp), and nothing at all on a miss. Lets a caller that must
+    /// decide *how* to fault a page in (read it, or create it fresh)
+    /// probe residency and pin with one latch round trip instead of
+    /// `contains` followed by `get`.
+    pub fn get_resident(&self, pid: PageId) -> Option<PageGuard<'_>> {
+        debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
+        let shard = self.shard_idx(pid);
+        let mut sh = self.lock_shard(shard);
+        self.pin_resident(&mut sh, shard, pid)
+    }
+
     /// Back out a miss installation whose read from below failed: the map
     /// entry, frame metadata, and replacement state all revert, returning
     /// the slot to the free list.
@@ -514,6 +536,26 @@ impl BufferPool {
     /// Pin a *fresh* page that has never been written: installs a zeroed,
     /// dirty frame without any read I/O (page allocation path).
     pub fn create(&self, now: Time, pid: PageId) -> PageGuard<'_> {
+        let g = self.install_fresh(now, pid);
+        self.data[g.slot].write().as_mut_slice().fill(0);
+        g
+    }
+
+    /// [`create`](Self::create) for a caller that already holds the fresh
+    /// page's first image: the buffer is swapped into the dirty frame (no
+    /// zero fill, no copy) and the frame's previous buffer comes back for
+    /// reuse, contents unspecified.
+    pub fn create_from(&self, now: Time, pid: PageId, image: PageBuf) -> PageBuf {
+        assert_eq!(image.len(), self.cfg.page_size, "image is one page");
+        let g = self.install_fresh(now, pid);
+        let mut frame = self.data[g.slot].write();
+        std::mem::replace(&mut *frame, image)
+    }
+
+    /// Claim a dirty, pinned frame for never-written page `pid`. The frame
+    /// still holds its previous occupant's bytes (already handed below if
+    /// it was evicted); the caller overwrites all of them.
+    fn install_fresh(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
         let shard = self.shard_idx(pid);
         let mut sh = self.lock_shard(shard);
@@ -538,7 +580,6 @@ impl BufferPool {
             self.flush_evicted(now, &ev);
         }
         self.layer.note_dirtied(now, pid);
-        self.data[slot].write().as_mut_slice().fill(0);
         PageGuard {
             pool: self,
             shard,
@@ -801,6 +842,18 @@ impl PageGuard<'_> {
         self.pool.mark_dirty(self.shard, self.local, self.pid, now);
         r
     }
+
+    /// [`write`](Self::write) for a caller that holds the page's complete
+    /// new image: the buffer is swapped into the frame under its write
+    /// latch instead of being copied over it. Dirty marking and SSD
+    /// invalidation are exactly `write`'s; the frame's previous buffer
+    /// comes back for reuse.
+    pub fn replace(&mut self, now: Time, image: PageBuf) -> PageBuf {
+        assert_eq!(image.len(), self.pool.cfg.page_size, "image is one page");
+        let old = std::mem::replace(&mut *self.pool.data[self.slot].write(), image);
+        self.pool.mark_dirty(self.shard, self.local, self.pid, now);
+        old
+    }
 }
 
 impl Drop for PageGuard<'_> {
@@ -912,6 +965,74 @@ mod tests {
         drop(g);
         assert_eq!(io.disk_stats().read_ops, 0);
         assert!(p.is_dirty(PageId(9)));
+    }
+
+    #[test]
+    fn get_resident_is_the_hit_half_of_get() {
+        let (_io, p) = pool(4, 64);
+        let mut clk = Clk::new();
+        assert!(p.get_resident(PageId(3)).is_none());
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses), (0, 0), "a failed probe counts nothing");
+        p.get(&mut clk, PageId(3), Locality::Random).unwrap();
+        let t = clk.now;
+        let g = p.get_resident(PageId(3)).expect("resident after the miss");
+        assert_eq!(g.pid(), PageId(3));
+        drop(g);
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, clk.now), (1, 1, t));
+        // Probe + unpin: two latch acquisitions, like a `get` hit.
+        let a = p.stats().shard_acquisitions;
+        drop(p.get_resident(PageId(3)));
+        assert_eq!(p.stats().shard_acquisitions - a, 2 + 1, "+1 for stats()");
+    }
+
+    #[test]
+    fn replace_swaps_the_image_in_and_dirties_like_write() {
+        let (_io, p) = pool(2, 64);
+        let mut clk = Clk::new();
+        let mut g = p.get(&mut clk, PageId(0), Locality::Random).unwrap();
+        g.write(clk.now, |b| b[0] = 0x11);
+        let mut img = PageBuf::zeroed(PS);
+        img.as_mut_slice()[0] = 0xEE;
+        let old = g.replace(clk.now, img);
+        assert_eq!(old.as_slice()[0], 0x11, "previous frame buffer comes back");
+        assert_eq!(g.read(|b| b[0]), 0xEE);
+        drop(g);
+        assert!(p.is_dirty(PageId(0)));
+        assert_eq!(p.dirty_count(), 1);
+        // The swapped-in bytes are what eviction writes back.
+        p.get(&mut clk, PageId(1), Locality::Random).unwrap();
+        p.get(&mut clk, PageId(2), Locality::Random).unwrap();
+        let g = p.get(&mut clk, PageId(0), Locality::Random).unwrap();
+        assert_eq!(g.read(|b| b[0]), 0xEE);
+    }
+
+    #[test]
+    fn create_from_installs_the_image_over_an_evicted_victim() {
+        let (io, p) = pool(1, 64);
+        let mut clk = Clk::new();
+        {
+            let mut g = p.get(&mut clk, PageId(0), Locality::Random).unwrap();
+            g.write(clk.now, |b| b.fill(0x77));
+        }
+        let reads = io.disk_stats().read_ops;
+        let mut img = PageBuf::zeroed(PS);
+        img.as_mut_slice()[5] = 9;
+        let old = p.create_from(clk.now, PageId(9), img);
+        assert_eq!(old.len(), PS);
+        assert_eq!(io.disk_stats().read_ops, reads, "no read I/O");
+        assert!(p.is_dirty(PageId(9)));
+        let g = p.get(&mut clk, PageId(9), Locality::Random).unwrap();
+        g.read(|b| {
+            assert_eq!(b[5], 9);
+            assert!(b.iter().enumerate().all(|(i, &x)| i == 5 || x == 0));
+        });
+        drop(g);
+        // The victim's bytes went below before its frame was reused.
+        let mut buf = [0u8; PS];
+        io.disk_store().read(PageId(0), &mut buf);
+        assert_eq!(buf, [0x77; PS]);
     }
 
     #[test]

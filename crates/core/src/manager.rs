@@ -14,13 +14,12 @@ use std::sync::Arc;
 use turbopool_bufpool::{AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::sync::{Mutex, MutexGuard};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageBufPool, PageId, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
 use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
-use crate::pagebuf::PageBufPool;
 use crate::partition::Partition;
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.

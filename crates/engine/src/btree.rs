@@ -9,9 +9,10 @@
 //! [16..]   entries, 16 bytes each: (key u64 LE, value/child u64 LE)
 //! ```
 //!
-//! Entries within a node are **unsorted**: lookups scan linearly (CPU is
-//! free in the simulator) and inserts append, so a non-splitting insert
-//! dirties ~18 bytes — keeping the physical redo log near the volume a
+//! Entries within a node are **unsorted**: lookups scan linearly (virtual
+//! time charges only I/O; the host time of the scan is real and is tracked
+//! by the benchmark as `engine.index_get_ns`) and inserts append, so a
+//! non-splitting insert dirties ~18 bytes — keeping the physical redo log near the volume a
 //! physiological-logging engine would generate. Nodes sort their entries
 //! only when they split. A zeroed page decodes as an empty leaf, so a fresh
 //! index root needs no initialization I/O. Deletes remove the entry without

@@ -42,10 +42,19 @@ pub struct Database {
     next_tx: AtomicU64,
     alloc: AtomicU64,
     catalog: Mutex<Catalog>,
-    /// Recycled page-sized scratch buffers for the transaction hot path
-    /// (zero-page serving, write_page before-images).
+    /// Recycled page-sized buffers for the transaction hot path: zero-page
+    /// serving, `write_page` before-images, and the overlay pages
+    /// themselves (taken on first touch, swapped into frames at commit,
+    /// and the frames' old buffers returned here).
     bufs: turbopool_iosim::PageBufPool,
 }
+
+/// Spare buffers [`Database::page_bufs`] retains: one transaction's
+/// modified-page working set (the widest transaction the benchmark
+/// workloads run, in TPC-C, modifies 36 pages), so what commit returns
+/// feeds the next transaction's first touches. 64 × 8 KB = 512 KB at the
+/// paper's page size.
+const TXN_SPARE_BUFS: usize = 64;
 
 impl Database {
     /// Open a fresh database (empty disk image, empty log).
@@ -93,7 +102,7 @@ impl Database {
         pcfg.shard_hint = cfg.shard_hint;
         let pool = BufferPool::new(pcfg, Arc::clone(&layer));
         let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
-        let bufs = turbopool_iosim::PageBufPool::new(cfg.page_size, 8);
+        let bufs = turbopool_iosim::PageBufPool::new(cfg.page_size, TXN_SPARE_BUFS);
         Database {
             cfg,
             io,
@@ -187,13 +196,12 @@ impl Database {
         }
     }
 
-    /// True if no copy of `pid` exists anywhere (pool, SSD, disk): the page
-    /// has never been written and reads as zeroes.
+    /// For a page the caller has just found *not resident in the pool*
+    /// ([`BufferPool::get_resident`] returned `None`): true if no copy of
+    /// `pid` exists below it either (SSD, disk), i.e. the page has never
+    /// been written and reads as zeroes.
     pub(crate) fn is_fresh(&self, pid: PageId) -> bool {
-        if self.pool.contains(pid)
-            || self.layer.has_copy(pid)
-            || self.io.disk_store().is_materialized(pid)
-        {
+        if self.layer.has_copy(pid) || self.io.disk_store().is_materialized(pid) {
             return false;
         }
         if self.io.disk_write_lost(pid) {

@@ -54,6 +54,23 @@ impl PageBuf {
         PageBuf { data: data.into() }
     }
 
+    /// Adopt `data` as a page without copying (a [`PageBufPool`] buffer
+    /// has `len == capacity`, so boxing it does not reallocate).
+    ///
+    /// [`PageBufPool`]: crate::PageBufPool
+    pub fn from_vec(data: Vec<u8>) -> Self {
+        PageBuf {
+            data: data.into_boxed_slice(),
+        }
+    }
+
+    /// Give the page's buffer up, e.g. back to a [`PageBufPool`].
+    ///
+    /// [`PageBufPool`]: crate::PageBufPool
+    pub fn into_vec(self) -> Vec<u8> {
+        self.data.into_vec()
+    }
+
     /// Page size in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -125,5 +142,15 @@ mod tests {
         let c = PageBuf::from_slice(b.as_slice());
         assert_eq!(c.as_slice()[0], 0xAB);
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn page_buf_adopts_and_releases_a_vec_in_place() {
+        let v = vec![7u8; 64];
+        let addr = v.as_ptr();
+        let p = PageBuf::from_vec(v);
+        assert_eq!(p.as_slice().as_ptr(), addr, "no copy on the way in");
+        let v = p.into_vec();
+        assert_eq!((v.as_ptr(), v.len(), v[63]), (addr, 64, 7));
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! Several layers stage whole pages in temporary `Vec<u8>` buffers: the
 //! SSD manager's cleaner gathers up to α pages before one disk run, the
-//! buffer pool snapshots victims during prefetch installs, and the
-//! transaction layer captures before-images for redo diffing. Allocating
-//! those buffers fresh puts an allocator round-trip on every such
-//! operation (measured in `benches/micro.rs`, `page_buf_*`); this pool
-//! recycles them instead.
+//! buffer pool copies dirty frames out for checkpoint writes, and the
+//! transaction layer captures before-images for redo diffing and keeps its
+//! private page copies in them (swapping those into pool frames at commit
+//! and taking the frames' old buffers back — see `PageBuf::from_vec` /
+//! `into_vec`). Allocating those buffers fresh puts an allocator
+//! round-trip on every such operation (measured in `benches/micro.rs`,
+//! `page_buf_*`); this pool recycles them instead.
 //!
-//! The pool lives in `iosim` (the workspace's base crate) so that both
-//! `bufpool` and `core` can share the implementation; `turbopool_core`
-//! re-exports it under its historical path.
+//! The pool lives in `iosim` (the workspace's base crate) so that
+//! `bufpool`, `core` and `engine` can share the implementation.
 //!
 //! The spare list is its own innermost lock class (`spare` in
 //! `lock_order.toml`): `take`/`put` acquire it only inside this module

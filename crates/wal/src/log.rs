@@ -66,20 +66,19 @@ impl LogManager {
             if st.pending.is_empty() {
                 return true;
             }
-            let pending = std::mem::take(&mut st.pending);
-            match self.io.log_flush_fate(pending.len()) {
-                WriteFate::Persist => {
-                    let n = pending.len();
-                    st.durable.extend_from_slice(&pending);
-                    (n, true)
-                }
-                WriteFate::Torn => {
-                    let keep = pending.len() - 1;
-                    st.durable.extend_from_slice(&pending[..keep]);
-                    (keep, false)
-                }
+            // The tail is copied out and cleared, not taken: its capacity
+            // serves the next commit's appends.
+            let LogState {
+                durable, pending, ..
+            } = &mut *st;
+            let (keep, complete) = match self.io.log_flush_fate(pending.len()) {
+                WriteFate::Persist => (pending.len(), true),
+                WriteFate::Torn => (pending.len() - 1, false),
                 WriteFate::Dropped => (0, false),
-            }
+            };
+            durable.extend_from_slice(&pending[..keep]);
+            pending.clear();
+            (keep, complete)
         };
         if nbytes > 0 {
             self.io.append_log(clk, nbytes);
@@ -224,6 +223,40 @@ mod tests {
         assert_eq!(log.flushed_lsn(), lsn);
         assert!(clk.now > 0, "flush must charge log-device time");
         assert_eq!(io.log_stats().write_ops, 1);
+    }
+
+    #[test]
+    fn flush_keeps_the_tail_buffer() {
+        use turbopool_iosim::CrashSwitch;
+        let (io, log) = mgr();
+        let mut clk = Clk::new();
+        let rec = LogRecord::PageWrite {
+            txid: 1,
+            pid: PageId(1),
+            offset: 0,
+            data: vec![3; 100],
+        };
+        log.append(&rec);
+        let cap = log.state.lock().pending.capacity();
+        assert!(cap >= rec.encoded_len());
+        assert!(log.flush(&mut clk));
+        let tail = || {
+            let st = log.state.lock();
+            (st.pending.len(), st.pending.capacity())
+        };
+        assert_eq!(tail(), (0, cap), "persisted: emptied, capacity kept");
+        // Torn and dropped flushes empty the tail too (the bytes are gone
+        // with the power), still without giving the buffer up.
+        io.set_crash_switch(Some(Arc::new(CrashSwitch::armed(0, true))));
+        log.append(&rec);
+        let durable = log.durable_len();
+        assert!(!log.flush(&mut clk));
+        assert_eq!(log.durable_len(), durable + rec.encoded_len() - 1);
+        assert_eq!(tail(), (0, cap));
+        log.append(&rec);
+        assert!(!log.flush(&mut clk), "power is off: dropped");
+        assert_eq!(log.durable_len(), durable + rec.encoded_len() - 1);
+        assert_eq!(tail(), (0, cap));
     }
 
     #[test]
