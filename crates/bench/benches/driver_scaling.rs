@@ -239,13 +239,23 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
     });
     let wall = t0.elapsed().as_secs_f64();
     let stats = pool.stats();
-    let acq = stats.shard_acquisitions - warm.shard_acquisitions;
+    // `stats()` itself takes every shard latch once; the closing snapshot's
+    // round is inside the delta.
+    let acq = stats.shard_acquisitions - warm.shard_acquisitions - pool.shard_count() as u64;
     let contended = stats.shard_contended - warm.shard_contended;
     let gets = gets_per_thread * threads as u64;
+    // A hit on the warm pool is one latch acquisition: the probe pins under
+    // it and the guard's drop takes none. An exact count on every host, so
+    // a second latch per hit coming back fails the gate that runs this.
+    assert_eq!(
+        acq, gets,
+        "shards={shards} threads={threads}: a warm get must take exactly one shard latch"
+    );
     println!(
         "contention     shards={shards} threads={threads} wall={wall:.3}s \
-         gets/s={:.0} contended_share={:.4}",
+         gets/s={:.0} latch_acq_per_get={:.2} contended_share={:.4}",
         gets as f64 / wall.max(1e-9),
+        acq as f64 / gets as f64,
         contended as f64 / acq.max(1) as f64,
     );
     Json::Obj(vec![
@@ -259,6 +269,10 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
             Json::Num(gets as f64 / wall.max(1e-9)),
         ),
         ("shard_acquisitions".to_string(), Json::Int(acq)),
+        (
+            "latch_acq_per_get".to_string(),
+            Json::Num(acq as f64 / gets as f64),
+        ),
         ("shard_contended".to_string(), Json::Int(contended)),
         (
             "contended_share".to_string(),

@@ -3,16 +3,21 @@
 //! registry access, so no criterion): each benchmark runs a warmup batch,
 //! then reports mean ns/iter over a fixed iteration budget.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use turbopool_bench::{BenchReport, Json, WallTimer};
-use turbopool_bufpool::{Lru2, PageIo};
+use turbopool_bufpool::policy::Lru2Policy;
+use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo, ReplacementPolicy};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
+use turbopool_engine::btree::find_in_leaf;
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{Database, DbConfig};
-use turbopool_iosim::{fault, Clk, DeviceSetup, IoManager, Locality, PageBufPool, PageId, SECOND};
+use turbopool_iosim::{
+    fault, Clk, DeviceSetup, IoManager, Locality, PageBufPool, PageId, PidMap, SECOND,
+};
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
@@ -77,12 +82,126 @@ fn bench_partition() {
     });
 }
 
+/// The LRU-2 victim heap on the two paths a pool access takes. A hit only
+/// stamps the slot (its one heap entry goes stale in place), so the heap
+/// must not grow however many hits run; an eviction pops the minimum,
+/// re-keying the stale entries it meets — at the pool size and the
+/// 16-hits-per-eviction ratio of the `tpcc_lc` benchmark workload.
 fn bench_lru2() {
-    let mut l = Lru2::new(8192);
+    const HIT_FRAMES: usize = 8192;
+    let mut p = Lru2Policy::new(HIT_FRAMES);
+    for s in 0..HIT_FRAMES {
+        p.on_install(s, PageId(s as u64));
+    }
     let mut i = 0usize;
-    bench("lru2_touch", 1_000_000, || {
-        i = (i + 127) % 8192;
-        std::hint::black_box(l.touch(i));
+    bench("lru2_touch_hit", 1_000_000, || {
+        i = (i + 127) % HIT_FRAMES;
+        p.on_access(i);
+    });
+    println!(
+        "lru2_touch_hit: heap holds {} entries for {HIT_FRAMES} frames",
+        p.heap_len()
+    );
+    assert!(p.heap_len() <= HIT_FRAMES, "one heap entry per slot");
+
+    const FRAMES: usize = 2621;
+    let mut p = Lru2Policy::new(FRAMES);
+    let mut resident: Vec<PageId> = (0..FRAMES as u64).map(PageId).collect();
+    for (s, &pid) in resident.iter().enumerate() {
+        p.on_install(s, pid);
+    }
+    let mut x = 1u64;
+    let mut next_pid = FRAMES as u64;
+    bench("lru2_evict_cycle_2621", 200_000, || {
+        for _ in 0..16 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            p.on_access((x >> 33) as usize % FRAMES);
+        }
+        let v = p.select_victim(&mut |_| true).expect("nothing is pinned");
+        p.on_evict(v, resident[v]);
+        // Cycle through 4x the pool so reinstalls adopt retained history.
+        next_pid = (next_pid + 1) % (4 * FRAMES as u64);
+        resident[v] = PageId(next_pid);
+        p.on_install(v, resident[v]);
+    });
+    assert!(p.heap_len() <= FRAMES, "one heap entry per slot");
+}
+
+/// One warm pool access end to end: hash probe, pin, policy stamp, guard
+/// drop — one shard latch and no heap operation.
+fn bench_pool_hit() {
+    const PAGES: u64 = 4096;
+    let io = Arc::new(IoManager::new(&DeviceSetup::paper(256, PAGES, 1)));
+    let layer: Arc<dyn PageIo> = Arc::new(DirectIo::new(io));
+    let pool = BufferPool::new(BufferPoolConfig::new(PAGES as usize, 256, PAGES), layer);
+    let mut clk = Clk::new();
+    for p in 0..PAGES {
+        pool.get(&mut clk, PageId(p), Locality::Random)
+            .expect("no fault plan attached");
+    }
+    let warm = pool.stats();
+    let mut x = 1u64;
+    bench("pool_get_hit_drop", 2_000_000, || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let pid = PageId((x >> 33) % PAGES);
+        let g = pool.get(&mut clk, pid, Locality::Random);
+        std::hint::black_box(&g);
+    });
+    assert_eq!(
+        pool.stats().misses,
+        warm.misses,
+        "every timed get was a hit"
+    );
+}
+
+/// A page-table probe under each hasher: `PidMap`'s multiply-and-fold
+/// against std's default SipHash, same keys, same load.
+fn bench_pidmap_probe_vs_siphash() {
+    const KEYS: u64 = 4096;
+    let mut fib: PidMap<usize> = PidMap::default();
+    let mut sip: HashMap<PageId, usize> = HashMap::new();
+    for k in 0..KEYS {
+        // Dense ids with a hole every fourth page, so a quarter of the
+        // probes miss.
+        if k % 4 != 3 {
+            fib.insert(PageId(k), k as usize);
+            sip.insert(PageId(k), k as usize);
+        }
+    }
+    let mut x = 1u64;
+    let mut step = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        PageId((x >> 33) % KEYS)
+    };
+    let fib_ns = bench("pidmap_probe_vs_siphash:pidmap", 2_000_000, || {
+        std::hint::black_box(fib.get(&step()));
+    });
+    let sip_ns = bench("pidmap_probe_vs_siphash:siphash", 2_000_000, || {
+        std::hint::black_box(sip.get(&step()));
+    });
+    println!(
+        "pidmap_probe_vs_siphash: PidMap probe is {:.1}x faster than SipHash",
+        sip_ns / fib_ns.max(1e-9)
+    );
+}
+
+/// A point lookup's scan over one full 8 KB leaf (511 unsorted entries).
+fn bench_btree_leaf_scan() {
+    const N: usize = 511;
+    let mut leaf = vec![0u8; FRAME];
+    leaf[2..4].copy_from_slice(&(N as u16).to_le_bytes());
+    for i in 0..N {
+        // Keys in a scrambled order, as appends leave them.
+        let key = (i as u64 * 211) % N as u64;
+        let off = 16 + i * 16;
+        leaf[off..off + 8].copy_from_slice(&key.to_le_bytes());
+        leaf[off + 8..off + 16].copy_from_slice(&(i as u64).to_le_bytes());
+    }
+    let mut k = 0u64;
+    bench("btree_find_in_leaf_511", 1_000_000, || {
+        k = (k + 97) % N as u64;
+        let at = find_in_leaf(std::hint::black_box(&leaf), k);
+        std::hint::black_box(at.expect("every key is present"));
     });
 }
 
@@ -358,6 +477,9 @@ fn main() {
     bench_dual_heap();
     bench_partition();
     bench_lru2();
+    bench_pool_hit();
+    bench_pidmap_probe_vs_siphash();
+    bench_btree_leaf_scan();
     bench_history_prune();
     bench_ssd_manager();
     bench_checksums();

@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod lru2;
 pub mod policy;
 pub mod pool;
 pub mod readahead;
@@ -21,7 +20,6 @@ pub mod shard;
 pub mod traits;
 
 pub use admission::{AdmissionKind, AdmissionPolicy, AdmitVerdict};
-pub use lru2::Lru2;
 pub use policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 pub use pool::{BufferPool, BufferPoolConfig, PageGuard, PoolStats};
 pub use readahead::{Classifier, ClassifierKind, ClassifierStats, ScanCursor};

@@ -8,13 +8,24 @@
 //! totals are folded in shard order, and `shards = 1` reproduces the
 //! historical single-latch pool bit-for-bit (gated by
 //! `tests/policy_default_regression.rs`).
+//!
+//! # Pin counts
+//!
+//! A frame's pin count lives in an atomic beside its shard, not in the
+//! latched metadata. It *rises* only under the shard latch (a hit in
+//! `pin_resident`, or an install), and the evictor holds that latch while
+//! it probes, so a frame it sees unpinned cannot gain a pin before it is
+//! detached from the page table. It *falls* without any latch: dropping a
+//! [`PageGuard`] is one `fetch_sub`. A decrement the evictor has not seen
+//! yet only makes it pass over a frame it could have taken; one it has
+//! seen means the guard is gone for good. A pool access is therefore one
+//! latch acquisition, not a pin/unpin pair of them.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_iosim::sync::{Mutex, MutexGuard, RwLock};
-use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageBufPool, PageId, Time};
+use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageBufPool, PageId, PidMap, Time};
 
 use crate::policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
@@ -113,7 +124,6 @@ impl PoolStats {
 struct FrameMeta {
     pid: Option<PageId>,
     dirty: bool,
-    pin: u32,
     class: Locality,
 }
 
@@ -122,7 +132,6 @@ impl FrameMeta {
         FrameMeta {
             pid: None,
             dirty: false,
-            pin: 0,
             class: Locality::Random,
         }
     }
@@ -140,6 +149,13 @@ struct PendingEvict {
     class: Locality,
 }
 
+/// True if no guard is out on the frame counted by `pin`. `Acquire` pairs
+/// with the `Release` decrement in [`BufferPool::unpin`], so whoever
+/// recycles the frame does so after the last guard holder was done with it.
+fn unpinned(pin: &AtomicU32) -> bool {
+    pin.load(Ordering::Acquire) == 0
+}
+
 /// Sentinel for the intrusive dirty-list links.
 const NIL: usize = usize::MAX;
 
@@ -148,8 +164,12 @@ const NIL: usize = usize::MAX;
 /// indices inside a shard are *local* (`0 .. meta.len()`); the owning
 /// pool maps them to global data slots by adding the shard's base.
 struct Shard {
-    map: HashMap<PageId, usize>,
+    map: PidMap<usize>,
     meta: Vec<FrameMeta>,
+    /// Pin count per local slot, shared with the owning pool (see the
+    /// module docs): raised through this handle, i.e. under the latch;
+    /// lowered by guard drops through the pool's handle, latch-free.
+    pins: Arc<[AtomicU32]>,
     free: Vec<usize>,
     /// Victim selection + access bookkeeping, behind the policy trait.
     /// Each shard owns its own instance (sized to the shard's frames), so
@@ -172,8 +192,9 @@ struct Shard {
 impl Shard {
     fn new(frames: usize, replacement: ReplacementKind) -> Self {
         Shard {
-            map: HashMap::with_capacity(frames),
+            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             meta: vec![FrameMeta::empty(); frames],
+            pins: (0..frames).map(|_| AtomicU32::new(0)).collect(),
             free: (0..frames).rev().collect(),
             policy: replacement.build(frames),
             filled_once: false,
@@ -184,6 +205,13 @@ impl Shard {
             dtail: NIL,
             ndirty: 0,
         }
+    }
+
+    /// Count one more pin on local slot `l`. `Relaxed` suffices: every
+    /// reader that acts on a *rise* (the evictor) holds the latch this
+    /// caller holds.
+    fn pin(&self, l: usize) {
+        self.pins[l].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Append local slot `l` to the dirty list (must not be linked).
@@ -232,9 +260,9 @@ impl Shard {
         self.filled_once = true;
         // Split borrow: the policy mutates its own state while probing
         // frame metadata through the callback.
-        let (policy, meta) = (&mut self.policy, &self.meta);
+        let (policy, meta, pins) = (&mut self.policy, &self.meta, &self.pins);
         let slot = policy
-            .select_victim(&mut |s| meta[s].pid.is_some() && meta[s].pin == 0)
+            .select_victim(&mut |s| meta[s].pid.is_some() && unpinned(&pins[s]))
             // lint: allow(panic) — an unpinnable pool is a caller bug; the paper's pool sizes guarantee headroom.
             .expect("buffer pool exhausted: every frame is pinned");
         let m = self.meta[slot];
@@ -279,6 +307,8 @@ pub struct BufferPool {
     cfg: BufferPoolConfig,
     layer: Arc<dyn PageIo>,
     shards: Vec<Mutex<Shard>>,
+    /// Each shard's pin counts, reachable without its latch (for unpin).
+    pins: Vec<Arc<[AtomicU32]>>,
     /// Global data-slot base of each shard (contiguous partition).
     bases: Vec<usize>,
     nshards: usize,
@@ -299,6 +329,7 @@ impl BufferPool {
         assert!(cfg.frames > 0, "pool needs at least one frame");
         let nshards = cfg.shards.resolve(cfg.shard_hint, cfg.frames);
         let mut shards = Vec::with_capacity(nshards);
+        let mut pins = Vec::with_capacity(nshards);
         let mut bases = Vec::with_capacity(nshards);
         let mut base = 0usize;
         for i in 0..nshards {
@@ -307,7 +338,9 @@ impl BufferPool {
             let count = cfg.frames / nshards + usize::from(i < cfg.frames % nshards);
             bases.push(base);
             base += count;
-            shards.push(Mutex::new(Shard::new(count, cfg.replacement)));
+            let shard = Shard::new(count, cfg.replacement);
+            pins.push(Arc::clone(&shard.pins));
+            shards.push(Mutex::new(shard));
         }
         debug_assert_eq!(base, cfg.frames);
         let mut data = Vec::with_capacity(cfg.frames);
@@ -319,6 +352,7 @@ impl BufferPool {
             locks,
             bufs: PageBufPool::new(cfg.page_size, 8),
             shards,
+            pins,
             bases,
             nshards,
             data,
@@ -398,9 +432,9 @@ impl BufferPool {
         sh.meta[local] = FrameMeta {
             pid: Some(pid),
             dirty: false,
-            pin: 1,
             class: assigned,
         };
+        sh.pin(local);
         sh.map.insert(pid, local);
         sh.policy.on_install(local, pid);
         drop(sh);
@@ -443,7 +477,6 @@ impl BufferPool {
                 sh.meta[l] = FrameMeta {
                     pid: Some(extra),
                     dirty: false,
-                    pin: 0,
                     // Expansion pages were not individually requested; they
                     // are opportunistic fill, classified random like the
                     // triggering request.
@@ -491,7 +524,7 @@ impl BufferPool {
     /// nothing (the miss is the caller's to count).
     fn pin_resident(&self, sh: &mut Shard, shard: usize, pid: PageId) -> Option<PageGuard<'_>> {
         let &l = sh.map.get(&pid)?;
-        sh.meta[l].pin += 1;
+        sh.pin(l);
         sh.policy.on_access(l);
         sh.stats.hits += 1;
         // Hits deliberately do NOT touch the shared classifier:
@@ -529,6 +562,8 @@ impl BufferPool {
         debug_assert_eq!(sh.meta[local].pid, Some(pid));
         sh.map.remove(&pid);
         sh.meta[local] = FrameMeta::empty();
+        // The installer's own pin; no guard was ever made for it.
+        sh.pins[local].fetch_sub(1, Ordering::Release);
         sh.policy.on_remove(local, pid);
         sh.free.push(local);
     }
@@ -568,9 +603,9 @@ impl BufferPool {
         sh.meta[local] = FrameMeta {
             pid: Some(pid),
             dirty: true,
-            pin: 1,
             class: Locality::Random,
         };
+        sh.pin(local);
         sh.link_dirty(local);
         sh.map.insert(pid, local);
         sh.policy.on_install(local, pid);
@@ -633,7 +668,6 @@ impl BufferPool {
             sh.meta[local] = FrameMeta {
                 pid: Some(pid),
                 dirty: false,
-                pin: 0,
                 class: assigned,
             };
             sh.map.insert(pid, local);
@@ -685,7 +719,7 @@ impl BufferPool {
             let mut locals: Vec<usize> = Vec::with_capacity(sh.ndirty);
             let mut l = sh.dhead;
             while l != NIL {
-                if sh.meta[l].pin == 0 {
+                if unpinned(&sh.pins[l]) {
                     locals.push(l);
                 }
                 l = sh.dnext[l];
@@ -742,6 +776,17 @@ impl BufferPool {
             .sum()
     }
 
+    /// Number of frames some [`PageGuard`] (or an in-flight install)
+    /// currently pins. Reads the pin counts without any latch, so it is
+    /// exact only while no other thread is using the pool.
+    pub fn pinned_frames(&self) -> usize {
+        self.pins
+            .iter()
+            .flat_map(|shard| shard.iter())
+            .filter(|pin| !unpinned(pin))
+            .count()
+    }
+
     /// Number of dirty resident pages — O(shards), from the per-shard
     /// dirty-list counters.
     pub fn dirty_count(&self) -> usize {
@@ -794,11 +839,10 @@ impl BufferPool {
         self.classifier.lock().stats()
     }
 
+    /// Give a guard's pin back: no latch (see the module docs).
     fn unpin(&self, shard: usize, local: usize) {
-        let mut sh = self.lock_shard(shard);
-        let m = &mut sh.meta[local];
-        debug_assert!(m.pin > 0, "unpin of unpinned frame");
-        m.pin -= 1;
+        let was = self.pins[shard][local].fetch_sub(1, Ordering::Release);
+        debug_assert!(was > 0, "unpin of unpinned frame");
     }
 
     fn mark_dirty(&self, shard: usize, local: usize, pid: PageId, now: Time) {
@@ -981,10 +1025,11 @@ mod tests {
         drop(g);
         let s = p.stats();
         assert_eq!((s.hits, s.misses, clk.now), (1, 1, t));
-        // Probe + unpin: two latch acquisitions, like a `get` hit.
+        // Probe + unpin: one latch acquisition, like a `get` hit — the
+        // unpin takes none.
         let a = p.stats().shard_acquisitions;
         drop(p.get_resident(PageId(3)));
-        assert_eq!(p.stats().shard_acquisitions - a, 2 + 1, "+1 for stats()");
+        assert_eq!(p.stats().shard_acquisitions - a, 1 + 1, "+1 for stats()");
     }
 
     #[test]

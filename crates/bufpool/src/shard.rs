@@ -12,6 +12,8 @@
 //! different eviction orders) on different machines, breaking the
 //! fingerprint gates in `tests/policy_default_regression.rs`.
 
+use turbopool_iosim::PidHasher;
+
 /// How many lock stripes a sharded table should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardCount {
@@ -53,7 +55,7 @@ impl ShardCount {
 #[inline]
 pub fn shard_of(key: u64, nshards: usize) -> usize {
     debug_assert!(nshards.is_power_of_two());
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (nshards - 1)
+    ((key.wrapping_mul(PidHasher::FIB) >> 32) as usize) & (nshards - 1)
 }
 
 #[cfg(test)]

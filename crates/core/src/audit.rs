@@ -17,14 +17,14 @@
 //! debug builds, abort the run with a panic so tests fail loudly at the
 //! first illegal transition instead of at a downstream data divergence.
 
-#[cfg(feature = "strict-invariants")]
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(feature = "strict-invariants")]
 use turbopool_iosim::sync::Mutex;
 use turbopool_iosim::PageId;
+#[cfg(feature = "strict-invariants")]
+use turbopool_iosim::PidMap;
 
 #[cfg(feature = "strict-invariants")]
 use crate::coherence::classify;
@@ -180,7 +180,7 @@ pub struct InvariantAuditor {
     design: SsdDesign,
     violations: AtomicU64,
     #[cfg(feature = "strict-invariants")]
-    states: Mutex<HashMap<PageId, FrameState>>,
+    states: Mutex<PidMap<FrameState>>,
 }
 
 impl InvariantAuditor {
@@ -189,7 +189,7 @@ impl InvariantAuditor {
             design,
             violations: AtomicU64::new(0),
             #[cfg(feature = "strict-invariants")]
-            states: Mutex::new(HashMap::new()),
+            states: Mutex::new(PidMap::default()),
         }
     }
 

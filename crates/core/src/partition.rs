@@ -7,9 +7,7 @@
 //! multiplicative hash, which preserves the single-home invariant with a
 //! per-partition table — see DESIGN.md.)
 
-use std::collections::HashMap;
-
-use turbopool_iosim::PageId;
+use turbopool_iosim::{PageId, PidMap};
 
 use crate::heaps::{DualHeap, Key, Side};
 
@@ -39,7 +37,7 @@ pub struct Partition {
     /// First global SSD frame number owned by this partition.
     base_frame: u64,
     records: Vec<Option<Record>>,
-    map: HashMap<PageId, usize>,
+    map: PidMap<usize>,
     free: Vec<usize>,
     heap: DualHeap,
     dirty: usize,
@@ -50,7 +48,7 @@ impl Partition {
         Partition {
             base_frame,
             records: vec![None; frames],
-            map: HashMap::with_capacity(frames),
+            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             free: (0..frames).rev().collect(),
             heap: DualHeap::new(frames),
             dirty: 0,

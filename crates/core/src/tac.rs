@@ -43,7 +43,7 @@ use turbopool_iosim::sync::{Mutex, MutexGuard};
 
 use turbopool_bufpool::{shard_of, AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, PidMap, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
@@ -68,7 +68,7 @@ struct TacShard {
     base: u64,
     /// `records[local]` — this shard's slice of the SSD buffer table.
     records: Vec<Option<TacRec>>,
-    map: HashMap<PageId, usize>,
+    map: PidMap<usize>,
     free: Vec<usize>,
     /// Extent number → accumulated saved-time temperature (ns). Extents
     /// route whole to one shard, so comparisons never cross stripes.
@@ -124,7 +124,7 @@ impl TacCache {
             shards.push(Mutex::new(TacShard {
                 base,
                 records: vec![None; count],
-                map: HashMap::with_capacity(count),
+                map: PidMap::with_capacity_and_hasher(count, Default::default()),
                 free: (0..count).rev().collect(),
                 temps: HashMap::new(),
                 heap: std::collections::BinaryHeap::new(),

@@ -117,22 +117,38 @@ fn write_entries(b: &mut [u8], es: &[(u64, u64)]) {
     set_nkeys(b, es.len());
 }
 
-/// Child pid routing `key` in an internal node: the child of the greatest
-/// separator key `<= key`, or the leftmost child when every separator is
-/// greater.
-fn search_child(b: &[u8], key: u64) -> u64 {
-    let mut best: Option<(u64, u64)> = None;
-    for i in 0..nkeys(b) {
-        let (k, c) = entry(b, i);
-        if k <= key && best.map(|(bk, _)| k > bk).unwrap_or(true) {
-            best = Some((k, c));
-        }
-    }
-    best.map(|(_, c)| c).unwrap_or_else(|| extra(b))
+/// The live entries of node `b` as fixed-size records: one slice bound
+/// check for the whole node, none per entry.
+fn entry_records(b: &[u8]) -> &[[u8; ENTRY]] {
+    b[HDR..HDR + nkeys(b) * ENTRY].as_chunks::<ENTRY>().0
 }
 
-fn find_in_leaf(b: &[u8], key: u64) -> Option<usize> {
-    (0..nkeys(b)).find(|&i| entry(b, i).0 == key)
+fn record_key(e: &[u8; ENTRY]) -> u64 {
+    u64::from_le_bytes(e[..8].try_into().unwrap())
+}
+
+fn record_val(e: &[u8; ENTRY]) -> u64 {
+    u64::from_le_bytes(e[8..].try_into().unwrap())
+}
+
+/// Child pid routing `key` in an internal node: the child of the greatest
+/// separator key `<= key` (the first such entry, should a separator ever
+/// repeat), or the leftmost child when every separator is greater.
+fn search_child(b: &[u8], key: u64) -> u64 {
+    let mut best: Option<(u64, &[u8; ENTRY])> = None;
+    for e in entry_records(b) {
+        let k = record_key(e);
+        if k <= key && best.is_none_or(|(bk, _)| k > bk) {
+            best = Some((k, e));
+        }
+    }
+    best.map_or_else(|| extra(b), |(_, e)| record_val(e))
+}
+
+/// Index of `key`'s entry in leaf `b`, if present (`pub` for the micro
+/// bench's `btree_find_in_leaf_511` rung).
+pub fn find_in_leaf(b: &[u8], key: u64) -> Option<usize> {
+    entry_records(b).iter().position(|e| record_key(e) == key)
 }
 
 // ---------------------------------------------------------------------
@@ -309,6 +325,76 @@ pub fn delete(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
+
+    /// The per-entry indexed loops `search_child` and `find_in_leaf`
+    /// replaced, kept as the reference the kernels are compared against.
+    fn search_child_indexed(b: &[u8], key: u64) -> u64 {
+        let mut best: Option<(u64, u64)> = None;
+        for i in 0..nkeys(b) {
+            let (k, c) = entry(b, i);
+            if k <= key && best.map(|(bk, _)| k > bk).unwrap_or(true) {
+                best = Some((k, c));
+            }
+        }
+        best.map(|(_, c)| c).unwrap_or_else(|| extra(b))
+    }
+
+    fn find_in_leaf_indexed(b: &[u8], key: u64) -> Option<usize> {
+        (0..nkeys(b)).find(|&i| entry(b, i).0 == key)
+    }
+
+    #[test]
+    fn node_scan_kernels_match_the_indexed_loops() {
+        let mut rng = SmallRng::seed_from_u64(0xB7EE);
+        for page_size in [64usize, 256, 8192] {
+            let cap = node_capacity(page_size);
+            for round in 0..200 {
+                // Empty, single-entry and full nodes every time; random
+                // fills otherwise. Stale bytes beyond `nkeys` must be
+                // ignored, so the page starts as noise.
+                let n = match round % 4 {
+                    0 => 0,
+                    1 => 1,
+                    2 => cap,
+                    _ => rng.gen_range(0..=cap as u64) as usize,
+                };
+                let mut b: Vec<u8> = (0..page_size).map(|_| rng.next_u64() as u8).collect();
+                b[0] = INTERNAL;
+                set_extra(&mut b, 7_000_000);
+                // Keys from a small domain so probes hit, miss, and fall
+                // below every separator; `round % 3 == 0` keeps them
+                // duplicate-free, the rest allow repeats.
+                let domain = 4 * cap as u64 + 8;
+                let mut es: Vec<(u64, u64)> = Vec::with_capacity(n);
+                while es.len() < n {
+                    let k = 100 + rng.gen_range(0..domain);
+                    if round % 3 == 0 && es.iter().any(|&(ek, _)| ek == k) {
+                        continue;
+                    }
+                    es.push((k, 1_000 + es.len() as u64));
+                }
+                write_entries(&mut b, &es);
+                let probes = (0..64)
+                    .map(|_| 100 + rng.gen_range(0..domain))
+                    .chain(es.iter().map(|&(k, _)| k))
+                    // Below every key, above every key, the extremes.
+                    .chain([0, 99, 100 + domain, u64::MAX]);
+                for key in probes.collect::<Vec<_>>() {
+                    assert_eq!(
+                        search_child(&b, key),
+                        search_child_indexed(&b, key),
+                        "search_child n={n} key={key}"
+                    );
+                    assert_eq!(
+                        find_in_leaf(&b, key),
+                        find_in_leaf_indexed(&b, key),
+                        "find_in_leaf n={n} key={key}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn capacity_math() {

@@ -1,9 +1,7 @@
 //! Transactions: private write buffering, commit-time logging/publication.
 
-use std::collections::HashMap;
-
 use turbopool_bufpool::PageGuard;
-use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId};
+use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap};
 use turbopool_wal::{LogRecord, TxId};
 
 use crate::db::Database;
@@ -133,7 +131,7 @@ pub struct Txn<'d, 'c> {
     pub(crate) db: &'d Database,
     pub clk: &'c mut Clk,
     id: TxId,
-    overlay: HashMap<PageId, PageBuf>,
+    overlay: PidMap<PageBuf>,
     ops: Vec<LogRecord>,
     /// First unrecoverable I/O error observed by a read; a poisoned
     /// transaction serves zeroed pages from then on and refuses to commit.
@@ -146,7 +144,7 @@ impl<'d, 'c> Txn<'d, 'c> {
             db,
             clk,
             id,
-            overlay: HashMap::new(),
+            overlay: PidMap::default(),
             ops: Vec::new(),
             poisoned: None,
         }
@@ -294,7 +292,7 @@ impl<'d, 'c> Txn<'d, 'c> {
         }
         // Publication: install the after-images into the buffer pool,
         // dirtying the pages (which invalidates any SSD copies). Ascending
-        // page order, not `HashMap` order: replacement stamps and fault-plan
+        // page order, not map order: replacement stamps and fault-plan
         // draws are consumed in publication order, so it must be identical
         // on every run for replay to be bit-reproducible.
         //

@@ -1,6 +1,8 @@
 //! Database pages and page identifiers.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a database page within the (single) simulated database file.
 ///
@@ -30,6 +32,49 @@ impl fmt::Display for PageId {
         write!(f, "P{}", self.0)
     }
 }
+
+/// Hasher for [`PageId`]-keyed maps: one fibonacci multiply and a fold of
+/// the high half into the low half, where the table index is taken (the
+/// multiply alone leaves a dense id range's entropy in the high bits).
+///
+/// Page ids come from the workload generators and the catalog, never from
+/// outside the program, so SipHash's protection against crafted collisions
+/// buys nothing here and costs most of a probe.
+#[derive(Clone, Copy, Default)]
+pub struct PidHasher(u64);
+
+impl PidHasher {
+    /// The fibonacci-hashing multiplier (2^64 / φ); `bufpool::shard_of`
+    /// routes page ids to shards with the same one.
+    pub const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for PidHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(Self::FIB);
+    }
+
+    /// Only `write_u64` is reached by `PageId`'s derived `Hash`; other
+    /// widths go through the same mix eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A hash map keyed by [`PageId`] using
+/// [`PidHasher`]. Iteration order is as unspecified as with std's
+/// per-process-seeded default hasher; nothing may depend on it (lint L9).
+pub type PidMap<V> = HashMap<PageId, V, BuildHasherDefault<PidHasher>>;
 
 /// An owned page-sized byte buffer.
 ///
@@ -131,6 +176,38 @@ mod tests {
         let p = PageId(10);
         assert_eq!(p.offset(5), PageId(15));
         assert_eq!(format!("{p}"), "P10");
+    }
+
+    #[test]
+    fn pid_map_spreads_dense_and_strided_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PidHasher>::default();
+        // Low bits pick the bucket, the top seven bits the control byte:
+        // both must spread over dense ids and over power-of-two strides.
+        for stride in [1u64, 8, 4096, 1 << 20] {
+            let mut low = [0u32; 256];
+            let mut top = [0u32; 128];
+            for i in 0..(1u64 << 16) {
+                let h = build.hash_one(PageId(i * stride));
+                low[(h & 255) as usize] += 1;
+                top[(h >> 57) as usize] += 1;
+            }
+            assert!(
+                low.iter().all(|&c| (128..=512).contains(&c)),
+                "stride {stride}: {low:?}"
+            );
+            assert!(
+                top.iter().all(|&c| (256..=1024).contains(&c)),
+                "stride {stride}: {top:?}"
+            );
+        }
+        let mut m: PidMap<u64> = PidMap::default();
+        for i in 0..10_000u64 {
+            m.insert(PageId(i * 3), i);
+        }
+        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.get(&PageId(2_997)), Some(&999));
+        assert_eq!(m.get(&PageId(2_998)), None);
     }
 
     #[test]
