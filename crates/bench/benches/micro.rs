@@ -16,7 +16,8 @@ use turbopool_engine::btree::find_in_leaf;
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{Database, DbConfig};
 use turbopool_iosim::{
-    fault, Clk, DeviceSetup, IoManager, Locality, PageBufPool, PageId, PidMap, SECOND,
+    fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageBufPool, PageId, PidMap,
+    MILLISECOND, SECOND,
 };
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
@@ -254,8 +255,50 @@ fn bench_ssd_manager() {
         i += 1;
         let pid = PageId((i * 7919) % 1_000_000);
         m.evict_page(clk.now, pid, &data, false, Locality::Random);
-        m.read_page(&mut clk, pid, Locality::Random, &mut buf);
+        m.read_page(&mut clk, pid, Locality::Random, &mut buf)
+            .expect("no faults attached");
     });
+}
+
+/// A pool miss that is an SSD hit, with the clean eviction that makes room
+/// for it, at the `tpcc_lc` frame counts (2,621 pool frames over 18,350
+/// SSD frames, 8 KB pages, LC): a cyclic sweep over 8,192 SSD-resident
+/// pages never finds one in the pool. The fill is a handle clone of the
+/// SSD frame's image; the eviction finds the victim already cached.
+fn bench_pool_miss_ssd_hit() {
+    const PAGES: u64 = 8192;
+    let io = Arc::new(IoManager::new(&DeviceSetup::paper(FRAME, PAGES, 18_350)));
+    let page = vec![0x6Bu8; FRAME];
+    for p in 0..PAGES {
+        io.disk_store().write(PageId(p), &page);
+    }
+    let layer = Arc::new(SsdManager::new(
+        SsdConfig::new(SsdDesign::LazyCleaning, 18_350),
+        Arc::clone(&io),
+    ));
+    let mut cfg = BufferPoolConfig::new(2621, FRAME, PAGES);
+    cfg.fill_expansion = 1;
+    let pool = BufferPool::new(cfg, layer);
+    let mut clk = Clk::new();
+    let mut next = 0u64;
+    let mut miss = |clk: &mut Clk| {
+        // Spaced out so the SSD queue stays below the throttle.
+        clk.elapse(MILLISECOND);
+        next = (next + 1) % PAGES;
+        let g = pool.get(clk, PageId(next), Locality::Random);
+        std::hint::black_box(g.expect("no faults attached"));
+    };
+    // One sweep reads every page from disk and evicts it into the SSD.
+    for _ in 0..PAGES + 2621 {
+        miss(&mut clk);
+    }
+    let reads = io.disk_stats().read_ops;
+    bench("pool_miss_ssd_hit_cycle", 200_000, || miss(&mut clk));
+    assert_eq!(
+        io.disk_stats().read_ops,
+        reads,
+        "every timed miss hit the SSD"
+    );
 }
 
 /// The paper's page size: the frame-path rungs below run at 8 KB.
@@ -274,8 +317,11 @@ fn bench_checksums() {
     });
 }
 
-/// One SSD frame through `IoManager`: device booking, store copy and the
+/// One SSD frame through `IoManager`: device booking, the store and the
 /// frame sum — what `SsdManager`/`TacCache` pay per hit and per admission.
+/// By handle (the page is an image the store shares: what the pool's
+/// traffic does) and, `*_slice`, by byte slice (the store copies, the sum
+/// is taken once per write).
 fn bench_ssd_frame() {
     const FRAMES: u64 = 1024;
     let io = IoManager::new(&DeviceSetup::paper(FRAME, 16, FRAMES));
@@ -283,17 +329,46 @@ fn bench_ssd_frame() {
     let mut buf = vec![0u8; FRAME];
     let mut clk = Clk::new();
     let mut i = 0u64;
+    // A different image per write, as evictions bring: each is summed once.
+    let images: Vec<PageBuf> = (0..64u8)
+        .map(|k| PageBuf::from_slice(&[k; FRAME]))
+        .collect();
     bench("ssd_frame_write", 200_000, || {
         i += 1;
         let frame = (i * 7919) % FRAMES;
+        let image = images[(i % 64) as usize].clone();
         // Wait each write out so the device queue stays one deep.
+        let done = io.write_ssd_async(clk.now, frame, &image, PageId(frame));
+        clk.wait_until(done.expect("no fault plan attached"));
+    });
+    let mut image = io.zero_page();
+    bench("ssd_frame_read", 200_000, || {
+        i += 1;
+        let read = io.read_ssd(&mut clk, (i * 7919) % FRAMES, &mut image);
+        read.expect("no fault plan attached");
+    });
+    bench("ssd_frame_write_slice", 200_000, || {
+        i += 1;
+        let frame = (i * 7919) % FRAMES;
         let done = io.write_ssd_async(clk.now, frame, &data, PageId(frame));
         clk.wait_until(done.expect("no fault plan attached"));
     });
-    bench("ssd_frame_read", 200_000, || {
+    bench("ssd_frame_read_slice", 200_000, || {
         i += 1;
         let read = io.read_ssd(&mut clk, (i * 7919) % FRAMES, &mut buf);
         read.expect("no fault plan attached");
+    });
+}
+
+/// Handing a page to another tier: a handle clone against the 8 KB copy
+/// into a fresh buffer it replaces.
+fn bench_page_image() {
+    let image = PageBuf::from_slice(&[0xA5u8; FRAME]);
+    bench("page_image_clone", 5_000_000, || {
+        std::hint::black_box(std::hint::black_box(&image).clone());
+    });
+    bench("page_image_copy_8k", 500_000, || {
+        std::hint::black_box(PageBuf::from_slice(std::hint::black_box(&image)));
     });
 }
 
@@ -352,10 +427,9 @@ fn bench_read_run() {
     }
 }
 
-/// The clean-batch staging-buffer delta (ISSUE 4 satellite): gathering a
-/// page used to allocate a fresh `Vec<u8>` per page; `PageBufPool`
-/// recycles them. Both variants do the same page-sized fill the gather
-/// path does, so the difference is purely the allocator round-trip.
+/// What `PageBufPool` saves a caller that needs page-sized scratch (the
+/// transaction layer's before-images): both variants do the same
+/// page-sized fill, so the difference is purely the allocator round-trip.
 fn bench_page_buf() {
     const PAGE: usize = 8192;
     let src = vec![0xA5u8; PAGE];
@@ -482,7 +556,9 @@ fn main() {
     bench_btree_leaf_scan();
     bench_history_prune();
     bench_ssd_manager();
+    bench_pool_miss_ssd_hit();
     bench_checksums();
+    bench_page_image();
     bench_ssd_frame();
     bench_read_run();
     bench_page_buf();

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_iosim::sync::{Mutex, MutexGuard, RwLock};
-use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageBufPool, PageId, PidMap, Time};
+use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap, Time};
 
 use crate::policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
@@ -318,9 +318,11 @@ pub struct BufferPool {
     /// `shards` in `lock_order.toml`) and is a leaf.
     classifier: Mutex<Classifier>,
     locks: Vec<LockCounters>,
-    /// Recycled page-sized staging buffers for checkpoint copy-out
-    /// (zero-allocation steady state).
-    bufs: PageBufPool,
+    /// The one zero image every never-filled frame starts as a handle on
+    /// (and every freshly created page starts from).
+    zero: PageBuf,
+    /// Each frame is a handle on its page's image, shared with whichever
+    /// tier the page came from or went to until somebody writes it.
     data: Vec<RwLock<PageBuf>>,
 }
 
@@ -343,14 +345,15 @@ impl BufferPool {
             shards.push(Mutex::new(shard));
         }
         debug_assert_eq!(base, cfg.frames);
+        let zero = PageBuf::zeroed(cfg.page_size);
         let mut data = Vec::with_capacity(cfg.frames);
-        data.resize_with(cfg.frames, || RwLock::new(PageBuf::zeroed(cfg.page_size)));
+        data.resize_with(cfg.frames, || RwLock::new(zero.clone()));
         let mut locks = Vec::with_capacity(nshards);
         locks.resize_with(nshards, LockCounters::default);
         BufferPool {
             classifier: Mutex::new(Classifier::new(cfg.classifier)),
             locks,
-            bufs: PageBufPool::new(cfg.page_size, 8),
+            zero,
             shards,
             pins,
             bases,
@@ -453,8 +456,8 @@ impl BufferPool {
                     return Err(e);
                 }
             };
-            // Run pages are installed by moving their buffers into the
-            // frames (the frame's old buffer is dropped), not by copying.
+            // Run pages are installed by moving their handles into the
+            // frames (the frame lets go of its old image), not by copying.
             debug_assert!(pages.iter().all(|p| p.len() == self.cfg.page_size));
             let mut pages = pages.into_iter();
             // lint: allow(panic) — read_run returns exactly the `expand >= 2` pages asked for.
@@ -501,7 +504,7 @@ impl BufferPool {
             // lint: allow(lock-across-io) — frame write latch only, held so
             // the fill lands atomically; the shard latch is already released
             // and the frame is pinned by this caller.
-            let read = self.layer.read_page(clk, pid, assigned, buf.as_mut_slice());
+            let read = self.layer.read_page_buf(clk, pid, assigned, &mut buf);
             drop(buf);
             if let Err(e) = read {
                 self.abandon_install(shard, local, pid);
@@ -572,14 +575,14 @@ impl BufferPool {
     /// dirty frame without any read I/O (page allocation path).
     pub fn create(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         let g = self.install_fresh(now, pid);
-        self.data[g.slot].write().as_mut_slice().fill(0);
+        *self.data[g.slot].write() = self.zero.clone();
         g
     }
 
     /// [`create`](Self::create) for a caller that already holds the fresh
-    /// page's first image: the buffer is swapped into the dirty frame (no
-    /// zero fill, no copy) and the frame's previous buffer comes back for
-    /// reuse, contents unspecified.
+    /// page's first image: the handle is swapped into the dirty frame (no
+    /// zero fill, no copy) and the frame's previous image comes back,
+    /// contents unspecified — reusable if nothing else shares it.
     pub fn create_from(&self, now: Time, pid: PageId, image: PageBuf) -> PageBuf {
         assert_eq!(image.len(), self.cfg.page_size, "image is one page");
         let g = self.install_fresh(now, pid);
@@ -642,8 +645,8 @@ impl BufferPool {
         let mut stale: Vec<bool> = vec![false; n as usize];
         // Evictions decided inside the loop owe write-behind I/O that must
         // not run under a shard latch. A run page is installed by swapping
-        // its buffer into the frame, so the victim's bytes come out as the
-        // frame's old buffer — no copy either way — and are flushed after
+        // its handle into the frame, so the victim's image comes out as the
+        // frame's old handle — no copy either way — and is flushed after
         // the loop; every booking lands at the same virtual instant either
         // way, so the deferral is invisible to the simulation.
         let mut owed: Vec<(PendingEvict, PageBuf)> = Vec::new();
@@ -656,8 +659,8 @@ impl BufferPool {
             }
             let assigned = self.classifier.lock().classify_prefetch(pid);
             let (local, evicted) = sh.vacate_slot();
-            // `vacate_slot` hands back the victim's own slot, so the buffer
-            // swapped out of it holds the victim's bytes.
+            // `vacate_slot` hands back the victim's own slot, so the handle
+            // swapped out of it is the victim's image.
             let old = std::mem::replace(&mut *self.data[self.bases[es] + local].write(), page);
             if let Some(ev) = evicted {
                 if ev.victim.0 >= first.0 && ev.victim.0 < first.0 + n {
@@ -686,12 +689,12 @@ impl BufferPool {
         }
         for (ev, snap) in owed {
             self.layer
-                .evict_page(clk.now, ev.victim, snap.as_slice(), ev.dirty, ev.class);
+                .evict_page_buf(clk.now, ev.victim, &snap, ev.dirty, ev.class);
         }
         Ok(())
     }
 
-    /// Hand an evicted page's bytes to the storage layer (write-behind).
+    /// Hand an evicted page's image to the storage layer (write-behind).
     /// Eviction writes are asynchronous: device time is charged at `now`
     /// but the caller does not wait. Must be called *without* any shard
     /// latch and *before* the vacated frame is overwritten.
@@ -701,7 +704,7 @@ impl BufferPool {
         // lint: allow(lock-across-io) — only the frame's read latch is held
         // (the shard latch is released); the slot is privately owned by this
         // caller and evict_page is a non-blocking async booking.
-        layer.evict_page(now, ev.victim, data.as_slice(), ev.dirty, ev.class);
+        layer.evict_page_buf(now, ev.victim, &data, ev.dirty, ev.class);
     }
 
     /// Sharp checkpoint of the memory pool: write every dirty page below
@@ -732,18 +735,12 @@ impl BufferPool {
             }
         }
         let mut done = clk.now;
-        // Recycled copy-out buffer: the frame latch protects only the
-        // memcpy, never the write I/O below it.
-        let mut copy = self.bufs.lease();
         for (i, l, pid, class) in dirty {
-            let slot = self.bases[i] + l;
-            {
-                let data = self.data[slot].read();
-                copy.as_mut_slice().copy_from_slice(data.as_slice());
-            }
-            let t = self
-                .layer
-                .checkpoint_write(clk.now, pid, copy.as_slice(), class);
+            // The frame latch protects only the handle clone, never the
+            // write I/O below it; a writer that gets in afterwards copies
+            // the image before changing it.
+            let image = self.data[self.bases[i] + l].read().clone();
+            let t = self.layer.checkpoint_write_buf(clk.now, pid, &image, class);
             done = done.max(t);
             let mut sh = self.lock_shard(i);
             // Revalidate: the frame may have been recycled meanwhile.
@@ -753,7 +750,6 @@ impl BufferPool {
             }
             sh.stats.checkpoint_writes += 1;
         }
-        drop(copy);
         clk.wait_until(done);
         self.layer.checkpoint_flush(clk);
     }
@@ -880,7 +876,8 @@ impl PageGuard<'_> {
     }
 
     /// Write access to the page bytes; marks the page dirty and invalidates
-    /// any SSD copy on the first dirtying.
+    /// any SSD copy on the first dirtying. A frame that shares its image
+    /// with another tier takes a private copy first.
     pub fn write<R>(&mut self, now: Time, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let r = f(self.pool.data[self.slot].write().as_mut_slice());
         self.pool.mark_dirty(self.shard, self.local, self.pid, now);
@@ -888,10 +885,10 @@ impl PageGuard<'_> {
     }
 
     /// [`write`](Self::write) for a caller that holds the page's complete
-    /// new image: the buffer is swapped into the frame under its write
+    /// new image: the handle is swapped into the frame under its write
     /// latch instead of being copied over it. Dirty marking and SSD
-    /// invalidation are exactly `write`'s; the frame's previous buffer
-    /// comes back for reuse.
+    /// invalidation are exactly `write`'s; the frame's previous image
+    /// comes back, reusable if nothing else shares it.
     pub fn replace(&mut self, now: Time, image: PageBuf) -> PageBuf {
         assert_eq!(image.len(), self.pool.cfg.page_size, "image is one page");
         let old = std::mem::replace(&mut *self.pool.data[self.slot].write(), image);

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, Time};
+use turbopool_iosim::{
+    fault, Clk, IoError, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
+};
 
 /// Everything the buffer manager needs from the storage stack below it.
 ///
@@ -11,6 +13,12 @@ use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageBuf, PageId,
 /// interface: the SSD manager (`turbopool-core`) implements it by
 /// interposing the SSD cache, and [`DirectIo`] implements it by going
 /// straight to disk (the `noSSD` baseline).
+///
+/// Pages cross the seam in two forms. The byte-slice methods copy. The
+/// `*_buf` methods, which are what the buffer pool calls, take and give
+/// [`PageBuf`] images: the layers in this workspace override them to move
+/// a page by sharing its image, and the provided bodies fall back to the
+/// slice methods for implementors that only know bytes.
 pub trait PageIo: Send + Sync {
     /// Read one page, from the SSD if cached there, else from disk. `class`
     /// is the buffer manager's random/sequential classification of this
@@ -28,6 +36,21 @@ pub trait PageIo: Send + Sync {
         buf: &mut [u8],
     ) -> Result<(), IoError>;
 
+    /// [`read_page`](Self::read_page) into a pool frame: on success `buf`
+    /// is the page's image (shared with the tier it came from where the
+    /// implementation can), on `Err` it must not be used as page data.
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        // Every byte is about to be overwritten: a frame that still shares
+        // its previous occupant's image must not copy it first.
+        self.read_page(clk, pid, class, buf.overwrite_slice())
+    }
+
     /// Read the consecutive run `first .. first + n` (read-ahead / pool-fill
     /// expansion path). Implementations may trim leading/trailing pages that
     /// are SSD-resident (paper §3.3.3) but must return all `n` pages in
@@ -40,6 +63,12 @@ pub trait PageIo: Send + Sync {
     /// not wait.
     fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, class: Locality);
 
+    /// [`evict_page`](Self::evict_page) for a caller that holds the page
+    /// as an image, which the implementation may keep instead of copying.
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, class: Locality) {
+        self.evict_page(now, pid, data.as_slice(), dirty, class);
+    }
+
     /// The in-memory copy of `pid` was just dirtied; any SSD copy is now
     /// stale and must be invalidated (paper §2.2).
     fn note_dirtied(&self, now: Time, pid: PageId);
@@ -48,6 +77,18 @@ pub trait PageIo: Send + Sync {
     /// pool. Under DW this also mirrors random-class pages to the SSD
     /// (paper §3.2). Returns the async completion time.
     fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], class: Locality) -> Time;
+
+    /// [`checkpoint_write`](Self::checkpoint_write) for a caller that
+    /// holds the page as an image.
+    fn checkpoint_write_buf(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &PageBuf,
+        class: Locality,
+    ) -> Time {
+        self.checkpoint_write(now, pid, data.as_slice(), class)
+    }
 
     /// Flush any dirty pages held *below* the memory pool (only LC holds
     /// them, in the SSD). Called after the memory pool's checkpoint flush.
@@ -84,27 +125,20 @@ impl DirectIo {
     }
 }
 
-impl PageIo for DirectIo {
-    fn read_page(
+impl DirectIo {
+    fn read<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
-        buf: &mut [u8],
+        buf: &mut D,
     ) -> Result<(), IoError> {
         let (_attempts, out) =
             fault::retry_sync_with(&self.retry, clk, |c| self.io.read_disk(c, pid, buf, class));
         out
     }
 
-    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        let (_attempts, out) = fault::retry_sync_with(&self.retry, clk, |c| {
-            self.io.read_disk_run(c, first, n, Locality::Sequential)
-        });
-        out
-    }
-
-    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
+    fn evict<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
         if dirty {
             if let Err(e) = fault::retry_write_forever(|| {
                 self.io.write_disk_async(now, pid, data, Locality::Random)
@@ -118,9 +152,7 @@ impl PageIo for DirectIo {
         }
     }
 
-    fn note_dirtied(&self, _now: Time, _pid: PageId) {}
-
-    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
+    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
         match fault::retry_write_forever(|| {
             self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
@@ -128,6 +160,53 @@ impl PageIo for DirectIo {
             // Dead disk: nothing further will complete, so nothing to wait on.
             Err(_) => now,
         }
+    }
+}
+
+impl PageIo for DirectIo {
+    fn read_page(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut [u8],
+    ) -> Result<(), IoError> {
+        self.read(clk, pid, class, buf)
+    }
+
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        self.read(clk, pid, class, buf)
+    }
+
+    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        let (_attempts, out) = fault::retry_sync_with(&self.retry, clk, |c| {
+            self.io.read_disk_run(c, first, n, Locality::Sequential)
+        });
+        out
+    }
+
+    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, _: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn note_dirtied(&self, _now: Time, _pid: PageId) {}
+
+    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
+        self.checkpoint(now, pid, data)
+    }
+
+    fn checkpoint_write_buf(&self, now: Time, pid: PageId, data: &PageBuf, _: Locality) -> Time {
+        self.checkpoint(now, pid, data)
     }
 
     fn checkpoint_flush(&self, _clk: &mut Clk) {}

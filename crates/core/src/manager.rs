@@ -14,7 +14,7 @@ use std::sync::Arc;
 use turbopool_bufpool::{AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::sync::{Mutex, MutexGuard};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageBufPool, PageId, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
@@ -92,9 +92,6 @@ pub struct SsdManager {
     pub metrics: SsdMetrics,
     /// Shadow state machine validating every buffer-table transition.
     auditor: InvariantAuditor,
-    /// Recycled page-sized staging buffers for the gather/flush path
-    /// (`clean_batch`) — avoids a fresh allocation per gathered page.
-    buf_pool: PageBufPool,
 }
 
 impl SsdManager {
@@ -119,8 +116,6 @@ impl SsdManager {
             base += frames;
         }
         let auditor = InvariantAuditor::new(cfg.design);
-        // Retain at most one batch's worth of staging buffers (α pages).
-        let buf_pool = PageBufPool::new(io.page_size(), cfg.alpha as usize);
         let admission = cfg.admission.build(cfg.frames as usize);
         SsdManager {
             admission,
@@ -137,7 +132,6 @@ impl SsdManager {
             stranded: Mutex::new(Vec::new()),
             metrics: SsdMetrics::default(),
             auditor,
-            buf_pool,
         }
     }
 
@@ -233,7 +227,12 @@ impl SsdManager {
     /// SSD frame read with transient-error retries on `clk`. The final
     /// error (checksum mismatch, device death, or retries exhausted) is
     /// returned for the caller to classify.
-    fn ssd_read(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
+    fn ssd_read<D: PageDst + ?Sized>(
+        &self,
+        clk: &mut Clk,
+        frame: u64,
+        buf: &mut D,
+    ) -> Result<(), IoError> {
         let (retries, out) =
             fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
         SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
@@ -242,12 +241,12 @@ impl SsdManager {
 
     /// Synchronous disk read with the standard capped-backoff retry policy;
     /// retry attempts are accounted in the metrics.
-    fn disk_read(
+    fn disk_read<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
-        buf: &mut [u8],
+        buf: &mut D,
     ) -> Result<(), IoError> {
         let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
             self.io.read_disk(c, pid, buf, class)
@@ -276,7 +275,7 @@ impl SsdManager {
     /// — falls through, and then there is nowhere left to persist to. The
     /// IoManager records the lost write so later readers surface the
     /// device error instead of treating the page as never-written.
-    fn disk_write(&self, now: Time, pid: PageId, data: &[u8]) {
+    fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
         if let Err(e) = fault::retry_write_forever(|| {
             self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
@@ -418,7 +417,7 @@ impl SsdManager {
 
     /// Cache `data` for `pid`, evicting an SSD victim if necessary.
     /// The caller has verified admission; this only handles placement.
-    fn install(&self, now: Time, pid: PageId, data: &[u8], dirty: bool) {
+    fn install<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
         if self.is_quarantined() {
             if dirty {
                 self.disk_write(now, pid, data);
@@ -563,7 +562,7 @@ impl SsdManager {
         pending: &mut Option<IoError>,
         stranded_out: &mut Option<PageId>,
     ) {
-        let mut buf = self.buf_pool.lease();
+        let mut buf = self.io.zero_page();
         let mut tmp = Clk::at(now);
         match self.ssd_read(&mut tmp, frame, &mut buf) {
             Ok(()) => {
@@ -657,7 +656,7 @@ impl SsdManager {
             attempted: entries.len(),
             ..ImportReport::default()
         };
-        let mut buf = self.buf_pool.lease();
+        let mut buf = self.io.zero_page();
         for &(pid, frame) in entries {
             if self.is_quarantined() {
                 rep.aborted_dead = true;
@@ -768,7 +767,7 @@ impl SsdManager {
         // mark them clean — a page whose read or write fails must stay
         // dirty (or be stranded) rather than silently lose its contents.
         let mut pids: Vec<PageId> = Vec::with_capacity(count as usize);
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(count as usize);
+        let mut bufs: Vec<PageBuf> = Vec::with_capacity(count as usize);
         for i in 0..count {
             let pid = lo.offset(i);
             let frame = {
@@ -780,33 +779,30 @@ impl SsdManager {
                 };
                 part.frame_no(idx)
             };
-            let mut buf = self.buf_pool.take();
+            let mut buf = self.io.zero_page();
             match self.ssd_read(clk, frame, &mut buf) {
                 Ok(()) => {
                     pids.push(pid);
                     bufs.push(buf);
                 }
                 Err(e) => {
-                    self.buf_pool.put(buf);
                     self.note_ssd_error(&e);
                     self.drop_corrupt(pid);
                 }
             }
         }
         let (cleaned, writes) = self.flush_gathered(clk, &pids, &bufs);
-        for buf in bufs {
-            self.buf_pool.put(buf);
-        }
         SsdMetrics::add(&self.metrics.cleaned_pages, cleaned as u64);
         SsdMetrics::add(&self.metrics.cleaner_writes, writes as u64);
         cleaned
     }
 
-    /// Write the gathered `(pid, buf)` pages to disk in consecutive-pid
-    /// runs, waiting out each write, and mark every written page clean.
+    /// Write the gathered `(pid, image)` pages to disk in consecutive-pid
+    /// runs (the disk store ends up sharing the SSD frames' images),
+    /// waiting out each write, and mark every written page clean.
     /// Returns `(pages cleaned, run writes issued)`. Pages are left dirty
     /// when the disk is dead (nothing can persist them).
-    fn flush_gathered(&self, clk: &mut Clk, pids: &[PageId], bufs: &[Vec<u8>]) -> (usize, usize) {
+    fn flush_gathered(&self, clk: &mut Clk, pids: &[PageId], bufs: &[PageBuf]) -> (usize, usize) {
         let mut cleaned = 0usize;
         let mut writes = 0usize;
         let mut i = 0usize;
@@ -815,9 +811,8 @@ impl SsdManager {
             while j < pids.len() && pids[j].0 == pids[j - 1].0 + 1 {
                 j += 1;
             }
-            let slices: Vec<&[u8]> = bufs[i..j].iter().map(|b| b.as_slice()).collect();
             match fault::retry_write_forever(|| {
-                self.io.write_disk_run_async(clk.now, pids[i], &slices)
+                self.io.write_disk_run_async(clk.now, pids[i], &bufs[i..j])
             }) {
                 Ok(done) => {
                     clk.wait_until(done);
@@ -866,7 +861,7 @@ impl SsdManager {
         pid: PageId,
         frame: u64,
         dirty: bool,
-        buf: &mut [u8],
+        buf: &mut PageBuf,
     ) -> Result<Time, IoError> {
         let mut tmp = Clk::at(start);
         match self.ssd_read(&mut tmp, frame, buf) {
@@ -893,13 +888,16 @@ impl SsdManager {
     }
 }
 
-impl PageIo for SsdManager {
-    fn read_page(
+/// The bodies behind the [`PageIo`] entry points, each written once for
+/// both forms a page crosses the seam in: a byte slice to copy, or a
+/// [`PageBuf`] image to share.
+impl SsdManager {
+    fn read_one<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
-        buf: &mut [u8],
+        buf: &mut D,
     ) -> Result<(), IoError> {
         if self.is_quarantined() {
             if self.is_stranded(pid) {
@@ -970,156 +968,14 @@ impl PageIo for SsdManager {
         self.disk_read(clk, pid, class, buf)
     }
 
-    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        assert!(n > 0);
-        for i in 0..n {
-            if self.is_stranded(first.offset(i)) {
-                // At least one page of the run awaits WAL salvage; fail
-                // the whole request so the engine salvages and retries.
-                return Err(self.stranded_err(clk.now));
-            }
-        }
-        if self.is_quarantined() {
-            // The table is empty, so every page below reads from disk; the
-            // counter records the degradation for the harnesses.
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-        }
-        // Each page buffer is built once: disk pages arrive as the buffers
-        // `read_disk_run` made from the store bytes and are moved into
-        // `out`; only pages read from the SSD get a zeroed buffer to read
-        // into.
-        let ps = self.io.page_size();
-        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
-        let status: Vec<Option<(u64, bool)>> =
-            (0..n).map(|i| self.run_status(first.offset(i))).collect();
-        let now0 = clk.now;
-        let mut done = now0;
-
-        // Gray-failure hedging: while the SSD is flagged fail-slow its
-        // clean-resident pages read from disk like misses (dirty pages
-        // must still patch from the SSD — theirs is the only copy).
-        let hedging = self.hedge_or_probe();
-        if hedging && self.cfg.multipage != MultiPageMode::DiskOnly {
-            let diverted = status
-                .iter()
-                .filter(|s| matches!(s, Some((_, false))))
-                .count() as u64;
-            SsdMetrics::add(&self.metrics.hedged_reads, diverted);
-        }
-
-        match self.cfg.multipage {
-            MultiPageMode::Trim => {
-                // Trimming (§3.3.3): peel SSD-resident pages off both ends,
-                // read the middle as one disk I/O; dirty SSD pages inside
-                // the middle are patched from the SSD afterwards.
-                let throttled = self.throttled(now0) || hedging;
-                let from_ssd = |s: &Option<(u64, bool)>| match s {
-                    Some((_, true)) => true,
-                    Some((_, false)) => !throttled,
-                    None => false,
-                };
-                let mut lead = 0usize;
-                while lead < n as usize && from_ssd(&status[lead]) {
-                    lead += 1;
-                }
-                let mut trail = 0usize;
-                while trail < n as usize - lead && from_ssd(&status[n as usize - 1 - trail]) {
-                    trail += 1;
-                }
-                let mid = lead..(n as usize - trail);
-                out.extend((0..lead).map(|_| PageBuf::zeroed(ps)));
-                if !mid.is_empty() {
-                    let mut tmp = Clk::at(now0);
-                    out.extend(self.disk_read_run(
-                        &mut tmp,
-                        first.offset(mid.start as u64),
-                        mid.len() as u64,
-                        Locality::Sequential,
-                    )?);
-                    done = done.max(tmp.now);
-                }
-                out.extend((0..trail).map(|_| PageBuf::zeroed(ps)));
-                for i in 0..n as usize {
-                    let pid = first.offset(i as u64);
-                    let in_ends = i < lead || i >= n as usize - trail;
-                    match status[i] {
-                        Some((frame, dirty)) if in_ends || dirty => {
-                            // Trimmed end page, or a newer-than-disk middle
-                            // page that must come from the SSD.
-                            let t = self.patch_from_ssd(
-                                now0,
-                                pid,
-                                frame,
-                                dirty,
-                                out[i].as_mut_slice(),
-                            )?;
-                            done = done.max(t);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            MultiPageMode::Split => {
-                // The paper's discarded first cut: split the request at
-                // every SSD-resident page; each disk fragment pays its own
-                // positioning cost.
-                let throttled = self.throttled(now0) || hedging;
-                let mut i = 0usize;
-                while i < n as usize {
-                    match status[i] {
-                        Some((frame, dirty)) if dirty || !throttled => {
-                            let pid = first.offset(i as u64);
-                            out.push(PageBuf::zeroed(ps));
-                            let t = self.patch_from_ssd(
-                                now0,
-                                pid,
-                                frame,
-                                dirty,
-                                out[i].as_mut_slice(),
-                            )?;
-                            done = done.max(t);
-                            i += 1;
-                        }
-                        _ => {
-                            let seg_start = i;
-                            while i < n as usize
-                                && !matches!(status[i], Some((_, d)) if d || !throttled)
-                            {
-                                i += 1;
-                            }
-                            let mut tmp = Clk::at(now0);
-                            out.extend(self.disk_read_run(
-                                &mut tmp,
-                                first.offset(seg_start as u64),
-                                (i - seg_start) as u64,
-                                Locality::Random,
-                            )?);
-                            done = done.max(tmp.now);
-                        }
-                    }
-                }
-            }
-            MultiPageMode::DiskOnly => {
-                let mut tmp = Clk::at(now0);
-                out.extend(self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?);
-                done = done.max(tmp.now);
-                // Correctness: dirty SSD copies are newer than what the
-                // disk returned.
-                for i in 0..n as usize {
-                    if let Some((frame, true)) = status[i] {
-                        let pid = first.offset(i as u64);
-                        let t =
-                            self.patch_from_ssd(now0, pid, frame, true, out[i].as_mut_slice())?;
-                        done = done.max(t);
-                    }
-                }
-            }
-        }
-        clk.wait_until(done);
-        Ok(out)
-    }
-
-    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, class: Locality) {
+    fn evict<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &S,
+        dirty: bool,
+        class: Locality,
+    ) {
         if self.is_quarantined() {
             // Degraded noSSD path: dirty evictions go straight to disk.
             if dirty {
@@ -1203,23 +1059,13 @@ impl PageIo for SsdManager {
         }
     }
 
-    fn note_dirtied(&self, _now: Time, pid: PageId) {
-        // Physical invalidation (§4.2): the frame returns to the free list
-        // immediately, unlike TAC's logical invalidation.
-        let mut part = self.part(pid);
-        if let Some(idx) = part.lookup(pid) {
-            let rec = part.remove(idx);
-            drop(part);
-            self.audit(pid, AuditOp::Invalidate);
-            self.occupancy.fetch_sub(1, Ordering::Relaxed);
-            if rec.dirty {
-                self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-            }
-            SsdMetrics::bump(&self.metrics.invalidations);
-        }
-    }
-
-    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], class: Locality) -> Time {
+    fn checkpoint<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &S,
+        class: Locality,
+    ) -> Time {
         let done = match fault::retry_write_forever(|| {
             self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
@@ -1259,6 +1105,201 @@ impl PageIo for SsdManager {
         }
         done
     }
+}
+
+impl PageIo for SsdManager {
+    fn read_page(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut [u8],
+    ) -> Result<(), IoError> {
+        self.read_one(clk, pid, class, buf)
+    }
+
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        self.read_one(clk, pid, class, buf)
+    }
+
+    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        assert!(n > 0);
+        for i in 0..n {
+            if self.is_stranded(first.offset(i)) {
+                // At least one page of the run awaits WAL salvage; fail
+                // the whole request so the engine salvages and retries.
+                return Err(self.stranded_err(clk.now));
+            }
+        }
+        if self.is_quarantined() {
+            // The table is empty, so every page below reads from disk; the
+            // counter records the degradation for the harnesses.
+            SsdMetrics::bump(&self.metrics.quarantined_reads);
+        }
+        // No page bytes move: disk pages arrive as handles on the disk
+        // store's images, and a page read from the SSD replaces its
+        // placeholder (a handle on the shared zero page) with a handle on
+        // the frame's image.
+        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
+        let status: Vec<Option<(u64, bool)>> =
+            (0..n).map(|i| self.run_status(first.offset(i))).collect();
+        let now0 = clk.now;
+        let mut done = now0;
+
+        // Gray-failure hedging: while the SSD is flagged fail-slow its
+        // clean-resident pages read from disk like misses (dirty pages
+        // must still patch from the SSD — theirs is the only copy).
+        let hedging = self.hedge_or_probe();
+        if hedging && self.cfg.multipage != MultiPageMode::DiskOnly {
+            let diverted = status
+                .iter()
+                .filter(|s| matches!(s, Some((_, false))))
+                .count() as u64;
+            SsdMetrics::add(&self.metrics.hedged_reads, diverted);
+        }
+
+        match self.cfg.multipage {
+            MultiPageMode::Trim => {
+                // Trimming (§3.3.3): peel SSD-resident pages off both ends,
+                // read the middle as one disk I/O; dirty SSD pages inside
+                // the middle are patched from the SSD afterwards.
+                let throttled = self.throttled(now0) || hedging;
+                let from_ssd = |s: &Option<(u64, bool)>| match s {
+                    Some((_, true)) => true,
+                    Some((_, false)) => !throttled,
+                    None => false,
+                };
+                let mut lead = 0usize;
+                while lead < n as usize && from_ssd(&status[lead]) {
+                    lead += 1;
+                }
+                let mut trail = 0usize;
+                while trail < n as usize - lead && from_ssd(&status[n as usize - 1 - trail]) {
+                    trail += 1;
+                }
+                let mid = lead..(n as usize - trail);
+                out.extend((0..lead).map(|_| self.io.zero_page()));
+                if !mid.is_empty() {
+                    let mut tmp = Clk::at(now0);
+                    out.extend(self.disk_read_run(
+                        &mut tmp,
+                        first.offset(mid.start as u64),
+                        mid.len() as u64,
+                        Locality::Sequential,
+                    )?);
+                    done = done.max(tmp.now);
+                }
+                out.extend((0..trail).map(|_| self.io.zero_page()));
+                for i in 0..n as usize {
+                    let pid = first.offset(i as u64);
+                    let in_ends = i < lead || i >= n as usize - trail;
+                    match status[i] {
+                        Some((frame, dirty)) if in_ends || dirty => {
+                            // Trimmed end page, or a newer-than-disk middle
+                            // page that must come from the SSD.
+                            let t = self.patch_from_ssd(now0, pid, frame, dirty, &mut out[i])?;
+                            done = done.max(t);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            MultiPageMode::Split => {
+                // The paper's discarded first cut: split the request at
+                // every SSD-resident page; each disk fragment pays its own
+                // positioning cost.
+                let throttled = self.throttled(now0) || hedging;
+                let mut i = 0usize;
+                while i < n as usize {
+                    match status[i] {
+                        Some((frame, dirty)) if dirty || !throttled => {
+                            let pid = first.offset(i as u64);
+                            out.push(self.io.zero_page());
+                            let t = self.patch_from_ssd(now0, pid, frame, dirty, &mut out[i])?;
+                            done = done.max(t);
+                            i += 1;
+                        }
+                        _ => {
+                            let seg_start = i;
+                            while i < n as usize
+                                && !matches!(status[i], Some((_, d)) if d || !throttled)
+                            {
+                                i += 1;
+                            }
+                            let mut tmp = Clk::at(now0);
+                            out.extend(self.disk_read_run(
+                                &mut tmp,
+                                first.offset(seg_start as u64),
+                                (i - seg_start) as u64,
+                                Locality::Random,
+                            )?);
+                            done = done.max(tmp.now);
+                        }
+                    }
+                }
+            }
+            MultiPageMode::DiskOnly => {
+                let mut tmp = Clk::at(now0);
+                out.extend(self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?);
+                done = done.max(tmp.now);
+                // Correctness: dirty SSD copies are newer than what the
+                // disk returned.
+                for i in 0..n as usize {
+                    if let Some((frame, true)) = status[i] {
+                        let pid = first.offset(i as u64);
+                        let t = self.patch_from_ssd(now0, pid, frame, true, &mut out[i])?;
+                        done = done.max(t);
+                    }
+                }
+            }
+        }
+        clk.wait_until(done);
+        Ok(out)
+    }
+
+    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, class: Locality) {
+        self.evict(now, pid, data, dirty, class);
+    }
+
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, class: Locality) {
+        self.evict(now, pid, data, dirty, class);
+    }
+
+    fn note_dirtied(&self, _now: Time, pid: PageId) {
+        // Physical invalidation (§4.2): the frame returns to the free list
+        // immediately, unlike TAC's logical invalidation.
+        let mut part = self.part(pid);
+        if let Some(idx) = part.lookup(pid) {
+            let rec = part.remove(idx);
+            drop(part);
+            self.audit(pid, AuditOp::Invalidate);
+            self.occupancy.fetch_sub(1, Ordering::Relaxed);
+            if rec.dirty {
+                self.dirty_total.fetch_sub(1, Ordering::Relaxed);
+            }
+            SsdMetrics::bump(&self.metrics.invalidations);
+        }
+    }
+
+    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], class: Locality) -> Time {
+        self.checkpoint(now, pid, data, class)
+    }
+
+    fn checkpoint_write_buf(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &PageBuf,
+        class: Locality,
+    ) -> Time {
+        self.checkpoint(now, pid, data, class)
+    }
 
     fn checkpoint_flush(&self, clk: &mut Clk) {
         if self.cfg.design != SsdDesign::LazyCleaning || self.is_quarantined() {
@@ -1286,7 +1327,7 @@ impl PageIo for SsdManager {
                 j += 1;
             }
             let mut pids: Vec<PageId> = Vec::with_capacity(j - i);
-            let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(j - i);
+            let mut bufs: Vec<PageBuf> = Vec::with_capacity(j - i);
             for pid in &dirty_pids[i..j] {
                 let frame = {
                     let part = self.part(*pid);
@@ -1297,23 +1338,19 @@ impl PageIo for SsdManager {
                     };
                     part.frame_no(idx)
                 };
-                let mut buf = self.buf_pool.take();
+                let mut buf = self.io.zero_page();
                 match self.ssd_read(clk, frame, &mut buf) {
                     Ok(()) => {
                         pids.push(*pid);
                         bufs.push(buf);
                     }
                     Err(e) => {
-                        self.buf_pool.put(buf);
                         self.note_ssd_error(&e);
                         self.drop_corrupt(*pid);
                     }
                 }
             }
             let (cleaned, _writes) = self.flush_gathered(clk, &pids, &bufs);
-            for buf in bufs {
-                self.buf_pool.put(buf);
-            }
             total += cleaned;
             i = j;
         }

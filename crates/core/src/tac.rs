@@ -43,7 +43,8 @@ use turbopool_iosim::sync::{Mutex, MutexGuard};
 
 use turbopool_bufpool::{shard_of, AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, PidMap, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc,
+    PidMap, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
@@ -240,7 +241,12 @@ impl TacCache {
 
     /// SSD frame read with transient-error retries on `clk`. `frame` is a
     /// *global* SSD frame number.
-    fn ssd_read(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
+    fn ssd_read<D: PageDst + ?Sized>(
+        &self,
+        clk: &mut Clk,
+        frame: u64,
+        buf: &mut D,
+    ) -> Result<(), IoError> {
         let (retries, out) =
             fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
         SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
@@ -248,12 +254,12 @@ impl TacCache {
     }
 
     /// Synchronous disk read with the standard capped-backoff retry policy.
-    fn disk_read(
+    fn disk_read<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
-        buf: &mut [u8],
+        buf: &mut D,
     ) -> Result<(), IoError> {
         let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
             self.io.read_disk(c, pid, buf, class)
@@ -264,7 +270,7 @@ impl TacCache {
 
     /// Asynchronous disk write that must not drop data (see
     /// `SsdManager::disk_write` for the policy).
-    fn disk_write(&self, now: Time, pid: PageId, data: &[u8]) {
+    fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
         if let Err(e) = fault::retry_write_forever(|| {
             self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
@@ -422,7 +428,13 @@ impl TacCache {
         Some(cold_frame)
     }
 
-    fn admit_on_read(&self, now: Time, pid: PageId, data: &[u8], class: Locality) {
+    fn admit_on_read<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &S,
+        class: Locality,
+    ) {
         if self.is_quarantined() {
             return;
         }
@@ -540,13 +552,16 @@ impl TacCache {
     }
 }
 
-impl PageIo for TacCache {
-    fn read_page(
+/// The bodies behind the [`PageIo`] entry points, each written once for
+/// both forms a page crosses the seam in: a byte slice to copy, or a
+/// [`PageBuf`] image to share.
+impl TacCache {
+    fn read_one<D: PageDst + PageSrc + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
-        buf: &mut [u8],
+        buf: &mut D,
     ) -> Result<(), IoError> {
         if self.is_quarantined() {
             SsdMetrics::bump(&self.metrics.quarantined_reads);
@@ -604,106 +619,7 @@ impl PageIo for TacCache {
         Ok(())
     }
 
-    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        // Multi-page reads use the same leading/trailing trim as the other
-        // designs (§3.3 optimizations were applied to TAC too). Run pages
-        // are sequential, hence cold — TAC does not admit them on read.
-        assert!(n > 0);
-        if self.is_quarantined() {
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-        }
-        let ps = self.io.page_size();
-        let now0 = clk.now;
-        let mut done = now0;
-        let hedging = self.hedge_or_probe();
-        let throttled = self.throttled(now0) || hedging;
-        // Per-page status probe: each page's shard is locked in run order
-        // (one at a time — never two shard latches together).
-        let status: Vec<Option<u64>> = (0..n)
-            .map(|i| {
-                let pid = first.offset(i);
-                let sh = self.lock_shard(self.shard_for(pid));
-                sh.map.get(&pid).and_then(|&l| {
-                    // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                    let rec = sh.records[l].unwrap();
-                    let usable = rec.valid && now0 >= rec.valid_at;
-                    if usable && hedging {
-                        SsdMetrics::bump(&self.metrics.hedged_reads);
-                    }
-                    (usable && !throttled).then_some(sh.base + l as u64)
-                })
-            })
-            .collect();
-        let mut lead = 0usize;
-        while lead < n as usize && status[lead].is_some() {
-            lead += 1;
-        }
-        let mut trail = 0usize;
-        while trail < n as usize - lead && status[n as usize - 1 - trail].is_some() {
-            trail += 1;
-        }
-        let mid = lead..(n as usize - trail);
-        // Each page buffer is built once: the middle's pages are the
-        // buffers `read_disk_run` made from the store bytes, moved into
-        // `out`; only the trimmed ends get zeroed buffers to read into.
-        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
-        out.extend((0..lead).map(|_| PageBuf::zeroed(ps)));
-        if !mid.is_empty() {
-            let mut tmp = Clk::at(now0);
-            let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
-                self.io.read_disk_run(
-                    c,
-                    first.offset(mid.start as u64),
-                    mid.len() as u64,
-                    Locality::Sequential,
-                )
-            });
-            SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-            let pages = res?;
-            done = done.max(tmp.now);
-            for (k, page) in pages.iter().enumerate() {
-                let pid = first.offset((mid.start + k) as u64);
-                // TAC's write-on-read applies to every page it reads;
-                // during aggressive filling even sequential pages are
-                // admitted ("before the SSD is full, all pages are
-                // admitted"). After filling, cold extents are rejected by
-                // the temperature rule inside.
-                self.admit_on_read(tmp.now, pid, page.as_slice(), Locality::Sequential);
-            }
-            out.extend(pages);
-        }
-        out.extend((0..trail).map(|_| PageBuf::zeroed(ps)));
-        for i in (0..lead).chain(n as usize - trail..n as usize) {
-            // lint: allow(panic) — lead/trail indices were counted as Some in the pass above.
-            let frame = status[i].unwrap();
-            let pid = first.offset(i as u64);
-            let mut tmp = Clk::at(now0);
-            match self.ssd_read(&mut tmp, frame, out[i].as_mut_slice()) {
-                Ok(()) => {
-                    done = done.max(tmp.now);
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
-                }
-                Err(e) => {
-                    // Same fallback as read_page: drop the bad frame and
-                    // fetch the current disk copy instead.
-                    self.note_ssd_error(&e);
-                    self.drop_corrupt(pid);
-                    let mut tmp = Clk::at(now0);
-                    let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
-                        self.io
-                            .read_disk(c, pid, out[i].as_mut_slice(), Locality::Sequential)
-                    });
-                    SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-                    res?;
-                    done = done.max(tmp.now);
-                }
-            }
-        }
-        clk.wait_until(done);
-        Ok(out)
-    }
-
-    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
+    fn evict<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
         if !dirty {
             // Clean pages were already written on read; nothing happens.
             return;
@@ -787,36 +703,7 @@ impl PageIo for TacCache {
         }
     }
 
-    fn note_dirtied(&self, now: Time, pid: PageId) {
-        let mut sh = self.lock_shard(self.shard_for(pid));
-        if let Some(&frame) = sh.map.get(&pid) {
-            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = sh.records[frame].unwrap();
-            if rec.valid {
-                if now < rec.valid_at {
-                    // The on-read SSD write had not completed: it is
-                    // cancelled outright; the page never reaches the SSD
-                    // (the §4.2 race that hurts TAC on update-heavy loads).
-                    sh.records[frame] = None;
-                    sh.map.remove(&pid);
-                    sh.free.push(frame);
-                    self.audit(pid, AuditOp::Cancel);
-                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
-                } else {
-                    // Logical invalidation: the frame stays occupied.
-                    sh.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    sh.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
-                }
-            }
-        }
-    }
-
-    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
+    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
         let done = match fault::retry_write_forever(|| {
             self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
@@ -889,6 +776,171 @@ impl PageIo for TacCache {
             self.note_ssd_error(&e);
         }
         done
+    }
+}
+
+impl PageIo for TacCache {
+    fn read_page(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut [u8],
+    ) -> Result<(), IoError> {
+        self.read_one(clk, pid, class, buf)
+    }
+
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        self.read_one(clk, pid, class, buf)
+    }
+
+    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        // Multi-page reads use the same leading/trailing trim as the other
+        // designs (§3.3 optimizations were applied to TAC too). Run pages
+        // are sequential, hence cold — TAC does not admit them on read.
+        assert!(n > 0);
+        if self.is_quarantined() {
+            SsdMetrics::bump(&self.metrics.quarantined_reads);
+        }
+        let now0 = clk.now;
+        let mut done = now0;
+        let hedging = self.hedge_or_probe();
+        let throttled = self.throttled(now0) || hedging;
+        // Per-page status probe: each page's shard is locked in run order
+        // (one at a time — never two shard latches together).
+        let status: Vec<Option<u64>> = (0..n)
+            .map(|i| {
+                let pid = first.offset(i);
+                let sh = self.lock_shard(self.shard_for(pid));
+                sh.map.get(&pid).and_then(|&l| {
+                    // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
+                    let rec = sh.records[l].unwrap();
+                    let usable = rec.valid && now0 >= rec.valid_at;
+                    if usable && hedging {
+                        SsdMetrics::bump(&self.metrics.hedged_reads);
+                    }
+                    (usable && !throttled).then_some(sh.base + l as u64)
+                })
+            })
+            .collect();
+        let mut lead = 0usize;
+        while lead < n as usize && status[lead].is_some() {
+            lead += 1;
+        }
+        let mut trail = 0usize;
+        while trail < n as usize - lead && status[n as usize - 1 - trail].is_some() {
+            trail += 1;
+        }
+        let mid = lead..(n as usize - trail);
+        // No page bytes move: the middle's pages are handles on the disk
+        // store's images, and each trimmed end page replaces its
+        // placeholder (a handle on the shared zero page) with a handle on
+        // its SSD frame's image.
+        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
+        out.extend((0..lead).map(|_| self.io.zero_page()));
+        if !mid.is_empty() {
+            let mut tmp = Clk::at(now0);
+            let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
+                self.io.read_disk_run(
+                    c,
+                    first.offset(mid.start as u64),
+                    mid.len() as u64,
+                    Locality::Sequential,
+                )
+            });
+            SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
+            let pages = res?;
+            done = done.max(tmp.now);
+            for (k, page) in pages.iter().enumerate() {
+                let pid = first.offset((mid.start + k) as u64);
+                // TAC's write-on-read applies to every page it reads;
+                // during aggressive filling even sequential pages are
+                // admitted ("before the SSD is full, all pages are
+                // admitted"). After filling, cold extents are rejected by
+                // the temperature rule inside.
+                self.admit_on_read(tmp.now, pid, page, Locality::Sequential);
+            }
+            out.extend(pages);
+        }
+        out.extend((0..trail).map(|_| self.io.zero_page()));
+        for i in (0..lead).chain(n as usize - trail..n as usize) {
+            // lint: allow(panic) — lead/trail indices were counted as Some in the pass above.
+            let frame = status[i].unwrap();
+            let pid = first.offset(i as u64);
+            let mut tmp = Clk::at(now0);
+            match self.ssd_read(&mut tmp, frame, &mut out[i]) {
+                Ok(()) => {
+                    done = done.max(tmp.now);
+                    SsdMetrics::bump(&self.metrics.ssd_hits);
+                }
+                Err(e) => {
+                    // Same fallback as read_page: drop the bad frame and
+                    // fetch the current disk copy instead.
+                    self.note_ssd_error(&e);
+                    self.drop_corrupt(pid);
+                    let mut tmp = Clk::at(now0);
+                    let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
+                        self.io.read_disk(c, pid, &mut out[i], Locality::Sequential)
+                    });
+                    SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
+                    res?;
+                    done = done.max(tmp.now);
+                }
+            }
+        }
+        clk.wait_until(done);
+        Ok(out)
+    }
+
+    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, _: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn note_dirtied(&self, now: Time, pid: PageId) {
+        let mut sh = self.lock_shard(self.shard_for(pid));
+        if let Some(&frame) = sh.map.get(&pid) {
+            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
+            let rec = sh.records[frame].unwrap();
+            if rec.valid {
+                if now < rec.valid_at {
+                    // The on-read SSD write had not completed: it is
+                    // cancelled outright; the page never reaches the SSD
+                    // (the §4.2 race that hurts TAC on update-heavy loads).
+                    sh.records[frame] = None;
+                    sh.map.remove(&pid);
+                    sh.free.push(frame);
+                    self.audit(pid, AuditOp::Cancel);
+                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
+                } else {
+                    // Logical invalidation: the frame stays occupied.
+                    sh.records[frame] = Some(TacRec {
+                        valid: false,
+                        ..rec
+                    });
+                    sh.invalid += 1;
+                    self.audit(pid, AuditOp::LogicalInvalidate);
+                    SsdMetrics::bump(&self.metrics.invalidations);
+                }
+            }
+        }
+    }
+
+    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
+        self.checkpoint(now, pid, data)
+    }
+
+    fn checkpoint_write_buf(&self, now: Time, pid: PageId, data: &PageBuf, _: Locality) -> Time {
+        self.checkpoint(now, pid, data)
     }
 
     fn has_copy(&self, pid: PageId) -> bool {

@@ -9,7 +9,9 @@ use turbopool_bufpool::{
 };
 use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
 use turbopool_iosim::sync::Mutex;
-use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, RetryPolicy, Time};
+use turbopool_iosim::{
+    fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, RetryPolicy, Time,
+};
 use turbopool_wal::log::DurableLog;
 use turbopool_wal::{LogManager, LogScanReport, RecoveryStats, RedoStore};
 
@@ -42,19 +44,20 @@ pub struct Database {
     next_tx: AtomicU64,
     alloc: AtomicU64,
     catalog: Mutex<Catalog>,
-    /// Recycled page-sized buffers for the transaction hot path: zero-page
-    /// serving, `write_page` before-images, and the overlay pages
-    /// themselves (taken on first touch, swapped into frames at commit,
-    /// and the frames' old buffers returned here).
+    /// Recycled page-sized scratch for `write_page` before-images.
     bufs: turbopool_iosim::PageBufPool,
+    /// Unshared page images for transactions' overlay pages: taken on
+    /// first touch, swapped into frames at commit, and the frames' old
+    /// images returned here when nothing else holds them.
+    spare: Mutex<Vec<PageBuf>>,
 }
 
-/// Spare buffers [`Database::page_bufs`] retains: one transaction's
-/// modified-page working set (the widest transaction the benchmark
-/// workloads run, in TPC-C, modifies 36 pages), so what commit returns
-/// feeds the next transaction's first touches. 64 × 8 KB = 512 KB at the
-/// paper's page size.
-const TXN_SPARE_BUFS: usize = 64;
+/// Spare images [`Database::recycle_image`] retains (and spare buffers in
+/// [`Database::page_bufs`]): one transaction's modified-page working set
+/// (the widest transaction the benchmark workloads run, in TPC-C, modifies
+/// 36 pages), so what commit returns feeds the next transaction's first
+/// touches. 64 × 8 KB = 512 KB at the paper's page size.
+pub(crate) const TXN_SPARE_BUFS: usize = 64;
 
 impl Database {
     /// Open a fresh database (empty disk image, empty log).
@@ -119,12 +122,41 @@ impl Database {
                 names: HashMap::new(),
             }),
             bufs,
+            spare: Mutex::new(Vec::new()),
         }
     }
 
     /// The engine's scratch-buffer pool (page-sized, recycled).
     pub(crate) fn page_bufs(&self) -> &turbopool_iosim::PageBufPool {
         &self.bufs
+    }
+
+    /// A page image to overwrite with [`PageBuf::copy_from`], contents
+    /// unspecified: a recycled one nobody else holds, which is filled in
+    /// place, or else a handle on the shared zero page, which the fill
+    /// replaces with a fresh image.
+    pub(crate) fn spare_image(&self) -> PageBuf {
+        let recycled = self.spare.lock().pop();
+        recycled.unwrap_or_else(|| self.io.zero_page())
+    }
+
+    /// Images currently kept for [`spare_image`](Self::spare_image).
+    #[cfg(test)]
+    pub(crate) fn spare_images(&self) -> usize {
+        self.spare.lock().len()
+    }
+
+    /// Keep `image` for a later [`spare_image`](Self::spare_image) — if it
+    /// is unshared. An image some store or frame still holds can never be
+    /// written in place, so recycling it would only defer a copy; it is
+    /// dropped instead, as is anything beyond [`TXN_SPARE_BUFS`].
+    pub(crate) fn recycle_image(&self, mut image: PageBuf) {
+        if image.is_unique() {
+            let mut spare = self.spare.lock();
+            if spare.len() < TXN_SPARE_BUFS {
+                spare.push(image);
+            }
+        }
     }
 
     // ------------------------------------------------------------------

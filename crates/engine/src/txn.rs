@@ -218,8 +218,7 @@ impl<'d, 'c> Txn<'d, 'c> {
         }
         match self.pin(pid, class) {
             Some(g) => g.read(f),
-            // The scratch lease recycles, so no allocation either.
-            None => f(&self.db.page_bufs().lease_zeroed()),
+            None => f(&self.db.io().zero_page()),
         }
     }
 
@@ -232,14 +231,14 @@ impl<'d, 'c> Txn<'d, 'c> {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> R {
         if !self.overlay.contains_key(&pid) {
-            // First touch: a recycled buffer (contents unspecified), filled
+            // First touch: a private image (contents unspecified), filled
             // exactly once — from the pinned frame, or with zeroes.
-            let mut buf = self.db.page_bufs().take();
+            let mut image = self.db.spare_image();
             match self.pin(pid, class) {
-                Some(g) => g.read(|b| buf.copy_from_slice(b)),
-                None => buf.fill(0),
+                Some(g) => g.read(|b| image.copy_from(b)),
+                None => image.copy_from(&self.db.io().zero_page()),
             }
-            self.overlay.insert(pid, PageBuf::from_vec(buf));
+            self.overlay.insert(pid, image);
         }
         // Snapshot the pre-image into a recycled scratch buffer (a fresh
         // PageBuf clone per write_page is the old allocation hot spot).
@@ -297,8 +296,8 @@ impl<'d, 'c> Txn<'d, 'c> {
         // on every run for replay to be bit-reproducible.
         //
         // Each image is swapped into its frame, not copied over it; the
-        // buffer that comes out goes back to the scratch pool, where the
-        // next transaction's first touches find it.
+        // image that comes out is recycled for the next transaction's first
+        // touches, unless a store or an SSD frame still shares it.
         let mut pages: Vec<(PageId, PageBuf)> =
             std::mem::take(&mut self.overlay).into_iter().collect();
         pages.sort_unstable_by_key(|(pid, _)| pid.0);
@@ -323,7 +322,7 @@ impl<'d, 'c> Txn<'d, 'c> {
                     }
                 }
             };
-            db.page_bufs().put(spare.into_vec());
+            db.recycle_image(spare);
         }
         CommitOutcome::Committed
     }
@@ -337,10 +336,10 @@ impl<'d, 'c> Txn<'d, 'c> {
 impl Drop for Txn<'_, '_> {
     /// Whatever the overlay still holds — everything after an abort, a
     /// poisoned or powerless commit, or a plain drop; nothing after a
-    /// publishing commit — goes back to the scratch pool.
+    /// publishing commit — is recycled.
     fn drop(&mut self) {
         for (_, page) in self.overlay.drain() {
-            self.db.page_bufs().put(page.into_vec());
+            self.db.recycle_image(page);
         }
     }
 }
@@ -348,6 +347,7 @@ impl Drop for Txn<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::TXN_SPARE_BUFS;
     use crate::DbConfig;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
@@ -574,41 +574,78 @@ mod tests {
     }
 
     #[test]
-    fn spare_count_is_restored_by_commit_abort_and_drop() {
+    fn unshared_images_are_recycled_and_shared_ones_are_not() {
         let db = db();
         let mut clk = Clk::new();
         let h = db.create_heap(&mut clk, "t", 32, 16);
-        // Pages 0..3 exist and are resident; 4..6 stay fresh.
+        // Pages 0..3 come into being here: their images go into never-filled
+        // frames, which give back handles on the pool's shared zero page —
+        // nothing to recycle.
         let mut txn = db.begin(&mut clk);
         for p in 0..3u64 {
             txn.write_page(PageId(p), Locality::Random, |b| b[0] = 1);
         }
         assert!(txn.commit().is_committed());
-        dirty_spares(&db, 8);
-        let before = db.page_bufs().spares();
+        assert_eq!(db.spare_images(), 0, "shared zero handles are dropped");
+        // Two resident pages, two fresh ones, and a read (which takes no
+        // image at all).
         let touch = |txn: &mut Txn<'_, '_>| {
             for p in [1u64, 2, 4, 5] {
                 txn.write_page(PageId(p), Locality::Random, |b| b[3] ^= 0x10);
             }
             txn.heap_get(h, 0);
         };
+        // Commit: the images swapped out of pages 1 and 2's frames were the
+        // previous commit's overlay pages, held by nothing else.
         let mut txn = db.begin(&mut clk);
         touch(&mut txn);
-        assert_eq!(
-            db.page_bufs().spares(),
-            before - 4,
-            "four overlay pages out"
-        );
         assert!(txn.commit().is_committed());
-        assert_eq!(db.page_bufs().spares(), before, "commit");
+        assert_eq!(db.spare_images(), 2, "commit");
+        // Abort and drop: all four overlay images come back (two of them
+        // were the spares, taken on first touch).
         let mut txn = db.begin(&mut clk);
         touch(&mut txn);
+        assert_eq!(db.spare_images(), 0, "first touches take the spares");
         txn.abort();
-        assert_eq!(db.page_bufs().spares(), before, "abort");
+        assert_eq!(db.spare_images(), 4, "abort");
         {
             let mut txn = db.begin(&mut clk);
             touch(&mut txn);
+            assert_eq!(db.spare_images(), 0);
         }
-        assert_eq!(db.page_bufs().spares(), before, "drop");
+        assert_eq!(db.spare_images(), 4, "drop");
+        // Now all four pages are resident with unshared images.
+        let mut txn = db.begin(&mut clk);
+        touch(&mut txn);
+        assert!(txn.commit().is_committed());
+        assert_eq!(db.spare_images(), 4, "commit swaps four out for four in");
+        // A checkpoint hands the frames' images to the disk store. What the
+        // next commit swaps out is then the disk's copy too: writing it in
+        // place would change the disk, so it is not kept.
+        db.checkpoint(&mut clk);
+        let on_disk = db.io().disk_store().read_buf(PageId(1));
+        let mut txn = db.begin(&mut clk);
+        touch(&mut txn);
+        assert_eq!(db.spare_images(), 0);
+        assert!(txn.commit().is_committed());
+        assert_eq!(db.spare_images(), 0, "shared images are dropped");
+        assert_eq!(
+            db.io().disk_store().read_buf(PageId(1)).as_ptr(),
+            on_disk.as_ptr(),
+            "the disk still holds the checkpointed image"
+        );
+        assert_eq!(on_disk[3] & 0x10, 0, "untouched by the commit after it");
+    }
+
+    #[test]
+    fn spare_images_are_capped() {
+        let db = db();
+        let mut clk = Clk::new();
+        let mut txn = db.begin(&mut clk);
+        for p in 0..TXN_SPARE_BUFS as u64 + 9 {
+            txn.write_page(PageId(p), Locality::Random, |b| b[0] = 1);
+        }
+        txn.abort();
+        assert_eq!(db.spare_images(), TXN_SPARE_BUFS);
     }
 }

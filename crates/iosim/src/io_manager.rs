@@ -16,8 +16,7 @@ use crate::crashsched::{BoundaryKind, CrashSwitch, WriteFate};
 use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
 use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
 use crate::health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
-use crate::page::{PageBuf, PageId};
-use crate::pagebuf::PageBufPool;
+use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
 use crate::store::{MemStore, PageStore};
 use crate::sync::RwLock;
@@ -87,6 +86,9 @@ impl DeviceSetup {
 pub struct IoManager {
     setup: DeviceSetup,
     page_size: usize,
+    /// The one zero image behind every never-written disk page and SSD
+    /// frame (and whatever else needs a page-sized placeholder).
+    zero: PageBuf,
     disk: StripedArray,
     disk_store: MemStore,
     ssd_dev: SimDevice,
@@ -104,10 +106,13 @@ pub struct IoManager {
     /// record, so the next read detects the damage instead of returning
     /// bad bytes. Lives and dies with this `IoManager`, so unlike the
     /// WAL's FNV-1a record trailer it is not a format.
+    ///
+    /// The sum of an image is computed once and travels with its handles
+    /// ([`PageBuf::sum`]): an undamaged frame holds the very image whose
+    /// sum was recorded, so verifying it compares two cached words. A
+    /// damaged frame — torn, bit-flipped, or overwritten at rest — holds
+    /// bytes nobody summed, hence a different image, summed when read.
     ssd_sums: Vec<std::sync::atomic::AtomicU64>,
-    /// Recycled frame-sized staging buffers for the injected-fault write
-    /// paths (torn merge, bit flip), so a fault costs no allocation.
-    scratch: PageBufPool,
     log_dev: SimDevice,
     log_lba: crate::sync::Mutex<u64>,
     /// Fault stream for the database disk group, if any.
@@ -132,20 +137,21 @@ pub struct IoManager {
 
 impl IoManager {
     pub fn new(setup: &DeviceSetup) -> Self {
+        let zero = PageBuf::zeroed(setup.page_size);
         IoManager {
             setup: setup.clone(),
             page_size: setup.page_size,
             disk: StripedArray::from_aggregate("hdd", setup.disk_profile, setup.num_disks),
-            disk_store: MemStore::new(setup.db_pages, setup.page_size),
+            disk_store: MemStore::with_zero(setup.db_pages, zero.clone()),
             ssd_dev: SimDevice::new("ssd", setup.ssd_profile),
-            ssd_store: MemStore::new(setup.ssd_frames, setup.page_size),
+            ssd_store: MemStore::with_zero(setup.ssd_frames, zero.clone()),
+            zero,
             ssd_tags: (0..setup.ssd_frames)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
             ssd_sums: (0..setup.ssd_frames)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            scratch: PageBufPool::new(setup.page_size, 2),
             log_dev: SimDevice::new("log", setup.log_profile),
             log_lba: crate::sync::Mutex::new(0),
             disk_fault: RwLock::new(None),
@@ -322,16 +328,24 @@ impl IoManager {
         self.ssd_store.num_pages()
     }
 
+    /// A handle on the shared all-zero page: what a never-written page
+    /// reads as, and a free placeholder for a page about to be read.
+    pub fn zero_page(&self) -> PageBuf {
+        self.zero.clone()
+    }
+
     // ------------------------------------------------------------------
     // Database disk group
     // ------------------------------------------------------------------
 
-    /// Synchronously read one database page.
-    pub fn read_disk(
+    /// Synchronously read one database page: copied into a byte buffer,
+    /// or shared with a [`PageBuf`] (which becomes a handle on the
+    /// store's image).
+    pub fn read_disk<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
-        buf: &mut [u8],
+        buf: &mut D,
         hint: Locality,
     ) -> Result<(), IoError> {
         if self.power_lost() {
@@ -343,7 +357,7 @@ impl IoManager {
         let t = self
             .disk
             .submit_page_scaled(clk.now, IoKind::Read, pid, Some(hint), scale);
-        self.disk_store.read(pid, buf);
+        buf.set(self.disk_store.read_buf(pid));
         let done = t.complete + extra;
         self.disk_health
             .observe(Self::observed_ns(&t, extra, 1), depth);
@@ -352,7 +366,8 @@ impl IoManager {
     }
 
     /// Synchronously read the consecutive run `first .. first + n` as one
-    /// multi-page request (read-ahead path, §3.3.3).
+    /// multi-page request (read-ahead path, §3.3.3). The pages come back
+    /// as handles on the store's images.
     ///
     /// The `hint` is advisory for the first page of each per-disk span:
     /// `Sequential` trusts the caller, anything else lets the devices
@@ -386,12 +401,13 @@ impl IoManager {
     }
 
     /// Asynchronously write one database page; returns the completion time.
-    /// The store is updated immediately so later reads observe the data.
-    pub fn write_disk_async(
+    /// The store is updated immediately so later reads observe the data: a
+    /// byte slice is copied into it, a [`PageBuf`] image is shared with it.
+    pub fn write_disk_async<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         pid: PageId,
-        data: &[u8],
+        data: &S,
         hint: Locality,
     ) -> Result<Time, IoError> {
         match self.boundary_fate(BoundaryKind::DiskPage) {
@@ -416,7 +432,7 @@ impl IoManager {
         let t = self
             .disk
             .submit_page_scaled(now, IoKind::Write, pid, Some(hint), scale);
-        self.disk_store.write(pid, data);
+        self.disk_store.put(pid, data);
         self.clear_lost_write(pid);
         let done = t.complete + extra;
         self.disk_health
@@ -425,11 +441,11 @@ impl IoManager {
     }
 
     /// Synchronously write one database page.
-    pub fn write_disk_sync(
+    pub fn write_disk_sync<S: PageSrc + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
-        data: &[u8],
+        data: &S,
         hint: Locality,
     ) -> Result<(), IoError> {
         let done = self.write_disk_async(clk.now, pid, data, hint)?;
@@ -444,11 +460,11 @@ impl IoManager {
     /// reports failure — the disk tier never corrupts silently, but a
     /// failed run may still have advanced some of its pages (exactly the
     /// partial-persistence window a real `writev` failure leaves behind).
-    pub fn write_disk_run_async(
+    pub fn write_disk_run_async<S: PageSrc>(
         &self,
         now: Time,
         first: PageId,
-        pages: &[&[u8]],
+        pages: &[S],
     ) -> Result<Time, IoError> {
         assert!(!pages.is_empty());
         if self.crash_switch.read().is_some() {
@@ -467,7 +483,7 @@ impl IoManager {
             }
             if keep < pages.len() {
                 for (i, data) in pages.iter().take(keep).enumerate() {
-                    self.disk_store.write(first.offset(i as u64), data);
+                    self.disk_store.put(first.offset(i as u64), data);
                     self.clear_lost_write(first.offset(i as u64));
                 }
                 for i in keep..pages.len() {
@@ -500,7 +516,7 @@ impl IoManager {
             scale,
         );
         for (i, data) in pages.iter().take(persisted).enumerate() {
-            self.disk_store.write(first.offset(i as u64), data);
+            self.disk_store.put(first.offset(i as u64), data);
             self.clear_lost_write(first.offset(i as u64));
         }
         for i in persisted..pages.len() {
@@ -577,7 +593,17 @@ impl IoManager {
     /// [`IoErrorKind::ChecksumMismatch`] — the caller gets an error, never
     /// silently corrupted bytes. The frame contents (possibly damaged) are
     /// still in `buf` for forensics; callers must not use them as page data.
-    pub fn read_ssd(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
+    ///
+    /// As with [`Self::read_disk`], a byte buffer gets a copy and a
+    /// [`PageBuf`] a handle on the frame's image. Either way the image's
+    /// own checksum is what is verified, so a frame read twice is summed
+    /// once.
+    pub fn read_ssd<D: PageDst + ?Sized>(
+        &self,
+        clk: &mut Clk,
+        frame: u64,
+        buf: &mut D,
+    ) -> Result<(), IoError> {
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Ssd, clk.now));
         }
@@ -592,16 +618,17 @@ impl IoManager {
             Some(Locality::Random),
             scale,
         );
-        self.ssd_store.read(PageId(frame), buf);
+        let image = self.ssd_store.read_buf(PageId(frame));
+        let written = self.ssd_tags[frame as usize].load(std::sync::atomic::Ordering::Relaxed) != 0;
+        let intact = !written
+            || image.sum()
+                == self.ssd_sums[frame as usize].load(std::sync::atomic::Ordering::Relaxed);
+        buf.set(image);
         let done = t.complete + extra;
         self.ssd_health
             .observe(Self::observed_ns(&t, extra, 1), depth);
         clk.wait_until(done);
-        let written = self.ssd_tags[frame as usize].load(std::sync::atomic::Ordering::Relaxed) != 0;
-        if written
-            && fault::frame_sum(buf)
-                != self.ssd_sums[frame as usize].load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if !intact {
             return Err(IoError::new(
                 FaultDevice::Ssd,
                 IoErrorKind::ChecksumMismatch,
@@ -618,11 +645,14 @@ impl IoManager {
     /// The checksum of the *intended* bytes is always recorded; injected
     /// silent corruption (torn prefix, bit flip) damages only the stored
     /// copy, so the next [`Self::read_ssd`] of this frame detects it.
-    pub fn write_ssd_async(
+    ///
+    /// A [`PageBuf`] is stored by sharing its image, a byte slice by copying
+    /// it into the frame's.
+    pub fn write_ssd_async<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         frame: u64,
-        data: &[u8],
+        data: &S,
         tag: PageId,
     ) -> Result<Time, IoError> {
         match self.boundary_fate(BoundaryKind::SsdFrame) {
@@ -633,9 +663,10 @@ impl IoManager {
                 // intent records (tag + checksum of the full new bytes)
                 // are updated — so the next read of this frame reports
                 // `ChecksumMismatch` instead of serving the hybrid.
-                let keep = (self.page_size / 2).max(1).min(data.len());
-                self.tear_ssd_frame(frame, data, keep);
-                self.record_ssd_intent(frame, data, tag);
+                let bytes = data.bytes();
+                let keep = (self.page_size / 2).max(1).min(bytes.len());
+                self.tear_ssd_frame(frame, bytes, keep);
+                self.record_ssd_intent(frame, fault::frame_sum(bytes), tag);
                 return Err(Self::power_err(FaultDevice::Ssd, now));
             }
             // Dropped: the old frame (tag, checksum, bytes) stays intact —
@@ -651,43 +682,48 @@ impl IoManager {
         self.ssd_health
             .observe(Self::observed_ns(&t, extra, 1), depth);
         let plan = self.plan_for(FaultDevice::Ssd);
-        if let Some(len) = plan.as_ref().and_then(|p| p.torn_prefix(data.len())) {
-            self.tear_ssd_frame(frame, data, len);
-        } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(data.len())) {
-            let mut flipped = self.scratch.lease();
-            flipped.copy_from_slice(data);
+        let bytes = data.bytes();
+        let intent = if let Some(len) = plan.as_ref().and_then(|p| p.torn_prefix(bytes.len())) {
+            self.tear_ssd_frame(frame, bytes, len);
+            fault::frame_sum(bytes)
+        } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(bytes.len())) {
+            let mut flipped = PageBuf::from_slice(bytes);
             flipped[byte] ^= mask;
-            self.ssd_store.write(PageId(frame), &flipped);
+            self.ssd_store.write_buf(PageId(frame), flipped);
+            fault::frame_sum(bytes)
         } else {
-            self.ssd_store.write(PageId(frame), data);
-        }
-        self.record_ssd_intent(frame, data, tag);
+            // The stored image is the intended one: sum it where it now
+            // lives, so the handles later reads clone out carry the sum.
+            self.ssd_store.put(PageId(frame), data);
+            self.ssd_store.sum(PageId(frame))
+        };
+        self.record_ssd_intent(frame, intent, tag);
         Ok(t.complete + extra)
     }
 
     /// Torn frame write: the first `keep` bytes of `data` land over the
-    /// old frame's tail.
+    /// old frame's tail — in an image of their own, whoever else still
+    /// holds the old one.
     fn tear_ssd_frame(&self, frame: u64, data: &[u8], keep: usize) {
-        let mut merged = self.scratch.lease();
-        self.ssd_store.read(PageId(frame), &mut merged);
+        let mut merged = self.ssd_store.read_buf(PageId(frame));
         merged[..keep].copy_from_slice(&data[..keep]);
-        self.ssd_store.write(PageId(frame), &merged);
+        self.ssd_store.write_buf(PageId(frame), merged);
     }
 
-    /// Update `frame`'s intent records — the sum of the bytes it was meant
-    /// to hold and the page it caches — whatever actually reached the store.
-    fn record_ssd_intent(&self, frame: u64, data: &[u8], tag: PageId) {
+    /// Update `frame`'s intent records — `sum`, of the bytes it was meant
+    /// to hold, and the page it caches — whatever actually reached the store.
+    fn record_ssd_intent(&self, frame: u64, sum: u64, tag: PageId) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.ssd_sums[frame as usize].store(fault::frame_sum(data), Relaxed);
+        self.ssd_sums[frame as usize].store(sum, Relaxed);
         self.ssd_tags[frame as usize].store(tag.0 + 1, Relaxed);
     }
 
     /// Synchronously write one SSD frame.
-    pub fn write_ssd_sync(
+    pub fn write_ssd_sync<S: PageSrc + ?Sized>(
         &self,
         clk: &mut Clk,
         frame: u64,
-        data: &[u8],
+        data: &S,
         tag: PageId,
     ) -> Result<(), IoError> {
         let done = self.write_ssd_async(clk.now, frame, data, tag)?;
@@ -953,6 +989,123 @@ mod tests {
             .unwrap();
         io.read_ssd(&mut clk, 7, &mut buf).unwrap();
         assert_eq!(buf, vec![0xAB; 64]);
+    }
+
+    #[test]
+    fn images_move_through_both_stores_by_handle() {
+        let io = io();
+        let mut clk = Clk::new();
+        let page = PageBuf::from_slice(&[0xCD; 64]);
+        // Disk: the store adopts the writer's image and reads hand it out.
+        io.write_disk_sync(&mut clk, PageId(9), &page, Locality::Random)
+            .unwrap();
+        assert_eq!(io.disk_store().read_buf(PageId(9)).as_ptr(), page.as_ptr());
+        let mut got = io.zero_page();
+        io.read_disk(&mut clk, PageId(9), &mut got, Locality::Random)
+            .unwrap();
+        assert_eq!(got.as_ptr(), page.as_ptr());
+        let run = io
+            .read_disk_run(&mut clk, PageId(8), 3, Locality::Sequential)
+            .unwrap();
+        assert_eq!(run[1].as_ptr(), page.as_ptr());
+        assert_eq!(run[0].as_ptr(), io.zero_page().as_ptr(), "never written");
+        assert_eq!(run[2].as_ptr(), run[0].as_ptr());
+        // A run write shares each image too.
+        io.write_disk_run_async(clk.now, PageId(20), &run).unwrap();
+        assert_eq!(io.disk_store().read_buf(PageId(21)).as_ptr(), page.as_ptr());
+        // SSD: same, and the frame's checksum is the image's own — summed
+        // once at the write, carried by every handle read back.
+        assert_eq!(page.cached_sum(), None);
+        io.write_ssd_sync(&mut clk, 3, &page, PageId(77)).unwrap();
+        assert_eq!(io.ssd_store().read_buf(PageId(3)).as_ptr(), page.as_ptr());
+        let mut got = io.zero_page();
+        io.read_ssd(&mut clk, 3, &mut got).unwrap();
+        assert_eq!(got.as_ptr(), page.as_ptr());
+        assert_eq!(got.cached_sum(), Some(fault::frame_sum(&page)));
+        // A reader that edits its handle changes nobody else's bytes.
+        got[0] = 0;
+        let mut buf = vec![0u8; 64];
+        io.read_ssd(&mut clk, 3, &mut buf).unwrap();
+        assert_eq!((buf, page[0]), (vec![0xCD; 64], 0xCD));
+    }
+
+    #[test]
+    fn slice_writes_seed_the_stored_sum_and_reuse_the_stored_image() {
+        let io = io();
+        let mut clk = Clk::new();
+        io.write_ssd_sync(&mut clk, 5, &[0x31; 64], PageId(1))
+            .unwrap();
+        let stored = io.ssd_store().read_buf(PageId(5));
+        assert_eq!(stored.cached_sum(), Some(fault::frame_sum(&[0x31; 64])));
+        drop(stored);
+        let at = io.ssd_store().read_buf(PageId(5)).as_ptr();
+        io.write_ssd_sync(&mut clk, 5, &[0x32; 64], PageId(1))
+            .unwrap();
+        let stored = io.ssd_store().read_buf(PageId(5));
+        assert_eq!(stored.as_ptr(), at, "copied over the frame's own image");
+        assert_eq!(stored.cached_sum(), Some(fault::frame_sum(&[0x32; 64])));
+        let mut buf = [0u8; 64];
+        io.read_ssd(&mut clk, 5, &mut buf).unwrap();
+        assert_eq!(buf, [0x32; 64]);
+    }
+
+    #[test]
+    fn damaged_frames_are_fresh_images_and_fail_verification_by_handle_and_by_slice() {
+        // The three ways a frame's bytes stop matching its intent record,
+        // each written by handle so that the *intended* image has a cached
+        // sum to be wrongly trusted.
+        type Inflict = fn(&IoManager, &mut Clk, &PageBuf);
+        let damage: [(&str, Inflict); 3] = [
+            ("at rest", |io, clk, page| {
+                io.write_ssd_sync(clk, 2, page, PageId(4)).unwrap();
+                let mut got = io.zero_page();
+                io.read_ssd(clk, 2, &mut got).expect("undamaged so far");
+                let mut bytes = page.to_vec();
+                bytes[40] ^= 0x04;
+                io.ssd_store().write(PageId(2), &bytes);
+            }),
+            ("torn", |io, clk, page| {
+                let mut cfg = FaultConfig::quiet(5);
+                cfg.torn_write_prob = 1.0;
+                io.set_ssd_fault(Some(Arc::new(FaultPlan::new(cfg))));
+                io.write_ssd_sync(clk, 2, page, PageId(4)).unwrap();
+                io.set_ssd_fault(None);
+            }),
+            ("bit flip", |io, clk, page| {
+                let mut cfg = FaultConfig::quiet(6);
+                cfg.bitflip_prob = 1.0;
+                io.set_ssd_fault(Some(Arc::new(FaultPlan::new(cfg))));
+                io.write_ssd_sync(clk, 2, page, PageId(4)).unwrap();
+                io.set_ssd_fault(None);
+            }),
+        ];
+        for (what, inflict) in damage {
+            let io = io();
+            let mut clk = Clk::new();
+            io.write_ssd_sync(&mut clk, 2, &[0x11; 64], PageId(4))
+                .unwrap();
+            let page = PageBuf::from_slice(&[0x22; 64]);
+            page.sum();
+            inflict(&io, &mut clk, &page);
+            assert_eq!(page.as_slice(), &[0x22; 64], "{what}: writer's image");
+            let stored = io.ssd_store().read_buf(PageId(2));
+            assert_ne!(stored.as_ptr(), page.as_ptr(), "{what}: a fresh image");
+            assert_eq!(stored.cached_sum(), None, "{what}: nobody summed it");
+            let mut got = io.zero_page();
+            let e = io.read_ssd(&mut clk, 2, &mut got).unwrap_err();
+            assert_eq!(e.kind, IoErrorKind::ChecksumMismatch, "{what}");
+            // The damaged bytes are still handed over for forensics.
+            assert_eq!(got.as_ptr(), stored.as_ptr(), "{what}");
+            let mut buf = vec![0u8; 64];
+            let e = io.read_ssd(&mut clk, 2, &mut buf).unwrap_err();
+            assert_eq!(e.kind, IoErrorKind::ChecksumMismatch, "{what}");
+            assert_eq!(buf, stored.to_vec(), "{what}");
+            assert_ne!(buf, page.to_vec(), "{what}");
+            // A clean rewrite of the same image repairs the frame.
+            io.write_ssd_sync(&mut clk, 2, &page, PageId(4)).unwrap();
+            io.read_ssd(&mut clk, 2, &mut got).unwrap();
+            assert_eq!(got.as_ptr(), page.as_ptr(), "{what}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use fault::{
 };
 pub use health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
 pub use io_manager::{DeviceSetup, IoManager};
-pub use page::{PageBuf, PageId, PidHasher, PidMap};
+pub use page::{PageBuf, PageDst, PageId, PageSrc, PidHasher, PidMap};
 pub use pagebuf::{PageBufPool, PageLease};
 pub use profiles::{hdd_array_profile, log_disk_profile, ssd_profile, PAPER_NUM_DISKS};
 pub use stats::{DeviceStats, StatSnapshot};

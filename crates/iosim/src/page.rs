@@ -3,6 +3,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::fault::frame_sum;
 
 /// Identifier of a database page within the (single) simulated database file.
 ///
@@ -76,44 +80,47 @@ impl Hasher for PidHasher {
 /// per-process-seeded default hasher; nothing may depend on it (lint L9).
 pub type PidMap<V> = HashMap<PageId, V, BuildHasherDefault<PidHasher>>;
 
-/// An owned page-sized byte buffer.
+/// A page image: an immutable, reference-counted page of bytes.
+///
+/// Every tier that holds a page — a store, an SSD frame, a pool frame, a
+/// run being read ahead — holds a handle on the same image, and moving a
+/// page between tiers is a handle clone, not a copy. A holder may change
+/// the bytes only if its handle is the sole one (`Arc::get_mut` succeeds);
+/// every mutable access through any other handle first copies the bytes
+/// into an image of its own, so no write is ever visible through another
+/// handle.
 ///
 /// The page size is a run-time configuration (the paper uses 8 KB pages;
-/// tests use much smaller pages to keep fixtures compact), so `PageBuf` wraps
-/// a boxed slice rather than a fixed-size array.
-#[derive(Clone, PartialEq, Eq)]
+/// tests use much smaller pages to keep fixtures compact), so the bytes
+/// are a shared slice rather than a fixed-size array.
 pub struct PageBuf {
-    data: Box<[u8]>,
+    data: Arc<[u8]>,
+    /// [`frame_sum`] of `data`, or [`NO_SUM`] while nobody has asked for
+    /// it. Per handle: a clone carries it, any mutable access clears it.
+    sum: AtomicU64,
 }
+
+/// "Not computed" marker of the cached checksum. An image whose real sum
+/// is this value is merely summed again on every ask.
+const NO_SUM: u64 = 0;
 
 impl PageBuf {
     /// A zeroed page of `page_size` bytes.
     pub fn zeroed(page_size: usize) -> Self {
-        PageBuf {
-            data: vec![0u8; page_size].into_boxed_slice(),
-        }
+        // Collected, not converted from a `Vec`: one allocation, no copy.
+        Self::from_arc(std::iter::repeat_n(0u8, page_size).collect())
     }
 
     /// A page initialized from `data`.
     pub fn from_slice(data: &[u8]) -> Self {
-        PageBuf { data: data.into() }
+        Self::from_arc(data.into())
     }
 
-    /// Adopt `data` as a page without copying (a [`PageBufPool`] buffer
-    /// has `len == capacity`, so boxing it does not reallocate).
-    ///
-    /// [`PageBufPool`]: crate::PageBufPool
-    pub fn from_vec(data: Vec<u8>) -> Self {
+    fn from_arc(data: Arc<[u8]>) -> Self {
         PageBuf {
-            data: data.into_boxed_slice(),
+            data,
+            sum: AtomicU64::new(NO_SUM),
         }
-    }
-
-    /// Give the page's buffer up, e.g. back to a [`PageBufPool`].
-    ///
-    /// [`PageBufPool`]: crate::PageBufPool
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data.into_vec()
     }
 
     /// Page size in bytes.
@@ -135,18 +142,80 @@ impl PageBuf {
         &self.data
     }
 
-    /// Mutable view of the page bytes.
+    /// Mutable view of the page bytes. A shared image is copied first, so
+    /// the other holders keep the bytes they had.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
+        *self.sum.get_mut() = NO_SUM;
+        Arc::make_mut(&mut self.data)
     }
 
-    /// Overwrite the whole page from `src` (lengths must match).
-    #[inline]
+    /// Mutable view for a caller that overwrites every byte: contents are
+    /// unspecified, and a shared image is swapped for a fresh one instead
+    /// of being copied only to be overwritten.
+    pub fn overwrite_slice(&mut self) -> &mut [u8] {
+        if !self.is_unique() {
+            *self = Self::zeroed(self.len());
+        }
+        self.as_mut_slice()
+    }
+
+    /// Overwrite the whole page from `src` (lengths must match): in place
+    /// when this handle is the only one, else into a fresh image.
     pub fn copy_from(&mut self, src: &[u8]) {
-        self.data.copy_from_slice(src);
+        assert_eq!(src.len(), self.len(), "page size mismatch");
+        *self.sum.get_mut() = NO_SUM;
+        match Arc::get_mut(&mut self.data) {
+            Some(own) => own.copy_from_slice(src),
+            None => self.data = src.into(),
+        }
+    }
+
+    /// True if no other handle shares this image, i.e. mutable access
+    /// will not copy.
+    pub fn is_unique(&mut self) -> bool {
+        Arc::get_mut(&mut self.data).is_some()
+    }
+
+    /// The checksum this handle carries, if it carries one.
+    #[cfg(test)]
+    pub(crate) fn cached_sum(&self) -> Option<u64> {
+        Some(self.sum.load(Ordering::Relaxed)).filter(|&s| s != NO_SUM)
+    }
+
+    /// The frame checksum ([`frame_sum`]) of the bytes, computed at most
+    /// once per handle lineage: clones made afterwards carry the value.
+    pub fn sum(&self) -> u64 {
+        match self.sum.load(Ordering::Relaxed) {
+            NO_SUM => {
+                let sum = frame_sum(&self.data);
+                // Publishes nothing but itself: racing callers store the
+                // same value.
+                self.sum.store(sum, Ordering::Relaxed);
+                sum
+            }
+            sum => sum,
+        }
     }
 }
+
+impl Clone for PageBuf {
+    /// Another handle on the same image (and its checksum, if known).
+    fn clone(&self) -> Self {
+        PageBuf {
+            data: Arc::clone(&self.data),
+            sum: AtomicU64::new(self.sum.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl PartialEq for PageBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for PageBuf {}
 
 impl fmt::Debug for PageBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -163,7 +232,87 @@ impl std::ops::Deref for PageBuf {
 
 impl std::ops::DerefMut for PageBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        self.as_mut_slice()
+    }
+}
+
+/// Page bytes handed to a write entry point: a byte slice, whose bytes the
+/// receiver copies, or a [`PageBuf`], whose image it shares.
+pub trait PageSrc {
+    fn bytes(&self) -> &[u8];
+
+    /// The image behind [`bytes`](Self::bytes), if they already are one.
+    fn as_image(&self) -> Option<&PageBuf> {
+        None
+    }
+}
+
+impl PageSrc for [u8] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PageSrc for Vec<u8> {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl<const N: usize> PageSrc for [u8; N] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PageSrc for PageBuf {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn as_image(&self) -> Option<&PageBuf> {
+        Some(self)
+    }
+}
+
+impl<T: PageSrc + ?Sized> PageSrc for &T {
+    fn bytes(&self) -> &[u8] {
+        (**self).bytes()
+    }
+
+    fn as_image(&self) -> Option<&PageBuf> {
+        (**self).as_image()
+    }
+}
+
+/// Where a read entry point delivers a page: a byte buffer, which gets a
+/// copy of the image's bytes, or a [`PageBuf`], which becomes a handle on
+/// the image.
+pub trait PageDst {
+    fn set(&mut self, image: PageBuf);
+}
+
+impl PageDst for [u8] {
+    fn set(&mut self, image: PageBuf) {
+        self.copy_from_slice(&image);
+    }
+}
+
+impl PageDst for Vec<u8> {
+    fn set(&mut self, image: PageBuf) {
+        self.copy_from_slice(&image);
+    }
+}
+
+impl<const N: usize> PageDst for [u8; N] {
+    fn set(&mut self, image: PageBuf) {
+        self.copy_from_slice(&image);
+    }
+}
+
+impl PageDst for PageBuf {
+    fn set(&mut self, image: PageBuf) {
+        *self = image;
     }
 }
 
@@ -222,12 +371,83 @@ mod tests {
     }
 
     #[test]
-    fn page_buf_adopts_and_releases_a_vec_in_place() {
-        let v = vec![7u8; 64];
-        let addr = v.as_ptr();
-        let p = PageBuf::from_vec(v);
-        assert_eq!(p.as_slice().as_ptr(), addr, "no copy on the way in");
-        let v = p.into_vec();
-        assert_eq!((v.as_ptr(), v.len(), v[63]), (addr, 64, 7));
+    fn clone_shares_the_image_and_a_write_unshares_it() {
+        let mut a = PageBuf::from_slice(&[7u8; 64]);
+        assert!(a.is_unique());
+        let addr = a.as_ptr();
+        a.as_mut_slice()[0] = 8;
+        assert_eq!(a.as_ptr(), addr, "a sole holder writes in place");
+        let mut b = a.clone();
+        assert_eq!(b.as_ptr(), addr, "a clone moves no bytes");
+        assert!(!a.is_unique() && !b.is_unique());
+        b[1] = 9; // DerefMut goes through the same copy-on-write
+        assert_ne!(b.as_ptr(), addr, "a sharer copies before it writes");
+        assert_eq!((a[0], a[1]), (8, 7), "the other handle saw nothing");
+        assert_eq!((b[0], b[1]), (8, 9));
+        assert!(a.is_unique() && b.is_unique());
+    }
+
+    #[test]
+    fn copy_from_and_overwrite_slice_never_copy_a_shared_image() {
+        let a = PageBuf::from_slice(&[1u8; 32]);
+        let mut b = a.clone();
+        b.copy_from(&[2u8; 32]);
+        assert_eq!((a[0], b[0]), (1, 2));
+        let addr = b.as_ptr();
+        b.copy_from(&[3u8; 32]);
+        assert_eq!((b.as_ptr(), b[31]), (addr, 3), "unique: in place");
+        let mut c = a.clone();
+        c.overwrite_slice().fill(4);
+        assert_eq!((a[0], c[0]), (1, 4));
+        let addr = c.as_ptr();
+        c.overwrite_slice()[0] = 5;
+        assert_eq!((c.as_ptr(), c[0], c[1]), (addr, 5, 4), "unique: in place");
+    }
+
+    #[test]
+    fn sum_is_cached_carried_by_clone_and_cleared_by_mutable_access() {
+        let cached = |p: &PageBuf| p.cached_sum().unwrap_or(NO_SUM);
+        let mut a = PageBuf::from_slice(&[0x5Au8; 256]);
+        assert_eq!(cached(&a), NO_SUM);
+        let s = a.sum();
+        assert_eq!(s, frame_sum(&[0x5Au8; 256]));
+        assert_eq!(cached(&a), s);
+        let mut b = a.clone();
+        assert_eq!(cached(&b), s, "clone carries the sum");
+        // Mutate after sum: every mutable access forgets it, so the next
+        // ask sees the new bytes.
+        b.as_mut_slice()[3] ^= 1;
+        assert_eq!(cached(&b), NO_SUM);
+        assert_ne!(b.sum(), s);
+        assert_eq!(b.sum(), frame_sum(&b));
+        assert_eq!(cached(&a), s, "the other handle keeps its own");
+        a[0] = 0x5A; // same bytes, but DerefMut cannot know that
+        assert_eq!(cached(&a), NO_SUM);
+        assert_eq!(a.sum(), s);
+        a.copy_from(&[1u8; 256]);
+        assert_eq!(cached(&a), NO_SUM);
+        a.sum();
+        a.overwrite_slice();
+        assert_eq!(cached(&a), NO_SUM);
+    }
+
+    #[test]
+    fn src_and_dst_copy_slices_and_share_images() {
+        let image = PageBuf::from_slice(&[6u8; 16]);
+        assert_eq!(image.as_image().map(|i| i.as_ptr()), Some(image.as_ptr()));
+        assert!([6u8; 16].as_image().is_none());
+        assert!(vec![6u8; 16].as_image().is_none());
+        assert!([6u8; 16][..].as_image().is_none());
+        let by_ref: &PageBuf = &image;
+        assert_eq!(PageSrc::bytes(&by_ref), &[6u8; 16], "the `&T` impl");
+        assert!(PageSrc::as_image(&by_ref).is_some());
+        let mut slice = [0u8; 16];
+        slice[..].set(image.clone());
+        let mut vec = vec![0u8; 16];
+        vec.set(image.clone());
+        let mut handle = PageBuf::zeroed(16);
+        handle.set(image.clone());
+        assert_eq!((slice, &vec[..]), ([6u8; 16], &[6u8; 16][..]));
+        assert_eq!(handle.as_ptr(), image.as_ptr(), "a handle takes the image");
     }
 }

@@ -1,21 +1,21 @@
-//! Reusable page-buffer pool for gather/flush/copy hot paths.
+//! Reusable page-sized scratch buffers.
 //!
-//! Several layers stage whole pages in temporary `Vec<u8>` buffers: the
-//! SSD manager's cleaner gathers up to α pages before one disk run, the
-//! buffer pool copies dirty frames out for checkpoint writes, and the
-//! transaction layer captures before-images for redo diffing and keeps its
-//! private page copies in them (swapping those into pool frames at commit
-//! and taking the frames' old buffers back — see `PageBuf::from_vec` /
-//! `into_vec`). Allocating those buffers fresh puts an allocator
+//! Pages themselves travel between tiers as shared [`PageBuf`] images and
+//! need no staging. What is left for this pool is scratch a page's bytes
+//! are copied *into* to be looked at: the transaction layer snapshots a
+//! page's before-image here on every `write_page`, to diff the redo
+//! records against. Allocating that buffer fresh puts an allocator
 //! round-trip on every such operation (measured in `benches/micro.rs`,
-//! `page_buf_*`); this pool recycles them instead.
+//! `page_buf_*`); this pool recycles it instead.
 //!
-//! The pool lives in `iosim` (the workspace's base crate) so that
-//! `bufpool`, `core` and `engine` can share the implementation.
+//! The pool lives in `iosim` (the workspace's base crate) beside the page
+//! types it complements.
 //!
 //! The spare list is its own innermost lock class (`spare` in
 //! `lock_order.toml`): `take`/`put` acquire it only inside this module
 //! and never while any other workspace lock is held.
+//!
+//! [`PageBuf`]: crate::PageBuf
 
 use crate::sync::Mutex;
 
@@ -75,16 +75,6 @@ impl PageBufPool {
             pool: self,
             buf: Some(self.take()),
         }
-    }
-
-    /// Like [`lease`], but the buffer is zero-filled — for callers that
-    /// serve fresh/unwritten pages and must expose all-zero bytes.
-    ///
-    /// [`lease`]: PageBufPool::lease
-    pub fn lease_zeroed(&self) -> PageLease<'_> {
-        let mut l = self.lease();
-        l.as_mut_slice().fill(0);
-        l
     }
 
     /// Spare buffers currently retained (tests and metrics).
@@ -185,8 +175,6 @@ mod tests {
             assert_eq!(pool.spares(), 0);
         }
         assert_eq!(pool.spares(), 1);
-        let z = pool.lease_zeroed();
-        assert!(z.iter().all(|&b| b == 0), "recycled lease is re-zeroed");
     }
 
     #[test]

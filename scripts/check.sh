@@ -24,6 +24,10 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> bench targets build warning-free (lint L6 does not reach benches/)"
+# A discarded `Result` in a bench would time an error path silently.
+RUSTFLAGS=-Dwarnings cargo bench --no-run -q -p turbopool-bench
+
 echo "==> benchmark/ builds against the facade and passes its own gates"
 # Nothing else builds the standalone benchmark package: the smoke run fails
 # on a broken facade signature, reps that disagree to the bit, a traced rep
