@@ -5,22 +5,25 @@
 //!   each in their own share-nothing domain), and
 //! * a fault matrix (four SSD designs × two fault streams, eight
 //!   domains of synthetic clients with injected SSD errors), and
-//! * a buffer-pool contention stress (ISSUE 9): real OS threads
-//!   hammering ONE shared pool's hit path, lock-striped 1-way vs N-way.
+//! * a buffer-pool contention stress: real OS threads hammering ONE
+//!   shared pool's hit path through its single table latch (the numbers
+//!   behind DESIGN §3 "Latching").
 //!
 //! Every sweep asserts that per-domain results are bit-identical across
-//! thread counts — the parallel driver must never trade determinism for
-//! speed. Speedups are reported in `BENCH_driver_scaling.json`; on an
-//! N-core runner the 4-thread OLTP sweep should approach min(4, N)×.
-//! Each sample records the host's core count, and `speedup_vs_1` is
-//! only computed when the host can actually run threads in parallel —
-//! a single-core runner otherwise "reports" meaningless slowdowns.
-//! `TURBO_QUICK` shortens runs and caps the sweep at 4 threads.
+//! thread counts and across reps — the parallel driver must never trade
+//! determinism for speed. Each cell is timed several times and reported
+//! as median and min–max in `BENCH_driver_scaling.json`: five reps per
+//! cell in full mode; under `TURBO_QUICK` (shorter runs, sweep capped at
+//! 4 threads) three for the contention cells and one for the driver
+//! sweeps. Each cell records the host's core count, and `speedup_vs_1`
+//! (median over median) is only computed when the host can actually run
+//! threads in parallel — a single-core runner otherwise "reports"
+//! meaningless slowdowns.
 
 use std::sync::Arc;
 
 use turbopool_bench::{quick, BenchReport, Json, OltpKind, RunOptions, WallTimer};
-use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo, ShardCount};
+use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, MINUTE};
@@ -36,35 +39,55 @@ fn host_cores() -> u64 {
         .unwrap_or(1)
 }
 
-/// One (threads -> outcome) sample of a sweep.
+/// One timed run of a sweep cell.
 struct Sample {
-    threads: usize,
     drive_secs: f64,
     steps: u64,
-    /// Host core count at sample time — speedup is only meaningful
-    /// against it.
-    cores: u64,
-    /// Per-domain fingerprints, compared across thread counts.
+    /// Per-domain fingerprints, compared across reps and thread counts.
     fingerprint: Vec<(String, u64)>,
 }
 
-fn sample_json(s: &Sample, baseline_secs: f64) -> Json {
-    // On a single-core host the multi-threaded samples measure scheduler
+/// Median and range of one cell's wall-clock reps (odd rep counts only,
+/// so the median is a run that happened).
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+    reps: usize,
+}
+
+fn spread(mut secs: Vec<f64>) -> Spread {
+    assert!(secs.len() % 2 == 1, "odd rep count");
+    secs.sort_by(f64::total_cmp);
+    Spread {
+        median: secs[secs.len() / 2],
+        min: secs[0],
+        max: secs[secs.len() - 1],
+        reps: secs.len(),
+    }
+}
+
+fn cell_json(threads: usize, steps: u64, t: &Spread, baseline_secs: f64) -> Json {
+    let cores = host_cores();
+    // On a single-core host the multi-threaded cells measure scheduler
     // overhead, not scaling; emit null rather than a misleading number.
-    let speedup = if s.cores > 1 && s.drive_secs > 0.0 {
-        Json::Num(baseline_secs / s.drive_secs)
+    let speedup = if cores > 1 && t.median > 0.0 {
+        Json::Num(baseline_secs / t.median)
     } else {
         Json::Null
     };
     Json::Obj(vec![
-        ("threads".to_string(), Json::Int(s.threads as u64)),
-        ("cores".to_string(), Json::Int(s.cores)),
-        ("drive_secs".to_string(), Json::Num(s.drive_secs)),
-        ("steps".to_string(), Json::Int(s.steps)),
+        ("threads".to_string(), Json::Int(threads as u64)),
+        ("cores".to_string(), Json::Int(cores)),
+        ("reps".to_string(), Json::Int(t.reps as u64)),
+        ("drive_secs".to_string(), Json::Num(t.median)),
+        ("drive_secs_min".to_string(), Json::Num(t.min)),
+        ("drive_secs_max".to_string(), Json::Num(t.max)),
+        ("steps".to_string(), Json::Int(steps)),
         (
             "steps_per_sec".to_string(),
-            Json::Num(if s.drive_secs > 0.0 {
-                s.steps as f64 / s.drive_secs
+            Json::Num(if t.median > 0.0 {
+                steps as f64 / t.median
             } else {
                 0.0
             }),
@@ -86,10 +109,8 @@ fn oltp_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
         .map(|run| (run.design.label().to_string(), run.metric.total()))
         .collect();
     Sample {
-        threads,
         drive_secs: set.drive_secs,
         steps: set.steps,
-        cores: host_cores(),
         fingerprint,
     }
 }
@@ -153,62 +174,71 @@ fn fault_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
         })
         .collect();
     Sample {
-        threads,
         drive_secs,
         steps: driver.steps(),
-        cores: host_cores(),
         fingerprint,
     }
 }
 
+/// Time every thread count `reps` times. Every run of the sweep — each
+/// rep at each thread count — must reproduce the first run's fingerprints
+/// and step count.
 fn sweep(
     name: &str,
     thread_counts: &[usize],
+    reps: usize,
     mut run: impl FnMut(usize) -> Sample,
-) -> (Vec<Json>, f64) {
-    let mut samples = Vec::new();
+) -> Vec<Json> {
+    let mut base: Option<Sample> = None;
+    let mut cells: Vec<(usize, Spread)> = Vec::new();
     for &threads in thread_counts {
-        let s = run(threads);
+        let mut secs = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let s = run(threads);
+            secs.push(s.drive_secs);
+            match &base {
+                None => base = Some(s),
+                Some(b) => {
+                    assert_eq!(
+                        s.fingerprint, b.fingerprint,
+                        "{name}: results diverged from the first run at {threads} threads"
+                    );
+                    assert_eq!(s.steps, b.steps, "{name}: step counts diverged");
+                }
+            }
+        }
+        let t = spread(secs);
         println!(
-            "{name:<14} threads={threads} drive_secs={:.3} steps={}",
-            s.drive_secs, s.steps
+            "{name:<14} threads={threads} drive_secs={:.3} (min {:.3} max {:.3}, {} reps)",
+            t.median, t.min, t.max, t.reps
         );
-        samples.push(s);
+        cells.push((threads, t));
     }
-    let base = &samples[0];
-    for s in &samples[1..] {
-        assert_eq!(
-            s.fingerprint, base.fingerprint,
-            "{name}: results diverged between {} and {} threads",
-            base.threads, s.threads
-        );
-        assert_eq!(s.steps, base.steps, "{name}: step counts diverged");
-    }
-    println!("{name:<14} results identical across all thread counts");
-    let baseline_secs = base.drive_secs;
-    let entries = samples
+    let steps = base.expect("a sweep has at least one run").steps;
+    println!("{name:<14} steps={steps}, results identical across all thread counts and reps");
+    let baseline_secs = cells[0].1.median;
+    cells
         .iter()
-        .map(|s| sample_json(s, baseline_secs))
-        .collect();
-    (entries, baseline_secs)
+        .map(|(threads, t)| cell_json(*threads, steps, t, baseline_secs))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
-// ISSUE 9: buffer-pool lock-striping contention stress
+// Buffer-pool table-latch contention stress
 // ---------------------------------------------------------------------
 
 /// Pages in the stress pool. Frames == pages, so after a single warming
 /// pass every access is a hit: the measurement is pure page-table +
-/// policy metadata work under the shard latches, with no I/O (whose own
+/// policy metadata work under the table latch, with no I/O (whose own
 /// locks would mask the effect, as in the ablation-4 partitioning bench).
 const STRESS_PAGES: u64 = 4096;
 
-/// One shared pool hammered by real threads at a given stripe count.
-fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Json {
+/// One shared pool hammered by `threads` real threads: wall seconds and
+/// contended latch acquisitions of the measured phase.
+fn contention_run(threads: usize, gets_per_thread: u64) -> (f64, u64) {
     let io = Arc::new(IoManager::new(&DeviceSetup::paper(256, STRESS_PAGES, 1)));
     let layer: Arc<dyn PageIo> = Arc::new(DirectIo::new(io));
-    let mut cfg = BufferPoolConfig::new(STRESS_PAGES as usize, 256, STRESS_PAGES);
-    cfg.shards = ShardCount::Fixed(shards);
+    let cfg = BufferPoolConfig::new(STRESS_PAGES as usize, 256, STRESS_PAGES);
     let pool = Arc::new(BufferPool::new(cfg, layer));
     // Warm every page resident (unmeasured, single-threaded).
     let mut clk = Clk::new();
@@ -217,8 +247,8 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
     }
     let warm = pool.stats();
     // Wall clock on purpose: this measures real OS-thread latch
-    // contention across stripe counts, which the virtual clock cannot
-    // observe. Identical measurement rationale to ablation 4 (§3.3.4).
+    // contention, which the virtual clock cannot observe. Identical
+    // measurement rationale to ablation 4 (§3.3.4).
     // lint: allow(wallclock) — harness-side timing of real latch contention
     let t0 = std::time::Instant::now();
     // lint: allow(thread-spawn) — contention stress needs true parallelism; the hammered pool is bench-local, no simulation state is shared.
@@ -239,44 +269,56 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
     });
     let wall = t0.elapsed().as_secs_f64();
     let stats = pool.stats();
-    // `stats()` itself takes every shard latch once; the closing snapshot's
-    // round is inside the delta.
-    let acq = stats.shard_acquisitions - warm.shard_acquisitions - pool.shard_count() as u64;
-    let contended = stats.shard_contended - warm.shard_contended;
-    let gets = gets_per_thread * threads as u64;
+    // `stats()` itself takes the table latch; the closing snapshot's one
+    // acquisition is inside the delta.
+    let acq = stats.shard_acquisitions - warm.shard_acquisitions - 1;
     // A hit on the warm pool is one latch acquisition: the probe pins under
     // it and the guard's drop takes none. An exact count on every host, so
     // a second latch per hit coming back fails the gate that runs this.
     assert_eq!(
-        acq, gets,
-        "shards={shards} threads={threads}: a warm get must take exactly one shard latch"
+        acq,
+        gets_per_thread * threads as u64,
+        "threads={threads}: a warm get must take exactly one table latch"
     );
+    (wall, stats.shard_contended - warm.shard_contended)
+}
+
+/// One contention cell: `reps` runs, reported at the median-wall run.
+fn contention_cell(threads: usize, gets_per_thread: u64, reps: usize) -> Json {
+    let mut runs: Vec<(f64, u64)> = (0..reps)
+        .map(|_| contention_run(threads, gets_per_thread))
+        .collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let contended = runs[runs.len() / 2].1;
+    let t = spread(runs.iter().map(|r| r.0).collect());
+    let gets = gets_per_thread * threads as u64;
+    let rate = |wall: f64| gets as f64 / wall.max(1e-9);
     println!(
-        "contention     shards={shards} threads={threads} wall={wall:.3}s \
-         gets/s={:.0} latch_acq_per_get={:.2} contended_share={:.4}",
-        gets as f64 / wall.max(1e-9),
-        acq as f64 / gets as f64,
-        contended as f64 / acq.max(1) as f64,
+        "contention     threads={threads} gets/s={:.0} (min {:.0} max {:.0}, {} reps) \
+         wall={:.3}s contended_share={:.4}",
+        rate(t.median),
+        rate(t.max),
+        rate(t.min),
+        t.reps,
+        t.median,
+        contended as f64 / gets as f64,
     );
     Json::Obj(vec![
-        ("shards".to_string(), Json::Int(shards as u64)),
         ("threads".to_string(), Json::Int(threads as u64)),
         ("cores".to_string(), Json::Int(host_cores())),
-        ("wall_secs".to_string(), Json::Num(wall)),
+        ("reps".to_string(), Json::Int(t.reps as u64)),
+        ("wall_secs".to_string(), Json::Num(t.median)),
         ("gets".to_string(), Json::Int(gets)),
-        (
-            "gets_per_sec".to_string(),
-            Json::Num(gets as f64 / wall.max(1e-9)),
-        ),
-        ("shard_acquisitions".to_string(), Json::Int(acq)),
-        (
-            "latch_acq_per_get".to_string(),
-            Json::Num(acq as f64 / gets as f64),
-        ),
+        ("gets_per_sec".to_string(), Json::Num(rate(t.median))),
+        ("gets_per_sec_min".to_string(), Json::Num(rate(t.max))),
+        ("gets_per_sec_max".to_string(), Json::Num(rate(t.min))),
+        // Asserted equal to `gets` in every rep.
+        ("shard_acquisitions".to_string(), Json::Int(gets)),
+        ("latch_acq_per_get".to_string(), Json::Num(1.0)),
         ("shard_contended".to_string(), Json::Int(contended)),
         (
             "contended_share".to_string(),
-            Json::Num(contended as f64 / acq.max(1) as f64),
+            Json::Num(contended as f64 / gets as f64),
         ),
     ])
 }
@@ -286,26 +328,28 @@ fn main() {
     let thread_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let oltp_minutes: u64 = if quick { 20 } else { 60 };
     let fault_minutes: u64 = if quick { 10 } else { 30 };
+    // Single samples on a shared host mislead (DESIGN §9): full mode takes
+    // five reps of every cell; the quick gate three, and only of the
+    // sub-second contention cells.
+    let (driver_reps, contention_reps) = if quick { (1, 3) } else { (5, 5) };
     let timer = WallTimer::start();
 
     println!("== driver_scaling: fig6-quick (TPC-C 2K, 4 design domains) ==");
-    let (oltp, _) = sweep("oltp", thread_counts, |t| {
+    let oltp = sweep("oltp", thread_counts, driver_reps, |t| {
         oltp_sample(t, oltp_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: fault matrix (4 designs x 2 fault streams) ==");
-    let (faults, _) = sweep("fault_matrix", thread_counts, |t| {
+    let faults = sweep("fault_matrix", thread_counts, driver_reps, |t| {
         fault_sample(t, fault_minutes * MINUTE)
     });
 
-    println!("\n== driver_scaling: pool lock-striping contention (1 shared pool) ==");
+    println!("\n== driver_scaling: pool table-latch contention (1 shared pool) ==");
     let gets_per_thread: u64 = if quick { 500_000 } else { 2_000_000 };
-    let mut contention = Vec::new();
-    for &shards in &[1usize, 8] {
-        for &threads in thread_counts {
-            contention.push(contention_sample(shards, threads, gets_per_thread));
-        }
-    }
+    let contention: Vec<Json> = thread_counts
+        .iter()
+        .map(|&threads| contention_cell(threads, gets_per_thread, contention_reps))
+        .collect();
 
     let virtual_ns =
         (oltp_minutes * MINUTE).saturating_mul(4) + (fault_minutes * MINUTE).saturating_mul(8);
@@ -314,7 +358,7 @@ fn main() {
         .standard(
             timer.secs(),
             *thread_counts.last().unwrap_or(&1),
-            virtual_ns * thread_counts.len() as u64,
+            virtual_ns * (thread_counts.len() * driver_reps) as u64,
             0,
         )
         .set("oltp", Json::Arr(oltp))

@@ -129,7 +129,7 @@ fn bench_lru2() {
 }
 
 /// One warm pool access end to end: hash probe, pin, policy stamp, guard
-/// drop — one shard latch and no heap operation.
+/// drop — one table latch and no heap operation.
 fn bench_pool_hit() {
     const PAGES: u64 = 4096;
     let io = Arc::new(IoManager::new(&DeviceSetup::paper(256, PAGES, 1)));

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use turbopool_bufpool::{AdmissionKind, PolicyStats, ReplacementKind, ShardCount};
+use turbopool_bufpool::{AdmissionKind, PolicyStats, ReplacementKind};
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_engine::Database;
 use turbopool_iosim::{Time, HOUR, MILLISECOND, MINUTE};
@@ -43,11 +43,6 @@ pub struct RunOptions {
     pub mem_frames: Option<usize>,
     /// SSD frames override (`None` = the paper's scaled size).
     pub ssd_frames: Option<u64>,
-    /// DRAM pool page-table lock stripes (`Auto` = legacy single latch
-    /// until a hint is configured; `Fixed(1)` pins legacy explicitly).
-    pub pool_shards: ShardCount,
-    /// TAC buffer-table lock stripes (extent-routed).
-    pub tac_shards: ShardCount,
 }
 
 impl RunOptions {
@@ -63,8 +58,6 @@ impl RunOptions {
             admission: AdmissionKind::DesignDefault,
             mem_frames: None,
             ssd_frames: None,
-            pool_shards: ShardCount::Auto,
-            tac_shards: ShardCount::Auto,
         }
     }
 
@@ -80,8 +73,6 @@ impl RunOptions {
             admission: AdmissionKind::DesignDefault,
             mem_frames: None,
             ssd_frames: None,
-            pool_shards: ShardCount::Auto,
-            tac_shards: ShardCount::Auto,
         }
     }
 }
@@ -132,8 +123,6 @@ fn attach(
     let tweak = |spec: &mut turbopool_workload::scenario::SystemSpec| {
         spec.replacement = opts.replacement;
         spec.admission = opts.admission;
-        spec.pool_shards = opts.pool_shards;
-        spec.tac_shards = opts.tac_shards;
         if let Some(frames) = opts.mem_frames {
             spec.mem_frames = frames;
         }

@@ -16,12 +16,10 @@ pub mod admission;
 pub mod policy;
 pub mod pool;
 pub mod readahead;
-pub mod shard;
 pub mod traits;
 
 pub use admission::{AdmissionKind, AdmissionPolicy, AdmitVerdict};
 pub use policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 pub use pool::{BufferPool, BufferPoolConfig, PageGuard, PoolStats};
 pub use readahead::{Classifier, ClassifierKind, ClassifierStats, ScanCursor};
-pub use shard::{shard_of, ShardCount};
 pub use traits::{DirectIo, PageIo};

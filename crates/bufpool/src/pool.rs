@@ -1,18 +1,15 @@
 //! The buffer pool proper: frames, hash table, pluggable replacement, guards.
 //!
-//! Since ISSUE 9 the pool is *lock-striped*: the page table, frame
-//! metadata, free list, and replacement policy are split into N shards,
-//! each behind its own latch, with shard assignment a pure function of
-//! the page id ([`shard_of`]). Data slots are partitioned contiguously
-//! (shard i owns global slots `base[i] .. base[i] + len[i]`), cross-shard
-//! totals are folded in shard order, and `shards = 1` reproduces the
-//! historical single-latch pool bit-for-bit (gated by
-//! `tests/policy_default_regression.rs`).
+//! One latch covers the page table, frame metadata, free list and
+//! replacement policy; a slot index means the same frame everywhere (the
+//! table's metadata, the pin counts, the frame data). Only the paper's SSD
+//! buffer table is striped (`SsdManager::parts`, §3.3.4) — see DESIGN §3,
+//! "Latching", for why the pool is not.
 //!
 //! # Pin counts
 //!
-//! A frame's pin count lives in an atomic beside its shard, not in the
-//! latched metadata. It *rises* only under the shard latch (a hit in
+//! A frame's pin count lives in an atomic beside the table, not in the
+//! latched metadata. It *rises* only under the table latch (a hit in
 //! `pin_resident`, or an install), and the evictor holds that latch while
 //! it probes, so a frame it sees unpinned cannot gain a pin before it is
 //! detached from the page table. It *falls* without any latch: dropping a
@@ -29,7 +26,6 @@ use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap, Time};
 
 use crate::policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
-use crate::shard::{shard_of, ShardCount};
 use crate::traits::PageIo;
 
 /// Buffer pool sizing and behaviour knobs.
@@ -51,16 +47,6 @@ pub struct BufferPoolConfig {
     /// Which replacement policy picks eviction victims (LRU-2 is the
     /// paper's choice and the regression-gated default).
     pub replacement: ReplacementKind,
-    /// Lock stripes for the page table (`Auto` resolves from
-    /// [`shard_hint`](Self::shard_hint); `Fixed(1)` = the legacy single
-    /// latch).
-    pub shards: ShardCount,
-    /// Parallelism hint consulted by [`ShardCount::Auto`]. Defaults to 1
-    /// so that default-configured pools keep the legacy layout on every
-    /// machine — sharding must be opted into by configuration, never
-    /// inferred from host core count (see `crate::shard` determinism
-    /// note).
-    pub shard_hint: usize,
 }
 
 impl BufferPoolConfig {
@@ -72,8 +58,6 @@ impl BufferPoolConfig {
             fill_expansion: 8,
             classifier: ClassifierKind::ReadAhead,
             replacement: ReplacementKind::Lru2,
-            shards: ShardCount::Auto,
-            shard_hint: 1,
         }
     }
 }
@@ -88,11 +72,11 @@ pub struct PoolStats {
     pub prefetched_pages: u64,
     pub expanded_fill_pages: u64,
     pub checkpoint_writes: u64,
-    /// Shard-latch acquisitions (every `lock_shard`, all shards summed).
-    /// Deterministic in driver runs — a pure function of the operation
-    /// sequence — so it participates safely in replay equality checks.
+    /// Table-latch acquisitions. Deterministic in driver runs — a pure
+    /// function of the operation sequence — so it participates safely in
+    /// replay equality checks.
     pub shard_acquisitions: u64,
-    /// Shard-latch acquisitions that found the latch held by another OS
+    /// Table-latch acquisitions that found the latch held by another OS
     /// thread. Always 0 in deterministic driver runs (domains are
     /// share-nothing); nonzero only under the real-thread contention
     /// benches.
@@ -107,15 +91,6 @@ impl PoolStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of shard-latch acquisitions that were contended.
-    pub fn contended_share(&self) -> f64 {
-        if self.shard_acquisitions == 0 {
-            0.0
-        } else {
-            self.shard_contended as f64 / self.shard_acquisitions as f64
         }
     }
 }
@@ -137,10 +112,9 @@ impl FrameMeta {
     }
 }
 
-/// An eviction decided under a shard latch whose write-behind I/O is
+/// An eviction decided under the table latch whose write-behind I/O is
 /// still owed. The slot is privately owned by the holder until new data
 /// is installed, so the victim's bytes survive in the frame meanwhile.
-/// `slot` is the *global* data-slot index.
 #[derive(Clone, Copy, Debug)]
 struct PendingEvict {
     slot: usize,
@@ -159,29 +133,25 @@ fn unpinned(pin: &AtomicU32) -> bool {
 /// Sentinel for the intrusive dirty-list links.
 const NIL: usize = usize::MAX;
 
-/// One lock stripe: a slice of the page table with its own free list,
-/// replacement policy, counters, and intrusive dirty list. All slot
-/// indices inside a shard are *local* (`0 .. meta.len()`); the owning
-/// pool maps them to global data slots by adding the shard's base.
-struct Shard {
+/// Everything the table latch protects: the page table with its free
+/// list, replacement policy, counters, and intrusive dirty list.
+struct Table {
     map: PidMap<usize>,
     meta: Vec<FrameMeta>,
-    /// Pin count per local slot, shared with the owning pool (see the
-    /// module docs): raised through this handle, i.e. under the latch;
-    /// lowered by guard drops through the pool's handle, latch-free.
+    /// Pin count per slot, shared with the owning pool (see the module
+    /// docs): raised through this handle, i.e. under the latch; lowered
+    /// by guard drops through the pool's handle, latch-free.
     pins: Arc<[AtomicU32]>,
     free: Vec<usize>,
     /// Victim selection + access bookkeeping, behind the policy trait.
-    /// Each shard owns its own instance (sized to the shard's frames), so
-    /// victim selection never crosses a shard boundary. The default
-    /// [`ReplacementKind::Lru2`] reproduces the pre-trait hardwired LRU-2
-    /// bit-for-bit at `shards = 1` (see `tests/policy_default_regression`).
+    /// The default [`ReplacementKind::Lru2`] reproduces the pre-trait
+    /// hardwired LRU-2 bit-for-bit (see `tests/policy_default_regression`).
     policy: Box<dyn ReplacementPolicy>,
     filled_once: bool,
     stats: PoolStats,
-    /// Intrusive doubly-linked list of dirty frames (local indices), so
-    /// checkpoints and `dirty_count` never scan the whole frame table.
-    /// Invariant: `meta[l].dirty` ⟺ `l` is linked ⟺ counted in `ndirty`.
+    /// Intrusive doubly-linked list of dirty frames, so checkpoints and
+    /// `dirty_count` never scan the whole frame table.
+    /// Invariant: `meta[s].dirty` ⟺ `s` is linked ⟺ counted in `ndirty`.
     dprev: Vec<usize>,
     dnext: Vec<usize>,
     dhead: usize,
@@ -189,9 +159,9 @@ struct Shard {
     ndirty: usize,
 }
 
-impl Shard {
+impl Table {
     fn new(frames: usize, replacement: ReplacementKind) -> Self {
-        Shard {
+        Table {
             map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             meta: vec![FrameMeta::empty(); frames],
             pins: (0..frames).map(|_| AtomicU32::new(0)).collect(),
@@ -207,30 +177,29 @@ impl Shard {
         }
     }
 
-    /// Count one more pin on local slot `l`. `Relaxed` suffices: every
-    /// reader that acts on a *rise* (the evictor) holds the latch this
-    /// caller holds.
-    fn pin(&self, l: usize) {
-        self.pins[l].fetch_add(1, Ordering::Relaxed);
+    /// Count one more pin on `slot`. `Relaxed` suffices: every reader that
+    /// acts on a *rise* (the evictor) holds the latch this caller holds.
+    fn pin(&self, slot: usize) {
+        self.pins[slot].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Append local slot `l` to the dirty list (must not be linked).
-    fn link_dirty(&mut self, l: usize) {
-        debug_assert!(self.dprev[l] == NIL && self.dnext[l] == NIL && self.dhead != l);
-        self.dprev[l] = self.dtail;
-        self.dnext[l] = NIL;
+    /// Append `slot` to the dirty list (must not be linked).
+    fn link_dirty(&mut self, slot: usize) {
+        debug_assert!(self.dprev[slot] == NIL && self.dnext[slot] == NIL && self.dhead != slot);
+        self.dprev[slot] = self.dtail;
+        self.dnext[slot] = NIL;
         if self.dtail == NIL {
-            self.dhead = l;
+            self.dhead = slot;
         } else {
-            self.dnext[self.dtail] = l;
+            self.dnext[self.dtail] = slot;
         }
-        self.dtail = l;
+        self.dtail = slot;
         self.ndirty += 1;
     }
 
-    /// Unlink local slot `l` from the dirty list (must be linked).
-    fn unlink_dirty(&mut self, l: usize) {
-        let (p, n) = (self.dprev[l], self.dnext[l]);
+    /// Unlink `slot` from the dirty list (must be linked).
+    fn unlink_dirty(&mut self, slot: usize) {
+        let (p, n) = (self.dprev[slot], self.dnext[slot]);
         if p == NIL {
             self.dhead = n;
         } else {
@@ -241,16 +210,15 @@ impl Shard {
         } else {
             self.dprev[n] = p;
         }
-        self.dprev[l] = NIL;
-        self.dnext[l] = NIL;
+        self.dprev[slot] = NIL;
+        self.dnext[slot] = NIL;
         self.ndirty -= 1;
     }
 
-    /// Obtain a free local slot, selecting and detaching the policy's
-    /// victim if necessary — pure bookkeeping, no I/O, so it runs
-    /// entirely under the shard latch. When a page is evicted the caller
-    /// receives a [`PendingEvict`] (with the slot still *local*; the
-    /// pool rebases it) and must hand the frame's bytes to the storage
+    /// Obtain a free slot, selecting and detaching the policy's victim if
+    /// necessary — pure bookkeeping, no I/O, so it runs entirely under
+    /// the table latch. When a page is evicted the caller receives a
+    /// [`PendingEvict`] and must hand the frame's bytes to the storage
     /// layer (after releasing the latch) *before* overwriting the frame,
     /// since the slot still holds the victim's data.
     fn vacate_slot(&mut self) -> (usize, Option<PendingEvict>) {
@@ -289,35 +257,31 @@ impl Shard {
     }
 }
 
-/// Per-shard latch counters, kept *outside* the latch so counting a
-/// contended acquisition never itself takes the latch.
-#[derive(Default)]
-struct LockCounters {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-}
-
 /// The main-memory buffer pool.
 ///
-/// Thread-safe for the discrete-event usage pattern of this workspace (one
-/// logical client active at a time per domain, many logical clients
-/// interleaved) *and* for real-thread access: shards are independent
-/// latches, so threads touching different shards never serialize.
+/// Concurrency contract. Safe: any interleaving of logical clients that
+/// runs on one OS thread at a time (every simulation path — a driver
+/// domain owns its `Database`); real OS threads touching *distinct* pages;
+/// and a guard's unpin racing an eviction on another thread (module docs,
+/// `tests/pool_unpin_threads.rs`). Not supported: two OS threads
+/// first-touching the *same* non-resident page — [`get`](Self::get)
+/// releases the table latch before it takes the frame latch, so the second
+/// thread can hit, pin the frame and read it before the first thread's
+/// fill lands (ROADMAP carries the fix).
 pub struct BufferPool {
     cfg: BufferPoolConfig,
     layer: Arc<dyn PageIo>,
-    shards: Vec<Mutex<Shard>>,
-    /// Each shard's pin counts, reachable without its latch (for unpin).
-    pins: Vec<Arc<[AtomicU32]>>,
-    /// Global data-slot base of each shard (contiguous partition).
-    bases: Vec<usize>,
-    nshards: usize,
-    /// Random/sequential classification is shared: sequential-run
-    /// detection must observe the global access stream, which spans
-    /// shards. Its latch nests *inside* a shard latch (`classifier` after
-    /// `shards` in `lock_order.toml`) and is a leaf.
+    inner: Mutex<Table>,
+    /// The table's pin counts, reachable without its latch (for unpin).
+    pins: Arc<[AtomicU32]>,
+    /// Random/sequential classification. Its latch nests *inside* the
+    /// table latch (`classifier` after `inner` in `lock_order.toml`) and
+    /// is a leaf; hits never take it.
     classifier: Mutex<Classifier>,
-    locks: Vec<LockCounters>,
+    /// Table-latch counters, kept *outside* the latch so counting a
+    /// contended acquisition never itself takes the latch.
+    acquisitions: AtomicU64,
+    contended: AtomicU64,
     /// The one zero image every never-filled frame starts as a handle on
     /// (and every freshly created page starts from).
     zero: PageBuf,
@@ -329,35 +293,17 @@ pub struct BufferPool {
 impl BufferPool {
     pub fn new(cfg: BufferPoolConfig, layer: Arc<dyn PageIo>) -> Self {
         assert!(cfg.frames > 0, "pool needs at least one frame");
-        let nshards = cfg.shards.resolve(cfg.shard_hint, cfg.frames);
-        let mut shards = Vec::with_capacity(nshards);
-        let mut pins = Vec::with_capacity(nshards);
-        let mut bases = Vec::with_capacity(nshards);
-        let mut base = 0usize;
-        for i in 0..nshards {
-            // Contiguous split: the first `frames % nshards` shards take
-            // one extra frame.
-            let count = cfg.frames / nshards + usize::from(i < cfg.frames % nshards);
-            bases.push(base);
-            base += count;
-            let shard = Shard::new(count, cfg.replacement);
-            pins.push(Arc::clone(&shard.pins));
-            shards.push(Mutex::new(shard));
-        }
-        debug_assert_eq!(base, cfg.frames);
+        let table = Table::new(cfg.frames, cfg.replacement);
         let zero = PageBuf::zeroed(cfg.page_size);
         let mut data = Vec::with_capacity(cfg.frames);
         data.resize_with(cfg.frames, || RwLock::new(zero.clone()));
-        let mut locks = Vec::with_capacity(nshards);
-        locks.resize_with(nshards, LockCounters::default);
         BufferPool {
             classifier: Mutex::new(Classifier::new(cfg.classifier)),
-            locks,
+            pins: Arc::clone(&table.pins),
+            inner: Mutex::new(table),
+            acquisitions: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
             zero,
-            shards,
-            pins,
-            bases,
-            nshards,
             data,
             cfg,
             layer,
@@ -368,27 +314,15 @@ impl BufferPool {
         &self.cfg
     }
 
-    /// Resolved shard count (for benches/tests).
-    pub fn shard_count(&self) -> usize {
-        self.nshards
-    }
-
-    /// Which shard owns `pid` — a pure function of the page id.
-    #[inline]
-    fn shard_idx(&self, pid: PageId) -> usize {
-        shard_of(pid.0, self.nshards)
-    }
-
-    /// Acquire shard `i`'s latch, counting the acquisition and whether it
+    /// Acquire the table latch, counting the acquisition and whether it
     /// was contended (latch held by another OS thread at that instant).
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        let c = &self.locks[i];
-        c.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = self.shards[i].try_lock() {
+    fn lock_table(&self) -> MutexGuard<'_, Table> {
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(g) = self.inner.try_lock() {
             return g;
         }
-        c.contended.fetch_add(1, Ordering::Relaxed);
-        self.shards[i].lock()
+        self.contended.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock()
     }
 
     /// Pin page `pid`, reading it from below on a miss. `declared` is the
@@ -406,45 +340,39 @@ impl BufferPool {
         declared: Locality,
     ) -> Result<PageGuard<'_>, IoError> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
-        let shard = self.shard_idx(pid);
-        let mut sh = self.lock_shard(shard);
-        if let Some(g) = self.pin_resident(&mut sh, shard, pid) {
+        let mut t = self.lock_table();
+        if let Some(g) = self.pin_resident(&mut t, pid) {
             return Ok(g);
         }
-        sh.stats.misses += 1;
+        t.stats.misses += 1;
         let assigned = self.classifier.lock().classify_miss(pid, declared);
 
-        // Pool-fill expansion: while this shard has never been full, a
-        // miss fetches a run instead of one page. The clamp uses the
-        // triggering shard's free count (at `shards = 1` exactly the
-        // historical whole-pool clamp); expansion pages land in their own
-        // shards' free frames.
-        let expand = if !sh.filled_once && self.cfg.fill_expansion > 1 {
+        // Pool-fill expansion: while the pool has never been full, a miss
+        // fetches a run instead of one page.
+        let expand = if !t.filled_once && self.cfg.fill_expansion > 1 {
             let run = self
                 .cfg
                 .fill_expansion
                 .min(self.cfg.db_pages - pid.0)
-                .min(sh.free.len() as u64 + 1);
+                .min(t.free.len() as u64 + 1);
             run.max(1)
         } else {
             1
         };
 
-        let (local, evicted) = sh.vacate_slot();
-        let slot = self.bases[shard] + local;
-        sh.meta[local] = FrameMeta {
+        let (slot, evicted) = t.vacate_slot();
+        t.meta[slot] = FrameMeta {
             pid: Some(pid),
             dirty: false,
             class: assigned,
         };
-        sh.pin(local);
-        sh.map.insert(pid, local);
-        sh.policy.on_install(local, pid);
-        drop(sh);
-        // Write-behind for the victim happens outside the shard latch but
+        t.pin(slot);
+        t.map.insert(pid, slot);
+        t.policy.on_install(slot, pid);
+        drop(t);
+        // Write-behind for the victim happens outside the table latch but
         // before any read fills the frame, preserving per-thread I/O order.
-        if let Some(mut ev) = evicted {
-            ev.slot += self.bases[shard];
+        if let Some(ev) = evicted {
             self.flush_evicted(clk.now, &ev);
         }
 
@@ -452,7 +380,7 @@ impl BufferPool {
             let pages = match self.layer.read_run(clk, pid, expand) {
                 Ok(pages) => pages,
                 Err(e) => {
-                    self.abandon_install(shard, local, pid);
+                    self.abandon_install(slot, pid);
                     return Err(e);
                 }
             };
@@ -462,22 +390,14 @@ impl BufferPool {
             let mut pages = pages.into_iter();
             // lint: allow(panic) — read_run returns exactly the `expand >= 2` pages asked for.
             *self.data[slot].write() = pages.next().expect("run has a first page");
+            let mut t = self.lock_table();
             for (i, page) in pages.enumerate() {
                 let extra = pid.offset(i as u64 + 1);
-                let es = self.shard_idx(extra);
-                let mut sh = self.lock_shard(es);
-                if sh.map.contains_key(&extra) {
+                if t.map.contains_key(&extra) {
                     continue;
                 }
-                // A full shard takes no expansion page; other shards may
-                // still have room (at `shards = 1` this is equivalent to
-                // the historical `break`, since every later pop would
-                // also fail).
-                let Some(l) = sh.free.pop() else {
-                    sh.filled_once = true;
-                    continue;
-                };
-                sh.meta[l] = FrameMeta {
+                let Some(s) = t.free.pop() else { break };
+                t.meta[s] = FrameMeta {
                     pid: Some(extra),
                     dirty: false,
                     // Expansion pages were not individually requested; they
@@ -485,61 +405,50 @@ impl BufferPool {
                     // triggering request.
                     class: Locality::Random,
                 };
-                sh.map.insert(extra, l);
-                sh.policy.on_install(l, extra);
-                sh.stats.expanded_fill_pages += 1;
-                *self.data[self.bases[es] + l].write() = page;
-                if sh.free.is_empty() {
-                    sh.filled_once = true;
-                }
+                t.map.insert(extra, s);
+                t.policy.on_install(s, extra);
+                t.stats.expanded_fill_pages += 1;
+                *self.data[s].write() = page;
             }
-            // The triggering page itself may have consumed its shard's
-            // last free frame (the historical post-loop check).
-            let mut sh = self.lock_shard(shard);
-            if sh.free.is_empty() {
-                sh.filled_once = true;
+            if t.free.is_empty() {
+                t.filled_once = true;
             }
         } else {
             let mut buf = self.data[slot].write();
             // lint: allow(lock-across-io) — frame write latch only, held so
-            // the fill lands atomically; the shard latch is already released
+            // the fill lands atomically; the table latch is already released
             // and the frame is pinned by this caller.
             let read = self.layer.read_page_buf(clk, pid, assigned, &mut buf);
             drop(buf);
             if let Err(e) = read {
-                self.abandon_install(shard, local, pid);
+                self.abandon_install(slot, pid);
                 return Err(e);
             }
         }
 
         Ok(PageGuard {
             pool: self,
-            shard,
-            local,
             slot,
             pid,
         })
     }
 
-    /// The hit half of [`get`](Self::get), under the shard latch the
+    /// The hit half of [`get`](Self::get), under the table latch the
     /// caller already holds: pin `pid` if it is resident, counting a hit
     /// and stamping the replacement policy. A non-resident page changes
     /// nothing (the miss is the caller's to count).
-    fn pin_resident(&self, sh: &mut Shard, shard: usize, pid: PageId) -> Option<PageGuard<'_>> {
-        let &l = sh.map.get(&pid)?;
-        sh.pin(l);
-        sh.policy.on_access(l);
-        sh.stats.hits += 1;
-        // Hits deliberately do NOT touch the shared classifier:
+    fn pin_resident(&self, t: &mut Table, pid: PageId) -> Option<PageGuard<'_>> {
+        let &slot = t.map.get(&pid)?;
+        t.pin(slot);
+        t.policy.on_access(slot);
+        t.stats.hits += 1;
+        // Hits deliberately do NOT touch the classifier:
         // `Classifier::observe_hit` is a no-op for every kind (the
-        // proximity window learns from I/O-layer traffic only), and
-        // taking its global latch here would re-serialize the hit
-        // path that sharding just spread out.
+        // proximity window learns from I/O-layer traffic only), so the
+        // hit path pays for exactly one latch.
         Some(PageGuard {
             pool: self,
-            shard,
-            local: l,
-            slot: self.bases[shard] + l,
+            slot,
             pid,
         })
     }
@@ -552,23 +461,22 @@ impl BufferPool {
     /// `contains` followed by `get`.
     pub fn get_resident(&self, pid: PageId) -> Option<PageGuard<'_>> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
-        let shard = self.shard_idx(pid);
-        let mut sh = self.lock_shard(shard);
-        self.pin_resident(&mut sh, shard, pid)
+        let mut t = self.lock_table();
+        self.pin_resident(&mut t, pid)
     }
 
     /// Back out a miss installation whose read from below failed: the map
     /// entry, frame metadata, and replacement state all revert, returning
     /// the slot to the free list.
-    fn abandon_install(&self, shard: usize, local: usize, pid: PageId) {
-        let mut sh = self.lock_shard(shard);
-        debug_assert_eq!(sh.meta[local].pid, Some(pid));
-        sh.map.remove(&pid);
-        sh.meta[local] = FrameMeta::empty();
+    fn abandon_install(&self, slot: usize, pid: PageId) {
+        let mut t = self.lock_table();
+        debug_assert_eq!(t.meta[slot].pid, Some(pid));
+        t.map.remove(&pid);
+        t.meta[slot] = FrameMeta::empty();
         // The installer's own pin; no guard was ever made for it.
-        sh.pins[local].fetch_sub(1, Ordering::Release);
-        sh.policy.on_remove(local, pid);
-        sh.free.push(local);
+        t.pins[slot].fetch_sub(1, Ordering::Release);
+        t.policy.on_remove(slot, pid);
+        t.free.push(slot);
     }
 
     /// Pin a *fresh* page that has never been written: installs a zeroed,
@@ -595,33 +503,25 @@ impl BufferPool {
     /// it was evicted); the caller overwrites all of them.
     fn install_fresh(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
-        let shard = self.shard_idx(pid);
-        let mut sh = self.lock_shard(shard);
-        assert!(
-            !sh.map.contains_key(&pid),
-            "create() of resident page {pid}"
-        );
-        let (local, evicted) = sh.vacate_slot();
-        let slot = self.bases[shard] + local;
-        sh.meta[local] = FrameMeta {
+        let mut t = self.lock_table();
+        assert!(!t.map.contains_key(&pid), "create() of resident page {pid}");
+        let (slot, evicted) = t.vacate_slot();
+        t.meta[slot] = FrameMeta {
             pid: Some(pid),
             dirty: true,
             class: Locality::Random,
         };
-        sh.pin(local);
-        sh.link_dirty(local);
-        sh.map.insert(pid, local);
-        sh.policy.on_install(local, pid);
-        drop(sh);
-        if let Some(mut ev) = evicted {
-            ev.slot += self.bases[shard];
+        t.pin(slot);
+        t.link_dirty(slot);
+        t.map.insert(pid, slot);
+        t.policy.on_install(slot, pid);
+        drop(t);
+        if let Some(ev) = evicted {
             self.flush_evicted(now, &ev);
         }
         self.layer.note_dirtied(now, pid);
         PageGuard {
             pool: self,
-            shard,
-            local,
             slot,
             pid,
         }
@@ -638,42 +538,42 @@ impl BufferPool {
         // simply falls back to demand reads of the same pages.
         let pages = self.layer.read_run(clk, first, n)?;
         debug_assert!(pages.iter().all(|p| p.len() == self.cfg.page_size));
+        let mut t = self.lock_table();
         // Pages of this run evicted *while installing it*: their entries in
         // `pages` were snapshotted before the eviction wrote newer bytes
         // below, so installing them would resurrect stale data. They are
         // skipped here and re-read (fresh) if the scan reaches them.
         let mut stale: Vec<bool> = vec![false; n as usize];
         // Evictions decided inside the loop owe write-behind I/O that must
-        // not run under a shard latch. A run page is installed by swapping
-        // its handle into the frame, so the victim's image comes out as the
-        // frame's old handle — no copy either way — and is flushed after
-        // the loop; every booking lands at the same virtual instant either
-        // way, so the deferral is invisible to the simulation.
+        // not run under the table latch. A run page is installed by
+        // swapping its handle into the frame, so the victim's image comes
+        // out as the frame's old handle — no copy either way — and is
+        // flushed after unlock; every booking lands at the same virtual
+        // instant either way, so the deferral is invisible to the
+        // simulation.
         let mut owed: Vec<(PendingEvict, PageBuf)> = Vec::new();
         for (i, page) in pages.into_iter().enumerate() {
             let pid = first.offset(i as u64);
-            let es = self.shard_idx(pid);
-            let mut sh = self.lock_shard(es);
-            if sh.map.contains_key(&pid) || stale[i] {
+            if t.map.contains_key(&pid) || stale[i] {
                 continue;
             }
             let assigned = self.classifier.lock().classify_prefetch(pid);
-            let (local, evicted) = sh.vacate_slot();
+            let (slot, evicted) = t.vacate_slot();
             // `vacate_slot` hands back the victim's own slot, so the handle
             // swapped out of it is the victim's image.
-            let old = std::mem::replace(&mut *self.data[self.bases[es] + local].write(), page);
+            let old = std::mem::replace(&mut *self.data[slot].write(), page);
             if let Some(ev) = evicted {
                 if ev.victim.0 >= first.0 && ev.victim.0 < first.0 + n {
                     stale[(ev.victim.0 - first.0) as usize] = true;
                 }
                 owed.push((ev, old));
             }
-            sh.meta[local] = FrameMeta {
+            t.meta[slot] = FrameMeta {
                 pid: Some(pid),
                 dirty: false,
                 class: assigned,
             };
-            sh.map.insert(pid, local);
+            t.map.insert(pid, slot);
             // Double-stamp: install plus one protection access. Under
             // LRU-2 a single touch would leave the page with an empty
             // penultimate stamp, making it the preferred victim — a full
@@ -683,10 +583,11 @@ impl BufferPool {
             // (CLOCK/SIEVE set the reference bit, ARC promotes to
             // protected), matching the read-ahead page protection of a
             // production buffer manager.
-            sh.policy.on_install(local, pid);
-            sh.policy.on_access(local);
-            sh.stats.prefetched_pages += 1;
+            t.policy.on_install(slot, pid);
+            t.policy.on_access(slot);
+            t.stats.prefetched_pages += 1;
         }
+        drop(t);
         for (ev, snap) in owed {
             self.layer
                 .evict_page_buf(clk.now, ev.victim, &snap, ev.dirty, ev.class);
@@ -696,13 +597,13 @@ impl BufferPool {
 
     /// Hand an evicted page's image to the storage layer (write-behind).
     /// Eviction writes are asynchronous: device time is charged at `now`
-    /// but the caller does not wait. Must be called *without* any shard
+    /// but the caller does not wait. Must be called *without* the table
     /// latch and *before* the vacated frame is overwritten.
     fn flush_evicted(&self, now: Time, ev: &PendingEvict) {
         let layer = &self.layer;
         let data = self.data[ev.slot].read();
         // lint: allow(lock-across-io) — only the frame's read latch is held
-        // (the shard latch is released); the slot is privately owned by this
+        // (the table latch is released); the slot is privately owned by this
         // caller and evict_page is a non-blocking async booking.
         layer.evict_page_buf(now, ev.victim, &data, ev.dirty, ev.class);
     }
@@ -711,44 +612,39 @@ impl BufferPool {
     /// (asynchronously), wait for the slowest write, then ask the layer to
     /// flush anything *it* holds dirty (the SSD, under LC).
     ///
-    /// Dirty frames come from each shard's intrusive dirty list (no full
-    /// frame-table scan), collected in shard order and sorted by local
-    /// slot — with contiguous shard bases that is exactly the historical
-    /// ascending-global-slot write order.
+    /// Dirty frames come from the intrusive dirty list (no full
+    /// frame-table scan) and are written in ascending slot order.
     pub fn checkpoint(&self, clk: &mut Clk) {
-        let mut dirty: Vec<(usize, usize, PageId, Locality)> = Vec::new();
-        for i in 0..self.nshards {
-            let sh = self.lock_shard(i);
-            let mut locals: Vec<usize> = Vec::with_capacity(sh.ndirty);
-            let mut l = sh.dhead;
-            while l != NIL {
-                if unpinned(&sh.pins[l]) {
-                    locals.push(l);
+        let dirty: Vec<(usize, PageId, Locality)> = {
+            let t = self.lock_table();
+            let mut dirty = Vec::with_capacity(t.ndirty);
+            let mut s = t.dhead;
+            while s != NIL {
+                if unpinned(&t.pins[s]) {
+                    // lint: allow(panic) — dirty-list members always hold a page.
+                    let pid = t.meta[s].pid.expect("dirty frame has a page");
+                    dirty.push((s, pid, t.meta[s].class));
                 }
-                l = sh.dnext[l];
+                s = t.dnext[s];
             }
-            locals.sort_unstable();
-            for l in locals {
-                // lint: allow(panic) — dirty-list members always hold a page.
-                let pid = sh.meta[l].pid.expect("dirty frame has a page");
-                dirty.push((i, l, pid, sh.meta[l].class));
-            }
-        }
+            dirty.sort_unstable_by_key(|&(slot, ..)| slot);
+            dirty
+        };
         let mut done = clk.now;
-        for (i, l, pid, class) in dirty {
+        for (slot, pid, class) in dirty {
             // The frame latch protects only the handle clone, never the
             // write I/O below it; a writer that gets in afterwards copies
             // the image before changing it.
-            let image = self.data[self.bases[i] + l].read().clone();
-            let t = self.layer.checkpoint_write_buf(clk.now, pid, &image, class);
-            done = done.max(t);
-            let mut sh = self.lock_shard(i);
+            let image = self.data[slot].read().clone();
+            let w = self.layer.checkpoint_write_buf(clk.now, pid, &image, class);
+            done = done.max(w);
+            let mut t = self.lock_table();
             // Revalidate: the frame may have been recycled meanwhile.
-            if sh.meta[l].pid == Some(pid) && sh.meta[l].dirty {
-                sh.meta[l].dirty = false;
-                sh.unlink_dirty(l);
+            if t.meta[slot].pid == Some(pid) && t.meta[slot].dirty {
+                t.meta[slot].dirty = false;
+                t.unlink_dirty(slot);
             }
-            sh.stats.checkpoint_writes += 1;
+            t.stats.checkpoint_writes += 1;
         }
         clk.wait_until(done);
         self.layer.checkpoint_flush(clk);
@@ -756,78 +652,49 @@ impl BufferPool {
 
     /// True if `pid` is resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        self.lock_shard(self.shard_idx(pid)).map.contains_key(&pid)
+        self.lock_table().map.contains_key(&pid)
     }
 
     /// True if `pid` is resident and dirty.
     pub fn is_dirty(&self, pid: PageId) -> bool {
-        let sh = self.lock_shard(self.shard_idx(pid));
-        sh.map.get(&pid).map(|&l| sh.meta[l].dirty).unwrap_or(false)
+        let t = self.lock_table();
+        t.map.get(&pid).map(|&s| t.meta[s].dirty).unwrap_or(false)
     }
 
-    /// Number of resident pages (folded in shard order).
+    /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        (0..self.nshards)
-            .map(|i| self.lock_shard(i).map.len())
-            .sum()
+        self.lock_table().map.len()
     }
 
     /// Number of frames some [`PageGuard`] (or an in-flight install)
     /// currently pins. Reads the pin counts without any latch, so it is
     /// exact only while no other thread is using the pool.
     pub fn pinned_frames(&self) -> usize {
-        self.pins
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|pin| !unpinned(pin))
-            .count()
+        self.pins.iter().filter(|pin| !unpinned(pin)).count()
     }
 
-    /// Number of dirty resident pages — O(shards), from the per-shard
-    /// dirty-list counters.
+    /// Number of dirty resident pages — O(1), from the dirty-list counter.
     pub fn dirty_count(&self) -> usize {
-        (0..self.nshards).map(|i| self.lock_shard(i).ndirty).sum()
+        self.lock_table().ndirty
     }
 
-    /// Counter snapshot: per-shard counters folded in shard order, plus
-    /// the latch-contention counters.
+    /// Counter snapshot, including the table-latch counters (this call's
+    /// own acquisition among them).
     pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for i in 0..self.nshards {
-            let s = self.lock_shard(i).stats;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions_clean += s.evictions_clean;
-            total.evictions_dirty += s.evictions_dirty;
-            total.prefetched_pages += s.prefetched_pages;
-            total.expanded_fill_pages += s.expanded_fill_pages;
-            total.checkpoint_writes += s.checkpoint_writes;
-        }
-        for c in &self.locks {
-            total.shard_acquisitions += c.acquisitions.load(Ordering::Relaxed);
-            total.shard_contended += c.contended.load(Ordering::Relaxed);
-        }
-        total
+        let mut s = self.lock_table().stats;
+        s.shard_acquisitions = self.acquisitions.load(Ordering::Relaxed);
+        s.shard_contended = self.contended.load(Ordering::Relaxed);
+        s
     }
 
-    /// Replacement-policy counter snapshot (ghost hits, scan cost, …),
-    /// folded across shards in shard order.
+    /// Replacement-policy counter snapshot (ghost hits, scan cost, …).
     pub fn policy_stats(&self) -> PolicyStats {
-        let mut total = PolicyStats::default();
-        for i in 0..self.nshards {
-            let s = self.lock_shard(i).policy.stats();
-            total.ghost_hits += s.ghost_hits;
-            total.scan_steps += s.scan_steps;
-            total.second_chances += s.second_chances;
-            total.probation_evictions += s.probation_evictions;
-            total.protected_evictions += s.protected_evictions;
-        }
-        total
+        self.lock_table().policy.stats()
     }
 
     /// Short name of the active replacement policy.
     pub fn policy_name(&self) -> &'static str {
-        self.lock_shard(0).policy.name()
+        self.lock_table().policy.name()
     }
 
     /// Classifier confusion-matrix snapshot (§2.2 accuracy experiment).
@@ -836,19 +703,19 @@ impl BufferPool {
     }
 
     /// Give a guard's pin back: no latch (see the module docs).
-    fn unpin(&self, shard: usize, local: usize) {
-        let was = self.pins[shard][local].fetch_sub(1, Ordering::Release);
+    fn unpin(&self, slot: usize) {
+        let was = self.pins[slot].fetch_sub(1, Ordering::Release);
         debug_assert!(was > 0, "unpin of unpinned frame");
     }
 
-    fn mark_dirty(&self, shard: usize, local: usize, pid: PageId, now: Time) {
-        let mut sh = self.lock_shard(shard);
-        let m = &mut sh.meta[local];
+    fn mark_dirty(&self, slot: usize, pid: PageId, now: Time) {
+        let mut t = self.lock_table();
+        let m = &mut t.meta[slot];
         debug_assert_eq!(m.pid, Some(pid));
         if !m.dirty {
             m.dirty = true;
-            sh.link_dirty(local);
-            drop(sh);
+            t.link_dirty(slot);
+            drop(t);
             // First dirtying invalidates any SSD copy (paper §2.2).
             self.layer.note_dirtied(now, pid);
         }
@@ -858,9 +725,6 @@ impl BufferPool {
 /// A pinned page. Dropping the guard unpins the frame.
 pub struct PageGuard<'a> {
     pool: &'a BufferPool,
-    shard: usize,
-    local: usize,
-    /// Global data-slot index (`bases[shard] + local`).
     slot: usize,
     pid: PageId,
 }
@@ -880,7 +744,7 @@ impl PageGuard<'_> {
     /// with another tier takes a private copy first.
     pub fn write<R>(&mut self, now: Time, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let r = f(self.pool.data[self.slot].write().as_mut_slice());
-        self.pool.mark_dirty(self.shard, self.local, self.pid, now);
+        self.pool.mark_dirty(self.slot, self.pid, now);
         r
     }
 
@@ -892,14 +756,14 @@ impl PageGuard<'_> {
     pub fn replace(&mut self, now: Time, image: PageBuf) -> PageBuf {
         assert_eq!(image.len(), self.pool.cfg.page_size, "image is one page");
         let old = std::mem::replace(&mut *self.pool.data[self.slot].write(), image);
-        self.pool.mark_dirty(self.shard, self.local, self.pid, now);
+        self.pool.mark_dirty(self.slot, self.pid, now);
         old
     }
 }
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        self.pool.unpin(self.shard, self.local);
+        self.pool.unpin(self.slot);
     }
 }
 
@@ -912,19 +776,10 @@ mod tests {
     const PS: usize = 32;
 
     fn pool(frames: usize, db_pages: u64) -> (Arc<IoManager>, BufferPool) {
-        pool_sharded(frames, db_pages, ShardCount::Fixed(1))
-    }
-
-    fn pool_sharded(
-        frames: usize,
-        db_pages: u64,
-        shards: ShardCount,
-    ) -> (Arc<IoManager>, BufferPool) {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, db_pages, 8)));
         let layer = Arc::new(DirectIo::new(Arc::clone(&io)));
         let mut cfg = BufferPoolConfig::new(frames, PS, db_pages);
         cfg.fill_expansion = 1; // keep unit tests one-page-per-miss
-        cfg.shards = shards;
         (io, BufferPool::new(cfg, layer))
     }
 
@@ -1145,7 +1000,6 @@ mod tests {
         let layer = Arc::new(DirectIo::new(Arc::clone(&io)));
         let mut cfg = BufferPoolConfig::new(16, PS, 64);
         cfg.fill_expansion = 8;
-        cfg.shards = ShardCount::Fixed(1);
         let p = BufferPool::new(cfg, layer);
         let mut clk = Clk::new();
         p.get(&mut clk, PageId(10), Locality::Random).unwrap();
@@ -1167,15 +1021,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pool_round_trips_and_folds_counters() {
-        let (_io, p) = pool_sharded(16, 256, ShardCount::Fixed(4));
-        assert_eq!(p.shard_count(), 4);
+    fn full_pool_round_trips_and_counts_uncontended_latches() {
+        let (_io, p) = pool(16, 256);
         let mut clk = Clk::new();
         for i in 0..32u64 {
             let mut g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
             g.write(clk.now, |b| b[0] = i as u8);
         }
-        // All 16 frames across the 4 shards should be usable.
+        // Every one of the 16 frames is usable.
         assert_eq!(p.resident(), 16);
         let s = p.stats();
         assert_eq!(s.misses, 32);
@@ -1186,35 +1039,6 @@ mod tests {
         for i in 0..32u64 {
             let g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
             assert_eq!(g.read(|b| b[0]), i as u8, "page {i}");
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_writes_ascending_slots() {
-        let (io, p) = pool_sharded(16, 256, ShardCount::Fixed(4));
-        let mut clk = Clk::new();
-        for i in 0..12u64 {
-            let mut g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
-            g.write(clk.now, |b| b[0] = 0xC0 | i as u8);
-        }
-        assert_eq!(p.dirty_count(), 12);
-        p.checkpoint(&mut clk);
-        assert_eq!(p.dirty_count(), 0);
-        assert_eq!(p.stats().checkpoint_writes, 12);
-        let mut buf = [0u8; PS];
-        io.disk_store().read(PageId(7), &mut buf);
-        assert_eq!(buf[0], 0xC0 | 7);
-    }
-
-    #[test]
-    fn shard_assignment_is_pure_and_stable() {
-        let (_io, p) = pool_sharded(16, 4096, ShardCount::Fixed(4));
-        for k in 0..4096u64 {
-            assert_eq!(
-                p.shard_idx(PageId(k)),
-                shard_of(k, 4),
-                "routing is the published pure function"
-            );
         }
     }
 

@@ -90,13 +90,14 @@ pub struct SsdMetrics {
     /// Lazy-cleaner rounds run opportunistically below the high-water
     /// mark because the disk group was idle.
     pub cleaner_boosts: AtomicU64,
-    /// Buffer-table shard/partition latch acquisitions (ISSUE 9). A pure
-    /// function of the operation sequence in deterministic driver runs,
-    /// so it participates safely in replay equality checks.
+    /// Table-latch acquisitions: `SsdManager`'s partition latches, TAC's
+    /// one table latch. A pure function of the operation sequence in
+    /// deterministic driver runs, so it participates safely in replay
+    /// equality checks.
     pub shard_acquisitions: AtomicU64,
-    /// Shard/partition latch acquisitions that found the latch held by
-    /// another OS thread. Always 0 in deterministic driver runs (domains
-    /// are share-nothing); nonzero only under real-thread contention.
+    /// Table-latch acquisitions that found the latch held by another OS
+    /// thread. Always 0 in deterministic driver runs (domains are
+    /// share-nothing); nonzero only under real-thread contention.
     pub shard_contended: AtomicU64,
 }
 

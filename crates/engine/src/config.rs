@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use turbopool_bufpool::{ClassifierKind, ReplacementKind, ShardCount};
+use turbopool_bufpool::{ClassifierKind, ReplacementKind};
 use turbopool_core::SsdConfig;
 use turbopool_iosim::{DeviceSetup, FailSlowConfig, RetryPolicy};
 
@@ -31,18 +31,6 @@ pub struct DbConfig {
     /// Fail-slow detector tuning applied to both the disk group and the
     /// SSD when the database opens (gray-failure extension).
     pub failslow: FailSlowConfig,
-    /// Lock stripes for the DRAM buffer pool's page table (ISSUE 9).
-    /// `Fixed(1)` is the legacy single latch and replays bit-for-bit;
-    /// `Auto` resolves against [`DbConfig::shard_hint`].
-    pub pool_shards: ShardCount,
-    /// Lock stripes for the TAC buffer table (routed by extent).
-    /// `Auto` resolves against [`DbConfig::shard_hint`]. Ignored by the
-    /// CW/DW/LC manager, which stripes via `SsdConfig::partitions`.
-    pub tac_shards: ShardCount,
-    /// What `ShardCount::Auto` resolves to. Deliberately a config value
-    /// (default 1 = legacy behavior), never the host's core count —
-    /// results must not depend on the machine that produced them.
-    pub shard_hint: usize,
 }
 
 impl DbConfig {
@@ -61,9 +49,6 @@ impl DbConfig {
             devices: None,
             retry: RetryPolicy::default(),
             failslow: FailSlowConfig::default(),
-            pool_shards: ShardCount::Auto,
-            tac_shards: ShardCount::Auto,
-            shard_hint: 1,
         }
     }
 

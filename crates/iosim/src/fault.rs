@@ -436,9 +436,9 @@ impl std::fmt::Debug for FaultPlan {
 /// (`turbopool-wal` `record.rs`, bytes already "on the log device"), the
 /// crash-schedule explorer's digests (`turbopool-engine` `explorer.rs`),
 /// and the pinned store fingerprints in `tests/policy_default_regression.rs`
-/// / `tests/driver_determinism.rs` / `tests/shard_determinism.rs`. It is
-/// byte-serial (one dependent multiply per byte) and fine for those short
-/// or offline inputs; SSD frames use [`frame_sum`] instead.
+/// / `tests/driver_determinism.rs`. It is byte-serial (one dependent
+/// multiply per byte) and fine for those short or offline inputs; SSD
+/// frames use [`frame_sum`] instead.
 pub fn checksum(data: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in data {
@@ -733,8 +733,7 @@ mod tests {
         // `checksum` is a format, not an implementation detail: the WAL
         // record trailer, the crash-schedule explorer's digests and the
         // pinned store fingerprints in tests/{policy_default_regression,
-        // driver_determinism,shard_determinism}.rs are all defined over
-        // these exact values. Speed up `frame_sum`, never this.
+        // driver_determinism}.rs are all defined over these exact values. Speed up `frame_sum`, never this.
         assert_eq!(checksum(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(checksum(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(checksum(&ramp(8192)), 0x69B5_5A22_CAA2_A325);

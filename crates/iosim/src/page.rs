@@ -48,9 +48,8 @@ impl fmt::Display for PageId {
 pub struct PidHasher(u64);
 
 impl PidHasher {
-    /// The fibonacci-hashing multiplier (2^64 / φ); `bufpool::shard_of`
-    /// routes page ids to shards with the same one.
-    pub const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+    /// The fibonacci-hashing multiplier (2^64 / φ).
+    const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 }
 
 impl Hasher for PidHasher {

@@ -35,9 +35,9 @@ impl<T> Mutex<T> {
 
     /// Try to acquire the lock without blocking, recovering from
     /// poisoning. Returns `None` only when another thread holds the
-    /// lock right now — the sharded buffer pool uses this to count
-    /// contended acquisitions before falling back to a blocking
-    /// `lock()`.
+    /// lock right now — the pool, TAC and SSD-partition latch helpers use
+    /// this to count contended acquisitions before falling back to a
+    /// blocking `lock()`.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
             Ok(g) => Some(g),

@@ -45,8 +45,8 @@
 //!   deterministic replay (the PR 3 bug class).
 //! * **L10 `lock-across-io`** — a `Mutex`/`RwLock` guard held across a
 //!   call that transitively reaches an `IoManager` submit/read/write
-//!   path. Free under the virtual clock today, a convoy once the pool is
-//!   lock-striped over real I/O.
+//!   path. Free under the virtual clock today, a convoy once the pool
+//!   runs over real I/O.
 //! * **L3, cross-function** — lock acquisition order is also checked
 //!   across one level of intra-crate calls, including guard-returning
 //!   helpers like `SsdManager::part`.

@@ -45,9 +45,6 @@ cargo test -q --release --test crash_schedule quick_sweep_all_designs
 echo "==> parallel-driver determinism incl. brownout replay (strict invariants on)"
 cargo test -q --release --features strict-invariants --test driver_determinism
 
-echo "==> shard determinism grid (designs x shards {1,4,16} x threads {1,2,4,8})"
-cargo test -q --release --features strict-invariants --test shard_determinism
-
 echo "==> driver scaling bench (quick, emits BENCH_driver_scaling.json)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling
 

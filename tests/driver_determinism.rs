@@ -209,7 +209,7 @@ struct Outcome {
 }
 
 fn outcome(s: &Scenario) -> Outcome {
-    Outcome {
+    let out = Outcome {
         steps: s.driver.steps(),
         scheduled_clocks: s.driver.clocks(),
         final_times: s
@@ -239,7 +239,18 @@ fn outcome(s: &Scenario) -> Outcome {
             .iter()
             .map(|db| store_fingerprint(db.io().ssd_store()))
             .collect(),
+    };
+    // Domains are share-nothing, so no run — sequential or parallel — may
+    // ever find a table or partition latch held, and the auditor stays
+    // clean. Equality across thread counts alone would not pin these to 0.
+    for p in &out.pool {
+        assert_eq!(p.shard_contended, 0, "contended pool latch");
     }
+    for m in out.ssd_metrics.iter().flatten() {
+        assert_eq!(m.shard_contended, 0, "contended SSD-table latch");
+        assert_eq!(m.audit_violations, 0, "invariant auditor saw violations");
+    }
+    out
 }
 
 fn sequential_outcome(design: SsdDesign, seed: u64, fault: Fault) -> Outcome {

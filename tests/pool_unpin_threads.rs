@@ -1,7 +1,7 @@
 //! Real-thread safety of the latch-free unpin (ISSUE 14).
 //!
 //! `PageGuard::drop` lowers the frame's pin count with one atomic
-//! decrement and no shard latch, while an evictor on another thread —
+//! decrement and no table latch, while an evictor on another thread —
 //! holding that latch — reads the count to decide whether the frame may be
 //! recycled. This suite runs the two against each other on real OS
 //! threads: the pool is much smaller than the page range, so nearly every
@@ -13,14 +13,15 @@
 //! pin count is back to zero at the end.
 //!
 //! Each thread draws from its own residue class of page ids. Two threads
-//! therefore never fault in the *same* page at the same moment — a hit on
+//! therefore never fault in the *same* page at the same moment — the pool
+//! does not support that (see the contract on `BufferPool`), and a hit on
 //! a frame whose fill is still in flight is a separate question from the
-//! unpin protocol under test — but they share every shard, latch, free
-//! list and victim heap, which is where unpin and eviction meet.
+//! unpin protocol under test — but they share the table latch, the free
+//! list and the victim heap, which is where unpin and eviction meet.
 
 use std::sync::{Arc, Barrier};
 
-use turbopool::bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo, ShardCount};
+use turbopool::bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool::iosim::{Clk, DeviceSetup, IoManager, Locality, PageId};
 
 const PAGE: usize = 64;
@@ -33,14 +34,13 @@ fn tag(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("a page holds a tag"))
 }
 
-fn hammer(shards: usize) {
+#[test]
+fn unpins_race_evictions_on_one_shard() {
     let io = Arc::new(IoManager::new(&DeviceSetup::paper(PAGE, DB_PAGES, 1)));
     let layer: Arc<dyn PageIo> = Arc::new(DirectIo::new(io));
     let mut cfg = BufferPoolConfig::new(FRAMES, PAGE, DB_PAGES);
     cfg.fill_expansion = 1;
-    cfg.shards = ShardCount::Fixed(shards);
     let pool = BufferPool::new(cfg, layer);
-    assert_eq!(pool.shard_count(), shards);
 
     // Tag every page with its id and push the tags below, so the threads
     // start over a clean pool and only ever read.
@@ -106,14 +106,4 @@ fn hammer(shards: usize) {
             .expect("no fault plan attached");
         assert_eq!(g.read(tag), p);
     }
-}
-
-#[test]
-fn unpins_race_evictions_on_one_shard() {
-    hammer(1);
-}
-
-#[test]
-fn unpins_race_evictions_on_four_shards() {
-    hammer(4);
 }
