@@ -16,8 +16,7 @@ use turbopool_engine::btree::find_in_leaf;
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{Database, DbConfig};
 use turbopool_iosim::{
-    fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageBufPool, PageId, PidMap,
-    MILLISECOND, SECOND,
+    fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageId, PidMap, MILLISECOND, SECOND,
 };
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
@@ -427,30 +426,13 @@ fn bench_read_run() {
     }
 }
 
-/// What `PageBufPool` saves a caller that needs page-sized scratch (the
-/// transaction layer's before-images): both variants do the same
-/// page-sized fill, so the difference is purely the allocator round-trip.
-fn bench_page_buf() {
-    const PAGE: usize = 8192;
-    let src = vec![0xA5u8; PAGE];
-    bench("page_buf_alloc_fresh", 200_000, || {
-        let mut buf = vec![0u8; PAGE];
-        buf.copy_from_slice(&src);
-        std::hint::black_box(&buf);
-    });
-    let pool = PageBufPool::new(PAGE, 64);
-    bench("page_buf_pool_reuse", 200_000, || {
-        let mut buf = pool.take();
-        buf.copy_from_slice(&src);
-        std::hint::black_box(&buf);
-        pool.put(buf);
-    });
-}
-
-/// The redo diff over one 8 KB page, as `Txn::write_page` runs it after
-/// every mutation: one 8-byte field changed (a ledger balance, a TPC-C
-/// stock quantity — the common case, almost all of the page is skipped),
-/// and sixteen 4-byte fields scattered a record apart (sixteen ranges).
+/// The redo diff over one whole 8 KB page — what `Txn::write_page` ran
+/// after every mutation before it captured windows, and what a writer that
+/// opens the whole page as its window still pays: one 8-byte field changed
+/// (a ledger balance, a TPC-C stock quantity — almost all of the page is
+/// skipped), and sixteen 4-byte fields scattered a record apart (sixteen
+/// ranges). The `redo_capture_*` rungs are the same edits through
+/// `write_page` on an already-touched page, windows and all.
 fn bench_diff() {
     let before: Vec<u8> = (0..FRAME).map(|i| (i * 131 + 5) as u8).collect();
     let mut one_field = before.clone();
@@ -475,6 +457,27 @@ fn bench_diff() {
             ));
         });
     }
+
+    // One transaction, never committed, whose record list grows by a
+    // record or two per call (hence the smaller iteration count).
+    let db = Database::open(DbConfig::new(FRAME, 256, 64));
+    let mut clk = Clk::new();
+    let mut txn = db.begin(&mut clk);
+    let pid = PageId(3);
+    let mut k = 0u64;
+    bench("redo_capture_one_field", 200_000, || {
+        k += 1;
+        txn.write_page(pid, Locality::Random, |b| b.put(5000, &k.to_le_bytes()));
+    });
+    // A heap insert's shape: a flag byte and a record far from it.
+    bench("redo_capture_two_windows", 200_000, || {
+        k += 1;
+        txn.write_page(pid, Locality::Random, |b| {
+            b.put(17, &[k as u8]);
+            b.put(5000, &[k as u8; 64]);
+        });
+    });
+    txn.abort();
 }
 
 fn bench_engine() {
@@ -492,9 +495,7 @@ fn bench_engine() {
             let mut txn = db.begin(&mut clk);
             for p in 0..5 {
                 let pid = PageId((k * 7 + p * 11) % 48);
-                txn.write_page(pid, Locality::Random, |b| {
-                    b[4000..4008].copy_from_slice(&k.to_le_bytes());
-                });
+                txn.write_page(pid, Locality::Random, |b| b.put(4000, &k.to_le_bytes()));
             }
             txn.commit();
         });
@@ -561,7 +562,6 @@ fn main() {
     bench_page_image();
     bench_ssd_frame();
     bench_read_run();
-    bench_page_buf();
     bench_diff();
     bench_engine();
 

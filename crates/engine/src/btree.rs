@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use turbopool_iosim::{Locality, PageId};
 
-use crate::txn::Txn;
+use crate::txn::{PageMut, Txn};
 
 const LEAF: u8 = 0;
 const INTERNAL: u8 = 1;
@@ -100,10 +100,32 @@ fn entry(b: &[u8], i: usize) -> (u64, u64) {
     )
 }
 
+fn entry_bytes(k: u64, v: u64) -> [u8; ENTRY] {
+    let mut e = [0u8; ENTRY];
+    e[..8].copy_from_slice(&k.to_le_bytes());
+    e[8..].copy_from_slice(&v.to_le_bytes());
+    e
+}
+
 fn set_entry(b: &mut [u8], i: usize, k: u64, v: u64) {
     let off = HDR + i * ENTRY;
-    b[off..off + 8].copy_from_slice(&k.to_le_bytes());
-    b[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
+    b[off..off + ENTRY].copy_from_slice(&entry_bytes(k, v));
+}
+
+// The same two stores through a transaction's page view, for the writers
+// that change an entry or two: each opens a window of just those bytes.
+
+fn put_nkeys(b: &mut PageMut<'_>, n: usize) {
+    b.put(2, &(n as u16).to_le_bytes());
+}
+
+fn put_entry(b: &mut PageMut<'_>, i: usize, k: u64, v: u64) {
+    b.put(HDR + i * ENTRY, &entry_bytes(k, v));
+}
+
+/// The whole page as one window, for the writers that rewrite a node.
+fn whole<'a>(b: &'a mut PageMut<'_>) -> &'a mut [u8] {
+    b.window(0..b.len())
 }
 
 fn entries(b: &[u8]) -> Vec<(u64, u64)> {
@@ -179,14 +201,14 @@ pub fn insert(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64, val: u64) {
     let cap = node_capacity(txn.page_size());
     let (leaf, path) = descend(txn, meta, key);
     if let Some(slot) = txn.read_page(leaf, Locality::Random, |b| find_in_leaf(b, key)) {
-        txn.write_page(leaf, Locality::Random, |b| set_entry(b, slot, key, val));
+        txn.write_page(leaf, Locality::Random, |b| put_entry(b, slot, key, val));
         return;
     }
     let n = txn.read_page(leaf, Locality::Random, nkeys);
     if n < cap {
         txn.write_page(leaf, Locality::Random, |b| {
-            set_entry(b, n, key, val);
-            set_nkeys(b, n + 1);
+            put_entry(b, n, key, val);
+            put_nkeys(b, n + 1);
         });
         return;
     }
@@ -199,11 +221,13 @@ pub fn insert(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64, val: u64) {
     let sep = es[mid].0;
     let right = meta.alloc_node();
     txn.write_page(right, Locality::Random, |b| {
+        let b = whole(b);
         b[0] = LEAF;
         set_extra(b, old_next);
         write_entries(b, &es[mid..]);
     });
     txn.write_page(leaf, Locality::Random, |b| {
+        let b = whole(b);
         set_extra(b, right.0 + 1);
         write_entries(b, &es[..mid]);
     });
@@ -227,8 +251,9 @@ fn insert_into_parent(
         debug_assert_eq!(left, meta.root);
         let new_left = meta.alloc_node();
         let image = txn.read_page(left, Locality::Random, |b| b.to_vec());
-        txn.write_page(new_left, Locality::Random, |b| b.copy_from_slice(&image));
+        txn.write_page(new_left, Locality::Random, |b| b.put(0, &image));
         txn.write_page(meta.root, Locality::Random, |b| {
+            let b = whole(b);
             b.fill(0);
             b[0] = INTERNAL;
             set_extra(b, new_left.0);
@@ -239,8 +264,8 @@ fn insert_into_parent(
     let n = txn.read_page(parent, Locality::Random, nkeys);
     if n < cap {
         txn.write_page(parent, Locality::Random, |b| {
-            set_entry(b, n, sep, right.0);
-            set_nkeys(b, n + 1);
+            put_entry(b, n, sep, right.0);
+            put_nkeys(b, n + 1);
         });
         return;
     }
@@ -253,12 +278,13 @@ fn insert_into_parent(
     let (promoted_key, promoted_child) = es[mid];
     let new_right = meta.alloc_node();
     txn.write_page(new_right, Locality::Random, |b| {
+        let b = whole(b);
         b[0] = INTERNAL;
         set_extra(b, promoted_child);
         write_entries(b, &es[mid + 1..]);
     });
     txn.write_page(parent, Locality::Random, |b| {
-        write_entries(b, &es[..mid]);
+        write_entries(whole(b), &es[..mid]);
     });
     insert_into_parent(txn, meta, path, parent, promoted_key, new_right, cap);
 }
@@ -315,9 +341,9 @@ pub fn delete(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> bool {
         let n = nkeys(b);
         if slot != n - 1 {
             let (k, v) = entry(b, n - 1);
-            set_entry(b, slot, k, v);
+            put_entry(b, slot, k, v);
         }
-        set_nkeys(b, n - 1);
+        put_nkeys(b, n - 1);
     });
     true
 }

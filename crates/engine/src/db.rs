@@ -44,19 +44,17 @@ pub struct Database {
     next_tx: AtomicU64,
     alloc: AtomicU64,
     catalog: Mutex<Catalog>,
-    /// Recycled page-sized scratch for `write_page` before-images.
-    bufs: turbopool_iosim::PageBufPool,
     /// Unshared page images for transactions' overlay pages: taken on
     /// first touch, swapped into frames at commit, and the frames' old
     /// images returned here when nothing else holds them.
     spare: Mutex<Vec<PageBuf>>,
 }
 
-/// Spare images [`Database::recycle_image`] retains (and spare buffers in
-/// [`Database::page_bufs`]): one transaction's modified-page working set
-/// (the widest transaction the benchmark workloads run, in TPC-C, modifies
-/// 36 pages), so what commit returns feeds the next transaction's first
-/// touches. 64 × 8 KB = 512 KB at the paper's page size.
+/// Spare images [`Database::recycle_image`] retains: one transaction's
+/// modified-page working set (the widest transaction the benchmark
+/// workloads run, in TPC-C, modifies 36 pages), so what commit returns
+/// feeds the next transaction's first touches. 64 × 8 KB = 512 KB at the
+/// paper's page size.
 pub(crate) const TXN_SPARE_BUFS: usize = 64;
 
 impl Database {
@@ -96,7 +94,6 @@ impl Database {
         pcfg.replacement = cfg.replacement;
         let pool = BufferPool::new(pcfg, Arc::clone(&layer));
         let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
-        let bufs = turbopool_iosim::PageBufPool::new(cfg.page_size, TXN_SPARE_BUFS);
         Database {
             cfg,
             io,
@@ -112,14 +109,8 @@ impl Database {
                 indexes: Vec::new(),
                 names: HashMap::new(),
             }),
-            bufs,
             spare: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The engine's scratch-buffer pool (page-sized, recycled).
-    pub(crate) fn page_bufs(&self) -> &turbopool_iosim::PageBufPool {
-        &self.bufs
     }
 
     /// A page image to overwrite with [`PageBuf::copy_from`], contents
@@ -266,7 +257,9 @@ impl Database {
             return 0;
         }
         let mut store = SalvageStore { io: &self.io };
-        let n = match turbopool_wal::salvage(&self.log.durable_snapshot(), &mut store, &pids) {
+        // The durable log is replayed where it lies, not copied out.
+        let replay = |log: &[u8]| turbopool_wal::salvage(log, &mut store, &pids);
+        let n = match self.log.durable_handle().with_bytes(replay) {
             Ok(n) => n,
             // A salvage write failed even after unbounded transient retry:
             // the disk tier itself is dead. The failing page was marked as
@@ -495,7 +488,6 @@ impl Database {
         // The machine rebooted: devices come back idle, virtual time
         // restarts at zero for the new incarnation.
         image.io.reset_device_time();
-        let log_bytes = image.log.bytes();
         let mut clk = Clk::new();
         let ssd_frames = image.io.ssd_frames();
         let outcome = {
@@ -505,7 +497,11 @@ impl Database {
                 clk: &mut clk,
                 retries: 0,
             };
-            match turbopool_wal::recover(&log_bytes, &mut store, Some(ssd_frames)) {
+            // The durable log is read where it lies, not copied out.
+            let redo = image
+                .log
+                .with_bytes(|log| turbopool_wal::recover(log, &mut store, Some(ssd_frames)));
+            match redo {
                 Ok(o) => (o, store.retries),
                 Err(error) => return Err(Box::new(RecoveryError { error, image })),
             }
@@ -629,6 +625,9 @@ impl RedoStore for TimedRedoStore<'_> {
     fn page_size(&self) -> usize {
         self.io.page_size()
     }
+    fn num_pages(&self) -> u64 {
+        self.io.db_pages()
+    }
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
         let (r, out) = fault::retry_sync_with(&self.retry, self.clk, |c| {
             self.io.read_disk(c, pid, buf, Locality::Sequential)
@@ -657,6 +656,9 @@ struct SalvageStore<'a> {
 impl RedoStore for SalvageStore<'_> {
     fn page_size(&self) -> usize {
         self.io.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.io.db_pages()
     }
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
         self.io.disk_store().read(pid, buf);

@@ -82,10 +82,11 @@ pub fn insert(txn: &mut Txn<'_, '_>, meta: &HeapMeta, data: &[u8]) -> Result<Rid
     let (pid, slot) = meta.locate(rid);
     let (f, r) = (meta.flag_off(slot), meta.rec_off(slot));
     txn.write_page(pid, Locality::Random, |b| {
-        b[f] = 1;
-        b[r..r + data.len()].copy_from_slice(data);
+        b.put(f, &[1]);
+        let (rec, padding) = b.window(r..r + meta.record_size).split_at_mut(data.len());
+        rec.copy_from_slice(data);
         // Zero the padding in case the slot was previously used.
-        b[r + data.len()..r + meta.record_size].fill(0);
+        padding.fill(0);
     });
     Ok(rid)
 }
@@ -118,7 +119,7 @@ pub fn update(txn: &mut Txn<'_, '_>, meta: &HeapMeta, rid: Rid, data: &[u8]) -> 
         if b[f] != 1 {
             return false;
         }
-        b[r..r + data.len()].copy_from_slice(data);
+        b.put(r, data);
         true
     })
 }
@@ -132,7 +133,7 @@ pub fn delete(txn: &mut Txn<'_, '_>, meta: &HeapMeta, rid: Rid) -> bool {
     let f = meta.flag_off(slot);
     txn.write_page(pid, Locality::Random, |b| {
         let was = b[f] == 1;
-        b[f] = 0;
+        b.put(f, &[0]);
         was
     })
 }

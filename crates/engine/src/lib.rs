@@ -28,4 +28,4 @@ pub use config::DbConfig;
 pub use db::{CrashImage, Database, HeapId, IndexId, RecoveryError, RecoveryReport};
 pub use explorer::{explore, ExplorerConfig, ExplorerOutcome};
 pub use loader::{bulk_load_heap, bulk_load_index};
-pub use txn::{CommitOutcome, Txn};
+pub use txn::{CommitOutcome, PageMut, Txn};

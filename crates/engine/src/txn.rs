@@ -55,35 +55,57 @@ fn first_diff(before: &[u8], after: &[u8], from: usize) -> usize {
     from + same + rest.take_while(|(x, y)| x == y).count()
 }
 
+/// The one diff routine: the changed byte ranges of `after`, a page image,
+/// against `windows` — `(page offset, before-image)` pieces, disjoint and
+/// ascending, that between them cover every byte that can have changed.
+/// Each range handed to `emit` (as page offset and after-image bytes, in
+/// ascending order) starts and ends on a changed byte, and two changed
+/// bytes share a range iff fewer than [`DIFF_GAP`] unchanged bytes separate
+/// them — whether those bytes lie inside a window, between two, or both.
+fn diff_windows<'a>(
+    windows: impl Iterator<Item = (usize, &'a [u8])>,
+    after: &[u8],
+    mut emit: impl FnMut(u32, &[u8]),
+) {
+    // The range being grown: first changed byte, one past the last.
+    let mut open: Option<(usize, usize)> = None;
+    for (base, before) in windows {
+        let now = &after[base..base + before.len()];
+        let mut i = first_diff(before, now, 0);
+        while i < before.len() {
+            let mut j = i + 1;
+            while j < before.len() && before[j] != now[j] {
+                j += 1;
+            }
+            open = Some(match open {
+                Some((start, end)) if base + i - end < DIFF_GAP => (start, base + j),
+                Some((start, end)) => {
+                    emit(start as u32, &after[start..end]);
+                    (base + i, base + j)
+                }
+                None => (base + i, base + j),
+            });
+            i = first_diff(before, now, j);
+        }
+    }
+    if let Some((start, end)) = open {
+        emit(start as u32, &after[start..end]);
+    }
+}
+
 /// Compute the minimal set of changed byte ranges between two page images:
 /// each range starts and ends on a changed byte, and two changed bytes share
 /// a range iff fewer than [`DIFF_GAP`] unchanged bytes separate them.
 ///
-/// Public for the micro bench; the engine's only caller is
-/// [`Txn::write_page`].
+/// This is [`Txn::write_page`]'s diff with the whole page as its one
+/// window. The engine never calls it in release builds; it is public for
+/// the micro bench, and debug builds check every `write_page` against it.
 pub fn diff_ranges(before: &[u8], after: &[u8]) -> Vec<(u32, Vec<u8>)> {
     assert_eq!(before.len(), after.len());
-    let n = before.len();
-    let mut out: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut start = first_diff(before, after, 0);
-    while start < n {
-        // Grow the range over changed bytes and over gaps too short to
-        // split on; `next` ends up on the first change past such a gap,
-        // which is where the following range starts.
-        let mut end = start + 1;
-        let next = loop {
-            while end < n && before[end] != after[end] {
-                end += 1;
-            }
-            let next = first_diff(before, after, end);
-            if next == n || next - end >= DIFF_GAP {
-                break next;
-            }
-            end = next + 1;
-        };
-        out.push((start as u32, after[start..end].to_vec()));
-        start = next;
-    }
+    let mut out = Vec::new();
+    diff_windows(std::iter::once((0, before)), after, |offset, data| {
+        out.push((offset, data.to_vec()))
+    });
     out
 }
 
@@ -120,6 +142,115 @@ fn diff_ranges_serial(before: &[u8], after: &[u8]) -> Vec<(u32, Vec<u8>)> {
     out
 }
 
+/// The before-images of the windows one [`Txn::write_page`] call has
+/// opened: what its diff runs against. Kept by the transaction and emptied
+/// per call, so only a transaction's first writes allocate.
+#[derive(Default)]
+struct Windows {
+    /// Disjoint, ascending by `start`. Overlapping and abutting windows
+    /// are stored as the pieces each one added.
+    pieces: Vec<Piece>,
+    /// The pieces' before-images, back to back in the order taken.
+    saved: Vec<u8>,
+}
+
+struct Piece {
+    start: usize,
+    end: usize,
+    /// Where in [`Windows::saved`] the bytes `start..end` were copied.
+    saved_at: usize,
+}
+
+impl Windows {
+    /// Snapshot whatever part of `lo..hi` no earlier window has: each
+    /// byte is saved the first time it is covered, so it is saved as it
+    /// was before the call.
+    fn cover(&mut self, page: &[u8], lo: usize, hi: usize) {
+        let mut i = self.pieces.partition_point(|p| p.end <= lo);
+        let mut at = lo;
+        while at < hi {
+            let next = self.pieces.get(i).map_or(hi, |p| p.start.min(hi));
+            if at < next {
+                self.pieces.insert(
+                    i,
+                    Piece {
+                        start: at,
+                        end: next,
+                        saved_at: self.saved.len(),
+                    },
+                );
+                self.saved.extend_from_slice(&page[at..next]);
+                i += 1;
+            }
+            match self.pieces.get(i) {
+                Some(p) if p.start < hi => at = p.end,
+                _ => break,
+            }
+            i += 1;
+        }
+    }
+
+    /// Run `f` on `page` through a [`PageMut`] and hand `emit` the byte
+    /// ranges it changed — exactly what [`diff_ranges`] reports for the
+    /// page as it was and as `f` left it.
+    fn capture<R>(
+        &mut self,
+        page: &mut [u8],
+        f: impl FnOnce(&mut PageMut<'_>) -> R,
+        emit: impl FnMut(u32, &[u8]),
+    ) -> R {
+        self.pieces.clear();
+        self.saved.clear();
+        let r = f(&mut PageMut {
+            page,
+            windows: self,
+        });
+        let pieces = self.pieces.iter().map(|p| {
+            let before = &self.saved[p.saved_at..p.saved_at + (p.end - p.start)];
+            (p.start, before)
+        });
+        diff_windows(pieces, page, emit);
+        r
+    }
+}
+
+/// A page as [`Txn::write_page`] hands it to a writer: readable whole
+/// (it dereferences to the page's bytes), writable only through
+/// [`window`](Self::window). The transaction saves a window's bytes before
+/// lending them out, so the redo diff looks at the windows and nowhere
+/// else — and there is no way to change a byte it does not look at.
+pub struct PageMut<'a> {
+    page: &'a mut [u8],
+    windows: &'a mut Windows,
+}
+
+impl PageMut<'_> {
+    /// Mutable access to the bytes `range` of the page. Windows may
+    /// overlap and repeat; what is logged is the difference between the
+    /// page before the `write_page` call and after it.
+    pub fn window(&mut self, range: std::ops::Range<usize>) -> &mut [u8] {
+        assert!(
+            range.start <= range.end && range.end <= self.page.len(),
+            "window {range:?} outside the {}-byte page",
+            self.page.len()
+        );
+        self.windows.cover(self.page, range.start, range.end);
+        &mut self.page[range]
+    }
+
+    /// Overwrite the bytes at `at..at + src.len()` with `src`.
+    pub fn put(&mut self, at: usize, src: &[u8]) {
+        self.window(at..at + src.len()).copy_from_slice(src);
+    }
+}
+
+impl std::ops::Deref for PageMut<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.page
+    }
+}
+
 /// An in-flight transaction.
 ///
 /// Reads see the transaction's own writes through a page overlay; writes
@@ -133,6 +264,8 @@ pub struct Txn<'d, 'c> {
     id: TxId,
     overlay: PidMap<PageBuf>,
     ops: Vec<LogRecord>,
+    /// Scratch of the `write_page` call in progress.
+    windows: Windows,
     /// First unrecoverable I/O error observed by a read; a poisoned
     /// transaction serves zeroed pages from then on and refuses to commit.
     poisoned: Option<IoError>,
@@ -146,6 +279,7 @@ impl<'d, 'c> Txn<'d, 'c> {
             id,
             overlay: PidMap::default(),
             ops: Vec::new(),
+            windows: Windows::default(),
             poisoned: None,
         }
     }
@@ -222,13 +356,14 @@ impl<'d, 'c> Txn<'d, 'c> {
         }
     }
 
-    /// Modify page `pid` in the transaction's private overlay. The change
-    /// is diffed against the pre-image and logged as byte ranges at commit.
+    /// Modify page `pid` in the transaction's private overlay. `f` reads
+    /// the page freely and writes it through the windows it opens on the
+    /// [`PageMut`]; what it changed is logged as byte ranges at commit.
     pub fn write_page<R>(
         &mut self,
         pid: PageId,
         class: Locality,
-        f: impl FnOnce(&mut [u8]) -> R,
+        f: impl FnOnce(&mut PageMut<'_>) -> R,
     ) -> R {
         if !self.overlay.contains_key(&pid) {
             // First touch: a private image (contents unspecified), filled
@@ -240,24 +375,37 @@ impl<'d, 'c> Txn<'d, 'c> {
             }
             self.overlay.insert(pid, image);
         }
-        // Snapshot the pre-image into a recycled scratch buffer (a fresh
-        // PageBuf clone per write_page is the old allocation hot spot).
-        let mut before = self.db.page_bufs().lease();
         let page = self
             .overlay
             .get_mut(&pid)
-            .expect("first touch inserted the page just above");
-        before.copy_from_slice(page.as_slice());
-        let r = f(page.as_mut_slice());
+            .expect("first touch inserted the page just above")
+            .as_mut_slice();
+        #[cfg(debug_assertions)]
+        let (before, logged) = (page.to_vec(), self.ops.len());
         // Diffed here, per call, not at commit: record count and order are
         // part of the log's bytes.
-        for (offset, data) in diff_ranges(&before, page.as_slice()) {
-            self.ops.push(LogRecord::PageWrite {
-                txid: self.id,
+        let (id, ops) = (self.id, &mut self.ops);
+        let r = self.windows.capture(page, f, |offset, data| {
+            ops.push(LogRecord::PageWrite {
+                txid: id,
                 pid,
                 offset,
-                data,
+                data: data.to_vec(),
+            })
+        });
+        // Debug builds (tier-1 runs with them) re-derive every call's
+        // records from the whole before-image.
+        #[cfg(debug_assertions)]
+        {
+            let captured = self.ops[logged..].iter().map(|rec| match rec {
+                LogRecord::PageWrite { offset, data, .. } => (*offset, data.clone()),
+                _ => unreachable!("write_page logs page writes"),
             });
+            assert_eq!(
+                captured.collect::<Vec<_>>(),
+                diff_ranges(&before, page),
+                "windowed capture of {pid} is not the full-page diff"
+            );
         }
         r
     }
@@ -503,33 +651,266 @@ mod tests {
         }
     }
 
-    fn db() -> Database {
-        Database::open(DbConfig::small_for_tests())
+    /// Run `f` on a copy of `before` through the windowed capture. Every
+    /// capture test goes through here: the records must be the serial
+    /// oracle's over the two whole images, range for range.
+    fn capture_checked(
+        windows: &mut Windows,
+        before: &[u8],
+        f: impl FnOnce(&mut PageMut<'_>),
+    ) -> (Vec<u8>, Vec<(u32, Vec<u8>)>) {
+        let mut page = before.to_vec();
+        let mut got = Vec::new();
+        windows.capture(&mut page, f, |offset, data| {
+            got.push((offset, data.to_vec()))
+        });
+        assert_eq!(got, diff_ranges_serial(before, &page));
+        (page, got)
     }
 
-    /// Fill the scratch pool with non-zero garbage, as a busy engine's
-    /// recycled frame buffers would be.
-    fn dirty_spares(db: &Database, n: usize) {
-        for _ in 0..n {
-            db.page_bufs().put(vec![0xCD; db.page_size()]);
+    fn captured(before: &[u8], f: impl FnOnce(&mut PageMut<'_>)) -> Vec<(u32, Vec<u8>)> {
+        capture_checked(&mut Windows::default(), before, f).1
+    }
+
+    #[test]
+    fn capture_carries_the_gap_rule_across_window_boundaries() {
+        // The two changed bytes of `diff_gap_boundary_at_every_alignment`,
+        // each written through a window of its own: whether they share a
+        // record is decided by the unchanged bytes between them, most of
+        // which no window covers.
+        for n in SIZES {
+            let before = vec![0x5Au8; n];
+            let step = if n > 1024 { 7 } else { 1 };
+            for first in (0..n).step_by(step).chain(n.saturating_sub(80)..n) {
+                for gap in [DIFF_GAP - 1, DIFF_GAP, DIFF_GAP + 1] {
+                    let second = first + gap + 1;
+                    if second >= n {
+                        continue;
+                    }
+                    // Windows wider than the change, on either side of it.
+                    let d = captured(&before, |b| {
+                        let lo = first.saturating_sub(3);
+                        b.window(lo..first + 1)[first - lo] ^= 0xFF;
+                        b.window(second..(second + 4).min(n))[0] ^= 0x01;
+                    });
+                    if gap < DIFF_GAP {
+                        assert_eq!(d.len(), 1, "n={n} first={first} gap={gap}");
+                        assert_eq!((d[0].0 as usize, d[0].1.len()), (first, gap + 2));
+                    } else {
+                        assert_eq!(d.len(), 2, "n={n} first={first} gap={gap}");
+                        assert_eq!(d[0], (first as u32, vec![0xA5]));
+                        assert_eq!(d[1], (second as u32, vec![0x5B]));
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn recycled_overlay_buffers_never_leak_stale_bytes() {
+    fn capture_diffs_against_the_page_as_it_was_before_the_call() {
+        let before: Vec<u8> = (0..64).collect();
+        // A byte written twice: back to its old value logs nothing, on to
+        // a third value logs the third against the first.
+        assert!(captured(&before, |b| {
+            b.put(9, &[0xEE]);
+            b.put(9, &[9]);
+        })
+        .is_empty());
+        assert_eq!(
+            captured(&before, |b| {
+                b.put(9, &[0xEE]);
+                b.window(4..20)[5] = 0xDD;
+            }),
+            vec![(9, vec![0xDD])]
+        );
+        // A window written back with the bytes it had: no record.
+        assert!(captured(&before, |b| {
+            let same = b[10..30].to_vec();
+            b.put(10, &same);
+        })
+        .is_empty());
+        // A window opened and never written: no record either.
+        assert!(captured(&before, |b| {
+            b.window(0..64);
+        })
+        .is_empty());
+        // Abutting windows make one record; so do overlapping ones, each
+        // byte saved once however many windows cover it.
+        assert_eq!(
+            captured(&before, |b| {
+                b.put(20, &[0xA0; 4]);
+                b.put(24, &[0xA1; 4]);
+                b.put(16, &[0xA2; 4]);
+            }),
+            vec![(16, [[0xA2; 4], [0xA0; 4], [0xA1; 4]].concat())]
+        );
+        assert_eq!(
+            captured(&before, |b| {
+                b.put(30, &[0xB0; 10]);
+                b.put(25, &[0xB1; 10]);
+                b.put(38, &[0xB2; 4]);
+                b.put(20, &[0xB3; 30]);
+            }),
+            vec![(20, vec![0xB3; 30])]
+        );
+        // The whole page as one window is `diff_ranges`.
+        let d = captured(&before, |b| {
+            let all = b.window(0..64);
+            all[0] = 0xFF;
+            all[63] = 0xFF;
+        });
+        assert_eq!(d, vec![(0, vec![0xFF]), (63, vec![0xFF])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 16-byte page")]
+    fn a_window_past_the_page_is_refused() {
+        captured(&[0u8; 16], |b| {
+            b.window(10..17);
+        });
+    }
+
+    #[test]
+    fn capture_matches_the_serial_oracle_on_seeded_window_writes() {
+        for n in SIZES {
+            let mut rng = SmallRng::seed_from_u64(0xCA97 ^ n as u64);
+            // One scratch for the whole run, as a transaction keeps it.
+            let mut windows = Windows::default();
+            let mut page: Vec<u8> = (0..n).map(|_| rng.gen()).collect();
+            for _ in 0..600 {
+                let mut edits: Vec<(usize, Vec<u8>)> = Vec::new();
+                let mut at = rng.gen_range(0..n);
+                for _ in 0..rng.gen_range(1usize..7) {
+                    let len = match rng.gen_range(0u32..12) {
+                        0 => n - at,
+                        _ => rng.gen_range(1usize..70).min(n - at),
+                    };
+                    // Mostly-changed bytes; some keep their value, and one
+                    // window in eight is written back exactly as it was.
+                    let keep_all = rng.gen_ratio(1, 8);
+                    let bytes = (at..at + len)
+                        .map(|i| match rng.gen_range(0u32..4) {
+                            0 => page[i],
+                            _ if keep_all => page[i],
+                            _ => page[i] ^ rng.gen_range(1u8..=255),
+                        })
+                        .collect();
+                    edits.push((at, bytes));
+                    // Next window: abutting, overlapping, a near-DIFF_GAP
+                    // hop past the end of this one, or anywhere.
+                    at = match rng.gen_range(0u32..5) {
+                        0 => at + len,
+                        1 => at + rng.gen_range(0..len),
+                        2 => (at + len).saturating_sub(rng.gen_range(1usize..90)),
+                        3 => at + len + rng.gen_range(DIFF_GAP - 2..DIFF_GAP + 3),
+                        _ => rng.gen_range(0..n),
+                    };
+                    if at >= n {
+                        break;
+                    }
+                }
+                (page, _) = capture_checked(&mut windows, &page, |b| {
+                    for (at, bytes) in &edits {
+                        b.put(*at, bytes);
+                    }
+                });
+            }
+        }
+    }
+
+    fn db() -> Database {
+        Database::open(DbConfig::small_for_tests())
+    }
+
+    fn page_writes(txn: &Txn<'_, '_>) -> Vec<(u64, u32, usize)> {
+        txn.ops
+            .iter()
+            .map(|rec| match rec {
+                LogRecord::PageWrite {
+                    pid, offset, data, ..
+                } => (pid.0, *offset, data.len()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_writers_log_what_a_full_page_diff_would() {
+        // (Debug builds also check every `write_page` below against the
+        // full-page diff; this pins the shapes.)
+        let db = db();
+        let mut clk = Clk::new();
+        let h = db.create_heap(&mut clk, "t", 100, 4);
+        let idx = db.create_index(&mut clk, "i", 4);
+        let (heap_page, root) = (db.heap_meta(h).first.0, db.index_meta(idx).root.0);
+        let slots = db.heap_meta(h).slots_per_page as u32;
+        let mut txn = db.begin(&mut clk);
+        // Heap insert: the presence flag and the record are two windows.
+        // Slot 0's are 1 byte apart (one record); the next slot's record
+        // is 100 bytes further from its flag (two).
+        txn.heap_insert(h, &[7; 100]).unwrap();
+        txn.heap_insert(h, &[8; 60]).unwrap();
+        assert_eq!(
+            page_writes(&txn),
+            vec![
+                (heap_page, 0, slots as usize + 100),
+                (heap_page, 1, 1),
+                (heap_page, slots + 100, 60),
+            ]
+        );
+        // An update that changes one byte logs one byte; a delete, the flag.
+        txn.ops.clear();
+        let mut rec = [8u8; 100];
+        rec[60..].fill(0);
+        rec[40] = 9;
+        assert!(txn.heap_update(h, 1, &rec));
+        assert!(txn.heap_delete(h, 0));
+        assert_eq!(
+            page_writes(&txn),
+            vec![(heap_page, slots + 140, 1), (heap_page, 0, 1)]
+        );
+        // B+-tree append: `nkeys` (bytes 2..4) and the entry. Entry 0
+        // starts at byte 16, twelve unchanged bytes on: one record. Entry 2
+        // is 44 bytes on: two.
+        txn.ops.clear();
+        txn.index_insert(idx, 5, 50);
+        assert_eq!(page_writes(&txn), vec![(root, 2, 23)]);
+        txn.index_insert(idx, 6, 60);
+        txn.ops.clear();
+        txn.index_insert(idx, 7, 70);
+        assert_eq!(page_writes(&txn), vec![(root, 2, 1), (root, 48, 9)]);
+        // Upsert of an existing key: the value's changed bytes only.
+        txn.ops.clear();
+        txn.index_insert(idx, 6, 61);
+        assert_eq!(page_writes(&txn), vec![(root, 40, 1)]);
+        assert!(txn.commit().is_committed());
+    }
+
+    /// Fill the spare list with non-zero garbage, as a busy engine's
+    /// recycled overlay images would be.
+    fn dirty_spares(db: &Database, n: usize) {
+        for _ in 0..n {
+            db.recycle_image(PageBuf::from_slice(&vec![0xCD; db.page_size()]));
+        }
+    }
+
+    #[test]
+    fn recycled_overlay_images_never_leak_stale_bytes() {
         let db = db();
         let mut clk = Clk::new();
         let pid = PageId(7); // never written: fresh
         dirty_spares(&db, 6);
-        // A writes the fresh page and aborts; its overlay buffer (holding
-        // A's bytes) joins the garbage in the pool.
+        // A writes the fresh page and aborts; its overlay image (holding
+        // A's bytes) joins the garbage in the spare list.
         let mut a = db.begin(&mut clk);
         a.write_page(pid, Locality::Random, |b| {
             assert!(b.iter().all(|&x| x == 0), "fresh page starts zeroed");
-            b.fill(0xA1);
+            let len = b.len();
+            b.window(0..len).fill(0xA1);
         });
+        assert_eq!(db.spare_images(), 5, "first touch took a spare");
         a.abort();
-        assert_eq!(db.page_bufs().spares(), 6);
+        assert_eq!(db.spare_images(), 6);
         // B sees zeroes, not garbage and not A's bytes, and logs only its
         // own four bytes.
         let mut b = db.begin(&mut clk);
@@ -538,7 +919,7 @@ mod tests {
         });
         b.write_page(pid, Locality::Random, |p| {
             assert!(p.iter().all(|&x| x == 0));
-            p[10..14].copy_from_slice(&[1, 2, 3, 4]);
+            p.put(10, &[1, 2, 3, 4]);
         });
         assert_eq!(
             b.ops,
@@ -566,11 +947,11 @@ mod tests {
         let mut txn = db.begin(&mut clk);
         txn.write_page(bad, Locality::Random, |b| {
             assert!(b.iter().all(|&x| x == 0), "no recycled garbage");
-            b[0] = 1;
+            b.put(0, &[1]);
         });
         assert!(txn.poisoned().is_some());
         assert!(!txn.commit().is_committed());
-        assert_eq!(db.page_bufs().spares(), 4, "overlay buffer came back");
+        assert_eq!(db.spare_images(), 4, "overlay image came back");
     }
 
     #[test]
@@ -583,7 +964,7 @@ mod tests {
         // nothing to recycle.
         let mut txn = db.begin(&mut clk);
         for p in 0..3u64 {
-            txn.write_page(PageId(p), Locality::Random, |b| b[0] = 1);
+            txn.write_page(PageId(p), Locality::Random, |b| b.put(0, &[1]));
         }
         assert!(txn.commit().is_committed());
         assert_eq!(db.spare_images(), 0, "shared zero handles are dropped");
@@ -591,7 +972,7 @@ mod tests {
         // image at all).
         let touch = |txn: &mut Txn<'_, '_>| {
             for p in [1u64, 2, 4, 5] {
-                txn.write_page(PageId(p), Locality::Random, |b| b[3] ^= 0x10);
+                txn.write_page(PageId(p), Locality::Random, |b| b.window(3..4)[0] ^= 0x10);
             }
             txn.heap_get(h, 0);
         };
@@ -643,7 +1024,7 @@ mod tests {
         let mut clk = Clk::new();
         let mut txn = db.begin(&mut clk);
         for p in 0..TXN_SPARE_BUFS as u64 + 9 {
-            txn.write_page(PageId(p), Locality::Random, |b| b[0] = 1);
+            txn.write_page(PageId(p), Locality::Random, |b| b.put(0, &[1]));
         }
         txn.abort();
         assert_eq!(db.spare_images(), TXN_SPARE_BUFS);

@@ -28,7 +28,6 @@ pub mod fault;
 pub mod health;
 pub mod io_manager;
 pub mod page;
-pub mod pagebuf;
 pub mod profiles;
 pub mod rng;
 pub mod stats;
@@ -46,7 +45,6 @@ pub use fault::{
 pub use health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
 pub use io_manager::{DeviceSetup, IoManager};
 pub use page::{PageBuf, PageDst, PageId, PageSrc, PidHasher, PidMap};
-pub use pagebuf::{PageBufPool, PageLease};
 pub use profiles::{hdd_array_profile, log_disk_profile, ssd_profile, PAPER_NUM_DISKS};
 pub use stats::{DeviceStats, StatSnapshot};
 pub use store::{MemStore, PageStore};

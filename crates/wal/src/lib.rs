@@ -18,9 +18,11 @@
 pub mod log;
 pub mod record;
 pub mod recovery;
+#[cfg(test)]
+mod replay_fuzz;
 
 pub use log::{DurableLog, LogManager, Lsn};
-pub use record::{DecodeError, DecodeOutcome, LogRecord, LogTail};
+pub use record::{DecodeError, DecodeOutcome, LogRecord, LogTail, RecordReader, RecordRef};
 pub use recovery::{
     recover, salvage, DirectStore, LogScanReport, RecoveryOutcome, RecoveryStats, RedoStore,
 };

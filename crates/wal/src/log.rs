@@ -139,8 +139,10 @@ impl LogManager {
         st.base += cut as Lsn;
     }
 
-    /// Snapshot of the durable log contents, as recovery would read them
-    /// from the log device after a crash (unflushed bytes are gone).
+    /// A copy of the durable log contents, as recovery would read them
+    /// from the log device after a crash (unflushed bytes are gone) — for
+    /// tests that fingerprint or decode it. Replay reads the log in place
+    /// through [`DurableLog::with_bytes`].
     pub fn durable_snapshot(&self) -> Vec<u8> {
         self.state.lock().durable.clone()
     }
@@ -184,9 +186,11 @@ impl DurableLog {
         }
     }
 
-    /// The durable bytes, for recovery scanning.
-    pub fn bytes(&self) -> Vec<u8> {
-        self.state.lock().durable.clone()
+    /// Run `f` over the durable bytes in place, for replay. The log latch
+    /// is held for the duration of `f`, so `f` must not append to or flush
+    /// this log; replaying it onto the database does neither.
+    pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.state.lock().durable)
     }
 
     /// Log repair after a successful recovery: discard everything past the

@@ -94,6 +94,206 @@ pub struct DecodeOutcome {
     pub valid_len: usize,
 }
 
+/// A log record read in place: the variants of [`LogRecord`], with the
+/// variable-length payloads borrowed from the log bytes instead of copied
+/// out of them. This is the one decoder; [`LogRecord::decode`] is
+/// [`RecordRef::decode`] followed by [`RecordRef::to_owned`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordRef<'a> {
+    PageWrite {
+        txid: TxId,
+        pid: PageId,
+        offset: u32,
+        data: &'a [u8],
+    },
+    Commit {
+        txid: TxId,
+    },
+    Checkpoint,
+    /// The table's `(page id, SSD frame)` pairs as encoded: 16 bytes each,
+    /// two little-endian `u64`s. [`table_entries`] decodes them.
+    SsdTable {
+        entries: &'a [[u8; TABLE_ENTRY_LEN]],
+    },
+}
+
+/// Bytes of one encoded `SsdTable` entry.
+pub const TABLE_ENTRY_LEN: usize = 16;
+
+/// Decode the `(page id, SSD frame)` pairs of a borrowed `SsdTable`.
+pub fn table_entries(raw: &[[u8; TABLE_ENTRY_LEN]]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    raw.iter().map(|e| (le_u64(&e[..8]), le_u64(&e[8..])))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("caller slices eight bytes"))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("caller slices four bytes"))
+}
+
+impl<'a> RecordRef<'a> {
+    /// Decode one record from the front of `buf` and verify its checksum
+    /// trailer, returning the record and the bytes consumed (body +
+    /// trailer). Never panics and never allocates, whatever `buf` holds: a
+    /// length field that runs past the buffer is [`DecodeError::Incomplete`].
+    pub fn decode(buf: &'a [u8]) -> Result<(RecordRef<'a>, usize), DecodeError> {
+        let (rec, total) = Self::parse(buf)?;
+        let body_len = total - CHECKSUM_LEN;
+        if fault::checksum(&buf[..body_len]) != le_u64(&buf[body_len..total]) {
+            return Err(DecodeError::Corrupt);
+        }
+        Ok((rec, total))
+    }
+
+    /// [`decode`](Self::decode) without hashing the body: the structure is
+    /// still checked (tag, lengths, the trailer's eight bytes present), the
+    /// trailer's value is not. For a second pass over bytes a first pass
+    /// has already verified.
+    pub fn parse(buf: &'a [u8]) -> Result<(RecordRef<'a>, usize), DecodeError> {
+        let (&tag, rest) = buf.split_first().ok_or(DecodeError::Incomplete)?;
+        // Payload lengths come off the wire: sums saturate instead of
+        // wrapping, and a saturated length is longer than any buffer.
+        let (rec, body_len) = match tag {
+            TAG_PAGE_WRITE => {
+                let head = rest.get(..24).ok_or(DecodeError::Incomplete)?;
+                let len = le_u32(&head[20..24]) as usize;
+                let data = rest
+                    .get(24..24usize.saturating_add(len))
+                    .ok_or(DecodeError::Incomplete)?;
+                let rec = RecordRef::PageWrite {
+                    txid: le_u64(&head[0..8]),
+                    pid: PageId(le_u64(&head[8..16])),
+                    offset: le_u32(&head[16..20]),
+                    data,
+                };
+                (rec, 1 + 24 + len)
+            }
+            TAG_COMMIT => {
+                let txid = rest.get(..8).ok_or(DecodeError::Incomplete)?;
+                (RecordRef::Commit { txid: le_u64(txid) }, 1 + 8)
+            }
+            TAG_CHECKPOINT => (RecordRef::Checkpoint, 1),
+            TAG_SSD_TABLE => {
+                let n = le_u32(rest.get(..4).ok_or(DecodeError::Incomplete)?) as usize;
+                let len = n.saturating_mul(TABLE_ENTRY_LEN);
+                let raw = rest
+                    .get(4..4usize.saturating_add(len))
+                    .ok_or(DecodeError::Incomplete)?;
+                let (entries, _) = raw.as_chunks::<TABLE_ENTRY_LEN>();
+                (RecordRef::SsdTable { entries }, 1 + 4 + len)
+            }
+            _ => return Err(DecodeError::Corrupt),
+        };
+        let total = body_len + CHECKSUM_LEN;
+        if buf.len() < total {
+            return Err(DecodeError::Incomplete);
+        }
+        Ok((rec, total))
+    }
+
+    /// Copy the borrowed payloads out.
+    pub fn to_owned(&self) -> LogRecord {
+        match *self {
+            RecordRef::PageWrite {
+                txid,
+                pid,
+                offset,
+                data,
+            } => LogRecord::PageWrite {
+                txid,
+                pid,
+                offset,
+                data: data.to_vec(),
+            },
+            RecordRef::Commit { txid } => LogRecord::Commit { txid },
+            RecordRef::Checkpoint => LogRecord::Checkpoint,
+            RecordRef::SsdTable { entries } => LogRecord::SsdTable {
+                entries: table_entries(entries).collect(),
+            },
+        }
+    }
+}
+
+/// Iterator over the records of a log buffer, in place: yields
+/// `(byte position, record)` until the buffer ends, then reports how it
+/// ended through [`tail`](Self::tail) / [`valid_len`](Self::valid_len).
+pub struct RecordReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    verify: bool,
+    tail: LogTail,
+}
+
+impl<'a> RecordReader<'a> {
+    /// Read `buf` from its first byte, verifying every checksum trailer.
+    pub fn new(buf: &'a [u8]) -> Self {
+        RecordReader {
+            buf,
+            pos: 0,
+            verify: true,
+            tail: LogTail::Clean,
+        }
+    }
+
+    /// Read `buf` from byte `from` without re-hashing: for later passes
+    /// over a prefix (`&log[..valid_len]`) a verifying pass has accepted,
+    /// starting on a record boundary that pass reported.
+    pub fn verified(buf: &'a [u8], from: usize) -> Self {
+        RecordReader {
+            buf,
+            pos: from,
+            verify: false,
+            tail: LogTail::Clean,
+        }
+    }
+
+    /// How the stream ended. `Clean` until the iterator has returned
+    /// `None`; final after that.
+    pub fn tail(&self) -> LogTail {
+        self.tail
+    }
+
+    /// Bytes consumed by cleanly decoded records so far: once the iterator
+    /// has returned `None`, the trustworthy prefix of the buffer (the tail
+    /// offset for `Torn`/`Corrupt`, the buffer length for `Clean`).
+    pub fn valid_len(&self) -> usize {
+        self.pos
+    }
+}
+
+impl<'a> Iterator for RecordReader<'a> {
+    type Item = (usize, RecordRef<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.buf.len() || self.tail.is_damaged() {
+            return None;
+        }
+        let rest = &self.buf[self.pos..];
+        let decoded = if self.verify {
+            RecordRef::decode(rest)
+        } else {
+            RecordRef::parse(rest)
+        };
+        match decoded {
+            Ok((rec, used)) => {
+                let at = self.pos;
+                self.pos += used;
+                Some((at, rec))
+            }
+            Err(DecodeError::Incomplete) => {
+                self.tail = LogTail::Torn { at: self.pos };
+                None
+            }
+            Err(DecodeError::Corrupt) => {
+                self.tail = LogTail::Corrupt { at: self.pos };
+                None
+            }
+        }
+    }
+}
+
 impl LogRecord {
     /// Append the binary encoding of this record (body + checksum trailer)
     /// to `out`.
@@ -137,7 +337,7 @@ impl LogRecord {
             LogRecord::PageWrite { data, .. } => 1 + 8 + 8 + 4 + 4 + data.len(),
             LogRecord::Commit { .. } => 1 + 8,
             LogRecord::Checkpoint => 1,
-            LogRecord::SsdTable { entries } => 1 + 4 + 16 * entries.len(),
+            LogRecord::SsdTable { entries } => 1 + 4 + TABLE_ENTRY_LEN * entries.len(),
         };
         body + CHECKSUM_LEN
     }
@@ -145,106 +345,19 @@ impl LogRecord {
     /// Decode one record from the front of `buf`, returning the record and
     /// the number of bytes consumed (body + trailer).
     pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize), DecodeError> {
-        let (body_len, rec) = Self::decode_body(buf)?;
-        let total = body_len + CHECKSUM_LEN;
-        if buf.len() < total {
-            return Err(DecodeError::Incomplete);
-        }
-        let stored = u64::from_le_bytes(buf[body_len..total].try_into().unwrap());
-        if fault::checksum(&buf[..body_len]) != stored {
-            return Err(DecodeError::Corrupt);
-        }
-        Ok((rec, total))
-    }
-
-    /// Decode the record body, returning `(body_len, record)`.
-    fn decode_body(buf: &[u8]) -> Result<(usize, LogRecord), DecodeError> {
-        let (&tag, rest) = buf.split_first().ok_or(DecodeError::Incomplete)?;
-        match tag {
-            TAG_PAGE_WRITE => {
-                if rest.len() < 24 {
-                    return Err(DecodeError::Incomplete);
-                }
-                let txid = u64::from_le_bytes(rest[0..8].try_into().unwrap());
-                let pid = u64::from_le_bytes(rest[8..16].try_into().unwrap());
-                let offset = u32::from_le_bytes(rest[16..20].try_into().unwrap());
-                let len = u32::from_le_bytes(rest[20..24].try_into().unwrap()) as usize;
-                if rest.len() < 24 + len {
-                    return Err(DecodeError::Incomplete);
-                }
-                let data = rest[24..24 + len].to_vec();
-                Ok((
-                    1 + 24 + len,
-                    LogRecord::PageWrite {
-                        txid,
-                        pid: PageId(pid),
-                        offset,
-                        data,
-                    },
-                ))
-            }
-            TAG_COMMIT => {
-                if rest.len() < 8 {
-                    return Err(DecodeError::Incomplete);
-                }
-                let txid = u64::from_le_bytes(rest[0..8].try_into().unwrap());
-                Ok((9, LogRecord::Commit { txid }))
-            }
-            TAG_CHECKPOINT => Ok((1, LogRecord::Checkpoint)),
-            TAG_SSD_TABLE => {
-                if rest.len() < 4 {
-                    return Err(DecodeError::Incomplete);
-                }
-                let n = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-                if rest.len() < 4 + 16 * n {
-                    return Err(DecodeError::Incomplete);
-                }
-                let mut entries = Vec::with_capacity(n);
-                for i in 0..n {
-                    let off = 4 + i * 16;
-                    entries.push((
-                        u64::from_le_bytes(rest[off..off + 8].try_into().unwrap()),
-                        u64::from_le_bytes(rest[off + 8..off + 16].try_into().unwrap()),
-                    ));
-                }
-                Ok((1 + 4 + 16 * n, LogRecord::SsdTable { entries }))
-            }
-            _ => Err(DecodeError::Corrupt),
-        }
+        RecordRef::decode(buf).map(|(rec, used)| (rec.to_owned(), used))
     }
 }
 
 /// Scan `buf` for records, classifying how the stream ends (clean record
 /// boundary, torn tail, or mid-log corruption).
 pub fn decode_all(buf: &[u8]) -> DecodeOutcome {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    while pos < buf.len() {
-        match LogRecord::decode(&buf[pos..]) {
-            Ok((rec, used)) => {
-                records.push(rec);
-                pos += used;
-            }
-            Err(DecodeError::Incomplete) => {
-                return DecodeOutcome {
-                    records,
-                    tail: LogTail::Torn { at: pos },
-                    valid_len: pos,
-                };
-            }
-            Err(DecodeError::Corrupt) => {
-                return DecodeOutcome {
-                    records,
-                    tail: LogTail::Corrupt { at: pos },
-                    valid_len: pos,
-                };
-            }
-        }
-    }
+    let mut reader = RecordReader::new(buf);
+    let records = reader.by_ref().map(|(_, rec)| rec.to_owned()).collect();
     DecodeOutcome {
         records,
-        tail: LogTail::Clean,
-        valid_len: pos,
+        tail: reader.tail(),
+        valid_len: reader.valid_len(),
     }
 }
 
@@ -281,6 +394,55 @@ mod tests {
         round_trip(LogRecord::SsdTable {
             entries: (0..100).map(|i| (i * 3, i)).collect(),
         });
+    }
+
+    #[test]
+    fn reader_yields_positions_and_borrowed_payloads() {
+        let recs = [
+            LogRecord::PageWrite {
+                txid: 3,
+                pid: PageId(9),
+                offset: 5,
+                data: vec![0xAB; 40],
+            },
+            LogRecord::Commit { txid: 3 },
+            LogRecord::SsdTable {
+                entries: vec![(7, 70), (8, 80)],
+            },
+            LogRecord::Checkpoint,
+        ];
+        let mut buf = Vec::new();
+        let mut starts = Vec::new();
+        for r in &recs {
+            starts.push(buf.len());
+            r.encode(&mut buf);
+        }
+        let mut reader = RecordReader::new(&buf);
+        let got: Vec<(usize, RecordRef<'_>)> = reader.by_ref().collect();
+        assert_eq!(
+            (reader.tail(), reader.valid_len()),
+            (LogTail::Clean, buf.len())
+        );
+        assert_eq!(got.iter().map(|&(pos, _)| pos).collect::<Vec<_>>(), starts);
+        for ((_, rec), want) in got.iter().zip(&recs) {
+            assert_eq!(rec.to_owned(), *want);
+        }
+        // Payloads are slices of the log, not copies of it.
+        let RecordRef::PageWrite { data, .. } = got[0].1 else {
+            panic!("first record is the page write");
+        };
+        assert!(buf.as_ptr_range().contains(&data.as_ptr()));
+        // A later pass starts from a position the first one reported and
+        // does not hash: damage the first pass would catch goes unnoticed
+        // (which is why it only ever runs over a verified prefix).
+        let rest: Vec<usize> = RecordReader::verified(&buf, starts[2])
+            .map(|(pos, _)| pos)
+            .collect();
+        assert_eq!(rest, starts[2..]);
+        let mut damaged = buf.clone();
+        damaged[30] ^= 0x04;
+        assert_eq!(RecordReader::new(&damaged).count(), 0);
+        assert_eq!(RecordReader::verified(&damaged, 0).count(), recs.len());
     }
 
     #[test]

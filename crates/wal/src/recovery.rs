@@ -6,12 +6,16 @@
 //! backing bytes directly. A torn log tail is truncated and replay
 //! proceeds; mid-log corruption stops the scan at the damage point and is
 //! surfaced in the [`LogScanReport`] so the caller can fail loudly.
+//!
+//! The log is read where it lies ([`RecordReader`] borrows every payload
+//! from the durable bytes) and each page is redone once: one read, all of
+//! its committed ranges in log order, one write.
 
 use std::collections::HashSet;
 
 use turbopool_iosim::{IoError, PageId, PageStore};
 
-use crate::record::{decode_all, LogRecord, LogTail};
+use crate::record::{table_entries, LogTail, RecordReader, RecordRef, TABLE_ENTRY_LEN};
 use crate::TxId;
 
 /// Fallible page access for redo: the device-facing face of recovery.
@@ -22,6 +26,9 @@ use crate::TxId;
 /// fails.
 pub trait RedoStore {
     fn page_size(&self) -> usize;
+    /// Pages in the database: a log record naming a page at or past this
+    /// cannot be applied, whatever its checksum says.
+    fn num_pages(&self) -> u64;
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError>;
     fn write(&mut self, pid: PageId, data: &[u8]) -> Result<(), IoError>;
 }
@@ -33,6 +40,9 @@ pub struct DirectStore<'a>(pub &'a dyn PageStore);
 impl RedoStore for DirectStore<'_> {
     fn page_size(&self) -> usize {
         self.0.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.0.num_pages()
     }
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
         self.0.read(pid, buf);
@@ -103,16 +113,19 @@ pub struct RecoveryStats {
     pub writes_applied: usize,
     /// Page-write records skipped because their transaction never committed.
     pub writes_skipped: usize,
+    /// Pages written back: each page with an applied record is read once,
+    /// patched with all of its records, and written once.
+    pub pages_written: usize,
 }
 
 /// Semantic validation of an embedded SSD buffer table: every frame in
 /// range (when the geometry is known), no page listed twice, no frame
 /// listed twice. A table that fails this check is garbage — adopting it
 /// would seed the warm restart with lies — so its checkpoint is rejected.
-fn table_valid(entries: &[(u64, u64)], ssd_frames: Option<u64>) -> bool {
-    let mut pids: HashSet<u64> = HashSet::with_capacity(entries.len());
-    let mut frames: HashSet<u64> = HashSet::with_capacity(entries.len());
-    for &(pid, frame) in entries {
+fn table_valid(raw: &[[u8; TABLE_ENTRY_LEN]], ssd_frames: Option<u64>) -> bool {
+    let mut pids: HashSet<u64> = HashSet::with_capacity(raw.len());
+    let mut frames: HashSet<u64> = HashSet::with_capacity(raw.len());
+    for (pid, frame) in table_entries(raw) {
         if let Some(n) = ssd_frames {
             if frame >= n {
                 return false;
@@ -125,53 +138,92 @@ fn table_valid(entries: &[(u64, u64)], ssd_frames: Option<u64>) -> bool {
     true
 }
 
-/// Scan `records` for the replay anchor: the last checkpoint whose
-/// embedded `SsdTable` (if any) validates. Returns
-/// `(start_index, ssd_table, checkpoints_seen, checkpoints_rejected)`.
-fn find_anchor(
-    records: &[LogRecord],
-    ssd_frames: Option<u64>,
-) -> (usize, Option<Vec<(PageId, u64)>>, usize, usize) {
-    let ckpts: Vec<usize> = records
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| matches!(r, LogRecord::Checkpoint).then_some(i))
-        .collect();
-    let seen = ckpts.len();
-    let mut rejected = 0usize;
-    for &i in ckpts.iter().rev() {
-        // Only a table directly attached to this checkpoint counts: scan
-        // back to the previous checkpoint (or the stream start).
-        let table = records[..i].iter().rev().find_map(|r| match r {
-            LogRecord::SsdTable { entries } => Some(entries),
-            LogRecord::Checkpoint => None,
-            _ => None,
-        });
-        match table {
-            Some(entries) if !table_valid(entries, ssd_frames) => {
-                // Reject this checkpoint and fall back to the previous
-                // complete one instead of adopting a garbage table.
-                rejected += 1;
+/// What the verifying pass over the log established.
+struct Scan<'a> {
+    report: LogScanReport,
+    /// Byte position replay starts from: just past the adopted checkpoint
+    /// record, or 0 when no checkpoint anchors it.
+    start: usize,
+    /// Records from `start` to `report.valid_len`.
+    records: usize,
+    /// The adopted checkpoint's table, still in its encoded form.
+    table: Option<&'a [[u8; TABLE_ENTRY_LEN]]>,
+}
+
+/// Pass 1: verify every record's trailer, classify the tail, and pick the
+/// replay anchor — the last checkpoint whose embedded `SsdTable` (if any)
+/// validates.
+///
+/// A checkpoint owns the last table written *since the previous
+/// checkpoint* and nothing older: a table describes the SSD as of the
+/// checkpoint it was flushed with. A checkpoint whose table fails
+/// validation is rejected, and the anchor stays at the last accepted one.
+///
+/// A `PageWrite` that checksums but cannot be applied — its range runs off
+/// the page, or its page is past the end of the database — ends the scan
+/// exactly like a bad trailer: `Corrupt` at that record. Replay therefore
+/// only ever sees records it can apply.
+fn scan<'a>(log: &'a [u8], page_size: usize, num_pages: u64, ssd_frames: Option<u64>) -> Scan<'a> {
+    let mut out = Scan {
+        report: LogScanReport {
+            log_bytes: log.len(),
+            ..Default::default()
+        },
+        start: 0,
+        records: 0,
+        table: None,
+    };
+    let mut pending_table = None;
+    let mut impossible = None;
+    let mut reader = RecordReader::new(log);
+    while let Some((pos, rec)) = reader.next() {
+        match rec {
+            RecordRef::PageWrite {
+                pid, offset, data, ..
+            } => {
+                if pid.0 >= num_pages || offset as usize + data.len() > page_size {
+                    impossible = Some(pos);
+                    break;
+                }
             }
-            Some(entries) => {
-                let t = entries.iter().map(|&(p, f)| (PageId(p), f)).collect();
-                return (i + 1, Some(t), seen, rejected);
+            RecordRef::Commit { .. } => {}
+            RecordRef::SsdTable { entries } => pending_table = Some(entries),
+            RecordRef::Checkpoint => {
+                out.report.checkpoints_seen += 1;
+                let table = pending_table.take();
+                if table.is_some_and(|t| !table_valid(t, ssd_frames)) {
+                    out.report.checkpoints_rejected += 1;
+                } else {
+                    out.report.checkpoints_rejected = 0;
+                    out.report.used_checkpoint = true;
+                    out.table = table;
+                    out.start = reader.valid_len();
+                    out.records = 0;
+                    continue;
+                }
             }
-            None => return (i + 1, None, seen, rejected),
         }
+        out.records += 1;
     }
-    (0, None, seen, rejected)
+    (out.report.tail, out.report.valid_len) = match impossible {
+        Some(at) => (LogTail::Corrupt { at }, at),
+        None => (reader.tail(), reader.valid_len()),
+    };
+    out
 }
 
 /// Replay the durable log onto the persistent database.
 ///
-/// Two passes over the suffix that follows the adopted checkpoint record:
-/// first collect the set of committed transactions, then apply their
-/// `PageWrite` after-images to `db` in log order. Writes of transactions
-/// without a commit record are losers (the crash interrupted their commit
-/// before the log flush finished) and are skipped — which is also correct,
-/// because commit-time publication means no page they touched was ever
-/// dirtied in the buffer pool.
+/// Three passes, all over the log bytes where they lie. The first verifies
+/// every record and picks the adopted checkpoint ([`scan`]); the second
+/// collects the committed transactions of the suffix that follows it; the
+/// third collects the *positions* of their `PageWrite` records, orders them
+/// by (page, log position), and redoes each page once — one read, the
+/// page's after-images applied in log order, one write — in ascending page
+/// order. Writes of transactions without a commit record are losers (the
+/// crash interrupted their commit before the log flush finished) and are
+/// skipped — which is also correct, because commit-time publication means
+/// no page they touched was ever dirtied in the buffer pool.
 ///
 /// `ssd_frames` is the SSD geometry for validating embedded buffer tables
 /// (`None` skips the range check). A checkpoint whose table fails
@@ -194,70 +246,12 @@ pub fn recover(
     db: &mut dyn RedoStore,
     ssd_frames: Option<u64>,
 ) -> Result<RecoveryOutcome, IoError> {
-    let decoded = decode_all(log_bytes);
-    let records = decoded.records;
-    let (start, ssd_table, ckpts_seen, ckpts_rejected) = find_anchor(&records, ssd_frames);
-    let report = LogScanReport {
-        tail: decoded.tail,
-        log_bytes: log_bytes.len(),
-        valid_len: decoded.valid_len,
-        checkpoints_seen: ckpts_seen,
-        checkpoints_rejected: ckpts_rejected,
-        used_checkpoint: start > 0,
-    };
-    let tail = &records[start..];
-
-    let committed: HashSet<TxId> = tail
-        .iter()
-        .filter_map(|r| match r {
-            LogRecord::Commit { txid } => Some(*txid),
-            _ => None,
-        })
-        .collect();
-
-    let mut stats = RecoveryStats {
-        records_scanned: tail.len(),
-        txns_redone: committed.len(),
-        ..Default::default()
-    };
-    let mut redone: HashSet<PageId> = HashSet::new();
-
-    let page_size = db.page_size();
-    let mut page_buf = vec![0u8; page_size];
-    for rec in tail {
-        if let LogRecord::PageWrite {
-            txid,
-            pid,
-            offset,
-            data,
-        } = rec
-        {
-            if !committed.contains(txid) {
-                stats.writes_skipped += 1;
-                continue;
-            }
-            let off = *offset as usize;
-            assert!(
-                off + data.len() <= page_size,
-                "log record exceeds page bounds"
-            );
-            db.read(*pid, &mut page_buf)?;
-            page_buf[off..off + data.len()].copy_from_slice(data);
-            db.write(*pid, &page_buf)?;
-            stats.writes_applied += 1;
-            redone.insert(*pid);
-        }
-    }
-    Ok(RecoveryOutcome {
-        stats,
-        redone,
-        ssd_table,
-        report,
-    })
+    replay(log_bytes, db, ssd_frames, None)
 }
 
 /// Targeted live redo: rebuild the committed content of `pids` onto `db`
-/// from the durable log tail, without touching any other page.
+/// from the durable log tail, without touching any other page — the same
+/// replay as [`recover`], restricted to those pages.
 ///
 /// This is the WAL-tail salvage path of the fault-tolerance extension: under
 /// lazy cleaning the SSD may hold the *only* current copy of a dirty page,
@@ -280,48 +274,88 @@ pub fn salvage(
     if pids.is_empty() {
         return Ok(0);
     }
-    let records = decode_all(log_bytes).records;
-    let (start, _, _, _) = find_anchor(&records, None);
-    let tail = &records[start..];
-    let committed: HashSet<TxId> = tail
-        .iter()
-        .filter_map(|r| match r {
-            LogRecord::Commit { txid } => Some(*txid),
+    Ok(replay(log_bytes, db, None, Some(pids))?.stats.pages_written)
+}
+
+/// The one replay routine: [`recover`] is `only = None`, [`salvage`] passes
+/// the pages it wants.
+fn replay(
+    log: &[u8],
+    db: &mut dyn RedoStore,
+    ssd_frames: Option<u64>,
+    only: Option<&HashSet<PageId>>,
+) -> Result<RecoveryOutcome, IoError> {
+    let page_size = db.page_size();
+    let scan = scan(log, page_size, db.num_pages(), ssd_frames);
+    // Passes 2 and 3 re-read bytes pass 1 verified: no re-hash.
+    let suffix = || RecordReader::verified(&log[..scan.report.valid_len], scan.start);
+
+    let committed: HashSet<TxId> = suffix()
+        .filter_map(|(_, rec)| match rec {
+            RecordRef::Commit { txid } => Some(txid),
             _ => None,
         })
         .collect();
 
-    let page_size = db.page_size();
-    let mut page_buf = vec![0u8; page_size];
-    let mut restored: HashSet<PageId> = HashSet::new();
-    for rec in tail {
-        if let LogRecord::PageWrite {
-            txid,
-            pid,
-            offset,
-            data,
-        } = rec
-        {
-            if !pids.contains(pid) || !committed.contains(txid) {
+    let mut stats = RecoveryStats {
+        records_scanned: scan.records,
+        txns_redone: committed.len(),
+        ..Default::default()
+    };
+    let mut writes: Vec<(PageId, usize)> = Vec::new();
+    for (pos, rec) in suffix() {
+        if let RecordRef::PageWrite { txid, pid, .. } = rec {
+            if only.is_some_and(|pids| !pids.contains(&pid)) {
                 continue;
             }
-            let off = *offset as usize;
-            assert!(
-                off + data.len() <= page_size,
-                "log record exceeds page bounds"
-            );
-            db.read(*pid, &mut page_buf)?;
-            page_buf[off..off + data.len()].copy_from_slice(data);
-            db.write(*pid, &page_buf)?;
-            restored.insert(*pid);
+            if committed.contains(&txid) {
+                writes.push((pid, pos));
+            } else {
+                stats.writes_skipped += 1;
+            }
         }
     }
-    Ok(restored.len())
+    stats.writes_applied = writes.len();
+    // Ascending page order is part of the contract: redo writes are crash
+    // boundaries and fault-plan draws, numbered in the order issued.
+    writes.sort_unstable();
+
+    let mut redone: HashSet<PageId> = HashSet::new();
+    let mut page = vec![0u8; page_size];
+    for run in writes.chunk_by(|a, b| a.0 == b.0) {
+        let pid = run[0].0;
+        db.read(pid, &mut page)?;
+        for &(_, pos) in run {
+            // `pos` is where pass 3 parsed this very record a moment ago.
+            if let Ok((RecordRef::PageWrite { offset, data, .. }, _)) =
+                RecordRef::parse(&log[pos..])
+            {
+                let off = offset as usize;
+                debug_assert!(
+                    off + data.len() <= page_size,
+                    "pass 1 ends the log before a record that exceeds page bounds"
+                );
+                page[off..off + data.len()].copy_from_slice(data);
+            }
+        }
+        db.write(pid, &page)?;
+        stats.pages_written += 1;
+        redone.insert(pid);
+    }
+    Ok(RecoveryOutcome {
+        stats,
+        redone,
+        ssd_table: scan
+            .table
+            .map(|t| table_entries(t).map(|(p, f)| (PageId(p), f)).collect()),
+        report: scan.report,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::LogRecord;
     use turbopool_iosim::{MemStore, PageId};
 
     fn encode(recs: &[LogRecord]) -> Vec<u8> {
@@ -653,6 +687,128 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_owns_only_the_table_written_since_the_previous_one() {
+        let db = MemStore::new(4, 8);
+        // T1 describes the SSD as of the first checkpoint; the second
+        // checkpoint was taken without a table and must not inherit it.
+        let log = encode(&[
+            LogRecord::SsdTable {
+                entries: vec![(1, 10)],
+            },
+            LogRecord::Checkpoint,
+            LogRecord::Checkpoint,
+        ]);
+        let out = run(&log, &db);
+        assert_eq!(out.ssd_table, None);
+        assert!(out.report.used_checkpoint);
+        assert_eq!(out.report.checkpoints_seen, 2);
+        assert_eq!(out.report.checkpoints_rejected, 0);
+        assert_eq!(out.stats.records_scanned, 0);
+    }
+
+    #[test]
+    fn a_record_that_checksums_but_cannot_be_applied_ends_the_log_as_corrupt() {
+        const PAGE: usize = 16;
+        const PAGES: u64 = 4;
+        let good = encode(&[
+            LogRecord::PageWrite {
+                txid: 1,
+                pid: PageId(0),
+                offset: 0,
+                data: vec![1; 4],
+            },
+            LogRecord::Commit { txid: 1 },
+        ]);
+        let after = encode(&[LogRecord::Commit { txid: 2 }]);
+        // Both carry the trailer `encode` computed: only their content is
+        // impossible.
+        let off_the_page = LogRecord::PageWrite {
+            txid: 2,
+            pid: PageId(1),
+            offset: PAGE as u32 - 1,
+            data: vec![9; 8],
+        };
+        let past_the_database = LogRecord::PageWrite {
+            txid: 2,
+            pid: PageId(PAGES),
+            offset: 0,
+            data: vec![9; 8],
+        };
+        for bad in [off_the_page, past_the_database] {
+            let db = MemStore::new(PAGES, PAGE);
+            let log = [good.clone(), encode(&[bad]), after.clone()].concat();
+            let out = run(&log, &db);
+            assert_eq!(out.report.tail, LogTail::Corrupt { at: good.len() });
+            assert_eq!(out.report.valid_len, good.len());
+            // The prefix is replayed; the record and everything behind it
+            // are not (txn 2 "committed" only past the damage).
+            assert_eq!(out.stats.records_scanned, 2);
+            assert_eq!(out.stats.writes_applied, 1);
+            assert_eq!(out.stats.txns_redone, 1);
+            let mut buf = [0u8; PAGE];
+            db.read(PageId(0), &mut buf);
+            assert_eq!(&buf[..4], &[1; 4]);
+            db.read(PageId(1), &mut buf);
+            assert_eq!(buf, [0u8; PAGE]);
+            // Salvage sees the same log the same way.
+            let want: HashSet<PageId> = [PageId(0), PageId(1), PageId(PAGES)].into();
+            assert_eq!(salvage(&log, &mut DirectStore(&db), &want).unwrap(), 1);
+        }
+    }
+
+    #[test]
+    fn a_huge_length_field_in_a_short_buffer_is_a_torn_tail() {
+        let db = MemStore::new(4, 16);
+        let good = encode(&[LogRecord::Commit { txid: 1 }]);
+        // A page-write header claiming 4 GiB of data, followed by a few
+        // bytes: the stream ends inside the record. Nothing that size is
+        // allocated on the way to finding that out.
+        let mut log = good.clone();
+        log.push(1);
+        log.extend_from_slice(&7u64.to_le_bytes());
+        log.extend_from_slice(&0u64.to_le_bytes());
+        log.extend_from_slice(&0u32.to_le_bytes());
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.extend_from_slice(&[0xEE; 40]);
+        let out = run(&log, &db);
+        assert_eq!(out.report.tail, LogTail::Torn { at: good.len() });
+        assert_eq!(out.report.valid_len, good.len());
+        assert_eq!(out.stats.records_scanned, 1);
+        // The same for a table claiming 2^32 - 1 entries.
+        let mut log = good.clone();
+        log.push(4);
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.extend_from_slice(&[0xEE; 40]);
+        assert_eq!(run(&log, &db).report.tail, LogTail::Torn { at: good.len() });
+    }
+
+    #[test]
+    fn each_page_is_written_once_however_many_records_it_has() {
+        let db = MemStore::new(4, 16);
+        let write = |txid, pid, offset, byte| LogRecord::PageWrite {
+            txid,
+            pid: PageId(pid),
+            offset,
+            data: vec![byte; 4],
+        };
+        let log = encode(&[
+            write(1, 2, 0, 1),
+            write(1, 0, 0, 2),
+            write(2, 2, 2, 3),
+            LogRecord::Commit { txid: 1 },
+            write(2, 2, 12, 4),
+            LogRecord::Commit { txid: 2 },
+        ]);
+        let out = run(&log, &db);
+        assert_eq!(out.stats.writes_applied, 4);
+        assert_eq!(out.stats.pages_written, 2);
+        assert_eq!(out.redone.len(), 2);
+        let mut buf = [0u8; 16];
+        db.read(PageId(2), &mut buf);
+        assert_eq!(buf, [1, 1, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4]);
+    }
+
+    #[test]
     fn recovery_is_reentrant_after_a_failed_pass() {
         // A store that fails its first N writes models recovery crashing
         // mid-redo: rerunning recover on the same (partial) image must
@@ -664,6 +820,9 @@ mod tests {
         impl RedoStore for Flaky<'_> {
             fn page_size(&self) -> usize {
                 self.inner.page_size()
+            }
+            fn num_pages(&self) -> u64 {
+                self.inner.num_pages()
             }
             fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
                 self.inner.read(pid, buf);

@@ -39,6 +39,9 @@ benchmark/run.sh --smoke >/dev/null
 echo "==> fault matrix (invariant auditor compiled out: --no-default-features)"
 cargo test -q --no-default-features --test fault_injection --test crash_torture
 
+echo "==> WAL replay fuzz, long variant (differential + seeded log mutation, <= 20 s)"
+cargo test -q --release -p turbopool-wal -- --ignored
+
 echo "==> crash-schedule sweep (strided, all five designs)"
 cargo test -q --release --test crash_schedule quick_sweep_all_designs
 
