@@ -260,7 +260,7 @@ fn filling() {
             ..Default::default()
         };
         let s = Arc::new(Synthetic::setup(Design::Dw, cfg, |spec| {
-            spec.tau = tau;
+            spec.ssd(|s| s.tau = tau);
         }));
         let mut clk = Clk::new();
         // Cold scan: floods the pool; evictions are sequential-class.
@@ -344,9 +344,9 @@ fn throttle() {
             ..Default::default()
         };
         let s = Arc::new(Synthetic::setup(Design::Dw, cfg, |spec| {
-            spec.mu = mu;
-            spec.mem_frames = 512;
-            spec.db_pages += 40_000; // junk heap for the storm
+            spec.ssd(|s| s.mu = mu);
+            spec.db.pool.frames = 512;
+            spec.db.pool.db_pages += 40_000; // junk heap for the storm
         }));
         let mut clk = Clk::new();
         let junk = s.db.create_heap(&mut clk, "junk", 128, 40_000);

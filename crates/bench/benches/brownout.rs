@@ -71,8 +71,8 @@ fn main() {
     let mut lookahead = Time::MAX;
     for (domain, &design) in designs.iter().enumerate() {
         let s = Arc::new(Synthetic::setup(design, cfg.clone(), |spec| {
-            spec.mem_frames = 64;
-            spec.ssd_frames = 256;
+            spec.db.pool.frames = 64;
+            spec.ssd(|s| s.frames = 256);
         }));
         if design != Design::NoSsd {
             s.db.io()
@@ -130,16 +130,13 @@ fn main() {
         ];
         fields.push((
             "pool_counters".to_string(),
-            turbopool_bench::pool_stats_json(&run.s.db.pool_stats()),
+            Json::counters(run.s.db.pool_stats().fields()),
         ));
         if let Some(m) = run.s.db.ssd_metrics() {
             let fs = run.s.db.io().ssd_failslow();
             // The full counter block (every SsdMetrics field), plus the
             // headline hedge/detector numbers at top level for dashboards.
-            fields.push((
-                "ssd_counters".to_string(),
-                turbopool_bench::ssd_metrics_json(&m),
-            ));
+            fields.push(("ssd_counters".to_string(), Json::counters(m.fields())));
             fields.push(("hedged_reads".to_string(), Json::Int(m.hedged_reads)));
             fields.push((
                 "hedged_admissions".to_string(),
@@ -152,7 +149,7 @@ fn main() {
             let f = run.s.db.io().ssd_fault().expect("plan attached");
             fields.push((
                 "fault_counters".to_string(),
-                turbopool_bench::fault_stats_json(&f.stats()),
+                Json::counters(f.stats().fields()),
             ));
             fields.push((
                 "brownout_slowdowns".to_string(),

@@ -139,8 +139,8 @@ fn fault_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
         for (f, &fault) in faults.iter().enumerate() {
             let domain = d * faults.len() + f;
             let s = Arc::new(Synthetic::setup(design, cfg.clone(), |spec| {
-                spec.mem_frames = 64;
-                spec.ssd_frames = 256;
+                spec.db.pool.frames = 64;
+                spec.ssd(|s| s.frames = 256);
             }));
             let fc = match fault {
                 "transient" => FaultConfig::transient(FAULT_SEED + domain as u64, 0.02),

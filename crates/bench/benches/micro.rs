@@ -486,7 +486,7 @@ fn bench_engine() {
         // touch of five resident pages, one field changed on each (snapshot,
         // mutate, diff), then log append + flush + publication.
         let mut cfg = DbConfig::new(FRAME, 256, 64);
-        cfg.fill_expansion = 1;
+        cfg.pool.fill_expansion = 1;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let mut k = 0u64;
@@ -503,8 +503,8 @@ fn bench_engine() {
 
     {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 4096;
-        cfg.mem_frames = 512;
+        cfg.pool.db_pages = 4096;
+        cfg.pool.frames = 512;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let idx = db.create_index(&mut clk, "i", 2048);
@@ -523,8 +523,8 @@ fn bench_engine() {
 
     {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 1 << 12;
-        cfg.mem_frames = 512;
+        cfg.pool.db_pages = 1 << 12;
+        cfg.pool.frames = 512;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let h = db.create_heap(&mut clk, "t", 64, 1 << 10);

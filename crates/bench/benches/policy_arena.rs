@@ -15,9 +15,11 @@
 //! replacement-only column is already covered by the SSD designs'
 //! DRAM tiers.
 
+use std::rc::Rc;
+
 use turbopool_bench::{
-    bench_threads, policy_stats_json, quick, run_oltp_set, BenchReport, Json, OltpKind, OltpRun,
-    RunOptions, Table, WallTimer,
+    bench_threads, quick, run_oltp_set, BenchReport, Json, OltpKind, OltpRun, RunOptions, Table,
+    WallTimer,
 };
 use turbopool_bufpool::{AdmissionKind, ReplacementKind};
 use turbopool_iosim::{HOUR, MINUTE};
@@ -46,7 +48,7 @@ fn cell_json(workload: &str, run: &OltpRun, replacement: ReplacementKind) -> Jso
         ),
         ("evictions".into(), Json::Int(evictions)),
         ("scan_steps_per_eviction".into(), Json::Num(scan_per_evict)),
-        ("policy".into(), policy_stats_json(&run.policy)),
+        ("policy".into(), Json::counters(run.policy.fields())),
     ];
     if let Some(m) = &run.ssd {
         fields.push(("ssd_ghost_admits".into(), Json::Int(m.admission_ghost_hits)));
@@ -87,14 +89,19 @@ fn main() {
                     OltpKind::TpcE { .. } => RunOptions::tpce(duration),
                 };
                 opts.clients = 5;
-                opts.replacement = replacement;
-                opts.admission = admission;
-                // Shrink both tiers well below the touched working set so
-                // every cell actually churns: replacement picks victims,
-                // and the SSD leaves its aggressive-filling phase early
-                // enough that admission decides real traffic.
-                opts.mem_frames = Some(192);
-                opts.ssd_frames = Some(320);
+                opts.tweak = Rc::new(move |spec| {
+                    spec.db.pool.replacement = replacement;
+                    // Shrink both tiers well below the touched working set
+                    // so every cell actually churns: replacement picks
+                    // victims, and the SSD leaves its aggressive-filling
+                    // phase early enough that admission decides real
+                    // traffic.
+                    spec.db.pool.frames = 192;
+                    spec.ssd(|s| {
+                        s.admission = admission;
+                        s.frames = 320;
+                    });
+                });
                 let set = run_oltp_set(*kind, &designs, &opts, threads);
                 steps += set.steps;
                 drive_secs += set.drive_secs;

@@ -23,8 +23,8 @@ use turbopool_iosim::Clk;
 
 fn build(warm: bool) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 4096;
-    cfg.mem_frames = 24;
+    cfg.pool.db_pages = 4096;
+    cfg.pool.frames = 24;
     let mut s = SsdConfig::new(SsdDesign::LazyCleaning, 256);
     s.partitions = 4;
     s.lambda = 0.5;

@@ -37,7 +37,7 @@ fn experiment(warm: bool) -> (f64, f64, u64) {
         ..Default::default()
     };
     let s = Arc::new(Synthetic::setup(Design::Dw, cfg, |spec| {
-        spec.warm_restart = warm;
+        spec.ssd(|s| s.warm_restart = warm);
     }));
     // Phase 1: warm the SSD the slow way, then checkpoint (embeds the SSD
     // buffer table when the extension is on) and crash.

@@ -26,6 +26,17 @@ pub enum Json {
 }
 
 impl Json {
+    /// A counter struct's `fields()` as one object: every counter, in
+    /// declaration order.
+    pub fn counters(fields: Vec<(&'static str, u64)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), Json::Int(v)))
+                .collect(),
+        )
+    }
+
     fn render(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -219,6 +230,46 @@ mod tests {
             ),
         ]);
         assert_eq!(v.to_string(), r#"{"a":3,"b":1.5,"c":["x\"y",true,null]}"#);
+    }
+
+    /// The emitted counter blocks are a schema: dashboards key on these
+    /// names in this order. A new counter is appended here on purpose.
+    #[test]
+    fn counter_key_lists_are_pinned() {
+        fn keys(fields: Vec<(&'static str, u64)>) -> String {
+            let names: Vec<_> = fields.into_iter().map(|(k, _)| k).collect();
+            names.join(" ")
+        }
+        assert_eq!(
+            keys(turbopool_core::metrics::SsdMetricsSnapshot::default().fields()),
+            "ssd_hits ssd_misses throttled_reads throttled_admissions admissions \
+             fill_admissions policy_rejections admission_ghost_hits replacements \
+             invalidations cleaned_pages cleaner_writes inline_cleans checkpoint_cleaned \
+             tac_cancelled_writes dirty_hits warm_imports warm_rejected_stale \
+             warm_rejected_checksum audit_violations ssd_io_errors checksum_misses \
+             disk_retries ssd_quarantined quarantined_reads lost_frames stranded_dirty \
+             salvaged_pages hedged_reads hedged_admissions ssd_retries cleaner_backoffs \
+             cleaner_boosts shard_acquisitions shard_contended"
+        );
+        assert_eq!(
+            keys(turbopool_bufpool::PoolStats::default().fields()),
+            "hits misses evictions_clean evictions_dirty prefetched_pages \
+             expanded_fill_pages checkpoint_writes shard_acquisitions shard_contended"
+        );
+        assert_eq!(
+            keys(turbopool_bufpool::PolicyStats::default().fields()),
+            "ghost_hits scan_steps second_chances probation_evictions protected_evictions"
+        );
+        assert_eq!(
+            keys(turbopool_iosim::FaultStats::default().fields()),
+            "read_errors write_errors latency_spikes torn_writes bitflips dead_rejects \
+             brownout_slowdowns"
+        );
+        let classifier = turbopool_bufpool::ClassifierStats::default().fields();
+        assert_eq!(
+            Json::counters(classifier).to_string(),
+            r#"{"seq_as_seq":0,"seq_as_rand":0,"rand_as_seq":0,"rand_as_rand":0}"#
+        );
     }
 
     #[test]

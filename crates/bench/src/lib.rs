@@ -14,14 +14,10 @@
 //! * `TURBO_THREADS` — driver worker threads for multi-design runs
 //!   (default: available parallelism).
 
-pub mod counters;
 pub mod json;
 pub mod report;
 pub mod runs;
 
-pub use counters::{
-    classifier_stats_json, fault_stats_json, policy_stats_json, pool_stats_json, ssd_metrics_json,
-};
 pub use json::{BenchReport, Json, WallTimer};
 pub use report::{fmt_hours, Table};
 pub use runs::{run_oltp, run_oltp_set, OltpKind, OltpRun, OltpSet, RunOptions};

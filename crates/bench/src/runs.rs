@@ -1,13 +1,14 @@
 //! Experiment runners shared by the figure/table harnesses.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use turbopool_bufpool::{AdmissionKind, PolicyStats, ReplacementKind};
+use turbopool_bufpool::PolicyStats;
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_engine::Database;
 use turbopool_iosim::{Time, HOUR, MILLISECOND, MINUTE};
 use turbopool_workload::driver::{CheckpointClient, CleanerClient, Driver, ThroughputRecorder};
-use turbopool_workload::scenario::Design;
+use turbopool_workload::scenario::{Design, SystemSpec};
 use turbopool_workload::{tpcc::Tpcc, tpce::Tpce};
 
 /// Which OLTP benchmark to run.
@@ -20,7 +21,7 @@ pub enum OltpKind {
 }
 
 /// Run configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct RunOptions {
     /// Virtual run length.
     pub duration: Time,
@@ -33,16 +34,10 @@ pub struct RunOptions {
     pub checkpoint: Option<Time>,
     /// Device traffic series bucket (Figure 8); `None` disables.
     pub io_series: Option<Time>,
-    /// DRAM replacement policy (the paper's LRU-2 by default).
-    pub replacement: ReplacementKind,
-    /// SSD admission policy (the paper's per-design rule by default).
-    pub admission: AdmissionKind,
-    /// DRAM pool frames override (`None` = the paper's scaled size).
-    /// The policy arena shrinks the pools so replacement and admission
-    /// actually churn within a short run.
-    pub mem_frames: Option<usize>,
-    /// SSD frames override (`None` = the paper's scaled size).
-    pub ssd_frames: Option<u64>,
+    /// Edit applied to the paper's [`SystemSpec`] before each database
+    /// opens (a no-op by default). The policy arena swaps policies and
+    /// shrinks both tiers here.
+    pub tweak: Rc<dyn Fn(&mut SystemSpec)>,
 }
 
 impl RunOptions {
@@ -54,10 +49,7 @@ impl RunOptions {
             lambda: 0.5,
             checkpoint: None,
             io_series: None,
-            replacement: ReplacementKind::Lru2,
-            admission: AdmissionKind::DesignDefault,
-            mem_frames: None,
-            ssd_frames: None,
+            tweak: Rc::new(|_| {}),
         }
     }
 
@@ -69,10 +61,7 @@ impl RunOptions {
             lambda: 0.01,
             checkpoint: Some(40 * MINUTE),
             io_series: None,
-            replacement: ReplacementKind::Lru2,
-            admission: AdmissionKind::DesignDefault,
-            mem_frames: None,
-            ssd_frames: None,
+            tweak: Rc::new(|_| {}),
         }
     }
 }
@@ -120,26 +109,26 @@ fn attach(
     domain: usize,
     metric: &Arc<ThroughputRecorder>,
 ) -> Arc<Database> {
-    let tweak = |spec: &mut turbopool_workload::scenario::SystemSpec| {
-        spec.replacement = opts.replacement;
-        spec.admission = opts.admission;
-        if let Some(frames) = opts.mem_frames {
-            spec.mem_frames = frames;
-        }
-        if let Some(frames) = opts.ssd_frames {
-            spec.ssd_frames = frames;
-        }
-    };
     let db = match kind {
         OltpKind::TpcC { warehouses } => {
-            let t = Arc::new(Tpcc::setup_tweak(design, warehouses, opts.lambda, tweak));
+            let t = Arc::new(Tpcc::setup_tweak(
+                design,
+                warehouses,
+                opts.lambda,
+                &*opts.tweak,
+            ));
             for c in 0..opts.clients {
                 driver.add_in_domain(domain, 0, Box::new(t.client(c as u64, Arc::clone(metric))));
             }
             Arc::clone(&t.db)
         }
         OltpKind::TpcE { customers } => {
-            let t = Arc::new(Tpce::setup_tweak(design, customers, opts.lambda, tweak));
+            let t = Arc::new(Tpce::setup_tweak(
+                design,
+                customers,
+                opts.lambda,
+                &*opts.tweak,
+            ));
             for c in 0..opts.clients {
                 driver.add_in_domain(domain, 0, Box::new(t.client(c as u64, Arc::clone(metric))));
             }

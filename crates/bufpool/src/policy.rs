@@ -98,26 +98,27 @@ impl ReplacementKind {
     }
 }
 
-/// Policy-internal counters, shared across all implementations so the
-/// arena bench can compare eviction-scan cost and ghost effectiveness.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyStats {
-    /// Reinstalled pages whose history/ghost entry was still retained
-    /// (LRU-2/LRU-K retained stamps, ARC B1/B2 hits).
-    pub ghost_hits: u64,
-    /// Victim-scan steps: victim-heap entries examined (returned, dropped
-    /// as pinned, or re-keyed because stale), clock-hand advances,
-    /// sieve-hand advances, list walks past pinned frames. Diagnostic: the
-    /// determinism suites compare it across runs, nothing pins its value.
-    pub scan_steps: u64,
-    /// Second chances granted (CLOCK reference-bit clears, SIEVE visited
-    /// clears).
-    pub second_chances: u64,
-    /// Victims taken from the probationary segment (ARC T1; other
-    /// policies leave this 0).
-    pub probation_evictions: u64,
-    /// Victims taken from the protected segment (ARC T2).
-    pub protected_evictions: u64,
+turbopool_iosim::counters! {
+    /// Policy-internal counters, shared across all implementations so the
+    /// arena bench can compare eviction-scan cost and ghost effectiveness.
+    pub struct PolicyStats {
+        /// Reinstalled pages whose history/ghost entry was still retained
+        /// (LRU-2/LRU-K retained stamps, ARC B1/B2 hits).
+        pub ghost_hits,
+        /// Victim-scan steps: victim-heap entries examined (returned, dropped
+        /// as pinned, or re-keyed because stale), clock-hand advances,
+        /// sieve-hand advances, list walks past pinned frames. Diagnostic: the
+        /// determinism suites compare it across runs, nothing pins its value.
+        pub scan_steps,
+        /// Second chances granted (CLOCK reference-bit clears, SIEVE visited
+        /// clears).
+        pub second_chances,
+        /// Victims taken from the probationary segment (ARC T1; other
+        /// policies leave this 0).
+        pub probation_evictions,
+        /// Victims taken from the protected segment (ARC T2).
+        pub protected_evictions,
+    }
 }
 
 /// Victim selection + residency hooks for the DRAM pool.

@@ -62,25 +62,26 @@ impl BufferPoolConfig {
     }
 }
 
-/// Buffer pool counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions_clean: u64,
-    pub evictions_dirty: u64,
-    pub prefetched_pages: u64,
-    pub expanded_fill_pages: u64,
-    pub checkpoint_writes: u64,
-    /// Table-latch acquisitions. Deterministic in driver runs — a pure
-    /// function of the operation sequence — so it participates safely in
-    /// replay equality checks.
-    pub shard_acquisitions: u64,
-    /// Table-latch acquisitions that found the latch held by another OS
-    /// thread. Always 0 in deterministic driver runs (domains are
-    /// share-nothing); nonzero only under the real-thread contention
-    /// benches.
-    pub shard_contended: u64,
+turbopool_iosim::counters! {
+    /// Buffer pool counters.
+    pub struct PoolStats {
+        pub hits,
+        pub misses,
+        pub evictions_clean,
+        pub evictions_dirty,
+        pub prefetched_pages,
+        pub expanded_fill_pages,
+        pub checkpoint_writes,
+        /// Table-latch acquisitions. Deterministic in driver runs — a pure
+        /// function of the operation sequence — so it participates safely in
+        /// replay equality checks.
+        pub shard_acquisitions,
+        /// Table-latch acquisitions that found the latch held by another OS
+        /// thread. Always 0 in deterministic driver runs (domains are
+        /// share-nothing); nonzero only under the real-thread contention
+        /// benches.
+        pub shard_contended,
+    }
 }
 
 impl PoolStats {

@@ -32,13 +32,14 @@ pub enum ClassifierKind {
 /// The proximity rule's window: 64 pages = 512 KB of 8 KB pages.
 pub const PROXIMITY_WINDOW: u64 = 64;
 
-/// Confusion matrix of assigned vs ground-truth locality.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ClassifierStats {
-    pub seq_as_seq: u64,
-    pub seq_as_rand: u64,
-    pub rand_as_seq: u64,
-    pub rand_as_rand: u64,
+turbopool_iosim::counters! {
+    /// Confusion matrix of assigned vs ground-truth locality.
+    pub struct ClassifierStats {
+        pub seq_as_seq,
+        pub seq_as_rand,
+        pub rand_as_seq,
+        pub rand_as_rand,
+    }
 }
 
 impl ClassifierStats {

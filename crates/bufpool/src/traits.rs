@@ -111,17 +111,11 @@ pub trait PageIo: Send + Sync {
 /// Direct-to-disk storage layer: the paper's `noSSD` baseline.
 pub struct DirectIo {
     io: Arc<IoManager>,
-    retry: fault::RetryPolicy,
 }
 
 impl DirectIo {
     pub fn new(io: Arc<IoManager>) -> Self {
-        Self::with_retry(io, fault::RetryPolicy::default())
-    }
-
-    /// Baseline with an explicit read-retry policy (`DbConfig::retry`).
-    pub fn with_retry(io: Arc<IoManager>, retry: fault::RetryPolicy) -> Self {
-        DirectIo { io, retry }
+        DirectIo { io }
     }
 }
 
@@ -133,8 +127,7 @@ impl DirectIo {
         class: Locality,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (_attempts, out) =
-            fault::retry_sync_with(&self.retry, clk, |c| self.io.read_disk(c, pid, buf, class));
+        let (_attempts, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
         out
     }
 
@@ -185,7 +178,7 @@ impl PageIo for DirectIo {
     }
 
     fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        let (_attempts, out) = fault::retry_sync_with(&self.retry, clk, |c| {
+        let (_attempts, out) = fault::retry_sync(clk, |c| {
             self.io.read_disk_run(c, first, n, Locality::Sequential)
         });
         out

@@ -12,11 +12,11 @@
 //! the same spindles that serve foreground misses, so the cleaner adapts
 //! to the disk group's queue depth. Above the high-water mark it *yields*
 //! a round ([`CleanerStep::Backoff`]) while the disk queue exceeds
-//! `cleaner_disk_queue_max` — unless dirty pages have piled past the hard
+//! [`CLEANER_DISK_QUEUE_MAX`] — unless dirty pages have piled past the hard
 //! [`dirty_ceiling`](crate::config::SsdConfig::dirty_ceiling), where
 //! bounding dirty growth outranks foreground latency. Below the mark it
 //! *drains opportunistically* while the disk is idle
-//! (`cleaner_idle_depth`), buying headroom for the next burst.
+//! ([`CLEANER_IDLE_DEPTH`]), buying headroom for the next burst.
 
 use std::sync::Arc;
 
@@ -24,6 +24,16 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::manager::SsdManager;
 use crate::metrics::SsdMetrics;
+
+/// Disk-group queue depth above which a cleaning round is yielded, so
+/// cleaning back-pressure never competes with foreground misses: 32
+/// outstanding requests is 4 per member of the paper's 8-disk group.
+pub const CLEANER_DISK_QUEUE_MAX: usize = 32;
+
+/// Disk-group queue depth at or below which the cleaner drains
+/// opportunistically even below the λ high-water mark: 1 means the disk
+/// is essentially idle.
+pub const CLEANER_IDLE_DEPTH: usize = 1;
 
 /// What a cleaner step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +58,6 @@ pub struct LazyCleaner {
     high_water: u64,
     /// Hard dirty ceiling: above it congestion no longer defers cleaning.
     ceiling: u64,
-    /// Disk queue depth above which a cleaning round is yielded.
-    queue_max: usize,
-    /// Disk queue depth at or below which the cleaner drains
-    /// opportunistically even below the high-water mark.
-    idle_depth: usize,
     /// Below the high-water mark we are draining toward the low-water mark.
     draining: bool,
 }
@@ -64,8 +69,6 @@ impl LazyCleaner {
             low_water: cfg.dirty_low_water(),
             high_water: cfg.dirty_high_water(),
             ceiling: cfg.dirty_ceiling(),
-            queue_max: cfg.cleaner_disk_queue_max,
-            idle_depth: cfg.cleaner_idle_depth,
             mgr,
             draining: false,
         }
@@ -89,7 +92,7 @@ impl LazyCleaner {
             // disk group is idle and there are dirty pages above the
             // low-water mark — clean one batch now so the next burst
             // starts with headroom instead of a cliff.
-            if dirty > self.low_water && self.mgr.disk_queue_depth(clk.now) <= self.idle_depth {
+            if dirty > self.low_water && self.mgr.disk_queue_depth(clk.now) <= CLEANER_IDLE_DEPTH {
                 SsdMetrics::bump(&self.mgr.metrics.cleaner_boosts);
                 let n = self.mgr.clean_batch(clk);
                 return if n == 0 {
@@ -106,7 +109,7 @@ impl LazyCleaner {
         // foreground misses on the disk group. Yield the round unless
         // dirty pages have piled past the hard ceiling, where bounding
         // dirty accumulation outranks foreground latency.
-        if dirty < self.ceiling && self.mgr.disk_queue_depth(clk.now) > self.queue_max {
+        if dirty < self.ceiling && self.mgr.disk_queue_depth(clk.now) > CLEANER_DISK_QUEUE_MAX {
             SsdMetrics::bump(&self.mgr.metrics.cleaner_backoffs);
             return CleanerStep::Backoff;
         }
@@ -215,8 +218,7 @@ mod tests {
     fn congested_disk_defers_cleaning() {
         let (io, mgr, mut cleaner) = lc(100, 0.1, 8);
         let t = dirty_pages(&mgr, 20); // above high water (10), far below ceiling (75)
-                                       // Flood the disk group past cleaner_disk_queue_max (32).
-        for i in 0..40u64 {
+        for i in 0..CLEANER_DISK_QUEUE_MAX as u64 + 8 {
             let _ = io.write_disk_async(t, PageId(1000 + i), &[2u8; PS], Locality::Random);
         }
         let mut clk = Clk::at(t);
@@ -234,7 +236,7 @@ mod tests {
     fn dirty_ceiling_overrides_congestion() {
         let (io, mgr, mut cleaner) = lc(100, 0.1, 8);
         let t = dirty_pages(&mgr, 80); // past the 0.75 ceiling (75)
-        for i in 0..40u64 {
+        for i in 0..CLEANER_DISK_QUEUE_MAX as u64 + 8 {
             let _ = io.write_disk_async(t, PageId(1000 + i), &[2u8; PS], Locality::Random);
         }
         let mut clk = Clk::at(t);

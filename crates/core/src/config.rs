@@ -1,8 +1,19 @@
-//! SSD-manager configuration (the paper's Table 2 parameters, plus the
-//! robustness extensions' retry / fail-slow / congestion knobs).
+//! SSD-manager configuration: the paper's Table 2 parameters plus the
+//! extension knobs some run varies. A value only one setting of which is
+//! ever used is a named constant beside the code that reads it.
 
 use turbopool_bufpool::AdmissionKind;
-use turbopool_iosim::RetryPolicy;
+
+/// While the SSD is flagged fail-slow, every n-th hedge-eligible decision
+/// still goes to the SSD as a canary probe — a fully-hedged device would
+/// otherwise produce no more latency samples and the detector could never
+/// observe recovery.
+pub const HEDGE_PROBE_INTERVAL: u64 = 16;
+
+/// Hard ceiling on dirty SSD pages as a fraction of `S`: above it the
+/// cleaner ignores disk congestion, because unchecked dirty growth would
+/// strand the recovery path.
+pub const CLEANER_DIRTY_CEILING: f64 = 0.75;
 
 /// Which dirty-page design the SSD manager runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -83,36 +94,6 @@ pub struct SsdConfig {
     /// Default 64: wide enough to ride out a transient-error storm, small
     /// enough that a persistently erroring device is retired quickly.
     pub ssd_error_budget: u64,
-    /// Retry/backoff policy for the manager's synchronous I/O (attempt
-    /// cap and exponential-backoff base/ceiling). Defaults to the
-    /// crate-wide capped policy; see
-    /// [`RetryPolicy`](turbopool_iosim::RetryPolicy).
-    pub retry: RetryPolicy,
-    /// Gray-failure extension: when the fail-slow detector flags the SSD
-    /// degraded, serve SSD hits from the disk copy where one is valid
-    /// (always for CW/DW, clean frames only for LC/TAC — a sole-copy
-    /// dirty frame must still be read from the SSD) and stop admitting
-    /// new pages until the device recovers. Default on.
-    pub hedged_reads: bool,
-    /// While hedging, every n-th hedge-eligible decision still goes to
-    /// the SSD as a canary probe — a fully-hedged device would otherwise
-    /// produce no more latency samples and the detector could never
-    /// observe recovery. `0` disables probing (degraded mode then only
-    /// clears via in-flight completions). Default 16.
-    pub hedge_probe_interval: u64,
-    /// Congestion-aware cleaning: the lazy cleaner skips a round when the
-    /// disk group's queue depth exceeds this, so cleaning back-pressure
-    /// never competes with foreground misses. Default 32 outstanding
-    /// requests (4 per member of the paper's 8-disk group).
-    pub cleaner_disk_queue_max: usize,
-    /// Congestion-aware cleaning: with the disk queue at or below this
-    /// depth the cleaner drains opportunistically even below the λ
-    /// high-water mark. Default 1 (disk essentially idle).
-    pub cleaner_idle_depth: usize,
-    /// Hard ceiling on dirty SSD pages as a fraction of `S`: above it the
-    /// cleaner ignores disk congestion, because unchecked dirty growth
-    /// would strand the recovery path. Default 0.75.
-    pub cleaner_dirty_ceiling: f64,
     /// Which admission policy qualifies pages for the SSD.
     /// [`AdmissionKind::DesignDefault`] is the paper's per-design rule
     /// (random-class-only for CW/DW/LC, extent temperature for TAC) and
@@ -136,12 +117,6 @@ impl SsdConfig {
             multipage: MultiPageMode::Trim,
             warm_restart: false,
             ssd_error_budget: 64,
-            retry: RetryPolicy::default(),
-            hedged_reads: true,
-            hedge_probe_interval: 16,
-            cleaner_disk_queue_max: 32,
-            cleaner_idle_depth: 1,
-            cleaner_dirty_ceiling: 0.75,
             admission: AdmissionKind::DesignDefault,
         }
     }
@@ -162,11 +137,11 @@ impl SsdConfig {
         low.max(0.0) as u64
     }
 
-    /// Absolute dirty-page ceiling above which the cleaner ignores disk
-    /// congestion (never below the λ high-water mark, so raising λ keeps
-    /// the ceiling meaningful).
+    /// Absolute dirty-page ceiling ([`CLEANER_DIRTY_CEILING`]) above
+    /// which the cleaner ignores disk congestion (never below the λ
+    /// high-water mark, so raising λ keeps the ceiling meaningful).
     pub fn dirty_ceiling(&self) -> u64 {
-        let ceil = (self.frames as f64 * self.cleaner_dirty_ceiling) as u64;
+        let ceil = (self.frames as f64 * CLEANER_DIRTY_CEILING) as u64;
         ceil.max(self.dirty_high_water())
     }
 }
@@ -182,14 +157,10 @@ mod tests {
         assert_eq!(c.mu, 100);
         assert_eq!(c.partitions, 16);
         assert_eq!(c.alpha, 32);
+        assert_eq!(c.lambda, 0.5);
         assert_eq!(c.fill_target(), 17_432_576);
         assert_eq!(c.dirty_high_water(), 9_175_040);
         assert!(c.dirty_low_water() < c.dirty_high_water());
-        assert_eq!(c.retry, RetryPolicy::default());
-        assert!(c.hedged_reads);
-        assert_eq!(c.hedge_probe_interval, 16);
-        assert_eq!(c.cleaner_disk_queue_max, 32);
-        assert_eq!(c.cleaner_idle_depth, 1);
         assert!(c.dirty_ceiling() > c.dirty_high_water());
     }
 
@@ -197,7 +168,6 @@ mod tests {
     fn dirty_ceiling_never_below_high_water() {
         let mut c = SsdConfig::new(SsdDesign::LazyCleaning, 1000);
         c.lambda = 0.90;
-        c.cleaner_dirty_ceiling = 0.75;
         assert_eq!(c.dirty_ceiling(), c.dirty_high_water());
     }
 

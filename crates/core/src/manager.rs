@@ -18,7 +18,7 @@ use turbopool_iosim::{
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
+use crate::config::{MultiPageMode, SsdConfig, SsdDesign, HEDGE_PROBE_INTERVAL};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
 
@@ -77,7 +77,7 @@ pub struct SsdManager {
     /// SSD I/O errors observed, charged against `cfg.ssd_error_budget`.
     ssd_errors: AtomicU64,
     /// Degraded-mode decision counter driving canary probes: every
-    /// `cfg.hedge_probe_interval`-th hedge-eligible decision still goes
+    /// [`HEDGE_PROBE_INTERVAL`]-th hedge-eligible decision still goes
     /// to the SSD so the fail-slow detector keeps receiving samples and
     /// can observe recovery.
     probe_tick: AtomicU64,
@@ -233,8 +233,7 @@ impl SsdManager {
         frame: u64,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) =
-            fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
+        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_ssd(c, frame, buf));
         SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
         out
     }
@@ -248,9 +247,7 @@ impl SsdManager {
         class: Locality,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk(c, pid, buf, class)
-        });
+        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
         SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
         out
     }
@@ -263,9 +260,7 @@ impl SsdManager {
         n: u64,
         loc: Locality,
     ) -> Result<Vec<PageBuf>, IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk_run(c, first, n, loc)
-        });
+        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk_run(c, first, n, loc));
         SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
         out
     }
@@ -370,37 +365,24 @@ impl SsdManager {
         self.io.ssd_overloaded(now, self.cfg.mu)
     }
 
-    /// Gray-failure hedging: is the SSD flagged fail-slow (and hedging
-    /// enabled)? While true, reads with a valid disk copy and all new
-    /// admissions are diverted to disk; only sole-copy dirty frames still
-    /// touch the SSD.
-    fn ssd_degraded(&self) -> bool {
-        self.cfg.hedged_reads && self.io.ssd_slow()
-    }
-
-    /// Should this hedge-eligible decision divert away from the SSD?
-    /// Healthy SSD: never. Degraded SSD: yes, except that every
-    /// `cfg.hedge_probe_interval`-th decision is let through as a canary
-    /// probe — without probes a fully-hedged SSD would get no more
-    /// samples and the detector could never observe recovery. Once a
-    /// probe comes back fast the detector reports `clearing` and every
-    /// decision probes, so the clear streak completes (or is refuted) in
-    /// `clear_after` requests instead of `clear_after × interval`. The
-    /// tick advances in deterministic submission order, so replay is
-    /// exact.
+    /// Gray-failure hedging: should this hedge-eligible decision divert
+    /// away from the SSD? Healthy SSD: never. While the fail-slow detector
+    /// flags the SSD degraded, reads with a valid disk copy and all new
+    /// admissions are diverted to disk (only sole-copy dirty frames still
+    /// touch the SSD), except that every [`HEDGE_PROBE_INTERVAL`]-th
+    /// decision is let through as a canary probe — without probes a
+    /// fully-hedged SSD would get no more samples and the detector could
+    /// never observe recovery. Once a probe comes back fast the detector
+    /// reports `clearing` and every decision probes, so the clear streak
+    /// completes (or is refuted) in `CLEAR_AFTER` requests instead of
+    /// `CLEAR_AFTER × interval`. The tick advances in deterministic
+    /// submission order, so replay is exact.
     fn hedge_or_probe(&self) -> bool {
-        if !self.ssd_degraded() {
+        if !self.io.ssd_slow() || self.io.ssd_clearing() {
             return false;
-        }
-        if self.io.ssd_clearing() {
-            return false;
-        }
-        let n = self.cfg.hedge_probe_interval;
-        if n == 0 {
-            return true;
         }
         let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % n != n - 1
+        t % HEDGE_PROBE_INTERVAL != HEDGE_PROBE_INTERVAL - 1
     }
 
     /// Outstanding requests on the disk group (congestion signal for the

@@ -44,7 +44,7 @@ use turbopool_iosim::{
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::SsdConfig;
+use crate::config::{SsdConfig, HEDGE_PROBE_INTERVAL};
 use crate::metrics::SsdMetrics;
 
 #[derive(Debug, Clone, Copy)]
@@ -200,8 +200,7 @@ impl TacCache {
         frame: u64,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) =
-            fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
+        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_ssd(c, frame, buf));
         SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
         out
     }
@@ -214,9 +213,7 @@ impl TacCache {
         class: Locality,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk(c, pid, buf, class)
-        });
+        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
         SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
         out
     }
@@ -302,33 +299,21 @@ impl TacCache {
         self.io.ssd_overloaded(now, self.cfg.mu)
     }
 
-    /// Gray-failure hedging: TAC is write-through, so every SSD copy has
-    /// a current disk twin and *all* SSD traffic (reads, admissions, and
+    /// Gray-failure hedging: should this hedge-eligible decision divert
+    /// away from the SSD? TAC is write-through, so every SSD copy has a
+    /// current disk twin and *all* SSD traffic (reads, admissions, and
     /// refreshes) can divert to disk while the device is flagged
-    /// fail-slow — there is no sole-copy exception to honor.
-    fn ssd_degraded(&self) -> bool {
-        self.cfg.hedged_reads && self.io.ssd_slow()
-    }
-
-    /// Should this hedge-eligible decision divert away from the SSD?
-    /// Every `cfg.hedge_probe_interval`-th degraded decision is let
-    /// through as a canary probe so the fail-slow detector keeps
-    /// receiving samples and can observe recovery; while the detector
-    /// reports `clearing`, every decision probes to confirm (mirrors
-    /// `SsdManager::hedge_or_probe`).
+    /// fail-slow — there is no sole-copy exception to honor. Every
+    /// [`HEDGE_PROBE_INTERVAL`]-th degraded decision is let through as a
+    /// canary probe so the fail-slow detector keeps receiving samples and
+    /// can observe recovery; while the detector reports `clearing`, every
+    /// decision probes to confirm (mirrors `SsdManager::hedge_or_probe`).
     fn hedge_or_probe(&self) -> bool {
-        if !self.ssd_degraded() {
+        if !self.io.ssd_slow() || self.io.ssd_clearing() {
             return false;
-        }
-        if self.io.ssd_clearing() {
-            return false;
-        }
-        let n = self.cfg.hedge_probe_interval;
-        if n == 0 {
-            return true;
         }
         let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % n != n - 1
+        t % HEDGE_PROBE_INTERVAL != HEDGE_PROBE_INTERVAL - 1
     }
 
     /// Record a memory-pool miss of `pid`: heat its extent.
@@ -790,7 +775,7 @@ impl PageIo for TacCache {
         out.extend((0..lead).map(|_| self.io.zero_page()));
         if !mid.is_empty() {
             let mut tmp = Clk::at(now0);
-            let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
+            let (retries, res) = fault::retry_sync(&mut tmp, |c| {
                 self.io.read_disk_run(
                     c,
                     first.offset(mid.start as u64),
@@ -829,7 +814,7 @@ impl PageIo for TacCache {
                     self.note_ssd_error(&e);
                     self.drop_corrupt(pid);
                     let mut tmp = Clk::at(now0);
-                    let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
+                    let (retries, res) = fault::retry_sync(&mut tmp, |c| {
                         self.io.read_disk(c, pid, &mut out[i], Locality::Sequential)
                     });
                     SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));

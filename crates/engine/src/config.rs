@@ -1,36 +1,23 @@
 //! Engine configuration.
 
-use turbopool_bufpool::{ClassifierKind, ReplacementKind};
+use turbopool_bufpool::BufferPoolConfig;
 use turbopool_core::SsdConfig;
-use turbopool_iosim::{DeviceSetup, FailSlowConfig, RetryPolicy};
+use turbopool_iosim::DeviceSetup;
 
-/// Everything needed to open a [`crate::Database`].
+/// Everything needed to open a [`crate::Database`]: the one config tree.
+/// Each knob lives in the config of the layer that reads it and nowhere
+/// else — the DRAM pool's in [`BufferPoolConfig`], the SSD tier's (the
+/// paper's Table 2) in [`SsdConfig`].
 #[derive(Clone, Debug)]
 pub struct DbConfig {
-    /// Page size in bytes (8192 in the paper; tests use smaller pages).
-    pub page_size: usize,
-    /// Total pages of the database file group (includes growth headroom).
-    pub db_pages: u64,
-    /// Main-memory buffer-pool frames.
-    pub mem_frames: usize,
+    /// The DRAM buffer pool, which also fixes the page size (8192 in the
+    /// paper; tests use smaller pages) and the total pages of the database
+    /// file group (growth headroom included).
+    pub pool: BufferPoolConfig,
     /// SSD cache configuration; `None` is the paper's `noSSD` baseline.
     pub ssd: Option<SsdConfig>,
-    /// Pool-fill read expansion (see `BufferPoolConfig::fill_expansion`).
-    pub fill_expansion: u64,
-    /// Random/sequential classifier for SSD admission.
-    pub classifier: ClassifierKind,
-    /// DRAM replacement policy (LRU-2 is the paper's and the default).
-    pub replacement: ReplacementKind,
-    /// Read-ahead window for table scans, in pages.
-    pub readahead_window: u64,
     /// Override the device calibration (defaults to the paper's Table 1).
     pub devices: Option<DeviceSetup>,
-    /// Retry/backoff policy for the noSSD baseline's synchronous reads
-    /// (SSD designs carry their own copy inside [`SsdConfig`]).
-    pub retry: RetryPolicy,
-    /// Fail-slow detector tuning applied to both the disk group and the
-    /// SSD when the database opens (gray-failure extension).
-    pub failslow: FailSlowConfig,
 }
 
 impl DbConfig {
@@ -38,17 +25,9 @@ impl DbConfig {
     /// sizes; SSD off until `ssd` is set.
     pub fn new(page_size: usize, db_pages: u64, mem_frames: usize) -> Self {
         DbConfig {
-            page_size,
-            db_pages,
-            mem_frames,
+            pool: BufferPoolConfig::new(mem_frames, page_size, db_pages),
             ssd: None,
-            fill_expansion: 8,
-            classifier: ClassifierKind::ReadAhead,
-            replacement: ReplacementKind::Lru2,
-            readahead_window: 32,
             devices: None,
-            retry: RetryPolicy::default(),
-            failslow: FailSlowConfig::default(),
         }
     }
 
@@ -56,7 +35,7 @@ impl DbConfig {
     /// pages, 512-page database, 32-frame pool.
     pub fn small_for_tests() -> Self {
         let mut cfg = DbConfig::new(256, 512, 32);
-        cfg.fill_expansion = 1;
+        cfg.pool.fill_expansion = 1;
         cfg
     }
 
@@ -64,7 +43,7 @@ impl DbConfig {
     pub fn device_setup(&self) -> DeviceSetup {
         self.devices.clone().unwrap_or_else(|| {
             let ssd_frames = self.ssd.as_ref().map(|s| s.frames).unwrap_or(1);
-            DeviceSetup::paper(self.page_size, self.db_pages, ssd_frames)
+            DeviceSetup::paper(self.pool.page_size, self.pool.db_pages, ssd_frames)
         })
     }
 }

@@ -4,14 +4,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool_bufpool::{
-    BufferPool, BufferPoolConfig, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor,
-};
+use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
 use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
 use turbopool_iosim::sync::Mutex;
-use turbopool_iosim::{
-    fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, RetryPolicy, Time,
-};
+use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, Time};
 use turbopool_wal::log::DurableLog;
 use turbopool_wal::{LogManager, LogScanReport, RecoveryStats, RedoStore};
 
@@ -57,6 +53,11 @@ pub struct Database {
 /// paper's page size.
 pub(crate) const TXN_SPARE_BUFS: usize = 64;
 
+/// Read-ahead window for table scans, in pages: a scan prefetches runs of
+/// this many pages ahead of its cursor, each one multi-page sequential
+/// read (32 × 8 KB = 256 KB at the paper's page size).
+pub const READAHEAD_WINDOW: u64 = 32;
+
 impl Database {
     /// Open a fresh database (empty disk image, empty log).
     pub fn open(cfg: DbConfig) -> Self {
@@ -70,15 +71,8 @@ impl Database {
             Option<Arc<SsdManager>>,
             Option<Arc<TacCache>>,
         );
-        // Gray-failure extension: calibrate both fail-slow detectors to
-        // the configured thresholds before any I/O is issued.
-        io.configure_failslow(cfg.failslow);
         let (layer, ssd, tac): Layers = match &cfg.ssd {
-            None => (
-                Arc::new(DirectIo::with_retry(Arc::clone(&io), cfg.retry)),
-                None,
-                None,
-            ),
+            None => (Arc::new(DirectIo::new(Arc::clone(&io))), None, None),
             Some(scfg) if scfg.design == SsdDesign::Tac => {
                 let t = Arc::new(TacCache::new(scfg.clone(), Arc::clone(&io)));
                 (Arc::clone(&t) as Arc<dyn PageIo>, None, Some(t))
@@ -88,11 +82,7 @@ impl Database {
                 (Arc::clone(&m) as Arc<dyn PageIo>, Some(m), None)
             }
         };
-        let mut pcfg = BufferPoolConfig::new(cfg.mem_frames, cfg.page_size, cfg.db_pages);
-        pcfg.fill_expansion = cfg.fill_expansion;
-        pcfg.classifier = cfg.classifier;
-        pcfg.replacement = cfg.replacement;
-        let pool = BufferPool::new(pcfg, Arc::clone(&layer));
+        let pool = BufferPool::new(cfg.pool.clone(), Arc::clone(&layer));
         let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
         Database {
             cfg,
@@ -150,7 +140,7 @@ impl Database {
     }
 
     pub fn page_size(&self) -> usize {
-        self.cfg.page_size
+        self.cfg.pool.page_size
     }
 
     pub fn io(&self) -> &Arc<IoManager> {
@@ -199,7 +189,7 @@ impl Database {
     /// past its children — such a pointer must fail like a bad read, not
     /// panic the page store.
     pub(crate) fn check_pid(&self, pid: PageId) -> Result<(), IoError> {
-        if pid.0 < self.cfg.db_pages {
+        if pid.0 < self.cfg.pool.db_pages {
             Ok(())
         } else {
             Err(IoError::new(
@@ -308,10 +298,10 @@ impl Database {
     fn alloc_pages(&self, n: u64) -> PageId {
         let first = self.alloc.fetch_add(n, Ordering::Relaxed);
         assert!(
-            first + n <= self.cfg.db_pages,
+            first + n <= self.cfg.pool.db_pages,
             "database full: {} + {n} > {}",
             first,
-            self.cfg.db_pages
+            self.cfg.pool.db_pages
         );
         PageId(first)
     }
@@ -326,7 +316,7 @@ impl Database {
         pages: u64,
     ) -> HeapId {
         let first = self.alloc_pages(pages);
-        let meta = HeapMeta::new(first, pages, record_size, self.cfg.page_size);
+        let meta = HeapMeta::new(first, pages, record_size, self.cfg.pool.page_size);
         let mut cat = self.catalog.lock();
         let id = cat.heaps.len();
         assert!(
@@ -386,7 +376,7 @@ impl Database {
     ) -> Result<(), IoError> {
         let meta = self.heap_meta(id);
         let end = meta.first.offset(meta.used_pages());
-        let mut cursor = ScanCursor::new(meta.first, end, self.cfg.readahead_window);
+        let mut cursor = ScanCursor::new(meta.first, end, READAHEAD_WINDOW);
         while let Some(next) = cursor.next(clk, &self.pool) {
             // The cursor has already advanced past the page it just served
             // (or failed to serve).
@@ -493,7 +483,6 @@ impl Database {
         let outcome = {
             let mut store = TimedRedoStore {
                 io: &image.io,
-                retry: image.cfg.retry,
                 clk: &mut clk,
                 retries: 0,
             };
@@ -616,7 +605,6 @@ impl std::fmt::Debug for RecoveryError {
 /// write is a durable-write boundary for the crash-schedule explorer).
 struct TimedRedoStore<'a> {
     io: &'a IoManager,
-    retry: RetryPolicy,
     clk: &'a mut Clk,
     retries: u32,
 }
@@ -629,14 +617,14 @@ impl RedoStore for TimedRedoStore<'_> {
         self.io.db_pages()
     }
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
-        let (r, out) = fault::retry_sync_with(&self.retry, self.clk, |c| {
+        let (r, out) = fault::retry_sync(self.clk, |c| {
             self.io.read_disk(c, pid, buf, Locality::Sequential)
         });
         self.retries += r;
         out
     }
     fn write(&mut self, pid: PageId, data: &[u8]) -> Result<(), IoError> {
-        let (r, out) = fault::retry_sync_with(&self.retry, self.clk, |c| {
+        let (r, out) = fault::retry_sync(self.clk, |c| {
             self.io.write_disk_sync(c, pid, data, Locality::Sequential)
         });
         self.retries += r;
@@ -990,7 +978,7 @@ mod tests {
     fn fresh_page_write_read_back_after_eviction() {
         // A page created fresh, evicted, and re-read must round-trip.
         let mut cfg = DbConfig::small_for_tests();
-        cfg.mem_frames = 2;
+        cfg.pool.frames = 2;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let h = db.create_heap(&mut clk, "t", 32, 64);
@@ -1019,7 +1007,7 @@ mod tests {
             Some(SsdDesign::Tac),
         ] {
             let mut cfg = DbConfig::small_for_tests();
-            cfg.mem_frames = 4;
+            cfg.pool.frames = 4;
             cfg.ssd = design.map(|d| {
                 let mut s = SsdConfig::new(d, 16);
                 s.partitions = 2;
@@ -1055,7 +1043,7 @@ mod tests {
     fn ssd_copies_are_invalidated_on_commit() {
         use turbopool_core::{SsdConfig, SsdDesign};
         let mut cfg = DbConfig::small_for_tests();
-        cfg.mem_frames = 2;
+        cfg.pool.frames = 2;
         let mut s = SsdConfig::new(SsdDesign::DualWrite, 32);
         s.partitions = 1;
         cfg.ssd = Some(s);
@@ -1105,7 +1093,7 @@ mod tests {
         // must still be readable: the stranded pages are rebuilt from the
         // WAL tail onto disk (Database::salvage).
         let mut cfg = DbConfig::small_for_tests();
-        cfg.mem_frames = 2;
+        cfg.pool.frames = 2;
         let mut s = SsdConfig::new(SsdDesign::LazyCleaning, 32);
         s.partitions = 1;
         cfg.ssd = Some(s);
@@ -1156,7 +1144,7 @@ mod tests {
         // the lost write; the next read touches the dead device, fails,
         // and poisons the transaction.
         let mut cfg = DbConfig::small_for_tests();
-        cfg.mem_frames = 2;
+        cfg.pool.frames = 2;
         cfg.ssd = None; // noSSD: evictions go straight to disk
         let db = Database::open(cfg);
         let mut clk = Clk::new();

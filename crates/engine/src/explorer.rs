@@ -171,11 +171,11 @@ pub fn explore(cfg: &ExplorerConfig) -> ExplorerOutcome {
 
 fn build_db(cfg: &ExplorerConfig) -> Database {
     let mut dbc = DbConfig::small_for_tests();
-    dbc.db_pages = 512;
+    dbc.pool.db_pages = 512;
     // A small pool forces evictions and re-read misses, so the boundary
     // stream mixes page writes and SSD admissions between the commit
     // flushes instead of being all-log.
-    dbc.mem_frames = 6;
+    dbc.pool.frames = 6;
     dbc.ssd = cfg.ssd.clone();
     Database::open(dbc)
 }

@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn bulk_index_multi_level_lookup_and_range() {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 2048;
+        cfg.pool.db_pages = 2048;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let idx = db.create_index(&mut clk, "i", 1200);
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn bulk_loaded_index_accepts_inserts_and_splits() {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 2048;
+        cfg.pool.db_pages = 2048;
         let db = Database::open(cfg);
         let mut clk = Clk::new();
         let idx = db.create_index(&mut clk, "i", 1500);

@@ -943,7 +943,7 @@ mod tests {
         let db = db();
         let mut clk = Clk::new();
         dirty_spares(&db, 4);
-        let bad = PageId(db.config().db_pages + 5);
+        let bad = PageId(db.config().pool.db_pages + 5);
         let mut txn = db.begin(&mut clk);
         txn.write_page(bad, Locality::Random, |b| {
             assert!(b.iter().all(|&x| x == 0), "no recycled garbage");

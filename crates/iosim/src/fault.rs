@@ -248,31 +248,22 @@ impl FaultConfig {
     }
 }
 
-/// Counters of faults actually injected, readable at any time. These are
-/// part of the determinism contract: two runs with the same seed and
-/// workload must report identical counts.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    read_errors: AtomicU64,
-    write_errors: AtomicU64,
-    latency_spikes: AtomicU64,
-    torn_writes: AtomicU64,
-    bitflips: AtomicU64,
-    dead_rejects: AtomicU64,
-    brownout_slowdowns: AtomicU64,
-}
-
-/// Plain snapshot of [`FaultPlan`] counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStats {
-    pub read_errors: u64,
-    pub write_errors: u64,
-    pub latency_spikes: u64,
-    pub torn_writes: u64,
-    pub bitflips: u64,
-    pub dead_rejects: u64,
-    /// Requests whose service time was multiplied by an active brownout.
-    pub brownout_slowdowns: u64,
+crate::counters! {
+    /// Counters of faults actually injected, readable at any time. These are
+    /// part of the determinism contract: two runs with the same seed and
+    /// workload must report identical counts.
+    struct FaultCounters =>
+    /// Plain snapshot of [`FaultPlan`] counters.
+    pub struct FaultStats {
+        pub read_errors,
+        pub write_errors,
+        pub latency_spikes,
+        pub torn_writes,
+        pub bitflips,
+        pub dead_rejects,
+        /// Requests whose service time was multiplied by an active brownout.
+        pub brownout_slowdowns,
+    }
 }
 
 /// Sentinel for "no dynamic death scheduled".
@@ -406,15 +397,7 @@ impl FaultPlan {
 
     /// Snapshot the injected-fault counters.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            read_errors: self.counters.read_errors.load(Relaxed),
-            write_errors: self.counters.write_errors.load(Relaxed),
-            latency_spikes: self.counters.latency_spikes.load(Relaxed),
-            torn_writes: self.counters.torn_writes.load(Relaxed),
-            bitflips: self.counters.bitflips.load(Relaxed),
-            dead_rejects: self.counters.dead_rejects.load(Relaxed),
-            brownout_slowdowns: self.counters.brownout_slowdowns.load(Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -519,63 +502,28 @@ pub fn frame_sum(data: &[u8]) -> u64 {
 // Retry policy
 // ----------------------------------------------------------------------
 
-/// Attempts made on a transient disk error before giving up (the first
-/// attempt plus `DISK_RETRY_LIMIT` retries) — the [`RetryPolicy`]
-/// default.
+/// Retries allowed after the first attempt on a transient error; beyond
+/// this the error propagates to the caller.
 pub const DISK_RETRY_LIMIT: u32 = 5;
 
-/// Default backoff before the first retry (see [`RetryPolicy`]).
+/// Backoff before the first retry; each further retry quadruples it.
 pub const RETRY_BASE_BACKOFF_NS: Time = MILLISECOND;
 
-/// Default cap on the backoff growth exponent (see [`RetryPolicy`]).
+/// Retry index at which the backoff stops growing.
 pub const RETRY_BACKOFF_CAP_EXP: u32 = 3;
 
-/// The bounded-retry knobs for transient I/O errors, promoted from the
-/// fault layer's original hardcoded caps so deployments can tune them
-/// per tier (`SsdConfig::retry`, `DbConfig::retry`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt; transient errors beyond
-    /// this propagate to the caller. Default 5.
-    pub limit: u32,
-    /// Backoff before the first retry; each further retry quadruples it.
-    /// Default 1 ms of virtual time.
-    pub base_backoff_ns: Time,
-    /// Retry index at which the backoff stops growing. The default (3)
-    /// with the default base gives 1 ms, 4 ms, 16 ms, 64 ms, then 64 ms
-    /// flat.
-    pub backoff_cap_exp: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            limit: DISK_RETRY_LIMIT,
-            base_backoff_ns: RETRY_BASE_BACKOFF_NS,
-            backoff_cap_exp: RETRY_BACKOFF_CAP_EXP,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Capped exponential backoff before retry `attempt` (0-based).
-    pub fn backoff_ns(&self, attempt: u32) -> Time {
-        self.base_backoff_ns << (2 * attempt.min(self.backoff_cap_exp))
-    }
-}
-
-/// Capped exponential backoff of the default policy:
+/// Capped exponential backoff before retry `attempt` (0-based):
 /// 1 ms, 4 ms, 16 ms, 64 ms, then 64 ms flat — virtual time only.
 pub fn backoff_ns(attempt: u32) -> Time {
-    RetryPolicy::default().backoff_ns(attempt)
+    RETRY_BASE_BACKOFF_NS << (2 * attempt.min(RETRY_BACKOFF_CAP_EXP))
 }
 
-/// Run `op` with the synchronous retry policy `policy`: transient errors
-/// wait out a capped virtual-time backoff on `clk` and retry; permanent
-/// errors and retry exhaustion propagate. Returns the attempt count made
-/// alongside the result so callers can account retries.
-pub fn retry_sync_with<T>(
-    policy: &RetryPolicy,
+/// Run `op` with bounded synchronous retry: transient errors wait out a
+/// capped virtual-time backoff on `clk` and retry, up to
+/// [`DISK_RETRY_LIMIT`] times; permanent errors and retry exhaustion
+/// propagate. Returns the retries made alongside the result so callers
+/// can account them.
+pub fn retry_sync<T>(
     clk: &mut Clk,
     mut op: impl FnMut(&mut Clk) -> Result<T, IoError>,
 ) -> (u32, Result<T, IoError>) {
@@ -583,8 +531,8 @@ pub fn retry_sync_with<T>(
     loop {
         match op(clk) {
             Ok(v) => return (attempt, Ok(v)),
-            Err(e) if e.is_transient() && attempt < policy.limit => {
-                clk.elapse(policy.backoff_ns(attempt));
+            Err(e) if e.is_transient() && attempt < DISK_RETRY_LIMIT => {
+                clk.elapse(backoff_ns(attempt));
                 attempt += 1;
             }
             Err(e) => return (attempt, Err(e)),
@@ -592,21 +540,13 @@ pub fn retry_sync_with<T>(
     }
 }
 
-/// [`retry_sync_with`] under the default policy.
-pub fn retry_sync<T>(
-    clk: &mut Clk,
-    op: impl FnMut(&mut Clk) -> Result<T, IoError>,
-) -> (u32, Result<T, IoError>) {
-    retry_sync_with(&RetryPolicy::default(), clk, op)
-}
-
 /// Retry `op` until it succeeds or fails permanently. For write-behind of
 /// data that must not be dropped (dirty evictions, checkpoint writes):
 /// transient write errors are retried without bound — they clear with
 /// probability 1 for any injection rate below certainty — so only a dead
 /// device ever surfaces, and the caller then deals with genuine loss.
-/// Deliberately not policy-bounded: a cap here would turn a transient
-/// blip into silent data loss.
+/// Deliberately not bounded by [`DISK_RETRY_LIMIT`]: a cap here would turn
+/// a transient blip into silent data loss.
 pub fn retry_write_forever<T>(mut op: impl FnMut() -> Result<T, IoError>) -> Result<T, IoError> {
     loop {
         match op() {
@@ -615,28 +555,6 @@ pub fn retry_write_forever<T>(mut op: impl FnMut() -> Result<T, IoError>) -> Res
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Run `op` with the asynchronous retry policy `policy`: retries happen
-/// at the same submission instant (the caller's clock is not advanced by
-/// write-behind I/O, so there is nothing to back off against).
-pub fn retry_async_with<T>(
-    policy: &RetryPolicy,
-    mut op: impl FnMut() -> Result<T, IoError>,
-) -> (u32, Result<T, IoError>) {
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => return (attempt, Ok(v)),
-            Err(e) if e.is_transient() && attempt < policy.limit => attempt += 1,
-            Err(e) => return (attempt, Err(e)),
-        }
-    }
-}
-
-/// [`retry_async_with`] under the default policy.
-pub fn retry_async<T>(op: impl FnMut() -> Result<T, IoError>) -> (u32, Result<T, IoError>) {
-    retry_async_with(&RetryPolicy::default(), op)
 }
 
 #[cfg(test)]
@@ -843,11 +761,14 @@ mod tests {
     }
 
     #[test]
-    fn retry_async_bounds_attempts() {
+    fn retry_sync_bounds_attempts() {
+        let mut clk = Clk::new();
         let torn = IoError::new(FaultDevice::Disk, IoErrorKind::TransientWrite, 0);
-        let (attempts, out) = retry_async(|| Err::<(), _>(torn));
+        let (attempts, out) = retry_sync(&mut clk, |_clk| Err::<(), _>(torn));
         assert_eq!(out, Err(torn));
         assert_eq!(attempts, DISK_RETRY_LIMIT);
+        // 1 + 4 + 16 + 64 + 64 ms: the backoff stops growing at the cap.
+        assert_eq!(clk.now, 149 * MILLISECOND);
     }
 
     #[test]
@@ -856,34 +777,6 @@ mod tests {
         assert_eq!(backoff_ns(1), 4 * MILLISECOND);
         assert_eq!(backoff_ns(3), 64 * MILLISECOND);
         assert_eq!(backoff_ns(10), 64 * MILLISECOND);
-    }
-
-    #[test]
-    fn retry_policy_caps_are_tunable() {
-        let tight = RetryPolicy {
-            limit: 1,
-            base_backoff_ns: 10,
-            backoff_cap_exp: 0,
-        };
-        assert_eq!(tight.backoff_ns(0), 10);
-        assert_eq!(tight.backoff_ns(5), 10, "growth capped at exponent 0");
-        let mut clk = Clk::new();
-        let torn = IoError::new(FaultDevice::Disk, IoErrorKind::TransientWrite, 0);
-        let (attempts, out) = retry_sync_with(&tight, &mut clk, |_clk| Err::<(), _>(torn));
-        assert_eq!(attempts, 1, "one retry, then give up");
-        assert_eq!(out, Err(torn));
-        assert_eq!(clk.now, 10, "only the single configured backoff elapsed");
-        let (attempts, _) = retry_async_with(&tight, || Err::<(), _>(torn));
-        assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn default_retry_policy_matches_legacy_constants() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.limit, DISK_RETRY_LIMIT);
-        for attempt in 0..8 {
-            assert_eq!(p.backoff_ns(attempt), backoff_ns(attempt));
-        }
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //! State machine (two states, hysteresis on both edges):
 //!
 //! ```text
-//!            ≥ trip_after consecutive slow samples
+//!            ≥ TRIP_AFTER consecutive slow samples
 //!   Healthy ─────────────────────────────────────▶ Degraded
 //!      ▲                                              │
 //!      └──────────────────────────────────────────────┘
-//!            ≥ clear_after consecutive fast samples
+//!            ≥ CLEAR_AFTER consecutive fast samples
 //! ```
 //!
 //! A sample is *slow* when its observed latency exceeds
-//! `baseline × slow_factor` or the queue depth at submission exceeds
-//! `depth_limit`. Classifying each raw sample (rather than a smoothed
+//! `baseline ×` [`SLOW_FACTOR`] or the queue depth at submission exceeds
+//! [`DEPTH_LIMIT`]. Classifying each raw sample (rather than a smoothed
 //! average) means recovery is visible the moment the device serves one
 //! request at healthy speed — crucial when the degraded device only
 //! receives sparse canary probes, whose streak must not be dragged out
@@ -41,55 +41,36 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Observations are clamped to this multiple of the slow threshold
-/// (`baseline × slow_factor`) before entering the reported EWMA, so a
-/// single enormous outlier cannot distort the smoothed statistic.
-pub const OUTLIER_CLAMP: u64 = 4;
-
 use crate::clock::Time;
 use crate::device::DeviceProfile;
 use crate::sync::Mutex;
 
-/// Tuning knobs for one device's fail-slow detector. The defaults favor
-/// fast detection of 5–50× brownouts while ignoring ordinary queueing
-/// noise; all comparisons inside the detector come from these named
-/// fields, never from inline literals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailSlowConfig {
-    /// Divisor `d` of the reported latency EWMA (an observability
-    /// statistic; trip/clear decisions use raw samples): each sample
-    /// moves the average by `1/d` of the distance to the observation.
-    /// Default 8.
-    pub ewma_div: u64,
-    /// Degraded threshold as a multiple of the calibrated baseline
-    /// latency. Default 4×.
-    pub slow_factor: u64,
-    /// A sample is also slow when the device's queue depth at submission
-    /// exceeds this. Default 256 outstanding requests — well above the
-    /// paper's μ = 100 throttle threshold, so a healthy device saturated
-    /// by ordinary load (the normal state during aggressive filling)
-    /// never reads as failing; only the runaway queues a browned-out
-    /// device accumulates do.
-    pub depth_limit: usize,
-    /// Consecutive slow samples required to trip Healthy → Degraded.
-    /// Default 4.
-    pub trip_after: u32,
-    /// Consecutive fast samples required to clear Degraded → Healthy.
-    /// Default 8 (clearing is deliberately slower than tripping).
-    pub clear_after: u32,
-}
+/// Observations are clamped to this multiple of the slow threshold
+/// (`baseline ×` [`SLOW_FACTOR`]) before entering the reported EWMA, so a
+/// single enormous outlier cannot distort the smoothed statistic.
+pub const OUTLIER_CLAMP: u64 = 4;
 
-impl Default for FailSlowConfig {
-    fn default() -> Self {
-        FailSlowConfig {
-            ewma_div: 8,
-            slow_factor: 4,
-            depth_limit: 256,
-            trip_after: 4,
-            clear_after: 8,
-        }
-    }
-}
+// Detector tuning. The values favor fast detection of 5–50× brownouts
+// while ignoring ordinary queueing noise; every comparison inside the
+// detector reads one of these, never an inline literal.
+
+/// Divisor `d` of the reported latency EWMA (an observability statistic;
+/// trip/clear decisions use raw samples): each sample moves the average
+/// by `1/d` of the distance to the observation.
+pub const EWMA_DIV: u64 = 8;
+/// Degraded threshold as a multiple of the calibrated baseline latency.
+pub const SLOW_FACTOR: u64 = 4;
+/// A sample is also slow when the device's queue depth at submission
+/// exceeds this many outstanding requests — well above the paper's
+/// μ = 100 throttle threshold, so a healthy device saturated by ordinary
+/// load (the normal state during aggressive filling) never reads as
+/// failing; only the runaway queues a browned-out device accumulates do.
+pub const DEPTH_LIMIT: usize = 256;
+/// Consecutive slow samples required to trip Healthy → Degraded.
+pub const TRIP_AFTER: u32 = 4;
+/// Consecutive fast samples required to clear Degraded → Healthy
+/// (clearing is deliberately slower than tripping).
+pub const CLEAR_AFTER: u32 = 8;
 
 /// Plain snapshot of a detector, cheap to compare in determinism
 /// fingerprints.
@@ -108,25 +89,12 @@ pub struct FailSlowStats {
     pub ewma_ns: Time,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DetectorState {
-    cfg: FailSlowConfig,
     ewma_ns: Time,
     slow_streak: u32,
     fast_streak: u32,
     degraded: bool,
-}
-
-impl DetectorState {
-    fn fresh(cfg: FailSlowConfig) -> Self {
-        DetectorState {
-            cfg,
-            ewma_ns: 0,
-            slow_streak: 0,
-            fast_streak: 0,
-            degraded: false,
-        }
-    }
 }
 
 /// EWMA + queue-depth fail-slow detector for one device (see module
@@ -147,22 +115,15 @@ impl FailSlowDetector {
     /// the mean of the random read and write service times — the same
     /// quantity [`SimDevice::overloaded`](crate::device::SimDevice)
     /// throttles against.
-    pub fn from_profile(profile: &DeviceProfile, cfg: FailSlowConfig) -> Self {
+    pub fn from_profile(profile: &DeviceProfile) -> Self {
         let baseline_ns = ((profile.rand_read_ns + profile.rand_write_ns) / 2).max(1);
         FailSlowDetector {
             baseline_ns,
-            state: Mutex::new(DetectorState::fresh(cfg)),
+            state: Mutex::new(DetectorState::default()),
             transitions: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             slow_samples: AtomicU64::new(0),
         }
-    }
-
-    /// Replace the tuning knobs and forget learned state, so the new
-    /// thresholds start from a clean slate. Cumulative counters survive:
-    /// they are the run's history.
-    pub fn configure(&self, cfg: FailSlowConfig) {
-        *self.state.lock() = DetectorState::fresh(cfg);
     }
 
     /// The calibrated healthy baseline in virtual nanoseconds.
@@ -178,7 +139,7 @@ impl FailSlowDetector {
     pub fn observe(&self, latency_ns: Time, queue_depth: usize) -> bool {
         self.samples.fetch_add(1, Relaxed);
         let mut st = self.state.lock();
-        let threshold = self.baseline_ns.saturating_mul(st.cfg.slow_factor);
+        let threshold = self.baseline_ns.saturating_mul(SLOW_FACTOR);
         // Integer EWMA: old + (obs - old)/d, exact and replayable. The
         // average is seeded from the calibrated baseline so the first
         // sample carries no more weight than any other. Reported only;
@@ -190,25 +151,24 @@ impl FailSlowDetector {
         } else {
             st.ewma_ns
         };
-        let d = st.cfg.ewma_div.max(1);
         st.ewma_ns = if obs >= old {
-            old + (obs - old) / d
+            old + (obs - old) / EWMA_DIV
         } else {
-            old - (old - obs) / d
+            old - (old - obs) / EWMA_DIV
         };
-        let slow = latency_ns > threshold || queue_depth > st.cfg.depth_limit;
+        let slow = latency_ns > threshold || queue_depth > DEPTH_LIMIT;
         if slow {
             self.slow_samples.fetch_add(1, Relaxed);
             st.slow_streak += 1;
             st.fast_streak = 0;
-            if !st.degraded && st.slow_streak >= st.cfg.trip_after {
+            if !st.degraded && st.slow_streak >= TRIP_AFTER {
                 st.degraded = true;
                 self.transitions.fetch_add(1, Relaxed);
             }
         } else {
             st.fast_streak += 1;
             st.slow_streak = 0;
-            if st.degraded && st.fast_streak >= st.cfg.clear_after {
+            if st.degraded && st.fast_streak >= CLEAR_AFTER {
                 st.degraded = false;
                 self.transitions.fetch_add(1, Relaxed);
             }
@@ -225,8 +185,8 @@ impl FailSlowDetector {
     /// i.e. looking like it has recovered, pending confirmation? Hedging
     /// layers use this to burst canary probes: once one probe comes back
     /// fast, probing every request completes (or refutes) the clear
-    /// streak in `clear_after` requests instead of `clear_after ×
-    /// probe_interval`.
+    /// streak in [`CLEAR_AFTER`] requests instead of `CLEAR_AFTER` × the
+    /// probe interval.
     pub fn clearing(&self) -> bool {
         let st = self.state.lock();
         st.degraded && st.fast_streak > 0
@@ -235,9 +195,7 @@ impl FailSlowDetector {
     /// Reset learned state (restart modeling: devices come back idle).
     /// Cumulative counters survive — they are part of the run's history.
     pub fn reset(&self) {
-        let mut st = self.state.lock();
-        let cfg = st.cfg;
-        *st = DetectorState::fresh(cfg);
+        *self.state.lock() = DetectorState::default();
     }
 
     /// Snapshot for metrics and determinism fingerprints.
@@ -257,7 +215,7 @@ impl FailSlowDetector {
 mod tests {
     use super::*;
 
-    fn detector(cfg: FailSlowConfig) -> FailSlowDetector {
+    fn detector() -> FailSlowDetector {
         // Baseline = (1000 + 3000)/2 = 2000 ns.
         let profile = DeviceProfile {
             rand_read_ns: 1000,
@@ -265,18 +223,18 @@ mod tests {
             rand_write_ns: 3000,
             seq_write_ns: 800,
         };
-        FailSlowDetector::from_profile(&profile, cfg)
+        FailSlowDetector::from_profile(&profile)
     }
 
     #[test]
     fn baseline_is_mean_random_service() {
-        let d = detector(FailSlowConfig::default());
+        let d = detector();
         assert_eq!(d.baseline_ns(), 2000);
     }
 
     #[test]
     fn healthy_latencies_never_trip() {
-        let d = detector(FailSlowConfig::default());
+        let d = detector();
         for _ in 0..10_000 {
             assert!(!d.observe(2000, 1));
         }
@@ -289,10 +247,9 @@ mod tests {
 
     #[test]
     fn sustained_slowness_trips_after_hysteresis() {
-        let cfg = FailSlowConfig::default();
-        let d = detector(cfg);
+        let d = detector();
         // 20× baseline: EWMA crosses 4× baseline quickly, then the
-        // trip_after streak must still elapse.
+        // TRIP_AFTER streak must still elapse.
         let mut tripped_at = None;
         for i in 0..100u32 {
             if d.observe(40_000, 1) {
@@ -302,7 +259,7 @@ mod tests {
         }
         let at = tripped_at.expect("sustained 20x slowness must trip");
         assert!(
-            at + 1 >= cfg.trip_after,
+            at + 1 >= TRIP_AFTER,
             "tripped before the hysteresis streak: sample {at}"
         );
         assert_eq!(d.stats().transitions, 1);
@@ -310,7 +267,7 @@ mod tests {
 
     #[test]
     fn single_outlier_does_not_trip() {
-        let d = detector(FailSlowConfig::default());
+        let d = detector();
         assert!(!d.observe(1_000_000, 1), "one spike is not a gray failure");
         for _ in 0..100 {
             assert!(!d.observe(2000, 1));
@@ -320,11 +277,10 @@ mod tests {
 
     #[test]
     fn recovery_clears_after_longer_streak() {
-        let cfg = FailSlowConfig::default();
-        let d = detector(cfg);
+        let d = detector();
         while !d.observe(40_000, 1) {}
         assert!(d.is_degraded());
-        // Fast samples: EWMA decays below threshold, then clear_after
+        // Fast samples: EWMA decays below threshold, then CLEAR_AFTER
         // consecutive healthy samples flip the flag back.
         let mut cleared_at = None;
         for i in 0..1000u32 {
@@ -335,7 +291,7 @@ mod tests {
         }
         let at = cleared_at.expect("recovery must clear the flag");
         assert!(
-            at + 1 >= cfg.clear_after,
+            at + 1 >= CLEAR_AFTER,
             "cleared before the hysteresis streak: sample {at}"
         );
         assert_eq!(d.stats().transitions, 2);
@@ -344,17 +300,16 @@ mod tests {
 
     #[test]
     fn deep_queue_alone_is_a_slow_signal() {
-        let cfg = FailSlowConfig::default();
-        let d = detector(cfg);
-        for _ in 0..cfg.trip_after {
-            d.observe(2000, cfg.depth_limit + 1);
+        let d = detector();
+        for _ in 0..TRIP_AFTER {
+            d.observe(2000, DEPTH_LIMIT + 1);
         }
         assert!(d.is_degraded(), "queue-depth breach must trip");
     }
 
     #[test]
     fn clearing_flags_a_pending_fast_streak() {
-        let d = detector(FailSlowConfig::default());
+        let d = detector();
         assert!(!d.clearing(), "healthy device is not clearing");
         while !d.observe(40_000, 1) {}
         assert!(!d.clearing(), "degraded with no fast samples yet");
@@ -367,7 +322,7 @@ mod tests {
     #[test]
     fn identical_sample_streams_make_identical_transitions() {
         let run = || {
-            let d = detector(FailSlowConfig::default());
+            let d = detector();
             let mut flags = Vec::new();
             for i in 0..500u64 {
                 let lat = if (100..200).contains(&i) {
@@ -384,7 +339,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_state_but_keeps_history() {
-        let d = detector(FailSlowConfig::default());
+        let d = detector();
         while !d.observe(40_000, 1) {}
         let before = d.stats();
         d.reset();

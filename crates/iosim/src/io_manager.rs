@@ -15,7 +15,7 @@ use crate::clock::{Clk, Time};
 use crate::crashsched::{BoundaryKind, CrashSwitch, WriteFate};
 use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
 use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
-use crate::health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
+use crate::health::{FailSlowDetector, FailSlowStats};
 use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
 use crate::store::{MemStore, PageStore};
@@ -163,12 +163,8 @@ impl IoManager {
             // spindle), the SSD detector its whole device.
             disk_health: FailSlowDetector::from_profile(
                 &setup.disk_profile.per_member_of(setup.num_disks.max(1)),
-                FailSlowConfig::default(),
             ),
-            ssd_health: FailSlowDetector::from_profile(
-                &setup.ssd_profile,
-                FailSlowConfig::default(),
-            ),
+            ssd_health: FailSlowDetector::from_profile(&setup.ssd_profile),
             crash_switch: RwLock::new(None),
         }
     }
@@ -276,12 +272,6 @@ impl IoManager {
     /// is exactly the brownout signature.
     fn observed_ns(t: &crate::device::IoTicket, extra: Time, npages: u64) -> Time {
         t.complete.saturating_sub(t.start) / npages.max(1) + extra
-    }
-
-    /// Replace both detectors' tuning knobs (learned state restarts).
-    pub fn configure_failslow(&self, cfg: FailSlowConfig) {
-        self.disk_health.configure(cfg);
-        self.ssd_health.configure(cfg);
     }
 
     /// Is the SSD currently flagged fail-slow?

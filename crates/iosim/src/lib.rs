@@ -22,6 +22,7 @@
 
 pub mod array;
 pub mod clock;
+pub mod counters;
 pub mod crashsched;
 pub mod device;
 pub mod fault;
@@ -40,9 +41,8 @@ pub use crashsched::{BoundaryCounts, BoundaryKind, CrashSwitch, WriteFate};
 pub use device::{DeviceProfile, IoKind, IoTicket, Locality, SimDevice};
 pub use fault::{
     BrownoutSpec, FaultConfig, FaultDevice, FaultPlan, FaultStats, IoError, IoErrorKind,
-    RetryPolicy,
 };
-pub use health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
+pub use health::{FailSlowDetector, FailSlowStats};
 pub use io_manager::{DeviceSetup, IoManager};
 pub use page::{PageBuf, PageDst, PageId, PageSrc, PidHasher, PidMap};
 pub use profiles::{hdd_array_profile, log_disk_profile, ssd_profile, PAPER_NUM_DISKS};

@@ -10,12 +10,7 @@ use crate::device::IoKind;
 
 /// Running totals plus an optional time-bucketed page-traffic series.
 pub struct DeviceStats {
-    read_ops: AtomicU64,
-    read_pages: AtomicU64,
-    read_busy_ns: AtomicU64,
-    write_ops: AtomicU64,
-    write_pages: AtomicU64,
-    write_busy_ns: AtomicU64,
+    totals: Totals,
     /// Bucket width in ns; 0 disables the series.
     bucket_ns: AtomicU64,
     buckets: Mutex<Vec<Bucket>>,
@@ -27,15 +22,18 @@ struct Bucket {
     write_pages: u64,
 }
 
-/// Immutable totals snapshot.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatSnapshot {
-    pub read_ops: u64,
-    pub read_pages: u64,
-    pub read_busy_ns: u64,
-    pub write_ops: u64,
-    pub write_pages: u64,
-    pub write_busy_ns: u64,
+crate::counters! {
+    /// The running totals of one device.
+    struct Totals =>
+    /// Immutable totals snapshot.
+    pub struct StatSnapshot {
+        pub read_ops,
+        pub read_pages,
+        pub read_busy_ns,
+        pub write_ops,
+        pub write_pages,
+        pub write_busy_ns,
+    }
 }
 
 impl StatSnapshot {
@@ -48,12 +46,7 @@ impl StatSnapshot {
 impl DeviceStats {
     pub fn new() -> Self {
         DeviceStats {
-            read_ops: AtomicU64::new(0),
-            read_pages: AtomicU64::new(0),
-            read_busy_ns: AtomicU64::new(0),
-            write_ops: AtomicU64::new(0),
-            write_pages: AtomicU64::new(0),
-            write_busy_ns: AtomicU64::new(0),
+            totals: Totals::default(),
             bucket_ns: AtomicU64::new(0),
             buckets: Mutex::new(Vec::new()),
         }
@@ -66,16 +59,17 @@ impl DeviceStats {
     }
 
     pub(crate) fn record(&self, kind: IoKind, pages: u64, at: Time, busy_ns: Time) {
+        let t = &self.totals;
         match kind {
             IoKind::Read => {
-                self.read_ops.fetch_add(1, Ordering::Relaxed);
-                self.read_pages.fetch_add(pages, Ordering::Relaxed);
-                self.read_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+                t.read_ops.fetch_add(1, Ordering::Relaxed);
+                t.read_pages.fetch_add(pages, Ordering::Relaxed);
+                t.read_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
             }
             IoKind::Write => {
-                self.write_ops.fetch_add(1, Ordering::Relaxed);
-                self.write_pages.fetch_add(pages, Ordering::Relaxed);
-                self.write_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+                t.write_ops.fetch_add(1, Ordering::Relaxed);
+                t.write_pages.fetch_add(pages, Ordering::Relaxed);
+                t.write_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
             }
         }
         let bw = self.bucket_ns.load(Ordering::Relaxed);
@@ -94,14 +88,7 @@ impl DeviceStats {
 
     /// Totals so far.
     pub fn snapshot(&self) -> StatSnapshot {
-        StatSnapshot {
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-            read_pages: self.read_pages.load(Ordering::Relaxed),
-            read_busy_ns: self.read_busy_ns.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            write_pages: self.write_pages.load(Ordering::Relaxed),
-            write_busy_ns: self.write_busy_ns.load(Ordering::Relaxed),
-        }
+        self.totals.snapshot()
     }
 
     /// The bucketed traffic series as `(bucket_start_time, read_pages,
@@ -123,12 +110,13 @@ impl DeviceStats {
 
     /// Reset all counters and the series (used between benchmark phases).
     pub fn reset(&self) {
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.read_pages.store(0, Ordering::Relaxed);
-        self.read_busy_ns.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.write_pages.store(0, Ordering::Relaxed);
-        self.write_busy_ns.store(0, Ordering::Relaxed);
+        let t = &self.totals;
+        t.read_ops.store(0, Ordering::Relaxed);
+        t.read_pages.store(0, Ordering::Relaxed);
+        t.read_busy_ns.store(0, Ordering::Relaxed);
+        t.write_ops.store(0, Ordering::Relaxed);
+        t.write_pages.store(0, Ordering::Relaxed);
+        t.write_busy_ns.store(0, Ordering::Relaxed);
         self.buckets.lock().clear();
     }
 }

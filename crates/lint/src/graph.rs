@@ -1,6 +1,6 @@
 //! Workspace symbol table and call graph for the interprocedural rules:
-//! the cross-function half of L3 `lock-order`, L9 `determinism`,
-//! L10 `lock-across-io` and L11 `dead-metric`.
+//! the cross-function half of L3 `lock-order`, L9 `determinism` and
+//! L10 `lock-across-io`.
 //!
 //! Same hermetic constraint as the rest of the linter: token-stream over
 //! the scrubbed source, no `syn`, no external crates. Functions are
@@ -20,7 +20,7 @@
 //! propagation.
 
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::Prepared;
 
@@ -215,15 +215,6 @@ pub(crate) struct FnDef {
     pub returns_guard: bool,
 }
 
-/// A declared stats/counter field (L11).
-pub(crate) struct MetricField {
-    pub file: PathBuf,
-    /// 0-based declaration line.
-    pub line: usize,
-    pub strukt: String,
-    pub field: String,
-}
-
 pub(crate) struct Graph {
     pub fns: Vec<FnDef>,
     /// Names (workspace-wide) whose call transitively reaches an
@@ -235,11 +226,6 @@ pub(crate) struct Graph {
     pub guard_fns: HashSet<(String, String)>,
     /// crate -> identifiers declared with a `HashMap`/`HashSet` type.
     pub hash_idents: HashMap<String, HashSet<String>>,
-    /// Declared stats/counter fields (L11).
-    pub metric_fields: Vec<MetricField>,
-    /// Identifier words appearing in observation scope: bench / tests /
-    /// examples sources and `#[cfg(test)]` regions anywhere.
-    pub observed: HashSet<String>,
 }
 
 /// Crate key for a repo-relative path: `crates/<k>/...` -> `<k>`,
@@ -251,18 +237,7 @@ pub(crate) fn crate_of(rel: &str) -> String {
         .to_string()
 }
 
-/// Is this file part of the L11 observation scope (a place where reading
-/// a counter proves it is alive)?
-fn is_observation_file(rel: &str) -> bool {
-    rel.starts_with("crates/bench/")
-        || rel.starts_with("tests/")
-        || rel.starts_with("examples/")
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
-}
-
-/// Crates whose state feeds the deterministic simulation (L9/L11 scope).
+/// Crates whose state feeds the deterministic simulation (L9 scope).
 pub(crate) const SIM_CRATES: &[&str] = &["core", "bufpool", "iosim", "wal", "workload"];
 
 impl Graph {
@@ -273,21 +248,12 @@ impl Graph {
             fn_classes: HashMap::new(),
             guard_fns: HashSet::new(),
             hash_idents: HashMap::new(),
-            metric_fields: Vec::new(),
-            observed: HashSet::new(),
         };
         for (rel, p) in files {
             let rel_str = rel.to_string_lossy().replace('\\', "/");
             let krate = crate_of(&rel_str);
             collect_fns(&krate, p, lock_order, &mut g.fns);
             collect_hash_idents(p, g.hash_idents.entry(krate.clone()).or_default());
-            collect_metric_fields(rel, &rel_str, p, &mut g.metric_fields);
-            let observe_all = is_observation_file(&rel_str);
-            for (ln, code) in p.code.iter().enumerate() {
-                if observe_all || p.in_test[ln] {
-                    collect_words(code, &mut g.observed);
-                }
-            }
         }
 
         // Test-module helpers stay out of the interprocedural tables:
@@ -328,39 +294,6 @@ impl Graph {
         }
         g.io_reaching = reach;
         g
-    }
-
-    /// L11: declared counter fields never read from a bench emitter,
-    /// integration test, example, or `#[cfg(test)]` region. Deduplicated
-    /// by field name across mirror structs (`SsdMetrics` vs
-    /// `SsdMetricsSnapshot` declare the same counters).
-    pub fn dead_metrics(&self) -> Vec<&MetricField> {
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut out = Vec::new();
-        for m in &self.metric_fields {
-            if self.observed.contains(&m.field) {
-                continue;
-            }
-            if seen.insert(m.field.as_str()) {
-                out.push(m);
-            }
-        }
-        out
-    }
-}
-
-fn collect_words(code: &str, out: &mut HashSet<String>) {
-    let mut word = String::new();
-    for c in code.chars().chain(std::iter::once(' ')) {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            word.push(c);
-        } else if !word.is_empty() {
-            if !word.as_bytes()[0].is_ascii_digit() {
-                out.insert(std::mem::take(&mut word));
-            } else {
-                word.clear();
-            }
-        }
     }
 }
 
@@ -419,79 +352,6 @@ fn push_ident_before(text: &str, out: &mut HashSet<String>) {
     }
     if start < end && !b[start].is_ascii_digit() {
         out.insert(text.trim_end()[start..].to_string());
-    }
-}
-
-/// `pub field:` declarations inside `struct *Stats / *Metrics / *Snapshot`
-/// in sim-state crates (or fixtures).
-fn collect_metric_fields(rel: &Path, rel_str: &str, p: &Prepared, out: &mut Vec<MetricField>) {
-    let in_scope = SIM_CRATES
-        .iter()
-        .any(|c| rel_str.starts_with(&format!("crates/{c}/src")))
-        || rel_str.contains("fixtures");
-    if !in_scope {
-        return;
-    }
-    let mut ln = 0usize;
-    while ln < p.code.len() {
-        let code = &p.code[ln];
-        let Some(pos) = find_word(code, "struct") else {
-            ln += 1;
-            continue;
-        };
-        let name: String = code[pos + 6..]
-            .trim_start()
-            .chars()
-            .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-            .collect();
-        let counterish = ["Stats", "Metrics", "Snapshot"]
-            .iter()
-            .any(|s| name.ends_with(s));
-        if !counterish || p.in_test[ln] {
-            ln += 1;
-            continue;
-        }
-        // Walk the struct body to its closing brace, recording pub fields.
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut l = ln;
-        'body: while l < p.code.len() {
-            for c in p.code[l].chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => {
-                        depth = depth.saturating_sub(1);
-                        if opened && depth == 0 {
-                            break 'body;
-                        }
-                    }
-                    ';' if !opened => break 'body, // tuple/unit struct
-                    _ => {}
-                }
-            }
-            if opened && depth == 1 && l > ln {
-                let t = p.code[l].trim_start();
-                if let Some(rest) = t.strip_prefix("pub ") {
-                    let field: String = rest
-                        .chars()
-                        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-                        .collect();
-                    if !field.is_empty() && rest[field.len()..].trim_start().starts_with(':') {
-                        out.push(MetricField {
-                            file: rel.to_path_buf(),
-                            line: l,
-                            strukt: name.clone(),
-                            field,
-                        });
-                    }
-                }
-            }
-            l += 1;
-        }
-        ln = l.max(ln) + 1;
     }
 }
 

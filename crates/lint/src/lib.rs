@@ -50,10 +50,6 @@
 //! * **L3, cross-function** — lock acquisition order is also checked
 //!   across one level of intra-crate calls, including guard-returning
 //!   helpers like `SsdManager::part`.
-//! * **L11 `dead-metric`** — every `pub` field of a `*Stats` /
-//!   `*Metrics` / `*Snapshot` struct in a sim-state crate must be read
-//!   by a bench JSON emitter, an integration test, an example, or a
-//!   `#[cfg(test)]` region; unobserved counters are observability rot.
 //! * **`unused-allow`** — a `lint: allow(<rule>)` marker that suppresses
 //!   no finding is itself a finding, so the allow surface only shrinks.
 //!
@@ -66,7 +62,7 @@
 
 mod graph;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,7 +83,6 @@ pub enum Rule {
     MagicThreshold,
     Determinism,
     LockAcrossIo,
-    DeadMetric,
     UnusedAllow,
 }
 
@@ -105,7 +100,6 @@ impl Rule {
             Rule::MagicThreshold => "magic-threshold",
             Rule::Determinism => "determinism",
             Rule::LockAcrossIo => "lock-across-io",
-            Rule::DeadMetric => "dead-metric",
             Rule::UnusedAllow => "unused-allow",
         }
     }
@@ -246,39 +240,15 @@ pub fn run(cfg: &Config) -> Vec<Finding> {
         prepared.push((rel, prepare(&source)));
     }
     let g = Graph::build(&prepared, &cfg.lock_order);
-    // L11 findings, grouped by the declaring file so its allow markers
-    // and unused-allow accounting see them.
-    let mut dead: HashMap<PathBuf, Vec<Finding>> = HashMap::new();
-    for m in g.dead_metrics() {
-        dead.entry(m.file.clone())
-            .or_default()
-            .push(dead_metric_finding(m));
-    }
     let mut findings = Vec::new();
     for (rel, p) in &prepared {
-        let mut out = scan_with(cfg, &g, rel, p);
-        if let Some(extra) = dead.remove(rel) {
-            out.extend(extra);
-        }
+        let out = scan_with(cfg, &g, rel, p);
         let (mut kept, used) = apply_markers(p, out);
         rule_unused_allow(p, rel, &used, &mut kept);
         kept.sort_by_key(|f| f.line);
         findings.extend(kept);
     }
     findings
-}
-
-fn dead_metric_finding(m: &graph::MetricField) -> Finding {
-    Finding {
-        rule: Rule::DeadMetric,
-        file: m.file.clone(),
-        line: m.line + 1,
-        message: format!(
-            "counter `{}.{}` is never read by a bench JSON emitter, test, or example — \
-             wire it into a report or remove it (observability rot)",
-            m.strukt, m.field
-        ),
-    }
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
@@ -530,15 +500,7 @@ pub fn scan_file(cfg: &Config, rel: &Path, source: &str) -> Vec<Finding> {
     let files = vec![(rel.to_path_buf(), prepare(source))];
     let g = Graph::build(&files, &cfg.lock_order);
     let (rel, p) = &files[0];
-    let mut out = scan_with(cfg, &g, rel, p);
-    let rel_str = rel.to_string_lossy().replace('\\', "/");
-    // L11 needs the workspace-wide observation scope to be meaningful on
-    // product files; in single-file mode it runs for fixtures only.
-    if is_fixture_path(cfg, &rel_str) {
-        for m in g.dead_metrics() {
-            out.push(dead_metric_finding(m));
-        }
-    }
+    let out = scan_with(cfg, &g, rel, p);
     let (mut kept, used) = apply_markers(p, out);
     rule_unused_allow(p, rel, &used, &mut kept);
     kept.sort_by_key(|f| f.line);
@@ -741,7 +703,9 @@ fn rule_panic(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
 /// Identifier fragments that mark an operand as a latency or queue-depth
 /// quantity for L8. A comparison between such a quantity and an inline
 /// numeric literal encodes a tuning decision that belongs in a named
-/// config constant (`SsdConfig`, `FailSlowConfig`, `RetryPolicy`, ...).
+/// constant beside the code that reads it (`health::SLOW_FACTOR`,
+/// `cleaner::CLEANER_DISK_QUEUE_MAX`, ...) or, if runs vary it, a config
+/// field.
 const THRESHOLD_TOKENS: &[&str] = &["_ns", "latency", "depth", "ewma", "backoff"];
 
 /// Parse `tok` as a plain integer literal (decimal digits, `_`
@@ -773,7 +737,7 @@ fn has_threshold_token(operand: &str) -> bool {
 /// L8: latency/queue-depth comparisons in the SSD-manager hot path must
 /// test against *named* constants, not inline numeric literals — inline
 /// thresholds drift apart across call sites and silently disagree with
-/// the documented config defaults. Flags `<`/`>`/`<=`/`>=` where one
+/// the documented values. Flags `<`/`>`/`<=`/`>=` where one
 /// operand is an integer literal greater than 1 and the other mentions a
 /// latency or depth quantity. Test modules are exempt, like L2/L6.
 fn rule_magic_threshold(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
@@ -820,9 +784,9 @@ fn rule_magic_threshold(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
                     line: ln + 1,
                     message: format!(
                         "latency/queue-depth compared against inline literal \
-                         (`{lhs} .. {rhs}`) — name the threshold in config \
-                         (SsdConfig/FailSlowConfig/RetryPolicy) or justify with \
-                         `// lint: allow(magic-threshold)`"
+                         (`{lhs} .. {rhs}`) — give the threshold a named \
+                         constant (a config field only if runs vary it) or \
+                         justify with `// lint: allow(magic-threshold)`"
                     ),
                 });
             }

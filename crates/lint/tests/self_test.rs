@@ -207,22 +207,6 @@ fn lock_order_xfn_fixture_fires() {
 }
 
 #[test]
-fn dead_metric_fixture_fires() {
-    let f = fixture("dead_metric.rs");
-    let hits: Vec<_> = f.iter().filter(|f| f.rule == Rule::DeadMetric).collect();
-    // Only dead_writes: used_reads is read by the fixture's own test.
-    assert_eq!(
-        hits.len(),
-        1,
-        "expected exactly the unobserved counter: {f:#?}"
-    );
-    assert!(
-        hits[0].message.contains("dead_writes"),
-        "finding must name the dead field: {f:#?}"
-    );
-}
-
-#[test]
 fn unused_allow_fixture_fires() {
     let f = fixture("unused_allow.rs");
     let unused: Vec<_> = f.iter().filter(|f| f.rule == Rule::UnusedAllow).collect();

@@ -10,8 +10,7 @@
 
 use std::sync::Arc;
 
-use turbopool_bufpool::{AdmissionKind, ReplacementKind};
-use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign};
+use turbopool_core::{SsdConfig, SsdDesign};
 use turbopool_engine::{Database, DbConfig};
 use turbopool_iosim::DeviceSetup;
 
@@ -78,77 +77,52 @@ impl Design {
     }
 }
 
-/// Full specification of one system configuration.
+/// Full specification of one system configuration: the design, the
+/// workload seed, and the configuration tree the database opens with.
 #[derive(Clone, Debug)]
 pub struct SystemSpec {
     pub design: Design,
-    /// Database capacity in (scaled) pages, including growth headroom.
-    pub db_pages: u64,
-    /// DRAM pool frames.
-    pub mem_frames: usize,
-    /// SSD frames (`S`).
-    pub ssd_frames: u64,
-    /// LC dirty-fraction threshold λ.
-    pub lambda: f64,
-    /// Aggressive-filling threshold τ.
-    pub tau: f64,
-    /// Throttle-control threshold μ.
-    pub mu: usize,
-    /// SSD partition count N.
-    pub partitions: usize,
-    /// Multi-page read handling (Trim in the paper's final design).
-    pub multipage: MultiPageMode,
-    /// Warm-restart extension: persist/re-adopt the SSD buffer table
-    /// across restarts (off in the paper).
-    pub warm_restart: bool,
-    /// DRAM replacement policy (the paper's LRU-2 by default).
-    pub replacement: ReplacementKind,
-    /// SSD admission policy (the paper's per-design rule by default).
-    pub admission: AdmissionKind,
     /// Deterministic seed for the workload RNG streams.
     pub seed: u64,
+    /// What [`build_db`] opens. Every pool and SSD knob is edited here, in
+    /// the config of the layer that reads it (`db.pool.replacement`,
+    /// `db.pool.frames`; the SSD half through [`SystemSpec::ssd`]).
+    pub db: DbConfig,
 }
 
 impl SystemSpec {
-    /// The paper's configuration for a database of `db_pages` pages.
+    /// The paper's configuration for a database of `db_pages` pages: the
+    /// scaled pool sizes and, for an SSD design, Table 2's defaults.
     pub fn paper(design: Design, db_pages: u64) -> Self {
+        let mut db = DbConfig::new(PAGE_SIZE, db_pages, MEM_FRAMES);
+        db.ssd = design.ssd_design().map(|d| SsdConfig::new(d, SSD_FRAMES));
         SystemSpec {
             design,
-            db_pages,
-            mem_frames: MEM_FRAMES,
-            ssd_frames: SSD_FRAMES,
-            lambda: 0.5,
-            tau: 0.95,
-            mu: 100,
-            partitions: 16,
-            multipage: MultiPageMode::Trim,
-            warm_restart: false,
-            replacement: ReplacementKind::Lru2,
-            admission: AdmissionKind::DesignDefault,
             seed: 0x5EED,
+            db,
+        }
+    }
+
+    /// Edit the SSD half of the tree (S, λ, τ, μ, N, …) if this design has
+    /// one; on [`Design::NoSsd`] there is nothing to edit and `edit` is
+    /// not run, so one tweak serves a sweep over every design.
+    pub fn ssd(&mut self, edit: impl FnOnce(&mut SsdConfig)) {
+        if let Some(s) = &mut self.db.ssd {
+            edit(s);
         }
     }
 }
 
-/// Open a database configured per `spec` over time-scaled paper devices.
+/// Open a database configured per `spec` over time-scaled paper devices,
+/// sized from the tree as it stands (after any tweak). The noSSD baseline
+/// keeps the paper's idle SSD device.
 pub fn build_db(spec: &SystemSpec) -> Arc<Database> {
-    let mut cfg = DbConfig::new(PAGE_SIZE, spec.db_pages, spec.mem_frames);
-    cfg.replacement = spec.replacement;
-    cfg.ssd = spec.design.ssd_design().map(|d| {
-        let mut s = SsdConfig::new(d, spec.ssd_frames);
-        s.lambda = spec.lambda;
-        s.tau = spec.tau;
-        s.mu = spec.mu;
-        s.partitions = spec.partitions;
-        s.multipage = spec.multipage;
-        s.warm_restart = spec.warm_restart;
-        s.admission = spec.admission;
-        s
-    });
+    let mut cfg = spec.db.clone();
+    let ssd_frames = cfg.ssd.as_ref().map_or(SSD_FRAMES, |s| s.frames);
     cfg.devices = Some(DeviceSetup::paper_time_scaled(
-        PAGE_SIZE,
-        spec.db_pages,
-        spec.ssd_frames.max(1),
+        cfg.pool.page_size,
+        cfg.pool.db_pages,
+        ssd_frames.max(1),
         SCALE,
     ));
     Arc::new(Database::open(cfg))
@@ -173,43 +147,52 @@ mod tests {
         assert!((ratio - 0.7).abs() < 0.01, "{ratio}");
     }
 
+    /// The tree a spec carries is the tree the database runs — nothing is
+    /// copied field by field on the way, so no knob can go nowhere — and the
+    /// devices are sized from it.
     #[test]
-    fn build_db_wires_the_requested_design() {
-        let spec = SystemSpec {
-            db_pages: 256,
-            mem_frames: 16,
-            ssd_frames: 32,
-            ..SystemSpec::paper(Design::Lc, 0)
+    fn the_tree_a_spec_carries_is_the_tree_the_database_opens() {
+        let tweak = |spec: &mut SystemSpec| {
+            spec.db.pool.frames = 24;
+            spec.db.pool.replacement = turbopool_bufpool::ReplacementKind::Clock;
+            spec.ssd(|s| {
+                s.frames = 48;
+                s.lambda = 0.25;
+                s.partitions = 4;
+            });
         };
-        let db = build_db(&spec);
-        assert!(db.ssd_manager().is_some());
-        assert_eq!(
-            db.ssd_manager().unwrap().config().design,
-            SsdDesign::LazyCleaning
-        );
-        let spec = SystemSpec {
-            design: Design::Tac,
-            ..spec
-        };
-        let db = build_db(&spec);
-        assert!(db.tac_cache().is_some());
-        let spec = SystemSpec {
-            design: Design::NoSsd,
-            ..spec
-        };
-        let db = build_db(&spec);
-        assert!(db.ssd_manager().is_none() && db.tac_cache().is_none());
+        for design in Design::all() {
+            let mut tweaked = SystemSpec::paper(design, 512);
+            tweak(&mut tweaked);
+            assert_eq!(tweaked.db.pool.frames, 24);
+            for spec in [SystemSpec::paper(design, 512), tweaked] {
+                let db = build_db(&spec);
+                let want = format!("{:?}", (&spec.db.pool, &spec.db.ssd));
+                assert_eq!(format!("{:?}", (&db.config().pool, &db.config().ssd)), want);
+                // The layer that runs is the design's, built from the SSD half.
+                let mgr = db.ssd_manager().map(|m| m.config());
+                let tac = db.tac_cache().map(|t| t.config());
+                assert_eq!(tac.is_some(), design == Design::Tac);
+                assert_eq!(mgr.or(tac).is_some(), design != Design::NoSsd);
+                assert_eq!(
+                    format!("{:?}", mgr.or(tac)),
+                    format!("{:?}", spec.db.ssd.as_ref())
+                );
+                // On noSSD the SSD half of the tweak had nothing to edit.
+                let frames = spec.db.ssd.as_ref().map_or(SSD_FRAMES, |s| s.frames);
+                assert_eq!(db.io().setup().ssd_frames, frames, "{design:?}");
+                assert_eq!(db.io().setup().db_pages, 512);
+            }
+        }
+        let mut lc = SystemSpec::paper(Design::Lc, 512);
+        tweak(&mut lc);
+        let ssd = lc.db.ssd.expect("LC has an SSD half");
+        assert_eq!((ssd.frames, ssd.lambda, ssd.partitions), (48, 0.25, 4));
     }
 
     #[test]
     fn time_scaled_devices_are_slower() {
-        let spec = SystemSpec {
-            db_pages: 64,
-            mem_frames: 8,
-            ssd_frames: 8,
-            ..SystemSpec::paper(Design::NoSsd, 0)
-        };
-        let db = build_db(&spec);
+        let db = build_db(&SystemSpec::paper(Design::NoSsd, 64));
         let rr = db.io().setup().disk_profile.rand_read_ns;
         // 985 us * 1000 ≈ 985 ms per aggregate random read.
         assert!(rr > 900_000_000, "{rr}");

@@ -212,8 +212,8 @@ mod tests {
     #[test]
     fn runs_and_commits() {
         let s = Arc::new(Synthetic::setup(Design::Dw, small(), |spec| {
-            spec.mem_frames = 64;
-            spec.ssd_frames = 256;
+            spec.db.pool.frames = 64;
+            spec.ssd(|s| s.frames = 256);
         }));
         let rec = ThroughputRecorder::new(MINUTE);
         let mut d = Driver::new();
@@ -230,8 +230,8 @@ mod tests {
     #[test]
     fn skewed_run_hits_ssd_after_warmup() {
         let s = Arc::new(Synthetic::setup(Design::Lc, small(), |spec| {
-            spec.mem_frames = 32;
-            spec.ssd_frames = 512;
+            spec.db.pool.frames = 32;
+            spec.ssd(|s| s.frames = 512);
         }));
         let rec = ThroughputRecorder::new(MINUTE);
         let mut d = Driver::new();

@@ -169,7 +169,7 @@ impl Tpcc {
         let growth = growth.max(1);
         let page_size = crate::scenario::PAGE_SIZE;
         let mut spec = SystemSpec::paper(design, Self::db_pages_opt(sw, page_size, growth));
-        spec.lambda = lambda;
+        spec.ssd(|s| s.lambda = lambda);
         tweak(&mut spec);
         let db = build_db(&spec);
         let mut clk = Clk::new();

@@ -111,7 +111,7 @@ impl Tpce {
     ) -> Tpce {
         let page_size = crate::scenario::PAGE_SIZE;
         let mut spec = SystemSpec::paper(design, Self::db_pages(customers, page_size));
-        spec.lambda = lambda;
+        spec.ssd(|s| s.lambda = lambda);
         tweak(&mut spec);
         let db = build_db(&spec);
         let mut clk = Clk::new();

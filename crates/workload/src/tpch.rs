@@ -144,7 +144,7 @@ impl Tpch {
     pub fn setup(design: Design, sf: u64, lambda: f64) -> Tpch {
         let page_size = crate::scenario::PAGE_SIZE;
         let mut spec = SystemSpec::paper(design, Self::db_pages(sf, page_size));
-        spec.lambda = lambda;
+        spec.ssd(|s| s.lambda = lambda);
         let db = build_db(&spec);
         let mut clk = Clk::new();
         let li = sf * LINEITEM_PER_SF;

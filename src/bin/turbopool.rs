@@ -16,31 +16,109 @@ use turbopool::workload::driver::{CheckpointClient, CleanerClient, Driver, Throu
 use turbopool::workload::scenario::Design;
 use turbopool::workload::{tpcc::Tpcc, tpce::Tpce, tpch};
 
-struct Args(Vec<String>);
+/// One checked invocation: every value parsed, nothing left to default
+/// silently.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Tpcc {
+        design: Design,
+        warehouses: u64,
+        hours: u64,
+        lambda: f64,
+    },
+    Tpce {
+        design: Design,
+        customers: u64,
+        hours: u64,
+    },
+    Tpch {
+        design: Design,
+        sf: u64,
+        streams: usize,
+    },
+    Devices,
+}
 
-impl Args {
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
-    }
+/// The `--flag value` pairs after a subcommand, each flag one it takes.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flag(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn design(&self) -> Design {
-        match self.flag("--design").unwrap_or("lc") {
-            "cw" => Design::Cw,
-            "dw" => Design::Dw,
-            "tac" => Design::Tac,
-            "nossd" | "none" => Design::NoSsd,
-            _ => Design::Lc,
+impl<'a> Flags<'a> {
+    /// Pair the arguments up, rejecting a flag the subcommand does not
+    /// take (a misspelling must not run the default instead) and a flag
+    /// with no value after it.
+    fn pair(takes: &[&str], rest: &'a [String]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut it = rest.iter();
+        while let Some(flag) = it.next() {
+            if !takes.contains(&flag.as_str()) {
+                return Err(format!("unknown option `{flag}`"));
+            }
+            let value = it
+                .next()
+                .ok_or_else(|| format!("option `{flag}` needs a value"))?;
+            pairs.push((flag.as_str(), value.as_str()));
         }
+        Ok(Flags(pairs))
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|(flag, _)| *flag == name).map(|p| p.1)
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("option `{name}`: `{v}` is not a valid number")),
+        }
+    }
+
+    fn design(&self) -> Result<Design, String> {
+        match self.get("--design").unwrap_or("lc") {
+            "lc" => Ok(Design::Lc),
+            "cw" => Ok(Design::Cw),
+            "dw" => Ok(Design::Dw),
+            "tac" => Ok(Design::Tac),
+            "nossd" | "none" => Ok(Design::NoSsd),
+            other => Err(format!(
+                "option `--design`: `{other}` is not one of lc|dw|cw|tac|nossd"
+            )),
+        }
+    }
+}
+
+/// Parse the arguments after the program name.
+fn parse(argv: &[String]) -> Result<Command, String> {
+    let (cmd, rest) = argv.split_first().ok_or("no subcommand given")?;
+    match cmd.as_str() {
+        "tpcc" => {
+            let f = Flags::pair(&["--design", "--warehouses", "--hours", "--lambda"], rest)?;
+            Ok(Command::Tpcc {
+                design: f.design()?,
+                warehouses: f.num("--warehouses", 20)?,
+                hours: f.num("--hours", 10)?,
+                lambda: f.num("--lambda", 0.5)?,
+            })
+        }
+        "tpce" => {
+            let f = Flags::pair(&["--design", "--customers", "--hours"], rest)?;
+            Ok(Command::Tpce {
+                design: f.design()?,
+                customers: f.num("--customers", 2_000)?,
+                hours: f.num("--hours", 10)?,
+            })
+        }
+        "tpch" => {
+            let f = Flags::pair(&["--design", "--sf", "--streams"], rest)?;
+            Ok(Command::Tpch {
+                design: f.design()?,
+                sf: f.num("--sf", 30)?,
+                streams: f.num("--streams", 4)?,
+            })
+        }
+        "devices" => Flags::pair(&[], rest).map(|_| Command::Devices),
+        other => Err(format!("unknown subcommand `{other}`")),
     }
 }
 
@@ -66,11 +144,7 @@ fn print_counters(db: &turbopool::engine::Database) {
     println!("ssd  ops (r/w)       : {} / {}", s.read_ops, s.write_ops);
 }
 
-fn run_tpcc(args: &Args) {
-    let design = args.design();
-    let warehouses: u64 = args.num("--warehouses", 20);
-    let hours: u64 = args.num("--hours", 10);
-    let lambda: f64 = args.num("--lambda", 0.5);
+fn run_tpcc(design: Design, warehouses: u64, hours: u64, lambda: f64) {
     println!(
         "TPC-C-lite: {warehouses} scaled warehouses, {} for {hours} virtual hours, lambda {lambda}",
         design.label()
@@ -95,10 +169,7 @@ fn run_tpcc(args: &Args) {
     print_counters(&t.db);
 }
 
-fn run_tpce(args: &Args) {
-    let design = args.design();
-    let customers: u64 = args.num("--customers", 2_000);
-    let hours: u64 = args.num("--hours", 10);
+fn run_tpce(design: Design, customers: u64, hours: u64) {
     println!(
         "TPC-E-lite: {customers} scaled customers, {} for {hours} virtual hours",
         design.label()
@@ -127,10 +198,7 @@ fn run_tpce(args: &Args) {
     print_counters(&t.db);
 }
 
-fn run_tpch(args: &Args) {
-    let design = args.design();
-    let sf: u64 = args.num("--sf", 30);
-    let streams: usize = args.num("--streams", 4);
+fn run_tpch(design: Design, sf: u64, streams: usize) {
     println!(
         "TPC-H-lite: SF {sf}, {} ({streams} throughput streams)",
         design.label()
@@ -172,19 +240,81 @@ fn devices() {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = argv.first().cloned().unwrap_or_default();
-    let args = Args(argv);
-    match cmd.as_str() {
-        "tpcc" => run_tpcc(&args),
-        "tpce" => run_tpce(&args),
-        "tpch" => run_tpch(&args),
-        "devices" => devices(),
-        _ => {
+    match parse(&argv) {
+        Ok(Command::Tpcc {
+            design,
+            warehouses,
+            hours,
+            lambda,
+        }) => run_tpcc(design, warehouses, hours, lambda),
+        Ok(Command::Tpce {
+            design,
+            customers,
+            hours,
+        }) => run_tpce(design, customers, hours),
+        Ok(Command::Tpch {
+            design,
+            sf,
+            streams,
+        }) => run_tpch(design, sf, streams),
+        Ok(Command::Devices) => devices(),
+        Err(why) => {
+            eprintln!("turbopool: {why}");
             eprintln!("usage: turbopool <tpcc|tpce|tpch|devices> [options]");
             eprintln!("  tpcc  --design lc|dw|cw|tac|nossd --warehouses N --hours H --lambda F");
             eprintln!("  tpce  --design ... --customers N --hours H");
             eprintln!("  tpch  --design ... --sf N --streams S");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Command, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv)
+    }
+
+    #[test]
+    fn defaults_and_explicit_values_parse() {
+        assert_eq!(
+            parse_line("tpcc"),
+            Ok(Command::Tpcc {
+                design: Design::Lc,
+                warehouses: 20,
+                hours: 10,
+                lambda: 0.5
+            })
+        );
+        assert_eq!(
+            parse_line("tpch --streams 2 --design nossd --sf 3"),
+            Ok(Command::Tpch {
+                design: Design::NoSsd,
+                sf: 3,
+                streams: 2
+            })
+        );
+        assert_eq!(parse_line("devices"), Ok(Command::Devices));
+    }
+
+    /// What cannot be parsed is refused, naming the culprit, instead of
+    /// running something other than what was asked for.
+    #[test]
+    fn bad_input_is_rejected_naming_the_culprit() {
+        for (line, culprit) in [
+            ("tpcc --design lx", "--design"),       // used to run LC
+            ("tpce --hours ten", "--hours"),        // used to run 10 hours
+            ("tpcc --desing dw", "--desing"),       // used to be ignored
+            ("tpce --lambda 0.5", "--lambda"),      // a tpcc option only
+            ("tpch --sf 3 --streams", "--streams"), // no value: used to be ignored
+            ("tpcd", "tpcd"),
+        ] {
+            let why = parse_line(line).unwrap_err();
+            assert!(why.contains(culprit), "{line}: {why}");
+        }
+        assert!(parse_line("").is_err(), "no subcommand");
     }
 }

@@ -42,8 +42,8 @@ fn btree_matches_btreemap() {
             .map(|_| draw_op(&mut rng))
             .collect();
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 4096;
-        cfg.mem_frames = 8; // force splits + evictions through the cache
+        cfg.pool.db_pages = 4096;
+        cfg.pool.frames = 8; // force splits + evictions through the cache
         cfg.ssd = Some(SsdConfig::new(SsdDesign::LazyCleaning, 64));
         let db = Database::open(cfg);
         let mut clk = Clk::new();

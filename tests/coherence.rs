@@ -14,8 +14,8 @@ use turbopool::iosim::{Clk, PageId};
 
 fn build(design: SsdDesign) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 1024;
-    cfg.mem_frames = 16;
+    cfg.pool.db_pages = 1024;
+    cfg.pool.frames = 16;
     let mut s = SsdConfig::new(design, 64);
     s.partitions = 2;
     s.lambda = 0.6;

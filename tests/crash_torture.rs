@@ -118,8 +118,8 @@ const DESIGNS: [Option<SsdDesign>; 5] = [
 
 fn build(design: Option<SsdDesign>) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 1024;
-    cfg.mem_frames = 12;
+    cfg.pool.db_pages = 1024;
+    cfg.pool.frames = 12;
     cfg.ssd = design.map(|d| {
         let mut s = SsdConfig::new(d, 48);
         s.partitions = 2;

@@ -14,8 +14,8 @@ use turbopool::iosim::Clk;
 
 fn db_for(design: Option<SsdDesign>) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 2048;
-    cfg.mem_frames = 24; // tiny: force heavy eviction traffic through the SSD
+    cfg.pool.db_pages = 2048;
+    cfg.pool.frames = 24; // tiny: force heavy eviction traffic through the SSD
     cfg.ssd = design.map(|d| {
         let mut s = SsdConfig::new(d, 96);
         s.partitions = 4;

@@ -118,9 +118,9 @@ fn build_policy(design: SsdDesign, seed: u64, fault: Fault, policy: Policy) -> S
     let mut min_service = u64::MAX;
     for domain in 0..DOMAINS {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 1024;
-        cfg.mem_frames = 4;
-        cfg.replacement = policy.0;
+        cfg.pool.db_pages = 1024;
+        cfg.pool.frames = 4;
+        cfg.pool.replacement = policy.0;
         let mut s = SsdConfig::new(design, 64);
         s.partitions = 2;
         s.admission = policy.1;

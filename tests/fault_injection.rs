@@ -61,8 +61,8 @@ struct RunResult {
 /// The pool is kept tiny so pages constantly spill to the SSD tier.
 fn run(design: SsdDesign, fault: Fault, seed: u64) -> RunResult {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 1024;
-    cfg.mem_frames = 4;
+    cfg.pool.db_pages = 1024;
+    cfg.pool.frames = 4;
     let mut s = SsdConfig::new(design, 64);
     s.partitions = 2;
     cfg.ssd = Some(s);

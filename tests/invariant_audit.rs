@@ -120,8 +120,8 @@ fn engine_workload_reports_zero_audit_violations() {
         SsdDesign::Tac,
     ] {
         let mut cfg = DbConfig::small_for_tests();
-        cfg.db_pages = 2048;
-        cfg.mem_frames = 24;
+        cfg.pool.db_pages = 2048;
+        cfg.pool.frames = 24;
         cfg.ssd = Some({
             let mut s = SsdConfig::new(design, 96);
             s.partitions = 4;
@@ -193,9 +193,9 @@ fn every_policy_combination_keeps_the_auditor_clean() {
                 SsdDesign::Tac,
             ] {
                 let mut cfg = DbConfig::small_for_tests();
-                cfg.db_pages = 2048;
-                cfg.mem_frames = 24;
-                cfg.replacement = replacement;
+                cfg.pool.db_pages = 2048;
+                cfg.pool.frames = 24;
+                cfg.pool.replacement = replacement;
                 cfg.ssd = Some({
                     let mut s = SsdConfig::new(design, 96);
                     s.partitions = 4;

@@ -157,9 +157,9 @@ impl Client for MixClient {
 
 fn heap_mix_fingerprint(design: Option<SsdDesign>) -> u64 {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 1024;
-    cfg.mem_frames = 8;
-    cfg.fill_expansion = 4;
+    cfg.pool.db_pages = 1024;
+    cfg.pool.frames = 8;
+    cfg.pool.fill_expansion = 4;
     if let Some(d) = design {
         let mut s = SsdConfig::new(d, 64);
         s.partitions = 2;

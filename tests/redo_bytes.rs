@@ -22,8 +22,8 @@ const DB_PAGES: u64 = 1024;
 
 fn db_for(design: Option<SsdDesign>) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = DB_PAGES;
-    cfg.mem_frames = 16; // evictions run through the SSD tier mid-mix
+    cfg.pool.db_pages = DB_PAGES;
+    cfg.pool.frames = 16; // evictions run through the SSD tier mid-mix
     cfg.ssd = design.map(|d| SsdConfig::new(d, 64));
     Database::open(cfg)
 }

@@ -15,8 +15,8 @@ use turbopool::wal::LogTail;
 
 fn build(warm: bool) -> Database {
     let mut cfg = DbConfig::small_for_tests();
-    cfg.db_pages = 2048;
-    cfg.mem_frames = 16;
+    cfg.pool.db_pages = 2048;
+    cfg.pool.frames = 16;
     let mut s = SsdConfig::new(SsdDesign::LazyCleaning, 256);
     s.partitions = 4;
     s.lambda = 0.5;
