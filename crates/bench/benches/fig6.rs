@@ -17,7 +17,8 @@
 //!   disks); checkpoint dips every ~40 minutes.
 
 use turbopool_bench::{
-    bench_threads, run_hours, run_oltp_set, BenchReport, Json, OltpKind, RunOptions, WallTimer,
+    bench_threads, render_series, run_hours, run_oltp_set, BenchReport, Json, OltpKind, RunOptions,
+    WallTimer,
 };
 use turbopool_workload::scenario::Design;
 
@@ -33,7 +34,7 @@ fn panel(name: &str, kind: OltpKind, opts: &RunOptions, threads: usize) -> (Json
             run.design.label(),
             run.last_hour_per_min
         );
-        print!("{}", render(&run.series));
+        print!("{}", render_series(&run.series, 25));
         rates.push((
             run.design.label().to_string(),
             Json::Num(run.last_hour_per_min),
@@ -46,24 +47,6 @@ fn panel(name: &str, kind: OltpKind, opts: &RunOptions, threads: usize) -> (Json
         ("last_hour_per_min".to_string(), Json::Obj(rates)),
     ]);
     (entry, set.steps)
-}
-
-/// Render a (hours, per-minute) series as one line per ~30 buckets.
-fn render(series: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let peak = series.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-    let step = (series.len() / 25).max(1);
-    for chunk in series.chunks(step) {
-        let h = chunk[0].0;
-        let v = chunk.iter().map(|&(_, v)| v).sum::<f64>() / chunk.len() as f64;
-        let bar = if peak > 0.0 {
-            (v / peak * 48.0).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!("{h:5.1}h {v:8.2} {}\n", "#".repeat(bar)));
-    }
-    out
 }
 
 fn main() {

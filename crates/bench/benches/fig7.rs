@@ -5,7 +5,9 @@
 //! ≈ 1.6X over λ=50%), and the cleaner issues fewer disk IOPS
 //! (521 / 769 / 950 at λ = 90/50/10%).
 
-use turbopool_bench::{run_hours, run_oltp, BenchReport, OltpKind, RunOptions, Table, WallTimer};
+use turbopool_bench::{
+    render_series, run_hours, run_oltp, BenchReport, OltpKind, RunOptions, Table, WallTimer,
+};
 use turbopool_iosim::SECOND;
 use turbopool_workload::scenario::Design;
 
@@ -53,18 +55,7 @@ fn main() {
     println!("\nThroughput curves (per-minute rates, six-minute buckets):");
     for (lambda, series) in curves {
         println!("\n--- λ = {:.0}% ---", lambda * 100.0);
-        let peak = series.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-        let step = (series.len() / 20).max(1);
-        for chunk in series.chunks(step) {
-            let h = chunk[0].0;
-            let v = chunk.iter().map(|&(_, v)| v).sum::<f64>() / chunk.len() as f64;
-            let bar = if peak > 0.0 {
-                (v / peak * 48.0).round() as usize
-            } else {
-                0
-            };
-            println!("{h:5.1}h {v:8.2} {}", "#".repeat(bar));
-        }
+        print!("{}", render_series(&series, 20));
     }
     println!("\n(paper cleaner IOPS at full scale: 950 / 769 / 521 for λ = 10/50/90%;");
     println!(" scaled values are 1000x smaller — compare the monotone decrease.)");

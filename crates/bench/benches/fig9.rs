@@ -9,24 +9,11 @@
 //!   which then takes very long (all accumulated dirty SSD pages must be
 //!   flushed) and throughput collapses for the duration.
 
-use turbopool_bench::{run_hours, run_oltp, BenchReport, OltpKind, RunOptions, WallTimer};
+use turbopool_bench::{
+    render_series, run_hours, run_oltp, BenchReport, OltpKind, RunOptions, WallTimer,
+};
 use turbopool_iosim::{HOUR, MINUTE};
 use turbopool_workload::scenario::Design;
-
-fn render(series: &[(f64, f64)]) {
-    let peak = series.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-    let step = (series.len() / 22).max(1);
-    for chunk in series.chunks(step) {
-        let h = chunk[0].0;
-        let v = chunk.iter().map(|&(_, v)| v).sum::<f64>() / chunk.len() as f64;
-        let bar = if peak > 0.0 {
-            (v / peak * 48.0).round() as usize
-        } else {
-            0
-        };
-        println!("{h:5.1}h {v:8.2} {}", "#".repeat(bar));
-    }
-}
 
 fn main() {
     let timer = WallTimer::start();
@@ -63,7 +50,7 @@ fn main() {
                 run.last_hour_per_min,
                 run.ssd.map(|m| m.checkpoint_cleaned).unwrap_or(0),
             );
-            render(&run.series);
+            print!("{}", render_series(&run.series, 22));
         }
     }
     BenchReport::new("fig9")

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::policy::Lru2Policy;
-use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo, ReplacementPolicy};
+use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
@@ -117,7 +117,7 @@ fn bench_lru2() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             p.on_access((x >> 33) as usize % FRAMES);
         }
-        let v = p.select_victim(&mut |_| true).expect("nothing is pinned");
+        let v = p.select_victim(|_| true).expect("nothing is pinned");
         p.on_evict(v, resident[v]);
         // Cycle through 4x the pool so reinstalls adopt retained history.
         next_pid = (next_pid + 1) % (4 * FRAMES as u64);

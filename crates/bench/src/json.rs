@@ -243,8 +243,8 @@ mod tests {
         assert_eq!(
             keys(turbopool_core::metrics::SsdMetricsSnapshot::default().fields()),
             "ssd_hits ssd_misses throttled_reads throttled_admissions admissions \
-             fill_admissions policy_rejections admission_ghost_hits replacements \
-             invalidations cleaned_pages cleaner_writes inline_cleans checkpoint_cleaned \
+             fill_admissions policy_rejections replacements invalidations \
+             cleaned_pages cleaner_writes inline_cleans checkpoint_cleaned \
              tac_cancelled_writes dirty_hits warm_imports warm_rejected_stale \
              warm_rejected_checksum audit_violations ssd_io_errors checksum_misses \
              disk_retries ssd_quarantined quarantined_reads lost_frames stranded_dirty \
@@ -258,7 +258,7 @@ mod tests {
         );
         assert_eq!(
             keys(turbopool_bufpool::PolicyStats::default().fields()),
-            "ghost_hits scan_steps second_chances probation_evictions protected_evictions"
+            "ghost_hits scan_steps"
         );
         assert_eq!(
             keys(turbopool_iosim::FaultStats::default().fields()),

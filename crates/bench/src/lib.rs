@@ -19,7 +19,7 @@ pub mod report;
 pub mod runs;
 
 pub use json::{BenchReport, Json, WallTimer};
-pub use report::{fmt_hours, Table};
+pub use report::{fmt_hours, render_series, Table};
 pub use runs::{run_oltp, run_oltp_set, OltpKind, OltpRun, OltpSet, RunOptions};
 
 use turbopool_iosim::{Time, HOUR};

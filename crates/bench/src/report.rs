@@ -62,24 +62,22 @@ pub fn fmt_hours(t: turbopool_iosim::Time) -> String {
     format!("{:.2}h", t as f64 / turbopool_iosim::HOUR as f64)
 }
 
-/// Render a sparkline-ish series of (hours, value) pairs, sampled down to
-/// at most `max_points` lines of `hours value` text.
+/// Render a series of (hours, value) pairs as one `hours value ###` line
+/// per bucket of `len / max_points` points (at least one), each bucket
+/// averaged and its bar scaled to the series peak.
 pub fn render_series(series: &[(f64, f64)], max_points: usize) -> String {
-    if series.is_empty() {
-        return String::from("(empty series)\n");
-    }
-    let step = series.len().div_ceil(max_points).max(1);
     let peak = series.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
+    let step = (series.len() / max_points).max(1);
     let mut out = String::new();
     for chunk in series.chunks(step) {
         let h = chunk[0].0;
         let v = chunk.iter().map(|&(_, v)| v).sum::<f64>() / chunk.len() as f64;
-        let bar_len = if peak > 0.0 {
-            (v / peak * 50.0).round() as usize
+        let bar = if peak > 0.0 {
+            (v / peak * 48.0).round() as usize
         } else {
             0
         };
-        out.push_str(&format!("{h:6.2}h {v:10.2} {}\n", "#".repeat(bar_len)));
+        out.push_str(&format!("{h:5.1}h {v:8.2} {}\n", "#".repeat(bar)));
     }
     out
 }

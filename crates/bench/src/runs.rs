@@ -1,14 +1,12 @@
 //! Experiment runners shared by the figure/table harnesses.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
-use turbopool_bufpool::PolicyStats;
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_engine::Database;
 use turbopool_iosim::{Time, HOUR, MILLISECOND, MINUTE};
 use turbopool_workload::driver::{CheckpointClient, CleanerClient, Driver, ThroughputRecorder};
-use turbopool_workload::scenario::{Design, SystemSpec};
+use turbopool_workload::scenario::Design;
 use turbopool_workload::{tpcc::Tpcc, tpce::Tpce};
 
 /// Which OLTP benchmark to run.
@@ -34,10 +32,6 @@ pub struct RunOptions {
     pub checkpoint: Option<Time>,
     /// Device traffic series bucket (Figure 8); `None` disables.
     pub io_series: Option<Time>,
-    /// Edit applied to the paper's [`SystemSpec`] before each database
-    /// opens (a no-op by default). The policy arena swaps policies and
-    /// shrinks both tiers here.
-    pub tweak: Rc<dyn Fn(&mut SystemSpec)>,
 }
 
 impl RunOptions {
@@ -49,7 +43,6 @@ impl RunOptions {
             lambda: 0.5,
             checkpoint: None,
             io_series: None,
-            tweak: Rc::new(|_| {}),
         }
     }
 
@@ -61,7 +54,6 @@ impl RunOptions {
             lambda: 0.01,
             checkpoint: Some(40 * MINUTE),
             io_series: None,
-            tweak: Rc::new(|_| {}),
         }
     }
 }
@@ -83,8 +75,6 @@ pub struct OltpRun {
     pub ssd: Option<SsdMetricsSnapshot>,
     /// Buffer pool counters.
     pub pool: turbopool_bufpool::PoolStats,
-    /// DRAM replacement-policy counters (all zero for plain LRU-2).
-    pub policy: PolicyStats,
     /// Disk-group device totals.
     pub disk: turbopool_iosim::StatSnapshot,
     /// SSD device totals.
@@ -111,24 +101,14 @@ fn attach(
 ) -> Arc<Database> {
     let db = match kind {
         OltpKind::TpcC { warehouses } => {
-            let t = Arc::new(Tpcc::setup_tweak(
-                design,
-                warehouses,
-                opts.lambda,
-                &*opts.tweak,
-            ));
+            let t = Arc::new(Tpcc::setup(design, warehouses, opts.lambda));
             for c in 0..opts.clients {
                 driver.add_in_domain(domain, 0, Box::new(t.client(c as u64, Arc::clone(metric))));
             }
             Arc::clone(&t.db)
         }
         OltpKind::TpcE { customers } => {
-            let t = Arc::new(Tpce::setup_tweak(
-                design,
-                customers,
-                opts.lambda,
-                &*opts.tweak,
-            ));
+            let t = Arc::new(Tpce::setup(design, customers, opts.lambda));
             for c in 0..opts.clients {
                 driver.add_in_domain(domain, 0, Box::new(t.client(c as u64, Arc::clone(metric))));
             }
@@ -171,7 +151,6 @@ fn collect(
         series,
         ssd: db.ssd_metrics(),
         pool: db.pool_stats(),
-        policy: db.policy_stats(),
         disk: db.io().disk_stats(),
         ssd_dev: db.io().ssd_stats(),
         disk_series: db.io().disk_series(),

@@ -12,14 +12,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod policy;
 pub mod pool;
 pub mod readahead;
 pub mod traits;
 
-pub use admission::{AdmissionKind, AdmissionPolicy, AdmitVerdict};
-pub use policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
+pub use policy::PolicyStats;
 pub use pool::{BufferPool, BufferPoolConfig, PageGuard, PoolStats};
 pub use readahead::{Classifier, ClassifierKind, ClassifierStats, ScanCursor};
 pub use traits::{DirectIo, PageIo};

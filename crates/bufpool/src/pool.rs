@@ -1,4 +1,4 @@
-//! The buffer pool proper: frames, hash table, pluggable replacement, guards.
+//! The buffer pool proper: frames, hash table, LRU-2 replacement, guards.
 //!
 //! One latch covers the page table, frame metadata, free list and
 //! replacement policy; a slot index means the same frame everywhere (the
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use turbopool_iosim::sync::{Mutex, MutexGuard, RwLock};
 use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap, Time};
 
-use crate::policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
+use crate::policy::{Lru2Policy, PolicyStats};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
 use crate::traits::PageIo;
 
@@ -44,9 +44,6 @@ pub struct BufferPoolConfig {
     pub fill_expansion: u64,
     /// How page accesses are classified random/sequential (§2.2).
     pub classifier: ClassifierKind,
-    /// Which replacement policy picks eviction victims (LRU-2 is the
-    /// paper's choice and the regression-gated default).
-    pub replacement: ReplacementKind,
 }
 
 impl BufferPoolConfig {
@@ -57,7 +54,6 @@ impl BufferPoolConfig {
             db_pages,
             fill_expansion: 8,
             classifier: ClassifierKind::ReadAhead,
-            replacement: ReplacementKind::Lru2,
         }
     }
 }
@@ -144,10 +140,9 @@ struct Table {
     /// by guard drops through the pool's handle, latch-free.
     pins: Arc<[AtomicU32]>,
     free: Vec<usize>,
-    /// Victim selection + access bookkeeping, behind the policy trait.
-    /// The default [`ReplacementKind::Lru2`] reproduces the pre-trait
-    /// hardwired LRU-2 bit-for-bit (see `tests/policy_default_regression`).
-    policy: Box<dyn ReplacementPolicy>,
+    /// Victim selection + access bookkeeping (pinned bit-for-bit by
+    /// `tests/policy_default_regression`).
+    policy: Lru2Policy,
     filled_once: bool,
     stats: PoolStats,
     /// Intrusive doubly-linked list of dirty frames, so checkpoints and
@@ -161,13 +156,13 @@ struct Table {
 }
 
 impl Table {
-    fn new(frames: usize, replacement: ReplacementKind) -> Self {
+    fn new(frames: usize) -> Self {
         Table {
             map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             meta: vec![FrameMeta::empty(); frames],
             pins: (0..frames).map(|_| AtomicU32::new(0)).collect(),
             free: (0..frames).rev().collect(),
-            policy: replacement.build(frames),
+            policy: Lru2Policy::new(frames),
             filled_once: false,
             stats: PoolStats::default(),
             dprev: vec![NIL; frames],
@@ -231,7 +226,7 @@ impl Table {
         // frame metadata through the callback.
         let (policy, meta, pins) = (&mut self.policy, &self.meta, &self.pins);
         let slot = policy
-            .select_victim(&mut |s| meta[s].pid.is_some() && unpinned(&pins[s]))
+            .select_victim(|s| meta[s].pid.is_some() && unpinned(&pins[s]))
             // lint: allow(panic) — an unpinnable pool is a caller bug; the paper's pool sizes guarantee headroom.
             .expect("buffer pool exhausted: every frame is pinned");
         let m = self.meta[slot];
@@ -294,7 +289,7 @@ pub struct BufferPool {
 impl BufferPool {
     pub fn new(cfg: BufferPoolConfig, layer: Arc<dyn PageIo>) -> Self {
         assert!(cfg.frames > 0, "pool needs at least one frame");
-        let table = Table::new(cfg.frames, cfg.replacement);
+        let table = Table::new(cfg.frames);
         let zero = PageBuf::zeroed(cfg.page_size);
         let mut data = Vec::with_capacity(cfg.frames);
         data.resize_with(cfg.frames, || RwLock::new(zero.clone()));
@@ -476,7 +471,7 @@ impl BufferPool {
         t.meta[slot] = FrameMeta::empty();
         // The installer's own pin; no guard was ever made for it.
         t.pins[slot].fetch_sub(1, Ordering::Release);
-        t.policy.on_remove(slot, pid);
+        t.policy.on_remove(slot);
         t.free.push(slot);
     }
 
@@ -579,11 +574,7 @@ impl BufferPool {
             // LRU-2 a single touch would leave the page with an empty
             // penultimate stamp, making it the preferred victim — a full
             // pool would evict read-ahead pages before the scan consumes
-            // them, degrading every scan page to a random read. Other
-            // policies interpret the extra access in their own idiom
-            // (CLOCK/SIEVE set the reference bit, ARC promotes to
-            // protected), matching the read-ahead page protection of a
-            // production buffer manager.
+            // them, degrading every scan page to a random read.
             t.policy.on_install(slot, pid);
             t.policy.on_access(slot);
             t.stats.prefetched_pages += 1;
@@ -688,14 +679,9 @@ impl BufferPool {
         s
     }
 
-    /// Replacement-policy counter snapshot (ghost hits, scan cost, …).
+    /// Replacement-policy counter snapshot (history adoptions, scan cost).
     pub fn policy_stats(&self) -> PolicyStats {
         self.lock_table().policy.stats()
-    }
-
-    /// Short name of the active replacement policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.lock_table().policy.name()
     }
 
     /// Classifier confusion-matrix snapshot (§2.2 accuracy experiment).

@@ -138,7 +138,6 @@ mod tests {
         cfg.lambda = lambda;
         cfg.alpha = alpha;
         cfg.partitions = 1;
-        cfg.lambda_slack = 0.05;
         let mgr = Arc::new(SsdManager::new(cfg, Arc::clone(&io)));
         let cleaner = LazyCleaner::new(Arc::clone(&mgr));
         (io, mgr, cleaner)
@@ -162,8 +161,10 @@ mod tests {
     #[test]
     fn idle_at_low_water() {
         let (_io, mgr, mut cleaner) = lc(100, 0.5, 8);
-        let t = dirty_pages(&mgr, 45);
-        // At the low-water mark (45): nothing to gain, truly idle.
+        let low = mgr.config().dirty_low_water();
+        assert!(low < mgr.config().dirty_high_water());
+        let t = dirty_pages(&mgr, low);
+        // At the low-water mark: nothing to gain, truly idle.
         let mut clk = Clk::at(t);
         assert_eq!(cleaner.step(&mut clk), CleanerStep::Idle);
         assert_eq!(clk.now, t);
@@ -197,9 +198,10 @@ mod tests {
                 CleanerStep::Cleaned(n) => cleaned += n,
             }
         }
-        // low water = (0.5 - 0.05) * 100 = 45.
-        assert!(mgr.dirty_count() <= 45, "dirty={}", mgr.dirty_count());
-        assert!(cleaned >= 15);
+        // Drained to ⌊(λ − LAMBDA_SLACK)·S⌋ = 49, not merely below λ·S.
+        let low = mgr.config().dirty_low_water();
+        assert!(mgr.dirty_count() <= low, "dirty={}", mgr.dirty_count());
+        assert!(cleaned as u64 >= 60 - low);
         assert!(clk.now > t, "cleaning consumed virtual time");
     }
 

@@ -2,8 +2,6 @@
 //! extension knobs some run varies. A value only one setting of which is
 //! ever used is a named constant beside the code that reads it.
 
-use turbopool_bufpool::AdmissionKind;
-
 /// While the SSD is flagged fail-slow, every n-th hedge-eligible decision
 /// still goes to the SSD as a canary probe — a fully-hedged device would
 /// otherwise produce no more latency samples and the detector could never
@@ -14,6 +12,10 @@ pub const HEDGE_PROBE_INTERVAL: u64 = 16;
 /// cleaner ignores disk congestion, because unchecked dirty growth would
 /// strand the recovery path.
 pub const CLEANER_DIRTY_CEILING: f64 = 0.75;
+
+/// After a cleaning burst, the dirty count is brought to `λ·S − slack·S`
+/// ("about 0.01% of the SSD space below the threshold").
+pub const LAMBDA_SLACK: f64 = 0.0001;
 
 /// Which dirty-page design the SSD manager runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -76,9 +78,6 @@ pub struct SsdConfig {
     /// `λ`: dirty fraction of SSD space above which the lazy cleaner runs
     /// (§2.3.3); 1% for TPC-E/H, 50% for TPC-C in the paper.
     pub lambda: f64,
-    /// After a cleaning burst, dirty count is brought to `λ·S − slack·S`
-    /// ("about 0.01% of the SSD space below the threshold").
-    pub lambda_slack: f64,
     /// TAC extent size in pages (32 in the paper).
     pub tac_extent_pages: u64,
     /// Multi-page read handling.
@@ -87,18 +86,6 @@ pub struct SsdConfig {
     /// SSD buffer table in each checkpoint record and re-import still-valid
     /// entries after a crash, skipping the multi-hour SSD ramp-up.
     pub warm_restart: bool,
-    /// Fault-tolerance extension: number of SSD I/O errors (transient,
-    /// checksum, or device-dead) tolerated before the manager quarantines
-    /// the SSD and degrades to the noSSD path. A `DeviceDead` error always
-    /// quarantines immediately regardless of the remaining budget.
-    /// Default 64: wide enough to ride out a transient-error storm, small
-    /// enough that a persistently erroring device is retired quickly.
-    pub ssd_error_budget: u64,
-    /// Which admission policy qualifies pages for the SSD.
-    /// [`AdmissionKind::DesignDefault`] is the paper's per-design rule
-    /// (random-class-only for CW/DW/LC, extent temperature for TAC) and
-    /// is regression-gated; the alternatives feed the policy-arena bench.
-    pub admission: AdmissionKind,
 }
 
 impl SsdConfig {
@@ -112,12 +99,9 @@ impl SsdConfig {
             partitions: 16,
             alpha: 32,
             lambda: 0.50,
-            lambda_slack: 0.0001,
             tac_extent_pages: 32,
             multipage: MultiPageMode::Trim,
             warm_restart: false,
-            ssd_error_budget: 64,
-            admission: AdmissionKind::DesignDefault,
         }
     }
 
@@ -133,7 +117,7 @@ impl SsdConfig {
 
     /// Absolute dirty-page count a cleaning burst drains down to.
     pub fn dirty_low_water(&self) -> u64 {
-        let low = self.frames as f64 * (self.lambda - self.lambda_slack);
+        let low = self.frames as f64 * (self.lambda - LAMBDA_SLACK);
         low.max(0.0) as u64
     }
 

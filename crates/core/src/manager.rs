@@ -3,7 +3,7 @@
 //! Implements [`PageIo`], interposing the SSD between the buffer manager
 //! and the disk manager. Pages enter the SSD when they are evicted from the
 //! memory pool (never on read — that is TAC's flow, see `tac.rs`), guarded
-//! by the admission policy (randomly-read pages only, except during the
+//! by the admission rule (randomly-read pages only, except during the
 //! aggressive-filling phase) and the throttle control. Replacement is LRU-2
 //! over the clean heap; dirty pages (LC only) are protected from
 //! replacement until the lazy cleaner or a checkpoint flushes them.
@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool_bufpool::{AdmissionPolicy, AdmitVerdict, PageIo};
+use turbopool_bufpool::PageIo;
 use turbopool_iosim::sync::{Mutex, MutexGuard};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
@@ -21,6 +21,14 @@ use crate::audit::{AuditOp, InvariantAuditor};
 use crate::config::{MultiPageMode, SsdConfig, SsdDesign, HEDGE_PROBE_INTERVAL};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
+
+/// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
+/// device-dead) tolerated before a manager quarantines the SSD and
+/// degrades to the noSSD path; a `DeviceDead` error quarantines at once.
+/// 64 is wide enough to ride out a transient-error storm, small enough
+/// that a persistently erroring device is retired quickly. Read by both
+/// managers' `note_ssd_error`.
+pub const SSD_ERROR_BUDGET: u64 = 64;
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
 enum Reclaimed {
@@ -74,7 +82,7 @@ pub struct SsdManager {
     /// True once the SSD has been quarantined (device death or error
     /// budget exhausted); every path then degrades to direct-to-disk.
     quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against `cfg.ssd_error_budget`.
+    /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
     ssd_errors: AtomicU64,
     /// Degraded-mode decision counter driving canary probes: every
     /// [`HEDGE_PROBE_INTERVAL`]-th hedge-eligible decision still goes
@@ -84,10 +92,6 @@ pub struct SsdManager {
     /// Dirty pages whose sole (SSD) copy was lost to corruption or
     /// quarantine, awaiting WAL-tail salvage by the engine.
     stranded: Mutex<Vec<PageId>>,
-    /// Admission policy qualifying pages for the SSD. The default
-    /// (`AdmissionKind::DesignDefault`) is the paper's random-class rule;
-    /// orthogonal gates (quarantine, throttle, hedging) run before it.
-    admission: Box<dyn AdmissionPolicy>,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
     /// Shadow state machine validating every buffer-table transition.
@@ -116,9 +120,7 @@ impl SsdManager {
             base += frames;
         }
         let auditor = InvariantAuditor::new(cfg.design);
-        let admission = cfg.admission.build(cfg.frames as usize);
         SsdManager {
-            admission,
             cfg,
             io,
             parts,
@@ -170,7 +172,7 @@ impl SsdManager {
             SsdMetrics::bump(&self.metrics.checksum_misses);
         }
         let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > self.cfg.ssd_error_budget {
+        if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
             self.quarantine();
         }
     }
@@ -510,10 +512,6 @@ impl SsdManager {
             self.audit(rec.pid, AuditOp::Replace);
             self.occupancy.fetch_sub(1, Ordering::Relaxed);
             SsdMetrics::bump(&self.metrics.replacements);
-            // Ghost-qualifying policies give replaced pages a fast path
-            // back in (no-op for the default). Lock order: `parts` is
-            // held; the policy's internal `ghost` lock is a leaf.
-            self.admission.note_evicted(rec.pid);
             return Reclaimed::Direct;
         }
         // All pages dirty: detach the oldest for inline cleaning.
@@ -522,7 +520,6 @@ impl SsdManager {
             self.occupancy.fetch_sub(1, Ordering::Relaxed);
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
             SsdMetrics::bump(&self.metrics.replacements);
-            self.admission.note_evicted(rec.pid);
             return Reclaimed::DirtyDeferred {
                 idx: oldest,
                 victim: rec.pid,
@@ -870,6 +867,14 @@ impl SsdManager {
     }
 }
 
+/// The paper's CW/DW/LC admission rule (§2.2): while filling admit
+/// everything, else randomly-read pages only — sequential traffic is cheap
+/// on disk and would pollute the SSD. Orthogonal gates (quarantine,
+/// throttle, hedging) are the callers'.
+fn admits(class: Locality, filling: bool) -> bool {
+    filling || class == Locality::Random
+}
+
 /// The bodies behind the [`PageIo`] entry points, each written once for
 /// both forms a page crosses the seam in: a byte slice to copy, or a
 /// [`PageBuf`] image to share.
@@ -976,20 +981,12 @@ impl SsdManager {
             }
         }
 
-        // For `DesignDefault` this is the paper's rule verbatim: admit
-        // while filling, else random-class only.
-        match self.admission.admit(pid, class, self.filling()) {
-            AdmitVerdict::Admit => {}
-            AdmitVerdict::AdmitGhost => {
-                SsdMetrics::bump(&self.metrics.admission_ghost_hits);
+        if !admits(class, self.filling()) {
+            SsdMetrics::bump(&self.metrics.policy_rejections);
+            if dirty {
+                self.disk_write(now, pid, data);
             }
-            AdmitVerdict::Reject => {
-                SsdMetrics::bump(&self.metrics.policy_rejections);
-                if dirty {
-                    self.disk_write(now, pid, data);
-                }
-                return;
-            }
+            return;
         }
         let queue_full = self.throttled(now);
         if queue_full {
@@ -1057,17 +1054,10 @@ impl SsdManager {
         };
         // DW extension (§3.2): during a checkpoint, admission-qualified
         // dirty pages are written to the SSD as well, filling it faster.
-        // `filling = false` on purpose: the pre-trait rule was plain
-        // `class == Random` with no aggressive-filling term here, and the
-        // default policy must reproduce it exactly.
+        // `filling = false` on purpose: the mirror admits random-class
+        // pages only, with no aggressive-filling term.
         if self.cfg.design == SsdDesign::DualWrite
-            && {
-                let v = self.admission.admit(pid, class, false);
-                if v == AdmitVerdict::AdmitGhost {
-                    SsdMetrics::bump(&self.metrics.admission_ghost_hits);
-                }
-                v.admitted()
-            }
+            && admits(class, false)
             && !self.is_quarantined()
             && !self.throttled(now)
         {
@@ -1370,6 +1360,13 @@ mod tests {
 
     fn page(tag: u8) -> Vec<u8> {
         vec![tag; PS]
+    }
+
+    #[test]
+    fn random_only_matches_the_paper_rule() {
+        assert!(admits(Locality::Random, false));
+        assert!(!admits(Locality::Sequential, false));
+        assert!(admits(Locality::Sequential, true));
     }
 
     #[test]
@@ -1776,12 +1773,13 @@ mod tests {
 
     #[test]
     fn error_budget_exhaustion_quarantines() {
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 16)));
-        let mut cfg = SsdConfig::new(SsdDesign::DualWrite, 16);
+        // One cached page per error the budget tolerates, plus one.
+        let n = SSD_ERROR_BUDGET + 1;
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2 * n)));
+        let mut cfg = SsdConfig::new(SsdDesign::DualWrite, 2 * n);
         cfg.partitions = 1;
-        cfg.ssd_error_budget = 2;
         let m = SsdManager::new(cfg, Arc::clone(&io));
-        for i in 0..3u64 {
+        for i in 0..n {
             m.evict_page(0, PageId(i), &page(i as u8), false, Locality::Random);
         }
         // All SSD reads now fail (even after retries).
@@ -1790,13 +1788,14 @@ mod tests {
         io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
         let mut clk = Clk::new();
         let mut buf = page(0);
-        for i in 0..3u64 {
+        for i in 0..n {
+            assert!(!m.is_quarantined(), "{i} errors are within the budget");
             m.read_page(&mut clk, PageId(i), Locality::Random, &mut buf)
                 .unwrap();
         }
-        // Third error exceeded the budget of 2.
+        // Error budget + 1 exceeded it.
         assert!(m.is_quarantined());
-        assert_eq!(m.metrics.snapshot().ssd_io_errors, 3);
+        assert_eq!(m.metrics.snapshot().ssd_io_errors, n);
     }
 
     #[test]

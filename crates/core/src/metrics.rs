@@ -22,10 +22,6 @@ turbopool_iosim::counters! {
         pub fill_admissions,
         /// Evictions rejected by the admission policy (sequential class).
         pub policy_rejections,
-        /// Admissions granted by a ghost hit (the `GhostHit` admission
-        /// policy re-admitting a recently rejected or replaced page; always
-        /// 0 under `DesignDefault`).
-        pub admission_ghost_hits,
         /// SSD frames reclaimed by replacement.
         pub replacements,
         /// Invalidations triggered by in-memory dirtying.

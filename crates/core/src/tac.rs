@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use turbopool_iosim::sync::{Mutex, MutexGuard};
 
-use turbopool_bufpool::{AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
+use turbopool_bufpool::PageIo;
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc,
     PidMap, Time,
@@ -45,6 +45,7 @@ use turbopool_iosim::{
 
 use crate::audit::{AuditOp, InvariantAuditor};
 use crate::config::{SsdConfig, HEDGE_PROBE_INTERVAL};
+use crate::manager::SSD_ERROR_BUDGET;
 use crate::metrics::SsdMetrics;
 
 #[derive(Debug, Clone, Copy)]
@@ -81,16 +82,11 @@ pub struct TacCache {
     /// True once the SSD has been quarantined; TAC then runs write-through
     /// to disk only (its natural degradation — nothing is ever stranded).
     quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against `cfg.ssd_error_budget`.
+    /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
     ssd_errors: AtomicU64,
     /// Degraded-mode decision counter driving canary probes (see
     /// [`TacCache::hedge_or_probe`]).
     probe_tick: AtomicU64,
-    /// Non-default admission policies (`AdmitAll`, `GhostHit`) replace
-    /// TAC's extent-temperature comparison; `DesignDefault` keeps the
-    /// inline temperature rule (it needs the extent table) and never
-    /// consults this object.
-    admission: Box<dyn AdmissionPolicy>,
     pub metrics: SsdMetrics,
     /// Shadow state machine validating every buffer-table transition.
     auditor: InvariantAuditor,
@@ -100,9 +96,7 @@ impl TacCache {
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         let frames = cfg.frames as usize;
-        let admission = cfg.admission.build(frames);
         TacCache {
-            admission,
             cfg,
             io,
             inner: Mutex::new(TacTable {
@@ -146,7 +140,7 @@ impl TacCache {
             SsdMetrics::bump(&self.metrics.checksum_misses);
         }
         let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > self.cfg.ssd_error_budget {
+        if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
             self.quarantine();
         }
     }
@@ -346,31 +340,7 @@ impl TacCache {
 
     /// Admit `pid` (already read from disk) into the SSD at `now`,
     /// following TAC's admission/replacement rule.
-    /// Free a frame for a qualified admission: take a free frame if one
-    /// exists, else replace the coldest valid resident page. Used by the
-    /// non-default admission kinds, which decide *whether* to admit
-    /// without consulting temperature but still evict coldest-first.
-    fn place_replacing_coldest(&self, tab: &mut TacTable) -> Option<usize> {
-        if let Some(f) = tab.free.pop() {
-            return Some(f);
-        }
-        let (_cold, cold_frame) = self.pop_coldest_valid(tab)?;
-        // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
-        let old = tab.records[cold_frame].take().unwrap();
-        tab.map.remove(&old.pid);
-        self.audit(old.pid, AuditOp::Replace);
-        SsdMetrics::bump(&self.metrics.replacements);
-        self.admission.note_evicted(old.pid);
-        Some(cold_frame)
-    }
-
-    fn admit_on_read<S: PageSrc + ?Sized>(
-        &self,
-        now: Time,
-        pid: PageId,
-        data: &S,
-        class: Locality,
-    ) {
+    fn admit_on_read<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
         if self.is_quarantined() {
             return;
         }
@@ -387,55 +357,36 @@ impl TacCache {
             return;
         }
         let filling = tab.map.len() < self.cfg.fill_target() as usize;
-        let frame = match self.cfg.admission {
-            AdmissionKind::DesignDefault => {
-                if filling {
-                    // Aggressive filling: admit everything while below τ.
-                    tab.free.pop()
-                } else {
-                    // Qualified admission: the page's extent must be hotter
-                    // than the coldest extent resident in the SSD.
-                    let my_temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
-                    match self.pop_coldest_valid(&mut tab) {
-                        Some((cold, cold_frame)) if my_temp > cold => {
-                            if let Some(f) = tab.free.pop() {
-                                // A free frame exists; keep the cold page.
-                                tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
-                                Some(f)
-                            } else {
-                                // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
-                                let old = tab.records[cold_frame].take().unwrap();
-                                tab.map.remove(&old.pid);
-                                self.audit(old.pid, AuditOp::Replace);
-                                SsdMetrics::bump(&self.metrics.replacements);
-                                Some(cold_frame)
-                            }
-                        }
-                        Some((cold, cold_frame)) => {
-                            // Not hot enough; put the candidate back.
-                            tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
-                            SsdMetrics::bump(&self.metrics.policy_rejections);
-                            None
-                        }
-                        // No valid page to compare against: admit if space
-                        // exists.
-                        None => tab.free.pop(),
+        let frame = if filling {
+            // Aggressive filling: admit everything while below τ.
+            tab.free.pop()
+        } else {
+            // Qualified admission: the page's extent must be hotter than
+            // the coldest extent resident in the SSD.
+            let my_temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
+            match self.pop_coldest_valid(&mut tab) {
+                Some((cold, cold_frame)) if my_temp > cold => {
+                    if let Some(f) = tab.free.pop() {
+                        // A free frame exists; keep the cold page.
+                        tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
+                        Some(f)
+                    } else {
+                        // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
+                        let old = tab.records[cold_frame].take().unwrap();
+                        tab.map.remove(&old.pid);
+                        self.audit(old.pid, AuditOp::Replace);
+                        SsdMetrics::bump(&self.metrics.replacements);
+                        Some(cold_frame)
                     }
                 }
-            }
-            AdmissionKind::AdmitAll | AdmissionKind::GhostHit => {
-                let verdict = self.admission.admit(pid, class, filling);
-                match verdict {
-                    AdmitVerdict::Admit => self.place_replacing_coldest(&mut tab),
-                    AdmitVerdict::AdmitGhost => {
-                        SsdMetrics::bump(&self.metrics.admission_ghost_hits);
-                        self.place_replacing_coldest(&mut tab)
-                    }
-                    AdmitVerdict::Reject => {
-                        SsdMetrics::bump(&self.metrics.policy_rejections);
-                        None
-                    }
+                Some((cold, cold_frame)) => {
+                    // Not hot enough; put the candidate back.
+                    tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
+                    SsdMetrics::bump(&self.metrics.policy_rejections);
+                    None
                 }
+                // No valid page to compare against: admit if space exists.
+                None => tab.free.pop(),
             }
         };
         let Some(frame) = frame else { return };
@@ -546,7 +497,7 @@ impl TacCache {
         self.disk_read(clk, pid, class, buf)?;
         // TAC writes the page to the SSD immediately after the disk read
         // (§2.5 page flow, step ii).
-        self.admit_on_read(clk.now, pid, buf, class);
+        self.admit_on_read(clk.now, pid, buf);
         Ok(())
     }
 
@@ -793,7 +744,7 @@ impl PageIo for TacCache {
                 // admitted ("before the SSD is full, all pages are
                 // admitted"). After filling, cold extents are rejected by
                 // the temperature rule inside.
-                self.admit_on_read(tmp.now, pid, page, Locality::Sequential);
+                self.admit_on_read(tmp.now, pid, page);
             }
             out.extend(pages);
         }

@@ -29,11 +29,6 @@
 //!   storage errors feed the graceful-degradation machinery (retry,
 //!   quarantine, WAL salvage) and silently dropping one loses data.
 //!   Justify exceptions with a `// lint: allow(io-error)` comment.
-//! * **L12 `policy-match`** — the same exhaustiveness contract as L4 for
-//!   the buffer-policy enums: a `match` over a plain `replacement`
-//!   (`ReplacementKind`) or `admission` (`AdmissionKind`) scrutinee must
-//!   name every variant and use no `_` arm, so a newly added policy
-//!   cannot be silently funneled into some default behavior.
 //!
 //! On top of the per-line rules, a token-stream call graph ([`graph`])
 //! powers the interprocedural rules:
@@ -76,7 +71,6 @@ pub enum Rule {
     Panic,
     LockOrder,
     DesignMatch,
-    PolicyMatch,
     Unsafe,
     IoError,
     ThreadSpawn,
@@ -93,7 +87,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::LockOrder => "lock-order",
             Rule::DesignMatch => "design-match",
-            Rule::PolicyMatch => "policy-match",
             Rule::Unsafe => "unsafe",
             Rule::IoError => "io-error",
             Rule::ThreadSpawn => "thread-spawn",
@@ -542,7 +535,6 @@ fn scan_with(cfg: &Config, g: &Graph, rel: &Path, p: &Prepared) -> Vec<Finding> 
     }
     rule_lock_order(cfg, p, rel, &mut out);
     rule_design_match(p, rel, &mut out);
-    rule_policy_match(p, rel, &mut out);
     rule_unsafe(p, rel, &mut out);
     rule_thread_spawn(p, rel, &rel_str, &mut out);
     rule_determinism(g, p, rel, &rel_str, is_fixture, &mut out);
@@ -1066,57 +1058,10 @@ fn parse_drop(stmt: &str) -> Option<String> {
 
 const DESIGNS: &[&str] = &["CleanWrite", "DualWrite", "LazyCleaning", "Tac"];
 
+/// A `match` whose plain scrutinee is (or ends in) `design` must name
+/// every [`DESIGNS`] entry and carry no `_` arm. Tuple scrutinees are
+/// exempt: those are transition tables, exhaustive per-row.
 fn rule_design_match(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
-    rule_enum_match(
-        p,
-        rel,
-        out,
-        Rule::DesignMatch,
-        &["design"],
-        DESIGNS,
-        "SsdDesign",
-    );
-}
-
-// ---------------------------------------------------------------- L12 ---
-
-const REPLACEMENTS: &[&str] = &["Lru2", "Clock", "Sieve", "LruK", "Ghost"];
-const ADMISSIONS: &[&str] = &["DesignDefault", "AdmitAll", "GhostHit"];
-
-fn rule_policy_match(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
-    rule_enum_match(
-        p,
-        rel,
-        out,
-        Rule::PolicyMatch,
-        &["replacement"],
-        REPLACEMENTS,
-        "ReplacementKind",
-    );
-    rule_enum_match(
-        p,
-        rel,
-        out,
-        Rule::PolicyMatch,
-        &["admission"],
-        ADMISSIONS,
-        "AdmissionKind",
-    );
-}
-
-/// Shared engine for L4/L12: a `match` whose plain scrutinee is (or ends
-/// in) one of `suffixes` must name every entry of `variants` and carry no
-/// `_` arm. Tuple scrutinees are exempt: those are transition tables,
-/// exhaustive per-row.
-fn rule_enum_match(
-    p: &Prepared,
-    rel: &Path,
-    out: &mut Vec<Finding>,
-    rule: Rule,
-    suffixes: &[&str],
-    variants: &[&str],
-    enum_name: &str,
-) {
     // Flatten to one string with line markers for cross-line matches.
     let joined: Vec<(usize, &str)> = p
         .code
@@ -1151,9 +1096,7 @@ fn rule_enum_match(
             let s = scrutinee.trim();
             // Plain scrutinee only: tuples are transition tables.
             let hit = !s.starts_with('(')
-                && suffixes.iter().any(|suf| {
-                    s == *suf || s.ends_with(&format!(".{suf}")) || s.ends_with(&format!(" {suf}"))
-                });
+                && (s == "design" || s.ends_with(".design") || s.ends_with(" design"));
             if !hit {
                 continue;
             }
@@ -1192,7 +1135,7 @@ fn rule_enum_match(
                 l += 1;
                 c = 0;
             }
-            let missing: Vec<&str> = variants
+            let missing: Vec<&str> = DESIGNS
                 .iter()
                 .filter(|d| !body.contains(*d))
                 .copied()
@@ -1204,11 +1147,11 @@ fn rule_enum_match(
                     format!("does not name {missing:?}")
                 };
                 out.push(Finding {
-                    rule,
+                    rule: Rule::DesignMatch,
                     file: rel.to_path_buf(),
                     line: ln + 1,
                     message: format!(
-                        "`match` over {enum_name} {what} — every variant must be handled \
+                        "`match` over SsdDesign {what} — every variant must be handled \
                          explicitly so adding one is a compile-surface event"
                     ),
                 });
@@ -1812,29 +1755,6 @@ mod tests {
         assert!(scan("crates/core/src/y.rs", tuple)
             .iter()
             .all(|f| f.rule != Rule::DesignMatch));
-    }
-
-    #[test]
-    fn policy_match_requires_all_variants() {
-        let bad = "fn f(&self) { match self.cfg.replacement {\n ReplacementKind::Lru2 => 1,\n _ => 2,\n }; }\n";
-        let f = scan("crates/bufpool/src/y.rs", bad);
-        assert!(f.iter().any(|f| f.rule == Rule::PolicyMatch), "{f:?}");
-        let good = "fn f(&self) { match self.cfg.replacement {\n ReplacementKind::Lru2 => 1,\n ReplacementKind::Clock => 2,\n ReplacementKind::Sieve => 3,\n ReplacementKind::LruK { k } => k,\n ReplacementKind::Ghost => 5,\n }; }\n";
-        assert!(scan("crates/bufpool/src/y.rs", good)
-            .iter()
-            .all(|f| f.rule != Rule::PolicyMatch));
-        let bad_adm = "fn f(&self) { match self.cfg.admission {\n AdmissionKind::DesignDefault => 1,\n AdmissionKind::AdmitAll => 2,\n }; }\n";
-        let f = scan("crates/core/src/y.rs", bad_adm);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == Rule::PolicyMatch && f.message.contains("GhostHit")),
-            "{f:?}"
-        );
-        // Other scrutinees that merely *contain* the word are exempt.
-        let unrelated = "fn f(v: AdmitVerdict) { match verdict {\n AdmitVerdict::Admit => 1,\n _ => 2,\n }; }\n";
-        assert!(scan("crates/core/src/y.rs", unrelated)
-            .iter()
-            .all(|f| f.rule != Rule::PolicyMatch));
     }
 
     #[test]

@@ -91,23 +91,6 @@ fn design_match_fixture_fires() {
 }
 
 #[test]
-fn policy_match_fixture_fires() {
-    let f = fixture("policy_match.rs");
-    let hits: Vec<_> = f.iter().filter(|f| f.rule == Rule::PolicyMatch).collect();
-    // bad_wildcard + bad_missing; the exhaustive and tuple-table
-    // functions must stay silent.
-    assert_eq!(
-        hits.len(),
-        2,
-        "expected exactly the two seeded findings: {f:#?}"
-    );
-    assert!(
-        hits.iter().any(|h| h.message.contains("GhostHit")),
-        "the missing-variant finding must name the absent policy: {f:#?}"
-    );
-}
-
-#[test]
 fn unsafe_fixture_fires() {
     let f = fixture("unsafe_audit.rs");
     let hits = f.iter().filter(|f| f.rule == Rule::Unsafe).count();

@@ -85,7 +85,7 @@ pub struct SystemSpec {
     /// Deterministic seed for the workload RNG streams.
     pub seed: u64,
     /// What [`build_db`] opens. Every pool and SSD knob is edited here, in
-    /// the config of the layer that reads it (`db.pool.replacement`,
+    /// the config of the layer that reads it (`db.pool.fill_expansion`,
     /// `db.pool.frames`; the SSD half through [`SystemSpec::ssd`]).
     pub db: DbConfig,
 }
@@ -154,7 +154,7 @@ mod tests {
     fn the_tree_a_spec_carries_is_the_tree_the_database_opens() {
         let tweak = |spec: &mut SystemSpec| {
             spec.db.pool.frames = 24;
-            spec.db.pool.replacement = turbopool_bufpool::ReplacementKind::Clock;
+            spec.db.pool.fill_expansion = 4;
             spec.ssd(|s| {
                 s.frames = 48;
                 s.lambda = 0.25;

@@ -147,8 +147,8 @@ impl Tpcc {
     }
 
     /// Like [`Tpcc::setup`] with a hook that edits the [`SystemSpec`]
-    /// before the database opens (replacement/admission policy overrides
-    /// for the policy-arena bench, alternative τ/μ, …).
+    /// before the database opens (the benchmark's seed, alternative τ/μ,
+    /// …).
     pub fn setup_tweak(
         design: Design,
         sw: u64,

@@ -101,8 +101,7 @@ impl Tpce {
     }
 
     /// Like [`Tpce::setup`] with a hook that edits the [`SystemSpec`]
-    /// before the database opens (replacement/admission policy overrides
-    /// for the policy-arena bench).
+    /// before the database opens (the benchmark's seed).
     pub fn setup_tweak(
         design: Design,
         customers: u64,

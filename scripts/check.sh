@@ -57,7 +57,4 @@ TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench brownout
 echo "==> recovery bench (quick, emits BENCH_recovery.json)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench recovery
 
-echo "==> policy arena bench (quick, emits BENCH_policy_arena.json)"
-TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench policy_arena
-
 echo "All checks passed."

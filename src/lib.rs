@@ -13,8 +13,8 @@
 //! * [`iosim`] — calibrated device models, virtual clock, backing stores.
 //! * [`wal`] — redo-only write-ahead log, sharp checkpoints, recovery.
 //! * [`bufpool`] — the main-memory buffer pool (LRU-2) and read-ahead.
-//! * [`core`] — the SSD manager: CW/DW/LC designs, TAC, admission and
-//!   replacement policies, and the §3.3 optimizations.
+//! * [`core`] — the SSD manager: CW/DW/LC designs, TAC, the paper's
+//!   admission rule and SSD LRU-2 replacement, and the §3.3 optimizations.
 //! * [`engine`] — a mini storage engine (heap files, B+-trees, transactions)
 //!   wired on top of the two buffer pools.
 //! * [`workload`] — TPC-C/E/H-like workload generators and the

@@ -13,7 +13,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool::bufpool::{AdmissionKind, ReplacementKind};
 use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig, HeapId};
 use turbopool::iosim::fault::{checksum, FaultConfig, FaultPlan};
@@ -103,15 +102,7 @@ struct Scenario {
     final_times: Vec<Arc<AtomicU64>>,
 }
 
-/// Buffer policies for one scenario; `DEFAULT_POLICY` is the paper's.
-type Policy = (ReplacementKind, AdmissionKind);
-const DEFAULT_POLICY: Policy = (ReplacementKind::Lru2, AdmissionKind::DesignDefault);
-
 fn build(design: SsdDesign, seed: u64, fault: Fault) -> Scenario {
-    build_policy(design, seed, fault, DEFAULT_POLICY)
-}
-
-fn build_policy(design: SsdDesign, seed: u64, fault: Fault, policy: Policy) -> Scenario {
     let mut dbs = Vec::new();
     let mut final_times = Vec::new();
     let mut driver = Driver::new();
@@ -120,10 +111,8 @@ fn build_policy(design: SsdDesign, seed: u64, fault: Fault, policy: Policy) -> S
         let mut cfg = DbConfig::small_for_tests();
         cfg.pool.db_pages = 1024;
         cfg.pool.frames = 4;
-        cfg.pool.replacement = policy.0;
         let mut s = SsdConfig::new(design, 64);
         s.partitions = 2;
-        s.admission = policy.1;
         cfg.ssd = Some(s);
         let db = Arc::new(Database::open(cfg));
         if fault == Fault::Transient {
@@ -283,49 +272,6 @@ fn parallel_is_bit_identical_to_sequential_on_every_design() {
                     par, seq,
                     "{design:?} seed {seed}: {threads}-thread run diverged from sequential"
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn policy_swap_is_bit_identical_to_sequential_on_every_design() {
-    // Every non-default replacement policy, against every SSD design and
-    // two seeds. The admission policy cycles with the seed so both
-    // non-default admission kinds cross every (replacement, design) cell.
-    let replacements = [
-        ReplacementKind::Clock,
-        ReplacementKind::Sieve,
-        ReplacementKind::LruK { k: 3 },
-        ReplacementKind::Ghost,
-    ];
-    for (ri, &replacement) in replacements.iter().enumerate() {
-        for (di, &design) in DESIGNS.iter().enumerate() {
-            for seed_no in 0..2u64 {
-                let admission = if seed_no == 0 {
-                    AdmissionKind::AdmitAll
-                } else {
-                    AdmissionKind::GhostHit
-                };
-                let policy = (replacement, admission);
-                let seed = 0x9013u64 + 977 * ri as u64 + 131 * di as u64 + seed_no;
-                let mut s = build_policy(design, seed, Fault::None, policy);
-                s.driver.run_until(END);
-                let seq = outcome(&s);
-                assert!(seq.steps > 0);
-                assert!(
-                    seq.final_times.iter().all(|&t| t > 0),
-                    "horizon too short under {policy:?}"
-                );
-                for threads in [2, 4, 8] {
-                    let mut s = build_policy(design, seed, Fault::None, policy);
-                    s.driver.run_until_parallel(END, threads);
-                    let par = outcome(&s);
-                    assert_eq!(
-                        par, seq,
-                        "{design:?} {policy:?} seed {seed}: {threads}-thread run diverged"
-                    );
-                }
             }
         }
     }

@@ -1,11 +1,9 @@
-//! Regression gate for the policy-API redesign (ISSUE 8): the *default*
-//! replacement policy (LRU-2) and the *default* SSD admission policy
-//! (`DesignDefault`) must reproduce the pre-refactor numbers exactly —
-//! same seeds ⇒ bit-identical pool/SSD counters, device totals, and page
-//! images. The fingerprints below were captured on the tree immediately
-//! before the `ReplacementPolicy` / `AdmissionPolicy` traits were
-//! introduced; any drift in the default path shows up here as a direct
-//! counter diff, not just a folded hash mismatch.
+//! Regression gate for the buffer policies: the pool's LRU-2 replacement
+//! and the paper's per-design SSD admission rule must reproduce the pinned
+//! numbers exactly — same seeds ⇒ bit-identical pool/SSD counters, device
+//! totals, and page images. The fingerprints below predate PR 8 and have
+//! held through every refactor of both policies since; any drift shows up
+//! here as a direct counter diff, not just a folded hash mismatch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,8 +34,8 @@ fn store_fp(store: &dyn PageStore) -> u64 {
 }
 
 /// Every observable counter of one finished run, folded in a fixed order.
-/// Only fields that existed *before* the policy refactor participate, so
-/// newly added counters can never mask a default-path regression.
+/// Only fields that existed when the fingerprints were captured
+/// participate, so newly added counters can never mask a regression.
 fn db_fingerprint(db: &Database, steps: u64) -> u64 {
     let mut h = 0u64;
     fold(&mut h, steps);
