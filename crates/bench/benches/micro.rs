@@ -4,6 +4,7 @@
 //! then reports mean ns/iter over a fixed iteration budget.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use turbopool_bench::{BenchReport, Json, WallTimer};
@@ -14,7 +15,7 @@ use turbopool_core::partition::Partition;
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
 use turbopool_engine::btree::find_in_leaf;
 use turbopool_engine::txn::diff_ranges;
-use turbopool_engine::{Database, DbConfig};
+use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, DbConfig};
 use turbopool_iosim::{
     fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageId, PidMap, MILLISECOND, SECOND,
 };
@@ -25,17 +26,25 @@ static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
 /// Time `iters` calls of `f` after `iters / 10` warmup calls and print
 /// mean ns/iter. Wall-clock by necessity: these measure real CPU cost of
 /// the data structures, not simulated I/O time.
-fn bench(name: &str, iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 {
+fn bench(name: &str, iters: u64, f: impl FnMut()) -> f64 {
+    bench_per(name, iters, 1, f)
+}
+
+/// [`bench`] for a body that does `units` units of work per call (pages
+/// written, say): `calls` timed calls, reported as mean ns per unit over
+/// `calls * units` iterations.
+fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
+    for _ in 0..calls / 10 {
         f();
     }
     // lint: allow(wallclock) — harness-side timing of real CPU work; the
     // virtual clock cannot observe host execution cost.
     let t0 = std::time::Instant::now();
-    for _ in 0..iters {
+    for _ in 0..calls {
         f();
     }
     let elapsed = t0.elapsed();
+    let iters = calls * units;
     let ns = elapsed.as_nanos() as f64 / iters as f64;
     println!("{name:<34} {ns:>10.1} ns/iter ({iters} iters)");
     if let Ok(mut r) = RESULTS.lock() {
@@ -547,6 +556,31 @@ fn bench_engine() {
     }
 }
 
+/// The restore path, per page written: a heap of 64-byte records (the TPC-E
+/// trade row) and a 2M-pair index at the workloads' 0.7 fill, each loaded
+/// over again in place.
+fn bench_loader() {
+    const HEAP_PAGES: u64 = 1024;
+    const PAIRS: u64 = 2_000_000;
+    let db = Database::open(DbConfig::new(FRAME, HEAP_PAGES + 8192, 64));
+    let mut clk = Clk::new();
+    let h = db.create_heap(&mut clk, "trade", 64, HEAP_PAGES);
+    let rows = db.heap_meta(h).capacity();
+    bench_per("bulk_load_heap_page", 50, HEAP_PAGES, || {
+        bulk_load_heap(&db, h, rows, |rid, rec| {
+            rec[8..16].copy_from_slice(&rid.to_le_bytes())
+        });
+    });
+    let idx = db.create_index(&mut clk, "trade_pk", 8000);
+    let cursor = db.index_meta(idx).cursor;
+    bulk_load_index(&db, idx, (0..PAIRS).map(|k| (k, k)), 0.7);
+    let pages = cursor.load(Ordering::Relaxed) + 1; // extent nodes + root
+    bench_per("bulk_load_index_leaf", 20, pages, || {
+        cursor.store(0, Ordering::Relaxed);
+        bulk_load_index(&db, idx, (0..PAIRS).map(|k| (k, k)), 0.7);
+    });
+}
+
 fn main() {
     let timer = WallTimer::start();
     bench_dual_heap();
@@ -564,6 +598,7 @@ fn main() {
     bench_read_run();
     bench_diff();
     bench_engine();
+    bench_loader();
 
     let rows = RESULTS.lock().map(|r| r.clone()).unwrap_or_default();
     let total_iters: u64 = rows.iter().map(|&(_, _, n)| n).sum();

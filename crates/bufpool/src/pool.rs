@@ -438,10 +438,6 @@ impl BufferPool {
         t.pin(slot);
         t.policy.on_access(slot);
         t.stats.hits += 1;
-        // Hits deliberately do NOT touch the classifier:
-        // `Classifier::observe_hit` is a no-op for every kind (the
-        // proximity window learns from I/O-layer traffic only), so the
-        // hit path pays for exactly one latch.
         Some(PageGuard {
             pool: self,
             slot,

@@ -124,11 +124,6 @@ impl Classifier {
         assigned
     }
 
-    /// A buffer hit: no classification happens (no I/O), but the proximity
-    /// rule's "previous read" position does not move either — it only sees
-    /// physical reads. Hits are recorded for completeness of the stream.
-    pub fn observe_hit(&mut self, _pid: PageId) {}
-
     pub fn stats(&self) -> ClassifierStats {
         self.stats
     }

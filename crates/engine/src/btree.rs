@@ -25,8 +25,8 @@ use turbopool_iosim::{Locality, PageId};
 
 use crate::txn::{PageMut, Txn};
 
-const LEAF: u8 = 0;
-const INTERNAL: u8 = 1;
+pub(crate) const LEAF: u8 = 0;
+pub(crate) const INTERNAL: u8 = 1;
 const HDR: usize = 16;
 const ENTRY: usize = 16;
 
@@ -88,7 +88,7 @@ fn extra(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[4..12].try_into().unwrap())
 }
 
-fn set_extra(b: &mut [u8], v: u64) {
+pub(crate) fn set_extra(b: &mut [u8], v: u64) {
     b[4..12].copy_from_slice(&v.to_le_bytes());
 }
 
@@ -132,7 +132,7 @@ fn entries(b: &[u8]) -> Vec<(u64, u64)> {
     (0..nkeys(b)).map(|i| entry(b, i)).collect()
 }
 
-fn write_entries(b: &mut [u8], es: &[(u64, u64)]) {
+pub(crate) fn write_entries(b: &mut [u8], es: &[(u64, u64)]) {
     for (i, &(k, v)) in es.iter().enumerate() {
         set_entry(b, i, k, v);
     }

@@ -26,6 +26,10 @@ pub trait PageStore: Send + Sync {
     /// pages all share one zero image.
     fn read_buf(&self, pid: PageId) -> PageBuf;
 
+    /// Make `image` page `pid`'s image: the store adopts the handle and no
+    /// bytes move.
+    fn write_buf(&self, pid: PageId, image: PageBuf);
+
     /// Capacity in pages.
     fn num_pages(&self) -> u64;
 
@@ -69,12 +73,6 @@ impl MemStore {
             .unwrap_or_else(|| panic!("page {pid} out of bounds ({} pages)", self.pages.len()))
     }
 
-    /// Make `image` page `pid`'s image: the store adopts the handle.
-    pub fn write_buf(&self, pid: PageId, image: PageBuf) {
-        assert_eq!(image.len(), self.zero.len(), "write size mismatch");
-        *self.slot(pid).write() = Some(image);
-    }
-
     /// Store `data` as page `pid`: an image is shared, a slice is copied —
     /// over the stored image in place while the store holds its only
     /// handle, so a steady stream of slice writes allocates nothing.
@@ -111,6 +109,11 @@ impl PageStore for MemStore {
 
     fn read_buf(&self, pid: PageId) -> PageBuf {
         self.slot(pid).read().as_ref().unwrap_or(&self.zero).clone()
+    }
+
+    fn write_buf(&self, pid: PageId, image: PageBuf) {
+        assert_eq!(image.len(), self.zero.len(), "write size mismatch");
+        *self.slot(pid).write() = Some(image);
     }
 
     fn num_pages(&self) -> u64 {

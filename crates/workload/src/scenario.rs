@@ -133,6 +133,14 @@ pub fn gb_to_pages(gb: f64) -> u64 {
     (gb * PAGES_PER_GB).round() as u64
 }
 
+/// Store each `(offset, value)` of `fields` into a bulk-loaded record as a
+/// little-endian `u64`.
+pub(crate) fn put_u64s(rec: &mut [u8], fields: &[(usize, u64)]) {
+    for &(off, v) in fields {
+        rec[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,15 +91,9 @@ impl Synthetic {
             "data_pk",
             (cfg.rows as f64 / leaf_cap * 1.4) as u64 + 16,
         );
-        bulk_load_heap(
-            &db,
-            heap,
-            (0..cfg.rows).map(|i| {
-                let mut r = vec![0u8; cfg.record_size];
-                r[0..8].copy_from_slice(&i.to_le_bytes());
-                r
-            }),
-        );
+        bulk_load_heap(&db, heap, cfg.rows, |i, rec| {
+            rec[0..8].copy_from_slice(&i.to_le_bytes())
+        });
         bulk_load_index(&db, index, (0..cfg.rows).map(|k| (k, k)), 0.7);
         Synthetic {
             db,

@@ -20,7 +20,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::{client_rng, nurand};
-use crate::scenario::{build_db, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
 
 /// Items in the (global) item table.
 pub const ITEMS: u64 = 10_000;
@@ -243,68 +243,41 @@ impl Tpcc {
         );
 
         // --- bulk load (restore-from-backup path; no simulated I/O) ---
-        let u64rec = |len: usize, vals: &[(usize, u64)]| {
-            let mut r = vec![0u8; len];
-            for &(off, v) in vals {
-                r[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            r
-        };
-        bulk_load_heap(
-            &db,
-            h_item,
-            (0..ITEMS).map(|i| u64rec(REC_ITEM, &[(0, 100 + i % 900)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_stock,
-            (0..sw * STOCK_PER_W).map(|_| u64rec(REC_STOCK, &[(0, 50)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_customer,
-            (0..sw * DISTRICTS * CUST_PER_DIST).map(|_| u64rec(REC_CUSTOMER, &[(0, 1000)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_district,
-            (0..sw * DISTRICTS)
-                .map(|_| u64rec(REC_DISTRICT, &[(0, PRELOAD_ORDERS), (8, PRELOAD_ORDERS)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_warehouse,
-            (0..sw).map(|_| u64rec(REC_WAREHOUSE, &[])),
-        );
+        bulk_load_heap(&db, h_item, ITEMS, |i, rec| {
+            put_u64s(rec, &[(0, 100 + i % 900)])
+        });
+        bulk_load_heap(&db, h_stock, sw * STOCK_PER_W, |_, rec| {
+            put_u64s(rec, &[(0, 50)])
+        });
+        bulk_load_heap(&db, h_customer, sw * DISTRICTS * CUST_PER_DIST, |_, rec| {
+            put_u64s(rec, &[(0, 1000)])
+        });
+        bulk_load_heap(&db, h_district, sw * DISTRICTS, |_, rec| {
+            put_u64s(rec, &[(0, PRELOAD_ORDERS), (8, PRELOAD_ORDERS)])
+        });
+        bulk_load_heap(&db, h_warehouse, sw, |_, _| {});
 
         // Preloaded order history: PRELOAD_ORDERS per district, AVG_OL
-        // lines each, delivered.
-        let mut orders = Vec::new();
-        let mut order_idx = Vec::new();
-        let mut last_order = Vec::new();
-        let mut lines = Vec::new();
-        let mut line_idx = Vec::new();
-        let mut rid: u64 = 0;
-        let mut lrid: u64 = 0;
-        for w in 0..sw {
-            for d in 0..DISTRICTS {
-                for o in 0..PRELOAD_ORDERS {
-                    let c = (o * 7) % CUST_PER_DIST;
-                    orders.push(u64rec(REC_ORDER, &[(0, o), (8, c), (16, AVG_OL), (24, 1)]));
-                    order_idx.push((order_key(w, d, o), rid));
-                    last_order.push((cust_key(w, d, c), rid));
-                    for l in 0..AVG_OL {
-                        let item = (o * 31 + l * 17) % ITEMS;
-                        lines.push(u64rec(REC_ORDER_LINE, &[(0, item), (8, 5), (24, 1)]));
-                        line_idx.push((ol_key(w, d, o, l), lrid));
-                        lrid += 1;
-                    }
-                    rid += 1;
-                }
-            }
-        }
-        bulk_load_heap(&db, h_orders, orders);
-        bulk_load_heap(&db, h_order_line, lines);
+        // lines each, delivered. Order rid `r` is order `r % PRELOAD_ORDERS`
+        // of district `r / PRELOAD_ORDERS` and owns line rids `r * AVG_OL..`,
+        // so rid order is key order for both tables.
+        let order = |rid: u64| {
+            let district = rid / PRELOAD_ORDERS;
+            (
+                district / DISTRICTS,
+                district % DISTRICTS,
+                rid % PRELOAD_ORDERS,
+            )
+        };
+        let customer_of = |o: u64| (o * 7) % CUST_PER_DIST;
+        bulk_load_heap(&db, h_orders, preload_orders, |rid, rec| {
+            let o = order(rid).2;
+            put_u64s(rec, &[(0, o), (8, customer_of(o)), (16, AVG_OL), (24, 1)])
+        });
+        bulk_load_heap(&db, h_order_line, preload_orders * AVG_OL, |lrid, rec| {
+            let (o, l) = (order(lrid / AVG_OL).2, lrid % AVG_OL);
+            put_u64s(rec, &[(0, (o * 31 + l * 17) % ITEMS), (8, 5), (24, 1)])
+        });
         bulk_load_index(&db, i_stock, (0..sw * STOCK_PER_W).map(|k| (k, k)), 0.7);
         bulk_load_index(
             &db,
@@ -312,18 +285,27 @@ impl Tpcc {
             (0..sw * DISTRICTS * CUST_PER_DIST).map(|k| (k, k)),
             0.7,
         );
+        let order_idx = (0..preload_orders).map(|rid| {
+            let (w, d, o) = order(rid);
+            (order_key(w, d, o), rid)
+        });
         bulk_load_index(&db, i_orders, order_idx, 0.7);
+        let line_idx = (0..preload_orders * AVG_OL).map(|lrid| {
+            let (w, d, o) = order(lrid / AVG_OL);
+            (ol_key(w, d, o, lrid % AVG_OL), lrid)
+        });
         bulk_load_index(&db, i_order_line, line_idx, 0.7);
-        // Keep only the latest order per customer (upsert order): sort and
-        // dedup keeping the greatest rid per key.
-        last_order.sort_unstable();
-        last_order.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 = b.1.max(a.1);
-                true
-            } else {
-                false
+        // Each customer's latest order (upsert order): per district, one
+        // slot per customer keeps the greatest rid, then customers go out
+        // in key order.
+        let last_order = (0..sw * DISTRICTS).flat_map(|district| {
+            let mut last = [None; CUST_PER_DIST as usize];
+            for o in 0..PRELOAD_ORDERS {
+                last[customer_of(o) as usize] = Some(district * PRELOAD_ORDERS + o);
             }
+            let (w, d) = (district / DISTRICTS, district % DISTRICTS);
+            (0..CUST_PER_DIST)
+                .filter_map(move |c| last[c as usize].map(|rid| (cust_key(w, d, c), rid)))
         });
         bulk_load_index(&db, i_last_order, last_order, 0.7);
 

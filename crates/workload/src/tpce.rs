@@ -22,7 +22,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::client_rng;
-use crate::scenario::{build_db, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
 
 /// Accounts per customer.
 pub const ACCTS_PER_CUST: u64 = 2;
@@ -149,49 +149,27 @@ impl Tpce {
         );
         let i_trade = db.create_index(&mut clk, "trade_pk", index_extent(trades_cap, page_size));
 
-        let u64rec = |len: usize, vals: &[(usize, u64)]| {
-            let mut r = vec![0u8; len];
-            for &(off, v) in vals {
-                r[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            r
-        };
-        bulk_load_heap(
-            &db,
-            h_customer,
-            (0..customers).map(|_| u64rec(REC_CUSTOMER, &[])),
-        );
-        bulk_load_heap(
-            &db,
-            h_account,
+        bulk_load_heap(&db, h_customer, customers, |_, _| {});
+        bulk_load_heap(&db, h_account, accts, |_, rec| {
             // [8..16] = next trade sequence number for the account.
-            (0..accts).map(|_| u64rec(REC_ACCOUNT, &[(0, 10_000), (8, TRADES_PER_ACCT)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_security,
-            (0..SECURITIES).map(|i| u64rec(REC_SECURITY, &[(0, 10 + i % 490)])),
-        );
-        bulk_load_heap(
-            &db,
-            h_holding,
-            (0..accts * HOLDINGS_PER_ACCT).map(|_| u64rec(REC_HOLDING, &[(0, 100)])),
-        );
+            put_u64s(rec, &[(0, 10_000), (8, TRADES_PER_ACCT)])
+        });
+        bulk_load_heap(&db, h_security, SECURITIES, |i, rec| {
+            put_u64s(rec, &[(0, 10 + i % 490)])
+        });
+        bulk_load_heap(&db, h_holding, accts * HOLDINGS_PER_ACCT, |_, rec| {
+            put_u64s(rec, &[(0, 100)])
+        });
         // Historical trades, loaded in trade-id order; trade ids interleave
         // accounts, so one account's trades scatter over many heap pages —
         // lookups by trade key are random I/O.
-        let total_trades = accts * TRADES_PER_ACCT;
-        let trade_rec = |sec: u64| u64rec(REC_TRADE, &[(0, 1 /* settled */), (8, sec), (16, 10)]);
-        bulk_load_heap(
-            &db,
-            h_trade,
-            (0..total_trades).map(|i| trade_rec(i % SECURITIES)),
-        );
-        // rid i holds the trade of account (i % accts), seq (i / accts).
-        let mut pairs: Vec<(u64, u64)> = (0..total_trades)
-            .map(|i| (trade_key(i % accts, i / accts), i))
-            .collect();
-        pairs.sort_unstable();
+        bulk_load_heap(&db, h_trade, accts * TRADES_PER_ACCT, |i, rec| {
+            put_u64s(rec, &[(0, 1 /* settled */), (8, i % SECURITIES), (16, 10)])
+        });
+        // rid i holds the trade of account (i % accts), seq (i / accts):
+        // walking accounts, then sequences, yields the keys in order.
+        let pairs = (0..accts)
+            .flat_map(|a| (0..TRADES_PER_ACCT).map(move |s| (trade_key(a, s), s * accts + a)));
         bulk_load_index(&db, i_trade, pairs, 0.7);
 
         Tpce {

@@ -28,7 +28,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND, SECOND};
 
 use crate::driver::{Client, Driver, StepResult};
 use crate::rand_util::client_rng;
-use crate::scenario::{build_db, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
 
 /// Scaled rows per SF unit.
 pub const LINEITEM_PER_SF: u64 = 6_000;
@@ -186,54 +186,46 @@ impl Tpch {
             index_extent(ord * 11 / 10, page_size),
         );
 
-        let rec_of = |tag: u64, a: u64, b: u64| {
-            let mut r = vec![0u8; REC];
-            r[0..8].copy_from_slice(&tag.to_le_bytes());
-            r[8..16].copy_from_slice(&a.to_le_bytes());
-            r[16..24].copy_from_slice(&b.to_le_bytes());
-            r
-        };
-        // LINEITEM loaded in scrambled physical order: logical line i of
-        // the table sits at rid i, but holds the *scrambled* line's data,
-        // and the index maps each logical key to its scattered rid.
+        // LINEITEM loaded in scrambled physical order: the row at rid i
+        // holds logical line `scramble(i)`, and the index maps a logical
+        // key to the smallest rid holding it. `scramble` is not a bijection
+        // (DESIGN §6): some keys have several rids and some none.
         let scramble = |i: u64| -> u64 { i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (li) };
-        let mut line_pairs: Vec<(u64, u64)> = Vec::with_capacity(li as usize);
-        bulk_load_heap(
-            &db,
-            h_lineitem,
-            (0..li).map(|rid| {
-                let logical = scramble(rid);
-                rec_of(logical, logical / LINES_PER_ORDER, logical % 100)
-            }),
-        );
+        bulk_load_heap(&db, h_lineitem, li, |rid, rec| {
+            let logical = scramble(rid);
+            put_u64s(
+                rec,
+                &[
+                    (0, logical),
+                    (8, logical / LINES_PER_ORDER),
+                    (16, logical % 100),
+                ],
+            )
+        });
+        let mut first_rid = vec![u64::MAX; li as usize];
         for rid in 0..li {
-            line_pairs.push((scramble(rid), rid));
+            let first = &mut first_rid[scramble(rid) as usize];
+            *first = (*first).min(rid);
         }
-        line_pairs.sort_unstable();
-        line_pairs.dedup_by_key(|p| p.0);
+        let line_pairs = (0..li).zip(first_rid).filter(|&(_, rid)| rid != u64::MAX);
         bulk_load_index(&db, i_lineitem, line_pairs, 0.7);
 
-        bulk_load_heap(
-            &db,
-            h_orders,
-            (0..ord).map(|o| rec_of(o, o % (sf * CUSTOMER_PER_SF), o % 365)),
-        );
+        bulk_load_heap(&db, h_orders, ord, |o, rec| {
+            put_u64s(
+                rec,
+                &[(0, o), (8, o % (sf * CUSTOMER_PER_SF)), (16, o % 365)],
+            )
+        });
         bulk_load_index(&db, i_orders, (0..ord).map(|o| (o, o)), 0.7);
-        bulk_load_heap(
-            &db,
-            h_customer,
-            (0..sf * CUSTOMER_PER_SF).map(|c| rec_of(c, c % 25, 0)),
-        );
-        bulk_load_heap(
-            &db,
-            h_part,
-            (0..sf * PART_PER_SF).map(|p| rec_of(p, p % 50, 0)),
-        );
-        bulk_load_heap(
-            &db,
-            h_supplier,
-            (0..sf * SUPPLIER_PER_SF).map(|s| rec_of(s, s % 25, 0)),
-        );
+        bulk_load_heap(&db, h_customer, sf * CUSTOMER_PER_SF, |c, rec| {
+            put_u64s(rec, &[(0, c), (8, c % 25)])
+        });
+        bulk_load_heap(&db, h_part, sf * PART_PER_SF, |p, rec| {
+            put_u64s(rec, &[(0, p), (8, p % 50)])
+        });
+        bulk_load_heap(&db, h_supplier, sf * SUPPLIER_PER_SF, |s, rec| {
+            put_u64s(rec, &[(0, s), (8, s % 25)])
+        });
 
         Tpch {
             db,
@@ -466,13 +458,9 @@ impl Tpch {
                 remaining: streams,
             }),
         );
-        // Elapsed = the time the slowest stream finishes.
-        let mut end = 0;
         driver.run_to_completion();
-        // Recover the end time: re-derive from the database's virtual
-        // device state is fragile; instead streams report via rf state —
-        // simpler: track with a recorder. (Streams record their finish.)
-        let _ = &mut end;
+        // Elapsed = the time the slowest stream finishes (each records its
+        // finish in `FINISH_TIME`).
         let ts = FINISH_TIME.with(|f| f.get());
         let ts_secs = ts as f64 / SECOND as f64;
         streams as f64 * 22.0 * 3600.0 / ts_secs * self.sf as f64

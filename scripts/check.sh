@@ -42,6 +42,9 @@ cargo test -q --no-default-features --test fault_injection --test crash_torture
 echo "==> WAL replay fuzz, long variant (differential + seeded log mutation, <= 20 s)"
 cargo test -q --release -p turbopool-wal -- --ignored
 
+echo "==> bulk-loaded images at the benchmark's sizes (pinned fingerprints)"
+cargo test -q --release --test setup_image -- --ignored
+
 echo "==> crash-schedule sweep (strided, all five designs)"
 cargo test -q --release --test crash_schedule quick_sweep_all_designs
 
