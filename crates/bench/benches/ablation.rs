@@ -201,10 +201,16 @@ fn partitioning() {
         for i in 0..60_000u64 {
             m.evict_page(0, PageId(i), &zero, false, Locality::Random);
         }
-        // Wall clock on purpose (turbopool-lint allowlists this file):
-        // this measures real OS-thread latch contention across partition
-        // counts, which the virtual clock cannot observe.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall clock on purpose: this measures real OS-thread latch contention \
+                      across partition counts, which the virtual clock cannot observe"
+        )]
         let t0 = std::time::Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "contention needs true parallelism; the hammered manager is bench-local"
+        )]
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let m = Arc::clone(&m);

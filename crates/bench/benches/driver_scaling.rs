@@ -246,12 +246,18 @@ fn contention_run(threads: usize, gets_per_thread: u64) -> (f64, u64) {
         pool.get(&mut clk, PageId(p), Locality::Random).unwrap();
     }
     let warm = pool.stats();
-    // Wall clock on purpose: this measures real OS-thread latch
-    // contention, which the virtual clock cannot observe. Identical
-    // measurement rationale to ablation 4 (§3.3.4).
-    // lint: allow(wallclock) — harness-side timing of real latch contention
+    // Identical measurement rationale to ablation 4 (§3.3.4).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall clock on purpose: this measures real OS-thread latch contention, \
+                  which the virtual clock cannot observe"
+    )]
     let t0 = std::time::Instant::now();
-    // lint: allow(thread-spawn) — contention stress needs true parallelism; the hammered pool is bench-local, no simulation state is shared.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "contention stress needs true parallelism; the hammered pool is bench-local, \
+                  no simulation state is shared"
+    )]
     std::thread::scope(|s| {
         for t in 0..threads as u64 {
             let pool = Arc::clone(&pool);

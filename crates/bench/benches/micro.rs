@@ -37,8 +37,11 @@ fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
     for _ in 0..calls / 10 {
         f();
     }
-    // lint: allow(wallclock) — harness-side timing of real CPU work; the
-    // virtual clock cannot observe host execution cost.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "harness-side timing of real CPU work; the virtual clock cannot \
+                  observe host execution cost"
+    )]
     let t0 = std::time::Instant::now();
     for _ in 0..calls {
         f();

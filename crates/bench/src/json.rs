@@ -105,8 +105,8 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Wall-clock stopwatch for bench reporting. This is the one sanctioned
-/// wall-clock reader in the workspace outside the L1 allowlist: wall
+/// Wall-clock stopwatch for bench reporting, the one wall-clock reader in
+/// library code (`clippy.toml` disallows `Instant::now` elsewhere): wall
 /// seconds never feed back into the simulation, they only annotate the
 /// emitted JSON.
 pub struct WallTimer {
@@ -115,11 +115,13 @@ pub struct WallTimer {
 
 impl WallTimer {
     #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench reporting measures real elapsed time by definition; \
+                  the value never influences virtual-time results"
+    )]
     pub fn start() -> Self {
         WallTimer {
-            // Bench reporting measures real elapsed time by definition;
-            // the value never influences virtual-time results.
-            // lint: allow(wallclock)
             start: std::time::Instant::now(),
         }
     }

@@ -11,6 +11,12 @@
 //! bypasses the SSD entirely and is the paper's `noSSD` baseline.
 
 #![forbid(unsafe_code)]
+// Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
+// clippy with them as errors.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod policy;
 pub mod pool;

@@ -6,8 +6,9 @@
 //!
 //! The policy is replay state: every decision is a pure function of the
 //! access sequence. Its hash map is used for lookup, and its one
-//! iteration (the history prune) is order-insensitive (the lint L9 rule
-//! enforces this mechanically). No wall-clock, no RNG — tie-breaks use
+//! iteration (the history prune) is an order-insensitive `retain`
+//! (`clippy::iter_over_hash_type` denies hash-order `for` loops in this
+//! crate). No wall-clock, no RNG — tie-breaks use
 //! access stamps or slot numbers.
 //!
 //! # Hot-path contract

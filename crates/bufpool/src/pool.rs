@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool_iosim::sync::{Mutex, MutexGuard, RwLock};
+use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank, RwLock};
 use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap, Time};
 
 use crate::policy::{Lru2Policy, PolicyStats};
@@ -225,12 +225,18 @@ impl Table {
         // Split borrow: the policy mutates its own state while probing
         // frame metadata through the callback.
         let (policy, meta, pins) = (&mut self.policy, &self.meta, &self.pins);
+        #[expect(
+            clippy::expect_used,
+            reason = "an unpinnable pool is a caller bug; the paper's pool sizes guarantee headroom"
+        )]
         let slot = policy
             .select_victim(|s| meta[s].pid.is_some() && unpinned(&pins[s]))
-            // lint: allow(panic) — an unpinnable pool is a caller bug; the paper's pool sizes guarantee headroom.
             .expect("buffer pool exhausted: every frame is pinned");
         let m = self.meta[slot];
-        // lint: allow(panic) — select_victim only returns slots the evictable callback approved.
+        #[expect(
+            clippy::expect_used,
+            reason = "select_victim only returns slots the evictable callback approved"
+        )]
         let victim = m.pid.expect("victim has a page");
         self.map.remove(&victim);
         self.policy.on_evict(slot, victim);
@@ -292,11 +298,11 @@ impl BufferPool {
         let table = Table::new(cfg.frames);
         let zero = PageBuf::zeroed(cfg.page_size);
         let mut data = Vec::with_capacity(cfg.frames);
-        data.resize_with(cfg.frames, || RwLock::new(zero.clone()));
+        data.resize_with(cfg.frames, || RwLock::ranked(Rank::FrameData, zero.clone()));
         BufferPool {
-            classifier: Mutex::new(Classifier::new(cfg.classifier)),
+            classifier: Mutex::ranked(Rank::Classifier, Classifier::new(cfg.classifier)),
             pins: Arc::clone(&table.pins),
-            inner: Mutex::new(table),
+            inner: Mutex::ranked(Rank::PoolTable, table),
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             zero,
@@ -384,8 +390,12 @@ impl BufferPool {
             // frames (the frame lets go of its old image), not by copying.
             debug_assert!(pages.iter().all(|p| p.len() == self.cfg.page_size));
             let mut pages = pages.into_iter();
-            // lint: allow(panic) — read_run returns exactly the `expand >= 2` pages asked for.
-            *self.data[slot].write() = pages.next().expect("run has a first page");
+            #[expect(
+                clippy::expect_used,
+                reason = "read_run returns exactly the `expand >= 2` pages asked for"
+            )]
+            let first = pages.next().expect("run has a first page");
+            *self.data[slot].write() = first;
             let mut t = self.lock_table();
             for (i, page) in pages.enumerate() {
                 let extra = pid.offset(i as u64 + 1);
@@ -411,10 +421,11 @@ impl BufferPool {
             }
         } else {
             let mut buf = self.data[slot].write();
-            // lint: allow(lock-across-io) — frame write latch only, held so
-            // the fill lands atomically; the table latch is already released
-            // and the frame is pinned by this caller.
-            let read = self.layer.read_page_buf(clk, pid, assigned, &mut buf);
+            let read = sync::io_under_latch(
+                "frame write latch only, held so the fill lands atomically; the \
+                 table latch is already released and the frame is pinned by this caller",
+                || self.layer.read_page_buf(clk, pid, assigned, &mut buf),
+            );
             drop(buf);
             if let Err(e) = read {
                 self.abandon_install(slot, pid);
@@ -590,10 +601,12 @@ impl BufferPool {
     fn flush_evicted(&self, now: Time, ev: &PendingEvict) {
         let layer = &self.layer;
         let data = self.data[ev.slot].read();
-        // lint: allow(lock-across-io) — only the frame's read latch is held
-        // (the table latch is released); the slot is privately owned by this
-        // caller and evict_page is a non-blocking async booking.
-        layer.evict_page_buf(now, ev.victim, &data, ev.dirty, ev.class);
+        sync::io_under_latch(
+            "only the frame's read latch is held (the table latch is released); \
+             the slot is privately owned by this caller and eviction is a \
+             non-blocking async booking",
+            || layer.evict_page_buf(now, ev.victim, &data, ev.dirty, ev.class),
+        );
     }
 
     /// Sharp checkpoint of the memory pool: write every dirty page below
@@ -609,7 +622,7 @@ impl BufferPool {
             let mut s = t.dhead;
             while s != NIL {
                 if unpinned(&t.pins[s]) {
-                    // lint: allow(panic) — dirty-list members always hold a page.
+                    #[expect(clippy::expect_used, reason = "dirty-list members always hold a page")]
                     let pid = t.meta[s].pid.expect("dirty frame has a page");
                     dirty.push((s, pid, t.meta[s].class));
                 }

@@ -21,7 +21,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(feature = "strict-invariants")]
-use turbopool_iosim::sync::Mutex;
+use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::PageId;
 #[cfg(feature = "strict-invariants")]
 use turbopool_iosim::PidMap;
@@ -189,7 +189,7 @@ impl InvariantAuditor {
             design,
             violations: AtomicU64::new(0),
             #[cfg(feature = "strict-invariants")]
-            states: Mutex::new(PidMap::default()),
+            states: Mutex::ranked(Rank::AuditorStates, PidMap::default()),
         }
     }
 

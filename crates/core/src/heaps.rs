@@ -88,9 +88,21 @@ impl DualHeap {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "heap slot bookkeeping invariant; a miss here is a logic bug, fail fast"
+    )]
     fn entry(&self, side: Side, i: usize) -> Entry {
-        // lint: allow(panic) — heap slot bookkeeping invariant; a miss here is a logic bug, fail fast.
         self.slots[self.slot(side, i)].expect("occupied heap slot")
+    }
+
+    /// Where record `rec` sits (it must be in a heap).
+    #[expect(
+        clippy::expect_used,
+        reason = "pos[] and slots[] move in lockstep; an absent record is heap corruption"
+    )]
+    fn position(&self, rec: usize) -> (Side, usize) {
+        self.pos[rec].expect("record is in a heap")
     }
 
     fn set_entry(&mut self, side: Side, i: usize, e: Entry) {
@@ -181,11 +193,8 @@ impl DualHeap {
     /// Change the key of `rec` in place (re-access updates its LRU-2
     /// distance).
     pub fn update(&mut self, rec: usize, key: Key) {
-        // lint: allow(panic) — pos[] and slots[] move in lockstep; an absent record is heap corruption.
-        let (side, i) = self.pos[rec].expect("update of absent record");
-        let s = self.slot(side, i);
-        // lint: allow(panic) — same slot was just resolved via pos[]; it is occupied.
-        self.slots[s].as_mut().unwrap().key = key;
+        let (side, i) = self.position(rec);
+        self.set_entry(side, i, Entry { key, rec });
         self.sift_down(side, i);
         self.sift_up(side, i);
     }
@@ -193,8 +202,7 @@ impl DualHeap {
     /// Move `rec` between heaps, keeping its key (a dirty page was cleaned,
     /// or a clean page re-admitted dirty).
     pub fn change_side(&mut self, rec: usize, to: Side) {
-        // lint: allow(panic) — pos[] and slots[] move in lockstep; an absent record is heap corruption.
-        let (side, i) = self.pos[rec].expect("change_side of absent record");
+        let (side, i) = self.position(rec);
         if side == to {
             return;
         }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::PageIo;
-use turbopool_iosim::sync::{Mutex, MutexGuard};
+use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
@@ -116,7 +116,8 @@ impl SsdManager {
         let mut base = 0u64;
         for i in 0..n {
             let frames = per + u64::from(i < extra);
-            parts.push(Mutex::new(Partition::new(base, frames as usize)));
+            let part = Partition::new(base, frames as usize);
+            parts.push(Mutex::ranked(Rank::SsdPartition, part));
             base += frames;
         }
         let auditor = InvariantAuditor::new(cfg.design);
@@ -287,12 +288,14 @@ impl SsdManager {
 
     /// Report a buffer-table transition to the auditor. Violations are
     /// counted in the metrics and abort debug builds immediately.
+    #[expect(
+        clippy::panic,
+        reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
+    )]
     fn audit(&self, pid: PageId, op: AuditOp) {
         if let Err(e) = self.auditor.observe(pid, op) {
             SsdMetrics::bump(&self.metrics.audit_violations);
             if cfg!(debug_assertions) {
-                // lint: allow(panic) — the auditor's whole point: fail the
-                // test run at the first illegal state-machine transition.
                 panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
             }
         }
@@ -446,7 +449,10 @@ impl SsdManager {
             }
         }
         let stamp = self.next_stamp();
-        // lint: allow(panic) — guarded by the free-frame check above; the partition cannot be full here.
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by the free-frame check above; the partition cannot be full here"
+        )]
         let idx = part.insert(pid, dirty, stamp).expect("frame available");
         let frame = part.frame_no(idx);
         drop(part);
@@ -1033,7 +1039,10 @@ impl SsdManager {
                     self.install(now, pid, data, dirty);
                 }
             }
-            // lint: allow(panic) — DbConfig routes Tac to TacCache; an SsdManager is never built for it.
+            #[expect(
+                clippy::unreachable,
+                reason = "DbConfig routes Tac to TacCache; an SsdManager is never built for it"
+            )]
             SsdDesign::Tac => unreachable!("TAC uses TacCache"),
         }
     }

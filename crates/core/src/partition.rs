@@ -91,16 +91,27 @@ impl Partition {
     }
 
     /// The record at `idx` (must be occupied).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: idx comes from lookup/insert and is occupied"
+    )]
     pub fn record(&self, idx: usize) -> &Record {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
         self.records[idx].as_ref().expect("occupied record")
+    }
+
+    /// The record at `idx`, mutably (must be occupied).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: idx comes from lookup/insert and is occupied"
+    )]
+    fn record_mut(&mut self, idx: usize) -> &mut Record {
+        self.records[idx].as_mut().expect("occupied record")
     }
 
     /// Record an SSD access to `idx` at `stamp`, repositioning it in its
     /// heap.
     pub fn touch(&mut self, idx: usize, stamp: u64) {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
-        let r = self.records[idx].as_mut().expect("occupied record");
+        let r = self.record_mut(idx);
         r.prev = r.last;
         r.last = stamp;
         let key = r.kdist();
@@ -155,14 +166,8 @@ impl Partition {
 
     /// Remove record `idx`, freeing its frame; returns the record.
     pub fn remove(&mut self, idx: usize) -> Record {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
-        let rec = self.records[idx].take().expect("occupied record");
-        self.map.remove(&rec.pid);
-        self.heap.remove(idx);
+        let rec = self.detach(idx);
         self.free.push(idx);
-        if rec.dirty {
-            self.dirty -= 1;
-        }
         rec
     }
 
@@ -171,7 +176,10 @@ impl Partition {
     /// caller finishes deferred I/O against its bytes outside the latch,
     /// then hands it back with [`Self::release`].
     pub fn detach(&mut self, idx: usize) -> Record {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: idx comes from lookup/insert and is occupied"
+        )]
         let rec = self.records[idx].take().expect("occupied record");
         self.map.remove(&rec.pid);
         self.heap.remove(idx);
@@ -200,8 +208,7 @@ impl Partition {
     /// Mark a dirty record clean (the cleaner flushed it); it moves to the
     /// clean heap and becomes a replacement candidate.
     pub fn set_clean(&mut self, idx: usize) {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
-        let r = self.records[idx].as_mut().expect("occupied record");
+        let r = self.record_mut(idx);
         if r.dirty {
             r.dirty = false;
             self.dirty -= 1;
@@ -211,8 +218,7 @@ impl Partition {
 
     /// Mark a clean record dirty (a dirty eviction overwrote a clean copy).
     pub fn set_dirty(&mut self, idx: usize) {
-        // lint: allow(panic) — documented contract: idx comes from lookup/insert and is occupied.
-        let r = self.records[idx].as_mut().expect("occupied record");
+        let r = self.record_mut(idx);
         if !r.dirty {
             r.dirty = true;
             self.dirty += 1;

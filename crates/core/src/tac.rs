@@ -35,7 +35,7 @@ use std::collections::HashMap;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use turbopool_iosim::sync::{Mutex, MutexGuard};
+use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
 
 use turbopool_bufpool::PageIo;
 use turbopool_iosim::{
@@ -73,6 +73,17 @@ struct TacTable {
     invalid: u64,
 }
 
+impl TacTable {
+    /// The record of a mapped frame.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "map/records consistency: a mapped frame always holds a record"
+    )]
+    fn record(&self, frame: usize) -> TacRec {
+        self.records[frame].unwrap()
+    }
+}
+
 /// The TAC SSD cache, implementing the same [`PageIo`] seam as
 /// [`crate::manager::SsdManager`].
 pub struct TacCache {
@@ -96,17 +107,18 @@ impl TacCache {
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         let frames = cfg.frames as usize;
+        let table = TacTable {
+            records: vec![None; frames],
+            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
+            free: (0..frames).rev().collect(),
+            temps: HashMap::new(),
+            heap: std::collections::BinaryHeap::new(),
+            invalid: 0,
+        };
         TacCache {
             cfg,
             io,
-            inner: Mutex::new(TacTable {
-                records: vec![None; frames],
-                map: PidMap::with_capacity_and_hasher(frames, Default::default()),
-                free: (0..frames).rev().collect(),
-                temps: HashMap::new(),
-                heap: std::collections::BinaryHeap::new(),
-                invalid: 0,
-            }),
+            inner: Mutex::ranked(Rank::TacTable, table),
             quarantined: AtomicBool::new(false),
             ssd_errors: AtomicU64::new(0),
             probe_tick: AtomicU64::new(0),
@@ -175,7 +187,10 @@ impl TacCache {
     fn drop_corrupt(&self, pid: PageId) {
         let mut tab = self.lock_table();
         if let Some(frame) = tab.map.remove(&pid) {
-            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "map/records consistency: a mapped frame always holds a record"
+            )]
             let rec = tab.records[frame].take().unwrap();
             if !rec.valid {
                 tab.invalid -= 1;
@@ -233,12 +248,14 @@ impl TacCache {
 
     /// Report a buffer-table transition to the auditor. Violations are
     /// counted in the metrics and abort debug builds immediately.
+    #[expect(
+        clippy::panic,
+        reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
+    )]
     fn audit(&self, pid: PageId, op: AuditOp) {
         if let Err(e) = self.auditor.observe(pid, op) {
             SsdMetrics::bump(&self.metrics.audit_violations);
             if cfg!(debug_assertions) {
-                // lint: allow(panic) — the auditor's whole point: fail the
-                // test run at the first illegal state-machine transition.
                 panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
             }
         }
@@ -259,8 +276,7 @@ impl TacCache {
     pub fn frame_of_valid(&self, pid: PageId) -> Option<u64> {
         let tab = self.lock_table();
         tab.map.get(&pid).and_then(|&f| {
-            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = tab.records[f].unwrap();
+            let rec = tab.record(f);
             rec.valid.then_some(f as u64)
         })
     }
@@ -270,8 +286,7 @@ impl TacCache {
         let tab = self.lock_table();
         tab.map
             .get(&pid)
-            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            .map(|&f| tab.records[f].unwrap().valid)
+            .map(|&f| tab.record(f).valid)
             .unwrap_or(false)
     }
 
@@ -371,7 +386,10 @@ impl TacCache {
                         tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
                         Some(f)
                     } else {
-                        // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "cold_frame came off the temperature heap, which only holds mapped frames"
+                        )]
                         let old = tab.records[cold_frame].take().unwrap();
                         tab.map.remove(&old.pid);
                         self.audit(old.pid, AuditOp::Replace);
@@ -457,8 +475,7 @@ impl TacCache {
             self.heat(&mut tab, pid, class);
             match tab.map.get(&pid) {
                 Some(&frame) => {
-                    // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                    let rec = tab.records[frame].unwrap();
+                    let rec = tab.record(frame);
                     // The copy must be valid AND its installing write
                     // complete; a usable hit still diverts to disk under
                     // throttle (§3.3.2) or a fail-slow flag (hedging).
@@ -509,32 +526,51 @@ impl TacCache {
         // Write-through to disk, as in a traditional DBMS. This write must
         // not drop data, so it rides the retry-forever policy.
         self.disk_write(now, pid, data);
-        if self.is_quarantined() {
-            return;
+        if self.refresh_stale_copy(now, pid, data) {
+            SsdMetrics::bump(&self.metrics.admissions);
         }
-        // The disk copy just advanced, so ANY existing SSD version of this
-        // page is now stale and must be refreshed (flow iv) or dropped.
-        // The invalid case is the paper's flow; a *valid* record can also
-        // be stale here: a run-read admitted the disk version while this
-        // newer copy sat dirty in the memory pool (scan read-ahead does
-        // exactly that), and keeping it would serve lost updates.
+    }
+
+    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
+        let done = match fault::retry_write_forever(|| {
+            self.io.write_disk_async(now, pid, data, Locality::Random)
+        }) {
+            Ok(t) => t,
+            Err(_) => now,
+        };
+        self.refresh_stale_copy(now, pid, data);
+        done
+    }
+
+    /// `pid`'s disk copy just advanced (an eviction or a checkpoint wrote
+    /// it), so ANY existing SSD version of it is now stale and must be
+    /// refreshed (flow iv) or dropped. The invalid case is the paper's flow;
+    /// a *valid* record can also be stale here: a run-read admitted the
+    /// disk version while this newer copy sat dirty in the memory pool
+    /// (scan read-ahead does exactly that), and keeping it would serve lost
+    /// updates. True if an invalid record became valid again.
+    fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
+        if self.is_quarantined() {
+            return false;
+        }
+        let mut revalidated = false;
         let mut pending: Option<IoError> = None;
         {
             let mut tab = self.lock_table();
             if let Some(&frame) = tab.map.get(&pid) {
-                // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = tab.records[frame].unwrap();
+                let rec = tab.record(frame);
                 let hedging = !self.throttled(now) && self.hedge_or_probe();
                 if hedging {
                     // No refresh traffic to a browned-out SSD.
                     SsdMetrics::bump(&self.metrics.hedged_admissions);
                 }
                 if !self.throttled(now) && !hedging {
-                    // lint: allow(lock-across-io) — the refresh-or-invalidate
-                    // decision must be atomic with the record's state, and
-                    // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the table latch.
-                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
+                    let write = sync::io_under_latch(
+                        "the refresh-or-invalidate decision must be atomic with the \
+                         record's state, and write_ssd_async is an O(1) non-blocking booking",
+                        || self.io.write_ssd_async(now, frame as u64, data, pid),
+                    );
+                    match write {
                         Ok(done) => {
                             tab.records[frame] = Some(TacRec {
                                 pid,
@@ -547,9 +583,7 @@ impl TacCache {
                             let temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
                             tab.heap.push(std::cmp::Reverse((temp, frame)));
                             self.audit(pid, AuditOp::Refresh);
-                            if !rec.valid {
-                                SsdMetrics::bump(&self.metrics.admissions);
-                            }
+                            revalidated = !rec.valid;
                         }
                         Err(e) => {
                             // Refresh failed: the SSD version (if valid) is
@@ -582,80 +616,7 @@ impl TacCache {
         if let Some(e) = pending {
             self.note_ssd_error(&e);
         }
-    }
-
-    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
-        let done = match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(t) => t,
-            Err(_) => now,
-        };
-        if self.is_quarantined() {
-            return done;
-        }
-        // Same stale-version refresh/invalidate as the eviction flow: the
-        // disk copy advances here, so no older SSD version may stay valid.
-        let mut pending: Option<IoError> = None;
-        {
-            let mut tab = self.lock_table();
-            if let Some(&frame) = tab.map.get(&pid) {
-                // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = tab.records[frame].unwrap();
-                let hedging = !self.throttled(now) && self.hedge_or_probe();
-                if hedging {
-                    // No refresh traffic to a browned-out SSD.
-                    SsdMetrics::bump(&self.metrics.hedged_admissions);
-                }
-                if !self.throttled(now) && !hedging {
-                    // lint: allow(lock-across-io) — the refresh-or-invalidate
-                    // decision must be atomic with the record's state, and
-                    // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the table latch.
-                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
-                        Ok(wdone) => {
-                            tab.records[frame] = Some(TacRec {
-                                pid,
-                                valid: true,
-                                valid_at: wdone,
-                            });
-                            if !rec.valid {
-                                tab.invalid -= 1;
-                            }
-                            let temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            tab.heap.push(std::cmp::Reverse((temp, frame)));
-                            self.audit(pid, AuditOp::Refresh);
-                        }
-                        Err(e) => {
-                            if rec.valid {
-                                tab.records[frame] = Some(TacRec {
-                                    valid: false,
-                                    ..rec
-                                });
-                                tab.invalid += 1;
-                                self.audit(pid, AuditOp::LogicalInvalidate);
-                                SsdMetrics::bump(&self.metrics.invalidations);
-                            }
-                            pending = Some(e);
-                        }
-                    }
-                } else if rec.valid {
-                    // Cannot rewrite under throttle or brownout: invalidate
-                    // so the stale version can never be read.
-                    tab.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    tab.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
-                }
-            }
-        }
-        if let Some(e) = pending {
-            self.note_ssd_error(&e);
-        }
-        done
+        revalidated
     }
 }
 
@@ -698,8 +659,7 @@ impl PageIo for TacCache {
                 .map(|i| {
                     let pid = first.offset(i);
                     tab.map.get(&pid).and_then(|&f| {
-                        // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                        let rec = tab.records[f].unwrap();
+                        let rec = tab.record(f);
                         let usable = rec.valid && now0 >= rec.valid_at;
                         if usable && hedging {
                             SsdMetrics::bump(&self.metrics.hedged_reads);
@@ -750,7 +710,10 @@ impl PageIo for TacCache {
         }
         out.extend((0..trail).map(|_| self.io.zero_page()));
         for i in (0..lead).chain(n as usize - trail..n as usize) {
-            // lint: allow(panic) — lead/trail indices were counted as Some in the pass above.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "lead/trail indices were counted as Some in the pass above"
+            )]
             let frame = status[i].unwrap();
             let pid = first.offset(i as u64);
             let mut tmp = Clk::at(now0);
@@ -789,8 +752,7 @@ impl PageIo for TacCache {
     fn note_dirtied(&self, now: Time, pid: PageId) {
         let mut tab = self.lock_table();
         if let Some(&frame) = tab.map.get(&pid) {
-            // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = tab.records[frame].unwrap();
+            let rec = tab.record(frame);
             if rec.valid {
                 if now < rec.valid_at {
                     // The on-read SSD write had not completed: it is

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
 use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
-use turbopool_iosim::sync::Mutex;
+use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, Time};
 use turbopool_wal::log::DurableLog;
 use turbopool_wal::{LogManager, LogScanReport, RecoveryStats, RedoStore};
@@ -21,6 +21,7 @@ pub type HeapId = usize;
 /// Handle to a B+-tree index in the catalog.
 pub type IndexId = usize;
 
+#[derive(Default)]
 struct Catalog {
     heaps: Vec<HeapMeta>,
     indexes: Vec<IndexMeta>,
@@ -94,12 +95,8 @@ impl Database {
             log,
             next_tx: AtomicU64::new(1),
             alloc: AtomicU64::new(0),
-            catalog: Mutex::new(Catalog {
-                heaps: Vec::new(),
-                indexes: Vec::new(),
-                names: HashMap::new(),
-            }),
-            spare: Mutex::new(Vec::new()),
+            catalog: Mutex::ranked(Rank::Catalog, Catalog::default()),
+            spare: Mutex::ranked(Rank::SpareImages, Vec::new()),
         }
     }
 

@@ -15,6 +15,9 @@
 //! page committed-only and recovery pure redo.
 
 #![forbid(unsafe_code)]
+// Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
+// clippy with them as errors.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 pub mod btree;
 pub mod config;

@@ -19,7 +19,7 @@ use crate::health::{FailSlowDetector, FailSlowStats};
 use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
 use crate::store::{MemStore, PageStore};
-use crate::sync::RwLock;
+use crate::sync::{self, RwLock};
 
 /// Sizing and calibration of the simulated storage subsystem.
 #[derive(Clone, Debug)]
@@ -114,7 +114,7 @@ pub struct IoManager {
     /// bytes nobody summed, hence a different image, summed when read.
     ssd_sums: Vec<std::sync::atomic::AtomicU64>,
     log_dev: SimDevice,
-    log_lba: crate::sync::Mutex<u64>,
+    log_lba: sync::Mutex<u64>,
     /// Fault stream for the database disk group, if any.
     disk_fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Fault stream for the SSD, if any.
@@ -123,7 +123,7 @@ pub struct IoManager {
     /// and never retried to success. The stored disk image (if any) is
     /// stale, so readers must not treat such a page as never-written and
     /// serve zeroes — see [`IoManager::disk_write_lost`].
-    lost_disk_writes: crate::sync::Mutex<std::collections::HashSet<PageId>>,
+    lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
     any_lost_writes: std::sync::atomic::AtomicBool,
     /// Fail-slow detector for the disk group, fed by every disk request.
@@ -153,10 +153,10 @@ impl IoManager {
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
             log_dev: SimDevice::new("log", setup.log_profile),
-            log_lba: crate::sync::Mutex::new(0),
+            log_lba: sync::Mutex::new(0),
             disk_fault: RwLock::new(None),
             ssd_fault: RwLock::new(None),
-            lost_disk_writes: crate::sync::Mutex::new(std::collections::HashSet::new()),
+            lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
             any_lost_writes: std::sync::atomic::AtomicBool::new(false),
             // Single-request baselines: the disk detector watches one
             // member's service time (a striped request occupies one
@@ -338,6 +338,7 @@ impl IoManager {
         buf: &mut D,
         hint: Locality,
     ) -> Result<(), IoError> {
+        sync::assert_io_allowed("read_disk");
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
@@ -370,6 +371,7 @@ impl IoManager {
         n: u64,
         hint: Locality,
     ) -> Result<Vec<PageBuf>, IoError> {
+        sync::assert_io_allowed("read_disk_run");
         let _ = hint; // adjacency is auto-detected per member span
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
@@ -400,6 +402,7 @@ impl IoManager {
         data: &S,
         hint: Locality,
     ) -> Result<Time, IoError> {
+        sync::assert_io_allowed("write_disk_async");
         match self.boundary_fate(BoundaryKind::DiskPage) {
             WriteFate::Persist => {}
             // A torn page write persists nothing in this model (pages are
@@ -438,6 +441,7 @@ impl IoManager {
         data: &S,
         hint: Locality,
     ) -> Result<(), IoError> {
+        sync::assert_io_allowed("write_disk_sync");
         let done = self.write_disk_async(clk.now, pid, data, hint)?;
         clk.wait_until(done);
         Ok(())
@@ -456,6 +460,7 @@ impl IoManager {
         first: PageId,
         pages: &[S],
     ) -> Result<Time, IoError> {
+        sync::assert_io_allowed("write_disk_run_async");
         assert!(!pages.is_empty());
         if self.crash_switch.read().is_some() {
             // One boundary per page: a crash can land inside the run. The
@@ -594,6 +599,7 @@ impl IoManager {
         frame: u64,
         buf: &mut D,
     ) -> Result<(), IoError> {
+        sync::assert_io_allowed("read_ssd");
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Ssd, clk.now));
         }
@@ -645,6 +651,7 @@ impl IoManager {
         data: &S,
         tag: PageId,
     ) -> Result<Time, IoError> {
+        sync::assert_io_allowed("write_ssd_async");
         match self.boundary_fate(BoundaryKind::SsdFrame) {
             WriteFate::Persist => {}
             WriteFate::Torn => {
@@ -716,6 +723,7 @@ impl IoManager {
         data: &S,
         tag: PageId,
     ) -> Result<(), IoError> {
+        sync::assert_io_allowed("write_ssd_sync");
         let done = self.write_ssd_async(clk.now, frame, data, tag)?;
         clk.wait_until(done);
         Ok(())

@@ -19,6 +19,9 @@
 //! that hold the actual page bytes for the simulated disk and SSD.
 
 #![forbid(unsafe_code)]
+// Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
+// clippy with them as errors.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod array;
 pub mod clock;

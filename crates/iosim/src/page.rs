@@ -76,7 +76,8 @@ impl Hasher for PidHasher {
 
 /// A hash map keyed by [`PageId`] using
 /// [`PidHasher`]. Iteration order is as unspecified as with std's
-/// per-process-seeded default hasher; nothing may depend on it (lint L9).
+/// per-process-seeded default hasher; nothing may depend on it
+/// (`clippy::iter_over_hash_type` in the simulation crates).
 pub type PidMap<V> = HashMap<PageId, V, BuildHasherDefault<PidHasher>>;
 
 /// A page image: an immutable, reference-counted page of bytes.

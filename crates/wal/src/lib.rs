@@ -14,6 +14,10 @@
 //! is never needed again and is truncated.
 
 #![forbid(unsafe_code)]
+// Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
+// clippy with them as errors.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod log;
 pub mod record;

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use turbopool_core::cleaner::{CleanerStep, LazyCleaner};
 use turbopool_engine::Database;
-use turbopool_iosim::sync::Mutex;
+use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::{clock, Clk, Time};
 
 /// Outcome of one client step.
@@ -309,7 +309,7 @@ impl ThroughputRecorder {
         assert!(bucket_ns > 0);
         Arc::new(ThroughputRecorder {
             bucket_ns,
-            counts: Mutex::new(Vec::new()),
+            counts: Mutex::ranked(Rank::ThroughputCounts, Vec::new()),
             total: AtomicU64::new(0),
         })
     }

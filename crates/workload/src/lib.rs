@@ -17,6 +17,9 @@
 //! is preserved while a "10-hour" run finishes in seconds of wall time.
 
 #![forbid(unsafe_code)]
+// Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
+// clippy with them as errors.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod driver;
 pub(crate) mod pool;

@@ -1,5 +1,6 @@
-//! Scoped worker pool for the parallel driver — the only module in the
-//! workspace allowed to spawn OS threads (lint rule L7 `thread-spawn`).
+//! Scoped worker pool for the parallel driver — the only simulation code
+//! allowed to spawn OS threads (`clippy.toml` disallows `thread::spawn`
+//! and `thread::scope` everywhere else without a stated reason).
 //!
 //! Threads exist here purely as an execution resource: each worker owns
 //! a disjoint set of domain groups, runs them through
@@ -33,6 +34,11 @@ pub(crate) fn run_groups(
     }
     let mut out: Vec<Option<WindowOutcome>> = Vec::new();
     out.resize_with(n, || None);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the driver's worker pool is the one place simulation work runs on \
+                  OS threads; domains are share-nothing (DESIGN §9)"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = hands
             .into_iter()

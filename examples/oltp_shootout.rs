@@ -42,9 +42,11 @@ fn main() {
         Design::Tac,
         Design::Lc,
     ] {
-        // Wall clock on purpose (turbopool-lint allowlists this file):
-        // reports how long the host takes to simulate each design, next
-        // to the virtual-time throughput the simulation itself measures.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall clock on purpose: reports how long the host takes to simulate \
+                      each design, next to the virtual-time throughput it measures"
+        )]
         let wall = std::time::Instant::now();
         let t = Arc::new(Tpcc::setup(design, warehouses, 0.5));
         let tpmc = ThroughputRecorder::new(6 * MINUTE);

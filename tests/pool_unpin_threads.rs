@@ -56,7 +56,11 @@ fn unpins_race_evictions_on_one_shard() {
     let warm = pool.stats();
 
     let start = Barrier::new(THREADS as usize);
-    // lint: allow(thread-spawn) — the unpin/evict race needs true parallelism; the hammered pool is test-local, no simulation state is shared.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the unpin/evict race needs true parallelism; the hammered pool is \
+                  test-local, no simulation state is shared"
+    )]
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (pool, start) = (&pool, &start);
