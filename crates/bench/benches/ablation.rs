@@ -411,6 +411,6 @@ fn main() {
     filling();
     throttle();
     turbopool_bench::BenchReport::new("ablation")
-        .standard(timer.secs(), 1, 0, 0)
+        .standard(timer.secs(), 0, 0)
         .emit();
 }

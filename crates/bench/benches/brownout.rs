@@ -68,7 +68,6 @@ fn main() {
 
     let mut driver = Driver::new();
     let mut runs = Vec::new();
-    let mut lookahead = Time::MAX;
     for (domain, &design) in designs.iter().enumerate() {
         let s = Arc::new(Synthetic::setup(design, cfg.clone(), |spec| {
             spec.db.pool.frames = 64;
@@ -85,7 +84,6 @@ fn main() {
                     FACTOR,
                 )))));
         }
-        lookahead = lookahead.min(s.db.io().setup().min_service_ns());
         let rec = ThroughputRecorder::new(MINUTE);
         for c in 0..CLIENTS {
             driver.add_in_domain(domain, 0, Box::new(s.client(c as u64, Arc::clone(&rec))));
@@ -99,11 +97,9 @@ fn main() {
             rec,
         });
     }
-    driver.set_lookahead(lookahead.saturating_mul(4096));
 
-    let threads = turbopool_bench::bench_threads();
     let timer = WallTimer::start();
-    driver.run_until_parallel(total, threads);
+    driver.run_until(total);
     let wall = timer.secs();
 
     let mut rows = Vec::new();
@@ -190,7 +186,7 @@ fn main() {
 
     let mut report = BenchReport::new("brownout");
     report
-        .standard(wall, threads, total * designs.len() as u64, driver.steps())
+        .standard(wall, total * designs.len() as u64, driver.steps())
         .int("degrade_start_ns", degrade_start)
         .int("degrade_end_ns", degrade_end)
         .int("stall_period_ns", STALL_PERIOD)

@@ -1,5 +1,6 @@
-//! Driver scaling — wall-clock speedup of the time-windowed parallel
-//! driver (ISSUE 4 tentpole) at 1/2/4/8 worker threads, over:
+//! Driver scaling — wall-clock cost of running share-nothing domains
+//! one after another versus together in one driver (one OS thread per
+//! domain), over:
 //!
 //! * the fig6-quick workload (TPC-C 2K warehouses; LC, DW, TAC and noSSD
 //!   each in their own share-nothing domain), and
@@ -7,26 +8,29 @@
 //!   domains of synthetic clients with injected SSD errors), and
 //! * a buffer-pool contention stress: real OS threads hammering ONE
 //!   shared pool's hit path through its single table latch (the numbers
-//!   behind DESIGN §3 "Latching").
+//!   behind DESIGN §3 "Latching"), at 1/2/4/8 threads.
 //!
-//! Every sweep asserts that per-domain results are bit-identical across
-//! thread counts and across reps — the parallel driver must never trade
-//! determinism for speed. Each cell is timed several times and reported
-//! as median and min–max in `BENCH_driver_scaling.json`: five reps per
-//! cell in full mode; under `TURBO_QUICK` (shorter runs, sweep capped at
-//! 4 threads) three for the contention cells and one for the driver
-//! sweeps. Each cell records the host's core count, and `speedup_vs_1`
-//! (median over median) is only computed when the host can actually run
-//! threads in parallel — a single-core runner otherwise "reports"
-//! meaningless slowdowns.
+//! Each driver sweep times two modes — *alone*: every domain in its own
+//! driver, one after another; *together*: all domains in one driver —
+//! and asserts that per-domain results are bit-identical across modes
+//! and reps. Each cell is timed several times and reported as median
+//! and min–max in `BENCH_driver_scaling.json`: five reps per cell in
+//! full mode; under `TURBO_QUICK` (shorter runs, contention capped at 4
+//! threads) three for the contention cells and one for the driver
+//! sweeps. Each cell records the host's core count, and
+//! `speedup_vs_alone` (median over median) is only computed when the
+//! host can actually run threads in parallel — a single-core runner
+//! otherwise "reports" meaningless slowdowns.
 
 use std::sync::Arc;
 
-use turbopool_bench::{quick, BenchReport, Json, OltpKind, RunOptions, WallTimer};
+use turbopool_bench::{
+    quick, run_oltp_set, BenchReport, Json, OltpKind, OltpSet, RunOptions, WallTimer,
+};
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
-use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, MINUTE};
+use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, Time, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
@@ -39,11 +43,29 @@ fn host_cores() -> u64 {
         .unwrap_or(1)
 }
 
+/// How a driver sweep runs its domains.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// Every domain in its own driver, one after another.
+    Alone,
+    /// All domains in one driver, one OS thread each.
+    Together,
+}
+
+impl Mode {
+    fn label(self) -> &'static str {
+        match self {
+            Mode::Alone => "alone",
+            Mode::Together => "together",
+        }
+    }
+}
+
 /// One timed run of a sweep cell.
 struct Sample {
     drive_secs: f64,
     steps: u64,
-    /// Per-domain fingerprints, compared across reps and thread counts.
+    /// Per-domain fingerprints, compared across reps and modes.
     fingerprint: Vec<(String, u64)>,
 }
 
@@ -67,9 +89,9 @@ fn spread(mut secs: Vec<f64>) -> Spread {
     }
 }
 
-fn cell_json(threads: usize, steps: u64, t: &Spread, baseline_secs: f64) -> Json {
+fn cell_json(mode: Mode, steps: u64, t: &Spread, baseline_secs: f64) -> Json {
     let cores = host_cores();
-    // On a single-core host the multi-threaded cells measure scheduler
+    // On a single-core host the multi-threaded cell measures scheduler
     // overhead, not scaling; emit null rather than a misleading number.
     let speedup = if cores > 1 && t.median > 0.0 {
         Json::Num(baseline_secs / t.median)
@@ -77,7 +99,7 @@ fn cell_json(threads: usize, steps: u64, t: &Spread, baseline_secs: f64) -> Json
         Json::Null
     };
     Json::Obj(vec![
-        ("threads".to_string(), Json::Int(threads as u64)),
+        ("mode".to_string(), Json::Str(mode.label().to_string())),
         ("cores".to_string(), Json::Int(cores)),
         ("reps".to_string(), Json::Int(t.reps as u64)),
         ("drive_secs".to_string(), Json::Num(t.median)),
@@ -92,26 +114,31 @@ fn cell_json(threads: usize, steps: u64, t: &Spread, baseline_secs: f64) -> Json
                 0.0
             }),
         ),
-        ("speedup_vs_1".to_string(), speedup),
+        ("speedup_vs_alone".to_string(), speedup),
     ])
 }
 
-/// Run the fig6-quick OLTP panel at `threads` and fingerprint each
+/// Run the fig6-quick OLTP panel in `mode` and fingerprint each
 /// design's result with its commit count.
-fn oltp_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
+fn oltp_sample(mode: Mode, duration: Time) -> Sample {
     let designs = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
+    let kind = OltpKind::TpcC { warehouses: 20 };
     let opts = RunOptions::tpcc(duration);
-    let set =
-        turbopool_bench::run_oltp_set(OltpKind::TpcC { warehouses: 20 }, &designs, &opts, threads);
-    let fingerprint = set
-        .runs
-        .iter()
-        .map(|run| (run.design.label().to_string(), run.metric.total()))
-        .collect();
+    let sets: Vec<OltpSet> = match mode {
+        Mode::Alone => designs
+            .iter()
+            .map(|&d| run_oltp_set(kind, &[d], &opts))
+            .collect(),
+        Mode::Together => vec![run_oltp_set(kind, &designs, &opts)],
+    };
     Sample {
-        drive_secs: set.drive_secs,
-        steps: set.steps,
-        fingerprint,
+        drive_secs: sets.iter().map(|s| s.drive_secs).sum(),
+        steps: sets.iter().map(|s| s.steps).sum(),
+        fingerprint: sets
+            .iter()
+            .flat_map(|s| &s.runs)
+            .map(|run| (run.design.label().to_string(), run.metric.total()))
+            .collect(),
     }
 }
 
@@ -123,18 +150,21 @@ fn metrics_word(m: &SsdMetricsSnapshot) -> u64 {
         .wrapping_add(m.checksum_misses.wrapping_mul(7))
 }
 
-/// Run the fault matrix at `threads`: eight (design × fault) domains of
+/// Run the fault matrix in `mode`: eight (design × fault) domains of
 /// synthetic clients with injected SSD error streams.
-fn fault_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
+fn fault_sample(mode: Mode, duration: Time) -> Sample {
     let designs = [Design::Cw, Design::Dw, Design::Lc, Design::Tac];
     let faults = ["transient", "bitflips"];
     let cfg = SyntheticConfig {
         rows: 5_000,
         ..Default::default()
     };
-    let mut driver = Driver::new();
+    let n = match mode {
+        Mode::Alone => designs.len() * faults.len(),
+        Mode::Together => 1,
+    };
+    let mut drivers: Vec<Driver> = (0..n).map(|_| Driver::new()).collect();
     let mut handles = Vec::new();
-    let mut lookahead = turbopool_iosim::Time::MAX;
     for (d, &design) in designs.iter().enumerate() {
         for (f, &fault) in faults.iter().enumerate() {
             let domain = d * faults.len() + f;
@@ -151,17 +181,19 @@ fn fault_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
                 }
             };
             s.db.io().set_ssd_fault(Some(Arc::new(FaultPlan::new(fc))));
-            lookahead = lookahead.min(s.db.io().setup().min_service_ns());
             let rec = ThroughputRecorder::new(MINUTE);
             for c in 0..3 {
-                driver.add_in_domain(domain, 0, Box::new(s.client(c, Arc::clone(&rec))));
+                drivers[domain % n].add_in_domain(
+                    domain,
+                    0,
+                    Box::new(s.client(c, Arc::clone(&rec))),
+                );
             }
             handles.push((format!("{}/{fault}", design.label()), s, rec));
         }
     }
-    driver.set_lookahead(lookahead.saturating_mul(4096));
     let timer = WallTimer::start();
-    driver.run_until_parallel(duration, threads);
+    drivers.iter_mut().for_each(|d| d.run_until(duration));
     let drive_secs = timer.secs();
     let fingerprint = handles
         .iter()
@@ -175,33 +207,30 @@ fn fault_sample(threads: usize, duration: turbopool_iosim::Time) -> Sample {
         .collect();
     Sample {
         drive_secs,
-        steps: driver.steps(),
+        steps: drivers.iter().map(Driver::steps).sum(),
         fingerprint,
     }
 }
 
-/// Time every thread count `reps` times. Every run of the sweep — each
-/// rep at each thread count — must reproduce the first run's fingerprints
-/// and step count.
-fn sweep(
-    name: &str,
-    thread_counts: &[usize],
-    reps: usize,
-    mut run: impl FnMut(usize) -> Sample,
-) -> Vec<Json> {
+/// Time both modes `reps` times. Every run of the sweep — each rep in
+/// each mode — must reproduce the first run's fingerprints and step
+/// count.
+fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> Vec<Json> {
     let mut base: Option<Sample> = None;
-    let mut cells: Vec<(usize, Spread)> = Vec::new();
-    for &threads in thread_counts {
+    let mut cells: Vec<(Mode, Spread)> = Vec::new();
+    for mode in [Mode::Alone, Mode::Together] {
         let mut secs = Vec::with_capacity(reps);
         for _ in 0..reps {
-            let s = run(threads);
+            let s = run(mode);
             secs.push(s.drive_secs);
             match &base {
                 None => base = Some(s),
                 Some(b) => {
                     assert_eq!(
-                        s.fingerprint, b.fingerprint,
-                        "{name}: results diverged from the first run at {threads} threads"
+                        s.fingerprint,
+                        b.fingerprint,
+                        "{name}: results diverged from the first run ({} mode)",
+                        mode.label()
                     );
                     assert_eq!(s.steps, b.steps, "{name}: step counts diverged");
                 }
@@ -209,17 +238,21 @@ fn sweep(
         }
         let t = spread(secs);
         println!(
-            "{name:<14} threads={threads} drive_secs={:.3} (min {:.3} max {:.3}, {} reps)",
-            t.median, t.min, t.max, t.reps
+            "{name:<14} {:<8} drive_secs={:.3} (min {:.3} max {:.3}, {} reps)",
+            mode.label(),
+            t.median,
+            t.min,
+            t.max,
+            t.reps
         );
-        cells.push((threads, t));
+        cells.push((mode, t));
     }
     let steps = base.expect("a sweep has at least one run").steps;
-    println!("{name:<14} steps={steps}, results identical across all thread counts and reps");
+    println!("{name:<14} steps={steps}, results identical across both modes and all reps");
     let baseline_secs = cells[0].1.median;
     cells
         .iter()
-        .map(|(threads, t)| cell_json(*threads, steps, t, baseline_secs))
+        .map(|(mode, t)| cell_json(*mode, steps, t, baseline_secs))
         .collect()
 }
 
@@ -341,13 +374,13 @@ fn main() {
     let timer = WallTimer::start();
 
     println!("== driver_scaling: fig6-quick (TPC-C 2K, 4 design domains) ==");
-    let oltp = sweep("oltp", thread_counts, driver_reps, |t| {
-        oltp_sample(t, oltp_minutes * MINUTE)
+    let oltp = sweep("oltp", driver_reps, |m| {
+        oltp_sample(m, oltp_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: fault matrix (4 designs x 2 fault streams) ==");
-    let faults = sweep("fault_matrix", thread_counts, driver_reps, |t| {
-        fault_sample(t, fault_minutes * MINUTE)
+    let faults = sweep("fault_matrix", driver_reps, |m| {
+        fault_sample(m, fault_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: pool table-latch contention (1 shared pool) ==");
@@ -361,12 +394,7 @@ fn main() {
         (oltp_minutes * MINUTE).saturating_mul(4) + (fault_minutes * MINUTE).saturating_mul(8);
     let mut report = BenchReport::new("driver_scaling");
     report
-        .standard(
-            timer.secs(),
-            *thread_counts.last().unwrap_or(&1),
-            virtual_ns * (thread_counts.len() * driver_reps) as u64,
-            0,
-        )
+        .standard(timer.secs(), virtual_ns * (2 * driver_reps) as u64, 0)
         .set("oltp", Json::Arr(oltp))
         .set("fault_matrix", Json::Arr(faults))
         .set("pool_contention", Json::Arr(contention))

@@ -30,7 +30,7 @@ fn oltp_section(
     metric_name: &str,
     cases: &[(&str, OltpKind, PaperRow)],
     opts_for: impl Fn(&OltpKind) -> RunOptions,
-) {
+) -> u64 {
     println!("\n== Figure 5 ({name}) ==\n");
     let mut table = Table::new(vec![
         "database",
@@ -40,9 +40,11 @@ fn oltp_section(
         "paper",
         "ssd hit%",
     ]);
+    let mut steps = 0;
     for (label, kind, paper) in cases {
         let opts = opts_for(kind);
         let base = run_oltp(*kind, Design::NoSsd, &opts);
+        steps += base.steps;
         table.row(vec![
             label.to_string(),
             "noSSD".into(),
@@ -57,6 +59,7 @@ fn oltp_section(
             (Design::Tac, paper.tac),
         ] {
             let run = run_oltp(*kind, design, &opts);
+            steps += run.steps;
             let speedup = run.last_hour_per_min / base.last_hour_per_min.max(1e-9);
             let hit = run.ssd.map(|m| m.hit_rate() * 100.0).unwrap_or(0.0);
             table.row(vec![
@@ -70,6 +73,7 @@ fn oltp_section(
         }
     }
     table.print();
+    steps
 }
 
 fn tpch_section(quick: bool) {
@@ -110,7 +114,7 @@ fn tpch_section(quick: bool) {
     table.print();
 }
 
-fn cw_note() {
+fn cw_note() -> u64 {
     // §4.1: "for the 20K customer TPC-E database, CW was 21.6% and 23.3%
     // slower than DW and LC, respectively."
     println!("\n== §4.1 CW datapoint (TPC-E 20K) ==\n");
@@ -122,6 +126,7 @@ fn cw_note() {
     let vs_lc = 100.0 * (1.0 - cw.last_hour_per_min / lc.last_hour_per_min.max(1e-9));
     println!("CW slower than DW by {vs_dw:.1}% (paper: 21.6%)");
     println!("CW slower than LC by {vs_lc:.1}% (paper: 23.3%)");
+    cw.steps + dw.steps + lc.steps
 }
 
 fn main() {
@@ -170,7 +175,7 @@ fn main() {
             ),
         ]
     };
-    oltp_section("a-c: TPC-C tpmC", "tpmC*", &tpcc, |_| {
+    let mut steps = oltp_section("a-c: TPC-C tpmC", "tpmC*", &tpcc, |_| {
         RunOptions::tpcc(hours)
     });
 
@@ -215,16 +220,16 @@ fn main() {
             ),
         ]
     };
-    oltp_section("d-f: TPC-E tpmE-equivalent", "tps*60", &tpce, |_| {
+    steps += oltp_section("d-f: TPC-E tpmE-equivalent", "tps*60", &tpce, |_| {
         RunOptions::tpce(hours)
     });
 
     tpch_section(quick);
     if !quick {
-        cw_note();
+        steps += cw_note();
     }
     println!("\n(*metrics are scaled: divide paper absolute numbers by 1000 to compare; speedups are scale-free.)");
     BenchReport::new("fig5")
-        .standard(timer.secs(), 1, hours, 0)
+        .standard(timer.secs(), hours, steps)
         .emit();
 }

@@ -5,9 +5,9 @@
 //! each with LC, DW, TAC and noSSD. Six-minute buckets, like the paper.
 //!
 //! The four designs of each panel run *concurrently* as share-nothing
-//! driver domains (`run_oltp_set`) — results are bit-identical to
-//! running them one at a time, only wall-clock time changes. Set
-//! `TURBO_THREADS=1` to force the sequential schedule.
+//! driver domains (`run_oltp_set`), one OS thread each — results are
+//! bit-identical to running them one at a time, only wall-clock time
+//! changes.
 //!
 //! Expected shape (paper §4.2.1 / §4.3.1):
 //! * LC on TPC-C climbs steeply, then drops when the dirty SSD pages cross
@@ -17,16 +17,15 @@
 //!   disks); checkpoint dips every ~40 minutes.
 
 use turbopool_bench::{
-    bench_threads, render_series, run_hours, run_oltp_set, BenchReport, Json, OltpKind, RunOptions,
-    WallTimer,
+    render_series, run_hours, run_oltp_set, BenchReport, Json, OltpKind, RunOptions, WallTimer,
 };
 use turbopool_workload::scenario::Design;
 
 const DESIGNS: [Design; 4] = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
 
-fn panel(name: &str, kind: OltpKind, opts: &RunOptions, threads: usize) -> (Json, u64) {
+fn panel(name: &str, kind: OltpKind, opts: &RunOptions) -> (Json, u64) {
     println!("\n== Figure 6 {name} ==");
-    let set = run_oltp_set(kind, &DESIGNS, opts, threads);
+    let set = run_oltp_set(kind, &DESIGNS, opts);
     let mut rates = Vec::new();
     for run in &set.runs {
         println!(
@@ -52,7 +51,6 @@ fn panel(name: &str, kind: OltpKind, opts: &RunOptions, threads: usize) -> (Json
 fn main() {
     let hours = run_hours();
     let quick = turbopool_bench::quick();
-    let threads = bench_threads();
     let timer = WallTimer::start();
     let mut panels = Vec::new();
     let mut steps = 0u64;
@@ -61,7 +59,6 @@ fn main() {
         "(a): TPC-C 2K warehouses (tpmC*)",
         OltpKind::TpcC { warehouses: 20 },
         &RunOptions::tpcc(hours),
-        threads,
     );
     panels.push(entry);
     steps += s;
@@ -83,7 +80,7 @@ fn main() {
                 RunOptions::tpce(hours),
             ),
         ] {
-            let (entry, s) = panel(name, kind, &opts, threads);
+            let (entry, s) = panel(name, kind, &opts);
             panels.push(entry);
             steps += s;
         }
@@ -93,7 +90,7 @@ fn main() {
     let virtual_ns = hours.saturating_mul(panels.len() as u64 * DESIGNS.len() as u64);
     let mut report = BenchReport::new("fig6");
     report
-        .standard(timer.secs(), threads, virtual_ns, steps)
+        .standard(timer.secs(), virtual_ns, steps)
         .set("panels", Json::Arr(panels));
     report.emit();
 }

@@ -28,6 +28,7 @@ fn main() {
         "cleaner IOPS*",
     ]);
     let mut base = 0.0;
+    let mut steps = 0;
     let mut curves = Vec::new();
     for (lambda, paper_rel) in [(0.10, 1.0), (0.50, 3.1 / 1.6), (0.90, 3.1)] {
         let opts = RunOptions {
@@ -35,6 +36,7 @@ fn main() {
             ..RunOptions::tpcc(hours)
         };
         let run = run_oltp(OltpKind::TpcC { warehouses }, Design::Lc, &opts);
+        steps += run.steps;
         if base == 0.0 {
             base = run.last_hour_per_min;
         }
@@ -60,6 +62,6 @@ fn main() {
     println!("\n(paper cleaner IOPS at full scale: 950 / 769 / 521 for λ = 10/50/90%;");
     println!(" scaled values are 1000x smaller — compare the monotone decrease.)");
     BenchReport::new("fig7")
-        .standard(timer.secs(), 1, hours.saturating_mul(3), 0)
+        .standard(timer.secs(), hours.saturating_mul(3), steps)
         .emit();
 }

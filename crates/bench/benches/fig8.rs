@@ -55,6 +55,6 @@ fn main() {
     println!("Paper: disks saturate ~6.5 MB/s of random traffic; SSD peaks ~46 MB/s read,");
     println!("far below its ~95 MB/s capability — the disks are the bottleneck.");
     turbopool_bench::BenchReport::new("fig8")
-        .standard(timer.secs(), 1, run_hours(), 0)
+        .standard(timer.secs(), run_hours(), run.steps)
         .emit();
 }

@@ -30,6 +30,7 @@ fn main() {
         "== Figure 9: checkpoint interval 40 min vs 5 h (TPC-E {customers} scaled customers) =="
     );
 
+    let mut steps = 0;
     for (panel, design) in [("(a) DW", Design::Dw), ("(b) LC", Design::Lc)] {
         println!("\n=== {panel} ===");
         for (label, interval, lambda) in [
@@ -45,6 +46,7 @@ fn main() {
                 ..RunOptions::tpce(hours)
             };
             let run = run_oltp(OltpKind::TpcE { customers }, design, &opts);
+            steps += run.steps;
             println!(
                 "\n--- checkpoint every {label} (last-hour rate {:.2}/min, checkpoint-cleaned SSD pages {}) ---",
                 run.last_hour_per_min,
@@ -54,6 +56,6 @@ fn main() {
         }
     }
     BenchReport::new("fig9")
-        .standard(timer.secs(), 1, hours.saturating_mul(4), 0)
+        .standard(timer.secs(), hours.saturating_mul(4), steps)
         .emit();
 }

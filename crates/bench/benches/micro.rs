@@ -618,7 +618,7 @@ fn main() {
     let mut report = BenchReport::new("micro");
     // Microbenches have no virtual-time component; steps = iterations.
     report
-        .standard(timer.secs(), 1, 0, total_iters)
+        .standard(timer.secs(), 0, total_iters)
         .set("results", Json::Arr(results));
     report.emit();
 }

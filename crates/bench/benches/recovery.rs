@@ -230,7 +230,7 @@ fn main() {
 
     let mut report = BenchReport::new("recovery");
     let last_virtual_ns = redo_rows.last().map_or(0, |(_, cost)| cost.virtual_ns);
-    report.standard(timer.secs(), 1, last_virtual_ns, 0);
+    report.standard(timer.secs(), last_virtual_ns, 0);
     for (txns, cost) in &redo_rows {
         report.int(&format!("redo_{txns}_virtual_ns"), cost.virtual_ns);
         report.num(&format!("redo_{txns}_host_ms"), cost.host_ms);

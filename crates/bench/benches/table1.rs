@@ -138,7 +138,7 @@ fn main() {
     println!("\n(Every ratio should be ~1.00: the devices are calibrated to Table 1.)");
     let mut report = turbopool_bench::BenchReport::new("table1");
     report
-        .standard(timer.secs(), 1, 0, 0)
+        .standard(timer.secs(), 0, 0)
         .set("cases", turbopool_bench::Json::Arr(rows));
     report.emit();
 }

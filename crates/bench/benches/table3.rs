@@ -96,6 +96,6 @@ fn main() {
     }
     println!("(Scaled metrics; compare ratios. Expect throughput-test gains > power-test gains.)");
     BenchReport::new("table3")
-        .standard(timer.secs(), 1, 0, 0)
+        .standard(timer.secs(), 0, 0)
         .emit();
 }

@@ -1,11 +1,10 @@
 //! Tiny std-only JSON writer for machine-readable bench results.
 //!
 //! Every bench target emits a `BENCH_<name>.json` file at the repo root
-//! recording wall-clock seconds, client steps/sec, virtual-time
-//! throughput and the thread count, so the perf trajectory is tracked
-//! run-over-run (ISSUE 4). The model is deliberately minimal: enough
-//! JSON to hold numbers, strings, arrays and objects — not a general
-//! serializer.
+//! recording wall-clock seconds, client steps/sec and virtual-time
+//! throughput, so the perf trajectory is tracked run-over-run. The
+//! model is deliberately minimal: enough JSON to hold numbers, strings,
+//! arrays and objects — not a general serializer.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -163,19 +162,12 @@ impl BenchReport {
         self.set(key, Json::Str(value.to_string()))
     }
 
-    /// The standard block every bench records: wall seconds, worker
-    /// thread count, virtual time simulated, driver steps, and the two
-    /// derived throughput numbers (steps/sec and virtual-vs-wall speed).
-    pub fn standard(
-        &mut self,
-        wall_secs: f64,
-        threads: usize,
-        virtual_ns: Time,
-        steps: u64,
-    ) -> &mut Self {
+    /// The standard block every bench records: wall seconds, virtual
+    /// time simulated, driver steps, and the two derived throughput
+    /// numbers (steps/sec and virtual-vs-wall speed).
+    pub fn standard(&mut self, wall_secs: f64, virtual_ns: Time, steps: u64) -> &mut Self {
         let virtual_secs = virtual_ns as f64 / 1e9;
         self.num("wall_secs", wall_secs)
-            .int("threads", threads as u64)
             .num("virtual_secs", virtual_secs)
             .int("steps", steps)
             .num("steps_per_sec", safe_div(steps as f64, wall_secs))
@@ -291,10 +283,9 @@ mod tests {
     #[test]
     fn report_shape_is_stable() {
         let mut r = BenchReport::new("unit");
-        r.standard(2.0, 4, 3_000_000_000, 100);
+        r.standard(2.0, 3_000_000_000, 100);
         let json = Json::Obj(r.fields.clone()).to_string();
         assert!(json.contains(r#""bench":"unit""#));
-        assert!(json.contains(r#""threads":4"#));
         assert!(json.contains(r#""steps_per_sec":50"#));
         assert!(json.contains(r#""virtual_secs":3"#));
     }

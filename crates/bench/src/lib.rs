@@ -11,8 +11,8 @@
 //! * `TURBO_HOURS` — virtual hours per OLTP run (default 10, the paper's
 //!   duration; smaller values finish faster with the same early shape).
 //! * `TURBO_QUICK` — if set, shrinks runs for smoke testing.
-//! * `TURBO_THREADS` — driver worker threads for multi-design runs
-//!   (default: available parallelism).
+//!
+//! Multi-design runs take one OS thread per design (`run_oltp_set`).
 
 pub mod json;
 pub mod report;
@@ -39,18 +39,4 @@ pub fn run_hours() -> Time {
 /// True when running in smoke-test mode.
 pub fn quick() -> bool {
     std::env::var_os("TURBO_QUICK").is_some()
-}
-
-/// Driver worker threads for multi-design runs: `TURBO_THREADS`, or the
-/// machine's available parallelism. Thread count never changes results
-/// (see `turbopool_workload::driver` parallel docs), only wall-clock.
-pub fn bench_threads() -> usize {
-    if let Ok(s) = std::env::var("TURBO_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_engine::Database;
-use turbopool_iosim::{Time, HOUR, MILLISECOND, MINUTE};
+use turbopool_iosim::{Time, HOUR, MINUTE};
 use turbopool_workload::driver::{CheckpointClient, CleanerClient, Driver, ThroughputRecorder};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::{tpcc::Tpcc, tpce::Tpce};
@@ -85,12 +85,14 @@ pub struct OltpRun {
     pub ssd_series: Vec<(Time, u64, u64)>,
     /// TAC wasted (invalid) SSD frames at end of run.
     pub tac_invalid_frames: u64,
+    /// Driver steps of this design's clients.
+    pub steps: u64,
 }
 
 /// Build + bulk load one design's database and attach its terminals plus
 /// the checkpointer/cleaner pseudo-clients, all inside driver `domain`.
 /// Each call owns a whole Database, so distinct domains are share-nothing
-/// and the parallel driver may step them on different worker threads.
+/// and the driver runs each on a thread of its own.
 fn attach(
     kind: OltpKind,
     design: Design,
@@ -138,6 +140,7 @@ fn collect(
     metric: Arc<ThroughputRecorder>,
     opts: &RunOptions,
     db: &Database,
+    steps: u64,
 ) -> OltpRun {
     let last_hour_start = opts.duration.saturating_sub(HOUR);
     let last_hour_per_min = metric.rate_between(last_hour_start, opts.duration, MINUTE);
@@ -157,6 +160,7 @@ fn collect(
         ssd_series: db.io().ssd_series(),
         tac_invalid_frames: db.tac_cache().map(|t| t.invalid_frames()).unwrap_or(0),
         metric,
+        steps,
     }
 }
 
@@ -165,11 +169,8 @@ fn collect(
 /// `opts.duration` of virtual time, and collect every statistic the
 /// figures need.
 pub fn run_oltp(kind: OltpKind, design: Design, opts: &RunOptions) -> OltpRun {
-    let metric = ThroughputRecorder::new(6 * MINUTE);
-    let mut driver = Driver::new();
-    let db = attach(kind, design, opts, &mut driver, 0, &metric);
-    driver.run_until(opts.duration);
-    collect(design, metric, opts, &db)
+    let mut set = run_oltp_set(kind, &[design], opts);
+    set.runs.pop().expect("one run per design")
 }
 
 /// Several designs' results plus the shared-driver totals.
@@ -178,30 +179,17 @@ pub struct OltpSet {
     pub runs: Vec<OltpRun>,
     /// Total client steps executed across all designs.
     pub steps: u64,
-    /// Worker threads the driver was given.
-    pub threads: usize,
     /// Wall-clock seconds of the drive phase alone (setup/bulk-load is
     /// serial and excluded, so scaling numbers measure the simulation).
     pub drive_secs: f64,
 }
 
-/// How many minimum-service quanta one parallel window spans. Windows
-/// only bound how far share-nothing domains drift apart in virtual time
-/// (bit-identity holds for any width — see the driver docs), so a wide
-/// window amortizes the per-window merge without changing results.
-const WINDOW_QUANTA: u64 = 4096;
-
 /// Run one OLTP experiment per design *concurrently*: each design gets
-/// its own database and driver domain, and the parallel driver steps the
-/// domains on up to `threads` worker threads. Results are bit-identical
-/// to running `run_oltp` per design (same seeds, same virtual clocks) —
-/// only wall-clock time changes.
-pub fn run_oltp_set(
-    kind: OltpKind,
-    designs: &[Design],
-    opts: &RunOptions,
-    threads: usize,
-) -> OltpSet {
+/// its own database and driver domain, and the driver runs each domain
+/// on a thread of its own. Results are bit-identical to running
+/// `run_oltp` per design (same seeds, same virtual clocks) — only
+/// wall-clock time changes.
+pub fn run_oltp_set(kind: OltpKind, designs: &[Design], opts: &RunOptions) -> OltpSet {
     let mut driver = Driver::new();
     let mut handles = Vec::with_capacity(designs.len());
     for (domain, &design) in designs.iter().enumerate() {
@@ -209,24 +197,19 @@ pub fn run_oltp_set(
         let db = attach(kind, design, opts, &mut driver, domain, &metric);
         handles.push((design, metric, db));
     }
-    let min_service = handles
-        .iter()
-        .map(|(_, _, db)| db.io().setup().min_service_ns())
-        .min()
-        .unwrap_or(MILLISECOND);
-    driver.set_lookahead(min_service.saturating_mul(WINDOW_QUANTA));
     let timer = crate::json::WallTimer::start();
-    driver.run_until_parallel(opts.duration, threads);
+    driver.run_until(opts.duration);
     let drive_secs = timer.secs();
-    let steps = driver.steps();
     let runs = handles
         .into_iter()
-        .map(|(design, metric, db)| collect(design, metric, opts, &db))
+        .enumerate()
+        .map(|(domain, (design, metric, db))| {
+            collect(design, metric, opts, &db, driver.steps_in(domain))
+        })
         .collect();
     OltpSet {
         runs,
-        steps,
-        threads,
+        steps: driver.steps(),
         drive_secs,
     }
 }
@@ -257,7 +240,7 @@ mod tests {
         };
         let kind = OltpKind::TpcC { warehouses: 2 };
         let designs = [Design::Dw, Design::Lc];
-        let set = run_oltp_set(kind, &designs, &opts, 2);
+        let set = run_oltp_set(kind, &designs, &opts);
         assert_eq!(set.runs.len(), 2);
         for (i, &design) in designs.iter().enumerate() {
             let solo = run_oltp(kind, design, &opts);

@@ -114,18 +114,6 @@ impl DeviceProfile {
             .max(self.rand_write_ns)
             .max(self.seq_write_ns)
     }
-
-    /// Smallest service time any single request can take on this device —
-    /// the conservative lookahead quantum of the parallel driver: no
-    /// request submitted at or after time `t` can complete before
-    /// `t + min_service_ns()`.
-    pub fn min_service_ns(&self) -> Time {
-        self.rand_read_ns
-            .min(self.seq_read_ns)
-            .min(self.rand_write_ns)
-            .min(self.seq_write_ns)
-            .max(1)
-    }
 }
 
 /// Completion information for a submitted request.

@@ -65,21 +65,6 @@ impl DeviceSetup {
         s.log_profile = s.log_profile.time_scaled(k);
         s
     }
-
-    /// Smallest service time any single request can take on any device
-    /// in this setup — the conservative lookahead quantum for the
-    /// parallel driver (`turbopool-workload`): no I/O submitted at or
-    /// after virtual time `t` completes before `t + min_service_ns()`.
-    /// The disk group is modeled as `num_disks` members each running at
-    /// `1/num_disks` of the aggregate throughput, so the per-member
-    /// profile is what bounds a single request.
-    pub fn min_service_ns(&self) -> Time {
-        self.disk_profile
-            .per_member_of(self.num_disks)
-            .min_service_ns()
-            .min(self.ssd_profile.min_service_ns())
-            .min(self.log_profile.min_service_ns())
-    }
 }
 
 /// Combined timing + data I/O manager for all three storage tiers.

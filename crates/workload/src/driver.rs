@@ -7,26 +7,19 @@
 //! streams — deterministically. One `step` is one atomic unit of work
 //! (one transaction, one query, one cleaner batch, one checkpoint).
 //!
-//! # Parallel execution (DESIGN.md §9)
+//! # Domains (DESIGN.md §9)
 //!
-//! [`Driver::run_until_parallel`] is a conservative time-windowed
-//! parallel variant. Clients are partitioned into **domains** (see
-//! [`Driver::add_in_domain`]); each window `[t_min, t_min + lookahead)`
-//! pops every client scheduled inside it, groups them by domain, and
-//! steps each domain group on the scoped worker pool
-//! ([`crate::pool`]). Within a group, steps execute in exactly the
-//! sequential earliest-clock-first `(time, client_id)` order, and the
-//! surviving clients' re-arrivals are merged back into the global queue
-//! under the deterministic `(virtual_time, client_id, seq)` sort key —
-//! so per-domain state evolves bit-identically to a sequential run.
+//! Clients are partitioned into **domains** ([`Driver::add_in_domain`]),
+//! each with its own earliest-clock-first queue ordered by
+//! `(time, client id)`. [`Driver::run_until`] runs a lone domain on the
+//! calling thread and several on one OS thread each.
 //!
-//! The determinism contract: domains must be **share-nothing** — a
-//! domain's clients may only mutate state (Database, devices, pools)
-//! owned by that domain. State shared *across* domains must be
-//! commutative (atomic counters, [`ThroughputRecorder`] buckets), so
-//! that cross-domain interleaving cannot change any observable result.
-//! The sequential driver trivially satisfies the same contract, which
-//! is what makes `run_until_parallel` bit-identical to `run_until`.
+//! The contract: domains are **share-nothing** — a domain's clients may
+//! only mutate state (Database, devices, pools) owned by that domain.
+//! State shared *across* domains must be commutative (atomic counters,
+//! [`ThroughputRecorder`] buckets). Under it no observable result
+//! depends on how the threads interleave, so a fleet run in one driver
+//! equals each of its domains run alone.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -53,101 +46,55 @@ pub trait Client: Send {
     fn step(&mut self, clk: &mut Clk) -> StepResult;
 }
 
-pub(crate) struct Slot {
-    pub(crate) clk: Clk,
-    pub(crate) client: Box<dyn Client>,
-    /// Share-nothing partition this client belongs to (see module docs).
-    pub(crate) domain: usize,
+struct Slot {
+    /// Driver-wide client id, in registration order.
+    id: usize,
+    clk: Clk,
+    client: Box<dyn Client>,
 }
 
-/// A client re-entering the global queue after a parallel window, keyed
-/// for the deterministic merge: `(virtual_time, client_id, seq)`.
-pub(crate) struct Arrival {
-    pub(crate) time: Time,
-    pub(crate) id: usize,
-    /// Per-domain emission order within the window — a deterministic
-    /// tie-breaker derived purely from the domain's own execution.
-    pub(crate) seq: u64,
-    pub(crate) slot: Slot,
-}
-
-/// Result of running one domain group through a window.
-pub(crate) struct WindowOutcome {
-    pub(crate) arrivals: Vec<Arrival>,
-    pub(crate) steps: u64,
-}
-
-/// Step one domain's clients through `[.., window_end)` in exact
-/// earliest-clock-first order — the same order the sequential driver
-/// would use restricted to this domain. Pure function of its inputs:
-/// runs identically on any worker thread.
-pub(crate) fn run_group(entries: Vec<(Time, usize, Slot)>, window_end: Time) -> WindowOutcome {
-    let mut heap: BinaryHeap<Reverse<(Time, usize)>> = BinaryHeap::new();
-    let mut slots: BTreeMap<usize, Slot> = BTreeMap::new();
-    for (t, id, slot) in entries {
-        heap.push(Reverse((t, id)));
-        slots.insert(id, slot);
-    }
-    let mut steps = 0u64;
-    while let Some(&Reverse((t, id))) = heap.peek() {
-        if t >= window_end {
-            break;
-        }
-        heap.pop();
-        let slot = slots.get_mut(&id).expect("scheduled client has a slot");
-        debug_assert_eq!(slot.clk.now, t);
-        steps += 1;
-        match slot.client.step(&mut slot.clk) {
-            StepResult::Continue => {
-                // Guarantee progress even for zero-cost steps.
-                if slot.clk.now <= t {
-                    slot.clk.now = t + 1;
-                }
-                heap.push(Reverse((slot.clk.now, id)));
-            }
-            StepResult::Done => {
-                slots.remove(&id);
-            }
-        }
-    }
-    // Everything still scheduled leaves the window as an arrival, in
-    // deterministic (time, id) order.
-    let mut rest: Vec<(Time, usize)> = heap.into_iter().map(|Reverse(p)| p).collect();
-    rest.sort_unstable();
-    let arrivals = rest
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (time, id))| Arrival {
-            time,
-            id,
-            seq: seq as u64,
-            slot: slots.remove(&id).expect("scheduled client has a slot"),
-        })
-        .collect();
-    WindowOutcome { arrivals, steps }
-}
-
-/// Earliest-clock-first scheduler.
-pub struct Driver {
+/// One share-nothing domain's clients and queue. The queue holds
+/// `(time, index into slots)`; indices follow registration order like
+/// the driver-wide ids, so ties break the same way.
+#[derive(Default)]
+struct Domain {
     slots: Vec<Option<Slot>>,
     queue: BinaryHeap<Reverse<(Time, usize)>>,
     steps: u64,
-    /// Parallel window width. `Time::MAX` (the default) means "one
-    /// window": valid whenever domains are share-nothing, which the
-    /// contract already requires. Benches narrow it via
-    /// [`Driver::set_lookahead`] to bound how far domains drift apart.
-    lookahead: Time,
 }
 
-impl Default for Driver {
-    fn default() -> Self {
-        Driver {
-            slots: Vec::new(),
-            queue: BinaryHeap::new(),
-            steps: 0,
-            lookahead: Time::MAX,
+impl Domain {
+    fn run_until(&mut self, end: Time) {
+        while let Some(&Reverse((t, i))) = self.queue.peek() {
+            if t >= end {
+                break;
+            }
+            self.queue.pop();
+            let slot = self.slots[i].as_mut().expect("scheduled client has a slot");
+            debug_assert_eq!(slot.clk.now, t);
+            self.steps += 1;
+            match slot.client.step(&mut slot.clk) {
+                StepResult::Continue => {
+                    // Guarantee progress even for zero-cost steps.
+                    if slot.clk.now <= t {
+                        slot.clk.now = t + 1;
+                    }
+                    self.queue.push(Reverse((slot.clk.now, i)));
+                }
+                StepResult::Done => {
+                    self.slots[i] = None;
+                }
+            }
         }
     }
+}
+
+/// Earliest-clock-first scheduler over share-nothing domains.
+#[derive(Default)]
+pub struct Driver {
+    /// Keyed by domain id, so threads are joined in domain order.
+    domains: BTreeMap<usize, Domain>,
+    clients: usize,
 }
 
 impl Driver {
@@ -160,109 +107,47 @@ impl Driver {
         self.add_in_domain(0, start, client)
     }
 
-    /// Register a client in a share-nothing `domain`. Clients in the
-    /// same domain are always stepped in sequential order relative to
-    /// each other; clients in different domains may be stepped on
-    /// different worker threads by [`Driver::run_until_parallel`].
+    /// Register a client in a share-nothing `domain` and return its
+    /// driver-wide id. Clients of one domain always step in
+    /// `(time, id)` order on one thread.
     pub fn add_in_domain(&mut self, domain: usize, start: Time, client: Box<dyn Client>) -> usize {
-        let id = self.slots.len();
-        self.slots.push(Some(Slot {
+        let id = self.clients;
+        self.clients += 1;
+        let d = self.domains.entry(domain).or_default();
+        d.queue.push(Reverse((start, d.slots.len())));
+        d.slots.push(Some(Slot {
+            id,
             clk: Clk::at(start),
             client,
-            domain,
         }));
-        self.queue.push(Reverse((start, id)));
         id
-    }
-
-    /// Narrow the parallel window to `ns` of virtual time (clamped to at
-    /// least 1 ns). A natural conservative choice is the minimum device
-    /// service time (`DeviceSetup::min_service_ns`) times a batching
-    /// factor; smaller windows synchronize domains more often.
-    pub fn set_lookahead(&mut self, ns: Time) {
-        self.lookahead = ns.max(1);
     }
 
     /// Run until every runnable client's clock reaches `end` (or every
     /// client is done). Steps that begin before `end` run to completion
     /// and may overshoot it, like real in-flight work at a deadline.
+    /// A lone domain runs on the calling thread; several run on one
+    /// scoped OS thread each.
     pub fn run_until(&mut self, end: Time) {
-        while let Some(&Reverse((t, id))) = self.queue.peek() {
-            if t >= end {
-                break;
-            }
-            self.queue.pop();
-            let slot = self.slots[id]
-                .as_mut()
-                .expect("scheduled client has a slot");
-            debug_assert_eq!(slot.clk.now, t);
-            self.steps += 1;
-            match slot.client.step(&mut slot.clk) {
-                StepResult::Continue => {
-                    // Guarantee progress even for zero-cost steps.
-                    if slot.clk.now <= t {
-                        slot.clk.now = t + 1;
-                    }
-                    self.queue.push(Reverse((slot.clk.now, id)));
-                }
-                StepResult::Done => {
-                    self.slots[id] = None;
-                }
-            }
+        if self.domains.len() <= 1 {
+            self.domains.values_mut().for_each(|d| d.run_until(end));
+            return;
         }
-    }
-
-    /// Time-windowed parallel variant of [`Driver::run_until`],
-    /// bit-identical to it under the share-nothing domain contract (see
-    /// module docs). Each iteration takes the window
-    /// `[t_min, t_min + lookahead)`, steps each domain's ready clients
-    /// as an independent group (on up to `threads` OS threads), then
-    /// merges the survivors back under the `(time, client_id, seq)` key.
-    pub fn run_until_parallel(&mut self, end: Time, threads: usize) {
-        let threads = threads.max(1);
-        loop {
-            let t_min = match self.queue.peek() {
-                Some(&Reverse((t, _))) => t,
-                None => break,
-            };
-            if t_min >= end {
-                break;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the driver is the one place simulation work runs on OS threads: \
+                      one per share-nothing domain (DESIGN §9)"
+        )]
+        std::thread::scope(|scope| {
+            let running: Vec<_> = self
+                .domains
+                .values_mut()
+                .map(|d| scope.spawn(move || d.run_until(end)))
+                .collect();
+            for r in running {
+                r.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
             }
-            let window_end = end.min(t_min.saturating_add(self.lookahead));
-            // Pop every client scheduled inside the window, grouped by
-            // domain. Heap pops come out in (time, id) order, so each
-            // group's entry list is already sorted.
-            let mut groups: BTreeMap<usize, Vec<(Time, usize, Slot)>> = BTreeMap::new();
-            while let Some(&Reverse((t, id))) = self.queue.peek() {
-                if t >= window_end {
-                    break;
-                }
-                self.queue.pop();
-                let slot = self.slots[id].take().expect("scheduled client has a slot");
-                groups.entry(slot.domain).or_default().push((t, id, slot));
-            }
-            let groups: Vec<Vec<(Time, usize, Slot)>> = groups.into_values().collect();
-            let outcomes = if threads == 1 || groups.len() == 1 {
-                groups
-                    .into_iter()
-                    .map(|g| run_group(g, window_end))
-                    .collect()
-            } else {
-                crate::pool::run_groups(groups, window_end, threads)
-            };
-            let mut arrivals: Vec<Arrival> = Vec::new();
-            for outcome in outcomes {
-                self.steps += outcome.steps;
-                arrivals.extend(outcome.arrivals);
-            }
-            // Deterministic merge: independent of which thread finished
-            // first, the global queue is rebuilt in the same order.
-            arrivals.sort_by_key(|a| (a.time, a.id, a.seq));
-            for a in arrivals {
-                self.slots[a.id] = Some(a.slot);
-                self.queue.push(Reverse((a.time, a.id)));
-            }
-        }
+        });
     }
 
     /// Run until no runnable clients remain.
@@ -270,26 +155,34 @@ impl Driver {
         self.run_until(Time::MAX);
     }
 
-    /// Parallel [`Driver::run_to_completion`].
-    pub fn run_parallel(&mut self, threads: usize) {
-        self.run_until_parallel(Time::MAX, threads);
-    }
-
     /// Number of clients still scheduled.
     pub fn runnable(&self) -> usize {
-        self.queue.len()
+        self.domains.values().map(|d| d.queue.len()).sum()
     }
 
-    /// Total client steps executed so far (sequential + parallel).
+    /// Total client steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.domains.values().map(|d| d.steps).sum()
+    }
+
+    /// Client steps executed so far in `domain`.
+    pub fn steps_in(&self, domain: usize) -> u64 {
+        self.domains.get(&domain).map_or(0, |d| d.steps)
     }
 
     /// The scheduled clients' `(client_id, virtual_clock)` pairs, sorted
-    /// by id — the determinism tests compare these across thread counts.
+    /// by id — the determinism tests compare these across runs.
     pub fn clocks(&self) -> Vec<(usize, Time)> {
-        let mut v: Vec<(usize, Time)> =
-            self.queue.iter().map(|&Reverse((t, id))| (id, t)).collect();
+        let mut v: Vec<(usize, Time)> = self
+            .domains
+            .values()
+            .flat_map(|d| {
+                d.queue.iter().map(|&Reverse((t, i))| {
+                    let slot = d.slots[i].as_ref().expect("scheduled client has a slot");
+                    (slot.id, t)
+                })
+            })
+            .collect();
         v.sort_unstable();
         v
     }
@@ -534,17 +427,77 @@ mod tests {
         assert_eq!(d.runnable(), 0);
     }
 
-    fn ticker_fleet(d: &mut Driver, rec: &Arc<ThroughputRecorder>) {
-        for domain in 0..4 {
-            for c in 0..3 {
-                d.add_in_domain(
-                    domain,
-                    c * MILLISECOND,
-                    Box::new(Ticker {
-                        period: (3 + domain as Time * 2 + c) * MILLISECOND,
-                        fired: Arc::clone(rec),
-                        remaining: 500,
-                    }),
+    fn ticker(domain: usize, c: Time, ticks: usize, rec: &Arc<ThroughputRecorder>) -> Box<Ticker> {
+        Box::new(Ticker {
+            period: (3 + domain as Time * 2 + c) * MILLISECOND,
+            fired: Arc::clone(rec),
+            remaining: ticks,
+        })
+    }
+
+    /// (case, (domain, clients, ticks per client) per domain, the
+    /// `run_until` ends in order; `Time::MAX` is `run_to_completion`).
+    type Case<'a> = (&'a str, &'a [(usize, Time, usize)], &'a [Time]);
+
+    /// A fleet run in one driver equals each of its domains run alone, on
+    /// `clocks()`, `steps()`/`steps_in` and recorder totals.
+    fn assert_fleet_equals_alone(cases: &[Case]) {
+        for &(name, spec, ends) in cases {
+            let mut fleet = Driver::new();
+            let mut alone: Vec<Driver> = spec.iter().map(|_| Driver::new()).collect();
+            let recs = || -> Vec<_> {
+                spec.iter()
+                    .map(|_| ThroughputRecorder::new(SECOND))
+                    .collect()
+            };
+            let (fleet_recs, alone_recs) = (recs(), recs());
+            // Register round-robin across domains, so fleet ids interleave
+            // and each domain's local order must still match its ids.
+            let mut fleet_ids = vec![Vec::new(); spec.len()];
+            let most = spec.iter().map(|s| s.1).max().unwrap_or(0);
+            for c in 0..most {
+                for (k, &(domain, clients, ticks)) in spec.iter().enumerate() {
+                    if c < clients {
+                        let start = c * MILLISECOND;
+                        let client = ticker(domain, c, ticks, &fleet_recs[k]);
+                        fleet_ids[k].push(fleet.add_in_domain(domain, start, client));
+                        alone[k].add(start, ticker(domain, c, ticks, &alone_recs[k]));
+                    }
+                }
+            }
+            for &end in ends {
+                if end == Time::MAX {
+                    fleet.run_to_completion();
+                    alone.iter_mut().for_each(Driver::run_to_completion);
+                } else {
+                    fleet.run_until(end);
+                    alone.iter_mut().for_each(|d| d.run_until(end));
+                }
+                let mut clocks = Vec::new();
+                for (k, &(domain, ..)) in spec.iter().enumerate() {
+                    assert_eq!(
+                        fleet.steps_in(domain),
+                        alone[k].steps(),
+                        "{name}: domain {domain}"
+                    );
+                    assert_eq!(
+                        fleet_recs[k].total(),
+                        alone_recs[k].total(),
+                        "{name}: domain {domain}"
+                    );
+                    clocks.extend(
+                        alone[k]
+                            .clocks()
+                            .into_iter()
+                            .map(|(i, t)| (fleet_ids[k][i], t)),
+                    );
+                }
+                clocks.sort_unstable();
+                assert_eq!(fleet.clocks(), clocks, "{name}");
+                assert_eq!(
+                    fleet.steps(),
+                    alone.iter().map(Driver::steps).sum(),
+                    "{name}"
                 );
             }
         }
@@ -552,67 +505,26 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential_bit_for_bit() {
-        let rec_seq = ThroughputRecorder::new(SECOND);
-        let mut seq = Driver::new();
-        ticker_fleet(&mut seq, &rec_seq);
-        seq.run_until(SECOND);
-
-        for threads in [1, 2, 4, 8] {
-            let rec_par = ThroughputRecorder::new(SECOND);
-            let mut par = Driver::new();
-            ticker_fleet(&mut par, &rec_par);
-            // Tiny lookahead: force many windows so the merge path is
-            // exercised hard, not just once.
-            par.set_lookahead(2 * MILLISECOND);
-            par.run_until_parallel(SECOND, threads);
-            assert_eq!(par.clocks(), seq.clocks(), "threads={threads}");
-            assert_eq!(par.steps(), seq.steps(), "threads={threads}");
-            assert_eq!(rec_par.total(), rec_seq.total(), "threads={threads}");
-        }
+        let four = [(0, 3, 500), (1, 3, 500), (2, 3, 500), (3, 3, 500)];
+        let (early, ms) = ([(0, 3, 5), (1, 3, 500)], MILLISECOND);
+        assert_fleet_equals_alone(&[
+            ("four domains, resumed", &four, &[300 * ms, SECOND]),
+            ("sparse domain ids", &[(0, 2, 400), (7, 3, 400)], &[SECOND]),
+            ("one domain finishes early", &early, &[200 * ms, SECOND]),
+        ]);
     }
 
     #[test]
     fn parallel_run_with_default_lookahead_completes() {
-        let rec = ThroughputRecorder::new(SECOND);
-        let mut d = Driver::new();
-        ticker_fleet(&mut d, &rec);
-        d.run_parallel(4);
-        assert_eq!(d.runnable(), 0);
-        assert_eq!(rec.total(), 12 * 500);
+        let spec = [(0, 3, 100), (7, 2, 50), (2, 1, 10)];
+        assert_fleet_equals_alone(&[("to completion", &spec, &[Time::MAX])]);
     }
 
     #[test]
     fn single_domain_parallel_is_sequential() {
-        let rec_seq = ThroughputRecorder::new(SECOND);
-        let mut seq = Driver::new();
-        for c in 0..5 {
-            seq.add(
-                0,
-                Box::new(Ticker {
-                    period: (c + 1) * MILLISECOND,
-                    fired: Arc::clone(&rec_seq),
-                    remaining: 200,
-                }),
-            );
-        }
-        seq.run_until(100 * MILLISECOND);
-        let rec_par = ThroughputRecorder::new(SECOND);
-        let mut par = Driver::new();
-        for c in 0..5 {
-            par.add(
-                0,
-                Box::new(Ticker {
-                    period: (c + 1) * MILLISECOND,
-                    fired: Arc::clone(&rec_par),
-                    remaining: 200,
-                }),
-            );
-        }
-        par.set_lookahead(MILLISECOND);
-        par.run_until_parallel(100 * MILLISECOND, 8);
-        assert_eq!(par.clocks(), seq.clocks());
-        assert_eq!(par.steps(), seq.steps());
-        assert_eq!(rec_par.total(), rec_seq.total());
+        // A lone domain runs inline on the calling thread, whatever its id.
+        let ends = [300 * MILLISECOND, SECOND];
+        assert_fleet_equals_alone(&[("one domain", &[(5, 4, 300)], &ends)]);
     }
 
     #[test]

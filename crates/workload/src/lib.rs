@@ -22,7 +22,6 @@
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod driver;
-pub(crate) mod pool;
 pub mod rand_util;
 pub mod scenario;
 pub mod synthetic;

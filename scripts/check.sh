@@ -46,7 +46,7 @@ cargo test -q --release --test setup_image -- --ignored
 echo "==> crash-schedule sweep (strided, all five designs)"
 cargo test -q --release --test crash_schedule quick_sweep_all_designs
 
-echo "==> parallel-driver determinism incl. brownout replay (strict invariants on)"
+echo "==> domain determinism: a fleet equals each domain run alone, incl. brownout replay (strict invariants on)"
 cargo test -q --release --features strict-invariants --test driver_determinism
 
 echo "==> driver scaling bench (quick, emits BENCH_driver_scaling.json)"

@@ -1,14 +1,11 @@
-//! The parallel driver's acceptance gate (ISSUE 4): for every SSD design
-//! and several seeds, `run_until_parallel` at 2/4/8 worker threads must
-//! be **bit-identical** to the sequential driver — same client steps,
-//! same final virtual times, same SSD-manager and buffer-pool counters,
-//! same device totals, and byte-identical page images on both the disk
-//! and SSD stores. One fault-injection scenario re-runs under the
-//! parallel driver too, so fault replay keeps its same-seed guarantee.
-//!
-//! The parallel runs use a deliberately tiny lookahead so each run
-//! crosses hundreds of window merges — exercising the deterministic
-//! `(time, client_id, seq)` merge, not just a single big window.
+//! The driver's domain contract, end to end: for every SSD design and
+//! several seeds, a fleet of share-nothing domains run in one driver
+//! (one OS thread per domain) must be **bit-identical** to each domain
+//! run alone in a driver of its own — same client steps, same final
+//! virtual times, same SSD-manager and buffer-pool counters, same device
+//! totals, and byte-identical page images on both the disk and SSD
+//! stores. Brownout and transient-fault scenarios re-run both ways too,
+//! so fault replay keeps its same-seed guarantee.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,25 +86,27 @@ enum Fault {
     None,
     Transient,
     /// A mid-run SSD stall train: the fail-slow detector must trip and
-    /// clear, and hedged reads must divert to disk — identically at
-    /// every thread count.
+    /// clear, and hedged reads must divert to disk — identically in a
+    /// fleet and alone.
     Brownout,
 }
 
-/// One fully built scenario: a driver over `DOMAINS` share-nothing
-/// databases, plus the handles needed to fingerprint the outcome.
+/// One fully built scenario: `DOMAINS` share-nothing databases in one
+/// driver (a fleet) or in a driver each (alone), plus the handles needed
+/// to fingerprint the outcome.
 struct Scenario {
-    driver: Driver,
+    drivers: Vec<Driver>,
     dbs: Vec<Arc<Database>>,
     final_times: Vec<Arc<AtomicU64>>,
 }
 
-fn build(design: SsdDesign, seed: u64, fault: Fault) -> Scenario {
+fn build(design: SsdDesign, seed: u64, fault: Fault, fleet: bool) -> Scenario {
     let mut dbs = Vec::new();
     let mut final_times = Vec::new();
-    let mut driver = Driver::new();
-    let mut min_service = u64::MAX;
+    let n = if fleet { 1 } else { DOMAINS };
+    let mut drivers: Vec<Driver> = (0..n).map(|_| Driver::new()).collect();
     for domain in 0..DOMAINS {
+        let driver = &mut drivers[domain % n];
         let mut cfg = DbConfig::small_for_tests();
         cfg.pool.db_pages = 1024;
         cfg.pool.frames = 4;
@@ -135,7 +134,6 @@ fn build(design: SsdDesign, seed: u64, fault: Fault) -> Scenario {
         }
         let mut clk = Clk::new();
         let heap = db.create_heap(&mut clk, "data", 32, 256);
-        min_service = min_service.min(db.io().setup().min_service_ns());
         for c in 0..CLIENTS_PER_DOMAIN {
             let final_time = Arc::new(AtomicU64::new(0));
             driver.add_in_domain(
@@ -159,10 +157,8 @@ fn build(design: SsdDesign, seed: u64, fault: Fault) -> Scenario {
         }
         dbs.push(db);
     }
-    // Tiny window: many merges per run.
-    driver.set_lookahead(min_service.saturating_mul(16));
     Scenario {
-        driver,
+        drivers,
         dbs,
         final_times,
     }
@@ -183,7 +179,10 @@ fn store_fingerprint(store: &dyn PageStore) -> u64 {
 #[derive(Debug, PartialEq)]
 struct Outcome {
     steps: u64,
-    scheduled_clocks: Vec<(usize, u64)>,
+    /// Still-scheduled clients' clocks in registration order: an alone
+    /// driver numbers its clients from 0, so ids are not compared;
+    /// `final_times` pins which clients finished.
+    scheduled_clocks: Vec<u64>,
     final_times: Vec<u64>,
     ssd_metrics: Vec<Option<turbopool::core::metrics::SsdMetricsSnapshot>>,
     pool: Vec<turbopool::bufpool::PoolStats>,
@@ -199,8 +198,12 @@ struct Outcome {
 
 fn outcome(s: &Scenario) -> Outcome {
     let out = Outcome {
-        steps: s.driver.steps(),
-        scheduled_clocks: s.driver.clocks(),
+        steps: s.drivers.iter().map(Driver::steps).sum(),
+        scheduled_clocks: s
+            .drivers
+            .iter()
+            .flat_map(|d| d.clocks().into_iter().map(|(_, t)| t))
+            .collect(),
         final_times: s
             .final_times
             .iter()
@@ -229,9 +232,9 @@ fn outcome(s: &Scenario) -> Outcome {
             .map(|db| store_fingerprint(db.io().ssd_store()))
             .collect(),
     };
-    // Domains are share-nothing, so no run — sequential or parallel — may
+    // Domains are share-nothing, so no run — alone or in a fleet — may
     // ever find a table or partition latch held, and the auditor stays
-    // clean. Equality across thread counts alone would not pin these to 0.
+    // clean. Equality across the two runs alone would not pin these to 0.
     for p in &out.pool {
         assert_eq!(p.shard_contended, 0, "contended pool latch");
     }
@@ -242,9 +245,10 @@ fn outcome(s: &Scenario) -> Outcome {
     out
 }
 
+/// Each domain run alone, one driver after another: the reference.
 fn sequential_outcome(design: SsdDesign, seed: u64, fault: Fault) -> Outcome {
-    let mut s = build(design, seed, fault);
-    s.driver.run_until(END);
+    let mut s = build(design, seed, fault, false);
+    s.drivers.iter_mut().for_each(|d| d.run_until(END));
     let out = outcome(&s);
     assert!(
         out.final_times.iter().all(|&t| t > 0),
@@ -253,9 +257,10 @@ fn sequential_outcome(design: SsdDesign, seed: u64, fault: Fault) -> Outcome {
     out
 }
 
-fn parallel_outcome(design: SsdDesign, seed: u64, fault: Fault, threads: usize) -> Outcome {
-    let mut s = build(design, seed, fault);
-    s.driver.run_until_parallel(END, threads);
+/// All domains in one driver, one OS thread each.
+fn parallel_outcome(design: SsdDesign, seed: u64, fault: Fault) -> Outcome {
+    let mut s = build(design, seed, fault, true);
+    s.drivers[0].run_until(END);
     outcome(&s)
 }
 
@@ -266,13 +271,11 @@ fn parallel_is_bit_identical_to_sequential_on_every_design() {
             let seed = 0xDE7E + 101 * i as u64 + seed_no;
             let seq = sequential_outcome(design, seed, Fault::None);
             assert!(seq.steps > 0);
-            for threads in [2, 4, 8] {
-                let par = parallel_outcome(design, seed, Fault::None, threads);
-                assert_eq!(
-                    par, seq,
-                    "{design:?} seed {seed}: {threads}-thread run diverged from sequential"
-                );
-            }
+            let par = parallel_outcome(design, seed, Fault::None);
+            assert_eq!(
+                par, seq,
+                "{design:?} seed {seed}: the fleet diverged from its domains run alone"
+            );
         }
     }
 }
@@ -280,18 +283,13 @@ fn parallel_is_bit_identical_to_sequential_on_every_design() {
 #[test]
 fn parallel_replay_of_brownout_matches_sequential() {
     // Gray failure must replay bit-identically: same detector transitions,
-    // same hedge/brownout counters, same page images, at every thread
-    // count. LC carries the sole-copy-dirty hedging exception; CW is the
+    // same hedge/brownout counters, same page images, in a fleet and
+    // alone. LC carries the sole-copy-dirty hedging exception; CW is the
     // simplest all-clean design — cover both.
     for design in [SsdDesign::CleanWrite, SsdDesign::LazyCleaning] {
         let seq = sequential_outcome(design, 0xB70_07, Fault::Brownout);
-        for threads in [2, 4, 8] {
-            let par = parallel_outcome(design, 0xB70_07, Fault::Brownout, threads);
-            assert_eq!(
-                par, seq,
-                "{design:?}: brownout run diverged at {threads} threads"
-            );
-        }
+        let par = parallel_outcome(design, 0xB70_07, Fault::Brownout);
+        assert_eq!(par, seq, "{design:?}: brownout fleet diverged from alone");
         // Non-vacuity: the brownout actually tripped the detector and
         // diverted traffic.
         let fs = &seq.ssd_failslow[0];
@@ -315,8 +313,8 @@ fn parallel_replay_of_fault_injection_matches_sequential() {
     // Write-back (LC) exercises the most fault machinery: retries,
     // checksum misses, dirty-page protection.
     let seq = sequential_outcome(SsdDesign::LazyCleaning, 0xFA11, Fault::Transient);
-    let par = parallel_outcome(SsdDesign::LazyCleaning, 0xFA11, Fault::Transient, 4);
-    assert_eq!(par, seq, "faulty run diverged under the parallel driver");
+    let par = parallel_outcome(SsdDesign::LazyCleaning, 0xFA11, Fault::Transient);
+    assert_eq!(par, seq, "faulty fleet diverged from its domains run alone");
     // The faults actually fired — this was not a vacuous comparison.
     let m = seq.ssd_metrics[0].as_ref().expect("LC has an SSD");
     assert!(
