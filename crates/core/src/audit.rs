@@ -10,23 +10,17 @@
 //! transition against the design's table, and cross-checks the resulting
 //! state against the Figure 3 coherence chart via [`crate::coherence`].
 //!
-//! The auditor is compiled in when the `strict-invariants` feature is
-//! enabled (on by default, so debug and test builds always audit); with
-//! the feature disabled every call is a no-op that the optimizer removes.
-//! Violations are counted (see `SsdMetrics::audit_violations`) and, in
-//! debug builds, abort the run with a panic so tests fail loudly at the
-//! first illegal transition instead of at a downstream data divergence.
+//! Every build runs it. Violations are counted (see
+//! `SsdMetrics::audit_violations`) and, in debug builds, abort the run
+//! with a panic so tests fail loudly at the first illegal transition
+//! instead of at a downstream data divergence.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-#[cfg(feature = "strict-invariants")]
 use turbopool_iosim::sync::{Mutex, Rank};
-use turbopool_iosim::PageId;
-#[cfg(feature = "strict-invariants")]
-use turbopool_iosim::PidMap;
+use turbopool_iosim::{PageId, PidMap};
 
-#[cfg(feature = "strict-invariants")]
 use crate::coherence::classify;
 use crate::config::SsdDesign;
 
@@ -176,10 +170,8 @@ pub fn transition(
 /// table mutation through [`InvariantAuditor::observe`].
 #[derive(Debug)]
 pub struct InvariantAuditor {
-    #[cfg_attr(not(feature = "strict-invariants"), allow(dead_code))]
     design: SsdDesign,
     violations: AtomicU64,
-    #[cfg(feature = "strict-invariants")]
     states: Mutex<PidMap<FrameState>>,
 }
 
@@ -188,20 +180,18 @@ impl InvariantAuditor {
         InvariantAuditor {
             design,
             violations: AtomicU64::new(0),
-            #[cfg(feature = "strict-invariants")]
             states: Mutex::ranked(Rank::AuditorStates, PidMap::default()),
         }
     }
 
-    /// Violations recorded so far (always 0 when auditing is compiled out).
+    /// Violations recorded so far.
     pub fn violations(&self) -> u64 {
         self.violations.load(Ordering::Relaxed)
     }
 
     /// Validate one transition and advance the shadow state. Returns the
     /// error (after counting it) so the owner can also panic or record it
-    /// into its metrics; with `strict-invariants` off this is a no-op.
-    #[cfg(feature = "strict-invariants")]
+    /// into its metrics.
     pub fn observe(&self, pid: PageId, op: AuditOp) -> Result<(), AuditError> {
         let mut states = self.states.lock();
         let from = states.get(&pid).copied();
@@ -242,24 +232,9 @@ impl InvariantAuditor {
         }
     }
 
-    #[cfg(not(feature = "strict-invariants"))]
-    #[inline(always)]
-    pub fn observe(&self, _pid: PageId, _op: AuditOp) -> Result<(), AuditError> {
-        Ok(())
-    }
-
-    /// Shadow state of `pid` (test/introspection; `None` with the feature
-    /// off or when absent).
+    /// Shadow state of `pid` (test/introspection; `None` when absent).
     pub fn state_of(&self, pid: PageId) -> Option<FrameState> {
-        #[cfg(feature = "strict-invariants")]
-        {
-            self.states.lock().get(&pid).copied()
-        }
-        #[cfg(not(feature = "strict-invariants"))]
-        {
-            let _ = pid;
-            None
-        }
+        self.states.lock().get(&pid).copied()
     }
 }
 

@@ -230,7 +230,7 @@ impl DualHeap {
 
     /// Internal-consistency check used by property tests: heap order holds
     /// on both sides, positions round-trip, lengths match occupancy.
-    #[cfg(any(test, feature = "validate"))]
+    #[cfg(test)]
     pub fn validate(&self) {
         let mut occupied = 0;
         for side in [Side::Clean, Side::Dirty] {

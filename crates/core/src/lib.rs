@@ -24,6 +24,11 @@
 //! the random-only admission policy, aggressive filling (τ), SSD throttle
 //! control (μ), multi-page I/O trimming, SSD partitioning (N), and group
 //! cleaning (α) with the λ dirty-fraction threshold.
+//!
+//! The two tiers, [`SsdManager`] (CW/DW/LC) and [`TacCache`], differ in
+//! their buffer table and page flow; the device edge they share — retry,
+//! error budget and quarantine, throttle and hedging, the invariant
+//! auditor — is written once, in the private `tier` module.
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
@@ -43,6 +48,7 @@ pub mod manager;
 pub mod metrics;
 pub mod partition;
 pub mod tac;
+mod tier;
 
 pub use audit::{AuditOp, FrameState, InvariantAuditor};
 pub use cleaner::LazyCleaner;

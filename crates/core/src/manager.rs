@@ -7,8 +7,13 @@
 //! aggressive-filling phase) and the throttle control. Replacement is LRU-2
 //! over the clean heap; dirty pages (LC only) are protected from
 //! replacement until the lazy cleaner or a checkpoint flushes them.
+//!
+//! This file holds the partitioned table and the page flow. Retry, the
+//! error budget, quarantine, hedging, throttle and audit are the device
+//! edge in `tier.rs`, shared with TAC; what is LC's alone is the strand
+//! list of dirty pages whose sole copy was lost.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::PageIo;
@@ -17,18 +22,12 @@ use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
 
-use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{MultiPageMode, SsdConfig, SsdDesign, HEDGE_PROBE_INTERVAL};
+use crate::audit::AuditOp;
+use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
-
-/// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
-/// device-dead) tolerated before a manager quarantines the SSD and
-/// degrades to the noSSD path; a `DeviceDead` error quarantines at once.
-/// 64 is wide enough to ride out a transient-error storm, small enough
-/// that a persistently erroring device is retired quickly. Read by both
-/// managers' `note_ssd_error`.
-pub const SSD_ERROR_BUDGET: u64 = 64;
+pub use crate::tier::SSD_ERROR_BUDGET;
+use crate::tier::{trim_ends, Health, SsdTier};
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
 enum Reclaimed {
@@ -79,23 +78,13 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// True once the SSD has been quarantined (device death or error
-    /// budget exhausted); every path then degrades to direct-to-disk.
-    quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
-    ssd_errors: AtomicU64,
-    /// Degraded-mode decision counter driving canary probes: every
-    /// [`HEDGE_PROBE_INTERVAL`]-th hedge-eligible decision still goes
-    /// to the SSD so the fail-slow detector keeps receiving samples and
-    /// can observe recovery.
-    probe_tick: AtomicU64,
+    /// Quarantine flag, error budget, canary tick and auditor.
+    health: Health,
     /// Dirty pages whose sole (SSD) copy was lost to corruption or
     /// quarantine, awaiting WAL-tail salvage by the engine.
     stranded: Mutex<Vec<PageId>>,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
-    /// Shadow state machine validating every buffer-table transition.
-    auditor: InvariantAuditor,
 }
 
 impl SsdManager {
@@ -120,8 +109,8 @@ impl SsdManager {
             parts.push(Mutex::ranked(Rank::SsdPartition, part));
             base += frames;
         }
-        let auditor = InvariantAuditor::new(cfg.design);
         SsdManager {
+            health: Health::new(cfg.design),
             cfg,
             io,
             parts,
@@ -129,19 +118,15 @@ impl SsdManager {
             occupancy: AtomicU64::new(0),
             dirty_total: AtomicU64::new(0),
             pause_dirty_until: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            ssd_errors: AtomicU64::new(0),
-            probe_tick: AtomicU64::new(0),
             stranded: Mutex::new(Vec::new()),
             metrics: SsdMetrics::default(),
-            auditor,
         }
     }
 
     /// True once the SSD is quarantined and the manager runs degraded
     /// (every subsequent request takes the direct-to-disk path).
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Relaxed)
+        self.health.is_quarantined()
     }
 
     /// Drain the list of dirty pages whose sole (SSD) copy was lost. The
@@ -151,154 +136,37 @@ impl SsdManager {
         std::mem::take(&mut *self.stranded.lock())
     }
 
-    /// True while `pid` is queued for WAL salvage: its disk image is stale
-    /// (or nonexistent), so serving it from disk would silently return the
-    /// wrong bytes. Reads of such pages must error instead, which routes
-    /// the caller through [`SsdManager::take_stranded`] + salvage first.
-    fn is_stranded(&self, pid: PageId) -> bool {
-        self.stranded.lock().contains(&pid)
+    /// Fails while `pid` is queued for WAL salvage: its disk image is stale
+    /// (or nonexistent) until the WAL tail is replayed, so serving it from
+    /// disk would silently lose committed writes. The error routes the
+    /// caller through [`SsdManager::take_stranded`] + salvage first.
+    fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
+        if self.stranded.lock().contains(&pid) {
+            return Err(IoError::new(
+                fault::FaultDevice::Ssd,
+                IoErrorKind::DeviceDead,
+                at,
+            ));
+        }
+        Ok(())
     }
 
-    /// The error returned for reads of stranded-pending pages.
-    fn stranded_err(&self, at: Time) -> IoError {
-        IoError::new(fault::FaultDevice::Ssd, IoErrorKind::DeviceDead, at)
-    }
-
-    /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called while a partition
-    /// latch is held (quarantine sweeps every partition).
-    fn note_ssd_error(&self, e: &IoError) {
-        SsdMetrics::bump(&self.metrics.ssd_io_errors);
-        if e.kind == IoErrorKind::ChecksumMismatch {
-            SsdMetrics::bump(&self.metrics.checksum_misses);
-        }
-        let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
-            self.quarantine();
-        }
-    }
-
-    /// Degrade to the noSSD path: drop the whole buffer table (each live
-    /// entry takes the terminal `Quarantine` transition), queue dirty
-    /// pages for WAL salvage, and refuse all future SSD traffic.
-    fn quarantine(&self) {
-        if self.quarantined.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        SsdMetrics::bump(&self.metrics.ssd_quarantined);
-        for i in 0..self.parts.len() {
-            let mut part = self.part_at(i);
-            let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
-            let mut recs = Vec::with_capacity(idxs.len());
-            for idx in idxs {
-                recs.push(part.remove(idx));
-            }
-            drop(part);
-            for rec in recs {
-                self.audit(rec.pid, AuditOp::Quarantine);
-                self.occupancy.fetch_sub(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.lost_frames);
-                if rec.dirty {
-                    self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-                    SsdMetrics::bump(&self.metrics.stranded_dirty);
-                    self.stranded.lock().push(rec.pid);
-                }
-            }
-        }
-    }
-
-    /// The SSD copy of `pid` is unusable: drop the table entry. A dirty
-    /// copy was the only current version of the page, so it is additionally
-    /// stranded for WAL salvage. No-op if quarantine already swept it.
-    fn drop_corrupt(&self, pid: PageId) {
-        let mut part = self.part(pid);
-        let Some(idx) = part.lookup(pid) else {
-            return;
-        };
-        let rec = part.remove(idx);
-        drop(part);
-        self.audit(pid, AuditOp::CorruptInvalidate);
+    /// Account for an entry dropped with its frame's contents. A dirty
+    /// copy was the only current version of the page, so it is stranded
+    /// for WAL salvage.
+    fn lose(&self, pid: PageId, dirty: bool) {
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
         SsdMetrics::bump(&self.metrics.lost_frames);
-        if rec.dirty {
+        if dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
             SsdMetrics::bump(&self.metrics.stranded_dirty);
             self.stranded.lock().push(pid);
         }
     }
 
-    /// SSD frame read with transient-error retries on `clk`. The final
-    /// error (checksum mismatch, device death, or retries exhausted) is
-    /// returned for the caller to classify.
-    fn ssd_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        frame: u64,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_ssd(c, frame, buf));
-        SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
-        out
-    }
-
-    /// Synchronous disk read with the standard capped-backoff retry policy;
-    /// retry attempts are accounted in the metrics.
-    fn disk_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Multi-page disk read with the standard retry policy.
-    fn disk_read_run(
-        &self,
-        clk: &mut Clk,
-        first: PageId,
-        n: u64,
-        loc: Locality,
-    ) -> Result<Vec<PageBuf>, IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk_run(c, first, n, loc));
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Asynchronous disk write that must not drop data: transient errors
-    /// retry without bound; only a dead disk — unrecoverable by any policy
-    /// — falls through, and then there is nowhere left to persist to. The
-    /// IoManager records the lost write so later readers surface the
-    /// device error instead of treating the page as never-written.
-    fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
-        if let Err(e) = fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            debug_assert!(!e.is_transient());
-        }
-    }
-
-    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    /// Invariant violations caught so far (see [`crate::InvariantAuditor`]).
     pub fn audit_violations(&self) -> u64 {
-        self.auditor.violations()
-    }
-
-    /// Report a buffer-table transition to the auditor. Violations are
-    /// counted in the metrics and abort debug builds immediately.
-    #[expect(
-        clippy::panic,
-        reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
-    )]
-    fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.auditor.observe(pid, op) {
-            SsdMetrics::bump(&self.metrics.audit_violations);
-            if cfg!(debug_assertions) {
-                panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
-            }
-        }
+        self.health.audit_violations()
     }
 
     pub fn config(&self) -> &SsdConfig {
@@ -317,23 +185,25 @@ impl SsdManager {
 
     /// True if `pid` is cached.
     pub fn contains(&self, pid: PageId) -> bool {
-        let part = self.part(pid);
-        part.lookup(pid).is_some()
+        self.entry(pid).is_some()
     }
 
     /// SSD frame number holding `pid`, if cached (introspection for tests
     /// and tools; the frame indexes the simulated SSD file).
     pub fn frame_of(&self, pid: PageId) -> Option<u64> {
-        let part = self.part(pid);
-        part.lookup(pid).map(|idx| part.frame_no(idx))
+        self.entry(pid).map(|(frame, _)| frame)
     }
 
     /// True if `pid` is cached dirty (its SSD copy is newer than disk).
     pub fn is_dirty(&self, pid: PageId) -> bool {
+        self.entry(pid).is_some_and(|(_, dirty)| dirty)
+    }
+
+    /// The frame and dirty flag of `pid`'s entry, if cached.
+    fn entry(&self, pid: PageId) -> Option<(u64, bool)> {
         let part = self.part(pid);
         part.lookup(pid)
-            .map(|idx| part.record(idx).dirty)
-            .unwrap_or(false)
+            .map(|idx| (part.frame_no(idx), part.record(idx).dirty))
     }
 
     #[inline]
@@ -365,31 +235,6 @@ impl SsdManager {
         self.stamp.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Is the SSD queue deeper than the throttle threshold μ?
-    fn throttled(&self, now: Time) -> bool {
-        self.io.ssd_overloaded(now, self.cfg.mu)
-    }
-
-    /// Gray-failure hedging: should this hedge-eligible decision divert
-    /// away from the SSD? Healthy SSD: never. While the fail-slow detector
-    /// flags the SSD degraded, reads with a valid disk copy and all new
-    /// admissions are diverted to disk (only sole-copy dirty frames still
-    /// touch the SSD), except that every [`HEDGE_PROBE_INTERVAL`]-th
-    /// decision is let through as a canary probe — without probes a
-    /// fully-hedged SSD would get no more samples and the detector could
-    /// never observe recovery. Once a probe comes back fast the detector
-    /// reports `clearing` and every decision probes, so the clear streak
-    /// completes (or is refuted) in `CLEAR_AFTER` requests instead of
-    /// `CLEAR_AFTER × interval`. The tick advances in deterministic
-    /// submission order, so replay is exact.
-    fn hedge_or_probe(&self) -> bool {
-        if !self.io.ssd_slow() || self.io.ssd_clearing() {
-            return false;
-        }
-        let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % HEDGE_PROBE_INTERVAL != HEDGE_PROBE_INTERVAL - 1
-    }
-
     /// Outstanding requests on the disk group (congestion signal for the
     /// lazy cleaner).
     pub fn disk_queue_depth(&self, now: Time) -> usize {
@@ -411,8 +256,7 @@ impl SsdManager {
             }
             return;
         }
-        let mut pending: Option<IoError> = None;
-        let mut reclaim_stranded: Option<PageId> = None;
+        let mut lost: Option<(PageId, IoError)> = None;
         let mut part = self.part(pid);
         if part.free_frames() == 0 {
             match self.plan_reclaim(&mut part) {
@@ -424,13 +268,7 @@ impl SsdManager {
                     // which lets the SSD read and disk write run outside
                     // the partition latch.
                     drop(part);
-                    self.inline_clean_detached(
-                        now,
-                        victim,
-                        frame,
-                        &mut pending,
-                        &mut reclaim_stranded,
-                    );
+                    lost = self.inline_clean_detached(now, victim, frame);
                     part = self.part(pid);
                     part.release(idx);
                 }
@@ -440,7 +278,6 @@ impl SsdManager {
                     // heap is drained): skip the admission, but a dirty
                     // page must still land somewhere durable.
                     drop(part);
-                    self.settle_reclaim(pending, reclaim_stranded);
                     if dirty {
                         self.disk_write(now, pid, data);
                     }
@@ -489,19 +326,10 @@ impl SsdManager {
         }
         // Deferred reclaim accounting runs last: if it trips the budget,
         // the quarantine sweep finds only properly-admitted entries.
-        self.settle_reclaim(pending, reclaim_stranded);
-    }
-
-    /// Flush bookkeeping deferred by the reclaim path (which starts under
-    /// the partition latch and therefore cannot touch the error budget or
-    /// the stranded queue itself).
-    fn settle_reclaim(&self, pending: Option<IoError>, stranded: Option<PageId>) {
-        if let Some(pid) = stranded {
-            self.stranded.lock().push(pid);
+        if let Some((victim, e)) = lost {
+            self.stranded.lock().push(victim);
             SsdMetrics::bump(&self.metrics.stranded_dirty);
             SsdMetrics::bump(&self.metrics.lost_frames);
-        }
-        if let Some(e) = pending {
             self.note_ssd_error(&e);
         }
     }
@@ -539,14 +367,14 @@ impl SsdManager {
     /// sole copy off the SSD and write it to disk (both charged
     /// asynchronously since eviction is async). Must be called *without*
     /// the partition latch; the detached frame still holds the bytes.
+    /// Returns the victim and the error when its sole copy was lost; the
+    /// caller strands it and charges the error once the table is settled.
     fn inline_clean_detached(
         &self,
         now: Time,
         victim: PageId,
         frame: u64,
-        pending: &mut Option<IoError>,
-        stranded_out: &mut Option<PageId>,
-    ) {
+    ) -> Option<(PageId, IoError)> {
         let mut buf = self.io.zero_page();
         let mut tmp = Clk::at(now);
         match self.ssd_read(&mut tmp, frame, &mut buf) {
@@ -554,14 +382,14 @@ impl SsdManager {
                 self.disk_write(tmp.now, victim, &buf);
                 self.audit(victim, AuditOp::InlineClean);
                 SsdMetrics::bump(&self.metrics.inline_cleans);
+                None
             }
             Err(e) => {
                 // The dirty victim's sole copy is unreadable: the frame is
                 // still freed, but the page is stranded for WAL salvage
                 // instead of cleaned to disk.
                 self.audit(victim, AuditOp::CorruptInvalidate);
-                *pending = Some(e);
-                *stranded_out = Some(victim);
+                Some((victim, e))
             }
         }
     }
@@ -588,42 +416,11 @@ impl SsdManager {
     /// `valid(pid, frame)` is the caller's staleness filter: it must
     /// return true only when the frame's in-page header still names `pid`
     /// (the frame was not reused before the crash) and `pid`'s disk image
-    /// did not advance during redo. Returns the number of imported pages.
-    pub fn import_table(
-        &self,
-        entries: &[(PageId, u64)],
-        valid: impl Fn(PageId, u64) -> bool,
-    ) -> usize {
-        let mut imported = 0usize;
-        for &(pid, frame) in entries {
-            if !valid(pid, frame) {
-                continue;
-            }
-            // The frame must belong to the partition that pid routes to
-            // (it does unless the partition count changed across restart).
-            let part_idx = self.part_index(pid);
-            let mut part = self.part_at(part_idx);
-            let base = part.frame_no(0);
-            let cap = part.capacity() as u64;
-            if frame < base || frame >= base + cap {
-                continue;
-            }
-            let stamp = self.next_stamp();
-            if part.insert_at((frame - base) as usize, pid, stamp) {
-                drop(part);
-                self.audit(pid, AuditOp::WarmImport);
-                imported += 1;
-                self.occupancy.fetch_add(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.warm_imports);
-            }
-        }
-        imported
-    }
-
-    /// Hardened re-adoption: like [`SsdManager::import_table`], but every
-    /// candidate frame is *probed* — read back through the fault model with
-    /// the standard retry policy and checksum verification — before the
-    /// table entry is trusted.
+    /// did not advance during redo. A frame must also belong to the
+    /// partition `pid` routes to (it does unless the partition count
+    /// changed across restart). Every candidate frame is then *probed* —
+    /// read back through the fault model with the standard retry policy
+    /// and checksum verification — before the table entry is trusted.
     ///
     /// Damage found during the probe degrades gracefully instead of being
     /// re-adopted: a checksum mismatch rejects that one frame (torn write
@@ -707,67 +504,61 @@ impl SsdManager {
             return 0;
         }
         // Globally oldest dirty page.
-        let mut anchor: Option<(u64, u64, PageId)> = None;
-        for i in 0..self.parts.len() {
-            let part = self.part_at(i);
-            if let Some((key, idx)) = part.peek_dirty_oldest() {
-                let pid = part.record(idx).pid;
-                if anchor.map(|(k0, k1, _)| key < (k0, k1)).unwrap_or(true) {
-                    anchor = Some((key.0, key.1, pid));
-                }
-            }
-        }
-        let Some((_, _, anchor_pid)) = anchor else {
+        let anchor = (0..self.parts.len())
+            .filter_map(|i| {
+                let part = self.part_at(i);
+                let (key, idx) = part.peek_dirty_oldest()?;
+                Some((key, part.record(idx).pid))
+            })
+            .min_by_key(|&(key, _)| key);
+        let Some((_, anchor_pid)) = anchor else {
             return 0;
         };
 
         // Gather a maximal consecutive-pid run of dirty pages around the
         // anchor, capped at α.
-        let is_dirty_cached = |pid: PageId| -> bool {
-            if pid.0 >= self.io.db_pages() {
-                return false;
-            }
-            let part = self.part(pid);
-            part.lookup(pid)
-                .map(|idx| part.record(idx).dirty)
-                .unwrap_or(false)
-        };
         let mut lo = anchor_pid;
         let mut hi = anchor_pid; // inclusive
         let mut count = 1u64;
-        while count < self.cfg.alpha
-            && hi.0 + 1 < self.io.db_pages()
-            && is_dirty_cached(hi.offset(1))
+        while count < self.cfg.alpha && hi.0 + 1 < self.io.db_pages() && self.is_dirty(hi.offset(1))
         {
             hi = hi.offset(1);
             count += 1;
         }
-        while count < self.cfg.alpha && lo.0 > 0 && is_dirty_cached(PageId(lo.0 - 1)) {
+        while count < self.cfg.alpha && lo.0 > 0 && self.is_dirty(PageId(lo.0 - 1)) {
             lo = PageId(lo.0 - 1);
             count += 1;
         }
 
-        // Read each page from the SSD into memory (no direct SSD→disk path
-        // exists, §2.4), write the gathered pages to disk, and only then
-        // mark them clean — a page whose read or write fails must stay
-        // dirty (or be stranded) rather than silently lose its contents.
-        let mut pids: Vec<PageId> = Vec::with_capacity(count as usize);
-        let mut bufs: Vec<PageBuf> = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let pid = lo.offset(i);
-            let frame = {
-                let part = self.part(pid);
-                let Some(idx) = part.lookup(pid) else {
-                    // A quarantine sweep (triggered by an earlier read in
-                    // this very batch) may have emptied the table.
-                    continue;
-                };
-                part.frame_no(idx)
+        let (pids, bufs) = self.gather(clk, (0..count).map(|i| lo.offset(i)));
+        let (cleaned, writes) = self.flush_gathered(clk, &pids, &bufs);
+        SsdMetrics::add(&self.metrics.cleaned_pages, cleaned as u64);
+        SsdMetrics::add(&self.metrics.cleaner_writes, writes as u64);
+        cleaned
+    }
+
+    /// Read the SSD copies of dirty `pids` into memory for a flush to disk
+    /// (no direct SSD→disk path exists, §2.4). Pages are marked clean only
+    /// after their disk write succeeds, so one whose frame is unreadable is
+    /// dropped and stranded here rather than silently losing its contents;
+    /// one whose entry is gone (a quarantine triggered earlier in the same
+    /// batch swept the table) is skipped.
+    fn gather(
+        &self,
+        clk: &mut Clk,
+        pids: impl Iterator<Item = PageId>,
+    ) -> (Vec<PageId>, Vec<PageBuf>) {
+        let n = pids.size_hint().0;
+        let mut got: Vec<PageId> = Vec::with_capacity(n);
+        let mut bufs: Vec<PageBuf> = Vec::with_capacity(n);
+        for pid in pids {
+            let Some(frame) = self.frame_of(pid) else {
+                continue;
             };
             let mut buf = self.io.zero_page();
             match self.ssd_read(clk, frame, &mut buf) {
                 Ok(()) => {
-                    pids.push(pid);
+                    got.push(pid);
                     bufs.push(buf);
                 }
                 Err(e) => {
@@ -776,10 +567,7 @@ impl SsdManager {
                 }
             }
         }
-        let (cleaned, writes) = self.flush_gathered(clk, &pids, &bufs);
-        SsdMetrics::add(&self.metrics.cleaned_pages, cleaned as u64);
-        SsdMetrics::add(&self.metrics.cleaner_writes, writes as u64);
-        cleaned
+        (got, bufs)
     }
 
     /// Write the gathered `(pid, image)` pages to disk in consecutive-pid
@@ -829,17 +617,12 @@ impl SsdManager {
         (cleaned, writes)
     }
 
-    /// Plan entry for one page of a multi-page request.
-    fn run_status(&self, pid: PageId) -> Option<(u64, bool)> {
-        let part = self.part(pid);
-        part.lookup(pid)
-            .map(|idx| (part.frame_no(idx), part.record(idx).dirty))
-    }
-
     /// Read one page from its SSD frame onto a temporary clock starting at
     /// `start`; returns the completion time. On SSD failure the entry is
-    /// dropped: a clean copy falls back to a single-page disk read, a
-    /// dirty (sole-copy) loss propagates so the engine can WAL-salvage.
+    /// dropped: a clean copy falls back to a single-page `Random` disk read
+    /// (also from `start`), a dirty (sole-copy) loss propagates so the
+    /// engine can WAL-salvage. No `dirty_hits` here: that counts
+    /// single-page reads only.
     fn patch_from_ssd(
         &self,
         start: Time,
@@ -849,27 +632,18 @@ impl SsdManager {
         buf: &mut PageBuf,
     ) -> Result<Time, IoError> {
         let mut tmp = Clk::at(start);
-        match self.ssd_read(&mut tmp, frame, buf) {
-            Ok(()) => {
-                let mut part = self.part(pid);
-                if let Some(idx) = part.lookup(pid) {
-                    let stamp = self.next_stamp();
-                    part.touch(idx, stamp);
-                }
-                SsdMetrics::bump(&self.metrics.ssd_hits);
-                Ok(tmp.now)
+        if self.read_frame(&mut tmp, pid, frame, dirty, buf)? {
+            // LRU-2 recency is this tier's own, so the touch stays here.
+            let mut part = self.part(pid);
+            if let Some(idx) = part.lookup(pid) {
+                let stamp = self.next_stamp();
+                part.touch(idx, stamp);
             }
-            Err(e) => {
-                self.note_ssd_error(&e);
-                self.drop_corrupt(pid);
-                if dirty {
-                    return Err(e);
-                }
-                let mut tmp = Clk::at(start);
-                self.disk_read(&mut tmp, pid, Locality::Random, buf)?;
-                Ok(tmp.now)
-            }
+            return Ok(tmp.now);
         }
+        let mut tmp = Clk::at(start);
+        self.disk_read(&mut tmp, pid, Locality::Random, buf)?;
+        Ok(tmp.now)
     }
 }
 
@@ -893,11 +667,7 @@ impl SsdManager {
         buf: &mut D,
     ) -> Result<(), IoError> {
         if self.is_quarantined() {
-            if self.is_stranded(pid) {
-                // The disk image is stale until the WAL tail is replayed;
-                // serving it would silently lose committed writes.
-                return Err(self.stranded_err(clk.now));
-            }
+            self.check_stranded(pid, clk.now)?;
             SsdMetrics::bump(&self.metrics.quarantined_reads);
             SsdMetrics::bump(&self.metrics.ssd_misses);
             return self.disk_read(clk, pid, class, buf);
@@ -905,58 +675,28 @@ impl SsdManager {
         let hit: Option<(u64, bool)> = {
             let mut part = self.part(pid);
             match part.lookup(pid) {
-                Some(idx) => {
-                    let dirty = part.record(idx).dirty;
-                    // Throttle control (§3.3.2) and gray-failure hedging:
-                    // skip the SSD when its queue exceeds μ or the
-                    // fail-slow detector flags it — unless its copy is
-                    // newer than disk, which must be read from the SSD
-                    // for correctness no matter how slow it is.
-                    if dirty {
-                        let stamp = self.next_stamp();
-                        part.touch(idx, stamp);
-                        Some((part.frame_no(idx), true))
-                    } else if self.throttled(clk.now) {
-                        SsdMetrics::bump(&self.metrics.throttled_reads);
-                        None
-                    } else if self.hedge_or_probe() {
-                        SsdMetrics::bump(&self.metrics.hedged_reads);
-                        None
-                    } else {
-                        let stamp = self.next_stamp();
-                        part.touch(idx, stamp);
-                        Some((part.frame_no(idx), false))
-                    }
+                // Throttle control (§3.3.2) and gray-failure hedging skip a
+                // clean copy; a dirty one is newer than disk and must be
+                // read from the SSD no matter how slow it is.
+                Some(idx) if part.record(idx).dirty || self.serves_clean_read(clk.now) => {
+                    let stamp = self.next_stamp();
+                    part.touch(idx, stamp);
+                    Some((part.frame_no(idx), part.record(idx).dirty))
                 }
-                None => None,
+                Some(_) | None => None,
             }
         };
         if let Some((frame, dirty)) = hit {
-            match self.ssd_read(clk, frame, buf) {
-                Ok(()) => {
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
-                    if dirty {
-                        SsdMetrics::bump(&self.metrics.dirty_hits);
-                    }
-                    return Ok(());
+            if self.read_frame(clk, pid, frame, dirty, buf)? {
+                if dirty {
+                    SsdMetrics::bump(&self.metrics.dirty_hits);
                 }
-                Err(e) => {
-                    self.note_ssd_error(&e);
-                    self.drop_corrupt(pid);
-                    if dirty {
-                        // The sole current copy is gone; the engine must
-                        // replay the WAL tail before re-reading from disk.
-                        return Err(e);
-                    }
-                    // A clean copy is replaceable: fall through to disk.
-                }
+                return Ok(());
             }
+            // A clean copy is replaceable: fall through to disk.
         }
-        if self.is_stranded(pid) {
-            // Stranded by an earlier failure (without quarantine): the disk
-            // image is stale until the WAL tail is replayed.
-            return Err(self.stranded_err(clk.now));
-        }
+        // Stranded by an earlier failure (without quarantine).
+        self.check_stranded(pid, clk.now)?;
         SsdMetrics::bump(&self.metrics.ssd_misses);
         self.disk_read(clk, pid, class, buf)
     }
@@ -994,20 +734,11 @@ impl SsdManager {
             }
             return;
         }
-        let queue_full = self.throttled(now);
-        if queue_full {
-            SsdMetrics::bump(&self.metrics.throttled_admissions);
-        }
-        // Gray-failure hedging: a browned-out SSD receives no optional
-        // traffic — admissions divert to disk exactly like throttling.
-        // For LC this is also the sole-copy guard: a dirty eviction that
-        // would have become an SSD-only copy goes to disk instead, so no
-        // *new* sole copies land on a degraded device.
-        let hedging = !queue_full && self.hedge_or_probe();
-        if hedging {
-            SsdMetrics::bump(&self.metrics.hedged_admissions);
-        }
-        let throttled = queue_full || hedging;
+        // Gray-failure hedging diverts admissions to disk exactly like
+        // throttling. For LC this is also the sole-copy guard: a dirty
+        // eviction that would have become an SSD-only copy goes to disk
+        // instead, so no *new* sole copies land on a degraded device.
+        let throttled = !self.admits_now(now);
 
         match self.cfg.design {
             SsdDesign::CleanWrite => {
@@ -1054,17 +785,12 @@ impl SsdManager {
         data: &S,
         class: Locality,
     ) -> Time {
-        let done = match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(t) => t,
-            // A dead disk completes nothing; there is nothing to wait on.
-            Err(_) => now,
-        };
+        let done = self.disk_write(now, pid, data);
         // DW extension (§3.2): during a checkpoint, admission-qualified
         // dirty pages are written to the SSD as well, filling it faster.
         // `filling = false` on purpose: the mirror admits random-class
-        // pages only, with no aggressive-filling term.
+        // pages only, with no aggressive-filling term. Not `admits_now`:
+        // a throttled mirror is skipped without counting.
         if self.cfg.design == SsdDesign::DualWrite
             && admits(class, false)
             && !self.is_quarantined()
@@ -1075,11 +801,7 @@ impl SsdManager {
                 // write above already persisted the page.
                 SsdMetrics::bump(&self.metrics.hedged_admissions);
             } else {
-                let cached = {
-                    let part = self.part(pid);
-                    part.lookup(pid).is_some()
-                };
-                if !cached {
+                if !self.contains(pid) {
                     self.install(now, pid, data, false);
                 }
             }
@@ -1111,12 +833,10 @@ impl PageIo for SsdManager {
 
     fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
         assert!(n > 0);
+        // A page of the run awaiting WAL salvage fails the whole request,
+        // so the engine salvages and retries.
         for i in 0..n {
-            if self.is_stranded(first.offset(i)) {
-                // At least one page of the run awaits WAL salvage; fail
-                // the whole request so the engine salvages and retries.
-                return Err(self.stranded_err(clk.now));
-            }
+            self.check_stranded(first.offset(i), clk.now)?;
         }
         if self.is_quarantined() {
             // The table is empty, so every page below reads from disk; the
@@ -1129,13 +849,15 @@ impl PageIo for SsdManager {
         // the frame's image.
         let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
         let status: Vec<Option<(u64, bool)>> =
-            (0..n).map(|i| self.run_status(first.offset(i))).collect();
+            (0..n).map(|i| self.entry(first.offset(i))).collect();
         let now0 = clk.now;
         let mut done = now0;
 
         // Gray-failure hedging: while the SSD is flagged fail-slow its
         // clean-resident pages read from disk like misses (dirty pages
-        // must still patch from the SSD — theirs is the only copy).
+        // must still patch from the SSD — theirs is the only copy). One
+        // decision per run, taken unconditionally: it advances the canary
+        // tick even in `DiskOnly` mode.
         let hedging = self.hedge_or_probe();
         if hedging && self.cfg.multipage != MultiPageMode::DiskOnly {
             let diverted = status
@@ -1151,19 +873,10 @@ impl PageIo for SsdManager {
                 // read the middle as one disk I/O; dirty SSD pages inside
                 // the middle are patched from the SSD afterwards.
                 let throttled = self.throttled(now0) || hedging;
-                let from_ssd = |s: &Option<(u64, bool)>| match s {
-                    Some((_, true)) => true,
-                    Some((_, false)) => !throttled,
+                let (lead, trail) = trim_ends(n as usize, |i| match status[i] {
+                    Some((_, dirty)) => dirty || !throttled,
                     None => false,
-                };
-                let mut lead = 0usize;
-                while lead < n as usize && from_ssd(&status[lead]) {
-                    lead += 1;
-                }
-                let mut trail = 0usize;
-                while trail < n as usize - lead && from_ssd(&status[n as usize - 1 - trail]) {
-                    trail += 1;
-                }
+                });
                 let mid = lead..(n as usize - trail);
                 out.extend((0..lead).map(|_| self.io.zero_page()));
                 if !mid.is_empty() {
@@ -1294,9 +1007,8 @@ impl PageIo for SsdManager {
         }
         dirty_pids.sort_unstable();
 
-        // Flush in consecutive-pid group-cleaning batches of up to α pages.
-        // As in `clean_batch`, pages are marked clean only after their disk
-        // write succeeds; an unreadable SSD copy strands the page instead.
+        // Flush in consecutive-pid group-cleaning batches of up to α pages,
+        // each gathered and written as in `clean_batch`.
         let mut total = 0usize;
         let mut i = 0usize;
         while i < dirty_pids.len() {
@@ -1307,30 +1019,7 @@ impl PageIo for SsdManager {
             {
                 j += 1;
             }
-            let mut pids: Vec<PageId> = Vec::with_capacity(j - i);
-            let mut bufs: Vec<PageBuf> = Vec::with_capacity(j - i);
-            for pid in &dirty_pids[i..j] {
-                let frame = {
-                    let part = self.part(*pid);
-                    let Some(idx) = part.lookup(*pid) else {
-                        // Swept by a quarantine triggered earlier in this
-                        // same flush.
-                        continue;
-                    };
-                    part.frame_no(idx)
-                };
-                let mut buf = self.io.zero_page();
-                match self.ssd_read(clk, frame, &mut buf) {
-                    Ok(()) => {
-                        pids.push(*pid);
-                        bufs.push(buf);
-                    }
-                    Err(e) => {
-                        self.note_ssd_error(&e);
-                        self.drop_corrupt(*pid);
-                    }
-                }
-            }
+            let (pids, bufs) = self.gather(clk, dirty_pids[i..j].iter().copied());
             let (cleaned, _writes) = self.flush_gathered(clk, &pids, &bufs);
             total += cleaned;
             i = j;
@@ -1346,6 +1035,50 @@ impl PageIo for SsdManager {
         if self.cfg.design == SsdDesign::LazyCleaning {
             self.pause_dirty_until.store(end, Ordering::Relaxed);
         }
+    }
+}
+
+impl SsdTier for SsdManager {
+    fn io(&self) -> &IoManager {
+        &self.io
+    }
+
+    fn cfg(&self) -> &SsdConfig {
+        &self.cfg
+    }
+
+    fn metrics(&self) -> &SsdMetrics {
+        &self.metrics
+    }
+
+    fn health(&self) -> &Health {
+        &self.health
+    }
+
+    /// Partition by partition; dirty entries are stranded for salvage.
+    fn sweep(&self) {
+        for i in 0..self.parts.len() {
+            let mut part = self.part_at(i);
+            let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
+            let recs: Vec<_> = idxs.into_iter().map(|idx| part.remove(idx)).collect();
+            drop(part);
+            for rec in recs {
+                self.audit(rec.pid, AuditOp::Quarantine);
+                self.lose(rec.pid, rec.dirty);
+            }
+        }
+    }
+
+    /// A dirty copy was the page's only current version: it is stranded.
+    fn drop_corrupt(&self, pid: PageId) {
+        let mut part = self.part(pid);
+        let Some(idx) = part.lookup(pid) else {
+            return;
+        };
+        let rec = part.remove(idx);
+        drop(part);
+        self.audit(pid, AuditOp::CorruptInvalidate);
+        self.lose(pid, rec.dirty);
     }
 }
 
@@ -1782,29 +1515,48 @@ mod tests {
 
     #[test]
     fn error_budget_exhaustion_quarantines() {
-        // One cached page per error the budget tolerates, plus one.
-        let n = SSD_ERROR_BUDGET + 1;
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2 * n)));
-        let mut cfg = SsdConfig::new(SsdDesign::DualWrite, 2 * n);
-        cfg.partitions = 1;
-        let m = SsdManager::new(cfg, Arc::clone(&io));
-        for i in 0..n {
-            m.evict_page(0, PageId(i), &page(i as u8), false, Locality::Random);
+        use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
+        // One cached page per error the budget tolerates, plus one; then
+        // every SSD read fails (even after retries), one error per read.
+        const N: u64 = SSD_ERROR_BUDGET + 1;
+        fn exhaust<T: SsdTier + PageIo>(io: &IoManager, tier: &T, mut clk: Clk) {
+            let mut fcfg = FaultConfig::quiet(4);
+            fcfg.read_error_prob = 1.0;
+            io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
+            for i in 0..N {
+                assert!(
+                    !tier.health().is_quarantined(),
+                    "{i} errors are within the budget"
+                );
+                tier.read_page(&mut clk, PageId(i), Locality::Random, &mut page(0))
+                    .unwrap();
+            }
+            assert!(tier.health().is_quarantined());
+            assert_eq!(tier.metrics().snapshot().ssd_io_errors, N);
         }
-        // All SSD reads now fail (even after retries).
-        let mut fcfg = FaultConfig::quiet(4);
-        fcfg.read_error_prob = 1.0;
-        io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
-        let mut clk = Clk::new();
-        let mut buf = page(0);
-        for i in 0..n {
-            assert!(!m.is_quarantined(), "{i} errors are within the budget");
-            m.read_page(&mut clk, PageId(i), Locality::Random, &mut buf)
-                .unwrap();
+        for design in [CleanWrite, DualWrite, LazyCleaning, Tac] {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2 * N)));
+            let mut cfg = SsdConfig::new(design, 2 * N);
+            cfg.partitions = 1;
+            let mut clk = Clk::new();
+            if design == Tac {
+                // TAC caches on read, with writes long complete by the reads
+                // that fail.
+                let t = crate::TacCache::new(cfg, Arc::clone(&io));
+                (0..N).for_each(|i| {
+                    t.read_page(&mut clk, PageId(i), Locality::Random, &mut page(0))
+                        .unwrap()
+                });
+                clk.elapse(turbopool_iosim::SECOND);
+                assert_eq!(t.occupancy(), N);
+                exhaust(&io, &t, clk);
+            } else {
+                let m = SsdManager::new(cfg, Arc::clone(&io));
+                (0..N).for_each(|i| m.evict_page(0, PageId(i), &page(1), false, Locality::Random));
+                assert_eq!(m.occupancy(), N, "{design:?}");
+                exhaust(&io, &m, clk);
+            }
         }
-        // Error budget + 1 exceeded it.
-        assert!(m.is_quarantined());
-        assert_eq!(m.metrics.snapshot().ssd_io_errors, n);
     }
 
     #[test]

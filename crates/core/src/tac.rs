@@ -29,24 +29,24 @@
 //!
 //! One latch covers the whole buffer table (records, page map, extent
 //! temperatures, coldest-first heap); a frame index is the SSD frame
-//! number. The partitioned table of §3.3.4 is `SsdManager`'s.
+//! number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
+//! error budget, quarantine, hedging, throttle and audit are the device
+//! edge in `tier.rs`, shared with `SsdManager`.
 
 use std::collections::HashMap;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
 
 use turbopool_bufpool::PageIo;
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc,
-    PidMap, Time,
+    Clk, IoError, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, PidMap, Time,
 };
 
-use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{SsdConfig, HEDGE_PROBE_INTERVAL};
-use crate::manager::SSD_ERROR_BUDGET;
+use crate::audit::AuditOp;
+use crate::config::SsdConfig;
 use crate::metrics::SsdMetrics;
+use crate::tier::{trim_ends, Health, SsdTier};
 
 #[derive(Debug, Clone, Copy)]
 struct TacRec {
@@ -90,17 +90,11 @@ pub struct TacCache {
     cfg: SsdConfig,
     io: Arc<IoManager>,
     inner: Mutex<TacTable>,
-    /// True once the SSD has been quarantined; TAC then runs write-through
-    /// to disk only (its natural degradation — nothing is ever stranded).
-    quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
-    ssd_errors: AtomicU64,
-    /// Degraded-mode decision counter driving canary probes (see
-    /// [`TacCache::hedge_or_probe`]).
-    probe_tick: AtomicU64,
+    /// Quarantine flag, error budget, canary tick and auditor. Once
+    /// quarantined TAC runs write-through to disk only (its natural
+    /// degradation — nothing is ever stranded).
+    health: Health,
     pub metrics: SsdMetrics,
-    /// Shadow state machine validating every buffer-table transition.
-    auditor: InvariantAuditor,
 }
 
 impl TacCache {
@@ -119,11 +113,8 @@ impl TacCache {
             cfg,
             io,
             inner: Mutex::ranked(Rank::TacTable, table),
-            quarantined: AtomicBool::new(false),
-            ssd_errors: AtomicU64::new(0),
-            probe_tick: AtomicU64::new(0),
+            health: Health::new(crate::SsdDesign::Tac),
             metrics: SsdMetrics::default(),
-            auditor: InvariantAuditor::new(crate::SsdDesign::Tac),
         }
     }
 
@@ -140,125 +131,16 @@ impl TacCache {
 
     /// True once the SSD is quarantined and TAC runs disk-only.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called while the table latch
-    /// is held (quarantine takes it to sweep the table).
-    fn note_ssd_error(&self, e: &IoError) {
-        SsdMetrics::bump(&self.metrics.ssd_io_errors);
-        if e.kind == IoErrorKind::ChecksumMismatch {
-            SsdMetrics::bump(&self.metrics.checksum_misses);
-        }
-        let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
-            self.quarantine();
-        }
-    }
-
-    /// Drop the whole cache and refuse all future SSD traffic. TAC is
-    /// write-through, so no data is lost — only hits. Pages are reported
-    /// in frame order so the audit stream stays deterministic.
-    fn quarantine(&self) {
-        if self.quarantined.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        SsdMetrics::bump(&self.metrics.ssd_quarantined);
-        let live: Vec<PageId> = {
-            let mut tab = self.lock_table();
-            let live = tab.records.iter().flatten().map(|r| r.pid).collect();
-            tab.records.fill(None);
-            tab.map.clear();
-            tab.free.clear();
-            tab.heap.clear();
-            tab.temps.clear();
-            tab.invalid = 0;
-            live
-        };
-        for pid in live {
-            self.audit(pid, AuditOp::Quarantine);
-            SsdMetrics::bump(&self.metrics.lost_frames);
-        }
-    }
-
-    /// Drop `pid`'s SSD copy after a failed frame read. Write-through: the
-    /// copy was never the only current version, so nothing is lost.
-    fn drop_corrupt(&self, pid: PageId) {
-        let mut tab = self.lock_table();
-        if let Some(frame) = tab.map.remove(&pid) {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "map/records consistency: a mapped frame always holds a record"
-            )]
-            let rec = tab.records[frame].take().unwrap();
-            if !rec.valid {
-                tab.invalid -= 1;
-            }
-            tab.free.push(frame);
-            drop(tab);
-            self.audit(pid, AuditOp::CorruptInvalidate);
-            SsdMetrics::bump(&self.metrics.lost_frames);
-        }
-    }
-
-    /// SSD frame read with transient-error retries on `clk`.
-    fn ssd_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        frame: u64,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_ssd(c, frame, buf));
-        SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
-        out
-    }
-
-    /// Synchronous disk read with the standard capped-backoff retry policy.
-    fn disk_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Asynchronous disk write that must not drop data (see
-    /// `SsdManager::disk_write` for the policy).
-    fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
-        if let Err(e) = fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            debug_assert!(!e.is_transient());
-        }
+        self.health.is_quarantined()
     }
 
     pub fn config(&self) -> &SsdConfig {
         &self.cfg
     }
 
-    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    /// Invariant violations caught so far (see [`crate::InvariantAuditor`]).
     pub fn audit_violations(&self) -> u64 {
-        self.auditor.violations()
-    }
-
-    /// Report a buffer-table transition to the auditor. Violations are
-    /// counted in the metrics and abort debug builds immediately.
-    #[expect(
-        clippy::panic,
-        reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
-    )]
-    fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.auditor.observe(pid, op) {
-            SsdMetrics::bump(&self.metrics.audit_violations);
-            if cfg!(debug_assertions) {
-                panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
-            }
-        }
+        self.health.audit_violations()
     }
 
     /// Occupied frames (valid + invalid).
@@ -275,23 +157,34 @@ impl TacCache {
     /// SSD frame holding a *valid* copy of `pid`, if any (introspection).
     pub fn frame_of_valid(&self, pid: PageId) -> Option<u64> {
         let tab = self.lock_table();
-        tab.map.get(&pid).and_then(|&f| {
-            let rec = tab.record(f);
-            rec.valid.then_some(f as u64)
-        })
+        let f = *tab.map.get(&pid)?;
+        tab.record(f).valid.then_some(f as u64)
     }
 
     /// True if `pid` has a valid SSD copy.
     pub fn contains_valid(&self, pid: PageId) -> bool {
-        let tab = self.lock_table();
-        tab.map
-            .get(&pid)
-            .map(|&f| tab.record(f).valid)
-            .unwrap_or(false)
+        self.frame_of_valid(pid).is_some()
     }
 
     fn extent(&self, pid: PageId) -> u64 {
         pid.0 / self.cfg.tac_extent_pages
+    }
+
+    /// The accumulated temperature of `pid`'s extent.
+    fn temp(&self, tab: &TacTable, pid: PageId) -> u64 {
+        *tab.temps.get(&self.extent(pid)).unwrap_or(&0)
+    }
+
+    /// Install a valid copy of `pid` in `frame`, its write completing at
+    /// `valid_at`, and enter it in the coldest-first heap.
+    fn place(&self, tab: &mut TacTable, frame: usize, pid: PageId, valid_at: Time) {
+        tab.records[frame] = Some(TacRec {
+            pid,
+            valid: true,
+            valid_at,
+        });
+        let temp = self.temp(tab, pid);
+        tab.heap.push(std::cmp::Reverse((temp, frame)));
     }
 
     /// Time saved by serving `class`-type read from SSD instead of disk.
@@ -304,32 +197,10 @@ impl TacCache {
         disk.saturating_sub(setup.ssd_profile.rand_read_ns)
     }
 
-    fn throttled(&self, now: Time) -> bool {
-        self.io.ssd_overloaded(now, self.cfg.mu)
-    }
-
-    /// Gray-failure hedging: should this hedge-eligible decision divert
-    /// away from the SSD? TAC is write-through, so every SSD copy has a
-    /// current disk twin and *all* SSD traffic (reads, admissions, and
-    /// refreshes) can divert to disk while the device is flagged
-    /// fail-slow — there is no sole-copy exception to honor. Every
-    /// [`HEDGE_PROBE_INTERVAL`]-th degraded decision is let through as a
-    /// canary probe so the fail-slow detector keeps receiving samples and
-    /// can observe recovery; while the detector reports `clearing`, every
-    /// decision probes to confirm (mirrors `SsdManager::hedge_or_probe`).
-    fn hedge_or_probe(&self) -> bool {
-        if !self.io.ssd_slow() || self.io.ssd_clearing() {
-            return false;
-        }
-        let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % HEDGE_PROBE_INTERVAL != HEDGE_PROBE_INTERVAL - 1
-    }
-
     /// Record a memory-pool miss of `pid`: heat its extent.
     fn heat(&self, tab: &mut TacTable, pid: PageId, class: Locality) {
-        let e = self.extent(pid);
         let saved = self.saved_ns(class);
-        *tab.temps.entry(e).or_insert(0) += saved;
+        *tab.temps.entry(self.extent(pid)).or_insert(0) += saved;
     }
 
     /// Find the coldest valid SSD frame: pop the lazy heap,
@@ -343,7 +214,7 @@ impl TacCache {
             if !rec.valid {
                 continue;
             }
-            let cur = *tab.temps.get(&self.extent(rec.pid)).unwrap_or(&0);
+            let cur = self.temp(tab, rec.pid);
             if cur != snap {
                 tab.heap.push(std::cmp::Reverse((cur, frame)));
                 continue;
@@ -356,15 +227,7 @@ impl TacCache {
     /// Admit `pid` (already read from disk) into the SSD at `now`,
     /// following TAC's admission/replacement rule.
     fn admit_on_read<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
-        if self.is_quarantined() {
-            return;
-        }
-        if self.throttled(now) {
-            SsdMetrics::bump(&self.metrics.throttled_admissions);
-            return;
-        }
-        if self.hedge_or_probe() {
-            SsdMetrics::bump(&self.metrics.hedged_admissions);
+        if self.is_quarantined() || !self.admits_now(now) {
             return;
         }
         let mut tab = self.lock_table();
@@ -378,7 +241,7 @@ impl TacCache {
         } else {
             // Qualified admission: the page's extent must be hotter than
             // the coldest extent resident in the SSD.
-            let my_temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
+            let my_temp = self.temp(&tab, pid);
             match self.pop_coldest_valid(&mut tab) {
                 Some((cold, cold_frame)) if my_temp > cold => {
                     if let Some(f) = tab.free.pop() {
@@ -430,19 +293,25 @@ impl TacCache {
             tab.free.push(frame);
             return;
         }
-        tab.records[frame] = Some(TacRec {
-            pid,
-            valid: true,
-            valid_at: done,
-        });
+        self.place(&mut tab, frame, pid, done);
         tab.map.insert(pid, frame);
-        let temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
-        tab.heap.push(std::cmp::Reverse((temp, frame)));
         self.audit(pid, AuditOp::Admit { dirty: false });
         SsdMetrics::bump(&self.metrics.admissions);
         if filling {
             SsdMetrics::bump(&self.metrics.fill_admissions);
         }
+    }
+
+    /// Logical invalidation (§2.5): the record stays, marked invalid, and
+    /// its frame stays occupied until a write-through rewrites it.
+    fn invalidate(&self, tab: &mut TacTable, frame: usize, rec: TacRec) {
+        tab.records[frame] = Some(TacRec {
+            valid: false,
+            ..rec
+        });
+        tab.invalid += 1;
+        self.audit(rec.pid, AuditOp::LogicalInvalidate);
+        SsdMetrics::bump(&self.metrics.invalidations);
     }
 
     /// Extent temperature accessor for unit tests.
@@ -468,48 +337,28 @@ impl TacCache {
             SsdMetrics::bump(&self.metrics.ssd_misses);
             return self.disk_read(clk, pid, class, buf);
         }
-        let hit: Option<u64> = {
+        let hit: Option<usize> = {
             let mut tab = self.lock_table();
             // Every memory-pool miss heats the extent, wherever it is
             // served from.
             self.heat(&mut tab, pid, class);
-            match tab.map.get(&pid) {
-                Some(&frame) => {
-                    let rec = tab.record(frame);
-                    // The copy must be valid AND its installing write
-                    // complete; a usable hit still diverts to disk under
-                    // throttle (§3.3.2) or a fail-slow flag (hedging).
-                    if rec.valid && clk.now >= rec.valid_at {
-                        if self.throttled(clk.now) {
-                            SsdMetrics::bump(&self.metrics.throttled_reads);
-                            None
-                        } else if self.hedge_or_probe() {
-                            SsdMetrics::bump(&self.metrics.hedged_reads);
-                            None
-                        } else {
-                            Some(frame as u64)
-                        }
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            }
+            // The copy must be valid AND its installing write complete; a
+            // usable hit still diverts to disk under throttle (§3.3.2) or a
+            // fail-slow flag (hedging).
+            tab.map.get(&pid).copied().filter(|&frame| {
+                let rec = tab.record(frame);
+                rec.valid && clk.now >= rec.valid_at && self.serves_clean_read(clk.now)
+            })
         };
+        // Write-through: the disk copy is current, so a bad frame just
+        // costs the hit and the read falls through to disk.
         if let Some(frame) = hit {
-            match self.ssd_read(clk, frame, buf) {
-                Ok(()) => {
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Write-through: the disk copy is current, so a bad
-                    // frame just costs the hit — drop it and fall through.
-                    self.note_ssd_error(&e);
-                    self.drop_corrupt(pid);
-                }
+            if self.read_frame(clk, pid, frame as u64, false, buf)? {
+                return Ok(());
             }
         }
+        // A hedged hit lands here too, so its write-on-read admission is a
+        // second hedge decision (and a second tick of the canary cadence).
         SsdMetrics::bump(&self.metrics.ssd_misses);
         self.disk_read(clk, pid, class, buf)?;
         // TAC writes the page to the SSD immediately after the disk read
@@ -532,12 +381,7 @@ impl TacCache {
     }
 
     fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
-        let done = match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(t) => t,
-            Err(_) => now,
-        };
+        let done = self.disk_write(now, pid, data);
         self.refresh_stale_copy(now, pid, data);
         done
     }
@@ -548,7 +392,9 @@ impl TacCache {
     /// a *valid* record can also be stale here: a run-read admitted the
     /// disk version while this newer copy sat dirty in the memory pool
     /// (scan read-ahead does exactly that), and keeping it would serve lost
-    /// updates. True if an invalid record became valid again.
+    /// updates. True if an invalid record became valid again. Hedged like
+    /// an admission, but a throttled refresh is not counted as one, so
+    /// this gate is not `admits_now`.
     fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
         if self.is_quarantined() {
             return false;
@@ -559,57 +405,33 @@ impl TacCache {
             let mut tab = self.lock_table();
             if let Some(&frame) = tab.map.get(&pid) {
                 let rec = tab.record(frame);
-                let hedging = !self.throttled(now) && self.hedge_or_probe();
+                let throttled = self.throttled(now);
+                let hedging = !throttled && self.hedge_or_probe();
                 if hedging {
                     // No refresh traffic to a browned-out SSD.
                     SsdMetrics::bump(&self.metrics.hedged_admissions);
                 }
-                if !self.throttled(now) && !hedging {
-                    let write = sync::io_under_latch(
+                let write = (!throttled && !hedging).then(|| {
+                    sync::io_under_latch(
                         "the refresh-or-invalidate decision must be atomic with the \
                          record's state, and write_ssd_async is an O(1) non-blocking booking",
                         || self.io.write_ssd_async(now, frame as u64, data, pid),
-                    );
-                    match write {
-                        Ok(done) => {
-                            tab.records[frame] = Some(TacRec {
-                                pid,
-                                valid: true,
-                                valid_at: done,
-                            });
-                            if !rec.valid {
-                                tab.invalid -= 1;
-                            }
-                            let temp = *tab.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            tab.heap.push(std::cmp::Reverse((temp, frame)));
-                            self.audit(pid, AuditOp::Refresh);
-                            revalidated = !rec.valid;
-                        }
-                        Err(e) => {
-                            // Refresh failed: the SSD version (if valid) is
-                            // now stale and must never be read again.
-                            if rec.valid {
-                                tab.records[frame] = Some(TacRec {
-                                    valid: false,
-                                    ..rec
-                                });
-                                tab.invalid += 1;
-                                self.audit(pid, AuditOp::LogicalInvalidate);
-                                SsdMetrics::bump(&self.metrics.invalidations);
-                            }
-                            pending = Some(e);
-                        }
+                    )
+                });
+                if let Some(Ok(done)) = write {
+                    self.place(&mut tab, frame, pid, done);
+                    if !rec.valid {
+                        tab.invalid -= 1;
                     }
-                } else if rec.valid {
-                    // Cannot rewrite under throttle or brownout: invalidate
-                    // so the stale version can never be read.
-                    tab.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    tab.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
+                    self.audit(pid, AuditOp::Refresh);
+                    revalidated = !rec.valid;
+                } else {
+                    // Throttled, browned out, or the rewrite failed: a valid
+                    // SSD version is now stale and must never be read again.
+                    if rec.valid {
+                        self.invalidate(&mut tab, frame, rec);
+                    }
+                    pending = write.and_then(Result::err);
                 }
             }
         }
@@ -669,14 +491,7 @@ impl PageIo for TacCache {
                 })
                 .collect()
         };
-        let mut lead = 0usize;
-        while lead < n as usize && status[lead].is_some() {
-            lead += 1;
-        }
-        let mut trail = 0usize;
-        while trail < n as usize - lead && status[n as usize - 1 - trail].is_some() {
-            trail += 1;
-        }
+        let (lead, trail) = trim_ends(n as usize, |i| status[i].is_some());
         let mid = lead..(n as usize - trail);
         // No page bytes move: the middle's pages are handles on the disk
         // store's images, and each trimmed end page replaces its
@@ -686,16 +501,12 @@ impl PageIo for TacCache {
         out.extend((0..lead).map(|_| self.io.zero_page()));
         if !mid.is_empty() {
             let mut tmp = Clk::at(now0);
-            let (retries, res) = fault::retry_sync(&mut tmp, |c| {
-                self.io.read_disk_run(
-                    c,
-                    first.offset(mid.start as u64),
-                    mid.len() as u64,
-                    Locality::Sequential,
-                )
-            });
-            SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-            let pages = res?;
+            let pages = self.disk_read_run(
+                &mut tmp,
+                first.offset(mid.start as u64),
+                mid.len() as u64,
+                Locality::Sequential,
+            )?;
             done = done.max(tmp.now);
             for (k, page) in pages.iter().enumerate() {
                 let pid = first.offset((mid.start + k) as u64);
@@ -717,25 +528,13 @@ impl PageIo for TacCache {
             let frame = status[i].unwrap();
             let pid = first.offset(i as u64);
             let mut tmp = Clk::at(now0);
-            match self.ssd_read(&mut tmp, frame, &mut out[i]) {
-                Ok(()) => {
-                    done = done.max(tmp.now);
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
-                }
-                Err(e) => {
-                    // Same fallback as read_page: drop the bad frame and
-                    // fetch the current disk copy instead.
-                    self.note_ssd_error(&e);
-                    self.drop_corrupt(pid);
-                    let mut tmp = Clk::at(now0);
-                    let (retries, res) = fault::retry_sync(&mut tmp, |c| {
-                        self.io.read_disk(c, pid, &mut out[i], Locality::Sequential)
-                    });
-                    SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-                    res?;
-                    done = done.max(tmp.now);
-                }
+            if !self.read_frame(&mut tmp, pid, frame, false, &mut out[i])? {
+                // Same fallback as read_page, but the run's locality: the
+                // current disk copy, read `Sequential` from `now0`.
+                tmp = Clk::at(now0);
+                self.disk_read(&mut tmp, pid, Locality::Sequential, &mut out[i])?;
             }
+            done = done.max(tmp.now);
         }
         clk.wait_until(done);
         Ok(out)
@@ -764,14 +563,7 @@ impl PageIo for TacCache {
                     self.audit(pid, AuditOp::Cancel);
                     SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
                 } else {
-                    // Logical invalidation: the frame stays occupied.
-                    tab.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    tab.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
+                    self.invalidate(&mut tab, frame, rec);
                 }
             }
         }
@@ -791,6 +583,63 @@ impl PageIo for TacCache {
 
     fn checkpoint_flush(&self, _clk: &mut Clk) {
         // Write-through: the SSD never holds the only current copy.
+    }
+}
+
+impl SsdTier for TacCache {
+    fn io(&self) -> &IoManager {
+        &self.io
+    }
+
+    fn cfg(&self) -> &SsdConfig {
+        &self.cfg
+    }
+
+    fn metrics(&self) -> &SsdMetrics {
+        &self.metrics
+    }
+
+    fn health(&self) -> &Health {
+        &self.health
+    }
+
+    /// TAC is write-through, so no data is lost — only hits. Pages are
+    /// reported in frame order so the audit stream stays deterministic.
+    fn sweep(&self) {
+        let live: Vec<PageId> = {
+            let mut tab = self.lock_table();
+            let live = tab.records.iter().flatten().map(|r| r.pid).collect();
+            tab.records.fill(None);
+            tab.map.clear();
+            tab.free.clear();
+            tab.heap.clear();
+            tab.temps.clear();
+            tab.invalid = 0;
+            live
+        };
+        for pid in live {
+            self.audit(pid, AuditOp::Quarantine);
+            SsdMetrics::bump(&self.metrics.lost_frames);
+        }
+    }
+
+    /// Write-through: the copy was never the only current version.
+    fn drop_corrupt(&self, pid: PageId) {
+        let mut tab = self.lock_table();
+        if let Some(frame) = tab.map.remove(&pid) {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "map/records consistency: a mapped frame always holds a record"
+            )]
+            let rec = tab.records[frame].take().unwrap();
+            if !rec.valid {
+                tab.invalid -= 1;
+            }
+            tab.free.push(frame);
+            drop(tab);
+            self.audit(pid, AuditOp::CorruptInvalidate);
+            SsdMetrics::bump(&self.metrics.lost_frames);
+        }
     }
 }
 

@@ -34,9 +34,6 @@ echo "==> benchmark/ builds against the facade and passes its own gates"
 benchmark/run.sh --smoke >/dev/null
 (cd benchmark && cargo test -q)
 
-echo "==> fault matrix (invariant auditor compiled out: --no-default-features)"
-cargo test -q --no-default-features --test fault_injection --test crash_torture
-
 echo "==> WAL replay fuzz, long variant (differential + seeded log mutation, <= 20 s)"
 cargo test -q --release -p turbopool-wal -- --ignored
 
@@ -46,8 +43,8 @@ cargo test -q --release --test setup_image -- --ignored
 echo "==> crash-schedule sweep (strided, all five designs)"
 cargo test -q --release --test crash_schedule quick_sweep_all_designs
 
-echo "==> domain determinism: a fleet equals each domain run alone, incl. brownout replay (strict invariants on)"
-cargo test -q --release --features strict-invariants --test driver_determinism
+echo "==> domain determinism: a fleet equals each domain run alone, incl. brownout replay"
+cargo test -q --release --test driver_determinism
 
 echo "==> driver scaling bench (quick, emits BENCH_driver_scaling.json)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling

@@ -22,12 +22,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use turbopool::bufpool::PageIo;
 use turbopool::core::metrics::SsdMetricsSnapshot;
 use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig};
 use turbopool::iosim::fault::{FaultConfig, FaultPlan};
 use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
-use turbopool::iosim::Clk;
+use turbopool::iosim::{Clk, PageId};
 
 const DESIGNS: [SsdDesign; 4] = [
     SsdDesign::CleanWrite,
@@ -236,6 +237,62 @@ fn bitflip_corruption_is_caught_by_checksums() {
             "{design:?}: expected the checksum to catch bit flips"
         );
     }
+}
+
+/// Under LC a dirty SSD page is the sole current copy. When its frame
+/// rots at rest and a multi-page read covers it, the read must fail and
+/// strand the page — the disk holds an older committed version — and the
+/// committed bytes come back through WAL-tail salvage.
+#[test]
+fn lost_sole_copy_inside_a_run_fails_the_read_and_is_salvaged() {
+    let mut cfg = DbConfig::small_for_tests();
+    cfg.pool.db_pages = 1024;
+    cfg.pool.frames = 4;
+    cfg.ssd = Some(SsdConfig::new(SsdDesign::LazyCleaning, 64));
+    let db = Database::open(cfg);
+    let m = Arc::clone(db.ssd_manager().unwrap());
+    let mut clk = Clk::new();
+    let h = db.create_heap(&mut clk, "data", 32, 16);
+    let churn = db.create_heap(&mut clk, "churn", 32, 16);
+    let mut txn = db.begin(&mut clk);
+    for v in 0..40u8 {
+        txn.heap_insert(h, &[v; 32]).unwrap();
+        txn.heap_insert(churn, &[v; 32]).unwrap();
+    }
+    assert!(txn.commit().is_committed());
+    // Version 1 of every page reaches the disk.
+    db.checkpoint(&mut clk);
+    // Version 2 of a record on the heap's third page, evicted dirty by
+    // reads of the other heap: its only copy is now on the SSD.
+    let rid = 2 * db.heap_meta(h).slots_per_page as u64;
+    let pid = db.heap_meta(h).locate(rid).0;
+    let mut txn = db.begin(&mut clk);
+    assert!(txn.heap_update(h, rid, &[0xEE; 32]));
+    assert!(txn.commit().is_committed());
+    let mut txn = db.begin(&mut clk);
+    for r in 0..40 {
+        txn.heap_get(churn, r).unwrap();
+    }
+    assert!(txn.commit().is_committed());
+    assert!(m.is_dirty(pid), "the dirty eviction went to the SSD only");
+    let frame = PageId(m.frame_of(pid).unwrap());
+    let mut bytes = vec![0u8; db.io().page_size()];
+    db.io().ssd_store().read(frame, &mut bytes);
+    bytes[5] ^= 0x10;
+    db.io().ssd_store().write(frame, &bytes);
+    let run = m.read_run(&mut clk, PageId(pid.0 - 1), 3);
+    assert!(
+        run.is_err(),
+        "a lost sole copy fails the run, not serve disk"
+    );
+    assert_eq!(
+        (m.contains(pid), m.metrics.snapshot().stranded_dirty),
+        (false, 1)
+    );
+    let mut txn = db.begin(&mut clk);
+    assert_eq!(txn.heap_get(h, rid).unwrap(), vec![0xEE; 32]);
+    assert!(txn.commit().is_committed());
+    assert_eq!(m.metrics.snapshot().salvaged_pages, 1);
 }
 
 #[test]

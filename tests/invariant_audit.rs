@@ -1,6 +1,6 @@
-//! Property test for the invariant auditor (`strict-invariants` feature,
-//! on by default): randomized operation sequences through every SSD
-//! design must produce ZERO buffer-table state-machine violations.
+//! Property test for the invariant auditor, which every build runs:
+//! randomized operation sequences through every SSD design must produce
+//! ZERO buffer-table state-machine violations.
 //!
 //! Two layers are exercised:
 //! * the raw `PageIo` surface of `SsdManager` / `TacCache`, driven with
