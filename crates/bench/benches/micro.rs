@@ -19,6 +19,7 @@ use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, DbConfig};
 use turbopool_iosim::{
     fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageId, PidMap, MILLISECOND, SECOND,
 };
+use turbopool_workload::rand_util::{client_rng, Zipf};
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
@@ -559,6 +560,42 @@ fn bench_engine() {
     }
 }
 
+/// A transaction's first write to a resident page — one heap-update-sized
+/// window — and its commit, on a frame that holds the only handle on its
+/// image (written in place, published by applying the records) and on one
+/// whose image another handle shares (copied into a private image, which
+/// commit swaps in). Both rungs take a handle on the frame's image; only
+/// the shared one keeps it across the transaction.
+fn bench_first_write() {
+    for (name, share) in [
+        ("txn_first_write_unshared", false),
+        ("txn_first_write_shared", true),
+    ] {
+        let db = Database::open(DbConfig::new(FRAME, 256, 64));
+        let mut clk = Clk::new();
+        let pid = PageId(9);
+        let mut k = 0u64;
+        bench(name, 100_000, || {
+            k += 1;
+            let held = db.pool().get_resident(pid).map(|g| g.image());
+            let held = held.filter(|_| share);
+            let mut txn = db.begin(&mut clk);
+            txn.write_page(pid, Locality::Random, |b| b.put(4000, &[k as u8; 100]));
+            txn.commit();
+            drop(held);
+        });
+    }
+}
+
+/// One Zipf(0.9) draw over `hot_ledger`'s 60,000 rows.
+fn bench_zipf() {
+    let zipf = Zipf::new(60_000, 0.9);
+    let mut rng = client_rng(1, 0);
+    bench("zipf_sample_60k", 2_000_000, || {
+        std::hint::black_box(zipf.sample(&mut rng));
+    });
+}
+
 /// The restore path, per page written: a heap of 64-byte records (the TPC-E
 /// trade row) and a 2M-pair index at the workloads' 0.7 fill, each loaded
 /// over again in place.
@@ -601,6 +638,8 @@ fn main() {
     bench_read_run();
     bench_diff();
     bench_engine();
+    bench_first_write();
+    bench_zipf();
     bench_loader();
 
     let rows = RESULTS.lock().map(|r| r.clone()).unwrap_or_default();

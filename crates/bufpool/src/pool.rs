@@ -755,6 +755,25 @@ impl PageGuard<'_> {
         self.pool.mark_dirty(self.slot, self.pid, now);
         old
     }
+
+    /// Run `f` under the frame's write latch on the frame's own bytes if
+    /// no other tier shares its image, or on `None` if one does. Neither
+    /// dirties the page nor touches an SSD copy: `f` must leave the bytes
+    /// as it found them, and a caller that keeps a change publishes it
+    /// through [`write`](Self::write) or [`replace`](Self::replace).
+    pub fn with_unshared<R>(&mut self, f: impl FnOnce(Option<&mut [u8]>) -> R) -> R {
+        let mut image = self.pool.data[self.slot].write();
+        if image.is_unique() {
+            f(Some(image.as_mut_slice()))
+        } else {
+            f(None)
+        }
+    }
+
+    /// Another handle on the frame's image.
+    pub fn image(&self) -> PageBuf {
+        self.pool.data[self.slot].read().clone()
+    }
 }
 
 impl Drop for PageGuard<'_> {
@@ -777,6 +796,37 @@ mod tests {
         let mut cfg = BufferPoolConfig::new(frames, PS, db_pages);
         cfg.fill_expansion = 1; // keep unit tests one-page-per-miss
         (io, BufferPool::new(cfg, layer))
+    }
+
+    #[test]
+    fn with_unshared_lends_only_an_unshared_image_and_dirties_nothing() {
+        let (io, p) = pool(4, 64);
+        let mut clk = Clk::new();
+        let pid = PageId(5);
+        drop(p.create_from(0, pid, PageBuf::from_slice(&[7; PS])));
+        p.checkpoint(&mut clk);
+        // The disk store shares the frame's image after the checkpoint.
+        let mut g = p.get_resident(pid).unwrap();
+        assert!(g.with_unshared(|b| b.is_none()));
+        // An equal image of the store's own: the frame's is unshared again.
+        io.disk_store().write(pid, &[7; PS]);
+        let stats = p.stats();
+        let image = g.image().as_ptr();
+        g.with_unshared(|b| {
+            let b = b.expect("unshared");
+            b[3] = 9;
+            b[3] = 7;
+        });
+        let mut after = p.stats();
+        after.shard_acquisitions -= 1; // the `stats` call's own
+        assert_eq!(after, stats, "no table latch, no counter");
+        assert_eq!(g.image().as_ptr(), image, "lent in place, not copied");
+        assert!(!p.is_dirty(pid));
+        // A handle held elsewhere shares it.
+        let held = g.image();
+        assert!(g.with_unshared(|b| b.is_none()));
+        drop(held);
+        assert!(g.with_unshared(|b| b.is_some()));
     }
 
     #[test]

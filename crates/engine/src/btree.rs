@@ -177,10 +177,14 @@ pub fn find_in_leaf(b: &[u8], key: u64) -> Option<usize> {
 // Operations
 // ---------------------------------------------------------------------
 
-/// Descend from the root to the leaf that owns `key`; returns the leaf pid
-/// and the path of internal ancestors (root first).
-fn descend(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> (PageId, Vec<PageId>) {
-    let mut path = Vec::new();
+/// Descend from the root to the leaf that owns `key` and return its pid,
+/// handing `ancestor` each internal node on the way (root first).
+fn descend(
+    txn: &mut Txn<'_, '_>,
+    meta: &IndexMeta,
+    key: u64,
+    mut ancestor: impl FnMut(PageId),
+) -> PageId {
     let mut pid = meta.root;
     loop {
         let next = txn.read_page(pid, Locality::Random, |b| {
@@ -188,10 +192,10 @@ fn descend(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> (PageId, Vec<Pa
         });
         match next {
             Some(child) => {
-                path.push(pid);
+                ancestor(pid);
                 pid = PageId(child);
             }
-            None => return (pid, path),
+            None => return pid,
         }
     }
 }
@@ -199,7 +203,8 @@ fn descend(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> (PageId, Vec<Pa
 /// Insert or replace (`upsert`) the value for `key`.
 pub fn insert(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64, val: u64) {
     let cap = node_capacity(txn.page_size());
-    let (leaf, path) = descend(txn, meta, key);
+    let mut path = Vec::new();
+    let leaf = descend(txn, meta, key, |p| path.push(p));
     if let Some(slot) = txn.read_page(leaf, Locality::Random, |b| find_in_leaf(b, key)) {
         txn.write_page(leaf, Locality::Random, |b| put_entry(b, slot, key, val));
         return;
@@ -291,7 +296,7 @@ fn insert_into_parent(
 
 /// Point lookup.
 pub fn get(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> Option<u64> {
-    let (leaf, _) = descend(txn, meta, key);
+    let leaf = descend(txn, meta, key, |_| ());
     txn.read_page(leaf, Locality::Random, |b| {
         find_in_leaf(b, key).map(|i| entry(b, i).1)
     })
@@ -305,7 +310,7 @@ pub fn range(
     hi: u64,
     limit: usize,
 ) -> Vec<(u64, u64)> {
-    let (mut leaf, _) = descend(txn, meta, lo);
+    let mut leaf = descend(txn, meta, lo, |_| ());
     let mut out = Vec::new();
     loop {
         let (mut in_range, any_beyond, next) = txn.read_page(leaf, Locality::Random, |b| {
@@ -334,7 +339,7 @@ pub fn range(
 
 /// Remove `key`; returns whether it existed. No rebalancing.
 pub fn delete(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> bool {
-    let (leaf, _) = descend(txn, meta, key);
+    let leaf = descend(txn, meta, key, |_| ());
     let slot = txn.read_page(leaf, Locality::Random, |b| find_in_leaf(b, key));
     let Some(slot) = slot else { return false };
     txn.write_page(leaf, Locality::Random, |b| {

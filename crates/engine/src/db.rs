@@ -7,7 +7,7 @@ use std::sync::Arc;
 use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
 use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
 use turbopool_iosim::sync::{Mutex, Rank};
-use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageBuf, PageId, Time};
+use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, Time};
 use turbopool_wal::log::DurableLog;
 use turbopool_wal::{LogManager, LogScanReport, RecoveryStats, RedoStore};
 
@@ -41,18 +41,7 @@ pub struct Database {
     next_tx: AtomicU64,
     alloc: AtomicU64,
     catalog: Mutex<Catalog>,
-    /// Unshared page images for transactions' overlay pages: taken on
-    /// first touch, swapped into frames at commit, and the frames' old
-    /// images returned here when nothing else holds them.
-    spare: Mutex<Vec<PageBuf>>,
 }
-
-/// Spare images [`Database::recycle_image`] retains: one transaction's
-/// modified-page working set (the widest transaction the benchmark
-/// workloads run, in TPC-C, modifies 36 pages), so what commit returns
-/// feeds the next transaction's first touches. 64 × 8 KB = 512 KB at the
-/// paper's page size.
-pub(crate) const TXN_SPARE_BUFS: usize = 64;
 
 /// Read-ahead window for table scans, in pages: a scan prefetches runs of
 /// this many pages ahead of its cursor, each one multi-page sequential
@@ -96,35 +85,6 @@ impl Database {
             next_tx: AtomicU64::new(1),
             alloc: AtomicU64::new(0),
             catalog: Mutex::ranked(Rank::Catalog, Catalog::default()),
-            spare: Mutex::ranked(Rank::SpareImages, Vec::new()),
-        }
-    }
-
-    /// A page image to overwrite with [`PageBuf::copy_from`], contents
-    /// unspecified: a recycled one nobody else holds, which is filled in
-    /// place, or else a handle on the shared zero page, which the fill
-    /// replaces with a fresh image.
-    pub(crate) fn spare_image(&self) -> PageBuf {
-        let recycled = self.spare.lock().pop();
-        recycled.unwrap_or_else(|| self.io.zero_page())
-    }
-
-    /// Images currently kept for [`spare_image`](Self::spare_image).
-    #[cfg(test)]
-    pub(crate) fn spare_images(&self) -> usize {
-        self.spare.lock().len()
-    }
-
-    /// Keep `image` for a later [`spare_image`](Self::spare_image) — if it
-    /// is unshared. An image some store or frame still holds can never be
-    /// written in place, so recycling it would only defer a copy; it is
-    /// dropped instead, as is anything beyond [`TXN_SPARE_BUFS`].
-    pub(crate) fn recycle_image(&self, mut image: PageBuf) {
-        if image.is_unique() {
-            let mut spare = self.spare.lock();
-            if spare.len() < TXN_SPARE_BUFS {
-                spare.push(image);
-            }
         }
     }
 
@@ -689,58 +649,89 @@ impl CrashImage {
 // Transaction-level data access (convenience methods on Txn)
 // ---------------------------------------------------------------------
 
+/// The catalog entries one transaction has used, each looked up once: the
+/// `Txn::heap_*` and `index_*` operations after the first on a table take
+/// no catalog latch and clone no meta.
+#[derive(Default)]
+pub(crate) struct Resolved {
+    heaps: Vec<Option<HeapMeta>>,
+    indexes: Vec<Option<IndexMeta>>,
+}
+
+/// Take entry `id` out of `slots`, if it was resolved before.
+fn take_slot<M>(slots: &mut [Option<M>], id: usize) -> Option<M> {
+    slots.get_mut(id)?.take()
+}
+
+/// Put entry `id` (back) into `slots`.
+fn put_slot<M>(slots: &mut Vec<Option<M>>, id: usize, meta: M) {
+    if slots.len() <= id {
+        slots.resize_with(id + 1, || None);
+    }
+    slots[id] = Some(meta);
+}
+
 impl Txn<'_, '_> {
     /// Page size of the underlying database.
     pub fn page_size(&self) -> usize {
         self.db.page_size()
     }
 
+    /// Run `op` on heap `id`'s catalog entry.
+    fn on_heap<R>(&mut self, id: HeapId, op: impl FnOnce(&mut Self, &HeapMeta) -> R) -> R {
+        let meta = take_slot(&mut self.resolved.heaps, id).unwrap_or_else(|| self.db.heap_meta(id));
+        let r = op(self, &meta);
+        put_slot(&mut self.resolved.heaps, id, meta);
+        r
+    }
+
+    /// Run `op` on index `id`'s catalog entry.
+    fn on_index<R>(&mut self, id: IndexId, op: impl FnOnce(&mut Self, &IndexMeta) -> R) -> R {
+        let meta =
+            take_slot(&mut self.resolved.indexes, id).unwrap_or_else(|| self.db.index_meta(id));
+        let r = op(self, &meta);
+        put_slot(&mut self.resolved.indexes, id, meta);
+        r
+    }
+
     /// Insert a record into a heap.
     pub fn heap_insert(&mut self, id: HeapId, data: &[u8]) -> Result<Rid, heap::HeapFull> {
-        let meta = self.db.heap_meta(id);
-        heap::insert(self, &meta, data)
+        self.on_heap(id, |txn, meta| heap::insert(txn, meta, data))
     }
 
     /// Read a record from a heap.
     pub fn heap_get(&mut self, id: HeapId, rid: Rid) -> Option<Vec<u8>> {
-        let meta = self.db.heap_meta(id);
-        heap::get(self, &meta, rid)
+        self.on_heap(id, |txn, meta| heap::get(txn, meta, rid))
     }
 
     /// Overwrite a record in a heap.
     pub fn heap_update(&mut self, id: HeapId, rid: Rid, data: &[u8]) -> bool {
-        let meta = self.db.heap_meta(id);
-        heap::update(self, &meta, rid, data)
+        self.on_heap(id, |txn, meta| heap::update(txn, meta, rid, data))
     }
 
     /// Delete a record from a heap.
     pub fn heap_delete(&mut self, id: HeapId, rid: Rid) -> bool {
-        let meta = self.db.heap_meta(id);
-        heap::delete(self, &meta, rid)
+        self.on_heap(id, |txn, meta| heap::delete(txn, meta, rid))
     }
 
     /// Insert (or replace) a key in an index.
     pub fn index_insert(&mut self, id: IndexId, key: u64, val: u64) {
-        let meta = self.db.index_meta(id);
-        btree::insert(self, &meta, key, val);
+        self.on_index(id, |txn, meta| btree::insert(txn, meta, key, val))
     }
 
     /// Point lookup in an index.
     pub fn index_get(&mut self, id: IndexId, key: u64) -> Option<u64> {
-        let meta = self.db.index_meta(id);
-        btree::get(self, &meta, key)
+        self.on_index(id, |txn, meta| btree::get(txn, meta, key))
     }
 
     /// Range scan `lo..=hi` (up to `limit` results, key order).
     pub fn index_range(&mut self, id: IndexId, lo: u64, hi: u64, limit: usize) -> Vec<(u64, u64)> {
-        let meta = self.db.index_meta(id);
-        btree::range(self, &meta, lo, hi, limit)
+        self.on_index(id, |txn, meta| btree::range(txn, meta, lo, hi, limit))
     }
 
     /// Delete a key from an index.
     pub fn index_delete(&mut self, id: IndexId, key: u64) -> bool {
-        let meta = self.db.index_meta(id);
-        btree::delete(self, &meta, key)
+        self.on_index(id, |txn, meta| btree::delete(txn, meta, key))
     }
 }
 

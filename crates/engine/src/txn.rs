@@ -1,10 +1,12 @@
 //! Transactions: private write buffering, commit-time logging/publication.
 
+use std::ops::Range;
+
 use turbopool_bufpool::PageGuard;
 use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap};
 use turbopool_wal::{LogRecord, TxId};
 
-use crate::db::Database;
+use crate::db::{Database, Resolved};
 
 /// How a [`Txn::commit`] ended.
 ///
@@ -212,6 +214,140 @@ impl Windows {
         diff_windows(pieces, page, emit);
         r
     }
+
+    /// Put back into `page` every byte the last [`capture`](Self::capture)
+    /// saved: the page as it was before the call, since no byte can change
+    /// before a window saves it.
+    fn restore(&self, page: &mut [u8]) {
+        for p in &self.pieces {
+            page[p.start..p.end].copy_from_slice(&self.saved[p.saved_at..][..p.end - p.start]);
+        }
+    }
+}
+
+/// A capture whose page is put back as it was when this is dropped: after
+/// the diff, or on unwind out of a panicking writer.
+struct Undo<'a> {
+    windows: &'a mut Windows,
+    page: &'a mut [u8],
+    armed: bool,
+}
+
+impl Drop for Undo<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.windows.restore(self.page);
+        }
+    }
+}
+
+/// Run one [`Txn::write_page`] call's writer on `page` and append the
+/// records it makes to `ops`. With `undo` the page is left as it was
+/// before the call — also when `f` panics — so the records are the only
+/// trace of it.
+fn capture_call<R>(
+    windows: &mut Windows,
+    ops: &mut Vec<LogRecord>,
+    (txid, pid): (TxId, PageId),
+    page: &mut [u8],
+    undo: bool,
+    f: impl FnOnce(&mut PageMut<'_>) -> R,
+) -> R {
+    #[cfg(debug_assertions)]
+    let (before, logged) = (page.to_vec(), ops.len());
+    let call = Undo {
+        windows,
+        page: &mut *page,
+        armed: undo,
+    };
+    // Diffed here, per call, not at commit: record count and order are
+    // part of the log's bytes.
+    let r = call.windows.capture(call.page, f, |offset, data| {
+        ops.push(LogRecord::PageWrite {
+            txid,
+            pid,
+            offset,
+            data: data.to_vec(),
+        })
+    });
+    // Debug builds (tier-1 runs with them) re-derive every call's records
+    // from the whole before-image, and check that an undone call left the
+    // page exactly as it found it.
+    #[cfg(debug_assertions)]
+    {
+        let captured = ops[logged..].iter().map(|rec| match rec {
+            LogRecord::PageWrite { offset, data, .. } => (*offset, data.clone()),
+            _ => unreachable!("write_page logs page writes"),
+        });
+        assert_eq!(
+            captured.collect::<Vec<_>>(),
+            diff_ranges(&before, call.page),
+            "windowed capture of {pid} is not the full-page diff"
+        );
+    }
+    drop(call);
+    #[cfg(debug_assertions)]
+    if undo {
+        assert_eq!(
+            page,
+            &before[..],
+            "{pid} was not restored after its capture"
+        );
+    }
+    r
+}
+
+/// Lay `records` — page writes of one page — over `page`.
+fn apply(records: &[LogRecord], page: &mut [u8]) {
+    for rec in records {
+        match rec {
+            LogRecord::PageWrite { offset, data, .. } => {
+                page[*offset as usize..][..data.len()].copy_from_slice(data)
+            }
+            _ => unreachable!("write_page logs page writes"),
+        }
+    }
+}
+
+/// A page the transaction has written, as its overlay holds it.
+enum Written {
+    /// A private image: the page with every write so far.
+    Own(PageBuf),
+    /// The page's one write so far ran on its frame's own image and was
+    /// undone there (see [`Txn::write_page`]): a handle on the committed
+    /// image it ran against, and the records it logged, `ops[records]`.
+    Logged {
+        base: PageBuf,
+        records: Range<usize>,
+    },
+}
+
+impl Written {
+    /// The private image, which a `Logged` page first gets built from its
+    /// base and its records (`ops` is the transaction's record list): the
+    /// one copy of such a page.
+    fn own(&mut self, ops: &[LogRecord]) -> &mut PageBuf {
+        if let Written::Logged { base, records } = self {
+            let mut image = base.clone();
+            apply(&ops[records.clone()], image.as_mut_slice());
+            *self = Written::Own(image);
+        }
+        match self {
+            Written::Own(image) => image,
+            Written::Logged { .. } => unreachable!("made private just above"),
+        }
+    }
+
+    /// [`own`](Self::own), by value.
+    fn into_own(self, ops: &[LogRecord]) -> PageBuf {
+        match self {
+            Written::Own(image) => image,
+            Written::Logged { mut base, records } => {
+                apply(&ops[records], base.as_mut_slice());
+                base
+            }
+        }
+    }
 }
 
 /// A page as [`Txn::write_page`] hands it to a writer: readable whole
@@ -228,7 +364,7 @@ impl PageMut<'_> {
     /// Mutable access to the bytes `range` of the page. Windows may
     /// overlap and repeat; what is logged is the difference between the
     /// page before the `write_page` call and after it.
-    pub fn window(&mut self, range: std::ops::Range<usize>) -> &mut [u8] {
+    pub fn window(&mut self, range: Range<usize>) -> &mut [u8] {
         assert!(
             range.start <= range.end && range.end <= self.page.len(),
             "window {range:?} outside the {}-byte page",
@@ -257,18 +393,21 @@ impl std::ops::Deref for PageMut<'_> {
 /// stay private until [`Txn::commit`], which logs the byte-level deltas,
 /// flushes the log (WAL), and only then publishes the modified pages to the
 /// buffer pool. [`Txn::abort`] (or dropping the transaction) discards
-/// everything.
+/// everything: no frame ever holds an uncommitted byte once
+/// [`Txn::write_page`] has returned.
 pub struct Txn<'d, 'c> {
     pub(crate) db: &'d Database,
     pub clk: &'c mut Clk,
     id: TxId,
-    overlay: PidMap<PageBuf>,
+    overlay: PidMap<Written>,
     ops: Vec<LogRecord>,
     /// Scratch of the `write_page` call in progress.
     windows: Windows,
     /// First unrecoverable I/O error observed by a read; a poisoned
     /// transaction serves zeroed pages from then on and refuses to commit.
     poisoned: Option<IoError>,
+    /// The catalog entries the transaction's operations have used.
+    pub(crate) resolved: Resolved,
 }
 
 impl<'d, 'c> Txn<'d, 'c> {
@@ -281,6 +420,7 @@ impl<'d, 'c> Txn<'d, 'c> {
             ops: Vec::new(),
             windows: Windows::default(),
             poisoned: None,
+            resolved: Resolved::default(),
         }
     }
 
@@ -347,8 +487,8 @@ impl<'d, 'c> Txn<'d, 'c> {
     /// locality (index lookups are random; scans go through
     /// [`Database::scan_heap`] instead).
     pub fn read_page<R>(&mut self, pid: PageId, class: Locality, f: impl FnOnce(&[u8]) -> R) -> R {
-        if let Some(p) = self.overlay.get(&pid) {
-            return f(p.as_slice());
+        if let Some(page) = self.overlay.get_mut(&pid) {
+            return f(page.own(&self.ops));
         }
         match self.pin(pid, class) {
             Some(g) => g.read(f),
@@ -356,58 +496,71 @@ impl<'d, 'c> Txn<'d, 'c> {
         }
     }
 
-    /// Modify page `pid` in the transaction's private overlay. `f` reads
-    /// the page freely and writes it through the windows it opens on the
-    /// [`PageMut`]; what it changed is logged as byte ranges at commit.
+    /// Modify page `pid`, privately until commit. `f` reads the page
+    /// freely and writes it through the windows it opens on the
+    /// [`PageMut`]; what it changed is logged as byte ranges.
+    ///
+    /// The first write to a resident page whose frame holds the only
+    /// handle on its image runs on the frame's own bytes, under its write
+    /// latch, and is undone there before this returns: the transaction
+    /// keeps the records and a handle on the committed image
+    /// ([`Written::Logged`]), and nothing else can see an uncommitted
+    /// byte. Any other write — to a page whose image a store or an SSD
+    /// frame shares, a fresh or unreadable page, or a page this
+    /// transaction wrote before — goes to a private image, copied once.
     pub fn write_page<R>(
         &mut self,
         pid: PageId,
         class: Locality,
         f: impl FnOnce(&mut PageMut<'_>) -> R,
     ) -> R {
-        if !self.overlay.contains_key(&pid) {
-            // First touch: a private image (contents unspecified), filled
-            // exactly once — from the pinned frame, or with zeroes.
-            let mut image = self.db.spare_image();
-            match self.pin(pid, class) {
-                Some(g) => g.read(|b| image.copy_from(b)),
-                None => image.copy_from(&self.db.io().zero_page()),
-            }
-            self.overlay.insert(pid, image);
+        if self.overlay.contains_key(&pid) {
+            return self.write_own(pid, f);
         }
+        // First touch.
+        let Some(mut g) = self.pin(pid, class) else {
+            // Never written, or unreadable: zeroes, which the write copies.
+            self.overlay
+                .insert(pid, Written::Own(self.db.io().zero_page()));
+            return self.write_own(pid, f);
+        };
+        let logged = self.ops.len();
+        let (windows, ops) = (&mut self.windows, &mut self.ops);
+        let in_place = g.with_unshared(|frame| match frame {
+            Some(page) => Ok(capture_call(windows, ops, (self.id, pid), page, true, f)),
+            None => Err(f),
+        });
+        match in_place {
+            Ok(r) => {
+                let (base, records) = (g.image(), logged..self.ops.len());
+                self.overlay.insert(pid, Written::Logged { base, records });
+                r
+            }
+            Err(f) => {
+                // A store or an SSD frame shares the frame's image: the
+                // write copies it.
+                self.overlay.insert(pid, Written::Own(g.image()));
+                self.write_own(pid, f)
+            }
+        }
+    }
+
+    /// [`write_page`](Self::write_page) on a page the overlay holds.
+    fn write_own<R>(&mut self, pid: PageId, f: impl FnOnce(&mut PageMut<'_>) -> R) -> R {
         let page = self
             .overlay
             .get_mut(&pid)
-            .expect("first touch inserted the page just above")
+            .expect("first touch inserted the page")
+            .own(&self.ops)
             .as_mut_slice();
-        #[cfg(debug_assertions)]
-        let (before, logged) = (page.to_vec(), self.ops.len());
-        // Diffed here, per call, not at commit: record count and order are
-        // part of the log's bytes.
-        let (id, ops) = (self.id, &mut self.ops);
-        let r = self.windows.capture(page, f, |offset, data| {
-            ops.push(LogRecord::PageWrite {
-                txid: id,
-                pid,
-                offset,
-                data: data.to_vec(),
-            })
-        });
-        // Debug builds (tier-1 runs with them) re-derive every call's
-        // records from the whole before-image.
-        #[cfg(debug_assertions)]
-        {
-            let captured = self.ops[logged..].iter().map(|rec| match rec {
-                LogRecord::PageWrite { offset, data, .. } => (*offset, data.clone()),
-                _ => unreachable!("write_page logs page writes"),
-            });
-            assert_eq!(
-                captured.collect::<Vec<_>>(),
-                diff_ranges(&before, page),
-                "windowed capture of {pid} is not the full-page diff"
-            );
-        }
-        r
+        capture_call(
+            &mut self.windows,
+            &mut self.ops,
+            (self.id, pid),
+            page,
+            false,
+            f,
+        )
     }
 
     /// Commit: log, flush (WAL), publish. Read-only transactions are free.
@@ -443,59 +596,53 @@ impl<'d, 'c> Txn<'d, 'c> {
         // draws are consumed in publication order, so it must be identical
         // on every run for replay to be bit-reproducible.
         //
-        // Each image is swapped into its frame, not copied over it; the
-        // image that comes out is recycled for the next transaction's first
-        // touches, unless a store or an SSD frame still shares it.
-        let mut pages: Vec<(PageId, PageBuf)> =
+        // A private image is swapped into its frame, not copied over it. A
+        // page written in place gets its records applied to the frame,
+        // which owns its image again once the base handle is let go.
+        let mut pages: Vec<(PageId, Written)> =
             std::mem::take(&mut self.overlay).into_iter().collect();
         pages.sort_unstable_by_key(|(pid, _)| pid.0);
-        for (pid, image) in pages {
+        for (pid, page) in pages {
             let resident = db.pool().get_resident(pid);
-            let spare = if resident.is_none() && db.is_fresh(pid) {
-                db.pool().create_from(self.clk.now, pid, image)
-            } else {
-                let pinned = match resident {
-                    Some(g) => Ok(g),
-                    None => db.get_with_salvage(self.clk, pid, Locality::Random),
-                };
-                match pinned {
-                    Ok(mut g) => g.replace(self.clk.now, image),
-                    Err(_) => {
-                        // The commit record is already durable, so the
-                        // transaction IS committed; the frame just cannot be
-                        // cached right now. Redo this page's committed
-                        // content straight onto the disk tier from the log.
-                        db.salvage(&[pid]);
-                        image
-                    }
-                }
+            if resident.is_none() && db.is_fresh(pid) {
+                let image = page.into_own(&self.ops);
+                db.pool().create_from(self.clk.now, pid, image);
+                continue;
+            }
+            let pinned = match resident {
+                Some(g) => Ok(g),
+                None => db.get_with_salvage(self.clk, pid, Locality::Random),
             };
-            db.recycle_image(spare);
+            match (pinned, page) {
+                (Ok(mut g), Written::Own(image)) => {
+                    g.replace(self.clk.now, image);
+                }
+                (Ok(mut g), Written::Logged { base, records }) => {
+                    drop(base);
+                    g.write(self.clk.now, |b| apply(&self.ops[records], b));
+                }
+                (Err(_), _) => {
+                    // The commit record is already durable, so the
+                    // transaction IS committed; the frame just cannot be
+                    // cached right now. Redo this page's committed content
+                    // straight onto the disk tier from the log.
+                    db.salvage(&[pid]);
+                }
+            }
         }
         CommitOutcome::Committed
     }
 
     /// Discard all buffered writes.
     pub fn abort(self) {
-        // Dropping the overlay is the whole rollback (`Drop` recycles it).
-    }
-}
-
-impl Drop for Txn<'_, '_> {
-    /// Whatever the overlay still holds — everything after an abort, a
-    /// poisoned or powerless commit, or a plain drop; nothing after a
-    /// publishing commit — is recycled.
-    fn drop(&mut self) {
-        for (_, page) in self.overlay.drain() {
-            self.db.recycle_image(page);
-        }
+        // Dropping the overlay is the whole rollback: a page written in
+        // place got its frame's bytes back in `write_page`.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::TXN_SPARE_BUFS;
     use crate::DbConfig;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
@@ -886,11 +1033,39 @@ mod tests {
         assert!(txn.commit().is_committed());
     }
 
-    /// Fill the spare list with non-zero garbage, as a busy engine's
-    /// recycled overlay images would be.
-    fn dirty_spares(db: &Database, n: usize) {
-        for _ in 0..n {
-            db.recycle_image(PageBuf::from_slice(&vec![0xCD; db.page_size()]));
+    /// The frame of resident page `pid`: its image's address and bytes.
+    fn frame(db: &Database, pid: PageId) -> (*const u8, Vec<u8>) {
+        let image = db.pool().get_resident(pid).expect("resident").image();
+        (image.as_ptr(), image.to_vec())
+    }
+
+    /// True if `pid`'s frame holds the only handle on its image.
+    fn unshared(db: &Database, pid: PageId) -> bool {
+        let mut g = db.pool().get_resident(pid).expect("resident");
+        g.with_unshared(|b| b.is_some())
+    }
+
+    /// Commit one byte, `p + 1` at offset 0, to each of `pages` (fresh
+    /// pages, so they come into being in their frames, each frame then the
+    /// only holder of its image).
+    fn commit_pages(db: &Database, clk: &mut Clk, pages: Range<u64>) {
+        let mut txn = db.begin(clk);
+        for p in pages {
+            txn.write_page(PageId(p), Locality::Random, |b| b.put(0, &[p as u8 + 1]));
+        }
+        assert!(txn.commit().is_committed());
+    }
+
+    /// Checkpoint, then give the disk store an equal image of its own for
+    /// each of `pages`: their frames are clean and, once more, the only
+    /// holders of their images.
+    fn clean_and_unshared(db: &Database, clk: &mut Clk, pages: Range<u64>) {
+        db.checkpoint(clk);
+        for p in pages {
+            let pid = PageId(p);
+            assert!(!unshared(db, pid), "the checkpoint shares the image");
+            db.io().disk_store().write(pid, &frame(db, pid).1);
+            assert!(unshared(db, pid) && !db.pool().is_dirty(pid));
         }
     }
 
@@ -899,20 +1074,16 @@ mod tests {
         let db = db();
         let mut clk = Clk::new();
         let pid = PageId(7); // never written: fresh
-        dirty_spares(&db, 6);
-        // A writes the fresh page and aborts; its overlay image (holding
-        // A's bytes) joins the garbage in the spare list.
+
+        // A writes the fresh page and aborts.
         let mut a = db.begin(&mut clk);
         a.write_page(pid, Locality::Random, |b| {
             assert!(b.iter().all(|&x| x == 0), "fresh page starts zeroed");
             let len = b.len();
             b.window(0..len).fill(0xA1);
         });
-        assert_eq!(db.spare_images(), 5, "first touch took a spare");
         a.abort();
-        assert_eq!(db.spare_images(), 6);
-        // B sees zeroes, not garbage and not A's bytes, and logs only its
-        // own four bytes.
+        // B sees zeroes, not A's bytes, and logs only its own four bytes.
         let mut b = db.begin(&mut clk);
         b.read_page(pid, Locality::Random, |p| {
             assert!(p.iter().all(|&x| x == 0))
@@ -931,8 +1102,19 @@ mod tests {
             }]
         );
         assert!(b.commit().is_committed());
+        // The page is resident now, its frame the only holder of its
+        // image: C writes every byte of it in place and aborts, and D
+        // still sees B's bytes and nothing of C's.
+        assert!(unshared(&db, pid));
         let mut c = db.begin(&mut clk);
-        c.read_page(pid, Locality::Random, |p| {
+        c.write_page(pid, Locality::Random, |b| {
+            let len = b.len();
+            b.window(0..len).fill(0xC3);
+        });
+        assert!(matches!(c.overlay[&pid], Written::Logged { .. }));
+        c.abort();
+        let mut d = db.begin(&mut clk);
+        d.read_page(pid, Locality::Random, |p| {
             assert_eq!(&p[10..14], &[1, 2, 3, 4]);
             assert!(p[..10].iter().chain(&p[14..]).all(|&x| x == 0));
         });
@@ -942,91 +1124,224 @@ mod tests {
     fn poisoned_write_gets_a_zeroed_overlay_page() {
         let db = db();
         let mut clk = Clk::new();
-        dirty_spares(&db, 4);
         let bad = PageId(db.config().pool.db_pages + 5);
         let mut txn = db.begin(&mut clk);
         txn.write_page(bad, Locality::Random, |b| {
-            assert!(b.iter().all(|&x| x == 0), "no recycled garbage");
+            assert!(b.iter().all(|&x| x == 0), "zeroes, not another page");
             b.put(0, &[1]);
         });
         assert!(txn.poisoned().is_some());
+        assert!(matches!(txn.overlay[&bad], Written::Own(_)));
+        let flushed = db.log().flushed_lsn();
         assert!(!txn.commit().is_committed());
-        assert_eq!(db.spare_images(), 4, "overlay image came back");
+        assert_eq!(db.log().flushed_lsn(), flushed, "nothing logged");
+        assert_eq!(db.pool().dirty_count(), 0, "nothing published");
     }
 
     #[test]
     fn unshared_images_are_recycled_and_shared_ones_are_not() {
+        // The frame's own image is written in place when nothing else holds
+        // it — the transaction copies nothing, and commit keeps the image —
+        // and copied when a store does, which then keeps its bytes.
         let db = db();
         let mut clk = Clk::new();
-        let h = db.create_heap(&mut clk, "t", 32, 16);
-        // Pages 0..3 come into being here: their images go into never-filled
-        // frames, which give back handles on the pool's shared zero page —
-        // nothing to recycle.
-        let mut txn = db.begin(&mut clk);
-        for p in 0..3u64 {
-            txn.write_page(PageId(p), Locality::Random, |b| b.put(0, &[1]));
-        }
-        assert!(txn.commit().is_committed());
-        assert_eq!(db.spare_images(), 0, "shared zero handles are dropped");
-        // Two resident pages, two fresh ones, and a read (which takes no
-        // image at all).
+        commit_pages(&db, &mut clk, 0..3);
+        let before: Vec<_> = (0..3).map(|p| frame(&db, PageId(p))).collect();
         let touch = |txn: &mut Txn<'_, '_>| {
-            for p in [1u64, 2, 4, 5] {
+            for p in [1u64, 2, 4] {
                 txn.write_page(PageId(p), Locality::Random, |b| b.window(3..4)[0] ^= 0x10);
             }
-            txn.heap_get(h, 0);
         };
-        // Commit: the images swapped out of pages 1 and 2's frames were the
-        // previous commit's overlay pages, held by nothing else.
         let mut txn = db.begin(&mut clk);
         touch(&mut txn);
-        assert!(txn.commit().is_committed());
-        assert_eq!(db.spare_images(), 2, "commit");
-        // Abort and drop: all four overlay images come back (two of them
-        // were the spares, taken on first touch).
-        let mut txn = db.begin(&mut clk);
-        touch(&mut txn);
-        assert_eq!(db.spare_images(), 0, "first touches take the spares");
-        txn.abort();
-        assert_eq!(db.spare_images(), 4, "abort");
-        {
-            let mut txn = db.begin(&mut clk);
-            touch(&mut txn);
-            assert_eq!(db.spare_images(), 0);
+        for p in [1, 2] {
+            assert!(matches!(txn.overlay[&PageId(p)], Written::Logged { .. }));
+            assert_eq!(frame(&db, PageId(p)), before[p as usize], "undone in place");
         }
-        assert_eq!(db.spare_images(), 4, "drop");
-        // Now all four pages are resident with unshared images.
-        let mut txn = db.begin(&mut clk);
-        touch(&mut txn);
+        assert!(matches!(txn.overlay[&PageId(4)], Written::Own(_)), "fresh");
         assert!(txn.commit().is_committed());
-        assert_eq!(db.spare_images(), 4, "commit swaps four out for four in");
-        // A checkpoint hands the frames' images to the disk store. What the
-        // next commit swaps out is then the disk's copy too: writing it in
-        // place would change the disk, so it is not kept.
+        for p in [1, 2] {
+            let (image, bytes) = frame(&db, PageId(p));
+            assert_eq!(image, before[p as usize].0, "{p}: the same image, no copy");
+            assert_eq!((bytes[0], bytes[3]), (p as u8 + 1, 0x10));
+            assert!(unshared(&db, PageId(p)));
+        }
+        // A checkpoint hands the frames' images to the disk store: the
+        // next write copies, and commit swaps the copy in.
         db.checkpoint(&mut clk);
         let on_disk = db.io().disk_store().read_buf(PageId(1));
         let mut txn = db.begin(&mut clk);
         touch(&mut txn);
-        assert_eq!(db.spare_images(), 0);
+        assert!(matches!(txn.overlay[&PageId(1)], Written::Own(_)), "shared");
         assert!(txn.commit().is_committed());
-        assert_eq!(db.spare_images(), 0, "shared images are dropped");
+        assert_ne!(frame(&db, PageId(1)).0, on_disk.as_ptr());
+        assert_eq!(frame(&db, PageId(1)).1[3], 0);
         assert_eq!(
             db.io().disk_store().read_buf(PageId(1)).as_ptr(),
             on_disk.as_ptr(),
             "the disk still holds the checkpointed image"
         );
-        assert_eq!(on_disk[3] & 0x10, 0, "untouched by the commit after it");
+        assert_eq!(on_disk[3], 0x10, "untouched by the commit after it");
     }
 
     #[test]
     fn spare_images_are_capped() {
+        // Nothing keeps a page image once a transaction is over: after
+        // one that wrote more pages than the pool has frames, and aborted,
+        // every frame is again the only holder of its image.
         let db = db();
         let mut clk = Clk::new();
+        let frames = db.config().pool.frames as u64;
+        commit_pages(&db, &mut clk, 0..frames);
         let mut txn = db.begin(&mut clk);
-        for p in 0..TXN_SPARE_BUFS as u64 + 9 {
-            txn.write_page(PageId(p), Locality::Random, |b| b.put(0, &[1]));
+        for p in 0..frames + 9 {
+            txn.write_page(PageId(p), Locality::Random, |b| b.put(1, &[1]));
         }
         txn.abort();
-        assert_eq!(db.spare_images(), TXN_SPARE_BUFS);
+        let resident: Vec<_> = (0..frames + 9)
+            .map(PageId)
+            .filter(|&pid| db.pool().contains(pid))
+            .collect();
+        assert!(!resident.is_empty());
+        for pid in resident {
+            assert!(unshared(&db, pid), "{pid}");
+        }
+    }
+
+    #[test]
+    fn an_aborted_in_place_write_leaves_the_frame_as_it_was() {
+        let db = db();
+        let mut clk = Clk::new();
+        commit_pages(&db, &mut clk, 0..2);
+        clean_and_unshared(&db, &mut clk, 0..2);
+        let before = [frame(&db, PageId(0)), frame(&db, PageId(1))];
+        let write = |txn: &mut Txn<'_, '_>, p: u64| {
+            txn.write_page(PageId(p), Locality::Random, |b| {
+                b.put(0, &[0xEE; 8]);
+                b.put(100, &[0xDD; 20]);
+            });
+            assert!(matches!(txn.overlay[&PageId(p)], Written::Logged { .. }));
+        };
+        let mut txn = db.begin(&mut clk);
+        write(&mut txn, 0);
+        // Mid-transaction the frame already holds the committed bytes.
+        assert_eq!(frame(&db, PageId(0)), before[0]);
+        txn.abort();
+        {
+            let mut txn = db.begin(&mut clk);
+            write(&mut txn, 1);
+        }
+        for p in 0..2 {
+            let pid = PageId(p);
+            assert_eq!(frame(&db, pid), before[p as usize], "bytes and image");
+            assert!(!db.pool().is_dirty(pid) && unshared(&db, pid));
+        }
+        assert_eq!(db.pool().dirty_count(), 0);
+    }
+
+    #[test]
+    fn own_writes_read_back_and_log_as_a_private_copy_would() {
+        // The same transaction on a page written in place and on one
+        // whose image is shared (so copied): the reads see both writes, and
+        // the records are the same.
+        let run = |share: bool| {
+            let db = db();
+            let mut clk = Clk::new();
+            let pid = PageId(3);
+            commit_pages(&db, &mut clk, 3..4);
+            if share {
+                db.checkpoint(&mut clk);
+            }
+            let mut txn = db.begin(&mut clk);
+            txn.write_page(pid, Locality::Random, |b| b.put(40, &[1, 2, 3]));
+            let logged = matches!(txn.overlay[&pid], Written::Logged { .. });
+            assert_eq!(logged, !share);
+            txn.read_page(pid, Locality::Random, |p| {
+                assert_eq!((p[0], &p[40..43]), (4, &[1u8, 2, 3][..]))
+            });
+            assert!(
+                matches!(txn.overlay[&pid], Written::Own(_)),
+                "read made it own"
+            );
+            txn.write_page(pid, Locality::Random, |b| {
+                assert_eq!(&b[40..43], &[1, 2, 3]);
+                b.put(41, &[9, 9, 9, 9]);
+            });
+            txn.read_page(pid, Locality::Random, |p| {
+                assert_eq!(&p[40..45], &[1, 9, 9, 9, 9])
+            });
+            let records: Vec<_> = txn
+                .ops
+                .iter()
+                .map(|rec| match rec {
+                    LogRecord::PageWrite { offset, data, .. } => (*offset, data.clone()),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert!(txn.commit().is_committed());
+            assert_eq!(&frame(&db, pid).1[40..45], &[1, 9, 9, 9, 9]);
+            records
+        };
+        let in_place = run(false);
+        assert_eq!(in_place, vec![(40, vec![1, 2, 3]), (41, vec![9, 9, 9, 9])]);
+        assert_eq!(in_place, run(true));
+    }
+
+    #[test]
+    fn a_logged_page_evicted_mid_transaction_commits_its_records() {
+        let mut cfg = DbConfig::small_for_tests();
+        cfg.pool.frames = 2;
+        let db = Database::open(cfg);
+        let mut clk = Clk::new();
+        let pid = PageId(0);
+        // Pages 1..4 exist below or in the pool; page 0 comes into being
+        // last, in a frame that holds the only handle on its image.
+        commit_pages(&db, &mut clk, 1..4);
+        commit_pages(&db, &mut clk, 0..1);
+        let mut txn = db.begin(&mut clk);
+        txn.write_page(pid, Locality::Random, |b| b.put(20, &[5, 6, 7]));
+        assert!(matches!(txn.overlay[&pid], Written::Logged { .. }));
+        // Other pages, read over and over, push it out of the two-frame
+        // pool; what goes below is the committed page, not the
+        // transaction's write.
+        for p in (1..4).cycle().take(9) {
+            txn.read_page(PageId(p), Locality::Random, |_| ());
+        }
+        assert!(!db.pool().contains(pid));
+        let below = db.io().disk_store().read_buf(pid);
+        assert_eq!((below[0], &below[20..23]), (1, &[0u8, 0, 0][..]));
+        // Commit reads the page back and applies the records to it.
+        assert!(txn.commit().is_committed());
+        let (_, bytes) = frame(&db, pid);
+        assert_eq!((bytes[0], &bytes[20..23]), (1, &[5u8, 6, 7][..]));
+        assert!(db.pool().is_dirty(pid));
+    }
+
+    #[test]
+    fn a_panicking_writer_leaves_the_frames_committed_bytes() {
+        let db = db();
+        let mut clk = Clk::new();
+        let pid = PageId(2);
+        commit_pages(&db, &mut clk, 2..3);
+        let before = frame(&db, pid);
+        let mut txn = db.begin(&mut clk);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            txn.write_page(pid, Locality::Random, |b| {
+                b.put(0, &[0xFF; 16]);
+                b.window(50..60).fill(0xFF);
+                panic!("writer failed halfway");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(frame(&db, pid), before);
+        assert!(unshared(&db, pid), "the writer's handle is gone");
+        assert!(txn.ops.is_empty() && txn.overlay.is_empty());
+        // The transaction goes on, and sees the committed page.
+        txn.write_page(pid, Locality::Random, |b| {
+            assert_eq!(&b[..], &before.1[..]);
+            b.put(1, &[7]);
+        });
+        assert!(txn.commit().is_committed());
+        assert_eq!(frame(&db, pid).1[..2], [3, 7]);
     }
 }

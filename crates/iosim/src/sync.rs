@@ -47,8 +47,6 @@ pub enum Rank {
     TacTable,
     /// The invariant auditor's shadow table, reported to under either.
     AuditorStates,
-    /// Transactions' spare page images (`Database::spare`).
-    SpareImages,
     /// The throughput recorder's buckets (`ThroughputRecorder::counts`).
     ThroughputCounts,
 }

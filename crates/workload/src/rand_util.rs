@@ -21,11 +21,23 @@ pub fn nurand(rng: &mut SmallRng, a: u64, c: u64, x: u64, y: u64) -> u64 {
 /// distribution.
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// A guide table over the CDF: `guide[b]` is the first rank whose CDF
+    /// value falls in bucket `b` or above (see [`bucket`]), so a draw in
+    /// bucket `b` searches only `guide[b]..=guide[b + 1]`, a few entries,
+    /// instead of the whole CDF.
+    guide: Vec<u32>,
+}
+
+/// Bucket of `x` ∈ [0, 1] among `buckets` equal-width ones: ⌊x · buckets⌋,
+/// exact because `buckets` is a power of two. Monotone in `x`, so the
+/// ranks of a bucket are contiguous.
+fn bucket(x: f64, buckets: usize) -> usize {
+    (x * buckets as f64) as usize
 }
 
 impl Zipf {
     pub fn new(n: usize, theta: f64) -> Self {
-        assert!(n > 0);
+        assert!(n > 0 && u32::try_from(n).is_ok());
         let mut cdf = Vec::with_capacity(n);
         let mut sum = 0.0;
         for i in 1..=n {
@@ -35,16 +47,32 @@ impl Zipf {
         for v in &mut cdf {
             *v /= sum;
         }
-        Zipf { cdf }
+        // About one bucket per rank.
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for b in 0..=buckets {
+            rank += cdf[rank..].partition_point(|&p| bucket(p, buckets) < b);
+            guide.push(rank as u32);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Draw a rank in `0..n` (0 is the hottest).
     pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.rank(rng.gen())
+    }
+
+    /// The first rank whose CDF value is at least `u` ∈ [0, 1), or the
+    /// last rank if none is.
+    fn rank(&self, u: f64) -> usize {
+        // Every rank before `guide[b]` has a CDF value in a lower bucket
+        // than u's, so below u; every rank from `guide[b + 1]` on, one in
+        // a higher bucket, so above u.
+        let b = bucket(u, self.guide.len() - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let i = lo + self.cdf[lo..hi].partition_point(|&p| p < u);
+        i.min(self.cdf.len() - 1)
     }
 }
 
@@ -114,6 +142,46 @@ mod tests {
         }
         // Top 10% of ranks should draw the majority of samples.
         assert!(head as f64 / total as f64 > 0.5, "head {head}");
+    }
+
+    /// The full-CDF binary search the guide table replaced, kept as the
+    /// oracle its ranks are checked against.
+    fn rank_by_full_search(z: &Zipf, u: f64) -> usize {
+        match z.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_gives_the_full_search_ranks() {
+        for theta in [0.0, 0.9, 0.99] {
+            for n in [1, 2, 3, 7, 100, 1000, 60_000] {
+                let z = Zipf::new(n, theta);
+                // Strictly increasing, so a `u` equal to a CDF value has
+                // exactly one match and both searches must name it.
+                assert!(z.cdf.windows(2).all(|w| w[0] < w[1]), "n={n} θ={theta}");
+                let on_the_cdf = z
+                    .cdf
+                    .iter()
+                    .flat_map(|&p| [p, p.next_up(), p.next_down()])
+                    .filter(|u| (0.0..1.0).contains(u));
+                let mut rng = client_rng(0x21FF ^ n as u64, theta.to_bits());
+                let drawn = (0..20_000).map(|_| rng.gen::<f64>());
+                for u in std::iter::once(0.0).chain(on_the_cdf).chain(drawn) {
+                    assert_eq!(
+                        z.rank(u),
+                        rank_by_full_search(&z, u),
+                        "n={n} θ={theta} u={u}"
+                    );
+                }
+                // And `sample` is that search on the generator's draw.
+                let (mut a, mut b) = (client_rng(5, n as u64), client_rng(5, n as u64));
+                for _ in 0..1000 {
+                    assert_eq!(z.sample(&mut a), rank_by_full_search(&z, b.gen()));
+                }
+            }
+        }
     }
 
     #[test]
