@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> mutant kit: each mutant's old text occurs exactly once (no build)"
+# The full run, `scripts/mutants.sh [rev]`, rebuilds the workspace once
+# per mutant; this step only keeps scripts/mutants.txt from rotting.
+scripts/mutants.sh --check
+
 echo "==> cargo clippy (the static checks of DESIGN §7.2)"
 # Clippy's default groups are off; what is checked is what the crates'
 # scoped `deny` attributes and `clippy.toml` list. `disallowed_methods`

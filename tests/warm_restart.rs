@@ -4,176 +4,104 @@
 //! crash, entries are re-adopted iff the frame's in-page header still
 //! names the page AND the page was not redone from the log (its disk
 //! image did not advance). These tests check both the win (the cache is
-//! warm) and the safety conditions (stale entries are rejected).
+//! warm) and the safety conditions (stale entries are rejected), each on
+//! the fault-and-crash harness (`engine::explorer`), whose `verify` checks
+//! every committed record.
 
-use std::sync::Arc;
-
-use turbopool::core::{SsdConfig, SsdDesign};
-use turbopool::engine::{Database, DbConfig};
-use turbopool::iosim::{Clk, Locality, PageId};
+use turbopool::core::SsdConfig;
+use turbopool::core::SsdDesign::{self, CleanWrite, DualWrite, LazyCleaning};
+use turbopool::engine::explorer::{damage_frames, run, Damage, Op, Rig, Run};
+use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
 use turbopool::wal::LogTail;
 
-fn build(warm: bool) -> Database {
-    let mut cfg = DbConfig::small_for_tests();
-    cfg.pool.db_pages = 2048;
-    cfg.pool.frames = 16;
-    let mut s = SsdConfig::new(SsdDesign::LazyCleaning, 256);
-    s.partitions = 4;
-    s.lambda = 0.5;
-    s.warm_restart = warm;
-    cfg.ssd = Some(s);
-    Database::open(cfg)
+fn ssd(design: SsdDesign, frames: u64, warm: bool) -> Option<SsdConfig> {
+    Some(SsdConfig {
+        partitions: 4,
+        lambda: 0.5,
+        warm_restart: warm,
+        ..SsdConfig::new(design, frames)
+    })
 }
 
-/// Insert `n` records through transactions; returns (heap, rids).
-fn load(db: &Database, clk: &mut Clk, n: u64) -> usize {
-    let h = db.create_heap(clk, "t", 64, 1024);
-    for i in 0..n {
-        let mut txn = db.begin(clk);
-        let mut rec = [0u8; 64];
-        rec[..8].copy_from_slice(&i.to_le_bytes());
-        txn.heap_insert(h, &rec).unwrap();
-        txn.commit();
+/// `n` inserts (rid `i` holds `i`), then — with `touch` — a read of every
+/// third record so the SSD fills, then a checkpoint, which embeds the SSD
+/// table.
+fn loaded(warm: bool, n: u64, touch: bool) -> Run {
+    let rig = Rig {
+        record: 64,
+        ..Rig::new(16, 4096, ssd(LazyCleaning, 256, warm))
+    };
+    let mut run = Run::new(&rig);
+    run.steps((0..n).map(Op::Insert));
+    if touch {
+        run.steps((0..n).step_by(3).map(Op::Read));
     }
-    h
+    run.step(Op::Checkpoint);
+    run
+}
+
+/// The rids whose page the SSD holds.
+fn cached(run: &Run, rids: std::ops::Range<u64>) -> Vec<u64> {
+    let (meta, mgr) = (run.db().heap_meta(run.heap), run.db().ssd_manager());
+    let cached = |&i: &u64| mgr.unwrap().contains(meta.locate(i).0);
+    rids.filter(cached).collect()
 }
 
 #[test]
 fn warm_restart_readopts_checkpointed_pages() {
-    let db = build(true);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 3_000);
-    // Touch everything so the SSD fills, then checkpoint (embeds table).
-    let mut txn = db.begin(&mut clk);
-    for i in (0..3_000u64).step_by(3) {
-        txn.heap_get(h, i);
-    }
-    txn.commit();
-    db.checkpoint(&mut clk);
-    let before = db.ssd_manager().unwrap().occupancy();
+    let mut run = loaded(true, 3_000, true);
+    let before = run.db().ssd_manager().unwrap().occupancy();
     assert!(before > 50, "SSD should be populated: {before}");
-
-    let (db2, _) = Database::recover(db.crash());
-    let m = db2.ssd_metrics().unwrap();
-    assert!(
-        m.warm_imports > before / 2,
-        "most pages should be re-adopted: {} of {before}",
-        m.warm_imports
-    );
+    run.reboot(|_| {});
+    let imports = run.db().ssd_metrics().unwrap().warm_imports;
+    assert!(imports > before / 2, "{imports} of {before} re-adopted");
     // Warm hits: reads served from the SSD with zero disk reads.
-    let disk_reads_before = db2.io().disk_stats().read_ops;
-    let mut clk = Clk::new();
-    let mut hits = 0;
-    let mgr = Arc::clone(db2.ssd_manager().unwrap());
-    let meta = db2.heap_meta(h);
-    for i in 0..meta.used_pages() {
-        let pid = meta.first.offset(i);
-        if mgr.contains(pid) {
-            let g = db2.pool().get(&mut clk, pid, Locality::Random).unwrap();
-            g.read(|_| ());
-            hits += 1;
-        }
-    }
-    assert!(hits > 0);
-    assert_eq!(
-        db2.io().disk_stats().read_ops,
-        disk_reads_before,
-        "warm SSD pages must not touch the disks"
-    );
+    let warm = cached(&run, 0..3_000);
+    let disk_reads = run.db().io().disk_stats().read_ops;
+    run.steps(warm.iter().copied().map(Op::Read));
+    assert!(!warm.is_empty());
+    assert_eq!(run.db().io().disk_stats().read_ops, disk_reads);
     // And the data is correct.
-    let mut txn = db2.begin(&mut clk);
-    for i in (0..3_000u64).step_by(117) {
-        let rec = txn.heap_get(h, i).unwrap();
-        assert_eq!(u64::from_le_bytes(rec[..8].try_into().unwrap()), i);
-    }
-    txn.commit();
+    run.verify();
 }
 
 #[test]
 fn cold_restart_imports_nothing() {
-    let db = build(false);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 2_000);
-    db.checkpoint(&mut clk);
-    let (db2, _) = Database::recover(db.crash());
-    assert_eq!(db2.ssd_manager().unwrap().occupancy(), 0);
-    assert_eq!(db2.ssd_metrics().unwrap().warm_imports, 0);
-    let _ = h;
+    let mut run = loaded(false, 2_000, false);
+    run.reboot(|_| {});
+    assert_eq!(run.db().ssd_manager().unwrap().occupancy(), 0);
+    assert_eq!(run.db().ssd_metrics().unwrap().warm_imports, 0);
+    // Cold, and every record is still there.
+    run.verify();
 }
 
 #[test]
 fn redone_pages_are_not_readopted() {
-    let db = build(true);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 3_000);
-    db.checkpoint(&mut clk);
+    let mut run = loaded(true, 3_000, false);
     // Post-checkpoint committed updates: their pages' SSD copies (from the
     // checkpoint table) are stale relative to the redone disk image.
-    let meta = db.heap_meta(h);
-    let mut updated_pids = Vec::new();
-    for i in (0..300u64).step_by(7) {
-        let mut txn = db.begin(&mut clk);
-        let mut rec = txn.heap_get(h, i).unwrap();
-        rec[8] = 0xAB;
-        txn.heap_update(h, i, &rec);
-        txn.commit();
-        updated_pids.push(meta.locate(i).0);
-    }
-    let (db2, stats) = Database::recover(db.crash());
-    assert!(stats.writes_applied > 0);
-    let mgr = db2.ssd_manager().unwrap();
-    for pid in updated_pids {
-        assert!(
-            !mgr.contains(pid),
-            "redone page {pid} must not be warm-imported"
-        );
-    }
+    let updated = Vec::from_iter((0..300).step_by(7));
+    run.steps(updated.iter().map(|&i| Op::Update(i, 0xAB)));
+    let report = run.reboot(|_| {});
+    assert!(report.stats.writes_applied > 0);
+    let readopted = |&i: &u64| !cached(&run, i..i + 1).is_empty();
+    assert!(!updated.iter().any(readopted), "a redone page re-adopted");
     // Correctness: the updates are visible.
-    let mut clk = Clk::new();
-    let mut txn = db2.begin(&mut clk);
-    assert_eq!(txn.heap_get(h, 7).unwrap()[8], 0xAB);
-    txn.commit();
+    run.verify();
 }
 
 #[test]
 fn reused_frames_are_not_readopted() {
     // After the checkpoint, keep inserting so SSD frames get recycled for
     // new pages; the in-page tag then disagrees with the table entry.
-    let db = build(true);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 3_000);
-    db.checkpoint(&mut clk);
-    // Churn: enough new pages to recycle many SSD frames.
-    let h2 = db.create_heap(&mut clk, "churn", 64, 512);
-    for i in 0..6_000u64 {
-        let mut txn = db.begin(&mut clk);
-        let mut rec = [0u8; 64];
-        rec[..8].copy_from_slice(&i.to_le_bytes());
-        let _ = txn.heap_insert(h2, &rec);
-        txn.commit();
-    }
-    let (db2, _) = Database::recover(db.crash());
-    // Whatever was imported must read back correctly (tag check filtered
-    // the recycled frames).
-    let mgr = Arc::clone(db2.ssd_manager().unwrap());
-    let meta = db2.heap_meta(h);
-    let mut clk = Clk::new();
-    let mut checked = 0;
-    let mut txn = db2.begin(&mut clk);
-    for i in (0..3_000u64).step_by(11) {
-        let (pid, _) = meta.locate(i);
-        if mgr.contains(pid) {
-            let rec = txn.heap_get(h, i).unwrap();
-            assert_eq!(
-                u64::from_le_bytes(rec[..8].try_into().unwrap()),
-                i,
-                "imported frame served wrong content for rid {i}"
-            );
-            checked += 1;
-        }
-    }
-    txn.commit();
-    let _ = checked;
+    let mut run = loaded(true, 3_000, true);
+    run.steps((3_000..3_600).map(Op::Insert));
+    let warm = run.reboot(|_| {}).warm.expect("warm import ran");
+    assert!(warm.rejected_stale > 0, "no recycled frame was rejected");
+    // Some checkpointed pages were re-adopted, and every record — those
+    // imported frames included — reads back correctly.
+    assert!(!cached(&run, 0..3_000).is_empty(), "nothing re-adopted");
+    run.verify();
 }
 
 /// At-rest frame corruption (bit rot, torn writes from the previous
@@ -183,58 +111,23 @@ fn reused_frames_are_not_readopted() {
 /// disk image.
 #[test]
 fn damaged_frames_are_rejected_not_readopted() {
-    let db = build(true);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 3_000);
-    let mut txn = db.begin(&mut clk);
-    for i in (0..3_000u64).step_by(3) {
-        txn.heap_get(h, i);
-    }
-    txn.commit();
-    db.checkpoint(&mut clk);
-    assert!(db.ssd_manager().unwrap().occupancy() > 50);
-
-    // Damage a dozen occupied frames at rest: rewrite the stored bytes
-    // directly (bypassing the fault model), so the frame's intent checksum
-    // no longer matches — exactly what a bit flip while powered off looks
-    // like to the probe.
-    let io = Arc::clone(db.io());
-    let mut damaged_pids = Vec::new();
-    let mut buf = vec![0u8; io.page_size()];
-    for frame in 0..io.ssd_frames() {
-        if damaged_pids.len() == 12 {
-            break;
-        }
-        if let Some(pid) = io.ssd_tag(frame) {
-            io.ssd_store().read(PageId(frame), &mut buf);
-            buf[5] ^= 0x10;
-            io.ssd_store().write(PageId(frame), &buf);
-            damaged_pids.push(pid);
-        }
-    }
-    assert_eq!(damaged_pids.len(), 12, "SSD should have occupied frames");
-
-    let (db2, report) = Database::try_recover(db.crash()).expect("disk tier is healthy");
+    let mut run = loaded(true, 3_000, true);
+    assert!(run.db().ssd_manager().unwrap().occupancy() > 50);
+    // A bit flipped in a dozen occupied frames while the power is off.
+    let mut hit = Vec::new();
+    let report = run.reboot(|image| hit = damage_frames(image.io(), Damage::BitFlip, 0, 12));
     let warm = report.warm.expect("warm import ran");
+    assert_eq!(hit.len(), 12, "SSD should have occupied frames");
     assert_eq!(warm.rejected_checksum, 12, "every damaged frame rejected");
     assert!(!warm.aborted_dead, "isolated bit rot must not quarantine");
     assert!(warm.imported > 0, "undamaged frames still re-adopted");
-    let m = db2.ssd_metrics().unwrap();
-    assert_eq!(m.warm_rejected_checksum, 12);
-    let mgr = db2.ssd_manager().unwrap();
-    for &pid in &damaged_pids {
+    assert_eq!(run.db().ssd_metrics().unwrap().warm_rejected_checksum, 12);
+    let mgr = run.db().ssd_manager().unwrap();
+    for &(_, pid) in &hit {
         assert!(!mgr.contains(pid), "damaged frame for {pid} re-adopted");
     }
-    // The pages the damaged frames cached are intact on disk; reads must
-    // serve correct bytes (from disk, not the rejected frames).
-    let mut clk = Clk::new();
-    let mut txn = db2.begin(&mut clk);
-    for i in (0..3_000u64).step_by(97) {
-        let rec = txn.heap_get(h, i).unwrap();
-        assert_eq!(u64::from_le_bytes(rec[..8].try_into().unwrap()), i);
-    }
-    assert!(txn.poisoned().is_none());
-    txn.commit();
+    // Reads of those pages serve the (intact) disk image.
+    run.verify();
 }
 
 /// Corruption inside the checkpoint's embedded `SsdTable` record kills the
@@ -243,46 +136,60 @@ fn damaged_frames_are_rejected_not_readopted() {
 /// checkpointed page is on disk, so no committed data is lost.
 #[test]
 fn corrupt_ssd_table_record_degrades_to_cold_restart() {
-    let db = build(true);
-    let mut clk = Clk::new();
-    let h = load(&db, &mut clk, 3_000);
-    let mut txn = db.begin(&mut clk);
-    for i in (0..3_000u64).step_by(3) {
-        txn.heap_get(h, i);
-    }
-    txn.commit();
-    db.checkpoint(&mut clk);
-    assert!(db.ssd_manager().unwrap().occupancy() > 50);
-
+    let mut run = loaded(true, 3_000, true);
+    assert!(run.db().ssd_manager().unwrap().occupancy() > 50);
     // After the sharp checkpoint the durable log is exactly
     // [SsdTable, Checkpoint]; a flip anywhere inside the table record
     // breaks its record checksum.
-    let len = db.log().durable_len();
-    assert!(len > 0);
-    assert!(db.corrupt_log(len / 2, 0x04));
-
-    let (db2, report) = Database::try_recover(db.crash()).expect("disk tier is healthy");
-    assert!(
-        matches!(report.log.tail, LogTail::Corrupt { .. }),
-        "corruption must be reported loudly: {:?}",
-        report.log.tail
-    );
-    assert!(report.is_damaged());
+    let len = run.db().log().durable_len();
+    assert!(len > 0 && run.db().corrupt_log(len / 2, 0x04));
+    let report = run.reboot(|_| {});
+    let tail = report.log.tail;
+    assert!(matches!(tail, LogTail::Corrupt { .. }) && report.is_damaged());
     assert!(!report.log.used_checkpoint, "damaged checkpoint adopted");
-    assert!(
-        report.warm.is_none(),
-        "no table may be imported: {report:?}"
-    );
-    assert_eq!(db2.ssd_manager().unwrap().occupancy(), 0);
-    assert_eq!(db2.ssd_metrics().unwrap().warm_imports, 0);
+    assert!(report.warm.is_none(), "table imported: {report:?}");
+    assert_eq!(run.db().ssd_manager().unwrap().occupancy(), 0);
+    assert_eq!(run.db().ssd_metrics().unwrap().warm_imports, 0);
     // Cold but correct: the checkpoint flushed every page before its
     // record was written, so the disk image alone serves all commits.
-    let mut clk = Clk::new();
-    let mut txn = db2.begin(&mut clk);
-    for i in (0..3_000u64).step_by(97) {
-        let rec = txn.heap_get(h, i).unwrap();
-        assert_eq!(u64::from_le_bytes(rec[..8].try_into().unwrap()), i);
+    run.verify();
+}
+
+/// The restart decoders beyond the WAL under seeded damage at rest: SSD
+/// frames bit-flipped, torn, or rewritten for another page, and bytes of
+/// the checkpoint's `SsdTable` record. Each schedule damages right after a
+/// checkpoint, so the table names every occupied frame. No schedule may
+/// panic, each must classify its damage, and each converges: the harness
+/// checks the torn-tail and idempotent-recovery properties after every
+/// reboot, and the oracles after that.
+#[test]
+fn restart_decoders_survive_seeded_damage() {
+    let designs = [CleanWrite, DualWrite, LazyCleaning];
+    for seed in 0u64..24 {
+        let rig = Rig {
+            index: true,
+            seed,
+            ..Rig::new(6, 1024, ssd(designs[seed as usize % 3], 32, true))
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ops = Vec::from_iter((0..40).map(|_| match rng.gen_range(0u32..3) {
+            0 => Op::Update(rng.gen(), rng.gen()),
+            1 => Op::Read(rng.gen()),
+            _ => Op::Insert(rng.gen()),
+        }));
+        // Reads of checkpointed pages fill the SSD with clean copies.
+        ops.push(Op::Checkpoint);
+        ops.extend((0..30).map(|_| Op::Read(rng.gen())));
+        ops.push(Op::Checkpoint);
+        let salt = rng.gen();
+        let damage = match seed / 3 % 4 {
+            0 => Op::Rot(Damage::BitFlip, salt),
+            1 => Op::Rot(Damage::TornPrefix, salt),
+            2 => Op::Rot(Damage::Retag, salt),
+            _ => Op::CorruptWal(salt, rng.gen()),
+        };
+        ops.extend([damage, Op::Insert(rng.gen()), Op::Read(rng.gen())]);
+        let run = run(&rig, &ops);
+        assert_eq!((run.recoveries, run.classified), (1, 1), "{damage:?}");
     }
-    assert!(txn.poisoned().is_none());
-    txn.commit();
 }
