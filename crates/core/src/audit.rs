@@ -1,14 +1,14 @@
 //! Always-on invariant auditor for the SSD buffer-table state machine.
 //!
-//! Every page cached on the SSD moves through a small per-design state
-//! machine (absent → clean → dirty/invalid → …). The designs differ in
-//! which transitions are legal: CW never holds a dirty copy, DW and TAC
-//! are write-through (the SSD copy can never be newer than disk), LC is
-//! the only design where `Dirty` is a reachable state, and `Invalid` is
-//! TAC's logical-invalidation state. The auditor shadows the buffer table
-//! with one [`FrameState`] per cached page, validates every observed
-//! transition against the design's table, and cross-checks the resulting
-//! state against the Figure 3 coherence chart via [`crate::coherence`].
+//! Every page cached on the SSD moves through a small state machine
+//! (absent → clean → dirty/invalid → …). The designs differ in which
+//! transitions are legal, and [`transition`] reads that from two columns
+//! of the design's policy row ([`SsdDesign::policy`]): `Dirty` is reachable
+//! only under write-back (LC), `Invalid` only under logical invalidation
+//! (TAC). The auditor shadows the buffer table with one [`FrameState`]
+//! per cached page, validates every observed transition against the
+//! table, and cross-checks the resulting state against the Figure 3
+//! coherence chart via [`crate::coherence`].
 //!
 //! Every build runs it. Violations are counted (see
 //! `SsdMetrics::audit_violations`) and, in debug builds, abort the run
@@ -97,70 +97,37 @@ impl fmt::Display for AuditError {
     }
 }
 
-/// The per-design transition table. Returns the resulting state (`None` =
-/// absent) or an error when `op` is illegal from `from` under `design`.
+/// The transition table, read through the design's policy row. Returns
+/// the resulting state (`None` = absent) or an error when `op` is illegal
+/// from `from` under `design`.
 pub fn transition(
     design: SsdDesign,
     from: Option<FrameState>,
     op: AuditOp,
 ) -> Result<Option<FrameState>, AuditError> {
     use FrameState::*;
-    use SsdDesign::*;
+    let policy = design.policy();
+    // Only write-back reaches `Dirty`; only logical invalidation `Invalid`.
+    let (back, logical) = (policy.write_back(), policy.logical_invalidation);
     let illegal = Err(AuditError { design, op, from });
-    match op {
-        AuditOp::Admit { dirty } => match from {
-            // Dirty admission is LC's write-back; every other design
-            // writes through and never caches a newer-than-disk copy.
-            None if !dirty => Ok(Some(Clean)),
-            None if design == LazyCleaning => Ok(Some(Dirty)),
-            _ => illegal,
-        },
-        AuditOp::WarmImport => match from {
-            None => Ok(Some(Clean)),
-            _ => illegal,
-        },
-        AuditOp::Replace => match from {
-            Some(Clean) => Ok(None),
-            _ => illegal,
-        },
-        AuditOp::InlineClean => match (design, from) {
-            (LazyCleaning, Some(Dirty)) => Ok(None),
-            _ => illegal,
-        },
-        AuditOp::Invalidate => match (design, from) {
-            (Tac, _) => illegal, // TAC invalidates logically
-            (_, Some(Clean)) => Ok(None),
-            (LazyCleaning, Some(Dirty)) => Ok(None),
-            _ => illegal,
-        },
-        AuditOp::LogicalInvalidate => match (design, from) {
-            (Tac, Some(Clean)) => Ok(Some(Invalid)),
-            _ => illegal,
-        },
-        AuditOp::Cancel => match (design, from) {
-            (Tac, Some(Clean)) => Ok(None),
-            _ => illegal,
-        },
-        AuditOp::Clean => match (design, from) {
-            (LazyCleaning, Some(Dirty)) => Ok(Some(Clean)),
-            _ => illegal,
-        },
-        AuditOp::Refresh => match (design, from) {
-            (Tac, Some(Clean) | Some(Invalid)) => Ok(Some(Clean)),
-            _ => illegal,
-        },
-        AuditOp::Quarantine => match from {
-            // Quarantine freezes whatever was cached; an absent page has
-            // nothing to freeze and Quarantined itself is terminal.
-            Some(Clean) | Some(Dirty) | Some(Invalid) => Ok(Some(Quarantined)),
-            None | Some(Quarantined) => illegal,
-        },
-        AuditOp::CorruptInvalidate => match (design, from) {
-            (_, Some(Clean)) => Ok(None),
-            (Tac, Some(Invalid)) => Ok(None),
-            (LazyCleaning, Some(Dirty)) => Ok(None),
-            _ => illegal,
-        },
+    match (op, from) {
+        (AuditOp::Admit { dirty: false } | AuditOp::WarmImport, None) => Ok(Some(Clean)),
+        (AuditOp::Admit { dirty: true }, None) if back => Ok(Some(Dirty)),
+        (AuditOp::Replace, Some(Clean)) => Ok(None),
+        (AuditOp::InlineClean, Some(Dirty)) if back => Ok(None),
+        (AuditOp::Invalidate, Some(Clean)) if !logical => Ok(None),
+        (AuditOp::Invalidate, Some(Dirty)) if back => Ok(None),
+        (AuditOp::LogicalInvalidate, Some(Clean)) if logical => Ok(Some(Invalid)),
+        (AuditOp::Cancel, Some(Clean)) if logical => Ok(None),
+        (AuditOp::Clean, Some(Dirty)) if back => Ok(Some(Clean)),
+        (AuditOp::Refresh, Some(Clean | Invalid)) if logical => Ok(Some(Clean)),
+        // Quarantine freezes whatever was cached; an absent page has
+        // nothing to freeze and Quarantined itself is terminal.
+        (AuditOp::Quarantine, Some(Clean | Dirty | Invalid)) => Ok(Some(Quarantined)),
+        (AuditOp::CorruptInvalidate, Some(Clean)) => Ok(None),
+        (AuditOp::CorruptInvalidate, Some(Invalid)) if logical => Ok(None),
+        (AuditOp::CorruptInvalidate, Some(Dirty)) if back => Ok(None),
+        _ => illegal,
     }
 }
 

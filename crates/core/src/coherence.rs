@@ -1,8 +1,9 @@
 //! The Figure 3 coherence invariant.
 //!
 //! With up to three copies of a page (memory, SSD, disk) only six
-//! relationships are legal; the CW and DW designs additionally never allow
-//! the SSD to hold a version newer than disk (cases 4 and 6 are LC-only).
+//! relationships are legal; a design that is not write-back additionally
+//! never lets the SSD hold a version newer than disk (cases 4 and 6 are
+//! LC's alone).
 //! The classifier below takes *version numbers* (newer = greater) and is
 //! used by the engine's property tests to validate every page after every
 //! operation.
@@ -60,7 +61,7 @@ pub fn classify(
         if s < disk {
             return Err(CoherenceViolation::StaleCopy);
         }
-        if s > disk && !matches!(design, SsdDesign::LazyCleaning) {
+        if s > disk && !design.policy().write_back() {
             return Err(CoherenceViolation::SsdNewerUnderWriteThrough);
         }
     }

@@ -31,7 +31,63 @@ pub enum SsdDesign {
     Tac,
 }
 
+/// Where a dirty page evicted from memory goes (§2.3).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum DirtyEviction {
+    /// To disk only; the SSD never sees it.
+    Disk,
+    /// To disk, and a clean copy to the SSD (write-through).
+    DiskAndSsd,
+    /// To the SSD only, where it is the page's sole current copy
+    /// (write-back).
+    Ssd,
+}
+
+/// The decisions the designs differ in: one row of the policy table
+/// ([`SsdDesign::policy`]). Every reader of a design's behaviour — the page
+/// flow, the checkpoint, the cleaner, the auditor and the Figure 3
+/// classifier — reads these columns instead of naming a design.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Policy {
+    /// Where a dirty page evicted from memory goes.
+    pub dirty_eviction: DirtyEviction,
+    /// Does a checkpoint also write random-class pages to the SSD (§3.2)?
+    pub checkpoint_mirror: bool,
+    /// Are pages admitted when read from disk, not when evicted from
+    /// memory (TAC's page flow, §2.5)?
+    pub admit_on_read: bool,
+    /// Does dirtying a cached page only mark its copy invalid, its frame
+    /// staying occupied until rewritten (§2.5), rather than free the frame?
+    pub logical_invalidation: bool,
+}
+
+impl Policy {
+    /// May the SSD hold a page newer than disk? Only write-back can, and
+    /// that brings the lazy cleaner, the checkpoint flush, the checkpoint
+    /// window's admission pause, and stranding when a sole copy is lost.
+    pub const fn write_back(&self) -> bool {
+        matches!(self.dirty_eviction, DirtyEviction::Ssd)
+    }
+}
+
 impl SsdDesign {
+    /// The policy table: this design's row.
+    pub const fn policy(self) -> Policy {
+        use DirtyEviction::{Disk, DiskAndSsd, Ssd};
+        let (dirty_eviction, checkpoint_mirror, admit_on_read, logical_invalidation) = match self {
+            SsdDesign::CleanWrite => (Disk, false, false, false),
+            SsdDesign::DualWrite => (DiskAndSsd, true, false, false),
+            SsdDesign::LazyCleaning => (Ssd, false, false, false),
+            SsdDesign::Tac => (Disk, false, true, true),
+        };
+        Policy {
+            dirty_eviction,
+            checkpoint_mirror,
+            admit_on_read,
+            logical_invalidation,
+        }
+    }
+
     /// Short label used by the benchmark harnesses ("DW", "LC", ...).
     pub fn label(self) -> &'static str {
         match self {

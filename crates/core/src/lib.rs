@@ -28,7 +28,9 @@
 //! The two tiers, [`SsdManager`] (CW/DW/LC) and [`TacCache`], differ in
 //! their buffer table and page flow; the device edge they share — retry,
 //! error budget and quarantine, throttle and hedging, the invariant
-//! auditor — is written once, in the private `tier` module.
+//! auditor, the strand list — is written once, in the private `tier`
+//! module. What each design does with a dirty page is one row of the
+//! policy table, [`SsdDesign::policy`].
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
@@ -53,7 +55,7 @@ mod tier;
 pub use audit::{AuditOp, FrameState, InvariantAuditor};
 pub use cleaner::LazyCleaner;
 pub use coherence::{classify, CoherenceCase, CoherenceViolation};
-pub use config::{MultiPageMode, SsdConfig, SsdDesign};
+pub use config::{DirtyEviction, MultiPageMode, Policy, SsdConfig, SsdDesign};
 pub use manager::{ImportReport, SsdManager};
 pub use metrics::SsdMetrics;
 pub use tac::TacCache;

@@ -8,10 +8,11 @@
 //! over the clean heap; dirty pages (LC only) are protected from
 //! replacement until the lazy cleaner or a checkpoint flushes them.
 //!
-//! This file holds the partitioned table and the page flow. Retry, the
-//! error budget, quarantine, hedging, throttle and audit are the device
-//! edge in `tier.rs`, shared with TAC; what is LC's alone is the strand
-//! list of dirty pages whose sole copy was lost.
+//! This file holds the partitioned table and the page flow; what a design
+//! does with a dirty page is its row of the policy table
+//! ([`crate::SsdDesign::policy`]). Retry, the error budget, quarantine,
+//! hedging, throttle, audit and the strand list are the device edge in
+//! `tier.rs`, shared with TAC.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use turbopool_iosim::{
 };
 
 use crate::audit::AuditOp;
-use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
+use crate::config::{DirtyEviction, MultiPageMode, SsdConfig};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
 pub use crate::tier::SSD_ERROR_BUDGET;
@@ -78,11 +79,9 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// Quarantine flag, error budget, canary tick and auditor.
+    /// Quarantine flag, error budget, canary tick, auditor and strand
+    /// list.
     health: Health,
-    /// Dirty pages whose sole (SSD) copy was lost to corruption or
-    /// quarantine, awaiting WAL-tail salvage by the engine.
-    stranded: Mutex<Vec<PageId>>,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
 }
@@ -91,24 +90,17 @@ impl SsdManager {
     /// Build a manager over the SSD frames of `io`. `cfg.frames` must not
     /// exceed the frame count of the simulated SSD file.
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
-        assert_ne!(
-            cfg.design,
-            SsdDesign::Tac,
-            "use TacCache for the TAC design"
-        );
+        let on_read = cfg.design.policy().admit_on_read;
+        assert!(!on_read, "use TacCache to admit on read");
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         assert!(cfg.partitions >= 1);
-        let n = cfg.partitions as u64;
-        let per = cfg.frames / n;
-        let extra = cfg.frames % n;
-        let mut parts = Vec::with_capacity(cfg.partitions);
-        let mut base = 0u64;
-        for i in 0..n {
-            let frames = per + u64::from(i < extra);
-            let part = Partition::new(base, frames as usize);
-            parts.push(Mutex::ranked(Rank::SsdPartition, part));
-            base += frames;
-        }
+        let parts = (0..cfg.partitions)
+            .map(|i| {
+                let f = partition_frames(cfg.frames, cfg.partitions, i);
+                let part = Partition::new(f.start, (f.end - f.start) as usize);
+                Mutex::ranked(Rank::SsdPartition, part)
+            })
+            .collect();
         SsdManager {
             health: Health::new(cfg.design),
             cfg,
@@ -118,7 +110,6 @@ impl SsdManager {
             occupancy: AtomicU64::new(0),
             dirty_total: AtomicU64::new(0),
             pause_dirty_until: AtomicU64::new(0),
-            stranded: Mutex::new(Vec::new()),
             metrics: SsdMetrics::default(),
         }
     }
@@ -133,34 +124,14 @@ impl SsdManager {
     /// engine must replay the committed WAL tail onto disk before trusting
     /// the disk image of these pages again.
     pub fn take_stranded(&self) -> Vec<PageId> {
-        std::mem::take(&mut *self.stranded.lock())
+        self.health.take_stranded()
     }
 
-    /// Fails while `pid` is queued for WAL salvage: its disk image is stale
-    /// (or nonexistent) until the WAL tail is replayed, so serving it from
-    /// disk would silently lose committed writes. The error routes the
-    /// caller through [`SsdManager::take_stranded`] + salvage first.
-    fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
-        if self.stranded.lock().contains(&pid) {
-            return Err(IoError::new(
-                fault::FaultDevice::Ssd,
-                IoErrorKind::DeviceDead,
-                at,
-            ));
-        }
-        Ok(())
-    }
-
-    /// Account for an entry dropped with its frame's contents. A dirty
-    /// copy was the only current version of the page, so it is stranded
-    /// for WAL salvage.
-    fn lose(&self, pid: PageId, dirty: bool) {
+    /// Count a removed entry out of the occupancy and dirty totals.
+    fn forget(&self, dirty: bool) {
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
-        SsdMetrics::bump(&self.metrics.lost_frames);
         if dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-            SsdMetrics::bump(&self.metrics.stranded_dirty);
-            self.stranded.lock().push(pid);
         }
     }
 
@@ -327,9 +298,7 @@ impl SsdManager {
         // Deferred reclaim accounting runs last: if it trips the budget,
         // the quarantine sweep finds only properly-admitted entries.
         if let Some((victim, e)) = lost {
-            self.stranded.lock().push(victim);
-            SsdMetrics::bump(&self.metrics.stranded_dirty);
-            SsdMetrics::bump(&self.metrics.lost_frames);
+            self.lose(victim, AuditOp::CorruptInvalidate, true);
             self.note_ssd_error(&e);
         }
     }
@@ -344,15 +313,14 @@ impl SsdManager {
         if let Some((_, victim)) = part.peek_clean_victim() {
             let rec = part.remove(victim);
             self.audit(rec.pid, AuditOp::Replace);
-            self.occupancy.fetch_sub(1, Ordering::Relaxed);
+            self.forget(false);
             SsdMetrics::bump(&self.metrics.replacements);
             return Reclaimed::Direct;
         }
         // All pages dirty: detach the oldest for inline cleaning.
         if let Some((_, oldest)) = part.peek_dirty_oldest() {
             let rec = part.detach(oldest);
-            self.occupancy.fetch_sub(1, Ordering::Relaxed);
-            self.dirty_total.fetch_sub(1, Ordering::Relaxed);
+            self.forget(true);
             SsdMetrics::bump(&self.metrics.replacements);
             return Reclaimed::DirtyDeferred {
                 idx: oldest,
@@ -384,13 +352,10 @@ impl SsdManager {
                 SsdMetrics::bump(&self.metrics.inline_cleans);
                 None
             }
-            Err(e) => {
-                // The dirty victim's sole copy is unreadable: the frame is
-                // still freed, but the page is stranded for WAL salvage
-                // instead of cleaned to disk.
-                self.audit(victim, AuditOp::CorruptInvalidate);
-                Some((victim, e))
-            }
+            // The dirty victim's sole copy is unreadable: the frame is
+            // still freed, but the page is stranded for WAL salvage instead
+            // of cleaned to disk.
+            Err(e) => Some((victim, e)),
         }
     }
 
@@ -413,14 +378,16 @@ impl SsdManager {
 
     /// Re-adopt checkpointed SSD buffer-table entries after a restart.
     ///
-    /// `valid(pid, frame)` is the caller's staleness filter: it must
+    /// A frame must belong to the partition `pid` routes to (it does
+    /// unless the partition count changed across restart); that is checked
+    /// first, so neither the filter nor the probe sees a frame outside the
+    /// table. `valid(pid, frame)` is the caller's staleness filter: it must
     /// return true only when the frame's in-page header still names `pid`
     /// (the frame was not reused before the crash) and `pid`'s disk image
-    /// did not advance during redo. A frame must also belong to the
-    /// partition `pid` routes to (it does unless the partition count
-    /// changed across restart). Every candidate frame is then *probed* —
-    /// read back through the fault model with the standard retry policy
-    /// and checksum verification — before the table entry is trusted.
+    /// did not advance during redo. An entry whose frame or page an earlier
+    /// entry took is stale too. Every candidate frame is *probed* — read
+    /// back through the fault model with the standard retry policy and
+    /// checksum verification — before the table entry is trusted.
     ///
     /// Damage found during the probe degrades gracefully instead of being
     /// re-adopted: a checksum mismatch rejects that one frame (torn write
@@ -444,7 +411,9 @@ impl SsdManager {
                 rep.aborted_dead = true;
                 break;
             }
-            if !valid(pid, frame) {
+            let part_idx = self.part_index(pid);
+            let owned = partition_frames(self.cfg.frames, self.parts.len(), part_idx);
+            if !owned.contains(&frame) || !valid(pid, frame) {
                 rep.rejected_stale += 1;
                 SsdMetrics::bump(&self.metrics.warm_rejected_stale);
                 continue;
@@ -470,24 +439,18 @@ impl SsdManager {
                     break;
                 }
             }
-            let part_idx = self.part_index(pid);
             let mut part = self.part_at(part_idx);
-            let base = part.frame_no(0);
-            let cap = part.capacity() as u64;
-            if frame < base || frame >= base + cap {
-                drop(part);
+            let stamp = self.next_stamp();
+            if !part.insert_at((frame - owned.start) as usize, pid, stamp) {
                 rep.rejected_stale += 1;
                 SsdMetrics::bump(&self.metrics.warm_rejected_stale);
                 continue;
             }
-            let stamp = self.next_stamp();
-            if part.insert_at((frame - base) as usize, pid, stamp) {
-                drop(part);
-                self.audit(pid, AuditOp::WarmImport);
-                rep.imported += 1;
-                self.occupancy.fetch_add(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.warm_imports);
-            }
+            drop(part);
+            self.audit(pid, AuditOp::WarmImport);
+            rep.imported += 1;
+            self.occupancy.fetch_add(1, Ordering::Relaxed);
+            SsdMetrics::bump(&self.metrics.warm_imports);
         }
         rep
     }
@@ -647,6 +610,15 @@ impl SsdManager {
     }
 }
 
+/// The SSD frames partition `idx` of `n` owns when `frames` are split as
+/// evenly as possible, the first `frames % n` partitions taking one more.
+fn partition_frames(frames: u64, n: usize, idx: usize) -> std::ops::Range<u64> {
+    let (n, i) = (n as u64, idx as u64);
+    let (per, extra) = (frames / n, frames % n);
+    let base = i * per + i.min(extra);
+    base..base + per + u64::from(i < extra)
+}
+
 /// The paper's CW/DW/LC admission rule (§2.2): while filling admit
 /// everything, else randomly-read pages only — sequential traffic is cheap
 /// on disk and would pollute the SSD. Orthogonal gates (quarantine,
@@ -735,46 +707,28 @@ impl SsdManager {
             return;
         }
         // Gray-failure hedging diverts admissions to disk exactly like
-        // throttling. For LC this is also the sole-copy guard: a dirty
-        // eviction that would have become an SSD-only copy goes to disk
-        // instead, so no *new* sole copies land on a degraded device.
+        // throttling. For write-back this is also the sole-copy guard: a
+        // dirty eviction that would have become an SSD-only copy goes to
+        // disk instead, so no *new* sole copies land on a degraded device.
         let throttled = !self.admits_now(now);
-
-        match self.cfg.design {
-            SsdDesign::CleanWrite => {
-                if dirty {
-                    // CW never caches dirty pages (§2.3.1).
-                    self.disk_write(now, pid, data);
-                } else if !throttled {
-                    self.install(now, pid, data, false);
-                }
-            }
-            SsdDesign::DualWrite => {
-                // Write-through: dirty pages go to both places (§2.3.2).
-                if dirty {
-                    self.disk_write(now, pid, data);
-                }
-                if !throttled {
-                    self.install(now, pid, data, false);
-                }
-            }
-            SsdDesign::LazyCleaning => {
-                let paused = now < self.pause_dirty_until.load(Ordering::Relaxed);
-                if dirty && (throttled || paused) {
-                    self.disk_write(now, pid, data);
-                } else if !throttled {
-                    // Write-back: the SSD receives the only current copy of
-                    // a dirty page (§2.3.3). WAL ordering is the engine's
-                    // contract: the log was flushed at commit, before the
-                    // page could be evicted.
-                    self.install(now, pid, data, dirty);
-                }
-            }
-            #[expect(
-                clippy::unreachable,
-                reason = "DbConfig routes Tac to TacCache; an SsdManager is never built for it"
-            )]
-            SsdDesign::Tac => unreachable!("TAC uses TacCache"),
+        // A clean page is cached; a dirty one goes where the design's row
+        // says (§2.3). Write-back falls back to disk only, like CW, while
+        // throttled or paused by a sharp checkpoint (§3.2). Its WAL
+        // ordering is the engine's contract: the log was flushed at commit,
+        // before the page could be evicted.
+        let row = self.cfg.design.policy().dirty_eviction;
+        let paused = now < self.pause_dirty_until.load(Ordering::Relaxed);
+        let to = if row == DirtyEviction::Ssd && (throttled || paused) {
+            DirtyEviction::Disk
+        } else {
+            row
+        };
+        if dirty && to != DirtyEviction::Ssd {
+            self.disk_write(now, pid, data);
+        }
+        // The SSD takes every clean page, and a dirty one the row sends it.
+        if !throttled && (!dirty || to != DirtyEviction::Disk) {
+            self.install(now, pid, data, dirty && to == DirtyEviction::Ssd);
         }
     }
 
@@ -786,12 +740,13 @@ impl SsdManager {
         class: Locality,
     ) -> Time {
         let done = self.disk_write(now, pid, data);
-        // DW extension (§3.2): during a checkpoint, admission-qualified
-        // dirty pages are written to the SSD as well, filling it faster.
+        // The checkpoint mirror (DW, §3.2): during a checkpoint,
+        // admission-qualified dirty pages are written to the SSD as well,
+        // filling it faster.
         // `filling = false` on purpose: the mirror admits random-class
         // pages only, with no aggressive-filling term. Not `admits_now`:
         // a throttled mirror is skipped without counting.
-        if self.cfg.design == SsdDesign::DualWrite
+        if self.cfg.design.policy().checkpoint_mirror
             && admits(class, false)
             && !self.is_quarantined()
             && !self.throttled(now)
@@ -800,10 +755,8 @@ impl SsdManager {
                 // No optional traffic to a browned-out SSD; the disk
                 // write above already persisted the page.
                 SsdMetrics::bump(&self.metrics.hedged_admissions);
-            } else {
-                if !self.contains(pid) {
-                    self.install(now, pid, data, false);
-                }
+            } else if !self.contains(pid) {
+                self.install(now, pid, data, false);
             }
         }
         done
@@ -973,10 +926,7 @@ impl PageIo for SsdManager {
             let rec = part.remove(idx);
             drop(part);
             self.audit(pid, AuditOp::Invalidate);
-            self.occupancy.fetch_sub(1, Ordering::Relaxed);
-            if rec.dirty {
-                self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-            }
+            self.forget(rec.dirty);
             SsdMetrics::bump(&self.metrics.invalidations);
         }
     }
@@ -996,7 +946,7 @@ impl PageIo for SsdManager {
     }
 
     fn checkpoint_flush(&self, clk: &mut Clk) {
-        if self.cfg.design != SsdDesign::LazyCleaning || self.is_quarantined() {
+        if !self.cfg.design.policy().write_back() || self.is_quarantined() {
             return;
         }
         // Sharp checkpoint: every dirty SSD page goes to disk (§3.2).
@@ -1032,7 +982,7 @@ impl PageIo for SsdManager {
     }
 
     fn checkpoint_window(&self, _start: Time, end: Time) {
-        if self.cfg.design == SsdDesign::LazyCleaning {
+        if self.cfg.design.policy().write_back() {
             self.pause_dirty_until.store(end, Ordering::Relaxed);
         }
     }
@@ -1055,36 +1005,33 @@ impl SsdTier for SsdManager {
         &self.health
     }
 
-    /// Partition by partition; dirty entries are stranded for salvage.
-    fn sweep(&self) {
+    /// Partition by partition, each in frame order.
+    fn sweep(&self) -> Vec<(PageId, bool)> {
+        let mut out = Vec::new();
         for i in 0..self.parts.len() {
             let mut part = self.part_at(i);
             let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
-            let recs: Vec<_> = idxs.into_iter().map(|idx| part.remove(idx)).collect();
-            drop(part);
-            for rec in recs {
-                self.audit(rec.pid, AuditOp::Quarantine);
-                self.lose(rec.pid, rec.dirty);
+            for rec in idxs.into_iter().map(|idx| part.remove(idx)) {
+                self.forget(rec.dirty);
+                out.push((rec.pid, rec.dirty));
             }
         }
+        out
     }
 
-    /// A dirty copy was the page's only current version: it is stranded.
-    fn drop_corrupt(&self, pid: PageId) {
+    fn remove_entry(&self, pid: PageId) -> Option<bool> {
         let mut part = self.part(pid);
-        let Some(idx) = part.lookup(pid) else {
-            return;
-        };
+        let idx = part.lookup(pid)?;
         let rec = part.remove(idx);
-        drop(part);
-        self.audit(pid, AuditOp::CorruptInvalidate);
-        self.lose(pid, rec.dirty);
+        self.forget(rec.dirty);
+        Some(rec.dirty)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SsdDesign;
     use turbopool_iosim::DeviceSetup;
 
     const PS: usize = 32;
@@ -1421,6 +1368,50 @@ mod tests {
         assert_eq!(m.metrics.snapshot().inline_cleans, 1);
         assert_eq!(m.occupancy(), 4);
         assert!(m.is_dirty(PageId(999)));
+    }
+
+    #[test]
+    fn import_survives_adversarial_tables() {
+        use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
+        const FRAMES: u64 = 64;
+        for seed in 0..32u64 {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
+            let mut cfg = SsdConfig::new(SsdDesign::DualWrite, FRAMES);
+            cfg.partitions = 4;
+            let before = SsdManager::new(cfg.clone(), Arc::clone(&io));
+            for i in 0..48u64 {
+                let at = i * turbopool_iosim::MILLISECOND;
+                before.evict_page(at, PageId(i * 7), &page(i as u8), false, Locality::Random);
+            }
+            // The checkpointed table with out-of-range, cross-partition and
+            // duplicated entries spliced in.
+            let mut entries = before.export_table();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..32 {
+                let pid = PageId(rng.gen_range(0u64..1024));
+                let e = match rng.gen_range(0u32..3) {
+                    0 => (pid, rng.gen_range(FRAMES..4 * FRAMES)),
+                    1 => (pid, rng.gen_range(0..FRAMES)),
+                    _ => entries[rng.gen_range(0..entries.len())],
+                };
+                entries.insert(rng.gen_range(0..=entries.len()), e);
+            }
+            // Odd seeds trust every entry, as a filter that checks nothing
+            // would.
+            let valid = |pid, frame| seed % 2 == 1 || io.ssd_tag(frame) == Some(pid);
+            let m = SsdManager::new(cfg.clone(), Arc::clone(&io));
+            let rep = m.import_table_checked(&mut Clk::new(), &entries, valid);
+            assert!(!rep.aborted_dead);
+            let outcomes = rep.imported + rep.rejected_stale + rep.rejected_checksum;
+            assert_eq!(rep.attempted, outcomes, "seed {seed}");
+            assert_eq!(m.occupancy(), rep.imported as u64, "seed {seed}");
+            for &(pid, _) in &entries {
+                if let Some(frame) = m.frame_of(pid) {
+                    let owned = partition_frames(FRAMES, 4, m.part_index(pid));
+                    assert!(owned.contains(&frame), "seed {seed}: {pid} in {frame}");
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -40,7 +40,6 @@ pub struct Partition {
     map: PidMap<usize>,
     free: Vec<usize>,
     heap: DualHeap,
-    dirty: usize,
 }
 
 impl Partition {
@@ -51,33 +50,12 @@ impl Partition {
             map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             free: (0..frames).rev().collect(),
             heap: DualHeap::new(frames),
-            dirty: 0,
         }
-    }
-
-    /// Frames in this partition.
-    pub fn capacity(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Cached pages in this partition.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Unoccupied frames.
     pub fn free_frames(&self) -> usize {
         self.free.len()
-    }
-
-    /// Dirty pages in this partition.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty
     }
 
     /// Global SSD frame number of record `idx`.
@@ -136,9 +114,6 @@ impl Partition {
             rec.kdist(),
             idx,
         );
-        if dirty {
-            self.dirty += 1;
-        }
         Some(idx)
     }
 
@@ -183,9 +158,6 @@ impl Partition {
         let rec = self.records[idx].take().expect("occupied record");
         self.map.remove(&rec.pid);
         self.heap.remove(idx);
-        if rec.dirty {
-            self.dirty -= 1;
-        }
         rec
     }
 
@@ -211,18 +183,7 @@ impl Partition {
         let r = self.record_mut(idx);
         if r.dirty {
             r.dirty = false;
-            self.dirty -= 1;
             self.heap.change_side(idx, Side::Clean);
-        }
-    }
-
-    /// Mark a clean record dirty (a dirty eviction overwrote a clean copy).
-    pub fn set_dirty(&mut self, idx: usize) {
-        let r = self.record_mut(idx);
-        if !r.dirty {
-            r.dirty = true;
-            self.dirty += 1;
-            self.heap.change_side(idx, Side::Dirty);
         }
     }
 
@@ -245,7 +206,7 @@ mod tests {
         let idx = p.insert(PageId(7), false, 1).unwrap();
         assert_eq!(p.frame_no(idx), 100 + idx as u64);
         assert_eq!(p.lookup(PageId(7)), Some(idx));
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.free_frames(), 3);
         let rec = p.remove(idx);
         assert_eq!(rec.pid, PageId(7));
         assert_eq!(p.lookup(PageId(7)), None);
@@ -277,27 +238,13 @@ mod tests {
         let mut p = Partition::new(0, 4);
         let d = p.insert(PageId(1), true, 1).unwrap();
         let _c = p.insert(PageId(2), false, 2).unwrap();
-        assert_eq!(p.dirty_count(), 1);
         assert_eq!(p.peek_dirty_oldest().unwrap().1, d);
-        // Cleaning moves it to the clean side.
+        // Cleaning moves it to the clean side, once.
         p.set_clean(d);
-        assert_eq!(p.dirty_count(), 0);
+        p.set_clean(d);
+        assert!(!p.record(d).dirty);
         assert!(p.peek_dirty_oldest().is_none());
         assert_eq!(p.peek_clean_victim().unwrap().1, d);
-    }
-
-    #[test]
-    fn set_dirty_round_trip() {
-        let mut p = Partition::new(0, 2);
-        let idx = p.insert(PageId(1), false, 1).unwrap();
-        p.set_dirty(idx);
-        assert!(p.record(idx).dirty);
-        assert_eq!(p.dirty_count(), 1);
-        p.set_dirty(idx); // idempotent
-        assert_eq!(p.dirty_count(), 1);
-        p.set_clean(idx);
-        p.set_clean(idx);
-        assert_eq!(p.dirty_count(), 0);
     }
 
     #[test]
@@ -307,7 +254,7 @@ mod tests {
         let _b = p.insert(PageId(2), false, 2).unwrap();
         let rec = p.detach(a);
         assert_eq!(rec.pid, PageId(1));
-        assert_eq!(p.dirty_count(), 0);
+        assert!(p.peek_dirty_oldest().is_none());
         assert_eq!(p.lookup(PageId(1)), None);
         // Frame still reserved: the partition looks full to insert.
         assert_eq!(p.free_frames(), 0);

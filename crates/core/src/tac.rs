@@ -110,10 +110,10 @@ impl TacCache {
             invalid: 0,
         };
         TacCache {
+            health: Health::new(cfg.design),
             cfg,
             io,
             inner: Mutex::ranked(Rank::TacTable, table),
-            health: Health::new(crate::SsdDesign::Tac),
             metrics: SsdMetrics::default(),
         }
     }
@@ -605,41 +605,37 @@ impl SsdTier for TacCache {
 
     /// TAC is write-through, so no data is lost — only hits. Pages are
     /// reported in frame order so the audit stream stays deterministic.
-    fn sweep(&self) {
-        let live: Vec<PageId> = {
-            let mut tab = self.lock_table();
-            let live = tab.records.iter().flatten().map(|r| r.pid).collect();
-            tab.records.fill(None);
-            tab.map.clear();
-            tab.free.clear();
-            tab.heap.clear();
-            tab.temps.clear();
-            tab.invalid = 0;
-            live
-        };
-        for pid in live {
-            self.audit(pid, AuditOp::Quarantine);
-            SsdMetrics::bump(&self.metrics.lost_frames);
-        }
+    fn sweep(&self) -> Vec<(PageId, bool)> {
+        let mut tab = self.lock_table();
+        let live = tab
+            .records
+            .iter()
+            .flatten()
+            .map(|r| (r.pid, false))
+            .collect();
+        tab.records.fill(None);
+        tab.map.clear();
+        tab.free.clear();
+        tab.heap.clear();
+        tab.temps.clear();
+        tab.invalid = 0;
+        live
     }
 
     /// Write-through: the copy was never the only current version.
-    fn drop_corrupt(&self, pid: PageId) {
+    fn remove_entry(&self, pid: PageId) -> Option<bool> {
         let mut tab = self.lock_table();
-        if let Some(frame) = tab.map.remove(&pid) {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "map/records consistency: a mapped frame always holds a record"
-            )]
-            let rec = tab.records[frame].take().unwrap();
-            if !rec.valid {
-                tab.invalid -= 1;
-            }
-            tab.free.push(frame);
-            drop(tab);
-            self.audit(pid, AuditOp::CorruptInvalidate);
-            SsdMetrics::bump(&self.metrics.lost_frames);
+        let frame = tab.map.remove(&pid)?;
+        #[expect(
+            clippy::unwrap_used,
+            reason = "map/records consistency: a mapped frame always holds a record"
+        )]
+        let rec = tab.records[frame].take().unwrap();
+        if !rec.valid {
+            tab.invalid -= 1;
         }
+        tab.free.push(frame);
+        Some(false)
     }
 }
 
@@ -710,6 +706,28 @@ mod tests {
         t.evict_page(clk.now, PageId(3), &[9u8; PS], true, Locality::Random);
         assert!(t.contains_valid(PageId(3)));
         assert_eq!(t.invalid_frames(), 0);
+    }
+
+    #[test]
+    fn an_invalid_copy_is_never_served() {
+        let (io, t) = mk(8);
+        let mut clk = Clk::new();
+        read(&t, &mut clk, 3);
+        clk.elapse(turbopool_iosim::SECOND);
+        t.note_dirtied(clk.now, PageId(3));
+        // Book the SSD past μ so the dirty eviction's refresh is
+        // throttled: the disk takes the new version, the frame stays
+        // invalid.
+        for _ in 0..2 * t.config().mu {
+            io.write_ssd_async(clk.now, 7, &[0u8; PS], PageId(99))
+                .unwrap();
+        }
+        t.evict_page(clk.now, PageId(3), &[9u8; PS], true, Locality::Random);
+        assert_eq!(t.invalid_frames(), 1, "the refresh was throttled");
+        // Long after the storm, a miss must read the disk's copy.
+        clk.elapse(60 * turbopool_iosim::SECOND);
+        assert_eq!(read(&t, &mut clk, 3), 9);
+        assert_eq!(t.metrics.snapshot().ssd_hits, 0);
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! bounded retry around every device call, the error budget and the
 //! quarantine it trips, the corrupt-frame fallback, the throttle (μ) and
 //! gray-failure hedging gates with their canary probes, and the invariant
-//! auditor. A tier supplies four accessors and the two hooks that touch its
-//! table ([`SsdTier::sweep`], [`SsdTier::drop_corrupt`]). DESIGN §8 lists
-//! the differences that stay with the tiers because they move virtual time.
+//! auditor, and the strand list of dirty pages whose sole copy was lost. A
+//! tier supplies four accessors and the two hooks that remove entries from
+//! its table ([`SsdTier::sweep`], [`SsdTier::remove_entry`]); the edge does
+//! the accounting for what they remove. DESIGN §8 lists the differences
+//! that stay with the tiers because they move virtual time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use turbopool_iosim::sync::Mutex;
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
@@ -39,6 +42,10 @@ pub(crate) struct Health {
     probe_tick: AtomicU64,
     /// Shadow state machine validating every buffer-table transition.
     auditor: InvariantAuditor,
+    /// Dirty pages whose sole (SSD) copy was lost to corruption or
+    /// quarantine, awaiting WAL-tail salvage by the engine. Only a
+    /// write-back design ever adds one.
+    stranded: Mutex<Vec<PageId>>,
 }
 
 impl Health {
@@ -48,6 +55,7 @@ impl Health {
             errors: AtomicU64::new(0),
             probe_tick: AtomicU64::new(0),
             auditor: InvariantAuditor::new(design),
+            stranded: Mutex::new(Vec::new()),
         }
     }
 
@@ -57,6 +65,11 @@ impl Health {
 
     pub(crate) fn audit_violations(&self) -> u64 {
         self.auditor.violations()
+    }
+
+    /// Drain the strand list.
+    pub(crate) fn take_stranded(&self) -> Vec<PageId> {
+        std::mem::take(&mut *self.stranded.lock())
     }
 }
 
@@ -68,13 +81,48 @@ pub(crate) trait SsdTier {
     fn metrics(&self) -> &SsdMetrics;
     fn health(&self) -> &Health;
 
-    /// Quarantine's table half: drop every entry, each taking the terminal
-    /// `Quarantine` transition and counting as a lost frame.
-    fn sweep(&self);
+    /// Quarantine's table half: remove every entry. Returns each removed
+    /// page with its dirty flag, in an order fixed by the table alone.
+    fn sweep(&self) -> Vec<(PageId, bool)>;
+
+    /// Remove `pid`'s entry; returns its dirty flag, or `None` when there
+    /// is none (quarantine already swept it).
+    fn remove_entry(&self, pid: PageId) -> Option<bool>;
+
+    /// Account for an entry removed with its frame's contents: the audit
+    /// transition `op` and a lost frame. A dirty copy was the only current
+    /// version of the page, so the page is stranded for WAL salvage.
+    fn lose(&self, pid: PageId, op: AuditOp, dirty: bool) {
+        self.audit(pid, op);
+        SsdMetrics::bump(&self.metrics().lost_frames);
+        if dirty {
+            SsdMetrics::bump(&self.metrics().stranded_dirty);
+            self.health().stranded.lock().push(pid);
+        }
+    }
 
     /// The SSD copy of `pid` is unusable: drop its entry
     /// (`CorruptInvalidate`). No-op if quarantine already swept it.
-    fn drop_corrupt(&self, pid: PageId);
+    fn drop_corrupt(&self, pid: PageId) {
+        if let Some(dirty) = self.remove_entry(pid) {
+            self.lose(pid, AuditOp::CorruptInvalidate, dirty);
+        }
+    }
+
+    /// Fails while `pid` is queued for WAL salvage: its disk image is stale
+    /// (or nonexistent) until the WAL tail is replayed, so serving it from
+    /// disk would silently lose committed writes. The error routes the
+    /// caller through the strand list and salvage first.
+    fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
+        if self.health().stranded.lock().contains(&pid) {
+            return Err(IoError::new(
+                fault::FaultDevice::Ssd,
+                IoErrorKind::DeviceDead,
+                at,
+            ));
+        }
+        Ok(())
+    }
 
     /// Record one SSD I/O error; quarantine on device death or once the
     /// error budget is exhausted. Must not be called under a table latch
@@ -98,7 +146,9 @@ pub(crate) trait SsdTier {
             return;
         }
         SsdMetrics::bump(&self.metrics().ssd_quarantined);
-        self.sweep();
+        for (pid, dirty) in self.sweep() {
+            self.lose(pid, AuditOp::Quarantine, dirty);
+        }
     }
 
     /// SSD frame read with transient-error retries on `clk`. The final

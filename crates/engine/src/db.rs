@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
-use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
+use turbopool_core::{ImportReport, SsdManager, TacCache};
 use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, Time};
 use turbopool_wal::log::DurableLog;
@@ -63,7 +63,7 @@ impl Database {
         );
         let (layer, ssd, tac): Layers = match &cfg.ssd {
             None => (Arc::new(DirectIo::new(Arc::clone(&io))), None, None),
-            Some(scfg) if scfg.design == SsdDesign::Tac => {
+            Some(scfg) if scfg.design.policy().admit_on_read => {
                 let t = Arc::new(TacCache::new(scfg.clone(), Arc::clone(&io)));
                 (Arc::clone(&t) as Arc<dyn PageIo>, None, Some(t))
             }

@@ -99,7 +99,6 @@ pub struct IoManager {
     /// bytes nobody summed, hence a different image, summed when read.
     ssd_sums: Vec<std::sync::atomic::AtomicU64>,
     log_dev: SimDevice,
-    log_lba: sync::Mutex<u64>,
     /// Fault stream for the database disk group, if any.
     disk_fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Fault stream for the SSD, if any.
@@ -138,7 +137,6 @@ impl IoManager {
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
             log_dev: SimDevice::new("log", setup.log_profile),
-            log_lba: sync::Mutex::new(0),
             disk_fault: RwLock::new(None),
             ssd_fault: RwLock::new(None),
             lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
@@ -345,19 +343,17 @@ impl IoManager {
     /// multi-page request (read-ahead path, §3.3.3). The pages come back
     /// as handles on the store's images.
     ///
-    /// The `hint` is advisory for the first page of each per-disk span:
-    /// `Sequential` trusts the caller, anything else lets the devices
-    /// auto-detect adjacency — so interleaved scan streams pay their
-    /// real seeks.
+    /// The locality hint is ignored: the devices auto-detect adjacency for
+    /// each per-disk span, so interleaved scan streams pay their real
+    /// seeks.
     pub fn read_disk_run(
         &self,
         clk: &mut Clk,
         first: PageId,
         n: u64,
-        hint: Locality,
+        _hint: Locality,
     ) -> Result<Vec<PageBuf>, IoError> {
         sync::assert_io_allowed("read_disk_run");
-        let _ = hint; // adjacency is auto-detected per member span
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
@@ -737,30 +733,25 @@ impl IoManager {
     // Log device
     // ------------------------------------------------------------------
 
+    /// Consult the crash switch for one log group flush. `Persist` means
+    /// the flush reaches the log device in full; `Torn` means power died
+    /// during the flush (the log manager persists all but the final byte,
+    /// leaving a clean torn tail for recovery to truncate); `Dropped` means
+    /// power was already off and nothing was written.
+    pub fn log_flush_fate(&self) -> WriteFate {
+        self.boundary_fate(BoundaryKind::LogFlush)
+    }
+
     /// Synchronously append `nbytes` to the log (group flush). The log is a
     /// pure stream of sequential writes on its dedicated device; service
     /// time is charged per byte (amortized group commit — many commits
     /// share each physical log write, so a commit of a few hundred bytes
     /// does not pay for a whole page).
-    /// Consult the crash switch for one log group flush of `nbytes`.
-    /// `Persist` means the flush reaches the log device in full; `Torn`
-    /// means power died during the flush (the log manager persists all but
-    /// the final byte, leaving a clean torn tail for recovery to truncate);
-    /// `Dropped` means power was already off and nothing was written.
-    pub fn log_flush_fate(&self, nbytes: usize) -> WriteFate {
-        let _ = nbytes;
-        self.boundary_fate(BoundaryKind::LogFlush)
-    }
-
     pub fn append_log(&self, clk: &mut Clk, nbytes: usize) {
         let seq_ns = self.setup.log_profile.seq_write_ns;
         let service =
             ((nbytes.max(1) as u128 * seq_ns as u128) / self.page_size as u128).max(1) as Time;
         let npages = (nbytes.max(1)).div_ceil(self.page_size) as u64;
-        {
-            let mut g = self.log_lba.lock();
-            *g += npages;
-        }
         let t = self
             .log_dev
             .submit_duration(clk.now, IoKind::Write, service, npages);

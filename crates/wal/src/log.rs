@@ -71,7 +71,7 @@ impl LogManager {
             let LogState {
                 durable, pending, ..
             } = &mut *st;
-            let (keep, complete) = match self.io.log_flush_fate(pending.len()) {
+            let (keep, complete) = match self.io.log_flush_fate() {
                 WriteFate::Persist => (pending.len(), true),
                 WriteFate::Torn => (pending.len() - 1, false),
                 WriteFate::Dropped => (0, false),

@@ -299,14 +299,11 @@ impl CleanerClient {
         CleanerClient { cleaner }
     }
 
-    /// Convenience: attach a cleaner to `db` if it runs the LC design.
+    /// Convenience: attach a cleaner to `db` if its design is write-back.
     pub fn for_db(db: &Database) -> Option<Self> {
         let mgr = db.ssd_manager()?;
-        if mgr.config().design == turbopool_core::SsdDesign::LazyCleaning {
-            Some(CleanerClient::new(LazyCleaner::new(Arc::clone(mgr))))
-        } else {
-            None
-        }
+        let write_back = mgr.config().design.policy().write_back();
+        write_back.then(|| CleanerClient::new(LazyCleaner::new(Arc::clone(mgr))))
     }
 }
 
