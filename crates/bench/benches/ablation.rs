@@ -11,13 +11,14 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::{run_oltp, OltpKind, RunOptions, Table};
+use turbopool_bench::Table;
 use turbopool_bufpool::{
     BufferPool, BufferPoolConfig, ClassifierKind, DirectIo, PageIo, ScanCursor,
 };
 use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign, SsdManager};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, HOUR, MILLISECOND, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
+use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
@@ -77,7 +78,8 @@ fn classifier_accuracy() {
 }
 
 /// §2.5 — SSD space wasted on logically invalid pages under TAC.
-fn tac_waste() {
+/// Returns the virtual ns it drove and the driver steps.
+fn tac_waste() -> (u64, u64) {
     println!("\n== Ablation 2: TAC logical-invalidation waste (§2.5) ==\n");
     let quick = turbopool_bench::quick();
     let cases: &[(&str, u64, f64)] = if quick {
@@ -96,21 +98,26 @@ fn tac_waste() {
         "waste (GB eq.)",
         "paper (GB)",
     ]);
-    for &(label, sw, paper_gb) in cases {
-        let run = run_oltp(
-            OltpKind::TpcC { warehouses: sw },
-            Design::Tac,
-            &RunOptions::tpcc(hours),
-        );
-        let gb = run.tac_invalid_frames as f64 * PAGE_SIZE as f64 * SCALE / (1u64 << 30) as f64;
+    let cells: Vec<Cell> = cases
+        .iter()
+        .map(|&(_, sw, _)| {
+            let kind = OltpKind::TpcC { warehouses: sw };
+            Cell::new(kind, Design::Tac, RunOptions::tpcc())
+        })
+        .collect();
+    let set = run_oltp(&cells, hours);
+    for (&(label, _, paper_gb), run) in cases.iter().zip(&set.runs) {
+        let invalid = run.stats.tac_invalid_frames;
+        let gb = invalid as f64 * PAGE_SIZE as f64 * SCALE / (1u64 << 30) as f64;
         table.row(vec![
             label.to_string(),
-            format!("{}", run.tac_invalid_frames),
+            format!("{invalid}"),
             format!("{gb:.1}"),
             format!("{paper_gb:.1}"),
         ]);
     }
     table.print();
+    (hours * cells.len() as u64, set.steps)
 }
 
 /// §3.3.3 — multi-page read handling.
@@ -292,8 +299,6 @@ fn filling() {
         ]);
     }
     table.print();
-    let _ = HOUR;
-    let _ = MINUTE;
 }
 
 /// §3.3.2 — throttle control under SSD admission storms.
@@ -303,8 +308,9 @@ fn filling() {
 /// steady SSD-resident read workload, plus a periodic admission storm
 /// (20,000 eviction-admissions in one go — a pool flush's worth). With
 /// mu = 100 the storm is shed; without it, every storm books ~27 virtual
-/// minutes of SSD time that the readers must queue behind.
-fn throttle() {
+/// minutes of SSD time that the readers must queue behind. Returns the
+/// virtual ns it drove and the driver steps.
+fn throttle() -> (u64, u64) {
     println!("\n== Ablation 6: throttle control mu=100 vs off (§3.3.2) ==\n");
     let hours = if turbopool_bench::quick() {
         HOUR
@@ -317,6 +323,7 @@ fn throttle() {
         "throttled admissions",
         "ssd writes",
     ]);
+    let mut steps = 0;
 
     struct AdmissionStorm {
         s: Arc<Synthetic>,
@@ -389,6 +396,7 @@ fn throttle() {
             }),
         );
         d.run_until(HOUR + hours);
+        steps += d.steps();
         let m = s.db.ssd_metrics().unwrap();
         table.row(vec![
             label.to_string(),
@@ -400,17 +408,19 @@ fn throttle() {
     table.print();
     println!("(the throttle sheds the storm, keeping reads fast; without it the");
     println!(" readers queue behind tens of minutes of optional SSD writes)");
+    (2 * (HOUR + hours), steps)
 }
 
 fn main() {
     let timer = turbopool_bench::WallTimer::start();
     classifier_accuracy();
-    tac_waste();
+    let tac = tac_waste();
     multipage();
     partitioning();
     filling();
-    throttle();
+    let storm = throttle();
+    let (virtual_ns, steps) = (tac.0 + storm.0, tac.1 + storm.1);
     turbopool_bench::BenchReport::new("ablation")
-        .standard(timer.secs(), 0, 0)
+        .standard(timer.secs(), virtual_ns, steps)
         .emit();
 }

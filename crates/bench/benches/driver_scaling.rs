@@ -24,14 +24,13 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::{
-    quick, run_oltp_set, BenchReport, Json, OltpKind, OltpSet, RunOptions, WallTimer,
-};
+use turbopool_bench::{quick, BenchReport, Json, WallTimer};
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, Time, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
+use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, OltpSet, RunOptions};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
@@ -121,15 +120,14 @@ fn cell_json(mode: Mode, steps: u64, t: &Spread, baseline_secs: f64) -> Json {
 /// Run the fig6-quick OLTP panel in `mode` and fingerprint each
 /// design's result with its commit count.
 fn oltp_sample(mode: Mode, duration: Time) -> Sample {
-    let designs = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
-    let kind = OltpKind::TpcC { warehouses: 20 };
-    let opts = RunOptions::tpcc(duration);
+    let cells = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd]
+        .map(|d| Cell::new(OltpKind::TpcC { warehouses: 20 }, d, RunOptions::tpcc()));
     let sets: Vec<OltpSet> = match mode {
-        Mode::Alone => designs
+        Mode::Alone => cells
             .iter()
-            .map(|&d| run_oltp_set(kind, &[d], &opts))
+            .map(|cell| run_oltp(&[*cell], duration))
             .collect(),
-        Mode::Together => vec![run_oltp_set(kind, &designs, &opts)],
+        Mode::Together => vec![run_oltp(&cells, duration)],
     };
     Sample {
         drive_secs: sets.iter().map(|s| s.drive_secs).sum(),

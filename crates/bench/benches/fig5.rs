@@ -13,24 +13,44 @@
 //!
 //! Env: TURBO_HOURS (default 10), TURBO_QUICK.
 
-use std::sync::Arc;
-
-use turbopool_bench::{run_hours, run_oltp, BenchReport, OltpKind, RunOptions, Table, WallTimer};
+use turbopool_bench::{quick, run_hours, tpch_scales, BenchReport, Table, WallTimer};
+use turbopool_iosim::Time;
+use turbopool_workload::experiment::{run_oltp, run_tpch, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
-use turbopool_workload::tpch::{self, Tpch};
 
-struct PaperRow {
-    dw: f64,
-    lc: f64,
-    tac: f64,
+/// The designs of every panel, noSSD first as the speedup base.
+const DESIGNS: [Design; 4] = [Design::NoSsd, Design::Dw, Design::Lc, Design::Tac];
+
+/// One database: its label, its scaled size (warehouses or customers)
+/// and the paper's DW/LC/TAC speedups.
+type Case = (&'static str, u64, [f64; 3]);
+
+/// Steps and virtual time the bench drove, for `BENCH_fig5.json`.
+#[derive(Default)]
+struct Tally {
+    steps: u64,
+    virtual_ns: Time,
 }
 
+/// The full-mode cases, or the middle one under `TURBO_QUICK`.
+fn cases(all: &[Case; 3]) -> &[Case] {
+    if quick() {
+        &all[1..2]
+    } else {
+        all
+    }
+}
+
+/// Run each database's panel as one list of `cell`s and print the
+/// section's table. The panel of size `cw_on` also runs a CW cell, and
+/// the §4.1 CW-vs-DW/LC gaps (in %) come back for printing later.
 fn oltp_section(
-    name: &str,
-    metric_name: &str,
-    cases: &[(&str, OltpKind, PaperRow)],
-    opts_for: impl Fn(&OltpKind) -> RunOptions,
-) -> u64 {
+    (name, metric_name): (&str, &str),
+    cases: &[Case],
+    cell: impl Fn(u64, Design) -> Cell,
+    cw_on: Option<u64>,
+    tally: &mut Tally,
+) -> Option<(f64, f64)> {
     println!("\n== Figure 5 ({name}) ==\n");
     let mut table = Table::new(vec![
         "database",
@@ -40,73 +60,64 @@ fn oltp_section(
         "paper",
         "ssd hit%",
     ]);
-    let mut steps = 0;
-    for (label, kind, paper) in cases {
-        let opts = opts_for(kind);
-        let base = run_oltp(*kind, Design::NoSsd, &opts);
-        steps += base.steps;
+    let mut cw_gaps = None;
+    let hours = run_hours();
+    for &(label, size, paper) in cases {
+        let mut cells: Vec<Cell> = DESIGNS.map(|d| cell(size, d)).to_vec();
+        if cw_on == Some(size) {
+            cells.push(cell(size, Design::Cw));
+        }
+        let set = run_oltp(&cells, hours);
+        tally.steps += set.steps;
+        tally.virtual_ns += hours * cells.len() as Time;
+        let rate = |i: usize| set.runs[i].last_hour_per_min;
         table.row(vec![
             label.to_string(),
             "noSSD".into(),
-            format!("{:.2}", base.last_hour_per_min),
+            format!("{:.2}", rate(0)),
             "1.0x".into(),
             "1.0x".into(),
             "-".into(),
         ]);
-        for (design, paper_x) in [
-            (Design::Dw, paper.dw),
-            (Design::Lc, paper.lc),
-            (Design::Tac, paper.tac),
-        ] {
-            let run = run_oltp(*kind, design, &opts);
-            steps += run.steps;
-            let speedup = run.last_hour_per_min / base.last_hour_per_min.max(1e-9);
-            let hit = run.ssd.map(|m| m.hit_rate() * 100.0).unwrap_or(0.0);
+        for (run, paper_x) in set.runs[1..4].iter().zip(paper) {
+            let speedup = run.last_hour_per_min / rate(0).max(1e-9);
+            let hit = run.stats.ssd.map(|m| m.hit_rate() * 100.0).unwrap_or(0.0);
             table.row(vec![
                 label.to_string(),
-                design.label().into(),
+                run.design.label().into(),
                 format!("{:.2}", run.last_hour_per_min),
                 format!("{speedup:.1}x"),
                 format!("{paper_x:.1}x"),
                 format!("{hit:.0}%"),
             ]);
         }
+        if let Some(cw) = set.runs.get(4) {
+            let slower = |than: f64| 100.0 * (1.0 - cw.last_hour_per_min / than.max(1e-9));
+            cw_gaps = Some((slower(rate(1)), slower(rate(2))));
+        }
     }
     table.print();
-    steps
+    cw_gaps
 }
 
-fn tpch_section(quick: bool) {
+fn tpch_section(tally: &mut Tally) {
     println!("\n== Figure 5 (g,h): TPC-H QphH speedups ==\n");
     let mut table = Table::new(vec!["SF", "design", "QphH", "speedup", "paper"]);
-    let sfs: &[(u64, usize, [f64; 3])] = if quick {
-        &[(30, 4, [3.4, 3.2, 3.3])]
-    } else {
-        &[(30, 4, [3.4, 3.2, 3.3]), (100, 5, [2.8, 2.9, 2.9])]
-    };
-    for &(sf, streams, paper) in sfs {
-        let mut base_qphh = 0.0;
-        for (i, design) in [Design::NoSsd, Design::Dw, Design::Lc, Design::Tac]
-            .into_iter()
-            .enumerate()
-        {
-            tpch::reset_finish_time();
-            let t = Arc::new(Tpch::setup(design, sf, 0.01));
-            let mut clk = turbopool_iosim::Clk::new();
-            let p = t.power_test(&mut clk);
-            tpch::reset_finish_time();
-            let tput = t.throughput_test(streams);
-            let qphh = tpch::qphh(p.power, tput);
-            if i == 0 {
-                base_qphh = qphh;
-            }
-            let speedup = qphh / base_qphh;
-            let paper_x = if i == 0 { 1.0 } else { paper[i - 1] };
+    for &(sf, streams) in tpch_scales() {
+        let paper = if sf == 30 {
+            [1.0, 3.4, 3.2, 3.3]
+        } else {
+            [1.0, 2.8, 2.9, 2.9]
+        };
+        let runs = run_tpch(sf, streams, &DESIGNS);
+        for (run, paper_x) in runs.iter().zip(paper) {
+            tally.steps += run.steps;
+            tally.virtual_ns += run.virtual_time;
             table.row(vec![
                 format!("{sf}"),
-                design.label().into(),
-                format!("{qphh:.0}"),
-                format!("{speedup:.1}x"),
+                run.design.label().into(),
+                format!("{:.0}", run.qphh),
+                format!("{:.1}x", run.qphh / runs[0].qphh),
                 format!("{paper_x:.1}x"),
             ]);
         }
@@ -114,122 +125,39 @@ fn tpch_section(quick: bool) {
     table.print();
 }
 
-fn cw_note() -> u64 {
-    // §4.1: "for the 20K customer TPC-E database, CW was 21.6% and 23.3%
-    // slower than DW and LC, respectively."
-    println!("\n== §4.1 CW datapoint (TPC-E 20K) ==\n");
-    let opts = RunOptions::tpce(run_hours());
-    let cw = run_oltp(OltpKind::TpcE { customers: 2_000 }, Design::Cw, &opts);
-    let dw = run_oltp(OltpKind::TpcE { customers: 2_000 }, Design::Dw, &opts);
-    let lc = run_oltp(OltpKind::TpcE { customers: 2_000 }, Design::Lc, &opts);
-    let vs_dw = 100.0 * (1.0 - cw.last_hour_per_min / dw.last_hour_per_min.max(1e-9));
-    let vs_lc = 100.0 * (1.0 - cw.last_hour_per_min / lc.last_hour_per_min.max(1e-9));
-    println!("CW slower than DW by {vs_dw:.1}% (paper: 21.6%)");
-    println!("CW slower than LC by {vs_lc:.1}% (paper: 23.3%)");
-    cw.steps + dw.steps + lc.steps
-}
-
 fn main() {
     let timer = WallTimer::start();
-    let quick = turbopool_bench::quick();
-    let hours = run_hours();
+    let mut tally = Tally::default();
+    let tpcc = [
+        ("1K wh (100GB)", 10, [2.2, 9.1, 1.9]),
+        ("2K wh (200GB)", 20, [1.9, 9.4, 1.4]),
+        ("4K wh (400GB)", 40, [2.2, 6.2, 1.9]),
+    ];
+    let cell = |warehouses, d| Cell::new(OltpKind::TpcC { warehouses }, d, RunOptions::tpcc());
+    let name = ("a-c: TPC-C tpmC", "tpmC*");
+    oltp_section(name, cases(&tpcc), cell, None, &mut tally);
 
-    let tpcc: Vec<(&str, OltpKind, PaperRow)> = if quick {
-        vec![(
-            "2K wh (200GB)",
-            OltpKind::TpcC { warehouses: 20 },
-            PaperRow {
-                dw: 1.9,
-                lc: 9.4,
-                tac: 1.4,
-            },
-        )]
-    } else {
-        vec![
-            (
-                "1K wh (100GB)",
-                OltpKind::TpcC { warehouses: 10 },
-                PaperRow {
-                    dw: 2.2,
-                    lc: 9.1,
-                    tac: 1.9,
-                },
-            ),
-            (
-                "2K wh (200GB)",
-                OltpKind::TpcC { warehouses: 20 },
-                PaperRow {
-                    dw: 1.9,
-                    lc: 9.4,
-                    tac: 1.4,
-                },
-            ),
-            (
-                "4K wh (400GB)",
-                OltpKind::TpcC { warehouses: 40 },
-                PaperRow {
-                    dw: 2.2,
-                    lc: 6.2,
-                    tac: 1.9,
-                },
-            ),
-        ]
-    };
-    let mut steps = oltp_section("a-c: TPC-C tpmC", "tpmC*", &tpcc, |_| {
-        RunOptions::tpcc(hours)
-    });
+    let tpce = [
+        ("10K cust (115GB)", 1_000, [5.5, 5.4, 5.2]),
+        ("20K cust (230GB)", 2_000, [8.0, 7.6, 7.5]),
+        ("40K cust (415GB)", 4_000, [2.7, 2.7, 3.0]),
+    ];
+    // §4.1: "for the 20K customer TPC-E database, CW was 21.6% and 23.3%
+    // slower than DW and LC, respectively." The CW cell runs in the 20K
+    // panel's list; its gaps print after the TPC-H section.
+    let cw_on = (!quick()).then_some(2_000);
+    let cell = |customers, d| Cell::new(OltpKind::TpcE { customers }, d, RunOptions::tpce());
+    let name = ("d-f: TPC-E tpmE-equivalent", "tps*60");
+    let cw_gaps = oltp_section(name, cases(&tpce), cell, cw_on, &mut tally);
 
-    let tpce: Vec<(&str, OltpKind, PaperRow)> = if quick {
-        vec![(
-            "20K cust (230GB)",
-            OltpKind::TpcE { customers: 2_000 },
-            PaperRow {
-                dw: 8.0,
-                lc: 7.6,
-                tac: 7.5,
-            },
-        )]
-    } else {
-        vec![
-            (
-                "10K cust (115GB)",
-                OltpKind::TpcE { customers: 1_000 },
-                PaperRow {
-                    dw: 5.5,
-                    lc: 5.4,
-                    tac: 5.2,
-                },
-            ),
-            (
-                "20K cust (230GB)",
-                OltpKind::TpcE { customers: 2_000 },
-                PaperRow {
-                    dw: 8.0,
-                    lc: 7.6,
-                    tac: 7.5,
-                },
-            ),
-            (
-                "40K cust (415GB)",
-                OltpKind::TpcE { customers: 4_000 },
-                PaperRow {
-                    dw: 2.7,
-                    lc: 2.7,
-                    tac: 3.0,
-                },
-            ),
-        ]
-    };
-    steps += oltp_section("d-f: TPC-E tpmE-equivalent", "tps*60", &tpce, |_| {
-        RunOptions::tpce(hours)
-    });
-
-    tpch_section(quick);
-    if !quick {
-        steps += cw_note();
+    tpch_section(&mut tally);
+    if let Some((vs_dw, vs_lc)) = cw_gaps {
+        println!("\n== §4.1 CW datapoint (TPC-E 20K) ==\n");
+        println!("CW slower than DW by {vs_dw:.1}% (paper: 21.6%)");
+        println!("CW slower than LC by {vs_lc:.1}% (paper: 23.3%)");
     }
     println!("\n(*metrics are scaled: divide paper absolute numbers by 1000 to compare; speedups are scale-free.)");
     BenchReport::new("fig5")
-        .standard(timer.secs(), hours, steps)
+        .standard(timer.secs(), tally.virtual_ns, tally.steps)
         .emit();
 }

@@ -4,10 +4,10 @@
 //! (c) TPC-E 20K customers, (d) TPC-E 40K customers;
 //! each with LC, DW, TAC and noSSD. Six-minute buckets, like the paper.
 //!
-//! The four designs of each panel run *concurrently* as share-nothing
-//! driver domains (`run_oltp_set`), one OS thread each — results are
-//! bit-identical to running them one at a time, only wall-clock time
-//! changes.
+//! The four designs of each panel are one `experiment::run_oltp` list:
+//! they run *concurrently* as share-nothing driver domains, one OS thread
+//! each — results are bit-identical to running them one at a time, only
+//! wall-clock time changes.
 //!
 //! Expected shape (paper §4.2.1 / §4.3.1):
 //! * LC on TPC-C climbs steeply, then drops when the dirty SSD pages cross
@@ -16,16 +16,17 @@
 //! * TPC-E ramps slowly (the SSD fills at the random-read speed of the
 //!   disks); checkpoint dips every ~40 minutes.
 
-use turbopool_bench::{
-    render_series, run_hours, run_oltp_set, BenchReport, Json, OltpKind, RunOptions, WallTimer,
-};
+use turbopool_bench::{render_series, run_hours, BenchReport, Json, WallTimer};
+use turbopool_iosim::Time;
+use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 const DESIGNS: [Design; 4] = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
 
-fn panel(name: &str, kind: OltpKind, opts: &RunOptions) -> (Json, u64) {
+fn panel(name: &str, kind: OltpKind, opts: RunOptions, hours: Time) -> (Json, u64) {
     println!("\n== Figure 6 {name} ==");
-    let set = run_oltp_set(kind, &DESIGNS, opts);
+    let cells: Vec<Cell> = DESIGNS.iter().map(|&d| Cell::new(kind, d, opts)).collect();
+    let set = run_oltp(&cells, hours);
     let mut rates = Vec::new();
     for run in &set.runs {
         println!(
@@ -55,35 +56,33 @@ fn main() {
     let mut panels = Vec::new();
     let mut steps = 0u64;
 
-    let (entry, s) = panel(
-        "(a): TPC-C 2K warehouses (tpmC*)",
-        OltpKind::TpcC { warehouses: 20 },
-        &RunOptions::tpcc(hours),
-    );
-    panels.push(entry);
-    steps += s;
-    if !quick {
-        for (name, kind, opts) in [
-            (
-                "(b): TPC-C 4K warehouses (tpmC*)",
-                OltpKind::TpcC { warehouses: 40 },
-                RunOptions::tpcc(hours),
-            ),
-            (
-                "(c): TPC-E 20K customers (trades/min*)",
-                OltpKind::TpcE { customers: 2_000 },
-                RunOptions::tpce(hours),
-            ),
-            (
-                "(d): TPC-E 40K customers (trades/min*)",
-                OltpKind::TpcE { customers: 4_000 },
-                RunOptions::tpce(hours),
-            ),
-        ] {
-            let (entry, s) = panel(name, kind, &opts);
-            panels.push(entry);
-            steps += s;
-        }
+    let (tpcc, tpce) = (RunOptions::tpcc(), RunOptions::tpce());
+    let all = [
+        (
+            "(a): TPC-C 2K warehouses (tpmC*)",
+            OltpKind::TpcC { warehouses: 20 },
+            tpcc,
+        ),
+        (
+            "(b): TPC-C 4K warehouses (tpmC*)",
+            OltpKind::TpcC { warehouses: 40 },
+            tpcc,
+        ),
+        (
+            "(c): TPC-E 20K customers (trades/min*)",
+            OltpKind::TpcE { customers: 2_000 },
+            tpce,
+        ),
+        (
+            "(d): TPC-E 40K customers (trades/min*)",
+            OltpKind::TpcE { customers: 4_000 },
+            tpce,
+        ),
+    ];
+    for &(name, kind, opts) in if quick { &all[..1] } else { &all[..] } {
+        let (entry, s) = panel(name, kind, opts, hours);
+        panels.push(entry);
+        steps += s;
     }
     println!("\n(*scaled rates; shapes and crossover times are the comparable quantities.)");
 

@@ -7,8 +7,9 @@
 //! below its capacity; checkpoint write spikes are visible in both write
 //! series.
 
-use turbopool_bench::{run_hours, run_oltp, OltpKind, RunOptions};
+use turbopool_bench::run_hours;
 use turbopool_iosim::{Time, MINUTE};
+use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 
 /// Scaled pages-per-bucket → full-scale MB/s equivalent.
@@ -42,15 +43,17 @@ fn main() {
     let bucket = 6 * MINUTE;
     let opts = RunOptions {
         io_series: Some(bucket),
-        ..RunOptions::tpce(run_hours())
+        ..RunOptions::tpce()
     };
     let customers = if turbopool_bench::quick() { 500 } else { 2_000 };
-    let run = run_oltp(OltpKind::TpcE { customers }, Design::Dw, &opts);
+    let cell = Cell::new(OltpKind::TpcE { customers }, Design::Dw, opts);
+    let run = run_oltp(&[cell], run_hours()).runs.remove(0);
     render("(a) disks", &run.disk_series, bucket);
     render("(b) SSD", &run.ssd_series, bucket);
+    let (disk, ssd) = (run.stats.disk, run.stats.ssd_dev);
     println!(
         "\nSteady-state disk totals: {} reads, {} writes; SSD: {} reads, {} writes.",
-        run.disk.read_pages, run.disk.write_pages, run.ssd_dev.read_pages, run.ssd_dev.write_pages
+        disk.read_pages, disk.write_pages, ssd.read_pages, ssd.write_pages
     );
     println!("Paper: disks saturate ~6.5 MB/s of random traffic; SSD peaks ~46 MB/s read,");
     println!("far below its ~95 MB/s capability — the disks are the bottleneck.");

@@ -9,10 +9,9 @@
 //!   which then takes very long (all accumulated dirty SSD pages must be
 //!   flushed) and throughput collapses for the duration.
 
-use turbopool_bench::{
-    render_series, run_hours, run_oltp, BenchReport, OltpKind, RunOptions, WallTimer,
-};
+use turbopool_bench::{render_series, run_hours, BenchReport, WallTimer};
 use turbopool_iosim::{HOUR, MINUTE};
+use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 fn main() {
@@ -30,32 +29,38 @@ fn main() {
         "== Figure 9: checkpoint interval 40 min vs 5 h (TPC-E {customers} scaled customers) =="
     );
 
-    let mut steps = 0;
-    for (panel, design) in [("(a) DW", Design::Dw), ("(b) LC", Design::Lc)] {
-        println!("\n=== {panel} ===");
-        for (label, interval, lambda) in [
-            ("40 min", 40 * MINUTE, 0.01),
-            // With the long interval the paper raises λ to 50% so LC can
-            // actually accumulate dirty pages between checkpoints.
-            ("5 hours", 5 * HOUR, 0.50),
-        ] {
+    let panels = [("(a) DW", Design::Dw), ("(b) LC", Design::Lc)];
+    let intervals = [
+        ("40 min", 40 * MINUTE, 0.01),
+        // With the long interval the paper raises λ to 50% so LC can
+        // actually accumulate dirty pages between checkpoints.
+        ("5 hours", 5 * HOUR, 0.50),
+    ];
+    let mut cells = Vec::new();
+    for (_, design) in panels {
+        for (_, interval, lambda) in intervals {
             let opts = RunOptions {
-                duration: hours,
                 checkpoint: Some(interval),
                 lambda: if design == Design::Lc { lambda } else { 0.01 },
-                ..RunOptions::tpce(hours)
+                ..RunOptions::tpce()
             };
-            let run = run_oltp(OltpKind::TpcE { customers }, design, &opts);
-            steps += run.steps;
+            cells.push(Cell::new(OltpKind::TpcE { customers }, design, opts));
+        }
+    }
+    let set = run_oltp(&cells, hours);
+    let mut runs = set.runs.iter();
+    for (panel, _) in panels {
+        println!("\n=== {panel} ===");
+        for ((label, ..), run) in intervals.iter().zip(runs.by_ref()) {
             println!(
                 "\n--- checkpoint every {label} (last-hour rate {:.2}/min, checkpoint-cleaned SSD pages {}) ---",
                 run.last_hour_per_min,
-                run.ssd.map(|m| m.checkpoint_cleaned).unwrap_or(0),
+                run.stats.ssd.map(|m| m.checkpoint_cleaned).unwrap_or(0),
             );
             print!("{}", render_series(&run.series, 22));
         }
     }
     BenchReport::new("fig9")
-        .standard(timer.secs(), hours.saturating_mul(4), steps)
+        .standard(timer.secs(), hours.saturating_mul(4), set.steps)
         .emit();
 }

@@ -14,12 +14,9 @@
 //! from the SSD than the power test (paper: DW 2.2x power vs 5.4x
 //! throughput at 30 SF).
 
-use std::sync::Arc;
-
-use turbopool_bench::{BenchReport, Table, WallTimer};
-use turbopool_iosim::Clk;
+use turbopool_bench::{tpch_scales, BenchReport, Table, WallTimer};
+use turbopool_workload::experiment::run_tpch;
 use turbopool_workload::scenario::Design;
-use turbopool_workload::tpch::{self, Tpch};
 
 fn main() {
     let timer = WallTimer::start();
@@ -42,23 +39,12 @@ fn main() {
             ],
         ),
     ];
-    let sfs: Vec<u64> = if turbopool_bench::quick() {
-        vec![30]
-    } else {
-        vec![30, 100]
-    };
-    for &sf in &sfs {
-        let streams = if sf >= 100 { 5 } else { 4 };
-        let mut results: Vec<(Design, f64, f64, f64)> = Vec::new();
-        for design in [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd] {
-            tpch::reset_finish_time();
-            let t = Arc::new(Tpch::setup(design, sf, 0.01));
-            let mut clk = Clk::new();
-            let p = t.power_test(&mut clk);
-            tpch::reset_finish_time();
-            let tput = t.throughput_test(streams);
-            results.push((design, p.power, tput, tpch::qphh(p.power, tput)));
-        }
+    let (mut steps, mut virtual_ns) = (0, 0);
+    for &(sf, streams) in tpch_scales() {
+        let designs = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
+        let runs = run_tpch(sf, streams, &designs);
+        steps += runs.iter().map(|r| r.steps).sum::<u64>();
+        virtual_ns += runs.iter().map(|r| r.virtual_time).sum::<u64>();
         let paper_rows = &paper.iter().find(|(s, _)| *s == sf).unwrap().1;
         println!("--- {sf} SF ({streams} throughput streams) ---\n");
         let mut table = Table::new(vec![
@@ -78,7 +64,10 @@ fn main() {
         .iter()
         .enumerate()
         {
-            let vals: Vec<f64> = results.iter().map(|&(_, p, t, q)| [p, t, q][mi]).collect();
+            let vals: Vec<f64> = runs
+                .iter()
+                .map(|r| [r.power.power, r.throughput, r.qphh][mi])
+                .collect();
             let ratio = vals[0] / vals[3].max(1e-9);
             let paper_ratio = paper_rows[mi][0] / paper_rows[mi][3];
             table.row(vec![
@@ -96,6 +85,6 @@ fn main() {
     }
     println!("(Scaled metrics; compare ratios. Expect throughput-test gains > power-test gains.)");
     BenchReport::new("table3")
-        .standard(timer.secs(), 0, 0)
+        .standard(timer.secs(), virtual_ns, steps)
         .emit();
 }

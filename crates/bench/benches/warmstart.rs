@@ -18,17 +18,20 @@ use turbopool_workload::driver::{Driver, ThroughputRecorder};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
-fn run_phase(s: &Arc<Synthetic>, hours: u64, clients: u64) -> Arc<ThroughputRecorder> {
+/// Drive 25 terminals for `hours`, adding the driver's steps to
+/// `steps`.
+fn run_phase(s: &Arc<Synthetic>, hours: u64, steps: &mut u64) -> Arc<ThroughputRecorder> {
     let rec = ThroughputRecorder::new(6 * MINUTE);
     let mut d = Driver::new();
-    for c in 0..clients {
+    for c in 0..25 {
         d.add(0, Box::new(s.client(c, Arc::clone(&rec))));
     }
     d.run_until(hours * HOUR);
+    *steps += d.steps();
     rec
 }
 
-fn experiment(warm: bool) -> (f64, f64, u64) {
+fn experiment(warm: bool, hours: u64, steps: &mut u64) -> (f64, f64, u64) {
     let cfg = SyntheticConfig {
         rows: 1_200_000,
         record_size: 128,
@@ -41,8 +44,7 @@ fn experiment(warm: bool) -> (f64, f64, u64) {
     }));
     // Phase 1: warm the SSD the slow way, then checkpoint (embeds the SSD
     // buffer table when the extension is on) and crash.
-    let hours = if turbopool_bench::quick() { 2 } else { 4 };
-    let pre = run_phase(&s, hours, 25);
+    let pre = run_phase(&s, hours, steps);
     let pre_rate = pre.rate_between((hours - 1) * HOUR, hours * HOUR, MINUTE);
     let mut clk = Clk::at(hours * HOUR);
     s.db.checkpoint(&mut clk);
@@ -53,7 +55,7 @@ fn experiment(warm: bool) -> (f64, f64, u64) {
 
     // Phase 2: measure the restart ramp.
     let s2 = Arc::new(s2);
-    let post = run_phase(&s2, 1, 25);
+    let post = run_phase(&s2, 1, steps);
     let first30 = post.rate_between(0, 30 * MINUTE, MINUTE);
     (pre_rate, first30, imported)
 }
@@ -68,8 +70,10 @@ fn main() {
         "ramp retained",
         "pages re-adopted",
     ]);
+    let hours = if turbopool_bench::quick() { 2 } else { 4 };
+    let mut steps = 0;
     for warm in [false, true] {
-        let (pre, post, imported) = experiment(warm);
+        let (pre, post, imported) = experiment(warm, hours, &mut steps);
         table.row(vec![
             if warm {
                 "warm (extension)"
@@ -88,6 +92,6 @@ fn main() {
     println!("first-30-minute rate falls well below the pre-crash rate); the warm");
     println!("restart resumes at or above the pre-crash rate immediately.");
     BenchReport::new("warmstart")
-        .standard(timer.secs(), 0, 0)
+        .standard(timer.secs(), 2 * (hours + 1) * HOUR, steps)
         .emit();
 }

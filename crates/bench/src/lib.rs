@@ -2,9 +2,12 @@
 //!
 //! Every table and figure of the paper has a `harness = false` bench
 //! target in `benches/` that prints the same rows/series the paper
-//! reports, next to the paper's numbers. This library holds the pieces
-//! they share: experiment runners (OLTP runs with checkpointer/cleaner
-//! pseudo-clients attached) and plain-text table/series rendering.
+//! reports, next to the paper's numbers. The TPC-C/E/H cells themselves
+//! run through `turbopool_workload::experiment` (`run_oltp` over a list
+//! of cells, `run_tpch` over a list of designs), the same runner the CLI
+//! and the examples use; this library holds what only the harnesses
+//! need: run-length knobs, plain-text table/series rendering and the
+//! `BENCH_<name>.json` report.
 //!
 //! Environment knobs:
 //!
@@ -12,15 +15,14 @@
 //!   duration; smaller values finish faster with the same early shape).
 //! * `TURBO_QUICK` — if set, shrinks runs for smoke testing.
 //!
-//! Multi-design runs take one OS thread per design (`run_oltp_set`).
+//! A list runs each cell in a share-nothing driver domain of its own,
+//! one OS thread per cell.
 
 pub mod json;
 pub mod report;
-pub mod runs;
 
 pub use json::{BenchReport, Json, WallTimer};
 pub use report::{fmt_hours, render_series, Table};
-pub use runs::{run_oltp, run_oltp_set, OltpKind, OltpRun, OltpSet, RunOptions};
 
 use turbopool_iosim::{Time, HOUR};
 
@@ -34,6 +36,13 @@ pub fn run_hours() -> Time {
         .and_then(|s| s.parse().ok())
         .unwrap_or(10.0);
     (hours * HOUR as f64) as Time
+}
+
+/// TPC-H scale factors with their throughput-test stream counts (paper
+/// Table 3): SF 30 with 4 streams and SF 100 with 5; SF 30 alone under
+/// `TURBO_QUICK`. Figure 5 (g,h) and Table 3 are views of these runs.
+pub fn tpch_scales() -> &'static [(u64, usize)] {
+    &[(30, 4), (100, 5)][..if quick() { 1 } else { 2 }]
 }
 
 /// True when running in smoke-test mode.

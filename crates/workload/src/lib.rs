@@ -22,6 +22,7 @@
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod driver;
+pub mod experiment;
 pub mod rand_util;
 pub mod scenario;
 pub mod synthetic;

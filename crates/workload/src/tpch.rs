@@ -18,6 +18,7 @@
 //! refresh stream, per the benchmark's structure. Metrics follow the
 //! spec's formulas (Power@SF, Throughput@SF, QphH = their geometric mean).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, HeapId, IndexId};
@@ -26,7 +27,7 @@ use turbopool_iosim::rng::SmallRng;
 use turbopool_iosim::sync::Mutex;
 use turbopool_iosim::{Clk, Time, MILLISECOND, SECOND};
 
-use crate::driver::{Client, Driver, StepResult};
+use crate::driver::{Client, StepResult};
 use crate::rand_util::client_rng;
 use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
 
@@ -418,7 +419,7 @@ impl Tpch {
     // ------------------------------------------------------------------
 
     /// The power test: RF1, the 22 queries serially, RF2 — all timed.
-    pub fn power_test(self: &Arc<Self>, clk: &mut Clk) -> PowerResult {
+    pub fn power_test(&self, clk: &mut Clk) -> PowerResult {
         let mut rng = client_rng(self.seed, 1_000);
         let mut timings = Vec::with_capacity(24);
         timings.push(("RF1".to_string(), self.rf1(clk)));
@@ -435,47 +436,43 @@ impl Tpch {
         }
     }
 
-    /// The throughput test: `streams` concurrent query streams (each runs
+    /// The throughput test's clients: `streams` query streams (each runs
     /// the 22 queries in a rotated order) plus one refresh stream running
-    /// `streams` RF pairs.
-    pub fn throughput_test(self: &Arc<Self>, streams: usize) -> f64 {
-        let mut driver = Driver::new();
-        for s in 0..streams {
-            driver.add(
-                0,
-                Box::new(QueryStream {
-                    t: Arc::clone(self),
-                    rng: client_rng(self.seed, 2_000 + s as u64),
-                    order: rotated_order(s),
-                    next: 0,
-                }),
-            );
-        }
-        driver.add(
-            0,
-            Box::new(RefreshStream {
+    /// `streams` RF pairs, all to start at time 0. Each stream raises
+    /// `finish` to its finish time, so once they are done it holds the
+    /// test's elapsed time.
+    pub fn throughput_test(
+        self: &Arc<Self>,
+        streams: usize,
+        finish: &Arc<AtomicU64>,
+    ) -> Vec<Box<dyn Client>> {
+        let stream = |rng_no: u64, items: Vec<Item>| -> Box<dyn Client> {
+            Box::new(Stream {
                 t: Arc::clone(self),
-                remaining: streams,
-            }),
-        );
-        driver.run_to_completion();
-        // Elapsed = the time the slowest stream finishes (each records its
-        // finish in `FINISH_TIME`).
-        let ts = FINISH_TIME.with(|f| f.get());
-        let ts_secs = ts as f64 / SECOND as f64;
+                rng: client_rng(self.seed, rng_no),
+                items,
+                next: 0,
+                finish: Arc::clone(finish),
+            })
+        };
+        let queries = |s: usize| rotated_order(s).map(Item::Query).collect();
+        let mut clients: Vec<_> = (0..streams)
+            .map(|s| stream(2_000 + s as u64, queries(s)))
+            .collect();
+        clients.push(stream(3_000, vec![Item::RfPair; streams]));
+        clients
+    }
+
+    /// Throughput@SF of a `streams`-stream throughput test whose slowest
+    /// stream finished at `elapsed`.
+    pub fn throughput(&self, streams: usize, elapsed: Time) -> f64 {
+        let ts_secs = elapsed as f64 / SECOND as f64;
         streams as f64 * 22.0 * 3600.0 / ts_secs * self.sf as f64
     }
 }
 
-thread_local! {
-    /// Latest stream finish time within this thread's throughput test.
-    static FINISH_TIME: std::cell::Cell<Time> = const { std::cell::Cell::new(0) };
-}
-
-fn rotated_order(stream: usize) -> Vec<usize> {
-    let mut v: Vec<usize> = (1..=22).collect();
-    v.rotate_left((stream * 7) % 22);
-    v
+fn rotated_order(stream: usize) -> impl Iterator<Item = usize> {
+    (0..22).map(move |i| (i + stream * 7) % 22 + 1)
 }
 
 fn geomean_secs(timings: impl Iterator<Item = Time>) -> f64 {
@@ -502,55 +499,39 @@ pub fn qphh(power: f64, throughput: f64) -> f64 {
     (power * throughput).sqrt()
 }
 
-struct QueryStream {
+/// One unit of a throughput-test stream.
+#[derive(Copy, Clone)]
+enum Item {
+    Query(usize),
+    RfPair,
+}
+
+/// A throughput-test stream: runs its items in order, then raises
+/// `finish` to its finish time.
+struct Stream {
     t: Arc<Tpch>,
     rng: SmallRng,
-    order: Vec<usize>,
+    items: Vec<Item>,
     next: usize,
+    finish: Arc<AtomicU64>,
 }
 
-impl Client for QueryStream {
+impl Client for Stream {
     fn step(&mut self, clk: &mut Clk) -> StepResult {
-        if self.next >= self.order.len() {
+        let Some(&item) = self.items.get(self.next) else {
             return StepResult::Done;
-        }
-        let q = self.order[self.next];
+        };
         self.next += 1;
-        self.t.run_query(clk, q, &mut self.rng);
-        if self.next >= self.order.len() {
-            FINISH_TIME.with(|f| f.set(f.get().max(clk.now)));
-            return StepResult::Done;
+        match item {
+            Item::Query(q) => _ = self.t.run_query(clk, q, &mut self.rng),
+            Item::RfPair => _ = (self.t.rf1(clk), self.t.rf2(clk)),
         }
-        StepResult::Continue
+        if self.next < self.items.len() {
+            return StepResult::Continue;
+        }
+        self.finish.fetch_max(clk.now, Ordering::Relaxed);
+        StepResult::Done
     }
-}
-
-struct RefreshStream {
-    t: Arc<Tpch>,
-    remaining: usize,
-}
-
-impl Client for RefreshStream {
-    fn step(&mut self, clk: &mut Clk) -> StepResult {
-        if self.remaining == 0 {
-            return StepResult::Done;
-        }
-        self.t.rf1(clk);
-        self.t.rf2(clk);
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            FINISH_TIME.with(|f| f.set(f.get().max(clk.now)));
-            StepResult::Done
-        } else {
-            StepResult::Continue
-        }
-    }
-}
-
-/// Reset the throughput test's finish-time tracker (call before each test
-/// when running several in one thread).
-pub fn reset_finish_time() {
-    FINISH_TIME.with(|f| f.set(0));
 }
 
 #[cfg(test)]
@@ -592,15 +573,9 @@ mod tests {
     fn rf_pair_round_trips() {
         let t = Arc::new(Tpch::setup(Design::NoSsd, 1, 0.01));
         let mut clk = Clk::new();
-        let before =
-            t.db.heap_meta(t.h_orders)
-                .next
-                .load(std::sync::atomic::Ordering::Relaxed);
+        let before = t.db.heap_meta(t.h_orders).next.load(Ordering::Relaxed);
         t.rf1(&mut clk);
-        let mid =
-            t.db.heap_meta(t.h_orders)
-                .next
-                .load(std::sync::atomic::Ordering::Relaxed);
+        let mid = t.db.heap_meta(t.h_orders).next.load(Ordering::Relaxed);
         assert!(mid > before);
         t.rf2(&mut clk);
         // Deletions leave holes (slots not reused) but index entries gone.
@@ -622,10 +597,8 @@ mod tests {
 
     #[test]
     fn throughput_test_produces_metric() {
-        reset_finish_time();
-        let t = Arc::new(Tpch::setup(Design::Dw, 1, 0.01));
-        let tput = t.throughput_test(2);
-        assert!(tput > 0.0, "{tput}");
+        let run = &crate::experiment::run_tpch(1, 2, &[Design::Dw])[0];
+        assert!(run.throughput > 0.0, "{}", run.throughput);
     }
 
     #[test]

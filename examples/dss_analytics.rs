@@ -1,4 +1,5 @@
-//! DSS analytics: the TPC-H-lite power test with per-query timings.
+//! DSS analytics: the TPC-H-lite power test with per-query timings, then
+//! the throughput test and QphH.
 //!
 //! Shows where the SSD helps a scan-dominated workload: the full-scan
 //! queries are unchanged (striped disks out-stream the SSD), while the
@@ -9,11 +10,9 @@
 //! cargo run --release --example dss_analytics [scale_factor]
 //! ```
 
-use std::sync::Arc;
-
-use turbopool::iosim::{Clk, SECOND};
+use turbopool::iosim::SECOND;
+use turbopool::workload::experiment::run_tpch;
 use turbopool::workload::scenario::Design;
-use turbopool::workload::tpch::{self, Tpch};
 
 fn main() {
     let sf: u64 = std::env::args()
@@ -25,25 +24,15 @@ fn main() {
         sf as f64 * 1.5
     );
 
-    let mut columns: Vec<(String, f64, f64)> = Vec::new();
-    for (i, design) in [Design::NoSsd, Design::Lc].into_iter().enumerate() {
-        tpch::reset_finish_time();
-        let t = Arc::new(Tpch::setup(design, sf, 0.01));
-        let mut clk = Clk::new();
-        let p = t.power_test(&mut clk);
-        for (j, (name, dur)) in p.timings.iter().enumerate() {
-            let secs = *dur as f64 / SECOND as f64;
-            if i == 0 {
-                columns.push((name.clone(), secs, 0.0));
-            } else {
-                columns[j].2 = secs;
-            }
-        }
+    let secs = |t: u64| t as f64 / SECOND as f64;
+    let runs = run_tpch(sf, 4, &[Design::NoSsd, Design::Lc]);
+    for run in &runs {
+        let total: u64 = run.power.timings.iter().map(|(_, t)| t).sum();
         println!(
             "{:>6}: Power@{sf}SF = {:.0}  (total virtual time {:.0}s)",
-            design.label(),
-            p.power,
-            clk.now as f64 / SECOND as f64
+            run.design.label(),
+            run.power.power,
+            secs(total)
         );
     }
 
@@ -51,7 +40,9 @@ fn main() {
         "\n{:>5} {:>12} {:>12} {:>8}",
         "query", "noSSD (s)", "LC (s)", "speedup"
     );
-    for (name, nossd, lc) in &columns {
+    let (nossd, lc) = (&runs[0].power.timings, &runs[1].power.timings);
+    for ((name, nossd), (_, lc)) in nossd.iter().zip(lc) {
+        let (nossd, lc) = (secs(*nossd), secs(*lc));
         println!(
             "{name:>5} {nossd:>12.1} {lc:>12.1} {:>7.1}x",
             nossd / lc.max(1e-9)
@@ -60,4 +51,10 @@ fn main() {
     println!("\nScan-shaped queries (Q1, Q6, Q14, Q15) barely move; index-lookup queries");
     println!("(Q4, Q9, Q12, Q17-Q21) speed up by an order of magnitude once their random");
     println!("LINEITEM reads come from the SSD instead of the disk arms.");
+
+    println!("\nThroughput test (4 streams) and QphH:");
+    for run in &runs {
+        let (design, tput, qphh) = (run.design.label(), run.throughput, run.qphh);
+        println!("{design:>6}: Throughput@{sf}SF = {tput:.0}  QphH@{sf}SF = {qphh:.0}");
+    }
 }

@@ -9,12 +9,9 @@
 //!
 //! Runs one experiment and prints the metric plus the cache counters.
 
-use std::sync::Arc;
-
-use turbopool::iosim::{Clk, HOUR, MINUTE, SECOND};
-use turbopool::workload::driver::{CheckpointClient, CleanerClient, Driver, ThroughputRecorder};
+use turbopool::iosim::{HOUR, SECOND};
+use turbopool::workload::experiment::{self, Cell, DbStats, OltpKind, RunOptions};
 use turbopool::workload::scenario::Design;
-use turbopool::workload::{tpcc::Tpcc, tpce::Tpce, tpch};
 
 /// One checked invocation: every value parsed, nothing left to default
 /// silently.
@@ -122,11 +119,11 @@ fn parse(argv: &[String]) -> Result<Command, String> {
     }
 }
 
-fn print_counters(db: &turbopool::engine::Database) {
-    let pool = db.pool_stats();
+fn print_counters(stats: &DbStats) {
     println!("\n-- counters --");
+    let pool = stats.pool;
     println!("pool hit rate        : {:.2}%", pool.hit_rate() * 100.0);
-    if let Some(m) = db.ssd_metrics() {
+    if let Some(m) = stats.ssd {
         println!("ssd hit rate         : {:.2}%", m.hit_rate() * 100.0);
         println!("ssd hits / misses    : {} / {}", m.ssd_hits, m.ssd_misses);
         println!(
@@ -138,8 +135,7 @@ fn print_counters(db: &turbopool::engine::Database) {
         println!("cleaned pages        : {}", m.cleaned_pages);
         println!("checkpoint-cleaned   : {}", m.checkpoint_cleaned);
     }
-    let d = db.io().disk_stats();
-    let s = db.io().ssd_stats();
+    let (d, s) = (stats.disk, stats.ssd_dev);
     println!("disk ops (r/w)       : {} / {}", d.read_ops, d.write_ops);
     println!("ssd  ops (r/w)       : {} / {}", s.read_ops, s.write_ops);
 }
@@ -149,24 +145,18 @@ fn run_tpcc(design: Design, warehouses: u64, hours: u64, lambda: f64) {
         "TPC-C-lite: {warehouses} scaled warehouses, {} for {hours} virtual hours, lambda {lambda}",
         design.label()
     );
-
-    let t = Arc::new(Tpcc::setup(design, warehouses, lambda));
-    let tpmc = ThroughputRecorder::new(6 * MINUTE);
-    let mut d = Driver::new();
-    for c in 0..25 {
-        d.add(0, Box::new(t.client(c, Arc::clone(&tpmc))));
-    }
-    if let Some(cleaner) = CleanerClient::for_db(&t.db) {
-        d.add(0, Box::new(cleaner));
-    }
-    let dur = hours * HOUR;
-    d.run_until(dur);
+    let opts = RunOptions {
+        lambda,
+        ..RunOptions::tpcc()
+    };
+    let cell = Cell::new(OltpKind::TpcC { warehouses }, design, opts);
+    let run = experiment::run_oltp(&[cell], hours * HOUR).runs.remove(0);
     println!(
         "tpmC (scaled, last hour): {:.2}   total NewOrders: {}",
-        tpmc.rate_between(dur.saturating_sub(HOUR), dur, MINUTE),
-        tpmc.total()
+        run.last_hour_per_min,
+        run.metric.total()
     );
-    print_counters(&t.db);
+    print_counters(&run.stats);
 }
 
 fn run_tpce(design: Design, customers: u64, hours: u64) {
@@ -174,28 +164,16 @@ fn run_tpce(design: Design, customers: u64, hours: u64) {
         "TPC-E-lite: {customers} scaled customers, {} for {hours} virtual hours",
         design.label()
     );
-
-    let t = Arc::new(Tpce::setup(design, customers, 0.01));
-    let tpse = ThroughputRecorder::new(6 * MINUTE);
-    let mut d = Driver::new();
-    for c in 0..25 {
-        d.add(0, Box::new(t.client(c, Arc::clone(&tpse))));
-    }
-    d.add(
-        0,
-        Box::new(CheckpointClient::new(Arc::clone(&t.db), 40 * MINUTE)),
-    );
-    if let Some(cleaner) = CleanerClient::for_db(&t.db) {
-        d.add(0, Box::new(cleaner));
-    }
+    let cell = Cell::new(OltpKind::TpcE { customers }, design, RunOptions::tpce());
     let dur = hours * HOUR;
-    d.run_until(dur);
+    let run = experiment::run_oltp(&[cell], dur).runs.remove(0);
     println!(
         "tpsE (scaled, last hour): {:.4}   total TradeResults: {}",
-        tpse.rate_between(dur.saturating_sub(HOUR), dur, SECOND),
-        tpse.total()
+        run.metric
+            .rate_between(dur.saturating_sub(HOUR), dur, SECOND),
+        run.metric.total()
     );
-    print_counters(&t.db);
+    print_counters(&run.stats);
 }
 
 fn run_tpch(design: Design, sf: u64, streams: usize) {
@@ -203,21 +181,15 @@ fn run_tpch(design: Design, sf: u64, streams: usize) {
         "TPC-H-lite: SF {sf}, {} ({streams} throughput streams)",
         design.label()
     );
-
-    tpch::reset_finish_time();
-    let t = Arc::new(tpch::Tpch::setup(design, sf, 0.01));
-    let mut clk = Clk::new();
-    let p = t.power_test(&mut clk);
+    let run = experiment::run_tpch(sf, streams, &[design]).remove(0);
     println!("\n-- power test --");
-    for (name, dur) in &p.timings {
+    for (name, dur) in &run.power.timings {
         println!("{name:>4}: {:8.1}s", *dur as f64 / SECOND as f64);
     }
-    tpch::reset_finish_time();
-    let tput = t.throughput_test(streams);
-    println!("\nPower@{sf}SF      : {:.0}", p.power);
-    println!("Throughput@{sf}SF : {tput:.0}");
-    println!("QphH@{sf}SF       : {:.0}", tpch::qphh(p.power, tput));
-    print_counters(&t.db);
+    println!("\nPower@{sf}SF      : {:.0}", run.power.power);
+    println!("Throughput@{sf}SF : {:.0}", run.throughput);
+    println!("QphH@{sf}SF       : {:.0}", run.qphh);
+    print_counters(&run.stats);
 }
 
 fn devices() {

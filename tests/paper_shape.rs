@@ -19,9 +19,9 @@ fn hours(h: u64) -> u64 {
     }
 }
 use turbopool::workload::driver::{CleanerClient, Driver, ThroughputRecorder};
+use turbopool::workload::experiment::run_tpch;
 use turbopool::workload::scenario::Design;
 use turbopool::workload::tpcc::Tpcc;
-use turbopool::workload::tpch::{self, Tpch};
 
 /// Run TPC-C for `hours` and return the last-hour NewOrder rate.
 fn tpcc_rate(design: Design, hours: u64) -> f64 {
@@ -86,16 +86,8 @@ fn tpcc_is_update_intensive_and_skewed() {
 #[test]
 fn tpch_designs_are_similar_and_beat_nossd() {
     // Figure 5 (g,h): read-dominated DSS — all SSD designs close together.
-    let mut qphh = Vec::new();
-    for design in [Design::NoSsd, Design::Dw, Design::Lc] {
-        tpch::reset_finish_time();
-        let t = Arc::new(Tpch::setup(design, 25, 0.01));
-        let mut clk = turbopool::iosim::Clk::new();
-        let p = t.power_test(&mut clk);
-        tpch::reset_finish_time();
-        let tput = t.throughput_test(2);
-        qphh.push(tpch::qphh(p.power, tput));
-    }
+    let runs = run_tpch(25, 2, &[Design::NoSsd, Design::Dw, Design::Lc]);
+    let qphh: Vec<f64> = runs.iter().map(|r| r.qphh).collect();
     let (nossd, dw, lc) = (qphh[0], qphh[1], qphh[2]);
     assert!(dw > 1.5 * nossd, "dw={dw:.0} nossd={nossd:.0}");
     assert!(lc > 1.5 * nossd, "lc={lc:.0} nossd={nossd:.0}");
