@@ -18,7 +18,7 @@ use turbopool_bufpool::{
 use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign, SsdManager};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, HOUR, MILLISECOND, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 

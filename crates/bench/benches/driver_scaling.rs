@@ -30,7 +30,7 @@ use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, Time, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, OltpSet, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, OltpSet, RunOptions};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 

@@ -15,7 +15,7 @@
 
 use turbopool_bench::{quick, run_hours, tpch_scales, BenchReport, Table, WallTimer};
 use turbopool_iosim::Time;
-use turbopool_workload::experiment::{run_oltp, run_tpch, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, run_tpch, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 /// The designs of every panel, noSSD first as the speedup base.

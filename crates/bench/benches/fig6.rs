@@ -4,7 +4,7 @@
 //! (c) TPC-E 20K customers, (d) TPC-E 40K customers;
 //! each with LC, DW, TAC and noSSD. Six-minute buckets, like the paper.
 //!
-//! The four designs of each panel are one `experiment::run_oltp` list:
+//! The four designs of each panel are one `runs::run_oltp` list:
 //! they run *concurrently* as share-nothing driver domains, one OS thread
 //! each — results are bit-identical to running them one at a time, only
 //! wall-clock time changes.
@@ -18,7 +18,7 @@
 
 use turbopool_bench::{render_series, run_hours, BenchReport, Json, WallTimer};
 use turbopool_iosim::Time;
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 const DESIGNS: [Design; 4] = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];

@@ -7,7 +7,7 @@
 
 use turbopool_bench::{render_series, run_hours, BenchReport, Table, WallTimer};
 use turbopool_iosim::SECOND;
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 fn main() {

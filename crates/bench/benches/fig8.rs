@@ -9,7 +9,7 @@
 
 use turbopool_bench::run_hours;
 use turbopool_iosim::{Time, MINUTE};
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 
 /// Scaled pages-per-bucket → full-scale MB/s equivalent.

@@ -11,7 +11,7 @@
 
 use turbopool_bench::{render_series, run_hours, BenchReport, WallTimer};
 use turbopool_iosim::{HOUR, MINUTE};
-use turbopool_workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 fn main() {

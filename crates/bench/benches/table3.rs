@@ -15,7 +15,7 @@
 //! throughput at 30 SF).
 
 use turbopool_bench::{tpch_scales, BenchReport, Table, WallTimer};
-use turbopool_workload::experiment::run_tpch;
+use turbopool_workload::runs::run_tpch;
 use turbopool_workload::scenario::Design;
 
 fn main() {

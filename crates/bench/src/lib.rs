@@ -3,7 +3,7 @@
 //! Every table and figure of the paper has a `harness = false` bench
 //! target in `benches/` that prints the same rows/series the paper
 //! reports, next to the paper's numbers. The TPC-C/E/H cells themselves
-//! run through `turbopool_workload::experiment` (`run_oltp` over a list
+//! run through `turbopool_workload::runs` (`run_oltp` over a list
 //! of cells, `run_tpch` over a list of designs), the same runner the CLI
 //! and the examples use; this library holds what only the harnesses
 //! need: run-length knobs, plain-text table/series rendering and the

@@ -22,8 +22,8 @@
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod driver;
-pub mod experiment;
 pub mod rand_util;
+pub mod runs;
 pub mod scenario;
 pub mod synthetic;
 pub mod tpcc;

@@ -314,6 +314,19 @@ pub fn run_tpch(sf: u64, streams: usize, designs: &[Design]) -> Vec<TpchRun> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn tiny_tpcc_run_produces_metrics() {
+        let opts = RunOptions {
+            clients: 4,
+            ..RunOptions::tpcc()
+        };
+        let cell = Cell::new(OltpKind::TpcC { warehouses: 2 }, Design::Dw, opts);
+        let run = &run_oltp(&[cell], 30 * MINUTE).runs[0];
+        assert!(run.metric.total() > 0);
+        assert!(run.stats.ssd.is_some());
+        assert!(!run.series.is_empty());
+    }
+
     /// A list mixing kinds, designs, λ and checkpoint intervals returns
     /// exactly what each cell returns run alone.
     #[test]

@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn throughput_test_produces_metric() {
-        let run = &crate::experiment::run_tpch(1, 2, &[Design::Dw])[0];
+        let run = &crate::runs::run_tpch(1, 2, &[Design::Dw])[0];
         assert!(run.throughput > 0.0, "{}", run.throughput);
     }
 

@@ -11,7 +11,7 @@
 //! ```
 
 use turbopool::iosim::SECOND;
-use turbopool::workload::experiment::run_tpch;
+use turbopool::workload::runs::run_tpch;
 use turbopool::workload::scenario::Design;
 
 fn main() {

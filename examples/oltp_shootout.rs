@@ -10,7 +10,7 @@
 //! ```
 
 use turbopool::iosim::HOUR;
-use turbopool::workload::experiment::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool::workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool::workload::scenario::Design;
 
 fn main() {

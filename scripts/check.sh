@@ -57,7 +57,7 @@ TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling
 echo "==> brownout bench (quick, asserts CW/DW/LC >= 2x noSSD while degraded)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench brownout
 
-echo "==> fig5 bench (quick: two OLTP lists and the TPC-H runner through workload::experiment)"
+echo "==> fig5 bench (quick: two OLTP lists and the TPC-H runner through workload::runs)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench fig5
 
 echo "==> recovery bench (quick, emits BENCH_recovery.json)"

@@ -10,7 +10,7 @@
 //! Runs one experiment and prints the metric plus the cache counters.
 
 use turbopool::iosim::{HOUR, SECOND};
-use turbopool::workload::experiment::{self, Cell, DbStats, OltpKind, RunOptions};
+use turbopool::workload::runs::{self, Cell, DbStats, OltpKind, RunOptions};
 use turbopool::workload::scenario::Design;
 
 /// One checked invocation: every value parsed, nothing left to default
@@ -150,7 +150,7 @@ fn run_tpcc(design: Design, warehouses: u64, hours: u64, lambda: f64) {
         ..RunOptions::tpcc()
     };
     let cell = Cell::new(OltpKind::TpcC { warehouses }, design, opts);
-    let run = experiment::run_oltp(&[cell], hours * HOUR).runs.remove(0);
+    let run = runs::run_oltp(&[cell], hours * HOUR).runs.remove(0);
     println!(
         "tpmC (scaled, last hour): {:.2}   total NewOrders: {}",
         run.last_hour_per_min,
@@ -166,7 +166,7 @@ fn run_tpce(design: Design, customers: u64, hours: u64) {
     );
     let cell = Cell::new(OltpKind::TpcE { customers }, design, RunOptions::tpce());
     let dur = hours * HOUR;
-    let run = experiment::run_oltp(&[cell], dur).runs.remove(0);
+    let run = runs::run_oltp(&[cell], dur).runs.remove(0);
     println!(
         "tpsE (scaled, last hour): {:.4}   total TradeResults: {}",
         run.metric
@@ -181,7 +181,7 @@ fn run_tpch(design: Design, sf: u64, streams: usize) {
         "TPC-H-lite: SF {sf}, {} ({streams} throughput streams)",
         design.label()
     );
-    let run = experiment::run_tpch(sf, streams, &[design]).remove(0);
+    let run = runs::run_tpch(sf, streams, &[design]).remove(0);
     println!("\n-- power test --");
     for (name, dur) in &run.power.timings {
         println!("{name:>4}: {:8.1}s", *dur as f64 / SECOND as f64);

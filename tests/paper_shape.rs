@@ -19,7 +19,7 @@ fn hours(h: u64) -> u64 {
     }
 }
 use turbopool::workload::driver::{CleanerClient, Driver, ThroughputRecorder};
-use turbopool::workload::experiment::run_tpch;
+use turbopool::workload::runs::run_tpch;
 use turbopool::workload::scenario::Design;
 use turbopool::workload::tpcc::Tpcc;
 
