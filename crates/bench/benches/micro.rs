@@ -13,7 +13,7 @@ use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
-use turbopool_engine::btree::find_in_leaf;
+use turbopool_engine::btree::{find_in_leaf, sorted_head};
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, DbConfig};
 use turbopool_iosim::{
@@ -198,24 +198,60 @@ fn bench_pidmap_probe_vs_siphash() {
     );
 }
 
+/// An 8 KB B+-tree leaf of `n` entries, entry `i` holding `(key(i), i)`.
+fn leaf_of(n: u64, key: impl Fn(u64) -> u64) -> PageBuf {
+    let mut image = PageBuf::zeroed(FRAME);
+    let leaf = image.as_mut_slice();
+    leaf[2..4].copy_from_slice(&(n as u16).to_le_bytes());
+    for i in 0..n {
+        let off = 16 + i as usize * 16;
+        leaf[off..off + 8].copy_from_slice(&key(i).to_le_bytes());
+        leaf[off + 8..off + 16].copy_from_slice(&i.to_le_bytes());
+    }
+    image
+}
+
 /// A point lookup's scan over one full 8 KB leaf (511 unsorted entries).
 fn bench_btree_leaf_scan() {
-    const N: usize = 511;
-    let mut leaf = vec![0u8; FRAME];
-    leaf[2..4].copy_from_slice(&(N as u16).to_le_bytes());
-    for i in 0..N {
-        // Keys in a scrambled order, as appends leave them.
-        let key = (i as u64 * 211) % N as u64;
-        let off = 16 + i * 16;
-        leaf[off..off + 8].copy_from_slice(&key.to_le_bytes());
-        leaf[off + 8..off + 16].copy_from_slice(&(i as u64).to_le_bytes());
-    }
+    const N: u64 = 511;
+    // Keys in a scrambled order, as appends leave them.
+    let leaf = leaf_of(N, |i| i * 211 % N);
     let mut k = 0u64;
     bench("btree_find_in_leaf_511", 1_000_000, || {
-        k = (k + 97) % N as u64;
-        let at = find_in_leaf(std::hint::black_box(&leaf), k);
+        k = (k + 97) % N;
+        let at = find_in_leaf(std::hint::black_box(&leaf), 0, k);
         std::hint::black_box(at.expect("every key is present"));
     });
+}
+
+/// A point lookup in a bulk-loaded 8 KB leaf (357 entries, the loaders'
+/// 0.7 fill, all sorted): a binary search of the sorted head, its length
+/// read from the slot cached on the page image, against the head-0 scan.
+fn bench_btree_sorted_head() {
+    const N: u64 = 357;
+    let image = leaf_of(N, |i| i * 3);
+    assert_eq!(image.derived(sorted_head), N, "bulk-loaded: all sorted");
+    let lookup = |name: &str, head: fn(&PageBuf) -> usize| {
+        let mut k = 0u64;
+        bench(name, 1_000_000, || {
+            k = (k + 97) % N;
+            let image = std::hint::black_box(&image);
+            let at = find_in_leaf(image, head(image), k * 3);
+            std::hint::black_box(at.expect("every key is present"));
+        })
+    };
+    let scan_ns = lookup("btree_find_in_leaf_357_scan", |_| 0);
+    let head_ns = lookup("btree_find_in_leaf_357_head", |image| {
+        image.derived(sorted_head) as usize
+    });
+    assert!(
+        head_ns < scan_ns,
+        "the sorted-head search is no faster than the scan"
+    );
+    println!(
+        "btree sorted head delta: {:.1} ns saved per leaf",
+        scan_ns - head_ns
+    );
 }
 
 /// The LRU-2 history-prune delta (PR 8 satellite): finding the median
@@ -629,6 +665,7 @@ fn main() {
     bench_pool_hit();
     bench_pidmap_probe_vs_siphash();
     bench_btree_leaf_scan();
+    bench_btree_sorted_head();
     bench_history_prune();
     bench_ssd_manager();
     bench_pool_miss_ssd_hit();

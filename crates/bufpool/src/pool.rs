@@ -732,7 +732,13 @@ impl PageGuard<'_> {
 
     /// Read access to the page bytes.
     pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(self.pool.data[self.slot].read().as_slice())
+        self.read_image(|image| f(image))
+    }
+
+    /// Read access to the frame's image itself, for a reader that keeps a
+    /// value derived from the bytes on it ([`PageBuf::derived`]).
+    pub fn read_image<R>(&self, f: impl FnOnce(&PageBuf) -> R) -> R {
+        f(&self.pool.data[self.slot].read())
     }
 
     /// Write access to the page bytes; marks the page dirty and invalidates

@@ -194,7 +194,7 @@ mod tests {
             }
         }
         // Seeded random sweep over a wider version domain.
-        let mut rng = SmallRng::seed_from_u64(0xF16_3);
+        let mut rng = SmallRng::seed_from_u64(0xF163);
         for _ in 0..10_000 {
             let draw = |rng: &mut SmallRng| -> Option<u64> {
                 rng.gen_bool(0.4).then(|| rng.gen_range(0u64..100))

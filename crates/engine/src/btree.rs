@@ -9,14 +9,20 @@
 //! [16..]   entries, 16 bytes each: (key u64 LE, value/child u64 LE)
 //! ```
 //!
-//! Entries within a node are **unsorted**: lookups scan linearly (virtual
-//! time charges only I/O; the host time of the scan is real and is tracked
-//! by the benchmark as `engine.index_get_ns`) and inserts append, so a
-//! non-splitting insert dirties ~18 bytes — keeping the physical redo log near the volume a
-//! physiological-logging engine would generate. Nodes sort their entries
-//! only when they split. A zeroed page decodes as an empty leaf, so a fresh
-//! index root needs no initialization I/O. Deletes remove the entry without
-//! rebalancing (the classic lazy-deletion simplification).
+//! Entries within a node are **not kept sorted**: inserts append, so a
+//! non-splitting insert dirties ~18 bytes — keeping the physical redo log
+//! near the volume a physiological-logging engine would generate. Splits
+//! and the bulk loader write nodes sorted, so every node is a **sorted
+//! head** and an unsorted tail: an append extends the head or ends it, a
+//! delete's swap-remove may cut it short. Lookups binary-search the head
+//! and scan the tail; at head 0 that is a linear scan. The head's length
+//! ([`sorted_head`]) is cached on the page image (`PageBuf::derived`),
+//! which clears it on any mutable access; page bytes, redo records and
+//! virtual time do not depend on it (the host time is real and tracked by
+//! the benchmark as `engine.index_get_ns`). A zeroed page decodes as an
+//! empty leaf, so a fresh index root needs no initialization I/O. Deletes
+//! remove the entry without rebalancing (the classic lazy-deletion
+//! simplification).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,12 +159,36 @@ fn record_val(e: &[u8; ENTRY]) -> u64 {
     u64::from_le_bytes(e[8..].try_into().unwrap())
 }
 
-/// Child pid routing `key` in an internal node: the child of the greatest
-/// separator key `<= key` (the first such entry, should a separator ever
-/// repeat), or the leftmost child when every separator is greater.
-fn search_child(b: &[u8], key: u64) -> u64 {
-    let mut best: Option<(u64, &[u8; ENTRY])> = None;
-    for e in entry_records(b) {
+/// Length of node `b`'s sorted head: its longest prefix of entries in
+/// non-decreasing key order (`pub` for the micro bench).
+pub fn sorted_head(b: &[u8]) -> u64 {
+    let mut prev = 0;
+    let keys = entry_records(b).iter().map(record_key);
+    keys.take_while(|&k| std::mem::replace(&mut prev, k) <= k)
+        .count() as u64
+}
+
+/// Read node `pid` with the length of its sorted head, cached on its image.
+fn read_node<R>(txn: &mut Txn<'_, '_>, pid: PageId, f: impl FnOnce(&[u8], usize) -> R) -> R {
+    txn.read_image(pid, Locality::Random, |image| {
+        f(image, image.derived(sorted_head) as usize)
+    })
+}
+
+/// Child pid routing `key` in an internal node whose first `head` entries
+/// are sorted: the child of the greatest separator key `<= key` (the first
+/// such entry, should a separator ever repeat), or the leftmost child when
+/// every separator is greater.
+fn search_child(b: &[u8], head: usize, key: u64) -> u64 {
+    let (sorted, tail) = entry_records(b).split_at(head);
+    let mut best = match sorted.partition_point(|e| record_key(e) <= key) {
+        0 => None,
+        at => {
+            let k = record_key(&sorted[at - 1]);
+            Some((k, &sorted[sorted.partition_point(|e| record_key(e) < k)]))
+        }
+    };
+    for e in tail {
         let k = record_key(e);
         if k <= key && best.is_none_or(|(bk, _)| k > bk) {
             best = Some((k, e));
@@ -167,10 +197,38 @@ fn search_child(b: &[u8], key: u64) -> u64 {
     best.map_or_else(|| extra(b), |(_, e)| record_val(e))
 }
 
-/// Index of `key`'s entry in leaf `b`, if present (`pub` for the micro
-/// bench's `btree_find_in_leaf_511` rung).
-pub fn find_in_leaf(b: &[u8], key: u64) -> Option<usize> {
-    entry_records(b).iter().position(|e| record_key(e) == key)
+/// Index of `key`'s first entry in leaf `b` whose first `head` entries are
+/// sorted, if present (`pub` for the micro bench's `btree_find_in_leaf_*`
+/// rungs).
+pub fn find_in_leaf(b: &[u8], head: usize, key: u64) -> Option<usize> {
+    let (sorted, tail) = entry_records(b).split_at(head);
+    let at = sorted.partition_point(|e| record_key(e) < key);
+    if sorted.get(at).is_some_and(|e| record_key(e) == key) {
+        return Some(at);
+    }
+    tail.iter()
+        .position(|e| record_key(e) == key)
+        .map(|i| head + i)
+}
+
+/// The entries of leaf `b` (first `head` sorted) with keys in `lo..=hi`,
+/// in entry order, and whether any key lies beyond `hi`.
+fn leaf_range(b: &[u8], head: usize, lo: u64, hi: u64) -> (Vec<(u64, u64)>, bool) {
+    let pair = |e: &[u8; ENTRY]| (record_key(e), record_val(e));
+    let (sorted, tail) = entry_records(b).split_at(head);
+    let from = sorted.partition_point(|e| record_key(e) < lo);
+    let to = sorted.partition_point(|e| record_key(e) <= hi);
+    let mut in_range: Vec<_> = sorted[from..to.max(from)].iter().map(pair).collect();
+    let mut beyond = to < head;
+    for e in tail {
+        let k = record_key(e);
+        if k >= lo && k <= hi {
+            in_range.push(pair(e));
+        } else if k > hi {
+            beyond = true;
+        }
+    }
+    (in_range, beyond)
 }
 
 // ---------------------------------------------------------------------
@@ -187,8 +245,8 @@ fn descend(
 ) -> PageId {
     let mut pid = meta.root;
     loop {
-        let next = txn.read_page(pid, Locality::Random, |b| {
-            (node_type(b) == INTERNAL).then(|| search_child(b, key))
+        let next = read_node(txn, pid, |b, head| {
+            (node_type(b) == INTERNAL).then(|| search_child(b, head, key))
         });
         match next {
             Some(child) => {
@@ -205,7 +263,7 @@ pub fn insert(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64, val: u64) {
     let cap = node_capacity(txn.page_size());
     let mut path = Vec::new();
     let leaf = descend(txn, meta, key, |p| path.push(p));
-    if let Some(slot) = txn.read_page(leaf, Locality::Random, |b| find_in_leaf(b, key)) {
+    if let Some(slot) = read_node(txn, leaf, |b, head| find_in_leaf(b, head, key)) {
         txn.write_page(leaf, Locality::Random, |b| put_entry(b, slot, key, val));
         return;
     }
@@ -297,8 +355,8 @@ fn insert_into_parent(
 /// Point lookup.
 pub fn get(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> Option<u64> {
     let leaf = descend(txn, meta, key, |_| ());
-    txn.read_page(leaf, Locality::Random, |b| {
-        find_in_leaf(b, key).map(|i| entry(b, i).1)
+    read_node(txn, leaf, |b, head| {
+        find_in_leaf(b, head, key).map(|i| entry(b, i).1)
     })
 }
 
@@ -313,17 +371,8 @@ pub fn range(
     let mut leaf = descend(txn, meta, lo, |_| ());
     let mut out = Vec::new();
     loop {
-        let (mut in_range, any_beyond, next) = txn.read_page(leaf, Locality::Random, |b| {
-            let mut in_range = Vec::new();
-            let mut beyond = false;
-            for i in 0..nkeys(b) {
-                let (k, v) = entry(b, i);
-                if k >= lo && k <= hi {
-                    in_range.push((k, v));
-                } else if k > hi {
-                    beyond = true;
-                }
-            }
+        let (mut in_range, any_beyond, next) = read_node(txn, leaf, |b, head| {
+            let (in_range, beyond) = leaf_range(b, head, lo, hi);
             (in_range, beyond, extra(b))
         });
         in_range.sort_unstable();
@@ -340,7 +389,7 @@ pub fn range(
 /// Remove `key`; returns whether it existed. No rebalancing.
 pub fn delete(txn: &mut Txn<'_, '_>, meta: &IndexMeta, key: u64) -> bool {
     let leaf = descend(txn, meta, key, |_| ());
-    let slot = txn.read_page(leaf, Locality::Random, |b| find_in_leaf(b, key));
+    let slot = read_node(txn, leaf, |b, head| find_in_leaf(b, head, key));
     let Some(slot) = slot else { return false };
     txn.write_page(leaf, Locality::Random, |b| {
         let n = nkeys(b);
@@ -358,8 +407,8 @@ mod tests {
     use super::*;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
-    /// The per-entry indexed loops `search_child` and `find_in_leaf`
-    /// replaced, kept as the reference the kernels are compared against.
+    /// The per-entry indexed loops the kernels replaced, kept as the
+    /// reference they are compared against: each is the kernel at head 0.
     fn search_child_indexed(b: &[u8], key: u64) -> u64 {
         let mut best: Option<(u64, u64)> = None;
         for i in 0..nkeys(b) {
@@ -373,6 +422,20 @@ mod tests {
 
     fn find_in_leaf_indexed(b: &[u8], key: u64) -> Option<usize> {
         (0..nkeys(b)).find(|&i| entry(b, i).0 == key)
+    }
+
+    fn leaf_range_indexed(b: &[u8], lo: u64, hi: u64) -> (Vec<(u64, u64)>, bool) {
+        let mut in_range = Vec::new();
+        let mut beyond = false;
+        for i in 0..nkeys(b) {
+            let (k, v) = entry(b, i);
+            if k >= lo && k <= hi {
+                in_range.push((k, v));
+            } else if k > hi {
+                beyond = true;
+            }
+        }
+        (in_range, beyond)
     }
 
     #[test]
@@ -405,24 +468,62 @@ mod tests {
                     }
                     es.push((k, 1_000 + es.len() as u64));
                 }
+                // Four nodes in five get a sorted head of `cut` entries
+                // ahead of an unsorted tail, as bulk loads, splits and
+                // appends leave them; with repeats, a head key recurs in
+                // the head and in the tail.
+                let cut = if round % 5 == 4 {
+                    0
+                } else {
+                    rng.gen_range(0..=n as u64) as usize
+                };
+                if round % 3 != 0 && cut >= 2 {
+                    es[1].0 = es[0].0;
+                }
+                es[..cut].sort_unstable_by_key(|&(k, _)| k);
+                if round % 3 != 0 && cut >= 1 && cut < n {
+                    let (from, to) = (
+                        rng.gen_range(0..cut as u64),
+                        rng.gen_range(cut as u64..n as u64),
+                    );
+                    es[to as usize].0 = es[from as usize].0;
+                }
                 write_entries(&mut b, &es);
+                let full = sorted_head(&b) as usize;
+                assert!(full >= cut && full <= n, "head {full} of {n}, cut {cut}");
+                assert!(es[..full].is_sorted_by_key(|&(k, _)| k), "head unsorted");
+                assert!(full == n || es[full].0 < es[full - 1].0, "head stops early");
+                // Every head length the kernels may be given, when that
+                // is cheap; the ends and the middle otherwise.
+                let heads: Vec<usize> = if cap < 64 || round % 16 == 3 {
+                    (0..=full).collect()
+                } else {
+                    vec![0, full / 2, full]
+                };
+                // Every stored key is a probe, or every fourth on a large
+                // node checked at every head length.
+                let stride = if heads.len() > 64 { 4 } else { 1 };
                 let probes = (0..64)
                     .map(|_| 100 + rng.gen_range(0..domain))
-                    .chain(es.iter().map(|&(k, _)| k))
+                    .chain(es.iter().step_by(stride).map(|&(k, _)| k))
                     // Below every key, above every key, the extremes.
                     .chain([0, 99, 100 + domain, u64::MAX]);
                 for key in probes.collect::<Vec<_>>() {
-                    assert_eq!(
-                        search_child(&b, key),
-                        search_child_indexed(&b, key),
-                        "search_child n={n} key={key}"
-                    );
-                    assert_eq!(
-                        find_in_leaf(&b, key),
-                        find_in_leaf_indexed(&b, key),
-                        "find_in_leaf n={n} key={key}"
-                    );
+                    let hi = key.saturating_add(rng.gen_range(0..domain / 4));
+                    let child = search_child_indexed(&b, key);
+                    let found = find_in_leaf_indexed(&b, key);
+                    let in_range = leaf_range_indexed(&b, key, hi);
+                    for &head in &heads {
+                        let at = (n, head, key, hi);
+                        assert_eq!(search_child(&b, head, key), child, "search_child {at:?}");
+                        assert_eq!(find_in_leaf(&b, head, key), found, "find_in_leaf {at:?}");
+                        assert_eq!(leaf_range(&b, head, key, hi), in_range, "leaf_range {at:?}");
+                    }
                 }
+                assert_eq!(
+                    leaf_range(&b, full, 500, 400),
+                    leaf_range_indexed(&b, 500, 400)
+                );
             }
         }
     }
@@ -452,11 +553,14 @@ mod tests {
         b[0] = INTERNAL;
         set_extra(&mut b, 100); // leftmost
         write_entries(&mut b, &[(50, 102), (10, 101)]); // unsorted on purpose
-        assert_eq!(search_child(&b, 5), 100);
-        assert_eq!(search_child(&b, 10), 101);
-        assert_eq!(search_child(&b, 49), 101);
-        assert_eq!(search_child(&b, 50), 102);
-        assert_eq!(search_child(&b, 1000), 102);
+        assert_eq!(sorted_head(&b), 1);
+        for head in [0, 1] {
+            assert_eq!(search_child(&b, head, 5), 100);
+            assert_eq!(search_child(&b, head, 10), 101);
+            assert_eq!(search_child(&b, head, 49), 101);
+            assert_eq!(search_child(&b, head, 50), 102);
+            assert_eq!(search_child(&b, head, 1000), 102);
+        }
     }
 
     #[test]

@@ -206,15 +206,13 @@ impl Database {
         let mut store = SalvageStore { io: &self.io };
         // The durable log is replayed where it lies, not copied out.
         let replay = |log: &[u8]| turbopool_wal::salvage(log, &mut store, &pids);
-        let n = match self.log.durable_handle().with_bytes(replay) {
-            Ok(n) => n,
-            // A salvage write failed even after unbounded transient retry:
-            // the disk tier itself is dead. The failing page was marked as
-            // a lost write inside the store, so its readers will surface
-            // the device error instead of zeroes; there is nothing more a
-            // salvage pass can do.
-            Err(_) => 0,
-        };
+        // An error is a salvage write that failed even after unbounded
+        // transient retry: the disk tier itself is dead. The failing page
+        // was marked as a lost write inside the store, so its readers will
+        // surface the device error instead of zeroes; there is nothing more
+        // a salvage pass can do.
+        let salvaged = self.log.durable_handle().with_bytes(replay);
+        let n = salvaged.unwrap_or_default();
         if let Some(m) = &self.ssd {
             m.metrics
                 .salvaged_pages

@@ -630,7 +630,7 @@ impl ExplorerConfig {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut inserted: u64 = 0;
         let mut op = |i: usize| {
-            if self.checkpoint_every != 0 && i > 0 && i % self.checkpoint_every == 0 {
+            if self.checkpoint_every != 0 && i > 0 && i.is_multiple_of(self.checkpoint_every) {
                 return Op::Checkpoint;
             }
             let val = ((i as u64 + 1) << 20) | rng.gen_range(0u64..1 << 20);

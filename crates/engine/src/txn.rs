@@ -487,11 +487,22 @@ impl<'d, 'c> Txn<'d, 'c> {
     /// locality (index lookups are random; scans go through
     /// [`Database::scan_heap`] instead).
     pub fn read_page<R>(&mut self, pid: PageId, class: Locality, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.read_image(pid, class, |image| f(image))
+    }
+
+    /// [`read_page`](Self::read_page) lending the page's image, for a reader
+    /// that keeps a value derived from its bytes on it ([`PageBuf::derived`]).
+    pub fn read_image<R>(
+        &mut self,
+        pid: PageId,
+        class: Locality,
+        f: impl FnOnce(&PageBuf) -> R,
+    ) -> R {
         if let Some(page) = self.overlay.get_mut(&pid) {
             return f(page.own(&self.ops));
         }
         match self.pin(pid, class) {
-            Some(g) => g.read(f),
+            Some(g) => g.read_image(f),
             None => f(&self.db.io().zero_page()),
         }
     }

@@ -98,11 +98,18 @@ pub struct PageBuf {
     /// [`frame_sum`] of `data`, or [`NO_SUM`] while nobody has asked for
     /// it. Per handle: a clone carries it, any mutable access clears it.
     sum: AtomicU64,
+    /// The value [`derived`](Self::derived) last computed from `data`, or
+    /// [`NO_DERIVED`]. Kept exactly like `sum`.
+    derived: AtomicU64,
 }
 
 /// "Not computed" marker of the cached checksum. An image whose real sum
 /// is this value is merely summed again on every ask.
 const NO_SUM: u64 = 0;
+
+/// "Not computed" marker of the derived-value slot. A value equal to it
+/// is merely derived again on every ask.
+const NO_DERIVED: u64 = u64::MAX;
 
 impl PageBuf {
     /// A zeroed page of `page_size` bytes.
@@ -120,7 +127,14 @@ impl PageBuf {
         PageBuf {
             data,
             sum: AtomicU64::new(NO_SUM),
+            derived: AtomicU64::new(NO_DERIVED),
         }
+    }
+
+    /// Forget both cached values: the bytes are about to change.
+    fn forget(&mut self) {
+        *self.sum.get_mut() = NO_SUM;
+        *self.derived.get_mut() = NO_DERIVED;
     }
 
     /// Page size in bytes.
@@ -146,7 +160,7 @@ impl PageBuf {
     /// the other holders keep the bytes they had.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        *self.sum.get_mut() = NO_SUM;
+        self.forget();
         Arc::make_mut(&mut self.data)
     }
 
@@ -164,7 +178,7 @@ impl PageBuf {
     /// when this handle is the only one, else into a fresh image.
     pub fn copy_from(&mut self, src: &[u8]) {
         assert_eq!(src.len(), self.len(), "page size mismatch");
-        *self.sum.get_mut() = NO_SUM;
+        self.forget();
         match Arc::get_mut(&mut self.data) {
             Some(own) => own.copy_from_slice(src),
             None => self.data = src.into(),
@@ -197,14 +211,35 @@ impl PageBuf {
             sum => sum,
         }
     }
+
+    /// The value `derive` computes from the bytes, cached in one slot and
+    /// kept like [`sum`](Self::sum): clones carry it, every mutable access
+    /// clears it. The slot belongs to whoever owns the page's format, so
+    /// every caller on one page passes the same `derive`. Debug builds
+    /// recompute it on every cache hit and assert that it still matches.
+    pub fn derived(&self, derive: fn(&[u8]) -> u64) -> u64 {
+        match self.derived.load(Ordering::Relaxed) {
+            NO_DERIVED => {
+                let v = derive(&self.data);
+                // Publishes nothing but itself, as `sum` does.
+                self.derived.store(v, Ordering::Relaxed);
+                v
+            }
+            v => {
+                debug_assert_eq!(v, derive(&self.data), "derived value outlived its bytes");
+                v
+            }
+        }
+    }
 }
 
 impl Clone for PageBuf {
-    /// Another handle on the same image (and its checksum, if known).
+    /// Another handle on the same image (and its cached values, if known).
     fn clone(&self) -> Self {
         PageBuf {
             data: Arc::clone(&self.data),
             sum: AtomicU64::new(self.sum.load(Ordering::Relaxed)),
+            derived: AtomicU64::new(self.derived.load(Ordering::Relaxed)),
         }
     }
 }
@@ -429,6 +464,38 @@ mod tests {
         a.sum();
         a.overwrite_slice();
         assert_eq!(cached(&a), NO_SUM);
+    }
+
+    #[test]
+    fn derived_is_cached_carried_by_clone_and_cleared_by_each_mutator() {
+        fn first_byte(b: &[u8]) -> u64 {
+            u64::from(b[0])
+        }
+        let cached =
+            |p: &PageBuf| Some(p.derived.load(Ordering::Relaxed)).filter(|&v| v != NO_DERIVED);
+        let mut a = PageBuf::from_slice(&[3u8; 64]);
+        assert_eq!(cached(&a), None);
+        assert_eq!(a.derived(first_byte), 3);
+        assert_eq!(cached(&a), Some(3));
+        let b = a.clone();
+        assert_eq!(cached(&b), Some(3), "clone carries the value");
+        // Each of the four mutators forgets it; the next ask sees the new
+        // bytes, and the other handle keeps its own.
+        let mutators: [fn(&mut PageBuf); 4] = [
+            |p| p.as_mut_slice()[0] = 4,
+            |p| p[0] = 5,
+            |p| p.copy_from(&[6u8; 64]),
+            |p| p.overwrite_slice().fill(7),
+        ];
+        for (i, mutate) in mutators.into_iter().enumerate() {
+            a.derived(first_byte);
+            let shared = a.clone();
+            mutate(&mut a);
+            assert_eq!(cached(&a), None, "mutator {i} kept the value");
+            assert_eq!(a.derived(first_byte), i as u64 + 4, "mutator {i}");
+            assert_eq!(cached(&shared), Some(i as u64 + 3));
+        }
+        assert_eq!(cached(&b), Some(3));
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn committed_state_survives_random_crashes() {
             seed: case,
             ..Rig::new(12, 1024, ssd)
         };
-        let mut rng = SmallRng::seed_from_u64(0xC4A5_4 ^ case);
+        let mut rng = SmallRng::seed_from_u64(0xC4A54 ^ case);
         let mut ops: Vec<Op> = (0..rng.gen_range(10usize..120))
             .map(|_| draw_op(&mut rng))
             .collect();

@@ -20,7 +20,7 @@ fn profile() -> DeviceProfile {
 #[test]
 fn completion_respects_service_time() {
     for case in 0u64..32 {
-        let mut rng = SmallRng::seed_from_u64(0xDE1_CE ^ case);
+        let mut rng = SmallRng::seed_from_u64(0xDE1CE ^ case);
         let d = SimDevice::new("t", profile());
         for _ in 0..rng.gen_range(1usize..200) {
             let now = rng.gen_range(0u64..10 * SECOND);

@@ -287,8 +287,8 @@ fn parallel_replay_of_brownout_matches_sequential() {
     // alone. LC carries the sole-copy-dirty hedging exception; CW is the
     // simplest all-clean design — cover both.
     for design in [SsdDesign::CleanWrite, SsdDesign::LazyCleaning] {
-        let seq = sequential_outcome(design, 0xB70_07, Fault::Brownout);
-        let par = parallel_outcome(design, 0xB70_07, Fault::Brownout);
+        let seq = sequential_outcome(design, 0xB7007, Fault::Brownout);
+        let par = parallel_outcome(design, 0xB7007, Fault::Brownout);
         assert_eq!(par, seq, "{design:?}: brownout fleet diverged from alone");
         // Non-vacuity: the brownout actually tripped the detector and
         // diverted traffic.
