@@ -395,6 +395,16 @@ fn bench_ssd_frame() {
         let read = io.read_ssd(&mut clk, (i * 7919) % FRAMES, &mut image);
         read.expect("no fault plan attached");
     });
+    // A frame damaged at rest holds another image than its write meant, so
+    // its read is the one that sums both.
+    let damaged = FRAMES - 1;
+    let mut bytes = io.ssd_store().read_buf(PageId(damaged)).to_vec();
+    bytes[0] ^= 1;
+    io.ssd_store().write(PageId(damaged), &bytes);
+    bench("ssd_frame_read_damaged", 200_000, || {
+        let read = io.read_ssd(&mut clk, damaged, &mut image);
+        read.expect_err("damaged at rest");
+    });
     bench("ssd_frame_write_slice", 200_000, || {
         i += 1;
         let frame = (i * 7919) % FRAMES;

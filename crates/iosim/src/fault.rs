@@ -476,8 +476,10 @@ fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
 /// Every input byte enters exactly one lane through a step that is a
 /// bijection of that lane, so two frames that differ in a single word (any
 /// single-bit flip, any tear confined to one word) always differ in exactly
-/// one final lane and therefore in the sum; wider differences collide with
-/// probability 2⁻⁶⁴. The value is independent of host endianness. Not a
+/// one final lane and therefore in the sum. Wider differences are not all
+/// that safe: a multiply carries a flip of a word's top bit to the lane's
+/// top bit alone, so flipping bit 63 of one lane word and bit 28 (the
+/// rotated top bit) of the same lane's word one block later cancels. The value is independent of host endianness. Not a
 /// format: nothing persists it across builds, so it may be retuned freely
 /// — unlike [`checksum`].
 pub fn frame_sum(data: &[u8]) -> u64 {

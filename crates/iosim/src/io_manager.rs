@@ -83,8 +83,8 @@ pub struct IoManager {
     /// real cache stores inside each cached page — persisted with the page
     /// at no extra I/O cost, and the basis of warm-restart validation.
     ssd_tags: Vec<std::sync::atomic::AtomicU64>,
-    /// [`fault::frame_sum`] of the bytes each SSD frame was *meant* to
-    /// hold, recorded at write submission and verified on every read.
+    /// The image each SSD frame was *meant* to hold (`None` = never
+    /// written), recorded at write submission and verified on every read.
     /// Models the in-page checksum a real cache stores beside the page-id
     /// header (same persistence argument as `ssd_tags`): injected torn
     /// writes and bit flips corrupt the stored bytes but not this intent
@@ -92,12 +92,12 @@ pub struct IoManager {
     /// bad bytes. Lives and dies with this `IoManager`, so unlike the
     /// WAL's FNV-1a record trailer it is not a format.
     ///
-    /// The sum of an image is computed once and travels with its handles
-    /// ([`PageBuf::sum`]): an undamaged frame holds the very image whose
-    /// sum was recorded, so verifying it compares two cached words. A
+    /// An undamaged frame holds the very image recorded here, which is
+    /// checked by identity ([`PageBuf::same_image`]) and sums nothing. A
     /// damaged frame — torn, bit-flipped, or overwritten at rest — holds
-    /// bytes nobody summed, hence a different image, summed when read.
-    ssd_sums: Vec<std::sync::atomic::AtomicU64>,
+    /// a different image, and only then are the two compared by
+    /// [`fault::frame_sum`].
+    ssd_intents: Vec<RwLock<Option<PageBuf>>>,
     log_dev: SimDevice,
     /// Fault stream for the database disk group, if any.
     disk_fault: RwLock<Option<Arc<FaultPlan>>>,
@@ -133,9 +133,7 @@ impl IoManager {
             ssd_tags: (0..setup.ssd_frames)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            ssd_sums: (0..setup.ssd_frames)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
+            ssd_intents: (0..setup.ssd_frames).map(|_| RwLock::new(None)).collect(),
             log_dev: SimDevice::new("log", setup.log_profile),
             disk_fault: RwLock::new(None),
             ssd_fault: RwLock::new(None),
@@ -571,9 +569,8 @@ impl IoManager {
     /// still in `buf` for forensics; callers must not use them as page data.
     ///
     /// As with [`Self::read_disk`], a byte buffer gets a copy and a
-    /// [`PageBuf`] a handle on the frame's image. Either way the image's
-    /// own checksum is what is verified, so a frame read twice is summed
-    /// once.
+    /// [`PageBuf`] a handle on the frame's image. A frame that still holds
+    /// the image its last write meant is intact without a checksum pass.
     pub fn read_ssd<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
@@ -596,10 +593,12 @@ impl IoManager {
             scale,
         );
         let image = self.ssd_store.read_buf(PageId(frame));
-        let written = self.ssd_tags[frame as usize].load(std::sync::atomic::Ordering::Relaxed) != 0;
-        let intact = !written
-            || image.sum()
-                == self.ssd_sums[frame as usize].load(std::sync::atomic::Ordering::Relaxed);
+        let intact = self.ssd_intents[frame as usize]
+            .read()
+            .as_ref()
+            .is_none_or(|meant| {
+                meant.same_image(&image) || fault::frame_sum(meant) == fault::frame_sum(&image)
+            });
         buf.set(image);
         let done = t.complete + extra;
         self.ssd_health
@@ -619,9 +618,9 @@ impl IoManager {
     /// is the database page the frame now caches (stored as an in-page
     /// header, see `ssd_tag`).
     ///
-    /// The checksum of the *intended* bytes is always recorded; injected
-    /// silent corruption (torn prefix, bit flip) damages only the stored
-    /// copy, so the next [`Self::read_ssd`] of this frame detects it.
+    /// The *intended* image is always recorded; injected silent corruption
+    /// (torn prefix, bit flip) lands in a fresh image of the stored copy
+    /// only, so the next [`Self::read_ssd`] of this frame detects it.
     ///
     /// A [`PageBuf`] is stored by sharing its image, a byte slice by copying
     /// it into the frame's.
@@ -638,16 +637,16 @@ impl IoManager {
             WriteFate::Torn => {
                 // Power died mid-frame: a deterministic half-frame prefix
                 // of the new bytes lands over the old tail, while the
-                // intent records (tag + checksum of the full new bytes)
-                // are updated — so the next read of this frame reports
+                // intent records (tag + the full new image) are updated —
+                // so the next read of this frame reports
                 // `ChecksumMismatch` instead of serving the hybrid.
-                let bytes = data.bytes();
-                let keep = (self.page_size / 2).max(1).min(bytes.len());
-                self.tear_ssd_frame(frame, bytes, keep);
-                self.record_ssd_intent(frame, fault::frame_sum(bytes), tag);
+                let meant = Self::intended(data);
+                let keep = (self.page_size / 2).max(1).min(meant.len());
+                self.tear_ssd_frame(frame, &meant, keep);
+                self.record_ssd_intent(frame, meant, tag);
                 return Err(Self::power_err(FaultDevice::Ssd, now));
             }
-            // Dropped: the old frame (tag, checksum, bytes) stays intact —
+            // Dropped: the old frame (tag, intent, bytes) stays intact —
             // frame-granularity atomicity for a write that never started.
             WriteFate::Dropped => return Err(Self::power_err(FaultDevice::Ssd, now)),
         }
@@ -660,23 +659,35 @@ impl IoManager {
         self.ssd_health
             .observe(Self::observed_ns(&t, extra, 1), depth);
         let plan = self.plan_for(FaultDevice::Ssd);
-        let bytes = data.bytes();
-        let intent = if let Some(len) = plan.as_ref().and_then(|p| p.torn_prefix(bytes.len())) {
-            self.tear_ssd_frame(frame, bytes, len);
-            fault::frame_sum(bytes)
-        } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(bytes.len())) {
-            let mut flipped = PageBuf::from_slice(bytes);
-            flipped[byte] ^= mask;
+        let len = data.bytes().len();
+        let meant = if let Some(keep) = plan.as_ref().and_then(|p| p.torn_prefix(len)) {
+            let meant = Self::intended(data);
+            self.tear_ssd_frame(frame, &meant, keep);
+            meant
+        } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(len)) {
+            let meant = Self::intended(data);
+            let mut flipped = meant.clone();
+            flipped[byte] ^= mask; // copies: `meant` keeps the intended bytes
             self.ssd_store.write_buf(PageId(frame), flipped);
-            fault::frame_sum(bytes)
+            meant
         } else {
-            // The stored image is the intended one: sum it where it now
-            // lives, so the handles later reads clone out carry the sum.
+            // The stored image is the intended one. The old intent goes
+            // first, so a slice still lands in the frame's own image when
+            // nothing else shares it.
+            self.ssd_intents[frame as usize].write().take();
             self.ssd_store.put(PageId(frame), data);
-            self.ssd_store.sum(PageId(frame))
+            self.ssd_store.read_buf(PageId(frame))
         };
-        self.record_ssd_intent(frame, intent, tag);
+        self.record_ssd_intent(frame, meant, tag);
         Ok(t.complete + extra)
+    }
+
+    /// The image a frame write means: the writer's own, or a copy of its
+    /// bytes.
+    fn intended<S: PageSrc + ?Sized>(data: &S) -> PageBuf {
+        data.as_image()
+            .cloned()
+            .unwrap_or_else(|| PageBuf::from_slice(data.bytes()))
     }
 
     /// Torn frame write: the first `keep` bytes of `data` land over the
@@ -688,12 +699,11 @@ impl IoManager {
         self.ssd_store.write_buf(PageId(frame), merged);
     }
 
-    /// Update `frame`'s intent records — `sum`, of the bytes it was meant
-    /// to hold, and the page it caches — whatever actually reached the store.
-    fn record_ssd_intent(&self, frame: u64, sum: u64, tag: PageId) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.ssd_sums[frame as usize].store(sum, Relaxed);
-        self.ssd_tags[frame as usize].store(tag.0 + 1, Relaxed);
+    /// Update `frame`'s intent records — the image it was meant to hold,
+    /// and the page it caches — whatever actually reached the store.
+    fn record_ssd_intent(&self, frame: u64, meant: PageBuf, tag: PageId) {
+        *self.ssd_intents[frame as usize].write() = Some(meant);
+        self.ssd_tags[frame as usize].store(tag.0 + 1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Synchronously write one SSD frame.
@@ -987,15 +997,17 @@ mod tests {
         // A run write shares each image too.
         io.write_disk_run_async(clk.now, PageId(20), &run).unwrap();
         assert_eq!(io.disk_store().read_buf(PageId(21)).as_ptr(), page.as_ptr());
-        // SSD: same, and the frame's checksum is the image's own — summed
-        // once at the write, carried by every handle read back.
-        assert_eq!(page.cached_sum(), None);
+        // SSD: same, and the frame's intent record is that image too, so
+        // reading it back is checked by identity.
         io.write_ssd_sync(&mut clk, 3, &page, PageId(77)).unwrap();
         assert_eq!(io.ssd_store().read_buf(PageId(3)).as_ptr(), page.as_ptr());
+        assert!(io.ssd_intents[3]
+            .read()
+            .as_ref()
+            .is_some_and(|m| m.same_image(&page)));
         let mut got = io.zero_page();
         io.read_ssd(&mut clk, 3, &mut got).unwrap();
         assert_eq!(got.as_ptr(), page.as_ptr());
-        assert_eq!(got.cached_sum(), Some(fault::frame_sum(&page)));
         // A reader that edits its handle changes nobody else's bytes.
         got[0] = 0;
         let mut buf = vec![0u8; 64];
@@ -1004,20 +1016,26 @@ mod tests {
     }
 
     #[test]
-    fn slice_writes_seed_the_stored_sum_and_reuse_the_stored_image() {
+    fn slice_writes_record_the_stored_image_and_reuse_it() {
         let io = io();
         let mut clk = Clk::new();
+        let intent = |io: &IoManager| io.ssd_intents[5].read().clone().expect("written");
         io.write_ssd_sync(&mut clk, 5, &[0x31; 64], PageId(1))
             .unwrap();
         let stored = io.ssd_store().read_buf(PageId(5));
-        assert_eq!(stored.cached_sum(), Some(fault::frame_sum(&[0x31; 64])));
+        assert!(
+            intent(&io).same_image(&stored),
+            "the intent is the stored image"
+        );
+        let at = stored.as_ptr();
         drop(stored);
-        let at = io.ssd_store().read_buf(PageId(5)).as_ptr();
+        // The intent shares the frame's image, yet the next slice write
+        // still copies over it in place: the old intent is dropped first.
         io.write_ssd_sync(&mut clk, 5, &[0x32; 64], PageId(1))
             .unwrap();
         let stored = io.ssd_store().read_buf(PageId(5));
         assert_eq!(stored.as_ptr(), at, "copied over the frame's own image");
-        assert_eq!(stored.cached_sum(), Some(fault::frame_sum(&[0x32; 64])));
+        assert!(intent(&io).same_image(&stored));
         let mut buf = [0u8; 64];
         io.read_ssd(&mut clk, 5, &mut buf).unwrap();
         assert_eq!(buf, [0x32; 64]);
@@ -1026,8 +1044,8 @@ mod tests {
     #[test]
     fn damaged_frames_are_fresh_images_and_fail_verification_by_handle_and_by_slice() {
         // The three ways a frame's bytes stop matching its intent record,
-        // each written by handle so that the *intended* image has a cached
-        // sum to be wrongly trusted.
+        // each written by handle so that the *intended* image is the one
+        // the intent record holds, there to be wrongly trusted.
         type Inflict = fn(&IoManager, &mut Clk, &PageBuf);
         let damage: [(&str, Inflict); 3] = [
             ("at rest", |io, clk, page| {
@@ -1059,12 +1077,10 @@ mod tests {
             io.write_ssd_sync(&mut clk, 2, &[0x11; 64], PageId(4))
                 .unwrap();
             let page = PageBuf::from_slice(&[0x22; 64]);
-            page.sum();
             inflict(&io, &mut clk, &page);
             assert_eq!(page.as_slice(), &[0x22; 64], "{what}: writer's image");
             let stored = io.ssd_store().read_buf(PageId(2));
             assert_ne!(stored.as_ptr(), page.as_ptr(), "{what}: a fresh image");
-            assert_eq!(stored.cached_sum(), None, "{what}: nobody summed it");
             let mut got = io.zero_page();
             let e = io.read_ssd(&mut clk, 2, &mut got).unwrap_err();
             assert_eq!(e.kind, IoErrorKind::ChecksumMismatch, "{what}");
@@ -1080,6 +1096,190 @@ mod tests {
             io.read_ssd(&mut clk, 2, &mut got).unwrap();
             assert_eq!(got.as_ptr(), page.as_ptr(), "{what}");
         }
+    }
+
+    /// The verification rule of SSD frames, against a model: seeded random
+    /// schedules of every way a frame is written, damaged and read, over a
+    /// few frames, where the model keeps per frame the bytes its last write
+    /// meant (`None` before the first) and the bytes stored. A read is `Ok`
+    /// exactly when the two agree, or the frame was never written, and
+    /// returns the meant bytes; otherwise it fails `ChecksumMismatch` and
+    /// still hands over the stored bytes. Writers and readers keep and edit
+    /// handles throughout, so rewrites land both on images shared with a
+    /// frame and on images of their own.
+    fn verify_frames_against_the_model(seeds: std::ops::Range<u64>, steps: usize) {
+        use crate::crashsched::CrashSwitch;
+        use crate::rng::{Rng, SeedableRng, SmallRng};
+        const FRAMES: u64 = 4;
+        const HANDLES: usize = 4;
+        // Reads that passed and that failed: both must come up.
+        let mut outcomes = [0u64; 2];
+        for ps in [64usize, 200] {
+            for seed in seeds.clone() {
+                let mut rng = SmallRng::seed_from_u64(0x5EED_F4A3 ^ (ps as u64) << 32 ^ seed);
+                let io = IoManager::new(&DeviceSetup::paper(ps, 8, FRAMES));
+                let mut clk = Clk::new();
+                let mut meant: Vec<Option<Vec<u8>>> = vec![None; FRAMES as usize];
+                let mut stored: Vec<Vec<u8>> = vec![vec![0u8; ps]; FRAMES as usize];
+                let mut held: Vec<PageBuf> = (0..HANDLES)
+                    .map(|_| PageBuf::from_slice(&vec![rng.gen::<u8>(); ps]))
+                    .collect();
+                for step in 0..steps {
+                    let f = rng.gen_range(0..FRAMES);
+                    let fu = f as usize;
+                    let h = rng.gen_range(0..HANDLES);
+                    // New bytes for a write: a fresh fill, or a copy of
+                    // what some frame stores, so that identical rewrites
+                    // come up often.
+                    let bytes = if rng.gen_bool(0.5) {
+                        vec![rng.gen::<u8>(); ps]
+                    } else {
+                        stored[rng.gen_range(0..FRAMES as usize)].clone()
+                    };
+                    let by_handle = rng.gen_bool(0.5);
+                    let write = |io: &IoManager, now| {
+                        if by_handle {
+                            io.write_ssd_async(now, f, &held[h], PageId(f))
+                        } else {
+                            io.write_ssd_async(now, f, &bytes[..], PageId(f))
+                        }
+                    };
+                    let new = if by_handle {
+                        held[h].to_vec()
+                    } else {
+                        bytes.clone()
+                    };
+                    let op = rng.gen_range(0u32..11);
+                    let ctx = format!("ps {ps} seed {seed} step {step} op {op} frame {f}");
+                    let on_store = |io: &IoManager| io.ssd_store().read_buf(PageId(f)).to_vec();
+                    match op {
+                        // A clean write.
+                        0 | 1 => {
+                            write(&io, clk.now).expect(&ctx);
+                            (meant[fu], stored[fu]) = (Some(new.clone()), new);
+                        }
+                        // Torn or bit-flipped by the fault plan.
+                        2 | 3 => {
+                            let mut cfg = FaultConfig::quiet(seed ^ step as u64);
+                            if op == 2 {
+                                cfg.torn_write_prob = 1.0;
+                            } else {
+                                cfg.bitflip_prob = 1.0;
+                            }
+                            io.set_ssd_fault(Some(Arc::new(FaultPlan::new(cfg))));
+                            write(&io, clk.now).expect(&ctx);
+                            io.set_ssd_fault(None);
+                            let got = on_store(&io);
+                            if op == 2 {
+                                let old = &stored[fu];
+                                assert!(
+                                    (1..ps).any(|k| got[..k] == new[..k] && got[k..] == old[k..]),
+                                    "{ctx}: a torn write is a prefix of new bytes over old"
+                                );
+                            } else {
+                                let bits: u32 = got
+                                    .iter()
+                                    .zip(&new)
+                                    .map(|(a, b)| (a ^ b).count_ones())
+                                    .sum();
+                                assert_eq!(bits, 1, "{ctx}: a bit flip flips one bit");
+                            }
+                            (meant[fu], stored[fu]) = (Some(new), got);
+                        }
+                        // Power torn mid-frame, or dropped before it.
+                        4 | 5 => {
+                            let sw = Arc::new(CrashSwitch::armed(0, op == 4));
+                            if op == 5 {
+                                // Spend the persisting cut, so the frame
+                                // write is the first one dropped.
+                                sw.on_write(BoundaryKind::LogFlush);
+                            }
+                            io.set_crash_switch(Some(sw));
+                            let e = write(&io, clk.now).expect_err(&ctx);
+                            assert_eq!(e.kind, IoErrorKind::DeviceDead, "{ctx}");
+                            io.set_crash_switch(None);
+                            if op == 4 {
+                                let keep = ps / 2;
+                                stored[fu][..keep].copy_from_slice(&new[..keep]);
+                                meant[fu] = Some(new);
+                            }
+                        }
+                        // At rest, by slice: the meant bytes with one bit
+                        // flipped, or the stored or the meant bytes again.
+                        // Damage is one flip from the meant bytes, never a
+                        // flip stacked on earlier damage: `frame_sum` sees
+                        // every one-bit difference, but two flips can
+                        // cancel (bit 63 of a lane's word, then bit 28 of
+                        // the same lane's word one block later).
+                        6 => {
+                            let base = meant[fu].clone().unwrap_or_else(|| stored[fu].clone());
+                            let at_rest = match rng.gen_range(0u32..4) {
+                                0 => stored[fu].clone(),
+                                1 => base,
+                                _ => {
+                                    let mut flipped = base;
+                                    flipped[rng.gen_range(0..ps)] ^= 1 << rng.gen_range(0u32..8);
+                                    flipped
+                                }
+                            };
+                            io.ssd_store().write(PageId(f), &at_rest);
+                            stored[fu] = at_rest;
+                        }
+                        7 => {
+                            io.ssd_store().write_buf(PageId(f), held[h].clone());
+                            stored[fu] = held[h].to_vec();
+                        }
+                        // A writer edits its handle: nobody else sees it.
+                        8 => held[h][rng.gen_range(0..ps)] ^= 0x80,
+                        // A writer lets go of its handle.
+                        9 => held[h] = PageBuf::from_slice(&bytes),
+                        _ => {}
+                    }
+                    // Read every frame, by handle (kept in a random slot)
+                    // and by slice, and match each outcome to the model.
+                    for g in 0..FRAMES as usize {
+                        let intact = meant[g].as_ref().is_none_or(|m| *m == stored[g]);
+                        let mut image = io.zero_page();
+                        let mut slice = vec![0u8; ps];
+                        for r in [
+                            io.read_ssd(&mut clk, g as u64, &mut image),
+                            io.read_ssd(&mut clk, g as u64, &mut slice[..]),
+                        ] {
+                            outcomes[usize::from(r.is_err())] += 1;
+                            match r {
+                                Ok(()) => assert!(intact, "{ctx}: frame {g} passed damaged"),
+                                Err(e) => {
+                                    assert!(!intact, "{ctx}: frame {g} failed intact: {e:?}");
+                                    assert_eq!(e.kind, IoErrorKind::ChecksumMismatch, "{ctx}");
+                                }
+                            }
+                        }
+                        assert_eq!(image.as_slice(), &stored[g][..], "{ctx}: frame {g}");
+                        assert_eq!(slice, stored[g], "{ctx}: frame {g}");
+                        if rng.gen_bool(0.25) {
+                            held[rng.gen_range(0..HANDLES)] = image;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "passed, failed: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    fn frames_pass_verification_exactly_when_they_hold_the_meant_bytes() {
+        verify_frames_against_the_model(0..48, 64);
+    }
+
+    /// The same rule over many more schedules; `scripts/check.sh` runs it
+    /// in release mode.
+    #[test]
+    #[ignore = "long variant: cargo test --release -p turbopool-iosim -- --ignored"]
+    fn frames_pass_verification_exactly_when_they_hold_the_meant_bytes_long() {
+        verify_frames_against_the_model(1_000..6_000, 96);
     }
 
     #[test]

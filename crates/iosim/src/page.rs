@@ -6,8 +6,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::fault::frame_sum;
-
 /// Identifier of a database page within the (single) simulated database file.
 ///
 /// Page ids are dense: the database occupies pages `0..db_pages`, striped
@@ -95,17 +93,11 @@ pub type PidMap<V> = HashMap<PageId, V, BuildHasherDefault<PidHasher>>;
 /// are a shared slice rather than a fixed-size array.
 pub struct PageBuf {
     data: Arc<[u8]>,
-    /// [`frame_sum`] of `data`, or [`NO_SUM`] while nobody has asked for
-    /// it. Per handle: a clone carries it, any mutable access clears it.
-    sum: AtomicU64,
     /// The value [`derived`](Self::derived) last computed from `data`, or
-    /// [`NO_DERIVED`]. Kept exactly like `sum`.
+    /// [`NO_DERIVED`]. Per handle: a clone carries it, any mutable access
+    /// clears it.
     derived: AtomicU64,
 }
-
-/// "Not computed" marker of the cached checksum. An image whose real sum
-/// is this value is merely summed again on every ask.
-const NO_SUM: u64 = 0;
 
 /// "Not computed" marker of the derived-value slot. A value equal to it
 /// is merely derived again on every ask.
@@ -126,14 +118,12 @@ impl PageBuf {
     fn from_arc(data: Arc<[u8]>) -> Self {
         PageBuf {
             data,
-            sum: AtomicU64::new(NO_SUM),
             derived: AtomicU64::new(NO_DERIVED),
         }
     }
 
-    /// Forget both cached values: the bytes are about to change.
+    /// Forget the derived value: the bytes are about to change.
     fn forget(&mut self) {
-        *self.sum.get_mut() = NO_SUM;
         *self.derived.get_mut() = NO_DERIVED;
     }
 
@@ -191,37 +181,24 @@ impl PageBuf {
         Arc::get_mut(&mut self.data).is_some()
     }
 
-    /// The checksum this handle carries, if it carries one.
-    #[cfg(test)]
-    pub(crate) fn cached_sum(&self) -> Option<u64> {
-        Some(self.sum.load(Ordering::Relaxed)).filter(|&s| s != NO_SUM)
+    /// True if both handles are on one image: then they hold the same
+    /// bytes without comparing any.
+    #[inline]
+    pub fn same_image(&self, other: &PageBuf) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// The frame checksum ([`frame_sum`]) of the bytes, computed at most
-    /// once per handle lineage: clones made afterwards carry the value.
-    pub fn sum(&self) -> u64 {
-        match self.sum.load(Ordering::Relaxed) {
-            NO_SUM => {
-                let sum = frame_sum(&self.data);
-                // Publishes nothing but itself: racing callers store the
-                // same value.
-                self.sum.store(sum, Ordering::Relaxed);
-                sum
-            }
-            sum => sum,
-        }
-    }
-
-    /// The value `derive` computes from the bytes, cached in one slot and
-    /// kept like [`sum`](Self::sum): clones carry it, every mutable access
-    /// clears it. The slot belongs to whoever owns the page's format, so
-    /// every caller on one page passes the same `derive`. Debug builds
-    /// recompute it on every cache hit and assert that it still matches.
+    /// The value `derive` computes from the bytes, cached in one slot:
+    /// clones carry it, every mutable access clears it. The slot belongs
+    /// to whoever owns the page's format, so every caller on one page
+    /// passes the same `derive`. Debug builds recompute it on every cache
+    /// hit and assert that it still matches.
     pub fn derived(&self, derive: fn(&[u8]) -> u64) -> u64 {
         match self.derived.load(Ordering::Relaxed) {
             NO_DERIVED => {
                 let v = derive(&self.data);
-                // Publishes nothing but itself, as `sum` does.
+                // Publishes nothing but itself: racing callers store the
+                // same value.
                 self.derived.store(v, Ordering::Relaxed);
                 v
             }
@@ -234,11 +211,10 @@ impl PageBuf {
 }
 
 impl Clone for PageBuf {
-    /// Another handle on the same image (and its cached values, if known).
+    /// Another handle on the same image (and its derived value, if known).
     fn clone(&self) -> Self {
         PageBuf {
             data: Arc::clone(&self.data),
-            sum: AtomicU64::new(self.sum.load(Ordering::Relaxed)),
             derived: AtomicU64::new(self.derived.load(Ordering::Relaxed)),
         }
     }
@@ -440,30 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn sum_is_cached_carried_by_clone_and_cleared_by_mutable_access() {
-        let cached = |p: &PageBuf| p.cached_sum().unwrap_or(NO_SUM);
-        let mut a = PageBuf::from_slice(&[0x5Au8; 256]);
-        assert_eq!(cached(&a), NO_SUM);
-        let s = a.sum();
-        assert_eq!(s, frame_sum(&[0x5Au8; 256]));
-        assert_eq!(cached(&a), s);
-        let mut b = a.clone();
-        assert_eq!(cached(&b), s, "clone carries the sum");
-        // Mutate after sum: every mutable access forgets it, so the next
-        // ask sees the new bytes.
-        b.as_mut_slice()[3] ^= 1;
-        assert_eq!(cached(&b), NO_SUM);
-        assert_ne!(b.sum(), s);
-        assert_eq!(b.sum(), frame_sum(&b));
-        assert_eq!(cached(&a), s, "the other handle keeps its own");
-        a[0] = 0x5A; // same bytes, but DerefMut cannot know that
-        assert_eq!(cached(&a), NO_SUM);
-        assert_eq!(a.sum(), s);
-        a.copy_from(&[1u8; 256]);
-        assert_eq!(cached(&a), NO_SUM);
-        a.sum();
-        a.overwrite_slice();
-        assert_eq!(cached(&a), NO_SUM);
+    fn same_image_follows_the_handle_not_the_bytes() {
+        let mut a = PageBuf::from_slice(&[0x5Au8; 64]);
+        let b = a.clone();
+        assert!(a.same_image(&b) && b.same_image(&a), "a clone shares it");
+        let twin = PageBuf::from_slice(&[0x5Au8; 64]);
+        assert_eq!(a, twin);
+        assert!(!a.same_image(&twin), "equal bytes, another image");
+        // Any mutable access of a shared image moves the writer off it,
+        // even one that leaves the bytes as they were.
+        a[0] = 0x5A;
+        assert!(!a.same_image(&b));
+        assert_eq!(a, b);
+        assert!(b.same_image(&b.clone()));
     }
 
     #[test]

@@ -42,6 +42,9 @@ benchmark/run.sh --smoke >/dev/null
 echo "==> WAL replay fuzz, long variant (differential + seeded log mutation, <= 20 s)"
 cargo test -q --release -p turbopool-wal -- --ignored
 
+echo "==> SSD frame verification model, long variant (identity, then frame_sum; <= 10 s)"
+cargo test -q --release -p turbopool-iosim -- --ignored
+
 echo "==> bulk-loaded images at the benchmark's sizes (pinned fingerprints)"
 cargo test -q --release --test setup_image -- --ignored
 
