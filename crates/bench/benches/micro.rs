@@ -99,7 +99,8 @@ fn bench_partition() {
 /// stamps the slot (its one heap entry goes stale in place), so the heap
 /// must not grow however many hits run; an eviction pops the minimum,
 /// re-keying the stale entries it meets — at the pool size and the
-/// 16-hits-per-eviction ratio of the `tpcc_lc` benchmark workload.
+/// 16-hits-per-eviction ratio of the `tpcc_lc` benchmark workload, then
+/// under read-ahead's install-then-hit runs.
 fn bench_lru2() {
     const HIT_FRAMES: usize = 8192;
     let mut p = Lru2Policy::new(HIT_FRAMES);
@@ -136,6 +137,26 @@ fn bench_lru2() {
         next_pid = (next_pid + 1) % (4 * FRAMES as u64);
         resident[v] = PageId(next_pid);
         p.on_install(v, resident[v]);
+    });
+    assert!(p.heap_len() <= FRAMES, "one heap entry per slot");
+
+    // Read-ahead at the same pool size, as a `tpch_tac` scan drives it: a
+    // 32-page run installed with protection, each install evicting the
+    // LRU-2 victim, then the scan's 32 hits on the run. Per page.
+    const RUN: usize = 32;
+    let mut run = [0usize; RUN];
+    bench_per("read_ahead_install", 20_000, RUN as u64, || {
+        for at in run.iter_mut() {
+            let v = p.select_victim(|_| true).expect("nothing is pinned");
+            p.on_evict(v, resident[v]);
+            next_pid = (next_pid + 1) % (4 * FRAMES as u64);
+            resident[v] = PageId(next_pid);
+            p.on_install_protected(v, resident[v]);
+            *at = v;
+        }
+        for &v in &run {
+            p.on_access(v);
+        }
     });
     assert!(p.heap_len() <= FRAMES, "one heap entry per slot");
 }

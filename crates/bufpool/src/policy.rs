@@ -135,7 +135,8 @@ impl VictimHeap {
 /// against a push-per-touch reference by the differential test below.
 ///
 /// The pool calls the hooks under its latch; `slot` is the frame index.
-/// They mirror the pool's life cycle: [`on_install`](Self::on_install),
+/// They mirror the pool's life cycle: [`on_install`](Self::on_install) or
+/// [`on_install_protected`](Self::on_install_protected),
 /// [`on_access`](Self::on_access), [`select_victim`](Self::select_victim)
 /// then [`on_evict`](Self::on_evict) on the slot it returned, or
 /// [`on_remove`](Self::on_remove) for a backed-out install.
@@ -195,20 +196,35 @@ impl Lru2Policy {
         }
     }
 
-    /// A page was installed into a vacated `slot`; counts as its first
-    /// access. Retained history for `pid` is adopted here.
-    pub fn on_install(&mut self, slot: usize, pid: PageId) {
-        // Adopt retained history for a page being (re)installed, so the
-        // touch below yields a non-empty penultimate stamp.
+    /// Adopt retained history for a page being (re)installed into `slot`,
+    /// so its next touch yields a non-empty penultimate stamp.
+    fn adopt(&mut self, slot: usize, pid: PageId) {
         if let Some(retained) = self.hist.remove(&pid) {
             self.stamps[slot] = retained;
             self.stats.ghost_hits += 1;
         }
+    }
+
+    /// A page was installed into a vacated `slot`; counts as its first
+    /// access. Retained history for `pid` is adopted here.
+    pub fn on_install(&mut self, slot: usize, pid: PageId) {
+        self.adopt(slot, pid);
         self.touch(slot);
     }
 
-    /// A later access to the page in `slot` (a pool hit, or read-ahead's
-    /// extra protection touch).
+    /// A read-ahead install into a vacated `slot`: [`on_install`](Self::on_install)
+    /// then one protection [`on_access`](Self::on_access) — the same stamps
+    /// and adopted history — entering the victim heap once, at its final
+    /// key, rather than at a pre-protection key the second touch leaves stale.
+    pub fn on_install_protected(&mut self, slot: usize, pid: PageId) {
+        self.adopt(slot, pid); // counts the ghost hit; both touches overwrite it
+        self.counter += 2;
+        let (prev, last) = (self.counter - 1, self.counter);
+        self.stamps[slot] = (last, prev);
+        self.heap.note_touch(slot, (prev, last));
+    }
+
+    /// A later access to the page in `slot` (a pool hit).
     pub fn on_access(&mut self, slot: usize) {
         self.touch(slot);
     }
@@ -435,6 +451,33 @@ mod tests {
     }
 
     #[test]
+    fn read_ahead_install_enters_the_heap_once_at_its_final_key() {
+        let mut fused = Lru2Policy::new(2);
+        let mut pair = Lru2Policy::new(2);
+        for p in [&mut fused, &mut pair] {
+            p.on_install(0, PageId(7));
+            p.on_access(0);
+            p.on_evict(0, PageId(7)); // page 7's history is retained
+        }
+        fused.on_install_protected(1, PageId(7));
+        pair.on_install(1, PageId(7));
+        pair.on_access(1);
+        assert_eq!(fused.stamps, pair.stamps);
+        assert_eq!(fused.stats().ghost_hits, 1, "retained history adopted");
+        assert_eq!(fused.stats(), pair.stats());
+        // The fused entry is current; the pair's is stale and costs the
+        // next selection a re-key.
+        let Reverse((stored, slot)) = *fused.heap.heap.peek().expect("one entry");
+        assert_eq!((stored, slot), ((3, 4), 1));
+        let stamps = fused.stamps.clone();
+        let key_of = |s: usize| (stamps[s].1, stamps[s].0);
+        let (mut a, mut b) = (0, 0);
+        assert_eq!(fused.heap.pop_current(key_of, &mut a), Some(1));
+        assert_eq!(pair.heap.pop_current(key_of, &mut b), Some(1));
+        assert_eq!((a, b), (1, 2), "heap entries examined");
+    }
+
+    #[test]
     fn lru2_heap_is_bounded_by_the_frame_count() {
         const FRAMES: usize = 64;
         let mut p = Lru2Policy::new(FRAMES);
@@ -540,6 +583,14 @@ mod tests {
         }
     }
 
+    /// A read-ahead install: the fused hook on the policy under test, the
+    /// install-plus-protection-touch pair it replaces on the oracle.
+    fn install_protected(new: &mut Lru2Policy, old: &mut Lru2Oracle, slot: usize, pid: PageId) {
+        new.on_install_protected(slot, pid);
+        old.on_install(slot, pid);
+        old.on_access(slot);
+    }
+
     /// Drive `new` and `old` through one seeded random schedule of the
     /// pool's life cycle and assert they pick the same victim (or `None`)
     /// at every selection.
@@ -560,10 +611,16 @@ mod tests {
             let ctx = format!("seed {seed} frames {frames} step {step}");
             let occupied: Vec<usize> = (0..frames).filter(|&s| slots[s].is_some()).collect();
             match rng.gen_range(0..100u32) {
-                // A miss with a free frame; one in five is abandoned.
+                // A miss with a free frame; one in five is abandoned. A
+                // read-ahead install never is.
                 0..=29 if !free.is_empty() => {
                     let slot = free.pop().expect("checked");
                     let pid = fresh_pid(&mut rng, &slots);
+                    if rng.gen_ratio(1, 3) {
+                        install_protected(new, old, slot, pid);
+                        slots[slot] = Some(pid);
+                        continue;
+                    }
                     new.on_install(slot, pid);
                     old.on_install(slot, pid);
                     if rng.gen_ratio(1, 5) {
@@ -635,12 +692,16 @@ mod tests {
                         let pid = slots[v].take().expect("victim occupied");
                         new.on_evict(v, pid);
                         old.on_evict(v, pid);
-                        // The pool refills the frame at once; a drain
-                        // leaves it free.
+                        // The pool refills the frame at once, by a miss
+                        // or by read-ahead; a drain leaves it free.
                         if rounds == 1 {
                             let pid = fresh_pid(&mut rng, &slots);
-                            new.on_install(v, pid);
-                            old.on_install(v, pid);
+                            if rng.gen_ratio(1, 2) {
+                                install_protected(new, old, v, pid);
+                            } else {
+                                new.on_install(v, pid);
+                                old.on_install(v, pid);
+                            }
                             slots[v] = Some(pid);
                         } else {
                             free.push(v);

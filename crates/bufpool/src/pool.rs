@@ -114,7 +114,6 @@ impl FrameMeta {
 /// is installed, so the victim's bytes survive in the frame meanwhile.
 #[derive(Clone, Copy, Debug)]
 struct PendingEvict {
-    slot: usize,
     victim: PageId,
     dirty: bool,
     class: Locality,
@@ -250,7 +249,6 @@ impl Table {
         (
             slot,
             Some(PendingEvict {
-                slot,
                 victim,
                 dirty: m.dirty,
                 class: m.class,
@@ -263,13 +261,14 @@ impl Table {
 ///
 /// Concurrency contract. Safe: any interleaving of logical clients that
 /// runs on one OS thread at a time (every simulation path — a driver
-/// domain owns its `Database`); real OS threads touching *distinct* pages;
-/// and a guard's unpin racing an eviction on another thread (module docs,
-/// `tests/pool_unpin_threads.rs`). Not supported: two OS threads
-/// first-touching the *same* non-resident page — [`get`](Self::get)
-/// releases the table latch before it takes the frame latch, so the second
-/// thread can hit, pin the frame and read it before the first thread's
-/// fill lands (ROADMAP carries the fix).
+/// domain owns its `Database`); real OS threads touching any pages, the
+/// same non-resident page included; and a guard's unpin racing an
+/// eviction on another thread (module docs, `tests/pool_unpin_threads.rs`).
+/// A miss takes its frame's write latch before it releases the table
+/// latch and fills the frame through that latch, so a thread that hits the
+/// page meanwhile pins the frame but reads it only after the fill. If the
+/// fill fails, the install is backed out after the frame latch is dropped,
+/// and a thread that hit the page in between reads the unfilled frame.
 pub struct BufferPool {
     cfg: BufferPoolConfig,
     layer: Arc<dyn PageIo>,
@@ -371,17 +370,27 @@ impl BufferPool {
         t.pin(slot);
         t.map.insert(pid, slot);
         t.policy.on_install(slot, pid);
+        // The frame's write latch is taken before the table latch goes: a
+        // thread that hits `pid` from here on pins the frame, but reads it
+        // only once the fill below has landed.
+        let mut frame = self.data[slot].write();
         drop(t);
         // Write-behind for the victim happens outside the table latch but
         // before any read fills the frame, preserving per-thread I/O order.
         if let Some(ev) = evicted {
-            self.flush_evicted(clk.now, &ev);
+            self.flush_evicted(clk.now, &ev, &frame);
         }
 
         if expand > 1 {
-            let pages = match self.layer.read_run(clk, pid, expand) {
+            let run = sync::io_under_latch(
+                "frame write latch only, held so the fill lands atomically; the \
+                 table latch is already released and the frame is pinned by this caller",
+                || self.layer.read_run(clk, pid, expand),
+            );
+            let pages = match run {
                 Ok(pages) => pages,
                 Err(e) => {
+                    drop(frame);
                     self.abandon_install(slot, pid);
                     return Err(e);
                 }
@@ -395,7 +404,8 @@ impl BufferPool {
                 reason = "read_run returns exactly the `expand >= 2` pages asked for"
             )]
             let first = pages.next().expect("run has a first page");
-            *self.data[slot].write() = first;
+            *frame = first;
+            drop(frame);
             let mut t = self.lock_table();
             for (i, page) in pages.enumerate() {
                 let extra = pid.offset(i as u64 + 1);
@@ -420,13 +430,12 @@ impl BufferPool {
                 t.filled_once = true;
             }
         } else {
-            let mut buf = self.data[slot].write();
             let read = sync::io_under_latch(
                 "frame write latch only, held so the fill lands atomically; the \
                  table latch is already released and the frame is pinned by this caller",
-                || self.layer.read_page_buf(clk, pid, assigned, &mut buf),
+                || self.layer.read_page_buf(clk, pid, assigned, &mut frame),
             );
-            drop(buf);
+            drop(frame);
             if let Err(e) = read {
                 self.abandon_install(slot, pid);
                 return Err(e);
@@ -520,7 +529,7 @@ impl BufferPool {
         t.policy.on_install(slot, pid);
         drop(t);
         if let Some(ev) = evicted {
-            self.flush_evicted(now, &ev);
+            self.flush_evicted(now, &ev, &self.data[slot].read());
         }
         self.layer.note_dirtied(now, pid);
         PageGuard {
@@ -554,13 +563,15 @@ impl BufferPool {
         // flushed after unlock; every booking lands at the same virtual
         // instant either way, so the deferral is invisible to the
         // simulation.
-        let mut owed: Vec<(PendingEvict, PageBuf)> = Vec::new();
+        let mut owed: Vec<(PendingEvict, PageBuf)> = Vec::with_capacity(n as usize);
+        // One classifier latch for the run; it nests inside the table's.
+        let mut classifier = self.classifier.lock();
         for (i, page) in pages.into_iter().enumerate() {
             let pid = first.offset(i as u64);
             if t.map.contains_key(&pid) || stale[i] {
                 continue;
             }
-            let assigned = self.classifier.lock().classify_prefetch(pid);
+            let assigned = classifier.classify_prefetch(pid);
             let (slot, evicted) = t.vacate_slot();
             // `vacate_slot` hands back the victim's own slot, so the handle
             // swapped out of it is the victim's image.
@@ -577,15 +588,15 @@ impl BufferPool {
                 class: assigned,
             };
             t.map.insert(pid, slot);
-            // Double-stamp: install plus one protection access. Under
-            // LRU-2 a single touch would leave the page with an empty
-            // penultimate stamp, making it the preferred victim — a full
-            // pool would evict read-ahead pages before the scan consumes
-            // them, degrading every scan page to a random read.
-            t.policy.on_install(slot, pid);
-            t.policy.on_access(slot);
+            // Double-stamp: install plus one protection access, in one
+            // victim-heap entry. Under LRU-2 a single touch would leave the
+            // page with an empty penultimate stamp, making it the preferred
+            // victim — a full pool would evict read-ahead pages before the
+            // scan consumes them, degrading every scan page to a random read.
+            t.policy.on_install_protected(slot, pid);
             t.stats.prefetched_pages += 1;
         }
+        drop(classifier);
         drop(t);
         for (ev, snap) in owed {
             self.layer
@@ -594,18 +605,20 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Hand an evicted page's image to the storage layer (write-behind).
-    /// Eviction writes are asynchronous: device time is charged at `now`
-    /// but the caller does not wait. Must be called *without* the table
-    /// latch and *before* the vacated frame is overwritten.
-    fn flush_evicted(&self, now: Time, ev: &PendingEvict) {
-        let layer = &self.layer;
-        let data = self.data[ev.slot].read();
+    /// Hand an evicted page's image — the vacated frame's, read through
+    /// the frame latch the caller holds — to the storage layer
+    /// (write-behind). Eviction writes are asynchronous: device time is
+    /// charged at `now` but the caller does not wait. Must be called
+    /// *without* the table latch and *before* the frame is overwritten.
+    fn flush_evicted(&self, now: Time, ev: &PendingEvict, image: &PageBuf) {
         sync::io_under_latch(
-            "only the frame's read latch is held (the table latch is released); \
+            "only the frame's latch is held (the table latch is released); \
              the slot is privately owned by this caller and eviction is a \
              non-blocking async booking",
-            || layer.evict_page_buf(now, ev.victim, &data, ev.dirty, ev.class),
+            || {
+                self.layer
+                    .evict_page_buf(now, ev.victim, image, ev.dirty, ev.class)
+            },
         );
     }
 

@@ -710,7 +710,7 @@ impl SsdManager {
         // throttling. For write-back this is also the sole-copy guard: a
         // dirty eviction that would have become an SSD-only copy goes to
         // disk instead, so no *new* sole copies land on a degraded device.
-        let throttled = !self.admits_now(now);
+        let throttled = !self.admits_now(now, &mut None);
         // A clean page is cached; a dirty one goes where the design's row
         // says (§2.3). Write-back falls back to disk only, like CW, while
         // throttled or paused by a sharp checkpoint (§3.2). Its WAL

@@ -33,6 +33,7 @@
 //! error budget, quarantine, hedging, throttle and audit are the device
 //! edge in `tier.rs`, shared with `SsdManager`.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::HashMap;
 
 use std::sync::Arc;
@@ -203,31 +204,42 @@ impl TacCache {
         *tab.temps.entry(self.extent(pid)).or_insert(0) += saved;
     }
 
-    /// Find the coldest valid SSD frame: pop the lazy heap,
-    /// reinserting entries whose temperature grew since they were pushed
-    /// (temperatures only increase, so this terminates).
-    fn pop_coldest_valid(&self, tab: &mut TacTable) -> Option<(u64, usize)> {
-        while let Some(std::cmp::Reverse((snap, frame))) = tab.heap.pop() {
-            let Some(rec) = tab.records[frame] else {
-                continue;
-            };
-            if !rec.valid {
-                continue;
+    /// Find the coldest valid SSD frame and leave its entry on top of the
+    /// lazy heap: entries of empty or invalid frames met on the way are
+    /// dropped, and entries whose temperature grew since they were pushed
+    /// are re-keyed (temperatures only increase, so this terminates).
+    fn coldest_valid(&self, tab: &mut TacTable) -> Option<(u64, usize)> {
+        loop {
+            let mut top = tab.heap.peek_mut()?;
+            let std::cmp::Reverse((snap, frame)) = *top;
+            match tab.records[frame] {
+                Some(rec) if rec.valid => {
+                    let cur = *tab.temps.get(&self.extent(rec.pid)).unwrap_or(&0);
+                    if cur == snap {
+                        return Some((snap, frame));
+                    }
+                    // Dropping `top` sifts the re-keyed entry down.
+                    top.0 .0 = cur;
+                }
+                _ => {
+                    PeekMut::pop(top);
+                }
             }
-            let cur = self.temp(tab, rec.pid);
-            if cur != snap {
-                tab.heap.push(std::cmp::Reverse((cur, frame)));
-                continue;
-            }
-            return Some((snap, frame));
         }
-        None
     }
 
     /// Admit `pid` (already read from disk) into the SSD at `now`,
-    /// following TAC's admission/replacement rule.
-    fn admit_on_read<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
-        if self.is_quarantined() || !self.admits_now(now) {
+    /// following TAC's admission/replacement rule. `throttled` carries the
+    /// throttle verdict at `now` from one admission of a run to the next
+    /// (see `admits_now`); it is cleared when this one writes the SSD.
+    fn admit_on_read<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &S,
+        throttled: &mut Option<bool>,
+    ) {
+        if self.is_quarantined() || !self.admits_now(now, throttled) {
             return;
         }
         let mut tab = self.lock_table();
@@ -242,13 +254,13 @@ impl TacCache {
             // Qualified admission: the page's extent must be hotter than
             // the coldest extent resident in the SSD.
             let my_temp = self.temp(&tab, pid);
-            match self.pop_coldest_valid(&mut tab) {
+            match self.coldest_valid(&mut tab) {
                 Some((cold, cold_frame)) if my_temp > cold => {
                     if let Some(f) = tab.free.pop() {
                         // A free frame exists; keep the cold page.
-                        tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
                         Some(f)
                     } else {
+                        tab.heap.pop(); // the cold page's entry
                         #[expect(
                             clippy::unwrap_used,
                             reason = "cold_frame came off the temperature heap, which only holds mapped frames"
@@ -260,9 +272,8 @@ impl TacCache {
                         Some(cold_frame)
                     }
                 }
-                Some((cold, cold_frame)) => {
-                    // Not hot enough; put the candidate back.
-                    tab.heap.push(std::cmp::Reverse((cold, cold_frame)));
+                // Not hot enough: the cold page stays.
+                Some(_) => {
                     SsdMetrics::bump(&self.metrics.policy_rejections);
                     None
                 }
@@ -277,6 +288,8 @@ impl TacCache {
         // successful submission — a gate failure (dead or transient) must
         // not leave a record pointing at unwritten bytes.
         drop(tab);
+        // The write books the SSD: the next admission re-evaluates μ.
+        *throttled = None;
         let done = match self.io.write_ssd_async(now, frame as u64, data, pid) {
             Ok(t) => t,
             Err(e) => {
@@ -363,7 +376,7 @@ impl TacCache {
         self.disk_read(clk, pid, class, buf)?;
         // TAC writes the page to the SSD immediately after the disk read
         // (§2.5 page flow, step ii).
-        self.admit_on_read(clk.now, pid, buf);
+        self.admit_on_read(clk.now, pid, buf, &mut None);
         Ok(())
     }
 
@@ -508,6 +521,9 @@ impl PageIo for TacCache {
                 Locality::Sequential,
             )?;
             done = done.max(tmp.now);
+            // Every admission below is at `tmp.now`, so one throttle
+            // verdict serves them until one writes the SSD.
+            let mut verdict = None;
             for (k, page) in pages.iter().enumerate() {
                 let pid = first.offset((mid.start + k) as u64);
                 // TAC's write-on-read applies to every page it reads;
@@ -515,7 +531,7 @@ impl PageIo for TacCache {
                 // admitted ("before the SSD is full, all pages are
                 // admitted"). After filling, cold extents are rejected by
                 // the temperature rule inside.
-                self.admit_on_read(tmp.now, pid, page);
+                self.admit_on_read(tmp.now, pid, page, &mut verdict);
             }
             out.extend(pages);
         }
@@ -785,6 +801,57 @@ mod tests {
         assert_eq!(pages.len(), 6);
         assert_eq!(io.ssd_stats().read_ops, 2, "leading pages trimmed to SSD");
         assert_eq!(io.disk_stats().read_pages, 4);
+    }
+
+    /// When a fresh pair's `read_run` of `first .. first + n` pages, none
+    /// cached, makes its admissions: the end of its disk run.
+    fn admissions_at(first: u64, n: u64) -> Time {
+        let (_, t) = mk(8);
+        let mut clk = Clk::new();
+        t.read_run(&mut clk, PageId(first), n).unwrap();
+        clk.now
+    }
+
+    /// Book SSD writes at `at` (to a frame TAC does not use first) until
+    /// `left` more would hold a fresh SSD over μ there.
+    fn load_ssd(io: &IoManager, mu: usize, at: Time, left: usize) {
+        let (twin, _) = mk(8);
+        let mut tip = 0;
+        while !twin.ssd_overloaded(at, mu) {
+            twin.write_ssd_async(at, 7, &[0u8; PS], PageId(99)).unwrap();
+            tip += 1;
+        }
+        assert!(tip > left, "μ is {tip} writes away");
+        for _ in 0..tip - left {
+            io.write_ssd_async(at, 7, &[0u8; PS], PageId(99)).unwrap();
+        }
+        assert_eq!(io.ssd_overloaded(at, mu), left == 0);
+    }
+
+    #[test]
+    fn a_throttled_run_counts_each_mid_page_once() {
+        let (io, t) = mk(8);
+        let at = admissions_at(0, 6);
+        load_ssd(&io, t.config().mu, at, 0);
+        let mut clk = Clk::new();
+        t.read_run(&mut clk, PageId(0), 6).unwrap();
+        assert_eq!(clk.now, at, "all six pages are the run's middle");
+        let s = t.metrics.snapshot();
+        assert_eq!((s.throttled_admissions, s.admissions), (6, 0));
+    }
+
+    #[test]
+    fn a_run_reevaluates_the_throttle_once_an_admission_books_the_ssd() {
+        let (io, t) = mk(8);
+        let at = admissions_at(0, 6);
+        // One admission short of μ: the run's first page is admitted, and
+        // its write tips the SSD over μ for the other five.
+        load_ssd(&io, t.config().mu, at, 1);
+        let mut clk = Clk::new();
+        t.read_run(&mut clk, PageId(0), 6).unwrap();
+        let s = t.metrics.snapshot();
+        assert_eq!((s.admissions, s.throttled_admissions), (1, 5));
+        assert!(t.contains_valid(PageId(0)) && !t.contains_valid(PageId(1)));
     }
 
     #[test]

@@ -297,8 +297,12 @@ pub(crate) trait SsdTier {
 
     /// The gate on an admission: write the SSD unless its queue exceeds μ
     /// or it is hedged, counting the skipped admission either way.
-    fn admits_now(&self, now: Time) -> bool {
-        if self.throttled(now) {
+    /// `throttled` is the throttle verdict at `now`, evaluated here if
+    /// `None`. It is a pure function of the SSD's bookings and `now`, so a
+    /// caller admitting several pages at one instant (a TAC run) keeps it
+    /// until one of them writes the SSD.
+    fn admits_now(&self, now: Time, throttled: &mut Option<bool>) -> bool {
+        if *throttled.get_or_insert_with(|| self.throttled(now)) {
             SsdMetrics::bump(&self.metrics().throttled_admissions);
             false
         } else if self.hedge_or_probe() {

@@ -209,6 +209,8 @@ impl IoManager {
         self.ssd_fault.read().clone()
     }
 
+    /// `device`'s fault stream, read once per I/O: a plan is only ever
+    /// swapped between I/Os.
     fn plan_for(&self, device: FaultDevice) -> Option<Arc<FaultPlan>> {
         match device {
             FaultDevice::Disk => self.disk_fault.read().clone(),
@@ -216,29 +218,29 @@ impl IoManager {
         }
     }
 
-    /// Gate a read on `device` at `now`: `Ok(extra_latency)` or an error.
-    fn gate_read(&self, device: FaultDevice, now: Time) -> Result<Time, IoError> {
-        match self.plan_for(device) {
-            Some(p) => p.before_read(device, now),
-            None => Ok(0),
-        }
+    /// Gate a read on `device` at `now` under its fault stream `plan`:
+    /// `Ok(extra_latency)` or an error.
+    fn gate_read(
+        plan: Option<&FaultPlan>,
+        device: FaultDevice,
+        now: Time,
+    ) -> Result<Time, IoError> {
+        plan.map_or(Ok(0), |p| p.before_read(device, now))
     }
 
     /// Gate a write on `device` at `now`, as [`Self::gate_read`].
-    fn gate_write(&self, device: FaultDevice, now: Time) -> Result<Time, IoError> {
-        match self.plan_for(device) {
-            Some(p) => p.before_write(device, now),
-            None => Ok(0),
-        }
+    fn gate_write(
+        plan: Option<&FaultPlan>,
+        device: FaultDevice,
+        now: Time,
+    ) -> Result<Time, IoError> {
+        plan.map_or(Ok(0), |p| p.before_write(device, now))
     }
 
-    /// The brownout service-time multiplier for a request admitted to
-    /// `device` at `now` (1 outside brownout windows).
-    fn service_scale(&self, device: FaultDevice, now: Time) -> u32 {
-        match self.plan_for(device) {
-            Some(p) => p.service_factor(now),
-            None => 1,
-        }
+    /// The brownout service-time multiplier `plan` sets for a request
+    /// admitted at `now` (1 outside brownout windows).
+    fn service_scale(plan: Option<&FaultPlan>, now: Time) -> u32 {
+        plan.map_or(1, |p| p.service_factor(now))
     }
 
     // ------------------------------------------------------------------
@@ -323,12 +325,12 @@ impl IoManager {
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
-        let extra = self.gate_read(FaultDevice::Disk, clk.now)?;
-        let scale = self.service_scale(FaultDevice::Disk, clk.now);
-        let depth = self.disk.queue_depth(clk.now);
-        let t = self
-            .disk
-            .submit_page_scaled(clk.now, IoKind::Read, pid, Some(hint), scale);
+        let plan = self.plan_for(FaultDevice::Disk);
+        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
+        let scale = Self::service_scale(plan.as_deref(), clk.now);
+        let (t, depth) =
+            self.disk
+                .submit_run_scaled(clk.now, IoKind::Read, pid, 1, Some(hint), scale);
         buf.set(self.disk_store.read_buf(pid));
         let done = t.complete + extra;
         self.disk_health
@@ -355,10 +357,10 @@ impl IoManager {
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
-        let extra = self.gate_read(FaultDevice::Disk, clk.now)?;
-        let scale = self.service_scale(FaultDevice::Disk, clk.now);
-        let depth = self.disk.queue_depth(clk.now);
-        let t = self
+        let plan = self.plan_for(FaultDevice::Disk);
+        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
+        let scale = Self::service_scale(plan.as_deref(), clk.now);
+        let (t, depth) = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, first, n, None, scale);
         let out = (0..n)
@@ -392,18 +394,18 @@ impl IoManager {
                 return Err(Self::power_err(FaultDevice::Disk, now));
             }
         }
-        let extra = match self.gate_write(FaultDevice::Disk, now) {
+        let plan = self.plan_for(FaultDevice::Disk);
+        let extra = match Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
             Ok(extra) => extra,
             Err(e) => {
                 self.mark_lost_write(pid);
                 return Err(e);
             }
         };
-        let scale = self.service_scale(FaultDevice::Disk, now);
-        let depth = self.disk.queue_depth(now);
-        let t = self
+        let scale = Self::service_scale(plan.as_deref(), now);
+        let (t, depth) = self
             .disk
-            .submit_page_scaled(now, IoKind::Write, pid, Some(hint), scale);
+            .submit_run_scaled(now, IoKind::Write, pid, 1, Some(hint), scale);
         self.disk_store.put(pid, data);
         self.clear_lost_write(pid);
         let done = t.complete + extra;
@@ -466,7 +468,8 @@ impl IoManager {
                 return Err(Self::power_err(FaultDevice::Disk, now));
             }
         }
-        let extra = match self.gate_write(FaultDevice::Disk, now) {
+        let plan = self.plan_for(FaultDevice::Disk);
+        let extra = match Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
             Ok(extra) => extra,
             Err(e) => {
                 for i in 0..pages.len() {
@@ -475,12 +478,10 @@ impl IoManager {
                 return Err(e);
             }
         };
-        let plan = self.plan_for(FaultDevice::Disk);
         let torn = plan.as_ref().and_then(|p| p.torn_prefix(pages.len()));
         let persisted = torn.unwrap_or(pages.len());
-        let scale = plan.as_ref().map_or(1, |p| p.service_factor(now));
-        let depth = self.disk.queue_depth(now);
-        let t = self.disk.submit_run_scaled(
+        let scale = Self::service_scale(plan.as_deref(), now);
+        let (t, depth) = self.disk.submit_run_scaled(
             now,
             IoKind::Write,
             first,
@@ -581,10 +582,10 @@ impl IoManager {
         if self.power_lost() {
             return Err(Self::power_err(FaultDevice::Ssd, clk.now));
         }
-        let extra = self.gate_read(FaultDevice::Ssd, clk.now)?;
-        let scale = self.service_scale(FaultDevice::Ssd, clk.now);
-        let depth = self.ssd_dev.queue_depth(clk.now);
-        let t = self.ssd_dev.submit_scaled(
+        let plan = self.plan_for(FaultDevice::Ssd);
+        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Ssd, clk.now)?;
+        let scale = Self::service_scale(plan.as_deref(), clk.now);
+        let (t, depth) = self.ssd_dev.submit_sampled(
             clk.now,
             IoKind::Read,
             frame,
@@ -650,15 +651,19 @@ impl IoManager {
             // frame-granularity atomicity for a write that never started.
             WriteFate::Dropped => return Err(Self::power_err(FaultDevice::Ssd, now)),
         }
-        let extra = self.gate_write(FaultDevice::Ssd, now)?;
-        let scale = self.service_scale(FaultDevice::Ssd, now);
-        let depth = self.ssd_dev.queue_depth(now);
-        let t =
-            self.ssd_dev
-                .submit_scaled(now, IoKind::Write, frame, 1, Some(Locality::Random), scale);
+        let plan = self.plan_for(FaultDevice::Ssd);
+        let extra = Self::gate_write(plan.as_deref(), FaultDevice::Ssd, now)?;
+        let scale = Self::service_scale(plan.as_deref(), now);
+        let (t, depth) = self.ssd_dev.submit_sampled(
+            now,
+            IoKind::Write,
+            frame,
+            1,
+            Some(Locality::Random),
+            scale,
+        );
         self.ssd_health
             .observe(Self::observed_ns(&t, extra, 1), depth);
-        let plan = self.plan_for(FaultDevice::Ssd);
         let len = data.bytes().len();
         let meant = if let Some(keep) = plan.as_ref().and_then(|p| p.torn_prefix(len)) {
             let meant = Self::intended(data);

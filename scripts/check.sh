@@ -45,6 +45,9 @@ cargo test -q --release -p turbopool-wal -- --ignored
 echo "==> SSD frame verification model, long variant (identity, then frame_sum; <= 10 s)"
 cargo test -q --release -p turbopool-iosim -- --ignored
 
+echo "==> same-page first touches on real OS threads, long variant (<= 5 s)"
+cargo test -q --release --test pool_unpin_threads -- --ignored
+
 echo "==> bulk-loaded images at the benchmark's sizes (pinned fingerprints)"
 cargo test -q --release --test setup_image -- --ignored
 

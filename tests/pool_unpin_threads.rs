@@ -1,28 +1,32 @@
-//! Real-thread safety of the latch-free unpin (ISSUE 14).
+//! Real-thread safety of the pool's latch protocol.
 //!
-//! `PageGuard::drop` lowers the frame's pin count with one atomic
-//! decrement and no table latch, while an evictor on another thread —
-//! holding that latch — reads the count to decide whether the frame may be
-//! recycled. This suite runs the two against each other on real OS
-//! threads: the pool is much smaller than the page range, so nearly every
-//! `get` evicts a frame that some other thread unpinned a moment ago.
+//! `unpins_race_evictions_on_one_shard`: `PageGuard::drop` lowers the
+//! frame's pin count with one atomic decrement and no table latch, while
+//! an evictor on another thread — holding that latch — reads the count to
+//! decide whether the frame may be recycled. The pool is much smaller than
+//! the page range, so nearly every `get` evicts a frame that some other
+//! thread unpinned a moment ago. Each thread draws from its own residue
+//! class of page ids, so the threads share the table latch, the free list
+//! and the victim heap — where unpin and eviction meet — but never a page.
+//!
+//! `first_touches_of_the_same_page_see_its_fill`: the threads walk one
+//! shared page sequence, so they fault in the *same* pages at the same
+//! moments. A miss takes its frame's write latch before it releases the
+//! table latch, so a thread that hits the page while its fill is in
+//! flight waits for the fill instead of reading the victim's image or the
+//! zero image. It runs once with fill expansion (the run's first page
+//! fills through the same latch) until the pool is full, then through
+//! single-page misses that evict.
 //!
 //! What must hold: no "pool exhausted" or pin-underflow panic, a pinned
-//! frame is never recycled under its guard (every page is tagged with its
-//! own id, and the tag is read twice while the guard is held), and every
-//! pin count is back to zero at the end.
-//!
-//! Each thread draws from its own residue class of page ids. Two threads
-//! therefore never fault in the *same* page at the same moment — the pool
-//! does not support that (see the contract on `BufferPool`), and a hit on
-//! a frame whose fill is still in flight is a separate question from the
-//! unpin protocol under test — but they share the table latch, the free
-//! list and the victim heap, which is where unpin and eviction meet.
+//! frame is never recycled under its guard and always holds its own page
+//! (every page is tagged with its own id, and the tag is read twice while
+//! the guard is held), and every pin count is back to zero at the end.
 
 use std::sync::{Arc, Barrier};
 
 use turbopool::bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
-use turbopool::iosim::{Clk, DeviceSetup, IoManager, Locality, PageId};
+use turbopool::iosim::{Clk, DeviceSetup, IoError, IoManager, Locality, PageBuf, PageId, Time};
 
 const PAGE: usize = 64;
 const DB_PAGES: u64 = 2048;
@@ -110,4 +114,134 @@ fn unpins_race_evictions_on_one_shard() {
             .expect("no fault plan attached");
         assert_eq!(g.read(tag), p);
     }
+}
+
+/// [`DirectIo`] that hands the CPU away before every read and every
+/// write-behind, so that another thread runs while a miss's eviction and
+/// fill are in flight: the window in which a hit must wait for the fill.
+struct Yielding(DirectIo);
+
+impl PageIo for Yielding {
+    fn read_page(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut [u8],
+    ) -> Result<(), IoError> {
+        std::thread::yield_now();
+        self.0.read_page(clk, pid, class, buf)
+    }
+
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        std::thread::yield_now();
+        self.0.read_page_buf(clk, pid, class, buf)
+    }
+
+    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        std::thread::yield_now();
+        self.0.read_run(clk, first, n)
+    }
+
+    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, class: Locality) {
+        std::thread::yield_now();
+        self.0.evict_page(now, pid, data, dirty, class);
+    }
+
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, class: Locality) {
+        std::thread::yield_now();
+        self.0.evict_page_buf(now, pid, data, dirty, class);
+    }
+
+    fn note_dirtied(&self, now: Time, pid: PageId) {
+        self.0.note_dirtied(now, pid);
+    }
+
+    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], class: Locality) -> Time {
+        self.0.checkpoint_write(now, pid, data, class)
+    }
+
+    fn checkpoint_flush(&self, clk: &mut Clk) {
+        self.0.checkpoint_flush(clk);
+    }
+}
+
+/// `threads` OS threads each make `gets` reads of pages drawn from one
+/// shared sequence over `span` pages of a fresh `FRAMES`-frame pool with
+/// fill expansion on. Pages are tagged in the disk store with their id + 1,
+/// so neither a victim's image nor the zero image passes for the page.
+fn same_page_first_touches(threads: u64, gets: u64, span: u64) {
+    let io = Arc::new(IoManager::new(&DeviceSetup::paper(PAGE, DB_PAGES, 1)));
+    for p in 0..DB_PAGES {
+        let mut image = [0u8; PAGE];
+        image[..8].copy_from_slice(&(p + 1).to_le_bytes());
+        io.disk_store().write(PageId(p), &image);
+    }
+    let layer: Arc<dyn PageIo> = Arc::new(Yielding(DirectIo::new(io)));
+    let mut cfg = BufferPoolConfig::new(FRAMES, PAGE, DB_PAGES);
+    cfg.fill_expansion = 8;
+    let pool = BufferPool::new(cfg, layer);
+
+    let start = Barrier::new(threads as usize);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the same-page fill race needs true parallelism; the hammered pool is \
+                  test-local, no simulation state is shared"
+    )]
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (pool, start) = (&pool, &start);
+            s.spawn(move || {
+                let mut clk = Clk::new();
+                // One sequence for every thread, so they fault in the
+                // same pages at about the same moments.
+                let mut x = 1u64;
+                start.wait();
+                for i in 0..gets {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let pid = (x >> 33) % span;
+                    let g = pool
+                        .get(&mut clk, PageId(pid), Locality::Random)
+                        .expect("no fault plan attached");
+                    assert_eq!(
+                        g.read(tag),
+                        pid + 1,
+                        "thread {t} get {i}: not page {pid}'s fill"
+                    );
+                    if i % 64 == t {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(g.read(tag), pid + 1, "frame recycled under its guard");
+                }
+            });
+        }
+    });
+
+    assert_eq!(pool.pinned_frames(), 0, "every guard gave its pin back");
+    let s = pool.stats();
+    assert_eq!(s.hits + s.misses, threads * gets);
+    assert!(s.expanded_fill_pages > 0, "the fill-expansion path ran");
+    assert!(
+        s.evictions_clean > gets / 10,
+        "only {} evictions",
+        s.evictions_clean
+    );
+}
+
+#[test]
+fn first_touches_of_the_same_page_see_its_fill() {
+    same_page_first_touches(4, 20_000, 4 * FRAMES as u64);
+}
+
+/// The long variant (release, a few seconds): `scripts/check.sh` runs it.
+#[test]
+#[ignore = "long variant; run with --release -- --ignored"]
+fn first_touches_of_the_same_page_see_its_fill_long() {
+    same_page_first_touches(4, 600_000, 4 * FRAMES as u64);
 }
