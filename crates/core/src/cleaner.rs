@@ -7,33 +7,12 @@
 //! to [`LazyCleaner::step`] performs at most one batch on the cleaner's own
 //! virtual clock, so its I/O competes with foreground transactions for
 //! device time — which is exactly the throughput cliff of Figure 6.
-//!
-//! Congestion awareness (gray-failure extension): cleaning writes land on
-//! the same spindles that serve foreground misses, so the cleaner adapts
-//! to the disk group's queue depth. Above the high-water mark it *yields*
-//! a round ([`CleanerStep::Backoff`]) while the disk queue exceeds
-//! [`CLEANER_DISK_QUEUE_MAX`] — unless dirty pages have piled past the hard
-//! [`dirty_ceiling`](crate::config::SsdConfig::dirty_ceiling), where
-//! bounding dirty growth outranks foreground latency. Below the mark it
-//! *drains opportunistically* while the disk is idle
-//! ([`CLEANER_IDLE_DEPTH`]), buying headroom for the next burst.
 
 use std::sync::Arc;
 
 use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::manager::SsdManager;
-use crate::metrics::SsdMetrics;
-
-/// Disk-group queue depth above which a cleaning round is yielded, so
-/// cleaning back-pressure never competes with foreground misses: 32
-/// outstanding requests is 4 per member of the paper's 8-disk group.
-pub const CLEANER_DISK_QUEUE_MAX: usize = 32;
-
-/// Disk-group queue depth at or below which the cleaner drains
-/// opportunistically even below the λ high-water mark: 1 means the disk
-/// is essentially idle.
-pub const CLEANER_IDLE_DEPTH: usize = 1;
 
 /// What a cleaner step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +20,6 @@ pub enum CleanerStep {
     /// Dirty count was at or below the high-water mark; nothing done. The
     /// caller should sleep for [`LazyCleaner::poll_interval`].
     Idle,
-    /// Dirty count calls for cleaning but the disk group is congested and
-    /// the hard ceiling has not been reached: the round was yielded to
-    /// foreground I/O. The caller should sleep like `Idle`.
-    Backoff,
     /// One group-cleaning batch of this many pages was flushed.
     Cleaned(usize),
 }
@@ -56,8 +31,6 @@ pub struct LazyCleaner {
     low_water: u64,
     /// Wake-up threshold (λ).
     high_water: u64,
-    /// Hard dirty ceiling: above it congestion no longer defers cleaning.
-    ceiling: u64,
     /// Below the high-water mark we are draining toward the low-water mark.
     draining: bool,
 }
@@ -68,7 +41,6 @@ impl LazyCleaner {
         LazyCleaner {
             low_water: cfg.dirty_low_water(),
             high_water: cfg.dirty_high_water(),
-            ceiling: cfg.dirty_ceiling(),
             mgr,
             draining: false,
         }
@@ -88,30 +60,9 @@ impl LazyCleaner {
                 return CleanerStep::Idle;
             }
         } else if dirty <= self.high_water {
-            // Opportunistic draining: the λ trigger hasn't fired, but the
-            // disk group is idle and there are dirty pages above the
-            // low-water mark — clean one batch now so the next burst
-            // starts with headroom instead of a cliff.
-            if dirty > self.low_water && self.mgr.disk_queue_depth(clk.now) <= CLEANER_IDLE_DEPTH {
-                SsdMetrics::bump(&self.mgr.metrics.cleaner_boosts);
-                let n = self.mgr.clean_batch(clk);
-                return if n == 0 {
-                    CleanerStep::Idle
-                } else {
-                    CleanerStep::Cleaned(n)
-                };
-            }
             return CleanerStep::Idle;
         } else {
             self.draining = true;
-        }
-        // Congestion backpressure: cleaning writes would queue behind
-        // foreground misses on the disk group. Yield the round unless
-        // dirty pages have piled past the hard ceiling, where bounding
-        // dirty accumulation outranks foreground latency.
-        if dirty < self.ceiling && self.mgr.disk_queue_depth(clk.now) > CLEANER_DISK_QUEUE_MAX {
-            SsdMetrics::bump(&self.mgr.metrics.cleaner_backoffs);
-            return CleanerStep::Backoff;
         }
         let n = self.mgr.clean_batch(clk);
         if n == 0 {
@@ -171,18 +122,38 @@ mod tests {
     }
 
     #[test]
-    fn idle_disk_drains_opportunistically() {
+    fn lambda_trigger_fires_only_above_high_water() {
         let (_io, mgr, mut cleaner) = lc(100, 0.5, 8);
-        let t = dirty_pages(&mgr, 50);
-        // At the high-water mark (50) the λ trigger has not fired, but
-        // the disk group is idle: the cleaner banks a batch now.
+        let high = mgr.config().dirty_high_water();
+        let t = dirty_pages(&mgr, high);
+        // Exactly λ·S dirty pages: the trigger has not fired.
         let mut clk = Clk::at(t);
+        assert_eq!(cleaner.step(&mut clk), CleanerStep::Idle);
+        assert_eq!(clk.now, t);
+        assert_eq!(mgr.dirty_count(), high);
+        // One more dirty page crosses it.
+        mgr.evict_page(t, PageId(high), &[1u8; PS], true, Locality::Random);
         match cleaner.step(&mut clk) {
             CleanerStep::Cleaned(n) => assert!(n > 0),
-            s => panic!("expected opportunistic clean, got {s:?}"),
+            s => panic!("above λ·S the cleaner must clean, got {s:?}"),
         }
-        assert!(mgr.metrics.snapshot().cleaner_boosts >= 1);
-        assert!(mgr.dirty_count() < 50);
+    }
+
+    #[test]
+    fn drain_stops_exactly_at_low_water() {
+        // α = 2 from λ·S + 1 = 51 dirty pages: one batch lands on the
+        // low-water mark (49), and the drain ends there.
+        let (_io, mgr, mut cleaner) = lc(100, 0.5, 2);
+        let low = mgr.config().dirty_low_water();
+        assert_eq!(low, 49);
+        let t = dirty_pages(&mgr, 51);
+        let mut clk = Clk::at(t);
+        assert_eq!(cleaner.step(&mut clk), CleanerStep::Cleaned(2));
+        assert_eq!(mgr.dirty_count(), low);
+        let after = clk.now;
+        assert_eq!(cleaner.step(&mut clk), CleanerStep::Idle);
+        assert_eq!(clk.now, after);
+        assert_eq!(mgr.dirty_count(), low);
     }
 
     #[test]
@@ -194,7 +165,6 @@ mod tests {
         loop {
             match cleaner.step(&mut clk) {
                 CleanerStep::Idle => break,
-                CleanerStep::Backoff => panic!("uncongested disk must not back off"),
                 CleanerStep::Cleaned(n) => cleaned += n,
             }
         }
@@ -213,38 +183,6 @@ mod tests {
         match cleaner.step(&mut clk) {
             CleanerStep::Cleaned(n) => assert!(n <= 4),
             s => panic!("should clean, got {s:?}"),
-        }
-    }
-
-    #[test]
-    fn congested_disk_defers_cleaning() {
-        let (io, mgr, mut cleaner) = lc(100, 0.1, 8);
-        let t = dirty_pages(&mgr, 20); // above high water (10), far below ceiling (75)
-        for i in 0..CLEANER_DISK_QUEUE_MAX as u64 + 8 {
-            let _ = io.write_disk_async(t, PageId(1000 + i), &[2u8; PS], Locality::Random);
-        }
-        let mut clk = Clk::at(t);
-        assert_eq!(cleaner.step(&mut clk), CleanerStep::Backoff);
-        assert_eq!(
-            cleaner.step(&mut clk),
-            CleanerStep::Backoff,
-            "still congested"
-        );
-        assert_eq!(mgr.dirty_count(), 20, "no cleaning while congested");
-        assert!(mgr.metrics.snapshot().cleaner_backoffs >= 2);
-    }
-
-    #[test]
-    fn dirty_ceiling_overrides_congestion() {
-        let (io, mgr, mut cleaner) = lc(100, 0.1, 8);
-        let t = dirty_pages(&mgr, 80); // past the 0.75 ceiling (75)
-        for i in 0..CLEANER_DISK_QUEUE_MAX as u64 + 8 {
-            let _ = io.write_disk_async(t, PageId(1000 + i), &[2u8; PS], Locality::Random);
-        }
-        let mut clk = Clk::at(t);
-        match cleaner.step(&mut clk) {
-            CleanerStep::Cleaned(n) => assert!(n > 0),
-            s => panic!("ceiling breach must clean through congestion, got {s:?}"),
         }
     }
 }

@@ -8,11 +8,6 @@
 /// observe recovery.
 pub const HEDGE_PROBE_INTERVAL: u64 = 16;
 
-/// Hard ceiling on dirty SSD pages as a fraction of `S`: above it the
-/// cleaner ignores disk congestion, because unchecked dirty growth would
-/// strand the recovery path.
-pub const CLEANER_DIRTY_CEILING: f64 = 0.75;
-
 /// After a cleaning burst, the dirty count is brought to `λ·S − slack·S`
 /// ("about 0.01% of the SSD space below the threshold").
 pub const LAMBDA_SLACK: f64 = 0.0001;
@@ -176,14 +171,6 @@ impl SsdConfig {
         let low = self.frames as f64 * (self.lambda - LAMBDA_SLACK);
         low.max(0.0) as u64
     }
-
-    /// Absolute dirty-page ceiling ([`CLEANER_DIRTY_CEILING`]) above
-    /// which the cleaner ignores disk congestion (never below the λ
-    /// high-water mark, so raising λ keeps the ceiling meaningful).
-    pub fn dirty_ceiling(&self) -> u64 {
-        let ceil = (self.frames as f64 * CLEANER_DIRTY_CEILING) as u64;
-        ceil.max(self.dirty_high_water())
-    }
 }
 
 #[cfg(test)]
@@ -201,14 +188,6 @@ mod tests {
         assert_eq!(c.fill_target(), 17_432_576);
         assert_eq!(c.dirty_high_water(), 9_175_040);
         assert!(c.dirty_low_water() < c.dirty_high_water());
-        assert!(c.dirty_ceiling() > c.dirty_high_water());
-    }
-
-    #[test]
-    fn dirty_ceiling_never_below_high_water() {
-        let mut c = SsdConfig::new(SsdDesign::LazyCleaning, 1000);
-        c.lambda = 0.90;
-        assert_eq!(c.dirty_ceiling(), c.dirty_high_water());
     }
 
     #[test]

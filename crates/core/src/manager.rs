@@ -206,12 +206,6 @@ impl SsdManager {
         self.stamp.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Outstanding requests on the disk group (congestion signal for the
-    /// lazy cleaner).
-    pub fn disk_queue_depth(&self, now: Time) -> usize {
-        self.io.disk_queue_depth(now)
-    }
-
     /// Aggressive filling (§3.3.1): until the SSD is τ-full, everything is
     /// admitted.
     fn filling(&self) -> bool {

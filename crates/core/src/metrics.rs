@@ -81,13 +81,6 @@ turbopool_iosim::counters! {
         pub hedged_admissions,
         /// SSD I/O retry attempts consumed by the capped-backoff policy.
         pub ssd_retries,
-        /// Lazy-cleaner rounds skipped because the disk group was congested
-        /// (queue depth above `CLEANER_DISK_QUEUE_MAX`) and the dirty count
-        /// was still below the hard ceiling.
-        pub cleaner_backoffs,
-        /// Lazy-cleaner rounds run opportunistically below the high-water
-        /// mark because the disk group was idle.
-        pub cleaner_boosts,
         /// Table-latch acquisitions: `SsdManager`'s partition latches, TAC's
         /// one table latch. A pure function of the operation sequence in
         /// deterministic driver runs, so it participates safely in replay

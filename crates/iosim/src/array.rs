@@ -1,13 +1,9 @@
 //! A striped disk array: the paper's eight-HDD file group.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::clock::Time;
-use crate::device::{drain_completed, DeviceProfile, IoKind, IoTicket, Locality, SimDevice};
+use crate::device::{DeviceProfile, IoKind, IoTicket, Locality, SimDevice};
 use crate::page::PageId;
 use crate::stats::StatSnapshot;
-use crate::sync::Mutex;
 
 /// Pages per stripe unit: 8 pages = 64 KB with 8 KB pages, a typical
 /// file-group stripe size. A whole stripe lives on one disk, so a small
@@ -27,10 +23,6 @@ pub const STRIPE_PAGES: u64 = 8;
 pub struct StripedArray {
     disks: Vec<SimDevice>,
     stripe_pages: u64,
-    /// Completion times of the members' outstanding requests, one per
-    /// member span: the array's queue depth, under one lock rather than
-    /// one per member.
-    outstanding: Mutex<BinaryHeap<Reverse<Time>>>,
 }
 
 impl StripedArray {
@@ -45,7 +37,6 @@ impl StripedArray {
         StripedArray {
             disks,
             stripe_pages: STRIPE_PAGES,
-            outstanding: Mutex::new(BinaryHeap::new()),
         }
     }
 
@@ -73,7 +64,7 @@ impl StripedArray {
         page: PageId,
         hint: Option<Locality>,
     ) -> IoTicket {
-        self.submit_run_scaled(now, kind, page, 1, hint, 1).0
+        self.submit_run_scaled(now, kind, page, 1, hint, 1)
     }
 
     /// Submit a multi-page request for the consecutive run
@@ -94,13 +85,12 @@ impl StripedArray {
         npages: u64,
         hint: Option<Locality>,
     ) -> IoTicket {
-        self.submit_run_scaled(now, kind, first, npages, hint, 1).0
+        self.submit_run_scaled(now, kind, first, npages, hint, 1)
     }
 
     /// [`Self::submit_run`] with a brownout service-time multiplier
     /// applied to every member span of the run (a single page is a run of
-    /// one). Also returns the array's queue depth the run found:
-    /// [`Self::queue_depth`] at `now`, sampled just before the booking.
+    /// one).
     pub fn submit_run_scaled(
         &self,
         now: Time,
@@ -109,11 +99,9 @@ impl StripedArray {
         npages: u64,
         hint: Option<Locality>,
         scale: u32,
-    ) -> (IoTicket, usize) {
+    ) -> IoTicket {
         assert!(npages > 0);
         let sp = self.stripe_pages;
-        let mut outstanding = self.outstanding.lock();
-        let depth = drain_completed(&mut outstanding, now);
         let mut ticket: Option<IoTicket> = None;
         let mut i = 0u64;
         while i < npages {
@@ -121,7 +109,6 @@ impl StripedArray {
             let (disk, lba) = self.locate(pid);
             let span = (sp - pid.0 % sp).min(npages - i);
             let t = self.disks[disk].submit_scaled(now, kind, lba, span, hint, scale);
-            outstanding.push(Reverse(t.complete));
             ticket = Some(match ticket {
                 None => t,
                 Some(prev) => IoTicket {
@@ -131,14 +118,7 @@ impl StripedArray {
             });
             i += span;
         }
-        (ticket.expect("npages > 0"), depth)
-    }
-
-    /// Total outstanding requests across all members at `now`. Every
-    /// submission drains the requests completed by its own `now`, which is
-    /// what sampling every member before each submission did.
-    pub fn queue_depth(&self, now: Time) -> usize {
-        drain_completed(&mut self.outstanding.lock(), now)
+        ticket.expect("npages > 0")
     }
 
     /// Aggregate statistics across members.
@@ -184,7 +164,6 @@ impl StripedArray {
         for d in &self.disks {
             d.reset_time();
         }
-        self.outstanding.lock().clear();
     }
 
     /// Reset statistics on all members.
@@ -304,56 +283,6 @@ mod tests {
         // The second batch is all-sequential: much cheaper than the first
         // (which paid one random positioning per disk).
         assert!(b1 * 2 < b0, "first {b0} second {b1}");
-    }
-
-    #[test]
-    fn array_depth_equals_the_sum_of_member_depths() {
-        // A seeded schedule of page and run submissions, clocks out of
-        // order, on twin arrays: the array-level record on one, on the
-        // other every member sampled before each submission — the old
-        // sample.
-        use crate::rng::{Rng, SeedableRng, SmallRng};
-        let member_sum = |a: &StripedArray, now: Time| -> usize {
-            (0..a.num_disks()).map(|i| a.disk(i).queue_depth(now)).sum()
-        };
-        let (fused, members) = (array(), array());
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut base: Time = 0;
-        for step in 0..4_000 {
-            base += rng.gen_range(0..2_000_000u64);
-            let now = base.saturating_sub(rng.gen_range(0..20_000_000u64));
-            let kind = if rng.gen_ratio(1, 3) {
-                IoKind::Write
-            } else {
-                IoKind::Read
-            };
-            let first = PageId(rng.gen_range(0..4_096u64));
-            let n = if rng.gen_ratio(1, 2) {
-                1
-            } else {
-                rng.gen_range(2..48u64)
-            };
-            let scale = [1, 1, 3][rng.gen_range(0..3usize)];
-            let depth = member_sum(&members, now);
-            let (ticket, _) = members.submit_run_scaled(now, kind, first, n, None, scale);
-            assert_eq!(
-                fused.submit_run_scaled(now, kind, first, n, None, scale),
-                (ticket, depth),
-                "step {step}"
-            );
-            if rng.gen_ratio(1, 5) {
-                let at = base.saturating_sub(rng.gen_range(0..20_000_000u64));
-                assert_eq!(
-                    fused.queue_depth(at),
-                    member_sum(&members, at),
-                    "step {step}"
-                );
-            }
-        }
-        assert!(
-            fused.queue_depth(base) > 0,
-            "the schedule kept the array busy"
-        );
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Ledger {
 
 /// Drop the requests of `outstanding` (completion times) that completed by
 /// `now` and return how many are left: the queue depth at `now`.
-pub(crate) fn drain_completed(outstanding: &mut BinaryHeap<Reverse<Time>>, now: Time) -> usize {
+fn drain_completed(outstanding: &mut BinaryHeap<Reverse<Time>>, now: Time) -> usize {
     while outstanding.peek().is_some_and(|&Reverse(t)| t <= now) {
         outstanding.pop();
     }

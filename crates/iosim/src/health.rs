@@ -1,9 +1,10 @@
 //! Per-device fail-slow detection.
 //!
-//! A [`FailSlowDetector`] watches one simulated device and decides, in
-//! virtual time, whether the device is *gray-failing*: still answering
-//! every request, just pathologically slowly (an SSD in a GC stall, a
-//! disk group behind a saturated queue). Hard failures raise
+//! A [`FailSlowDetector`] watches one simulated device (the
+//! [`IoManager`](crate::IoManager) keeps one, on the SSD) and decides, in
+//! virtual time, whether it is *gray-failing*: still answering every
+//! request, just pathologically slowly (an SSD in a GC stall). Hard
+//! failures raise
 //! [`IoError`](crate::fault::IoError)s and are handled by the retry and
 //! quarantine machinery; latency never does — this detector closes that
 //! gap so upper layers can hedge reads to the replica tier.
@@ -35,9 +36,7 @@
 //! request at healthy speed — crucial when the degraded device only
 //! receives sparse canary probes, whose streak must not be dragged out
 //! by the memory of the slow period. The hysteresis streaks provide all
-//! the smoothing the flag needs; a latency EWMA is still maintained as
-//! an observability statistic (clamped to [`OUTLIER_CLAMP`] × the slow
-//! threshold so one enormous outlier cannot distort it).
+//! the smoothing the flag needs.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -45,19 +44,10 @@ use crate::clock::Time;
 use crate::device::DeviceProfile;
 use crate::sync::Mutex;
 
-/// Observations are clamped to this multiple of the slow threshold
-/// (`baseline ×` [`SLOW_FACTOR`]) before entering the reported EWMA, so a
-/// single enormous outlier cannot distort the smoothed statistic.
-pub const OUTLIER_CLAMP: u64 = 4;
-
 // Detector tuning. The values favor fast detection of 5–50× brownouts
 // while ignoring ordinary queueing noise; every comparison inside the
 // detector reads one of these, never an inline literal.
 
-/// Divisor `d` of the reported latency EWMA (an observability statistic;
-/// trip/clear decisions use raw samples): each sample moves the average
-/// by `1/d` of the distance to the observation.
-pub const EWMA_DIV: u64 = 8;
 /// Degraded threshold as a multiple of the calibrated baseline latency.
 pub const SLOW_FACTOR: u64 = 4;
 /// A sample is also slow when the device's queue depth at submission
@@ -84,20 +74,16 @@ pub struct FailSlowStats {
     pub samples: u64,
     /// Samples classified slow (latency or queue-depth breach).
     pub slow_samples: u64,
-    /// Current latency EWMA in virtual nanoseconds (smoothed
-    /// observability statistic; not used for trip/clear decisions).
-    pub ewma_ns: Time,
 }
 
 #[derive(Debug, Default)]
 struct DetectorState {
-    ewma_ns: Time,
     slow_streak: u32,
     fast_streak: u32,
     degraded: bool,
 }
 
-/// EWMA + queue-depth fail-slow detector for one device (see module
+/// Latency + queue-depth fail-slow detector for one device (see module
 /// docs for the state machine).
 #[derive(Debug)]
 pub struct FailSlowDetector {
@@ -140,22 +126,6 @@ impl FailSlowDetector {
         self.samples.fetch_add(1, Relaxed);
         let mut st = self.state.lock();
         let threshold = self.baseline_ns.saturating_mul(SLOW_FACTOR);
-        // Integer EWMA: old + (obs - old)/d, exact and replayable. The
-        // average is seeded from the calibrated baseline so the first
-        // sample carries no more weight than any other. Reported only;
-        // the streaks below judge each raw sample so recovery shows the
-        // moment one request completes at healthy speed.
-        let obs = latency_ns.min(threshold.saturating_mul(OUTLIER_CLAMP));
-        let old = if st.ewma_ns == 0 {
-            self.baseline_ns
-        } else {
-            st.ewma_ns
-        };
-        st.ewma_ns = if obs >= old {
-            old + (obs - old) / EWMA_DIV
-        } else {
-            old - (old - obs) / EWMA_DIV
-        };
         let slow = latency_ns > threshold || queue_depth > DEPTH_LIMIT;
         if slow {
             self.slow_samples.fetch_add(1, Relaxed);
@@ -206,7 +176,6 @@ impl FailSlowDetector {
             transitions: self.transitions.load(Relaxed),
             samples: self.samples.load(Relaxed),
             slow_samples: self.slow_samples.load(Relaxed),
-            ewma_ns: st.ewma_ns,
         }
     }
 }
@@ -242,14 +211,13 @@ mod tests {
         assert!(!s.degraded);
         assert_eq!(s.transitions, 0);
         assert_eq!(s.slow_samples, 0);
-        assert_eq!(s.ewma_ns, 2000);
     }
 
     #[test]
     fn sustained_slowness_trips_after_hysteresis() {
         let d = detector();
-        // 20× baseline: EWMA crosses 4× baseline quickly, then the
-        // TRIP_AFTER streak must still elapse.
+        // 20× baseline: every sample is slow, but the TRIP_AFTER streak
+        // must still elapse.
         let mut tripped_at = None;
         for i in 0..100u32 {
             if d.observe(40_000, 1) {
@@ -280,8 +248,7 @@ mod tests {
         let d = detector();
         while !d.observe(40_000, 1) {}
         assert!(d.is_degraded());
-        // Fast samples: EWMA decays below threshold, then CLEAR_AFTER
-        // consecutive healthy samples flip the flag back.
+        // CLEAR_AFTER consecutive healthy samples flip the flag back.
         let mut cleared_at = None;
         for i in 0..1000u32 {
             if !d.observe(1000, 1) {
@@ -345,7 +312,6 @@ mod tests {
         d.reset();
         let after = d.stats();
         assert!(!after.degraded);
-        assert_eq!(after.ewma_ns, 0);
         assert_eq!(after.transitions, before.transitions, "history survives");
         assert_eq!(after.samples, before.samples);
     }

@@ -110,8 +110,6 @@ pub struct IoManager {
     lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
     any_lost_writes: std::sync::atomic::AtomicBool,
-    /// Fail-slow detector for the disk group, fed by every disk request.
-    disk_health: FailSlowDetector,
     /// Fail-slow detector for the SSD, fed by every SSD request.
     ssd_health: FailSlowDetector,
     /// Crash-schedule switch, if attached: numbers every durable-write
@@ -139,12 +137,6 @@ impl IoManager {
             ssd_fault: RwLock::new(None),
             lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
             any_lost_writes: std::sync::atomic::AtomicBool::new(false),
-            // Single-request baselines: the disk detector watches one
-            // member's service time (a striped request occupies one
-            // spindle), the SSD detector its whole device.
-            disk_health: FailSlowDetector::from_profile(
-                &setup.disk_profile.per_member_of(setup.num_disks.max(1)),
-            ),
             ssd_health: FailSlowDetector::from_profile(&setup.ssd_profile),
             crash_switch: RwLock::new(None),
         }
@@ -249,7 +241,7 @@ impl IoManager {
 
     /// Per-page *service* latency of a completed ticket, plus any
     /// fault-injected extra. Service time — not end-to-end latency — is
-    /// what the detectors sample: queue wait grows with healthy load
+    /// what the SSD detector samples: queue wait grows with healthy load
     /// (saturation is the normal state under aggressive filling), while
     /// service time only grows when the device itself slows down, which
     /// is exactly the brownout signature.
@@ -262,11 +254,6 @@ impl IoManager {
         self.ssd_health.is_degraded()
     }
 
-    /// Is the disk group currently flagged fail-slow?
-    pub fn disk_slow(&self) -> bool {
-        self.disk_health.is_degraded()
-    }
-
     /// Is the SSD degraded but part-way through a fast-sample streak
     /// (recovery pending confirmation)? Hedging layers burst canary
     /// probes while this holds.
@@ -277,11 +264,6 @@ impl IoManager {
     /// Snapshot of the SSD fail-slow detector.
     pub fn ssd_failslow(&self) -> FailSlowStats {
         self.ssd_health.stats()
-    }
-
-    /// Snapshot of the disk-group fail-slow detector.
-    pub fn disk_failslow(&self) -> FailSlowStats {
-        self.disk_health.stats()
     }
 
     pub fn page_size(&self) -> usize {
@@ -328,14 +310,11 @@ impl IoManager {
         let plan = self.plan_for(FaultDevice::Disk);
         let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
-        let (t, depth) =
-            self.disk
-                .submit_run_scaled(clk.now, IoKind::Read, pid, 1, Some(hint), scale);
+        let t = self
+            .disk
+            .submit_run_scaled(clk.now, IoKind::Read, pid, 1, Some(hint), scale);
         buf.set(self.disk_store.read_buf(pid));
-        let done = t.complete + extra;
-        self.disk_health
-            .observe(Self::observed_ns(&t, extra, 1), depth);
-        clk.wait_until(done);
+        clk.wait_until(t.complete + extra);
         Ok(())
     }
 
@@ -360,16 +339,13 @@ impl IoManager {
         let plan = self.plan_for(FaultDevice::Disk);
         let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
-        let (t, depth) = self
+        let t = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, first, n, None, scale);
         let out = (0..n)
             .map(|i| self.disk_store.read_buf(first.offset(i)))
             .collect();
-        let done = t.complete + extra;
-        self.disk_health
-            .observe(Self::observed_ns(&t, extra, n), depth);
-        clk.wait_until(done);
+        clk.wait_until(t.complete + extra);
         Ok(out)
     }
 
@@ -403,15 +379,12 @@ impl IoManager {
             }
         };
         let scale = Self::service_scale(plan.as_deref(), now);
-        let (t, depth) = self
+        let t = self
             .disk
             .submit_run_scaled(now, IoKind::Write, pid, 1, Some(hint), scale);
         self.disk_store.put(pid, data);
         self.clear_lost_write(pid);
-        let done = t.complete + extra;
-        self.disk_health
-            .observe(Self::observed_ns(&t, extra, 1), depth);
-        Ok(done)
+        Ok(t.complete + extra)
     }
 
     /// Synchronously write one database page.
@@ -481,7 +454,7 @@ impl IoManager {
         let torn = plan.as_ref().and_then(|p| p.torn_prefix(pages.len()));
         let persisted = torn.unwrap_or(pages.len());
         let scale = Self::service_scale(plan.as_deref(), now);
-        let (t, depth) = self.disk.submit_run_scaled(
+        let t = self.disk.submit_run_scaled(
             now,
             IoKind::Write,
             first,
@@ -499,9 +472,6 @@ impl IoManager {
             // it, these pages must not read as fresh.
             self.mark_lost_write(first.offset(i as u64));
         }
-        let done = t.complete + extra;
-        self.disk_health
-            .observe(Self::observed_ns(&t, extra, persisted.max(1) as u64), depth);
         if torn.is_some() {
             return Err(IoError::new(
                 FaultDevice::Disk,
@@ -509,7 +479,7 @@ impl IoManager {
                 now,
             ));
         }
-        Ok(done)
+        Ok(t.complete + extra)
     }
 
     /// Record that the most recent durable write of `pid` never reached the
@@ -551,11 +521,6 @@ impl IoManager {
         self.any_lost_writes
             .load(std::sync::atomic::Ordering::Acquire)
             && self.lost_disk_writes.lock().contains(&pid)
-    }
-
-    /// Outstanding request count on the disk group.
-    pub fn disk_queue_depth(&self, now: Time) -> usize {
-        self.disk.queue_depth(now)
     }
 
     // ------------------------------------------------------------------
@@ -816,9 +781,8 @@ impl IoManager {
         self.ssd_dev.reset_time();
         self.log_dev.reset_time();
         // A rebooted machine starts with idle, presumed-healthy devices;
-        // the detectors re-learn from the new incarnation's latencies
-        // (their cumulative transition counts survive as history).
-        self.disk_health.reset();
+        // the SSD detector re-learns from the new incarnation's latencies
+        // (its cumulative transition counts survive as history).
         self.ssd_health.reset();
     }
 
@@ -1390,8 +1354,6 @@ mod tests {
             io.ssd_fault().expect("attached").stats().brownout_slowdowns > 0,
             "slowdowns must be counted"
         );
-        // The disk tier is untouched.
-        assert!(!io.disk_slow());
     }
 
     #[test]
@@ -1409,7 +1371,7 @@ mod tests {
             io.read_ssd(&mut clk, 0, &mut buf).unwrap();
         }
         assert!(io.ssd_slow());
-        // Healthy reads after the window: EWMA decays, flag clears.
+        // Healthy reads after the window clear the flag.
         for _ in 0..200 {
             io.read_ssd(&mut clk, 0, &mut buf).unwrap();
             if !io.ssd_slow() {
@@ -1421,10 +1383,23 @@ mod tests {
     }
 
     #[test]
-    fn disk_brownout_feeds_the_disk_detector() {
-        let io = io();
-        let mut clk = Clk::new();
-        io.set_disk_fault(Some(Arc::new(FaultPlan::new(FaultConfig::brownout_train(
+    fn disk_brownout_slows_the_disk_not_the_ssd() {
+        // The same random reads on a healthy twin and through a 25x disk
+        // brownout: the booked disk service is exactly 25x, and no disk
+        // request feeds the SSD's detector.
+        let run = |plan: Option<Arc<FaultPlan>>| {
+            let io = io();
+            io.set_disk_fault(plan);
+            let mut clk = Clk::new();
+            let mut buf = vec![0u8; 64];
+            for i in 0..32 {
+                io.read_disk(&mut clk, PageId(i % 8), &mut buf, Locality::Random)
+                    .unwrap();
+            }
+            io
+        };
+        let healthy = run(None);
+        let browned = run(Some(Arc::new(FaultPlan::new(FaultConfig::brownout_train(
             4,
             0,
             u64::MAX,
@@ -1432,13 +1407,14 @@ mod tests {
             0,
             25,
         )))));
-        let mut buf = vec![0u8; 64];
-        for i in 0..32 {
-            io.read_disk(&mut clk, PageId(i % 8), &mut buf, Locality::Random)
-                .unwrap();
-        }
-        assert!(io.disk_slow(), "sustained 25x disk slowness must trip");
-        assert!(!io.ssd_slow());
+        let (h, b) = (healthy.disk_stats(), browned.disk_stats());
+        assert_eq!((b.read_ops, b.read_pages), (h.read_ops, h.read_pages));
+        assert!(h.read_busy_ns > 0);
+        assert_eq!(b.read_busy_ns, 25 * h.read_busy_ns);
+        let f = browned.disk_fault().expect("plan attached").stats();
+        assert_eq!(f.brownout_slowdowns, 32);
+        assert!(!browned.ssd_slow());
+        assert_eq!(browned.ssd_failslow().samples, 0);
     }
 
     #[test]

@@ -310,9 +310,7 @@ impl CleanerClient {
 impl Client for CleanerClient {
     fn step(&mut self, clk: &mut Clk) -> StepResult {
         match self.cleaner.step(clk) {
-            CleanerStep::Idle | CleanerStep::Backoff => {
-                // A yielded (congested) round sleeps like an idle one:
-                // re-polling sooner would only re-measure the same queue.
+            CleanerStep::Idle => {
                 clk.elapse(self.cleaner.poll_interval());
                 StepResult::Continue
             }

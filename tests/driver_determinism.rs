@@ -190,7 +190,6 @@ struct Outcome {
     disk: Vec<turbopool::iosim::StatSnapshot>,
     ssd_dev: Vec<turbopool::iosim::StatSnapshot>,
     ssd_failslow: Vec<turbopool::iosim::FailSlowStats>,
-    disk_failslow: Vec<turbopool::iosim::FailSlowStats>,
     ssd_fault: Vec<Option<turbopool::iosim::fault::FaultStats>>,
     disk_images: Vec<u64>,
     ssd_images: Vec<u64>,
@@ -215,7 +214,6 @@ fn outcome(s: &Scenario) -> Outcome {
         disk: s.dbs.iter().map(|db| db.io().disk_stats()).collect(),
         ssd_dev: s.dbs.iter().map(|db| db.io().ssd_stats()).collect(),
         ssd_failslow: s.dbs.iter().map(|db| db.io().ssd_failslow()).collect(),
-        disk_failslow: s.dbs.iter().map(|db| db.io().disk_failslow()).collect(),
         ssd_fault: s
             .dbs
             .iter()

@@ -83,8 +83,11 @@ fn db_fingerprint(db: &Database, steps: u64) -> u64 {
             m.hedged_reads,
             m.hedged_admissions,
             m.ssd_retries,
-            m.cleaner_backoffs,
-            m.cleaner_boosts,
+            // The deleted congestion-aware cleaner's backoff and boost
+            // counters, folded as the 0 they always were here so the
+            // pinned fingerprints stay as they are.
+            0,
+            0,
         ] {
             fold(&mut h, v);
         }
