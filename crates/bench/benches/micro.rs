@@ -10,7 +10,6 @@ use std::sync::{Arc, Mutex};
 use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::policy::Lru2Policy;
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
-use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
 use turbopool_engine::btree::{find_in_leaf, sorted_head};
@@ -57,28 +56,6 @@ fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
     ns
 }
 
-fn bench_dual_heap() {
-    bench("dual_heap_insert_pop_1k", 200, || {
-        let mut h = DualHeap::new(1024);
-        for i in 0..1024usize {
-            let side = if i % 3 == 0 { Side::Dirty } else { Side::Clean };
-            h.insert(side, ((i as u64 * 7919) % 4096, i as u64), i);
-        }
-        while h.pop_min(Side::Clean).is_some() {}
-        while h.pop_min(Side::Dirty).is_some() {}
-    });
-
-    let mut h = DualHeap::new(1024);
-    for i in 0..1024usize {
-        h.insert(Side::Clean, (i as u64, 0), i);
-    }
-    let mut stamp = 10_000u64;
-    bench("dual_heap_update_reposition", 1_000_000, || {
-        stamp += 1;
-        h.update((stamp % 1024) as usize, (stamp, stamp));
-    });
-}
-
 fn bench_partition() {
     bench("partition_insert_lookup_remove", 200, || {
         let mut p = Partition::new(0, 4096);
@@ -92,6 +69,27 @@ fn bench_partition() {
             let idx = p.lookup(PageId(i * 3)).unwrap();
             p.remove(idx);
         }
+    });
+
+    // One partition at the `turbobench` size (18,350 frames over 16
+    // partitions), full of clean pages: the touch an SSD read hit makes,
+    // then the replacement of the clean victim by a newly admitted page.
+    const FRAMES: usize = 18_350 / 16;
+    let mut p = Partition::new(0, FRAMES);
+    for i in 0..FRAMES {
+        p.insert(PageId(i as u64), false, i as u64 + 1);
+    }
+    let (mut stamp, mut i) = (FRAMES as u64, 0usize);
+    bench("partition_touch_1147", 1_000_000, || {
+        stamp += 1;
+        i = (i + 127) % FRAMES;
+        p.touch(i, stamp);
+    });
+    bench("partition_replace_victim_1147", 1_000_000, || {
+        let (_, victim) = p.peek_clean_victim().unwrap();
+        p.remove(victim);
+        stamp += 1;
+        p.insert(PageId(stamp), false, stamp);
     });
 }
 
@@ -690,7 +688,6 @@ fn bench_loader() {
 
 fn main() {
     let timer = WallTimer::start();
-    bench_dual_heap();
     bench_partition();
     bench_lru2();
     bench_pool_hit();

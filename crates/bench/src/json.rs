@@ -158,10 +158,6 @@ impl BenchReport {
         self.set(key, Json::Int(value))
     }
 
-    pub fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
-        self.set(key, Json::Str(value.to_string()))
-    }
-
     /// The standard block every bench records: wall seconds, virtual
     /// time simulated, driver steps, and the two derived throughput
     /// numbers (steps/sec and virtual-vs-wall speed).
@@ -256,8 +252,7 @@ mod tests {
         );
         assert_eq!(
             keys(turbopool_iosim::FaultStats::default().fields()),
-            "read_errors write_errors latency_spikes torn_writes bitflips dead_rejects \
-             brownout_slowdowns"
+            "read_errors write_errors torn_writes bitflips dead_rejects brownout_slowdowns"
         );
         let classifier = turbopool_bufpool::ClassifierStats::default().fields();
         assert_eq!(

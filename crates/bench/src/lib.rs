@@ -22,7 +22,7 @@ pub mod json;
 pub mod report;
 
 pub use json::{BenchReport, Json, WallTimer};
-pub use report::{fmt_hours, render_series, Table};
+pub use report::{render_series, Table};
 
 use turbopool_iosim::{Time, HOUR};
 

@@ -57,11 +57,6 @@ impl Table {
     }
 }
 
-/// Format virtual nanoseconds as fractional hours.
-pub fn fmt_hours(t: turbopool_iosim::Time) -> String {
-    format!("{:.2}h", t as f64 / turbopool_iosim::HOUR as f64)
-}
-
 /// Render a series of (hours, value) pairs as one `hours value ###` line
 /// per bucket of `len / max_points` points (at least one), each bucket
 /// averaged and its bar scaled to the series peak.

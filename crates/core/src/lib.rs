@@ -20,7 +20,7 @@
 //! invalidation.
 //!
 //! All §3 machinery is here too: the SSD buffer table / hash table / free
-//! list / dual-ended clean+dirty heap array (Figure 4), LRU-2 replacement,
+//! list / clean and dirty LRU-2 orders (Figure 4), LRU-2 replacement,
 //! the random-only admission policy, aggressive filling (τ), SSD throttle
 //! control (μ), multi-page I/O trimming, SSD partitioning (N), and group
 //! cleaning (α) with the λ dirty-fraction threshold.
@@ -45,7 +45,6 @@ pub mod audit;
 pub mod cleaner;
 pub mod coherence;
 pub mod config;
-pub mod heaps;
 pub mod manager;
 pub mod metrics;
 pub mod partition;

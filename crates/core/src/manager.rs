@@ -463,7 +463,7 @@ impl SsdManager {
         // Globally oldest dirty page.
         let anchor = (0..self.parts.len())
             .filter_map(|i| {
-                let part = self.part_at(i);
+                let mut part = self.part_at(i);
                 let (key, idx) = part.peek_dirty_oldest()?;
                 Some((key, part.record(idx).pid))
             })

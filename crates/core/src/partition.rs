@@ -1,15 +1,29 @@
-//! One SSD partition: buffer table, hash table, free list, heap array.
+//! One SSD partition: buffer table, hash table, free list, and the clean
+//! and dirty orders (Figure 4).
 //!
 //! To increase concurrency the SSD buffer pool is partitioned (§3.3.4);
 //! each partition owns a contiguous slice of SSD frames with its own buffer
-//! table, free list and heap array. (The paper shares one hash table across
+//! table, free list and orders. (The paper shares one hash table across
 //! partitions; we route each page id to a fixed partition with a
 //! multiplicative hash, which preserves the single-home invariant with a
 //! per-partition table — see DESIGN.md.)
+//!
+//! Figure 4 keeps the two orders as one heap array: clean pages by LRU-2
+//! key, whose minimum is the replacement victim, and dirty pages the same
+//! way, whose minimum is the next page the lazy cleaner flushes. Here they
+//! are two ordered sets filed lazily. A record is filed at its true key
+//! when it enters a set; a touch only grows that key (`(prev, last)`
+//! becomes `(last, stamp)`), so a touch files nothing and an entry's filed
+//! key never exceeds its true key. Reading a minimum re-files a stale front
+//! until the front is current, and a current front is the true minimum.
+
+use std::collections::BTreeSet;
 
 use turbopool_iosim::{PageId, PidMap};
 
-use crate::heaps::{DualHeap, Key, Side};
+/// Ordering key: the LRU-2 distance of a page, `(penultimate, last)`
+/// access stamps. Stamps are unique, so no two records share a key.
+pub type Key = (u64, u64);
 
 /// One SSD buffer-table record (Figure 4): the cached page's id, its dirty
 /// bit and its last two access stamps. The record's index within the
@@ -39,7 +53,12 @@ pub struct Partition {
     records: Vec<Option<Record>>,
     map: PidMap<usize>,
     free: Vec<usize>,
-    heap: DualHeap,
+    /// Clean records as `(filed key, idx)`.
+    clean: BTreeSet<(Key, usize)>,
+    /// Dirty records as `(filed key, idx)`.
+    dirty: BTreeSet<(Key, usize)>,
+    /// `filed[idx]`: the key record `idx` is filed under; ≤ its true key.
+    filed: Vec<Key>,
 }
 
 impl Partition {
@@ -49,7 +68,9 @@ impl Partition {
             records: vec![None; frames],
             map: PidMap::with_capacity_and_hasher(frames, Default::default()),
             free: (0..frames).rev().collect(),
-            heap: DualHeap::new(frames),
+            clean: BTreeSet::new(),
+            dirty: BTreeSet::new(),
+            filed: vec![(0, 0); frames],
         }
     }
 
@@ -86,14 +107,35 @@ impl Partition {
         self.records[idx].as_mut().expect("occupied record")
     }
 
-    /// Record an SSD access to `idx` at `stamp`, repositioning it in its
-    /// heap.
+    /// The set a clean (`false`) or dirty (`true`) record is filed in.
+    fn side(&mut self, dirty: bool) -> &mut BTreeSet<(Key, usize)> {
+        if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        }
+    }
+
+    /// File record `idx` at its true key.
+    fn file(&mut self, idx: usize) {
+        let r = *self.record(idx);
+        self.filed[idx] = r.kdist();
+        self.side(r.dirty).insert((r.kdist(), idx));
+    }
+
+    /// Take record `idx`'s entry out of its set.
+    fn unfile(&mut self, idx: usize, dirty: bool) {
+        let entry = (self.filed[idx], idx);
+        self.side(dirty).remove(&entry);
+    }
+
+    /// Record an SSD access to `idx` at `stamp`. Only the stamps change:
+    /// the key grows, so the entry may stay filed at the older key.
     pub fn touch(&mut self, idx: usize, stamp: u64) {
         let r = self.record_mut(idx);
+        debug_assert!(stamp > r.last, "stamps rise under the partition latch");
         r.prev = r.last;
         r.last = stamp;
-        let key = r.kdist();
-        self.heap.update(idx, key);
     }
 
     /// Cache `pid` in a free frame; returns the record index, or `None`
@@ -101,19 +143,14 @@ impl Partition {
     pub fn insert(&mut self, pid: PageId, dirty: bool, stamp: u64) -> Option<usize> {
         debug_assert!(!self.map.contains_key(&pid), "page {pid} already cached");
         let idx = self.free.pop()?;
-        let rec = Record {
+        self.records[idx] = Some(Record {
             pid,
             dirty,
             last: stamp,
             prev: 0,
-        };
-        self.records[idx] = Some(rec);
+        });
         self.map.insert(pid, idx);
-        self.heap.insert(
-            if dirty { Side::Dirty } else { Side::Clean },
-            rec.kdist(),
-            idx,
-        );
+        self.file(idx);
         Some(idx)
     }
 
@@ -127,15 +164,14 @@ impl Partition {
             return false;
         };
         self.free.swap_remove(pos);
-        let rec = Record {
+        self.records[idx] = Some(Record {
             pid,
             dirty: false,
             last: stamp,
             prev: 0,
-        };
-        self.records[idx] = Some(rec);
+        });
         self.map.insert(pid, idx);
-        self.heap.insert(Side::Clean, rec.kdist(), idx);
+        self.file(idx);
         true
     }
 
@@ -146,7 +182,7 @@ impl Partition {
         rec
     }
 
-    /// Remove record `idx` from the table and heaps *without* freeing its
+    /// Remove record `idx` from the table and orders *without* freeing its
     /// frame: the frame stays reserved (invisible to `insert`) while the
     /// caller finishes deferred I/O against its bytes outside the latch,
     /// then hands it back with [`Self::release`].
@@ -157,7 +193,7 @@ impl Partition {
         )]
         let rec = self.records[idx].take().expect("occupied record");
         self.map.remove(&rec.pid);
-        self.heap.remove(idx);
+        self.unfile(idx, rec.dirty);
         rec
     }
 
@@ -167,23 +203,41 @@ impl Partition {
         self.free.push(idx);
     }
 
+    /// The minimum `(key, idx)` of one side. A front filed under an older
+    /// key than its record's is re-filed at the true key until the front
+    /// is current: every other entry's true key is ≥ its filed key ≥ the
+    /// front's, so a current front is the true minimum.
+    fn peek_min(&mut self, dirty: bool) -> Option<(Key, usize)> {
+        loop {
+            let &(filed, idx) = self.side(dirty).first()?;
+            let key = self.record(idx).kdist();
+            if filed == key {
+                return Some((key, idx));
+            }
+            let set = self.side(dirty);
+            set.pop_first();
+            set.insert((key, idx));
+            self.filed[idx] = key;
+        }
+    }
+
     /// The LRU-2 replacement victim among *clean* pages.
-    pub fn peek_clean_victim(&self) -> Option<(Key, usize)> {
-        self.heap.peek_min(Side::Clean)
+    pub fn peek_clean_victim(&mut self) -> Option<(Key, usize)> {
+        self.peek_min(false)
     }
 
     /// The oldest *dirty* page — the next one the lazy cleaner flushes.
-    pub fn peek_dirty_oldest(&self) -> Option<(Key, usize)> {
-        self.heap.peek_min(Side::Dirty)
+    pub fn peek_dirty_oldest(&mut self) -> Option<(Key, usize)> {
+        self.peek_min(true)
     }
 
-    /// Mark a dirty record clean (the cleaner flushed it); it moves to the
-    /// clean heap and becomes a replacement candidate.
+    /// Mark a dirty record clean (the cleaner flushed it); it is re-filed
+    /// among the clean pages and becomes a replacement candidate.
     pub fn set_clean(&mut self, idx: usize) {
-        let r = self.record_mut(idx);
-        if r.dirty {
-            r.dirty = false;
-            self.heap.change_side(idx, Side::Clean);
+        if self.record(idx).dirty {
+            self.unfile(idx, true);
+            self.record_mut(idx).dirty = false;
+            self.file(idx);
         }
     }
 
@@ -199,6 +253,7 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
     #[test]
     fn insert_lookup_remove() {
@@ -282,5 +337,130 @@ mod tests {
         p.remove(a);
         let pids: Vec<u64> = p.iter().map(|(_, r)| r.pid.0).collect();
         assert_eq!(pids, vec![2]);
+    }
+
+    #[test]
+    fn lru2_evicts_the_older_penultimate_access_not_the_older_last() {
+        // A: accesses 1, 4. B: accesses 2, 3. LRU-2 ranks by the
+        // penultimate access and evicts A; plain LRU would evict B.
+        for dirty in [false, true] {
+            let mut p = Partition::new(0, 4);
+            let a = p.insert(PageId(1), dirty, 1).unwrap();
+            let b = p.insert(PageId(2), dirty, 2).unwrap();
+            p.touch(b, 3);
+            p.touch(a, 4);
+            let want = Some(((1, 4), a));
+            if dirty {
+                assert_eq!(p.peek_dirty_oldest(), want);
+            } else {
+                assert_eq!(p.peek_clean_victim(), want);
+            }
+        }
+    }
+
+    /// The minimum `(key, idx)` among the reference's records on one side,
+    /// found by scanning.
+    fn scan_min(model: &[Option<Record>], dirty: bool) -> Option<(Key, usize)> {
+        model
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.filter(|r| r.dirty == dirty).map(|r| (r.kdist(), i)))
+            .min()
+    }
+
+    /// Model check: seeded schedules of every table operation against a
+    /// reference that keeps the records in a plain `Vec` and finds each
+    /// side's LRU-2 minimum by scanning. Peeks are ops of their own, so
+    /// entries go stale by several touches before a peek re-files them,
+    /// and each case ends by draining both sides in order.
+    #[test]
+    fn orders_match_a_scanning_model() {
+        const FRAMES: usize = 12;
+        for case in 0u64..64 {
+            let mut rng = SmallRng::seed_from_u64(0x5D7A_B1E5 ^ case);
+            let mut p = Partition::new(0, FRAMES);
+            let mut model: Vec<Option<Record>> = vec![None; FRAMES];
+            let mut detached: Vec<usize> = Vec::new();
+            let mut stamp = 0u64;
+            for _ in 0..rng.gen_range(1usize..300) {
+                stamp += 1;
+                let pid = PageId(rng.gen_range(0u64..24));
+                let idx = rng.gen_range(0usize..FRAMES);
+                let held = model[idx].is_some();
+                match rng.gen_range(0u8..10) {
+                    0 | 1 if p.lookup(pid).is_none() => {
+                        let dirty = rng.gen_bool(0.4);
+                        match p.insert(pid, dirty, stamp) {
+                            Some(i) => {
+                                assert!(model[i].is_none() && !detached.contains(&i));
+                                model[i] = Some(Record {
+                                    pid,
+                                    dirty,
+                                    last: stamp,
+                                    prev: 0,
+                                });
+                            }
+                            None => assert_eq!(p.free_frames(), 0),
+                        }
+                    }
+                    2 => {
+                        let free = !held && !detached.contains(&idx);
+                        let want = free && model.iter().flatten().all(|r| r.pid != pid);
+                        assert_eq!(p.insert_at(idx, pid, stamp), want);
+                        if want {
+                            model[idx] = Some(Record {
+                                pid,
+                                dirty: false,
+                                last: stamp,
+                                prev: 0,
+                            });
+                        }
+                    }
+                    3..=5 if held => {
+                        p.touch(idx, stamp);
+                        let r = model[idx].as_mut().unwrap();
+                        (r.prev, r.last) = (r.last, stamp);
+                    }
+                    6 if held => assert_eq!(Some(p.remove(idx)), model[idx].take()),
+                    7 if held => {
+                        assert_eq!(Some(p.detach(idx)), model[idx].take());
+                        detached.push(idx);
+                    }
+                    7 => {
+                        if let Some(i) = detached.pop() {
+                            p.release(i);
+                        }
+                    }
+                    8 if held => {
+                        p.set_clean(idx);
+                        model[idx].as_mut().unwrap().dirty = false;
+                    }
+                    9 => {
+                        assert_eq!(p.peek_clean_victim(), scan_min(&model, false));
+                        assert_eq!(p.peek_dirty_oldest(), scan_min(&model, true));
+                    }
+                    _ => {}
+                }
+                let held = model.iter().flatten().count();
+                assert_eq!(p.free_frames(), FRAMES - held - detached.len());
+                for (i, r) in model.iter().enumerate() {
+                    if let Some(r) = r {
+                        assert_eq!((p.lookup(r.pid), p.record(i)), (Some(i), r));
+                    }
+                }
+            }
+            for dirty in [false, true] {
+                loop {
+                    let got = if dirty {
+                        p.peek_dirty_oldest()
+                    } else {
+                        p.peek_clean_victim()
+                    };
+                    assert_eq!(got, scan_min(&model, dirty), "case {case}");
+                    let Some((_, i)) = got else { break };
+                    assert_eq!(Some(p.remove(i)), model[i].take());
+                }
+            }
+        }
     }
 }

@@ -1160,4 +1160,50 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn commit_redoes_a_page_it_cannot_pin_onto_disk() {
+        use turbopool_iosim::fault::{FaultConfig, FaultPlan};
+        // Publication pins each written page after the commit record is
+        // durable. A page whose pin fails even after the read retries is
+        // redone from the log straight onto the disk tier, so the commit
+        // stands and the row reads back once the disk answers again.
+        let mut cfg = DbConfig::small_for_tests();
+        cfg.pool.frames = 2;
+        cfg.ssd = None;
+        let db = Database::open(cfg);
+        let mut clk = Clk::new();
+        let h = db.create_heap(&mut clk, "t", 16, 4);
+        let meta = db.heap_meta(h);
+        let mut txn = db.begin(&mut clk);
+        let rid = txn.heap_insert(h, &1u64.to_le_bytes()).unwrap();
+        assert!(txn.commit().is_committed());
+        db.checkpoint(&mut clk);
+        let pid = meta.first.offset(rid / meta.slots_per_page as u64);
+
+        let mut txn = db.begin(&mut clk);
+        assert!(txn.heap_update(h, rid, &2u64.to_le_bytes()));
+        // Reading another page twice, then a third, pushes the written page
+        // out of the two-frame LRU-2 pool before the commit.
+        let mut reader = Clk::new();
+        for other in [1, 1, 2] {
+            drop(
+                db.pool()
+                    .get(&mut reader, meta.first.offset(other), Locality::Random),
+            );
+        }
+        assert!(!db.pool().contains(pid));
+        let mut every_read_fails = FaultConfig::quiet(7);
+        every_read_fails.read_error_prob = 1.0;
+        db.io()
+            .set_disk_fault(Some(Arc::new(FaultPlan::new(every_read_fails))));
+        assert!(txn.commit().is_committed());
+        assert!(!db.pool().contains(pid), "the pin failed");
+
+        db.io().set_disk_fault(None);
+        let mut txn = db.begin(&mut clk);
+        let rec = txn.heap_get(h, rid).unwrap();
+        assert_eq!(u64::from_le_bytes(rec[..8].try_into().unwrap()), 2);
+        assert!(txn.commit().is_committed());
+    }
 }

@@ -1,10 +1,10 @@
 //! Deterministic storage-fault injection.
 //!
 //! A [`FaultPlan`] is a seeded stream of misbehavior attachable to one
-//! simulated device: transient read/write errors, latency spikes, torn
-//! writes that persist only a prefix of the payload, silent single-bit
-//! corruption, and a scheduled whole-device death at a virtual-time
-//! instant. Every decision is drawn from the repository's own
+//! simulated device: transient read/write errors, torn writes that
+//! persist only a prefix of the payload, silent single-bit corruption,
+//! and a scheduled whole-device death at a virtual-time instant. Every
+//! decision is drawn from the repository's own
 //! [`SmallRng`](crate::rng::SmallRng) in call order, so a run with the
 //! same seed and the same workload replays its faults bit-identically —
 //! the same property the timing model already guarantees.
@@ -164,10 +164,6 @@ pub struct FaultConfig {
     /// Probability a write request fails with
     /// [`IoErrorKind::TransientWrite`] before persisting anything.
     pub write_error_prob: f64,
-    /// Probability a surviving request is delayed by `latency_spike_ns`.
-    pub latency_spike_prob: f64,
-    /// Extra service time charged to a spiked request.
-    pub latency_spike_ns: Time,
     /// Probability a write is torn: only a prefix persists. On the SSD
     /// this is silent (caught later by the frame checksum); on a disk
     /// multi-page run the prefix pages persist and the request errors.
@@ -189,8 +185,6 @@ impl FaultConfig {
             seed,
             read_error_prob: 0.0,
             write_error_prob: 0.0,
-            latency_spike_prob: 0.0,
-            latency_spike_ns: 0,
             torn_write_prob: 0.0,
             bitflip_prob: 0.0,
             death_at: None,
@@ -257,7 +251,6 @@ crate::counters! {
     pub struct FaultStats {
         pub read_errors,
         pub write_errors,
-        pub latency_spikes,
         pub torn_writes,
         pub bitflips,
         pub dead_rejects,
@@ -311,9 +304,9 @@ impl FaultPlan {
         p > 0.0 && self.rng.lock().gen_bool(p)
     }
 
-    /// Gate a read request at `now`. `Ok(extra)` lets it proceed with
-    /// `extra` nanoseconds of injected latency; `Err` rejects it.
-    pub fn before_read(&self, device: FaultDevice, now: Time) -> Result<Time, IoError> {
+    /// Gate a read request at `now`: `Ok` lets it proceed, `Err` rejects
+    /// it.
+    pub fn before_read(&self, device: FaultDevice, now: Time) -> Result<(), IoError> {
         if self.is_dead(now) {
             self.counters.dead_rejects.fetch_add(1, Relaxed);
             return Err(IoError::new(device, IoErrorKind::DeviceDead, now));
@@ -322,11 +315,11 @@ impl FaultPlan {
             self.counters.read_errors.fetch_add(1, Relaxed);
             return Err(IoError::new(device, IoErrorKind::TransientRead, now));
         }
-        Ok(self.spike())
+        Ok(())
     }
 
     /// Gate a write request at `now`, as [`Self::before_read`].
-    pub fn before_write(&self, device: FaultDevice, now: Time) -> Result<Time, IoError> {
+    pub fn before_write(&self, device: FaultDevice, now: Time) -> Result<(), IoError> {
         if self.is_dead(now) {
             self.counters.dead_rejects.fetch_add(1, Relaxed);
             return Err(IoError::new(device, IoErrorKind::DeviceDead, now));
@@ -335,7 +328,7 @@ impl FaultPlan {
             self.counters.write_errors.fetch_add(1, Relaxed);
             return Err(IoError::new(device, IoErrorKind::TransientWrite, now));
         }
-        Ok(self.spike())
+        Ok(())
     }
 
     /// Is a brownout stall active at `now`? Pure query: no counter, no
@@ -358,15 +351,6 @@ impl FaultPlan {
             self.counters.brownout_slowdowns.fetch_add(1, Relaxed);
         }
         f
-    }
-
-    fn spike(&self) -> Time {
-        if self.draw(self.cfg.latency_spike_prob) {
-            self.counters.latency_spikes.fetch_add(1, Relaxed);
-            self.cfg.latency_spike_ns
-        } else {
-            0
-        }
     }
 
     /// Should this write of `len` units tear? Returns the persisted prefix
@@ -567,8 +551,8 @@ mod tests {
     fn quiet_plan_injects_nothing() {
         let p = FaultPlan::new(FaultConfig::quiet(1));
         for now in 0..1000 {
-            assert_eq!(p.before_read(FaultDevice::Ssd, now), Ok(0));
-            assert_eq!(p.before_write(FaultDevice::Ssd, now), Ok(0));
+            assert_eq!(p.before_read(FaultDevice::Ssd, now), Ok(()));
+            assert_eq!(p.before_write(FaultDevice::Ssd, now), Ok(()));
         }
         assert!(p.torn_prefix(4096).is_none());
         assert!(p.bitflip(4096).is_none());
@@ -618,16 +602,6 @@ mod tests {
         }
         // A single-unit write cannot tear.
         assert!(p.torn_prefix(1).is_none());
-    }
-
-    #[test]
-    fn latency_spikes_add_configured_delay() {
-        let mut cfg = FaultConfig::quiet(4);
-        cfg.latency_spike_prob = 1.0;
-        cfg.latency_spike_ns = 12_345;
-        let p = FaultPlan::new(cfg);
-        assert_eq!(p.before_read(FaultDevice::Disk, 0), Ok(12_345));
-        assert_eq!(p.stats().latency_spikes, 1);
     }
 
     #[test]
@@ -792,7 +766,7 @@ mod tests {
         assert!(p.in_brownout(4999));
         assert_eq!(p.service_factor(5000), 1);
         // Requests still succeed while browned out, just slower.
-        assert_eq!(p.before_read(FaultDevice::Ssd, 2000), Ok(0));
+        assert_eq!(p.before_read(FaultDevice::Ssd, 2000), Ok(()));
         // Two slowdowns were counted (t=1000 and t=4999 queries don't
         // count; only service_factor calls do).
         assert_eq!(p.stats().brownout_slowdowns, 1);

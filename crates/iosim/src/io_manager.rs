@@ -210,23 +210,14 @@ impl IoManager {
         }
     }
 
-    /// Gate a read on `device` at `now` under its fault stream `plan`:
-    /// `Ok(extra_latency)` or an error.
-    fn gate_read(
-        plan: Option<&FaultPlan>,
-        device: FaultDevice,
-        now: Time,
-    ) -> Result<Time, IoError> {
-        plan.map_or(Ok(0), |p| p.before_read(device, now))
+    /// Gate a read on `device` at `now` under its fault stream `plan`.
+    fn gate_read(plan: Option<&FaultPlan>, device: FaultDevice, now: Time) -> Result<(), IoError> {
+        plan.map_or(Ok(()), |p| p.before_read(device, now))
     }
 
     /// Gate a write on `device` at `now`, as [`Self::gate_read`].
-    fn gate_write(
-        plan: Option<&FaultPlan>,
-        device: FaultDevice,
-        now: Time,
-    ) -> Result<Time, IoError> {
-        plan.map_or(Ok(0), |p| p.before_write(device, now))
+    fn gate_write(plan: Option<&FaultPlan>, device: FaultDevice, now: Time) -> Result<(), IoError> {
+        plan.map_or(Ok(()), |p| p.before_write(device, now))
     }
 
     /// The brownout service-time multiplier `plan` sets for a request
@@ -239,14 +230,13 @@ impl IoManager {
     // Fail-slow detection
     // ------------------------------------------------------------------
 
-    /// Per-page *service* latency of a completed ticket, plus any
-    /// fault-injected extra. Service time — not end-to-end latency — is
-    /// what the SSD detector samples: queue wait grows with healthy load
-    /// (saturation is the normal state under aggressive filling), while
-    /// service time only grows when the device itself slows down, which
-    /// is exactly the brownout signature.
-    fn observed_ns(t: &crate::device::IoTicket, extra: Time, npages: u64) -> Time {
-        t.complete.saturating_sub(t.start) / npages.max(1) + extra
+    /// Per-page *service* latency of a completed ticket. Service time —
+    /// not end-to-end latency — is what the SSD detector samples: queue
+    /// wait grows with healthy load (saturation is the normal state under
+    /// aggressive filling), while service time only grows when the device
+    /// itself slows down, which is exactly the brownout signature.
+    fn observed_ns(t: &crate::device::IoTicket, npages: u64) -> Time {
+        t.complete.saturating_sub(t.start) / npages.max(1)
     }
 
     /// Is the SSD currently flagged fail-slow?
@@ -308,13 +298,13 @@ impl IoManager {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
         let plan = self.plan_for(FaultDevice::Disk);
-        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
+        Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
         let t = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, pid, 1, Some(hint), scale);
         buf.set(self.disk_store.read_buf(pid));
-        clk.wait_until(t.complete + extra);
+        clk.wait_until(t.complete);
         Ok(())
     }
 
@@ -337,7 +327,7 @@ impl IoManager {
             return Err(Self::power_err(FaultDevice::Disk, clk.now));
         }
         let plan = self.plan_for(FaultDevice::Disk);
-        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
+        Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
         let t = self
             .disk
@@ -345,7 +335,7 @@ impl IoManager {
         let out = (0..n)
             .map(|i| self.disk_store.read_buf(first.offset(i)))
             .collect();
-        clk.wait_until(t.complete + extra);
+        clk.wait_until(t.complete);
         Ok(out)
     }
 
@@ -371,20 +361,17 @@ impl IoManager {
             }
         }
         let plan = self.plan_for(FaultDevice::Disk);
-        let extra = match Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
-            Ok(extra) => extra,
-            Err(e) => {
-                self.mark_lost_write(pid);
-                return Err(e);
-            }
-        };
+        if let Err(e) = Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
+            self.mark_lost_write(pid);
+            return Err(e);
+        }
         let scale = Self::service_scale(plan.as_deref(), now);
         let t = self
             .disk
             .submit_run_scaled(now, IoKind::Write, pid, 1, Some(hint), scale);
         self.disk_store.put(pid, data);
         self.clear_lost_write(pid);
-        Ok(t.complete + extra)
+        Ok(t.complete)
     }
 
     /// Synchronously write one database page.
@@ -442,15 +429,12 @@ impl IoManager {
             }
         }
         let plan = self.plan_for(FaultDevice::Disk);
-        let extra = match Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
-            Ok(extra) => extra,
-            Err(e) => {
-                for i in 0..pages.len() {
-                    self.mark_lost_write(first.offset(i as u64));
-                }
-                return Err(e);
+        if let Err(e) = Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
+            for i in 0..pages.len() {
+                self.mark_lost_write(first.offset(i as u64));
             }
-        };
+            return Err(e);
+        }
         let torn = plan.as_ref().and_then(|p| p.torn_prefix(pages.len()));
         let persisted = torn.unwrap_or(pages.len());
         let scale = Self::service_scale(plan.as_deref(), now);
@@ -479,7 +463,7 @@ impl IoManager {
                 now,
             ));
         }
-        Ok(t.complete + extra)
+        Ok(t.complete)
     }
 
     /// Record that the most recent durable write of `pid` never reached the
@@ -548,7 +532,7 @@ impl IoManager {
             return Err(Self::power_err(FaultDevice::Ssd, clk.now));
         }
         let plan = self.plan_for(FaultDevice::Ssd);
-        let extra = Self::gate_read(plan.as_deref(), FaultDevice::Ssd, clk.now)?;
+        Self::gate_read(plan.as_deref(), FaultDevice::Ssd, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
         let (t, depth) = self.ssd_dev.submit_sampled(
             clk.now,
@@ -566,9 +550,8 @@ impl IoManager {
                 meant.same_image(&image) || fault::frame_sum(meant) == fault::frame_sum(&image)
             });
         buf.set(image);
-        let done = t.complete + extra;
-        self.ssd_health
-            .observe(Self::observed_ns(&t, extra, 1), depth);
+        let done = t.complete;
+        self.ssd_health.observe(Self::observed_ns(&t, 1), depth);
         clk.wait_until(done);
         if !intact {
             return Err(IoError::new(
@@ -617,7 +600,7 @@ impl IoManager {
             WriteFate::Dropped => return Err(Self::power_err(FaultDevice::Ssd, now)),
         }
         let plan = self.plan_for(FaultDevice::Ssd);
-        let extra = Self::gate_write(plan.as_deref(), FaultDevice::Ssd, now)?;
+        Self::gate_write(plan.as_deref(), FaultDevice::Ssd, now)?;
         let scale = Self::service_scale(plan.as_deref(), now);
         let (t, depth) = self.ssd_dev.submit_sampled(
             now,
@@ -627,8 +610,7 @@ impl IoManager {
             Some(Locality::Random),
             scale,
         );
-        self.ssd_health
-            .observe(Self::observed_ns(&t, extra, 1), depth);
+        self.ssd_health.observe(Self::observed_ns(&t, 1), depth);
         let len = data.bytes().len();
         let meant = if let Some(keep) = plan.as_ref().and_then(|p| p.torn_prefix(len)) {
             let meant = Self::intended(data);
@@ -649,7 +631,7 @@ impl IoManager {
             self.ssd_store.read_buf(PageId(frame))
         };
         self.record_ssd_intent(frame, meant, tag);
-        Ok(t.complete + extra)
+        Ok(t.complete)
     }
 
     /// The image a frame write means: the writer's own, or a copy of its

@@ -61,11 +61,6 @@ impl Design {
         ]
     }
 
-    /// The three designs Figure 5 plots (CW omitted as in the paper).
-    pub fn figure5() -> [Design; 3] {
-        [Design::Dw, Design::Lc, Design::Tac]
-    }
-
     fn ssd_design(self) -> Option<SsdDesign> {
         match self {
             Design::NoSsd => None,
