@@ -2,14 +2,13 @@
 //! (ISSUE 5). Five share-nothing domains (CW, DW, LC, TAC, noSSD) run
 //! the same synthetic update mix; in the middle third of the run the
 //! SSD suffers a stall train (periodic 25x service-time slowdowns, the
-//! GC-stall shape). The fail-slow detector must trip during each stall
-//! and clear between them, hedged reads must ride the stalls out on the
-//! disk copy, and the SSD designs must keep a decisive edge over noSSD
-//! even while their SSD is browned out.
+//! GC-stall shape). A stall is a deep SSD queue, so the paper's throttle
+//! (μ, §3.3.2) moves clean reads and admissions to disk while it lasts,
+//! and the SSD designs must keep a decisive edge over noSSD even while
+//! their SSD is browned out.
 //!
 //! Emits `BENCH_brownout.json` with per-design throughput over the
-//! warm, degraded and recovered windows, plus the hedge/detector
-//! counters. Asserts CW/DW/LC retain >= 2x noSSD throughput during the
+//! warm, degraded and recovered windows, plus the throttle counters. Asserts CW/DW/LC retain >= 2x noSSD throughput during the
 //! degraded window. `TURBO_QUICK` shortens the run.
 
 use std::sync::Arc;
@@ -26,8 +25,7 @@ const CLIENTS: usize = 3;
 /// Stall train shape inside the degraded window: every 15 (virtual,
 /// time-scaled) minutes the SSD runs `FACTOR`x slow for 5 minutes. At
 /// SCALE=1000 a scaled SSD read is ~82ms, so a stall multiplies it to
-/// ~2s — the detector trips within a handful of reads and clears on
-/// canary probes once the stall passes.
+/// ~2s and the SSD queue passes μ within a handful of requests.
 const STALL_PERIOD: Time = 15 * MINUTE;
 const STALL_LEN: Time = 5 * MINUTE;
 const FACTOR: u32 = 25;
@@ -56,9 +54,9 @@ fn main() {
     // A mostly-read mix, for two reasons. Clean evictions dominate, so
     // even CW (which admits only clean pages) warms its SSD tier within
     // the first third of the run. And the dirty write-behind stays under
-    // the disk group's (time-scaled) random-write capacity: hedged reads
-    // can only ride out a stall if the disk tier has headroom — a disk
-    // already oversubscribed by CW/DW write-behind queues hedged reads
+    // the disk group's (time-scaled) random-write capacity: throttled
+    // reads can only ride out a stall if the disk tier has headroom — a
+    // disk already oversubscribed by CW/DW write-behind queues them
     // behind hours of booked writes and no failover policy can help.
     let cfg = SyntheticConfig {
         rows: 5_000,
@@ -129,18 +127,13 @@ fn main() {
             Json::counters(run.s.db.pool_stats().fields()),
         ));
         if let Some(m) = run.s.db.ssd_metrics() {
-            let fs = run.s.db.io().ssd_failslow();
             // The full counter block (every SsdMetrics field), plus the
-            // headline hedge/detector numbers at top level for dashboards.
+            // headline throttle numbers at top level for dashboards.
             fields.push(("ssd_counters".to_string(), Json::counters(m.fields())));
-            fields.push(("hedged_reads".to_string(), Json::Int(m.hedged_reads)));
+            fields.push(("throttled_reads".to_string(), Json::Int(m.throttled_reads)));
             fields.push((
-                "hedged_admissions".to_string(),
-                Json::Int(m.hedged_admissions),
-            ));
-            fields.push((
-                "detector_transitions".to_string(),
-                Json::Int(fs.transitions),
+                "throttled_admissions".to_string(),
+                Json::Int(m.throttled_admissions),
             ));
             let f = run.s.db.io().ssd_fault().expect("plan attached");
             fields.push((
@@ -152,10 +145,9 @@ fn main() {
                 Json::Int(f.stats().brownout_slowdowns),
             ));
             println!(
-                "       hedged_reads={} hedged_admissions={} detector_transitions={} slowdowns={}",
-                m.hedged_reads,
-                m.hedged_admissions,
-                fs.transitions,
+                "       throttled_reads={} throttled_admissions={} slowdowns={}",
+                m.throttled_reads,
+                m.throttled_admissions,
                 f.stats().brownout_slowdowns
             );
         }
@@ -167,7 +159,7 @@ fn main() {
     }
 
     // Acceptance: the paper designs keep >= 2x noSSD throughput even
-    // while their SSD is browned out (hedged reads carry the stalls).
+    // while their SSD is browned out (the throttle carries the stalls).
     let no_ssd = rates
         .iter()
         .find(|(l, _)| l == "noSSD")

@@ -238,8 +238,7 @@ mod tests {
              tac_cancelled_writes dirty_hits warm_imports warm_rejected_stale \
              warm_rejected_checksum audit_violations ssd_io_errors checksum_misses \
              disk_retries ssd_quarantined quarantined_reads lost_frames stranded_dirty \
-             salvaged_pages hedged_reads hedged_admissions ssd_retries shard_acquisitions \
-             shard_contended"
+             salvaged_pages ssd_retries shard_acquisitions shard_contended"
         );
         assert_eq!(
             keys(turbopool_bufpool::PoolStats::default().fields()),

@@ -95,7 +95,7 @@ mod tests {
     }
 
     /// Evict `n` dirty pages spaced out in virtual time so the SSD queue
-    /// stays shallow and the fail-slow detector sees a healthy device.
+    /// stays shallow.
     fn dirty_pages(mgr: &SsdManager, n: u64) -> Time {
         for i in 0..n {
             mgr.evict_page(

@@ -2,12 +2,6 @@
 //! extension knobs some run varies. A value only one setting of which is
 //! ever used is a named constant beside the code that reads it.
 
-/// While the SSD is flagged fail-slow, every n-th hedge-eligible decision
-/// still goes to the SSD as a canary probe — a fully-hedged device would
-/// otherwise produce no more latency samples and the detector could never
-/// observe recovery.
-pub const HEDGE_PROBE_INTERVAL: u64 = 16;
-
 /// After a cleaning burst, the dirty count is brought to `λ·S − slack·S`
 /// ("about 0.01% of the SSD space below the threshold").
 pub const LAMBDA_SLACK: f64 = 0.0001;

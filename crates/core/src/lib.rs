@@ -27,10 +27,10 @@
 //!
 //! The two tiers, [`SsdManager`] (CW/DW/LC) and [`TacCache`], differ in
 //! their buffer table and page flow; the device edge they share — retry,
-//! error budget and quarantine, throttle and hedging, the invariant
-//! auditor, the strand list — is written once, in the private `tier`
-//! module. What each design does with a dirty page is one row of the
-//! policy table, [`SsdDesign::policy`].
+//! error budget and quarantine, the throttle, the invariant auditor, the
+//! strand list — is written once, in the private `tier` module. What each
+//! design does with a dirty page is one row of the policy table,
+//! [`SsdDesign::policy`].
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs

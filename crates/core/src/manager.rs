@@ -11,8 +11,8 @@
 //! This file holds the partitioned table and the page flow; what a design
 //! does with a dirty page is its row of the policy table
 //! ([`crate::SsdDesign::policy`]). Retry, the error budget, quarantine,
-//! hedging, throttle, audit and the strand list are the device edge in
-//! `tier.rs`, shared with TAC.
+//! throttle, audit and the strand list are the device edge in `tier.rs`,
+//! shared with TAC.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,8 +79,7 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// Quarantine flag, error budget, canary tick, auditor and strand
-    /// list.
+    /// Quarantine flag, error budget, auditor and strand list.
     health: Health,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
@@ -616,7 +615,7 @@ fn partition_frames(frames: u64, n: usize, idx: usize) -> std::ops::Range<u64> {
 /// The paper's CW/DW/LC admission rule (§2.2): while filling admit
 /// everything, else randomly-read pages only — sequential traffic is cheap
 /// on disk and would pollute the SSD. Orthogonal gates (quarantine,
-/// throttle, hedging) are the callers'.
+/// throttle) are the callers'.
 fn admits(class: Locality, filling: bool) -> bool {
     filling || class == Locality::Random
 }
@@ -641,9 +640,9 @@ impl SsdManager {
         let hit: Option<(u64, bool)> = {
             let mut part = self.part(pid);
             match part.lookup(pid) {
-                // Throttle control (§3.3.2) and gray-failure hedging skip a
-                // clean copy; a dirty one is newer than disk and must be
-                // read from the SSD no matter how slow it is.
+                // Throttle control (§3.3.2) skips a clean copy; a dirty one
+                // is newer than disk and must be read from the SSD no
+                // matter how deep its queue is.
                 Some(idx) if part.record(idx).dirty || self.serves_clean_read(clk.now) => {
                     let stamp = self.next_stamp();
                     part.touch(idx, stamp);
@@ -700,10 +699,6 @@ impl SsdManager {
             }
             return;
         }
-        // Gray-failure hedging diverts admissions to disk exactly like
-        // throttling. For write-back this is also the sole-copy guard: a
-        // dirty eviction that would have become an SSD-only copy goes to
-        // disk instead, so no *new* sole copies land on a degraded device.
         let throttled = !self.admits_now(now, &mut None);
         // A clean page is cached; a dirty one goes where the design's row
         // says (§2.3). Write-back falls back to disk only, like CW, while
@@ -744,14 +739,9 @@ impl SsdManager {
             && admits(class, false)
             && !self.is_quarantined()
             && !self.throttled(now)
+            && !self.contains(pid)
         {
-            if self.hedge_or_probe() {
-                // No optional traffic to a browned-out SSD; the disk
-                // write above already persisted the page.
-                SsdMetrics::bump(&self.metrics.hedged_admissions);
-            } else if !self.contains(pid) {
-                self.install(now, pid, data, false);
-            }
+            self.install(now, pid, data, false);
         }
         done
     }
@@ -800,26 +790,12 @@ impl PageIo for SsdManager {
         let now0 = clk.now;
         let mut done = now0;
 
-        // Gray-failure hedging: while the SSD is flagged fail-slow its
-        // clean-resident pages read from disk like misses (dirty pages
-        // must still patch from the SSD — theirs is the only copy). One
-        // decision per run, taken unconditionally: it advances the canary
-        // tick even in `DiskOnly` mode.
-        let hedging = self.hedge_or_probe();
-        if hedging && self.cfg.multipage != MultiPageMode::DiskOnly {
-            let diverted = status
-                .iter()
-                .filter(|s| matches!(s, Some((_, false))))
-                .count() as u64;
-            SsdMetrics::add(&self.metrics.hedged_reads, diverted);
-        }
-
         match self.cfg.multipage {
             MultiPageMode::Trim => {
                 // Trimming (§3.3.3): peel SSD-resident pages off both ends,
                 // read the middle as one disk I/O; dirty SSD pages inside
                 // the middle are patched from the SSD afterwards.
-                let throttled = self.throttled(now0) || hedging;
+                let throttled = self.throttled(now0);
                 let (lead, trail) = trim_ends(n as usize, |i| match status[i] {
                     Some((_, dirty)) => dirty || !throttled,
                     None => false,
@@ -855,7 +831,7 @@ impl PageIo for SsdManager {
                 // The paper's discarded first cut: split the request at
                 // every SSD-resident page; each disk fragment pays its own
                 // positioning cost.
-                let throttled = self.throttled(now0) || hedging;
+                let throttled = self.throttled(now0);
                 let mut i = 0usize;
                 while i < n as usize {
                     match status[i] {

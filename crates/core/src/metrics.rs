@@ -72,13 +72,6 @@ turbopool_iosim::counters! {
         pub stranded_dirty,
         /// Pages restored onto disk by WAL-tail salvage after stranding.
         pub salvaged_pages,
-        /// SSD hits redirected to disk because the fail-slow detector flagged
-        /// the SSD degraded (gray-failure hedging; dirty sole-copy frames are
-        /// exempt and still read from the SSD).
-        pub hedged_reads,
-        /// SSD admissions skipped because the fail-slow detector flagged the
-        /// SSD degraded — no optional traffic is sent to a browned-out device.
-        pub hedged_admissions,
         /// SSD I/O retry attempts consumed by the capped-backoff policy.
         pub ssd_retries,
         /// Table-latch acquisitions: `SsdManager`'s partition latches, TAC's

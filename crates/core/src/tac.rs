@@ -30,8 +30,8 @@
 //! One latch covers the whole buffer table (records, page map, extent
 //! temperatures, coldest-first heap); a frame index is the SSD frame
 //! number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
-//! error budget, quarantine, hedging, throttle and audit are the device
-//! edge in `tier.rs`, shared with `SsdManager`.
+//! error budget, quarantine, throttle and audit are the device edge in
+//! `tier.rs`, shared with `SsdManager`.
 
 use std::collections::binary_heap::PeekMut;
 use std::collections::HashMap;
@@ -91,9 +91,9 @@ pub struct TacCache {
     cfg: SsdConfig,
     io: Arc<IoManager>,
     inner: Mutex<TacTable>,
-    /// Quarantine flag, error budget, canary tick and auditor. Once
-    /// quarantined TAC runs write-through to disk only (its natural
-    /// degradation — nothing is ever stranded).
+    /// Quarantine flag, error budget and auditor. Once quarantined TAC
+    /// runs write-through to disk only (its natural degradation — nothing
+    /// is ever stranded).
     health: Health,
     pub metrics: SsdMetrics,
 }
@@ -356,8 +356,7 @@ impl TacCache {
             // served from.
             self.heat(&mut tab, pid, class);
             // The copy must be valid AND its installing write complete; a
-            // usable hit still diverts to disk under throttle (§3.3.2) or a
-            // fail-slow flag (hedging).
+            // usable hit still diverts to disk under throttle (§3.3.2).
             tab.map.get(&pid).copied().filter(|&frame| {
                 let rec = tab.record(frame);
                 rec.valid && clk.now >= rec.valid_at && self.serves_clean_read(clk.now)
@@ -370,8 +369,6 @@ impl TacCache {
                 return Ok(());
             }
         }
-        // A hedged hit lands here too, so its write-on-read admission is a
-        // second hedge decision (and a second tick of the canary cadence).
         SsdMetrics::bump(&self.metrics.ssd_misses);
         self.disk_read(clk, pid, class, buf)?;
         // TAC writes the page to the SSD immediately after the disk read
@@ -405,9 +402,9 @@ impl TacCache {
     /// a *valid* record can also be stale here: a run-read admitted the
     /// disk version while this newer copy sat dirty in the memory pool
     /// (scan read-ahead does exactly that), and keeping it would serve lost
-    /// updates. True if an invalid record became valid again. Hedged like
-    /// an admission, but a throttled refresh is not counted as one, so
-    /// this gate is not `admits_now`.
+    /// updates. True if an invalid record became valid again. Throttled
+    /// like an admission, but a throttled refresh is not counted as one,
+    /// so this gate is not `admits_now`.
     fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
         if self.is_quarantined() {
             return false;
@@ -418,13 +415,7 @@ impl TacCache {
             let mut tab = self.lock_table();
             if let Some(&frame) = tab.map.get(&pid) {
                 let rec = tab.record(frame);
-                let throttled = self.throttled(now);
-                let hedging = !throttled && self.hedge_or_probe();
-                if hedging {
-                    // No refresh traffic to a browned-out SSD.
-                    SsdMetrics::bump(&self.metrics.hedged_admissions);
-                }
-                let write = (!throttled && !hedging).then(|| {
+                let write = (!self.throttled(now)).then(|| {
                     sync::io_under_latch(
                         "the refresh-or-invalidate decision must be atomic with the \
                          record's state, and write_ssd_async is an O(1) non-blocking booking",
@@ -439,8 +430,8 @@ impl TacCache {
                     self.audit(pid, AuditOp::Refresh);
                     revalidated = !rec.valid;
                 } else {
-                    // Throttled, browned out, or the rewrite failed: a valid
-                    // SSD version is now stale and must never be read again.
+                    // Throttled or the rewrite failed: a valid SSD version
+                    // is now stale and must never be read again.
                     if rec.valid {
                         self.invalidate(&mut tab, frame, rec);
                     }
@@ -486,8 +477,7 @@ impl PageIo for TacCache {
         }
         let now0 = clk.now;
         let mut done = now0;
-        let hedging = self.hedge_or_probe();
-        let throttled = self.throttled(now0) || hedging;
+        let throttled = self.throttled(now0);
         let status: Vec<Option<u64>> = {
             let tab = self.lock_table();
             (0..n)
@@ -496,9 +486,6 @@ impl PageIo for TacCache {
                     tab.map.get(&pid).and_then(|&f| {
                         let rec = tab.record(f);
                         let usable = rec.valid && now0 >= rec.valid_at;
-                        if usable && hedging {
-                            SsdMetrics::bump(&self.metrics.hedged_reads);
-                        }
                         (usable && !throttled).then_some(f as u64)
                     })
                 })

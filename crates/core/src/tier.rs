@@ -4,13 +4,13 @@
 //! buffer table and page flow, not in how a frame is read or how a failing
 //! SSD is retired. What they share is the provided methods of [`SsdTier`]:
 //! bounded retry around every device call, the error budget and the
-//! quarantine it trips, the corrupt-frame fallback, the throttle (μ) and
-//! gray-failure hedging gates with their canary probes, and the invariant
-//! auditor, and the strand list of dirty pages whose sole copy was lost. A
-//! tier supplies four accessors and the two hooks that remove entries from
-//! its table ([`SsdTier::sweep`], [`SsdTier::remove_entry`]); the edge does
-//! the accounting for what they remove. DESIGN §8 lists the differences
-//! that stay with the tiers because they move virtual time.
+//! quarantine it trips, the corrupt-frame fallback, the throttle (μ)
+//! gates, the invariant auditor, and the strand list of dirty pages whose
+//! sole copy was lost. A tier supplies four accessors and the two hooks
+//! that remove entries from its table ([`SsdTier::sweep`],
+//! [`SsdTier::remove_entry`]); the edge does the accounting for what they
+//! remove. DESIGN §8 lists the differences that stay with the tiers
+//! because they move virtual time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -20,7 +20,7 @@ use turbopool_iosim::{
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{SsdConfig, SsdDesign, HEDGE_PROBE_INTERVAL};
+use crate::config::{SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
 
 /// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
@@ -37,9 +37,6 @@ pub(crate) struct Health {
     quarantined: AtomicBool,
     /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
     errors: AtomicU64,
-    /// Hedge-eligible decisions taken while the SSD is flagged fail-slow,
-    /// driving the canary probes of [`SsdTier::hedge_or_probe`].
-    probe_tick: AtomicU64,
     /// Shadow state machine validating every buffer-table transition.
     auditor: InvariantAuditor,
     /// Dirty pages whose sole (SSD) copy was lost to corruption or
@@ -53,7 +50,6 @@ impl Health {
         Health {
             quarantined: AtomicBool::new(false),
             errors: AtomicU64::new(0),
-            probe_tick: AtomicU64::new(0),
             auditor: InvariantAuditor::new(design),
             stranded: Mutex::new(Vec::new()),
         }
@@ -259,54 +255,25 @@ pub(crate) trait SsdTier {
         self.io().ssd_overloaded(now, self.cfg().mu)
     }
 
-    /// Gray-failure hedging: should this hedge-eligible decision divert
-    /// away from the SSD? Healthy SSD: never. While the fail-slow detector
-    /// flags the SSD degraded, traffic with a valid disk copy (reads of
-    /// clean copies, admissions, TAC refreshes) diverts to disk, except
-    /// that every [`HEDGE_PROBE_INTERVAL`]-th decision is let through as a
-    /// canary probe — without probes a fully-hedged SSD would get no more
-    /// samples and the detector could never observe recovery. Once a probe
-    /// comes back fast the detector reports `clearing` and every decision
-    /// probes, so the clear streak completes (or is refuted) in
-    /// `CLEAR_AFTER` requests instead of `CLEAR_AFTER × interval`. Each
-    /// call while degraded advances the tick, in deterministic submission
-    /// order, so replay is exact and every call site is part of the
-    /// cadence.
-    fn hedge_or_probe(&self) -> bool {
-        let io = self.io();
-        if !io.ssd_slow() || io.ssd_clearing() {
-            return false;
-        }
-        let t = self.health().probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % HEDGE_PROBE_INTERVAL != HEDGE_PROBE_INTERVAL - 1
-    }
-
     /// The gate on a clean SSD hit: read the SSD unless its queue exceeds
-    /// μ or it is hedged, counting the diverted read either way.
+    /// μ, counting the diverted read.
     fn serves_clean_read(&self, now: Time) -> bool {
         if self.throttled(now) {
             SsdMetrics::bump(&self.metrics().throttled_reads);
-            false
-        } else if self.hedge_or_probe() {
-            SsdMetrics::bump(&self.metrics().hedged_reads);
             false
         } else {
             true
         }
     }
 
-    /// The gate on an admission: write the SSD unless its queue exceeds μ
-    /// or it is hedged, counting the skipped admission either way.
-    /// `throttled` is the throttle verdict at `now`, evaluated here if
-    /// `None`. It is a pure function of the SSD's bookings and `now`, so a
-    /// caller admitting several pages at one instant (a TAC run) keeps it
-    /// until one of them writes the SSD.
+    /// The gate on an admission: write the SSD unless its queue exceeds μ,
+    /// counting the skipped admission. `throttled` is the throttle verdict
+    /// at `now`, evaluated here if `None`. It is a pure function of the
+    /// SSD's bookings and `now`, so a caller admitting several pages at one
+    /// instant (a TAC run) keeps it until one of them writes the SSD.
     fn admits_now(&self, now: Time, throttled: &mut Option<bool>) -> bool {
         if *throttled.get_or_insert_with(|| self.throttled(now)) {
             SsdMetrics::bump(&self.metrics().throttled_admissions);
-            false
-        } else if self.hedge_or_probe() {
-            SsdMetrics::bump(&self.metrics().hedged_admissions);
             false
         } else {
             true
@@ -329,84 +296,96 @@ mod tests {
 
     use turbopool_bufpool::PageIo;
     use turbopool_iosim::fault::{FaultConfig, FaultPlan};
-    use turbopool_iosim::health::CLEAR_AFTER;
-    use turbopool_iosim::{DeviceSetup, SECOND};
+    use turbopool_iosim::{DeviceSetup, MILLISECOND, SECOND};
 
     use super::*;
     use crate::{SsdManager, TacCache};
 
     const PS: usize = 32;
-    const PID: PageId = PageId(7);
-    /// Not a multiple of the probe interval, so an off-by-one cadence
-    /// changes which hits probe and how many.
-    const HITS: u64 = 40;
+    const FRAMES: u64 = 16;
+    const HOT: PageId = PageId(7);
+    const COLD: PageId = PageId(9);
 
-    /// Brown out the SSD holding `PID` clean in `frame`, then let it
-    /// recover. `probes(i)`: does the `i`-th hit while degraded reach it?
-    fn brownout_cadence<T: SsdTier + PageIo>(
-        io: &IoManager,
-        tier: &T,
-        frame: u64,
-        mut clk: Clk,
-        probes: impl Fn(u64) -> bool,
-    ) {
-        let end = clk.now + 60 * SECOND;
-        let plan = FaultConfig::brownout_train(9, clk.now, end, 0, 0, 20);
+    /// Brown the SSD out at 25x from `at` on and queue frame writes, as a
+    /// workload's write-behind would, until the queue is deeper than μ
+    /// through a disk read's worth of time after `at`. Returns when the
+    /// queue has drained again.
+    fn brown_out_past_mu(io: &IoManager, at: Time, mu: usize) -> Time {
+        let plan = FaultConfig::brownout_train(9, at, u64::MAX, 0, 0, 25);
         io.set_ssd_fault(Some(Arc::new(FaultPlan::new(plan))));
-        let mut buf = [0u8; PS];
-        for _ in 0..32 {
-            if !io.ssd_slow() {
-                io.read_ssd(&mut clk, frame, &mut buf).unwrap();
-            }
+        let mut drained = at;
+        while !io.ssd_overloaded(at + 100 * MILLISECOND, mu) {
+            drained = io
+                .write_ssd_async(at, FRAMES - 1, &[0xEE; PS], PageId(1_000))
+                .unwrap();
         }
-        // One clean hit through the tier; true if it reached the SSD.
-        let hit = |clk: &mut Clk| {
+        assert!(io.ssd_overloaded(at, mu));
+        drained
+    }
+
+    /// Under the brownout a clean hit on `HOT` reads the disk and an
+    /// admission of `COLD` is skipped, each counted by the throttle; once
+    /// the queue drains the SSD serves `HOT` again. Both happen at `at`,
+    /// the instant the queue passes μ.
+    fn throttle_carries_the_brownout<T: SsdTier + PageIo>(
+        tier: &T,
+        at: Time,
+        admit_cold: impl Fn(&mut Clk),
+        holds_cold: impl Fn() -> bool,
+    ) {
+        let io = tier.io();
+        let drained = brown_out_past_mu(io, at, tier.cfg().mu);
+        let hit = |mut clk: Clk| {
             let before = io.ssd_stats().read_ops;
-            tier.read_page(clk, PID, Locality::Random, &mut [0u8; PS])
+            tier.read_page(&mut clk, HOT, Locality::Random, &mut [0u8; PS])
                 .unwrap();
             io.ssd_stats().read_ops > before
         };
-        assert!(io.ssd_slow(), "the brownout trips the detector");
-        let hedged = tier.metrics().snapshot().hedged_reads;
-        let mut reached = 0;
-        for i in 0..HITS {
-            let probed = hit(&mut clk);
-            assert_eq!(probed, probes(i), "hit {i}");
-            reached += u64::from(probed);
-        }
-        let hedged = tier.metrics().snapshot().hedged_reads - hedged;
-        assert_eq!(hedged, HITS - reached, "every other hit is hedged");
-        // The device recovers: one fast sample starts the clearing streak,
-        // and from then on every hit probes until the detector clears.
-        clk.wait_until(end);
-        io.read_ssd(&mut clk, frame, &mut buf).unwrap();
-        let mut burst = 0;
-        while io.ssd_clearing() {
-            assert!(hit(&mut clk), "burst hit {burst}");
-            burst += 1;
-        }
-        assert_eq!((burst, io.ssd_slow()), (CLEAR_AFTER - 1, false));
+        let m0 = tier.metrics().snapshot();
+        admit_cold(&mut Clk::at(at));
+        assert!(!holds_cold(), "admitted to a browned-out SSD");
+        assert!(!hit(Clk::at(at)), "a clean hit reads a browned-out SSD");
+        let m = tier.metrics().snapshot();
+        assert_eq!(m.throttled_reads - m0.throttled_reads, 1);
+        assert!(m.throttled_admissions > m0.throttled_admissions);
+        assert!(
+            hit(Clk::at(drained)),
+            "the drained SSD serves its hit again"
+        );
+        assert_eq!(tier.metrics().snapshot().throttled_reads, m.throttled_reads);
     }
 
     #[test]
-    fn hedge_cadence_and_clearing_burst_on_both_tiers() {
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 16)));
-        let dw = SsdManager::new(SsdConfig::new(SsdDesign::DualWrite, 16), Arc::clone(&io));
-        dw.evict_page(0, PID, &[0xD0; PS], false, Locality::Random);
-        // One hedge decision per hit: the 16th and 32nd probe.
-        let frame = dw.frame_of(PID).unwrap();
-        brownout_cadence(&io, &dw, frame, Clk::new(), |i| i == 15 || i == 31);
+    fn throttle_diverts_reads_and_admissions_under_a_brownout_on_both_tables() {
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
+        let dw = SsdManager::new(
+            SsdConfig::new(SsdDesign::DualWrite, FRAMES),
+            Arc::clone(&io),
+        );
+        dw.evict_page(0, HOT, &[0xD0; PS], false, Locality::Random);
+        assert!(dw.frame_of(HOT).is_some());
+        throttle_carries_the_brownout(
+            &dw,
+            SECOND,
+            |clk| dw.evict_page(clk.now, COLD, &[0xC0; PS], false, Locality::Random),
+            || dw.frame_of(COLD).is_some(),
+        );
 
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 16)));
-        let tac = TacCache::new(SsdConfig::new(SsdDesign::Tac, 16), Arc::clone(&io));
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
+        let tac = TacCache::new(SsdConfig::new(SsdDesign::Tac, FRAMES), Arc::clone(&io));
         let mut clk = Clk::new();
-        tac.read_page(&mut clk, PID, Locality::Random, &mut [0u8; PS])
+        tac.read_page(&mut clk, HOT, Locality::Random, &mut [0u8; PS])
             .unwrap();
+        assert!(tac.frame_of_valid(HOT).is_some());
         clk.elapse(SECOND);
-        // A hedged TAC hit falls through to the miss path, whose
-        // write-on-read admission is a second decision: hits take the even
-        // ticks, and every canary lands on a no-op re-admission instead.
-        let frame = tac.frame_of_valid(PID).unwrap();
-        brownout_cadence(&io, &tac, frame, clk, |_| false);
+        throttle_carries_the_brownout(
+            &tac,
+            clk.now,
+            |clk| {
+                tac.read_page(clk, COLD, Locality::Random, &mut [0u8; PS])
+                    .unwrap();
+            },
+            || tac.frame_of_valid(COLD).is_some(),
+        );
     }
 }

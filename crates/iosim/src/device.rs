@@ -299,24 +299,9 @@ impl SimDevice {
         hint: Option<Locality>,
         scale: u32,
     ) -> IoTicket {
-        self.submit_sampled(now, kind, lba, npages, hint, scale).0
-    }
-
-    /// [`Self::submit_scaled`] that also returns the queue depth the
-    /// request found: [`Self::queue_depth`] at `now`, sampled just before
-    /// the booking under the same lock.
-    pub fn submit_sampled(
-        &self,
-        now: Time,
-        kind: IoKind,
-        lba: u64,
-        npages: u64,
-        hint: Option<Locality>,
-        scale: u32,
-    ) -> (IoTicket, usize) {
         assert!(npages > 0, "empty I/O request");
         let mut st = self.state.lock();
-        let depth = drain_completed(&mut st.outstanding, now);
+        drain_completed(&mut st.outstanding, now);
         let adjacent = st.primed && lba == st.expected_lba;
         let first_loc = hint.unwrap_or(if adjacent {
             Locality::Sequential
@@ -328,7 +313,7 @@ impl SimDevice {
             * Time::from(scale.max(1));
         st.expected_lba = lba + npages;
         st.primed = true;
-        (self.finish(&mut st, now, kind, service, npages), depth)
+        self.finish(&mut st, now, kind, service, npages)
     }
 
     /// Submit a request with an explicitly computed service duration,
@@ -520,42 +505,6 @@ mod tests {
         assert_eq!(d.queue_depth(0), 3);
         assert_eq!(d.queue_depth(1_000_000), 2);
         assert_eq!(d.queue_depth(3_000_000), 0);
-    }
-
-    #[test]
-    fn sampled_submit_equals_a_depth_query_then_a_submit() {
-        // One seeded schedule, clocks out of order as lagging clients
-        // make them, on two devices: the fused booking on one, the old
-        // `queue_depth` then `submit_scaled` pair on the other.
-        use crate::rng::{Rng, SeedableRng, SmallRng};
-        let (fused, pair) = (dev(), dev());
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut base: Time = 0;
-        for step in 0..5_000 {
-            base += rng.gen_range(0..400_000u64);
-            let now = base.saturating_sub(rng.gen_range(0..3_000_000u64));
-            let kind = if rng.gen_ratio(1, 2) {
-                IoKind::Read
-            } else {
-                IoKind::Write
-            };
-            let lba = rng.gen_range(0..64u64);
-            let npages = rng.gen_range(1..9u64);
-            let hint = [None, Some(Locality::Random), Some(Locality::Sequential)]
-                [rng.gen_range(0..3usize)];
-            let scale = [1, 1, 1, 4][rng.gen_range(0..4usize)];
-            let depth = pair.queue_depth(now);
-            let ticket = pair.submit_scaled(now, kind, lba, npages, hint, scale);
-            assert_eq!(
-                fused.submit_sampled(now, kind, lba, npages, hint, scale),
-                (ticket, depth),
-                "step {step}"
-            );
-            if rng.gen_ratio(1, 4) {
-                let at = base.saturating_sub(rng.gen_range(0..3_000_000u64));
-                assert_eq!(fused.queue_depth(at), pair.queue_depth(at), "step {step}");
-            }
-        }
     }
 
     #[test]

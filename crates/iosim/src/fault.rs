@@ -439,10 +439,16 @@ const FRAME_MUL: [u64; FRAME_LANES] = [
 const FRAME_ROT: u32 = 29;
 
 /// One lane step: a bijection of `lane` for every fixed `word`, and of
-/// `word` for every fixed `lane`.
+/// `word` for every fixed `lane`. The xorshift after the multiply folds
+/// the product's high bits into its low ones, so no single-bit input
+/// difference leaves the step as a single-bit difference that the next
+/// word's flip could cancel. Its shift is not 32: the lanes are combined
+/// under rotations 32 apart, and a flip of two words' top bits in the last
+/// block would cancel.
 #[inline(always)]
 fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
-    (lane ^ word).wrapping_mul(mul).rotate_left(FRAME_ROT)
+    let x = (lane ^ word).wrapping_mul(mul);
+    (x ^ (x >> 31)).rotate_left(FRAME_ROT)
 }
 
 /// The SSD frame checksum: what `IoManager` records at every frame write
@@ -460,12 +466,12 @@ fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
 /// Every input byte enters exactly one lane through a step that is a
 /// bijection of that lane, so two frames that differ in a single word (any
 /// single-bit flip, any tear confined to one word) always differ in exactly
-/// one final lane and therefore in the sum. Wider differences are not all
-/// that safe: a multiply carries a flip of a word's top bit to the lane's
-/// top bit alone, so flipping bit 63 of one lane word and bit 28 (the
-/// rotated top bit) of the same lane's word one block later cancels. The value is independent of host endianness. Not a
-/// format: nothing persists it across builds, so it may be retuned freely
-/// — unlike [`checksum`].
+/// one final lane and therefore in the sum. Two flips in consecutive words
+/// of one lane cancel only if the first leaves its step as exactly the
+/// second: the multiply alone would carry a flip of bit 63 to bit 63 and
+/// no further, so the step's xorshift spreads it to two bits. The value is
+/// independent of host endianness. Not a format: nothing persists it
+/// across builds, so it may be retuned freely — unlike [`checksum`].
 pub fn frame_sum(data: &[u8]) -> u64 {
     let mut lanes = FRAME_SEED;
     let mut blocks = data.chunks_exact(8 * FRAME_LANES);
@@ -638,8 +644,8 @@ mod tests {
         // Words are read with `from_le_bytes`, so these hold on any host.
         // The 200-byte prefix covers the byte tail (200 = 6 * 32 + 8).
         let v = ramp(8192);
-        assert_eq!(frame_sum(&v), 0x6D3F_0C77_32C5_E0B6);
-        assert_eq!(frame_sum(&v[..200]), 0xECC8_CDEA_DA2B_6D05);
+        assert_eq!(frame_sum(&v), 0x7B8A_070D_AF80_CCDE);
+        assert_eq!(frame_sum(&v[..200]), 0x6EC8_9C62_0CE3_CBF0);
     }
 
     /// Page sizes the frame-sum properties are checked at: below one
@@ -663,6 +669,48 @@ mod tests {
                     assert_ne!(frame_sum(&t), base, "{n}: flip {byte}.{bit} undetected");
                     t[byte] ^= 1 << bit;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_sum_detects_two_flips_in_one_lane() {
+        // Every bit pair across the first two words one lane folds (the
+        // same lane of blocks 0 and 1): a carry-only step moves a flip of
+        // bit 63 to exactly the bit its next word's flip cancels.
+        let mut rng = SmallRng::seed_from_u64(0x2F11);
+        for n in FRAME_SIZES.into_iter().filter(|&n| n >= 16 * FRAME_LANES) {
+            let data = random_page(&mut rng, n);
+            let base = frame_sum(&data);
+            let mut t = data.clone();
+            for lane in 0..FRAME_LANES {
+                let (a, b) = (8 * lane, 8 * (lane + FRAME_LANES));
+                for i in 0..64 {
+                    t[a + i / 8] ^= 1 << (i % 8);
+                    for j in 0..64 {
+                        t[b + j / 8] ^= 1 << (j % 8);
+                        assert_ne!(frame_sum(&t), base, "{n}: lane {lane} bits {i}, {j}");
+                        t[b + j / 8] ^= 1 << (j % 8);
+                    }
+                    t[a + i / 8] ^= 1 << (i % 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_sum_detects_any_two_flips_in_a_small_frame() {
+        for n in FRAME_SIZES.into_iter().filter(|&n| n <= 256) {
+            let mut t = vec![0u8; n];
+            let base = frame_sum(&t);
+            for i in 0..8 * n {
+                t[i / 8] ^= 1 << (i % 8);
+                for j in i + 1..8 * n {
+                    t[j / 8] ^= 1 << (j % 8);
+                    assert_ne!(frame_sum(&t), base, "{n}: bits {i}, {j}");
+                    t[j / 8] ^= 1 << (j % 8);
+                }
+                t[i / 8] ^= 1 << (i % 8);
             }
         }
     }

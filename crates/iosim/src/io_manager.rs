@@ -15,7 +15,6 @@ use crate::clock::{Clk, Time};
 use crate::crashsched::{BoundaryKind, CrashSwitch, WriteFate};
 use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
 use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
-use crate::health::{FailSlowDetector, FailSlowStats};
 use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
 use crate::store::{MemStore, PageStore};
@@ -110,8 +109,6 @@ pub struct IoManager {
     lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
     any_lost_writes: std::sync::atomic::AtomicBool,
-    /// Fail-slow detector for the SSD, fed by every SSD request.
-    ssd_health: FailSlowDetector,
     /// Crash-schedule switch, if attached: numbers every durable-write
     /// boundary and can kill power at an exact one (see [`CrashSwitch`]).
     crash_switch: RwLock<Option<Arc<CrashSwitch>>>,
@@ -137,7 +134,6 @@ impl IoManager {
             ssd_fault: RwLock::new(None),
             lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
             any_lost_writes: std::sync::atomic::AtomicBool::new(false),
-            ssd_health: FailSlowDetector::from_profile(&setup.ssd_profile),
             crash_switch: RwLock::new(None),
         }
     }
@@ -224,36 +220,6 @@ impl IoManager {
     /// admitted at `now` (1 outside brownout windows).
     fn service_scale(plan: Option<&FaultPlan>, now: Time) -> u32 {
         plan.map_or(1, |p| p.service_factor(now))
-    }
-
-    // ------------------------------------------------------------------
-    // Fail-slow detection
-    // ------------------------------------------------------------------
-
-    /// Per-page *service* latency of a completed ticket. Service time —
-    /// not end-to-end latency — is what the SSD detector samples: queue
-    /// wait grows with healthy load (saturation is the normal state under
-    /// aggressive filling), while service time only grows when the device
-    /// itself slows down, which is exactly the brownout signature.
-    fn observed_ns(t: &crate::device::IoTicket, npages: u64) -> Time {
-        t.complete.saturating_sub(t.start) / npages.max(1)
-    }
-
-    /// Is the SSD currently flagged fail-slow?
-    pub fn ssd_slow(&self) -> bool {
-        self.ssd_health.is_degraded()
-    }
-
-    /// Is the SSD degraded but part-way through a fast-sample streak
-    /// (recovery pending confirmation)? Hedging layers burst canary
-    /// probes while this holds.
-    pub fn ssd_clearing(&self) -> bool {
-        self.ssd_health.clearing()
-    }
-
-    /// Snapshot of the SSD fail-slow detector.
-    pub fn ssd_failslow(&self) -> FailSlowStats {
-        self.ssd_health.stats()
     }
 
     pub fn page_size(&self) -> usize {
@@ -534,7 +500,7 @@ impl IoManager {
         let plan = self.plan_for(FaultDevice::Ssd);
         Self::gate_read(plan.as_deref(), FaultDevice::Ssd, clk.now)?;
         let scale = Self::service_scale(plan.as_deref(), clk.now);
-        let (t, depth) = self.ssd_dev.submit_sampled(
+        let t = self.ssd_dev.submit_scaled(
             clk.now,
             IoKind::Read,
             frame,
@@ -550,9 +516,7 @@ impl IoManager {
                 meant.same_image(&image) || fault::frame_sum(meant) == fault::frame_sum(&image)
             });
         buf.set(image);
-        let done = t.complete;
-        self.ssd_health.observe(Self::observed_ns(&t, 1), depth);
-        clk.wait_until(done);
+        clk.wait_until(t.complete);
         if !intact {
             return Err(IoError::new(
                 FaultDevice::Ssd,
@@ -602,15 +566,9 @@ impl IoManager {
         let plan = self.plan_for(FaultDevice::Ssd);
         Self::gate_write(plan.as_deref(), FaultDevice::Ssd, now)?;
         let scale = Self::service_scale(plan.as_deref(), now);
-        let (t, depth) = self.ssd_dev.submit_sampled(
-            now,
-            IoKind::Write,
-            frame,
-            1,
-            Some(Locality::Random),
-            scale,
-        );
-        self.ssd_health.observe(Self::observed_ns(&t, 1), depth);
+        let t =
+            self.ssd_dev
+                .submit_scaled(now, IoKind::Write, frame, 1, Some(Locality::Random), scale);
         let len = data.bytes().len();
         let meant = if let Some(keep) = plan.as_ref().and_then(|p| p.torn_prefix(len)) {
             let meant = Self::intended(data);
@@ -762,10 +720,6 @@ impl IoManager {
         self.disk.reset_time();
         self.ssd_dev.reset_time();
         self.log_dev.reset_time();
-        // A rebooted machine starts with idle, presumed-healthy devices;
-        // the SSD detector re-learns from the new incarnation's latencies
-        // (its cumulative transition counts survive as history).
-        self.ssd_health.reset();
     }
 
     /// Reset all device statistics (e.g. between warm-up and measurement).
@@ -1155,20 +1109,17 @@ mod tests {
                                 meant[fu] = Some(new);
                             }
                         }
-                        // At rest, by slice: the meant bytes with one bit
-                        // flipped, or the stored or the meant bytes again.
-                        // Damage is one flip from the meant bytes, never a
-                        // flip stacked on earlier damage: `frame_sum` sees
-                        // every one-bit difference, but two flips can
-                        // cancel (bit 63 of a lane's word, then bit 28 of
-                        // the same lane's word one block later).
+                        // At rest, by slice: the stored or the meant bytes
+                        // again, or either with one bit flipped, so damage
+                        // can stack on earlier damage.
                         6 => {
                             let base = meant[fu].clone().unwrap_or_else(|| stored[fu].clone());
                             let at_rest = match rng.gen_range(0u32..4) {
                                 0 => stored[fu].clone(),
                                 1 => base,
-                                _ => {
-                                    let mut flipped = base;
+                                k => {
+                                    let mut flipped =
+                                        if k == 2 { base } else { stored[fu].clone() };
                                     flipped[rng.gen_range(0..ps)] ^= 1 << rng.gen_range(0u32..8);
                                     flipped
                                 }
@@ -1296,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn brownout_multiplies_ssd_service_and_trips_the_detector() {
+    fn brownout_multiplies_ssd_service() {
         let io = io();
         let mut clk = Clk::new();
         // Healthy reference latency.
@@ -1306,7 +1257,6 @@ mod tests {
         let t0 = clk.now;
         io.read_ssd(&mut clk, 0, &mut buf).unwrap();
         let healthy = clk.now - t0;
-        assert!(!io.ssd_slow());
         // Brown out the SSD from here to the far future at 20x.
         io.set_ssd_fault(Some(Arc::new(FaultPlan::new(FaultConfig::brownout_train(
             9,
@@ -1323,15 +1273,6 @@ mod tests {
             slowed >= healthy * 20,
             "brownout must stretch service: {healthy} -> {slowed}"
         );
-        // Sustained slowness flips the detector with hysteresis.
-        for _ in 0..32 {
-            io.read_ssd(&mut clk, 0, &mut buf).unwrap();
-        }
-        assert!(io.ssd_slow(), "detector must trip during the brownout");
-        let fs = io.ssd_failslow();
-        assert!(fs.degraded);
-        assert_eq!(fs.transitions, 1);
-        assert!(fs.slow_samples > 0);
         assert!(
             io.ssd_fault().expect("attached").stats().brownout_slowdowns > 0,
             "slowdowns must be counted"
@@ -1339,36 +1280,9 @@ mod tests {
     }
 
     #[test]
-    fn detector_clears_after_the_brownout_window_ends() {
-        let io = io();
-        let mut clk = Clk::new();
-        io.write_ssd_sync(&mut clk, 0, &[1u8; 64], PageId(0))
-            .unwrap();
-        let end = clk.now + 500 * crate::clock::MILLISECOND;
-        io.set_ssd_fault(Some(Arc::new(FaultPlan::new(FaultConfig::brownout_train(
-            2, 0, end, 0, 0, 30,
-        )))));
-        let mut buf = vec![0u8; 64];
-        while clk.now < end {
-            io.read_ssd(&mut clk, 0, &mut buf).unwrap();
-        }
-        assert!(io.ssd_slow());
-        // Healthy reads after the window clear the flag.
-        for _ in 0..200 {
-            io.read_ssd(&mut clk, 0, &mut buf).unwrap();
-            if !io.ssd_slow() {
-                break;
-            }
-        }
-        assert!(!io.ssd_slow(), "detector must clear after recovery");
-        assert_eq!(io.ssd_failslow().transitions, 2);
-    }
-
-    #[test]
     fn disk_brownout_slows_the_disk_not_the_ssd() {
         // The same random reads on a healthy twin and through a 25x disk
-        // brownout: the booked disk service is exactly 25x, and no disk
-        // request feeds the SSD's detector.
+        // brownout: the booked disk service is exactly 25x.
         let run = |plan: Option<Arc<FaultPlan>>| {
             let io = io();
             io.set_disk_fault(plan);
@@ -1395,31 +1309,6 @@ mod tests {
         assert_eq!(b.read_busy_ns, 25 * h.read_busy_ns);
         let f = browned.disk_fault().expect("plan attached").stats();
         assert_eq!(f.brownout_slowdowns, 32);
-        assert!(!browned.ssd_slow());
-        assert_eq!(browned.ssd_failslow().samples, 0);
-    }
-
-    #[test]
-    fn reset_device_time_resets_detector_state() {
-        let io = io();
-        let mut clk = Clk::new();
-        io.set_ssd_fault(Some(Arc::new(FaultPlan::new(FaultConfig::brownout_train(
-            7,
-            0,
-            u64::MAX,
-            0,
-            0,
-            40,
-        )))));
-        io.write_ssd_sync(&mut clk, 0, &[1u8; 64], PageId(0))
-            .unwrap();
-        let mut buf = vec![0u8; 64];
-        for _ in 0..32 {
-            io.read_ssd(&mut clk, 0, &mut buf).unwrap();
-        }
-        assert!(io.ssd_slow());
-        io.reset_device_time();
-        assert!(!io.ssd_slow(), "restart forgets the degraded flag");
     }
 
     #[test]

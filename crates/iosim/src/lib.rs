@@ -29,7 +29,6 @@ pub mod counters;
 pub mod crashsched;
 pub mod device;
 pub mod fault;
-pub mod health;
 pub mod io_manager;
 pub mod page;
 pub mod profiles;
@@ -45,7 +44,6 @@ pub use device::{DeviceProfile, IoKind, IoTicket, Locality, SimDevice};
 pub use fault::{
     BrownoutSpec, FaultConfig, FaultDevice, FaultPlan, FaultStats, IoError, IoErrorKind,
 };
-pub use health::{FailSlowDetector, FailSlowStats};
 pub use io_manager::{DeviceSetup, IoManager};
 pub use page::{PageBuf, PageDst, PageId, PageSrc, PidHasher, PidMap};
 pub use profiles::{hdd_array_profile, log_disk_profile, ssd_profile, PAPER_NUM_DISKS};

@@ -69,4 +69,7 @@ TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench fig5
 echo "==> recovery bench (quick, emits BENCH_recovery.json)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench recovery
 
+echo "==> golden paper outputs (full length; table1, fig5-fig9, table3, warmstart vs results/)"
+scripts/figures.sh
+
 echo "All checks passed."

@@ -85,9 +85,8 @@ impl Client for HeapClient {
 enum Fault {
     None,
     Transient,
-    /// A mid-run SSD stall train: the fail-slow detector must trip and
-    /// clear, and hedged reads must divert to disk — identically in a
-    /// fleet and alone.
+    /// A mid-run SSD stall train: the stretched service and the throttle
+    /// it trips must replay identically in a fleet and alone.
     Brownout,
 }
 
@@ -189,7 +188,6 @@ struct Outcome {
     policy: Vec<turbopool::bufpool::PolicyStats>,
     disk: Vec<turbopool::iosim::StatSnapshot>,
     ssd_dev: Vec<turbopool::iosim::StatSnapshot>,
-    ssd_failslow: Vec<turbopool::iosim::FailSlowStats>,
     ssd_fault: Vec<Option<turbopool::iosim::fault::FaultStats>>,
     disk_images: Vec<u64>,
     ssd_images: Vec<u64>,
@@ -213,7 +211,6 @@ fn outcome(s: &Scenario) -> Outcome {
         policy: s.dbs.iter().map(|db| db.policy_stats()).collect(),
         disk: s.dbs.iter().map(|db| db.io().disk_stats()).collect(),
         ssd_dev: s.dbs.iter().map(|db| db.io().ssd_stats()).collect(),
-        ssd_failslow: s.dbs.iter().map(|db| db.io().ssd_failslow()).collect(),
         ssd_fault: s
             .dbs
             .iter()
@@ -280,24 +277,15 @@ fn parallel_is_bit_identical_to_sequential_on_every_design() {
 
 #[test]
 fn parallel_replay_of_brownout_matches_sequential() {
-    // Gray failure must replay bit-identically: same detector transitions,
-    // same hedge/brownout counters, same page images, in a fleet and
-    // alone. LC carries the sole-copy-dirty hedging exception; CW is the
+    // Gray failure must replay bit-identically: same throttle and brownout
+    // counters, same page images, in a fleet and alone. LC reads its
+    // sole-copy dirty pages from the SSD however deep its queue; CW is the
     // simplest all-clean design — cover both.
     for design in [SsdDesign::CleanWrite, SsdDesign::LazyCleaning] {
         let seq = sequential_outcome(design, 0xB7007, Fault::Brownout);
         let par = parallel_outcome(design, 0xB7007, Fault::Brownout);
         assert_eq!(par, seq, "{design:?}: brownout fleet diverged from alone");
-        // Non-vacuity: the brownout actually tripped the detector and
-        // diverted traffic.
-        let fs = &seq.ssd_failslow[0];
-        assert!(fs.transitions > 0, "detector never tripped: {fs:?}");
-        assert!(fs.slow_samples > 0, "no slow samples observed: {fs:?}");
-        let m = seq.ssd_metrics[0].as_ref().expect("design has an SSD");
-        assert!(
-            m.hedged_reads > 0 || m.hedged_admissions > 0,
-            "no traffic was hedged away from the browned-out SSD: {m:?}"
-        );
+        // Non-vacuity: the brownout actually stretched SSD service.
         let f = seq.ssd_fault[0].as_ref().expect("plan attached");
         assert!(
             f.brownout_slowdowns > 0,

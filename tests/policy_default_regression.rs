@@ -80,12 +80,14 @@ fn db_fingerprint(db: &Database, steps: u64) -> u64 {
             m.lost_frames,
             m.stranded_dirty,
             m.salvaged_pages,
-            m.hedged_reads,
-            m.hedged_admissions,
+            // The two counters of the deleted fail-slow reaction (reads
+            // and admissions it moved to disk), folded as the 0 they
+            // always were here so the pinned fingerprints stay as they are.
+            0,
+            0,
             m.ssd_retries,
             // The deleted congestion-aware cleaner's backoff and boost
-            // counters, folded as the 0 they always were here so the
-            // pinned fingerprints stay as they are.
+            // counters, folded likewise.
             0,
             0,
         ] {
