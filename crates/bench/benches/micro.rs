@@ -244,7 +244,7 @@ fn bench_btree_leaf_scan() {
 }
 
 /// A point lookup in a bulk-loaded 8 KB leaf (357 entries, the loaders'
-/// 0.7 fill, all sorted): a binary search of the sorted head, its length
+/// 0.7 fill, all sorted): a search of the sorted head, its length
 /// read from the slot cached on the page image, against the head-0 scan.
 fn bench_btree_sorted_head() {
     const N: u64 = 357;
@@ -271,6 +271,27 @@ fn bench_btree_sorted_head() {
         "btree sorted head delta: {:.1} ns saved per leaf",
         scan_ns - head_ns
     );
+}
+
+/// A point lookup in each of 4,096 bulk-loaded leaves in turn (32 MiB of
+/// leaves, visited in a scrambled order): the same search as
+/// `btree_find_in_leaf_357_head`, but each leaf's entries are cold, as on
+/// an index lookup that has not touched the leaf lately.
+fn bench_btree_cold_leaves() {
+    const N: u64 = 357;
+    const LEAVES: u64 = 4096;
+    let leaves: Vec<PageBuf> = (0..LEAVES)
+        .map(|l| leaf_of(N, |i| (l * N + i) * 3))
+        .collect();
+    let (mut l, mut k) = (0u64, 0u64);
+    bench("btree_find_in_leaf_357_cold", 1_000_000, || {
+        // Odd strides visit every leaf and every entry, far apart.
+        l = (l + 1_361) % LEAVES;
+        k = (k + 97) % N;
+        let image = std::hint::black_box(&leaves[l as usize]);
+        let at = find_in_leaf(image, image.derived(sorted_head) as usize, (l * N + k) * 3);
+        std::hint::black_box(at.expect("every key is present"));
+    });
 }
 
 /// The LRU-2 history-prune delta (PR 8 satellite): finding the median
@@ -694,6 +715,7 @@ fn main() {
     bench_pidmap_probe_vs_siphash();
     bench_btree_leaf_scan();
     bench_btree_sorted_head();
+    bench_btree_cold_leaves();
     bench_history_prune();
     bench_ssd_manager();
     bench_pool_miss_ssd_hit();

@@ -279,9 +279,9 @@ pub struct BufferPool {
     /// table latch (`classifier` after `inner` in `lock_order.toml`) and
     /// is a leaf; hits never take it.
     classifier: Mutex<Classifier>,
-    /// Table-latch counters, kept *outside* the latch so counting a
-    /// contended acquisition never itself takes the latch.
-    acquisitions: AtomicU64,
+    /// Contended table-latch acquisitions, counted *outside* the latch
+    /// before waiting for it. Every acquisition is counted under the latch,
+    /// in the table's `stats.shard_acquisitions`.
     contended: AtomicU64,
     /// The one zero image every never-filled frame starts as a handle on
     /// (and every freshly created page starts from).
@@ -302,7 +302,6 @@ impl BufferPool {
             classifier: Mutex::ranked(Rank::Classifier, Classifier::new(cfg.classifier)),
             pins: Arc::clone(&table.pins),
             inner: Mutex::ranked(Rank::PoolTable, table),
-            acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             zero,
             data,
@@ -318,12 +317,12 @@ impl BufferPool {
     /// Acquire the table latch, counting the acquisition and whether it
     /// was contended (latch held by another OS thread at that instant).
     fn lock_table(&self) -> MutexGuard<'_, Table> {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = self.inner.try_lock() {
-            return g;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock()
+        let mut t = self.inner.try_lock().unwrap_or_else(|| {
+            self.contended.fetch_add(1, Ordering::Relaxed);
+            self.inner.lock()
+        });
+        t.stats.shard_acquisitions += 1;
+        t
     }
 
     /// Pin page `pid`, reading it from below on a miss. `declared` is the
@@ -696,7 +695,6 @@ impl BufferPool {
     /// own acquisition among them).
     pub fn stats(&self) -> PoolStats {
         let mut s = self.lock_table().stats;
-        s.shard_acquisitions = self.acquisitions.load(Ordering::Relaxed);
         s.shard_contended = self.contended.load(Ordering::Relaxed);
         s
     }

@@ -43,6 +43,10 @@ pub(crate) struct Health {
     /// quarantine, awaiting WAL-tail salvage by the engine. Only a
     /// write-back design ever adds one.
     stranded: Mutex<Vec<PageId>>,
+    /// Whether `stranded` may be non-empty: a `Release` store under its
+    /// latch, read with `Acquire`, so a read with nothing stranded takes no
+    /// latch.
+    any_stranded: AtomicBool,
 }
 
 impl Health {
@@ -52,6 +56,7 @@ impl Health {
             errors: AtomicU64::new(0),
             auditor: InvariantAuditor::new(design),
             stranded: Mutex::new(Vec::new()),
+            any_stranded: AtomicBool::new(false),
         }
     }
 
@@ -65,7 +70,19 @@ impl Health {
 
     /// Drain the strand list.
     pub(crate) fn take_stranded(&self) -> Vec<PageId> {
-        std::mem::take(&mut *self.stranded.lock())
+        let mut stranded = self.stranded.lock();
+        self.any_stranded.store(false, Ordering::Release);
+        std::mem::take(&mut *stranded)
+    }
+
+    fn strand(&self, pid: PageId) {
+        let mut stranded = self.stranded.lock();
+        self.any_stranded.store(true, Ordering::Release);
+        stranded.push(pid);
+    }
+
+    fn is_stranded(&self, pid: PageId) -> bool {
+        self.any_stranded.load(Ordering::Acquire) && self.stranded.lock().contains(&pid)
     }
 }
 
@@ -93,7 +110,7 @@ pub(crate) trait SsdTier {
         SsdMetrics::bump(&self.metrics().lost_frames);
         if dirty {
             SsdMetrics::bump(&self.metrics().stranded_dirty);
-            self.health().stranded.lock().push(pid);
+            self.health().strand(pid);
         }
     }
 
@@ -110,7 +127,7 @@ pub(crate) trait SsdTier {
     /// disk would silently lose committed writes. The error routes the
     /// caller through the strand list and salvage first.
     fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
-        if self.health().stranded.lock().contains(&pid) {
+        if self.health().is_stranded(pid) {
             return Err(IoError::new(
                 fault::FaultDevice::Ssd,
                 IoErrorKind::DeviceDead,
@@ -157,7 +174,9 @@ pub(crate) trait SsdTier {
         buf: &mut D,
     ) -> Result<(), IoError> {
         let (retries, out) = fault::retry_sync(clk, |c| self.io().read_ssd(c, frame, buf));
-        SsdMetrics::add(&self.metrics().ssd_retries, u64::from(retries));
+        if retries > 0 {
+            SsdMetrics::add(&self.metrics().ssd_retries, u64::from(retries));
+        }
         out
     }
 
@@ -170,7 +189,9 @@ pub(crate) trait SsdTier {
         buf: &mut D,
     ) -> Result<(), IoError> {
         let (retries, out) = fault::retry_sync(clk, |c| self.io().read_disk(c, pid, buf, class));
-        SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
+        if retries > 0 {
+            SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
+        }
         out
     }
 
@@ -183,7 +204,9 @@ pub(crate) trait SsdTier {
         loc: Locality,
     ) -> Result<Vec<PageBuf>, IoError> {
         let (retries, out) = fault::retry_sync(clk, |c| self.io().read_disk_run(c, first, n, loc));
-        SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
+        if retries > 0 {
+            SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
+        }
         out
     }
 

@@ -14,8 +14,9 @@
 //! near the volume a physiological-logging engine would generate. Splits
 //! and the bulk loader write nodes sorted, so every node is a **sorted
 //! head** and an unsorted tail: an append extends the head or ends it, a
-//! delete's swap-remove may cut it short. Lookups binary-search the head
-//! and scan the tail; at head 0 that is a linear scan. The head's length
+//! delete's swap-remove may cut it short. Lookups search the head by
+//! interpolation and a short gallop ([`search_head`]) and scan the tail;
+//! at head 0 that is a linear scan. The head's length
 //! ([`sorted_head`]) is cached on the page image (`PageBuf::derived`),
 //! which clears it on any mutable access; page bytes, redo records and
 //! virtual time do not depend on it (the host time is real and tracked by
@@ -175,17 +176,88 @@ fn read_node<R>(txn: &mut Txn<'_, '_>, pid: PageId, f: impl FnOnce(&[u8], usize)
     })
 }
 
+/// Where `key` falls in the sorted head `sorted`: exactly
+/// `sorted.partition_point(|e| record_key(e) < key)`, or `<= key` when
+/// `inclusive`. It answers at once when the first entry is not below `key`
+/// or the last one is. Otherwise it guesses the position from `key`'s place
+/// between the first and last keys, gallops out from the guess (1, 2, 4, …
+/// entries) until the answer is bracketed, and bisects only the bracket. In
+/// a dense or evenly spread head the guess is off by at most one entry, so
+/// a lookup reads the two ends and one or two entries by the guess instead
+/// of bisecting; a skewed head costs at most about twice the bisection's
+/// probes. The guess only picks which entries are read, never the answer;
+/// debug builds check every answer against `partition_point`.
+fn search_head(sorted: &[[u8; ENTRY]], key: u64, inclusive: bool) -> usize {
+    let below = |e: &[u8; ENTRY]| {
+        let k = record_key(e);
+        k < key || (inclusive && k == key)
+    };
+    let at = match sorted {
+        [first, .., last] if below(first) && !below(last) => {
+            // The first key is below `key` and the last is not, so
+            // `first < key <= last` (`first <= key < last` if inclusive)
+            // and the answer lies in `1..n`.
+            let n = sorted.len();
+            let (off, span) = (
+                key - record_key(first),
+                record_key(last) - record_key(first),
+            );
+            // `key`'s share of the key span, times `n`: in `u64` unless the
+            // keys spread over more than `u64::MAX / n`.
+            let guess = match off.checked_mul(n as u64) {
+                Some(scaled) => scaled / span,
+                None => (u128::from(off) * n as u128 / u128::from(span)) as u64,
+            };
+            let guess = (guess as usize).min(n - 1);
+            // Bracket the answer in `from..=to`: gallop right from a guess
+            // below `key` (the last entry stops it), left from one that is
+            // not (the first entry stops it).
+            let (from, to) = if below(&sorted[guess]) {
+                let (mut from, mut step) = (guess + 1, 1);
+                loop {
+                    let probe = (guess + step).min(n - 1);
+                    if !below(&sorted[probe]) {
+                        break (from, probe);
+                    }
+                    from = probe + 1;
+                    step *= 2;
+                }
+            } else {
+                let (mut to, mut step) = (guess, 1);
+                loop {
+                    let probe = guess.saturating_sub(step);
+                    if below(&sorted[probe]) {
+                        break (probe + 1, to);
+                    }
+                    to = probe;
+                    step *= 2;
+                }
+            };
+            from + sorted[from..to].partition_point(below)
+        }
+        // Every entry is below `key` (the last one is), or none is.
+        [first, ..] if below(first) => sorted.len(),
+        _ => 0,
+    };
+    debug_assert_eq!(
+        at,
+        sorted.partition_point(below),
+        "search_head({key}, {inclusive})"
+    );
+    at
+}
+
 /// Child pid routing `key` in an internal node whose first `head` entries
 /// are sorted: the child of the greatest separator key `<= key` (the first
 /// such entry, should a separator ever repeat), or the leftmost child when
 /// every separator is greater.
 fn search_child(b: &[u8], head: usize, key: u64) -> u64 {
     let (sorted, tail) = entry_records(b).split_at(head);
-    let mut best = match sorted.partition_point(|e| record_key(e) <= key) {
+    let mut best = match search_head(sorted, key, true) {
         0 => None,
         at => {
             let k = record_key(&sorted[at - 1]);
-            Some((k, &sorted[sorted.partition_point(|e| record_key(e) < k)]))
+            Some((k, &sorted[search_head(&sorted[..at], k, false)]))
         }
     };
     for e in tail {
@@ -202,7 +274,7 @@ fn search_child(b: &[u8], head: usize, key: u64) -> u64 {
 /// rungs).
 pub fn find_in_leaf(b: &[u8], head: usize, key: u64) -> Option<usize> {
     let (sorted, tail) = entry_records(b).split_at(head);
-    let at = sorted.partition_point(|e| record_key(e) < key);
+    let at = search_head(sorted, key, false);
     if sorted.get(at).is_some_and(|e| record_key(e) == key) {
         return Some(at);
     }
@@ -216,8 +288,8 @@ pub fn find_in_leaf(b: &[u8], head: usize, key: u64) -> Option<usize> {
 fn leaf_range(b: &[u8], head: usize, lo: u64, hi: u64) -> (Vec<(u64, u64)>, bool) {
     let pair = |e: &[u8; ENTRY]| (record_key(e), record_val(e));
     let (sorted, tail) = entry_records(b).split_at(head);
-    let from = sorted.partition_point(|e| record_key(e) < lo);
-    let to = sorted.partition_point(|e| record_key(e) <= hi);
+    let from = search_head(sorted, lo, false);
+    let to = search_head(sorted, hi, true);
     let mut in_range: Vec<_> = sorted[from..to.max(from)].iter().map(pair).collect();
     let mut beyond = to < head;
     for e in tail {
@@ -524,6 +596,106 @@ mod tests {
                     leaf_range(&b, full, 500, 400),
                     leaf_range_indexed(&b, 500, 400)
                 );
+            }
+        }
+    }
+
+    /// `search_head` against `partition_point` for both predicates, on the
+    /// key shapes that steer its guess well and badly, at every head
+    /// length a bulk-loaded 8 KB leaf can have.
+    #[test]
+    fn search_head_matches_partition_point() {
+        let mut rng = SmallRng::seed_from_u64(0x5EA7);
+        for n in 0..=357u64 {
+            let base = rng.gen_range(1..1u64 << 40);
+            let shapes: [(&str, Vec<u64>); 6] = [
+                ("dense", (0..n).map(|i| base + i).collect()),
+                ("sparse", {
+                    let stride = rng.gen_range(2..1u64 << 44);
+                    (0..n).map(|i| base + i * stride).collect()
+                }),
+                // Runs of consecutive keys behind large gaps.
+                ("clustered", {
+                    let mut k = base;
+                    (0..n)
+                        .map(|_| {
+                            k += if rng.gen_ratio(1, 16) {
+                                rng.gen_range(1..1u64 << 36)
+                            } else {
+                                1
+                            };
+                            k
+                        })
+                        .collect()
+                }),
+                // Half near the bottom of the key space, half near its middle.
+                ("two-cluster", {
+                    (0..n)
+                        .map(|i| if i < n / 2 { base + i } else { (1 << 63) + i })
+                        .collect()
+                }),
+                // Long runs of one key: a leaf of duplicates, or repeated
+                // separators.
+                ("duplicate-run", {
+                    let run = rng.gen_range(1..=n.max(1));
+                    (0..n).map(|i| base + i / run * 7).collect()
+                }),
+                // Both ends of the key space.
+                ("extreme", {
+                    let mut ks: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                    if n >= 1 {
+                        ks[0] = 0;
+                    }
+                    if n >= 2 {
+                        ks[1] = u64::MAX;
+                    }
+                    if n >= 4 {
+                        ks[2] = u64::MAX;
+                        ks[3] = u64::MAX - 1;
+                    }
+                    ks.sort_unstable();
+                    ks
+                }),
+            ];
+            for (shape, keys) in shapes {
+                assert!(keys.is_sorted(), "{shape} keys unsorted");
+                let head: Vec<[u8; ENTRY]> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| entry_bytes(k, i as u64))
+                    .collect();
+                let (first, last) = (keys.first().copied(), keys.last().copied());
+                let probes = keys
+                    .iter()
+                    // Present, and the absent (or neighbouring) keys beside them.
+                    .flat_map(|&k| [k, k.wrapping_sub(1), k.wrapping_add(1)])
+                    // Below the first key and above the last.
+                    .chain(first.map(|k| k.saturating_sub(1)))
+                    .chain(last.map(|k| k.saturating_add(1)))
+                    .chain([0, 1, u64::MAX - 1, u64::MAX])
+                    .collect::<Vec<_>>();
+                // Anywhere, and anywhere between the ends.
+                let anywhere = (0..16).map(|_| rng.next_u64()).collect::<Vec<_>>();
+                let between = (0..16)
+                    .filter_map(|_| Some(rng.gen_range(first?..=last?)))
+                    .collect::<Vec<_>>();
+                for key in probes.into_iter().chain(anywhere).chain(between) {
+                    for inclusive in [false, true] {
+                        let want = head.partition_point(|e| {
+                            let k = record_key(e);
+                            if inclusive {
+                                k <= key
+                            } else {
+                                k < key
+                            }
+                        });
+                        assert_eq!(
+                            search_head(&head, key, inclusive),
+                            want,
+                            "{shape} n={n} key={key} inclusive={inclusive}"
+                        );
+                    }
+                }
             }
         }
     }

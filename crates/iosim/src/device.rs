@@ -16,9 +16,6 @@
 //! time is fully booked, later requests spill forward, producing queueing
 //! delay.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::sync::Mutex;
 
 use crate::clock::Time;
@@ -205,15 +202,6 @@ impl Ledger {
     }
 }
 
-/// Drop the requests of `outstanding` (completion times) that completed by
-/// `now` and return how many are left: the queue depth at `now`.
-fn drain_completed(outstanding: &mut BinaryHeap<Reverse<Time>>, now: Time) -> usize {
-    while outstanding.peek().is_some_and(|&Reverse(t)| t <= now) {
-        outstanding.pop();
-    }
-    outstanding.len()
-}
-
 struct DeviceState {
     ledger: Ledger,
     /// The LBA a perfectly sequential successor request would start at.
@@ -221,8 +209,6 @@ struct DeviceState {
     /// Whether `expected_lba` is meaningful (false before the first
     /// request).
     primed: bool,
-    /// Completion times of outstanding requests, for queue-depth queries.
-    outstanding: BinaryHeap<Reverse<Time>>,
 }
 
 /// One simulated device: a unit-rate server with a bucketed capacity
@@ -250,7 +236,6 @@ impl SimDevice {
                 ledger: Ledger::new(bucket),
                 expected_lba: 0,
                 primed: false,
-                outstanding: BinaryHeap::new(),
             }),
             stats: DeviceStats::new(),
         }
@@ -301,7 +286,6 @@ impl SimDevice {
     ) -> IoTicket {
         assert!(npages > 0, "empty I/O request");
         let mut st = self.state.lock();
-        drain_completed(&mut st.outstanding, now);
         let adjacent = st.primed && lba == st.expected_lba;
         let first_loc = hint.unwrap_or(if adjacent {
             Locality::Sequential
@@ -330,12 +314,10 @@ impl SimDevice {
     ) -> IoTicket {
         let mut st = self.state.lock();
         st.primed = false; // duration-based I/O carries no locality state
-        drain_completed(&mut st.outstanding, now);
         self.finish(&mut st, now, kind, service_ns.max(1), stat_pages)
     }
 
-    /// Book `service` at `now` on a state whose requests completed by
-    /// `now` are already drained.
+    /// Book `service` at `now`.
     fn finish(
         &self,
         st: &mut DeviceState,
@@ -346,16 +328,8 @@ impl SimDevice {
     ) -> IoTicket {
         let complete = st.ledger.schedule(now, service);
         let start = complete.saturating_sub(service).max(now);
-        st.outstanding.push(Reverse(complete));
         self.stats.record(kind, stat_pages, complete, service);
         IoTicket { start, complete }
-    }
-
-    /// Number of requests that have been submitted but whose completion
-    /// time is after `now` — the device queue length the SSD
-    /// throttle-control optimization monitors (paper §3.3.2).
-    pub fn queue_depth(&self, now: Time) -> usize {
-        drain_completed(&mut self.state.lock().outstanding, now)
     }
 
     /// End of the last busy period currently booked (for tests).
@@ -363,14 +337,13 @@ impl SimDevice {
         self.state.lock().ledger.horizon()
     }
 
-    /// Forget all timing state (capacity bookings, outstanding requests,
-    /// sequential-detection position) while keeping statistics. Models a
-    /// machine restart: virtual time starts over with idle devices.
+    /// Forget all timing state (capacity bookings, sequential-detection
+    /// position) while keeping statistics. Models a machine restart:
+    /// virtual time starts over with idle devices.
     pub fn reset_time(&self) {
         let mut st = self.state.lock();
         let bucket = st.ledger.bucket_ns;
         st.ledger = Ledger::new(bucket);
-        st.outstanding.clear();
         st.primed = false;
     }
 
@@ -494,17 +467,6 @@ mod tests {
         }
         assert_eq!(last, 10_000_000);
         assert_eq!(d.busy_until(), 10_000_000);
-    }
-
-    #[test]
-    fn queue_depth_counts_outstanding() {
-        let d = dev();
-        d.submit(0, IoKind::Write, 1, 1, Some(Locality::Random));
-        d.submit(0, IoKind::Write, 2, 1, Some(Locality::Random));
-        d.submit(0, IoKind::Write, 3, 1, Some(Locality::Random));
-        assert_eq!(d.queue_depth(0), 3);
-        assert_eq!(d.queue_depth(1_000_000), 2);
-        assert_eq!(d.queue_depth(3_000_000), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! delay later requests on the same device) without advancing the caller's
 //! clock, mirroring the write-behind I/O of the paper's disk manager.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::array::StripedArray;
@@ -99,19 +100,54 @@ pub struct IoManager {
     ssd_intents: Vec<RwLock<Option<PageBuf>>>,
     log_dev: SimDevice,
     /// Fault stream for the database disk group, if any.
-    disk_fault: RwLock<Option<Arc<FaultPlan>>>,
+    disk_fault: Hook<FaultPlan>,
     /// Fault stream for the SSD, if any.
-    ssd_fault: RwLock<Option<Arc<FaultPlan>>>,
+    ssd_fault: Hook<FaultPlan>,
     /// Pages whose most recent disk write was dropped by a failing device
     /// and never retried to success. The stored disk image (if any) is
     /// stale, so readers must not treat such a page as never-written and
     /// serve zeroes — see [`IoManager::disk_write_lost`].
     lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
-    any_lost_writes: std::sync::atomic::AtomicBool,
+    any_lost_writes: AtomicBool,
     /// Crash-schedule switch, if attached: numbers every durable-write
     /// boundary and can kill power at an exact one (see [`CrashSwitch`]).
-    crash_switch: RwLock<Option<Arc<CrashSwitch>>>,
+    crash_switch: Hook<CrashSwitch>,
+}
+
+/// An optional per-I/O hook (a fault plan or the crash switch), swapped
+/// only between I/Os. `attached` mirrors whether the slot holds one: a
+/// `Release` store under the slot's write latch, read with `Acquire`, so an
+/// I/O with nothing attached reads one flag and takes no latch.
+struct Hook<T> {
+    attached: AtomicBool,
+    slot: RwLock<Option<Arc<T>>>,
+}
+
+impl<T> Hook<T> {
+    fn new() -> Self {
+        Hook {
+            attached: AtomicBool::new(false),
+            slot: RwLock::new(None),
+        }
+    }
+
+    fn set(&self, hook: Option<Arc<T>>) {
+        let mut slot = self.slot.write();
+        self.attached.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
+    }
+
+    fn is_attached(&self) -> bool {
+        self.attached.load(Ordering::Acquire)
+    }
+
+    fn get(&self) -> Option<Arc<T>> {
+        if !self.is_attached() {
+            return None;
+        }
+        self.slot.read().clone()
+    }
 }
 
 impl IoManager {
@@ -130,11 +166,11 @@ impl IoManager {
                 .collect(),
             ssd_intents: (0..setup.ssd_frames).map(|_| RwLock::new(None)).collect(),
             log_dev: SimDevice::new("log", setup.log_profile),
-            disk_fault: RwLock::new(None),
-            ssd_fault: RwLock::new(None),
+            disk_fault: Hook::new(),
+            ssd_fault: Hook::new(),
             lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
-            any_lost_writes: std::sync::atomic::AtomicBool::new(false),
-            crash_switch: RwLock::new(None),
+            any_lost_writes: AtomicBool::new(false),
+            crash_switch: Hook::new(),
         }
     }
 
@@ -147,23 +183,23 @@ impl IoManager {
     /// devices fails `DeviceDead` until the switch is detached (power is
     /// restored by the next incarnation removing or replacing it).
     pub fn set_crash_switch(&self, sw: Option<Arc<CrashSwitch>>) {
-        *self.crash_switch.write() = sw;
+        self.crash_switch.set(sw);
     }
 
     /// The currently attached crash switch, if any.
     pub fn crash_switch(&self) -> Option<Arc<CrashSwitch>> {
-        self.crash_switch.read().clone()
+        self.crash_switch.get()
     }
 
     /// Is a fired crash switch attached — i.e. has simulated power been
     /// lost? While true, every device rejects every request.
     pub fn power_lost(&self) -> bool {
-        self.crash_switch.read().as_ref().is_some_and(|s| s.fired())
+        self.crash_switch.get().is_some_and(|s| s.fired())
     }
 
     /// Consult the crash switch for one durable-write boundary of `kind`.
     fn boundary_fate(&self, kind: BoundaryKind) -> WriteFate {
-        match self.crash_switch.read().as_ref() {
+        match self.crash_switch.get() {
             Some(sw) => sw.on_write(kind),
             None => WriteFate::Persist,
         }
@@ -179,30 +215,30 @@ impl IoManager {
 
     /// Attach (or detach, with `None`) a fault stream to the disk group.
     pub fn set_disk_fault(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.disk_fault.write() = plan;
+        self.disk_fault.set(plan);
     }
 
     /// Attach (or detach, with `None`) a fault stream to the SSD.
     pub fn set_ssd_fault(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.ssd_fault.write() = plan;
+        self.ssd_fault.set(plan);
     }
 
     /// The currently attached disk fault stream, if any.
     pub fn disk_fault(&self) -> Option<Arc<FaultPlan>> {
-        self.disk_fault.read().clone()
+        self.disk_fault.get()
     }
 
     /// The currently attached SSD fault stream, if any.
     pub fn ssd_fault(&self) -> Option<Arc<FaultPlan>> {
-        self.ssd_fault.read().clone()
+        self.ssd_fault.get()
     }
 
     /// `device`'s fault stream, read once per I/O: a plan is only ever
     /// swapped between I/Os.
     fn plan_for(&self, device: FaultDevice) -> Option<Arc<FaultPlan>> {
         match device {
-            FaultDevice::Disk => self.disk_fault.read().clone(),
-            FaultDevice::Ssd => self.ssd_fault.read().clone(),
+            FaultDevice::Disk => self.disk_fault.get(),
+            FaultDevice::Ssd => self.ssd_fault.get(),
         }
     }
 
@@ -369,7 +405,7 @@ impl IoManager {
     ) -> Result<Time, IoError> {
         sync::assert_io_allowed("write_disk_run_async");
         assert!(!pages.is_empty());
-        if self.crash_switch.read().is_some() {
+        if self.crash_switch.is_attached() {
             // One boundary per page: a crash can land inside the run. The
             // prefix that persisted before the cut is written; the cut page
             // and the rest never reached the platters.
@@ -442,20 +478,15 @@ impl IoManager {
 
     fn mark_lost_write(&self, pid: PageId) {
         self.lost_disk_writes.lock().insert(pid);
-        self.any_lost_writes
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.any_lost_writes.store(true, Ordering::Release);
     }
 
     fn clear_lost_write(&self, pid: PageId) {
-        if self
-            .any_lost_writes
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
+        if self.any_lost_writes.load(Ordering::Acquire) {
             let mut lost = self.lost_disk_writes.lock();
             lost.remove(&pid);
             if lost.is_empty() {
-                self.any_lost_writes
-                    .store(false, std::sync::atomic::Ordering::Release);
+                self.any_lost_writes.store(false, Ordering::Release);
             }
         }
     }
@@ -468,9 +499,7 @@ impl IoManager {
     /// never-written: a read has to touch the device and surface the
     /// error so the transaction is poisoned instead of served zeroes.
     pub fn disk_write_lost(&self, pid: PageId) -> bool {
-        self.any_lost_writes
-            .load(std::sync::atomic::Ordering::Acquire)
-            && self.lost_disk_writes.lock().contains(&pid)
+        self.any_lost_writes.load(Ordering::Acquire) && self.lost_disk_writes.lock().contains(&pid)
     }
 
     // ------------------------------------------------------------------
@@ -613,7 +642,7 @@ impl IoManager {
     /// and the page it caches — whatever actually reached the store.
     fn record_ssd_intent(&self, frame: u64, meant: PageBuf, tag: PageId) {
         *self.ssd_intents[frame as usize].write() = Some(meant);
-        self.ssd_tags[frame as usize].store(tag.0 + 1, std::sync::atomic::Ordering::Relaxed);
+        self.ssd_tags[frame as usize].store(tag.0 + 1, Ordering::Relaxed);
     }
 
     /// Synchronously write one SSD frame.
@@ -633,14 +662,8 @@ impl IoManager {
     /// The page id cached in `frame` per its in-page header, if any. This
     /// survives restarts (it lives in the frame itself).
     pub fn ssd_tag(&self, frame: u64) -> Option<PageId> {
-        let t = self.ssd_tags[frame as usize].load(std::sync::atomic::Ordering::Relaxed);
+        let t = self.ssd_tags[frame as usize].load(Ordering::Relaxed);
         (t != 0).then(|| PageId(t - 1))
-    }
-
-    /// Pending I/O count on the SSD — the quantity the throttle-control
-    /// optimization (threshold `mu`, §3.3.2) monitors.
-    pub fn ssd_queue_depth(&self, now: Time) -> usize {
-        self.ssd_dev.queue_depth(now)
     }
 
     /// Throttle-control predicate: is the SSD overloaded around `now`,
@@ -1309,16 +1332,5 @@ mod tests {
         assert_eq!(b.read_busy_ns, 25 * h.read_busy_ns);
         let f = browned.disk_fault().expect("plan attached").stats();
         assert_eq!(f.brownout_slowdowns, 32);
-    }
-
-    #[test]
-    fn queue_depth_reflects_outstanding_async_writes() {
-        let io = io();
-        for f in 0..5 {
-            io.write_ssd_async(0, f, &[0u8; 64], PageId(f)).unwrap();
-        }
-        assert!(io.ssd_queue_depth(0) >= 4);
-        let far = 10 * crate::clock::SECOND;
-        assert_eq!(io.ssd_queue_depth(far), 0);
     }
 }

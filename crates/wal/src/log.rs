@@ -11,12 +11,25 @@ use crate::record::LogRecord;
 pub type Lsn = u64;
 
 struct LogState {
-    /// Durably flushed bytes (survives a simulated crash).
-    durable: Vec<u8>,
-    /// Appended but not yet flushed bytes (lost on crash).
-    pending: Vec<u8>,
-    /// Logical byte offset of `durable[0]` (grows with truncation).
+    /// The log's bytes: the durable prefix `..durable` (survives a
+    /// simulated crash), then the appended but unflushed tail (lost on
+    /// crash). A flush moves the watermark and copies nothing.
+    bytes: Vec<u8>,
+    /// Length of the durable prefix of `bytes`.
+    durable: usize,
+    /// Logical byte offset of `bytes[0]` (grows with truncation).
     base: Lsn,
+}
+
+impl LogState {
+    fn durable(&self) -> &[u8] {
+        &self.bytes[..self.durable]
+    }
+
+    /// Drop the unflushed tail: its bytes never reached the device.
+    fn lose_tail(&mut self) {
+        self.bytes.truncate(self.durable);
+    }
 }
 
 /// Append-only log with explicit group flush.
@@ -36,8 +49,8 @@ impl LogManager {
         LogManager {
             io,
             state: Arc::new(Mutex::new(LogState {
-                durable: Vec::new(),
-                pending: Vec::new(),
+                bytes: Vec::new(),
+                durable: 0,
                 base: 0,
             })),
         }
@@ -47,8 +60,8 @@ impl LogManager {
     /// record (its durability point).
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let mut st = self.state.lock();
-        rec.encode(&mut st.pending);
-        st.base + (st.durable.len() + st.pending.len()) as Lsn
+        rec.encode(&mut st.bytes);
+        st.base + st.bytes.len() as Lsn
     }
 
     /// Flush everything appended so far, charging sequential log-device time
@@ -63,21 +76,18 @@ impl LogManager {
     pub fn flush(&self, clk: &mut Clk) -> bool {
         let (nbytes, complete) = {
             let mut st = self.state.lock();
-            if st.pending.is_empty() {
+            let pending = st.bytes.len() - st.durable;
+            if pending == 0 {
                 return true;
             }
-            // The tail is copied out and cleared, not taken: its capacity
-            // serves the next commit's appends.
-            let LogState {
-                durable, pending, ..
-            } = &mut *st;
             let (keep, complete) = match self.io.log_flush_fate() {
-                WriteFate::Persist => (pending.len(), true),
-                WriteFate::Torn => (pending.len() - 1, false),
+                WriteFate::Persist => (pending, true),
+                WriteFate::Torn => (pending - 1, false),
                 WriteFate::Dropped => (0, false),
             };
-            durable.extend_from_slice(&pending[..keep]);
-            pending.clear();
+            st.durable += keep;
+            // A torn or dropped flush loses the rest with the power.
+            st.lose_tail();
             (keep, complete)
         };
         if nbytes > 0 {
@@ -89,12 +99,12 @@ impl LogManager {
     /// LSN up to which the log is durable.
     pub fn flushed_lsn(&self) -> Lsn {
         let st = self.state.lock();
-        st.base + st.durable.len() as Lsn
+        st.base + st.durable as Lsn
     }
 
     /// Bytes currently retained in the durable log (after truncation).
     pub fn durable_len(&self) -> usize {
-        self.state.lock().durable.len()
+        self.state.lock().durable
     }
 
     /// Write a checkpoint record, flush, and truncate everything before it.
@@ -134,8 +144,9 @@ impl LogManager {
             return;
         }
         let mut st = self.state.lock();
-        let cut = st.durable.len() - keep;
-        st.durable.drain(..cut);
+        let cut = st.durable - keep;
+        st.bytes.drain(..cut);
+        st.durable -= cut;
         st.base += cut as Lsn;
     }
 
@@ -144,7 +155,7 @@ impl LogManager {
     /// tests that fingerprint or decode it. Replay reads the log in place
     /// through [`DurableLog::with_bytes`].
     pub fn durable_snapshot(&self) -> Vec<u8> {
-        self.state.lock().durable.clone()
+        self.state.lock().durable().to_vec()
     }
 
     /// Fault-injection hook: XOR `mask` into durable byte `byte`, modeling
@@ -152,10 +163,10 @@ impl LogManager {
     /// the offset is out of range or the mask is zero.
     pub fn corrupt_durable(&self, byte: usize, mask: u8) -> bool {
         let mut st = self.state.lock();
-        if mask == 0 || byte >= st.durable.len() {
+        if mask == 0 || byte >= st.durable {
             return false;
         }
-        st.durable[byte] ^= mask;
+        st.bytes[byte] ^= mask;
         true
     }
 
@@ -179,7 +190,7 @@ impl DurableLog {
     /// Reconstruct a log manager "after restart": durable bytes are kept,
     /// unflushed bytes are discarded (they never reached the device).
     pub fn reopen(&self, io: Arc<IoManager>) -> LogManager {
-        self.state.lock().pending.clear();
+        self.state.lock().lose_tail();
         LogManager {
             io,
             state: Arc::clone(&self.state),
@@ -190,7 +201,7 @@ impl DurableLog {
     /// is held for the duration of `f`, so `f` must not append to or flush
     /// this log; replaying it onto the database does neither.
     pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.state.lock().durable)
+        f(self.state.lock().durable())
     }
 
     /// Log repair after a successful recovery: discard everything past the
@@ -200,8 +211,10 @@ impl DurableLog {
     /// Idempotent; a no-op when the log is already clean.
     pub fn truncate_to_valid(&self, valid_len: usize) {
         let mut st = self.state.lock();
-        if valid_len < st.durable.len() {
-            st.durable.truncate(valid_len);
+        if valid_len < st.durable {
+            let durable = st.durable;
+            st.bytes.drain(valid_len..durable);
+            st.durable = valid_len;
         }
     }
 }
@@ -230,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_keeps_the_tail_buffer() {
+    fn flush_moves_the_watermark_in_place() {
         use turbopool_iosim::CrashSwitch;
         let (io, log) = mgr();
         let mut clk = Clk::new();
@@ -240,27 +253,29 @@ mod tests {
             offset: 0,
             data: vec![3; 100],
         };
+        let len = rec.encoded_len();
         log.append(&rec);
-        let cap = log.state.lock().pending.capacity();
-        assert!(cap >= rec.encoded_len());
-        assert!(log.flush(&mut clk));
-        let tail = || {
+        let buffer = || {
             let st = log.state.lock();
-            (st.pending.len(), st.pending.capacity())
+            (st.durable, st.bytes.len(), st.bytes.as_ptr())
         };
-        assert_eq!(tail(), (0, cap), "persisted: emptied, capacity kept");
-        // Torn and dropped flushes empty the tail too (the bytes are gone
-        // with the power), still without giving the buffer up.
+        let (_, _, at) = buffer();
+        assert!(log.flush(&mut clk));
+        assert_eq!(buffer(), (len, len, at), "persisted: all durable, in place");
+        // A torn flush makes all but the last byte durable and a dropped
+        // one nothing; either way the rest is gone with the power, and the
+        // durable bytes stay where they were appended.
         io.set_crash_switch(Some(Arc::new(CrashSwitch::armed(0, true))));
         log.append(&rec);
-        let durable = log.durable_len();
         assert!(!log.flush(&mut clk));
-        assert_eq!(log.durable_len(), durable + rec.encoded_len() - 1);
-        assert_eq!(tail(), (0, cap));
+        let torn = 2 * len - 1;
+        assert_eq!(buffer().0, torn);
+        assert_eq!(buffer().1, torn);
         log.append(&rec);
         assert!(!log.flush(&mut clk), "power is off: dropped");
-        assert_eq!(log.durable_len(), durable + rec.encoded_len() - 1);
-        assert_eq!(tail(), (0, cap));
+        assert_eq!(buffer().0, torn);
+        assert_eq!(buffer().1, torn);
+        assert_eq!(log.durable_len(), torn);
     }
 
     #[test]
