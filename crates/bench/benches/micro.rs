@@ -473,7 +473,8 @@ fn bench_page_image() {
 /// A 32-page read-ahead request through each cache's `read_run`, with the
 /// first two pages and the last page of every run SSD-resident (so the
 /// request trims both ends and reads a 29-page middle from disk). Reported
-/// per request; divide by 32 for the per-page cost.
+/// per request; divide by 32 for the per-page cost. Then one resident page
+/// per request through `read_page`, an SSD hit.
 fn bench_read_run() {
     const RUN: u64 = 32;
     const RUNS: u64 = 64;
@@ -521,6 +522,15 @@ fn bench_read_run() {
             r = (r + 1) % RUNS;
             let pages = layer.read_run(&mut clk, PageId(r * RUN), RUN);
             std::hint::black_box(pages.expect("no fault plan attached"));
+        });
+        // A single-page SSD hit on the same table: the first page of each
+        // run in turn.
+        let hit = name.replace("read_run_32_pages", "read_page_ssd_hit");
+        bench(&hit, 200_000, || {
+            r = (r + 1) % RUNS;
+            layer
+                .read_page(&mut clk, PageId(r * RUN), Locality::Random, &mut buf)
+                .expect("no fault plan attached");
         });
     }
 }

@@ -20,15 +20,15 @@ use std::sync::Arc;
 use turbopool_bufpool::PageIo;
 use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, PageSrc, Time,
 };
 
 use crate::audit::AuditOp;
-use crate::config::{DirtyEviction, MultiPageMode, SsdConfig};
+use crate::config::{DirtyEviction, SsdConfig};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
 pub use crate::tier::SSD_ERROR_BUDGET;
-use crate::tier::{trim_ends, Health, SsdTier};
+use crate::tier::{lock_counted, Health, SsdTier};
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
 enum Reclaimed {
@@ -188,17 +188,9 @@ impl SsdManager {
         self.part_at(self.part_index(pid))
     }
 
-    /// Acquire partition `idx`'s latch, counting the acquisition and
-    /// whether it was contended (latch held by another OS thread at that
-    /// instant). Both counters are pure functions of the op sequence in
-    /// deterministic driver runs (contended is then always 0).
+    /// Acquire partition `idx`'s latch, counted ([`lock_counted`]).
     fn part_at(&self, idx: usize) -> MutexGuard<'_, Partition> {
-        SsdMetrics::bump(&self.metrics.shard_acquisitions);
-        if let Some(g) = self.parts[idx].try_lock() {
-            return g;
-        }
-        SsdMetrics::bump(&self.metrics.shard_contended);
-        self.parts[idx].lock()
+        lock_counted(&self.metrics, &self.parts[idx])
     }
 
     fn next_stamp(&self) -> u64 {
@@ -572,35 +564,6 @@ impl SsdManager {
         }
         (cleaned, writes)
     }
-
-    /// Read one page from its SSD frame onto a temporary clock starting at
-    /// `start`; returns the completion time. On SSD failure the entry is
-    /// dropped: a clean copy falls back to a single-page `Random` disk read
-    /// (also from `start`), a dirty (sole-copy) loss propagates so the
-    /// engine can WAL-salvage. No `dirty_hits` here: that counts
-    /// single-page reads only.
-    fn patch_from_ssd(
-        &self,
-        start: Time,
-        pid: PageId,
-        frame: u64,
-        dirty: bool,
-        buf: &mut PageBuf,
-    ) -> Result<Time, IoError> {
-        let mut tmp = Clk::at(start);
-        if self.read_frame(&mut tmp, pid, frame, dirty, buf)? {
-            // LRU-2 recency is this tier's own, so the touch stays here.
-            let mut part = self.part(pid);
-            if let Some(idx) = part.lookup(pid) {
-                let stamp = self.next_stamp();
-                part.touch(idx, stamp);
-            }
-            return Ok(tmp.now);
-        }
-        let mut tmp = Clk::at(start);
-        self.disk_read(&mut tmp, pid, Locality::Random, buf)?;
-        Ok(tmp.now)
-    }
 }
 
 /// The SSD frames partition `idx` of `n` owns when `frames` are split as
@@ -624,48 +587,6 @@ fn admits(class: Locality, filling: bool) -> bool {
 /// both forms a page crosses the seam in: a byte slice to copy, or a
 /// [`PageBuf`] image to share.
 impl SsdManager {
-    fn read_one<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        if self.is_quarantined() {
-            self.check_stranded(pid, clk.now)?;
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-            SsdMetrics::bump(&self.metrics.ssd_misses);
-            return self.disk_read(clk, pid, class, buf);
-        }
-        let hit: Option<(u64, bool)> = {
-            let mut part = self.part(pid);
-            match part.lookup(pid) {
-                // Throttle control (§3.3.2) skips a clean copy; a dirty one
-                // is newer than disk and must be read from the SSD no
-                // matter how deep its queue is.
-                Some(idx) if part.record(idx).dirty || self.serves_clean_read(clk.now) => {
-                    let stamp = self.next_stamp();
-                    part.touch(idx, stamp);
-                    Some((part.frame_no(idx), part.record(idx).dirty))
-                }
-                Some(_) | None => None,
-            }
-        };
-        if let Some((frame, dirty)) = hit {
-            if self.read_frame(clk, pid, frame, dirty, buf)? {
-                if dirty {
-                    SsdMetrics::bump(&self.metrics.dirty_hits);
-                }
-                return Ok(());
-            }
-            // A clean copy is replaceable: fall through to disk.
-        }
-        // Stranded by an earlier failure (without quarantine).
-        self.check_stranded(pid, clk.now)?;
-        SsdMetrics::bump(&self.metrics.ssd_misses);
-        self.disk_read(clk, pid, class, buf)
-    }
-
     fn evict<S: PageSrc + ?Sized>(
         &self,
         now: Time,
@@ -755,7 +676,7 @@ impl PageIo for SsdManager {
         class: Locality,
         buf: &mut [u8],
     ) -> Result<(), IoError> {
-        self.read_one(clk, pid, class, buf)
+        self.fetch_page(clk, pid, class, buf)
     }
 
     fn read_page_buf(
@@ -765,119 +686,11 @@ impl PageIo for SsdManager {
         class: Locality,
         buf: &mut PageBuf,
     ) -> Result<(), IoError> {
-        self.read_one(clk, pid, class, buf)
+        self.fetch_page(clk, pid, class, buf)
     }
 
     fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        assert!(n > 0);
-        // A page of the run awaiting WAL salvage fails the whole request,
-        // so the engine salvages and retries.
-        for i in 0..n {
-            self.check_stranded(first.offset(i), clk.now)?;
-        }
-        if self.is_quarantined() {
-            // The table is empty, so every page below reads from disk; the
-            // counter records the degradation for the harnesses.
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-        }
-        // No page bytes move: disk pages arrive as handles on the disk
-        // store's images, and a page read from the SSD replaces its
-        // placeholder (a handle on the shared zero page) with a handle on
-        // the frame's image.
-        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
-        let status: Vec<Option<(u64, bool)>> =
-            (0..n).map(|i| self.entry(first.offset(i))).collect();
-        let now0 = clk.now;
-        let mut done = now0;
-
-        match self.cfg.multipage {
-            MultiPageMode::Trim => {
-                // Trimming (§3.3.3): peel SSD-resident pages off both ends,
-                // read the middle as one disk I/O; dirty SSD pages inside
-                // the middle are patched from the SSD afterwards.
-                let throttled = self.throttled(now0);
-                let (lead, trail) = trim_ends(n as usize, |i| match status[i] {
-                    Some((_, dirty)) => dirty || !throttled,
-                    None => false,
-                });
-                let mid = lead..(n as usize - trail);
-                out.extend((0..lead).map(|_| self.io.zero_page()));
-                if !mid.is_empty() {
-                    let mut tmp = Clk::at(now0);
-                    out.extend(self.disk_read_run(
-                        &mut tmp,
-                        first.offset(mid.start as u64),
-                        mid.len() as u64,
-                        Locality::Sequential,
-                    )?);
-                    done = done.max(tmp.now);
-                }
-                out.extend((0..trail).map(|_| self.io.zero_page()));
-                for i in 0..n as usize {
-                    let pid = first.offset(i as u64);
-                    let in_ends = i < lead || i >= n as usize - trail;
-                    match status[i] {
-                        Some((frame, dirty)) if in_ends || dirty => {
-                            // Trimmed end page, or a newer-than-disk middle
-                            // page that must come from the SSD.
-                            let t = self.patch_from_ssd(now0, pid, frame, dirty, &mut out[i])?;
-                            done = done.max(t);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            MultiPageMode::Split => {
-                // The paper's discarded first cut: split the request at
-                // every SSD-resident page; each disk fragment pays its own
-                // positioning cost.
-                let throttled = self.throttled(now0);
-                let mut i = 0usize;
-                while i < n as usize {
-                    match status[i] {
-                        Some((frame, dirty)) if dirty || !throttled => {
-                            let pid = first.offset(i as u64);
-                            out.push(self.io.zero_page());
-                            let t = self.patch_from_ssd(now0, pid, frame, dirty, &mut out[i])?;
-                            done = done.max(t);
-                            i += 1;
-                        }
-                        _ => {
-                            let seg_start = i;
-                            while i < n as usize
-                                && !matches!(status[i], Some((_, d)) if d || !throttled)
-                            {
-                                i += 1;
-                            }
-                            let mut tmp = Clk::at(now0);
-                            out.extend(self.disk_read_run(
-                                &mut tmp,
-                                first.offset(seg_start as u64),
-                                (i - seg_start) as u64,
-                                Locality::Random,
-                            )?);
-                            done = done.max(tmp.now);
-                        }
-                    }
-                }
-            }
-            MultiPageMode::DiskOnly => {
-                let mut tmp = Clk::at(now0);
-                out.extend(self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?);
-                done = done.max(tmp.now);
-                // Correctness: dirty SSD copies are newer than what the
-                // disk returned.
-                for i in 0..n as usize {
-                    if let Some((frame, true)) = status[i] {
-                        let pid = first.offset(i as u64);
-                        let t = self.patch_from_ssd(now0, pid, frame, true, &mut out[i])?;
-                        done = done.max(t);
-                    }
-                }
-            }
-        }
-        clk.wait_until(done);
-        Ok(out)
+        self.fetch_run(clk, first, n)
     }
 
     fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, class: Locality) {
@@ -975,6 +788,36 @@ impl SsdTier for SsdManager {
         &self.health
     }
 
+    const RUN_FALLBACK: Locality = Locality::Random;
+
+    /// A served hit stamps the entry's LRU-2 recency.
+    fn probe(&self, now: Time, pid: PageId, _class: Locality) -> Option<(u64, bool)> {
+        let mut part = self.part(pid);
+        let idx = part.lookup(pid)?;
+        let dirty = part.record(idx).dirty;
+        if !(dirty || self.serves_clean_read(now)) {
+            return None;
+        }
+        let stamp = self.next_stamp();
+        part.touch(idx, stamp);
+        Some((part.frame_no(idx), dirty))
+    }
+
+    /// One partition latch per page.
+    fn run_entries(&self, _now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
+        (0..n).map(|i| self.entry(first.offset(i))).collect()
+    }
+
+    /// LRU-2 recency is this tier's own, so a patched run page is stamped
+    /// here.
+    fn after_patch(&self, pid: PageId) {
+        let mut part = self.part(pid);
+        if let Some(idx) = part.lookup(pid) {
+            let stamp = self.next_stamp();
+            part.touch(idx, stamp);
+        }
+    }
+
     /// Partition by partition, each in frame order.
     fn sweep(&self) -> Vec<(PageId, bool)> {
         let mut out = Vec::new();
@@ -1001,7 +844,7 @@ impl SsdTier for SsdManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SsdDesign;
+    use crate::config::{MultiPageMode, SsdDesign};
     use turbopool_iosim::DeviceSetup;
 
     const PS: usize = 32;

@@ -40,14 +40,12 @@ use std::sync::Arc;
 use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
 
 use turbopool_bufpool::PageIo;
-use turbopool_iosim::{
-    Clk, IoError, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, PidMap, Time,
-};
+use turbopool_iosim::{Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, PidMap, Time};
 
 use crate::audit::AuditOp;
 use crate::config::SsdConfig;
 use crate::metrics::SsdMetrics;
-use crate::tier::{trim_ends, Health, SsdTier};
+use crate::tier::{lock_counted, Health, SsdTier};
 
 #[derive(Debug, Clone, Copy)]
 struct TacRec {
@@ -119,15 +117,9 @@ impl TacCache {
         }
     }
 
-    /// Acquire the table latch, counting the acquisition and whether it
-    /// was contended (latch held by another OS thread at that instant).
+    /// Acquire the table latch, counted ([`lock_counted`]).
     fn lock_table(&self) -> MutexGuard<'_, TacTable> {
-        SsdMetrics::bump(&self.metrics.shard_acquisitions);
-        if let Some(g) = self.inner.try_lock() {
-            return g;
-        }
-        SsdMetrics::bump(&self.metrics.shard_contended);
-        self.inner.lock()
+        lock_counted(&self.metrics, &self.inner)
     }
 
     /// True once the SSD is quarantined and TAC runs disk-only.
@@ -228,11 +220,218 @@ impl TacCache {
         }
     }
 
-    /// Admit `pid` (already read from disk) into the SSD at `now`,
-    /// following TAC's admission/replacement rule. `throttled` carries the
-    /// throttle verdict at `now` from one admission of a run to the next
-    /// (see `admits_now`); it is cleared when this one writes the SSD.
-    fn admit_on_read<S: PageSrc + ?Sized>(
+    /// Logical invalidation (§2.5): the record stays, marked invalid, and
+    /// its frame stays occupied until a write-through rewrites it.
+    fn invalidate(&self, tab: &mut TacTable, frame: usize, rec: TacRec) {
+        tab.records[frame] = Some(TacRec {
+            valid: false,
+            ..rec
+        });
+        tab.invalid += 1;
+        self.audit(rec.pid, AuditOp::LogicalInvalidate);
+        SsdMetrics::bump(&self.metrics.invalidations);
+    }
+
+    /// Extent temperature accessor for unit tests.
+    #[cfg(test)]
+    fn extent_temp(&self, extent: u64) -> u64 {
+        *self.lock_table().temps.get(&extent).unwrap_or(&0)
+    }
+}
+
+/// The bodies behind the [`PageIo`] entry points, each written once for
+/// both forms a page crosses the seam in: a byte slice to copy, or a
+/// [`PageBuf`] image to share.
+impl TacCache {
+    fn evict<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
+        if !dirty {
+            // Clean pages were already written on read; nothing happens.
+            return;
+        }
+        // Write-through to disk, as in a traditional DBMS. This write must
+        // not drop data, so it rides the retry-forever policy.
+        self.disk_write(now, pid, data);
+        if self.refresh_stale_copy(now, pid, data) {
+            SsdMetrics::bump(&self.metrics.admissions);
+        }
+    }
+
+    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
+        let done = self.disk_write(now, pid, data);
+        self.refresh_stale_copy(now, pid, data);
+        done
+    }
+
+    /// `pid`'s disk copy just advanced (an eviction or a checkpoint wrote
+    /// it), so ANY existing SSD version of it is now stale and must be
+    /// refreshed (flow iv) or dropped. The invalid case is the paper's flow;
+    /// a *valid* record can also be stale here: a run-read admitted the
+    /// disk version while this newer copy sat dirty in the memory pool
+    /// (scan read-ahead does exactly that), and keeping it would serve lost
+    /// updates. True if an invalid record became valid again. Throttled
+    /// like an admission, but a throttled refresh is not counted as one,
+    /// so this gate is not `admits_now`.
+    fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
+        if self.is_quarantined() {
+            return false;
+        }
+        let mut revalidated = false;
+        let mut pending: Option<IoError> = None;
+        {
+            let mut tab = self.lock_table();
+            if let Some(&frame) = tab.map.get(&pid) {
+                let rec = tab.record(frame);
+                let write = (!self.throttled(now)).then(|| {
+                    sync::io_under_latch(
+                        "the refresh-or-invalidate decision must be atomic with the \
+                         record's state, and write_ssd_async is an O(1) non-blocking booking",
+                        || self.io.write_ssd_async(now, frame as u64, data, pid),
+                    )
+                });
+                if let Some(Ok(done)) = write {
+                    self.place(&mut tab, frame, pid, done);
+                    if !rec.valid {
+                        tab.invalid -= 1;
+                    }
+                    self.audit(pid, AuditOp::Refresh);
+                    revalidated = !rec.valid;
+                } else {
+                    // Throttled or the rewrite failed: a valid SSD version
+                    // is now stale and must never be read again.
+                    if rec.valid {
+                        self.invalidate(&mut tab, frame, rec);
+                    }
+                    pending = write.and_then(Result::err);
+                }
+            }
+        }
+        if let Some(e) = pending {
+            self.note_ssd_error(&e);
+        }
+        revalidated
+    }
+}
+
+impl PageIo for TacCache {
+    fn read_page(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut [u8],
+    ) -> Result<(), IoError> {
+        self.fetch_page(clk, pid, class, buf)
+    }
+
+    fn read_page_buf(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut PageBuf,
+    ) -> Result<(), IoError> {
+        self.fetch_page(clk, pid, class, buf)
+    }
+
+    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        self.fetch_run(clk, first, n)
+    }
+
+    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, _: Locality) {
+        self.evict(now, pid, data, dirty);
+    }
+
+    fn note_dirtied(&self, now: Time, pid: PageId) {
+        let mut tab = self.lock_table();
+        if let Some(&frame) = tab.map.get(&pid) {
+            let rec = tab.record(frame);
+            if rec.valid {
+                if now < rec.valid_at {
+                    // The on-read SSD write had not completed: it is
+                    // cancelled outright; the page never reaches the SSD
+                    // (the §4.2 race that hurts TAC on update-heavy loads).
+                    tab.records[frame] = None;
+                    tab.map.remove(&pid);
+                    tab.free.push(frame);
+                    self.audit(pid, AuditOp::Cancel);
+                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
+                } else {
+                    self.invalidate(&mut tab, frame, rec);
+                }
+            }
+        }
+    }
+
+    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
+        self.checkpoint(now, pid, data)
+    }
+
+    fn checkpoint_write_buf(&self, now: Time, pid: PageId, data: &PageBuf, _: Locality) -> Time {
+        self.checkpoint(now, pid, data)
+    }
+
+    fn has_copy(&self, pid: PageId) -> bool {
+        self.lock_table().map.contains_key(&pid)
+    }
+
+    fn checkpoint_flush(&self, _clk: &mut Clk) {
+        // Write-through: the SSD never holds the only current copy.
+    }
+}
+
+impl SsdTier for TacCache {
+    fn io(&self) -> &IoManager {
+        &self.io
+    }
+
+    fn cfg(&self) -> &SsdConfig {
+        &self.cfg
+    }
+
+    fn metrics(&self) -> &SsdMetrics {
+        &self.metrics
+    }
+
+    fn health(&self) -> &Health {
+        &self.health
+    }
+
+    const RUN_FALLBACK: Locality = Locality::Sequential;
+
+    /// Every memory-pool miss heats the extent, wherever it is served
+    /// from. The copy must be valid AND its installing write complete.
+    fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)> {
+        let mut tab = self.lock_table();
+        self.heat(&mut tab, pid, class);
+        let frame = *tab.map.get(&pid)?;
+        let rec = tab.record(frame);
+        (rec.valid && now >= rec.valid_at && self.serves_clean_read(now))
+            .then_some((frame as u64, false))
+    }
+
+    /// One table latch per run.
+    fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
+        let tab = self.lock_table();
+        (0..n)
+            .map(|i| {
+                let frame = *tab.map.get(&first.offset(i))?;
+                let rec = tab.record(frame);
+                (rec.valid && now >= rec.valid_at).then_some((frame as u64, false))
+            })
+            .collect()
+    }
+
+    /// TAC writes a page to the SSD right after reading it from disk (§2.5
+    /// page flow, step ii), a run's pages too: during aggressive filling
+    /// even sequential pages are admitted ("before the SSD is full, all
+    /// pages are admitted"); after filling, the page's extent must be
+    /// hotter than the coldest one resident. `throttled` is cleared when
+    /// this admission writes the SSD.
+    fn after_disk_read<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         pid: PageId,
@@ -313,297 +512,6 @@ impl TacCache {
         if filling {
             SsdMetrics::bump(&self.metrics.fill_admissions);
         }
-    }
-
-    /// Logical invalidation (§2.5): the record stays, marked invalid, and
-    /// its frame stays occupied until a write-through rewrites it.
-    fn invalidate(&self, tab: &mut TacTable, frame: usize, rec: TacRec) {
-        tab.records[frame] = Some(TacRec {
-            valid: false,
-            ..rec
-        });
-        tab.invalid += 1;
-        self.audit(rec.pid, AuditOp::LogicalInvalidate);
-        SsdMetrics::bump(&self.metrics.invalidations);
-    }
-
-    /// Extent temperature accessor for unit tests.
-    #[cfg(test)]
-    fn extent_temp(&self, extent: u64) -> u64 {
-        *self.lock_table().temps.get(&extent).unwrap_or(&0)
-    }
-}
-
-/// The bodies behind the [`PageIo`] entry points, each written once for
-/// both forms a page crosses the seam in: a byte slice to copy, or a
-/// [`PageBuf`] image to share.
-impl TacCache {
-    fn read_one<D: PageDst + PageSrc + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        if self.is_quarantined() {
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-            SsdMetrics::bump(&self.metrics.ssd_misses);
-            return self.disk_read(clk, pid, class, buf);
-        }
-        let hit: Option<usize> = {
-            let mut tab = self.lock_table();
-            // Every memory-pool miss heats the extent, wherever it is
-            // served from.
-            self.heat(&mut tab, pid, class);
-            // The copy must be valid AND its installing write complete; a
-            // usable hit still diverts to disk under throttle (§3.3.2).
-            tab.map.get(&pid).copied().filter(|&frame| {
-                let rec = tab.record(frame);
-                rec.valid && clk.now >= rec.valid_at && self.serves_clean_read(clk.now)
-            })
-        };
-        // Write-through: the disk copy is current, so a bad frame just
-        // costs the hit and the read falls through to disk.
-        if let Some(frame) = hit {
-            if self.read_frame(clk, pid, frame as u64, false, buf)? {
-                return Ok(());
-            }
-        }
-        SsdMetrics::bump(&self.metrics.ssd_misses);
-        self.disk_read(clk, pid, class, buf)?;
-        // TAC writes the page to the SSD immediately after the disk read
-        // (§2.5 page flow, step ii).
-        self.admit_on_read(clk.now, pid, buf, &mut None);
-        Ok(())
-    }
-
-    fn evict<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
-        if !dirty {
-            // Clean pages were already written on read; nothing happens.
-            return;
-        }
-        // Write-through to disk, as in a traditional DBMS. This write must
-        // not drop data, so it rides the retry-forever policy.
-        self.disk_write(now, pid, data);
-        if self.refresh_stale_copy(now, pid, data) {
-            SsdMetrics::bump(&self.metrics.admissions);
-        }
-    }
-
-    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
-        let done = self.disk_write(now, pid, data);
-        self.refresh_stale_copy(now, pid, data);
-        done
-    }
-
-    /// `pid`'s disk copy just advanced (an eviction or a checkpoint wrote
-    /// it), so ANY existing SSD version of it is now stale and must be
-    /// refreshed (flow iv) or dropped. The invalid case is the paper's flow;
-    /// a *valid* record can also be stale here: a run-read admitted the
-    /// disk version while this newer copy sat dirty in the memory pool
-    /// (scan read-ahead does exactly that), and keeping it would serve lost
-    /// updates. True if an invalid record became valid again. Throttled
-    /// like an admission, but a throttled refresh is not counted as one,
-    /// so this gate is not `admits_now`.
-    fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
-        if self.is_quarantined() {
-            return false;
-        }
-        let mut revalidated = false;
-        let mut pending: Option<IoError> = None;
-        {
-            let mut tab = self.lock_table();
-            if let Some(&frame) = tab.map.get(&pid) {
-                let rec = tab.record(frame);
-                let write = (!self.throttled(now)).then(|| {
-                    sync::io_under_latch(
-                        "the refresh-or-invalidate decision must be atomic with the \
-                         record's state, and write_ssd_async is an O(1) non-blocking booking",
-                        || self.io.write_ssd_async(now, frame as u64, data, pid),
-                    )
-                });
-                if let Some(Ok(done)) = write {
-                    self.place(&mut tab, frame, pid, done);
-                    if !rec.valid {
-                        tab.invalid -= 1;
-                    }
-                    self.audit(pid, AuditOp::Refresh);
-                    revalidated = !rec.valid;
-                } else {
-                    // Throttled or the rewrite failed: a valid SSD version
-                    // is now stale and must never be read again.
-                    if rec.valid {
-                        self.invalidate(&mut tab, frame, rec);
-                    }
-                    pending = write.and_then(Result::err);
-                }
-            }
-        }
-        if let Some(e) = pending {
-            self.note_ssd_error(&e);
-        }
-        revalidated
-    }
-}
-
-impl PageIo for TacCache {
-    fn read_page(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut [u8],
-    ) -> Result<(), IoError> {
-        self.read_one(clk, pid, class, buf)
-    }
-
-    fn read_page_buf(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut PageBuf,
-    ) -> Result<(), IoError> {
-        self.read_one(clk, pid, class, buf)
-    }
-
-    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        // Multi-page reads use the same leading/trailing trim as the other
-        // designs (§3.3 optimizations were applied to TAC too). Run pages
-        // are sequential, hence cold — TAC does not admit them on read.
-        assert!(n > 0);
-        if self.is_quarantined() {
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-        }
-        let now0 = clk.now;
-        let mut done = now0;
-        let throttled = self.throttled(now0);
-        let status: Vec<Option<u64>> = {
-            let tab = self.lock_table();
-            (0..n)
-                .map(|i| {
-                    let pid = first.offset(i);
-                    tab.map.get(&pid).and_then(|&f| {
-                        let rec = tab.record(f);
-                        let usable = rec.valid && now0 >= rec.valid_at;
-                        (usable && !throttled).then_some(f as u64)
-                    })
-                })
-                .collect()
-        };
-        let (lead, trail) = trim_ends(n as usize, |i| status[i].is_some());
-        let mid = lead..(n as usize - trail);
-        // No page bytes move: the middle's pages are handles on the disk
-        // store's images, and each trimmed end page replaces its
-        // placeholder (a handle on the shared zero page) with a handle on
-        // its SSD frame's image.
-        let mut out: Vec<PageBuf> = Vec::with_capacity(n as usize);
-        out.extend((0..lead).map(|_| self.io.zero_page()));
-        if !mid.is_empty() {
-            let mut tmp = Clk::at(now0);
-            let pages = self.disk_read_run(
-                &mut tmp,
-                first.offset(mid.start as u64),
-                mid.len() as u64,
-                Locality::Sequential,
-            )?;
-            done = done.max(tmp.now);
-            // Every admission below is at `tmp.now`, so one throttle
-            // verdict serves them until one writes the SSD.
-            let mut verdict = None;
-            for (k, page) in pages.iter().enumerate() {
-                let pid = first.offset((mid.start + k) as u64);
-                // TAC's write-on-read applies to every page it reads;
-                // during aggressive filling even sequential pages are
-                // admitted ("before the SSD is full, all pages are
-                // admitted"). After filling, cold extents are rejected by
-                // the temperature rule inside.
-                self.admit_on_read(tmp.now, pid, page, &mut verdict);
-            }
-            out.extend(pages);
-        }
-        out.extend((0..trail).map(|_| self.io.zero_page()));
-        for i in (0..lead).chain(n as usize - trail..n as usize) {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "lead/trail indices were counted as Some in the pass above"
-            )]
-            let frame = status[i].unwrap();
-            let pid = first.offset(i as u64);
-            let mut tmp = Clk::at(now0);
-            if !self.read_frame(&mut tmp, pid, frame, false, &mut out[i])? {
-                // Same fallback as read_page, but the run's locality: the
-                // current disk copy, read `Sequential` from `now0`.
-                tmp = Clk::at(now0);
-                self.disk_read(&mut tmp, pid, Locality::Sequential, &mut out[i])?;
-            }
-            done = done.max(tmp.now);
-        }
-        clk.wait_until(done);
-        Ok(out)
-    }
-
-    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
-        self.evict(now, pid, data, dirty);
-    }
-
-    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, _: Locality) {
-        self.evict(now, pid, data, dirty);
-    }
-
-    fn note_dirtied(&self, now: Time, pid: PageId) {
-        let mut tab = self.lock_table();
-        if let Some(&frame) = tab.map.get(&pid) {
-            let rec = tab.record(frame);
-            if rec.valid {
-                if now < rec.valid_at {
-                    // The on-read SSD write had not completed: it is
-                    // cancelled outright; the page never reaches the SSD
-                    // (the §4.2 race that hurts TAC on update-heavy loads).
-                    tab.records[frame] = None;
-                    tab.map.remove(&pid);
-                    tab.free.push(frame);
-                    self.audit(pid, AuditOp::Cancel);
-                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
-                } else {
-                    self.invalidate(&mut tab, frame, rec);
-                }
-            }
-        }
-    }
-
-    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
-        self.checkpoint(now, pid, data)
-    }
-
-    fn checkpoint_write_buf(&self, now: Time, pid: PageId, data: &PageBuf, _: Locality) -> Time {
-        self.checkpoint(now, pid, data)
-    }
-
-    fn has_copy(&self, pid: PageId) -> bool {
-        self.lock_table().map.contains_key(&pid)
-    }
-
-    fn checkpoint_flush(&self, _clk: &mut Clk) {
-        // Write-through: the SSD never holds the only current copy.
-    }
-}
-
-impl SsdTier for TacCache {
-    fn io(&self) -> &IoManager {
-        &self.io
-    }
-
-    fn cfg(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    fn metrics(&self) -> &SsdMetrics {
-        &self.metrics
-    }
-
-    fn health(&self) -> &Health {
-        &self.health
     }
 
     /// TAC is write-through, so no data is lost — only hits. Pages are

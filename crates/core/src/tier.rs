@@ -5,22 +5,26 @@
 //! SSD is retired. What they share is the provided methods of [`SsdTier`]:
 //! bounded retry around every device call, the error budget and the
 //! quarantine it trips, the corrupt-frame fallback, the throttle (μ)
-//! gates, the invariant auditor, and the strand list of dirty pages whose
-//! sole copy was lost. A tier supplies four accessors and the two hooks
+//! gates, the invariant auditor, the strand list of dirty pages whose
+//! sole copy was lost, and the page reads themselves: one single-page read
+//! ([`SsdTier::fetch_page`]) and one multi-page read with the §3.3.3 trim
+//! ([`SsdTier::fetch_run`]). A tier supplies four accessors, the two hooks
 //! that remove entries from its table ([`SsdTier::sweep`],
-//! [`SsdTier::remove_entry`]); the edge does the accounting for what they
-//! remove. DESIGN §8 lists the differences that stay with the tiers
-//! because they move virtual time.
+//! [`SsdTier::remove_entry`]), and the read hooks that look in its table
+//! ([`SsdTier::probe`], [`SsdTier::run_entries`]) or keep its own
+//! bookkeeping ([`SsdTier::after_disk_read`], [`SsdTier::after_patch`],
+//! [`SsdTier::RUN_FALLBACK`]); the edge does the rest. DESIGN §8 lists the
+//! differences the hooks carry because they move virtual time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use turbopool_iosim::sync::Mutex;
+use turbopool_iosim::sync::{Mutex, MutexGuard};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{SsdConfig, SsdDesign};
+use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
 
 /// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
@@ -86,6 +90,19 @@ impl Health {
     }
 }
 
+/// Acquire a table latch, counting the acquisition and whether it was
+/// contended (held by another OS thread at that instant). Both counters are
+/// pure functions of the op sequence in deterministic driver runs
+/// (contended is then always 0).
+pub(crate) fn lock_counted<'a, T>(m: &SsdMetrics, latch: &'a Mutex<T>) -> MutexGuard<'a, T> {
+    SsdMetrics::bump(&m.shard_acquisitions);
+    if let Some(g) = latch.try_lock() {
+        return g;
+    }
+    SsdMetrics::bump(&m.shard_contended);
+    latch.lock()
+}
+
 /// The device edge both SSD tiers consult. Statically dispatched: each
 /// tier implements the accessors and hooks and inherits the rest.
 pub(crate) trait SsdTier {
@@ -93,6 +110,36 @@ pub(crate) trait SsdTier {
     fn cfg(&self) -> &SsdConfig;
     fn metrics(&self) -> &SsdMetrics;
     fn health(&self) -> &Health;
+
+    /// The disk locality a run page falls back to when its SSD frame fails
+    /// and its copy was clean.
+    const RUN_FALLBACK: Locality;
+
+    /// A single-page read's look in the table, under the latch the table
+    /// takes: the table's own bookkeeping for a pool miss of `pid` read as
+    /// `class`, then the entry to serve it from, `(frame, dirty)`, if the
+    /// read may use it: a clean copy passes [`Self::serves_clean_read`], a
+    /// dirty one is newer than disk and bypasses it.
+    fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)>;
+
+    /// The entries, `(frame, dirty)`, of the `n` pages from `first` that a
+    /// run read at `now` may use, ignoring the throttle.
+    fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>>;
+
+    /// `pid` was just read from disk at `now` into `data`. `throttled` is
+    /// an admission's throttle verdict at `now`, kept across one disk read's
+    /// pages (see [`Self::admits_now`]).
+    fn after_disk_read<S: PageSrc + ?Sized>(
+        &self,
+        _now: Time,
+        _pid: PageId,
+        _data: &S,
+        _throttled: &mut Option<bool>,
+    ) {
+    }
+
+    /// A run page was just served from its SSD frame.
+    fn after_patch(&self, _pid: PageId) {}
 
     /// Quarantine's table half: remove every entry. Returns each removed
     /// page with its dirty flag, in an order fixed by the table alone.
@@ -302,12 +349,154 @@ pub(crate) trait SsdTier {
             true
         }
     }
+
+    /// Read one page: from its SSD frame when the table serves it, else
+    /// from disk. A quarantined tier reads the disk.
+    fn fetch_page<D: PageDst + PageSrc + ?Sized>(
+        &self,
+        clk: &mut Clk,
+        pid: PageId,
+        class: Locality,
+        buf: &mut D,
+    ) -> Result<(), IoError> {
+        let m = self.metrics();
+        let quarantined = self.health().is_quarantined();
+        if let Some((frame, dirty)) = (!quarantined)
+            .then(|| self.probe(clk.now, pid, class))
+            .flatten()
+        {
+            if self.read_frame(clk, pid, frame, dirty, buf)? {
+                if dirty {
+                    SsdMetrics::bump(&m.dirty_hits);
+                }
+                return Ok(());
+            }
+            // A clean copy is replaceable: fall through to disk.
+        }
+        // Stranded by an earlier failure.
+        self.check_stranded(pid, clk.now)?;
+        if quarantined {
+            SsdMetrics::bump(&m.quarantined_reads);
+        }
+        SsdMetrics::bump(&m.ssd_misses);
+        self.disk_read(clk, pid, class, buf)?;
+        self.after_disk_read(clk.now, pid, buf, &mut None);
+        Ok(())
+    }
+
+    /// Read the `n`-page run from `first` the way `cfg().multipage` says
+    /// (§3.3.3). Every I/O starts at the caller's `now`; the caller waits
+    /// for the last. No page bytes move: disk pages arrive as handles on
+    /// the disk store's images, and a page read from the SSD gets a handle
+    /// on the frame's image.
+    fn fetch_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        assert!(n > 0);
+        // A page of the run awaiting WAL salvage fails the whole request,
+        // so the engine salvages and retries.
+        for i in 0..n {
+            self.check_stranded(first.offset(i), clk.now)?;
+        }
+        if self.health().is_quarantined() {
+            // The table is empty, so every page below reads from disk; the
+            // counter records the degradation for the harnesses.
+            SsdMetrics::bump(&self.metrics().quarantined_reads);
+        }
+        let now0 = clk.now;
+        let entries = self.run_entries(now0, first, n);
+        let n = n as usize;
+        let throttled = self.throttled(now0);
+        // A dirty copy is read from the SSD always, a clean one unless the
+        // SSD is throttled.
+        let from_ssd = |i: usize| matches!(entries[i], Some((_, d)) if d || !throttled);
+        let dirty = |i: usize| matches!(entries[i], Some((_, true)));
+        let ssd = |i: usize| entries[i].map(|e| RunStep::Ssd(i, e));
+        let mut steps = Vec::new();
+        match self.cfg().multipage {
+            // Trimming: peel SSD-resident pages off both ends and read the
+            // middle as one disk I/O; dirty pages inside the middle are
+            // patched from the SSD afterwards.
+            MultiPageMode::Trim => {
+                let (lead, trail) = trim_ends(n, from_ssd);
+                let mid = lead..n - trail;
+                if !mid.is_empty() {
+                    steps.push(RunStep::Disk(mid.clone(), Locality::Sequential));
+                }
+                let patched = (0..n).filter(|&i| !mid.contains(&i) || dirty(i));
+                steps.extend(patched.filter_map(ssd));
+            }
+            // The paper's discarded first cut: split the request at every
+            // SSD-resident page; each disk fragment pays its own positioning.
+            MultiPageMode::Split => {
+                let mut i = 0;
+                while i < n {
+                    let start = i;
+                    while i < n && !from_ssd(i) {
+                        i += 1;
+                    }
+                    if start < i {
+                        steps.push(RunStep::Disk(start..i, Locality::Random));
+                    } else {
+                        steps.extend(ssd(i));
+                        i += 1;
+                    }
+                }
+            }
+            // Dirty SSD copies are newer than what the disk returns.
+            MultiPageMode::DiskOnly => {
+                steps.push(RunStep::Disk(0..n, Locality::Sequential));
+                steps.extend((0..n).filter(|&i| dirty(i)).filter_map(ssd));
+            }
+        }
+        let mut out: Vec<Option<PageBuf>> = vec![None; n];
+        let mut done = now0;
+        for step in steps {
+            let mut tmp = Clk::at(now0);
+            match step {
+                RunStep::Disk(range, loc) => {
+                    let at = first.offset(range.start as u64);
+                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64, loc)?;
+                    // One admission throttle verdict serves every page
+                    // handed over at `tmp.now` until one writes the SSD.
+                    let mut verdict = None;
+                    for (k, page) in pages.into_iter().enumerate() {
+                        self.after_disk_read(tmp.now, at.offset(k as u64), &page, &mut verdict);
+                        out[range.start + k] = Some(page);
+                    }
+                }
+                // On SSD failure the entry is dropped: a clean copy falls
+                // back to a disk read from `now0`, a dirty (sole-copy) loss
+                // propagates so the engine can WAL-salvage. No `dirty_hits`
+                // here: that counts single-page reads only.
+                RunStep::Ssd(i, (frame, dirty)) => {
+                    let pid = first.offset(i as u64);
+                    let buf = out[i].get_or_insert_with(|| self.io().zero_page());
+                    if self.read_frame(&mut tmp, pid, frame, dirty, buf)? {
+                        self.after_patch(pid);
+                    } else {
+                        tmp = Clk::at(now0);
+                        self.disk_read(&mut tmp, pid, Self::RUN_FALLBACK, buf)?;
+                    }
+                }
+            }
+            done = done.max(tmp.now);
+        }
+        clk.wait_until(done);
+        Ok(out.into_iter().flatten().collect())
+    }
+}
+
+/// One I/O of a run read, in issue order.
+enum RunStep {
+    /// Pages `range` of the run, read off the disk as one I/O.
+    Disk(std::ops::Range<usize>, Locality),
+    /// Page `i` of the run, read from its SSD entry `(frame, dirty)`.
+    Ssd(usize, (u64, bool)),
 }
 
 /// Trimming (§3.3.3): how many pages at the start (`lead`) and, of the
 /// rest, at the end (`trail`) of an `n`-page run to read from the SSD, so
 /// the middle is one disk I/O. `from_ssd(i)` says whether page `i` would.
-pub(crate) fn trim_ends(n: usize, from_ssd: impl Fn(usize) -> bool) -> (usize, usize) {
+fn trim_ends(n: usize, from_ssd: impl Fn(usize) -> bool) -> (usize, usize) {
     let lead = (0..n).take_while(|&i| from_ssd(i)).count();
     let trail = (lead..n).rev().take_while(|&i| from_ssd(i)).count();
     (lead, trail)
