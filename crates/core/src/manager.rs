@@ -11,8 +11,10 @@
 //! This file holds the partitioned table and the page flow; what a design
 //! does with a dirty page is its row of the policy table
 //! ([`crate::SsdDesign::policy`]). Retry, the error budget, quarantine,
-//! throttle, audit and the strand list are the device edge in `tier.rs`,
-//! shared with TAC.
+//! throttle, audit, the strand list and the page reads (the §3.3.3 modes
+//! included) are the device edge in `tier.rs`, shared with TAC; this
+//! table's hooks there stamp LRU-2 recency on a hit and on a patched run
+//! page.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1140,6 +1142,23 @@ mod tests {
         let pages = m.read_run(&mut clk, PageId(0), 5).unwrap();
         assert_eq!(pages[2].as_slice()[0], 0xBB, "must see the newer version");
         assert_eq!(pages[1].as_slice()[0], 0x0A);
+    }
+
+    #[test]
+    fn a_patched_run_page_counts_as_an_lru2_access() {
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2)));
+        let mut cfg = SsdConfig::new(SsdDesign::DualWrite, 2);
+        cfg.partitions = 1;
+        let m = SsdManager::new(cfg, Arc::clone(&io));
+        m.evict_page(0, PageId(1), &page(1), false, Locality::Random);
+        m.evict_page(0, PageId(2), &page(2), false, Locality::Random);
+        // A run read patches page 1 from the SSD, so page 1 has two
+        // accesses and page 2 one: page 2 is the LRU-2 victim.
+        let mut clk = Clk::new();
+        m.read_run(&mut clk, PageId(1), 1).unwrap();
+        m.evict_page(clk.now, PageId(3), &page(3), false, Locality::Random);
+        assert!(m.contains(PageId(1)) && m.contains(PageId(3)));
+        assert!(!m.contains(PageId(2)));
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //! One latch covers the whole buffer table (records, page map, extent
 //! temperatures, coldest-first heap); a frame index is the SSD frame
 //! number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
-//! error budget, quarantine, throttle and audit are the device edge in
-//! `tier.rs`, shared with `SsdManager`.
+//! error budget, quarantine, throttle, audit and the page reads (the §3.3.3
+//! modes included) are the device edge in `tier.rs`, shared with
+//! `SsdManager`; TAC's hooks there heat the extent on a probe and admit
+//! each page read from disk.
 
 use std::collections::binary_heap::PeekMut;
 use std::collections::HashMap;
@@ -836,5 +838,16 @@ mod tests {
         let s = t.metrics.snapshot();
         assert_eq!(s.checksum_misses, 1);
         assert!(!t.is_quarantined());
+        // A torn frame at a run's trimmed end falls back to the run's
+        // locality: one sequential disk read, not a random one.
+        io.write_disk_async(clk.now, PageId(6), &[4u8; PS], Locality::Random)
+            .unwrap();
+        assert_eq!(read(&t, &mut clk, 6), 4);
+        clk.elapse(turbopool_iosim::SECOND);
+        let start = clk.now;
+        let pages = t.read_run(&mut clk, PageId(6), 1).unwrap();
+        assert_eq!(pages[0].as_slice()[0], 4);
+        assert_eq!(t.metrics.snapshot().checksum_misses, 2);
+        assert!(clk.now - start < io.setup().disk_profile.rand_read_ns);
     }
 }
