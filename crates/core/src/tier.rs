@@ -404,13 +404,53 @@ pub(crate) trait SsdTier {
         let now0 = clk.now;
         let entries = self.run_entries(now0, first, n);
         let n = n as usize;
+        let mut out: Vec<PageBuf> = Vec::with_capacity(n);
+        let mut done = now0;
+        // Issue one I/O from `now0`. Pages arrive in page order: a page the
+        // disk does not return gets a placeholder (a handle on the zero
+        // image) until its SSD read replaces it.
+        let mut issue = |step: RunStep| -> Result<(), IoError> {
+            let mut tmp = Clk::at(now0);
+            let upto = match step {
+                RunStep::Disk(ref range, _) => range.start,
+                RunStep::Ssd(i, _) => i + 1,
+            };
+            out.resize_with(out.len().max(upto), || self.io().zero_page());
+            match step {
+                RunStep::Disk(range, loc) => {
+                    let at = first.offset(range.start as u64);
+                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64, loc)?;
+                    // One admission throttle verdict serves every page
+                    // handed over at `tmp.now` until one writes the SSD.
+                    let mut verdict = None;
+                    for (k, page) in pages.iter().enumerate() {
+                        self.after_disk_read(tmp.now, at.offset(k as u64), page, &mut verdict);
+                    }
+                    out.extend(pages);
+                }
+                // On SSD failure the entry is dropped: a clean copy falls
+                // back to a disk read from `now0`, a dirty (sole-copy) loss
+                // propagates so the engine can WAL-salvage. No `dirty_hits`
+                // here: that counts single-page reads only.
+                RunStep::Ssd(i, (frame, dirty)) => {
+                    let pid = first.offset(i as u64);
+                    if self.read_frame(&mut tmp, pid, frame, dirty, &mut out[i])? {
+                        self.after_patch(pid);
+                    } else {
+                        tmp = Clk::at(now0);
+                        self.disk_read(&mut tmp, pid, Self::RUN_FALLBACK, &mut out[i])?;
+                    }
+                }
+            }
+            done = done.max(tmp.now);
+            Ok(())
+        };
         let throttled = self.throttled(now0);
         // A dirty copy is read from the SSD always, a clean one unless the
         // SSD is throttled.
         let from_ssd = |i: usize| matches!(entries[i], Some((_, d)) if d || !throttled);
         let dirty = |i: usize| matches!(entries[i], Some((_, true)));
         let ssd = |i: usize| entries[i].map(|e| RunStep::Ssd(i, e));
-        let mut steps = Vec::new();
         match self.cfg().multipage {
             // Trimming: peel SSD-resident pages off both ends and read the
             // middle as one disk I/O; dirty pages inside the middle are
@@ -419,10 +459,10 @@ pub(crate) trait SsdTier {
                 let (lead, trail) = trim_ends(n, from_ssd);
                 let mid = lead..n - trail;
                 if !mid.is_empty() {
-                    steps.push(RunStep::Disk(mid.clone(), Locality::Sequential));
+                    issue(RunStep::Disk(mid.clone(), Locality::Sequential))?;
                 }
                 let patched = (0..n).filter(|&i| !mid.contains(&i) || dirty(i));
-                steps.extend(patched.filter_map(ssd));
+                patched.filter_map(ssd).try_for_each(&mut issue)?;
             }
             // The paper's discarded first cut: split the request at every
             // SSD-resident page; each disk fragment pays its own positioning.
@@ -434,54 +474,25 @@ pub(crate) trait SsdTier {
                         i += 1;
                     }
                     if start < i {
-                        steps.push(RunStep::Disk(start..i, Locality::Random));
+                        issue(RunStep::Disk(start..i, Locality::Random))?;
                     } else {
-                        steps.extend(ssd(i));
+                        ssd(i).map_or(Ok(()), &mut issue)?;
                         i += 1;
                     }
                 }
             }
             // Dirty SSD copies are newer than what the disk returns.
             MultiPageMode::DiskOnly => {
-                steps.push(RunStep::Disk(0..n, Locality::Sequential));
-                steps.extend((0..n).filter(|&i| dirty(i)).filter_map(ssd));
+                issue(RunStep::Disk(0..n, Locality::Sequential))?;
+                (0..n)
+                    .filter(|&i| dirty(i))
+                    .filter_map(ssd)
+                    .try_for_each(&mut issue)?;
             }
         }
-        let mut out: Vec<Option<PageBuf>> = vec![None; n];
-        let mut done = now0;
-        for step in steps {
-            let mut tmp = Clk::at(now0);
-            match step {
-                RunStep::Disk(range, loc) => {
-                    let at = first.offset(range.start as u64);
-                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64, loc)?;
-                    // One admission throttle verdict serves every page
-                    // handed over at `tmp.now` until one writes the SSD.
-                    let mut verdict = None;
-                    for (k, page) in pages.into_iter().enumerate() {
-                        self.after_disk_read(tmp.now, at.offset(k as u64), &page, &mut verdict);
-                        out[range.start + k] = Some(page);
-                    }
-                }
-                // On SSD failure the entry is dropped: a clean copy falls
-                // back to a disk read from `now0`, a dirty (sole-copy) loss
-                // propagates so the engine can WAL-salvage. No `dirty_hits`
-                // here: that counts single-page reads only.
-                RunStep::Ssd(i, (frame, dirty)) => {
-                    let pid = first.offset(i as u64);
-                    let buf = out[i].get_or_insert_with(|| self.io().zero_page());
-                    if self.read_frame(&mut tmp, pid, frame, dirty, buf)? {
-                        self.after_patch(pid);
-                    } else {
-                        tmp = Clk::at(now0);
-                        self.disk_read(&mut tmp, pid, Self::RUN_FALLBACK, buf)?;
-                    }
-                }
-            }
-            done = done.max(tmp.now);
-        }
+        debug_assert_eq!(out.len(), n);
         clk.wait_until(done);
-        Ok(out.into_iter().flatten().collect())
+        Ok(out)
     }
 }
 
