@@ -797,12 +797,10 @@ impl SsdTier for SsdManager {
         let mut part = self.part(pid);
         let idx = part.lookup(pid)?;
         let dirty = part.record(idx).dirty;
-        if !(dirty || self.serves_clean_read(now)) {
-            return None;
-        }
-        let stamp = self.next_stamp();
-        part.touch(idx, stamp);
-        Some((part.frame_no(idx), dirty))
+        (dirty || self.serves_clean_read(now)).then(|| {
+            part.touch(idx, self.next_stamp());
+            (part.frame_no(idx), dirty)
+        })
     }
 
     /// One partition latch per page.
@@ -815,8 +813,7 @@ impl SsdTier for SsdManager {
     fn after_patch(&self, pid: PageId) {
         let mut part = self.part(pid);
         if let Some(idx) = part.lookup(pid) {
-            let stamp = self.next_stamp();
-            part.touch(idx, stamp);
+            part.touch(idx, self.next_stamp());
         }
     }
 

@@ -83,6 +83,14 @@ impl TacTable {
     fn record(&self, frame: usize) -> TacRec {
         self.records[frame].unwrap()
     }
+
+    /// The frame of `pid`'s copy if a read at `now` may use it: the copy
+    /// is valid AND its installing write complete.
+    fn usable(&self, pid: PageId, now: Time) -> Option<(u64, bool)> {
+        let frame = *self.map.get(&pid)?;
+        let rec = self.record(frame);
+        (rec.valid && now >= rec.valid_at).then_some((frame as u64, false))
+    }
 }
 
 /// The TAC SSD cache, implementing the same [`PageIo`] seam as
@@ -405,26 +413,17 @@ impl SsdTier for TacCache {
     const RUN_FALLBACK: Locality = Locality::Sequential;
 
     /// Every memory-pool miss heats the extent, wherever it is served
-    /// from. The copy must be valid AND its installing write complete.
+    /// from.
     fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)> {
         let mut tab = self.lock_table();
         self.heat(&mut tab, pid, class);
-        let frame = *tab.map.get(&pid)?;
-        let rec = tab.record(frame);
-        (rec.valid && now >= rec.valid_at && self.serves_clean_read(now))
-            .then_some((frame as u64, false))
+        tab.usable(pid, now).filter(|_| self.serves_clean_read(now))
     }
 
     /// One table latch per run.
     fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
         let tab = self.lock_table();
-        (0..n)
-            .map(|i| {
-                let frame = *tab.map.get(&first.offset(i))?;
-                let rec = tab.record(frame);
-                (rec.valid && now >= rec.valid_at).then_some((frame as u64, false))
-            })
-            .collect()
+        (0..n).map(|i| tab.usable(first.offset(i), now)).collect()
     }
 
     /// TAC writes a page to the SSD right after reading it from disk (§2.5

@@ -361,10 +361,12 @@ pub(crate) trait SsdTier {
     ) -> Result<(), IoError> {
         let m = self.metrics();
         let quarantined = self.health().is_quarantined();
-        if let Some((frame, dirty)) = (!quarantined)
-            .then(|| self.probe(clk.now, pid, class))
-            .flatten()
-        {
+        let hit = if quarantined {
+            None
+        } else {
+            self.probe(clk.now, pid, class)
+        };
+        if let Some((frame, dirty)) = hit {
             if self.read_frame(clk, pid, frame, dirty, buf)? {
                 if dirty {
                     SsdMetrics::bump(&m.dirty_hits);
@@ -411,13 +413,10 @@ pub(crate) trait SsdTier {
         // image) until its SSD read replaces it.
         let mut issue = |step: RunStep| -> Result<(), IoError> {
             let mut tmp = Clk::at(now0);
-            let upto = match step {
-                RunStep::Disk(ref range, _) => range.start,
-                RunStep::Ssd(i, _) => i + 1,
-            };
-            out.resize_with(out.len().max(upto), || self.io().zero_page());
+            let zero = || self.io().zero_page();
             match step {
                 RunStep::Disk(range, loc) => {
+                    out.resize_with(range.start, zero);
                     let at = first.offset(range.start as u64);
                     let pages = self.disk_read_run(&mut tmp, at, range.len() as u64, loc)?;
                     // One admission throttle verdict serves every page
@@ -433,6 +432,7 @@ pub(crate) trait SsdTier {
                 // propagates so the engine can WAL-salvage. No `dirty_hits`
                 // here: that counts single-page reads only.
                 RunStep::Ssd(i, (frame, dirty)) => {
+                    out.resize_with(out.len().max(i + 1), zero);
                     let pid = first.offset(i as u64);
                     if self.read_frame(&mut tmp, pid, frame, dirty, &mut out[i])? {
                         self.after_patch(pid);
@@ -456,7 +456,8 @@ pub(crate) trait SsdTier {
             // middle as one disk I/O; dirty pages inside the middle are
             // patched from the SSD afterwards.
             MultiPageMode::Trim => {
-                let (lead, trail) = trim_ends(n, from_ssd);
+                let lead = (0..n).take_while(|&i| from_ssd(i)).count();
+                let trail = (lead..n).rev().take_while(|&i| from_ssd(i)).count();
                 let mid = lead..n - trail;
                 if !mid.is_empty() {
                     issue(RunStep::Disk(mid.clone(), Locality::Sequential))?;
@@ -502,15 +503,6 @@ enum RunStep {
     Disk(std::ops::Range<usize>, Locality),
     /// Page `i` of the run, read from its SSD entry `(frame, dirty)`.
     Ssd(usize, (u64, bool)),
-}
-
-/// Trimming (§3.3.3): how many pages at the start (`lead`) and, of the
-/// rest, at the end (`trail`) of an `n`-page run to read from the SSD, so
-/// the middle is one disk I/O. `from_ssd(i)` says whether page `i` would.
-fn trim_ends(n: usize, from_ssd: impl Fn(usize) -> bool) -> (usize, usize) {
-    let lead = (0..n).take_while(|&i| from_ssd(i)).count();
-    let trail = (lead..n).rev().take_while(|&i| from_ssd(i)).count();
-    (lead, trail)
 }
 
 #[cfg(test)]
