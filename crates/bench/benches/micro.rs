@@ -16,7 +16,8 @@ use turbopool_engine::btree::{find_in_leaf, sorted_head};
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, DbConfig};
 use turbopool_iosim::{
-    fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageId, PidMap, MILLISECOND, SECOND,
+    fault, Clk, DeviceSetup, IoManager, Locality, PageBuf, PageId, PageTable, PidMap, MILLISECOND,
+    SECOND,
 };
 use turbopool_workload::rand_util::{client_rng, Zipf};
 
@@ -58,7 +59,7 @@ fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
 
 fn bench_partition() {
     bench("partition_insert_lookup_remove", 200, || {
-        let mut p = Partition::new(0, 4096);
+        let mut p = Partition::new(0, 4096, 3 * 4096);
         for i in 0..4096u64 {
             p.insert(PageId(i * 3), i % 2 == 0, i);
         }
@@ -75,7 +76,9 @@ fn bench_partition() {
     // partitions), full of clean pages: the touch an SSD read hit makes,
     // then the replacement of the clean victim by a newly admitted page.
     const FRAMES: usize = 18_350 / 16;
-    let mut p = Partition::new(0, FRAMES);
+    // Admitted page numbers run up to the stamp, which the two rungs
+    // below raise 1.1M times each.
+    let mut p = Partition::new(0, FRAMES, 1 << 22);
     for i in 0..FRAMES {
         p.insert(PageId(i as u64), false, i as u64 + 1);
     }
@@ -101,7 +104,7 @@ fn bench_partition() {
 /// under read-ahead's install-then-hit runs.
 fn bench_lru2() {
     const HIT_FRAMES: usize = 8192;
-    let mut p = Lru2Policy::new(HIT_FRAMES);
+    let mut p = Lru2Policy::new(HIT_FRAMES, HIT_FRAMES as u64);
     for s in 0..HIT_FRAMES {
         p.on_install(s, PageId(s as u64));
     }
@@ -117,7 +120,7 @@ fn bench_lru2() {
     assert!(p.heap_len() <= HIT_FRAMES, "one heap entry per slot");
 
     const FRAMES: usize = 2621;
-    let mut p = Lru2Policy::new(FRAMES);
+    let mut p = Lru2Policy::new(FRAMES, 4 * FRAMES as u64);
     let mut resident: Vec<PageId> = (0..FRAMES as u64).map(PageId).collect();
     for (s, &pid) in resident.iter().enumerate() {
         p.on_install(s, pid);
@@ -214,6 +217,35 @@ fn bench_pidmap_probe_vs_siphash() {
     println!(
         "pidmap_probe_vs_siphash: PidMap probe is {:.1}x faster than SipHash",
         sip_ns / fib_ns.max(1e-9)
+    );
+}
+
+/// The same probe stream against the page-number-indexed table every
+/// per-page table uses, over 28k pages (the benchmark's databases hold
+/// 17k-36k), holding one entry per pool frame spread across them.
+fn bench_page_table_probe() {
+    const PAGES: u64 = 28_672;
+    const STRIDE: u64 = 11;
+    let mut table: PageTable<u32> = PageTable::new(PAGES, u32::MAX);
+    let mut map: PidMap<u32> = PidMap::default();
+    for k in (0..PAGES).step_by(STRIDE as usize) {
+        table.insert(PageId(k), k as u32);
+        map.insert(PageId(k), k as u32);
+    }
+    let mut x = 1u64;
+    let mut step = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        PageId((x >> 33) % PAGES)
+    };
+    let table_ns = bench("page_table_probe:page_table", 2_000_000, || {
+        std::hint::black_box(table.get(step()));
+    });
+    let map_ns = bench("page_table_probe:pidmap", 2_000_000, || {
+        std::hint::black_box(map.get(&step()));
+    });
+    println!(
+        "page_table_probe: PageTable probe is {:.1}x faster than PidMap",
+        map_ns / table_ns.max(1e-9)
     );
 }
 
@@ -683,12 +715,16 @@ fn bench_first_write() {
     }
 }
 
-/// One Zipf(0.9) draw over `hot_ledger`'s 60,000 rows.
+/// One Zipf(0.9) draw over `hot_ledger`'s 60,000 rows, and one build of
+/// the table at warmstart's size (1.2M rows, θ 0.6).
 fn bench_zipf() {
     let zipf = Zipf::new(60_000, 0.9);
     let mut rng = client_rng(1, 0);
     bench("zipf_sample_60k", 2_000_000, || {
         std::hint::black_box(zipf.sample(&mut rng));
+    });
+    bench("zipf_new_1_2m", 10, || {
+        std::hint::black_box(Zipf::new(1_200_000, 0.6));
     });
 }
 
@@ -723,6 +759,7 @@ fn main() {
     bench_lru2();
     bench_pool_hit();
     bench_pidmap_probe_vs_siphash();
+    bench_page_table_probe();
     bench_btree_leaf_scan();
     bench_btree_sorted_head();
     bench_btree_cold_leaves();

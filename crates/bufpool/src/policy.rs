@@ -5,11 +5,9 @@
 //! # Determinism rules
 //!
 //! The policy is replay state: every decision is a pure function of the
-//! access sequence. Its hash map is used for lookup, and its one
-//! iteration (the history prune) is an order-insensitive `retain`
-//! (`clippy::iter_over_hash_type` denies hash-order `for` loops in this
-//! crate). No wall-clock, no RNG — tie-breaks use
-//! access stamps or slot numbers.
+//! access sequence. Its history table is used for lookup, and its one
+//! iteration (the history prune) is an order-insensitive `retain`. No
+//! wall-clock, no RNG — tie-breaks use access stamps or slot numbers.
 //!
 //! # Hot-path contract
 //!
@@ -22,7 +20,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use turbopool_iosim::{PageId, PidMap};
+use turbopool_iosim::{PageId, PageTable};
 
 turbopool_iosim::counters! {
     /// LRU-2 counters.
@@ -150,18 +148,20 @@ pub struct Lru2Policy {
     /// access stamp across evictions, so a hot page that was pushed out
     /// does not re-enter looking like a scan-once page (which would make
     /// it the immediate next victim). Bounded to a multiple of the frame
-    /// count.
-    hist: PidMap<(u64, u64)>,
+    /// count. Indexed by page number; `(0, 0)`, the stamps of a slot never
+    /// touched, marks a page with none.
+    hist: PageTable<(u64, u64)>,
     heap: VictimHeap,
     stats: PolicyStats,
 }
 
 impl Lru2Policy {
-    pub fn new(frames: usize) -> Self {
+    /// A policy over `frames` slots for a database of `db_pages` pages.
+    pub fn new(frames: usize, db_pages: u64) -> Self {
         Lru2Policy {
             stamps: vec![(0, 0); frames],
             counter: 0,
-            hist: PidMap::default(),
+            hist: PageTable::new(db_pages, (0, 0)),
             heap: VictimHeap::new(frames),
             stats: PolicyStats::default(),
         }
@@ -186,20 +186,21 @@ impl Lru2Policy {
     /// O(n log n) full sort, selecting the *same* element (the value at
     /// the sorted midpoint), so the retained set is unchanged.
     fn retain_history(&mut self, pid: PageId, last: u64, prev: u64) {
+        debug_assert!(last > 0, "an evicted page was touched at least once");
         self.hist.insert(pid, (last, prev));
         let cap = 8 * self.stamps.len();
         if self.hist.len() > cap {
-            let mut lasts: Vec<u64> = self.hist.values().map(|&(l, _)| l).collect();
+            let mut lasts: Vec<u64> = self.hist.values().map(|(l, _)| l).collect();
             let mid = lasts.len() / 2;
             let (_, &mut median, _) = lasts.select_nth_unstable(mid);
-            self.hist.retain(|_, &mut (l, _)| l >= median);
+            self.hist.retain(|(l, _)| l >= median);
         }
     }
 
     /// Adopt retained history for a page being (re)installed into `slot`,
     /// so its next touch yields a non-empty penultimate stamp.
     fn adopt(&mut self, slot: usize, pid: PageId) {
-        if let Some(retained) = self.hist.remove(&pid) {
+        if let Some(retained) = self.hist.remove(pid) {
             self.stamps[slot] = retained;
             self.stats.ghost_hits += 1;
         }
@@ -284,6 +285,9 @@ mod tests {
     use std::collections::HashMap;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
+    /// Database size of the unit tests: above every page id they use.
+    const PAGES: u64 = 4_096;
+
     /// Drive LRU-2 like the pool does, with no pins: install pages into
     /// `frames` slots, touch on hit, evict on overflow. Returns the
     /// eviction sequence.
@@ -298,7 +302,7 @@ mod tests {
     impl Sim {
         fn new(frames: usize) -> Self {
             Sim {
-                policy: Lru2Policy::new(frames),
+                policy: Lru2Policy::new(frames, PAGES),
                 resident: HashMap::new(),
                 slots: vec![None; frames],
                 free: (0..frames).rev().collect(),
@@ -363,7 +367,7 @@ mod tests {
 
     #[test]
     fn pinned_slots_are_never_selected() {
-        let mut policy = Lru2Policy::new(3);
+        let mut policy = Lru2Policy::new(3, PAGES);
         for (slot, pid) in [(0usize, 77u64), (1, 78), (2, 79)] {
             policy.on_install(slot, PageId(pid));
         }
@@ -378,7 +382,7 @@ mod tests {
 
     #[test]
     fn all_pinned_returns_none() {
-        let mut policy = Lru2Policy::new(2);
+        let mut policy = Lru2Policy::new(2, PAGES);
         policy.on_install(0, PageId(1));
         policy.on_install(1, PageId(2));
         assert_eq!(policy.select_victim(|_| false), None);
@@ -388,7 +392,7 @@ mod tests {
 
     #[test]
     fn lru2_history_survives_eviction() {
-        let mut p = Lru2Policy::new(2);
+        let mut p = Lru2Policy::new(2, PAGES);
         p.on_install(0, PageId(10));
         p.on_access(0);
         p.on_evict(0, PageId(10));
@@ -411,7 +415,7 @@ mod tests {
 
     #[test]
     fn lru2_once_touched_slots_go_first_oldest_first() {
-        let mut p = Lru2Policy::new(3);
+        let mut p = Lru2Policy::new(3, PAGES);
         p.on_install(0, PageId(0)); // stamps (1, 0)
         p.on_install(1, PageId(1)); // (2, 0)
         p.on_install(2, PageId(2)); // (3, 0)
@@ -421,7 +425,7 @@ mod tests {
 
     #[test]
     fn lru2_penultimate_access_decides_among_hot_slots() {
-        let mut p = Lru2Policy::new(2);
+        let mut p = Lru2Policy::new(2, PAGES);
         p.on_install(0, PageId(0)); // 1
         p.on_install(1, PageId(1)); // 2
         p.on_access(0); // 3 -> slot 0 (prev = 1)
@@ -432,7 +436,7 @@ mod tests {
 
     #[test]
     fn lru2_remove_forgets_the_slot() {
-        let mut p = Lru2Policy::new(2);
+        let mut p = Lru2Policy::new(2, PAGES);
         p.on_install(0, PageId(0));
         p.on_access(0);
         p.on_install(1, PageId(1));
@@ -452,8 +456,8 @@ mod tests {
 
     #[test]
     fn read_ahead_install_enters_the_heap_once_at_its_final_key() {
-        let mut fused = Lru2Policy::new(2);
-        let mut pair = Lru2Policy::new(2);
+        let mut fused = Lru2Policy::new(2, PAGES);
+        let mut pair = Lru2Policy::new(2, PAGES);
         for p in [&mut fused, &mut pair] {
             p.on_install(0, PageId(7));
             p.on_access(0);
@@ -480,7 +484,7 @@ mod tests {
     #[test]
     fn lru2_heap_is_bounded_by_the_frame_count() {
         const FRAMES: usize = 64;
-        let mut p = Lru2Policy::new(FRAMES);
+        let mut p = Lru2Policy::new(FRAMES, PAGES);
         for s in 0..FRAMES {
             p.on_install(s, PageId(s as u64));
         }
@@ -722,7 +726,7 @@ mod tests {
     fn lru2_one_entry_heap_matches_push_per_touch_oracle() {
         for frames in [1usize, 2, 7, 64] {
             for seed in 0..60u64 {
-                let mut new = Lru2Policy::new(frames);
+                let mut new = Lru2Policy::new(frames, PAGES);
                 let mut old = Lru2Oracle::new(frames);
                 run_schedule(seed * 4 + frames as u64, frames, &mut new, &mut old);
                 assert!(new.heap_len() <= frames);
@@ -730,7 +734,7 @@ mod tests {
                 assert_eq!(new.counter, old.counter);
                 assert_eq!(new.stats.ghost_hits, old.ghost_hits);
                 assert_eq!(
-                    sorted(new.hist.iter().map(|(&p, &h)| (p, h))),
+                    sorted(new.hist.iter().map(|(p, h)| (PageId(p), h))),
                     sorted(old.hist.iter().map(|(&p, &h)| (p, h))),
                     "retained history, seed {seed} frames {frames}"
                 );

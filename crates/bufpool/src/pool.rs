@@ -1,4 +1,4 @@
-//! The buffer pool proper: frames, hash table, LRU-2 replacement, guards.
+//! The buffer pool proper: frames, page table, LRU-2 replacement, guards.
 //!
 //! One latch covers the page table, frame metadata, free list and
 //! replacement policy; a slot index means the same frame everywhere (the
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank, RwLock};
-use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PidMap, Time};
+use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageId, PageTable, Time};
 
 use crate::policy::{Lru2Policy, PolicyStats};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
@@ -132,7 +132,8 @@ const NIL: usize = usize::MAX;
 /// Everything the table latch protects: the page table with its free
 /// list, replacement policy, counters, and intrusive dirty list.
 struct Table {
-    map: PidMap<usize>,
+    /// Page number → slot; sized to the database.
+    map: PageTable<u32>,
     meta: Vec<FrameMeta>,
     /// Pin count per slot, shared with the owning pool (see the module
     /// docs): raised through this handle, i.e. under the latch; lowered
@@ -155,13 +156,13 @@ struct Table {
 }
 
 impl Table {
-    fn new(frames: usize) -> Self {
+    fn new(frames: usize, db_pages: u64) -> Self {
         Table {
-            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
+            map: PageTable::new(db_pages, u32::MAX),
             meta: vec![FrameMeta::empty(); frames],
             pins: (0..frames).map(|_| AtomicU32::new(0)).collect(),
             free: (0..frames).rev().collect(),
-            policy: Lru2Policy::new(frames),
+            policy: Lru2Policy::new(frames, db_pages),
             filled_once: false,
             stats: PoolStats::default(),
             dprev: vec![NIL; frames],
@@ -237,7 +238,7 @@ impl Table {
             reason = "select_victim only returns slots the evictable callback approved"
         )]
         let victim = m.pid.expect("victim has a page");
-        self.map.remove(&victim);
+        self.map.remove(victim);
         self.policy.on_evict(slot, victim);
         if m.dirty {
             self.stats.evictions_dirty += 1;
@@ -294,7 +295,7 @@ pub struct BufferPool {
 impl BufferPool {
     pub fn new(cfg: BufferPoolConfig, layer: Arc<dyn PageIo>) -> Self {
         assert!(cfg.frames > 0, "pool needs at least one frame");
-        let table = Table::new(cfg.frames);
+        let table = Table::new(cfg.frames, cfg.db_pages);
         let zero = PageBuf::zeroed(cfg.page_size);
         let mut data = Vec::with_capacity(cfg.frames);
         data.resize_with(cfg.frames, || RwLock::ranked(Rank::FrameData, zero.clone()));
@@ -367,7 +368,7 @@ impl BufferPool {
             class: assigned,
         };
         t.pin(slot);
-        t.map.insert(pid, slot);
+        t.map.insert(pid, slot as u32);
         t.policy.on_install(slot, pid);
         // The frame's write latch is taken before the table latch goes: a
         // thread that hits `pid` from here on pins the frame, but reads it
@@ -408,7 +409,7 @@ impl BufferPool {
             let mut t = self.lock_table();
             for (i, page) in pages.enumerate() {
                 let extra = pid.offset(i as u64 + 1);
-                if t.map.contains_key(&extra) {
+                if t.map.contains_key(extra) {
                     continue;
                 }
                 let Some(s) = t.free.pop() else { break };
@@ -420,7 +421,7 @@ impl BufferPool {
                     // triggering request.
                     class: Locality::Random,
                 };
-                t.map.insert(extra, s);
+                t.map.insert(extra, s as u32);
                 t.policy.on_install(s, extra);
                 t.stats.expanded_fill_pages += 1;
                 *self.data[s].write() = page;
@@ -453,7 +454,8 @@ impl BufferPool {
     /// and stamping the replacement policy. A non-resident page changes
     /// nothing (the miss is the caller's to count).
     fn pin_resident(&self, t: &mut Table, pid: PageId) -> Option<PageGuard<'_>> {
-        let &slot = t.map.get(&pid)?;
+        let slot = t.map.get(pid)? as usize;
+        debug_assert_eq!(t.meta[slot].pid, Some(pid), "page table and frame disagree");
         t.pin(slot);
         t.policy.on_access(slot);
         t.stats.hits += 1;
@@ -482,7 +484,7 @@ impl BufferPool {
     fn abandon_install(&self, slot: usize, pid: PageId) {
         let mut t = self.lock_table();
         debug_assert_eq!(t.meta[slot].pid, Some(pid));
-        t.map.remove(&pid);
+        t.map.remove(pid);
         t.meta[slot] = FrameMeta::empty();
         // The installer's own pin; no guard was ever made for it.
         t.pins[slot].fetch_sub(1, Ordering::Release);
@@ -515,7 +517,7 @@ impl BufferPool {
     fn install_fresh(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
         let mut t = self.lock_table();
-        assert!(!t.map.contains_key(&pid), "create() of resident page {pid}");
+        assert!(!t.map.contains_key(pid), "create() of resident page {pid}");
         let (slot, evicted) = t.vacate_slot();
         t.meta[slot] = FrameMeta {
             pid: Some(pid),
@@ -524,7 +526,7 @@ impl BufferPool {
         };
         t.pin(slot);
         t.link_dirty(slot);
-        t.map.insert(pid, slot);
+        t.map.insert(pid, slot as u32);
         t.policy.on_install(slot, pid);
         drop(t);
         if let Some(ev) = evicted {
@@ -567,7 +569,7 @@ impl BufferPool {
         let mut classifier = self.classifier.lock();
         for (i, page) in pages.into_iter().enumerate() {
             let pid = first.offset(i as u64);
-            if t.map.contains_key(&pid) || stale[i] {
+            if t.map.contains_key(pid) || stale[i] {
                 continue;
             }
             let assigned = classifier.classify_prefetch(pid);
@@ -586,7 +588,7 @@ impl BufferPool {
                 dirty: false,
                 class: assigned,
             };
-            t.map.insert(pid, slot);
+            t.map.insert(pid, slot as u32);
             // Double-stamp: install plus one protection access, in one
             // victim-heap entry. Under LRU-2 a single touch would leave the
             // page with an empty penultimate stamp, making it the preferred
@@ -665,13 +667,13 @@ impl BufferPool {
 
     /// True if `pid` is resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        self.lock_table().map.contains_key(&pid)
+        self.lock_table().map.contains_key(pid)
     }
 
     /// True if `pid` is resident and dirty.
     pub fn is_dirty(&self, pid: PageId) -> bool {
         let t = self.lock_table();
-        t.map.get(&pid).map(|&s| t.meta[s].dirty).unwrap_or(false)
+        t.map.get(pid).is_some_and(|s| t.meta[s as usize].dirty)
     }
 
     /// Number of resident pages.

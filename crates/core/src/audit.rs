@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use turbopool_iosim::sync::{Mutex, Rank};
-use turbopool_iosim::{PageId, PidMap};
+use turbopool_iosim::{PageId, PageTable};
 
 use crate::config::SsdDesign;
 
@@ -139,15 +139,17 @@ pub fn transition(
 pub struct InvariantAuditor {
     design: SsdDesign,
     violations: AtomicU64,
-    states: Mutex<PidMap<FrameState>>,
+    /// Page number → state; `None` is an absent page.
+    states: Mutex<PageTable<Option<FrameState>>>,
 }
 
 impl InvariantAuditor {
-    pub fn new(design: SsdDesign) -> Self {
+    /// An auditor of `design`'s table over a database of `db_pages` pages.
+    pub fn new(design: SsdDesign, db_pages: u64) -> Self {
         InvariantAuditor {
             design,
             violations: AtomicU64::new(0),
-            states: Mutex::ranked(Rank::AuditorStates, PidMap::default()),
+            states: Mutex::ranked(Rank::AuditorStates, PageTable::new(db_pages, None)),
         }
     }
 
@@ -161,14 +163,10 @@ impl InvariantAuditor {
     /// into its metrics.
     pub fn observe(&self, pid: PageId, op: AuditOp) -> Result<(), AuditError> {
         let mut states = self.states.lock();
-        let from = states.get(&pid).copied();
+        let from = states.get(pid).flatten();
         match transition(self.design, from, op) {
-            Ok(Some(s)) => {
-                states.insert(pid, s);
-                Ok(())
-            }
-            Ok(None) => {
-                states.remove(&pid);
+            Ok(to) => {
+                states.insert(pid, to);
                 Ok(())
             }
             Err(e) => {
@@ -180,19 +178,22 @@ impl InvariantAuditor {
 
     /// Shadow state of `pid` (test/introspection; `None` when absent).
     pub fn state_of(&self, pid: PageId) -> Option<FrameState> {
-        self.states.lock().get(&pid).copied()
+        self.states.lock().get(pid).flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Database size of the unit tests: above every page id they use.
+    const PAGES: u64 = 16;
     use FrameState::*;
     use SsdDesign::*;
 
     #[test]
     fn lc_lifecycle_is_legal() {
-        let a = InvariantAuditor::new(LazyCleaning);
+        let a = InvariantAuditor::new(LazyCleaning, PAGES);
         let p = PageId(7);
         assert!(a.observe(p, AuditOp::Admit { dirty: true }).is_ok());
         assert_eq!(a.state_of(p), Some(Dirty));
@@ -206,7 +207,7 @@ mod tests {
     #[test]
     fn dirty_admission_outside_lc_is_a_violation() {
         for d in [CleanWrite, DualWrite, Tac] {
-            let a = InvariantAuditor::new(d);
+            let a = InvariantAuditor::new(d, PAGES);
             assert!(a
                 .observe(PageId(1), AuditOp::Admit { dirty: true })
                 .is_err());
@@ -216,7 +217,7 @@ mod tests {
 
     #[test]
     fn tac_logical_invalidation_and_refresh() {
-        let a = InvariantAuditor::new(Tac);
+        let a = InvariantAuditor::new(Tac, PAGES);
         let p = PageId(3);
         a.observe(p, AuditOp::Admit { dirty: false }).unwrap();
         a.observe(p, AuditOp::LogicalInvalidate).unwrap();
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn double_admission_is_a_violation() {
-        let a = InvariantAuditor::new(DualWrite);
+        let a = InvariantAuditor::new(DualWrite, PAGES);
         a.observe(PageId(1), AuditOp::Admit { dirty: false })
             .unwrap();
         assert!(a
@@ -240,12 +241,12 @@ mod tests {
 
     #[test]
     fn replacing_a_dirty_page_is_a_violation() {
-        let a = InvariantAuditor::new(LazyCleaning);
+        let a = InvariantAuditor::new(LazyCleaning, PAGES);
         a.observe(PageId(1), AuditOp::Admit { dirty: true })
             .unwrap();
         assert!(a.observe(PageId(1), AuditOp::Replace).is_err());
         // InlineClean is the legal way out of Dirty straight to Absent.
-        let b = InvariantAuditor::new(LazyCleaning);
+        let b = InvariantAuditor::new(LazyCleaning, PAGES);
         b.observe(PageId(1), AuditOp::Admit { dirty: true })
             .unwrap();
         assert!(b.observe(PageId(1), AuditOp::InlineClean).is_ok());
@@ -254,11 +255,11 @@ mod tests {
     #[test]
     fn physical_vs_logical_invalidation_split() {
         // CW/DW/LC invalidate physically; TAC only logically.
-        let a = InvariantAuditor::new(Tac);
+        let a = InvariantAuditor::new(Tac, PAGES);
         a.observe(PageId(1), AuditOp::Admit { dirty: false })
             .unwrap();
         assert!(a.observe(PageId(1), AuditOp::Invalidate).is_err());
-        let b = InvariantAuditor::new(DualWrite);
+        let b = InvariantAuditor::new(DualWrite, PAGES);
         b.observe(PageId(1), AuditOp::Admit { dirty: false })
             .unwrap();
         assert!(b.observe(PageId(1), AuditOp::LogicalInvalidate).is_err());
@@ -322,7 +323,7 @@ mod tests {
     #[test]
     fn quarantine_is_terminal_from_every_occupied_state() {
         for d in [CleanWrite, DualWrite, LazyCleaning, Tac] {
-            let a = InvariantAuditor::new(d);
+            let a = InvariantAuditor::new(d, PAGES);
             let p = PageId(9);
             a.observe(p, AuditOp::Admit { dirty: false }).unwrap();
             a.observe(p, AuditOp::Quarantine).unwrap();
@@ -333,13 +334,13 @@ mod tests {
             assert!(a.observe(p, AuditOp::Invalidate).is_err());
         }
         // LC quarantines dirty frames too (the stranded-page case).
-        let a = InvariantAuditor::new(LazyCleaning);
+        let a = InvariantAuditor::new(LazyCleaning, PAGES);
         a.observe(PageId(1), AuditOp::Admit { dirty: true })
             .unwrap();
         a.observe(PageId(1), AuditOp::Quarantine).unwrap();
         assert_eq!(a.state_of(PageId(1)), Some(Quarantined));
         // Quarantining an absent page is a violation.
-        let b = InvariantAuditor::new(CleanWrite);
+        let b = InvariantAuditor::new(CleanWrite, PAGES);
         assert!(b.observe(PageId(2), AuditOp::Quarantine).is_err());
     }
 
@@ -347,7 +348,7 @@ mod tests {
     fn corrupt_invalidation_drops_the_entry() {
         // Clean corruption is survivable under every design.
         for d in [CleanWrite, DualWrite, LazyCleaning, Tac] {
-            let a = InvariantAuditor::new(d);
+            let a = InvariantAuditor::new(d, PAGES);
             a.observe(PageId(4), AuditOp::Admit { dirty: false })
                 .unwrap();
             assert!(a.observe(PageId(4), AuditOp::CorruptInvalidate).is_ok());
@@ -355,7 +356,7 @@ mod tests {
             assert_eq!(a.violations(), 0, "{d:?}");
         }
         // A dirty (sole-copy) loss is expressible only under LC.
-        let a = InvariantAuditor::new(LazyCleaning);
+        let a = InvariantAuditor::new(LazyCleaning, PAGES);
         a.observe(PageId(5), AuditOp::Admit { dirty: true })
             .unwrap();
         assert!(a.observe(PageId(5), AuditOp::CorruptInvalidate).is_ok());

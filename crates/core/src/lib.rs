@@ -19,11 +19,12 @@
 //! temperature admission/replacement, write-on-read page flow and logical
 //! invalidation.
 //!
-//! All §3 machinery is here too: the SSD buffer table / hash table / free
-//! list / clean and dirty LRU-2 orders (Figure 4), LRU-2 replacement,
-//! the random-only admission policy, aggressive filling (τ), SSD throttle
-//! control (μ), multi-page I/O trimming, SSD partitioning (N), and group
-//! cleaning (α) with the λ dirty-fraction threshold.
+//! All §3 machinery is here too: the SSD buffer table / page table (the
+//! hash table of Figure 4) / free list / clean and dirty LRU-2 orders
+//! (Figure 4), LRU-2 replacement, the random-only admission policy,
+//! aggressive filling (τ), SSD throttle control (μ), multi-page I/O
+//! trimming, SSD partitioning (N), and group cleaning (α) with the λ
+//! dirty-fraction threshold.
 //!
 //! The two tiers, [`SsdManager`] (CW/DW/LC) and [`TacCache`], differ in
 //! their buffer table and page flow; the device edge they share — retry,

@@ -95,15 +95,16 @@ impl SsdManager {
         assert!(!on_read, "use TacCache to admit on read");
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         assert!(cfg.partitions >= 1);
+        let pages = io.db_pages();
         let parts = (0..cfg.partitions)
             .map(|i| {
                 let f = partition_frames(cfg.frames, cfg.partitions, i);
-                let part = Partition::new(f.start, (f.end - f.start) as usize);
+                let part = Partition::new(f.start, (f.end - f.start) as usize, pages);
                 Mutex::ranked(Rank::SsdPartition, part)
             })
             .collect();
         SsdManager {
-            health: Health::new(cfg.design),
+            health: Health::new(cfg.design, pages),
             cfg,
             io,
             parts,
@@ -400,7 +401,8 @@ impl SsdManager {
             }
             let part_idx = self.part_index(pid);
             let owned = partition_frames(self.cfg.frames, self.parts.len(), part_idx);
-            if !owned.contains(&frame) || !valid(pid, frame) {
+            let past_end = pid.0 >= self.io.db_pages();
+            if past_end || !owned.contains(&frame) || !valid(pid, frame) {
                 rep.rejected_stale += 1;
                 SsdMetrics::bump(&self.metrics.warm_rejected_stale);
                 continue;
@@ -1212,15 +1214,19 @@ mod tests {
                 let at = i * turbopool_iosim::MILLISECOND;
                 before.evict_page(at, PageId(i * 7), &page(i as u8), false, Locality::Random);
             }
-            // The checkpointed table with out-of-range, cross-partition and
-            // duplicated entries spliced in.
+            // The checkpointed table with out-of-range, cross-partition,
+            // past-the-database and duplicated entries spliced in.
             let mut entries = before.export_table();
             let mut rng = SmallRng::seed_from_u64(seed);
             for _ in 0..32 {
                 let pid = PageId(rng.gen_range(0u64..1024));
-                let e = match rng.gen_range(0u32..3) {
+                let e = match rng.gen_range(0u32..4) {
                     0 => (pid, rng.gen_range(FRAMES..4 * FRAMES)),
                     1 => (pid, rng.gen_range(0..FRAMES)),
+                    2 => (
+                        PageId(rng.gen_range(1024u64..4096)),
+                        rng.gen_range(0..FRAMES),
+                    ),
                     _ => entries[rng.gen_range(0..entries.len())],
                 };
                 entries.insert(rng.gen_range(0..=entries.len()), e);
@@ -1234,6 +1240,11 @@ mod tests {
             let outcomes = rep.imported + rep.rejected_stale + rep.rejected_checksum;
             assert_eq!(rep.attempted, outcomes, "seed {seed}");
             assert_eq!(m.occupancy(), rep.imported as u64, "seed {seed}");
+            let past_end = entries.iter().filter(|(pid, _)| pid.0 >= 1024).count();
+            assert!(
+                past_end > 0 && rep.rejected_stale >= past_end,
+                "seed {seed}"
+            );
             for &(pid, _) in &entries {
                 if let Some(frame) = m.frame_of(pid) {
                     let owned = partition_frames(FRAMES, 4, m.part_index(pid));

@@ -1,4 +1,4 @@
-//! One SSD partition: buffer table, hash table, free list, and the clean
+//! One SSD partition: buffer table, page table, free list, and the clean
 //! and dirty orders (Figure 4).
 //!
 //! To increase concurrency the SSD buffer pool is partitioned (§3.3.4);
@@ -6,7 +6,7 @@
 //! table, free list and orders. (The paper shares one hash table across
 //! partitions; we route each page id to a fixed partition with a
 //! multiplicative hash, which preserves the single-home invariant with a
-//! per-partition table — see DESIGN.md.)
+//! per-partition table indexed by page number — see DESIGN.md.)
 //!
 //! Figure 4 keeps the two orders as one heap array: clean pages by LRU-2
 //! key, whose minimum is the replacement victim, and dirty pages the same
@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use turbopool_iosim::{PageId, PidMap};
+use turbopool_iosim::{PageId, PageTable};
 
 /// Ordering key: the LRU-2 distance of a page, `(penultimate, last)`
 /// access stamps. Stamps are unique, so no two records share a key.
@@ -51,7 +51,8 @@ pub struct Partition {
     /// First global SSD frame number owned by this partition.
     base_frame: u64,
     records: Vec<Option<Record>>,
-    map: PidMap<usize>,
+    /// Page number → record index, over the whole database.
+    map: PageTable<u32>,
     free: Vec<usize>,
     /// Clean records as `(filed key, idx)`.
     clean: BTreeSet<(Key, usize)>,
@@ -62,11 +63,13 @@ pub struct Partition {
 }
 
 impl Partition {
-    pub fn new(base_frame: u64, frames: usize) -> Self {
+    /// A partition of `frames` frames from `base_frame` on, for a
+    /// database of `db_pages` pages.
+    pub fn new(base_frame: u64, frames: usize, db_pages: u64) -> Self {
         Partition {
             base_frame,
             records: vec![None; frames],
-            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
+            map: PageTable::new(db_pages, u32::MAX),
             free: (0..frames).rev().collect(),
             clean: BTreeSet::new(),
             dirty: BTreeSet::new(),
@@ -86,7 +89,7 @@ impl Partition {
 
     /// Record index holding `pid`, if cached.
     pub fn lookup(&self, pid: PageId) -> Option<usize> {
-        self.map.get(&pid).copied()
+        self.map.get(pid).map(|idx| idx as usize)
     }
 
     /// The record at `idx` (must be occupied).
@@ -141,7 +144,7 @@ impl Partition {
     /// Cache `pid` in a free frame; returns the record index, or `None`
     /// when the partition is full (caller must evict first).
     pub fn insert(&mut self, pid: PageId, dirty: bool, stamp: u64) -> Option<usize> {
-        debug_assert!(!self.map.contains_key(&pid), "page {pid} already cached");
+        debug_assert!(!self.map.contains_key(pid), "page {pid} already cached");
         let idx = self.free.pop()?;
         self.records[idx] = Some(Record {
             pid,
@@ -149,7 +152,7 @@ impl Partition {
             last: stamp,
             prev: 0,
         });
-        self.map.insert(pid, idx);
+        self.map.insert(pid, idx as u32);
         self.file(idx);
         Some(idx)
     }
@@ -157,7 +160,7 @@ impl Partition {
     /// Cache `pid` in a *specific* frame (warm-restart import). Returns
     /// false if that frame is not free. Only clean pages are importable.
     pub fn insert_at(&mut self, idx: usize, pid: PageId, stamp: u64) -> bool {
-        if self.records[idx].is_some() || self.map.contains_key(&pid) {
+        if self.records[idx].is_some() || self.map.contains_key(pid) {
             return false;
         }
         let Some(pos) = self.free.iter().position(|&f| f == idx) else {
@@ -170,7 +173,7 @@ impl Partition {
             last: stamp,
             prev: 0,
         });
-        self.map.insert(pid, idx);
+        self.map.insert(pid, idx as u32);
         self.file(idx);
         true
     }
@@ -192,7 +195,7 @@ impl Partition {
             reason = "documented contract: idx comes from lookup/insert and is occupied"
         )]
         let rec = self.records[idx].take().expect("occupied record");
-        self.map.remove(&rec.pid);
+        self.map.remove(rec.pid);
         self.unfile(idx, rec.dirty);
         rec
     }
@@ -253,11 +256,14 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Database size of the unit tests: above every page id they use.
+    const PAGES: u64 = 64;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
     #[test]
     fn insert_lookup_remove() {
-        let mut p = Partition::new(100, 4);
+        let mut p = Partition::new(100, 4, PAGES);
         let idx = p.insert(PageId(7), false, 1).unwrap();
         assert_eq!(p.frame_no(idx), 100 + idx as u64);
         assert_eq!(p.lookup(PageId(7)), Some(idx));
@@ -270,7 +276,7 @@ mod tests {
 
     #[test]
     fn full_partition_rejects_insert() {
-        let mut p = Partition::new(0, 2);
+        let mut p = Partition::new(0, 2, PAGES);
         assert!(p.insert(PageId(1), false, 1).is_some());
         assert!(p.insert(PageId(2), false, 2).is_some());
         assert!(p.insert(PageId(3), false, 3).is_none());
@@ -278,7 +284,7 @@ mod tests {
 
     #[test]
     fn clean_victim_is_lru2_minimum() {
-        let mut p = Partition::new(0, 4);
+        let mut p = Partition::new(0, 4, PAGES);
         let a = p.insert(PageId(1), false, 1).unwrap();
         let b = p.insert(PageId(2), false, 2).unwrap();
         // Page 1 re-accessed twice: hot.
@@ -290,7 +296,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_live_in_the_dirty_heap() {
-        let mut p = Partition::new(0, 4);
+        let mut p = Partition::new(0, 4, PAGES);
         let d = p.insert(PageId(1), true, 1).unwrap();
         let _c = p.insert(PageId(2), false, 2).unwrap();
         assert_eq!(p.peek_dirty_oldest().unwrap().1, d);
@@ -304,7 +310,7 @@ mod tests {
 
     #[test]
     fn detach_reserves_frame_until_release() {
-        let mut p = Partition::new(0, 2);
+        let mut p = Partition::new(0, 2, PAGES);
         let a = p.insert(PageId(1), true, 1).unwrap();
         let _b = p.insert(PageId(2), false, 2).unwrap();
         let rec = p.detach(a);
@@ -320,7 +326,7 @@ mod tests {
 
     #[test]
     fn insert_at_claims_specific_frame() {
-        let mut p = Partition::new(100, 4);
+        let mut p = Partition::new(100, 4, PAGES);
         assert!(p.insert_at(2, PageId(9), 1));
         assert_eq!(p.lookup(PageId(9)), Some(2));
         assert_eq!(p.frame_no(2), 102);
@@ -331,7 +337,7 @@ mod tests {
 
     #[test]
     fn iter_sees_occupied_only() {
-        let mut p = Partition::new(0, 4);
+        let mut p = Partition::new(0, 4, PAGES);
         let a = p.insert(PageId(1), false, 1).unwrap();
         p.insert(PageId(2), true, 2).unwrap();
         p.remove(a);
@@ -344,7 +350,7 @@ mod tests {
         // A: accesses 1, 4. B: accesses 2, 3. LRU-2 ranks by the
         // penultimate access and evicts A; plain LRU would evict B.
         for dirty in [false, true] {
-            let mut p = Partition::new(0, 4);
+            let mut p = Partition::new(0, 4, PAGES);
             let a = p.insert(PageId(1), dirty, 1).unwrap();
             let b = p.insert(PageId(2), dirty, 2).unwrap();
             p.touch(b, 3);
@@ -378,7 +384,7 @@ mod tests {
         const FRAMES: usize = 12;
         for case in 0u64..64 {
             let mut rng = SmallRng::seed_from_u64(0x5D7A_B1E5 ^ case);
-            let mut p = Partition::new(0, FRAMES);
+            let mut p = Partition::new(0, FRAMES, PAGES);
             let mut model: Vec<Option<Record>> = vec![None; FRAMES];
             let mut detached: Vec<usize> = Vec::new();
             let mut stamp = 0u64;

@@ -36,13 +36,14 @@
 //! each page read from disk.
 
 use std::collections::binary_heap::PeekMut;
-use std::collections::HashMap;
 
 use std::sync::Arc;
 use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
 
 use turbopool_bufpool::PageIo;
-use turbopool_iosim::{Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, PidMap, Time};
+use turbopool_iosim::{
+    Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, PageTable, Time,
+};
 
 use crate::audit::AuditOp;
 use crate::config::SsdConfig;
@@ -63,10 +64,12 @@ struct TacRec {
 struct TacTable {
     /// `records[frame]` — the SSD buffer table.
     records: Vec<Option<TacRec>>,
-    map: PidMap<usize>,
+    /// Page number → frame, over the whole database.
+    map: PageTable<u32>,
     free: Vec<usize>,
-    /// Extent number → accumulated saved-time temperature (ns).
-    temps: HashMap<u64, u64>,
+    /// Extent number → accumulated saved-time temperature (ns); 0, an
+    /// extent never missed, is no entry.
+    temps: PageTable<u64, u64>,
     /// Lazy min-heap of (temperature snapshot, frame) over *valid* frames.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     /// Occupied frames holding logically invalid pages — maintained
@@ -75,6 +78,11 @@ struct TacTable {
 }
 
 impl TacTable {
+    /// The frame holding `pid`'s record, if any.
+    fn frame_of(&self, pid: PageId) -> Option<usize> {
+        self.map.get(pid).map(|f| f as usize)
+    }
+
     /// The record of a mapped frame.
     #[expect(
         clippy::unwrap_used,
@@ -87,7 +95,7 @@ impl TacTable {
     /// The frame of `pid`'s copy if a read at `now` may use it: the copy
     /// is valid AND its installing write complete.
     fn usable(&self, pid: PageId, now: Time) -> Option<(u64, bool)> {
-        let frame = *self.map.get(&pid)?;
+        let frame = self.frame_of(pid)?;
         let rec = self.record(frame);
         (rec.valid && now >= rec.valid_at).then_some((frame as u64, false))
     }
@@ -110,16 +118,17 @@ impl TacCache {
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         let frames = cfg.frames as usize;
+        let pages = io.db_pages();
         let table = TacTable {
             records: vec![None; frames],
-            map: PidMap::with_capacity_and_hasher(frames, Default::default()),
+            map: PageTable::new(pages, u32::MAX),
             free: (0..frames).rev().collect(),
-            temps: HashMap::new(),
+            temps: PageTable::new(pages.div_ceil(cfg.tac_extent_pages), 0),
             heap: std::collections::BinaryHeap::new(),
             invalid: 0,
         };
         TacCache {
-            health: Health::new(cfg.design),
+            health: Health::new(cfg.design, pages),
             cfg,
             io,
             inner: Mutex::ranked(Rank::TacTable, table),
@@ -160,7 +169,7 @@ impl TacCache {
     /// SSD frame holding a *valid* copy of `pid`, if any (introspection).
     pub fn frame_of_valid(&self, pid: PageId) -> Option<u64> {
         let tab = self.lock_table();
-        let f = *tab.map.get(&pid)?;
+        let f = tab.frame_of(pid)?;
         tab.record(f).valid.then_some(f as u64)
     }
 
@@ -175,7 +184,7 @@ impl TacCache {
 
     /// The accumulated temperature of `pid`'s extent.
     fn temp(&self, tab: &TacTable, pid: PageId) -> u64 {
-        *tab.temps.get(&self.extent(pid)).unwrap_or(&0)
+        tab.temps.get(self.extent(pid)).unwrap_or(0)
     }
 
     /// Install a valid copy of `pid` in `frame`, its write completing at
@@ -203,7 +212,9 @@ impl TacCache {
     /// Record a memory-pool miss of `pid`: heat its extent.
     fn heat(&self, tab: &mut TacTable, pid: PageId, class: Locality) {
         let saved = self.saved_ns(class);
-        *tab.temps.entry(self.extent(pid)).or_insert(0) += saved;
+        let extent = self.extent(pid);
+        let temp = tab.temps.get(extent).unwrap_or(0) + saved;
+        tab.temps.insert(extent, temp);
     }
 
     /// Find the coldest valid SSD frame and leave its entry on top of the
@@ -216,7 +227,7 @@ impl TacCache {
             let std::cmp::Reverse((snap, frame)) = *top;
             match tab.records[frame] {
                 Some(rec) if rec.valid => {
-                    let cur = *tab.temps.get(&self.extent(rec.pid)).unwrap_or(&0);
+                    let cur = tab.temps.get(self.extent(rec.pid)).unwrap_or(0);
                     if cur == snap {
                         return Some((snap, frame));
                     }
@@ -245,7 +256,7 @@ impl TacCache {
     /// Extent temperature accessor for unit tests.
     #[cfg(test)]
     fn extent_temp(&self, extent: u64) -> u64 {
-        *self.lock_table().temps.get(&extent).unwrap_or(&0)
+        self.lock_table().temps.get(extent).unwrap_or(0)
     }
 }
 
@@ -289,7 +300,7 @@ impl TacCache {
         let mut pending: Option<IoError> = None;
         {
             let mut tab = self.lock_table();
-            if let Some(&frame) = tab.map.get(&pid) {
+            if let Some(frame) = tab.frame_of(pid) {
                 let rec = tab.record(frame);
                 let write = (!self.throttled(now)).then(|| {
                     sync::io_under_latch(
@@ -357,7 +368,7 @@ impl PageIo for TacCache {
 
     fn note_dirtied(&self, now: Time, pid: PageId) {
         let mut tab = self.lock_table();
-        if let Some(&frame) = tab.map.get(&pid) {
+        if let Some(frame) = tab.frame_of(pid) {
             let rec = tab.record(frame);
             if rec.valid {
                 if now < rec.valid_at {
@@ -365,7 +376,7 @@ impl PageIo for TacCache {
                     // cancelled outright; the page never reaches the SSD
                     // (the §4.2 race that hurts TAC on update-heavy loads).
                     tab.records[frame] = None;
-                    tab.map.remove(&pid);
+                    tab.map.remove(pid);
                     tab.free.push(frame);
                     self.audit(pid, AuditOp::Cancel);
                     SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
@@ -385,7 +396,7 @@ impl PageIo for TacCache {
     }
 
     fn has_copy(&self, pid: PageId) -> bool {
-        self.lock_table().map.contains_key(&pid)
+        self.lock_table().map.contains_key(pid)
     }
 
     fn checkpoint_flush(&self, _clk: &mut Clk) {
@@ -443,7 +454,7 @@ impl SsdTier for TacCache {
             return;
         }
         let mut tab = self.lock_table();
-        if tab.map.contains_key(&pid) {
+        if tab.map.contains_key(pid) {
             return;
         }
         let filling = tab.map.len() < self.cfg.fill_target() as usize;
@@ -466,7 +477,7 @@ impl SsdTier for TacCache {
                             reason = "cold_frame came off the temperature heap, which only holds mapped frames"
                         )]
                         let old = tab.records[cold_frame].take().unwrap();
-                        tab.map.remove(&old.pid);
+                        tab.map.remove(old.pid);
                         self.audit(old.pid, AuditOp::Replace);
                         SsdMetrics::bump(&self.metrics.replacements);
                         Some(cold_frame)
@@ -499,7 +510,7 @@ impl SsdTier for TacCache {
             }
         };
         let mut tab = self.lock_table();
-        if tab.map.contains_key(&pid) {
+        if tab.map.contains_key(pid) {
             // Lost a race: another admission installed `pid` while the
             // latch was released. The submitted write is a harmless booking
             // against a frame that goes straight back to the free list.
@@ -507,7 +518,7 @@ impl SsdTier for TacCache {
             return;
         }
         self.place(&mut tab, frame, pid, done);
-        tab.map.insert(pid, frame);
+        tab.map.insert(pid, frame as u32);
         self.audit(pid, AuditOp::Admit { dirty: false });
         SsdMetrics::bump(&self.metrics.admissions);
         if filling {
@@ -537,7 +548,7 @@ impl SsdTier for TacCache {
     /// Write-through: the copy was never the only current version.
     fn remove_entry(&self, pid: PageId) -> Option<bool> {
         let mut tab = self.lock_table();
-        let frame = tab.map.remove(&pid)?;
+        let frame = tab.map.remove(pid)? as usize;
         #[expect(
             clippy::unwrap_used,
             reason = "map/records consistency: a mapped frame always holds a record"

@@ -54,11 +54,12 @@ pub(crate) struct Health {
 }
 
 impl Health {
-    pub(crate) fn new(design: SsdDesign) -> Self {
+    /// The health of a fresh tier of `design` over `db_pages` pages.
+    pub(crate) fn new(design: SsdDesign, db_pages: u64) -> Self {
         Health {
             quarantined: AtomicBool::new(false),
             errors: AtomicU64::new(0),
-            auditor: InvariantAuditor::new(design),
+            auditor: InvariantAuditor::new(design, db_pages),
             stranded: Mutex::new(Vec::new()),
             any_stranded: AtomicBool::new(false),
         }

@@ -172,8 +172,10 @@ impl Ledger {
         end.max(now + service)
     }
 
-    /// Free capacity within `[from, from + window)`.
-    fn free_in_window(&self, from: Time, window: Time) -> Time {
+    /// Free capacity within `[from, from + window)`, summed bucket by
+    /// bucket until it reaches `enough`: the whole sum when that is below
+    /// `enough`, some sum at or above it otherwise.
+    fn free_in_window(&self, from: Time, window: Time, enough: Time) -> Time {
         let mut free = 0;
         let first = (from / self.bucket_ns).max(self.base);
         let last = ((from + window).div_ceil(self.bucket_ns)).max(self.base);
@@ -186,6 +188,9 @@ impl Ledger {
             let b_end = b_start + self.bucket_ns;
             let clip = b_end.min(from + window).saturating_sub(b_start.max(from));
             free += clip.saturating_sub(used.min(clip));
+            if free >= enough {
+                break;
+            }
         }
         free
     }
@@ -360,9 +365,10 @@ impl SimDevice {
         let window = avg
             .saturating_mul(limit as Time)
             .clamp(1, 4 * crate::clock::HOUR);
+        // The sum only grows, so it stops once it clears the threshold.
+        let threshold = window / 20;
         let st = self.state.lock();
-        let free = st.ledger.free_in_window(now, window);
-        free < window / 20
+        st.ledger.free_in_window(now, window, threshold) < threshold
     }
 }
 
@@ -504,6 +510,47 @@ mod tests {
         // next bucket (bucket-granular ordering).
         let c2 = l.schedule(0, 400);
         assert_eq!(c2, 1_400);
+    }
+
+    /// The μ gate's early stop gives the verdict of the full sum, on
+    /// seeded ledgers, for empty, bucket-sized and wide windows and the
+    /// thresholds of `limit` 0 (nothing is ever overloaded) and up.
+    #[test]
+    fn early_window_verdict_matches_the_full_sum() {
+        use crate::rng::{Rng, SeedableRng, SmallRng};
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut l = Ledger::new(1_000);
+            for _ in 0..rng.gen_range(0..200u32) {
+                l.schedule(rng.gen_range(0..60_000u64), rng.gen_range(1..3_000u64));
+            }
+            for _ in 0..200 {
+                let from = rng.gen_range(0..70_000u64);
+                let window = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.gen_range(1..2_000u64),
+                    _ => rng.gen_range(1..40_000u64),
+                };
+                let full = l.free_in_window(from, window, Time::MAX);
+                for threshold in [0, 1, window / 20, window / 2, window, window + 1] {
+                    let early = l.free_in_window(from, window, threshold);
+                    assert_eq!(
+                        early < threshold,
+                        full < threshold,
+                        "seed {seed} from {from} window {window} threshold {threshold}"
+                    );
+                    assert!(early <= full && (early >= threshold || early == full));
+                }
+            }
+        }
+        // `limit` 0 clamps the window to 1 ns, whose threshold is 0.
+        let d = dev();
+        for at in 0..64 {
+            d.submit(0, IoKind::Read, at, 1, Some(Locality::Random));
+        }
+        assert!(!d.overloaded(0, 0));
+        assert!(d.overloaded(0, 8), "the same backlog trips a real limit");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,6 +78,121 @@ impl Hasher for PidHasher {
 /// per-process-seeded default hasher; nothing may depend on it
 /// (`clippy::iter_over_hash_type` in the simulation crates).
 pub type PidMap<V> = HashMap<PageId, V, BuildHasherDefault<PidHasher>>;
+
+impl From<PageId> for u64 {
+    #[inline]
+    fn from(pid: PageId) -> u64 {
+        pid.0
+    }
+}
+
+/// A map from a dense key — a page number, or an extent number — to `V`,
+/// kept as an array with one slot per key, sized once. A probe is one
+/// index, not a hash and a bucket walk; the cost is a slot per key of the
+/// database, used or not.
+///
+/// One value, `vacant`, chosen at construction, marks an empty slot:
+/// storing it is a removal, and no entry ever holds it. Keys past the
+/// table's end are never present; inserting one panics. Iteration runs
+/// in ascending key order.
+#[derive(Debug, Clone)]
+pub struct PageTable<V, K = PageId> {
+    slots: Box<[V]>,
+    vacant: V,
+    len: usize,
+    key: PhantomData<fn(K)>,
+}
+
+impl<V: Copy + PartialEq, K: Into<u64>> PageTable<V, K> {
+    /// An empty table for keys `0..keys`, `vacant` marking an empty slot.
+    pub fn new(keys: u64, vacant: V) -> Self {
+        PageTable {
+            slots: vec![vacant; Self::slot(keys)].into_boxed_slice(),
+            vacant,
+            len: 0,
+            key: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn slot(key: impl Into<u64>) -> usize {
+        key.into() as usize
+    }
+
+    /// Entries held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value at `key`, if any.
+    #[inline]
+    pub fn get(&self, key: K) -> Option<V> {
+        let v = *self.slots.get(Self::slot(key))?;
+        (v != self.vacant).then_some(v)
+    }
+
+    /// True if `key` has an entry.
+    #[inline]
+    pub fn contains_key(&self, key: K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Set `key`'s value, returning the one it replaced. Storing the
+    /// vacant value removes the entry. Panics if `key` is past the end.
+    #[inline]
+    pub fn insert(&mut self, key: K, v: V) -> Option<V> {
+        let vacant = self.vacant;
+        let old = std::mem::replace(&mut self.slots[Self::slot(key)], v);
+        self.len = self.len + usize::from(v != vacant) - usize::from(old != vacant);
+        (old != vacant).then_some(old)
+    }
+
+    /// Remove `key`'s entry, returning its value.
+    #[inline]
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        let vacant = self.vacant;
+        let old = std::mem::replace(self.slots.get_mut(Self::slot(key))?, vacant);
+        (old != vacant).then(|| {
+            self.len -= 1;
+            old
+        })
+    }
+
+    /// The entries held as `(key number, value)`, in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        (0u64..)
+            .zip(self.slots.iter().copied())
+            .filter(|&(_, v)| v != self.vacant)
+    }
+
+    /// The values held, in ascending key order.
+    pub fn values(&self) -> impl Iterator<Item = V> + '_ {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// Keep only the entries whose value `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(V) -> bool) {
+        let vacant = self.vacant;
+        for slot in self.slots.iter_mut().filter(|v| **v != vacant) {
+            if !keep(*slot) {
+                *slot = vacant;
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// Remove every entry.
+    pub fn clear(&mut self) {
+        self.slots.fill(self.vacant);
+        self.len = 0;
+    }
+}
 
 /// A page image: an immutable, reference-counted page of bytes.
 ///
@@ -368,6 +484,78 @@ mod tests {
         assert_eq!(m.len(), 10_000);
         assert_eq!(m.get(&PageId(2_997)), Some(&999));
         assert_eq!(m.get(&PageId(2_998)), None);
+    }
+
+    /// A seeded model check of [`PageTable`] against a `HashMap` oracle:
+    /// random inserts, removes and prunes, with the first and last page
+    /// always in play and a key past the end probed.
+    #[test]
+    fn page_table_matches_a_hash_map() {
+        use crate::rng::{Rng, SeedableRng, SmallRng};
+        use std::collections::BTreeMap;
+        for (seed, pages) in [(1u64, 1u64), (2, 7), (3, 64), (4, 1_000)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut table: PageTable<u32> = PageTable::new(pages, u32::MAX);
+            let mut oracle: HashMap<PageId, u32> = HashMap::new();
+            let last = PageId(pages - 1);
+            for step in 0..4_000u32 {
+                let pid = match rng.gen_range(0..4u32) {
+                    0 => PageId(0),
+                    1 => last,
+                    _ => PageId(rng.gen_range(0..pages)),
+                };
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let v = rng.gen_range(0..u32::MAX);
+                        assert_eq!(table.insert(pid, v), oracle.insert(pid, v), "step {step}");
+                    }
+                    5..=7 => assert_eq!(table.remove(pid), oracle.remove(&pid), "step {step}"),
+                    8 => {
+                        let cut = rng.gen_range(0..u32::MAX);
+                        table.retain(|v| v >= cut);
+                        oracle.retain(|_, v| *v >= cut);
+                    }
+                    _ => {
+                        // Storing the vacant value is a removal.
+                        assert_eq!(table.insert(pid, u32::MAX), oracle.remove(&pid));
+                    }
+                }
+                assert_eq!(table.len(), oracle.len(), "step {step}");
+                assert_eq!(table.is_empty(), oracle.is_empty());
+                for probe in [PageId(0), last, pid] {
+                    assert_eq!(table.get(probe), oracle.get(&probe).copied());
+                    assert_eq!(table.contains_key(probe), oracle.contains_key(&probe));
+                }
+                assert_eq!(table.get(PageId(pages)), None, "past the end");
+                assert_eq!(table.remove(PageId(pages)), None);
+            }
+            let sorted: BTreeMap<u64, u32> = oracle.into_iter().map(|(p, v)| (p.0, v)).collect();
+            assert!(
+                table.values().eq(sorted.values().copied()),
+                "ascending key order"
+            );
+            assert!(table.iter().eq(sorted.into_iter()));
+            table.clear();
+            assert_eq!((table.len(), table.get(last)), (0, None));
+        }
+    }
+
+    #[test]
+    fn page_table_takes_extent_numbers_too() {
+        let mut temps: PageTable<u64, u64> = PageTable::new(4, 0);
+        temps.insert(3, 7);
+        assert_eq!(
+            (temps.get(3), temps.get(2), temps.len()),
+            (Some(7), None, 1)
+        );
+        temps.insert(3, 0);
+        assert!(temps.is_empty(), "the vacant value removes");
+    }
+
+    #[test]
+    #[should_panic]
+    fn page_table_insert_past_the_end_panics() {
+        PageTable::<u32>::new(4, u32::MAX).insert(PageId(4), 0);
     }
 
     #[test]

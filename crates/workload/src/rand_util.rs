@@ -47,14 +47,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= sum;
         }
-        // About one bucket per rank.
-        let buckets = n.next_power_of_two();
-        let mut guide = Vec::with_capacity(buckets + 1);
-        let mut rank = 0;
-        for b in 0..=buckets {
-            rank += cdf[rank..].partition_point(|&p| bucket(p, buckets) < b);
-            guide.push(rank as u32);
-        }
+        let guide = guide(&cdf);
         Zipf { cdf, guide }
     }
 
@@ -76,6 +69,22 @@ impl Zipf {
     }
 }
 
+/// The guide table over a non-decreasing CDF, about one bucket per rank:
+/// `guide[b]` counts the ranks in buckets below `b`. One pass over the
+/// CDF, since its buckets only rise.
+fn guide(cdf: &[f64]) -> Vec<u32> {
+    let buckets = cdf.len().next_power_of_two();
+    let mut guide = Vec::with_capacity(buckets + 1);
+    let mut rank = 0;
+    for b in 0..=buckets {
+        while rank < cdf.len() && bucket(cdf[rank], buckets) < b {
+            rank += 1;
+        }
+        guide.push(rank as u32);
+    }
+    guide
+}
+
 /// Deterministic per-run RNG seeding: one base seed, one stream per
 /// client, so adding clients does not perturb existing streams.
 pub fn client_rng(base_seed: u64, client: u64) -> SmallRng {
@@ -86,6 +95,25 @@ pub fn client_rng(base_seed: u64, client: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The guide built one bucket at a time, each by a binary search of
+    /// the CDF: the definition the one-pass build must reproduce.
+    fn guide_by_search(cdf: &[f64]) -> Vec<u32> {
+        let buckets = cdf.len().next_power_of_two();
+        (0..=buckets)
+            .map(|b| cdf.partition_point(|&p| bucket(p, buckets) < b) as u32)
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_guide_matches_the_searched_one() {
+        for n in [1usize, 2, 3, 1_000, 4_096, 60_000, 100_003] {
+            for theta in [0.0, 0.5, 0.9, 0.99, 1.2] {
+                let z = Zipf::new(n, theta);
+                assert_eq!(z.guide, guide_by_search(&z.cdf), "n {n} theta {theta}");
+            }
+        }
+    }
 
     #[test]
     fn nurand_stays_in_range() {

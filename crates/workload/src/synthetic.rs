@@ -5,7 +5,7 @@
 //! isolating one SSD-manager mechanism at a time (throttle control,
 //! partitioning, filling, classifier accuracy).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, HeapId, IndexId};
 use turbopool_iosim::rng::Rng;
@@ -54,6 +54,9 @@ pub struct Synthetic {
     pub heap: HeapId,
     pub index: IndexId,
     seed: u64,
+    /// The clients' one rank table, built by the first [`client`](Self::client):
+    /// every client draws from its own RNG over the same distribution.
+    zipf: OnceLock<Arc<Zipf>>,
 }
 
 impl Synthetic {
@@ -101,6 +104,7 @@ impl Synthetic {
             heap,
             index,
             seed: spec.seed,
+            zipf: OnceLock::new(),
         }
     }
 
@@ -114,6 +118,7 @@ impl Synthetic {
             heap,
             index,
             seed,
+            zipf,
         } = self;
         let db = Arc::try_unwrap(db)
             .ok()
@@ -126,6 +131,7 @@ impl Synthetic {
                 heap,
                 index,
                 seed,
+                zipf,
             },
             stats,
         )
@@ -138,7 +144,10 @@ impl Synthetic {
     ) -> SyntheticClient {
         SyntheticClient {
             s: Arc::clone(self),
-            zipf: Zipf::new(self.cfg.rows as usize, self.cfg.theta),
+            zipf: Arc::clone(
+                self.zipf
+                    .get_or_init(|| Arc::new(Zipf::new(self.cfg.rows as usize, self.cfg.theta))),
+            ),
             rng: client_rng(self.seed, client_no),
             rec,
         }
@@ -151,7 +160,7 @@ const CPU_TXN: Time = SCALE as Time * MILLISECOND / 1000;
 /// One synthetic client.
 pub struct SyntheticClient {
     s: Arc<Synthetic>,
-    zipf: Zipf,
+    zipf: Arc<Zipf>,
     rng: SmallRng,
     rec: Arc<ThroughputRecorder>,
 }
