@@ -126,11 +126,8 @@ fn unpinned(pin: &AtomicU32) -> bool {
     pin.load(Ordering::Acquire) == 0
 }
 
-/// Sentinel for the intrusive dirty-list links.
-const NIL: usize = usize::MAX;
-
 /// Everything the table latch protects: the page table with its free
-/// list, replacement policy, counters, and intrusive dirty list.
+/// list, replacement policy and counters.
 struct Table {
     /// Page number → slot; sized to the database.
     map: PageTable<u32>,
@@ -145,14 +142,6 @@ struct Table {
     policy: Lru2Policy,
     filled_once: bool,
     stats: PoolStats,
-    /// Intrusive doubly-linked list of dirty frames, so checkpoints and
-    /// `dirty_count` never scan the whole frame table.
-    /// Invariant: `meta[s].dirty` ⟺ `s` is linked ⟺ counted in `ndirty`.
-    dprev: Vec<usize>,
-    dnext: Vec<usize>,
-    dhead: usize,
-    dtail: usize,
-    ndirty: usize,
 }
 
 impl Table {
@@ -165,11 +154,6 @@ impl Table {
             policy: Lru2Policy::new(frames, db_pages),
             filled_once: false,
             stats: PoolStats::default(),
-            dprev: vec![NIL; frames],
-            dnext: vec![NIL; frames],
-            dhead: NIL,
-            dtail: NIL,
-            ndirty: 0,
         }
     }
 
@@ -177,38 +161,6 @@ impl Table {
     /// acts on a *rise* (the evictor) holds the latch this caller holds.
     fn pin(&self, slot: usize) {
         self.pins[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Append `slot` to the dirty list (must not be linked).
-    fn link_dirty(&mut self, slot: usize) {
-        debug_assert!(self.dprev[slot] == NIL && self.dnext[slot] == NIL && self.dhead != slot);
-        self.dprev[slot] = self.dtail;
-        self.dnext[slot] = NIL;
-        if self.dtail == NIL {
-            self.dhead = slot;
-        } else {
-            self.dnext[self.dtail] = slot;
-        }
-        self.dtail = slot;
-        self.ndirty += 1;
-    }
-
-    /// Unlink `slot` from the dirty list (must be linked).
-    fn unlink_dirty(&mut self, slot: usize) {
-        let (p, n) = (self.dprev[slot], self.dnext[slot]);
-        if p == NIL {
-            self.dhead = n;
-        } else {
-            self.dnext[p] = n;
-        }
-        if n == NIL {
-            self.dtail = p;
-        } else {
-            self.dprev[n] = p;
-        }
-        self.dprev[slot] = NIL;
-        self.dnext[slot] = NIL;
-        self.ndirty -= 1;
     }
 
     /// Obtain a free slot, selecting and detaching the policy's victim if
@@ -242,7 +194,6 @@ impl Table {
         self.policy.on_evict(slot, victim);
         if m.dirty {
             self.stats.evictions_dirty += 1;
-            self.unlink_dirty(slot);
         } else {
             self.stats.evictions_clean += 1;
         }
@@ -525,7 +476,6 @@ impl BufferPool {
             class: Locality::Random,
         };
         t.pin(slot);
-        t.link_dirty(slot);
         t.map.insert(pid, slot as u32);
         t.policy.on_install(slot, pid);
         drop(t);
@@ -627,23 +577,17 @@ impl BufferPool {
     /// (asynchronously), wait for the slowest write, then ask the layer to
     /// flush anything *it* holds dirty (the SSD, under LC).
     ///
-    /// Dirty frames come from the intrusive dirty list (no full
-    /// frame-table scan) and are written in ascending slot order.
+    /// One pass over the frame table collects the dirty, unpinned frames;
+    /// they are written in ascending slot order.
     pub fn checkpoint(&self, clk: &mut Clk) {
         let dirty: Vec<(usize, PageId, Locality)> = {
             let t = self.lock_table();
-            let mut dirty = Vec::with_capacity(t.ndirty);
-            let mut s = t.dhead;
-            while s != NIL {
-                if unpinned(&t.pins[s]) {
-                    #[expect(clippy::expect_used, reason = "dirty-list members always hold a page")]
-                    let pid = t.meta[s].pid.expect("dirty frame has a page");
-                    dirty.push((s, pid, t.meta[s].class));
-                }
-                s = t.dnext[s];
-            }
-            dirty.sort_unstable_by_key(|&(slot, ..)| slot);
-            dirty
+            t.meta
+                .iter()
+                .enumerate()
+                .filter(|&(s, m)| m.dirty && unpinned(&t.pins[s]))
+                .filter_map(|(s, m)| Some((s, m.pid?, m.class)))
+                .collect()
         };
         let mut done = clk.now;
         for (slot, pid, class) in dirty {
@@ -657,7 +601,6 @@ impl BufferPool {
             // Revalidate: the frame may have been recycled meanwhile.
             if t.meta[slot].pid == Some(pid) && t.meta[slot].dirty {
                 t.meta[slot].dirty = false;
-                t.unlink_dirty(slot);
             }
             t.stats.checkpoint_writes += 1;
         }
@@ -688,9 +631,9 @@ impl BufferPool {
         self.pins.iter().filter(|pin| !unpinned(pin)).count()
     }
 
-    /// Number of dirty resident pages — O(1), from the dirty-list counter.
+    /// Number of dirty resident pages.
     pub fn dirty_count(&self) -> usize {
-        self.lock_table().ndirty
+        self.lock_table().meta.iter().filter(|m| m.dirty).count()
     }
 
     /// Counter snapshot, including the table-latch counters (this call's
@@ -723,7 +666,6 @@ impl BufferPool {
         debug_assert_eq!(m.pid, Some(pid));
         if !m.dirty {
             m.dirty = true;
-            t.link_dirty(slot);
             drop(t);
             // First dirtying invalidates any SSD copy (paper §2.2).
             self.layer.note_dirtied(now, pid);
@@ -1057,6 +999,48 @@ mod tests {
         let mut buf = [0u8; PS];
         io.disk_store().read(PageId(2), &mut buf);
         assert_eq!(buf[0], 3);
+    }
+
+    /// A layer that records the pages a checkpoint writes, in order.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<PageId>>);
+
+    impl PageIo for Recorder {
+        fn read_page(
+            &self,
+            _: &mut Clk,
+            _: PageId,
+            _: Locality,
+            _: &mut [u8],
+        ) -> Result<(), IoError> {
+            Ok(())
+        }
+        fn read_run(&self, _: &mut Clk, _: PageId, _: u64) -> Result<Vec<PageBuf>, IoError> {
+            Ok(Vec::new())
+        }
+        fn evict_page(&self, _: Time, _: PageId, _: &[u8], _: bool, _: Locality) {}
+        fn note_dirtied(&self, _: Time, _: PageId) {}
+        fn checkpoint_write(&self, now: Time, pid: PageId, _: &[u8], _: Locality) -> Time {
+            self.0.lock().push(pid);
+            now
+        }
+        fn checkpoint_flush(&self, _: &mut Clk) {}
+    }
+
+    #[test]
+    fn checkpoint_skips_pinned_frames_and_writes_in_slot_order() {
+        let layer = Arc::new(Recorder::default());
+        let p = BufferPool::new(BufferPoolConfig::new(4, PS, 64), layer.clone());
+        // Created pages take slots 0, 1, 2, 3, out of page order.
+        for pid in [9u64, 3, 7, 5] {
+            drop(p.create_from(0, PageId(pid), PageBuf::from_slice(&[1; PS])));
+        }
+        let pinned = p.get_resident(PageId(7)).unwrap();
+        p.checkpoint(&mut Clk::new());
+        assert_eq!(*layer.0.lock(), [PageId(9), PageId(3), PageId(5)]);
+        assert!(p.is_dirty(PageId(7)));
+        assert_eq!(p.dirty_count(), 1);
+        drop(pinned);
     }
 
     #[test]

@@ -11,16 +11,18 @@
 //! This file holds the partitioned table and the page flow; what a design
 //! does with a dirty page is its row of the policy table
 //! ([`crate::SsdDesign::policy`]). Retry, the error budget, quarantine,
-//! throttle, audit, the strand list and the page reads (the §3.3.3 modes
-//! included) are the device edge in `tier.rs`, shared with TAC; this
-//! table's hooks there stamp LRU-2 recency on a hit and on a patched run
-//! page.
+//! throttle, audit, the strand list, the page reads (the §3.3.3 modes
+//! included) and the frame write are the device edge in `tier.rs`, shared
+//! with TAC; this table's hooks there stamp LRU-2 recency on a hit and on a
+//! patched run page. An admission is one hold of its partition latch: it
+//! frees a frame (cleaning the oldest dirty page inline when every page is
+//! dirty), books the write, and admits the entry or backs it out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::PageIo;
-use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
+use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, PageSrc, Time,
 };
@@ -31,22 +33,6 @@ use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
 pub use crate::tier::SSD_ERROR_BUDGET;
 use crate::tier::{lock_counted, Health, SsdTier};
-
-/// What [`SsdManager::plan_reclaim`] decided under the partition latch.
-enum Reclaimed {
-    /// A clean victim was replaced; its frame is already free.
-    Direct,
-    /// The oldest dirty page was detached; its frame stays reserved until
-    /// the caller inline-cleans it (SSD read + disk write) *outside* the
-    /// latch and releases the frame.
-    DirtyDeferred {
-        idx: usize,
-        victim: PageId,
-        frame: u64,
-    },
-    /// Nothing reclaimable in this partition.
-    Failed,
-}
 
 /// Outcome of a hardened warm import ([`SsdManager::import_table_checked`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -206,8 +192,13 @@ impl SsdManager {
         self.occupancy() < self.cfg.fill_target()
     }
 
-    /// Cache `data` for `pid`, evicting an SSD victim if necessary.
-    /// The caller has verified admission; this only handles placement.
+    /// Cache `data` for `pid`, evicting an SSD victim if necessary, in one
+    /// hold of the partition latch: the frame is picked, written, and the
+    /// entry admitted or backed out before the latch goes, so a failed SSD
+    /// write never leaves an entry pointing at never-written bytes. (Torn
+    /// and bit-flipped writes still return Ok — that is silent corruption,
+    /// caught by the frame checksum on a later read.) A page already cached
+    /// is left as it is. The caller has verified admission.
     fn install<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
         if self.is_quarantined() {
             if dirty {
@@ -215,134 +206,89 @@ impl SsdManager {
             }
             return;
         }
-        let mut lost: Option<(PageId, IoError)> = None;
         let mut part = self.part(pid);
-        if part.free_frames() == 0 {
-            match self.plan_reclaim(&mut part) {
-                Reclaimed::Direct => {}
-                Reclaimed::DirtyDeferred { idx, victim, frame } => {
-                    // The victim's frame stays reserved (invisible to
-                    // `insert`) until released, so its bytes cannot be
-                    // overwritten before the inline clean reads them —
-                    // which lets the SSD read and disk write run outside
-                    // the partition latch.
-                    drop(part);
-                    lost = self.inline_clean_detached(now, victim, frame);
-                    part = self.part(pid);
-                    part.release(idx);
-                }
-                Reclaimed::Failed => {
-                    // Nothing reclaimable in this partition (it is empty —
-                    // impossible here since free_frames() == 0 — or every
-                    // heap is drained): skip the admission, but a dirty
-                    // page must still land somewhere durable.
-                    drop(part);
-                    if dirty {
-                        self.disk_write(now, pid, data);
-                    }
-                    return;
-                }
+        if part.lookup(pid).is_some() {
+            return;
+        }
+        let lost = if part.free_frames() == 0 {
+            self.reclaim(now, &mut part)
+        } else {
+            None
+        };
+        // `None`: the partition owns no frame (more partitions than frames).
+        let write = part.insert(pid, dirty, self.next_stamp()).map(|idx| {
+            let frame = part.frame_no(idx);
+            self.write_frame(now, frame, pid, data).inspect_err(|_| {
+                part.remove(idx);
+            })
+        });
+        let admitted = matches!(write, Some(Ok(_)));
+        if admitted {
+            self.audit(pid, AuditOp::Admit { dirty });
+            self.occupancy.fetch_add(1, Ordering::Relaxed);
+            if dirty {
+                self.dirty_total.fetch_add(1, Ordering::Relaxed);
+            }
+            SsdMetrics::bump(&self.metrics.admissions);
+            if self.filling() {
+                SsdMetrics::bump(&self.metrics.fill_admissions);
             }
         }
-        let stamp = self.next_stamp();
-        #[expect(
-            clippy::expect_used,
-            reason = "guarded by the free-frame check above; the partition cannot be full here"
-        )]
-        let idx = part.insert(pid, dirty, stamp).expect("frame available");
-        let frame = part.frame_no(idx);
         drop(part);
-        // Write first, admit on success: a failed SSD write must not leave
-        // a table entry pointing at never-written frame bytes. (Torn and
-        // bit-flipped writes still return Ok — that is silent corruption,
-        // caught by the frame checksum on a later read.)
-        match self.io.write_ssd_async(now, frame, data, pid) {
-            Ok(_done) => {
-                self.audit(pid, AuditOp::Admit { dirty });
-                self.occupancy.fetch_add(1, Ordering::Relaxed);
-                if dirty {
-                    self.dirty_total.fetch_add(1, Ordering::Relaxed);
-                }
-                SsdMetrics::bump(&self.metrics.admissions);
-                if self.filling() {
-                    SsdMetrics::bump(&self.metrics.fill_admissions);
-                }
-            }
-            Err(e) => {
-                // Back the insert out before the error accounting: if the
-                // budget trips, the quarantine sweep must not find (and
-                // audit) an entry that was never admitted.
-                let mut part = self.part(pid);
-                if let Some(idx) = part.lookup(pid) {
-                    part.remove(idx);
-                }
-                drop(part);
-                self.note_ssd_error(&e);
-                if dirty {
-                    self.disk_write(now, pid, data);
-                }
-            }
+        // Error accounting runs once the latch is released: a quarantine
+        // takes every partition latch to sweep the table.
+        if let Some(Err(e)) = write {
+            self.note_ssd_error(&e);
         }
-        // Deferred reclaim accounting runs last: if it trips the budget,
-        // the quarantine sweep finds only properly-admitted entries.
+        if dirty && !admitted {
+            // The page must still land somewhere durable.
+            self.disk_write(now, pid, data);
+        }
         if let Some((victim, e)) = lost {
             self.lose(victim, AuditOp::CorruptInvalidate, true);
             self.note_ssd_error(&e);
         }
     }
 
-    /// Free one frame in `part` by LRU-2 replacement from the clean heap;
-    /// falls back to *detaching* the oldest dirty page when every page is
-    /// dirty (LC under extreme λ). Pure bookkeeping — it runs entirely
-    /// under the partition latch and performs no I/O; a `DirtyDeferred`
-    /// result obliges the caller to inline-clean the detached victim
-    /// (outside the latch) and then release its frame.
-    fn plan_reclaim(&self, part: &mut Partition) -> Reclaimed {
+    /// Free one frame in `part`, under its latch, by LRU-2 replacement from
+    /// the clean order; when every page is dirty (LC under extreme λ), the
+    /// oldest dirty page is cleaned inline instead: its sole copy is read
+    /// off the SSD and written to disk (both charged asynchronously, since
+    /// eviction is async) before its frame can be reused. Returns that
+    /// victim and the error when its copy was unreadable: the frame is
+    /// freed all the same, and the caller strands the page and charges the
+    /// error once the latch is released. Frees nothing in a partition
+    /// without pages.
+    fn reclaim(&self, now: Time, part: &mut Partition) -> Option<(PageId, IoError)> {
         if let Some((_, victim)) = part.peek_clean_victim() {
             let rec = part.remove(victim);
             self.audit(rec.pid, AuditOp::Replace);
             self.forget(false);
             SsdMetrics::bump(&self.metrics.replacements);
-            return Reclaimed::Direct;
+            return None;
         }
-        // All pages dirty: detach the oldest for inline cleaning.
-        if let Some((_, oldest)) = part.peek_dirty_oldest() {
-            let rec = part.detach(oldest);
-            self.forget(true);
-            SsdMetrics::bump(&self.metrics.replacements);
-            return Reclaimed::DirtyDeferred {
-                idx: oldest,
-                victim: rec.pid,
-                frame: part.frame_no(oldest),
-            };
-        }
-        Reclaimed::Failed
-    }
-
-    /// Inline-clean a victim detached by [`Self::plan_reclaim`]: read its
-    /// sole copy off the SSD and write it to disk (both charged
-    /// asynchronously since eviction is async). Must be called *without*
-    /// the partition latch; the detached frame still holds the bytes.
-    /// Returns the victim and the error when its sole copy was lost; the
-    /// caller strands it and charges the error once the table is settled.
-    fn inline_clean_detached(
-        &self,
-        now: Time,
-        victim: PageId,
-        frame: u64,
-    ) -> Option<(PageId, IoError)> {
+        let (_, oldest) = part.peek_dirty_oldest()?;
+        let frame = part.frame_no(oldest);
+        let victim = part.remove(oldest).pid;
+        self.forget(true);
+        SsdMetrics::bump(&self.metrics.replacements);
         let mut buf = self.io.zero_page();
         let mut tmp = Clk::at(now);
-        match self.ssd_read(&mut tmp, frame, &mut buf) {
-            Ok(()) => {
+        let cleaned = sync::io_under_latch(
+            "the freed frame must not be reused before the victim's sole copy \
+             is read off it, and both I/Os are non-blocking virtual-time bookings",
+            || -> Result<(), IoError> {
+                self.ssd_read(&mut tmp, frame, &mut buf)?;
                 self.disk_write(tmp.now, victim, &buf);
+                Ok(())
+            },
+        );
+        match cleaned {
+            Ok(()) => {
                 self.audit(victim, AuditOp::InlineClean);
                 SsdMetrics::bump(&self.metrics.inline_cleans);
                 None
             }
-            // The dirty victim's sole copy is unreadable: the frame is
-            // still freed, but the page is stranded for WAL salvage instead
-            // of cleaned to disk.
             Err(e) => Some((victim, e)),
         }
     }
@@ -664,7 +610,6 @@ impl SsdManager {
             && admits(class, false)
             && !self.is_quarantined()
             && !self.throttled(now)
-            && !self.contains(pid)
         {
             self.install(now, pid, data, false);
         }
@@ -1096,6 +1041,12 @@ mod tests {
         m.checkpoint_write(0, PageId(2), &page(5), Locality::Sequential);
         assert!(!m.contains(PageId(2)));
         assert_eq!(io.disk_stats().write_ops, 2, "both went to disk");
+        // Mirroring a page the SSD already holds admits nothing.
+        let ssd_writes = io.ssd_stats().write_ops;
+        m.checkpoint_write(0, PageId(1), &page(5), Locality::Random);
+        assert_eq!((m.occupancy(), m.metrics.snapshot().admissions), (1, 1));
+        assert_eq!(io.ssd_stats().write_ops, ssd_writes);
+        assert_eq!(io.disk_stats().write_ops, 3);
     }
 
     #[test]
@@ -1186,19 +1137,47 @@ mod tests {
 
     #[test]
     fn inline_clean_when_partition_all_dirty() {
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 4)));
-        let mut cfg = SsdConfig::new(SsdDesign::LazyCleaning, 4);
-        cfg.partitions = 1;
-        let m = SsdManager::new(cfg, Arc::clone(&io));
-        for i in 0..4u64 {
-            m.evict_page(0, PageId(i * 16 + 1), &page(1), true, Locality::Random);
+        // The oldest dirty page, 1, is the victim. Its SSD bytes reach the
+        // disk; or, when its frame is unreadable, it is stranded, and the
+        // new page is admitted all the same.
+        for unreadable in [false, true] {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 4)));
+            let mut cfg = SsdConfig::new(SsdDesign::LazyCleaning, 4);
+            cfg.partitions = 1;
+            let m = SsdManager::new(cfg, Arc::clone(&io));
+            for i in 0..4u64 {
+                m.evict_page(
+                    0,
+                    PageId(i * 16 + 1),
+                    &page(i as u8 + 1),
+                    true,
+                    Locality::Random,
+                );
+            }
+            assert_eq!(m.dirty_count(), 4);
+            if unreadable {
+                let mut fcfg = FaultConfig::quiet(6);
+                fcfg.read_error_prob = 1.0;
+                io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
+            }
+            // A fifth dirty eviction forces an inline clean.
+            m.evict_page(0, PageId(999), &page(0xEE), true, Locality::Random);
+            let s = m.metrics.snapshot();
+            assert_eq!(m.occupancy(), 4);
+            assert!(m.is_dirty(PageId(999)));
+            assert!(!m.contains(PageId(1)));
+            let mut buf = page(0);
+            io.disk_store().read(PageId(1), &mut buf);
+            if unreadable {
+                assert_eq!((s.inline_cleans, s.lost_frames, s.ssd_io_errors), (0, 1, 1));
+                assert_eq!(m.take_stranded(), vec![PageId(1)]);
+                assert_ne!(buf, page(1));
+            } else {
+                assert_eq!((s.inline_cleans, s.lost_frames), (1, 0));
+                assert!(m.take_stranded().is_empty());
+                assert_eq!(buf, page(1), "the disk holds the victim's SSD bytes");
+            }
         }
-        assert_eq!(m.dirty_count(), 4);
-        // A fifth dirty eviction forces an inline clean.
-        m.evict_page(0, PageId(999), &page(2), true, Locality::Random);
-        assert_eq!(m.metrics.snapshot().inline_cleans, 1);
-        assert_eq!(m.occupancy(), 4);
-        assert!(m.is_dirty(PageId(999)));
     }
 
     #[test]
@@ -1387,6 +1366,59 @@ mod tests {
                 assert_eq!(m.occupancy(), N, "{design:?}");
                 exhaust(&io, &m, clk);
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_admission_write_leaves_the_table_as_it_was() {
+        use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
+        const A: PageId = PageId(1);
+        const P: PageId = PageId(2);
+        // Two frames: A takes one, and P's failed write must leave the
+        // other free, so P is admitted later without replacing A.
+        fn fail_then_admit<T: SsdTier + PageIo>(io: &IoManager, tier: &T, admit: impl Fn(PageId)) {
+            admit(A);
+            let mut fcfg = FaultConfig::quiet(5);
+            fcfg.write_error_prob = 1.0;
+            io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
+            admit(P);
+            assert!(!tier.has_copy(P), "no entry is left behind");
+            let s = tier.metrics().snapshot();
+            assert_eq!((s.ssd_io_errors, s.admissions), (1, 1));
+            io.set_ssd_fault(None);
+            admit(P);
+            assert!(tier.has_copy(A) && tier.has_copy(P));
+            let s = tier.metrics().snapshot();
+            assert_eq!((s.admissions, s.replacements), (2, 0));
+        }
+        for design in [CleanWrite, DualWrite, LazyCleaning, Tac] {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2)));
+            let mut cfg = SsdConfig::new(design, 2);
+            cfg.partitions = 1;
+            cfg.tau = 1.0;
+            if design == Tac {
+                // TAC admits on read.
+                let t = crate::TacCache::new(cfg, Arc::clone(&io));
+                let admit = |pid| {
+                    t.read_page(&mut Clk::new(), pid, Locality::Random, &mut page(0))
+                        .unwrap()
+                };
+                fail_then_admit(&io, &t, admit);
+                continue;
+            }
+            // CW caches clean pages only; DW and LC take a dirty one.
+            let dirty = design != CleanWrite;
+            let m = SsdManager::new(cfg, Arc::clone(&io));
+            let admit = |pid| m.evict_page(0, pid, &page(0x22), dirty, Locality::Random);
+            fail_then_admit(&io, &m, admit);
+            let mut buf = page(0);
+            io.disk_store().read(P, &mut buf);
+            assert_eq!(
+                buf == page(0x22),
+                dirty,
+                "{design:?}: a dirty page reaches the disk"
+            );
+            assert_eq!(m.is_dirty(P), design == LazyCleaning);
         }
     }
 

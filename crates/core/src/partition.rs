@@ -180,16 +180,6 @@ impl Partition {
 
     /// Remove record `idx`, freeing its frame; returns the record.
     pub fn remove(&mut self, idx: usize) -> Record {
-        let rec = self.detach(idx);
-        self.free.push(idx);
-        rec
-    }
-
-    /// Remove record `idx` from the table and orders *without* freeing its
-    /// frame: the frame stays reserved (invisible to `insert`) while the
-    /// caller finishes deferred I/O against its bytes outside the latch,
-    /// then hands it back with [`Self::release`].
-    pub fn detach(&mut self, idx: usize) -> Record {
         #[expect(
             clippy::expect_used,
             reason = "documented contract: idx comes from lookup/insert and is occupied"
@@ -197,13 +187,8 @@ impl Partition {
         let rec = self.records[idx].take().expect("occupied record");
         self.map.remove(rec.pid);
         self.unfile(idx, rec.dirty);
-        rec
-    }
-
-    /// Return a frame detached by [`Self::detach`] to the free list.
-    pub fn release(&mut self, idx: usize) {
-        debug_assert!(self.records[idx].is_none(), "release of occupied frame");
         self.free.push(idx);
+        rec
     }
 
     /// The minimum `(key, idx)` of one side. A front filed under an older
@@ -309,22 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_reserves_frame_until_release() {
-        let mut p = Partition::new(0, 2, PAGES);
-        let a = p.insert(PageId(1), true, 1).unwrap();
-        let _b = p.insert(PageId(2), false, 2).unwrap();
-        let rec = p.detach(a);
-        assert_eq!(rec.pid, PageId(1));
-        assert!(p.peek_dirty_oldest().is_none());
-        assert_eq!(p.lookup(PageId(1)), None);
-        // Frame still reserved: the partition looks full to insert.
-        assert_eq!(p.free_frames(), 0);
-        assert!(p.insert(PageId(3), false, 3).is_none());
-        p.release(a);
-        assert_eq!(p.insert(PageId(3), false, 3), Some(a));
-    }
-
-    #[test]
     fn insert_at_claims_specific_frame() {
         let mut p = Partition::new(100, 4, PAGES);
         assert!(p.insert_at(2, PageId(9), 1));
@@ -386,7 +355,6 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(0x5D7A_B1E5 ^ case);
             let mut p = Partition::new(0, FRAMES, PAGES);
             let mut model: Vec<Option<Record>> = vec![None; FRAMES];
-            let mut detached: Vec<usize> = Vec::new();
             let mut stamp = 0u64;
             for _ in 0..rng.gen_range(1usize..300) {
                 stamp += 1;
@@ -398,7 +366,7 @@ mod tests {
                         let dirty = rng.gen_bool(0.4);
                         match p.insert(pid, dirty, stamp) {
                             Some(i) => {
-                                assert!(model[i].is_none() && !detached.contains(&i));
+                                assert!(model[i].is_none());
                                 model[i] = Some(Record {
                                     pid,
                                     dirty,
@@ -410,8 +378,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        let free = !held && !detached.contains(&idx);
-                        let want = free && model.iter().flatten().all(|r| r.pid != pid);
+                        let want = !held && model.iter().flatten().all(|r| r.pid != pid);
                         assert_eq!(p.insert_at(idx, pid, stamp), want);
                         if want {
                             model[idx] = Some(Record {
@@ -427,16 +394,7 @@ mod tests {
                         let r = model[idx].as_mut().unwrap();
                         (r.prev, r.last) = (r.last, stamp);
                     }
-                    6 if held => assert_eq!(Some(p.remove(idx)), model[idx].take()),
-                    7 if held => {
-                        assert_eq!(Some(p.detach(idx)), model[idx].take());
-                        detached.push(idx);
-                    }
-                    7 => {
-                        if let Some(i) = detached.pop() {
-                            p.release(i);
-                        }
-                    }
+                    6 | 7 if held => assert_eq!(Some(p.remove(idx)), model[idx].take()),
                     8 if held => {
                         p.set_clean(idx);
                         model[idx].as_mut().unwrap().dirty = false;
@@ -448,7 +406,7 @@ mod tests {
                     _ => {}
                 }
                 let held = model.iter().flatten().count();
-                assert_eq!(p.free_frames(), FRAMES - held - detached.len());
+                assert_eq!(p.free_frames(), FRAMES - held);
                 for (i, r) in model.iter().enumerate() {
                     if let Some(r) = r {
                         assert_eq!((p.lookup(r.pid), p.record(i)), (Some(i), r));

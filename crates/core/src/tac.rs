@@ -30,15 +30,17 @@
 //! One latch covers the whole buffer table (records, page map, extent
 //! temperatures, coldest-first heap); a frame index is the SSD frame
 //! number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
-//! error budget, quarantine, throttle, audit and the page reads (the §3.3.3
-//! modes included) are the device edge in `tier.rs`, shared with
-//! `SsdManager`; TAC's hooks there heat the extent on a probe and admit
-//! each page read from disk.
+//! error budget, quarantine, throttle, audit, the page reads (the §3.3.3
+//! modes included) and the frame write are the device edge in `tier.rs`,
+//! shared with `SsdManager`; TAC's hooks there heat the extent on a probe
+//! and admit each page read from disk. An admission and a refresh each
+//! pick the frame, book its write and install or back out under one hold
+//! of the table latch.
 
 use std::collections::binary_heap::PeekMut;
 
 use std::sync::Arc;
-use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
+use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
 
 use turbopool_bufpool::PageIo;
 use turbopool_iosim::{
@@ -302,13 +304,8 @@ impl TacCache {
             let mut tab = self.lock_table();
             if let Some(frame) = tab.frame_of(pid) {
                 let rec = tab.record(frame);
-                let write = (!self.throttled(now)).then(|| {
-                    sync::io_under_latch(
-                        "the refresh-or-invalidate decision must be atomic with the \
-                         record's state, and write_ssd_async is an O(1) non-blocking booking",
-                        || self.io.write_ssd_async(now, frame as u64, data, pid),
-                    )
-                });
+                let write =
+                    (!self.throttled(now)).then(|| self.write_frame(now, frame as u64, pid, data));
                 if let Some(Ok(done)) = write {
                     self.place(&mut tab, frame, pid, done);
                     if !rec.valid {
@@ -493,36 +490,25 @@ impl SsdTier for TacCache {
             }
         };
         let Some(frame) = frame else { return };
-        // Reserve the frame and submit the write *outside* the latch: the
-        // frame is in neither the free list nor the map, so no other path
-        // can claim it while the latch is released. Install only on a
-        // successful submission — a gate failure (dead or transient) must
-        // not leave a record pointing at unwritten bytes.
-        drop(tab);
         // The write books the SSD: the next admission re-evaluates μ.
         *throttled = None;
-        let done = match self.io.write_ssd_async(now, frame as u64, data, pid) {
-            Ok(t) => t,
-            Err(e) => {
-                self.lock_table().free.push(frame);
-                self.note_ssd_error(&e);
-                return;
+        match self.write_frame(now, frame as u64, pid, data) {
+            Ok(done) => {
+                self.place(&mut tab, frame, pid, done);
+                tab.map.insert(pid, frame as u32);
+                self.audit(pid, AuditOp::Admit { dirty: false });
+                SsdMetrics::bump(&self.metrics.admissions);
+                if filling {
+                    SsdMetrics::bump(&self.metrics.fill_admissions);
+                }
             }
-        };
-        let mut tab = self.lock_table();
-        if tab.map.contains_key(pid) {
-            // Lost a race: another admission installed `pid` while the
-            // latch was released. The submitted write is a harmless booking
-            // against a frame that goes straight back to the free list.
-            tab.free.push(frame);
-            return;
-        }
-        self.place(&mut tab, frame, pid, done);
-        tab.map.insert(pid, frame as u32);
-        self.audit(pid, AuditOp::Admit { dirty: false });
-        SsdMetrics::bump(&self.metrics.admissions);
-        if filling {
-            SsdMetrics::bump(&self.metrics.fill_admissions);
+            // A failed write leaves no record pointing at unwritten bytes:
+            // the frame goes back to the free list before the latch does.
+            Err(e) => {
+                tab.free.push(frame);
+                drop(tab);
+                self.note_ssd_error(&e);
+            }
         }
     }
 

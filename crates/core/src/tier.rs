@@ -6,19 +6,22 @@
 //! bounded retry around every device call, the error budget and the
 //! quarantine it trips, the corrupt-frame fallback, the throttle (μ)
 //! gates, the invariant auditor, the strand list of dirty pages whose
-//! sole copy was lost, and the page reads themselves: one single-page read
+//! sole copy was lost, the page reads themselves: one single-page read
 //! ([`SsdTier::fetch_page`]) and one multi-page read with the §3.3.3 trim
-//! ([`SsdTier::fetch_run`]). A tier supplies four accessors, the two hooks
-//! that remove entries from its table ([`SsdTier::sweep`],
-//! [`SsdTier::remove_entry`]), and the read hooks that look in its table
-//! ([`SsdTier::probe`], [`SsdTier::run_entries`]) or keep its own
-//! bookkeeping ([`SsdTier::after_disk_read`], [`SsdTier::after_patch`],
+//! ([`SsdTier::fetch_run`]), and the one frame write every admission and
+//! refresh books under its table latch ([`SsdTier::write_frame`]), so an
+//! entry is installed or backed out in the hold that picked its frame. A
+//! tier supplies four accessors, the two hooks that remove entries from
+//! its table ([`SsdTier::sweep`], [`SsdTier::remove_entry`]), and the read
+//! hooks that look in its table ([`SsdTier::probe`],
+//! [`SsdTier::run_entries`]) or keep its own bookkeeping
+//! ([`SsdTier::after_disk_read`], [`SsdTier::after_patch`],
 //! [`SsdTier::RUN_FALLBACK`]); the edge does the rest. DESIGN §8 lists the
 //! differences the hooks carry because they move virtual time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use turbopool_iosim::sync::{Mutex, MutexGuard};
+use turbopool_iosim::sync::{self, Mutex, MutexGuard};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
@@ -256,6 +259,25 @@ pub(crate) trait SsdTier {
             SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
         }
         out
+    }
+
+    /// Book `pid`'s image `data` into SSD `frame` at `now` while the caller
+    /// holds its table latch, so an admission or refresh picks its frame,
+    /// writes it, and installs the entry or backs it out in one hold. The
+    /// error is the caller's to charge once the latch is released: a
+    /// quarantine takes every table latch.
+    fn write_frame<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        frame: u64,
+        pid: PageId,
+        data: &S,
+    ) -> Result<Time, IoError> {
+        sync::io_under_latch(
+            "an SSD-table entry changes atomically with the write to its frame, \
+             and write_ssd_async is an O(1) non-blocking booking",
+            || self.io().write_ssd_async(now, frame, data, pid),
+        )
     }
 
     /// Asynchronous disk write that must not drop data: transient errors

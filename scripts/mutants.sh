@@ -11,9 +11,14 @@
 # The mutant list is always read from this checkout, so a revision older
 # than the list can be measured. Every mutant builds in one shared
 # CARGO_TARGET_DIR (default: a directory next to the copy, removed on exit);
-# a full run rebuilds the workspace once per mutant, ≈ 1 min each on two
-# cores. Output: one line per mutant — `red (killed by: ...)`, `green
-# (survives)`, `refused (...)` or `build-error` — then the kill count.
+# a full run rebuilds the workspace once per mutant, ≈ 30 s each on two
+# cores. Each test binary runs under a time limit of its own, so a mutant
+# that makes a test loop costs at most that limit per binary it hangs (and
+# the whole mutant at most 15 min); a timed-out binary kills the mutant.
+# Output: one line per mutant — `red (killed by: TESTS; in: BINARIES)`,
+# `green (survives)`, `refused (...)` or `build-error`, with the seconds
+# its build and tests took — then the kill count. A binary stopped by its
+# limit is marked `(timed out)`.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 list="$root/scripts/mutants.txt"
@@ -55,8 +60,31 @@ mutate() {
     ' "$1" "$2"
 }
 
+# Per test binary: the slowest unmutated one, paper_shape, takes ≈ 11 s in
+# the dev profile on two cores.
+bin_limit=120
+host=$(rustc -vV | sed -n 's/^host: //p')
+runner="CARGO_TARGET_$(tr 'a-z-' 'A-Z_' <<<"$host")_RUNNER"
+
 run_tests() {
-    (cd "$src" && timeout 900 cargo test -q --no-fail-fast --workspace 2>&1)
+    (cd "$src" && env "$runner=timeout $bin_limit" timeout 900 \
+        cargo test -q --no-fail-fast --workspace 2>&1)
+}
+
+# The test binaries that failed, as cargo's rerun hint names them
+# (`-p turbopool --test paper_shape`), one stopped by its limit marked.
+failed_bins() {
+    awk '
+        function add(b) { list = list sep b; sep = ", " }
+        /^error: test failed, to rerun pass `/ {
+            if (bin != "") add(bin)
+            bin = $0; sub(/^[^`]*`/, "", bin); sub(/`$/, "", bin)
+        }
+        /^  process didn.t exit successfully: .*\(exit status: 124\)$/ && bin != "" {
+            add(bin " (timed out)"); bin = ""
+        }
+        END { if (bin != "") add(bin); print list }
+    '
 }
 
 if [[ $check == 0 ]]; then
@@ -87,16 +115,19 @@ while IFS=$'\t' read -r name file old new; do
         bad=$((bad + 1))
         continue
     fi
+    started=$SECONDS
     if out=$(run_tests); then
-        echo "$name: green (survives)"
+        verdict="green (survives)"
     elif grep -q 'could not compile' <<<"$out"; then
-        echo "$name: build-error"
+        verdict=build-error
         bad=$((bad + 1))
     else
         failed=$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' <<<"$out" | sort -u | tr '\n' ' ')
-        echo "$name: red (killed by: ${failed:-a test binary that did not report})"
+        bins=$(failed_bins <<<"$out")
+        verdict="red (killed by: ${failed:-no test that reported}; in: ${bins:-the whole run, cut at 15 min})"
         killed=$((killed + 1))
     fi
+    echo "$name: $verdict, $((SECONDS - started)) s"
     cp "$work/original" "$src/$file"
 done <"$list"
 
