@@ -688,6 +688,58 @@ fn bench_engine() {
     }
 }
 
+/// A heap record read and a heap record update, each by copy and by loan,
+/// on a resident page of 192-byte records (the TPC-E customer row): a read
+/// in one read-only transaction that pins the page each time, copying the
+/// record out (`heap_get`) or lending it to a closure that reads one field
+/// (`heap_read`); and a one-field change committed in its own transaction,
+/// written as the whole record (`heap_update`) or as the field alone
+/// (`heap_update_with`). Both updates log the same record.
+fn bench_heap_lending() {
+    const REC: usize = 192;
+    let rows = FRAME as u64 / (1 + REC as u64); // one page's worth
+                                                // Each rung gets its own database: the update rungs grow the log.
+    let heap = || {
+        let db = Database::open(DbConfig::new(FRAME, 256, 64));
+        let mut clk = Clk::new();
+        let h = db.create_heap(&mut clk, "customer", REC, 4);
+        let mut txn = db.begin(&mut clk);
+        for _ in 0..rows {
+            txn.heap_insert(h, &[7u8; REC]).unwrap();
+        }
+        txn.commit();
+        (db, clk, h)
+    };
+    let mut k = 0u64;
+    let (db, mut clk, h) = heap();
+    let mut txn = db.begin(&mut clk);
+    bench("heap_get_copy", 1_000_000, || {
+        k += 1;
+        std::hint::black_box(txn.heap_get(h, k % rows));
+    });
+    bench("heap_read_lend", 1_000_000, || {
+        k += 1;
+        std::hint::black_box(txn.heap_read(h, k % rows, |r| r[8]));
+    });
+    txn.commit();
+    let (db, mut clk, h) = heap();
+    let mut rec = [7u8; REC];
+    bench("heap_update_whole", 200_000, || {
+        k += 1;
+        rec[8..16].copy_from_slice(&k.to_le_bytes());
+        let mut txn = db.begin(&mut clk);
+        txn.heap_update(h, k % rows, &rec);
+        txn.commit();
+    });
+    let (db, mut clk, h) = heap();
+    bench("heap_update_field", 200_000, || {
+        k += 1;
+        let mut txn = db.begin(&mut clk);
+        txn.heap_update_with(h, k % rows, |r| r.put(8, &k.to_le_bytes()));
+        txn.commit();
+    });
+}
+
 /// A transaction's first write to a resident page — one heap-update-sized
 /// window — and its commit, on a frame that holds the only handle on its
 /// image (written in place, published by applying the records) and on one
@@ -772,6 +824,7 @@ fn main() {
     bench_read_run();
     bench_diff();
     bench_engine();
+    bench_heap_lending();
     bench_first_write();
     bench_zipf();
     bench_loader();

@@ -200,14 +200,27 @@ impl SsdManager {
     /// caught by the frame checksum on a later read.) A page already cached
     /// is left as it is. The caller has verified admission.
     fn install<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
+        let part = self.part(pid);
+        if part.lookup(pid).is_none() {
+            self.admit(part, now, pid, data, dirty);
+        }
+    }
+
+    /// [`install`](Self::install)'s admission, in the caller's hold of
+    /// `pid`'s partition latch, `part`, which has found `pid` absent.
+    fn admit<S: PageSrc + ?Sized>(
+        &self,
+        mut part: MutexGuard<'_, Partition>,
+        now: Time,
+        pid: PageId,
+        data: &S,
+        dirty: bool,
+    ) {
         if self.is_quarantined() {
+            drop(part);
             if dirty {
                 self.disk_write(now, pid, data);
             }
-            return;
-        }
-        let mut part = self.part(pid);
-        if part.lookup(pid).is_some() {
             return;
         }
         let lost = if part.free_frames() == 0 {
@@ -552,18 +565,18 @@ impl SsdManager {
             }
             return;
         }
-        {
-            let part = self.part(pid);
-            if let Some(idx) = part.lookup(pid) {
-                // A valid SSD copy exists, so the evicted memory copy is
-                // identical (a dirtied copy would have been invalidated).
-                debug_assert!(!dirty, "dirty eviction with live SSD copy");
-                debug_assert_eq!(part.record(idx).pid, pid);
-                return;
-            }
+        // One hold of the partition latch takes the presence check, both
+        // gates and the admission; it is let go before any disk write.
+        let part = self.part(pid);
+        if let Some(idx) = part.lookup(pid) {
+            // A valid SSD copy exists, so the evicted memory copy is
+            // identical (a dirtied copy would have been invalidated).
+            debug_assert!(!dirty, "dirty eviction with live SSD copy");
+            debug_assert_eq!(part.record(idx).pid, pid);
+            return;
         }
-
         if !admits(class, self.filling()) {
+            drop(part);
             SsdMetrics::bump(&self.metrics.policy_rejections);
             if dirty {
                 self.disk_write(now, pid, data);
@@ -583,12 +596,19 @@ impl SsdManager {
         } else {
             row
         };
-        if dirty && to != DirtyEviction::Ssd {
-            self.disk_write(now, pid, data);
-        }
         // The SSD takes every clean page, and a dirty one the row sends it.
-        if !throttled && (!dirty || to != DirtyEviction::Disk) {
-            self.install(now, pid, data, dirty && to == DirtyEviction::Ssd);
+        let cache = !throttled && (!dirty || to != DirtyEviction::Disk);
+        if dirty && to != DirtyEviction::Ssd {
+            // The disk write comes first, outside the latch: the crash
+            // schedule numbers durable writes in the order they are made.
+            // The admission after it takes the latch again.
+            drop(part);
+            self.disk_write(now, pid, data);
+            if cache {
+                self.install(now, pid, data, false);
+            }
+        } else if cache {
+            self.admit(part, now, pid, data, dirty);
         }
     }
 

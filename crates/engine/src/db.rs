@@ -697,14 +697,31 @@ impl Txn<'_, '_> {
         self.on_heap(id, |txn, meta| heap::insert(txn, meta, data))
     }
 
-    /// Read a record from a heap.
-    pub fn heap_get(&mut self, id: HeapId, rid: Rid) -> Option<Vec<u8>> {
-        self.on_heap(id, |txn, meta| heap::get(txn, meta, rid))
+    /// Lend a heap record's bytes to `f` ([`heap::read`]); `None` if the
+    /// record is absent.
+    pub fn heap_read<R>(&mut self, id: HeapId, rid: Rid, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.on_heap(id, |txn, meta| heap::read(txn, meta, rid, f))
     }
 
-    /// Overwrite a record in a heap.
+    /// Read a copy of a heap record.
+    pub fn heap_get(&mut self, id: HeapId, rid: Rid) -> Option<Vec<u8>> {
+        self.heap_read(id, rid, <[u8]>::to_vec)
+    }
+
+    /// Change a heap record's fields in place ([`heap::update_with`]);
+    /// `false` if the record is absent.
+    pub fn heap_update_with(
+        &mut self,
+        id: HeapId,
+        rid: Rid,
+        f: impl FnOnce(&mut heap::RecordMut<'_, '_>),
+    ) -> bool {
+        self.on_heap(id, |txn, meta| heap::update_with(txn, meta, rid, f))
+    }
+
+    /// Overwrite a heap record from its first byte; `false` if it is absent.
     pub fn heap_update(&mut self, id: HeapId, rid: Rid, data: &[u8]) -> bool {
-        self.on_heap(id, |txn, meta| heap::update(txn, meta, rid, data))
+        self.heap_update_with(id, rid, |rec| rec.put(0, data))
     }
 
     /// Delete a record from a heap.

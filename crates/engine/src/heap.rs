@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use turbopool_iosim::{Locality, PageId};
 
-use crate::txn::Txn;
+use crate::txn::{PageMut, Txn};
 
 /// RID: a record's stable address within its heap file.
 pub type Rid = u64;
@@ -95,33 +95,78 @@ pub fn insert(txn: &mut Txn<'_, '_>, meta: &HeapMeta, data: &[u8]) -> Result<Rid
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapFull;
 
-/// Read a record; `None` if the RID was never inserted or was deleted.
-pub fn get(txn: &mut Txn<'_, '_>, meta: &HeapMeta, rid: Rid) -> Option<Vec<u8>> {
+/// Lend record `rid`'s bytes to `f`, inside the page pin; `None` if the
+/// RID was never inserted or was deleted. Nothing is copied: a caller that
+/// keeps the bytes copies them itself (`Txn::heap_get`).
+pub fn read<R>(
+    txn: &mut Txn<'_, '_>,
+    meta: &HeapMeta,
+    rid: Rid,
+    f: impl FnOnce(&[u8]) -> R,
+) -> Option<R> {
     if rid >= meta.capacity() {
         return None;
     }
     let (pid, slot) = meta.locate(rid);
-    let (f, r) = (meta.flag_off(slot), meta.rec_off(slot));
+    let (flag, at) = (meta.flag_off(slot), meta.rec_off(slot));
     txn.read_page(pid, Locality::Random, |b| {
-        (b[f] == 1).then(|| b[r..r + meta.record_size].to_vec())
+        (b[flag] == 1).then(|| f(&b[at..at + meta.record_size]))
     })
 }
 
-/// Overwrite an existing record in place.
-pub fn update(txn: &mut Txn<'_, '_>, meta: &HeapMeta, rid: Rid, data: &[u8]) -> bool {
-    assert!(data.len() <= meta.record_size, "record too large");
+/// Change record `rid` in place through `f`, which sees the record's
+/// current bytes and writes each field it changes with [`RecordMut::put`]
+/// (`Txn::heap_update` puts a whole record at offset 0); `false` if the
+/// RID was never inserted or was deleted. One call is one `Txn::write_page`
+/// call and so one set of redo records, however many fields it puts.
+pub fn update_with(
+    txn: &mut Txn<'_, '_>,
+    meta: &HeapMeta,
+    rid: Rid,
+    f: impl FnOnce(&mut RecordMut<'_, '_>),
+) -> bool {
     if rid >= meta.capacity() {
         return false;
     }
     let (pid, slot) = meta.locate(rid);
-    let (f, r) = (meta.flag_off(slot), meta.rec_off(slot));
-    txn.write_page(pid, Locality::Random, |b| {
-        if b[f] != 1 {
-            return false;
+    let (flag, at) = (meta.flag_off(slot), meta.rec_off(slot));
+    let len = meta.record_size;
+    txn.write_page(pid, Locality::Random, |page| {
+        let present = page[flag] == 1;
+        if present {
+            f(&mut RecordMut { page, at, len });
         }
-        b.put(r, data);
-        true
+        present
     })
+}
+
+/// One record as [`update_with`] lends it: readable whole (it dereferences
+/// to the record's bytes), writable field by field, each [`RecordMut::put`]
+/// opening a [`PageMut`] window on that field's bytes only.
+pub struct RecordMut<'p, 'a> {
+    page: &'p mut PageMut<'a>,
+    at: usize,
+    len: usize,
+}
+
+impl RecordMut<'_, '_> {
+    /// Overwrite the record's bytes at `at..at + src.len()` with `src`.
+    pub fn put(&mut self, at: usize, src: &[u8]) {
+        let end = at + src.len();
+        assert!(
+            end <= self.len,
+            "field {at}..{end} outside the {}-byte record",
+            self.len
+        );
+        self.page.put(self.at + at, src);
+    }
+}
+
+impl std::ops::Deref for RecordMut<'_, '_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.page[self.at..self.at + self.len]
+    }
 }
 
 /// Delete a record (the slot is not reused).
@@ -158,6 +203,9 @@ pub fn for_each_in_page(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, DbConfig, HeapId};
+    use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
+    use turbopool_iosim::Clk;
 
     #[test]
     fn locate_round_trips() {
@@ -203,5 +251,209 @@ mod tests {
         let mut seen = Vec::new();
         for_each_in_page(&m, 5, &page, |rid, rec| seen.push((rid, rec[0])));
         assert_eq!(seen, vec![(40, 0xAA), (42, 0)]);
+    }
+
+    const REC: usize = 37;
+
+    /// A small pool over a 60-page heap of 37-byte records (six a page),
+    /// so the mix evicts and reads pages back.
+    fn heap_db() -> (Database, Clk, HeapId) {
+        let mut cfg = DbConfig::small_for_tests();
+        cfg.pool.frames = 8;
+        let db = Database::open(cfg);
+        let mut clk = Clk::new();
+        let h = db.create_heap(&mut clk, "rows", REC, 60);
+        (db, clk, h)
+    }
+
+    /// Length and FNV-1a hash of a record's bytes.
+    fn digest(rec: &[u8]) -> (usize, u64) {
+        let hash = rec.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        (rec.len(), hash)
+    }
+
+    /// What one run of [`run_mix`] leaves behind.
+    struct Outcome {
+        durable_len: usize,
+        log: Vec<u8>,
+        hits: u64,
+        misses: u64,
+        pages: Vec<u8>,
+        /// Every read's record digest and every update's verdict.
+        answers: Vec<Option<(usize, u64)>>,
+    }
+
+    impl std::fmt::Debug for Outcome {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(
+                f,
+                "{} log bytes, {} hits, {} misses, {} answers",
+                self.durable_len,
+                self.hits,
+                self.misses,
+                self.answers.len()
+            )
+        }
+    }
+
+    /// A seeded mix of reads, field updates, whole-record updates, inserts,
+    /// deletes and aborts, through the copying forms (`heap_get` +
+    /// `heap_update`) or the lending ones (`heap_read` +
+    /// `heap_update_with`), making the same pool accesses either way. RIDs
+    /// are drawn past the append cursor and past the heap's end too, so
+    /// absent, deleted and out-of-range records all come up.
+    fn run_mix(lend: bool) -> Outcome {
+        let (db, mut clk, h) = heap_db();
+        let (capacity, cursor) = (db.heap_meta(h).capacity(), db.heap_meta(h).next);
+        let mut rng = SmallRng::seed_from_u64(0x1E4D_B0A7);
+        let mut answers = Vec::new();
+        for t in 0..400u64 {
+            let mut txn = db.begin(&mut clk);
+            for _ in 0..rng.gen_range(1u32..6) {
+                let rid = if rng.gen_bool(0.1) {
+                    rng.gen_range(0..capacity + 8)
+                } else {
+                    rng.gen_range(0..cursor.load(Ordering::Relaxed) + 2)
+                };
+                match rng.gen_range(0u32..10) {
+                    0 | 1 => {
+                        let mut rec = [0u8; REC];
+                        rec.iter_mut().for_each(|b| *b = rng.gen());
+                        let len = rng.gen_range(1..=REC);
+                        let _ = txn.heap_insert(h, &rec[..len]);
+                    }
+                    2..=4 => answers.push(if lend {
+                        txn.heap_read(h, rid, digest)
+                    } else {
+                        txn.heap_get(h, rid).map(|rec| digest(&rec))
+                    }),
+                    // Read, then bump one field or two far-apart ones
+                    // computed from the record's current bytes.
+                    5..=7 => {
+                        let (at, far) = (rng.gen_range(0..REC - 8), rng.gen_bool(0.3));
+                        let bump = |rec: &[u8], at: usize| {
+                            let v = u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
+                            v.wrapping_add(t | 1).to_le_bytes()
+                        };
+                        let done = if lend {
+                            txn.heap_read(h, rid, |_| ()).is_some()
+                                && txn.heap_update_with(h, rid, |rec| {
+                                    rec.put(at, &bump(rec, at));
+                                    if far {
+                                        rec.put(REC - 1, &[!rec[REC - 1]]);
+                                    }
+                                })
+                        } else {
+                            txn.heap_get(h, rid).is_some_and(|mut rec| {
+                                let field = bump(&rec, at);
+                                rec[at..at + 8].copy_from_slice(&field);
+                                if far {
+                                    rec[REC - 1] = !rec[REC - 1];
+                                }
+                                txn.heap_update(h, rid, &rec)
+                            })
+                        };
+                        answers.push(done.then_some((0, 0)));
+                    }
+                    // A whole-record overwrite, with no read before it.
+                    8 => {
+                        let data = [t as u8; REC];
+                        let len = rng.gen_range(1..=REC);
+                        let done = if lend {
+                            txn.heap_update_with(h, rid, |rec| rec.put(0, &data[..len]))
+                        } else {
+                            txn.heap_update(h, rid, &data[..len])
+                        };
+                        answers.push(done.then_some((1, 1)));
+                    }
+                    _ => answers.push(txn.heap_delete(h, rid).then_some((2, 2))),
+                }
+            }
+            if rng.gen_range(0u32..8) == 0 {
+                txn.abort();
+            } else {
+                assert!(txn.commit().is_committed());
+            }
+        }
+        let stats = db.pool_stats();
+        let mut pages = Vec::new();
+        let mut txn = db.begin(&mut clk);
+        for p in 0..db.heap_meta(h).pages {
+            let pid = db.heap_meta(h).first.offset(p);
+            txn.read_page(pid, Locality::Random, |b| pages.extend_from_slice(b));
+        }
+        txn.commit();
+        Outcome {
+            durable_len: db.log().durable_len(),
+            log: db.log().durable_snapshot(),
+            hits: stats.hits,
+            misses: stats.misses,
+            pages,
+            answers,
+        }
+    }
+
+    #[test]
+    fn lending_matches_copying() {
+        let (copied, lent) = (run_mix(false), run_mix(true));
+        let count = |want| copied.answers.iter().filter(|&&a| a == want).count();
+        assert!(copied.misses > 100, "the mix must evict: {copied:?}");
+        assert!(
+            count(None) > 100 && count(Some((0, 0))) > 100 && count(Some((1, 1))) > 30,
+            "the mix must find and miss records: {copied:?}"
+        );
+        assert_eq!(copied.durable_len, lent.durable_len, "log length");
+        assert!(copied.log == lent.log, "log bytes differ");
+        assert_eq!((copied.hits, copied.misses), (lent.hits, lent.misses));
+        assert!(copied.pages == lent.pages, "page images differ");
+        assert_eq!(copied.answers, lent.answers);
+    }
+
+    #[test]
+    fn absent_records_are_neither_lent_nor_updated() {
+        let (db, mut clk, h) = heap_db();
+        let capacity = db.heap_meta(h).capacity();
+        let mut txn = db.begin(&mut clk);
+        let (kept, gone) = (
+            txn.heap_insert(h, b"kept").unwrap(),
+            txn.heap_insert(h, b"gone").unwrap(),
+        );
+        assert!(txn.heap_delete(h, gone));
+        assert!(txn.commit().is_committed());
+        let logged = db.log().durable_len();
+        let mut txn = db.begin(&mut clk);
+        // Deleted, never inserted (same page), and past the heap's end.
+        for rid in [gone, gone + 1, capacity] {
+            assert_eq!(txn.heap_read(h, rid, |r| r.len()), None, "rid {rid}");
+            assert_eq!(txn.heap_get(h, rid), None, "rid {rid}");
+            assert!(
+                !txn.heap_update_with(h, rid, |r| r.put(1, b"x")),
+                "rid {rid}"
+            );
+            assert!(!txn.heap_update(h, rid, b"x"), "rid {rid}");
+        }
+        assert!(txn.commit().is_committed());
+        // The refused updates changed no byte, so the commit logged nothing.
+        assert_eq!(db.log().durable_len(), logged);
+        let mut txn = db.begin(&mut clk);
+        let rec = txn.heap_get(h, kept).unwrap();
+        assert_eq!((rec.len(), &rec[..5]), (REC, &b"kept\0"[..]));
+        assert!(txn.heap_update_with(h, kept, |r| r.put(2, b"s")));
+        assert_eq!(
+            txn.heap_read(h, kept, |r| r[..4].to_vec()).unwrap(),
+            b"kest"
+        );
+        assert!(txn.commit().is_committed());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 37-byte record")]
+    fn a_field_past_the_record_is_refused() {
+        let (db, mut clk, h) = heap_db();
+        let mut txn = db.begin(&mut clk);
+        let rid = txn.heap_insert(h, b"r").unwrap();
+        txn.heap_update_with(h, rid, |r| r.put(REC - 2, b"abc"));
     }
 }

@@ -128,6 +128,11 @@ pub fn gb_to_pages(gb: f64) -> u64 {
     (gb * PAGES_PER_GB).round() as u64
 }
 
+/// The little-endian `u64` field at `off` of a record.
+pub(crate) fn u64_at(rec: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(rec[off..off + 8].try_into().expect("an 8-byte field"))
+}
+
 /// Store each `(offset, value)` of `fields` into a bulk-loaded record as a
 /// little-endian `u64`.
 pub(crate) fn put_u64s(rec: &mut [u8], fields: &[(usize, u64)]) {

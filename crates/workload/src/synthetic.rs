@@ -14,7 +14,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::{client_rng, Zipf};
-use crate::scenario::{build_db, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, u64_at, Design, SystemSpec, SCALE};
 
 /// Synthetic workload parameters.
 #[derive(Clone, Debug)]
@@ -184,13 +184,11 @@ impl Client for SyntheticClient {
                 key
             };
             if self.rng.gen_bool(cfg.update_frac) {
-                if let Some(mut rec) = txn.heap_get(self.s.heap, rid) {
-                    let v = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-                    rec[8..16].copy_from_slice(&(v + 1).to_le_bytes());
-                    txn.heap_update(self.s.heap, rid, &rec);
+                if let Some(v) = txn.heap_read(self.s.heap, rid, |r| u64_at(r, 8)) {
+                    txn.heap_update_with(self.s.heap, rid, |r| r.put(8, &(v + 1).to_le_bytes()));
                 }
             } else {
-                txn.heap_get(self.s.heap, rid);
+                txn.heap_read(self.s.heap, rid, |_| ());
             }
         }
         txn.commit();

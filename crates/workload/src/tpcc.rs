@@ -20,7 +20,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::{client_rng, nurand};
-use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, put_u64s, u64_at, Design, SystemSpec, SCALE};
 
 /// Items in the (global) item table.
 pub const ITEMS: u64 = 10_000;
@@ -378,34 +378,34 @@ impl TpccClient {
 
         clk.elapse(CPU_NEW_ORDER);
         let mut txn = t.db.begin(clk);
-        // District: take the next order id.
+        // District: take the next order id, reading the record once for
+        // the id and once more for its update.
         let drid = district_no(w, d);
-        let o_id = {
-            let rec = txn.heap_get(t.h_district, drid).expect("district");
-            u64::from_le_bytes(rec[0..8].try_into().unwrap())
-        };
-        {
-            let mut rec = txn.heap_get(t.h_district, drid).unwrap();
-            rec[0..8].copy_from_slice(&(o_id + 1).to_le_bytes());
-            txn.heap_update(t.h_district, drid, &rec);
-        }
+        let o_id = txn
+            .heap_read(t.h_district, drid, |r| u64_at(r, 0))
+            .expect("district");
+        txn.heap_read(t.h_district, drid, |_| ()).expect("district");
+        txn.heap_update_with(t.h_district, drid, |r| r.put(0, &(o_id + 1).to_le_bytes()));
         // Customer read (index + heap).
         let crid = txn
             .index_get(t.i_customer, cust_key(w, d, c))
             .expect("customer");
-        txn.heap_get(t.h_customer, crid);
+        txn.heap_read(t.h_customer, crid, |_| ());
 
         // Lines: item read, stock read+update.
         for &(sw, i) in &items {
-            txn.heap_get(t.h_item, i).expect("item");
+            txn.heap_read(t.h_item, i, |_| ()).expect("item");
             let srid = txn.index_get(t.i_stock, stock_key(sw, i)).expect("stock");
-            let mut rec = txn.heap_get(t.h_stock, srid).expect("stock rec");
-            let q = u64::from_le_bytes(rec[0..8].try_into().unwrap());
+            let (q, cnt) = txn
+                .heap_read(t.h_stock, srid, |r| (u64_at(r, 0), u64_at(r, 16)))
+                .expect("stock rec");
             let newq = if q > 10 { q - 1 } else { q + 91 };
-            rec[0..8].copy_from_slice(&newq.to_le_bytes());
-            let cnt = u64::from_le_bytes(rec[16..24].try_into().unwrap()) + 1;
-            rec[16..24].copy_from_slice(&cnt.to_le_bytes());
-            txn.heap_update(t.h_stock, srid, &rec);
+            // Both fields in one call: each call logs its own records, so
+            // two calls would change the log.
+            txn.heap_update_with(t.h_stock, srid, |r| {
+                r.put(0, &newq.to_le_bytes());
+                r.put(16, &(cnt + 1).to_le_bytes());
+            });
         }
 
         // Order + lines + new-order inserts.
@@ -449,28 +449,28 @@ impl TpccClient {
 
         clk.elapse(CPU_LIGHT);
         let mut txn = t.db.begin(clk);
-        {
-            let mut rec = txn.heap_get(t.h_warehouse, w).expect("warehouse");
-            let ytd = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-            rec[0..8].copy_from_slice(&(ytd + amount).to_le_bytes());
-            txn.heap_update(t.h_warehouse, w, &rec);
-        }
-        {
-            let drid = district_no(w, d);
-            let mut rec = txn.heap_get(t.h_district, drid).expect("district");
-            let ytd = u64::from_le_bytes(rec[16..24].try_into().unwrap());
-            rec[16..24].copy_from_slice(&(ytd + amount).to_le_bytes());
-            txn.heap_update(t.h_district, drid, &rec);
-        }
+        let ytd = txn
+            .heap_read(t.h_warehouse, w, |r| u64_at(r, 0))
+            .expect("warehouse");
+        txn.heap_update_with(t.h_warehouse, w, |r| {
+            r.put(0, &(ytd + amount).to_le_bytes())
+        });
+        let drid = district_no(w, d);
+        let ytd = txn
+            .heap_read(t.h_district, drid, |r| u64_at(r, 16))
+            .expect("district");
+        txn.heap_update_with(t.h_district, drid, |r| {
+            r.put(16, &(ytd + amount).to_le_bytes())
+        });
         let crid = txn
             .index_get(t.i_customer, cust_key(cw, cd, c))
             .expect("customer");
-        {
-            let mut rec = txn.heap_get(t.h_customer, crid).unwrap();
-            let bal = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-            rec[0..8].copy_from_slice(&bal.wrapping_sub(amount).to_le_bytes());
-            txn.heap_update(t.h_customer, crid, &rec);
-        }
+        let bal = txn
+            .heap_read(t.h_customer, crid, |r| u64_at(r, 0))
+            .expect("customer");
+        txn.heap_update_with(t.h_customer, crid, |r| {
+            r.put(0, &bal.wrapping_sub(amount).to_le_bytes())
+        });
         let hrec = vec![1u8; REC_HISTORY];
         txn.heap_insert(t.h_history, &hrec).expect("history full");
         txn.commit();
@@ -487,10 +487,9 @@ impl TpccClient {
         let crid = txn
             .index_get(t.i_customer, cust_key(w, d, c))
             .expect("customer");
-        txn.heap_get(t.h_customer, crid);
+        txn.heap_read(t.h_customer, crid, |_| ());
         if let Some(orid) = txn.index_get(t.i_last_order, cust_key(w, d, c)) {
-            if let Some(orec) = txn.heap_get(t.h_orders, orid) {
-                let o_id = u64::from_le_bytes(orec[0..8].try_into().unwrap());
+            if let Some(o_id) = txn.heap_read(t.h_orders, orid, |r| u64_at(r, 0)) {
                 let lines = txn.index_range(
                     t.i_order_line,
                     ol_key(w, d, o_id, 0),
@@ -498,7 +497,7 @@ impl TpccClient {
                     16,
                 );
                 for (_, lrid) in lines {
-                    txn.heap_get(t.h_order_line, lrid);
+                    txn.heap_read(t.h_order_line, lrid, |_| ());
                 }
             }
         }
@@ -512,19 +511,19 @@ impl TpccClient {
         let mut txn = t.db.begin(clk);
         for d in 0..DISTRICTS {
             let drid = district_no(w, d);
-            let mut rec = txn.heap_get(t.h_district, drid).expect("district");
-            let next_o = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-            let next_del = u64::from_le_bytes(rec[8..16].try_into().unwrap());
+            let (next_o, next_del) = txn
+                .heap_read(t.h_district, drid, |r| (u64_at(r, 0), u64_at(r, 8)))
+                .expect("district");
             if next_del >= next_o {
                 continue; // nothing undelivered in this district
             }
-            rec[8..16].copy_from_slice(&(next_del + 1).to_le_bytes());
-            txn.heap_update(t.h_district, drid, &rec);
+            txn.heap_update_with(t.h_district, drid, |r| {
+                r.put(8, &(next_del + 1).to_le_bytes())
+            });
             if let Some(orid) = txn.index_get(t.i_orders, order_key(w, d, next_del)) {
-                if let Some(mut orec) = txn.heap_get(t.h_orders, orid) {
-                    orec[24..32].copy_from_slice(&7u64.to_le_bytes()); // carrier
-                    txn.heap_update(t.h_orders, orid, &orec);
-                    let c = u64::from_le_bytes(orec[8..16].try_into().unwrap());
+                if let Some(c) = txn.heap_read(t.h_orders, orid, |r| u64_at(r, 8)) {
+                    // Set the carrier.
+                    txn.heap_update_with(t.h_orders, orid, |r| r.put(24, &7u64.to_le_bytes()));
                     let lines = txn.index_range(
                         t.i_order_line,
                         ol_key(w, d, next_del, 0),
@@ -532,17 +531,18 @@ impl TpccClient {
                         16,
                     );
                     for (_, lrid) in lines {
-                        if let Some(mut lrec) = txn.heap_get(t.h_order_line, lrid) {
-                            lrec[24..32].copy_from_slice(&1u64.to_le_bytes());
-                            txn.heap_update(t.h_order_line, lrid, &lrec);
+                        if txn.heap_read(t.h_order_line, lrid, |_| ()).is_some() {
+                            txn.heap_update_with(t.h_order_line, lrid, |r| {
+                                r.put(24, &1u64.to_le_bytes())
+                            });
                         }
                     }
                     // Credit the customer.
                     if let Some(crid) = txn.index_get(t.i_customer, cust_key(w, d, c)) {
-                        if let Some(mut crec) = txn.heap_get(t.h_customer, crid) {
-                            let bal = u64::from_le_bytes(crec[0..8].try_into().unwrap());
-                            crec[0..8].copy_from_slice(&bal.wrapping_add(10).to_le_bytes());
-                            txn.heap_update(t.h_customer, crid, &crec);
+                        if let Some(bal) = txn.heap_read(t.h_customer, crid, |r| u64_at(r, 0)) {
+                            txn.heap_update_with(t.h_customer, crid, |r| {
+                                r.put(0, &bal.wrapping_add(10).to_le_bytes())
+                            });
                         }
                     }
                 }
@@ -558,8 +558,9 @@ impl TpccClient {
         clk.elapse(CPU_LIGHT);
         let mut txn = t.db.begin(clk);
         let drid = district_no(w, d);
-        let rec = txn.heap_get(t.h_district, drid).expect("district");
-        let next_o = u64::from_le_bytes(rec[0..8].try_into().unwrap());
+        let next_o = txn
+            .heap_read(t.h_district, drid, |r| u64_at(r, 0))
+            .expect("district");
         let from = next_o.saturating_sub(20);
         let lines = txn.index_range(
             t.i_order_line,
@@ -569,15 +570,15 @@ impl TpccClient {
         );
         let mut items: Vec<u64> = Vec::new();
         for (_, lrid) in lines {
-            if let Some(lrec) = txn.heap_get(t.h_order_line, lrid) {
-                items.push(u64::from_le_bytes(lrec[0..8].try_into().unwrap()));
+            if let Some(item) = txn.heap_read(t.h_order_line, lrid, |r| u64_at(r, 0)) {
+                items.push(item);
             }
         }
         items.sort_unstable();
         items.dedup();
         for i in items {
             if let Some(srid) = txn.index_get(t.i_stock, stock_key(w, i)) {
-                txn.heap_get(t.h_stock, srid);
+                txn.heap_read(t.h_stock, srid, |_| ());
             }
         }
         txn.commit();

@@ -22,7 +22,7 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::client_rng;
-use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
+use crate::scenario::{build_db, put_u64s, u64_at, Design, SystemSpec, SCALE};
 
 /// Accounts per customer.
 pub const ACCTS_PER_CUST: u64 = 2;
@@ -213,13 +213,13 @@ impl TpceClient {
         clk.elapse(CPU_HEAVY);
         let mut txn = t.db.begin(clk);
         let cust = acct / ACCTS_PER_CUST;
-        txn.heap_get(t.h_customer, cust);
-        txn.heap_get(t.h_security, sec);
+        txn.heap_read(t.h_customer, cust, |_| ());
+        txn.heap_read(t.h_security, sec, |_| ());
         // Take the account's next trade sequence.
-        let mut arec = txn.heap_get(t.h_account, acct).expect("account");
-        let seq = u64::from_le_bytes(arec[8..16].try_into().unwrap());
-        arec[8..16].copy_from_slice(&(seq + 1).to_le_bytes());
-        txn.heap_update(t.h_account, acct, &arec);
+        let seq = txn
+            .heap_read(t.h_account, acct, |r| u64_at(r, 8))
+            .expect("account");
+        txn.heap_update_with(t.h_account, acct, |r| r.put(8, &(seq + 1).to_le_bytes()));
         let mut trec = vec![0u8; REC_TRADE];
         trec[8..16].copy_from_slice(&sec.to_le_bytes());
         trec[16..24].copy_from_slice(&10u64.to_le_bytes());
@@ -240,20 +240,20 @@ impl TpceClient {
         let acct = key >> 24;
         clk.elapse(CPU_HEAVY);
         let mut txn = t.db.begin(clk);
-        let mut trec = txn.heap_get(t.h_trade, rid).expect("trade");
-        trec[0..8].copy_from_slice(&1u64.to_le_bytes()); // settled
-        txn.heap_update(t.h_trade, rid, &trec);
+        txn.heap_read(t.h_trade, rid, |_| ()).expect("trade");
+        // Settle the trade.
+        txn.heap_update_with(t.h_trade, rid, |r| r.put(0, &1u64.to_le_bytes()));
         // Update one holding and the account balance.
         let h = acct * HOLDINGS_PER_ACCT + self.rng.gen_range(0..HOLDINGS_PER_ACCT);
-        if let Some(mut hrec) = txn.heap_get(t.h_holding, h) {
-            let q = u64::from_le_bytes(hrec[0..8].try_into().unwrap());
-            hrec[0..8].copy_from_slice(&(q + 1).to_le_bytes());
-            txn.heap_update(t.h_holding, h, &hrec);
+        if let Some(q) = txn.heap_read(t.h_holding, h, |r| u64_at(r, 0)) {
+            txn.heap_update_with(t.h_holding, h, |r| r.put(0, &(q + 1).to_le_bytes()));
         }
-        let mut arec = txn.heap_get(t.h_account, acct).expect("account");
-        let bal = u64::from_le_bytes(arec[0..8].try_into().unwrap());
-        arec[0..8].copy_from_slice(&bal.wrapping_add(7).to_le_bytes());
-        txn.heap_update(t.h_account, acct, &arec);
+        let bal = txn
+            .heap_read(t.h_account, acct, |r| u64_at(r, 0))
+            .expect("account");
+        txn.heap_update_with(t.h_account, acct, |r| {
+            r.put(0, &bal.wrapping_add(7).to_le_bytes())
+        });
         txn.commit();
         self.tpse.record(clk.now);
     }
@@ -277,7 +277,7 @@ impl TpceClient {
             let acct = self.rng.gen_range(0..t.accounts());
             let seq = TRADES_PER_ACCT - 1 - self.recent_offset().min(TRADES_PER_ACCT - 1);
             if let Some(rid) = txn.index_get(t.i_trade, trade_key(acct, seq)) {
-                txn.heap_get(t.h_trade, rid);
+                txn.heap_read(t.h_trade, rid, |_| ());
             }
         }
         txn.commit();
@@ -288,12 +288,12 @@ impl TpceClient {
         let cust = self.rng.gen_range(0..t.customers);
         clk.elapse(CPU_HEAVY);
         let mut txn = t.db.begin(clk);
-        txn.heap_get(t.h_customer, cust);
+        txn.heap_read(t.h_customer, cust, |_| ());
         for a in 0..ACCTS_PER_CUST {
             let acct = cust * ACCTS_PER_CUST + a;
-            txn.heap_get(t.h_account, acct);
+            txn.heap_read(t.h_account, acct, |_| ());
             for h in 0..HOLDINGS_PER_ACCT {
-                txn.heap_get(t.h_holding, acct * HOLDINGS_PER_ACCT + h);
+                txn.heap_read(t.h_holding, acct * HOLDINGS_PER_ACCT + h, |_| ());
             }
         }
         txn.commit();
@@ -305,7 +305,7 @@ impl TpceClient {
         let mut txn = t.db.begin(clk);
         for _ in 0..20 {
             let sec = self.rng.gen_range(0..SECURITIES);
-            txn.heap_get(t.h_security, sec);
+            txn.heap_read(t.h_security, sec, |_| ());
         }
         txn.commit();
     }
@@ -322,7 +322,7 @@ impl TpceClient {
         let hi = trade_key(acct, newest);
         let recent = txn.index_range(t.i_trade, lo, hi, 16);
         for (_, rid) in recent {
-            txn.heap_get(t.h_trade, rid);
+            txn.heap_read(t.h_trade, rid, |_| ());
         }
         txn.commit();
     }

@@ -286,7 +286,7 @@ impl Tpch {
             let Some(orid) = txn.index_get(self.i_orders, o) else {
                 continue;
             };
-            txn.heap_get(self.h_orders, orid);
+            txn.heap_read(self.h_orders, orid, |_| ());
             // Probe the order's lines through the index: random I/O into
             // the scrambled LINEITEM heap.
             let lines = txn.index_range(
@@ -296,7 +296,7 @@ impl Tpch {
                 LINES_PER_ORDER as usize,
             );
             for (_, lrid) in lines {
-                txn.heap_get(self.h_lineitem, lrid);
+                txn.heap_read(self.h_lineitem, lrid, |_| ());
             }
             txn.clk.elapse(CPU_PER_PROBE);
         }
@@ -323,7 +323,7 @@ impl Tpch {
         clk.elapse(pages * CPU_PER_PAGE);
         let mut txn = self.db.begin(clk);
         for c in probes {
-            txn.heap_get(self.h_customer, c);
+            txn.heap_read(self.h_customer, c, |_| ());
             txn.clk.elapse(CPU_PER_PROBE);
         }
         txn.commit();
@@ -352,7 +352,7 @@ impl Tpch {
         for _ in 0..probes {
             let k = rng.gen_range(0..li);
             if let Some(rid) = txn.index_get(self.i_lineitem, k) {
-                txn.heap_get(self.h_lineitem, rid);
+                txn.heap_read(self.h_lineitem, rid, |_| ());
             }
             txn.clk.elapse(CPU_PER_PROBE);
         }
