@@ -23,7 +23,7 @@ pub mod pool;
 pub mod readahead;
 pub mod traits;
 
-pub use policy::PolicyStats;
+pub use policy::{PolicyStats, VictimHeap};
 pub use pool::{BufferPool, BufferPoolConfig, PageGuard, PoolStats};
 pub use readahead::{Classifier, ClassifierKind, ClassifierStats, ScanCursor};
 pub use traits::{DirectIo, PageIo};

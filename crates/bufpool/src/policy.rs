@@ -1,6 +1,7 @@
 //! The pool's replacement policy: the paper's LRU-2 (§2.2) with O'Neil's
-//! Retained Information Period, ordering victims with a lazy heap bounded
-//! by the frame count.
+//! Retained Information Period, and the lazy victim heap that orders it,
+//! which the SSD tier's clean and dirty orders and TAC's coldest frame
+//! share (`turbopool-core`).
 //!
 //! # Determinism rules
 //!
@@ -13,8 +14,8 @@
 //!
 //! Hooks are called under the pool latch and must not allocate per call
 //! on the steady-state path (amortized reallocation of internal vectors
-//! is fine; per-access allocation is not). The victim heap is allocated
-//! once, at one entry per frame.
+//! is fine; per-access allocation is not). The victim heap holds at most
+//! two entries per frame and is rebuilt in its own buffer.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -27,9 +28,10 @@ turbopool_iosim::counters! {
     pub struct PolicyStats {
         /// Reinstalled pages whose retained history was still held.
         pub ghost_hits,
-        /// Victim-scan steps: victim-heap entries examined (returned, dropped
-        /// as pinned, or re-keyed because stale). Diagnostic: the
-        /// determinism suites compare it across runs, nothing pins its value.
+        /// Victim-scan steps: live victim-heap entries examined (returned,
+        /// dropped as pinned, or re-keyed because stale); dead entries are
+        /// not counted. Diagnostic: the determinism suites compare it
+        /// across runs, nothing pins its value.
         pub scan_steps,
     }
 }
@@ -41,75 +43,97 @@ type KDist = (u64, u64);
 
 // ------------------------------------------------- lazy victim heap ----
 
-/// Min-heap of `(key, slot)` with at most **one entry per slot**, for a
-/// per-slot key that only ever *grows* on a touch.
+/// The one min-order of the two tiers: the victim among slots `0..slots`
+/// by a per-slot key that only *grows* while the slot keeps its page. It
+/// orders the pool's LRU-2 (§2.2), the SSD table's clean and dirty orders
+/// (Figure 4) and TAC's coldest frame (§2.5).
 ///
-/// A touch does not move the slot's entry: the stored key goes stale, but
-/// stays ≤ the slot's true key. [`pop_current`](Self::pop_current) repairs
-/// that lazily — a popped minimum whose stored key is stale is re-keyed at
-/// its true key and the scan continues — so it yields exactly the entries a
-/// push-per-touch heap with revalidate-on-pop would find current, in the
-/// same (true-key) order, while the heap stays bounded by the frame count
-/// instead of growing by one entry per hit.
-struct VictimHeap {
-    heap: BinaryHeap<Reverse<(KDist, usize)>>,
-    /// `in_heap[slot]` ⟺ `heap` holds the slot's one entry.
-    in_heap: Vec<bool>,
+/// A filed slot has one *filed key*, and the heap holds `(key, slot)`
+/// entries: an entry is live exactly when its slot is filed and its stored
+/// key equals the slot's filed key. Anything else is dead and dropped when
+/// met, so [`unfile`](Self::unfile) is O(1) and re-filing an unfiled
+/// slot, at a lower key too (TAC reusing a frame), is one push. A slot's key may grow
+/// without a new entry: its filed key stays ≤ its true key, and
+/// [`peek`](Self::peek) re-keys a stale front in place until the front is
+/// current, which makes it the true minimum. Once the heap holds more than
+/// two entries per slot it is rebuilt from the filed keys, one entry per
+/// filed slot.
+#[derive(Debug)]
+pub struct VictimHeap<K> {
+    heap: BinaryHeap<Reverse<(K, usize)>>,
+    /// `filed[slot]`: the slot has a live entry. Kept apart from the keys,
+    /// so that filing a filed slot (a pool hit's touch) reads one byte.
+    filed: Vec<bool>,
+    /// `keys[slot]`: a filed slot's filed key.
+    keys: Vec<K>,
 }
 
-impl VictimHeap {
-    fn new(frames: usize) -> Self {
+impl<K: Ord + Copy + Default> VictimHeap<K> {
+    /// An empty order over `slots` slots.
+    pub fn new(slots: usize) -> Self {
         VictimHeap {
-            heap: BinaryHeap::with_capacity(frames),
-            in_heap: vec![false; frames],
+            heap: BinaryHeap::with_capacity(slots),
+            filed: vec![false; slots],
+            keys: vec![K::default(); slots],
         }
     }
 
-    /// `slot` was touched and its key is now `key`: enter it if it has no
-    /// entry; an existing entry is left to go stale.
+    /// File `slot` at its true key; nothing if it is filed already, since
+    /// its key can only have grown. An unfiled slot's entry is pushed.
     #[inline]
-    fn note_touch(&mut self, slot: usize, key: KDist) {
-        if !self.in_heap[slot] {
-            self.push(slot, key);
+    pub fn file(&mut self, slot: usize, key: K) {
+        if self.filed[slot] {
+            debug_assert!(self.keys[slot] <= key, "a filed key only grows");
+            return;
+        }
+        self.push(slot, key);
+    }
+
+    /// [`file`](Self::file)'s push, kept out of line so that a touch
+    /// inlines only the flag test.
+    #[inline(never)]
+    fn push(&mut self, slot: usize, key: K) {
+        (self.filed[slot], self.keys[slot]) = (true, key);
+        self.heap.push(Reverse((key, slot)));
+        if self.heap.len() > 2 * self.filed.len() {
+            // Rebuilt in place from the filed keys: the dead entries go,
+            // and so does a twin left by unfiling and re-filing one key.
+            let mut v = std::mem::take(&mut self.heap).into_vec();
+            v.clear();
+            let filed = (0..self.filed.len()).filter(|&s| self.filed[s]);
+            v.extend(filed.map(|s| Reverse((self.keys[s], s))));
+            self.heap = BinaryHeap::from(v);
         }
     }
 
-    /// Enter `slot`, which must have no entry, at its true key.
-    fn push(&mut self, slot: usize, key: KDist) {
-        debug_assert!(!self.in_heap[slot], "slot {slot} already has an entry");
-        self.in_heap[slot] = true;
-        self.heap.push(Reverse((key, slot)));
+    /// Take `slot` out of the order: its entry goes dead.
+    #[inline]
+    pub fn unfile(&mut self, slot: usize) {
+        self.filed[slot] = false;
     }
 
-    /// Remove and return the slot with the smallest *true* key, re-keying
-    /// every stale minimum met on the way. `steps` counts entries examined
-    /// (returned or re-keyed). `None` when the heap is empty.
-    fn pop_current(&mut self, key_of: impl Fn(usize) -> KDist, steps: &mut u64) -> Option<usize> {
+    /// The minimum `(key, slot)` by true key, `key_of(slot)`, or `None` if
+    /// no slot is filed. Dead entries met on the way are dropped and a
+    /// stale front is re-keyed: every other live entry's true key is ≥ its
+    /// stored key ≥ the front's, so a current front is the minimum.
+    /// `key_of` runs once per live entry examined.
+    pub fn peek(&mut self, mut key_of: impl FnMut(usize) -> K) -> Option<(K, usize)> {
         loop {
             let mut top = self.heap.peek_mut()?;
-            *steps += 1;
             let Reverse((stored, slot)) = *top;
+            if !self.filed[slot] || self.keys[slot] != stored {
+                PeekMut::pop(top);
+                continue;
+            }
             let key = key_of(slot);
             if stored == key {
-                PeekMut::pop(top);
-                self.in_heap[slot] = false;
-                return Some(slot);
+                return Some((key, slot));
             }
             debug_assert!(stored < key, "keys only grow");
             // Dropping `top` sifts the re-keyed entry down to its place.
             top.0 .0 = key;
+            self.keys[slot] = key;
         }
-    }
-
-    /// Drop `slot`'s entry, if it has one (O(frames); rare paths only).
-    fn remove(&mut self, slot: usize) {
-        if std::mem::take(&mut self.in_heap[slot]) {
-            self.heap.retain(|&Reverse((_, s))| s != slot);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -123,11 +147,11 @@ impl VictimHeap {
 /// virtual time: LRU-2 only needs a total order of accesses, and a counter
 /// is immune to the virtual clock's uneven progress across clients.
 ///
-/// Victim order lives in a [`VictimHeap`]: one entry per slot, stored key
-/// ≤ true key (a touch turns `(prev, last)` into `(last, counter)`, which
-/// only grows), re-keyed on pop. A *current* entry popped while its frame
-/// is pinned is dropped and the slot re-enters on its next touch; when the
-/// heap drains, it is rebuilt from the evictable frames. The history map
+/// Victim order lives in a [`VictimHeap`]: a touch turns `(prev, last)`
+/// into `(last, counter)`, which only grows, so it files a slot only when
+/// the slot has no entry. The minimum taken while its frame is pinned is
+/// unfiled and the slot re-enters on its next touch; when no slot is left
+/// filed, the order is rebuilt from the evictable frames. The history map
 /// is pruned to 8× the frame count at the median `last` stamp. The victim
 /// sequence is pinned by `tests/policy_default_regression.rs` and checked
 /// against a push-per-touch reference by the differential test below.
@@ -151,7 +175,7 @@ pub struct Lru2Policy {
     /// count. Indexed by page number; `(0, 0)`, the stamps of a slot never
     /// touched, marks a page with none.
     hist: PageTable<(u64, u64)>,
-    heap: VictimHeap,
+    heap: VictimHeap<KDist>,
     stats: PolicyStats,
 }
 
@@ -167,9 +191,10 @@ impl Lru2Policy {
         }
     }
 
-    /// Entries in the victim heap (≤ the frame count, by construction).
+    /// Entries in the victim heap, dead ones included (≤ 2× the frame
+    /// count, by construction).
     pub fn heap_len(&self) -> usize {
-        self.heap.len()
+        self.heap.heap.len()
     }
 
     #[inline]
@@ -177,7 +202,7 @@ impl Lru2Policy {
         self.counter += 1;
         let (last, _) = self.stamps[slot];
         self.stamps[slot] = (self.counter, last);
-        self.heap.note_touch(slot, (last, self.counter));
+        self.heap.file(slot, (last, self.counter));
     }
 
     /// Remember the evicted page's stamps, pruning the retained set to
@@ -222,7 +247,7 @@ impl Lru2Policy {
         self.counter += 2;
         let (prev, last) = (self.counter - 1, self.counter);
         self.stamps[slot] = (last, prev);
-        self.heap.note_touch(slot, (prev, last));
+        self.heap.file(slot, (prev, last));
     }
 
     /// A later access to the page in `slot` (a pool hit).
@@ -232,8 +257,8 @@ impl Lru2Policy {
 
     /// The pool evicted `pid` from `slot`; its stamps are retained.
     pub fn on_evict(&mut self, slot: usize, pid: PageId) {
-        // A no-op when `slot` came from `select_victim`, which popped it.
-        self.heap.remove(slot);
+        // A no-op when `slot` came from `select_victim`, which unfiled it.
+        self.heap.unfile(slot);
         let (last, prev) = std::mem::take(&mut self.stamps[slot]);
         self.retain_history(pid, last, prev);
     }
@@ -242,7 +267,7 @@ impl Lru2Policy {
     /// install backed out); no history is kept.
     pub fn on_remove(&mut self, slot: usize) {
         self.stamps[slot] = (0, 0);
-        self.heap.remove(slot);
+        self.heap.unfile(slot);
     }
 
     /// Pick the evictable slot (occupied and unpinned, as `evictable`
@@ -254,16 +279,24 @@ impl Lru2Policy {
             let (last, prev) = stamps[slot];
             (prev, last)
         };
+        let steps = &mut self.stats.scan_steps;
         loop {
-            match self.heap.pop_current(kdist, &mut self.stats.scan_steps) {
-                Some(slot) if evictable(slot) => return Some(slot),
-                // Pinned: the entry is gone until the slot's next touch.
-                Some(_) => {}
+            match self.heap.peek(|slot| {
+                *steps += 1;
+                kdist(slot)
+            }) {
+                Some((_, slot)) => {
+                    // A pinned slot stays out until its next touch.
+                    self.heap.unfile(slot);
+                    if evictable(slot) {
+                        return Some(slot);
+                    }
+                }
                 None => {
                     // Every entry was pinned; rebuild from live frames.
                     let mut rebuilt = false;
                     for slot in (0..stamps.len()).filter(|&s| evictable(s)) {
-                        self.heap.push(slot, kdist(slot));
+                        self.heap.file(slot, kdist(slot));
                         rebuilt = true;
                     }
                     if !rebuilt {
@@ -442,7 +475,8 @@ mod tests {
         p.on_install(1, PageId(1));
         p.on_remove(1);
         assert_eq!(p.stamps[1], (0, 0));
-        assert_eq!(p.heap_len(), 1, "the removed slot's entry is gone");
+        assert!(!p.heap.filed[1], "the removed slot is out of the order");
+        assert_eq!(p.heap_len(), 2, "its entry stays, dead, until met");
         // A different page reusing the slot starts from scratch: it is
         // once-touched, so it goes before the twice-touched slot 0.
         p.on_install(1, PageId(2));
@@ -471,13 +505,16 @@ mod tests {
         assert_eq!(fused.stats(), pair.stats());
         // The fused entry is current; the pair's is stale and costs the
         // next selection a re-key.
-        let Reverse((stored, slot)) = *fused.heap.heap.peek().expect("one entry");
-        assert_eq!((stored, slot), ((3, 4), 1));
+        assert_eq!((fused.heap.filed[1], fused.heap.keys[1]), (true, (3, 4)));
         let stamps = fused.stamps.clone();
         let key_of = |s: usize| (stamps[s].1, stamps[s].0);
         let (mut a, mut b) = (0, 0);
-        assert_eq!(fused.heap.pop_current(key_of, &mut a), Some(1));
-        assert_eq!(pair.heap.pop_current(key_of, &mut b), Some(1));
+        let counted = |n: &mut u64, s| {
+            *n += 1;
+            key_of(s)
+        };
+        assert_eq!(fused.heap.peek(|s| counted(&mut a, s)), Some(((3, 4), 1)));
+        assert_eq!(pair.heap.peek(|s| counted(&mut b, s)), Some(((3, 4), 1)));
         assert_eq!((a, b), (1, 2), "heap entries examined");
     }
 
@@ -497,6 +534,78 @@ mod tests {
         // And the one entry per slot still finds the true LRU-2 victim.
         let oldest = (0..FRAMES).min_by_key(|&s| (p.stamps[s].1, p.stamps[s].0));
         assert_eq!(p.select_victim(|_| true), oldest);
+    }
+
+    /// The minimum `(key, slot)` over the filed slots of `truth`, scanned.
+    fn scan_min(truth: &[Option<u64>]) -> Option<(u64, usize)> {
+        let filed = truth.iter().enumerate();
+        filed.filter_map(|(s, k)| k.map(|k| (k, s))).min()
+    }
+
+    /// Model check of the shared heap: seeded runs of `file`, `unfile`,
+    /// key growth and `peek` against a `Vec` of true keys scanned for its
+    /// minimum. Unfiled slots are re-filed at lower keys (TAC's frame
+    /// reuse) and at the key they last had (the twin of a dead entry),
+    /// filed ones at their grown key (a touch), and the small slot count
+    /// makes the heap compact. Each case ends by draining the order.
+    #[test]
+    fn victim_heap_matches_a_scanning_model() {
+        const SLOTS: usize = 9;
+        let mut compactions = 0;
+        for case in 0u64..200 {
+            let mut rng = SmallRng::seed_from_u64(0x4EA9_0DE5 ^ case);
+            let mut heap = VictimHeap::new(SLOTS);
+            // `truth[slot]`: the true key of a filed slot.
+            let mut truth: Vec<Option<u64>> = vec![None; SLOTS];
+            // The key each slot was last filed at.
+            let mut last = [0u64; SLOTS];
+            for _ in 0..rng.gen_range(1usize..400) {
+                let slot = rng.gen_range(0usize..SLOTS);
+                let entries = heap.heap.len();
+                match rng.gen_range(0u8..10) {
+                    0..=2 if truth[slot].is_none() => {
+                        let key = if rng.gen_ratio(1, 3) {
+                            last[slot]
+                        } else {
+                            rng.gen_range(0u64..64)
+                        };
+                        heap.file(slot, key);
+                        (truth[slot], last[slot]) = (Some(key), key);
+                        if heap.heap.len() < entries {
+                            compactions += 1;
+                        }
+                    }
+                    3 | 4 => {
+                        heap.unfile(slot);
+                        truth[slot] = None;
+                    }
+                    5..=7 => {
+                        if let Some(k) = truth[slot].as_mut() {
+                            *k += rng.gen_range(1u64..8);
+                            if rng.gen_ratio(1, 2) {
+                                heap.file(slot, *k);
+                            }
+                        }
+                    }
+                    _ => {
+                        let got = heap.peek(|s| truth[s].expect("only filed slots are live"));
+                        assert_eq!(got, scan_min(&truth), "case {case}");
+                    }
+                }
+                let filed = heap.filed.iter().copied();
+                assert!(filed.eq(truth.iter().map(Option::is_some)), "case {case}");
+                assert!(heap.heap.len() <= 2 * SLOTS, "case {case}");
+            }
+            loop {
+                let got = heap.peek(|s| truth[s].expect("only filed slots are live"));
+                assert_eq!(got, scan_min(&truth), "case {case}");
+                let Some((_, s)) = got else { break };
+                heap.unfile(s);
+                truth[s] = None;
+            }
+            assert!(!heap.filed.contains(&true), "case {case}");
+        }
+        assert!(compactions > 0, "no case compacted the heap");
     }
 
     // ------------------------------------------- differential oracles ----
@@ -729,7 +838,7 @@ mod tests {
                 let mut new = Lru2Policy::new(frames, PAGES);
                 let mut old = Lru2Oracle::new(frames);
                 run_schedule(seed * 4 + frames as u64, frames, &mut new, &mut old);
-                assert!(new.heap_len() <= frames);
+                assert!(new.heap_len() <= 2 * frames, "two entries per slot");
                 assert_eq!(new.stamps, old.stamps, "seed {seed} frames {frames}");
                 assert_eq!(new.counter, old.counter);
                 assert_eq!(new.stats.ghost_hits, old.ghost_hits);

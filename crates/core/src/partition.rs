@@ -11,14 +11,12 @@
 //! Figure 4 keeps the two orders as one heap array: clean pages by LRU-2
 //! key, whose minimum is the replacement victim, and dirty pages the same
 //! way, whose minimum is the next page the lazy cleaner flushes. Here they
-//! are two ordered sets filed lazily. A record is filed at its true key
-//! when it enters a set; a touch only grows that key (`(prev, last)`
-//! becomes `(last, stamp)`), so a touch files nothing and an entry's filed
-//! key never exceeds its true key. Reading a minimum re-files a stale front
-//! until the front is current, and a current front is the true minimum.
+//! are two lazy victim heaps, the pool's [`VictimHeap`]. A record is filed
+//! at its true key when it enters an order; a touch only grows that key
+//! (`(prev, last)` becomes `(last, stamp)`), so a touch files nothing, and
+//! reading a minimum re-keys a stale front until it is current.
 
-use std::collections::BTreeSet;
-
+use turbopool_bufpool::VictimHeap;
 use turbopool_iosim::{PageId, PageTable};
 
 /// Ordering key: the LRU-2 distance of a page, `(penultimate, last)`
@@ -45,6 +43,12 @@ impl Record {
     }
 }
 
+/// The true key of occupied record `idx`.
+#[expect(clippy::expect_used, reason = "an order files occupied records only")]
+fn key(records: &[Option<Record>], idx: usize) -> Key {
+    records[idx].as_ref().expect("occupied record").kdist()
+}
+
 /// Partition-local state. The manager wraps each partition in a latch.
 #[derive(Debug)]
 pub struct Partition {
@@ -54,12 +58,8 @@ pub struct Partition {
     /// Page number → record index, over the whole database.
     map: PageTable<u32>,
     free: Vec<usize>,
-    /// Clean records as `(filed key, idx)`.
-    clean: BTreeSet<(Key, usize)>,
-    /// Dirty records as `(filed key, idx)`.
-    dirty: BTreeSet<(Key, usize)>,
-    /// `filed[idx]`: the key record `idx` is filed under; ≤ its true key.
-    filed: Vec<Key>,
+    /// The clean (`[0]`) and dirty (`[1]`) orders, by the dirty bit.
+    orders: [VictimHeap<Key>; 2],
 }
 
 impl Partition {
@@ -71,9 +71,7 @@ impl Partition {
             records: vec![None; frames],
             map: PageTable::new(db_pages, u32::MAX),
             free: (0..frames).rev().collect(),
-            clean: BTreeSet::new(),
-            dirty: BTreeSet::new(),
-            filed: vec![(0, 0); frames],
+            orders: [VictimHeap::new(frames), VictimHeap::new(frames)],
         }
     }
 
@@ -110,28 +108,6 @@ impl Partition {
         self.records[idx].as_mut().expect("occupied record")
     }
 
-    /// The set a clean (`false`) or dirty (`true`) record is filed in.
-    fn side(&mut self, dirty: bool) -> &mut BTreeSet<(Key, usize)> {
-        if dirty {
-            &mut self.dirty
-        } else {
-            &mut self.clean
-        }
-    }
-
-    /// File record `idx` at its true key.
-    fn file(&mut self, idx: usize) {
-        let r = *self.record(idx);
-        self.filed[idx] = r.kdist();
-        self.side(r.dirty).insert((r.kdist(), idx));
-    }
-
-    /// Take record `idx`'s entry out of its set.
-    fn unfile(&mut self, idx: usize, dirty: bool) {
-        let entry = (self.filed[idx], idx);
-        self.side(dirty).remove(&entry);
-    }
-
     /// Record an SSD access to `idx` at `stamp`. Only the stamps change:
     /// the key grows, so the entry may stay filed at the older key.
     pub fn touch(&mut self, idx: usize, stamp: u64) {
@@ -141,19 +117,25 @@ impl Partition {
         r.last = stamp;
     }
 
+    /// Put a new record for `pid` in free frame `idx` and file it.
+    fn occupy(&mut self, idx: usize, pid: PageId, dirty: bool, stamp: u64) {
+        let rec = Record {
+            pid,
+            dirty,
+            last: stamp,
+            prev: 0,
+        };
+        self.records[idx] = Some(rec);
+        self.map.insert(pid, idx as u32);
+        self.orders[usize::from(dirty)].file(idx, rec.kdist());
+    }
+
     /// Cache `pid` in a free frame; returns the record index, or `None`
     /// when the partition is full (caller must evict first).
     pub fn insert(&mut self, pid: PageId, dirty: bool, stamp: u64) -> Option<usize> {
         debug_assert!(!self.map.contains_key(pid), "page {pid} already cached");
         let idx = self.free.pop()?;
-        self.records[idx] = Some(Record {
-            pid,
-            dirty,
-            last: stamp,
-            prev: 0,
-        });
-        self.map.insert(pid, idx as u32);
-        self.file(idx);
+        self.occupy(idx, pid, dirty, stamp);
         Some(idx)
     }
 
@@ -167,14 +149,7 @@ impl Partition {
             return false;
         };
         self.free.swap_remove(pos);
-        self.records[idx] = Some(Record {
-            pid,
-            dirty: false,
-            last: stamp,
-            prev: 0,
-        });
-        self.map.insert(pid, idx as u32);
-        self.file(idx);
+        self.occupy(idx, pid, false, stamp);
         true
     }
 
@@ -186,46 +161,31 @@ impl Partition {
         )]
         let rec = self.records[idx].take().expect("occupied record");
         self.map.remove(rec.pid);
-        self.unfile(idx, rec.dirty);
+        self.orders[usize::from(rec.dirty)].unfile(idx);
         self.free.push(idx);
         rec
     }
 
-    /// The minimum `(key, idx)` of one side. A front filed under an older
-    /// key than its record's is re-filed at the true key until the front
-    /// is current: every other entry's true key is ≥ its filed key ≥ the
-    /// front's, so a current front is the true minimum.
-    fn peek_min(&mut self, dirty: bool) -> Option<(Key, usize)> {
-        loop {
-            let &(filed, idx) = self.side(dirty).first()?;
-            let key = self.record(idx).kdist();
-            if filed == key {
-                return Some((key, idx));
-            }
-            let set = self.side(dirty);
-            set.pop_first();
-            set.insert((key, idx));
-            self.filed[idx] = key;
-        }
-    }
-
     /// The LRU-2 replacement victim among *clean* pages.
     pub fn peek_clean_victim(&mut self) -> Option<(Key, usize)> {
-        self.peek_min(false)
+        let records = &self.records;
+        self.orders[0].peek(|idx| key(records, idx))
     }
 
     /// The oldest *dirty* page — the next one the lazy cleaner flushes.
     pub fn peek_dirty_oldest(&mut self) -> Option<(Key, usize)> {
-        self.peek_min(true)
+        let records = &self.records;
+        self.orders[1].peek(|idx| key(records, idx))
     }
 
     /// Mark a dirty record clean (the cleaner flushed it); it is re-filed
     /// among the clean pages and becomes a replacement candidate.
     pub fn set_clean(&mut self, idx: usize) {
-        if self.record(idx).dirty {
-            self.unfile(idx, true);
-            self.record_mut(idx).dirty = false;
-            self.file(idx);
+        let r = self.record_mut(idx);
+        if std::mem::take(&mut r.dirty) {
+            let key = r.kdist();
+            self.orders[1].unfile(idx);
+            self.orders[0].file(idx, key);
         }
     }
 

@@ -27,9 +27,10 @@
 //!   space ([`TacCache::invalid_frames`] reproduces the 7.4–10.4 GB waste
 //!   numbers of §2.5).
 //!
-//! One latch covers the whole buffer table (records, page map, extent
-//! temperatures, coldest-first heap); a frame index is the SSD frame
-//! number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
+//! One latch covers the whole buffer table: records, page map, extent
+//! temperatures, and the pool's lazy victim heap, which orders the valid
+//! frames coldest extent first for replacement. A frame index is the SSD
+//! frame number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
 //! error budget, quarantine, throttle, audit, the page reads (the §3.3.3
 //! modes included) and the frame write are the device edge in `tier.rs`,
 //! shared with `SsdManager`; TAC's hooks there heat the extent on a probe
@@ -37,12 +38,10 @@
 //! pick the frame, book its write and install or back out under one hold
 //! of the table latch.
 
-use std::collections::binary_heap::PeekMut;
-
 use std::sync::Arc;
 use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
 
-use turbopool_bufpool::PageIo;
+use turbopool_bufpool::{PageIo, VictimHeap};
 use turbopool_iosim::{
     Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, PageTable, Time,
 };
@@ -72,8 +71,8 @@ struct TacTable {
     /// Extent number → accumulated saved-time temperature (ns); 0, an
     /// extent never missed, is no entry.
     temps: PageTable<u64, u64>,
-    /// Lazy min-heap of (temperature snapshot, frame) over *valid* frames.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    /// The *valid* frames by their extent's temperature.
+    heap: VictimHeap<u64>,
     /// Occupied frames holding logically invalid pages — maintained
     /// incrementally so `invalid_frames` never scans the table.
     invalid: u64,
@@ -126,7 +125,7 @@ impl TacCache {
             map: PageTable::new(pages, u32::MAX),
             free: (0..frames).rev().collect(),
             temps: PageTable::new(pages.div_ceil(cfg.tac_extent_pages), 0),
-            heap: std::collections::BinaryHeap::new(),
+            heap: VictimHeap::new(frames),
             invalid: 0,
         };
         TacCache {
@@ -190,7 +189,7 @@ impl TacCache {
     }
 
     /// Install a valid copy of `pid` in `frame`, its write completing at
-    /// `valid_at`, and enter it in the coldest-first heap.
+    /// `valid_at`, and file it at its extent's temperature.
     fn place(&self, tab: &mut TacTable, frame: usize, pid: PageId, valid_at: Time) {
         tab.records[frame] = Some(TacRec {
             pid,
@@ -198,7 +197,7 @@ impl TacCache {
             valid_at,
         });
         let temp = self.temp(tab, pid);
-        tab.heap.push(std::cmp::Reverse((temp, frame)));
+        tab.heap.file(frame, temp);
     }
 
     /// Time saved by serving `class`-type read from SSD instead of disk.
@@ -219,28 +218,15 @@ impl TacCache {
         tab.temps.insert(extent, temp);
     }
 
-    /// Find the coldest valid SSD frame and leave its entry on top of the
-    /// lazy heap: entries of empty or invalid frames met on the way are
-    /// dropped, and entries whose temperature grew since they were pushed
-    /// are re-keyed (temperatures only increase, so this terminates).
+    /// The coldest valid SSD frame and its extent's temperature.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "map/records consistency: a filed frame holds a valid record"
+    )]
     fn coldest_valid(&self, tab: &mut TacTable) -> Option<(u64, usize)> {
-        loop {
-            let mut top = tab.heap.peek_mut()?;
-            let std::cmp::Reverse((snap, frame)) = *top;
-            match tab.records[frame] {
-                Some(rec) if rec.valid => {
-                    let cur = tab.temps.get(self.extent(rec.pid)).unwrap_or(0);
-                    if cur == snap {
-                        return Some((snap, frame));
-                    }
-                    // Dropping `top` sifts the re-keyed entry down.
-                    top.0 .0 = cur;
-                }
-                _ => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
+        let extent = |frame: usize| self.extent(tab.records[frame].unwrap().pid);
+        tab.heap
+            .peek(|frame| tab.temps.get(extent(frame)).unwrap_or(0))
     }
 
     /// Logical invalidation (§2.5): the record stays, marked invalid, and
@@ -250,6 +236,7 @@ impl TacCache {
             valid: false,
             ..rec
         });
+        tab.heap.unfile(frame);
         tab.invalid += 1;
         self.audit(rec.pid, AuditOp::LogicalInvalidate);
         SsdMetrics::bump(&self.metrics.invalidations);
@@ -374,6 +361,7 @@ impl PageIo for TacCache {
                     // (the §4.2 race that hurts TAC on update-heavy loads).
                     tab.records[frame] = None;
                     tab.map.remove(pid);
+                    tab.heap.unfile(frame);
                     tab.free.push(frame);
                     self.audit(pid, AuditOp::Cancel);
                     SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
@@ -468,10 +456,10 @@ impl SsdTier for TacCache {
                         // A free frame exists; keep the cold page.
                         Some(f)
                     } else {
-                        tab.heap.pop(); // the cold page's entry
+                        tab.heap.unfile(cold_frame);
                         #[expect(
                             clippy::unwrap_used,
-                            reason = "cold_frame came off the temperature heap, which only holds mapped frames"
+                            reason = "cold_frame came off the temperature heap, which only files mapped frames"
                         )]
                         let old = tab.records[cold_frame].take().unwrap();
                         tab.map.remove(old.pid);
@@ -525,7 +513,7 @@ impl SsdTier for TacCache {
         tab.records.fill(None);
         tab.map.clear();
         tab.free.clear();
-        tab.heap.clear();
+        tab.heap = VictimHeap::new(tab.records.len());
         tab.temps.clear();
         tab.invalid = 0;
         live
@@ -543,6 +531,7 @@ impl SsdTier for TacCache {
         if !rec.valid {
             tab.invalid -= 1;
         }
+        tab.heap.unfile(frame);
         tab.free.push(frame);
         Some(false)
     }

@@ -246,15 +246,11 @@ pub(crate) trait SsdTier {
         out
     }
 
-    /// Multi-page disk read with the standard retry policy.
-    fn disk_read_run(
-        &self,
-        clk: &mut Clk,
-        first: PageId,
-        n: u64,
-        loc: Locality,
-    ) -> Result<Vec<PageBuf>, IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io().read_disk_run(c, first, n, loc));
+    /// Multi-page disk read with the standard retry policy. The device
+    /// finds each span's adjacency itself, so the run takes no locality.
+    fn disk_read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+        let read = |c: &mut Clk| self.io().read_disk_run(c, first, n, Locality::Sequential);
+        let (retries, out) = fault::retry_sync(clk, read);
         if retries > 0 {
             SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
         }
@@ -438,10 +434,10 @@ pub(crate) trait SsdTier {
             let mut tmp = Clk::at(now0);
             let zero = || self.io().zero_page();
             match step {
-                RunStep::Disk(range, loc) => {
+                RunStep::Disk(range) => {
                     out.resize_with(range.start, zero);
                     let at = first.offset(range.start as u64);
-                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64, loc)?;
+                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64)?;
                     // One admission throttle verdict serves every page
                     // handed over at `tmp.now` until one writes the SSD.
                     let mut verdict = None;
@@ -483,7 +479,7 @@ pub(crate) trait SsdTier {
                 let trail = (lead..n).rev().take_while(|&i| from_ssd(i)).count();
                 let mid = lead..n - trail;
                 if !mid.is_empty() {
-                    issue(RunStep::Disk(mid.clone(), Locality::Sequential))?;
+                    issue(RunStep::Disk(mid.clone()))?;
                 }
                 let patched = (0..n).filter(|&i| !mid.contains(&i) || dirty(i));
                 patched.filter_map(ssd).try_for_each(&mut issue)?;
@@ -498,7 +494,7 @@ pub(crate) trait SsdTier {
                         i += 1;
                     }
                     if start < i {
-                        issue(RunStep::Disk(start..i, Locality::Random))?;
+                        issue(RunStep::Disk(start..i))?;
                     } else {
                         ssd(i).map_or(Ok(()), &mut issue)?;
                         i += 1;
@@ -507,7 +503,7 @@ pub(crate) trait SsdTier {
             }
             // Dirty SSD copies are newer than what the disk returns.
             MultiPageMode::DiskOnly => {
-                issue(RunStep::Disk(0..n, Locality::Sequential))?;
+                issue(RunStep::Disk(0..n))?;
                 (0..n)
                     .filter(|&i| dirty(i))
                     .filter_map(ssd)
@@ -523,7 +519,7 @@ pub(crate) trait SsdTier {
 /// One I/O of a run read, in issue order.
 enum RunStep {
     /// Pages `range` of the run, read off the disk as one I/O.
-    Disk(std::ops::Range<usize>, Locality),
+    Disk(std::ops::Range<usize>),
     /// Page `i` of the run, read from its SSD entry `(frame, dirty)`.
     Ssd(usize, (u64, bool)),
 }

@@ -8,8 +8,10 @@
 #   scripts/mutants.sh --check only confirm that each mutant's old text occurs
 #                              exactly once in the working tree; no build
 #
-# The mutant list is always read from this checkout, so a revision older
-# than the list can be measured. Every mutant builds in one shared
+# The mutant list is always taken from this checkout, so a revision older
+# than the list can be measured. A run copies it once, at its start, and
+# reads only that copy: an edit to scripts/mutants.txt during a run takes
+# effect from the next run on. Every mutant builds in one shared
 # CARGO_TARGET_DIR (default: a directory next to the copy, removed on exit);
 # a full run rebuilds the workspace once per mutant, ≈ 30 s each on two
 # cores. Each test binary runs under a time limit of its own, so a mutant
@@ -21,7 +23,6 @@
 # limit is marked `(timed out)`.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
-list="$root/scripts/mutants.txt"
 
 check=0
 rev=${1:-HEAD}
@@ -29,6 +30,8 @@ rev=${1:-HEAD}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+list=$work/mutants.txt
+cp "$root/scripts/mutants.txt" "$list"
 if [[ $check == 1 ]]; then
     src=$root
 else
