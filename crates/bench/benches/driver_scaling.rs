@@ -212,8 +212,8 @@ fn fault_sample(mode: Mode, duration: Time) -> Sample {
 
 /// Time both modes `reps` times. Every run of the sweep — each rep in
 /// each mode — must reproduce the first run's fingerprints and step
-/// count.
-fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> Vec<Json> {
+/// count; that count comes back with the cells.
+fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> (u64, Vec<Json>) {
     let mut base: Option<Sample> = None;
     let mut cells: Vec<(Mode, Spread)> = Vec::new();
     for mode in [Mode::Alone, Mode::Together] {
@@ -248,10 +248,11 @@ fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> Vec<Js
     let steps = base.expect("a sweep has at least one run").steps;
     println!("{name:<14} steps={steps}, results identical across both modes and all reps");
     let baseline_secs = cells[0].1.median;
-    cells
+    let json = cells
         .iter()
         .map(|(mode, t)| cell_json(*mode, steps, t, baseline_secs))
-        .collect()
+        .collect();
+    (steps, json)
 }
 
 // ---------------------------------------------------------------------
@@ -372,12 +373,12 @@ fn main() {
     let timer = WallTimer::start();
 
     println!("== driver_scaling: fig6-quick (TPC-C 2K, 4 design domains) ==");
-    let oltp = sweep("oltp", driver_reps, |m| {
+    let (oltp_steps, oltp) = sweep("oltp", driver_reps, |m| {
         oltp_sample(m, oltp_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: fault matrix (4 designs x 2 fault streams) ==");
-    let faults = sweep("fault_matrix", driver_reps, |m| {
+    let (fault_steps, faults) = sweep("fault_matrix", driver_reps, |m| {
         fault_sample(m, fault_minutes * MINUTE)
     });
 
@@ -390,9 +391,15 @@ fn main() {
 
     let virtual_ns =
         (oltp_minutes * MINUTE).saturating_mul(4) + (fault_minutes * MINUTE).saturating_mul(8);
+    // Each sweep runs every rep in both modes, with one step count.
+    let runs = (2 * driver_reps) as u64;
     let mut report = BenchReport::new("driver_scaling");
     report
-        .standard(timer.secs(), virtual_ns * (2 * driver_reps) as u64, 0)
+        .standard(
+            timer.secs(),
+            virtual_ns * runs,
+            (oltp_steps + fault_steps) * runs,
+        )
         .set("oltp", Json::Arr(oltp))
         .set("fault_matrix", Json::Arr(faults))
         .set("pool_contention", Json::Arr(contention))

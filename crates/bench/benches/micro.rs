@@ -109,7 +109,9 @@ fn bench_lru2() {
         p.on_install(s, PageId(s as u64));
     }
     let mut i = 0usize;
-    bench("lru2_touch_hit", 1_000_000, || {
+    // 32M touches: at 2–4 ns each one timed pass takes 70–130 ms, long
+    // enough to resolve a 1–2 ns change on the pool-hit path.
+    bench("lru2_touch_hit", 32_000_000, || {
         i = (i + 127) % HIT_FRAMES;
         p.on_access(i);
     });

@@ -235,9 +235,6 @@ pub struct BufferPool {
     /// before waiting for it. Every acquisition is counted under the latch,
     /// in the table's `stats.shard_acquisitions`.
     contended: AtomicU64,
-    /// The one zero image every never-filled frame starts as a handle on
-    /// (and every freshly created page starts from).
-    zero: PageBuf,
     /// Each frame is a handle on its page's image, shared with whichever
     /// tier the page came from or went to until somebody writes it.
     data: Vec<RwLock<PageBuf>>,
@@ -255,7 +252,6 @@ impl BufferPool {
             pins: Arc::clone(&table.pins),
             inner: Mutex::ranked(Rank::PoolTable, table),
             contended: AtomicU64::new(0),
-            zero,
             data,
             cfg,
             layer,
@@ -443,32 +439,19 @@ impl BufferPool {
         t.free.push(slot);
     }
 
-    /// Pin a *fresh* page that has never been written: installs a zeroed,
-    /// dirty frame without any read I/O (page allocation path).
-    pub fn create(&self, now: Time, pid: PageId) -> PageGuard<'_> {
-        let g = self.install_fresh(now, pid);
-        *self.data[g.slot].write() = self.zero.clone();
-        g
-    }
-
-    /// [`create`](Self::create) for a caller that already holds the fresh
-    /// page's first image: the handle is swapped into the dirty frame (no
-    /// zero fill, no copy) and the frame's previous image comes back,
-    /// contents unspecified — reusable if nothing else shares it.
+    /// Install never-written page `pid` from the caller's first image of
+    /// it, without any read I/O (the page-allocation path): the handle is
+    /// swapped into a dirty frame (no zero fill, no copy) and the frame's
+    /// previous image comes back, contents unspecified — reusable if
+    /// nothing else shares it.
     pub fn create_from(&self, now: Time, pid: PageId, image: PageBuf) -> PageBuf {
         assert_eq!(image.len(), self.cfg.page_size, "image is one page");
-        let g = self.install_fresh(now, pid);
-        let mut frame = self.data[g.slot].write();
-        std::mem::replace(&mut *frame, image)
-    }
-
-    /// Claim a dirty, pinned frame for never-written page `pid`. The frame
-    /// still holds its previous occupant's bytes (already handed below if
-    /// it was evicted); the caller overwrites all of them.
-    fn install_fresh(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
         let mut t = self.lock_table();
-        assert!(!t.map.contains_key(pid), "create() of resident page {pid}");
+        assert!(
+            !t.map.contains_key(pid),
+            "create_from() of resident page {pid}"
+        );
         let (slot, evicted) = t.vacate_slot();
         t.meta[slot] = FrameMeta {
             pid: Some(pid),
@@ -479,15 +462,18 @@ impl BufferPool {
         t.map.insert(pid, slot as u32);
         t.policy.on_install(slot, pid);
         drop(t);
+        // The guard unpins the frame once its image is in.
+        let _pin = PageGuard {
+            pool: self,
+            slot,
+            pid,
+        };
         if let Some(ev) = evicted {
             self.flush_evicted(now, &ev, &self.data[slot].read());
         }
         self.layer.note_dirtied(now, pid);
-        PageGuard {
-            pool: self,
-            slot,
-            pid,
-        }
+        let mut frame = self.data[slot].write();
+        std::mem::replace(&mut *frame, image)
     }
 
     /// Read-ahead: fetch the run `first .. first + n` below and install any
@@ -864,10 +850,15 @@ mod tests {
     #[test]
     fn create_skips_read_io_and_is_dirty() {
         let (io, p) = pool(2, 64);
-        let g = p.create(0, PageId(9));
-        drop(g);
+        let zero = PageBuf::zeroed(PS);
+        p.create_from(0, PageId(9), zero.clone());
         assert_eq!(io.disk_stats().read_ops, 0);
         assert!(p.is_dirty(PageId(9)));
+        assert!(p
+            .get_resident(PageId(9))
+            .expect("resident")
+            .image()
+            .same_image(&zero));
     }
 
     #[test]

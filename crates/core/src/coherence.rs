@@ -4,9 +4,11 @@
 //! relationships are legal; a design that is not write-back additionally
 //! never lets the SSD hold a version newer than disk (cases 4 and 6 are
 //! LC's alone).
-//! The classifier below takes *version numbers* (newer = greater) and is
-//! used by the engine's property tests to validate every page after every
-//! operation.
+//! The classifier below takes *version numbers* (newer = greater). Besides
+//! its own unit tests it runs in one place, `audit::tests::
+//! transition_table_is_total`, which classifies the result of every legal
+//! transition of the auditor's table once. No engine path calls it: the
+//! live check, `tests/coherence.rs`, compares the three copies' page bytes.
 
 use crate::config::SsdDesign;
 

@@ -26,9 +26,15 @@ pub struct HeapMeta {
     pub next: Arc<AtomicU64>,
 }
 
+/// Records of `record_size` bytes one page of `page_size` bytes holds: a
+/// presence byte plus the record per slot.
+pub fn slots_per_page(record_size: usize, page_size: usize) -> usize {
+    page_size / (1 + record_size)
+}
+
 impl HeapMeta {
     pub fn new(first: PageId, pages: u64, record_size: usize, page_size: usize) -> Self {
-        let slots_per_page = page_size / (1 + record_size);
+        let slots_per_page = slots_per_page(record_size, page_size);
         assert!(slots_per_page >= 1, "record larger than a page");
         HeapMeta {
             first,

@@ -15,7 +15,7 @@
 
 use std::sync::atomic::Ordering;
 
-use turbopool_iosim::{PageBuf, PageId, PageStore};
+use turbopool_iosim::{MemStore, PageBuf, PageId};
 
 use crate::btree::{node_capacity, set_extra, write_entries, IndexMeta, INTERNAL, LEAF};
 use crate::db::{Database, HeapId, IndexId};
@@ -116,7 +116,7 @@ where
 
 /// Write one node to page `pid`, built in a fresh image: `kind`, `extra`
 /// (a leaf's next link, an internal node's leftmost child) and `entries`.
-fn write_node(store: &dyn PageStore, pid: PageId, kind: u8, extra: u64, entries: &[(u64, u64)]) {
+fn write_node(store: &MemStore, pid: PageId, kind: u8, extra: u64, entries: &[(u64, u64)]) {
     let mut image = PageBuf::zeroed(store.page_size());
     let b = image.as_mut_slice();
     b[0] = kind;

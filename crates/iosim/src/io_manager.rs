@@ -18,7 +18,7 @@ use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
 use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
 use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
-use crate::store::{MemStore, PageStore};
+use crate::store::MemStore;
 use crate::sync::{self, RwLock};
 
 /// Sizing and calibration of the simulated storage subsystem.
@@ -371,7 +371,7 @@ impl IoManager {
         let t = self
             .disk
             .submit_run_scaled(now, IoKind::Write, pid, 1, Some(hint), scale);
-        self.disk_store.put(pid, data);
+        self.disk_store.write(pid, data);
         self.clear_lost_write(pid);
         Ok(t.complete)
     }
@@ -421,7 +421,7 @@ impl IoManager {
             }
             if keep < pages.len() {
                 for (i, data) in pages.iter().take(keep).enumerate() {
-                    self.disk_store.put(first.offset(i as u64), data);
+                    self.disk_store.write(first.offset(i as u64), data);
                     self.clear_lost_write(first.offset(i as u64));
                 }
                 for i in keep..pages.len() {
@@ -450,7 +450,7 @@ impl IoManager {
             scale,
         );
         for (i, data) in pages.iter().take(persisted).enumerate() {
-            self.disk_store.put(first.offset(i as u64), data);
+            self.disk_store.write(first.offset(i as u64), data);
             self.clear_lost_write(first.offset(i as u64));
         }
         for i in persisted..pages.len() {
@@ -614,7 +614,7 @@ impl IoManager {
             // first, so a slice still lands in the frame's own image when
             // nothing else shares it.
             self.ssd_intents[frame as usize].write().take();
-            self.ssd_store.put(PageId(frame), data);
+            self.ssd_store.write(PageId(frame), data);
             self.ssd_store.read_buf(PageId(frame))
         };
         self.record_ssd_intent(frame, meant, tag);
@@ -755,13 +755,13 @@ impl IoManager {
     /// Direct access to the persistent database bytes, bypassing timing.
     /// Used by recovery (replaying the log onto the database) and by tests
     /// that inspect the "on disk" state after a simulated crash.
-    pub fn disk_store(&self) -> &dyn PageStore {
+    pub fn disk_store(&self) -> &MemStore {
         &self.disk_store
     }
 
     /// Direct access to the SSD bytes, bypassing timing (tests only; the
     /// paper's designs never read the SSD after a restart).
-    pub fn ssd_store(&self) -> &dyn PageStore {
+    pub fn ssd_store(&self) -> &MemStore {
         &self.ssd_store
     }
 }

@@ -48,4 +48,4 @@ pub use io_manager::{DeviceSetup, IoManager};
 pub use page::{PageBuf, PageDst, PageId, PageSrc, PageTable, PidHasher, PidMap};
 pub use profiles::{hdd_array_profile, log_disk_profile, ssd_profile, PAPER_NUM_DISKS};
 pub use stats::{DeviceStats, StatSnapshot};
-pub use store::{MemStore, PageStore};
+pub use store::MemStore;

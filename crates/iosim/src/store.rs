@@ -13,35 +13,6 @@ use crate::sync::RwLock;
 
 use crate::page::{PageBuf, PageId, PageSrc};
 
-/// Byte storage addressed by page id.
-pub trait PageStore: Send + Sync {
-    /// Copy page `pid` into `buf`. Reading a never-written page yields
-    /// zeroes, like a freshly created database file.
-    fn read(&self, pid: PageId, buf: &mut [u8]);
-
-    /// Overwrite page `pid` with `data`.
-    fn write(&self, pid: PageId, data: &[u8]);
-
-    /// A handle on page `pid`'s image — no bytes move. Never-written
-    /// pages all share one zero image.
-    fn read_buf(&self, pid: PageId) -> PageBuf;
-
-    /// Make `image` page `pid`'s image: the store adopts the handle and no
-    /// bytes move.
-    fn write_buf(&self, pid: PageId, image: PageBuf);
-
-    /// Capacity in pages.
-    fn num_pages(&self) -> u64;
-
-    /// Page size in bytes.
-    fn page_size(&self) -> usize;
-
-    /// True if the page has ever been written. Fresh pages read as zeroes;
-    /// the engine uses this to format never-written pages in memory without
-    /// charging a pointless read I/O.
-    fn is_materialized(&self, pid: PageId) -> bool;
-}
-
 /// In-memory page store with lazily allocated pages.
 ///
 /// Pages start out as `None` (read as zeroes) so a mostly-cold simulated
@@ -73,10 +44,17 @@ impl MemStore {
             .unwrap_or_else(|| panic!("page {pid} out of bounds ({} pages)", self.pages.len()))
     }
 
+    /// Copy page `pid` into `buf`. Reading a never-written page yields
+    /// zeroes, like a freshly created database file.
+    pub fn read(&self, pid: PageId, buf: &mut [u8]) {
+        assert_eq!(buf.len(), self.zero.len(), "read buffer size mismatch");
+        buf.copy_from_slice(self.slot(pid).read().as_ref().unwrap_or(&self.zero));
+    }
+
     /// Store `data` as page `pid`: an image is shared, a slice is copied —
     /// over the stored image in place while the store holds its only
     /// handle, so a steady stream of slice writes allocates nothing.
-    pub fn put<S: PageSrc + ?Sized>(&self, pid: PageId, data: &S) {
+    pub fn write<S: PageSrc + ?Sized>(&self, pid: PageId, data: &S) {
         if let Some(image) = data.as_image() {
             return self.write_buf(pid, image.clone());
         }
@@ -88,36 +66,34 @@ impl MemStore {
             None => *slot = Some(PageBuf::from_slice(data)),
         }
     }
-}
 
-impl PageStore for MemStore {
-    fn read(&self, pid: PageId, buf: &mut [u8]) {
-        assert_eq!(buf.len(), self.zero.len(), "read buffer size mismatch");
-        buf.copy_from_slice(self.slot(pid).read().as_ref().unwrap_or(&self.zero));
-    }
-
-    fn write(&self, pid: PageId, data: &[u8]) {
-        self.put(pid, data);
-    }
-
-    fn read_buf(&self, pid: PageId) -> PageBuf {
+    /// A handle on page `pid`'s image — no bytes move. Never-written
+    /// pages all share one zero image.
+    pub fn read_buf(&self, pid: PageId) -> PageBuf {
         self.slot(pid).read().as_ref().unwrap_or(&self.zero).clone()
     }
 
-    fn write_buf(&self, pid: PageId, image: PageBuf) {
+    /// Make `image` page `pid`'s image: the store adopts the handle and no
+    /// bytes move.
+    pub fn write_buf(&self, pid: PageId, image: PageBuf) {
         assert_eq!(image.len(), self.zero.len(), "write size mismatch");
         *self.slot(pid).write() = Some(image);
     }
 
-    fn num_pages(&self) -> u64 {
+    /// Capacity in pages.
+    pub fn num_pages(&self) -> u64 {
         self.pages.len() as u64
     }
 
-    fn page_size(&self) -> usize {
+    /// Page size in bytes.
+    pub fn page_size(&self) -> usize {
         self.zero.len()
     }
 
-    fn is_materialized(&self, pid: PageId) -> bool {
+    /// True if the page has ever been written. Fresh pages read as zeroes;
+    /// the engine uses this to format never-written pages in memory without
+    /// charging a pointless read I/O.
+    pub fn is_materialized(&self, pid: PageId) -> bool {
         self.slot(pid).read().is_some()
     }
 }
@@ -201,7 +177,7 @@ mod tests {
     fn write_buf_adopts_the_handle_and_slice_writes_reuse_an_unshared_image() {
         let s = MemStore::new(4, 8);
         let image = PageBuf::from_slice(&[7u8; 8]);
-        s.put(PageId(1), &image);
+        s.write(PageId(1), &image);
         assert_eq!(s.read_buf(PageId(1)).as_ptr(), image.as_ptr());
         // The store shares the image with `image`: a slice write must not
         // show through that handle, so it lands in a fresh one, even when
@@ -304,7 +280,7 @@ mod tests {
                         }
                         Op::HandleWrite { pid, frame } => {
                             if let Some(image) = &frames[frame] {
-                                store.put(PageId(pid as u64), image);
+                                store.write(PageId(pid as u64), image);
                                 model_store[pid] = model_frames[frame].clone().unwrap();
                             }
                         }

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use turbopool_iosim::{IoError, PageId, PageStore};
+use turbopool_iosim::{IoError, MemStore, PageId};
 
 use crate::record::{table_entries, LogTail, RecordReader, RecordRef, TABLE_ENTRY_LEN};
 use crate::TxId;
@@ -35,7 +35,7 @@ pub trait RedoStore {
 
 /// Infallible [`RedoStore`] over raw backing bytes, bypassing devices and
 /// timing. For unit tests and callers that have already absorbed faults.
-pub struct DirectStore<'a>(pub &'a dyn PageStore);
+pub struct DirectStore<'a>(pub &'a MemStore);
 
 impl RedoStore for DirectStore<'_> {
     fn page_size(&self) -> usize {

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use turbopool_iosim::fault::checksum;
 use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
-use turbopool_iosim::{FaultDevice, IoError, IoErrorKind, MemStore, PageId, PageStore};
+use turbopool_iosim::{FaultDevice, IoError, IoErrorKind, MemStore, PageId};
 
 use crate::record::{decode_all, LogRecord, LogTail, RecordReader, RecordRef, CHECKSUM_LEN};
 use crate::recovery::{

@@ -11,8 +11,10 @@
 use std::sync::Arc;
 
 use turbopool_core::{SsdConfig, SsdDesign};
-use turbopool_engine::{Database, DbConfig};
-use turbopool_iosim::DeviceSetup;
+use turbopool_engine::btree::node_capacity;
+use turbopool_engine::heap::slots_per_page;
+use turbopool_engine::{Database, DbConfig, HeapId, IndexId};
+use turbopool_iosim::{Clk, DeviceSetup};
 
 /// The common scale factor: sizes ÷ 1000, service times × 1000.
 pub const SCALE: f64 = 1000.0;
@@ -123,6 +125,84 @@ pub fn build_db(spec: &SystemSpec) -> Arc<Database> {
     Arc::new(Database::open(cfg))
 }
 
+/// Leaf fill every workload bulk-loads its indexes at.
+pub(crate) const INDEX_FILL: f64 = 0.7;
+
+/// Pages of a heap holding `rows` records of `record_size` bytes.
+pub(crate) fn heap_pages(rows: u64, record_size: usize, page_size: usize) -> u64 {
+    rows.div_ceil(slots_per_page(record_size, page_size) as u64)
+}
+
+/// Leaves `keys` keys fill at [`INDEX_FILL`].
+pub(crate) fn index_leaves(keys: u64, page_size: usize) -> f64 {
+    keys as f64 / (node_capacity(page_size) as f64 * INDEX_FILL)
+}
+
+/// Split extent of an index over `keys` keys: 1.6× its leaves (room for
+/// the inner levels and for splits), at least 8, plus 8 pages.
+pub(crate) fn index_extent(keys: u64, page_size: usize) -> u64 {
+    ((index_leaves(keys, page_size) * 1.6) as u64).max(8) + 8
+}
+
+/// One database's tables, in creation order: the one declaration both a
+/// workload's `db_pages` (its [`pages`](Self::pages)) and its `setup` (its
+/// [`open`](Self::open)) read.
+pub(crate) struct Schema<const H: usize, const I: usize> {
+    /// Heaps as (name, record size, pages).
+    pub heaps: [(&'static str, usize, u64); H],
+    /// Indexes as (name, extent pages); each also takes a root page.
+    pub indexes: [(&'static str, u64); I],
+    /// Free pages past the last table.
+    pub slack: u64,
+}
+
+/// A database opened from a [`Schema`]: its handles in list order and the
+/// seed its spec carried.
+pub(crate) struct Opened<const H: usize, const I: usize> {
+    pub db: Arc<Database>,
+    pub seed: u64,
+    pub heaps: [HeapId; H],
+    pub indexes: [IndexId; I],
+}
+
+impl<const H: usize, const I: usize> Schema<H, I> {
+    /// Database pages: every heap, every index's extent and root, the slack.
+    pub fn pages(&self) -> u64 {
+        let heaps: u64 = self.heaps.iter().map(|h| h.2).sum();
+        let indexes: u64 = self.indexes.iter().map(|i| 1 + i.1).sum();
+        heaps + indexes + self.slack
+    }
+
+    /// Open the paper's system for `design` sized to this schema, set λ
+    /// (if given), let `tweak` edit the spec, and create the heaps, then
+    /// the indexes, in list order.
+    pub fn open(
+        &self,
+        design: Design,
+        lambda: Option<f64>,
+        tweak: impl FnOnce(&mut SystemSpec),
+    ) -> Opened<H, I> {
+        let mut spec = SystemSpec::paper(design, self.pages());
+        if let Some(lambda) = lambda {
+            spec.ssd(|s| s.lambda = lambda);
+        }
+        tweak(&mut spec);
+        let db = build_db(&spec);
+        let mut clk = Clk::new();
+        let heap = |(name, rec, pages)| db.create_heap(&mut clk, name, rec, pages);
+        let heaps = self.heaps.map(heap);
+        let index = |(name, extent)| db.create_index(&mut clk, name, extent);
+        let indexes = self.indexes.map(index);
+        let seed = spec.seed;
+        Opened {
+            db,
+            seed,
+            heaps,
+            indexes,
+        }
+    }
+}
+
 /// Convert paper gigabytes to scaled pages.
 pub fn gb_to_pages(gb: f64) -> u64 {
     (gb * PAGES_PER_GB).round() as u64
@@ -133,7 +213,7 @@ pub(crate) fn u64_at(rec: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(rec[off..off + 8].try_into().expect("an 8-byte field"))
 }
 
-/// Store each `(offset, value)` of `fields` into a bulk-loaded record as a
+/// Store each `(offset, value)` of `fields` into a record as a
 /// little-endian `u64`.
 pub(crate) fn put_u64s(rec: &mut [u8], fields: &[(usize, u64)]) {
     for &(off, v) in fields {

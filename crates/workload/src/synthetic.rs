@@ -14,7 +14,10 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::{client_rng, Zipf};
-use crate::scenario::{build_db, u64_at, Design, SystemSpec, SCALE};
+use crate::scenario::{
+    heap_pages, index_leaves, put_u64s, u64_at, Design, Opened, Schema, SystemSpec, INDEX_FILL,
+    PAGE_SIZE, SCALE,
+};
 
 /// Synthetic workload parameters.
 #[derive(Clone, Debug)]
@@ -60,13 +63,21 @@ pub struct Synthetic {
 }
 
 impl Synthetic {
+    /// The table and its index. Its own extent rule (1.4× the leaves, plus
+    /// 16) and slack keep the layout the ablations were measured on.
+    fn schema(cfg: &SyntheticConfig, page_size: usize) -> Schema<1, 1> {
+        let heap = heap_pages(cfg.rows, cfg.record_size, page_size);
+        let extent = (index_leaves(cfg.rows, page_size) * 1.4) as u64 + 16;
+        Schema {
+            heaps: [("data", cfg.record_size, heap)],
+            indexes: [("data_pk", extent)],
+            slack: 15,
+        }
+    }
+
     /// Pages needed for the table and its index.
     pub fn db_pages(cfg: &SyntheticConfig, page_size: usize) -> u64 {
-        let slots = (page_size / (1 + cfg.record_size)) as u64;
-        let heap = cfg.rows.div_ceil(slots);
-        let leaf_cap = ((page_size - 16) / 16) as f64 * 0.7;
-        let idx = (cfg.rows as f64 / leaf_cap * 1.4) as u64 + 16;
-        heap + idx + 16
+        Self::schema(cfg, page_size).pages()
     }
 
     /// Build and load under the given design, with overrides applied to
@@ -76,34 +87,20 @@ impl Synthetic {
         cfg: SyntheticConfig,
         tweak: impl FnOnce(&mut SystemSpec),
     ) -> Synthetic {
-        let page_size = crate::scenario::PAGE_SIZE;
-        let mut spec = SystemSpec::paper(design, Self::db_pages(&cfg, page_size));
-        tweak(&mut spec);
-        let db = build_db(&spec);
-        let mut clk = Clk::new();
-        let heap = db.create_heap(
-            &mut clk,
-            "data",
-            cfg.record_size,
-            cfg.rows
-                .div_ceil((page_size / (1 + cfg.record_size)) as u64),
-        );
-        let leaf_cap = ((page_size - 16) / 16) as f64 * 0.7;
-        let index = db.create_index(
-            &mut clk,
-            "data_pk",
-            (cfg.rows as f64 / leaf_cap * 1.4) as u64 + 16,
-        );
-        bulk_load_heap(&db, heap, cfg.rows, |i, rec| {
-            rec[0..8].copy_from_slice(&i.to_le_bytes())
-        });
-        bulk_load_index(&db, index, (0..cfg.rows).map(|k| (k, k)), 0.7);
+        let Opened {
+            db,
+            seed,
+            heaps: [heap],
+            indexes: [index],
+        } = Self::schema(&cfg, PAGE_SIZE).open(design, None, tweak);
+        bulk_load_heap(&db, heap, cfg.rows, |i, rec| put_u64s(rec, &[(0, i)]));
+        bulk_load_index(&db, index, (0..cfg.rows).map(|k| (k, k)), INDEX_FILL);
         Synthetic {
             db,
             cfg,
             heap,
             index,
-            seed: spec.seed,
+            seed,
             zipf: OnceLock::new(),
         }
     }
@@ -112,29 +109,12 @@ impl Synthetic {
     /// (crash-restart experiments). Requires sole ownership of the
     /// `Database` Arc — drop all clients first.
     pub fn crash_and_recover(self) -> (Synthetic, turbopool_wal::RecoveryStats) {
-        let Synthetic {
-            db,
-            cfg,
-            heap,
-            index,
-            seed,
-            zipf,
-        } = self;
-        let db = Arc::try_unwrap(db)
+        let db = Arc::try_unwrap(self.db)
             .ok()
             .expect("other Database handles still alive");
         let (db2, stats) = Database::recover(db.crash());
-        (
-            Synthetic {
-                db: Arc::new(db2),
-                cfg,
-                heap,
-                index,
-                seed,
-                zipf,
-            },
-            stats,
-        )
+        let db = Arc::new(db2);
+        (Synthetic { db, ..self }, stats)
     }
 
     pub fn client(

@@ -20,7 +20,10 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::{client_rng, nurand};
-use crate::scenario::{build_db, put_u64s, u64_at, Design, SystemSpec, SCALE};
+use crate::scenario::{
+    heap_pages, index_extent, put_u64s, u64_at, Design, Opened, Schema, SystemSpec, INDEX_FILL,
+    PAGE_SIZE, SCALE,
+};
 
 /// Items in the (global) item table.
 pub const ITEMS: u64 = 10_000;
@@ -55,16 +58,6 @@ const GROWTH: u64 = 3;
 /// transactions/s on CPU alone).
 const CPU_NEW_ORDER: Time = (2.4 * SCALE) as Time * MILLISECOND / 1000 * 1000;
 const CPU_LIGHT: Time = SCALE as Time * MILLISECOND / 1000 * 1000;
-
-fn pages_for(rows: u64, rec: usize, page_size: usize) -> u64 {
-    let slots = (page_size / (1 + rec)) as u64;
-    rows.div_ceil(slots)
-}
-
-fn index_extent(keys: u64, page_size: usize) -> u64 {
-    let cap = ((page_size - 16) / 16) as f64 * 0.7;
-    ((keys as f64 / cap * 1.6) as u64).max(8) + 8
-}
 
 /// Key encodings (one global heap+index per table, composite keys).
 pub fn stock_key(w: u64, i: u64) -> u64 {
@@ -105,32 +98,40 @@ pub struct Tpcc {
 }
 
 impl Tpcc {
+    /// The tables of `sw` scaled warehouses, the order tables with room
+    /// for `growth` times their preload.
+    fn schema(sw: u64, page_size: usize, growth: u64) -> Schema<9, 5> {
+        let heap = |name, rec, rows| (name, rec, heap_pages(rows, rec, page_size));
+        let index = |name, keys| (name, index_extent(keys, page_size));
+        let customers = sw * DISTRICTS * CUST_PER_DIST;
+        let orders = sw * DISTRICTS * PRELOAD_ORDERS * growth.max(1);
+        Schema {
+            heaps: [
+                heap("item", REC_ITEM, ITEMS),
+                heap("stock", REC_STOCK, sw * STOCK_PER_W),
+                heap("customer", REC_CUSTOMER, customers),
+                heap("district", REC_DISTRICT, sw * DISTRICTS),
+                heap("warehouse", REC_WAREHOUSE, sw),
+                heap("orders", REC_ORDER, orders),
+                heap("order_line", REC_ORDER_LINE, orders * AVG_OL),
+                heap("history", REC_HISTORY, orders),
+                heap("new_order", REC_NEW_ORDER, orders),
+            ],
+            indexes: [
+                index("stock_pk", sw * STOCK_PER_W),
+                index("customer_pk", customers),
+                index("orders_pk", orders),
+                index("order_line_pk", orders * AVG_OL),
+                index("customer_last_order", customers),
+            ],
+            slack: 64,
+        }
+    }
+
     /// Database pages needed for `sw` scaled warehouses (data + indexes +
     /// growth headroom).
     pub fn db_pages(sw: u64, page_size: usize) -> u64 {
-        Self::db_pages_opt(sw, page_size, GROWTH)
-    }
-
-    /// Like [`Tpcc::db_pages`] with an explicit growth multiplier.
-    pub fn db_pages_opt(sw: u64, page_size: usize, growth: u64) -> u64 {
-        let p = |rows, rec| pages_for(rows, rec, page_size);
-        let growth = growth.max(1);
-        let preload_orders = sw * DISTRICTS * PRELOAD_ORDERS;
-        let data = p(ITEMS, REC_ITEM)
-            + p(sw * STOCK_PER_W, REC_STOCK)
-            + p(sw * DISTRICTS * CUST_PER_DIST, REC_CUSTOMER)
-            + p(sw * DISTRICTS, REC_DISTRICT)
-            + p(sw, REC_WAREHOUSE)
-            + p(preload_orders * growth, REC_ORDER)
-            + p(preload_orders * AVG_OL * growth, REC_ORDER_LINE)
-            + p(preload_orders * growth, REC_HISTORY)
-            + p(preload_orders * growth, REC_NEW_ORDER);
-        let idx = index_extent(sw * STOCK_PER_W, page_size)
-            + index_extent(sw * DISTRICTS * CUST_PER_DIST, page_size) * 2
-            + index_extent(preload_orders * growth, page_size)
-            + index_extent(preload_orders * AVG_OL * growth, page_size)
-            + 5; // index roots
-        data + idx + 64
+        Self::schema(sw, page_size, GROWTH).pages()
     }
 
     /// Build and bulk-load (backup-restore style) a TPC-C database of `sw`
@@ -158,98 +159,29 @@ impl Tpcc {
         Self::setup_opt_tweak(design, sw, lambda, GROWTH, tweak)
     }
 
-    /// [`Tpcc::setup_tweak`] with an explicit growth-headroom factor.
-    pub fn setup_opt_tweak(
+    fn setup_opt_tweak(
         design: Design,
         sw: u64,
         lambda: f64,
         growth: u64,
         tweak: impl FnOnce(&mut SystemSpec),
     ) -> Tpcc {
-        let growth = growth.max(1);
-        let page_size = crate::scenario::PAGE_SIZE;
-        let mut spec = SystemSpec::paper(design, Self::db_pages_opt(sw, page_size, growth));
-        spec.ssd(|s| s.lambda = lambda);
-        tweak(&mut spec);
-        let db = build_db(&spec);
-        let mut clk = Clk::new();
-        let p = |rows, rec| pages_for(rows, rec, page_size);
+        let Opened {
+            db,
+            seed,
+            heaps:
+                [h_item, h_stock, h_customer, h_district, h_warehouse, h_orders, h_order_line, h_history, h_new_order],
+            indexes: [i_stock, i_customer, i_orders, i_order_line, i_last_order],
+        } = Self::schema(sw, PAGE_SIZE, growth).open(design, Some(lambda), tweak);
+        let (stock, customers) = (sw * STOCK_PER_W, sw * DISTRICTS * CUST_PER_DIST);
         let preload_orders = sw * DISTRICTS * PRELOAD_ORDERS;
-
-        let h_item = db.create_heap(&mut clk, "item", REC_ITEM, p(ITEMS, REC_ITEM));
-        let h_stock = db.create_heap(&mut clk, "stock", REC_STOCK, p(sw * STOCK_PER_W, REC_STOCK));
-        let h_customer = db.create_heap(
-            &mut clk,
-            "customer",
-            REC_CUSTOMER,
-            p(sw * DISTRICTS * CUST_PER_DIST, REC_CUSTOMER),
-        );
-        let h_district = db.create_heap(
-            &mut clk,
-            "district",
-            REC_DISTRICT,
-            p(sw * DISTRICTS, REC_DISTRICT),
-        );
-        let h_warehouse =
-            db.create_heap(&mut clk, "warehouse", REC_WAREHOUSE, p(sw, REC_WAREHOUSE));
-        let h_orders = db.create_heap(
-            &mut clk,
-            "orders",
-            REC_ORDER,
-            p(preload_orders * growth, REC_ORDER),
-        );
-        let h_order_line = db.create_heap(
-            &mut clk,
-            "order_line",
-            REC_ORDER_LINE,
-            p(preload_orders * AVG_OL * growth, REC_ORDER_LINE),
-        );
-        let h_history = db.create_heap(
-            &mut clk,
-            "history",
-            REC_HISTORY,
-            p(preload_orders * growth, REC_HISTORY),
-        );
-        let h_new_order = db.create_heap(
-            &mut clk,
-            "new_order",
-            REC_NEW_ORDER,
-            p(preload_orders * growth, REC_NEW_ORDER),
-        );
-        let i_stock = db.create_index(
-            &mut clk,
-            "stock_pk",
-            index_extent(sw * STOCK_PER_W, page_size),
-        );
-        let i_customer = db.create_index(
-            &mut clk,
-            "customer_pk",
-            index_extent(sw * DISTRICTS * CUST_PER_DIST, page_size),
-        );
-        let i_orders = db.create_index(
-            &mut clk,
-            "orders_pk",
-            index_extent(preload_orders * growth, page_size),
-        );
-        let i_order_line = db.create_index(
-            &mut clk,
-            "order_line_pk",
-            index_extent(preload_orders * AVG_OL * growth, page_size),
-        );
-        let i_last_order = db.create_index(
-            &mut clk,
-            "customer_last_order",
-            index_extent(sw * DISTRICTS * CUST_PER_DIST, page_size),
-        );
 
         // --- bulk load (restore-from-backup path; no simulated I/O) ---
         bulk_load_heap(&db, h_item, ITEMS, |i, rec| {
             put_u64s(rec, &[(0, 100 + i % 900)])
         });
-        bulk_load_heap(&db, h_stock, sw * STOCK_PER_W, |_, rec| {
-            put_u64s(rec, &[(0, 50)])
-        });
-        bulk_load_heap(&db, h_customer, sw * DISTRICTS * CUST_PER_DIST, |_, rec| {
+        bulk_load_heap(&db, h_stock, stock, |_, rec| put_u64s(rec, &[(0, 50)]));
+        bulk_load_heap(&db, h_customer, customers, |_, rec| {
             put_u64s(rec, &[(0, 1000)])
         });
         bulk_load_heap(&db, h_district, sw * DISTRICTS, |_, rec| {
@@ -278,23 +210,18 @@ impl Tpcc {
             let (o, l) = (order(lrid / AVG_OL).2, lrid % AVG_OL);
             put_u64s(rec, &[(0, (o * 31 + l * 17) % ITEMS), (8, 5), (24, 1)])
         });
-        bulk_load_index(&db, i_stock, (0..sw * STOCK_PER_W).map(|k| (k, k)), 0.7);
-        bulk_load_index(
-            &db,
-            i_customer,
-            (0..sw * DISTRICTS * CUST_PER_DIST).map(|k| (k, k)),
-            0.7,
-        );
+        bulk_load_index(&db, i_stock, (0..stock).map(|k| (k, k)), INDEX_FILL);
+        bulk_load_index(&db, i_customer, (0..customers).map(|k| (k, k)), INDEX_FILL);
         let order_idx = (0..preload_orders).map(|rid| {
             let (w, d, o) = order(rid);
             (order_key(w, d, o), rid)
         });
-        bulk_load_index(&db, i_orders, order_idx, 0.7);
+        bulk_load_index(&db, i_orders, order_idx, INDEX_FILL);
         let line_idx = (0..preload_orders * AVG_OL).map(|lrid| {
             let (w, d, o) = order(lrid / AVG_OL);
             (ol_key(w, d, o, lrid % AVG_OL), lrid)
         });
-        bulk_load_index(&db, i_order_line, line_idx, 0.7);
+        bulk_load_index(&db, i_order_line, line_idx, INDEX_FILL);
         // Each customer's latest order (upsert order): per district, one
         // slot per customer keeps the greatest rid, then customers go out
         // in key order.
@@ -307,7 +234,7 @@ impl Tpcc {
             (0..CUST_PER_DIST)
                 .filter_map(move |c| last[c as usize].map(|rid| (cust_key(w, d, c), rid)))
         });
-        bulk_load_index(&db, i_last_order, last_order, 0.7);
+        bulk_load_index(&db, i_last_order, last_order, INDEX_FILL);
 
         Tpcc {
             db,
@@ -326,7 +253,7 @@ impl Tpcc {
             i_orders,
             i_order_line,
             i_last_order,
-            seed: spec.seed,
+            seed,
         }
     }
 
@@ -410,16 +337,13 @@ impl TpccClient {
 
         // Order + lines + new-order inserts.
         let mut orec = vec![0u8; REC_ORDER];
-        orec[0..8].copy_from_slice(&o_id.to_le_bytes());
-        orec[8..16].copy_from_slice(&c.to_le_bytes());
-        orec[16..24].copy_from_slice(&ol_cnt.to_le_bytes());
+        put_u64s(&mut orec, &[(0, o_id), (8, c), (16, ol_cnt)]);
         let orid = txn.heap_insert(t.h_orders, &orec).expect("orders full");
         txn.index_insert(t.i_orders, order_key(w, d, o_id), orid);
         txn.index_insert(t.i_last_order, cust_key(w, d, c), orid);
         for (l, &(_, i)) in items.iter().enumerate() {
             let mut lrec = vec![0u8; REC_ORDER_LINE];
-            lrec[0..8].copy_from_slice(&i.to_le_bytes());
-            lrec[8..16].copy_from_slice(&5u64.to_le_bytes());
+            put_u64s(&mut lrec, &[(0, i), (8, 5)]);
             let lr = txn.heap_insert(t.h_order_line, &lrec).expect("ol full");
             txn.index_insert(t.i_order_line, ol_key(w, d, o_id, l as u64), lr);
         }
@@ -609,7 +533,7 @@ mod tests {
     fn sizing_matches_paper_targets() {
         // 20 scaled warehouses should be about the 2K-warehouse database:
         // 200 GB / SCALE ≈ 26,000 scaled pages (within 20%).
-        let pages = Tpcc::db_pages(20, crate::scenario::PAGE_SIZE);
+        let pages = Tpcc::db_pages(20, PAGE_SIZE);
         let target = crate::scenario::gb_to_pages(200.0);
         let ratio = pages as f64 / target as f64;
         assert!(

@@ -22,7 +22,10 @@ use turbopool_iosim::{Clk, Time, MILLISECOND};
 
 use crate::driver::{Client, StepResult, ThroughputRecorder};
 use crate::rand_util::client_rng;
-use crate::scenario::{build_db, put_u64s, u64_at, Design, SystemSpec, SCALE};
+use crate::scenario::{
+    heap_pages, index_extent, put_u64s, u64_at, Design, Opened, Schema, SystemSpec, INDEX_FILL,
+    PAGE_SIZE, SCALE,
+};
 
 /// Accounts per customer.
 pub const ACCTS_PER_CUST: u64 = 2;
@@ -45,16 +48,6 @@ const GROWTH_DEN: u64 = 10;
 
 const CPU_HEAVY: Time = (2.4 * SCALE) as Time * MILLISECOND / 1000 * 1000;
 const CPU_LIGHT: Time = SCALE as Time * MILLISECOND;
-
-fn pages_for(rows: u64, rec: usize, page_size: usize) -> u64 {
-    let slots = (page_size / (1 + rec)) as u64;
-    rows.div_ceil(slots)
-}
-
-fn index_extent(keys: u64, page_size: usize) -> u64 {
-    let cap = ((page_size - 16) / 16) as f64 * 0.7;
-    ((keys as f64 / cap * 1.6) as u64).max(8) + 8
-}
 
 /// Trade key: account in the high bits, per-account sequence below — one
 /// index serves point lookups and "recent trades of account" ranges.
@@ -80,18 +73,28 @@ impl Tpce {
         self.customers * ACCTS_PER_CUST
     }
 
-    /// Pages needed for `customers` scaled customers.
-    pub fn db_pages(customers: u64, page_size: usize) -> u64 {
+    /// The tables of `customers` scaled customers, TRADE with room for
+    /// its growth.
+    fn schema(customers: u64, page_size: usize) -> Schema<5, 1> {
+        let heap = |name, rec, rows| (name, rec, heap_pages(rows, rec, page_size));
         let accts = customers * ACCTS_PER_CUST;
         let trades = accts * TRADES_PER_ACCT * GROWTH_NUM / GROWTH_DEN;
-        pages_for(customers, REC_CUSTOMER, page_size)
-            + pages_for(accts, REC_ACCOUNT, page_size)
-            + pages_for(SECURITIES, REC_SECURITY, page_size)
-            + pages_for(accts * HOLDINGS_PER_ACCT, REC_HOLDING, page_size)
-            + pages_for(trades, REC_TRADE, page_size)
-            + index_extent(trades, page_size)
-            + 1
-            + 64
+        Schema {
+            heaps: [
+                heap("customer", REC_CUSTOMER, customers),
+                heap("account", REC_ACCOUNT, accts),
+                heap("security", REC_SECURITY, SECURITIES),
+                heap("holding", REC_HOLDING, accts * HOLDINGS_PER_ACCT),
+                heap("trade", REC_TRADE, trades),
+            ],
+            indexes: [("trade_pk", index_extent(trades, page_size))],
+            slack: 64,
+        }
+    }
+
+    /// Pages needed for `customers` scaled customers.
+    pub fn db_pages(customers: u64, page_size: usize) -> u64 {
+        Self::schema(customers, page_size).pages()
     }
 
     /// Build and bulk-load a TPC-E database of `customers` scaled
@@ -108,46 +111,13 @@ impl Tpce {
         lambda: f64,
         tweak: impl FnOnce(&mut SystemSpec),
     ) -> Tpce {
-        let page_size = crate::scenario::PAGE_SIZE;
-        let mut spec = SystemSpec::paper(design, Self::db_pages(customers, page_size));
-        spec.ssd(|s| s.lambda = lambda);
-        tweak(&mut spec);
-        let db = build_db(&spec);
-        let mut clk = Clk::new();
+        let Opened {
+            db,
+            seed,
+            heaps: [h_customer, h_account, h_security, h_holding, h_trade],
+            indexes: [i_trade],
+        } = Self::schema(customers, PAGE_SIZE).open(design, Some(lambda), tweak);
         let accts = customers * ACCTS_PER_CUST;
-        let trades_cap = accts * TRADES_PER_ACCT * GROWTH_NUM / GROWTH_DEN;
-
-        let h_customer = db.create_heap(
-            &mut clk,
-            "customer",
-            REC_CUSTOMER,
-            pages_for(customers, REC_CUSTOMER, page_size),
-        );
-        let h_account = db.create_heap(
-            &mut clk,
-            "account",
-            REC_ACCOUNT,
-            pages_for(accts, REC_ACCOUNT, page_size),
-        );
-        let h_security = db.create_heap(
-            &mut clk,
-            "security",
-            REC_SECURITY,
-            pages_for(SECURITIES, REC_SECURITY, page_size),
-        );
-        let h_holding = db.create_heap(
-            &mut clk,
-            "holding",
-            REC_HOLDING,
-            pages_for(accts * HOLDINGS_PER_ACCT, REC_HOLDING, page_size),
-        );
-        let h_trade = db.create_heap(
-            &mut clk,
-            "trade",
-            REC_TRADE,
-            pages_for(trades_cap, REC_TRADE, page_size),
-        );
-        let i_trade = db.create_index(&mut clk, "trade_pk", index_extent(trades_cap, page_size));
 
         bulk_load_heap(&db, h_customer, customers, |_, _| {});
         bulk_load_heap(&db, h_account, accts, |_, rec| {
@@ -170,7 +140,7 @@ impl Tpce {
         // walking accounts, then sequences, yields the keys in order.
         let pairs = (0..accts)
             .flat_map(|a| (0..TRADES_PER_ACCT).map(move |s| (trade_key(a, s), s * accts + a)));
-        bulk_load_index(&db, i_trade, pairs, 0.7);
+        bulk_load_index(&db, i_trade, pairs, INDEX_FILL);
 
         Tpce {
             db,
@@ -181,7 +151,7 @@ impl Tpce {
             h_holding,
             h_trade,
             i_trade,
-            seed: spec.seed,
+            seed,
         }
     }
 
@@ -221,8 +191,7 @@ impl TpceClient {
             .expect("account");
         txn.heap_update_with(t.h_account, acct, |r| r.put(8, &(seq + 1).to_le_bytes()));
         let mut trec = vec![0u8; REC_TRADE];
-        trec[8..16].copy_from_slice(&sec.to_le_bytes());
-        trec[16..24].copy_from_slice(&10u64.to_le_bytes());
+        put_u64s(&mut trec, &[(8, sec), (16, 10)]);
         let rid = txn.heap_insert(t.h_trade, &trec).expect("trade heap full");
         let key = trade_key(acct, seq);
         txn.index_insert(t.i_trade, key, rid);
@@ -352,7 +321,7 @@ mod tests {
     #[test]
     fn sizing_matches_paper_targets() {
         // 2,000 scaled customers ≈ the 20K-customer, 230 GB database.
-        let pages = Tpce::db_pages(2_000, crate::scenario::PAGE_SIZE);
+        let pages = Tpce::db_pages(2_000, PAGE_SIZE);
         let target = crate::scenario::gb_to_pages(230.0);
         let ratio = pages as f64 / target as f64;
         assert!(

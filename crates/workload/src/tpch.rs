@@ -29,7 +29,10 @@ use turbopool_iosim::{Clk, Time, MILLISECOND, SECOND};
 
 use crate::driver::{Client, StepResult};
 use crate::rand_util::client_rng;
-use crate::scenario::{build_db, put_u64s, Design, SystemSpec, SCALE};
+use crate::scenario::{
+    heap_pages, index_extent, put_u64s, u64_at, Design, Opened, Schema, INDEX_FILL, PAGE_SIZE,
+    SCALE,
+};
 
 /// Scaled rows per SF unit.
 pub const LINEITEM_PER_SF: u64 = 6_000;
@@ -47,16 +50,6 @@ const REC: usize = 128;
 const CPU_PER_PAGE: Time = 25 * SCALE as Time * MILLISECOND / 1000;
 /// CPU charged per index probe.
 const CPU_PER_PROBE: Time = SCALE as Time * MILLISECOND / 1000;
-
-fn pages_for(rows: u64, page_size: usize) -> u64 {
-    let slots = (page_size / (1 + REC)) as u64;
-    rows.div_ceil(slots)
-}
-
-fn index_extent(keys: u64, page_size: usize) -> u64 {
-    let cap = ((page_size - 16) / 16) as f64 * 0.7;
-    ((keys as f64 / cap * 1.6) as u64).max(8) + 8
-}
 
 /// Plan shape of a query template.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -126,66 +119,43 @@ impl Tpch {
         sf * ORDERS_PER_SF
     }
 
+    /// The tables at scale factor `sf`, LINEITEM and ORDERS with 10 %
+    /// headroom for the refresh functions.
+    fn schema(sf: u64, page_size: usize) -> Schema<5, 2> {
+        let heap = |name, rows| (name, REC, heap_pages(rows, REC, page_size));
+        let li = sf * LINEITEM_PER_SF * 11 / 10;
+        let ord = sf * ORDERS_PER_SF * 11 / 10;
+        Schema {
+            heaps: [
+                heap("lineitem", li),
+                heap("orders", ord),
+                heap("customer", sf * CUSTOMER_PER_SF),
+                heap("part", sf * PART_PER_SF),
+                heap("supplier", sf * SUPPLIER_PER_SF),
+            ],
+            indexes: [
+                ("lineitem_pk", index_extent(li, page_size)),
+                ("orders_pk", index_extent(ord, page_size)),
+            ],
+            slack: 64,
+        }
+    }
+
     /// Pages needed at scale factor `sf` (with refresh growth headroom).
     pub fn db_pages(sf: u64, page_size: usize) -> u64 {
-        let li = sf * LINEITEM_PER_SF;
-        let ord = sf * ORDERS_PER_SF;
-        pages_for(li * 11 / 10, page_size)
-            + pages_for(ord * 11 / 10, page_size)
-            + pages_for(sf * CUSTOMER_PER_SF, page_size)
-            + pages_for(sf * PART_PER_SF, page_size)
-            + pages_for(sf * SUPPLIER_PER_SF, page_size)
-            + index_extent(li * 11 / 10, page_size)
-            + index_extent(ord * 11 / 10, page_size)
-            + 2
-            + 64
+        Self::schema(sf, page_size).pages()
     }
 
     /// Build and bulk-load a TPC-H database at scale factor `sf`.
     pub fn setup(design: Design, sf: u64, lambda: f64) -> Tpch {
-        let page_size = crate::scenario::PAGE_SIZE;
-        let mut spec = SystemSpec::paper(design, Self::db_pages(sf, page_size));
-        spec.ssd(|s| s.lambda = lambda);
-        let db = build_db(&spec);
-        let mut clk = Clk::new();
+        let Opened {
+            db,
+            seed,
+            heaps: [h_lineitem, h_orders, h_customer, h_part, h_supplier],
+            indexes: [i_lineitem, i_orders],
+        } = Self::schema(sf, PAGE_SIZE).open(design, Some(lambda), |_| {});
         let li = sf * LINEITEM_PER_SF;
         let ord = sf * ORDERS_PER_SF;
-
-        let h_lineitem = db.create_heap(
-            &mut clk,
-            "lineitem",
-            REC,
-            pages_for(li * 11 / 10, page_size),
-        );
-        let h_orders = db.create_heap(&mut clk, "orders", REC, pages_for(ord * 11 / 10, page_size));
-        let h_customer = db.create_heap(
-            &mut clk,
-            "customer",
-            REC,
-            pages_for(sf * CUSTOMER_PER_SF, page_size),
-        );
-        let h_part = db.create_heap(
-            &mut clk,
-            "part",
-            REC,
-            pages_for(sf * PART_PER_SF, page_size),
-        );
-        let h_supplier = db.create_heap(
-            &mut clk,
-            "supplier",
-            REC,
-            pages_for(sf * SUPPLIER_PER_SF, page_size),
-        );
-        let i_lineitem = db.create_index(
-            &mut clk,
-            "lineitem_pk",
-            index_extent(li * 11 / 10, page_size),
-        );
-        let i_orders = db.create_index(
-            &mut clk,
-            "orders_pk",
-            index_extent(ord * 11 / 10, page_size),
-        );
 
         // LINEITEM loaded in scrambled physical order: the row at rid i
         // holds logical line `scramble(i)`, and the index maps a logical
@@ -209,7 +179,7 @@ impl Tpch {
             *first = (*first).min(rid);
         }
         let line_pairs = (0..li).zip(first_rid).filter(|&(_, rid)| rid != u64::MAX);
-        bulk_load_index(&db, i_lineitem, line_pairs, 0.7);
+        bulk_load_index(&db, i_lineitem, line_pairs, INDEX_FILL);
 
         bulk_load_heap(&db, h_orders, ord, |o, rec| {
             put_u64s(
@@ -217,7 +187,7 @@ impl Tpch {
                 &[(0, o), (8, o % (sf * CUSTOMER_PER_SF)), (16, o % 365)],
             )
         });
-        bulk_load_index(&db, i_orders, (0..ord).map(|o| (o, o)), 0.7);
+        bulk_load_index(&db, i_orders, (0..ord).map(|o| (o, o)), INDEX_FILL);
         bulk_load_heap(&db, h_customer, sf * CUSTOMER_PER_SF, |c, rec| {
             put_u64s(rec, &[(0, c), (8, c % 25)])
         });
@@ -238,7 +208,7 @@ impl Tpch {
             h_supplier,
             i_lineitem,
             i_orders,
-            seed: spec.seed,
+            seed,
             rf: Mutex::new(RfState {
                 next_orderkey: ord,
                 inserted: Vec::new(),
@@ -264,14 +234,9 @@ impl Tpch {
     }
 
     fn scan_lineitem(&self, clk: &mut Clk) {
-        let mut rows = 0u64;
         let mut acc = 0u64;
-        self.db
-            .scan_heap(clk, self.h_lineitem, |_, rec| {
-                rows += 1;
-                acc = acc.wrapping_add(u64::from_le_bytes(rec[16..24].try_into().unwrap()));
-            })
-            .unwrap();
+        let add = |_, rec: &[u8]| acc = acc.wrapping_add(u64_at(rec, 16));
+        self.db.scan_heap(clk, self.h_lineitem, add).unwrap();
         let pages = self.db.heap_meta(self.h_lineitem).used_pages();
         clk.elapse(pages * CPU_PER_PAGE);
         std::hint::black_box(acc);
@@ -314,8 +279,7 @@ impl Tpch {
         self.db
             .scan_heap(clk, self.h_orders, |rid, rec| {
                 if rid % every == offset {
-                    let cust = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-                    probes.push(cust % customers);
+                    probes.push(u64_at(rec, 8) % customers);
                 }
             })
             .unwrap();
@@ -330,19 +294,12 @@ impl Tpch {
     }
 
     fn small_tables(&self, clk: &mut Clk, frac: f64, rng: &mut SmallRng) {
-        let mut acc = 0u64;
-        self.db
-            .scan_heap(clk, self.h_part, |_, rec| {
-                acc = acc.wrapping_add(rec[8] as u64);
-            })
-            .unwrap();
-        self.db
-            .scan_heap(clk, self.h_supplier, |_, rec| {
-                acc = acc.wrapping_add(rec[8] as u64);
-            })
-            .unwrap();
-        let pages = self.db.heap_meta(self.h_part).used_pages()
-            + self.db.heap_meta(self.h_supplier).used_pages();
+        let (mut acc, mut pages) = (0u64, 0);
+        for h in [self.h_part, self.h_supplier] {
+            let add = |_, rec: &[u8]| acc = acc.wrapping_add(rec[8] as u64);
+            self.db.scan_heap(clk, h, add).unwrap();
+            pages += self.db.heap_meta(h).used_pages();
+        }
         clk.elapse(pages * CPU_PER_PAGE);
         std::hint::black_box(acc);
         // A few LINEITEM probes.
@@ -541,7 +498,7 @@ mod tests {
     #[test]
     fn sizing_matches_paper_targets() {
         // SF 100 ≈ 160 GB.
-        let pages = Tpch::db_pages(100, crate::scenario::PAGE_SIZE);
+        let pages = Tpch::db_pages(100, PAGE_SIZE);
         let target = crate::scenario::gb_to_pages(160.0);
         let ratio = pages as f64 / target as f64;
         assert!((0.7..1.3).contains(&ratio), "pages {pages} target {target}");

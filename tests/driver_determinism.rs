@@ -14,7 +14,7 @@ use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig, HeapId};
 use turbopool::iosim::fault::{checksum, FaultConfig, FaultPlan};
 use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
-use turbopool::iosim::store::PageStore;
+use turbopool::iosim::store::MemStore;
 use turbopool::iosim::{Clk, PageId, MICROSECOND, SECOND};
 use turbopool::workload::driver::{CleanerClient, Client, Driver, StepResult};
 
@@ -164,7 +164,7 @@ fn build(design: SsdDesign, seed: u64, fault: Fault, fleet: bool) -> Scenario {
 }
 
 /// Fold every page image of a store into one hash.
-fn store_fingerprint(store: &dyn PageStore) -> u64 {
+fn store_fingerprint(store: &MemStore) -> u64 {
     let mut buf = vec![0u8; store.page_size()];
     let mut h = 0u64;
     for pid in 0..store.num_pages() {

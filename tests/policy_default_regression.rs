@@ -12,7 +12,7 @@ use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig, HeapId};
 use turbopool::iosim::fault::checksum;
 use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
-use turbopool::iosim::store::PageStore;
+use turbopool::iosim::store::MemStore;
 use turbopool::iosim::{Clk, PageId, MICROSECOND, MINUTE, SECOND};
 use turbopool::workload::driver::{CleanerClient, Client, Driver, StepResult, ThroughputRecorder};
 use turbopool::workload::scenario::Design;
@@ -23,7 +23,7 @@ fn fold(h: &mut u64, v: u64) {
     *h = h.rotate_left(7) ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
 }
 
-fn store_fp(store: &dyn PageStore) -> u64 {
+fn store_fp(store: &MemStore) -> u64 {
     let mut buf = vec![0u8; store.page_size()];
     let mut h = 0u64;
     for pid in 0..store.num_pages() {
