@@ -1,7 +1,8 @@
 //! Microbenchmarks for the SSD manager's data structures and the engine's
 //! hot paths. Self-contained std-only harness (this environment has no
 //! registry access, so no criterion): each benchmark runs a warmup batch,
-//! then reports mean ns/iter over a fixed iteration budget.
+//! then splits a fixed iteration budget into [`PASSES`] timed passes and
+//! reports their median ns/iter with the fastest and slowest pass.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -11,7 +12,7 @@ use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::policy::Lru2Policy;
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::partition::Partition;
-use turbopool_core::{SsdConfig, SsdDesign, SsdManager, TacCache};
+use turbopool_core::{SsdConfig, SsdDesign, SsdManager};
 use turbopool_engine::btree::{find_in_leaf, sorted_head};
 use turbopool_engine::txn::diff_ranges;
 use turbopool_engine::{bulk_load_heap, bulk_load_index, Database, DbConfig};
@@ -21,45 +22,57 @@ use turbopool_iosim::{
 };
 use turbopool_workload::rand_util::{client_rng, Zipf};
 
-/// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
+/// `(name, median ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
 
-/// Time `iters` calls of `f` after `iters / 10` warmup calls and print
-/// mean ns/iter. Wall-clock by necessity: these measure real CPU cost of
-/// the data structures, not simulated I/O time.
+/// Timed passes per rung. A rung's spread comes mostly from one process
+/// to the next, so a pass alone cannot resolve a change of 1–2 ns; the
+/// median of several in one process, printed with their range, can be
+/// compared across processes.
+const PASSES: u64 = 5;
+
+/// Time `iters` calls of `f`, split into [`PASSES`] passes, after
+/// `iters / 10` warmup calls, and print the median pass's ns/iter with
+/// the fastest and slowest. Wall-clock by necessity: these measure real
+/// CPU cost of the data structures, not simulated I/O time.
 fn bench(name: &str, iters: u64, f: impl FnMut()) -> f64 {
     bench_per(name, iters, 1, f)
 }
 
 /// [`bench`] for a body that does `units` units of work per call (pages
-/// written, say): `calls` timed calls, reported as mean ns per unit over
-/// `calls * units` iterations.
+/// written, say): `calls` timed calls in all, reported as ns per unit.
 fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
     for _ in 0..calls / 10 {
         f();
     }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "harness-side timing of real CPU work; the virtual clock cannot \
-                  observe host execution cost"
-    )]
-    let t0 = std::time::Instant::now();
-    for _ in 0..calls {
-        f();
-    }
-    let elapsed = t0.elapsed();
-    let iters = calls * units;
-    let ns = elapsed.as_nanos() as f64 / iters as f64;
-    println!("{name:<34} {ns:>10.1} ns/iter ({iters} iters)");
+    let per_pass = (calls / PASSES).max(1);
+    let mut ns: Vec<f64> = (0..PASSES)
+        .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "harness-side timing of real CPU work; the virtual clock cannot \
+                          observe host execution cost"
+            )]
+            let t0 = std::time::Instant::now();
+            for _ in 0..per_pass {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / (per_pass * units) as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let (lo, med, hi) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1]);
+    let iters = per_pass * PASSES * units;
+    println!("{name:<34} {med:>10.1} ns/iter [{lo:.1}–{hi:.1}] ({iters} iters, {PASSES} passes)");
     if let Ok(mut r) = RESULTS.lock() {
-        r.push((name.to_string(), ns, iters));
+        r.push((name.to_string(), med, iters));
     }
-    ns
+    med
 }
 
 fn bench_partition() {
     bench("partition_insert_lookup_remove", 200, || {
-        let mut p = Partition::new(0, 4096, 3 * 4096);
+        let mut p = Partition::new(0, 4096, 3 * 4096, None);
         for i in 0..4096u64 {
             p.insert(PageId(i * 3), i % 2 == 0, i);
         }
@@ -78,7 +91,7 @@ fn bench_partition() {
     const FRAMES: usize = 18_350 / 16;
     // Admitted page numbers run up to the stamp, which the two rungs
     // below raise 1.1M times each.
-    let mut p = Partition::new(0, FRAMES, 1 << 22);
+    let mut p = Partition::new(0, FRAMES, 1 << 22, None);
     for i in 0..FRAMES {
         p.insert(PageId(i as u64), false, i as u64 + 1);
     }
@@ -395,7 +408,7 @@ fn bench_tac_admit_replace() {
     let mut cfg = SsdConfig::new(SsdDesign::Tac, FRAMES);
     cfg.tac_extent_pages = 1;
     cfg.tau = 1.0;
-    let tac = TacCache::new(cfg, io);
+    let tac = SsdManager::new(cfg, io);
     let mut buf = vec![0u8; 512];
     let mut clk = Clk::new();
     for p in 0..FRAMES {
@@ -473,7 +486,7 @@ fn bench_checksums() {
 }
 
 /// One SSD frame through `IoManager`: device booking, the store and the
-/// frame sum — what `SsdManager`/`TacCache` pay per hit and per admission.
+/// frame sum — what `SsdManager` pays per hit and per admission.
 /// By handle (the page is an image the store shares: what the pool's
 /// traffic does) and, `*_slice`, by byte slice (the store copies, the sum
 /// is taken once per write).
@@ -537,7 +550,8 @@ fn bench_page_image() {
     });
 }
 
-/// A 32-page read-ahead request through each cache's `read_run`, with the
+/// A 32-page read-ahead request through the table's `read_run` under DW
+/// and under TAC, with the
 /// first two pages and the last page of every run SSD-resident (so the
 /// request trims both ends and reads a 29-page middle from disk). Reported
 /// per request; divide by 32 for the per-page cost. Then one resident page
@@ -549,7 +563,10 @@ fn bench_read_run() {
     // they are in, so the timed loop admits nothing and stays steady.
     const SSD_FRAMES: u64 = 3 * RUNS;
     let data = vec![0xC3u8; FRAME];
-    for tac in [false, true] {
+    for (design, label) in [
+        (SsdDesign::DualWrite, "ssd_manager"),
+        (SsdDesign::Tac, "tac"),
+    ] {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(
             FRAME,
             RUN * RUNS,
@@ -560,21 +577,13 @@ fn bench_read_run() {
             let done = io.write_disk_async(clk.now, PageId(p), &data, Locality::Sequential);
             clk.wait_until(done.expect("no fault plan attached"));
         }
-        let (name, layer): (&str, Box<dyn PageIo>) = if tac {
-            let cfg = SsdConfig::new(SsdDesign::Tac, SSD_FRAMES);
-            ("read_run_32_pages_tac", Box::new(TacCache::new(cfg, io)))
-        } else {
-            let cfg = SsdConfig::new(SsdDesign::DualWrite, SSD_FRAMES);
-            (
-                "read_run_32_pages_ssd_manager",
-                Box::new(SsdManager::new(cfg, io)),
-            )
-        };
+        let name = format!("read_run_32_pages_{label}");
+        let layer = SsdManager::new(SsdConfig::new(design, SSD_FRAMES), io);
         let mut buf = vec![0u8; FRAME];
         for r in 0..RUNS {
             for off in [0, 1, RUN - 1] {
-                // TAC admits on the random read, the SSD manager on the
-                // clean eviction; each ignores the other call.
+                // TAC admits on the random read, DW on the clean
+                // eviction; each ignores the other call.
                 let pid = PageId(r * RUN + off);
                 layer
                     .read_page(&mut clk, pid, Locality::Random, &mut buf)
@@ -585,7 +594,7 @@ fn bench_read_run() {
         // Let every admission write complete (TAC frames turn valid then).
         clk.elapse(SECOND);
         let mut r = 0u64;
-        bench(name, 20_000, || {
+        bench(&name, 20_000, || {
             r = (r + 1) % RUNS;
             let pages = layer.read_run(&mut clk, PageId(r * RUN), RUN);
             std::hint::black_box(pages.expect("no fault plan attached"));

@@ -133,8 +133,8 @@ pub fn transition(
 
 /// Shadow state machine over the SSD buffer table.
 ///
-/// Owned by [`crate::SsdManager`] / [`crate::TacCache`]; they report every
-/// table mutation through [`InvariantAuditor::observe`].
+/// Owned by [`crate::SsdManager`], which reports every table mutation
+/// through [`InvariantAuditor::observe`].
 #[derive(Debug)]
 pub struct InvariantAuditor {
     design: SsdDesign,

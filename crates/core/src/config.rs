@@ -2,6 +2,8 @@
 //! extension knobs some run varies. A value only one setting of which is
 //! ever used is a named constant beside the code that reads it.
 
+use turbopool_iosim::Locality;
+
 /// After a cleaning burst, the dirty count is brought to `λ·S − slack·S`
 /// ("about 0.01% of the SSD space below the threshold").
 pub const LAMBDA_SLACK: f64 = 0.0001;
@@ -32,6 +34,19 @@ pub enum DirtyEviction {
     Ssd,
 }
 
+/// What orders a table's replacement victims (§2.2, §2.5).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Replacement {
+    /// LRU-2 over each partition's clean pages, by their last two access
+    /// stamps; a hit or a patched run page stamps its entry.
+    Lru2,
+    /// The temperature of the page's extent, which every memory-pool miss
+    /// heats (TAC). The coldest extent is one order over the whole SSD, so
+    /// the table is one partition; and since no checkpoint carries the
+    /// temperatures, it restarts cold.
+    ExtentHeat,
+}
+
 /// The decisions the designs differ in: one row of the policy table
 /// ([`SsdDesign::policy`]). Every reader of a design's behaviour — the page
 /// flow, the checkpoint, the cleaner, the auditor and the Figure 3
@@ -48,6 +63,12 @@ pub struct Policy {
     /// Does dirtying a cached page only mark its copy invalid, its frame
     /// staying occupied until rewritten (§2.5), rather than free the frame?
     pub logical_invalidation: bool,
+    /// What orders the replacement victims.
+    pub replacement: Replacement,
+    /// The disk locality a run page falls back to when its SSD frame fails
+    /// and its copy was clean: its own class (the run's, sequential) or a
+    /// random read.
+    pub run_fallback: Locality,
 }
 
 impl Policy {
@@ -63,17 +84,28 @@ impl SsdDesign {
     /// The policy table: this design's row.
     pub const fn policy(self) -> Policy {
         use DirtyEviction::{Disk, DiskAndSsd, Ssd};
-        let (dirty_eviction, checkpoint_mirror, admit_on_read, logical_invalidation) = match self {
-            SsdDesign::CleanWrite => (Disk, false, false, false),
-            SsdDesign::DualWrite => (DiskAndSsd, true, false, false),
-            SsdDesign::LazyCleaning => (Ssd, false, false, false),
-            SsdDesign::Tac => (Disk, false, true, true),
+        use Locality::{Random, Sequential};
+        use Replacement::{ExtentHeat, Lru2};
+        let (
+            dirty_eviction,
+            checkpoint_mirror,
+            admit_on_read,
+            logical_invalidation,
+            replacement,
+            run_fallback,
+        ) = match self {
+            SsdDesign::CleanWrite => (Disk, false, false, false, Lru2, Random),
+            SsdDesign::DualWrite => (DiskAndSsd, true, false, false, Lru2, Random),
+            SsdDesign::LazyCleaning => (Ssd, false, false, false, Lru2, Random),
+            SsdDesign::Tac => (Disk, false, true, true, ExtentHeat, Sequential),
         };
         Policy {
             dirty_eviction,
             checkpoint_mirror,
             admit_on_read,
             logical_invalidation,
+            replacement,
+            run_fallback,
         }
     }
 

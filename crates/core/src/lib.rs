@@ -14,7 +14,7 @@
 //!   background cleaner copies them to disk later (write-back), and the
 //!   sharp-checkpoint path must flush SSD-dirty pages.
 //!
-//! The crate also implements **TAC** (Temperature-Aware Caching, Canim et
+//! The same table also runs **TAC** (Temperature-Aware Caching, Canim et
 //! al., VLDB 2010) as the comparison baseline, with its per-extent
 //! temperature admission/replacement, write-on-read page flow and logical
 //! invalidation.
@@ -26,12 +26,12 @@
 //! trimming, SSD partitioning (N), and group cleaning (α) with the λ
 //! dirty-fraction threshold.
 //!
-//! The two tiers, [`SsdManager`] (CW/DW/LC) and [`TacCache`], differ in
-//! their buffer table and page flow; the device edge they share — retry,
-//! error budget and quarantine, the throttle, the invariant auditor, the
-//! strand list — is written once, in the private `tier` module. What each
-//! design does with a dirty page is one row of the policy table,
-//! [`SsdDesign::policy`].
+//! One table type, [`SsdManager`], serves all four designs: what each does
+//! differently — where pages enter, where a dirty eviction goes, how
+//! dirtying invalidates a copy, what orders the victims — is one row of
+//! the policy table, [`SsdDesign::policy`]. The device edge — retry, error
+//! budget and quarantine, the throttle, the invariant auditor, the strand
+//! list, the page reads — is the private `tier` module.
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
@@ -55,7 +55,7 @@ mod tier;
 pub use audit::{AuditOp, FrameState, InvariantAuditor};
 pub use cleaner::LazyCleaner;
 pub use coherence::{classify, CoherenceCase, CoherenceViolation};
-pub use config::{DirtyEviction, MultiPageMode, Policy, SsdConfig, SsdDesign};
+pub use config::{DirtyEviction, MultiPageMode, Policy, Replacement, SsdConfig, SsdDesign};
 pub use manager::{ImportReport, SsdManager};
 pub use metrics::SsdMetrics;
 pub use tac::TacCache;

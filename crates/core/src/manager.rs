@@ -1,22 +1,25 @@
-//! The SSD manager for the paper's three designs (CW, DW, LC).
+//! The SSD manager: one buffer table for the four designs (CW, DW, LC and
+//! the TAC baseline).
 //!
 //! Implements [`PageIo`], interposing the SSD between the buffer manager
-//! and the disk manager. Pages enter the SSD when they are evicted from the
-//! memory pool (never on read — that is TAC's flow, see `tac.rs`), guarded
-//! by the admission rule (randomly-read pages only, except during the
-//! aggressive-filling phase) and the throttle control. Replacement is LRU-2
-//! over the clean heap; dirty pages (LC only) are protected from
-//! replacement until the lazy cleaner or a checkpoint flushes them.
+//! and the disk manager. What a design does is its row of the policy table
+//! ([`crate::SsdDesign::policy`]), each column read in one place: where
+//! pages enter (`enters`; TAC's on-read flow is `tac.rs`), where a dirty
+//! eviction goes (`evict`), the DW checkpoint mirror (`checkpoint`), what
+//! dirtying a page does to its copy (`note_dirtied`), what orders the
+//! victims ([`SsdManager::new`]), and a run page's fallback (`tier.rs`).
+//! CW/DW/LC admit a page when it is evicted from memory, guarded by the
+//! admission rule (randomly-read pages only, except during aggressive
+//! filling) and the throttle; replacement is LRU-2 over the clean order,
+//! and dirty pages (LC only) are protected until the lazy cleaner or a
+//! checkpoint flushes them.
 //!
-//! This file holds the partitioned table and the page flow; what a design
-//! does with a dirty page is its row of the policy table
-//! ([`crate::SsdDesign::policy`]). Retry, the error budget, quarantine,
-//! throttle, audit, the strand list, the page reads (the §3.3.3 modes
-//! included) and the frame write are the device edge in `tier.rs`, shared
-//! with TAC; this table's hooks there stamp LRU-2 recency on a hit and on a
-//! patched run page. An admission is one hold of its partition latch: it
-//! frees a frame (cleaning the oldest dirty page inline when every page is
-//! dirty), books the write, and admits the entry or backs it out.
+//! Retry, the error budget, quarantine, throttle, audit, the strand list,
+//! the page reads (the §3.3.3 modes included) and the frame write are the
+//! device edge in `tier.rs`. An admission is one hold of its partition
+//! latch: it frees a frame (cleaning the oldest dirty page inline when
+//! every page is dirty), books the write, and admits the entry or backs it
+//! out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,11 +31,11 @@ use turbopool_iosim::{
 };
 
 use crate::audit::AuditOp;
-use crate::config::{DirtyEviction, SsdConfig};
+use crate::config::{DirtyEviction, Policy, Replacement, SsdConfig};
 use crate::metrics::SsdMetrics;
-use crate::partition::Partition;
+use crate::partition::{Heat, Partition, Record};
+use crate::tier::Health;
 pub use crate::tier::SSD_ERROR_BUDGET;
-use crate::tier::{lock_counted, Health, SsdTier};
 
 /// Outcome of a hardened warm import ([`SsdManager::import_table_checked`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -52,23 +55,38 @@ pub struct ImportReport {
     pub aborted_dead: bool,
 }
 
-/// SSD buffer-pool manager implementing clean-write, dual-write and
-/// lazy-cleaning. (TAC lives in [`crate::tac::TacCache`].)
+/// How a page enters the table: evicted from memory, `dirty` or not, its
+/// copy served at once; or read from disk (TAC), its copy valid once its
+/// write completes. An eviction's admission counts as a fill admission if
+/// the SSD is below τ after it, a read's if it was before it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    Evicted { dirty: bool },
+    Read,
+}
+
+/// The SSD buffer-pool manager of every design.
 pub struct SsdManager {
-    cfg: SsdConfig,
-    io: Arc<IoManager>,
+    pub(crate) cfg: SsdConfig,
+    /// The design's row of the policy table.
+    pub(crate) policy: Policy,
+    pub(crate) io: Arc<IoManager>,
     parts: Vec<Mutex<Partition>>,
-    /// LRU-2 access stamp source.
-    stamp: AtomicU64,
-    /// Cached pages across all partitions.
+    /// LRU-2 access stamp source; `None` in a table ordered by extent
+    /// heat, which has no recency to stamp.
+    stamp: Option<AtomicU64>,
+    /// Cached pages across all partitions, valid or not.
     occupancy: AtomicU64,
     /// Dirty cached pages across all partitions (LC only).
     dirty_total: AtomicU64,
+    /// Logically invalid cached pages (TAC only): frames wasted until a
+    /// refresh rewrites them.
+    pub(crate) invalid_total: AtomicU64,
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
     /// Quarantine flag, error budget, auditor and strand list.
-    health: Health,
+    pub(crate) health: Health,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
 }
@@ -77,62 +95,65 @@ impl SsdManager {
     /// Build a manager over the SSD frames of `io`. `cfg.frames` must not
     /// exceed the frame count of the simulated SSD file.
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
-        let on_read = cfg.design.policy().admit_on_read;
-        assert!(!on_read, "use TacCache to admit on read");
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         assert!(cfg.partitions >= 1);
         let pages = io.db_pages();
-        let parts = (0..cfg.partitions)
+        let policy = cfg.design.policy();
+        // A heat order is one order over the whole SSD (the coldest extent
+        // anywhere), so it takes one partition.
+        let (n, heated) = match policy.replacement {
+            Replacement::Lru2 => (cfg.partitions, false),
+            Replacement::ExtentHeat => (1, true),
+        };
+        let parts = (0..n)
             .map(|i| {
-                let f = partition_frames(cfg.frames, cfg.partitions, i);
-                let part = Partition::new(f.start, (f.end - f.start) as usize, pages);
+                let f = partition_frames(cfg.frames, n, i);
+                let heat = heated.then(|| {
+                    let (random, sequential) = saved_ns(&io);
+                    Heat::new(cfg.tac_extent_pages, pages, random, sequential)
+                });
+                let part = Partition::new(f.start, (f.end - f.start) as usize, pages, heat);
                 Mutex::ranked(Rank::SsdPartition, part)
             })
             .collect();
         SsdManager {
             health: Health::new(cfg.design, pages),
             cfg,
+            policy,
             io,
             parts,
-            stamp: AtomicU64::new(0),
+            stamp: (!heated).then(|| AtomicU64::new(0)),
             occupancy: AtomicU64::new(0),
             dirty_total: AtomicU64::new(0),
+            invalid_total: AtomicU64::new(0),
             pause_dirty_until: AtomicU64::new(0),
             metrics: SsdMetrics::default(),
         }
     }
 
-    /// True once the SSD is quarantined and the manager runs degraded
-    /// (every subsequent request takes the direct-to-disk path).
-    pub fn is_quarantined(&self) -> bool {
-        self.health.is_quarantined()
-    }
-
-    /// Drain the list of dirty pages whose sole (SSD) copy was lost. The
-    /// engine must replay the committed WAL tail onto disk before trusting
-    /// the disk image of these pages again.
-    pub fn take_stranded(&self) -> Vec<PageId> {
-        self.health.take_stranded()
-    }
-
-    /// Count a removed entry out of the occupancy and dirty totals.
-    fn forget(&self, dirty: bool) {
+    /// Count a removed record out of the occupancy, dirty and invalid
+    /// totals.
+    fn forget(&self, rec: &Record) {
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
-        if dirty {
+        if rec.dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
         }
-    }
-
-    /// Invariant violations caught so far (see [`crate::InvariantAuditor`]).
-    pub fn audit_violations(&self) -> u64 {
-        self.health.audit_violations()
+        if !rec.valid {
+            self.invalid_total.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     pub fn config(&self) -> &SsdConfig {
         &self.cfg
     }
 
-    /// Pages currently cached.
+    /// Is the table checkpointed for a warm restart? Only an LRU-2 order is:
+    /// no checkpoint carries extent temperatures.
+    pub fn warm_restart(&self) -> bool {
+        self.cfg.warm_restart && self.stamp.is_some()
+    }
+
+    /// Pages currently cached, valid or not.
     pub fn occupancy(&self) -> u64 {
         self.occupancy.load(Ordering::Relaxed)
     }
@@ -142,27 +163,29 @@ impl SsdManager {
         self.dirty_total.load(Ordering::Relaxed)
     }
 
-    /// True if `pid` is cached.
-    pub fn contains(&self, pid: PageId) -> bool {
-        self.entry(pid).is_some()
+    /// Frames wasted on logically invalid pages (§2.5; nonzero only under
+    /// TAC): its 7.4–10.4 GB waste numbers.
+    pub fn invalid_frames(&self) -> u64 {
+        self.invalid_total.load(Ordering::Relaxed)
     }
 
-    /// SSD frame number holding `pid`, if cached (introspection for tests
-    /// and tools; the frame indexes the simulated SSD file).
+    /// True if the table holds a copy of `pid`, valid or not.
+    pub fn contains(&self, pid: PageId) -> bool {
+        self.part(pid).lookup(pid).is_some()
+    }
+
+    /// SSD frame number holding a valid copy of `pid`, if any (introspection
+    /// for tests and tools; the frame indexes the simulated SSD file).
     pub fn frame_of(&self, pid: PageId) -> Option<u64> {
-        self.entry(pid).map(|(frame, _)| frame)
+        let part = self.part(pid);
+        let idx = part.lookup(pid)?;
+        part.record(idx).valid.then(|| part.frame_no(idx))
     }
 
     /// True if `pid` is cached dirty (its SSD copy is newer than disk).
     pub fn is_dirty(&self, pid: PageId) -> bool {
-        self.entry(pid).is_some_and(|(_, dirty)| dirty)
-    }
-
-    /// The frame and dirty flag of `pid`'s entry, if cached.
-    fn entry(&self, pid: PageId) -> Option<(u64, bool)> {
         let part = self.part(pid);
-        part.lookup(pid)
-            .map(|idx| (part.frame_no(idx), part.record(idx).dirty))
+        part.lookup(pid).is_some_and(|idx| part.record(idx).dirty)
     }
 
     #[inline]
@@ -173,67 +196,95 @@ impl SsdManager {
         ((h >> 32) as usize) % self.parts.len()
     }
 
-    fn part(&self, pid: PageId) -> MutexGuard<'_, Partition> {
+    pub(crate) fn part(&self, pid: PageId) -> MutexGuard<'_, Partition> {
         self.part_at(self.part_index(pid))
     }
 
-    /// Acquire partition `idx`'s latch, counted ([`lock_counted`]).
+    /// Acquire partition `idx`'s latch, counting the acquisition and
+    /// whether it was contended (held by another OS thread at that instant).
+    /// Both counters are pure functions of the op sequence in deterministic
+    /// driver runs (contended is then always 0).
     fn part_at(&self, idx: usize) -> MutexGuard<'_, Partition> {
-        lock_counted(&self.metrics, &self.parts[idx])
+        SsdMetrics::bump(&self.metrics.shard_acquisitions);
+        self.parts[idx].try_lock().unwrap_or_else(|| {
+            SsdMetrics::bump(&self.metrics.shard_contended);
+            self.parts[idx].lock()
+        })
     }
 
-    fn next_stamp(&self) -> u64 {
-        self.stamp.fetch_add(1, Ordering::Relaxed) + 1
+    /// The next LRU-2 access stamp; `None` in a heat-ordered table.
+    fn next_stamp(&self) -> Option<u64> {
+        let stamp = self.stamp.as_ref()?;
+        Some(stamp.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Aggressive filling (§3.3.1): until the SSD is τ-full, everything is
     /// admitted.
-    fn filling(&self) -> bool {
+    pub(crate) fn filling(&self) -> bool {
         self.occupancy() < self.cfg.fill_target()
     }
 
-    /// Cache `data` for `pid`, evicting an SSD victim if necessary, in one
-    /// hold of the partition latch: the frame is picked, written, and the
-    /// entry admitted or backed out before the latch goes, so a failed SSD
-    /// write never leaves an entry pointing at never-written bytes. (Torn
-    /// and bit-flipped writes still return Ok — that is silent corruption,
-    /// caught by the frame checksum on a later read.) A page already cached
-    /// is left as it is. The caller has verified admission.
-    fn install<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
+    /// Does a page enter the table at `entry`, the point of its flow it has
+    /// reached? Pages enter when read or when evicted, not both.
+    pub(crate) fn enters(&self, entry: Entry) -> bool {
+        (entry == Entry::Read) == self.policy.admit_on_read
+    }
+
+    /// Cache a clean copy of `pid` evicted or checkpointed at `now`, unless
+    /// one is cached already: [`admit`](Self::admit) in one hold of the
+    /// partition latch.
+    fn install<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) {
         let part = self.part(pid);
         if part.lookup(pid).is_none() {
-            self.admit(part, now, pid, data, dirty);
+            self.admit(part, now, pid, data, Entry::Evicted { dirty: false });
         }
     }
 
-    /// [`install`](Self::install)'s admission, in the caller's hold of
-    /// `pid`'s partition latch, `part`, which has found `pid` absent.
-    fn admit<S: PageSrc + ?Sized>(
+    /// Cache `data` for `pid`, entering at `entry`, in the caller's hold of
+    /// `pid`'s partition latch, `part`, which found `pid` absent. A victim
+    /// is replaced if no frame is free; the frame is picked, written, and
+    /// the entry admitted or backed out before the latch goes, so a failed
+    /// write never leaves an entry over never-written bytes (a torn or
+    /// bit-flipped one is caught by the frame checksum on a later read).
+    /// Whether the entry was admitted; `None` if no frame was written.
+    pub(crate) fn admit<S: PageSrc + ?Sized>(
         &self,
         mut part: MutexGuard<'_, Partition>,
         now: Time,
         pid: PageId,
         data: &S,
-        dirty: bool,
-    ) {
+        entry: Entry,
+    ) -> Option<bool> {
+        let dirty = entry == Entry::Evicted { dirty: true };
         if self.is_quarantined() {
             drop(part);
             if dirty {
                 self.disk_write(now, pid, data);
             }
-            return;
+            return None;
         }
+        let was_filling = self.filling();
         let lost = if part.free_frames() == 0 {
             self.reclaim(now, &mut part)
         } else {
             None
         };
-        // `None`: the partition owns no frame (more partitions than frames).
-        let write = part.insert(pid, dirty, self.next_stamp()).map(|idx| {
+        // `None`: the partition owns no frame (more partitions than frames)
+        // or has no victim to replace.
+        let stamp = self.next_stamp().unwrap_or(0);
+        let write = part.insert(pid, dirty, stamp).map(|idx| {
             let frame = part.frame_no(idx);
-            self.write_frame(now, frame, pid, data).inspect_err(|_| {
-                part.remove(idx);
-            })
+            let write = self.write_frame(now, frame, pid, data);
+            match write {
+                Ok(done) if entry == Entry::Read => {
+                    part.validate(idx, done);
+                }
+                Ok(_) => {}
+                Err(_) => {
+                    part.remove(idx);
+                }
+            }
+            write
         });
         let admitted = matches!(write, Some(Ok(_)));
         if admitted {
@@ -243,15 +294,19 @@ impl SsdManager {
                 self.dirty_total.fetch_add(1, Ordering::Relaxed);
             }
             SsdMetrics::bump(&self.metrics.admissions);
-            if self.filling() {
+            let filling = match entry {
+                Entry::Read => was_filling,
+                Entry::Evicted { .. } => self.filling(),
+            };
+            if filling {
                 SsdMetrics::bump(&self.metrics.fill_admissions);
             }
         }
         drop(part);
         // Error accounting runs once the latch is released: a quarantine
         // takes every partition latch to sweep the table.
-        if let Some(Err(e)) = write {
-            self.note_ssd_error(&e);
+        if let Some(Err(e)) = &write {
+            self.note_ssd_error(e);
         }
         if dirty && !admitted {
             // The page must still land somewhere durable.
@@ -261,29 +316,30 @@ impl SsdManager {
             self.lose(victim, AuditOp::CorruptInvalidate, true);
             self.note_ssd_error(&e);
         }
+        write.map(|w| w.is_ok())
     }
 
-    /// Free one frame in `part`, under its latch, by LRU-2 replacement from
-    /// the clean order; when every page is dirty (LC under extreme λ), the
-    /// oldest dirty page is cleaned inline instead: its sole copy is read
-    /// off the SSD and written to disk (both charged asynchronously, since
-    /// eviction is async) before its frame can be reused. Returns that
-    /// victim and the error when its copy was unreadable: the frame is
-    /// freed all the same, and the caller strands the page and charges the
-    /// error once the latch is released. Frees nothing in a partition
-    /// without pages.
+    /// Free one frame in `part`, under its latch, by replacing the clean
+    /// victim; when every page is dirty (LC under extreme λ), the oldest
+    /// dirty page is cleaned inline instead: its sole copy is read off the
+    /// SSD and written to disk (both charged asynchronously, since eviction
+    /// is async) before its frame can be reused. Returns that victim and
+    /// the error when its copy was unreadable: the frame is freed all the
+    /// same, and the caller strands the page and charges the error once the
+    /// latch is released. Frees nothing in a partition without valid pages.
     fn reclaim(&self, now: Time, part: &mut Partition) -> Option<(PageId, IoError)> {
         if let Some((_, victim)) = part.peek_clean_victim() {
             let rec = part.remove(victim);
             self.audit(rec.pid, AuditOp::Replace);
-            self.forget(false);
+            self.forget(&rec);
             SsdMetrics::bump(&self.metrics.replacements);
             return None;
         }
         let (_, oldest) = part.peek_dirty_oldest()?;
         let frame = part.frame_no(oldest);
-        let victim = part.remove(oldest).pid;
-        self.forget(true);
+        let rec = part.remove(oldest);
+        let victim = rec.pid;
+        self.forget(&rec);
         SsdMetrics::bump(&self.metrics.replacements);
         let mut buf = self.io.zero_page();
         let mut tmp = Clk::at(now);
@@ -388,7 +444,7 @@ impl SsdManager {
                 }
             }
             let mut part = self.part_at(part_idx);
-            let stamp = self.next_stamp();
+            let stamp = self.next_stamp().unwrap_or(0);
             if !part.insert_at((frame - owned.start) as usize, pid, stamp) {
                 rep.rejected_stale += 1;
                 SsdMetrics::bump(&self.metrics.warm_rejected_stale);
@@ -487,43 +543,27 @@ impl SsdManager {
     /// Returns `(pages cleaned, run writes issued)`. Pages are left dirty
     /// when the disk is dead (nothing can persist them).
     fn flush_gathered(&self, clk: &mut Clk, pids: &[PageId], bufs: &[PageBuf]) -> (usize, usize) {
-        let mut cleaned = 0usize;
-        let mut writes = 0usize;
-        let mut i = 0usize;
-        while i < pids.len() {
-            let mut j = i + 1;
-            while j < pids.len() && pids[j].0 == pids[j - 1].0 + 1 {
-                j += 1;
-            }
-            match fault::retry_write_forever(|| {
-                self.io.write_disk_run_async(clk.now, pids[i], &bufs[i..j])
-            }) {
-                Ok(done) => {
-                    clk.wait_until(done);
-                    writes += 1;
-                    for pid in &pids[i..j] {
-                        let mut was_dirty = false;
-                        let mut part = self.part(*pid);
-                        if let Some(idx) = part.lookup(*pid) {
-                            if part.record(idx).dirty {
-                                part.set_clean(idx);
-                                was_dirty = true;
-                            }
-                        }
-                        drop(part);
-                        if was_dirty {
-                            self.audit(*pid, AuditOp::Clean);
-                            self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-                            cleaned += 1;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Dead disk: the pages stay dirty on the SSD and there
-                    // is no completion to wait on.
+        let (mut cleaned, mut writes, mut i) = (0usize, 0usize, 0usize);
+        for run in pids.chunk_by(|a, b| b.0 == a.0 + 1) {
+            let images = &bufs[i..i + run.len()];
+            i += run.len();
+            // A dead disk completes nothing: the pages stay dirty.
+            let write = || self.io.write_disk_run_async(clk.now, run[0], images);
+            let Ok(done) = fault::retry_write_forever(write) else {
+                continue;
+            };
+            clk.wait_until(done);
+            writes += 1;
+            for &pid in run {
+                let mut part = self.part(pid);
+                let was_dirty = part.lookup(pid).is_some_and(|idx| part.set_clean(idx));
+                drop(part);
+                if was_dirty {
+                    self.audit(pid, AuditOp::Clean);
+                    self.dirty_total.fetch_sub(1, Ordering::Relaxed);
+                    cleaned += 1;
                 }
             }
-            i = j;
         }
         (cleaned, writes)
     }
@@ -536,6 +576,18 @@ fn partition_frames(frames: u64, n: usize, idx: usize) -> std::ops::Range<u64> {
     let (per, extra) = (frames / n, frames % n);
     let base = i * per + i.min(extra);
     base..base + per + u64::from(i < extra)
+}
+
+/// Time an SSD read saves over a random and a sequential disk read: what a
+/// miss of each class heats its extent by.
+fn saved_ns(io: &IoManager) -> (u64, u64) {
+    let setup = io.setup();
+    let ssd = setup.ssd_profile.rand_read_ns;
+    let disk = &setup.disk_profile;
+    (
+        disk.rand_read_ns.saturating_sub(ssd),
+        disk.seq_read_ns.saturating_sub(ssd),
+    )
 }
 
 /// The paper's CW/DW/LC admission rule (§2.2): while filling admit
@@ -565,6 +617,18 @@ impl SsdManager {
             }
             return;
         }
+        if !self.enters(Entry::Evicted { dirty }) {
+            // Pages entered on read; a clean one is cached already. A dirty
+            // one is written through to disk, as in a traditional DBMS, and
+            // its SSD copy refreshed.
+            if dirty {
+                self.disk_write(now, pid, data);
+                if self.refresh_stale_copy(now, pid, data) {
+                    SsdMetrics::bump(&self.metrics.admissions);
+                }
+            }
+            return;
+        }
         // One hold of the partition latch takes the presence check, both
         // gates and the admission; it is let go before any disk write.
         let part = self.part(pid);
@@ -589,7 +653,7 @@ impl SsdManager {
         // throttled or paused by a sharp checkpoint (§3.2). Its WAL
         // ordering is the engine's contract: the log was flushed at commit,
         // before the page could be evicted.
-        let row = self.cfg.design.policy().dirty_eviction;
+        let row = self.policy.dirty_eviction;
         let paused = now < self.pause_dirty_until.load(Ordering::Relaxed);
         let to = if row == DirtyEviction::Ssd && (throttled || paused) {
             DirtyEviction::Disk
@@ -605,10 +669,10 @@ impl SsdManager {
             drop(part);
             self.disk_write(now, pid, data);
             if cache {
-                self.install(now, pid, data, false);
+                self.install(now, pid, data);
             }
         } else if cache {
-            self.admit(part, now, pid, data, dirty);
+            self.admit(part, now, pid, data, Entry::Evicted { dirty });
         }
     }
 
@@ -620,20 +684,95 @@ impl SsdManager {
         class: Locality,
     ) -> Time {
         let done = self.disk_write(now, pid, data);
-        // The checkpoint mirror (DW, §3.2): during a checkpoint,
-        // admission-qualified dirty pages are written to the SSD as well,
-        // filling it faster.
-        // `filling = false` on purpose: the mirror admits random-class
-        // pages only, with no aggressive-filling term. Not `admits_now`:
-        // a throttled mirror is skipped without counting.
-        if self.cfg.design.policy().checkpoint_mirror
-            && admits(class, false)
-            && !self.is_quarantined()
-            && !self.throttled(now)
-        {
-            self.install(now, pid, data, false);
+        // The DW mirror (§3.2) writes random-class pages to the SSD as well,
+        // with no aggressive-filling term and, throttled, skipped uncounted.
+        // Another design refreshes the copy its table still holds.
+        if self.policy.checkpoint_mirror {
+            if admits(class, false) && !self.is_quarantined() && !self.throttled(now) {
+                self.install(now, pid, data);
+            }
+        } else {
+            self.refresh_stale_copy(now, pid, data);
         }
         done
+    }
+
+    /// A pool miss of `pid` read as `class` looks in the table: it heats the
+    /// extent (a heat order), and gets the entry `(frame, dirty)` a read may
+    /// use, a clean one past the throttle gate; a served hit is stamped.
+    pub(crate) fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)> {
+        let mut part = self.part(pid);
+        part.heat(pid, class);
+        let idx = part.lookup(pid)?;
+        let rec = *part.record(idx);
+        if !rec.usable(now) {
+            return None;
+        }
+        let dirty = rec.dirty;
+        (dirty || self.serves_clean_read(now)).then(|| {
+            if let Some(stamp) = self.next_stamp() {
+                part.touch(idx, stamp);
+            }
+            (part.frame_no(idx), dirty)
+        })
+    }
+
+    /// The entries, `(frame, dirty)`, of the `n` pages from `first` that a
+    /// run read at `now` may use, ignoring the throttle: one latch hold per
+    /// stretch of pages in one partition.
+    pub(crate) fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
+        let mut held: Option<(usize, MutexGuard<'_, Partition>)> = None;
+        (0..n)
+            .map(|i| {
+                let pid = first.offset(i);
+                let p = self.part_index(pid);
+                if held.as_ref().is_some_and(|(q, _)| *q != p) {
+                    held = None;
+                }
+                let (_, part) = held.get_or_insert_with(|| (p, self.part_at(p)));
+                let idx = part.lookup(pid)?;
+                let rec = part.record(idx);
+                rec.usable(now).then(|| (part.frame_no(idx), rec.dirty))
+            })
+            .collect()
+    }
+
+    /// A run page was just served from its SSD frame: in an LRU-2 order
+    /// that is an access, stamped here.
+    pub(crate) fn after_patch(&self, pid: PageId) {
+        if let Some(stamp) = self.next_stamp() {
+            let mut part = self.part(pid);
+            if let Some(idx) = part.lookup(pid) {
+                part.touch(idx, stamp);
+            }
+        }
+    }
+
+    /// Quarantine's table half: remove every entry and forget the extent
+    /// temperatures. Returns each removed page with its dirty flag,
+    /// partition by partition, each in frame order.
+    pub(crate) fn sweep(&self) -> Vec<(PageId, bool)> {
+        let mut out = Vec::new();
+        for i in 0..self.parts.len() {
+            let mut part = self.part_at(i);
+            let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
+            for rec in idxs.into_iter().map(|idx| part.remove(idx)) {
+                self.forget(&rec);
+                out.push((rec.pid, rec.dirty));
+            }
+            part.cool();
+        }
+        out
+    }
+
+    /// Remove `pid`'s entry; returns its dirty flag, or `None` when there
+    /// is none (quarantine already swept it).
+    pub(crate) fn remove_entry(&self, pid: PageId) -> Option<bool> {
+        let mut part = self.part(pid);
+        let idx = part.lookup(pid)?;
+        let rec = part.remove(idx);
+        self.forget(&rec);
+        Some(rec.dirty)
     }
 }
 
@@ -670,15 +809,32 @@ impl PageIo for SsdManager {
         self.evict(now, pid, data, dirty, class);
     }
 
-    fn note_dirtied(&self, _now: Time, pid: PageId) {
-        // Physical invalidation (§4.2): the frame returns to the free list
-        // immediately, unlike TAC's logical invalidation.
+    fn note_dirtied(&self, now: Time, pid: PageId) {
         let mut part = self.part(pid);
-        if let Some(idx) = part.lookup(pid) {
-            let rec = part.remove(idx);
+        let Some(idx) = part.lookup(pid) else {
+            return;
+        };
+        let rec = *part.record(idx);
+        if !rec.valid {
+            return;
+        }
+        if now < rec.valid_at {
+            // The copy's SSD write had not completed: it is cancelled
+            // outright, and the page never reaches the SSD (the §4.2 race
+            // that hurts TAC on update-heavy loads).
+            part.remove(idx);
+            self.forget(&rec);
+            self.audit(pid, AuditOp::Cancel);
+            SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
+        } else if self.policy.logical_invalidation {
+            self.invalidate(&mut part, idx);
+        } else {
+            // Physical invalidation (§4.2): the frame returns to the free
+            // list immediately.
+            part.remove(idx);
             drop(part);
             self.audit(pid, AuditOp::Invalidate);
-            self.forget(rec.dirty);
+            self.forget(&rec);
             SsdMetrics::bump(&self.metrics.invalidations);
         }
     }
@@ -698,7 +854,7 @@ impl PageIo for SsdManager {
     }
 
     fn checkpoint_flush(&self, clk: &mut Clk) {
-        if !self.cfg.design.policy().write_back() || self.is_quarantined() {
+        if !self.policy.write_back() || self.is_quarantined() {
             return;
         }
         // Sharp checkpoint: every dirty SSD page goes to disk (§3.2).
@@ -712,19 +868,11 @@ impl PageIo for SsdManager {
         // Flush in consecutive-pid group-cleaning batches of up to α pages,
         // each gathered and written as in `clean_batch`.
         let mut total = 0usize;
-        let mut i = 0usize;
-        while i < dirty_pids.len() {
-            let mut j = i + 1;
-            while j < dirty_pids.len()
-                && dirty_pids[j].0 == dirty_pids[j - 1].0 + 1
-                && (j - i) < self.cfg.alpha as usize
-            {
-                j += 1;
+        for run in dirty_pids.chunk_by(|a, b| b.0 == a.0 + 1) {
+            for batch in run.chunks(self.cfg.alpha as usize) {
+                let (pids, bufs) = self.gather(clk, batch.iter().copied());
+                total += self.flush_gathered(clk, &pids, &bufs).0;
             }
-            let (pids, bufs) = self.gather(clk, dirty_pids[i..j].iter().copied());
-            let (cleaned, _writes) = self.flush_gathered(clk, &pids, &bufs);
-            total += cleaned;
-            i = j;
         }
         SsdMetrics::add(&self.metrics.checkpoint_cleaned, total as u64);
     }
@@ -734,76 +882,9 @@ impl PageIo for SsdManager {
     }
 
     fn checkpoint_window(&self, _start: Time, end: Time) {
-        if self.cfg.design.policy().write_back() {
+        if self.policy.write_back() {
             self.pause_dirty_until.store(end, Ordering::Relaxed);
         }
-    }
-}
-
-impl SsdTier for SsdManager {
-    fn io(&self) -> &IoManager {
-        &self.io
-    }
-
-    fn cfg(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    fn metrics(&self) -> &SsdMetrics {
-        &self.metrics
-    }
-
-    fn health(&self) -> &Health {
-        &self.health
-    }
-
-    const RUN_FALLBACK: Locality = Locality::Random;
-
-    /// A served hit stamps the entry's LRU-2 recency.
-    fn probe(&self, now: Time, pid: PageId, _class: Locality) -> Option<(u64, bool)> {
-        let mut part = self.part(pid);
-        let idx = part.lookup(pid)?;
-        let dirty = part.record(idx).dirty;
-        (dirty || self.serves_clean_read(now)).then(|| {
-            part.touch(idx, self.next_stamp());
-            (part.frame_no(idx), dirty)
-        })
-    }
-
-    /// One partition latch per page.
-    fn run_entries(&self, _now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
-        (0..n).map(|i| self.entry(first.offset(i))).collect()
-    }
-
-    /// LRU-2 recency is this tier's own, so a patched run page is stamped
-    /// here.
-    fn after_patch(&self, pid: PageId) {
-        let mut part = self.part(pid);
-        if let Some(idx) = part.lookup(pid) {
-            part.touch(idx, self.next_stamp());
-        }
-    }
-
-    /// Partition by partition, each in frame order.
-    fn sweep(&self) -> Vec<(PageId, bool)> {
-        let mut out = Vec::new();
-        for i in 0..self.parts.len() {
-            let mut part = self.part_at(i);
-            let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
-            for rec in idxs.into_iter().map(|idx| part.remove(idx)) {
-                self.forget(rec.dirty);
-                out.push((rec.pid, rec.dirty));
-            }
-        }
-        out
-    }
-
-    fn remove_entry(&self, pid: PageId) -> Option<bool> {
-        let mut part = self.part(pid);
-        let idx = part.lookup(pid)?;
-        let rec = part.remove(idx);
-        self.forget(rec.dirty);
-        Some(rec.dirty)
     }
 }
 
@@ -1343,94 +1424,81 @@ mod tests {
         assert!(!m.is_quarantined(), "single error stays within budget");
     }
 
+    /// The four designs, each table built by one constructor.
+    const DESIGNS: [SsdDesign; 4] = [
+        SsdDesign::CleanWrite,
+        SsdDesign::DualWrite,
+        SsdDesign::LazyCleaning,
+        SsdDesign::Tac,
+    ];
+
+    /// Offer `pid`, holding `data`, to the table at `clk` both ways a page
+    /// enters one: read from disk (TAC admits it then) and evicted (CW/DW/LC
+    /// admit it then), `dirty` or not; each design ignores the other way.
+    fn offer(m: &SsdManager, clk: &mut Clk, pid: PageId, data: &[u8], dirty: bool) {
+        m.read_page(clk, pid, Locality::Random, &mut page(0))
+            .unwrap();
+        m.evict_page(clk.now, pid, data, dirty, Locality::Random);
+    }
+
     #[test]
     fn error_budget_exhaustion_quarantines() {
-        use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
         // One cached page per error the budget tolerates, plus one; then
         // every SSD read fails (even after retries), one error per read.
         const N: u64 = SSD_ERROR_BUDGET + 1;
-        fn exhaust<T: SsdTier + PageIo>(io: &IoManager, tier: &T, mut clk: Clk) {
+        for design in DESIGNS {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2 * N)));
+            let mut cfg = SsdConfig::new(design, 2 * N);
+            cfg.partitions = 1;
+            let m = SsdManager::new(cfg, Arc::clone(&io));
+            let mut clk = Clk::new();
+            (0..N).for_each(|i| offer(&m, &mut clk, PageId(i), &page(1), false));
+            // Every admission write long complete by the reads that fail.
+            clk.elapse(turbopool_iosim::SECOND);
+            assert_eq!(m.occupancy(), N, "{design:?}");
             let mut fcfg = FaultConfig::quiet(4);
             fcfg.read_error_prob = 1.0;
             io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
             for i in 0..N {
-                assert!(
-                    !tier.health().is_quarantined(),
-                    "{i} errors are within the budget"
-                );
-                tier.read_page(&mut clk, PageId(i), Locality::Random, &mut page(0))
+                assert!(!m.is_quarantined(), "{i} errors are within the budget");
+                m.read_page(&mut clk, PageId(i), Locality::Random, &mut page(0))
                     .unwrap();
             }
-            assert!(tier.health().is_quarantined());
-            assert_eq!(tier.metrics().snapshot().ssd_io_errors, N);
-        }
-        for design in [CleanWrite, DualWrite, LazyCleaning, Tac] {
-            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2 * N)));
-            let mut cfg = SsdConfig::new(design, 2 * N);
-            cfg.partitions = 1;
-            let mut clk = Clk::new();
-            if design == Tac {
-                // TAC caches on read, with writes long complete by the reads
-                // that fail.
-                let t = crate::TacCache::new(cfg, Arc::clone(&io));
-                (0..N).for_each(|i| {
-                    t.read_page(&mut clk, PageId(i), Locality::Random, &mut page(0))
-                        .unwrap()
-                });
-                clk.elapse(turbopool_iosim::SECOND);
-                assert_eq!(t.occupancy(), N);
-                exhaust(&io, &t, clk);
-            } else {
-                let m = SsdManager::new(cfg, Arc::clone(&io));
-                (0..N).for_each(|i| m.evict_page(0, PageId(i), &page(1), false, Locality::Random));
-                assert_eq!(m.occupancy(), N, "{design:?}");
-                exhaust(&io, &m, clk);
-            }
+            assert!(m.is_quarantined());
+            assert_eq!(m.metrics.snapshot().ssd_io_errors, N);
         }
     }
 
     #[test]
     fn a_failed_admission_write_leaves_the_table_as_it_was() {
-        use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
+        use SsdDesign::{CleanWrite, LazyCleaning};
         const A: PageId = PageId(1);
         const P: PageId = PageId(2);
         // Two frames: A takes one, and P's failed write must leave the
         // other free, so P is admitted later without replacing A.
-        fn fail_then_admit<T: SsdTier + PageIo>(io: &IoManager, tier: &T, admit: impl Fn(PageId)) {
+        for design in DESIGNS {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2)));
+            let mut cfg = SsdConfig::new(design, 2);
+            cfg.partitions = 1;
+            cfg.tau = 1.0;
+            let m = SsdManager::new(cfg, Arc::clone(&io));
+            // CW caches clean pages only; the others take a dirty one (TAC
+            // writes it through and refreshes its copy).
+            let dirty = design != CleanWrite;
+            let admit = |pid| offer(&m, &mut Clk::new(), pid, &page(0x22), dirty);
             admit(A);
             let mut fcfg = FaultConfig::quiet(5);
             fcfg.write_error_prob = 1.0;
             io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
             admit(P);
-            assert!(!tier.has_copy(P), "no entry is left behind");
-            let s = tier.metrics().snapshot();
+            assert!(!m.has_copy(P), "no entry is left behind");
+            let s = m.metrics.snapshot();
             assert_eq!((s.ssd_io_errors, s.admissions), (1, 1));
             io.set_ssd_fault(None);
             admit(P);
-            assert!(tier.has_copy(A) && tier.has_copy(P));
-            let s = tier.metrics().snapshot();
+            assert!(m.has_copy(A) && m.has_copy(P));
+            let s = m.metrics.snapshot();
             assert_eq!((s.admissions, s.replacements), (2, 0));
-        }
-        for design in [CleanWrite, DualWrite, LazyCleaning, Tac] {
-            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 2)));
-            let mut cfg = SsdConfig::new(design, 2);
-            cfg.partitions = 1;
-            cfg.tau = 1.0;
-            if design == Tac {
-                // TAC admits on read.
-                let t = crate::TacCache::new(cfg, Arc::clone(&io));
-                let admit = |pid| {
-                    t.read_page(&mut Clk::new(), pid, Locality::Random, &mut page(0))
-                        .unwrap()
-                };
-                fail_then_admit(&io, &t, admit);
-                continue;
-            }
-            // CW caches clean pages only; DW and LC take a dirty one.
-            let dirty = design != CleanWrite;
-            let m = SsdManager::new(cfg, Arc::clone(&io));
-            let admit = |pid| m.evict_page(0, pid, &page(0x22), dirty, Locality::Random);
-            fail_then_admit(&io, &m, admit);
             let mut buf = page(0);
             io.disk_store().read(P, &mut buf);
             assert_eq!(

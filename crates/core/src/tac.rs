@@ -1,558 +1,145 @@
-//! Temperature-Aware Caching (TAC) — the comparison baseline (§2.5).
+//! Temperature-Aware Caching (TAC, Canim et al., VLDB 2010), the baseline
+//! of §2.5, as a page flow of the one SSD table: its design's row admits
+//! on read and invalidates logically, and its victims are ordered by
+//! extent temperature ([`crate::Replacement::ExtentHeat`]).
 //!
-//! TAC (Canim et al., "SSD Bufferpool Extensions for Database Systems",
-//! VLDB 2010) differs from the CW/DW/LC designs in its page flow:
+//! 1. On a memory-pool miss the SSD is probed, and the page's extent heated
+//!    by the time an SSD read saves over the disk; hit → read from SSD.
+//! 2. After a page is read from *disk*, it is written to the SSD if its
+//!    extent is hotter than the coldest one resident.
+//! 3. Updating a pool page *logically* invalidates its SSD copy: marked
+//!    invalid, its frame not reclaimed — the waste [`SsdManager::invalid_frames`]
+//!    counts (7.4–10.4 GB in §2.5).
+//! 4. A dirty page evicted is written to disk (write-through), and its SSD
+//!    version rewritten.
 //!
-//! 1. On a (memory-pool) miss the SSD is probed; hit → read from SSD.
-//! 2. After a page is read from *disk*, it is immediately written to the
-//!    SSD if admitted — admission compares the page's extent *temperature*
-//!    against the coldest extent resident in the SSD.
-//! 3. When a buffer-pool page is updated, the SSD copy is *logically*
-//!    invalidated: marked invalid but the frame is not reclaimed.
-//! 4. When a dirty page is evicted it is written to disk (write-through);
-//!    if an invalid version sits in the SSD it is also rewritten there.
-//!
-//! Temperature is tracked per extent of 32 consecutive pages: every
-//! memory-pool miss adds the time that would be saved by reading the page
-//! from SSD instead of disk.
-//!
-//! Two behaviours the paper highlights are modeled explicitly:
-//!
-//! * **Write-on-read races** — the on-read SSD write is asynchronous; if a
-//!   transaction dirties the page before that write completes, the write is
-//!   cancelled and the page never reaches the SSD (and, having no invalid
-//!   version there, is not written on eviction either). This is the latch
-//!   contention effect of §2.5/§4.2.
-//! * **Logical-invalidation waste** — invalid frames keep occupying SSD
-//!   space ([`TacCache::invalid_frames`] reproduces the 7.4–10.4 GB waste
-//!   numbers of §2.5).
-//!
-//! One latch covers the whole buffer table: records, page map, extent
-//! temperatures, and the pool's lazy victim heap, which orders the valid
-//! frames coldest extent first for replacement. A frame index is the SSD
-//! frame number. The partitioned table of §3.3.4 is `SsdManager`'s. Retry, the
-//! error budget, quarantine, throttle, audit, the page reads (the §3.3.3
-//! modes included) and the frame write are the device edge in `tier.rs`,
-//! shared with `SsdManager`; TAC's hooks there heat the extent on a probe
-//! and admit each page read from disk. An admission and a refresh each
-//! pick the frame, book its write and install or back out under one hold
-//! of the table latch.
+//! The on-read write is asynchronous: a transaction that dirties the page
+//! before it completes cancels it, and the page never reaches the SSD (the
+//! latch contention effect of §2.5/§4.2). This file holds steps 2 and 4,
+//! which the CW/DW/LC flow has no counterpart for; the rest is the table's.
 
-use std::sync::Arc;
-use turbopool_iosim::sync::{Mutex, MutexGuard, Rank};
+use std::sync::atomic::Ordering;
 
-use turbopool_bufpool::{PageIo, VictimHeap};
-use turbopool_iosim::{
-    Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, PageTable, Time,
-};
+use turbopool_iosim::{PageId, PageSrc, Time};
 
 use crate::audit::AuditOp;
-use crate::config::SsdConfig;
+use crate::manager::{Entry, SsdManager};
 use crate::metrics::SsdMetrics;
-use crate::tier::{lock_counted, Health, SsdTier};
+use crate::partition::Partition;
 
-#[derive(Debug, Clone, Copy)]
-struct TacRec {
-    pid: PageId,
-    /// Logically valid (invalid frames waste space until rewritten).
-    valid: bool,
-    /// The asynchronous SSD write that installed this copy completes at
-    /// this instant; a dirtying before then cancels the write.
-    valid_at: Time,
-}
+/// TAC's table is the one SSD table; the name stays for callers that still
+/// build it as `TacCache`.
+pub type TacCache = SsdManager;
 
-/// Everything the table latch protects.
-struct TacTable {
-    /// `records[frame]` — the SSD buffer table.
-    records: Vec<Option<TacRec>>,
-    /// Page number → frame, over the whole database.
-    map: PageTable<u32>,
-    free: Vec<usize>,
-    /// Extent number → accumulated saved-time temperature (ns); 0, an
-    /// extent never missed, is no entry.
-    temps: PageTable<u64, u64>,
-    /// The *valid* frames by their extent's temperature.
-    heap: VictimHeap<u64>,
-    /// Occupied frames holding logically invalid pages — maintained
-    /// incrementally so `invalid_frames` never scans the table.
-    invalid: u64,
-}
-
-impl TacTable {
-    /// The frame holding `pid`'s record, if any.
-    fn frame_of(&self, pid: PageId) -> Option<usize> {
-        self.map.get(pid).map(|f| f as usize)
-    }
-
-    /// The record of a mapped frame.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "map/records consistency: a mapped frame always holds a record"
-    )]
-    fn record(&self, frame: usize) -> TacRec {
-        self.records[frame].unwrap()
-    }
-
-    /// The frame of `pid`'s copy if a read at `now` may use it: the copy
-    /// is valid AND its installing write complete.
-    fn usable(&self, pid: PageId, now: Time) -> Option<(u64, bool)> {
-        let frame = self.frame_of(pid)?;
-        let rec = self.record(frame);
-        (rec.valid && now >= rec.valid_at).then_some((frame as u64, false))
-    }
-}
-
-/// The TAC SSD cache, implementing the same [`PageIo`] seam as
-/// [`crate::manager::SsdManager`].
-pub struct TacCache {
-    cfg: SsdConfig,
-    io: Arc<IoManager>,
-    inner: Mutex<TacTable>,
-    /// Quarantine flag, error budget and auditor. Once quarantined TAC
-    /// runs write-through to disk only (its natural degradation — nothing
-    /// is ever stranded).
-    health: Health,
-    pub metrics: SsdMetrics,
-}
-
-impl TacCache {
-    pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
-        assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
-        let frames = cfg.frames as usize;
-        let pages = io.db_pages();
-        let table = TacTable {
-            records: vec![None; frames],
-            map: PageTable::new(pages, u32::MAX),
-            free: (0..frames).rev().collect(),
-            temps: PageTable::new(pages.div_ceil(cfg.tac_extent_pages), 0),
-            heap: VictimHeap::new(frames),
-            invalid: 0,
-        };
-        TacCache {
-            health: Health::new(cfg.design, pages),
-            cfg,
-            io,
-            inner: Mutex::ranked(Rank::TacTable, table),
-            metrics: SsdMetrics::default(),
-        }
-    }
-
-    /// Acquire the table latch, counted ([`lock_counted`]).
-    fn lock_table(&self) -> MutexGuard<'_, TacTable> {
-        lock_counted(&self.metrics, &self.inner)
-    }
-
-    /// True once the SSD is quarantined and TAC runs disk-only.
-    pub fn is_quarantined(&self) -> bool {
-        self.health.is_quarantined()
-    }
-
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    /// Invariant violations caught so far (see [`crate::InvariantAuditor`]).
-    pub fn audit_violations(&self) -> u64 {
-        self.health.audit_violations()
-    }
-
-    /// Occupied frames (valid + invalid).
-    pub fn occupancy(&self) -> u64 {
-        self.lock_table().map.len() as u64
-    }
-
-    /// Frames wasted on logically invalid pages (§2.5) — O(1), from the
-    /// incrementally maintained counter.
-    pub fn invalid_frames(&self) -> u64 {
-        self.lock_table().invalid
-    }
-
-    /// SSD frame holding a *valid* copy of `pid`, if any (introspection).
-    pub fn frame_of_valid(&self, pid: PageId) -> Option<u64> {
-        let tab = self.lock_table();
-        let f = tab.frame_of(pid)?;
-        tab.record(f).valid.then_some(f as u64)
-    }
-
-    /// True if `pid` has a valid SSD copy.
-    pub fn contains_valid(&self, pid: PageId) -> bool {
-        self.frame_of_valid(pid).is_some()
-    }
-
-    fn extent(&self, pid: PageId) -> u64 {
-        pid.0 / self.cfg.tac_extent_pages
-    }
-
-    /// The accumulated temperature of `pid`'s extent.
-    fn temp(&self, tab: &TacTable, pid: PageId) -> u64 {
-        tab.temps.get(self.extent(pid)).unwrap_or(0)
-    }
-
-    /// Install a valid copy of `pid` in `frame`, its write completing at
-    /// `valid_at`, and file it at its extent's temperature.
-    fn place(&self, tab: &mut TacTable, frame: usize, pid: PageId, valid_at: Time) {
-        tab.records[frame] = Some(TacRec {
-            pid,
-            valid: true,
-            valid_at,
-        });
-        let temp = self.temp(tab, pid);
-        tab.heap.file(frame, temp);
-    }
-
-    /// Time saved by serving `class`-type read from SSD instead of disk.
-    fn saved_ns(&self, class: Locality) -> u64 {
-        let setup = self.io.setup();
-        let disk = match class {
-            Locality::Random => setup.disk_profile.rand_read_ns,
-            Locality::Sequential => setup.disk_profile.seq_read_ns,
-        };
-        disk.saturating_sub(setup.ssd_profile.rand_read_ns)
-    }
-
-    /// Record a memory-pool miss of `pid`: heat its extent.
-    fn heat(&self, tab: &mut TacTable, pid: PageId, class: Locality) {
-        let saved = self.saved_ns(class);
-        let extent = self.extent(pid);
-        let temp = tab.temps.get(extent).unwrap_or(0) + saved;
-        tab.temps.insert(extent, temp);
-    }
-
-    /// The coldest valid SSD frame and its extent's temperature.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "map/records consistency: a filed frame holds a valid record"
-    )]
-    fn coldest_valid(&self, tab: &mut TacTable) -> Option<(u64, usize)> {
-        let extent = |frame: usize| self.extent(tab.records[frame].unwrap().pid);
-        tab.heap
-            .peek(|frame| tab.temps.get(extent(frame)).unwrap_or(0))
-    }
-
-    /// Logical invalidation (§2.5): the record stays, marked invalid, and
-    /// its frame stays occupied until a write-through rewrites it.
-    fn invalidate(&self, tab: &mut TacTable, frame: usize, rec: TacRec) {
-        tab.records[frame] = Some(TacRec {
-            valid: false,
-            ..rec
-        });
-        tab.heap.unfile(frame);
-        tab.invalid += 1;
-        self.audit(rec.pid, AuditOp::LogicalInvalidate);
+impl SsdManager {
+    /// Logically invalidate record `idx` (§2.5): it stays, marked invalid,
+    /// and its frame stays occupied until a refresh rewrites it.
+    pub(crate) fn invalidate(&self, part: &mut Partition, idx: usize) {
+        let pid = part.record(idx).pid;
+        part.invalidate(idx);
+        self.invalid_total.fetch_add(1, Ordering::Relaxed);
+        self.audit(pid, AuditOp::LogicalInvalidate);
         SsdMetrics::bump(&self.metrics.invalidations);
     }
 
-    /// Extent temperature accessor for unit tests.
-    #[cfg(test)]
-    fn extent_temp(&self, extent: u64) -> u64 {
-        self.lock_table().temps.get(extent).unwrap_or(0)
-    }
-}
-
-/// The bodies behind the [`PageIo`] entry points, each written once for
-/// both forms a page crosses the seam in: a byte slice to copy, or a
-/// [`PageBuf`] image to share.
-impl TacCache {
-    fn evict<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S, dirty: bool) {
-        if !dirty {
-            // Clean pages were already written on read; nothing happens.
-            return;
-        }
-        // Write-through to disk, as in a traditional DBMS. This write must
-        // not drop data, so it rides the retry-forever policy.
-        self.disk_write(now, pid, data);
-        if self.refresh_stale_copy(now, pid, data) {
-            SsdMetrics::bump(&self.metrics.admissions);
-        }
-    }
-
-    fn checkpoint<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
-        let done = self.disk_write(now, pid, data);
-        self.refresh_stale_copy(now, pid, data);
-        done
-    }
-
     /// `pid`'s disk copy just advanced (an eviction or a checkpoint wrote
-    /// it), so ANY existing SSD version of it is now stale and must be
-    /// refreshed (flow iv) or dropped. The invalid case is the paper's flow;
-    /// a *valid* record can also be stale here: a run-read admitted the
-    /// disk version while this newer copy sat dirty in the memory pool
-    /// (scan read-ahead does exactly that), and keeping it would serve lost
-    /// updates. True if an invalid record became valid again. Throttled
-    /// like an admission, but a throttled refresh is not counted as one,
-    /// so this gate is not `admits_now`.
-    fn refresh_stale_copy<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> bool {
+    /// it), so its SSD copy, if any, is stale: refreshed (step 4) or made
+    /// invalid. A *valid* copy can be stale too, admitted on read while this
+    /// version sat dirty in the pool (scan read-ahead does that). True if an
+    /// invalid copy became valid again. Throttled, but not counted as a
+    /// throttled admission.
+    pub(crate) fn refresh_stale_copy<S: PageSrc + ?Sized>(
+        &self,
+        now: Time,
+        pid: PageId,
+        data: &S,
+    ) -> bool {
         if self.is_quarantined() {
             return false;
         }
+        let mut part = self.part(pid);
+        let Some(idx) = part.lookup(pid) else {
+            return false;
+        };
+        let frame = part.frame_no(idx);
+        let write = (!self.throttled(now)).then(|| self.write_frame(now, frame, pid, data));
         let mut revalidated = false;
-        let mut pending: Option<IoError> = None;
-        {
-            let mut tab = self.lock_table();
-            if let Some(frame) = tab.frame_of(pid) {
-                let rec = tab.record(frame);
-                let write =
-                    (!self.throttled(now)).then(|| self.write_frame(now, frame as u64, pid, data));
-                if let Some(Ok(done)) = write {
-                    self.place(&mut tab, frame, pid, done);
-                    if !rec.valid {
-                        tab.invalid -= 1;
-                    }
-                    self.audit(pid, AuditOp::Refresh);
-                    revalidated = !rec.valid;
-                } else {
-                    // Throttled or the rewrite failed: a valid SSD version
-                    // is now stale and must never be read again.
-                    if rec.valid {
-                        self.invalidate(&mut tab, frame, rec);
-                    }
-                    pending = write.and_then(Result::err);
-                }
+        if let Some(Ok(done)) = write {
+            revalidated = part.validate(idx, done);
+            if revalidated {
+                self.invalid_total.fetch_sub(1, Ordering::Relaxed);
             }
+            self.audit(pid, AuditOp::Refresh);
+        } else if part.record(idx).valid {
+            // Throttled or the rewrite failed: a valid SSD version is now
+            // stale and must never be read again.
+            self.invalidate(&mut part, idx);
         }
-        if let Some(e) = pending {
+        drop(part);
+        if let Some(Err(e)) = write {
             self.note_ssd_error(&e);
         }
         revalidated
     }
-}
 
-impl PageIo for TacCache {
-    fn read_page(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut [u8],
-    ) -> Result<(), IoError> {
-        self.fetch_page(clk, pid, class, buf)
-    }
-
-    fn read_page_buf(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut PageBuf,
-    ) -> Result<(), IoError> {
-        self.fetch_page(clk, pid, class, buf)
-    }
-
-    fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        self.fetch_run(clk, first, n)
-    }
-
-    fn evict_page(&self, now: Time, pid: PageId, data: &[u8], dirty: bool, _class: Locality) {
-        self.evict(now, pid, data, dirty);
-    }
-
-    fn evict_page_buf(&self, now: Time, pid: PageId, data: &PageBuf, dirty: bool, _: Locality) {
-        self.evict(now, pid, data, dirty);
-    }
-
-    fn note_dirtied(&self, now: Time, pid: PageId) {
-        let mut tab = self.lock_table();
-        if let Some(frame) = tab.frame_of(pid) {
-            let rec = tab.record(frame);
-            if rec.valid {
-                if now < rec.valid_at {
-                    // The on-read SSD write had not completed: it is
-                    // cancelled outright; the page never reaches the SSD
-                    // (the §4.2 race that hurts TAC on update-heavy loads).
-                    tab.records[frame] = None;
-                    tab.map.remove(pid);
-                    tab.heap.unfile(frame);
-                    tab.free.push(frame);
-                    self.audit(pid, AuditOp::Cancel);
-                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
-                } else {
-                    self.invalidate(&mut tab, frame, rec);
-                }
-            }
-        }
-    }
-
-    fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
-        self.checkpoint(now, pid, data)
-    }
-
-    fn checkpoint_write_buf(&self, now: Time, pid: PageId, data: &PageBuf, _: Locality) -> Time {
-        self.checkpoint(now, pid, data)
-    }
-
-    fn has_copy(&self, pid: PageId) -> bool {
-        self.lock_table().map.contains_key(pid)
-    }
-
-    fn checkpoint_flush(&self, _clk: &mut Clk) {
-        // Write-through: the SSD never holds the only current copy.
-    }
-}
-
-impl SsdTier for TacCache {
-    fn io(&self) -> &IoManager {
-        &self.io
-    }
-
-    fn cfg(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    fn metrics(&self) -> &SsdMetrics {
-        &self.metrics
-    }
-
-    fn health(&self) -> &Health {
-        &self.health
-    }
-
-    const RUN_FALLBACK: Locality = Locality::Sequential;
-
-    /// Every memory-pool miss heats the extent, wherever it is served
-    /// from.
-    fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)> {
-        let mut tab = self.lock_table();
-        self.heat(&mut tab, pid, class);
-        tab.usable(pid, now).filter(|_| self.serves_clean_read(now))
-    }
-
-    /// One table latch per run.
-    fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>> {
-        let tab = self.lock_table();
-        (0..n).map(|i| tab.usable(first.offset(i), now)).collect()
-    }
-
-    /// TAC writes a page to the SSD right after reading it from disk (§2.5
-    /// page flow, step ii), a run's pages too: during aggressive filling
-    /// even sequential pages are admitted ("before the SSD is full, all
-    /// pages are admitted"); after filling, the page's extent must be
-    /// hotter than the coldest one resident. `throttled` is cleared when
-    /// this admission writes the SSD.
-    fn after_disk_read<S: PageSrc + ?Sized>(
+    /// Step 2: `pid` was just read from disk at `now` into `data`. While
+    /// filling every page is admitted, sequential ones too. `throttled` is
+    /// the throttle verdict at `now`, kept across one disk read's pages (see
+    /// `admits_now`) and cleared when this admission writes the SSD.
+    pub(crate) fn after_disk_read<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         pid: PageId,
         data: &S,
         throttled: &mut Option<bool>,
     ) {
-        if self.is_quarantined() || !self.admits_now(now, throttled) {
+        if !self.enters(Entry::Read) || self.is_quarantined() || !self.admits_now(now, throttled) {
             return;
         }
-        let mut tab = self.lock_table();
-        if tab.map.contains_key(pid) {
+        let mut part = self.part(pid);
+        if part.lookup(pid).is_some() {
             return;
         }
-        let filling = tab.map.len() < self.cfg.fill_target() as usize;
-        let frame = if filling {
-            // Aggressive filling: admit everything while below τ.
-            tab.free.pop()
-        } else {
-            // Qualified admission: the page's extent must be hotter than
-            // the coldest extent resident in the SSD.
-            let my_temp = self.temp(&tab, pid);
-            match self.coldest_valid(&mut tab) {
-                Some((cold, cold_frame)) if my_temp > cold => {
-                    if let Some(f) = tab.free.pop() {
-                        // A free frame exists; keep the cold page.
-                        Some(f)
-                    } else {
-                        tab.heap.unfile(cold_frame);
-                        #[expect(
-                            clippy::unwrap_used,
-                            reason = "cold_frame came off the temperature heap, which only files mapped frames"
-                        )]
-                        let old = tab.records[cold_frame].take().unwrap();
-                        tab.map.remove(old.pid);
-                        self.audit(old.pid, AuditOp::Replace);
-                        SsdMetrics::bump(&self.metrics.replacements);
-                        Some(cold_frame)
-                    }
-                }
-                // Not hot enough: the cold page stays.
-                Some(_) => {
-                    SsdMetrics::bump(&self.metrics.policy_rejections);
-                    None
-                }
-                // No valid page to compare against: admit if space exists.
-                None => tab.free.pop(),
-            }
-        };
-        let Some(frame) = frame else { return };
-        // The write books the SSD: the next admission re-evaluates μ.
-        *throttled = None;
-        match self.write_frame(now, frame as u64, pid, data) {
-            Ok(done) => {
-                self.place(&mut tab, frame, pid, done);
-                tab.map.insert(pid, frame as u32);
-                self.audit(pid, AuditOp::Admit { dirty: false });
-                SsdMetrics::bump(&self.metrics.admissions);
-                if filling {
-                    SsdMetrics::bump(&self.metrics.fill_admissions);
-                }
-            }
-            // A failed write leaves no record pointing at unwritten bytes:
-            // the frame goes back to the free list before the latch does.
-            Err(e) => {
-                tab.free.push(frame);
-                drop(tab);
-                self.note_ssd_error(&e);
+        if !self.filling() {
+            // Qualified admission: not hotter than the coldest valid page,
+            // the page stays out; no valid page, it takes a free frame.
+            let temp = part.temp(pid);
+            if part
+                .peek_clean_victim()
+                .is_some_and(|((cold, _), _)| temp <= cold)
+            {
+                SsdMetrics::bump(&self.metrics.policy_rejections);
+                return;
             }
         }
-    }
-
-    /// TAC is write-through, so no data is lost — only hits. Pages are
-    /// reported in frame order so the audit stream stays deterministic.
-    fn sweep(&self) -> Vec<(PageId, bool)> {
-        let mut tab = self.lock_table();
-        let live = tab
-            .records
-            .iter()
-            .flatten()
-            .map(|r| (r.pid, false))
-            .collect();
-        tab.records.fill(None);
-        tab.map.clear();
-        tab.free.clear();
-        tab.heap = VictimHeap::new(tab.records.len());
-        tab.temps.clear();
-        tab.invalid = 0;
-        live
-    }
-
-    /// Write-through: the copy was never the only current version.
-    fn remove_entry(&self, pid: PageId) -> Option<bool> {
-        let mut tab = self.lock_table();
-        let frame = tab.map.remove(pid)? as usize;
-        #[expect(
-            clippy::unwrap_used,
-            reason = "map/records consistency: a mapped frame always holds a record"
-        )]
-        let rec = tab.records[frame].take().unwrap();
-        if !rec.valid {
-            tab.invalid -= 1;
+        if self.admit(part, now, pid, data, Entry::Read).is_some() {
+            // The write booked the SSD: the next admission re-evaluates μ.
+            *throttled = None;
         }
-        tab.heap.unfile(frame);
-        tab.free.push(frame);
-        Some(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use turbopool_bufpool::PageIo;
+    use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, Time};
+
     use super::*;
-    use turbopool_iosim::DeviceSetup;
+    use crate::config::{SsdConfig, SsdDesign};
 
     const PS: usize = 32;
 
-    fn mk(frames: u64) -> (Arc<IoManager>, TacCache) {
+    fn mk(frames: u64) -> (Arc<IoManager>, SsdManager) {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 4096, frames)));
-        let mut cfg = SsdConfig::new(crate::SsdDesign::Tac, frames);
+        let mut cfg = SsdConfig::new(SsdDesign::Tac, frames);
         cfg.tac_extent_pages = 4;
         cfg.tau = 1.0; // fill every frame before qualified admission starts
-        (Arc::clone(&io), TacCache::new(cfg, io))
+        (Arc::clone(&io), SsdManager::new(cfg, io))
     }
 
-    fn read(t: &TacCache, clk: &mut Clk, pid: u64) -> u8 {
+    fn read(t: &SsdManager, clk: &mut Clk, pid: u64) -> u8 {
         let mut buf = vec![0u8; PS];
         t.read_page(clk, PageId(pid), Locality::Random, &mut buf)
             .unwrap();
@@ -566,7 +153,10 @@ mod tests {
             .unwrap();
         let mut clk = Clk::new();
         read(&t, &mut clk, 3);
-        assert!(t.contains_valid(PageId(3)), "admitted immediately on read");
+        assert!(
+            t.frame_of(PageId(3)).is_some(),
+            "admitted immediately on read"
+        );
         // Let the in-flight SSD write complete before re-reading.
         clk.elapse(turbopool_iosim::SECOND);
         let disk_reads = io.disk_stats().read_ops;
@@ -582,7 +172,7 @@ mod tests {
         read(&t, &mut clk, 3);
         // The SSD write takes ~80 us; dirty the page "immediately".
         t.note_dirtied(clk.now, PageId(3));
-        assert!(!t.contains_valid(PageId(3)));
+        assert!(t.frame_of(PageId(3)).is_none());
         assert_eq!(t.occupancy(), 0, "cancelled write frees the frame");
         assert_eq!(t.metrics.snapshot().tac_cancelled_writes, 1);
         // Dirty eviction now finds NO invalid version: page skips the SSD.
@@ -597,12 +187,12 @@ mod tests {
         read(&t, &mut clk, 3);
         clk.elapse(turbopool_iosim::SECOND); // write long complete
         t.note_dirtied(clk.now, PageId(3));
-        assert!(!t.contains_valid(PageId(3)));
+        assert!(t.frame_of(PageId(3)).is_none());
         assert_eq!(t.occupancy(), 1, "frame still occupied");
         assert_eq!(t.invalid_frames(), 1);
         // Dirty eviction refreshes the invalid version.
         t.evict_page(clk.now, PageId(3), &[9u8; PS], true, Locality::Random);
-        assert!(t.contains_valid(PageId(3)));
+        assert!(t.frame_of(PageId(3)).is_some());
         assert_eq!(t.invalid_frames(), 0);
     }
 
@@ -645,7 +235,7 @@ mod tests {
         // By now extent 2 is far hotter than extent 0; a fresh read of pid
         // 9 (extent 2) replaces a cold extent-0 page.
         read(&t, &mut clk, 9);
-        assert!(t.contains_valid(PageId(9)));
+        assert!(t.frame_of(PageId(9)).is_some());
         assert_eq!(t.metrics.snapshot().replacements, 1);
     }
 
@@ -661,12 +251,12 @@ mod tests {
         }
         // Disk seq read (38 us) is FASTER than SSD random read (82 us):
         // saved time clamps to zero.
-        assert_eq!(t.extent_temp(100 / 4), 0);
+        assert_eq!(t.part(PageId(100)).temp(PageId(100)), 0);
         let mut clk = Clk::new();
         let mut buf = vec![0u8; PS];
         t.read_page(&mut clk, PageId(200), Locality::Random, &mut buf)
             .unwrap();
-        let temp = t.extent_temp(200 / 4);
+        let temp = t.part(PageId(200)).temp(PageId(200));
         assert!(temp > 800_000, "random miss heats extent: {temp}");
     }
 
@@ -733,7 +323,7 @@ mod tests {
         t.read_run(&mut clk, PageId(0), 6).unwrap();
         let s = t.metrics.snapshot();
         assert_eq!((s.admissions, s.throttled_admissions), (1, 5));
-        assert!(t.contains_valid(PageId(0)) && !t.contains_valid(PageId(1)));
+        assert!(t.frame_of(PageId(0)).is_some() && t.frame_of(PageId(1)).is_none());
     }
 
     #[test]
@@ -816,7 +406,7 @@ mod tests {
         let mut clk = Clk::new();
         // The on-read admission write is torn...
         assert_eq!(read(&t, &mut clk, 5), 3);
-        assert!(t.contains_valid(PageId(5)));
+        assert!(t.frame_of(PageId(5)).is_some());
         clk.elapse(turbopool_iosim::SECOND);
         // ...so the next read fails verification and falls back to disk.
         assert_eq!(read(&t, &mut clk, 5), 3);

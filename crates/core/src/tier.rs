@@ -1,43 +1,31 @@
-//! The SSD tier's device edge, written once for both tiers.
-//!
-//! [`crate::SsdManager`] (CW/DW/LC) and [`crate::TacCache`] differ in their
-//! buffer table and page flow, not in how a frame is read or how a failing
-//! SSD is retired. What they share is the provided methods of [`SsdTier`]:
-//! bounded retry around every device call, the error budget and the
-//! quarantine it trips, the corrupt-frame fallback, the throttle (μ)
-//! gates, the invariant auditor, the strand list of dirty pages whose
-//! sole copy was lost, the page reads themselves: one single-page read
-//! ([`SsdTier::fetch_page`]) and one multi-page read with the §3.3.3 trim
-//! ([`SsdTier::fetch_run`]), and the one frame write every admission and
-//! refresh books under its table latch ([`SsdTier::write_frame`]), so an
-//! entry is installed or backed out in the hold that picked its frame. A
-//! tier supplies four accessors, the two hooks that remove entries from
-//! its table ([`SsdTier::sweep`], [`SsdTier::remove_entry`]), and the read
-//! hooks that look in its table ([`SsdTier::probe`],
-//! [`SsdTier::run_entries`]) or keep its own bookkeeping
-//! ([`SsdTier::after_disk_read`], [`SsdTier::after_patch`],
-//! [`SsdTier::RUN_FALLBACK`]); the edge does the rest. DESIGN §8 lists the
-//! differences the hooks carry because they move virtual time.
+//! The SSD manager's device edge, the same for every design: bounded retry
+//! around every device call, the error budget and the quarantine it trips,
+//! the corrupt-frame fallback, the throttle (μ) gates, the invariant
+//! auditor, the strand list of dirty pages whose sole copy was lost, the
+//! page reads (`fetch_page`, and `fetch_run` with the §3.3.3 trim), and
+//! the one frame write every admission and refresh books under its
+//! partition latch (`write_frame`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use turbopool_iosim::sync::{self, Mutex, MutexGuard};
+use turbopool_iosim::sync::{self, Mutex};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
+    fault, Clk, IoError, IoErrorKind, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
+use crate::config::{MultiPageMode, SsdDesign};
 use crate::metrics::SsdMetrics;
+use crate::SsdManager;
 
 /// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
-/// device-dead) tolerated before a tier quarantines the SSD and degrades
+/// device-dead) tolerated before the manager quarantines the SSD and degrades
 /// to the noSSD path; a `DeviceDead` error quarantines at once. 64 is wide
 /// enough to ride out a transient-error storm, small enough that a
 /// persistently erroring device is retired quickly.
 pub const SSD_ERROR_BUDGET: u64 = 64;
 
-/// A tier's view of its SSD's health, and the auditor of its table.
+/// The manager's view of its SSD's health, and the auditor of its table.
 pub(crate) struct Health {
     /// True once the SSD has been quarantined (device death or error
     /// budget exhausted); every path then degrades to direct-to-disk.
@@ -57,7 +45,7 @@ pub(crate) struct Health {
 }
 
 impl Health {
-    /// The health of a fresh tier of `design` over `db_pages` pages.
+    /// The health of a fresh table of `design` over `db_pages` pages.
     pub(crate) fn new(design: SsdDesign, db_pages: u64) -> Self {
         Health {
             quarantined: AtomicBool::new(false),
@@ -67,107 +55,47 @@ impl Health {
             any_stranded: AtomicBool::new(false),
         }
     }
+}
 
-    pub(crate) fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Relaxed)
+/// The device edge, and the page reads over the table.
+impl SsdManager {
+    /// True once the SSD is quarantined and the manager runs degraded
+    /// (every subsequent request takes the direct-to-disk path).
+    pub fn is_quarantined(&self) -> bool {
+        self.health.quarantined.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn audit_violations(&self) -> u64 {
-        self.auditor.violations()
+    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    pub fn audit_violations(&self) -> u64 {
+        self.health.auditor.violations()
     }
 
-    /// Drain the strand list.
-    pub(crate) fn take_stranded(&self) -> Vec<PageId> {
-        let mut stranded = self.stranded.lock();
-        self.any_stranded.store(false, Ordering::Release);
+    /// Drain the list of dirty pages whose sole (SSD) copy was lost. The
+    /// engine must replay the committed WAL tail onto disk before trusting
+    /// the disk image of these pages again.
+    pub fn take_stranded(&self) -> Vec<PageId> {
+        let mut stranded = self.health.stranded.lock();
+        self.health.any_stranded.store(false, Ordering::Release);
         std::mem::take(&mut *stranded)
     }
-
-    fn strand(&self, pid: PageId) {
-        let mut stranded = self.stranded.lock();
-        self.any_stranded.store(true, Ordering::Release);
-        stranded.push(pid);
-    }
-
-    fn is_stranded(&self, pid: PageId) -> bool {
-        self.any_stranded.load(Ordering::Acquire) && self.stranded.lock().contains(&pid)
-    }
-}
-
-/// Acquire a table latch, counting the acquisition and whether it was
-/// contended (held by another OS thread at that instant). Both counters are
-/// pure functions of the op sequence in deterministic driver runs
-/// (contended is then always 0).
-pub(crate) fn lock_counted<'a, T>(m: &SsdMetrics, latch: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    SsdMetrics::bump(&m.shard_acquisitions);
-    if let Some(g) = latch.try_lock() {
-        return g;
-    }
-    SsdMetrics::bump(&m.shard_contended);
-    latch.lock()
-}
-
-/// The device edge both SSD tiers consult. Statically dispatched: each
-/// tier implements the accessors and hooks and inherits the rest.
-pub(crate) trait SsdTier {
-    fn io(&self) -> &IoManager;
-    fn cfg(&self) -> &SsdConfig;
-    fn metrics(&self) -> &SsdMetrics;
-    fn health(&self) -> &Health;
-
-    /// The disk locality a run page falls back to when its SSD frame fails
-    /// and its copy was clean.
-    const RUN_FALLBACK: Locality;
-
-    /// A single-page read's look in the table, under the latch the table
-    /// takes: the table's own bookkeeping for a pool miss of `pid` read as
-    /// `class`, then the entry to serve it from, `(frame, dirty)`, if the
-    /// read may use it: a clean copy passes [`Self::serves_clean_read`], a
-    /// dirty one is newer than disk and bypasses it.
-    fn probe(&self, now: Time, pid: PageId, class: Locality) -> Option<(u64, bool)>;
-
-    /// The entries, `(frame, dirty)`, of the `n` pages from `first` that a
-    /// run read at `now` may use, ignoring the throttle.
-    fn run_entries(&self, now: Time, first: PageId, n: u64) -> Vec<Option<(u64, bool)>>;
-
-    /// `pid` was just read from disk at `now` into `data`. `throttled` is
-    /// an admission's throttle verdict at `now`, kept across one disk read's
-    /// pages (see [`Self::admits_now`]).
-    fn after_disk_read<S: PageSrc + ?Sized>(
-        &self,
-        _now: Time,
-        _pid: PageId,
-        _data: &S,
-        _throttled: &mut Option<bool>,
-    ) {
-    }
-
-    /// A run page was just served from its SSD frame.
-    fn after_patch(&self, _pid: PageId) {}
-
-    /// Quarantine's table half: remove every entry. Returns each removed
-    /// page with its dirty flag, in an order fixed by the table alone.
-    fn sweep(&self) -> Vec<(PageId, bool)>;
-
-    /// Remove `pid`'s entry; returns its dirty flag, or `None` when there
-    /// is none (quarantine already swept it).
-    fn remove_entry(&self, pid: PageId) -> Option<bool>;
 
     /// Account for an entry removed with its frame's contents: the audit
     /// transition `op` and a lost frame. A dirty copy was the only current
     /// version of the page, so the page is stranded for WAL salvage.
-    fn lose(&self, pid: PageId, op: AuditOp, dirty: bool) {
+    pub(crate) fn lose(&self, pid: PageId, op: AuditOp, dirty: bool) {
         self.audit(pid, op);
-        SsdMetrics::bump(&self.metrics().lost_frames);
+        SsdMetrics::bump(&self.metrics.lost_frames);
         if dirty {
-            SsdMetrics::bump(&self.metrics().stranded_dirty);
-            self.health().strand(pid);
+            SsdMetrics::bump(&self.metrics.stranded_dirty);
+            let mut stranded = self.health.stranded.lock();
+            self.health.any_stranded.store(true, Ordering::Release);
+            stranded.push(pid);
         }
     }
 
     /// The SSD copy of `pid` is unusable: drop its entry
     /// (`CorruptInvalidate`). No-op if quarantine already swept it.
-    fn drop_corrupt(&self, pid: PageId) {
+    pub(crate) fn drop_corrupt(&self, pid: PageId) {
         if let Some(dirty) = self.remove_entry(pid) {
             self.lose(pid, AuditOp::CorruptInvalidate, dirty);
         }
@@ -177,8 +105,9 @@ pub(crate) trait SsdTier {
     /// (or nonexistent) until the WAL tail is replayed, so serving it from
     /// disk would silently lose committed writes. The error routes the
     /// caller through the strand list and salvage first.
-    fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
-        if self.health().is_stranded(pid) {
+    pub(crate) fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
+        let h = &self.health;
+        if h.any_stranded.load(Ordering::Acquire) && h.stranded.lock().contains(&pid) {
             return Err(IoError::new(
                 fault::FaultDevice::Ssd,
                 IoErrorKind::DeviceDead,
@@ -191,13 +120,13 @@ pub(crate) trait SsdTier {
     /// Record one SSD I/O error; quarantine on device death or once the
     /// error budget is exhausted. Must not be called under a table latch
     /// (quarantine takes every one to sweep the table).
-    fn note_ssd_error(&self, e: &IoError) {
-        let m = self.metrics();
+    pub(crate) fn note_ssd_error(&self, e: &IoError) {
+        let m = &self.metrics;
         SsdMetrics::bump(&m.ssd_io_errors);
         if e.kind == IoErrorKind::ChecksumMismatch {
             SsdMetrics::bump(&m.checksum_misses);
         }
-        let seen = self.health().errors.fetch_add(1, Ordering::Relaxed) + 1;
+        let seen = self.health.errors.fetch_add(1, Ordering::Relaxed) + 1;
         if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
             self.quarantine();
         }
@@ -205,33 +134,44 @@ pub(crate) trait SsdTier {
 
     /// Degrade to the noSSD path: drop the whole buffer table and refuse
     /// all future SSD traffic. Runs once.
-    fn quarantine(&self) {
-        if self.health().quarantined.swap(true, Ordering::SeqCst) {
+    pub(crate) fn quarantine(&self) {
+        if self.health.quarantined.swap(true, Ordering::SeqCst) {
             return;
         }
-        SsdMetrics::bump(&self.metrics().ssd_quarantined);
+        SsdMetrics::bump(&self.metrics.ssd_quarantined);
         for (pid, dirty) in self.sweep() {
             self.lose(pid, AuditOp::Quarantine, dirty);
         }
     }
 
-    /// SSD frame read with transient-error retries on `clk`. The final
-    /// error (checksum mismatch, device death, or retries exhausted) is
-    /// returned for the caller to classify.
-    fn ssd_read<D: PageDst + ?Sized>(
+    /// A synchronous device read with the standard capped-backoff retry
+    /// policy on `clk`, its retries added to `counter`. The final error
+    /// (checksum mismatch, device death, or retries exhausted) is returned
+    /// for the caller to classify.
+    fn retried<T>(
+        clk: &mut Clk,
+        counter: &AtomicU64,
+        read: impl FnMut(&mut Clk) -> Result<T, IoError>,
+    ) -> Result<T, IoError> {
+        let (retries, out) = fault::retry_sync(clk, read);
+        if retries > 0 {
+            SsdMetrics::add(counter, u64::from(retries));
+        }
+        out
+    }
+
+    /// Read SSD `frame` into `buf`, retried.
+    pub(crate) fn ssd_read<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         frame: u64,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io().read_ssd(c, frame, buf));
-        if retries > 0 {
-            SsdMetrics::add(&self.metrics().ssd_retries, u64::from(retries));
-        }
-        out
+        let read = |c: &mut Clk| self.io.read_ssd(c, frame, buf);
+        Self::retried(clk, &self.metrics.ssd_retries, read)
     }
 
-    /// Synchronous disk read with the standard capped-backoff retry policy.
+    /// Read disk page `pid` as `class` into `buf`, retried.
     fn disk_read<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
@@ -239,22 +179,8 @@ pub(crate) trait SsdTier {
         class: Locality,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync(clk, |c| self.io().read_disk(c, pid, buf, class));
-        if retries > 0 {
-            SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
-        }
-        out
-    }
-
-    /// Multi-page disk read with the standard retry policy. The device
-    /// finds each span's adjacency itself, so the run takes no locality.
-    fn disk_read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        let read = |c: &mut Clk| self.io().read_disk_run(c, first, n, Locality::Sequential);
-        let (retries, out) = fault::retry_sync(clk, read);
-        if retries > 0 {
-            SsdMetrics::add(&self.metrics().disk_retries, u64::from(retries));
-        }
-        out
+        let read = |c: &mut Clk| self.io.read_disk(c, pid, buf, class);
+        Self::retried(clk, &self.metrics.disk_retries, read)
     }
 
     /// Book `pid`'s image `data` into SSD `frame` at `now` while the caller
@@ -262,7 +188,7 @@ pub(crate) trait SsdTier {
     /// writes it, and installs the entry or backs it out in one hold. The
     /// error is the caller's to charge once the latch is released: a
     /// quarantine takes every table latch.
-    fn write_frame<S: PageSrc + ?Sized>(
+    pub(crate) fn write_frame<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         frame: u64,
@@ -272,7 +198,7 @@ pub(crate) trait SsdTier {
         sync::io_under_latch(
             "an SSD-table entry changes atomically with the write to its frame, \
              and write_ssd_async is an O(1) non-blocking booking",
-            || self.io().write_ssd_async(now, frame, data, pid),
+            || self.io.write_ssd_async(now, frame, data, pid),
         )
     }
 
@@ -282,9 +208,9 @@ pub(crate) trait SsdTier {
     /// IoManager records the lost write so later readers surface the
     /// device error instead of treating the page as never-written. Returns
     /// the completion time, or `now` when a dead disk completes nothing.
-    fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
+    pub(crate) fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
         match fault::retry_write_forever(|| {
-            self.io().write_disk_async(now, pid, data, Locality::Random)
+            self.io.write_disk_async(now, pid, data, Locality::Random)
         }) {
             Ok(done) => done,
             Err(e) => {
@@ -299,7 +225,7 @@ pub(crate) trait SsdTier {
     /// dropped; then `Ok(false)` tells the caller to read the disk copy,
     /// unless the SSD held the page's `sole_copy` (an LC dirty page): that
     /// loss is returned, because the disk image is stale.
-    fn read_frame<D: PageDst + ?Sized>(
+    pub(crate) fn read_frame<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
@@ -309,17 +235,16 @@ pub(crate) trait SsdTier {
     ) -> Result<bool, IoError> {
         match self.ssd_read(clk, frame, buf) {
             Ok(()) => {
-                SsdMetrics::bump(&self.metrics().ssd_hits);
+                SsdMetrics::bump(&self.metrics.ssd_hits);
                 Ok(true)
             }
             Err(e) => {
                 self.note_ssd_error(&e);
                 self.drop_corrupt(pid);
                 if sole_copy {
-                    Err(e)
-                } else {
-                    Ok(false)
+                    return Err(e);
                 }
+                Ok(false)
             }
         }
     }
@@ -330,9 +255,9 @@ pub(crate) trait SsdTier {
         clippy::panic,
         reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
     )]
-    fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.health().auditor.observe(pid, op) {
-            SsdMetrics::bump(&self.metrics().audit_violations);
+    pub(crate) fn audit(&self, pid: PageId, op: AuditOp) {
+        if let Err(e) = self.health.auditor.observe(pid, op) {
+            SsdMetrics::bump(&self.metrics.audit_violations);
             if cfg!(debug_assertions) {
                 panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
             }
@@ -340,19 +265,18 @@ pub(crate) trait SsdTier {
     }
 
     /// Is the SSD queue deeper than the throttle threshold μ (§3.3.2)?
-    fn throttled(&self, now: Time) -> bool {
-        self.io().ssd_overloaded(now, self.cfg().mu)
+    pub(crate) fn throttled(&self, now: Time) -> bool {
+        self.io.ssd_overloaded(now, self.cfg.mu)
     }
 
     /// The gate on a clean SSD hit: read the SSD unless its queue exceeds
     /// μ, counting the diverted read.
-    fn serves_clean_read(&self, now: Time) -> bool {
-        if self.throttled(now) {
-            SsdMetrics::bump(&self.metrics().throttled_reads);
-            false
-        } else {
-            true
+    pub(crate) fn serves_clean_read(&self, now: Time) -> bool {
+        let throttled = self.throttled(now);
+        if throttled {
+            SsdMetrics::bump(&self.metrics.throttled_reads);
         }
+        !throttled
     }
 
     /// The gate on an admission: write the SSD unless its queue exceeds μ,
@@ -360,32 +284,27 @@ pub(crate) trait SsdTier {
     /// at `now`, evaluated here if `None`. It is a pure function of the
     /// SSD's bookings and `now`, so a caller admitting several pages at one
     /// instant (a TAC run) keeps it until one of them writes the SSD.
-    fn admits_now(&self, now: Time, throttled: &mut Option<bool>) -> bool {
-        if *throttled.get_or_insert_with(|| self.throttled(now)) {
-            SsdMetrics::bump(&self.metrics().throttled_admissions);
-            false
-        } else {
-            true
+    pub(crate) fn admits_now(&self, now: Time, throttled: &mut Option<bool>) -> bool {
+        let throttled = *throttled.get_or_insert_with(|| self.throttled(now));
+        if throttled {
+            SsdMetrics::bump(&self.metrics.throttled_admissions);
         }
+        !throttled
     }
 
     /// Read one page: from its SSD frame when the table serves it, else
     /// from disk. A quarantined tier reads the disk.
-    fn fetch_page<D: PageDst + PageSrc + ?Sized>(
+    pub(crate) fn fetch_page<D: PageDst + PageSrc + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         class: Locality,
         buf: &mut D,
     ) -> Result<(), IoError> {
-        let m = self.metrics();
-        let quarantined = self.health().is_quarantined();
-        let hit = if quarantined {
-            None
-        } else {
-            self.probe(clk.now, pid, class)
-        };
-        if let Some((frame, dirty)) = hit {
+        let m = &self.metrics;
+        let quarantined = self.is_quarantined();
+        let hit = (!quarantined).then(|| self.probe(clk.now, pid, class));
+        if let Some((frame, dirty)) = hit.flatten() {
             if self.read_frame(clk, pid, frame, dirty, buf)? {
                 if dirty {
                     SsdMetrics::bump(&m.dirty_hits);
@@ -410,17 +329,22 @@ pub(crate) trait SsdTier {
     /// for the last. No page bytes move: disk pages arrive as handles on
     /// the disk store's images, and a page read from the SSD gets a handle
     /// on the frame's image.
-    fn fetch_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
+    pub(crate) fn fetch_run(
+        &self,
+        clk: &mut Clk,
+        first: PageId,
+        n: u64,
+    ) -> Result<Vec<PageBuf>, IoError> {
         assert!(n > 0);
         // A page of the run awaiting WAL salvage fails the whole request,
         // so the engine salvages and retries.
         for i in 0..n {
             self.check_stranded(first.offset(i), clk.now)?;
         }
-        if self.health().is_quarantined() {
+        if self.is_quarantined() {
             // The table is empty, so every page below reads from disk; the
             // counter records the degradation for the harnesses.
-            SsdMetrics::bump(&self.metrics().quarantined_reads);
+            SsdMetrics::bump(&self.metrics.quarantined_reads);
         }
         let now0 = clk.now;
         let entries = self.run_entries(now0, first, n);
@@ -432,12 +356,16 @@ pub(crate) trait SsdTier {
         // image) until its SSD read replaces it.
         let mut issue = |step: RunStep| -> Result<(), IoError> {
             let mut tmp = Clk::at(now0);
-            let zero = || self.io().zero_page();
+            let zero = || self.io.zero_page();
             match step {
                 RunStep::Disk(range) => {
                     out.resize_with(range.start, zero);
                     let at = first.offset(range.start as u64);
-                    let pages = self.disk_read_run(&mut tmp, at, range.len() as u64)?;
+                    // The device finds each span's adjacency itself, so the
+                    // run takes no locality.
+                    let n = range.len() as u64;
+                    let read = |c: &mut Clk| self.io.read_disk_run(c, at, n, Locality::Sequential);
+                    let pages = Self::retried(&mut tmp, &self.metrics.disk_retries, read)?;
                     // One admission throttle verdict serves every page
                     // handed over at `tmp.now` until one writes the SSD.
                     let mut verdict = None;
@@ -457,7 +385,7 @@ pub(crate) trait SsdTier {
                         self.after_patch(pid);
                     } else {
                         tmp = Clk::at(now0);
-                        self.disk_read(&mut tmp, pid, Self::RUN_FALLBACK, &mut out[i])?;
+                        self.disk_read(&mut tmp, pid, self.policy.run_fallback, &mut out[i])?;
                     }
                 }
             }
@@ -470,7 +398,7 @@ pub(crate) trait SsdTier {
         let from_ssd = |i: usize| matches!(entries[i], Some((_, d)) if d || !throttled);
         let dirty = |i: usize| matches!(entries[i], Some((_, true)));
         let ssd = |i: usize| entries[i].map(|e| RunStep::Ssd(i, e));
-        match self.cfg().multipage {
+        match self.cfg.multipage {
             // Trimming: peel SSD-resident pages off both ends and read the
             // middle as one disk I/O; dirty pages inside the middle are
             // patched from the SSD afterwards.
@@ -530,10 +458,10 @@ mod tests {
 
     use turbopool_bufpool::PageIo;
     use turbopool_iosim::fault::{FaultConfig, FaultPlan};
-    use turbopool_iosim::{DeviceSetup, MILLISECOND, SECOND};
+    use turbopool_iosim::{DeviceSetup, IoManager, MILLISECOND, SECOND};
 
     use super::*;
-    use crate::{SsdManager, TacCache};
+    use crate::config::SsdConfig;
 
     const PS: usize = 32;
     const FRAMES: u64 = 16;
@@ -557,69 +485,56 @@ mod tests {
         drained
     }
 
-    /// Under the brownout a clean hit on `HOT` reads the disk and an
+    /// Offer `pid` to the table at `clk` both ways a page enters one: read
+    /// from disk (TAC admits it then) and evicted clean (CW/DW/LC admit it
+    /// then); each design ignores the other.
+    fn offer(m: &SsdManager, clk: &mut Clk, pid: PageId) {
+        m.read_page(clk, pid, Locality::Random, &mut [0u8; PS])
+            .unwrap();
+        m.evict_page(clk.now, pid, &[0xD0; PS], false, Locality::Random);
+    }
+
+    /// Under a brownout a clean hit on `HOT` reads the disk and an
     /// admission of `COLD` is skipped, each counted by the throttle; once
     /// the queue drains the SSD serves `HOT` again. Both happen at `at`,
     /// the instant the queue passes μ.
-    fn throttle_carries_the_brownout<T: SsdTier + PageIo>(
-        tier: &T,
-        at: Time,
-        admit_cold: impl Fn(&mut Clk),
-        holds_cold: impl Fn() -> bool,
-    ) {
-        let io = tier.io();
-        let drained = brown_out_past_mu(io, at, tier.cfg().mu);
-        let hit = |mut clk: Clk| {
-            let before = io.ssd_stats().read_ops;
-            tier.read_page(&mut clk, HOT, Locality::Random, &mut [0u8; PS])
-                .unwrap();
-            io.ssd_stats().read_ops > before
-        };
-        let m0 = tier.metrics().snapshot();
-        admit_cold(&mut Clk::at(at));
-        assert!(!holds_cold(), "admitted to a browned-out SSD");
-        assert!(!hit(Clk::at(at)), "a clean hit reads a browned-out SSD");
-        let m = tier.metrics().snapshot();
-        assert_eq!(m.throttled_reads - m0.throttled_reads, 1);
-        assert!(m.throttled_admissions > m0.throttled_admissions);
-        assert!(
-            hit(Clk::at(drained)),
-            "the drained SSD serves its hit again"
-        );
-        assert_eq!(tier.metrics().snapshot().throttled_reads, m.throttled_reads);
-    }
-
     #[test]
     fn throttle_diverts_reads_and_admissions_under_a_brownout_on_both_tables() {
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
-        let dw = SsdManager::new(
-            SsdConfig::new(SsdDesign::DualWrite, FRAMES),
-            Arc::clone(&io),
-        );
-        dw.evict_page(0, HOT, &[0xD0; PS], false, Locality::Random);
-        assert!(dw.frame_of(HOT).is_some());
-        throttle_carries_the_brownout(
-            &dw,
-            SECOND,
-            |clk| dw.evict_page(clk.now, COLD, &[0xC0; PS], false, Locality::Random),
-            || dw.frame_of(COLD).is_some(),
-        );
-
-        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
-        let tac = TacCache::new(SsdConfig::new(SsdDesign::Tac, FRAMES), Arc::clone(&io));
-        let mut clk = Clk::new();
-        tac.read_page(&mut clk, HOT, Locality::Random, &mut [0u8; PS])
-            .unwrap();
-        assert!(tac.frame_of_valid(HOT).is_some());
-        clk.elapse(SECOND);
-        throttle_carries_the_brownout(
-            &tac,
-            clk.now,
-            |clk| {
-                tac.read_page(clk, COLD, Locality::Random, &mut [0u8; PS])
+        use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
+        for design in [CleanWrite, DualWrite, LazyCleaning, Tac] {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, FRAMES)));
+            let m = SsdManager::new(SsdConfig::new(design, FRAMES), Arc::clone(&io));
+            offer(&m, &mut Clk::new(), HOT);
+            assert!(m.frame_of(HOT).is_some(), "{design:?}");
+            let at = SECOND;
+            let drained = brown_out_past_mu(&io, at, m.cfg.mu);
+            let hit = |mut clk: Clk| {
+                let before = io.ssd_stats().read_ops;
+                m.read_page(&mut clk, HOT, Locality::Random, &mut [0u8; PS])
                     .unwrap();
-            },
-            || tac.frame_of_valid(COLD).is_some(),
-        );
+                io.ssd_stats().read_ops > before
+            };
+            let m0 = m.metrics.snapshot();
+            offer(&m, &mut Clk::at(at), COLD);
+            assert!(
+                m.frame_of(COLD).is_none(),
+                "{design:?}: admitted to a browned-out SSD"
+            );
+            assert!(
+                !hit(Clk::at(at)),
+                "{design:?}: a clean hit reads a browned-out SSD"
+            );
+            let s = m.metrics.snapshot();
+            assert_eq!(s.throttled_reads - m0.throttled_reads, 1, "{design:?}");
+            assert!(
+                s.throttled_admissions > m0.throttled_admissions,
+                "{design:?}"
+            );
+            assert!(
+                hit(Clk::at(drained)),
+                "{design:?}: the drained SSD serves its hit again"
+            );
+            assert_eq!(m.metrics.snapshot().throttled_reads, s.throttled_reads);
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
-use turbopool_core::{ImportReport, SsdManager, TacCache};
+use turbopool_core::{ImportReport, SsdManager};
 use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, Time};
 use turbopool_wal::log::DurableLog;
@@ -36,7 +36,6 @@ pub struct Database {
     pool: BufferPool,
     layer: Arc<dyn PageIo>,
     ssd: Option<Arc<SsdManager>>,
-    tac: Option<Arc<TacCache>>,
     log: LogManager,
     next_tx: AtomicU64,
     alloc: AtomicU64,
@@ -56,21 +55,13 @@ impl Database {
     }
 
     fn build(cfg: DbConfig, io: Arc<IoManager>, log: Option<LogManager>) -> Self {
-        type Layers = (
-            Arc<dyn PageIo>,
-            Option<Arc<SsdManager>>,
-            Option<Arc<TacCache>>,
-        );
-        let (layer, ssd, tac): Layers = match &cfg.ssd {
-            None => (Arc::new(DirectIo::new(Arc::clone(&io))), None, None),
-            Some(scfg) if scfg.design.policy().admit_on_read => {
-                let t = Arc::new(TacCache::new(scfg.clone(), Arc::clone(&io)));
-                (Arc::clone(&t) as Arc<dyn PageIo>, None, Some(t))
-            }
-            Some(scfg) => {
-                let m = Arc::new(SsdManager::new(scfg.clone(), Arc::clone(&io)));
-                (Arc::clone(&m) as Arc<dyn PageIo>, Some(m), None)
-            }
+        let ssd = cfg
+            .ssd
+            .as_ref()
+            .map(|scfg| Arc::new(SsdManager::new(scfg.clone(), Arc::clone(&io))));
+        let layer: Arc<dyn PageIo> = match &ssd {
+            Some(m) => Arc::clone(m) as Arc<dyn PageIo>,
+            None => Arc::new(DirectIo::new(Arc::clone(&io))),
         };
         let pool = BufferPool::new(cfg.pool.clone(), Arc::clone(&layer));
         let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
@@ -80,7 +71,6 @@ impl Database {
             pool,
             layer,
             ssd,
-            tac,
             log,
             next_tx: AtomicU64::new(1),
             alloc: AtomicU64::new(0),
@@ -112,23 +102,20 @@ impl Database {
         &self.log
     }
 
-    /// The SSD manager when running CW/DW/LC.
+    /// The SSD manager, whatever the design (`None` for noSSD).
     pub fn ssd_manager(&self) -> Option<&Arc<SsdManager>> {
         self.ssd.as_ref()
     }
 
-    /// The TAC cache when running TAC.
-    pub fn tac_cache(&self) -> Option<&Arc<TacCache>> {
-        self.tac.as_ref()
+    /// [`Self::ssd_manager`] under the name of TAC's table, for callers
+    /// that read only TAC's counters (0 under the other designs).
+    pub fn tac_cache(&self) -> Option<&Arc<SsdManager>> {
+        self.ssd.as_ref()
     }
 
     /// SSD-manager counters regardless of design (`None` for noSSD).
     pub fn ssd_metrics(&self) -> Option<turbopool_core::metrics::SsdMetricsSnapshot> {
-        if let Some(m) = &self.ssd {
-            Some(m.metrics.snapshot())
-        } else {
-            self.tac.as_ref().map(|t| t.metrics.snapshot())
-        }
+        self.ssd.as_ref().map(|m| m.metrics.snapshot())
     }
 
     pub fn pool_stats(&self) -> PoolStats {
@@ -215,10 +202,6 @@ impl Database {
         let n = salvaged.unwrap_or_default();
         if let Some(m) = &self.ssd {
             m.metrics
-                .salvaged_pages
-                .fetch_add(n as u64, Ordering::Relaxed);
-        } else if let Some(t) = &self.tac {
-            t.metrics
                 .salvaged_pages
                 .fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -368,17 +351,15 @@ impl Database {
         // checkpoint below truncates that tail, after which the committed
         // content would be unrecoverable.
         self.salvage(&[]);
-        let ssd_table = self
-            .ssd
-            .as_ref()
-            .filter(|m| m.config().warm_restart)
-            .map(|m| turbopool_wal::LogRecord::SsdTable {
+        let ssd_table = self.ssd.as_ref().filter(|m| m.warm_restart()).map(|m| {
+            turbopool_wal::LogRecord::SsdTable {
                 entries: m
                     .export_table()
                     .into_iter()
                     .map(|(p, f)| (p.0, f))
                     .collect(),
-            });
+            }
+        });
         self.log.checkpoint_with(clk, ssd_table.as_ref());
         self.layer.checkpoint_window(start, clk.now);
         clk.now - start
@@ -473,7 +454,7 @@ impl Database {
         // page's disk image must not have advanced during redo, and the
         // frame's bytes must probe clean (checksum verified) at import.
         let mut warm = None;
-        if let Some(mgr) = db.ssd.as_ref().filter(|m| m.config().warm_restart) {
+        if let Some(mgr) = db.ssd.as_ref().filter(|m| m.warm_restart()) {
             if let Some(entries) = &outcome.ssd_table {
                 let io = Arc::clone(&db.io);
                 let redone = &outcome.redone;

@@ -41,11 +41,9 @@ pub enum Rank {
     /// Pool frame latches (`BufferPool::data`), held into the SSD tier by
     /// a fill and by an evicted frame's write-behind.
     FrameData,
-    /// SSD buffer-table partitions (`SsdManager::parts`).
+    /// SSD buffer-table partitions (`SsdManager::parts`), one for TAC.
     SsdPartition,
-    /// TAC's buffer table (`TacCache::inner`).
-    TacTable,
-    /// The invariant auditor's shadow table, reported to under either.
+    /// The invariant auditor's shadow table, reported to under one.
     AuditorStates,
     /// The throughput recorder's buckets (`ThroughputRecorder::counts`).
     ThroughputCounts,
@@ -348,13 +346,13 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "acquiring PoolTable while holding [TacTable]")]
+        #[should_panic(expected = "acquiring PoolTable while holding [SsdPartition]")]
         fn inversion_panics() {
-            let (pool_table, tac_table) = (
+            let (pool_table, ssd_table) = (
                 Mutex::ranked(Rank::PoolTable, ()),
-                Mutex::ranked(Rank::TacTable, ()),
+                Mutex::ranked(Rank::SsdPartition, ()),
             );
-            let _tac = tac_table.lock();
+            let _ssd = ssd_table.lock();
             let _pool = pool_table.lock();
         }
 

@@ -103,7 +103,7 @@ impl DbStats {
             pool: db.pool_stats(),
             disk: db.io().disk_stats(),
             ssd_dev: db.io().ssd_stats(),
-            tac_invalid_frames: db.tac_cache().map_or(0, |t| t.invalid_frames()),
+            tac_invalid_frames: db.ssd_manager().map_or(0, |m| m.invalid_frames()),
         }
     }
 }

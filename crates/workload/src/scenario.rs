@@ -259,13 +259,9 @@ mod tests {
                 assert_eq!(format!("{:?}", (&db.config().pool, &db.config().ssd)), want);
                 // The layer that runs is the design's, built from the SSD half.
                 let mgr = db.ssd_manager().map(|m| m.config());
-                let tac = db.tac_cache().map(|t| t.config());
-                assert_eq!(tac.is_some(), design == Design::Tac);
-                assert_eq!(mgr.or(tac).is_some(), design != Design::NoSsd);
-                assert_eq!(
-                    format!("{:?}", mgr.or(tac)),
-                    format!("{:?}", spec.db.ssd.as_ref())
-                );
+                assert_eq!(mgr.is_some(), design != Design::NoSsd);
+                assert_eq!(mgr.map(|c| c.design), design.ssd_design(), "{design:?}");
+                assert_eq!(format!("{:?}", mgr), format!("{:?}", spec.db.ssd.as_ref()));
                 // On noSSD the SSD half of the tweak had nothing to edit.
                 let frames = spec.db.ssd.as_ref().map_or(SSD_FRAMES, |s| s.frames);
                 assert_eq!(db.io().setup().ssd_frames, frames, "{design:?}");

@@ -29,12 +29,7 @@ fn copies(db: &Database, pid: PageId) -> (Option<Vec<u8>>, Option<Vec<u8>>, Vec<
     let mut disk = vec![0u8; ps];
     db.io().disk_store().read(pid, &mut disk);
 
-    let ssd = match (db.ssd_manager(), db.tac_cache()) {
-        (Some(m), _) => m.frame_of(pid),
-        (_, Some(t)) => t.frame_of_valid(pid),
-        _ => None,
-    }
-    .map(|frame| {
+    let ssd = db.ssd_manager().and_then(|m| m.frame_of(pid)).map(|frame| {
         let mut buf = vec![0u8; ps];
         db.io().ssd_store().read(PageId(frame), &mut buf);
         buf

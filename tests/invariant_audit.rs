@@ -3,7 +3,7 @@
 //! ZERO buffer-table state-machine violations.
 //!
 //! Two layers are exercised:
-//! * the raw `PageIo` surface of `SsdManager` / `TacCache`, driven with
+//! * the raw `PageIo` surface of `SsdManager`, under every design, driven with
 //!   random evict/read/dirty/run/checkpoint/clean sequences, and
 //! * the full engine workload (heap + index transactions + checkpoints),
 //!   whose `SsdMetricsSnapshot` must report `audit_violations == 0`.
@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use turbopool::bufpool::PageIo;
-use turbopool::core::tac::TacCache;
 use turbopool::core::{SsdConfig, SsdDesign, SsdManager};
 use turbopool::engine::{Database, DbConfig};
 use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
@@ -103,7 +102,7 @@ fn randomized_ops_keep_auditor_clean_on_all_managers() {
 fn randomized_ops_keep_auditor_clean_on_tac() {
     let io = Arc::new(IoManager::new(&DeviceSetup::paper(PAGE, 1 << 16, 1 << 12)));
     let cfg = SsdConfig::new(SsdDesign::Tac, 768);
-    let t = TacCache::new(cfg, io);
+    let t = SsdManager::new(cfg, io);
     for seed in 0..4u64 {
         drive(&t, 0x7AC + seed, 3_000);
     }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use turbopool::bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
-use turbopool::core::{SsdConfig, SsdDesign, SsdManager, TacCache};
+use turbopool::core::{SsdConfig, SsdDesign, SsdManager};
 use turbopool::iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, SECOND};
 
 const PS: usize = 64;
@@ -187,14 +187,14 @@ fn tac_admits_on_read_and_serves_hits_by_handle() {
     let io = io();
     let mut cfg = SsdConfig::new(SsdDesign::Tac, SSD_FRAMES);
     cfg.tac_extent_pages = 4;
-    let tac = Arc::new(TacCache::new(cfg, Arc::clone(&io)));
+    let tac = Arc::new(SsdManager::new(cfg, Arc::clone(&io)));
     let pool = pool(2, Arc::clone(&tac) as Arc<dyn PageIo>);
     let mut clk = Clk::new();
     let on_disk = disk_ptr(&io, 11);
     // Miss from disk: the frame and (write-on-read) the SSD frame both
     // share the disk's image.
     assert_eq!(frame_ptr(&pool, &mut clk, 11), on_disk);
-    let frame = tac.frame_of_valid(PageId(11)).expect("admitted on read");
+    let frame = tac.frame_of(PageId(11)).expect("admitted on read");
     assert_eq!(ssd_ptr(&io, frame), on_disk);
     // Evict it (clean: nothing happens below), let the SSD write land, and
     // miss again: served from the SSD, same image.
@@ -216,7 +216,7 @@ fn prefetch_over_a_mixed_run_installs_every_page_by_handle() {
     let io_t = io();
     let mut cfg = SsdConfig::new(SsdDesign::Tac, SSD_FRAMES);
     cfg.tac_extent_pages = 4;
-    let tac = Arc::new(TacCache::new(cfg, Arc::clone(&io_t)));
+    let tac = Arc::new(SsdManager::new(cfg, Arc::clone(&io_t)));
     let layers: [(&str, Arc<IoManager>, Arc<dyn PageIo>); 2] =
         [("manager", io_m, mgr), ("tac", io_t, tac)];
     for (what, io, layer) in layers {
