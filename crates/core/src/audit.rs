@@ -73,8 +73,8 @@ pub enum AuditOp {
     Quarantine,
     /// The SSD copy failed checksum verification (torn write or bit-flip)
     /// or became unreadable; the entry is dropped. Dirty copies can be
-    /// lost this way only under LC, which strands the page for WAL-tail
-    /// salvage.
+    /// lost this way only under LC, which rebuilds the page on disk from
+    /// the WAL tail at once.
     CorruptInvalidate,
 }
 

@@ -74,7 +74,7 @@ pub struct Policy {
 impl Policy {
     /// May the SSD hold a page newer than disk? Only write-back can, and
     /// that brings the lazy cleaner, the checkpoint flush, the checkpoint
-    /// window's admission pause, and stranding when a sole copy is lost.
+    /// window's admission pause, and salvage when a sole copy is lost.
     pub const fn write_back(&self) -> bool {
         matches!(self.dirty_eviction, DirtyEviction::Ssd)
     }

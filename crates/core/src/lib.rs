@@ -30,8 +30,8 @@
 //! differently — where pages enter, where a dirty eviction goes, how
 //! dirtying invalidates a copy, what orders the victims — is one row of
 //! the policy table, [`SsdDesign::policy`]. The device edge — retry, error
-//! budget and quarantine, the throttle, the invariant auditor, the strand
-//! list, the page reads — is the private `tier` module.
+//! budget and quarantine, the throttle, the invariant auditor, the salvage
+//! of a lost sole copy, the page reads — is the private `tier` module.
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs

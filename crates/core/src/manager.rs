@@ -14,12 +14,12 @@
 //! and dirty pages (LC only) are protected until the lazy cleaner or a
 //! checkpoint flushes them.
 //!
-//! Retry, the error budget, quarantine, throttle, audit, the strand list,
-//! the page reads (the §3.3.3 modes included) and the frame write are the
-//! device edge in `tier.rs`. An admission is one hold of its partition
-//! latch: it frees a frame (cleaning the oldest dirty page inline when
-//! every page is dirty), books the write, and admits the entry or backs it
-//! out.
+//! Retry, the error budget, quarantine, throttle, audit, the salvage of a
+//! lost sole copy, the page reads (the §3.3.3 modes included) and the frame
+//! write are the device edge in `tier.rs`. An admission is one hold of its
+//! partition latch: it frees a frame (cleaning the oldest dirty page inline
+//! when every page is dirty), books the write, and admits the entry or
+//! backs it out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,7 +85,7 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// Quarantine flag, error budget, auditor and strand list.
+    /// Quarantine flag, error budget, auditor and salvage target.
     pub(crate) health: Health,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
@@ -313,7 +313,7 @@ impl SsdManager {
             self.disk_write(now, pid, data);
         }
         if let Some((victim, e)) = lost {
-            self.lose(victim, AuditOp::CorruptInvalidate, true);
+            self.lose(AuditOp::CorruptInvalidate, [(victim, true)]);
             self.note_ssd_error(&e);
         }
         write.map(|w| w.is_ok())
@@ -325,7 +325,7 @@ impl SsdManager {
     /// SSD and written to disk (both charged asynchronously, since eviction
     /// is async) before its frame can be reused. Returns that victim and
     /// the error when its copy was unreadable: the frame is freed all the
-    /// same, and the caller strands the page and charges the error once the
+    /// same, and the caller loses the page and charges the error once the
     /// latch is released. Frees nothing in a partition without valid pages.
     fn reclaim(&self, now: Time, part: &mut Partition) -> Option<(PageId, IoError)> {
         if let Some((_, victim)) = part.peek_clean_victim() {
@@ -507,7 +507,7 @@ impl SsdManager {
     /// Read the SSD copies of dirty `pids` into memory for a flush to disk
     /// (no direct SSD→disk path exists, §2.4). Pages are marked clean only
     /// after their disk write succeeds, so one whose frame is unreadable is
-    /// dropped and stranded here rather than silently losing its contents;
+    /// dropped and rebuilt from the log here rather than silently lost;
     /// one whose entry is gone (a quarantine triggered earlier in the same
     /// batch swept the table) is skipped.
     fn gather(
@@ -686,12 +686,13 @@ impl SsdManager {
         let done = self.disk_write(now, pid, data);
         // The DW mirror (§3.2) writes random-class pages to the SSD as well,
         // with no aggressive-filling term and, throttled, skipped uncounted.
-        // Another design refreshes the copy its table still holds.
+        // TAC refreshes the copy its table still holds; CW and LC dropped
+        // theirs when the page was dirtied.
         if self.policy.checkpoint_mirror {
             if admits(class, false) && !self.is_quarantined() && !self.throttled(now) {
                 self.install(now, pid, data);
             }
-        } else {
+        } else if self.policy.logical_invalidation {
             self.refresh_stale_copy(now, pid, data);
         }
         done
@@ -896,19 +897,40 @@ mod tests {
 
     const PS: usize = 32;
 
-    fn mk(design: SsdDesign, frames: u64) -> (Arc<IoManager>, Arc<SsdManager>) {
+    fn mk(design: SsdDesign, frames: u64) -> (Arc<IoManager>, SsdManager) {
         // Single partition: page→partition routing is a hash, so tests that
         // count frames per partition would be distribution-dependent with
         // more than one.
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, frames)));
         let mut cfg = SsdConfig::new(design, frames);
         cfg.partitions = 1;
-        let mgr = Arc::new(SsdManager::new(cfg, Arc::clone(&io)));
-        (io, mgr)
+        (Arc::clone(&io), SsdManager::new(cfg, io))
     }
 
     fn page(tag: u8) -> Vec<u8> {
         vec![tag; PS]
+    }
+
+    /// The pages a manager's salvage target was handed, call by call.
+    type Salvaged = Arc<Mutex<Vec<Vec<PageId>>>>;
+
+    /// `m` with a salvage target that records what it is handed and, when
+    /// `image` is given, writes it to the disk as each page's committed
+    /// image.
+    fn recording(m: SsdManager, image: Option<Vec<u8>>) -> (SsdManager, Salvaged) {
+        let got: Salvaged = Arc::new(Mutex::new(Vec::new()));
+        let (log, io) = (Arc::clone(&got), Arc::clone(&m.io));
+        let m = m.with_salvage(move |pids| {
+            log.lock().push(pids.to_vec());
+            if let Some(image) = &image {
+                for &pid in pids {
+                    io.write_disk_async(0, pid, image, Locality::Random)
+                        .unwrap();
+                }
+            }
+            pids.len()
+        });
+        (m, got)
     }
 
     #[test]
@@ -1151,6 +1173,19 @@ mod tests {
     }
 
     #[test]
+    fn cw_and_lc_checkpoint_writes_take_no_partition_latch() {
+        for design in [SsdDesign::CleanWrite, SsdDesign::LazyCleaning] {
+            let (io, m) = mk(design, 16);
+            m.evict_page(0, PageId(2), &page(2), false, Locality::Random);
+            let before = m.metrics.snapshot().shard_acquisitions;
+            m.checkpoint_write(0, PageId(1), &page(1), Locality::Random);
+            let s = m.metrics.snapshot();
+            assert_eq!(s.shard_acquisitions, before, "{design:?}");
+            assert_eq!(io.disk_stats().write_ops, 1, "{design:?}");
+        }
+    }
+
+    #[test]
     fn trim_reads_middle_as_one_disk_io() {
         let (io, m) = mk(SsdDesign::DualWrite, 16);
         // Pages 0 and 5 in SSD; 1..=4 on disk only.
@@ -1239,13 +1274,13 @@ mod tests {
     #[test]
     fn inline_clean_when_partition_all_dirty() {
         // The oldest dirty page, 1, is the victim. Its SSD bytes reach the
-        // disk; or, when its frame is unreadable, it is stranded, and the
-        // new page is admitted all the same.
+        // disk; or, when its frame is unreadable, it is handed to the
+        // salvage target once, and the new page is admitted all the same.
         for unreadable in [false, true] {
             let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 4)));
             let mut cfg = SsdConfig::new(SsdDesign::LazyCleaning, 4);
             cfg.partitions = 1;
-            let m = SsdManager::new(cfg, Arc::clone(&io));
+            let (m, salvaged) = recording(SsdManager::new(cfg, Arc::clone(&io)), None);
             for i in 0..4u64 {
                 m.evict_page(
                     0,
@@ -1271,11 +1306,11 @@ mod tests {
             io.disk_store().read(PageId(1), &mut buf);
             if unreadable {
                 assert_eq!((s.inline_cleans, s.lost_frames, s.ssd_io_errors), (0, 1, 1));
-                assert_eq!(m.take_stranded(), vec![PageId(1)]);
+                assert_eq!(*salvaged.lock(), vec![vec![PageId(1)]]);
                 assert_ne!(buf, page(1));
             } else {
                 assert_eq!((s.inline_cleans, s.lost_frames), (1, 0));
-                assert!(m.take_stranded().is_empty());
+                assert!(salvaged.lock().is_empty());
                 assert_eq!(buf, page(1), "the disk holds the victim's SSD bytes");
             }
         }
@@ -1379,26 +1414,41 @@ mod tests {
     #[test]
     fn lc_death_strands_dirty_pages_for_salvage() {
         let (io, m) = mk(SsdDesign::LazyCleaning, 16);
+        // The target writes the committed image the log would rebuild.
+        let (m, salvaged) = recording(m, Some(page(0x33)));
         // A dirty eviction under LC puts the SOLE current copy on the SSD.
         m.evict_page(0, PageId(3), &page(0x33), true, Locality::Random);
         assert!(m.is_dirty(PageId(3)));
         let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(2)));
         io.set_ssd_fault(Some(Arc::clone(&plan)));
         plan.kill(1);
-        // The dirty hit cannot fall back to disk: the caller must salvage.
+        // The dirty hit quarantines the SSD, which rebuilds the page on
+        // disk before the read falls through to the disk.
         let mut clk = Clk::at(turbopool_iosim::SECOND);
         let mut buf = page(0);
-        let err = m
-            .read_page(&mut clk, PageId(3), Locality::Random, &mut buf)
-            .unwrap_err();
-        assert_eq!(err.kind, IoErrorKind::DeviceDead);
+        m.read_page(&mut clk, PageId(3), Locality::Random, &mut buf)
+            .unwrap();
+        assert_eq!(buf, page(0x33));
         assert!(m.is_quarantined());
-        assert_eq!(m.take_stranded(), vec![PageId(3)]);
-        assert!(m.take_stranded().is_empty(), "drained exactly once");
+        m.read_page(&mut clk, PageId(3), Locality::Random, &mut buf)
+            .unwrap();
+        assert_eq!(*salvaged.lock(), vec![vec![PageId(3)]], "exactly once");
         let s = m.metrics.snapshot();
-        assert_eq!(s.stranded_dirty, 1);
+        assert_eq!((s.stranded_dirty, s.salvaged_pages), (1, 1));
         assert_eq!(s.lost_frames, 1);
         assert_eq!(m.dirty_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no log to rebuild it from")]
+    fn a_lost_sole_copy_with_no_salvage_target_panics() {
+        let (io, m) = mk(SsdDesign::LazyCleaning, 16);
+        m.evict_page(0, PageId(3), &page(0x33), true, Locality::Random);
+        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(2)));
+        io.set_ssd_fault(Some(Arc::clone(&plan)));
+        plan.kill(1);
+        let mut clk = Clk::at(turbopool_iosim::SECOND);
+        let _ = m.read_page(&mut clk, PageId(3), Locality::Random, &mut page(0));
     }
 
     #[test]

@@ -67,10 +67,10 @@ turbopool_iosim::counters! {
         pub quarantined_reads,
         /// Cached frames dropped when the table was cleared at quarantine.
         pub lost_frames,
-        /// Dirty (sole-copy) frames whose SSD copy became unreadable; each is
-        /// queued for WAL-tail salvage by the engine.
+        /// Dirty (sole-copy) frames whose SSD copy became unreadable or was
+        /// dropped at quarantine; each is rebuilt from the WAL tail at once.
         pub stranded_dirty,
-        /// Pages restored onto disk by WAL-tail salvage after stranding.
+        /// Pages restored onto disk by WAL-tail salvage.
         pub salvaged_pages,
         /// SSD I/O retry attempts consumed by the capped-backoff policy.
         pub ssd_retries,

@@ -1,14 +1,14 @@
 //! The SSD manager's device edge, the same for every design: bounded retry
 //! around every device call, the error budget and the quarantine it trips,
 //! the corrupt-frame fallback, the throttle (μ) gates, the invariant
-//! auditor, the strand list of dirty pages whose sole copy was lost, the
-//! page reads (`fetch_page`, and `fetch_run` with the §3.3.3 trim), and
-//! the one frame write every admission and refresh books under its
-//! partition latch (`write_frame`).
+//! auditor, the salvage of a lost sole (dirty) copy from the log at the
+//! moment it is lost, the page reads (`fetch_page`, and `fetch_run` with
+//! the §3.3.3 trim), and the one frame write every admission and refresh
+//! books under its partition latch (`write_frame`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use turbopool_iosim::sync::{self, Mutex};
+use turbopool_iosim::sync;
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
 };
@@ -34,14 +34,11 @@ pub(crate) struct Health {
     errors: AtomicU64,
     /// Shadow state machine validating every buffer-table transition.
     auditor: InvariantAuditor,
-    /// Dirty pages whose sole (SSD) copy was lost to corruption or
-    /// quarantine, awaiting WAL-tail salvage by the engine. Only a
-    /// write-back design ever adds one.
-    stranded: Mutex<Vec<PageId>>,
-    /// Whether `stranded` may be non-empty: a `Release` store under its
-    /// latch, read with `Acquire`, so a read with nothing stranded takes no
-    /// latch.
-    any_stranded: AtomicBool,
+    /// Rebuilds pages whose sole (SSD) copies were lost on disk from the
+    /// log, returning how many it restored; `None` in a manager built
+    /// without a log, where such a loss is unrecoverable.
+    #[expect(clippy::type_complexity, reason = "one field, read in one place")]
+    salvage: Option<Box<dyn Fn(&[PageId]) -> usize + Send + Sync>>,
 }
 
 impl Health {
@@ -51,8 +48,7 @@ impl Health {
             quarantined: AtomicBool::new(false),
             errors: AtomicU64::new(0),
             auditor: InvariantAuditor::new(design, db_pages),
-            stranded: Mutex::new(Vec::new()),
-            any_stranded: AtomicBool::new(false),
+            salvage: None,
         }
     }
 }
@@ -70,51 +66,51 @@ impl SsdManager {
         self.health.auditor.violations()
     }
 
-    /// Drain the list of dirty pages whose sole (SSD) copy was lost. The
-    /// engine must replay the committed WAL tail onto disk before trusting
-    /// the disk image of these pages again.
-    pub fn take_stranded(&self) -> Vec<PageId> {
-        let mut stranded = self.health.stranded.lock();
-        self.health.any_stranded.store(false, Ordering::Release);
-        std::mem::take(&mut *stranded)
+    /// Rebuild each lost sole (dirty) copy with `target`, the engine's
+    /// replay of the log onto the disk, at the moment it is lost.
+    pub fn with_salvage(
+        mut self,
+        target: impl Fn(&[PageId]) -> usize + Send + Sync + 'static,
+    ) -> Self {
+        self.health.salvage = Some(Box::new(target));
+        self
     }
 
-    /// Account for an entry removed with its frame's contents: the audit
-    /// transition `op` and a lost frame. A dirty copy was the only current
-    /// version of the page, so the page is stranded for WAL salvage.
-    pub(crate) fn lose(&self, pid: PageId, op: AuditOp, dirty: bool) {
-        self.audit(pid, op);
-        SsdMetrics::bump(&self.metrics.lost_frames);
-        if dirty {
-            SsdMetrics::bump(&self.metrics.stranded_dirty);
-            let mut stranded = self.health.stranded.lock();
-            self.health.any_stranded.store(true, Ordering::Release);
-            stranded.push(pid);
+    /// Account for entries `lost` with their frames' contents, each a page
+    /// and its dirty flag: the audit transition `op` and a lost frame. A
+    /// dirty copy was its page's only current version, so the dirty pages
+    /// are rebuilt on disk from the log, as one batch, before this returns;
+    /// a read of one then falls through to the disk like a clean loss.
+    /// Must not be called under a table latch.
+    #[expect(
+        clippy::panic,
+        reason = "a manager with no log cannot rebuild a lost sole copy: committed data is gone"
+    )]
+    pub(crate) fn lose(&self, op: AuditOp, lost: impl IntoIterator<Item = (PageId, bool)>) {
+        let mut sole = Vec::new();
+        for (pid, dirty) in lost {
+            self.audit(pid, op);
+            SsdMetrics::bump(&self.metrics.lost_frames);
+            if dirty {
+                sole.push(pid);
+            }
         }
+        if sole.is_empty() {
+            return;
+        }
+        SsdMetrics::add(&self.metrics.stranded_dirty, sole.len() as u64);
+        let Some(salvage) = &self.health.salvage else {
+            panic!("unrecoverable: lost the sole copy of {sole:?} with no log to rebuild it from");
+        };
+        SsdMetrics::add(&self.metrics.salvaged_pages, salvage(&sole) as u64);
     }
 
     /// The SSD copy of `pid` is unusable: drop its entry
     /// (`CorruptInvalidate`). No-op if quarantine already swept it.
     pub(crate) fn drop_corrupt(&self, pid: PageId) {
         if let Some(dirty) = self.remove_entry(pid) {
-            self.lose(pid, AuditOp::CorruptInvalidate, dirty);
+            self.lose(AuditOp::CorruptInvalidate, [(pid, dirty)]);
         }
-    }
-
-    /// Fails while `pid` is queued for WAL salvage: its disk image is stale
-    /// (or nonexistent) until the WAL tail is replayed, so serving it from
-    /// disk would silently lose committed writes. The error routes the
-    /// caller through the strand list and salvage first.
-    pub(crate) fn check_stranded(&self, pid: PageId, at: Time) -> Result<(), IoError> {
-        let h = &self.health;
-        if h.any_stranded.load(Ordering::Acquire) && h.stranded.lock().contains(&pid) {
-            return Err(IoError::new(
-                fault::FaultDevice::Ssd,
-                IoErrorKind::DeviceDead,
-                at,
-            ));
-        }
-        Ok(())
     }
 
     /// Record one SSD I/O error; quarantine on device death or once the
@@ -139,9 +135,7 @@ impl SsdManager {
             return;
         }
         SsdMetrics::bump(&self.metrics.ssd_quarantined);
-        for (pid, dirty) in self.sweep() {
-            self.lose(pid, AuditOp::Quarantine, dirty);
-        }
+        self.lose(AuditOp::Quarantine, self.sweep());
     }
 
     /// A synchronous device read with the standard capped-backoff retry
@@ -220,31 +214,25 @@ impl SsdManager {
         }
     }
 
-    /// Read `pid`'s SSD copy from `frame`. `Ok(true)`: served, counted as
-    /// an SSD hit. On a failed read the error is charged and the entry
-    /// dropped; then `Ok(false)` tells the caller to read the disk copy,
-    /// unless the SSD held the page's `sole_copy` (an LC dirty page): that
-    /// loss is returned, because the disk image is stale.
+    /// Read `pid`'s SSD copy from `frame`. True: served, counted as an SSD
+    /// hit. False: the read failed, its error was charged and the entry
+    /// dropped (a sole copy rebuilt on disk), so the caller reads the disk.
     pub(crate) fn read_frame<D: PageDst + ?Sized>(
         &self,
         clk: &mut Clk,
         pid: PageId,
         frame: u64,
-        sole_copy: bool,
         buf: &mut D,
-    ) -> Result<bool, IoError> {
+    ) -> bool {
         match self.ssd_read(clk, frame, buf) {
             Ok(()) => {
                 SsdMetrics::bump(&self.metrics.ssd_hits);
-                Ok(true)
+                true
             }
             Err(e) => {
                 self.note_ssd_error(&e);
                 self.drop_corrupt(pid);
-                if sole_copy {
-                    return Err(e);
-                }
-                Ok(false)
+                false
             }
         }
     }
@@ -305,16 +293,14 @@ impl SsdManager {
         let quarantined = self.is_quarantined();
         let hit = (!quarantined).then(|| self.probe(clk.now, pid, class));
         if let Some((frame, dirty)) = hit.flatten() {
-            if self.read_frame(clk, pid, frame, dirty, buf)? {
+            if self.read_frame(clk, pid, frame, buf) {
                 if dirty {
                     SsdMetrics::bump(&m.dirty_hits);
                 }
                 return Ok(());
             }
-            // A clean copy is replaceable: fall through to disk.
+            // The copy is lost, and the disk holds the page: fall through.
         }
-        // Stranded by an earlier failure.
-        self.check_stranded(pid, clk.now)?;
         if quarantined {
             SsdMetrics::bump(&m.quarantined_reads);
         }
@@ -328,7 +314,7 @@ impl SsdManager {
     /// (§3.3.3). Every I/O starts at the caller's `now`; the caller waits
     /// for the last. No page bytes move: disk pages arrive as handles on
     /// the disk store's images, and a page read from the SSD gets a handle
-    /// on the frame's image.
+    /// on the frame's image. `Err` is a disk failure only.
     pub(crate) fn fetch_run(
         &self,
         clk: &mut Clk,
@@ -336,11 +322,6 @@ impl SsdManager {
         n: u64,
     ) -> Result<Vec<PageBuf>, IoError> {
         assert!(n > 0);
-        // A page of the run awaiting WAL salvage fails the whole request,
-        // so the engine salvages and retries.
-        for i in 0..n {
-            self.check_stranded(first.offset(i), clk.now)?;
-        }
         if self.is_quarantined() {
             // The table is empty, so every page below reads from disk; the
             // counter records the degradation for the harnesses.
@@ -374,14 +355,13 @@ impl SsdManager {
                     }
                     out.extend(pages);
                 }
-                // On SSD failure the entry is dropped: a clean copy falls
-                // back to a disk read from `now0`, a dirty (sole-copy) loss
-                // propagates so the engine can WAL-salvage. No `dirty_hits`
-                // here: that counts single-page reads only.
-                RunStep::Ssd(i, (frame, dirty)) => {
+                // On SSD failure the entry is dropped and the page reread
+                // from disk at `now0`. No `dirty_hits` here: that counts
+                // single-page reads only.
+                RunStep::Ssd(i, frame) => {
                     out.resize_with(out.len().max(i + 1), zero);
                     let pid = first.offset(i as u64);
-                    if self.read_frame(&mut tmp, pid, frame, dirty, &mut out[i])? {
+                    if self.read_frame(&mut tmp, pid, frame, &mut out[i]) {
                         self.after_patch(pid);
                     } else {
                         tmp = Clk::at(now0);
@@ -397,7 +377,7 @@ impl SsdManager {
         // SSD is throttled.
         let from_ssd = |i: usize| matches!(entries[i], Some((_, d)) if d || !throttled);
         let dirty = |i: usize| matches!(entries[i], Some((_, true)));
-        let ssd = |i: usize| entries[i].map(|e| RunStep::Ssd(i, e));
+        let ssd = |i: usize| entries[i].map(|(frame, _)| RunStep::Ssd(i, frame));
         match self.cfg.multipage {
             // Trimming: peel SSD-resident pages off both ends and read the
             // middle as one disk I/O; dirty pages inside the middle are
@@ -448,8 +428,8 @@ impl SsdManager {
 enum RunStep {
     /// Pages `range` of the run, read off the disk as one I/O.
     Disk(std::ops::Range<usize>),
-    /// Page `i` of the run, read from its SSD entry `(frame, dirty)`.
-    Ssd(usize, (u64, bool)),
+    /// Page `i` of the run, read from its SSD `frame`.
+    Ssd(usize, u64),
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool_bufpool::{BufferPool, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor};
+use turbopool_bufpool::{BufferPool, DirectIo, PageIo, PoolStats, ScanCursor};
 use turbopool_core::{ImportReport, SsdManager};
 use turbopool_iosim::sync::{Mutex, Rank};
 use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, Time};
@@ -55,16 +55,18 @@ impl Database {
     }
 
     fn build(cfg: DbConfig, io: Arc<IoManager>, log: Option<LogManager>) -> Self {
-        let ssd = cfg
-            .ssd
-            .as_ref()
-            .map(|scfg| Arc::new(SsdManager::new(scfg.clone(), Arc::clone(&io))));
+        let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
+        // A lost sole SSD copy is rebuilt from the log when it is lost.
+        let ssd = cfg.ssd.as_ref().map(|scfg| {
+            let (io2, durable) = (Arc::clone(&io), log.durable_handle());
+            let m = SsdManager::new(scfg.clone(), Arc::clone(&io));
+            Arc::new(m.with_salvage(move |pids| salvage(&io2, &durable, pids)))
+        });
         let layer: Arc<dyn PageIo> = match &ssd {
             Some(m) => Arc::clone(m) as Arc<dyn PageIo>,
             None => Arc::new(DirectIo::new(Arc::clone(&io))),
         };
         let pool = BufferPool::new(cfg.pool.clone(), Arc::clone(&layer));
-        let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
         Database {
             cfg,
             io,
@@ -152,81 +154,25 @@ impl Database {
         if self.layer.has_copy(pid) || self.io.disk_store().is_materialized(pid) {
             return false;
         }
-        if self.io.disk_write_lost(pid) {
-            // The page's last disk write was dropped by a dead device: it is
-            // unmaterialized but *not* never-written. Treating it as fresh
-            // would serve zeroes for committed data; forcing the read path
-            // instead surfaces the device error and poisons the transaction.
-            return false;
-        }
-        // No copy anywhere — but a quarantined SSD may have stranded this
-        // page's sole (dirty) copy, in which case it is salvageable from the
-        // WAL tail, not fresh. Salvage is a no-op when nothing is stranded.
-        if self.salvage(&[]) > 0 {
-            return !self.io.disk_store().is_materialized(pid);
-        }
-        true
+        // The page's last disk write may have been dropped by a dead
+        // device: it is unmaterialized but *not* never-written. Treating it
+        // as fresh would serve zeroes for committed data; forcing the read
+        // path instead surfaces the device error and poisons the
+        // transaction.
+        !self.io.disk_write_lost(pid)
     }
 
-    // ------------------------------------------------------------------
-    // Fault tolerance: WAL-tail salvage of stranded SSD pages
-    // ------------------------------------------------------------------
-
-    /// Restore the committed content of lost pages onto the disk tier by
-    /// replaying the durable log tail: every page the SSD manager reports as
-    /// *stranded* (an LC dirty frame whose sole copy became unreadable),
-    /// plus any `extra` pages the caller needs redone. Returns the number of
-    /// pages restored.
-    ///
-    /// Sound because commit-time publication flushes a page's log records
-    /// before the page can reach any cache, and sharp checkpoints flush all
-    /// SSD-dirty pages before truncating the log — so the committed image of
-    /// every cached-dirty page is always reconstructible from disk + tail.
-    pub fn salvage(&self, extra: &[PageId]) -> usize {
-        let mut pids: HashSet<PageId> = extra.iter().copied().collect();
-        if let Some(m) = &self.ssd {
-            pids.extend(m.take_stranded());
-        }
-        if pids.is_empty() {
-            return 0;
-        }
-        let mut store = SalvageStore { io: &self.io };
-        // The durable log is replayed where it lies, not copied out.
-        let replay = |log: &[u8]| turbopool_wal::salvage(log, &mut store, &pids);
-        // An error is a salvage write that failed even after unbounded
-        // transient retry: the disk tier itself is dead. The failing page
-        // was marked as a lost write inside the store, so its readers will
-        // surface the device error instead of zeroes; there is nothing more
-        // a salvage pass can do.
-        let salvaged = self.log.durable_handle().with_bytes(replay);
-        let n = salvaged.unwrap_or_default();
+    /// Redo the committed content of `pids` onto the disk tier from the
+    /// durable log tail, for a page commit cannot pin. Returns the number
+    /// of pages restored.
+    pub(crate) fn salvage(&self, pids: &[PageId]) -> usize {
+        let n = salvage(&self.io, &self.log.durable_handle(), pids);
         if let Some(m) = &self.ssd {
             m.metrics
                 .salvaged_pages
                 .fetch_add(n as u64, Ordering::Relaxed);
         }
         n
-    }
-
-    /// Pin a page, salvaging and retrying once if the first attempt fails.
-    /// The only recoverable failure is a stranded LC page (the read error
-    /// queues it for salvage as a side effect); everything else — a dead
-    /// disk after retries — is returned to the caller.
-    pub(crate) fn get_with_salvage(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-    ) -> Result<PageGuard<'_>, IoError> {
-        match self.pool.get(clk, pid, class) {
-            Ok(g) => Ok(g),
-            Err(first) => {
-                if self.salvage(&[]) == 0 {
-                    return Err(first);
-                }
-                self.pool.get(clk, pid, class)
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -304,8 +250,8 @@ impl Database {
 
     /// Full sequential scan of a heap with read-ahead; calls
     /// `f(rid, record)` for every present record. Sees committed data only.
-    /// `Err` means a page could not be read even after WAL-tail salvage —
-    /// the disk tier itself failed; the scan stops at that page.
+    /// `Err` means a page could not be read: the disk tier itself failed;
+    /// the scan stops at that page.
     pub fn scan_heap(
         &self,
         clk: &mut Clk,
@@ -316,19 +262,9 @@ impl Database {
         let end = meta.first.offset(meta.used_pages());
         let mut cursor = ScanCursor::new(meta.first, end, READAHEAD_WINDOW);
         while let Some(next) = cursor.next(clk, &self.pool) {
-            // The cursor has already advanced past the page it just served
-            // (or failed to serve).
-            let pid = PageId(end.0 - cursor.remaining() - 1);
-            let g = match next {
-                Ok(g) => g,
-                Err(e) => {
-                    if self.salvage(&[]) == 0 {
-                        return Err(e);
-                    }
-                    self.pool.get(clk, pid, Locality::Sequential)?
-                }
-            };
-            let page_index = pid.0 - meta.first.0;
+            let g = next?;
+            // The cursor has already advanced past the page it just served.
+            let page_index = end.0 - cursor.remaining() - 1 - meta.first.0;
             g.read(|b| heap::for_each_in_page(&meta, page_index, b, &mut f));
         }
         Ok(())
@@ -346,11 +282,6 @@ impl Database {
     pub fn checkpoint(&self, clk: &mut Clk) -> Time {
         let start = clk.now;
         self.pool.checkpoint(clk);
-        // The SSD flush above may have stranded LC pages (unreadable dirty
-        // frames). They must be salvaged from the log tail NOW — the
-        // checkpoint below truncates that tail, after which the committed
-        // content would be unrecoverable.
-        self.salvage(&[]);
         let ssd_table = self.ssd.as_ref().filter(|m| m.warm_restart()).map(|m| {
             turbopool_wal::LogRecord::SsdTable {
                 entries: m
@@ -566,6 +497,27 @@ impl RedoStore for TimedRedoStore<'_> {
         self.retries += r;
         out
     }
+}
+
+/// Restore the committed content of `pids` onto the disk tier by replaying
+/// the durable log tail where it lies; returns the number of pages
+/// restored. The pages' SSD copies were lost (an LC dirty frame is the sole
+/// current copy), or commit could not pin them.
+///
+/// Sound because commit-time publication flushes a page's log records
+/// before the page can reach any cache, and sharp checkpoints flush all
+/// SSD-dirty pages before truncating the log — so the committed image of
+/// every cached-dirty page is always reconstructible from disk + tail.
+fn salvage(io: &IoManager, log: &DurableLog, pids: &[PageId]) -> usize {
+    let pids: HashSet<PageId> = pids.iter().copied().collect();
+    let mut store = SalvageStore { io };
+    // An error is a salvage write that failed even after unbounded
+    // transient retry: the disk tier itself is dead. The failing page was
+    // marked as a lost write inside the store, so its readers will surface
+    // the device error instead of zeroes; there is nothing more a salvage
+    // pass can do.
+    log.with_bytes(|log| turbopool_wal::salvage(log, &mut store, &pids))
+        .unwrap_or_default()
 }
 
 /// Redo-store for live WAL-tail salvage: reads come straight from the disk

@@ -470,11 +470,11 @@ impl<'d, 'c> Txn<'d, 'c> {
             // Never-written page: no I/O and no frame.
             return None;
         }
-        match db.get_with_salvage(self.clk, pid, class) {
+        match db.pool().get(self.clk, pid, class) {
             Ok(g) => Some(g),
             Err(e) => {
-                // Even WAL-tail salvage could not produce the page: poison
-                // the transaction and serve zeroes so the access method can
+                // The disk tier could not produce the page: poison the
+                // transaction and serve zeroes so the access method can
                 // unwind without a panic (and a write is never diffed
                 // against garbage into the log).
                 self.poison(e);
@@ -622,7 +622,7 @@ impl<'d, 'c> Txn<'d, 'c> {
             }
             let pinned = match resident {
                 Some(g) => Ok(g),
-                None => db.get_with_salvage(self.clk, pid, Locality::Random),
+                None => db.pool().get(self.clk, pid, Locality::Random),
             };
             match (pinned, page) {
                 (Ok(mut g), Written::Own(image)) => {

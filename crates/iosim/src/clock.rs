@@ -69,11 +69,6 @@ pub fn as_hours(t: Time) -> f64 {
     t as f64 / HOUR as f64
 }
 
-/// Render a virtual time as fractional seconds.
-pub fn as_secs(t: Time) -> f64 {
-    t as f64 / SECOND as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,6 +90,5 @@ mod tests {
         assert_eq!(MILLISECOND, 1_000 * MICROSECOND);
         assert_eq!(HOUR, 3_600 * SECOND);
         assert!((as_hours(HOUR / 2) - 0.5).abs() < 1e-12);
-        assert!((as_secs(2 * SECOND + 500 * MILLISECOND) - 2.5).abs() < 1e-12);
     }
 }

@@ -194,17 +194,6 @@ impl Ledger {
         }
         free
     }
-
-    /// End of the last booked bucket (device horizon).
-    fn horizon(&self) -> Time {
-        match self.used.iter().rposition(|&u| u > 0) {
-            Some(i) => {
-                let b = self.base + i as u64;
-                b * self.bucket_ns + self.used[i]
-            }
-            None => 0,
-        }
-    }
 }
 
 struct DeviceState {
@@ -337,11 +326,6 @@ impl SimDevice {
         IoTicket { start, complete }
     }
 
-    /// End of the last busy period currently booked (for tests).
-    pub fn busy_until(&self) -> Time {
-        self.state.lock().ledger.horizon()
-    }
-
     /// Forget all timing state (capacity bookings, sequential-detection
     /// position) while keeping statistics. Models a machine restart:
     /// virtual time starts over with idle devices.
@@ -472,7 +456,6 @@ mod tests {
             last = t.complete;
         }
         assert_eq!(last, 10_000_000);
-        assert_eq!(d.busy_until(), 10_000_000);
     }
 
     #[test]
@@ -561,6 +544,5 @@ mod tests {
         assert_eq!(c, 1_000);
         // Next unit lands right after.
         assert_eq!(l.schedule(0, 50), 1_050);
-        assert_eq!(l.horizon(), 1_050);
     }
 }

@@ -331,14 +331,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Is a brownout stall active at `now`? Pure query: no counter, no
-    /// RNG.
-    pub fn in_brownout(&self, now: Time) -> bool {
-        self.cfg
-            .brownout
-            .is_some_and(|b| b.factor_at(now) > 1 && !self.is_dead(now))
-    }
-
     /// The service-time multiplier to apply to a request submitted at
     /// `now` (`1` outside brownout windows). Counts one slowdown per
     /// call, so call it exactly once per admitted request.
@@ -805,32 +797,34 @@ mod tests {
 
     #[test]
     fn brownout_is_a_pure_window_of_time() {
-        let p = FaultPlan::new(FaultConfig::brownout_train(
-            11, 1000, 5000, /* period */ 0, 0, 10,
-        ));
+        let cfg = FaultConfig::brownout_train(11, 1000, 5000, /* period */ 0, 0, 10);
+        let b = cfg.brownout.expect("spec set");
+        let p = FaultPlan::new(cfg);
         assert_eq!(p.service_factor(999), 1);
-        assert!(!p.in_brownout(999));
+        assert_eq!(b.factor_at(999), 1);
         assert_eq!(p.service_factor(1000), 10);
-        assert!(p.in_brownout(4999));
+        assert!(b.factor_at(4999) > 1);
         assert_eq!(p.service_factor(5000), 1);
         // Requests still succeed while browned out, just slower.
         assert_eq!(p.before_read(FaultDevice::Ssd, 2000), Ok(()));
-        // Two slowdowns were counted (t=1000 and t=4999 queries don't
-        // count; only service_factor calls do).
+        // One slowdown was counted: only service_factor calls count, and
+        // only the one at t=1000 was slowed.
         assert_eq!(p.stats().brownout_slowdowns, 1);
     }
 
     #[test]
     fn brownout_train_repeats_until_end() {
         // Stalls of 100 ns every 1000 ns over [0, 3000).
-        let p = FaultPlan::new(FaultConfig::brownout_train(3, 0, 3000, 1000, 100, 7));
+        let cfg = FaultConfig::brownout_train(3, 0, 3000, 1000, 100, 7);
+        let b = cfg.brownout.expect("spec set");
+        let stalled = |t| b.factor_at(t) > 1;
         for base in [0u64, 1000, 2000] {
-            assert!(p.in_brownout(base));
-            assert!(p.in_brownout(base + 99));
-            assert!(!p.in_brownout(base + 100));
-            assert!(!p.in_brownout(base + 999));
+            assert!(stalled(base));
+            assert!(stalled(base + 99));
+            assert!(!stalled(base + 100));
+            assert!(!stalled(base + 999));
         }
-        assert!(!p.in_brownout(3000), "train ends at the range end");
+        assert!(!stalled(3000), "train ends at the range end");
     }
 
     #[test]
@@ -874,8 +868,8 @@ mod tests {
         let mut cfg = FaultConfig::brownout(5, 0, 10_000);
         cfg.death_at = Some(500);
         let p = FaultPlan::new(cfg);
-        assert!(p.in_brownout(499));
-        assert!(!p.in_brownout(500), "death supersedes slowness");
+        assert!(p.service_factor(499) > 1);
+        assert_eq!(p.service_factor(500), 1, "death supersedes slowness");
         assert_eq!(p.service_factor(600), 1);
     }
 }

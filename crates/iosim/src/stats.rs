@@ -36,13 +36,6 @@ crate::counters! {
     }
 }
 
-impl StatSnapshot {
-    /// Pages transferred in both directions.
-    pub fn total_pages(&self) -> u64 {
-        self.read_pages + self.write_pages
-    }
-}
-
 impl DeviceStats {
     pub fn new() -> Self {
         DeviceStats {
@@ -143,7 +136,6 @@ mod tests {
         assert_eq!(snap.read_busy_ns, 60);
         assert_eq!(snap.write_ops, 1);
         assert_eq!(snap.write_pages, 1);
-        assert_eq!(snap.total_pages(), 7);
     }
 
     #[test]

@@ -256,11 +256,11 @@ pub fn recover(
 /// This is the WAL-tail salvage path of the fault-tolerance extension: under
 /// lazy cleaning the SSD may hold the *only* current copy of a dirty page,
 /// and if that copy becomes unreadable (checksum mismatch, device death) the
-/// page is "stranded". Its committed content is still reconstructible,
-/// because (a) the WAL protocol flushed the page's log records before the
-/// page ever reached the SSD, and (b) every sharp checkpoint flushes all
-/// SSD-dirty pages before truncating the log — so all writes newer than the
-/// disk image sit in the post-checkpoint suffix replayed here.
+/// page is lost. Its committed content is still reconstructible, because
+/// (a) the WAL protocol flushed the page's log records before the page ever
+/// reached the SSD, and (b) every sharp checkpoint flushes all SSD-dirty
+/// pages before truncating the log — so all writes newer than the disk
+/// image sit in the post-checkpoint suffix replayed here.
 ///
 /// Replay is restricted to committed transactions and is idempotent (byte
 /// after-images applied in log order), so salvaging a page whose disk image

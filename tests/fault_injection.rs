@@ -6,8 +6,9 @@
 //! * **CW / DW / TAC** are write-through — the disk always holds the
 //!   current committed image, so an SSD failure may cost hits, never data.
 //! * **LC** is write-back — the SSD can hold the *sole* current copy of
-//!   committed pages. SSD death strands those pages; the engine rebuilds
-//!   them from the committed WAL tail (`Database::salvage`).
+//!   committed pages. When one is lost (SSD death, a rotten frame), the
+//!   SSD manager has the engine rebuild it on disk from the committed WAL
+//!   tail at once, before the call that lost it returns.
 //!
 //! Faults are part of the virtual-time experiment, so a same-seed replay
 //! reproduces the fault counters bit-for-bit.
@@ -111,11 +112,12 @@ fn bitflip_corruption_is_caught_by_checksums() {
 }
 
 /// Under LC a dirty SSD page is the sole current copy. When its frame
-/// rots at rest and a multi-page read covers it, the read must fail and
-/// strand the page — the disk holds an older committed version — and the
-/// committed bytes come back through WAL-tail salvage.
+/// rots at rest and a multi-page read covers it, the disk holds an older
+/// committed version: the loss rebuilds the page there from the WAL tail
+/// before the read falls back to the disk, so the run serves the
+/// committed bytes.
 #[test]
-fn lost_sole_copy_inside_a_run_fails_the_read_and_is_salvaged() {
+fn lost_sole_copy_inside_a_run_is_salvaged_before_the_read_returns() {
     let rig = Rig {
         record: 32,
         ..Rig::new(4, 1024, Some(SsdConfig::new(LazyCleaning, 64)))
@@ -148,8 +150,9 @@ fn lost_sole_copy_inside_a_run_fails_the_read_and_is_salvaged() {
     let frame = m.frame_of(pid).unwrap();
     let hit = damage_frames(db.io(), Damage::BitFlip, frame as u32, 1);
     assert_eq!(hit.len(), 1);
-    let run = m.read_run(&mut clk, PageId(pid.0 - 1), 3);
-    assert!(run.is_err(), "a lost sole copy fails the run");
+    let run = m.read_run(&mut clk, PageId(pid.0 - 1), 3).unwrap();
+    let committed = run[1].as_slice().windows(32).any(|w| w == [0xEE; 32]);
+    assert!(committed, "the run serves the committed version");
     let stranded = m.metrics.snapshot().stranded_dirty;
     assert_eq!((m.contains(pid), stranded), (false, 1));
     let mut txn = db.begin(&mut clk);
