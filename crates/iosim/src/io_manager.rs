@@ -769,7 +769,7 @@ impl IoManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
+    use crate::fault::{FaultConfig, FaultStats};
 
     fn io() -> IoManager {
         IoManager::new(&DeviceSetup::paper(64, 128, 16))
@@ -1255,6 +1255,134 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert!(sa.read_errors > 0);
+    }
+
+    /// A seeded script that interleaves all six device operations under a
+    /// busy fault plan on each device (read and write errors, torn writes,
+    /// bit flips, a brownout train and a late death), optionally under a
+    /// crash switch too. Returns the FNV-1a digest of every outcome (`Ok`
+    /// with its completion time, or the error's kind and instant), both
+    /// plans' `FaultStats`, the switch's boundary counts, every disk page
+    /// and SSD frame, and `disk_write_lost` of every page.
+    fn fault_stream_digest(switch: Option<Arc<CrashSwitch>>) -> (u64, [FaultStats; 2]) {
+        use crate::clock::MILLISECOND;
+        use crate::rng::{Rng, SeedableRng, SmallRng};
+        const PAGES: u64 = 32;
+        const FRAMES: u64 = 8;
+        const STEPS: u64 = 240;
+        let plan = |seed| {
+            let mut cfg = FaultConfig::brownout_train(
+                seed,
+                0,
+                u64::MAX,
+                10 * MILLISECOND,
+                3 * MILLISECOND,
+                8,
+            );
+            cfg.read_error_prob = 0.15;
+            cfg.write_error_prob = 0.15;
+            cfg.torn_write_prob = 0.3;
+            cfg.bitflip_prob = 0.3;
+            Arc::new(FaultPlan::new(cfg))
+        };
+        let io = IoManager::new(&DeviceSetup::paper(64, PAGES, FRAMES));
+        io.set_disk_fault(Some(plan(0xD1)));
+        io.set_ssd_fault(Some(plan(0x55)));
+        io.set_crash_switch(switch);
+        let mut rng = SmallRng::seed_from_u64(0xF0_1D);
+        let mut clk = Clk::new();
+        let mut trail: Vec<u8> = Vec::new();
+        let fold = |trail: &mut Vec<u8>, r: Result<Time, IoError>| match r {
+            Ok(t) => trail.extend([0].iter().chain(&t.to_le_bytes())),
+            Err(e) => trail.extend([1 + e.kind as u8].iter().chain(&e.at.to_le_bytes())),
+        };
+        for step in 0..STEPS {
+            clk.wait_until(step * 2 * MILLISECOND);
+            if step == STEPS * 7 / 8 {
+                // A late death of both devices.
+                for p in [io.disk_fault(), io.ssd_fault()].iter().flatten() {
+                    p.kill(clk.now);
+                }
+            }
+            let page = |rng: &mut SmallRng| {
+                let base = rng.gen::<u8>();
+                (0..64u8).map(|i| base.wrapping_add(i)).collect::<Vec<u8>>()
+            };
+            let pid = PageId(rng.gen_range(0..PAGES - 4));
+            let r = match rng.gen_range(0u32..6) {
+                0 => {
+                    let mut buf = io.zero_page();
+                    io.read_disk(&mut clk, pid, &mut buf, Locality::Random)
+                        .map(|()| clk.now)
+                }
+                1 => {
+                    let n = rng.gen_range(1u64..5);
+                    io.read_disk_run(&mut clk, pid, n, Locality::Sequential)
+                        .map(|_| clk.now)
+                }
+                2 => io.write_disk_async(clk.now, pid, &page(&mut rng), Locality::Random),
+                3 => {
+                    let pages: Vec<PageBuf> = (0..rng.gen_range(1u32..5))
+                        .map(|_| PageBuf::from_slice(&page(&mut rng)))
+                        .collect();
+                    io.write_disk_run_async(clk.now, pid, &pages)
+                }
+                4 => {
+                    let mut buf = vec![0u8; 64];
+                    io.read_ssd(&mut clk, rng.gen_range(0..FRAMES), &mut buf[..])
+                        .map(|()| clk.now)
+                }
+                _ => io.write_ssd_async(clk.now, rng.gen_range(0..FRAMES), &page(&mut rng), pid),
+            };
+            fold(&mut trail, r);
+        }
+        let stats =
+            [&io.disk_fault(), &io.ssd_fault()].map(|p| p.as_ref().expect("attached").stats());
+        trail.extend(format!("{stats:?}").bytes());
+        if let Some(sw) = io.crash_switch() {
+            trail.extend(format!("{:?}", sw.counts()).bytes());
+        }
+        for p in 0..PAGES {
+            trail.extend(io.disk_store().read_buf(PageId(p)).iter());
+            trail.push(u8::from(io.disk_write_lost(PageId(p))));
+        }
+        for f in 0..FRAMES {
+            trail.extend(io.ssd_store().read_buf(PageId(f)).iter());
+        }
+        (fault::checksum(&trail), stats)
+    }
+
+    /// The fault stream, pinned: which request fails, tears, flips or
+    /// slows, what lands, and what each plan counts. A change to the
+    /// injection path that moves any draw or counter moves a digest.
+    #[test]
+    fn fault_stream_is_pinned_across_all_six_operations() {
+        use crate::crashsched::CrashSwitch;
+        let (plain, stats) = fault_stream_digest(None);
+        for s in &stats {
+            let live = [s.read_errors, s.write_errors, s.torn_writes, s.dead_rejects];
+            assert!(live.iter().all(|&n| n > 0), "{s:?}");
+            assert!(s.brownout_slowdowns > 0, "{s:?}");
+        }
+        assert!(stats[1].bitflips > 0, "{:?}", stats[1]);
+        assert_eq!(plain, 0xE7BB_A197_3F9C_AF46);
+        let recorder = Arc::new(CrashSwitch::recorder());
+        let (recorded, _) = fault_stream_digest(Some(recorder.clone()));
+        let boundaries = recorder.boundaries();
+        assert!(boundaries > 100, "{boundaries} boundaries");
+        let mut cuts = vec![recorded];
+        for cut in 0..=boundaries {
+            for torn in [false, true] {
+                cuts.push(fault_stream_digest(Some(Arc::new(CrashSwitch::armed(cut, torn)))).0);
+            }
+        }
+        let crashed = fault::checksum(
+            &cuts
+                .iter()
+                .flat_map(|d| d.to_le_bytes())
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(crashed, 0x41E8_A163_3EAC_59B5);
     }
 
     #[test]
