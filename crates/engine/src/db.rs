@@ -523,8 +523,9 @@ fn salvage(io: &IoManager, log: &DurableLog, pids: &[PageId]) -> usize {
 /// Redo-store for live WAL-tail salvage: reads come straight from the disk
 /// image (the base the log deltas patch), writes go through the device
 /// write-behind path with unbounded transient retry — only a dead disk
-/// falls through, and then the lost write is recorded so readers fail
-/// loudly instead of seeing stale bytes.
+/// falls through, and the failed write has then already put the page in
+/// the lost-write set, so readers fail loudly instead of seeing stale
+/// bytes.
 struct SalvageStore<'a> {
     io: &'a IoManager,
 }
@@ -541,15 +542,8 @@ impl RedoStore for SalvageStore<'_> {
         Ok(())
     }
     fn write(&mut self, pid: PageId, data: &[u8]) -> Result<(), IoError> {
-        match fault::retry_write_forever(|| {
-            self.io.write_disk_async(0, pid, data, Locality::Random)
-        }) {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                self.io.note_lost_write(pid);
-                Err(e)
-            }
-        }
+        fault::retry_write_forever(|| self.io.write_disk_async(0, pid, data, Locality::Random))
+            .map(drop)
     }
 }
 

@@ -76,9 +76,8 @@ pub struct CrashSwitch {
     /// Tear the firing write instead of letting it complete.
     torn: bool,
     fired: AtomicBool,
-    disk_pages: AtomicU64,
-    ssd_frames: AtomicU64,
-    log_flushes: AtomicU64,
+    /// Boundaries per kind, in [`BoundaryKind`] order.
+    kinds: [AtomicU64; 3],
     /// Sequence number of the most recent `LogFlush` boundary, plus one
     /// (0 = none yet). Lets a recorder attribute each commit to the exact
     /// boundary its log flush occupied.
@@ -88,24 +87,18 @@ pub struct CrashSwitch {
 impl CrashSwitch {
     /// A switch that only counts boundaries (never fires).
     pub fn recorder() -> Self {
-        Self::with_cut(u64::MAX, false)
+        Self::armed(u64::MAX, false)
     }
 
     /// A switch that fires at boundary `cut`. With `torn` false the cut
     /// boundary is the last write to persist; with `torn` true it is torn.
     pub fn armed(cut: u64, torn: bool) -> Self {
-        Self::with_cut(cut, torn)
-    }
-
-    fn with_cut(cut: u64, torn: bool) -> Self {
         CrashSwitch {
             seq: AtomicU64::new(0),
             cut,
             torn,
             fired: AtomicBool::new(false),
-            disk_pages: AtomicU64::new(0),
-            ssd_frames: AtomicU64::new(0),
-            log_flushes: AtomicU64::new(0),
+            kinds: Default::default(),
             last_log_flush: AtomicU64::new(0),
         }
     }
@@ -114,12 +107,7 @@ impl CrashSwitch {
     /// I/O manager once per disk-page write, SSD-frame write, or log flush.
     pub fn on_write(&self, kind: BoundaryKind) -> WriteFate {
         let s = self.seq.fetch_add(1, Ordering::Relaxed);
-        match kind {
-            BoundaryKind::DiskPage => &self.disk_pages,
-            BoundaryKind::SsdFrame => &self.ssd_frames,
-            BoundaryKind::LogFlush => &self.log_flushes,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
         if kind == BoundaryKind::LogFlush {
             self.last_log_flush.store(s + 1, Ordering::Relaxed);
         }
@@ -156,10 +144,12 @@ impl CrashSwitch {
 
     /// Per-kind boundary counts.
     pub fn counts(&self) -> BoundaryCounts {
+        let [disk_pages, ssd_frames, log_flushes] =
+            self.kinds.each_ref().map(|n| n.load(Ordering::Relaxed));
         BoundaryCounts {
-            disk_pages: self.disk_pages.load(Ordering::Relaxed),
-            ssd_frames: self.ssd_frames.load(Ordering::Relaxed),
-            log_flushes: self.log_flushes.load(Ordering::Relaxed),
+            disk_pages,
+            ssd_frames,
+            log_flushes,
         }
     }
 }

@@ -1,25 +1,18 @@
 //! Deterministic storage-fault injection.
 //!
-//! A [`FaultPlan`] is a seeded stream of misbehavior attachable to one
-//! simulated device: transient read/write errors, torn writes that
-//! persist only a prefix of the payload, silent single-bit corruption,
-//! and a scheduled whole-device death at a virtual-time instant. Every
-//! decision is drawn from the repository's own
-//! [`SmallRng`](crate::rng::SmallRng) in call order, so a run with the
-//! same seed and the same workload replays its faults bit-identically —
-//! the same property the timing model already guarantees.
+//! A [`FaultPlan`] is a seeded stream of misbehavior for one device:
+//! transient read and write errors, torn writes, silent bit flips, a device
+//! death at a virtual-time instant, and brownouts ([`BrownoutSpec`]: windows
+//! in which every request is served 5–50× slower, a pure function of `now`
+//! that draws no randomness). Draws come from the plan's own
+//! [`SmallRng`](crate::rng::SmallRng) in request order, so a same-seed run
+//! replays its faults bit-identically, under the parallel driver too.
 //!
-//! The plan only *decides*; [`IoManager`](crate::io_manager::IoManager)
-//! applies the decisions at its submit points. Silent corruption (torn
-//! frames, bit flips) is applied to the SSD tier only, where per-frame
-//! checksums catch it on the next read; the disk tier — the durability
-//! story of the system — reports its failures instead of hiding them.
-//!
-//! Gray failures are modeled by [`BrownoutSpec`]: windows of virtual
-//! time in which the device still answers every request, just 5–50×
-//! slower. Window membership is a pure function of `now` and the seed —
-//! no per-request randomness — so brownouts replay bit-identically
-//! under the parallel driver without consuming the plan's RNG stream.
+//! The plan only decides: it answers each request once, a read with its
+//! scale or error and a write with a [`Verdict`], and the injector in
+//! [`IoManager`](crate::io_manager::IoManager) applies the answer. Silent
+//! corruption lands on the SSD only, where the frame check catches it on
+//! the next read; the disk tier reports its failures instead.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -259,6 +252,33 @@ crate::counters! {
     }
 }
 
+/// What the injector at the device edge answers a write request with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Nothing lands and nothing is charged; the write fails with this.
+    Refused(IoError),
+    /// Power died mid-write: a prefix of this many units lands, nothing
+    /// is charged, and the write fails [`IoErrorKind::DeviceDead`].
+    Cut(usize),
+    /// The write is charged at `scale` times its service time. If `torn`
+    /// is set only that prefix lands; `flip` flips one stored bit (the
+    /// byte index and the mask).
+    Served {
+        scale: u32,
+        torn: Option<usize>,
+        flip: Option<(usize, u8)>,
+    },
+}
+
+impl Verdict {
+    /// A whole write at full speed, as a device with nothing attached.
+    pub(crate) const CLEAN: Verdict = Verdict::Served {
+        scale: 1,
+        torn: None,
+        flip: None,
+    };
+}
+
 /// Sentinel for "no dynamic death scheduled".
 const NO_DEATH: u64 = u64::MAX;
 
@@ -304,71 +324,57 @@ impl FaultPlan {
         p > 0.0 && self.rng.lock().gen_bool(p)
     }
 
-    /// Gate a read request at `now`: `Ok` lets it proceed, `Err` rejects
-    /// it.
-    pub fn before_read(&self, device: FaultDevice, now: Time) -> Result<(), IoError> {
-        if self.is_dead(now) {
-            self.counters.dead_rejects.fetch_add(1, Relaxed);
-            return Err(IoError::new(device, IoErrorKind::DeviceDead, now));
-        }
-        if self.draw(self.cfg.read_error_prob) {
-            self.counters.read_errors.fetch_add(1, Relaxed);
-            return Err(IoError::new(device, IoErrorKind::TransientRead, now));
-        }
-        Ok(())
-    }
-
-    /// Gate a write request at `now`, as [`Self::before_read`].
-    pub fn before_write(&self, device: FaultDevice, now: Time) -> Result<(), IoError> {
-        if self.is_dead(now) {
-            self.counters.dead_rejects.fetch_add(1, Relaxed);
-            return Err(IoError::new(device, IoErrorKind::DeviceDead, now));
-        }
-        if self.draw(self.cfg.write_error_prob) {
-            self.counters.write_errors.fetch_add(1, Relaxed);
-            return Err(IoError::new(device, IoErrorKind::TransientWrite, now));
-        }
-        Ok(())
-    }
-
-    /// The service-time multiplier to apply to a request submitted at
-    /// `now` (`1` outside brownout windows). Counts one slowdown per
-    /// call, so call it exactly once per admitted request.
-    pub fn service_factor(&self, now: Time) -> u32 {
-        let f = match self.cfg.brownout {
-            Some(b) if !self.is_dead(now) => b.factor_at(now),
-            _ => 1,
+    /// Decide one request at `now`: a dead device rejects it, else an
+    /// error of `kind` is drawn at its probability; an admitted request
+    /// gets its brownout scale (`1` outside the windows), counted once.
+    fn admit(&self, device: FaultDevice, now: Time, kind: IoErrorKind) -> Result<u32, IoError> {
+        let (p, errors) = match kind {
+            IoErrorKind::TransientRead => (self.cfg.read_error_prob, &self.counters.read_errors),
+            _ => (self.cfg.write_error_prob, &self.counters.write_errors),
         };
-        if f > 1 {
-            self.counters.brownout_slowdowns.fetch_add(1, Relaxed);
-        }
-        f
-    }
-
-    /// Should this write of `len` units tear? Returns the persisted prefix
-    /// length, drawn uniformly from `[1, len)` (a torn write always loses
-    /// at least its tail and persists at least one unit).
-    pub fn torn_prefix(&self, len: usize) -> Option<usize> {
-        if len >= 2 && self.draw(self.cfg.torn_write_prob) {
-            self.counters.torn_writes.fetch_add(1, Relaxed);
-            Some(self.rng.lock().gen_range(1..len))
+        let kind = if self.is_dead(now) {
+            self.counters.dead_rejects.fetch_add(1, Relaxed);
+            IoErrorKind::DeviceDead
+        } else if self.draw(p) {
+            errors.fetch_add(1, Relaxed);
+            kind
         } else {
-            None
-        }
+            let f = self.cfg.brownout.map_or(1, |b| b.factor_at(now));
+            if f > 1 {
+                self.counters.brownout_slowdowns.fetch_add(1, Relaxed);
+            }
+            return Ok(f);
+        };
+        Err(IoError::new(device, kind, now))
     }
 
-    /// Should this write silently corrupt one bit? Returns the byte index
-    /// (below `len`) and the flip mask.
-    pub fn bitflip(&self, len: usize) -> Option<(usize, u8)> {
-        if len > 0 && self.draw(self.cfg.bitflip_prob) {
+    /// Decide one read request on `device` at `now`: its brownout scale,
+    /// or the error it fails with.
+    pub(crate) fn read(&self, device: FaultDevice, now: Time) -> Result<u32, IoError> {
+        self.admit(device, now, IoErrorKind::TransientRead)
+    }
+
+    /// Decide one write of `len` units on `device` at `now`. An admitted
+    /// write may tear, persisting a prefix drawn uniformly from `[1, len)`
+    /// (a torn write always loses at least its tail and persists at least
+    /// one unit); an SSD frame write that does not tear may flip one
+    /// stored bit instead.
+    pub(crate) fn write(&self, device: FaultDevice, now: Time, len: usize) -> Verdict {
+        let scale = match self.admit(device, now, IoErrorKind::TransientWrite) {
+            Ok(scale) => scale,
+            Err(e) => return Verdict::Refused(e),
+        };
+        let torn = (len >= 2 && self.draw(self.cfg.torn_write_prob)).then(|| {
+            self.counters.torn_writes.fetch_add(1, Relaxed);
+            self.rng.lock().gen_range(1..len)
+        });
+        let frame = device == FaultDevice::Ssd && torn.is_none();
+        let flip = (frame && self.draw(self.cfg.bitflip_prob)).then(|| {
             self.counters.bitflips.fetch_add(1, Relaxed);
             let mut rng = self.rng.lock();
-            let byte = rng.gen_range(0..len);
-            let bit = rng.gen_range(0u32..8);
-            Some((byte, 1u8 << bit))
-        } else {
-            None
-        }
+            (rng.gen_range(0..len), 1u8 << rng.gen_range(0u32..8))
+        });
+        Verdict::Served { scale, torn, flip }
     }
 
     /// Snapshot the injected-fault counters.
@@ -549,11 +555,10 @@ mod tests {
     fn quiet_plan_injects_nothing() {
         let p = FaultPlan::new(FaultConfig::quiet(1));
         for now in 0..1000 {
-            assert_eq!(p.before_read(FaultDevice::Ssd, now), Ok(()));
-            assert_eq!(p.before_write(FaultDevice::Ssd, now), Ok(()));
+            assert_eq!(p.read(FaultDevice::Ssd, now), Ok(1));
+            // Admitted, untorn, unflipped.
+            assert_eq!(p.write(FaultDevice::Ssd, now, 4096), Verdict::CLEAN);
         }
-        assert!(p.torn_prefix(4096).is_none());
-        assert!(p.bitflip(4096).is_none());
         assert_eq!(p.stats(), FaultStats::default());
     }
 
@@ -563,7 +568,7 @@ mod tests {
         let (a, b) = (mk(), mk());
         let run = |p: &FaultPlan| -> Vec<bool> {
             (0..200)
-                .map(|i| p.before_read(FaultDevice::Disk, i).is_err())
+                .map(|i| p.read(FaultDevice::Disk, i).is_err())
                 .collect()
         };
         assert_eq!(run(&a), run(&b));
@@ -574,8 +579,10 @@ mod tests {
     #[test]
     fn death_is_a_wall_in_time() {
         let p = FaultPlan::new(FaultConfig::death(7, 1000));
-        assert!(p.before_read(FaultDevice::Ssd, 999).is_ok());
-        let e = p.before_write(FaultDevice::Ssd, 1000).unwrap_err();
+        assert!(p.read(FaultDevice::Ssd, 999).is_ok());
+        let Verdict::Refused(e) = p.write(FaultDevice::Ssd, 1000, 64) else {
+            panic!("a dead device refuses every write");
+        };
         assert_eq!(e.kind, IoErrorKind::DeviceDead);
         assert!(!e.is_transient());
         assert_eq!(p.stats().dead_rejects, 1);
@@ -595,11 +602,16 @@ mod tests {
         cfg.torn_write_prob = 1.0;
         let p = FaultPlan::new(cfg);
         for _ in 0..100 {
-            let len = p.torn_prefix(64).expect("p=1 always tears");
+            let Verdict::Served {
+                torn: Some(len), ..
+            } = p.write(FaultDevice::Disk, 0, 64)
+            else {
+                panic!("p=1 always tears");
+            };
             assert!((1..64).contains(&len));
         }
         // A single-unit write cannot tear.
-        assert!(p.torn_prefix(1).is_none());
+        assert_eq!(p.write(FaultDevice::Disk, 0, 1), Verdict::CLEAN);
     }
 
     #[test]
@@ -800,16 +812,16 @@ mod tests {
         let cfg = FaultConfig::brownout_train(11, 1000, 5000, /* period */ 0, 0, 10);
         let b = cfg.brownout.expect("spec set");
         let p = FaultPlan::new(cfg);
-        assert_eq!(p.service_factor(999), 1);
+        assert_eq!(p.read(FaultDevice::Ssd, 999), Ok(1));
         assert_eq!(b.factor_at(999), 1);
-        assert_eq!(p.service_factor(1000), 10);
+        assert_eq!(p.read(FaultDevice::Ssd, 1000), Ok(10));
         assert!(b.factor_at(4999) > 1);
-        assert_eq!(p.service_factor(5000), 1);
+        assert_eq!(p.read(FaultDevice::Ssd, 5000), Ok(1));
         // Requests still succeed while browned out, just slower.
-        assert_eq!(p.before_read(FaultDevice::Ssd, 2000), Ok(()));
-        // One slowdown was counted: only service_factor calls count, and
-        // only the one at t=1000 was slowed.
-        assert_eq!(p.stats().brownout_slowdowns, 1);
+        assert_eq!(p.read(FaultDevice::Ssd, 2000), Ok(10));
+        // Two slowdowns were counted, one per admitted request inside the
+        // window: the reads at t=1000 and t=2000.
+        assert_eq!(p.stats().brownout_slowdowns, 2);
     }
 
     #[test]
@@ -854,10 +866,7 @@ mod tests {
         let (a, b) = (FaultPlan::new(with), FaultPlan::new(without));
         let run = |p: &FaultPlan| -> Vec<bool> {
             (0..200)
-                .map(|i| {
-                    p.service_factor(i);
-                    p.before_read(FaultDevice::Ssd, i).is_err()
-                })
+                .map(|i| p.read(FaultDevice::Ssd, i).is_err())
                 .collect()
         };
         assert_eq!(run(&a), run(&b));
@@ -868,8 +877,17 @@ mod tests {
         let mut cfg = FaultConfig::brownout(5, 0, 10_000);
         cfg.death_at = Some(500);
         let p = FaultPlan::new(cfg);
-        assert!(p.service_factor(499) > 1);
-        assert_eq!(p.service_factor(500), 1, "death supersedes slowness");
-        assert_eq!(p.service_factor(600), 1);
+        assert!(p.read(FaultDevice::Ssd, 499).is_ok_and(|f| f > 1));
+        let dead = Err(IoError::new(FaultDevice::Ssd, IoErrorKind::DeviceDead, 500));
+        assert_eq!(
+            p.read(FaultDevice::Ssd, 500),
+            dead,
+            "death supersedes slowness"
+        );
+        assert!(matches!(
+            p.write(FaultDevice::Ssd, 600, 64),
+            Verdict::Refused(_)
+        ));
+        assert_eq!(p.stats().brownout_slowdowns, 1);
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! This is the component the buffer manager and the SSD manager talk to
 //! (Figure 1 of the paper). Reads are synchronous — the caller's virtual
-//! clock advances to the completion time. Writes come in both synchronous
-//! and asynchronous flavors; asynchronous writes charge device time (and so
-//! delay later requests on the same device) without advancing the caller's
-//! clock, mirroring the write-behind I/O of the paper's disk manager.
+//! clock advances to the completion time. Asynchronous writes charge device
+//! time (and so delay later requests on the same device) without advancing
+//! the caller's clock: the paper's write-behind I/O. Each device operation
+//! asks one injector — the crash switch and the two fault plans — once,
+//! and applies its verdict.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,11 +16,11 @@ use crate::array::StripedArray;
 use crate::clock::{Clk, Time};
 use crate::crashsched::{BoundaryKind, CrashSwitch, WriteFate};
 use crate::device::{DeviceProfile, IoKind, Locality, SimDevice};
-use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind};
+use crate::fault::{self, FaultDevice, FaultPlan, IoError, IoErrorKind, Verdict};
 use crate::page::{PageBuf, PageDst, PageId, PageSrc};
 use crate::profiles;
 use crate::store::MemStore;
-use crate::sync::{self, RwLock};
+use crate::sync::{self, RwLock, RwLockReadGuard};
 
 /// Sizing and calibration of the simulated storage subsystem.
 #[derive(Clone, Debug)]
@@ -99,10 +100,9 @@ pub struct IoManager {
     /// [`fault::frame_sum`].
     ssd_intents: Vec<RwLock<Option<PageBuf>>>,
     log_dev: SimDevice,
-    /// Fault stream for the database disk group, if any.
-    disk_fault: Hook<FaultPlan>,
-    /// Fault stream for the SSD, if any.
-    ssd_fault: Hook<FaultPlan>,
+    /// The crash switch and the two devices' fault plans, asked once per
+    /// device request.
+    inject: Injector,
     /// Pages whose most recent disk write was dropped by a failing device
     /// and never retried to success. The stored disk image (if any) is
     /// stale, so readers must not treat such a page as never-written and
@@ -110,43 +110,89 @@ pub struct IoManager {
     lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
     any_lost_writes: AtomicBool,
-    /// Crash-schedule switch, if attached: numbers every durable-write
-    /// boundary and can kill power at an exact one (see [`CrashSwitch`]).
-    crash_switch: Hook<CrashSwitch>,
 }
 
-/// An optional per-I/O hook (a fault plan or the crash switch), swapped
-/// only between I/Os. `attached` mirrors whether the slot holds one: a
-/// `Release` store under the slot's write latch, read with `Acquire`, so an
-/// I/O with nothing attached reads one flag and takes no latch.
-struct Hook<T> {
+/// The one fault-and-crash injector at the device edge: the crash switch
+/// and each device's fault plan, swapped only between I/Os. `attached`
+/// mirrors whether any is set (a `Release` store under the slot's write
+/// latch, read with `Acquire`), so an I/O with nothing attached reads one
+/// flag and takes no latch.
+struct Injector {
     attached: AtomicBool,
-    slot: RwLock<Option<Arc<T>>>,
+    slot: RwLock<Hooks>,
 }
 
-impl<T> Hook<T> {
-    fn new() -> Self {
-        Hook {
-            attached: AtomicBool::new(false),
-            slot: RwLock::new(None),
+#[derive(Default)]
+struct Hooks {
+    /// Numbers every durable-write boundary and can kill power at an exact
+    /// one (see [`CrashSwitch`]).
+    switch: Option<Arc<CrashSwitch>>,
+    disk: Option<Arc<FaultPlan>>,
+    ssd: Option<Arc<FaultPlan>>,
+}
+
+impl Injector {
+    fn set(&self, edit: impl FnOnce(&mut Hooks)) {
+        let mut h = self.slot.write();
+        edit(&mut h);
+        let any = h.switch.is_some() || h.disk.is_some() || h.ssd.is_some();
+        self.attached.store(any, Ordering::Release);
+    }
+
+    fn hooks(&self) -> Option<RwLockReadGuard<'_, Hooks>> {
+        self.attached
+            .load(Ordering::Acquire)
+            .then(|| self.slot.read())
+    }
+
+    fn plan(hooks: &Hooks, device: FaultDevice) -> Option<&FaultPlan> {
+        match device {
+            FaultDevice::Disk => hooks.disk.as_deref(),
+            FaultDevice::Ssd => hooks.ssd.as_deref(),
         }
     }
 
-    fn set(&self, hook: Option<Arc<T>>) {
-        let mut slot = self.slot.write();
-        self.attached.store(hook.is_some(), Ordering::Release);
-        *slot = hook;
-    }
-
-    fn is_attached(&self) -> bool {
-        self.attached.load(Ordering::Acquire)
-    }
-
-    fn get(&self) -> Option<Arc<T>> {
-        if !self.is_attached() {
-            return None;
+    /// Decide a read on `device` at `now`: its brownout scale, or the error
+    /// it fails with (every request fails `DeviceDead` once power is lost).
+    fn read(&self, device: FaultDevice, now: Time) -> Result<u32, IoError> {
+        let Some(h) = self.hooks() else { return Ok(1) };
+        if h.switch.as_ref().is_some_and(|s| s.fired()) {
+            return Err(IoError::new(device, IoErrorKind::DeviceDead, now));
         }
-        self.slot.read().clone()
+        Self::plan(&h, device).map_or(Ok(1), |p| p.read(device, now))
+    }
+
+    /// Decide a write of `len` units on `device` at `now` (pages of a disk
+    /// run, bytes of an SSD frame): the crash switch first, one boundary
+    /// per unit of atomicity, then the device's plan.
+    fn write(&self, device: FaultDevice, now: Time, len: usize) -> Verdict {
+        let Some(h) = self.hooks() else {
+            return Verdict::CLEAN;
+        };
+        if let Some(sw) = &h.switch {
+            match device {
+                // One boundary per page, so a crash can land inside a run.
+                // The pages before the cut persist; the cut page and the
+                // rest never reach the platters (a torn page persists
+                // nothing: the page is the disk's unit of atomicity).
+                FaultDevice::Disk => {
+                    let mut fates = (0..len).map(|_| sw.on_write(BoundaryKind::DiskPage));
+                    if let Some(keep) = fates.position(|f| f != WriteFate::Persist) {
+                        return Verdict::Cut(keep);
+                    }
+                }
+                FaultDevice::Ssd => match sw.on_write(BoundaryKind::SsdFrame) {
+                    WriteFate::Persist => {}
+                    // Power died mid-frame: a half-frame prefix lands.
+                    WriteFate::Torn => return Verdict::Cut((len / 2).max(1)),
+                    // A write that never started leaves the old frame.
+                    WriteFate::Dropped => {
+                        return Verdict::Refused(IoError::new(device, IoErrorKind::DeviceDead, now))
+                    }
+                },
+            }
+        }
+        Self::plan(&h, device).map_or(Verdict::CLEAN, |p| p.write(device, now, len))
     }
 }
 
@@ -166,16 +212,17 @@ impl IoManager {
                 .collect(),
             ssd_intents: (0..setup.ssd_frames).map(|_| RwLock::new(None)).collect(),
             log_dev: SimDevice::new("log", setup.log_profile),
-            disk_fault: Hook::new(),
-            ssd_fault: Hook::new(),
+            inject: Injector {
+                attached: AtomicBool::new(false),
+                slot: RwLock::new(Hooks::default()),
+            },
             lost_disk_writes: sync::Mutex::new(std::collections::HashSet::new()),
             any_lost_writes: AtomicBool::new(false),
-            crash_switch: Hook::new(),
         }
     }
 
     // ------------------------------------------------------------------
-    // Crash scheduling
+    // Fault and crash injection
     // ------------------------------------------------------------------
 
     /// Attach (or detach, with `None`) a crash-schedule switch. Every
@@ -183,79 +230,39 @@ impl IoManager {
     /// devices fails `DeviceDead` until the switch is detached (power is
     /// restored by the next incarnation removing or replacing it).
     pub fn set_crash_switch(&self, sw: Option<Arc<CrashSwitch>>) {
-        self.crash_switch.set(sw);
+        self.inject.set(|h| h.switch = sw);
     }
 
     /// The currently attached crash switch, if any.
     pub fn crash_switch(&self) -> Option<Arc<CrashSwitch>> {
-        self.crash_switch.get()
+        self.inject.hooks().and_then(|h| h.switch.clone())
     }
 
     /// Is a fired crash switch attached — i.e. has simulated power been
     /// lost? While true, every device rejects every request.
     pub fn power_lost(&self) -> bool {
-        self.crash_switch.get().is_some_and(|s| s.fired())
+        let h = self.inject.hooks();
+        h.is_some_and(|h| h.switch.as_ref().is_some_and(|s| s.fired()))
     }
-
-    /// Consult the crash switch for one durable-write boundary of `kind`.
-    fn boundary_fate(&self, kind: BoundaryKind) -> WriteFate {
-        match self.crash_switch.get() {
-            Some(sw) => sw.on_write(kind),
-            None => WriteFate::Persist,
-        }
-    }
-
-    fn power_err(device: FaultDevice, at: Time) -> IoError {
-        IoError::new(device, IoErrorKind::DeviceDead, at)
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection
-    // ------------------------------------------------------------------
 
     /// Attach (or detach, with `None`) a fault stream to the disk group.
     pub fn set_disk_fault(&self, plan: Option<Arc<FaultPlan>>) {
-        self.disk_fault.set(plan);
+        self.inject.set(|h| h.disk = plan);
     }
 
     /// Attach (or detach, with `None`) a fault stream to the SSD.
     pub fn set_ssd_fault(&self, plan: Option<Arc<FaultPlan>>) {
-        self.ssd_fault.set(plan);
+        self.inject.set(|h| h.ssd = plan);
     }
 
     /// The currently attached disk fault stream, if any.
     pub fn disk_fault(&self) -> Option<Arc<FaultPlan>> {
-        self.disk_fault.get()
+        self.inject.hooks().and_then(|h| h.disk.clone())
     }
 
     /// The currently attached SSD fault stream, if any.
     pub fn ssd_fault(&self) -> Option<Arc<FaultPlan>> {
-        self.ssd_fault.get()
-    }
-
-    /// `device`'s fault stream, read once per I/O: a plan is only ever
-    /// swapped between I/Os.
-    fn plan_for(&self, device: FaultDevice) -> Option<Arc<FaultPlan>> {
-        match device {
-            FaultDevice::Disk => self.disk_fault.get(),
-            FaultDevice::Ssd => self.ssd_fault.get(),
-        }
-    }
-
-    /// Gate a read on `device` at `now` under its fault stream `plan`.
-    fn gate_read(plan: Option<&FaultPlan>, device: FaultDevice, now: Time) -> Result<(), IoError> {
-        plan.map_or(Ok(()), |p| p.before_read(device, now))
-    }
-
-    /// Gate a write on `device` at `now`, as [`Self::gate_read`].
-    fn gate_write(plan: Option<&FaultPlan>, device: FaultDevice, now: Time) -> Result<(), IoError> {
-        plan.map_or(Ok(()), |p| p.before_write(device, now))
-    }
-
-    /// The brownout service-time multiplier `plan` sets for a request
-    /// admitted at `now` (1 outside brownout windows).
-    fn service_scale(plan: Option<&FaultPlan>, now: Time) -> u32 {
-        plan.map_or(1, |p| p.service_factor(now))
+        self.inject.hooks().and_then(|h| h.ssd.clone())
     }
 
     pub fn page_size(&self) -> usize {
@@ -296,12 +303,7 @@ impl IoManager {
         hint: Locality,
     ) -> Result<(), IoError> {
         sync::assert_io_allowed("read_disk");
-        if self.power_lost() {
-            return Err(Self::power_err(FaultDevice::Disk, clk.now));
-        }
-        let plan = self.plan_for(FaultDevice::Disk);
-        Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
-        let scale = Self::service_scale(plan.as_deref(), clk.now);
+        let scale = self.inject.read(FaultDevice::Disk, clk.now)?;
         let t = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, pid, 1, Some(hint), scale);
@@ -325,12 +327,7 @@ impl IoManager {
         _hint: Locality,
     ) -> Result<Vec<PageBuf>, IoError> {
         sync::assert_io_allowed("read_disk_run");
-        if self.power_lost() {
-            return Err(Self::power_err(FaultDevice::Disk, clk.now));
-        }
-        let plan = self.plan_for(FaultDevice::Disk);
-        Self::gate_read(plan.as_deref(), FaultDevice::Disk, clk.now)?;
-        let scale = Self::service_scale(plan.as_deref(), clk.now);
+        let scale = self.inject.read(FaultDevice::Disk, clk.now)?;
         let t = self
             .disk
             .submit_run_scaled(clk.now, IoKind::Read, first, n, None, scale);
@@ -352,28 +349,7 @@ impl IoManager {
         hint: Locality,
     ) -> Result<Time, IoError> {
         sync::assert_io_allowed("write_disk_async");
-        match self.boundary_fate(BoundaryKind::DiskPage) {
-            WriteFate::Persist => {}
-            // A torn page write persists nothing in this model (pages are
-            // the disk's atomicity unit only when the write completes), so
-            // torn and dropped coincide: the stored image is stale.
-            WriteFate::Torn | WriteFate::Dropped => {
-                self.mark_lost_write(pid);
-                return Err(Self::power_err(FaultDevice::Disk, now));
-            }
-        }
-        let plan = self.plan_for(FaultDevice::Disk);
-        if let Err(e) = Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
-            self.mark_lost_write(pid);
-            return Err(e);
-        }
-        let scale = Self::service_scale(plan.as_deref(), now);
-        let t = self
-            .disk
-            .submit_run_scaled(now, IoKind::Write, pid, 1, Some(hint), scale);
-        self.disk_store.write(pid, data);
-        self.clear_lost_write(pid);
-        Ok(t.complete)
+        self.write_disk_pages(now, pid, std::slice::from_ref(&data), hint)
     }
 
     /// Synchronously write one database page.
@@ -405,75 +381,51 @@ impl IoManager {
     ) -> Result<Time, IoError> {
         sync::assert_io_allowed("write_disk_run_async");
         assert!(!pages.is_empty());
-        if self.crash_switch.is_attached() {
-            // One boundary per page: a crash can land inside the run. The
-            // prefix that persisted before the cut is written; the cut page
-            // and the rest never reached the platters.
-            let mut keep = pages.len();
-            for i in 0..pages.len() {
-                match self.boundary_fate(BoundaryKind::DiskPage) {
-                    WriteFate::Persist => {}
-                    WriteFate::Torn | WriteFate::Dropped => {
-                        keep = i;
-                        break;
-                    }
-                }
-            }
-            if keep < pages.len() {
-                for (i, data) in pages.iter().take(keep).enumerate() {
-                    self.disk_store.write(first.offset(i as u64), data);
-                    self.clear_lost_write(first.offset(i as u64));
-                }
-                for i in keep..pages.len() {
-                    self.mark_lost_write(first.offset(i as u64));
-                }
-                return Err(Self::power_err(FaultDevice::Disk, now));
-            }
-        }
-        let plan = self.plan_for(FaultDevice::Disk);
-        if let Err(e) = Self::gate_write(plan.as_deref(), FaultDevice::Disk, now) {
-            for i in 0..pages.len() {
-                self.mark_lost_write(first.offset(i as u64));
-            }
-            return Err(e);
-        }
-        let torn = plan.as_ref().and_then(|p| p.torn_prefix(pages.len()));
-        let persisted = torn.unwrap_or(pages.len());
-        let scale = Self::service_scale(plan.as_deref(), now);
-        let t = self.disk.submit_run_scaled(
-            now,
-            IoKind::Write,
-            first,
-            persisted as u64,
-            // First page still seeks; the rest stream.
-            Some(Locality::Random),
-            scale,
-        );
-        for (i, data) in pages.iter().take(persisted).enumerate() {
-            self.disk_store.write(first.offset(i as u64), data);
-            self.clear_lost_write(first.offset(i as u64));
-        }
-        for i in persisted..pages.len() {
-            // The torn tail never reached the platter; until a retry lands
-            // it, these pages must not read as fresh.
-            self.mark_lost_write(first.offset(i as u64));
-        }
-        if torn.is_some() {
-            return Err(IoError::new(
-                FaultDevice::Disk,
-                IoErrorKind::TransientWrite,
-                now,
-            ));
-        }
-        Ok(t.complete)
+        // The first page still seeks; the rest stream.
+        self.write_disk_pages(now, first, pages, Locality::Random)
     }
 
-    /// Record that the most recent durable write of `pid` never reached the
-    /// disk and was abandoned (no further retries planned). Used by salvage
-    /// paths that give up on a permanently failing device: the page must
-    /// fail loudly on its next read rather than serve a stale image.
-    pub fn note_lost_write(&self, pid: PageId) {
-        self.mark_lost_write(pid);
+    /// Write `pages` from `first` on as one request, as the injector
+    /// decides. Whatever does not land — a refused write, the tail of a
+    /// torn run or of a run the power cut — is marked lost.
+    fn write_disk_pages<S: PageSrc>(
+        &self,
+        now: Time,
+        first: PageId,
+        pages: &[S],
+        hint: Locality,
+    ) -> Result<Time, IoError> {
+        let err = |kind| Err(IoError::new(FaultDevice::Disk, kind, now));
+        let (keep, done) = match self.inject.write(FaultDevice::Disk, now, pages.len()) {
+            Verdict::Refused(e) => (0, Err(e)),
+            Verdict::Cut(keep) => (keep, err(IoErrorKind::DeviceDead)),
+            Verdict::Served { scale, torn, .. } => {
+                let keep = torn.unwrap_or(pages.len());
+                let t = self.disk.submit_run_scaled(
+                    now,
+                    IoKind::Write,
+                    first,
+                    keep as u64,
+                    Some(hint),
+                    scale,
+                );
+                (
+                    keep,
+                    torn.map_or(Ok(t.complete), |_| err(IoErrorKind::TransientWrite)),
+                )
+            }
+        };
+        for (i, data) in pages.iter().enumerate() {
+            let pid = first.offset(i as u64);
+            if i < keep {
+                self.disk_store.write(pid, data);
+                self.clear_lost_write(pid);
+            } else {
+                // Until a retry lands it, this page must not read as fresh.
+                self.mark_lost_write(pid);
+            }
+        }
+        done
     }
 
     fn mark_lost_write(&self, pid: PageId) {
@@ -523,20 +475,8 @@ impl IoManager {
         buf: &mut D,
     ) -> Result<(), IoError> {
         sync::assert_io_allowed("read_ssd");
-        if self.power_lost() {
-            return Err(Self::power_err(FaultDevice::Ssd, clk.now));
-        }
-        let plan = self.plan_for(FaultDevice::Ssd);
-        Self::gate_read(plan.as_deref(), FaultDevice::Ssd, clk.now)?;
-        let scale = Self::service_scale(plan.as_deref(), clk.now);
-        let t = self.ssd_dev.submit_scaled(
-            clk.now,
-            IoKind::Read,
-            frame,
-            1,
-            Some(Locality::Random),
-            scale,
-        );
+        let scale = self.inject.read(FaultDevice::Ssd, clk.now)?;
+        let done = self.submit_ssd(clk.now, IoKind::Read, frame, scale);
         let image = self.ssd_store.read_buf(PageId(frame));
         let intact = self.ssd_intents[frame as usize]
             .read()
@@ -545,7 +485,7 @@ impl IoManager {
                 meant.same_image(&image) || fault::frame_sum(meant) == fault::frame_sum(&image)
             });
         buf.set(image);
-        clk.wait_until(t.complete);
+        clk.wait_until(done);
         if !intact {
             return Err(IoError::new(
                 FaultDevice::Ssd,
@@ -574,51 +514,46 @@ impl IoManager {
         tag: PageId,
     ) -> Result<Time, IoError> {
         sync::assert_io_allowed("write_ssd_async");
-        match self.boundary_fate(BoundaryKind::SsdFrame) {
-            WriteFate::Persist => {}
-            WriteFate::Torn => {
-                // Power died mid-frame: a deterministic half-frame prefix
-                // of the new bytes lands over the old tail, while the
-                // intent records (tag + the full new image) are updated —
-                // so the next read of this frame reports
-                // `ChecksumMismatch` instead of serving the hybrid.
-                let meant = Self::intended(data);
-                let keep = (self.page_size / 2).max(1).min(meant.len());
-                self.tear_ssd_frame(frame, &meant, keep);
-                self.record_ssd_intent(frame, meant, tag);
-                return Err(Self::power_err(FaultDevice::Ssd, now));
+        let (meant, done) = match self.inject.write(FaultDevice::Ssd, now, data.bytes().len()) {
+            Verdict::Refused(e) => return Err(e),
+            // Power died mid-frame. The intent records still take the new
+            // image, so the next read reports `ChecksumMismatch` instead of
+            // serving the hybrid.
+            Verdict::Cut(keep) => (
+                self.tear_ssd_frame(frame, data, keep),
+                Err(IoError::new(FaultDevice::Ssd, IoErrorKind::DeviceDead, now)),
+            ),
+            Verdict::Served { scale, torn, flip } => {
+                let done = self.submit_ssd(now, IoKind::Write, frame, scale);
+                let meant = if let Some(keep) = torn {
+                    self.tear_ssd_frame(frame, data, keep)
+                } else if let Some((byte, mask)) = flip {
+                    let meant = Self::intended(data);
+                    let mut flipped = meant.clone();
+                    flipped[byte] ^= mask; // copies: `meant` keeps the intended bytes
+                    self.ssd_store.write_buf(PageId(frame), flipped);
+                    meant
+                } else {
+                    // The stored image is the intended one. The old intent
+                    // goes first, so a slice still lands in the frame's own
+                    // image when nothing else shares it.
+                    self.ssd_intents[frame as usize].write().take();
+                    self.ssd_store.write(PageId(frame), data);
+                    self.ssd_store.read_buf(PageId(frame))
+                };
+                (meant, Ok(done))
             }
-            // Dropped: the old frame (tag, intent, bytes) stays intact —
-            // frame-granularity atomicity for a write that never started.
-            WriteFate::Dropped => return Err(Self::power_err(FaultDevice::Ssd, now)),
-        }
-        let plan = self.plan_for(FaultDevice::Ssd);
-        Self::gate_write(plan.as_deref(), FaultDevice::Ssd, now)?;
-        let scale = Self::service_scale(plan.as_deref(), now);
-        let t =
-            self.ssd_dev
-                .submit_scaled(now, IoKind::Write, frame, 1, Some(Locality::Random), scale);
-        let len = data.bytes().len();
-        let meant = if let Some(keep) = plan.as_ref().and_then(|p| p.torn_prefix(len)) {
-            let meant = Self::intended(data);
-            self.tear_ssd_frame(frame, &meant, keep);
-            meant
-        } else if let Some((byte, mask)) = plan.as_ref().and_then(|p| p.bitflip(len)) {
-            let meant = Self::intended(data);
-            let mut flipped = meant.clone();
-            flipped[byte] ^= mask; // copies: `meant` keeps the intended bytes
-            self.ssd_store.write_buf(PageId(frame), flipped);
-            meant
-        } else {
-            // The stored image is the intended one. The old intent goes
-            // first, so a slice still lands in the frame's own image when
-            // nothing else shares it.
-            self.ssd_intents[frame as usize].write().take();
-            self.ssd_store.write(PageId(frame), data);
-            self.ssd_store.read_buf(PageId(frame))
         };
         self.record_ssd_intent(frame, meant, tag);
-        Ok(t.complete)
+        done
+    }
+
+    /// Book one frame access at `now` on the SSD; returns its completion.
+    fn submit_ssd(&self, now: Time, kind: IoKind, frame: u64, scale: u32) -> Time {
+        let t = self
+            .ssd_dev
+            .submit_scaled(now, kind, frame, 1, Some(Locality::Random), scale);
+        t.complete
     }
 
     /// The image a frame write means: the writer's own, or a copy of its
@@ -629,13 +564,16 @@ impl IoManager {
             .unwrap_or_else(|| PageBuf::from_slice(data.bytes()))
     }
 
-    /// Torn frame write: the first `keep` bytes of `data` land over the
-    /// old frame's tail — in an image of their own, whoever else still
-    /// holds the old one.
-    fn tear_ssd_frame(&self, frame: u64, data: &[u8], keep: usize) {
+    /// Torn frame write, by the power cut or by the plan: the first `keep`
+    /// bytes of `data` land over the old frame's tail — in an image of
+    /// their own, whoever else still holds the old one. Returns the image
+    /// the write meant.
+    fn tear_ssd_frame<S: PageSrc + ?Sized>(&self, frame: u64, data: &S, keep: usize) -> PageBuf {
+        let meant = Self::intended(data);
         let mut merged = self.ssd_store.read_buf(PageId(frame));
-        merged[..keep].copy_from_slice(&data[..keep]);
+        merged[..keep].copy_from_slice(&meant[..keep]);
         self.ssd_store.write_buf(PageId(frame), merged);
+        meant
     }
 
     /// Update `frame`'s intent records — the image it was meant to hold,
@@ -676,13 +614,14 @@ impl IoManager {
     // Log device
     // ------------------------------------------------------------------
 
-    /// Consult the crash switch for one log group flush. `Persist` means
+    /// Ask the crash switch about one log group flush. `Persist` means
     /// the flush reaches the log device in full; `Torn` means power died
     /// during the flush (the log manager persists all but the final byte,
     /// leaving a clean torn tail for recovery to truncate); `Dropped` means
     /// power was already off and nothing was written.
     pub fn log_flush_fate(&self) -> WriteFate {
-        self.boundary_fate(BoundaryKind::LogFlush)
+        let sw = self.inject.hooks().and_then(|h| h.switch.clone());
+        sw.map_or(WriteFate::Persist, |s| s.on_write(BoundaryKind::LogFlush))
     }
 
     /// Synchronously append `nbytes` to the log (group flush). The log is a
@@ -1207,6 +1146,118 @@ mod tests {
         verify_frames_against_the_model(1_000..6_000, 96);
     }
 
+    /// Every way a disk write can fail leaves exactly its unpersisted pages
+    /// in the lost-write set, and a later successful write clears them.
+    #[test]
+    fn failed_disk_writes_mark_exactly_their_unpersisted_pages_lost() {
+        use crate::crashsched::CrashSwitch;
+        type Fail = fn(&IoManager, &[PageBuf]) -> Result<Time, IoError>;
+        fn plan(write_error_prob: f64, torn_write_prob: f64) -> Option<Arc<FaultPlan>> {
+            let mut cfg = FaultConfig::quiet(0x10_57);
+            (cfg.write_error_prob, cfg.torn_write_prob) = (write_error_prob, torn_write_prob);
+            Some(Arc::new(FaultPlan::new(cfg)))
+        }
+        const FIRST: PageId = PageId(10);
+        // Each cause: how it fails, the pages it writes, the prefix that
+        // lands (`None`: drawn by the plan) and the error it reports.
+        let causes: [(&str, Fail, usize, Option<usize>, IoErrorKind); 5] = [
+            (
+                "refused page",
+                |io, p| {
+                    io.set_disk_fault(plan(1.0, 0.0));
+                    io.write_disk_async(0, FIRST, &p[0], Locality::Random)
+                },
+                1,
+                Some(0),
+                IoErrorKind::TransientWrite,
+            ),
+            (
+                "refused run",
+                |io, p| {
+                    io.set_disk_fault(plan(1.0, 0.0));
+                    io.write_disk_run_async(0, FIRST, p)
+                },
+                4,
+                Some(0),
+                IoErrorKind::TransientWrite,
+            ),
+            (
+                "plan-torn run",
+                |io, p| {
+                    io.set_disk_fault(plan(0.0, 1.0));
+                    io.write_disk_run_async(0, FIRST, p)
+                },
+                4,
+                None,
+                IoErrorKind::TransientWrite,
+            ),
+            (
+                "run cut by power",
+                |io, p| {
+                    io.set_crash_switch(Some(Arc::new(CrashSwitch::armed(1, true))));
+                    io.write_disk_run_async(0, FIRST, p)
+                },
+                4,
+                Some(1),
+                IoErrorKind::DeviceDead,
+            ),
+            (
+                "page dropped after the cut",
+                |io, p| {
+                    io.set_crash_switch(Some(Arc::new(CrashSwitch::armed(0, false))));
+                    io.write_disk_async(0, PageId(0), &p[0], Locality::Random)
+                        .expect("the cut persists");
+                    io.write_disk_async(0, FIRST, &p[0], Locality::Random)
+                },
+                1,
+                Some(0),
+                IoErrorKind::DeviceDead,
+            ),
+        ];
+        for (what, fail, n, keep, kind) in causes {
+            let io = io();
+            let old = PageBuf::from_slice(&[0x0D; 64]);
+            for i in 0..n as u64 {
+                io.write_disk_async(0, FIRST.offset(i), &old, Locality::Random)
+                    .unwrap();
+            }
+            let new: Vec<PageBuf> = (0..n)
+                .map(|i| PageBuf::from_slice(&[0x50 + i as u8; 64]))
+                .collect();
+            assert_eq!(fail(&io, &new).map_err(|e| e.kind), Err(kind), "{what}");
+            io.set_disk_fault(None);
+            io.set_crash_switch(None);
+            let landed = (0..n)
+                .take_while(|&i| {
+                    io.disk_store()
+                        .read_buf(FIRST.offset(i as u64))
+                        .same_image(&new[i])
+                })
+                .count();
+            assert!(
+                keep.map_or((1..n).contains(&landed), |k| k == landed),
+                "{what}: {landed} landed"
+            );
+            for p in 0..io.db_pages() {
+                let pid = PageId(p);
+                let unpersisted = (FIRST.0 + landed as u64..FIRST.0 + n as u64).contains(&p);
+                assert_eq!(io.disk_write_lost(pid), unpersisted, "{what}: page {p}");
+                if unpersisted {
+                    assert!(
+                        io.disk_store().read_buf(pid).same_image(&old),
+                        "{what}: page {p}"
+                    );
+                }
+            }
+            io.write_disk_run_async(0, FIRST, &new)
+                .expect("healthy again");
+            assert!(
+                (0..io.db_pages()).all(|p| !io.disk_write_lost(PageId(p))),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn torn_disk_run_persists_prefix_and_reports_failure() {
         let io = io();
@@ -1328,7 +1379,7 @@ mod tests {
                     io.write_disk_run_async(clk.now, pid, &pages)
                 }
                 4 => {
-                    let mut buf = vec![0u8; 64];
+                    let mut buf = [0u8; 64];
                     io.read_ssd(&mut clk, rng.gen_range(0..FRAMES), &mut buf[..])
                         .map(|()| clk.now)
                 }
