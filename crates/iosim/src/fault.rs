@@ -368,8 +368,8 @@ impl FaultPlan {
             self.counters.torn_writes.fetch_add(1, Relaxed);
             self.rng.lock().gen_range(1..len)
         });
-        let frame = device == FaultDevice::Ssd && torn.is_none();
-        let flip = (frame && self.draw(self.cfg.bitflip_prob)).then(|| {
+        let untorn_frame = device == FaultDevice::Ssd && torn.is_none();
+        let flip = (untorn_frame && self.draw(self.cfg.bitflip_prob)).then(|| {
             self.counters.bitflips.fetch_add(1, Relaxed);
             let mut rng = self.rng.lock();
             (rng.gen_range(0..len), 1u8 << rng.gen_range(0u32..8))
