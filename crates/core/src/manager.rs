@@ -1582,4 +1582,215 @@ mod tests {
             "some attempts must have been retried"
         );
     }
+
+    /// The fault plans of [`fault_path_digest`]: transient errors, torn
+    /// writes, bit flips and a brownout train on the SSD (`Transient`),
+    /// the same with the SSD killed late (`LateDeath`), or bit flips alone,
+    /// enough to exhaust the error budget on checksum misses (`Budget`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum FaultRun {
+        Transient,
+        LateDeath,
+        Budget,
+    }
+
+    /// Drive one seeded script through a manager of `design` (two
+    /// partitions, the recording salvage target) reading runs as `mode`,
+    /// under `run`'s plans on both devices, then export its table and
+    /// import it into a fresh manager over the same devices. Returns the
+    /// script's trail folded with every counter, table entry, total,
+    /// salvage call, fault count and stored page and frame, with the
+    /// manager's counters and the import's report.
+    fn fault_path_digest(
+        design: SsdDesign,
+        mode: MultiPageMode,
+        run: FaultRun,
+    ) -> (u64, crate::metrics::SsdMetricsSnapshot, ImportReport) {
+        use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
+        use turbopool_iosim::{fault, MILLISECOND};
+        const PAGES: u64 = 64;
+        const FRAMES: u64 = 12;
+        // Every frame write flips a bit in the budget run, which takes
+        // longer to spend the budget than a death takes to come.
+        let steps: u64 = if run == FaultRun::Budget { 2000 } else { 320 };
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, PAGES, FRAMES)));
+        let ssd_plan = match run {
+            FaultRun::Budget => {
+                let mut cfg = FaultConfig::quiet(0x5B);
+                cfg.bitflip_prob = 1.0;
+                cfg
+            }
+            FaultRun::Transient | FaultRun::LateDeath => {
+                let mut cfg = FaultConfig::brownout_train(
+                    0x55,
+                    0,
+                    u64::MAX,
+                    40 * MILLISECOND,
+                    10 * MILLISECOND,
+                    30,
+                );
+                cfg.read_error_prob = 0.1;
+                cfg.write_error_prob = 0.1;
+                cfg.torn_write_prob = 0.1;
+                cfg.bitflip_prob = 0.1;
+                cfg
+            }
+        };
+        let mut disk_plan = FaultConfig::quiet(0xD1);
+        disk_plan.read_error_prob = 0.1;
+        disk_plan.write_error_prob = 0.1;
+        disk_plan.torn_write_prob = 0.2;
+        let ssd_plan = Arc::new(FaultPlan::new(ssd_plan));
+        io.set_ssd_fault(Some(Arc::clone(&ssd_plan)));
+        io.set_disk_fault(Some(Arc::new(FaultPlan::new(disk_plan))));
+        let mut cfg = SsdConfig::new(design, FRAMES);
+        cfg.partitions = 2;
+        cfg.multipage = mode;
+        let (m, salvaged) = recording(SsdManager::new(cfg.clone(), Arc::clone(&io)), None);
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut clk = Clk::new();
+        let mut trail: Vec<u8> = Vec::new();
+        let fold_at = |trail: &mut Vec<u8>, r: Result<Time, IoError>| match r {
+            Ok(t) => trail.extend([0].iter().chain(&t.to_le_bytes())),
+            Err(e) => trail.extend([1 + e.kind as u8].iter().chain(&e.at.to_le_bytes())),
+        };
+        for step in 0..steps {
+            clk.wait_until(clk.now.max(step * 2 * MILLISECOND));
+            if run == FaultRun::LateDeath && step == steps * 7 / 8 {
+                ssd_plan.kill(clk.now);
+            }
+            let pid = PageId(rng.gen_range(0..PAGES - 6));
+            let class = if rng.gen_bool(0.7) {
+                Locality::Random
+            } else {
+                Locality::Sequential
+            };
+            let data = vec![rng.gen::<u8>(); PS];
+            match rng.gen_range(0u32..9) {
+                0 | 1 => m.evict_page(clk.now, pid, &data, false, class),
+                2 => {
+                    // A page is dirtied in the pool before it is evicted dirty.
+                    m.note_dirtied(clk.now, pid);
+                    m.evict_page(clk.now, pid, &data, true, class);
+                }
+                3 => {
+                    let mut buf = page(0);
+                    let r = m.read_page(&mut clk, pid, class, &mut buf);
+                    fold_at(&mut trail, r.map(|()| clk.now));
+                    trail.extend(&buf);
+                }
+                4 => {
+                    let n = rng.gen_range(1u64..7);
+                    match m.read_run(&mut clk, pid, n) {
+                        Ok(pages) => pages.iter().for_each(|p| trail.extend(p.as_slice())),
+                        Err(e) => fold_at(&mut trail, Err(e)),
+                    }
+                    fold_at(&mut trail, Ok(clk.now));
+                }
+                5 => m.note_dirtied(clk.now, pid),
+                6 => {
+                    m.note_dirtied(clk.now, pid);
+                    let done = m.checkpoint_write(clk.now, pid, &data, class);
+                    fold_at(&mut trail, Ok(done));
+                }
+                7 => {
+                    m.checkpoint_flush(&mut clk);
+                    fold_at(&mut trail, Ok(clk.now));
+                }
+                _ => {
+                    let cleaned = m.clean_batch(&mut clk) as u64;
+                    fold_at(&mut trail, Ok(cleaned));
+                    fold_at(&mut trail, Ok(clk.now));
+                }
+            }
+        }
+        m.checkpoint_flush(&mut clk);
+        let table = m.export_table();
+        let fresh = SsdManager::new(cfg, Arc::clone(&io));
+        let valid = |pid, frame| io.ssd_tag(frame) == Some(pid);
+        let rep = fresh.import_table_checked(&mut clk, &table, valid);
+        trail.extend(format!("{table:?} {rep:?}").bytes());
+        for mgr in [&m, &fresh] {
+            let s = mgr.metrics.snapshot();
+            trail.extend(format!("{:?}", s.fields()).bytes());
+            for p in 0..PAGES {
+                let pid = PageId(p);
+                let entry = (mgr.contains(pid), mgr.frame_of(pid), mgr.is_dirty(pid));
+                trail.extend(format!("{entry:?}").bytes());
+            }
+            let totals = (mgr.occupancy(), mgr.dirty_count(), mgr.invalid_frames());
+            trail.extend(format!("{totals:?} {}", mgr.is_quarantined()).bytes());
+        }
+        trail.extend(format!("{:?}", *salvaged.lock()).bytes());
+        let stats = [io.disk_fault(), io.ssd_fault()].map(|p| p.map(|p| p.stats()));
+        trail.extend(format!("{stats:?}").bytes());
+        for p in 0..PAGES {
+            trail.extend(io.disk_store().read_buf(PageId(p)).iter());
+        }
+        for f in 0..FRAMES {
+            trail.extend(io.ssd_store().read_buf(PageId(f)).iter());
+        }
+        (fault::checksum(&trail), m.metrics.snapshot(), rep)
+    }
+
+    /// The SSD manager's fault path, pinned: every design and run-read
+    /// mode through one seeded script under three fault runs. A change
+    /// that moves which entry a failure drops or loses, what it charges,
+    /// when the SSD is quarantined or what is salvaged moves a digest.
+    #[test]
+    fn fault_path_is_pinned_across_the_four_designs() {
+        use turbopool_iosim::fault;
+        let modes = [
+            MultiPageMode::Trim,
+            MultiPageMode::Split,
+            MultiPageMode::DiskOnly,
+        ];
+        let digest = |run| {
+            let (mut trails, mut rejected, mut misses) = (Vec::new(), 0, 0);
+            for design in DESIGNS {
+                let (mut quarantined, mut errors) = (0, 0);
+                for mode in modes {
+                    let (d, s, rep) = fault_path_digest(design, mode, run);
+                    trails.extend(d.to_le_bytes());
+                    errors += s.ssd_io_errors.min(s.lost_frames);
+                    misses += s.checksum_misses;
+                    if run == FaultRun::LateDeath {
+                        assert!(s.ssd_quarantined == 1 || rep.aborted_dead);
+                    }
+                    if run == FaultRun::Transient {
+                        assert!(rep.imported > 0, "{design:?} {mode:?}");
+                        rejected += rep.rejected_checksum;
+                    }
+                    if design == SsdDesign::LazyCleaning {
+                        assert!(s.salvaged_pages > 0, "{mode:?}");
+                    }
+                    if s.ssd_quarantined == 1 && run == FaultRun::Budget {
+                        assert_eq!(s.checksum_misses, s.ssd_io_errors);
+                        assert!(s.ssd_io_errors > SSD_ERROR_BUDGET);
+                    }
+                    quarantined += s.ssd_quarantined;
+                }
+                assert!(errors > 0, "{design:?}: errors cost entries");
+                if run == FaultRun::Budget {
+                    assert!(quarantined > 0, "{design:?}: the budget ran out");
+                }
+            }
+            assert!(misses > 0 && (run != FaultRun::Transient || rejected > 0));
+            fault::checksum(&trails)
+        };
+        let got = [
+            digest(FaultRun::Transient),
+            digest(FaultRun::LateDeath),
+            digest(FaultRun::Budget),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x9FA2_AD91_2CE7_A3AC,
+                0x5081_073D_7612_2E1C,
+                0x593C_4CB3_ACB1_FD66
+            ],
+            "{got:#X?}"
+        );
+    }
 }
