@@ -46,6 +46,7 @@ pub mod audit;
 pub mod cleaner;
 pub mod coherence;
 pub mod config;
+mod health;
 pub mod manager;
 pub mod metrics;
 pub mod partition;

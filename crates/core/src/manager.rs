@@ -14,9 +14,11 @@
 //! and dirty pages (LC only) are protected until the lazy cleaner or a
 //! checkpoint flushes them.
 //!
-//! Retry, the error budget, quarantine, throttle, audit, the salvage of a
-//! lost sole copy, the page reads (the §3.3.3 modes included) and the frame
-//! write are the device edge in `tier.rs`. An admission is one hold of its
+//! The throttle, audit, the page reads (the §3.3.3 modes included) and the
+//! frame write are the device edge in `tier.rs`; retry, the write-behind,
+//! the error budget, quarantine and the salvage of a lost sole copy are the
+//! failure policy in `health.rs`, which a failed SSD I/O reaches by one
+//! `settle` once no latch is held. An admission is one hold of its
 //! partition latch: it frees a frame (cleaning the oldest dirty page inline
 //! when every page is dirty), books the write, and admits the entry or
 //! backs it out.
@@ -26,16 +28,14 @@ use std::sync::Arc;
 
 use turbopool_bufpool::PageIo;
 use turbopool_iosim::sync::{self, Mutex, MutexGuard, Rank};
-use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, PageSrc, Time,
-};
+use turbopool_iosim::{Clk, IoError, IoManager, Locality, PageBuf, PageId, PageSrc, Time};
 
-use crate::audit::AuditOp;
+use crate::audit::{AuditOp, InvariantAuditor};
 use crate::config::{DirtyEviction, Policy, Replacement, SsdConfig};
+pub use crate::health::SSD_ERROR_BUDGET;
+use crate::health::{Failure, Health};
 use crate::metrics::SsdMetrics;
 use crate::partition::{Heat, Partition, Record};
-use crate::tier::Health;
-pub use crate::tier::SSD_ERROR_BUDGET;
 
 /// Outcome of a hardened warm import ([`SsdManager::import_table_checked`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +71,7 @@ pub struct SsdManager {
     /// The design's row of the policy table.
     pub(crate) policy: Policy,
     pub(crate) io: Arc<IoManager>,
-    parts: Vec<Mutex<Partition>>,
+    pub(crate) parts: Vec<Mutex<Partition>>,
     /// LRU-2 access stamp source; `None` in a table ordered by extent
     /// heat, which has no recency to stamp.
     stamp: Option<AtomicU64>,
@@ -85,8 +85,10 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// Quarantine flag, error budget, auditor and salvage target.
+    /// Quarantine flag, error count and salvage target.
     pub(crate) health: Health,
+    /// Shadow state machine validating every buffer-table transition.
+    pub(crate) auditor: InvariantAuditor,
     /// Counters for the evaluation harnesses.
     pub metrics: SsdMetrics,
 }
@@ -117,7 +119,8 @@ impl SsdManager {
             })
             .collect();
         SsdManager {
-            health: Health::new(cfg.design, pages),
+            health: Health::default(),
+            auditor: InvariantAuditor::new(cfg.design, pages),
             cfg,
             policy,
             io,
@@ -133,7 +136,7 @@ impl SsdManager {
 
     /// Count a removed record out of the occupancy, dirty and invalid
     /// totals.
-    fn forget(&self, rec: &Record) {
+    pub(crate) fn forget(&self, rec: &Record) {
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
         if rec.dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
@@ -204,7 +207,7 @@ impl SsdManager {
     /// whether it was contended (held by another OS thread at that instant).
     /// Both counters are pure functions of the op sequence in deterministic
     /// driver runs (contended is then always 0).
-    fn part_at(&self, idx: usize) -> MutexGuard<'_, Partition> {
+    pub(crate) fn part_at(&self, idx: usize) -> MutexGuard<'_, Partition> {
         SsdMetrics::bump(&self.metrics.shard_acquisitions);
         self.parts[idx].try_lock().unwrap_or_else(|| {
             SsdMetrics::bump(&self.metrics.shard_contended);
@@ -246,7 +249,7 @@ impl SsdManager {
     /// the entry admitted or backed out before the latch goes, so a failed
     /// write never leaves an entry over never-written bytes (a torn or
     /// bit-flipped one is caught by the frame checksum on a later read).
-    /// Whether the entry was admitted; `None` if no frame was written.
+    /// Whether a frame write was booked.
     pub(crate) fn admit<S: PageSrc + ?Sized>(
         &self,
         mut part: MutexGuard<'_, Partition>,
@@ -254,14 +257,14 @@ impl SsdManager {
         pid: PageId,
         data: &S,
         entry: Entry,
-    ) -> Option<bool> {
+    ) -> bool {
         let dirty = entry == Entry::Evicted { dirty: true };
         if self.is_quarantined() {
             drop(part);
             if dirty {
-                self.disk_write(now, pid, data);
+                self.write_behind(now, pid, &[data]);
             }
-            return None;
+            return false;
         }
         let was_filling = self.filling();
         let lost = if part.free_frames() == 0 {
@@ -286,7 +289,7 @@ impl SsdManager {
             }
             write
         });
-        let admitted = matches!(write, Some(Ok(_)));
+        let (booked, admitted) = (write.is_some(), matches!(write, Some(Ok(_))));
         if admitted {
             self.audit(pid, AuditOp::Admit { dirty });
             self.occupancy.fetch_add(1, Ordering::Relaxed);
@@ -303,31 +306,28 @@ impl SsdManager {
             }
         }
         drop(part);
-        // Error accounting runs once the latch is released: a quarantine
-        // takes every partition latch to sweep the table.
-        if let Some(Err(e)) = &write {
-            self.note_ssd_error(e);
+        if let Some(Err(f)) = write {
+            self.settle(f);
         }
         if dirty && !admitted {
             // The page must still land somewhere durable.
-            self.disk_write(now, pid, data);
+            self.write_behind(now, pid, &[data]);
         }
-        if let Some((victim, e)) = lost {
-            self.lose(AuditOp::CorruptInvalidate, [(victim, true)]);
-            self.note_ssd_error(&e);
+        if let Some(f) = lost {
+            self.settle(f);
         }
-        write.map(|w| w.is_ok())
+        booked
     }
 
     /// Free one frame in `part`, under its latch, by replacing the clean
     /// victim; when every page is dirty (LC under extreme λ), the oldest
     /// dirty page is cleaned inline instead: its sole copy is read off the
     /// SSD and written to disk (both charged asynchronously, since eviction
-    /// is async) before its frame can be reused. Returns that victim and
-    /// the error when its copy was unreadable: the frame is freed all the
-    /// same, and the caller loses the page and charges the error once the
-    /// latch is released. Frees nothing in a partition without valid pages.
-    fn reclaim(&self, now: Time, part: &mut Partition) -> Option<(PageId, IoError)> {
+    /// is async) before its frame can be reused. Returns the failure when
+    /// its copy was unreadable: the frame is freed all the same, and the
+    /// caller settles the victim's loss once the latch is released. Frees
+    /// nothing in a partition without valid pages.
+    fn reclaim(&self, now: Time, part: &mut Partition) -> Option<Failure> {
         if let Some((_, victim)) = part.peek_clean_victim() {
             let rec = part.remove(victim);
             self.audit(rec.pid, AuditOp::Replace);
@@ -346,20 +346,18 @@ impl SsdManager {
         let cleaned = sync::io_under_latch(
             "the freed frame must not be reused before the victim's sole copy \
              is read off it, and both I/Os are non-blocking virtual-time bookings",
-            || -> Result<(), IoError> {
+            || -> Result<(), Failure> {
                 self.ssd_read(&mut tmp, frame, &mut buf)?;
-                self.disk_write(tmp.now, victim, &buf);
+                self.write_behind(tmp.now, victim, &[&buf]);
                 Ok(())
             },
         );
-        match cleaned {
-            Ok(()) => {
-                self.audit(victim, AuditOp::InlineClean);
-                SsdMetrics::bump(&self.metrics.inline_cleans);
-                None
-            }
-            Err(e) => Some((victim, e)),
+        if let Err(f) = cleaned {
+            return Some(f.losing(victim));
         }
+        self.audit(victim, AuditOp::InlineClean);
+        SsdMetrics::bump(&self.metrics.inline_cleans);
+        None
     }
 
     /// Export the SSD buffer table for embedding in a checkpoint record
@@ -392,12 +390,11 @@ impl SsdManager {
     /// back through the fault model with the standard retry policy and
     /// checksum verification — before the table entry is trusted.
     ///
-    /// Damage found during the probe degrades gracefully instead of being
-    /// re-adopted: a checksum mismatch rejects that one frame (torn write
-    /// or bit flip from the previous incarnation), while a device-level
-    /// failure (death, retries exhausted) quarantines the SSD and aborts
-    /// the whole import — the restart proceeds cold rather than fighting a
-    /// failing device during recovery.
+    /// A probe that fails is settled like any SSD failure. If that leaves
+    /// the SSD quarantined (a dead device, or the error that spent the
+    /// budget) the import aborts there and the restart proceeds cold;
+    /// otherwise only that frame is rejected (a torn write or bit flip from
+    /// the previous incarnation).
     pub fn import_table_checked(
         &self,
         clk: &mut Clk,
@@ -422,26 +419,15 @@ impl SsdManager {
                 SsdMetrics::bump(&self.metrics.warm_rejected_stale);
                 continue;
             }
-            match self.ssd_read(clk, frame, &mut buf) {
-                Ok(()) => {}
-                Err(e) if e.kind == IoErrorKind::ChecksumMismatch => {
-                    // The frame's bytes are damaged (torn write or bit flip
-                    // that straddled the crash). Reject just this entry;
-                    // the page's disk image is still current.
-                    self.note_ssd_error(&e);
-                    rep.rejected_checksum += 1;
-                    SsdMetrics::bump(&self.metrics.warm_rejected_checksum);
-                    continue;
-                }
-                Err(e) => {
-                    // Dead or persistently erroring device: quarantine and
-                    // abort the import. Nothing was re-adopted from the
-                    // unprobed remainder, so the restart is simply cold.
-                    self.note_ssd_error(&e);
-                    self.quarantine();
+            if let Err(f) = self.ssd_read(clk, frame, &mut buf) {
+                self.settle(f);
+                if self.is_quarantined() {
                     rep.aborted_dead = true;
                     break;
                 }
+                rep.rejected_checksum += 1;
+                SsdMetrics::bump(&self.metrics.warm_rejected_checksum);
+                continue;
             }
             let mut part = self.part_at(part_idx);
             let stamp = self.next_stamp().unwrap_or(0);
@@ -507,34 +493,21 @@ impl SsdManager {
     /// Read the SSD copies of dirty `pids` into memory for a flush to disk
     /// (no direct SSD→disk path exists, §2.4). Pages are marked clean only
     /// after their disk write succeeds, so one whose frame is unreadable is
-    /// dropped and rebuilt from the log here rather than silently lost;
-    /// one whose entry is gone (a quarantine triggered earlier in the same
-    /// batch swept the table) is skipped.
+    /// dropped and rebuilt from the log by its frame read rather than
+    /// silently lost; one whose entry is gone (a quarantine triggered
+    /// earlier in the same batch swept the table) is skipped.
     fn gather(
         &self,
         clk: &mut Clk,
         pids: impl Iterator<Item = PageId>,
     ) -> (Vec<PageId>, Vec<PageBuf>) {
-        let n = pids.size_hint().0;
-        let mut got: Vec<PageId> = Vec::with_capacity(n);
-        let mut bufs: Vec<PageBuf> = Vec::with_capacity(n);
-        for pid in pids {
-            let Some(frame) = self.frame_of(pid) else {
-                continue;
-            };
+        pids.filter_map(|pid| {
+            let frame = self.frame_of(pid)?;
             let mut buf = self.io.zero_page();
-            match self.ssd_read(clk, frame, &mut buf) {
-                Ok(()) => {
-                    got.push(pid);
-                    bufs.push(buf);
-                }
-                Err(e) => {
-                    self.note_ssd_error(&e);
-                    self.drop_corrupt(pid);
-                }
-            }
-        }
-        (got, bufs)
+            self.read_frame(clk, pid, frame, &mut buf)
+                .then_some((pid, buf))
+        })
+        .unzip()
     }
 
     /// Write the gathered `(pid, image)` pages to disk in consecutive-pid
@@ -548,8 +521,7 @@ impl SsdManager {
             let images = &bufs[i..i + run.len()];
             i += run.len();
             // A dead disk completes nothing: the pages stay dirty.
-            let write = || self.io.write_disk_run_async(clk.now, run[0], images);
-            let Ok(done) = fault::retry_write_forever(write) else {
+            let Some(done) = self.write_behind(clk.now, run[0], images) else {
                 continue;
             };
             clk.wait_until(done);
@@ -613,7 +585,7 @@ impl SsdManager {
         if self.is_quarantined() {
             // Degraded noSSD path: dirty evictions go straight to disk.
             if dirty {
-                self.disk_write(now, pid, data);
+                self.write_behind(now, pid, &[data]);
             }
             return;
         }
@@ -622,7 +594,7 @@ impl SsdManager {
             // one is written through to disk, as in a traditional DBMS, and
             // its SSD copy refreshed.
             if dirty {
-                self.disk_write(now, pid, data);
+                self.write_behind(now, pid, &[data]);
                 if self.refresh_stale_copy(now, pid, data) {
                     SsdMetrics::bump(&self.metrics.admissions);
                 }
@@ -643,7 +615,7 @@ impl SsdManager {
             drop(part);
             SsdMetrics::bump(&self.metrics.policy_rejections);
             if dirty {
-                self.disk_write(now, pid, data);
+                self.write_behind(now, pid, &[data]);
             }
             return;
         }
@@ -667,7 +639,7 @@ impl SsdManager {
             // schedule numbers durable writes in the order they are made.
             // The admission after it takes the latch again.
             drop(part);
-            self.disk_write(now, pid, data);
+            self.write_behind(now, pid, &[data]);
             if cache {
                 self.install(now, pid, data);
             }
@@ -683,7 +655,7 @@ impl SsdManager {
         data: &S,
         class: Locality,
     ) -> Time {
-        let done = self.disk_write(now, pid, data);
+        let done = self.write_behind(now, pid, &[data]).unwrap_or(now);
         // The DW mirror (§3.2) writes random-class pages to the SSD as well,
         // with no aggressive-filling term and, throttled, skipped uncounted.
         // TAC refreshes the copy its table still holds; CW and LC dropped
@@ -747,33 +719,6 @@ impl SsdManager {
                 part.touch(idx, stamp);
             }
         }
-    }
-
-    /// Quarantine's table half: remove every entry and forget the extent
-    /// temperatures. Returns each removed page with its dirty flag,
-    /// partition by partition, each in frame order.
-    pub(crate) fn sweep(&self) -> Vec<(PageId, bool)> {
-        let mut out = Vec::new();
-        for i in 0..self.parts.len() {
-            let mut part = self.part_at(i);
-            let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
-            for rec in idxs.into_iter().map(|idx| part.remove(idx)) {
-                self.forget(&rec);
-                out.push((rec.pid, rec.dirty));
-            }
-            part.cool();
-        }
-        out
-    }
-
-    /// Remove `pid`'s entry; returns its dirty flag, or `None` when there
-    /// is none (quarantine already swept it).
-    pub(crate) fn remove_entry(&self, pid: PageId) -> Option<bool> {
-        let mut part = self.part(pid);
-        let idx = part.lookup(pid)?;
-        let rec = part.remove(idx);
-        self.forget(&rec);
-        Some(rec.dirty)
     }
 }
 

@@ -76,8 +76,8 @@ impl SsdManager {
             self.invalidate(&mut part, idx);
         }
         drop(part);
-        if let Some(Err(e)) = write {
-            self.note_ssd_error(&e);
+        if let Some(Err(f)) = write {
+            self.settle(f);
         }
         revalidated
     }
@@ -112,7 +112,7 @@ impl SsdManager {
                 return;
             }
         }
-        if self.admit(part, now, pid, data, Entry::Read).is_some() {
+        if self.admit(part, now, pid, data, Entry::Read) {
             // The write booked the SSD: the next admission re-evaluates μ.
             *throttled = None;
         }

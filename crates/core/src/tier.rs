@@ -1,240 +1,42 @@
-//! The SSD manager's device edge, the same for every design: bounded retry
-//! around every device call, the error budget and the quarantine it trips,
-//! the corrupt-frame fallback, the throttle (μ) gates, the invariant
-//! auditor, the salvage of a lost sole (dirty) copy from the log at the
-//! moment it is lost, the page reads (`fetch_page`, and `fetch_run` with
-//! the §3.3.3 trim), and the one frame write every admission and refresh
-//! books under its partition latch (`write_frame`).
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! The SSD manager's device edge, the same for every design: the throttle
+//! (μ) gates, the invariant auditor, the page reads (`fetch_page`, and
+//! `fetch_run` with the §3.3.3 trim), and the one frame write every
+//! admission and refresh books under its partition latch (`write_frame`).
+//! What a failed device I/O costs is settled in `health.rs`.
 
 use turbopool_iosim::sync;
-use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, Locality, PageBuf, PageDst, PageId, PageSrc, Time,
-};
+use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageDst, PageId, PageSrc, Time};
 
-use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::{MultiPageMode, SsdDesign};
+use crate::audit::AuditOp;
+use crate::config::MultiPageMode;
+use crate::health::Failure;
 use crate::metrics::SsdMetrics;
 use crate::SsdManager;
 
-/// Fault-tolerance extension: SSD I/O errors (transient, checksum, or
-/// device-dead) tolerated before the manager quarantines the SSD and degrades
-/// to the noSSD path; a `DeviceDead` error quarantines at once. 64 is wide
-/// enough to ride out a transient-error storm, small enough that a
-/// persistently erroring device is retired quickly.
-pub const SSD_ERROR_BUDGET: u64 = 64;
-
-/// The manager's view of its SSD's health, and the auditor of its table.
-pub(crate) struct Health {
-    /// True once the SSD has been quarantined (device death or error
-    /// budget exhausted); every path then degrades to direct-to-disk.
-    quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against [`SSD_ERROR_BUDGET`].
-    errors: AtomicU64,
-    /// Shadow state machine validating every buffer-table transition.
-    auditor: InvariantAuditor,
-    /// Rebuilds pages whose sole (SSD) copies were lost on disk from the
-    /// log, returning how many it restored; `None` in a manager built
-    /// without a log, where such a loss is unrecoverable.
-    #[expect(clippy::type_complexity, reason = "one field, read in one place")]
-    salvage: Option<Box<dyn Fn(&[PageId]) -> usize + Send + Sync>>,
-}
-
-impl Health {
-    /// The health of a fresh table of `design` over `db_pages` pages.
-    pub(crate) fn new(design: SsdDesign, db_pages: u64) -> Self {
-        Health {
-            quarantined: AtomicBool::new(false),
-            errors: AtomicU64::new(0),
-            auditor: InvariantAuditor::new(design, db_pages),
-            salvage: None,
-        }
-    }
-}
-
 /// The device edge, and the page reads over the table.
 impl SsdManager {
-    /// True once the SSD is quarantined and the manager runs degraded
-    /// (every subsequent request takes the direct-to-disk path).
-    pub fn is_quarantined(&self) -> bool {
-        self.health.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    /// Invariant violations caught so far (see [`crate::InvariantAuditor`]).
     pub fn audit_violations(&self) -> u64 {
-        self.health.auditor.violations()
-    }
-
-    /// Rebuild each lost sole (dirty) copy with `target`, the engine's
-    /// replay of the log onto the disk, at the moment it is lost.
-    pub fn with_salvage(
-        mut self,
-        target: impl Fn(&[PageId]) -> usize + Send + Sync + 'static,
-    ) -> Self {
-        self.health.salvage = Some(Box::new(target));
-        self
-    }
-
-    /// Account for entries `lost` with their frames' contents, each a page
-    /// and its dirty flag: the audit transition `op` and a lost frame. A
-    /// dirty copy was its page's only current version, so the dirty pages
-    /// are rebuilt on disk from the log, as one batch, before this returns;
-    /// a read of one then falls through to the disk like a clean loss.
-    /// Must not be called under a table latch.
-    #[expect(
-        clippy::panic,
-        reason = "a manager with no log cannot rebuild a lost sole copy: committed data is gone"
-    )]
-    pub(crate) fn lose(&self, op: AuditOp, lost: impl IntoIterator<Item = (PageId, bool)>) {
-        let mut sole = Vec::new();
-        for (pid, dirty) in lost {
-            self.audit(pid, op);
-            SsdMetrics::bump(&self.metrics.lost_frames);
-            if dirty {
-                sole.push(pid);
-            }
-        }
-        if sole.is_empty() {
-            return;
-        }
-        SsdMetrics::add(&self.metrics.stranded_dirty, sole.len() as u64);
-        let Some(salvage) = &self.health.salvage else {
-            panic!("unrecoverable: lost the sole copy of {sole:?} with no log to rebuild it from");
-        };
-        SsdMetrics::add(&self.metrics.salvaged_pages, salvage(&sole) as u64);
-    }
-
-    /// The SSD copy of `pid` is unusable: drop its entry
-    /// (`CorruptInvalidate`). No-op if quarantine already swept it.
-    pub(crate) fn drop_corrupt(&self, pid: PageId) {
-        if let Some(dirty) = self.remove_entry(pid) {
-            self.lose(AuditOp::CorruptInvalidate, [(pid, dirty)]);
-        }
-    }
-
-    /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called under a table latch
-    /// (quarantine takes every one to sweep the table).
-    pub(crate) fn note_ssd_error(&self, e: &IoError) {
-        let m = &self.metrics;
-        SsdMetrics::bump(&m.ssd_io_errors);
-        if e.kind == IoErrorKind::ChecksumMismatch {
-            SsdMetrics::bump(&m.checksum_misses);
-        }
-        let seen = self.health.errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > SSD_ERROR_BUDGET {
-            self.quarantine();
-        }
-    }
-
-    /// Degrade to the noSSD path: drop the whole buffer table and refuse
-    /// all future SSD traffic. Runs once.
-    pub(crate) fn quarantine(&self) {
-        if self.health.quarantined.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        SsdMetrics::bump(&self.metrics.ssd_quarantined);
-        self.lose(AuditOp::Quarantine, self.sweep());
-    }
-
-    /// A synchronous device read with the standard capped-backoff retry
-    /// policy on `clk`, its retries added to `counter`. The final error
-    /// (checksum mismatch, device death, or retries exhausted) is returned
-    /// for the caller to classify.
-    fn retried<T>(
-        clk: &mut Clk,
-        counter: &AtomicU64,
-        read: impl FnMut(&mut Clk) -> Result<T, IoError>,
-    ) -> Result<T, IoError> {
-        let (retries, out) = fault::retry_sync(clk, read);
-        if retries > 0 {
-            SsdMetrics::add(counter, u64::from(retries));
-        }
-        out
-    }
-
-    /// Read SSD `frame` into `buf`, retried.
-    pub(crate) fn ssd_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        frame: u64,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let read = |c: &mut Clk| self.io.read_ssd(c, frame, buf);
-        Self::retried(clk, &self.metrics.ssd_retries, read)
-    }
-
-    /// Read disk page `pid` as `class` into `buf`, retried.
-    fn disk_read<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut D,
-    ) -> Result<(), IoError> {
-        let read = |c: &mut Clk| self.io.read_disk(c, pid, buf, class);
-        Self::retried(clk, &self.metrics.disk_retries, read)
+        self.auditor.violations()
     }
 
     /// Book `pid`'s image `data` into SSD `frame` at `now` while the caller
     /// holds its table latch, so an admission or refresh picks its frame,
-    /// writes it, and installs the entry or backs it out in one hold. The
-    /// error is the caller's to charge once the latch is released: a
-    /// quarantine takes every table latch.
+    /// writes it, and installs the entry or backs it out in one hold. A
+    /// failure is the caller's to settle once the latch is released.
     pub(crate) fn write_frame<S: PageSrc + ?Sized>(
         &self,
         now: Time,
         frame: u64,
         pid: PageId,
         data: &S,
-    ) -> Result<Time, IoError> {
+    ) -> Result<Time, Failure> {
         sync::io_under_latch(
             "an SSD-table entry changes atomically with the write to its frame, \
              and write_ssd_async is an O(1) non-blocking booking",
             || self.io.write_ssd_async(now, frame, data, pid),
         )
-    }
-
-    /// Asynchronous disk write that must not drop data: transient errors
-    /// retry without bound; only a dead disk — unrecoverable by any policy
-    /// — falls through, and then there is nowhere left to persist to. The
-    /// IoManager records the lost write so later readers surface the
-    /// device error instead of treating the page as never-written. Returns
-    /// the completion time, or `now` when a dead disk completes nothing.
-    pub(crate) fn disk_write<S: PageSrc + ?Sized>(&self, now: Time, pid: PageId, data: &S) -> Time {
-        match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(done) => done,
-            Err(e) => {
-                debug_assert!(!e.is_transient());
-                now
-            }
-        }
-    }
-
-    /// Read `pid`'s SSD copy from `frame`. True: served, counted as an SSD
-    /// hit. False: the read failed, its error was charged and the entry
-    /// dropped (a sole copy rebuilt on disk), so the caller reads the disk.
-    pub(crate) fn read_frame<D: PageDst + ?Sized>(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        frame: u64,
-        buf: &mut D,
-    ) -> bool {
-        match self.ssd_read(clk, frame, buf) {
-            Ok(()) => {
-                SsdMetrics::bump(&self.metrics.ssd_hits);
-                true
-            }
-            Err(e) => {
-                self.note_ssd_error(&e);
-                self.drop_corrupt(pid);
-                false
-            }
-        }
+        .map_err(Failure::from)
     }
 
     /// Report a buffer-table transition to the auditor. Violations are
@@ -244,7 +46,7 @@ impl SsdManager {
         reason = "the auditor's whole point: fail the test run at the first illegal state-machine transition"
     )]
     pub(crate) fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.health.auditor.observe(pid, op) {
+        if let Err(e) = self.auditor.observe(pid, op) {
             SsdMetrics::bump(&self.metrics.audit_violations);
             if cfg!(debug_assertions) {
                 panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
@@ -294,6 +96,7 @@ impl SsdManager {
         let hit = (!quarantined).then(|| self.probe(clk.now, pid, class));
         if let Some((frame, dirty)) = hit.flatten() {
             if self.read_frame(clk, pid, frame, buf) {
+                SsdMetrics::bump(&m.ssd_hits);
                 if dirty {
                     SsdMetrics::bump(&m.dirty_hits);
                 }
@@ -305,7 +108,7 @@ impl SsdManager {
             SsdMetrics::bump(&m.quarantined_reads);
         }
         SsdMetrics::bump(&m.ssd_misses);
-        self.disk_read(clk, pid, class, buf)?;
+        self.disk_read(clk, |c| self.io.read_disk(c, pid, buf, class))?;
         self.after_disk_read(clk.now, pid, buf, &mut None);
         Ok(())
     }
@@ -346,7 +149,7 @@ impl SsdManager {
                     // run takes no locality.
                     let n = range.len() as u64;
                     let read = |c: &mut Clk| self.io.read_disk_run(c, at, n, Locality::Sequential);
-                    let pages = Self::retried(&mut tmp, &self.metrics.disk_retries, read)?;
+                    let pages = self.disk_read(&mut tmp, read)?;
                     // One admission throttle verdict serves every page
                     // handed over at `tmp.now` until one writes the SSD.
                     let mut verdict = None;
@@ -362,10 +165,13 @@ impl SsdManager {
                     out.resize_with(out.len().max(i + 1), zero);
                     let pid = first.offset(i as u64);
                     if self.read_frame(&mut tmp, pid, frame, &mut out[i]) {
+                        SsdMetrics::bump(&self.metrics.ssd_hits);
                         self.after_patch(pid);
                     } else {
                         tmp = Clk::at(now0);
-                        self.disk_read(&mut tmp, pid, self.policy.run_fallback, &mut out[i])?;
+                        let class = self.policy.run_fallback;
+                        let read = |c: &mut Clk| self.io.read_disk(c, pid, &mut out[i], class);
+                        self.disk_read(&mut tmp, read)?;
                     }
                 }
             }
@@ -441,7 +247,7 @@ mod tests {
     use turbopool_iosim::{DeviceSetup, IoManager, MILLISECOND, SECOND};
 
     use super::*;
-    use crate::config::SsdConfig;
+    use crate::config::{SsdConfig, SsdDesign};
 
     const PS: usize = 32;
     const FRAMES: u64 = 16;
