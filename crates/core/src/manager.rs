@@ -1262,6 +1262,36 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_inline_clean_loses_its_victim_before_the_error_quarantines() {
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 4)));
+        let mut cfg = SsdConfig::new(SsdDesign::LazyCleaning, 4);
+        cfg.partitions = 1;
+        let (m, salvaged) = recording(SsdManager::new(cfg, Arc::clone(&io)), None);
+        let mut fcfg = FaultConfig::quiet(10);
+        fcfg.read_error_prob = 1.0;
+        io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
+        // Every SSD read fails: one clean page after another is admitted
+        // and lost to a failed read, until one more error spends the budget.
+        let mut clk = Clk::new();
+        for i in 0..SSD_ERROR_BUDGET {
+            m.evict_page(clk.now, PageId(100 + i), &page(1), false, Locality::Random);
+            m.read_page(&mut clk, PageId(100 + i), Locality::Random, &mut page(0))
+                .unwrap();
+        }
+        assert_eq!((m.occupancy(), m.is_quarantined()), (0, false));
+        for pid in [1, 2, 3, 4, 5].map(PageId) {
+            m.evict_page(clk.now, pid, &page(2), true, Locality::Random);
+        }
+        // Page 5's admission cleaned page 1 inline and could not read it:
+        // page 1 is lost on its own, then its error quarantines the SSD and
+        // the sweep loses the rest as one batch, in frame order (page 5
+        // took page 1's frame).
+        let lost: Vec<Vec<PageId>> = vec![vec![PageId(1)], [5, 2, 3, 4].map(PageId).to_vec()];
+        assert_eq!(*salvaged.lock(), lost);
+        assert!(m.is_quarantined());
+    }
+
+    #[test]
     fn import_survives_adversarial_tables() {
         use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
         const FRAMES: u64 = 64;
@@ -1312,6 +1342,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A DW table of `n` clean pages, one per frame, over a fresh SSD, its
+    /// checkpointed entries, and a fresh manager over the same devices to
+    /// import them into. With `flip`, every frame's bytes are damaged.
+    fn exported(n: u64, flip: bool) -> (Arc<IoManager>, Vec<(PageId, u64)>, SsdManager) {
+        let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, n)));
+        let mut cfg = SsdConfig::new(SsdDesign::DualWrite, n);
+        cfg.partitions = 1;
+        if flip {
+            let mut fcfg = FaultConfig::quiet(8);
+            fcfg.bitflip_prob = 1.0;
+            io.set_ssd_fault(Some(Arc::new(FaultPlan::new(fcfg))));
+        }
+        let before = SsdManager::new(cfg.clone(), Arc::clone(&io));
+        for i in 0..n {
+            let at = i * turbopool_iosim::MILLISECOND;
+            before.evict_page(at, PageId(i), &page(i as u8), false, Locality::Random);
+        }
+        io.set_ssd_fault(None);
+        let entries = before.export_table();
+        assert_eq!(entries.len() as u64, n);
+        (Arc::clone(&io), entries, SsdManager::new(cfg, io))
+    }
+
+    #[test]
+    fn an_ssd_that_dies_during_warm_import_quarantines_and_aborts_it() {
+        let (io, entries, m) = exported(16, false);
+        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(9)));
+        io.set_ssd_fault(Some(Arc::clone(&plan)));
+        // The device dies once four entries are adopted.
+        let seen = std::cell::Cell::new(0);
+        let valid = |_, _| {
+            seen.set(seen.get() + 1);
+            if seen.get() == 5 {
+                plan.kill(0);
+            }
+            true
+        };
+        let rep = m.import_table_checked(&mut Clk::new(), &entries, valid);
+        assert!(rep.aborted_dead && m.is_quarantined());
+        assert_eq!((rep.imported, rep.rejected_checksum), (4, 0));
+        assert_eq!(seen.get(), 5, "no entry is looked at past the death");
+        assert_eq!(m.occupancy(), 0, "the adopted entries are swept");
+        assert!(entries.iter().all(|&(pid, _)| !m.contains(pid)));
+        let s = m.metrics.snapshot();
+        assert_eq!(
+            (s.ssd_quarantined, s.lost_frames, s.warm_imports),
+            (1, 4, 4)
+        );
+    }
+
+    #[test]
+    fn checksum_rejections_that_spend_the_budget_abort_warm_import_there() {
+        const N: u64 = SSD_ERROR_BUDGET + 8;
+        let (io, entries, m) = exported(N, true);
+        let reads = io.ssd_stats().read_ops;
+        let valid = |pid, frame| io.ssd_tag(frame) == Some(pid);
+        let rep = m.import_table_checked(&mut Clk::new(), &entries, valid);
+        // Each damaged frame is charged and rejected until the error past
+        // the budget quarantines the SSD, at the entry that charged it.
+        assert!(rep.aborted_dead && m.is_quarantined());
+        assert_eq!(rep.rejected_checksum as u64, SSD_ERROR_BUDGET);
+        assert_eq!(io.ssd_stats().read_ops - reads, SSD_ERROR_BUDGET + 1);
+        assert_eq!((rep.attempted as u64, rep.imported), (N, 0));
+        let s = m.metrics.snapshot();
+        assert_eq!(s.checksum_misses, SSD_ERROR_BUDGET + 1);
+        assert_eq!(s.warm_rejected_checksum, SSD_ERROR_BUDGET);
+        assert_eq!(m.occupancy(), 0);
     }
 
     // ------------------------------------------------------------------

@@ -302,10 +302,6 @@ impl FaultPlan {
         }
     }
 
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Kill the device effective at virtual time `at` (in addition to any
     /// configured `death_at`; the earlier instant wins).
     pub fn kill(&self, at: Time) {
@@ -313,7 +309,7 @@ impl FaultPlan {
     }
 
     /// Is the device dead at `now`?
-    pub fn is_dead(&self, now: Time) -> bool {
+    fn is_dead(&self, now: Time) -> bool {
         let sched = self.cfg.death_at.unwrap_or(NO_DEATH);
         now >= sched.min(self.dynamic_death.load(Relaxed))
     }

@@ -7,6 +7,8 @@
 #   scripts/mutants.sh [REV]   run every mutant against REV (default HEAD)
 #   scripts/mutants.sh --check only confirm that each mutant's old text occurs
 #                              exactly once in the working tree; no build
+#   --only PATH                (repeatable, with either form) take only the
+#                              mutants whose file is PATH or lies under it
 #
 # The mutant list is always taken from this checkout, so a revision older
 # than the list can be measured. A run copies it once, at its start, and
@@ -25,8 +27,29 @@ set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 check=0
-rev=${1:-HEAD}
-[[ $rev == --check ]] && check=1
+rev=HEAD
+only=()
+while (($#)); do
+    case $1 in
+        --check) check=1 ;;
+        --only)
+            only+=("${2:?--only takes a path}")
+            shift
+            ;;
+        *) rev=$1 ;;
+    esac
+    shift
+done
+
+# wanted FILE: is FILE one of the --only paths or under one (all without)?
+wanted() {
+    ((${#only[@]} == 0)) && return 0
+    local p
+    for p in "${only[@]}"; do
+        [[ $1 == "${p%/}" || $1 == "${p%/}"/* ]] && return 0
+    done
+    return 1
+}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -104,6 +127,7 @@ killed=0
 bad=0
 while IFS=$'\t' read -r name file old new; do
     [[ -z $name || $name == \#* ]] && continue
+    wanted "$file" || continue
     total=$((total + 1))
     if [[ $check == 1 ]]; then
         if ! why=$(MUT_OLD=$old MUT_NEW=$new mutate "$src/$file" 1); then
