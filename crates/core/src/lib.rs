@@ -29,9 +29,12 @@
 //! One table type, [`SsdManager`], serves all four designs: what each does
 //! differently — where pages enter, where a dirty eviction goes, how
 //! dirtying invalidates a copy, what orders the victims — is one row of
-//! the policy table, [`SsdDesign::policy`]. The device edge — retry, error
-//! budget and quarantine, the throttle, the invariant auditor, the salvage
-//! of a lost sole copy, the page reads — is the private `tier` module.
+//! the policy table, [`SsdDesign::policy`]. The device edge — the
+//! throttle, the invariant auditor, the frame write and the page reads — is
+//! the private `tier` module; the failure policy — retry, the write-behind,
+//! the error budget and quarantine, the salvage of a lost sole copy, and
+//! `settle`, the one call a failed SSD I/O reaches it by — is the private
+//! `health` module.
 
 #![forbid(unsafe_code)]
 // Static checks on non-test code (DESIGN §7.2); `scripts/check.sh` runs
