@@ -47,8 +47,9 @@ pub struct ImportReport {
     /// Entries rejected by the staleness filter (frame reused before the
     /// crash, page redone during recovery, or partition routing changed).
     pub rejected_stale: usize,
-    /// Entries rejected because the frame's stored bytes failed their
-    /// checksum when probed.
+    /// Entries rejected because their probe failed without quarantining
+    /// the SSD: the frame's stored bytes failed their checksum, or the read
+    /// failed past its retries, within the error budget.
     pub rejected_checksum: usize,
     /// True when the import was aborted by a dead or persistently erroring
     /// SSD; the device is quarantined and the restart proceeds cold.
