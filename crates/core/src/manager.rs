@@ -1484,6 +1484,45 @@ mod tests {
         assert_eq!(m.dirty_count(), 0);
     }
 
+    /// A run read whose first SSD read kills the device quarantines the
+    /// SSD there; every later page of the same run reads the disk. Pages 0
+    /// and 7 hold sole dirty copies, so each mode reads both from the SSD.
+    #[test]
+    fn a_run_read_never_reads_the_ssd_it_quarantined() {
+        let modes = [
+            MultiPageMode::Trim,
+            MultiPageMode::Split,
+            MultiPageMode::DiskOnly,
+        ];
+        for mode in modes {
+            let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 1024, 16)));
+            let mut cfg = SsdConfig::new(SsdDesign::LazyCleaning, 16);
+            cfg.partitions = 1;
+            cfg.multipage = mode;
+            let m = SsdManager::new(cfg, Arc::clone(&io));
+            let (m, salvaged) = recording(m, Some(page(0x33)));
+            for pid in [PageId(0), PageId(7)] {
+                m.evict_page(0, pid, &page(0x33), true, Locality::Random);
+            }
+            let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(5)));
+            io.set_ssd_fault(Some(Arc::clone(&plan)));
+            plan.kill(1);
+            let before = io.ssd_stats().read_ops;
+            let mut clk = Clk::at(turbopool_iosim::SECOND);
+            let pages = m.read_run(&mut clk, PageId(0), 8).unwrap();
+            assert!(m.is_quarantined(), "{mode:?}");
+            assert_eq!(pages[0].as_slice(), page(0x33), "{mode:?}");
+            assert_eq!(pages[7].as_slice(), page(0x33), "{mode:?}");
+            assert_eq!(salvaged.lock().len(), 1, "{mode:?}: one sweep");
+            let s = m.metrics.snapshot();
+            assert_eq!(s.ssd_io_errors, 1, "{mode:?}: an error after quarantine");
+            assert!(
+                io.ssd_stats().read_ops - before <= 1,
+                "{mode:?}: a quarantined SSD was read"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "no log to rebuild it from")]
     fn a_lost_sole_copy_with_no_salvage_target_panics() {
