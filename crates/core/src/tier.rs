@@ -159,12 +159,14 @@ impl SsdManager {
                     out.extend(pages);
                 }
                 // On SSD failure the entry is dropped and the page reread
-                // from disk at `now0`. No `dirty_hits` here: that counts
-                // single-page reads only.
+                // from disk at `now0`; once a failure earlier in the run has
+                // quarantined the SSD, the page reads the disk at once. No
+                // `dirty_hits` here: that counts single-page reads only.
                 RunStep::Ssd(i, frame) => {
                     out.resize_with(out.len().max(i + 1), zero);
                     let pid = first.offset(i as u64);
-                    if self.read_frame(&mut tmp, pid, frame, &mut out[i]) {
+                    if !self.is_quarantined() && self.read_frame(&mut tmp, pid, frame, &mut out[i])
+                    {
                         SsdMetrics::bump(&self.metrics.ssd_hits);
                         self.after_patch(pid);
                     } else {
