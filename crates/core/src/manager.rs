@@ -1872,7 +1872,7 @@ mod tests {
             [
                 0x9FA2_AD91_2CE7_A3AC,
                 0x5081_073D_7612_2E1C,
-                0x593C_4CB3_ACB1_FD66
+                0xA9A5_22AD_83E4_CA42
             ],
             "{got:#X?}"
         );
