@@ -390,7 +390,7 @@ impl Database {
                 let io = Arc::clone(&db.io);
                 let redone = &outcome.redone;
                 warm = Some(mgr.import_table_checked(&mut clk, entries, |pid, frame| {
-                    io.ssd_tag(frame) == Some(pid) && !redone.contains(&pid)
+                    io.ssd_tag(frame) == Some(pid) && redone.binary_search(&pid).is_err()
                 }));
             }
         }

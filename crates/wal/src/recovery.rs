@@ -12,6 +12,7 @@
 //! its committed ranges in log order, one write.
 
 use std::collections::HashSet;
+use std::ops::Add;
 
 use turbopool_iosim::{IoError, MemStore, PageId};
 
@@ -59,9 +60,9 @@ impl RedoStore for DirectStore<'_> {
 pub struct RecoveryOutcome {
     /// Counters.
     pub stats: RecoveryStats,
-    /// Pages whose disk image advanced during redo: their pre-crash SSD
-    /// copies are stale and must not be warm-imported.
-    pub redone: HashSet<PageId>,
+    /// Pages whose disk image advanced during redo, ascending: their
+    /// pre-crash SSD copies are stale and must not be warm-imported.
+    pub redone: Vec<PageId>,
     /// The SSD buffer table embedded in the adopted checkpoint, if any.
     pub ssd_table: Option<Vec<(PageId, u64)>>,
     /// What the log scan found: tail condition, checkpoint adoption.
@@ -217,13 +218,16 @@ fn scan<'a>(log: &'a [u8], page_size: usize, num_pages: u64, ssd_frames: Option<
 /// Three passes, all over the log bytes where they lie. The first verifies
 /// every record and picks the adopted checkpoint ([`scan`]); the second
 /// collects the committed transactions of the suffix that follows it; the
-/// third collects the *positions* of their `PageWrite` records, orders them
-/// by (page, log position), and redoes each page once — one read, the
-/// page's after-images applied in log order, one write — in ascending page
-/// order. Writes of transactions without a commit record are losers (the
-/// crash interrupted their commit before the log flush finished) and are
-/// skipped — which is also correct, because commit-time publication means
-/// no page they touched was ever dirtied in the buffer pool.
+/// third groups the *positions* of their `PageWrite` records by page with a
+/// counting sort ([`ByPage`]: it counts each page's writes, then places
+/// each position at its page's cursor, in 4 bytes per page and 4 per write,
+/// 8 each for a suffix of 4 GiB or more), and redoes each page once — one
+/// read, the page's after-images applied in log order, one write — in
+/// ascending page order. Writes of transactions without a commit record
+/// are losers (the crash interrupted their commit before the log flush
+/// finished) and are skipped — which is also correct, because commit-time
+/// publication means no page they touched was ever dirtied in the buffer
+/// pool.
 ///
 /// `ssd_frames` is the SSD geometry for validating embedded buffer tables
 /// (`None` skips the range check). A checkpoint whose table fails
@@ -246,7 +250,7 @@ pub fn recover(
     db: &mut dyn RedoStore,
     ssd_frames: Option<u64>,
 ) -> Result<RecoveryOutcome, IoError> {
-    replay(log_bytes, db, ssd_frames, None)
+    replay::<u32, u64>(log_bytes, db, ssd_frames, None)
 }
 
 /// Targeted live redo: rebuild the committed content of `pids` onto `db`
@@ -274,61 +278,170 @@ pub fn salvage(
     if pids.is_empty() {
         return Ok(0);
     }
-    Ok(replay(log_bytes, db, None, Some(pids))?.stats.pages_written)
+    Ok(replay::<u32, u64>(log_bytes, db, None, Some(pids))?
+        .stats
+        .pages_written)
 }
 
 /// The one replay routine: [`recover`] is `only = None`, [`salvage`] passes
-/// the pages it wants.
-fn replay(
+/// the pages it wants. Redo indexes its writes in the narrow width `N`
+/// when the replayed suffix fits it and in the wide `W` otherwise; both
+/// callers pass `u32` and `u64`.
+fn replay<N: Width, W: Width>(
     log: &[u8],
     db: &mut dyn RedoStore,
     ssd_frames: Option<u64>,
     only: Option<&HashSet<PageId>>,
 ) -> Result<RecoveryOutcome, IoError> {
-    let page_size = db.page_size();
-    let scan = scan(log, page_size, db.num_pages(), ssd_frames);
-    // Passes 2 and 3 re-read bytes pass 1 verified: no re-hash.
-    let suffix = || RecordReader::verified(&log[..scan.report.valid_len], scan.start);
+    let scan = scan(log, db.page_size(), db.num_pages(), ssd_frames);
+    // Passes 2 and 3 re-read bytes pass 1 verified: no re-hash. Positions
+    // count from the replay start.
+    let suffix = &log[scan.start..scan.report.valid_len];
+    let records = || RecordReader::verified(suffix, 0);
+    let wanted = |pid: PageId| only.is_none_or(|pids| pids.contains(&pid));
 
-    let committed: HashSet<TxId> = suffix()
-        .filter_map(|(_, rec)| match rec {
-            RecordRef::Commit { txid } => Some(txid),
+    let mut committed: HashSet<TxId> = HashSet::new();
+    let mut writes = 0;
+    for (_, rec) in records() {
+        match rec {
+            RecordRef::Commit { txid } => {
+                committed.insert(txid);
+            }
+            RecordRef::PageWrite { pid, .. } if wanted(pid) => writes += 1,
+            _ => {}
+        }
+    }
+    let applied = || {
+        records().filter_map(|(pos, rec)| match rec {
+            RecordRef::PageWrite { txid, pid, .. } if committed.contains(&txid) && wanted(pid) => {
+                Some((pid, pos))
+            }
             _ => None,
         })
-        .collect();
+    };
 
     let mut stats = RecoveryStats {
         records_scanned: scan.records,
         txns_redone: committed.len(),
         ..Default::default()
     };
-    let mut writes: Vec<(PageId, usize)> = Vec::new();
-    for (pos, rec) in suffix() {
-        if let RecordRef::PageWrite { txid, pid, .. } = rec {
-            if only.is_some_and(|pids| !pids.contains(&pid)) {
-                continue;
+    let pages = db.num_pages();
+    let redone = if N::of(suffix.len()).is_some() {
+        redo(db, suffix, &ByPage::<N>::build(pages, applied), &mut stats)?
+    } else {
+        redo(db, suffix, &ByPage::<W>::build(pages, applied), &mut stats)?
+    };
+    stats.writes_skipped = writes - stats.writes_applied;
+    Ok(RecoveryOutcome {
+        stats,
+        redone,
+        ssd_table: scan
+            .table
+            .map(|t| table_entries(t).map(|(p, f)| (PageId(p), f)).collect()),
+        report: scan.report,
+    })
+}
+
+/// An unsigned integer width for [`ByPage`]: its log positions and its
+/// per-page counts are stored in it.
+trait Width: Copy + Add<Output = Self> {
+    const ZERO: Self;
+    const ONE: Self;
+    /// `n` in this width, or `None` when it does not fit.
+    fn of(n: usize) -> Option<Self>;
+    fn get(self) -> usize;
+}
+
+macro_rules! width {
+    ($($t:ty),*) => {$(
+        impl Width for $t {
+            const ZERO: Self = 0;
+            const ONE: Self = 1;
+            fn of(n: usize) -> Option<Self> {
+                Self::try_from(n).ok()
             }
-            if committed.contains(&txid) {
-                writes.push((pid, pos));
-            } else {
-                stats.writes_skipped += 1;
+            fn get(self) -> usize {
+                self as usize
             }
         }
-    }
-    stats.writes_applied = writes.len();
-    // Ascending page order is part of the contract: redo writes are crash
-    // boundaries and fault-plan draws, numbered in the order issued.
-    writes.sort_unstable();
+    )*};
+}
 
-    let mut redone: HashSet<PageId> = HashSet::new();
+width!(u32, u64);
+#[cfg(test)]
+width!(u8);
+
+/// The committed writes to redo, grouped by page with a counting sort:
+/// page `p`'s log positions, in log order, are `at[ends[p - 1]..ends[p]]`
+/// (from 0 for page 0). One `P` per database page and one per write, each
+/// allocated once at its exact size.
+struct ByPage<P> {
+    ends: Vec<P>,
+    at: Vec<P>,
+}
+
+impl<P: Width> ByPage<P> {
+    /// Index the (page, position) pairs that `writes` yields, in log
+    /// order, each call the same ones. Every page is below `pages`, and
+    /// every position and the number of pairs fit in `P`.
+    fn build<I>(pages: u64, writes: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (PageId, usize)>,
+    {
+        // Count each page's writes, then turn the counts into starts.
+        let mut ends = vec![P::ZERO; pages as usize];
+        for (pid, _) in writes() {
+            let n = &mut ends[pid.0 as usize];
+            *n = *n + P::ONE;
+        }
+        let mut sum = P::ZERO;
+        for n in &mut ends {
+            (*n, sum) = (sum, sum + *n);
+        }
+        // Place each position at its page's cursor, which ends at the
+        // page's end.
+        let mut at = vec![P::ZERO; sum.get()];
+        for (pid, pos) in writes() {
+            let cursor = &mut ends[pid.0 as usize];
+            at[cursor.get()] = P::of(pos).expect("the suffix fits the width");
+            *cursor = *cursor + P::ONE;
+        }
+        ByPage { ends, at }
+    }
+
+    /// Each page with writes, ascending, with its writes' positions in log
+    /// order.
+    fn pages(&self) -> impl Iterator<Item = (PageId, &[P])> {
+        let mut start = 0;
+        self.ends.iter().enumerate().filter_map(move |(p, end)| {
+            let run = &self.at[start..end.get()];
+            start = end.get();
+            (!run.is_empty()).then_some((PageId(p as u64), run))
+        })
+    }
+}
+
+/// Redo each page of `index` once, in ascending page order — one read, its
+/// after-images from `suffix` applied in log order, one write — and count
+/// the writes and pages into `stats`. Returns the pages redone, ascending.
+/// The order is part of the contract: redo writes are crash boundaries and
+/// fault-plan draws, numbered in the order issued.
+fn redo<P: Width>(
+    db: &mut dyn RedoStore,
+    suffix: &[u8],
+    index: &ByPage<P>,
+    stats: &mut RecoveryStats,
+) -> Result<Vec<PageId>, IoError> {
+    stats.writes_applied = index.at.len();
+    let page_size = db.page_size();
     let mut page = vec![0u8; page_size];
-    for run in writes.chunk_by(|a, b| a.0 == b.0) {
-        let pid = run[0].0;
+    let mut redone = Vec::new();
+    for (pid, run) in index.pages() {
         db.read(pid, &mut page)?;
-        for &(_, pos) in run {
-            // `pos` is where pass 3 parsed this very record a moment ago.
+        for pos in run {
+            // Pass 3 parsed this very record at `pos` when it indexed it.
             if let Ok((RecordRef::PageWrite { offset, data, .. }, _)) =
-                RecordRef::parse(&log[pos..])
+                RecordRef::parse(&suffix[pos.get()..])
             {
                 let off = offset as usize;
                 debug_assert!(
@@ -339,17 +452,10 @@ fn replay(
             }
         }
         db.write(pid, &page)?;
-        stats.pages_written += 1;
-        redone.insert(pid);
+        redone.push(pid);
     }
-    Ok(RecoveryOutcome {
-        stats,
-        redone,
-        ssd_table: scan
-            .table
-            .map(|t| table_entries(t).map(|(p, f)| (PageId(p), f)).collect()),
-        report: scan.report,
-    })
+    stats.pages_written = redone.len();
+    Ok(redone)
 }
 
 #[cfg(test)]
@@ -806,6 +912,48 @@ mod tests {
         let mut buf = [0u8; 16];
         db.read(PageId(2), &mut buf);
         assert_eq!(buf, [1, 1, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4]);
+    }
+
+    #[test]
+    fn the_index_groups_positions_by_page_in_log_order() {
+        let writes = [(2, 0), (0, 10), (2, 20), (3, 30), (2, 255)];
+        let index = ByPage::<u8>::build(5, || writes.iter().map(|&(p, at)| (PageId(p), at)));
+        let pages: Vec<(PageId, Vec<u8>)> = index
+            .pages()
+            .map(|(pid, run)| (pid, run.to_vec()))
+            .collect();
+        let want = [(0, vec![10]), (2, vec![0, 20, 255]), (3, vec![30])];
+        assert_eq!(pages, want.map(|(p, run)| (PageId(p), run)));
+    }
+
+    #[test]
+    fn a_suffix_too_long_for_the_narrow_width_is_indexed_in_the_wide_one() {
+        let mut recs = Vec::new();
+        for txid in 0..20u64 {
+            recs.push(LogRecord::PageWrite {
+                txid,
+                pid: PageId(txid % 3),
+                offset: (txid % 13) as u32,
+                data: vec![txid as u8; 3],
+            });
+            recs.push(LogRecord::Commit { txid });
+        }
+        let long = encode(&recs);
+        let short = encode(&recs[..8]);
+        assert!(short.len() <= u8::MAX as usize && long.len() > u8::MAX as usize);
+        for log in [short, long] {
+            let (narrow, wide) = (MemStore::new(4, 16), MemStore::new(4, 16));
+            let got = replay::<u8, u32>(&log, &mut DirectStore(&narrow), None, None).unwrap();
+            let want = run(&log, &wide);
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.redone, want.redone);
+            let (mut a, mut b) = ([0u8; 16], [0u8; 16]);
+            for p in 0..4 {
+                narrow.read(PageId(p), &mut a);
+                wide.read(PageId(p), &mut b);
+                assert_eq!(a, b, "page {p}");
+            }
+        }
     }
 
     #[test]
