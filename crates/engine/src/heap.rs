@@ -393,7 +393,7 @@ mod tests {
         txn.commit();
         Outcome {
             durable_len: db.log().durable_len(),
-            log: db.log().durable_snapshot(),
+            log: db.log().durable_handle().with_bytes(<[u8]>::to_vec),
             hits: stats.hits,
             misses: stats.misses,
             pages,

@@ -150,14 +150,6 @@ impl LogManager {
         st.base += cut as Lsn;
     }
 
-    /// A copy of the durable log contents, as recovery would read them
-    /// from the log device after a crash (unflushed bytes are gone) — for
-    /// tests that fingerprint or decode it. Replay reads the log in place
-    /// through [`DurableLog::with_bytes`].
-    pub fn durable_snapshot(&self) -> Vec<u8> {
-        self.state.lock().durable().to_vec()
-    }
-
     /// Fault-injection hook: XOR `mask` into durable byte `byte`, modeling
     /// media corruption of the log file at rest. Returns false (no-op) when
     /// the offset is out of range or the mask is zero.
@@ -297,7 +289,9 @@ mod tests {
         let handle = log.durable_handle();
         drop(log);
         let reopened = handle.reopen(io);
-        let out = crate::record::decode_all(&reopened.durable_snapshot());
+        let out = reopened
+            .durable_handle()
+            .with_bytes(crate::record::decode_all);
         assert_eq!(out.records, vec![LogRecord::Commit { txid: 1 }]);
         assert!(!out.tail.is_damaged());
     }
@@ -319,7 +313,7 @@ mod tests {
         let before = log.durable_len();
         log.checkpoint(&mut clk);
         assert!(log.durable_len() < before);
-        let out = crate::record::decode_all(&log.durable_snapshot());
+        let out = log.durable_handle().with_bytes(crate::record::decode_all);
         assert_eq!(out.records, vec![LogRecord::Checkpoint]);
         // LSNs keep increasing across truncation.
         let lsn = log.append(&LogRecord::Commit { txid: 999 });
@@ -344,7 +338,7 @@ mod tests {
         log.append(&LogRecord::Commit { txid: 2 });
         assert!(!log.flush(&mut clk), "torn flush must report incomplete");
         io.set_crash_switch(None);
-        let out = crate::record::decode_all(&log.durable_snapshot());
+        let out = log.durable_handle().with_bytes(crate::record::decode_all);
         // The final record (txn 2's commit) lost its last byte: txn 2 did
         // not commit, and the damage reads as a torn tail, not corruption.
         assert_eq!(out.records.len(), 2, "commit{{1}} + pagewrite{{2}}");
@@ -378,13 +372,13 @@ mod tests {
         log.append(&LogRecord::Commit { txid: 2 });
         log.flush(&mut clk);
         assert!(log.corrupt_durable(clean_len + 2, 0x10));
-        let out = crate::record::decode_all(&log.durable_snapshot());
+        let out = log.durable_handle().with_bytes(crate::record::decode_all);
         assert_eq!(out.records, vec![LogRecord::Commit { txid: 1 }]);
         assert!(out.tail.is_damaged());
         assert_eq!(out.valid_len, clean_len);
         // Repair: drop the damaged region; the log decodes clean again.
         log.durable_handle().truncate_to_valid(out.valid_len);
-        let out = crate::record::decode_all(&log.durable_snapshot());
+        let out = log.durable_handle().with_bytes(crate::record::decode_all);
         assert_eq!(out.records, vec![LogRecord::Commit { txid: 1 }]);
         assert!(!out.tail.is_damaged());
         // Out-of-range / zero-mask corruption requests are no-ops.

@@ -91,7 +91,7 @@ fn run_mix(db: &Database) -> (u64, usize, u64) {
     let nodes = im.cursor.load(std::sync::atomic::Ordering::Relaxed);
     assert!(nodes > 20, "mix must split leaves and the root ({nodes})");
 
-    let log = db.log().durable_snapshot();
+    let log = db.log().durable_handle().with_bytes(<[u8]>::to_vec);
     let mut images = Vec::new();
     let mut txn = db.begin(&mut clk);
     for p in 0..DB_PAGES {
