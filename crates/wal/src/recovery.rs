@@ -217,17 +217,17 @@ fn scan<'a>(log: &'a [u8], page_size: usize, num_pages: u64, ssd_frames: Option<
 ///
 /// Three passes, all over the log bytes where they lie. The first verifies
 /// every record and picks the adopted checkpoint ([`scan`]); the second
-/// collects the committed transactions of the suffix that follows it; the
-/// third groups the *positions* of their `PageWrite` records by page with a
-/// counting sort ([`ByPage`]: it counts each page's writes, then places
-/// each position at its page's cursor, in 4 bytes per page and 4 per write,
-/// 8 each for a suffix of 4 GiB or more), and redoes each page once — one
-/// read, the page's after-images applied in log order, one write — in
-/// ascending page order. Writes of transactions without a commit record
-/// are losers (the crash interrupted their commit before the log flush
-/// finished) and are skipped — which is also correct, because commit-time
-/// publication means no page they touched was ever dirtied in the buffer
-/// pool.
+/// collects the committed transactions of the suffix that follows it and
+/// counts each page's writes; the third groups the *positions* of the
+/// committed `PageWrite` records by page with a counting sort
+/// ([`ByPage`]: each position goes to its page's cursor, in 4 bytes per
+/// write and 8 per page, twice that for a suffix of 4 GiB or more) and
+/// redoes each page once — one read, the page's after-images applied in
+/// log order, one write — in ascending page order. Writes of
+/// transactions without a commit record are losers (the crash interrupted
+/// their commit before the log flush finished) and are skipped — which is
+/// also correct, because commit-time publication means no page they
+/// touched was ever dirtied in the buffer pool.
 ///
 /// `ssd_frames` is the SSD geometry for validating embedded buffer tables
 /// (`None` skips the range check). A checkpoint whose table fails
@@ -284,7 +284,7 @@ pub fn salvage(
 }
 
 /// The one replay routine: [`recover`] is `only = None`, [`salvage`] passes
-/// the pages it wants. Redo indexes its writes in the narrow width `N`
+/// the pages it wants. Redo stores log positions in the narrow width `N`
 /// when the replayed suffix fits it and in the wide `W` otherwise; both
 /// callers pass `u32` and `u64`.
 fn replay<N: Width, W: Width>(
@@ -294,44 +294,16 @@ fn replay<N: Width, W: Width>(
     only: Option<&HashSet<PageId>>,
 ) -> Result<RecoveryOutcome, IoError> {
     let scan = scan(log, db.page_size(), db.num_pages(), ssd_frames);
-    // Passes 2 and 3 re-read bytes pass 1 verified: no re-hash. Positions
-    // count from the replay start.
     let suffix = &log[scan.start..scan.report.valid_len];
-    let records = || RecordReader::verified(suffix, 0);
-    let wanted = |pid: PageId| only.is_none_or(|pids| pids.contains(&pid));
-
-    let mut committed: HashSet<TxId> = HashSet::new();
-    let mut writes = 0;
-    for (_, rec) in records() {
-        match rec {
-            RecordRef::Commit { txid } => {
-                committed.insert(txid);
-            }
-            RecordRef::PageWrite { pid, .. } if wanted(pid) => writes += 1,
-            _ => {}
-        }
-    }
-    let applied = || {
-        records().filter_map(|(pos, rec)| match rec {
-            RecordRef::PageWrite { txid, pid, .. } if committed.contains(&txid) && wanted(pid) => {
-                Some((pid, pos))
-            }
-            _ => None,
-        })
-    };
-
     let mut stats = RecoveryStats {
         records_scanned: scan.records,
-        txns_redone: committed.len(),
         ..Default::default()
     };
-    let pages = db.num_pages();
     let redone = if N::of(suffix.len()).is_some() {
-        redo(db, suffix, &ByPage::<N>::build(pages, applied), &mut stats)?
+        redo::<N>(db, suffix, only, &mut stats)?
     } else {
-        redo(db, suffix, &ByPage::<W>::build(pages, applied), &mut stats)?
+        redo::<W>(db, suffix, only, &mut stats)?
     };
-    stats.writes_skipped = writes - stats.writes_applied;
     Ok(RecoveryOutcome {
         stats,
         redone,
@@ -340,6 +312,76 @@ fn replay<N: Width, W: Width>(
             .map(|t| table_entries(t).map(|(p, f)| (PageId(p), f)).collect()),
         report: scan.report,
     })
+}
+
+/// Passes 2 and 3 over `suffix`, the records after the anchor, with log
+/// positions (counted from the suffix's start) and counts stored in `P`.
+/// Pass 1 verified these bytes: no re-hash. Pass 2 collects the committed
+/// transactions and counts each wanted page's writes; pass 3 indexes the
+/// committed ones by page ([`ByPage`]) and redoes each page once, in
+/// ascending page order — one read, its after-images applied in log
+/// order, one write. The order is part of the contract: redo writes are
+/// crash boundaries and fault-plan draws, numbered in the order issued.
+/// Returns the pages redone, ascending.
+fn redo<P: Width>(
+    db: &mut dyn RedoStore,
+    suffix: &[u8],
+    only: Option<&HashSet<PageId>>,
+    stats: &mut RecoveryStats,
+) -> Result<Vec<PageId>, IoError> {
+    let records = || RecordReader::verified(suffix, 0);
+    let wanted = |pid: PageId| only.is_none_or(|pids| pids.contains(&pid));
+    let mut committed: HashSet<TxId> = HashSet::new();
+    let mut counts = vec![P::ZERO; db.num_pages() as usize];
+    for (_, rec) in records() {
+        match rec {
+            RecordRef::Commit { txid } => {
+                committed.insert(txid);
+            }
+            RecordRef::PageWrite { pid, .. } if wanted(pid) => {
+                let n = &mut counts[pid.0 as usize];
+                *n = *n + P::ONE;
+            }
+            _ => {}
+        }
+    }
+    let index = ByPage::build(
+        counts,
+        records().filter_map(|(pos, rec)| match rec {
+            RecordRef::PageWrite { txid, pid, .. } if wanted(pid) && committed.contains(&txid) => {
+                Some((pid, pos))
+            }
+            _ => None,
+        }),
+    );
+    stats.txns_redone = committed.len();
+    drop(committed);
+
+    let page_size = db.page_size();
+    let mut page = vec![0u8; page_size];
+    let mut redone = Vec::new();
+    for (pid, run) in index.pages() {
+        db.read(pid, &mut page)?;
+        for pos in run {
+            // Pass 3 parsed this very record at `pos` when it indexed it.
+            if let Ok((RecordRef::PageWrite { offset, data, .. }, _)) =
+                RecordRef::parse(&suffix[pos.get()..])
+            {
+                let off = offset as usize;
+                debug_assert!(
+                    off + data.len() <= page_size,
+                    "pass 1 ends the log before a record that exceeds page bounds"
+                );
+                page[off..off + data.len()].copy_from_slice(data);
+            }
+        }
+        db.write(pid, &page)?;
+        stats.writes_applied += run.len();
+        redone.push(pid);
+    }
+    stats.writes_skipped = index.at.len() - stats.writes_applied;
+    stats.pages_written = redone.len();
+    Ok(redone)
 }
 
 /// An unsigned integer width for [`ByPage`]: its log positions and its
@@ -371,91 +413,46 @@ width!(u32, u64);
 #[cfg(test)]
 width!(u8);
 
-/// The committed writes to redo, grouped by page with a counting sort:
-/// page `p`'s log positions, in log order, are `at[ends[p - 1]..ends[p]]`
-/// (from 0 for page 0). One `P` per database page and one per write, each
-/// allocated once at its exact size.
+/// The committed writes to redo, grouped by page with a counting sort.
+/// Page `p` owns one slot per write it has in the suffix, from
+/// `starts[p]` on; its committed writes' log positions fill
+/// `at[starts[p]..ends[p]]` in log order, and a loser's slot stays empty.
+/// One `P` per slot and two per database page, each allocated once.
 struct ByPage<P> {
+    starts: Vec<P>,
     ends: Vec<P>,
     at: Vec<P>,
 }
 
 impl<P: Width> ByPage<P> {
-    /// Index the (page, position) pairs that `writes` yields, in log
-    /// order, each call the same ones. Every page is below `pages`, and
-    /// every position and the number of pairs fit in `P`.
-    fn build<I>(pages: u64, writes: impl Fn() -> I) -> Self
-    where
-        I: Iterator<Item = (PageId, usize)>,
-    {
-        // Count each page's writes, then turn the counts into starts.
-        let mut ends = vec![P::ZERO; pages as usize];
-        for (pid, _) in writes() {
-            let n = &mut ends[pid.0 as usize];
-            *n = *n + P::ONE;
-        }
+    /// Lay out `counts[p]` slots for each page `p`, then place each of the
+    /// `committed` (page, position) pairs, which come in log order, at its
+    /// page's cursor. Every position and the sum of `counts` fit in `P`.
+    fn build(counts: Vec<P>, committed: impl Iterator<Item = (PageId, usize)>) -> Self {
+        let mut starts = counts;
         let mut sum = P::ZERO;
-        for n in &mut ends {
+        for n in &mut starts {
             (*n, sum) = (sum, sum + *n);
         }
-        // Place each position at its page's cursor, which ends at the
-        // page's end.
+        let mut ends = starts.clone();
         let mut at = vec![P::ZERO; sum.get()];
-        for (pid, pos) in writes() {
+        for (pid, pos) in committed {
             let cursor = &mut ends[pid.0 as usize];
             at[cursor.get()] = P::of(pos).expect("the suffix fits the width");
             *cursor = *cursor + P::ONE;
         }
-        ByPage { ends, at }
+        ByPage { starts, ends, at }
     }
 
-    /// Each page with writes, ascending, with its writes' positions in log
-    /// order.
+    /// Each page with committed writes, ascending, with their positions in
+    /// log order.
     fn pages(&self) -> impl Iterator<Item = (PageId, &[P])> {
-        let mut start = 0;
-        self.ends.iter().enumerate().filter_map(move |(p, end)| {
-            let run = &self.at[start..end.get()];
-            start = end.get();
+        let runs = self.starts.iter().zip(&self.ends).enumerate();
+        runs.filter_map(|(p, (start, end))| {
+            let run = &self.at[start.get()..end.get()];
             (!run.is_empty()).then_some((PageId(p as u64), run))
         })
     }
-}
-
-/// Redo each page of `index` once, in ascending page order — one read, its
-/// after-images from `suffix` applied in log order, one write — and count
-/// the writes and pages into `stats`. Returns the pages redone, ascending.
-/// The order is part of the contract: redo writes are crash boundaries and
-/// fault-plan draws, numbered in the order issued.
-fn redo<P: Width>(
-    db: &mut dyn RedoStore,
-    suffix: &[u8],
-    index: &ByPage<P>,
-    stats: &mut RecoveryStats,
-) -> Result<Vec<PageId>, IoError> {
-    stats.writes_applied = index.at.len();
-    let page_size = db.page_size();
-    let mut page = vec![0u8; page_size];
-    let mut redone = Vec::new();
-    for (pid, run) in index.pages() {
-        db.read(pid, &mut page)?;
-        for pos in run {
-            // Pass 3 parsed this very record at `pos` when it indexed it.
-            if let Ok((RecordRef::PageWrite { offset, data, .. }, _)) =
-                RecordRef::parse(&suffix[pos.get()..])
-            {
-                let off = offset as usize;
-                debug_assert!(
-                    off + data.len() <= page_size,
-                    "pass 1 ends the log before a record that exceeds page bounds"
-                );
-                page[off..off + data.len()].copy_from_slice(data);
-            }
-        }
-        db.write(pid, &page)?;
-        redone.push(pid);
-    }
-    stats.pages_written = redone.len();
-    Ok(redone)
 }
 
 #[cfg(test)]
@@ -916,8 +913,11 @@ mod tests {
 
     #[test]
     fn the_index_groups_positions_by_page_in_log_order() {
-        let writes = [(2, 0), (0, 10), (2, 20), (3, 30), (2, 255)];
-        let index = ByPage::<u8>::build(5, || writes.iter().map(|&(p, at)| (PageId(p), at)));
+        // Page 2 has a fourth write, a loser's: its slot stays empty.
+        let counts = vec![1, 0, 4, 1, 0];
+        let committed = [(2, 0), (0, 10), (2, 20), (3, 30), (2, 255)];
+        let index =
+            ByPage::<u8>::build(counts, committed.map(|(p, at)| (PageId(p), at)).into_iter());
         let pages: Vec<(PageId, Vec<u8>)> = index
             .pages()
             .map(|(pid, run)| (pid, run.to_vec()))
