@@ -11,14 +11,14 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::Table;
+use turbopool_bench::{print_digest, Table};
 use turbopool_bufpool::{
     BufferPool, BufferPoolConfig, ClassifierKind, DirectIo, PageIo, ScanCursor,
 };
 use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign, SsdManager};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, HOUR, MILLISECOND, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
-use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, DbStats, OltpKind, RunOptions};
 use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
@@ -78,8 +78,8 @@ fn classifier_accuracy() {
 }
 
 /// §2.5 — SSD space wasted on logically invalid pages under TAC.
-/// Returns the virtual ns it drove and the driver steps.
-fn tac_waste() -> (u64, u64) {
+/// Returns the driver steps.
+fn tac_waste() -> u64 {
     println!("\n== Ablation 2: TAC logical-invalidation waste (§2.5) ==\n");
     let quick = turbopool_bench::quick();
     let cases: &[(&str, u64, f64)] = if quick {
@@ -117,7 +117,10 @@ fn tac_waste() -> (u64, u64) {
         ]);
     }
     table.print();
-    (hours * cells.len() as u64, set.steps)
+    for (&(label, ..), run) in cases.iter().zip(&set.runs) {
+        print_digest(&format!("TAC {label}"), run.stats.digest(run.steps));
+    }
+    set.steps
 }
 
 /// §3.3.3 — multi-page read handling.
@@ -273,6 +276,7 @@ fn filling() {
         "SSD hit%",
         "fill admissions",
     ]);
+    let mut digests = Vec::new();
     for (label, tau) in [("95% (on)", 0.95), ("0% (off)", 0.0)] {
         let cfg = SyntheticConfig {
             rows: 800_000,
@@ -306,8 +310,13 @@ fn filling() {
             format!("{:.0}%", m.hit_rate() * 100.0),
             format!("{}", m.fill_admissions),
         ]);
+        // No driver: the scan and the lookups run on this thread.
+        digests.push((format!("tau={label}"), DbStats::of(&s.db).digest(0)));
     }
     table.print();
+    for (label, digest) in digests {
+        print_digest(&label, digest);
+    }
 }
 
 /// §3.3.2 — throttle control under SSD admission storms.
@@ -318,8 +327,8 @@ fn filling() {
 /// (20,000 eviction-admissions in one go — a pool flush's worth). With
 /// mu = 100 the storm is shed; without it, every storm books ~27 virtual
 /// minutes of SSD time that the readers must queue behind. Returns the
-/// virtual ns it drove and the driver steps.
-fn throttle() -> (u64, u64) {
+/// driver steps.
+fn throttle() -> u64 {
     println!("\n== Ablation 6: throttle control mu=100 vs off (§3.3.2) ==\n");
     let hours = if turbopool_bench::quick() {
         HOUR
@@ -333,6 +342,7 @@ fn throttle() -> (u64, u64) {
         "ssd writes",
     ]);
     let mut steps = 0;
+    let mut digests = Vec::new();
 
     struct AdmissionStorm {
         s: Arc<Synthetic>,
@@ -406,6 +416,7 @@ fn throttle() -> (u64, u64) {
         );
         d.run_until(HOUR + hours);
         steps += d.steps();
+        digests.push((format!("mu={label}"), DbStats::of(&s.db).digest(d.steps())));
         let m = s.db.ssd_metrics().unwrap();
         table.row(vec![
             label.to_string(),
@@ -417,19 +428,19 @@ fn throttle() -> (u64, u64) {
     table.print();
     println!("(the throttle sheds the storm, keeping reads fast; without it the");
     println!(" readers queue behind tens of minutes of optional SSD writes)");
-    (2 * (HOUR + hours), steps)
+    for (label, digest) in digests {
+        print_digest(&label, digest);
+    }
+    steps
 }
 
 fn main() {
     let timer = turbopool_bench::WallTimer::start();
     classifier_accuracy();
-    let tac = tac_waste();
+    let tac_steps = tac_waste();
     multipage();
     partitioning();
     filling();
-    let storm = throttle();
-    let (virtual_ns, steps) = (tac.0 + storm.0, tac.1 + storm.1);
-    turbopool_bench::BenchReport::new("ablation")
-        .standard(timer.secs(), virtual_ns, steps)
-        .emit();
+    let storm_steps = throttle();
+    timer.print_timing("ablation", tac_steps + storm_steps);
 }

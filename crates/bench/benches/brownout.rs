@@ -7,16 +7,18 @@
 //! and the SSD designs must keep a decisive edge over noSSD even while
 //! their SSD is browned out.
 //!
-//! Emits `BENCH_brownout.json` with per-design throughput over the
-//! warm, degraded and recovered windows, plus the throttle counters. Asserts CW/DW/LC retain >= 2x noSSD throughput during the
-//! degraded window. `TURBO_QUICK` shortens the run.
+//! Prints per-design throughput over the warm, degraded and recovered
+//! windows, the throttle counters and each design's `digest` line.
+//! Asserts CW/DW/LC retain >= 2x noSSD throughput during the degraded
+//! window. `TURBO_QUICK` shortens the run.
 
 use std::sync::Arc;
 
-use turbopool_bench::{quick, BenchReport, Json, WallTimer};
+use turbopool_bench::{print_digest, quick, WallTimer};
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Time, HOUR, MINUTE, SECOND};
 use turbopool_workload::driver::{CleanerClient, Driver, ThroughputRecorder};
+use turbopool_workload::runs::DbStats;
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
@@ -98,9 +100,7 @@ fn main() {
 
     let timer = WallTimer::start();
     driver.run_until(total);
-    let wall = timer.secs();
 
-    let mut rows = Vec::new();
     let mut rates = Vec::new();
     println!(
         "== brownout: {CLIENTS} clients/design, stalls {FACTOR}x for {}min every {}min over the middle third ==",
@@ -115,35 +115,8 @@ fn main() {
             "{:<6} warm={warm:>8.2}/s degraded={degraded:>8.2}/s recovered={recovered:>8.2}/s",
             run.label
         );
-        let mut fields = vec![
-            ("design".to_string(), Json::Str(run.label.clone())),
-            ("warm_per_sec".to_string(), Json::Num(warm)),
-            ("degraded_per_sec".to_string(), Json::Num(degraded)),
-            ("recovered_per_sec".to_string(), Json::Num(recovered)),
-            ("total_commits".to_string(), Json::Int(run.rec.total())),
-        ];
-        fields.push((
-            "pool_counters".to_string(),
-            Json::counters(run.s.db.pool_stats().fields()),
-        ));
         if let Some(m) = run.s.db.ssd_metrics() {
-            // The full counter block (every SsdMetrics field), plus the
-            // headline throttle numbers at top level for dashboards.
-            fields.push(("ssd_counters".to_string(), Json::counters(m.fields())));
-            fields.push(("throttled_reads".to_string(), Json::Int(m.throttled_reads)));
-            fields.push((
-                "throttled_admissions".to_string(),
-                Json::Int(m.throttled_admissions),
-            ));
             let f = run.s.db.io().ssd_fault().expect("plan attached");
-            fields.push((
-                "fault_counters".to_string(),
-                Json::counters(f.stats().fields()),
-            ));
-            fields.push((
-                "brownout_slowdowns".to_string(),
-                Json::Int(f.stats().brownout_slowdowns),
-            ));
             println!(
                 "       throttled_reads={} throttled_admissions={} slowdowns={}",
                 m.throttled_reads,
@@ -154,7 +127,6 @@ fn main() {
         if std::env::var_os("TURBO_SERIES").is_some() {
             println!("       series: {:?}", run.rec.series_per_minute());
         }
-        rows.push(Json::Obj(fields));
         rates.push((run.label.clone(), degraded));
     }
 
@@ -175,15 +147,9 @@ fn main() {
         }
     }
     println!("all of CW/DW/LC held >= 2x noSSD through the brownout");
-
-    let mut report = BenchReport::new("brownout");
-    report
-        .standard(wall, total * designs.len() as u64, driver.steps())
-        .int("degrade_start_ns", degrade_start)
-        .int("degrade_end_ns", degrade_end)
-        .int("stall_period_ns", STALL_PERIOD)
-        .int("stall_len_ns", STALL_LEN)
-        .int("stall_factor", FACTOR as u64)
-        .set("designs", Json::Arr(rows));
-    report.emit();
+    for (domain, run) in runs.iter().enumerate() {
+        let steps = driver.steps_in(domain);
+        print_digest(&run.label, DbStats::of(&run.s.db).digest(steps));
+    }
+    timer.print_timing("brownout", driver.steps());
 }

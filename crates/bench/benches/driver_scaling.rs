@@ -13,24 +13,22 @@
 //! Each driver sweep times two modes — *alone*: every domain in its own
 //! driver, one after another; *together*: all domains in one driver —
 //! and asserts that per-domain results are bit-identical across modes
-//! and reps. Each cell is timed several times and reported as median
-//! and min–max in `BENCH_driver_scaling.json`: five reps per cell in
-//! full mode; under `TURBO_QUICK` (shorter runs, contention capped at 4
-//! threads) three for the contention cells and one for the driver
-//! sweeps. Each cell records the host's core count, and
-//! `speedup_vs_alone` (median over median) is only computed when the
-//! host can actually run threads in parallel — a single-core runner
-//! otherwise "reports" meaningless slowdowns.
+//! and reps, and prints each domain's `digest` line. Each cell is timed
+//! several times and printed as median and min–max: five reps per cell
+//! in full mode; under `TURBO_QUICK` (shorter runs, contention capped at
+//! 4 threads) three for the contention cells and one for the driver
+//! sweeps. The *together* line's `speedup_vs_alone` (median over median)
+//! is only computed when the host can actually run threads in parallel —
+//! a single-core runner otherwise "reports" meaningless slowdowns.
 
 use std::sync::Arc;
 
-use turbopool_bench::{quick, BenchReport, Json, WallTimer};
+use turbopool_bench::{print_digest, quick, WallTimer};
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
-use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, Time, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
-use turbopool_workload::runs::{run_oltp, Cell, OltpKind, OltpSet, RunOptions};
+use turbopool_workload::runs::{run_oltp, Cell, DbStats, OltpKind, OltpSet, RunOptions};
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
@@ -64,8 +62,8 @@ impl Mode {
 struct Sample {
     drive_secs: f64,
     steps: u64,
-    /// Per-domain fingerprints, compared across reps and modes.
-    fingerprint: Vec<(String, u64)>,
+    /// Per-domain digests, compared across reps and modes.
+    digests: Vec<(String, u64)>,
 }
 
 /// Median and range of one cell's wall-clock reps (odd rep counts only,
@@ -88,37 +86,8 @@ fn spread(mut secs: Vec<f64>) -> Spread {
     }
 }
 
-fn cell_json(mode: Mode, steps: u64, t: &Spread, baseline_secs: f64) -> Json {
-    let cores = host_cores();
-    // On a single-core host the multi-threaded cell measures scheduler
-    // overhead, not scaling; emit null rather than a misleading number.
-    let speedup = if cores > 1 && t.median > 0.0 {
-        Json::Num(baseline_secs / t.median)
-    } else {
-        Json::Null
-    };
-    Json::Obj(vec![
-        ("mode".to_string(), Json::Str(mode.label().to_string())),
-        ("cores".to_string(), Json::Int(cores)),
-        ("reps".to_string(), Json::Int(t.reps as u64)),
-        ("drive_secs".to_string(), Json::Num(t.median)),
-        ("drive_secs_min".to_string(), Json::Num(t.min)),
-        ("drive_secs_max".to_string(), Json::Num(t.max)),
-        ("steps".to_string(), Json::Int(steps)),
-        (
-            "steps_per_sec".to_string(),
-            Json::Num(if t.median > 0.0 {
-                steps as f64 / t.median
-            } else {
-                0.0
-            }),
-        ),
-        ("speedup_vs_alone".to_string(), speedup),
-    ])
-}
-
-/// Run the fig6-quick OLTP panel in `mode` and fingerprint each
-/// design's result with its commit count.
+/// Run the fig6-quick OLTP panel in `mode` and digest each design's
+/// result.
 fn oltp_sample(mode: Mode, duration: Time) -> Sample {
     let cells = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd]
         .map(|d| Cell::new(OltpKind::TpcC { warehouses: 20 }, d, RunOptions::tpcc()));
@@ -132,20 +101,12 @@ fn oltp_sample(mode: Mode, duration: Time) -> Sample {
     Sample {
         drive_secs: sets.iter().map(|s| s.drive_secs).sum(),
         steps: sets.iter().map(|s| s.steps).sum(),
-        fingerprint: sets
+        digests: sets
             .iter()
             .flat_map(|s| &s.runs)
-            .map(|run| (run.design.label().to_string(), run.metric.total()))
+            .map(|run| (run.design.label().to_string(), run.stats.digest(run.steps)))
             .collect(),
     }
-}
-
-/// Sum a few SSD counters into one order-insensitive fingerprint word.
-fn metrics_word(m: &SsdMetricsSnapshot) -> u64 {
-    m.ssd_hits
-        .wrapping_add(m.admissions.wrapping_mul(3))
-        .wrapping_add(m.ssd_io_errors.wrapping_mul(5))
-        .wrapping_add(m.checksum_misses.wrapping_mul(7))
 }
 
 /// Run the fault matrix in `mode`: eight (design × fault) domains of
@@ -187,35 +148,33 @@ fn fault_sample(mode: Mode, duration: Time) -> Sample {
                     Box::new(s.client(c, Arc::clone(&rec))),
                 );
             }
-            handles.push((format!("{}/{fault}", design.label()), s, rec));
+            handles.push((format!("{}/{fault}", design.label()), s));
         }
     }
     let timer = WallTimer::start();
     drivers.iter_mut().for_each(|d| d.run_until(duration));
     let drive_secs = timer.secs();
-    let fingerprint = handles
+    let digests = handles
         .iter()
-        .map(|(label, s, rec)| {
-            let m = s.db.ssd_metrics().expect("matrix designs have an SSD");
-            (
-                label.clone(),
-                rec.total().wrapping_mul(31) ^ metrics_word(&m),
-            )
+        .enumerate()
+        .map(|(domain, (label, s))| {
+            let steps = drivers[domain % n].steps_in(domain);
+            (label.clone(), DbStats::of(&s.db).digest(steps))
         })
         .collect();
     Sample {
         drive_secs,
         steps: drivers.iter().map(Driver::steps).sum(),
-        fingerprint,
+        digests,
     }
 }
 
 /// Time both modes `reps` times. Every run of the sweep — each rep in
-/// each mode — must reproduce the first run's fingerprints and step
-/// count; that count comes back with the cells.
-fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> (u64, Vec<Json>) {
+/// each mode — must reproduce the first run's digests and step count;
+/// that count comes back.
+fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> u64 {
     let mut base: Option<Sample> = None;
-    let mut cells: Vec<(Mode, Spread)> = Vec::new();
+    let mut alone_secs = 0.0;
     for mode in [Mode::Alone, Mode::Together] {
         let mut secs = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -225,8 +184,8 @@ fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> (u64, 
                 None => base = Some(s),
                 Some(b) => {
                     assert_eq!(
-                        s.fingerprint,
-                        b.fingerprint,
+                        s.digests,
+                        b.digests,
                         "{name}: results diverged from the first run ({} mode)",
                         mode.label()
                     );
@@ -235,24 +194,36 @@ fn sweep(name: &str, reps: usize, mut run: impl FnMut(Mode) -> Sample) -> (u64, 
             }
         }
         let t = spread(secs);
+        // On a single-core host the multi-threaded cell measures scheduler
+        // overhead, not scaling: no speedup is printed there.
+        let speedup = match mode {
+            Mode::Alone => {
+                alone_secs = t.median;
+                String::new()
+            }
+            Mode::Together if host_cores() > 1 && t.median > 0.0 => {
+                format!(" speedup_vs_alone={:.2}x", alone_secs / t.median)
+            }
+            Mode::Together => format!(" speedup_vs_alone=n/a ({} core)", host_cores()),
+        };
         println!(
-            "{name:<14} {:<8} drive_secs={:.3} (min {:.3} max {:.3}, {} reps)",
+            "{name:<14} {:<8} drive_secs={:.3} (min {:.3} max {:.3}, {} reps){speedup}",
             mode.label(),
             t.median,
             t.min,
             t.max,
             t.reps
         );
-        cells.push((mode, t));
     }
-    let steps = base.expect("a sweep has at least one run").steps;
-    println!("{name:<14} steps={steps}, results identical across both modes and all reps");
-    let baseline_secs = cells[0].1.median;
-    let json = cells
-        .iter()
-        .map(|(mode, t)| cell_json(*mode, steps, t, baseline_secs))
-        .collect();
-    (steps, json)
+    let base = base.expect("a sweep has at least one run");
+    println!(
+        "{name:<14} steps={}, results identical across both modes and all reps",
+        base.steps
+    );
+    for (label, digest) in &base.digests {
+        print_digest(label, *digest);
+    }
+    base.steps
 }
 
 // ---------------------------------------------------------------------
@@ -322,7 +293,7 @@ fn contention_run(threads: usize, gets_per_thread: u64) -> (f64, u64) {
 }
 
 /// One contention cell: `reps` runs, reported at the median-wall run.
-fn contention_cell(threads: usize, gets_per_thread: u64, reps: usize) -> Json {
+fn contention_cell(threads: usize, gets_per_thread: u64, reps: usize) {
     let mut runs: Vec<(f64, u64)> = (0..reps)
         .map(|_| contention_run(threads, gets_per_thread))
         .collect();
@@ -341,24 +312,6 @@ fn contention_cell(threads: usize, gets_per_thread: u64, reps: usize) -> Json {
         t.median,
         contended as f64 / gets as f64,
     );
-    Json::Obj(vec![
-        ("threads".to_string(), Json::Int(threads as u64)),
-        ("cores".to_string(), Json::Int(host_cores())),
-        ("reps".to_string(), Json::Int(t.reps as u64)),
-        ("wall_secs".to_string(), Json::Num(t.median)),
-        ("gets".to_string(), Json::Int(gets)),
-        ("gets_per_sec".to_string(), Json::Num(rate(t.median))),
-        ("gets_per_sec_min".to_string(), Json::Num(rate(t.max))),
-        ("gets_per_sec_max".to_string(), Json::Num(rate(t.min))),
-        // Asserted equal to `gets` in every rep.
-        ("shard_acquisitions".to_string(), Json::Int(gets)),
-        ("latch_acq_per_get".to_string(), Json::Num(1.0)),
-        ("shard_contended".to_string(), Json::Int(contended)),
-        (
-            "contended_share".to_string(),
-            Json::Num(contended as f64 / gets as f64),
-        ),
-    ])
 }
 
 fn main() {
@@ -373,36 +326,22 @@ fn main() {
     let timer = WallTimer::start();
 
     println!("== driver_scaling: fig6-quick (TPC-C 2K, 4 design domains) ==");
-    let (oltp_steps, oltp) = sweep("oltp", driver_reps, |m| {
+    let oltp_steps = sweep("oltp", driver_reps, |m| {
         oltp_sample(m, oltp_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: fault matrix (4 designs x 2 fault streams) ==");
-    let (fault_steps, faults) = sweep("fault_matrix", driver_reps, |m| {
+    let fault_steps = sweep("fault_matrix", driver_reps, |m| {
         fault_sample(m, fault_minutes * MINUTE)
     });
 
     println!("\n== driver_scaling: pool table-latch contention (1 shared pool) ==");
     let gets_per_thread: u64 = if quick { 500_000 } else { 2_000_000 };
-    let contention: Vec<Json> = thread_counts
-        .iter()
-        .map(|&threads| contention_cell(threads, gets_per_thread, contention_reps))
-        .collect();
+    for &threads in thread_counts {
+        contention_cell(threads, gets_per_thread, contention_reps);
+    }
 
-    let virtual_ns =
-        (oltp_minutes * MINUTE).saturating_mul(4) + (fault_minutes * MINUTE).saturating_mul(8);
     // Each sweep runs every rep in both modes, with one step count.
     let runs = (2 * driver_reps) as u64;
-    let mut report = BenchReport::new("driver_scaling");
-    report
-        .standard(
-            timer.secs(),
-            virtual_ns * runs,
-            (oltp_steps + fault_steps) * runs,
-        )
-        .set("oltp", Json::Arr(oltp))
-        .set("fault_matrix", Json::Arr(faults))
-        .set("pool_contention", Json::Arr(contention))
-        .int("cores", host_cores());
-    report.emit();
+    timer.print_timing("driver_scaling", (oltp_steps + fault_steps) * runs);
 }

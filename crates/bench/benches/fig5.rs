@@ -13,8 +13,7 @@
 //!
 //! Env: TURBO_HOURS (default 10), TURBO_QUICK.
 
-use turbopool_bench::{quick, run_hours, tpch_scales, BenchReport, Table, WallTimer};
-use turbopool_iosim::Time;
+use turbopool_bench::{print_digest, quick, run_hours, tpch_scales, Table, WallTimer};
 use turbopool_workload::runs::{run_oltp, run_tpch, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
@@ -24,13 +23,6 @@ const DESIGNS: [Design; 4] = [Design::NoSsd, Design::Dw, Design::Lc, Design::Tac
 /// One database: its label, its scaled size (warehouses or customers)
 /// and the paper's DW/LC/TAC speedups.
 type Case = (&'static str, u64, [f64; 3]);
-
-/// Steps and virtual time the bench drove, for `BENCH_fig5.json`.
-#[derive(Default)]
-struct Tally {
-    steps: u64,
-    virtual_ns: Time,
-}
 
 /// The full-mode cases, or the middle one under `TURBO_QUICK`.
 fn cases(all: &[Case; 3]) -> &[Case] {
@@ -42,14 +34,15 @@ fn cases(all: &[Case; 3]) -> &[Case] {
 }
 
 /// Run each database's panel as one list of `cell`s and print the
-/// section's table. The panel of size `cw_on` also runs a CW cell, and
-/// the §4.1 CW-vs-DW/LC gaps (in %) come back for printing later.
+/// section's table and its cells' digests, adding the driver steps to
+/// `steps`. The panel of size `cw_on` also runs a CW cell, and the §4.1
+/// CW-vs-DW/LC gaps (in %) come back for printing later.
 fn oltp_section(
     (name, metric_name): (&str, &str),
     cases: &[Case],
     cell: impl Fn(u64, Design) -> Cell,
     cw_on: Option<u64>,
-    tally: &mut Tally,
+    steps: &mut u64,
 ) -> Option<(f64, f64)> {
     println!("\n== Figure 5 ({name}) ==\n");
     let mut table = Table::new(vec![
@@ -61,6 +54,7 @@ fn oltp_section(
         "ssd hit%",
     ]);
     let mut cw_gaps = None;
+    let mut digests = Vec::new();
     let hours = run_hours();
     for &(label, size, paper) in cases {
         let mut cells: Vec<Cell> = DESIGNS.map(|d| cell(size, d)).to_vec();
@@ -68,8 +62,7 @@ fn oltp_section(
             cells.push(cell(size, Design::Cw));
         }
         let set = run_oltp(&cells, hours);
-        tally.steps += set.steps;
-        tally.virtual_ns += hours * cells.len() as Time;
+        *steps += set.steps;
         let rate = |i: usize| set.runs[i].last_hour_per_min;
         table.row(vec![
             label.to_string(),
@@ -95,14 +88,22 @@ fn oltp_section(
             let slower = |than: f64| 100.0 * (1.0 - cw.last_hour_per_min / than.max(1e-9));
             cw_gaps = Some((slower(rate(1)), slower(rate(2))));
         }
+        for run in &set.runs {
+            let cell = format!("{label} {}", run.design.label());
+            digests.push((cell, run.stats.digest(run.steps)));
+        }
     }
     table.print();
+    for (cell, digest) in digests {
+        print_digest(&cell, digest);
+    }
     cw_gaps
 }
 
-fn tpch_section(tally: &mut Tally) {
+fn tpch_section(steps: &mut u64) {
     println!("\n== Figure 5 (g,h): TPC-H QphH speedups ==\n");
     let mut table = Table::new(vec!["SF", "design", "QphH", "speedup", "paper"]);
+    let mut digests = Vec::new();
     for &(sf, streams) in tpch_scales() {
         let paper = if sf == 30 {
             [1.0, 3.4, 3.2, 3.3]
@@ -111,8 +112,7 @@ fn tpch_section(tally: &mut Tally) {
         };
         let runs = run_tpch(sf, streams, &DESIGNS);
         for (run, paper_x) in runs.iter().zip(paper) {
-            tally.steps += run.steps;
-            tally.virtual_ns += run.virtual_time;
+            *steps += run.steps;
             table.row(vec![
                 format!("{sf}"),
                 run.design.label().into(),
@@ -121,13 +121,20 @@ fn tpch_section(tally: &mut Tally) {
                 format!("{paper_x:.1}x"),
             ]);
         }
+        for run in &runs {
+            let cell = format!("SF {sf} {}", run.design.label());
+            digests.push((cell, run.stats.digest(run.steps)));
+        }
     }
     table.print();
+    for (cell, digest) in digests {
+        print_digest(&cell, digest);
+    }
 }
 
 fn main() {
     let timer = WallTimer::start();
-    let mut tally = Tally::default();
+    let mut steps = 0;
     let tpcc = [
         ("1K wh (100GB)", 10, [2.2, 9.1, 1.9]),
         ("2K wh (200GB)", 20, [1.9, 9.4, 1.4]),
@@ -135,7 +142,7 @@ fn main() {
     ];
     let cell = |warehouses, d| Cell::new(OltpKind::TpcC { warehouses }, d, RunOptions::tpcc());
     let name = ("a-c: TPC-C tpmC", "tpmC*");
-    oltp_section(name, cases(&tpcc), cell, None, &mut tally);
+    oltp_section(name, cases(&tpcc), cell, None, &mut steps);
 
     let tpce = [
         ("10K cust (115GB)", 1_000, [5.5, 5.4, 5.2]),
@@ -148,16 +155,14 @@ fn main() {
     let cw_on = (!quick()).then_some(2_000);
     let cell = |customers, d| Cell::new(OltpKind::TpcE { customers }, d, RunOptions::tpce());
     let name = ("d-f: TPC-E tpmE-equivalent", "tps*60");
-    let cw_gaps = oltp_section(name, cases(&tpce), cell, cw_on, &mut tally);
+    let cw_gaps = oltp_section(name, cases(&tpce), cell, cw_on, &mut steps);
 
-    tpch_section(&mut tally);
+    tpch_section(&mut steps);
     if let Some((vs_dw, vs_lc)) = cw_gaps {
         println!("\n== §4.1 CW datapoint (TPC-E 20K) ==\n");
         println!("CW slower than DW by {vs_dw:.1}% (paper: 21.6%)");
         println!("CW slower than LC by {vs_lc:.1}% (paper: 23.3%)");
     }
     println!("\n(*metrics are scaled: divide paper absolute numbers by 1000 to compare; speedups are scale-free.)");
-    BenchReport::new("fig5")
-        .standard(timer.secs(), tally.virtual_ns, tally.steps)
-        .emit();
+    timer.print_timing("fig5", steps);
 }

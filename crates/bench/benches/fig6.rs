@@ -16,18 +16,19 @@
 //! * TPC-E ramps slowly (the SSD fills at the random-read speed of the
 //!   disks); checkpoint dips every ~40 minutes.
 
-use turbopool_bench::{render_series, run_hours, BenchReport, Json, WallTimer};
+use turbopool_bench::{print_digest, render_series, run_hours, WallTimer};
 use turbopool_iosim::Time;
 use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
 
 const DESIGNS: [Design; 4] = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
 
-fn panel(name: &str, kind: OltpKind, opts: RunOptions, hours: Time) -> (Json, u64) {
+/// Run panel `name` (its label starts with the panel's letter, `(a)`) and
+/// print its curves; returns the steps it drove.
+fn panel(name: &str, kind: OltpKind, opts: RunOptions, hours: Time) -> u64 {
     println!("\n== Figure 6 {name} ==");
     let cells: Vec<Cell> = DESIGNS.iter().map(|&d| Cell::new(kind, d, opts)).collect();
     let set = run_oltp(&cells, hours);
-    let mut rates = Vec::new();
     for run in &set.runs {
         println!(
             "\n--- {} (last-hour rate {:.2}/min) ---",
@@ -35,25 +36,18 @@ fn panel(name: &str, kind: OltpKind, opts: RunOptions, hours: Time) -> (Json, u6
             run.last_hour_per_min
         );
         print!("{}", render_series(&run.series, 25));
-        rates.push((
-            run.design.label().to_string(),
-            Json::Num(run.last_hour_per_min),
-        ));
     }
-    let entry = Json::Obj(vec![
-        ("panel".to_string(), Json::Str(name.to_string())),
-        ("drive_secs".to_string(), Json::Num(set.drive_secs)),
-        ("steps".to_string(), Json::Int(set.steps)),
-        ("last_hour_per_min".to_string(), Json::Obj(rates)),
-    ]);
-    (entry, set.steps)
+    for run in &set.runs {
+        let label = format!("{} {}", &name[..3], run.design.label());
+        print_digest(&label, run.stats.digest(run.steps));
+    }
+    set.steps
 }
 
 fn main() {
     let hours = run_hours();
     let quick = turbopool_bench::quick();
     let timer = WallTimer::start();
-    let mut panels = Vec::new();
     let mut steps = 0u64;
 
     let (tpcc, tpce) = (RunOptions::tpcc(), RunOptions::tpce());
@@ -80,16 +74,8 @@ fn main() {
         ),
     ];
     for &(name, kind, opts) in if quick { &all[..1] } else { &all[..] } {
-        let (entry, s) = panel(name, kind, opts, hours);
-        panels.push(entry);
-        steps += s;
+        steps += panel(name, kind, opts, hours);
     }
     println!("\n(*scaled rates; shapes and crossover times are the comparable quantities.)");
-
-    let virtual_ns = hours.saturating_mul(panels.len() as u64 * DESIGNS.len() as u64);
-    let mut report = BenchReport::new("fig6");
-    report
-        .standard(timer.secs(), virtual_ns, steps)
-        .set("panels", Json::Arr(panels));
-    report.emit();
+    timer.print_timing("fig6", steps);
 }

@@ -5,7 +5,7 @@
 //! ≈ 1.6X over λ=50%), and the cleaner issues fewer disk IOPS
 //! (521 / 769 / 950 at λ = 90/50/10%).
 
-use turbopool_bench::{render_series, run_hours, BenchReport, Table, WallTimer};
+use turbopool_bench::{print_digest, render_series, run_hours, Table, WallTimer};
 use turbopool_iosim::SECOND;
 use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
@@ -60,7 +60,11 @@ fn main() {
     }
     println!("\n(paper cleaner IOPS at full scale: 950 / 769 / 521 for λ = 10/50/90%;");
     println!(" scaled values are 1000x smaller — compare the monotone decrease.)");
-    BenchReport::new("fig7")
-        .standard(timer.secs(), hours.saturating_mul(3), set.steps)
-        .emit();
+    for (&(lambda, _), run) in sweep.iter().zip(&set.runs) {
+        print_digest(
+            &format!("λ={:.0}%", lambda * 100.0),
+            run.stats.digest(run.steps),
+        );
+    }
+    timer.print_timing("fig7", set.steps);
 }

@@ -57,7 +57,6 @@ fn main() {
     );
     println!("Paper: disks saturate ~6.5 MB/s of random traffic; SSD peaks ~46 MB/s read,");
     println!("far below its ~95 MB/s capability — the disks are the bottleneck.");
-    turbopool_bench::BenchReport::new("fig8")
-        .standard(timer.secs(), run_hours(), run.steps)
-        .emit();
+    turbopool_bench::print_digest("TPC-E DW", run.stats.digest(run.steps));
+    timer.print_timing("fig8", run.steps);
 }

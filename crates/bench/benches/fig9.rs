@@ -9,7 +9,7 @@
 //!   which then takes very long (all accumulated dirty SSD pages must be
 //!   flushed) and throughput collapses for the duration.
 
-use turbopool_bench::{render_series, run_hours, BenchReport, WallTimer};
+use turbopool_bench::{print_digest, render_series, run_hours, WallTimer};
 use turbopool_iosim::{HOUR, MINUTE};
 use turbopool_workload::runs::{run_oltp, Cell, OltpKind, RunOptions};
 use turbopool_workload::scenario::Design;
@@ -60,7 +60,11 @@ fn main() {
             print!("{}", render_series(&run.series, 22));
         }
     }
-    BenchReport::new("fig9")
-        .standard(timer.secs(), hours.saturating_mul(4), set.steps)
-        .emit();
+    let labels = panels
+        .iter()
+        .flat_map(|(panel, _)| intervals.map(|(l, ..)| (panel, l)));
+    for ((panel, interval), run) in labels.zip(&set.runs) {
+        print_digest(&format!("{panel} {interval}"), run.stats.digest(run.steps));
+    }
+    timer.print_timing("fig9", set.steps);
 }

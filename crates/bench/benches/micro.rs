@@ -4,11 +4,10 @@
 //! then splits a fixed iteration budget into [`PASSES`] timed passes and
 //! reports their median ns/iter with the fastest and slowest pass.
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use turbopool_bench::{BenchReport, Json, WallTimer};
+use turbopool_bench::WallTimer;
 use turbopool_bufpool::policy::Lru2Policy;
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::partition::Partition;
@@ -22,8 +21,8 @@ use turbopool_iosim::{
 };
 use turbopool_workload::rand_util::{client_rng, Zipf};
 
-/// `(name, median ns_per_iter, iters)` rows collected for BENCH_micro.json.
-static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
+/// Iterations timed so far, over every rung: the `timing` line's steps.
+static ITERS: AtomicU64 = AtomicU64::new(0);
 
 /// Timed passes per rung. A rung's spread comes mostly from one process
 /// to the next, so a pass alone cannot resolve a change of 1–2 ns; the
@@ -64,9 +63,7 @@ fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
     let (lo, med, hi) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1]);
     let iters = per_pass * PASSES * units;
     println!("{name:<34} {med:>10.1} ns/iter [{lo:.1}–{hi:.1}] ({iters} iters, {PASSES} passes)");
-    if let Ok(mut r) = RESULTS.lock() {
-        r.push((name.to_string(), med, iters));
-    }
+    ITERS.fetch_add(iters, Ordering::Relaxed);
     med
 }
 
@@ -204,40 +201,11 @@ fn bench_pool_hit() {
     );
 }
 
-/// A page-table probe under each hasher: `PidMap`'s multiply-and-fold
-/// against std's default SipHash, same keys, same load.
-fn bench_pidmap_probe_vs_siphash() {
-    const KEYS: u64 = 4096;
-    let mut fib: PidMap<usize> = PidMap::default();
-    let mut sip: HashMap<PageId, usize> = HashMap::new();
-    for k in 0..KEYS {
-        // Dense ids with a hole every fourth page, so a quarter of the
-        // probes miss.
-        if k % 4 != 3 {
-            fib.insert(PageId(k), k as usize);
-            sip.insert(PageId(k), k as usize);
-        }
-    }
-    let mut x = 1u64;
-    let mut step = move || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        PageId((x >> 33) % KEYS)
-    };
-    let fib_ns = bench("pidmap_probe_vs_siphash:pidmap", 2_000_000, || {
-        std::hint::black_box(fib.get(&step()));
-    });
-    let sip_ns = bench("pidmap_probe_vs_siphash:siphash", 2_000_000, || {
-        std::hint::black_box(sip.get(&step()));
-    });
-    println!(
-        "pidmap_probe_vs_siphash: PidMap probe is {:.1}x faster than SipHash",
-        sip_ns / fib_ns.max(1e-9)
-    );
-}
-
-/// The same probe stream against the page-number-indexed table every
-/// per-page table uses, over 28k pages (the benchmark's databases hold
-/// 17k-36k), holding one entry per pool frame spread across them.
+/// One page-table probe against the page-number-indexed table every
+/// per-page table uses and against `PidMap`'s multiply-and-fold hash,
+/// over 28k pages (the benchmark's
+/// databases hold 17k-36k), holding one entry per pool frame spread
+/// across them.
 fn bench_page_table_probe() {
     const PAGES: u64 = 28_672;
     const STRIDE: u64 = 11;
@@ -339,43 +307,6 @@ fn bench_btree_cold_leaves() {
         let at = find_in_leaf(image, image.derived(sorted_head) as usize, (l * N + k) * 3);
         std::hint::black_box(at.expect("every key is present"));
     });
-}
-
-/// The LRU-2 history-prune delta (PR 8 satellite): finding the median
-/// `last` stamp used to fully sort the collected stamps (O(n log n));
-/// the policy now uses `select_nth_unstable` (O(n)), which picks the
-/// same element — the bit-identity regression gate proves behavior is
-/// unchanged, this proves the victim-path cost actually dropped.
-fn bench_history_prune() {
-    const N: usize = 8192;
-    let stamps: Vec<u64> = (0..N as u64)
-        .map(|i| (i * 2_654_435_761) % 100_000)
-        .collect();
-    let mid = N / 2;
-    let sort_ns = bench("hist_prune_median_sort", 2_000, || {
-        let mut lasts = stamps.clone();
-        lasts.sort_unstable();
-        std::hint::black_box(lasts[mid]);
-    });
-    let nth_ns = bench("hist_prune_median_select_nth", 2_000, || {
-        let mut lasts = stamps.clone();
-        let (_, &mut median, _) = lasts.select_nth_unstable(mid);
-        std::hint::black_box(median);
-    });
-    // Both must select the same median, and the O(n) path must win.
-    let mut a = stamps.clone();
-    a.sort_unstable();
-    let mut b = stamps.clone();
-    let (_, &mut m, _) = b.select_nth_unstable(mid);
-    assert_eq!(a[mid], m, "select_nth picked a different median than sort");
-    assert!(
-        nth_ns < sort_ns,
-        "select_nth prune ({nth_ns:.0} ns) not faster than sort prune ({sort_ns:.0} ns)"
-    );
-    println!(
-        "hist_prune delta: select_nth is {:.1}x faster than sort",
-        sort_ns / nth_ns.max(1e-9)
-    );
 }
 
 fn bench_ssd_manager() {
@@ -854,12 +785,10 @@ fn main() {
     bench_partition();
     bench_lru2();
     bench_pool_hit();
-    bench_pidmap_probe_vs_siphash();
     bench_page_table_probe();
     bench_btree_leaf_scan();
     bench_btree_sorted_head();
     bench_btree_cold_leaves();
-    bench_history_prune();
     bench_ssd_manager();
     bench_tac_admit_replace();
     bench_pool_miss_ssd_hit();
@@ -874,22 +803,5 @@ fn main() {
     bench_zipf();
     bench_loader();
 
-    let rows = RESULTS.lock().map(|r| r.clone()).unwrap_or_default();
-    let total_iters: u64 = rows.iter().map(|&(_, _, n)| n).sum();
-    let results = rows
-        .iter()
-        .map(|(name, ns, iters)| {
-            Json::Obj(vec![
-                ("name".to_string(), Json::Str(name.clone())),
-                ("ns_per_iter".to_string(), Json::Num(*ns)),
-                ("iters".to_string(), Json::Int(*iters)),
-            ])
-        })
-        .collect();
-    let mut report = BenchReport::new("micro");
-    // Microbenches have no virtual-time component; steps = iterations.
-    report
-        .standard(timer.secs(), 0, total_iters)
-        .set("results", Json::Arr(results));
-    report.emit();
+    timer.print_timing("micro", ITERS.load(Ordering::Relaxed));
 }

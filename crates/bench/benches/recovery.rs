@@ -16,10 +16,11 @@
 //!    verifies recovery at each; the counts here are the proof of
 //!    coverage (every device kind must contribute boundaries).
 
-use turbopool_bench::{BenchReport, Table, WallTimer};
+use turbopool_bench::{print_digest, Table, WallTimer};
 use turbopool_core::{SsdConfig, SsdDesign};
 use turbopool_engine::{explore, Database, DbConfig, ExplorerConfig};
 use turbopool_iosim::Clk;
+use turbopool_workload::runs::DbStats;
 
 fn build(warm: bool) -> Database {
     let mut cfg = DbConfig::small_for_tests();
@@ -56,6 +57,8 @@ struct RedoCost {
     pages_written: u64,
     /// Transactions committed before the crash, the load's included.
     committed: u64,
+    /// The recovered database's digest (no driver: steps 0).
+    digest: u64,
 }
 
 /// Commit `txns` single-record updates after a checkpoint, crash, and
@@ -76,7 +79,7 @@ fn redo_cost(txns: u64) -> RedoCost {
     }
     let image = db.crash();
     let host = WallTimer::start();
-    let (_, report) = Database::try_recover(image).expect("healthy disk tier");
+    let (db, report) = Database::try_recover(image).expect("healthy disk tier");
     RedoCost {
         virtual_ns: report.duration,
         host_ms: host.secs() * 1e3,
@@ -84,13 +87,15 @@ fn redo_cost(txns: u64) -> RedoCost {
         writes_applied: report.stats.writes_applied as u64,
         pages_written: report.stats.pages_written as u64,
         committed,
+        digest: DbStats::of(&db).digest(0),
     }
 }
 
 /// Fill the SSD, checkpoint, crash, recover; returns the import report's
-/// (attempted, imported, rejected_stale, rejected_checksum) and the
-/// transactions committed before the crash.
-fn readoption(warm: bool) -> ((u64, u64, u64, u64), u64) {
+/// (attempted, imported, rejected_stale, rejected_checksum), the
+/// transactions committed before the crash and the recovered database's
+/// digest.
+fn readoption(warm: bool) -> ((u64, u64, u64, u64), u64, u64) {
     let db = build(warm);
     let mut clk = Clk::new();
     let (h, mut committed) = load(&db, &mut clk, 3_000);
@@ -100,7 +105,7 @@ fn readoption(warm: bool) -> ((u64, u64, u64, u64), u64) {
     }
     committed += u64::from(txn.commit().is_committed());
     db.checkpoint(&mut clk);
-    let (_, report) = Database::try_recover(db.crash()).expect("healthy disk tier");
+    let (db, report) = Database::try_recover(db.crash()).expect("healthy disk tier");
     let import = match report.warm {
         Some(w) => (
             w.attempted as u64,
@@ -110,7 +115,7 @@ fn readoption(warm: bool) -> ((u64, u64, u64, u64), u64) {
         ),
         None => (0, 0, 0, 0),
     };
-    (import, committed)
+    (import, committed, DbStats::of(&db).digest(0))
 }
 
 fn main() {
@@ -158,8 +163,8 @@ fn main() {
         "rejected stale",
         "rejected checksum",
     ]);
-    let ((cold_att, cold_imp, _, _), cold_committed) = readoption(false);
-    let ((att, imp, stale, bad), warm_committed) = readoption(true);
+    let ((cold_att, cold_imp, _, _), cold_committed, cold_digest) = readoption(false);
+    let ((att, imp, stale, bad), warm_committed, warm_digest) = readoption(true);
     adopt.row(vec![
         "cold (paper)".to_string(),
         format!("{cold_att}"),
@@ -194,9 +199,6 @@ fn main() {
         ("LC", Some(SsdDesign::LazyCleaning)),
         ("TAC", Some(SsdDesign::Tac)),
     ];
-    let mut total_boundaries = 0u64;
-    let mut total_schedules = 0u64;
-    let mut counts = (0u64, 0u64, 0u64);
     for &(name, design) in designs {
         let ssd = design.map(|d| {
             let mut s = SsdConfig::new(d, 32);
@@ -223,11 +225,6 @@ fn main() {
             format!("{}", out.schedules_run),
             format!("{}", out.double_crash_interrupted),
         ]);
-        total_boundaries += out.boundaries;
-        total_schedules += out.schedules_run;
-        counts.0 += out.counts.disk_pages;
-        counts.1 += out.counts.ssd_frames;
-        counts.2 += out.counts.log_flushes;
     }
     cov.print();
     println!("\nRecovery time follows the distinct pages of the post-checkpoint");
@@ -236,8 +233,11 @@ fn main() {
     println!("read per frame. Every design's crash sweep covers all three durable");
     println!("write kinds, including schedules that crash recovery itself.");
 
-    let mut report = BenchReport::new("recovery");
-    let last_virtual_ns = redo_rows.last().map_or(0, |(_, cost)| cost.virtual_ns);
+    for (txns, cost) in &redo_rows {
+        print_digest(&format!("redo {txns} txns"), cost.digest);
+    }
+    print_digest("cold restart", cold_digest);
+    print_digest("warm restart", warm_digest);
     // Steps: the transactions experiments 1 and 2 commit (the explorer's
     // traces are reported as schedules instead).
     let committed = redo_rows
@@ -246,27 +246,5 @@ fn main() {
         .sum::<u64>()
         + cold_committed
         + warm_committed;
-    report.standard(timer.secs(), last_virtual_ns, committed);
-    for (txns, cost) in &redo_rows {
-        report.int(&format!("redo_{txns}_virtual_ns"), cost.virtual_ns);
-        report.num(&format!("redo_{txns}_host_ms"), cost.host_ms);
-        report.int(
-            &format!("redo_{txns}_records_scanned"),
-            cost.records_scanned,
-        );
-        report.int(&format!("redo_{txns}_writes_applied"), cost.writes_applied);
-        report.int(&format!("redo_{txns}_pages_written"), cost.pages_written);
-    }
-    report
-        .int("warm_attempted", att)
-        .int("warm_imported", imp)
-        .int("warm_rejected_stale", stale)
-        .int("warm_rejected_checksum", bad)
-        .int("cold_imported", cold_imp)
-        .int("sweep_boundaries", total_boundaries)
-        .int("sweep_schedules", total_schedules)
-        .int("sweep_disk_page_boundaries", counts.0)
-        .int("sweep_ssd_frame_boundaries", counts.1)
-        .int("sweep_log_flush_boundaries", counts.2)
-        .emit();
+    timer.print_timing("recovery", committed);
 }

@@ -115,17 +115,8 @@ fn main() {
             Box::new(|| ssd_iops(IoKind::Write, Locality::Sequential)),
         ),
     ];
-    let mut rows = Vec::new();
     for (dev, kind, loc, paper, f) in cases {
         let got = f();
-        rows.push(turbopool_bench::Json::Obj(vec![
-            (
-                "case".to_string(),
-                turbopool_bench::Json::Str(format!("{dev} {loc:?} {kind:?}")),
-            ),
-            ("paper_iops".to_string(), turbopool_bench::Json::Num(paper)),
-            ("measured_iops".to_string(), turbopool_bench::Json::Num(got)),
-        ]));
         t.row(vec![
             dev.to_string(),
             format!("{:?} {:?}", loc, kind),
@@ -136,9 +127,5 @@ fn main() {
     }
     t.print();
     println!("\n(Every ratio should be ~1.00: the devices are calibrated to Table 1.)");
-    let mut report = turbopool_bench::BenchReport::new("table1");
-    report
-        .standard(timer.secs(), 0, 0)
-        .set("cases", turbopool_bench::Json::Arr(rows));
-    report.emit();
+    timer.print_timing("table1", 0);
 }

@@ -14,7 +14,7 @@
 //! from the SSD than the power test (paper: DW 2.2x power vs 5.4x
 //! throughput at 30 SF).
 
-use turbopool_bench::{tpch_scales, BenchReport, Table, WallTimer};
+use turbopool_bench::{print_digest, tpch_scales, Table, WallTimer};
 use turbopool_workload::runs::run_tpch;
 use turbopool_workload::scenario::Design;
 
@@ -39,12 +39,11 @@ fn main() {
             ],
         ),
     ];
-    let (mut steps, mut virtual_ns) = (0, 0);
+    let mut steps = 0;
     for &(sf, streams) in tpch_scales() {
         let designs = [Design::Lc, Design::Dw, Design::Tac, Design::NoSsd];
         let runs = run_tpch(sf, streams, &designs);
         steps += runs.iter().map(|r| r.steps).sum::<u64>();
-        virtual_ns += runs.iter().map(|r| r.virtual_time).sum::<u64>();
         let paper_rows = &paper.iter().find(|(s, _)| *s == sf).unwrap().1;
         println!("--- {sf} SF ({streams} throughput streams) ---\n");
         let mut table = Table::new(vec![
@@ -81,10 +80,14 @@ fn main() {
             ]);
         }
         table.print();
+        for run in &runs {
+            print_digest(
+                &format!("SF {sf} {}", run.design.label()),
+                run.stats.digest(run.steps),
+            );
+        }
         println!();
     }
     println!("(Scaled metrics; compare ratios. Expect throughput-test gains > power-test gains.)");
-    BenchReport::new("table3")
-        .standard(timer.secs(), virtual_ns, steps)
-        .emit();
+    timer.print_timing("table3", steps);
 }

@@ -12,26 +12,31 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::{BenchReport, Table, WallTimer};
+use turbopool_bench::{print_digest, Table, WallTimer};
 use turbopool_iosim::{Clk, HOUR, MINUTE};
 use turbopool_workload::driver::{Driver, ThroughputRecorder};
+use turbopool_workload::runs::DbStats;
 use turbopool_workload::scenario::Design;
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
-/// Drive 25 terminals for `hours`, adding the driver's steps to
-/// `steps`.
-fn run_phase(s: &Arc<Synthetic>, hours: u64, steps: &mut u64) -> Arc<ThroughputRecorder> {
+/// One incarnation's database counters and driver steps, for its
+/// `digest` line.
+type Phase = (DbStats, u64);
+
+/// Drive 25 terminals for `hours`; returns the recorder and the phase.
+fn run_phase(s: &Arc<Synthetic>, hours: u64) -> (Arc<ThroughputRecorder>, Phase) {
     let rec = ThroughputRecorder::new(6 * MINUTE);
     let mut d = Driver::new();
     for c in 0..25 {
         d.add(0, Box::new(s.client(c, Arc::clone(&rec))));
     }
     d.run_until(hours * HOUR);
-    *steps += d.steps();
-    rec
+    (rec, (DbStats::of(&s.db), d.steps()))
 }
 
-fn experiment(warm: bool, hours: u64, steps: &mut u64) -> (f64, f64, u64) {
+/// The pre-crash rate, the first-30-minute rate after restart, the pages
+/// re-adopted, and the pre-crash and restart phases.
+fn experiment(warm: bool, hours: u64) -> (f64, f64, u64, [Phase; 2]) {
     let cfg = SyntheticConfig {
         rows: 1_200_000,
         record_size: 128,
@@ -44,7 +49,7 @@ fn experiment(warm: bool, hours: u64, steps: &mut u64) -> (f64, f64, u64) {
     }));
     // Phase 1: warm the SSD the slow way, then checkpoint (embeds the SSD
     // buffer table when the extension is on) and crash.
-    let pre = run_phase(&s, hours, steps);
+    let (pre, before) = run_phase(&s, hours);
     let pre_rate = pre.rate_between((hours - 1) * HOUR, hours * HOUR, MINUTE);
     let mut clk = Clk::at(hours * HOUR);
     s.db.checkpoint(&mut clk);
@@ -55,9 +60,9 @@ fn experiment(warm: bool, hours: u64, steps: &mut u64) -> (f64, f64, u64) {
 
     // Phase 2: measure the restart ramp.
     let s2 = Arc::new(s2);
-    let post = run_phase(&s2, 1, steps);
+    let (post, after) = run_phase(&s2, 1);
     let first30 = post.rate_between(0, 30 * MINUTE, MINUTE);
-    (pre_rate, first30, imported)
+    (pre_rate, first30, imported, [before, after])
 }
 
 fn main() {
@@ -71,9 +76,12 @@ fn main() {
         "pages re-adopted",
     ]);
     let hours = if turbopool_bench::quick() { 2 } else { 4 };
-    let mut steps = 0;
+    let mut phases = Vec::new();
     for warm in [false, true] {
-        let (pre, post, imported) = experiment(warm, hours, &mut steps);
+        let (pre, post, imported, [before, after]) = experiment(warm, hours);
+        let restart = if warm { "warm" } else { "cold" };
+        phases.push((format!("{restart} pre-crash"), before));
+        phases.push((format!("{restart} restart"), after));
         table.row(vec![
             if warm {
                 "warm (extension)"
@@ -91,7 +99,9 @@ fn main() {
     println!("\nA cold restart re-enters the multi-hour SSD ramp of Figure 6 (its");
     println!("first-30-minute rate falls well below the pre-crash rate); the warm");
     println!("restart resumes at or above the pre-crash rate immediately.");
-    BenchReport::new("warmstart")
-        .standard(timer.secs(), 2 * (hours + 1) * HOUR, steps)
-        .emit();
+    for (label, (stats, steps)) in &phases {
+        print_digest(label, stats.digest(*steps));
+    }
+    let steps = phases.iter().map(|(_, (_, steps))| steps).sum();
+    timer.print_timing("warmstart", steps);
 }

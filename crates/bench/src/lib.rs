@@ -7,7 +7,14 @@
 //! of cells, `run_tpch` over a list of designs), the same runner the CLI
 //! and the examples use; this library holds what only the harnesses
 //! need: run-length knobs, plain-text table/series rendering and the
-//! `BENCH_<name>.json` report.
+//! two kinds of summary line:
+//!
+//! * `digest <cell> <hex>` — one per cell that owns a database,
+//!   `workload::runs::DbStats::digest` of its counters and driver steps. Deterministic,
+//!   so `scripts/figures.sh` compares them with the rest of the output.
+//! * `timing <bench> wall_s=… steps=… steps_per_s=…` — the bench's last
+//!   line and its one wall-clock line, which `scripts/figures.sh` cuts from
+//!   the compared text and prints as a `results/trajectory.tsv` row.
 //!
 //! Environment knobs:
 //!
@@ -18,13 +25,51 @@
 //! A list runs each cell in a share-nothing driver domain of its own,
 //! one OS thread per cell.
 
-pub mod json;
 pub mod report;
 
-pub use json::{BenchReport, Json, WallTimer};
 pub use report::{render_series, Table};
 
 use turbopool_iosim::{Time, HOUR};
+
+/// Wall-clock stopwatch for the `timing` line, the one wall-clock reader
+/// in library code (`clippy.toml` disallows `Instant::now` elsewhere): wall
+/// seconds never feed back into the simulation.
+pub struct WallTimer {
+    start: std::time::Instant,
+}
+
+impl WallTimer {
+    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench reporting measures real elapsed time by definition; \
+                  the value never influences virtual-time results"
+    )]
+    pub fn start() -> Self {
+        WallTimer {
+            start: std::time::Instant::now(),
+        }
+    }
+
+    /// Seconds since `start()`.
+    pub fn secs(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Print `bench`'s closing `timing` line: wall seconds since `start()`,
+    /// the driver `steps` it ran and their rate.
+    pub fn print_timing(&self, bench: &str, steps: u64) {
+        let wall = self.secs();
+        let rate = if wall > 0.0 { steps as f64 / wall } else { 0.0 };
+        println!("\ntiming {bench} wall_s={wall:.3} steps={steps} steps_per_s={rate:.0}");
+    }
+}
+
+/// Print cell `label`'s `digest` line: a `DbStats::digest` of its end
+/// counters and driver steps.
+pub fn print_digest(label: &str, digest: u64) {
+    println!("digest {label} {digest:016x}");
+}
 
 /// Virtual duration of OLTP runs, honoring `TURBO_HOURS` / `TURBO_QUICK`.
 pub fn run_hours() -> Time {
@@ -48,4 +93,15 @@ pub fn tpch_scales() -> &'static [(u64, usize)] {
 /// True when running in smoke-test mode.
 pub fn quick() -> bool {
     std::env::var_os("TURBO_QUICK").is_some()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_timer_is_monotonic() {
+        let t = WallTimer::start();
+        assert!(t.secs() >= 0.0);
+    }
 }

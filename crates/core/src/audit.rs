@@ -176,7 +176,8 @@ impl InvariantAuditor {
         }
     }
 
-    /// Shadow state of `pid` (test/introspection; `None` when absent).
+    /// Shadow state of `pid` (`None` when absent).
+    #[cfg(test)]
     pub fn state_of(&self, pid: PageId) -> Option<FrameState> {
         self.states.lock().get(pid).flatten()
     }

@@ -26,7 +26,7 @@ pub mod recovery;
 mod replay_fuzz;
 
 pub use log::{DurableLog, LogManager, Lsn};
-pub use record::{DecodeError, DecodeOutcome, LogRecord, LogTail, RecordReader, RecordRef};
+pub use record::{DecodeError, LogRecord, LogTail, RecordReader, RecordRef};
 pub use recovery::{
     recover, salvage, DirectStore, LogScanReport, RecoveryOutcome, RecoveryStats, RedoStore,
 };

@@ -82,6 +82,7 @@ impl LogTail {
 }
 
 /// Result of scanning a byte stream for records.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeOutcome {
     /// Records decoded, in stream order, up to the end/torn/corrupt point.
@@ -96,8 +97,8 @@ pub struct DecodeOutcome {
 
 /// A log record read in place: the variants of [`LogRecord`], with the
 /// variable-length payloads borrowed from the log bytes instead of copied
-/// out of them. This is the one decoder; [`LogRecord::decode`] is
-/// [`RecordRef::decode`] followed by [`RecordRef::to_owned`].
+/// out of them. This is the one decoder; the tests' `LogRecord::decode`
+/// is [`RecordRef::decode`] followed by `RecordRef::to_owned`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecordRef<'a> {
     PageWrite {
@@ -194,6 +195,7 @@ impl<'a> RecordRef<'a> {
     }
 
     /// Copy the borrowed payloads out.
+    #[cfg(test)]
     pub fn to_owned(&self) -> LogRecord {
         match *self {
             RecordRef::PageWrite {
@@ -344,6 +346,7 @@ impl LogRecord {
 
     /// Decode one record from the front of `buf`, returning the record and
     /// the number of bytes consumed (body + trailer).
+    #[cfg(test)]
     pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize), DecodeError> {
         RecordRef::decode(buf).map(|(rec, used)| (rec.to_owned(), used))
     }
@@ -351,6 +354,7 @@ impl LogRecord {
 
 /// Scan `buf` for records, classifying how the stream ends (clean record
 /// boundary, torn tail, or mid-log corruption).
+#[cfg(test)]
 pub fn decode_all(buf: &[u8]) -> DecodeOutcome {
     let mut reader = RecordReader::new(buf);
     let records = reader.by_ref().map(|(_, rec)| rec.to_owned()).collect();

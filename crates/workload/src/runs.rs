@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use turbopool_bufpool::PoolStats;
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_engine::Database;
-use turbopool_iosim::{Clk, StatSnapshot, Time, HOUR, MINUTE};
+use turbopool_iosim::{fault, Clk, StatSnapshot, Time, HOUR, MINUTE};
 
 use crate::driver::{
     CheckpointClient, CleanerClient, Client, Driver, StepResult, ThroughputRecorder,
@@ -97,7 +97,8 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    fn of(db: &Database) -> Self {
+    /// The counters `db` holds now.
+    pub fn of(db: &Database) -> Self {
         DbStats {
             ssd: db.ssd_metrics(),
             pool: db.pool_stats(),
@@ -106,6 +107,39 @@ impl DbStats {
             tac_invalid_frames: db.ssd_manager().map_or(0, |m| m.invalid_frames()),
         }
     }
+
+    /// Every counter as a `(name, value)` pair: each member's `fields()` in
+    /// declaration order (the SSD block only with an SSD), then
+    /// `tac_invalid_frames`.
+    fn fields(&self) -> Vec<(&'static str, u64)> {
+        let mut fields = self.ssd.map(|m| m.fields()).unwrap_or_default();
+        fields.extend(self.pool.fields());
+        fields.extend(self.disk.fields());
+        fields.extend(self.ssd_dev.fields());
+        fields.push(("tac_invalid_frames", self.tac_invalid_frames));
+        fields
+    }
+
+    /// One word for a cell's end state, printed on the benches' `digest`
+    /// lines: an FNV-1a ([`fault::checksum`]) over every counter's name and
+    /// value in [`fields`](Self::fields) order, then the cell's driver
+    /// `steps`. Barring an FNV collision, a changed counter or step count
+    /// changes it.
+    pub fn digest(&self, steps: u64) -> u64 {
+        let mut fields = self.fields();
+        fields.push(("steps", steps));
+        checksum_pairs(&fields)
+    }
+}
+
+/// FNV-1a over each pair's name bytes and little-endian value, in order.
+fn checksum_pairs(pairs: &[(&str, u64)]) -> u64 {
+    let mut bytes = Vec::new();
+    for (name, value) in pairs {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&value.to_le_bytes());
+    }
+    fault::checksum(&bytes)
 }
 
 /// Everything a harness needs from one completed OLTP cell.
@@ -313,6 +347,81 @@ pub fn run_tpch(sf: u64, streams: usize, designs: &[Design]) -> Vec<TpchRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The counter blocks are a schema: [`DbStats::digest`] hashes the SSD,
+    /// pool and device lists by name in this order; the policy, fault and
+    /// classifier lists are the other blocks. A new counter is appended
+    /// here on purpose.
+    #[test]
+    fn counter_key_lists_are_pinned() {
+        fn keys(fields: Vec<(&'static str, u64)>) -> String {
+            let names: Vec<_> = fields.into_iter().map(|(k, _)| k).collect();
+            names.join(" ")
+        }
+        assert_eq!(
+            keys(SsdMetricsSnapshot::default().fields()),
+            "ssd_hits ssd_misses throttled_reads throttled_admissions admissions \
+             fill_admissions policy_rejections replacements invalidations \
+             cleaned_pages cleaner_writes inline_cleans checkpoint_cleaned \
+             tac_cancelled_writes dirty_hits warm_imports warm_rejected_stale \
+             warm_rejected_checksum audit_violations ssd_io_errors checksum_misses \
+             disk_retries ssd_quarantined quarantined_reads lost_frames stranded_dirty \
+             salvaged_pages ssd_retries shard_acquisitions shard_contended"
+        );
+        assert_eq!(
+            keys(PoolStats::default().fields()),
+            "hits misses evictions_clean evictions_dirty prefetched_pages \
+             expanded_fill_pages checkpoint_writes shard_acquisitions shard_contended"
+        );
+        assert_eq!(
+            keys(turbopool_bufpool::PolicyStats::default().fields()),
+            "ghost_hits scan_steps"
+        );
+        assert_eq!(
+            keys(turbopool_iosim::FaultStats::default().fields()),
+            "read_errors write_errors torn_writes bitflips dead_rejects brownout_slowdowns"
+        );
+        assert_eq!(
+            keys(turbopool_bufpool::ClassifierStats::default().fields()),
+            "seq_as_seq seq_as_rand rand_as_seq rand_as_rand"
+        );
+        assert_eq!(
+            keys(StatSnapshot::default().fields()),
+            "read_ops read_pages read_busy_ns write_ops write_pages write_busy_ns"
+        );
+    }
+
+    /// Raising any one counter, or the step count, by one changes the
+    /// digest, and every member of [`DbStats`] is in the hashed list.
+    #[test]
+    fn digest_moves_with_every_field() {
+        let stats = DbStats {
+            ssd: Some(SsdMetricsSnapshot::default()),
+            ..DbStats::default()
+        };
+        let fields = stats.fields();
+        let members = [
+            SsdMetricsSnapshot::default().fields().len(),
+            PoolStats::default().fields().len(),
+            2 * StatSnapshot::default().fields().len(),
+            1,
+        ];
+        assert_eq!(fields.len(), members.iter().sum::<usize>());
+        let mut pairs = fields;
+        pairs.push(("steps", 7));
+        let base = stats.digest(7);
+        assert_eq!(checksum_pairs(&pairs), base);
+        for i in 0..pairs.len() {
+            let mut bumped = pairs.clone();
+            bumped[i].1 += 1;
+            assert_ne!(checksum_pairs(&bumped), base, "{}", pairs[i].0);
+        }
+        // The disk and SSD device blocks share names; their places differ.
+        let mut moved = stats;
+        moved.ssd_dev.read_ops += 1;
+        assert_ne!(moved.digest(7), base);
+        assert_ne!(DbStats::default().digest(7), base);
+    }
 
     #[test]
     fn tiny_tpcc_run_produces_metrics() {

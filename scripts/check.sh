@@ -57,7 +57,7 @@ cargo test -q --release --test crash_schedule quick_sweep_all_designs
 echo "==> domain determinism: a fleet equals each domain run alone, incl. brownout replay"
 cargo test -q --release --test driver_determinism
 
-echo "==> driver scaling bench (quick, emits BENCH_driver_scaling.json)"
+echo "==> driver scaling bench (quick, asserts equal digests across modes and reps)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling
 
 echo "==> brownout bench (quick, asserts CW/DW/LC >= 2x noSSD while degraded)"
@@ -66,10 +66,10 @@ TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench brownout
 echo "==> fig5 bench (quick: two OLTP lists and the TPC-H runner through workload::runs)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench fig5
 
-echo "==> recovery bench (quick, emits BENCH_recovery.json)"
+echo "==> recovery bench (quick, prints redo cost and crash coverage)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench recovery
 
-echo "==> golden paper outputs (full length; table1, fig5-fig9, table3, warmstart vs results/)"
+echo "==> golden paper outputs (full length; table1, fig5-fig9, table3, warmstart, ablation vs results/)"
 scripts/figures.sh
 
 echo "All checks passed."

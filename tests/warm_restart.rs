@@ -77,10 +77,15 @@ fn cold_restart_imports_nothing() {
 
 #[test]
 fn redone_pages_are_not_readopted() {
-    let mut run = loaded(true, 3_000, false);
-    // Post-checkpoint committed updates: their pages' SSD copies (from the
-    // checkpoint table) are stale relative to the redone disk image.
-    let updated = Vec::from_iter((0..300).step_by(7));
+    let mut run = loaded(true, 3_000, true);
+    // Post-checkpoint committed updates to records whose pages the
+    // checkpoint's SSD table holds: those SSD copies are stale relative to
+    // the redone disk image, while their frames still name the pages.
+    let updated = Vec::from_iter(cached(&run, 0..3_000).into_iter().step_by(7));
+    assert!(
+        !updated.is_empty(),
+        "the checkpoint's SSD table holds no record"
+    );
     run.steps(updated.iter().map(|&i| Op::Update(i, 0xAB)));
     let report = run.reboot(|_| {});
     assert!(report.stats.writes_applied > 0);
