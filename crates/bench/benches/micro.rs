@@ -10,7 +10,7 @@ use std::sync::Arc;
 use turbopool_bench::WallTimer;
 use turbopool_bufpool::policy::Lru2Policy;
 use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
-use turbopool_core::partition::Partition;
+use turbopool_core::partition::{page_map, Partition};
 use turbopool_core::{SsdConfig, SsdDesign, SsdManager};
 use turbopool_engine::btree::{find_in_leaf, sorted_head};
 use turbopool_engine::txn::diff_ranges;
@@ -69,7 +69,7 @@ fn bench_per(name: &str, calls: u64, units: u64, mut f: impl FnMut()) -> f64 {
 
 fn bench_partition() {
     bench("partition_insert_lookup_remove", 200, || {
-        let mut p = Partition::new(0, 4096, 3 * 4096, None);
+        let mut p = Partition::new(0, 4096, page_map(3 * 4096), None);
         for i in 0..4096u64 {
             p.insert(PageId(i * 3), i % 2 == 0, i);
         }
@@ -88,7 +88,7 @@ fn bench_partition() {
     const FRAMES: usize = 18_350 / 16;
     // Admitted page numbers run up to the stamp, which the two rungs
     // below raise 1.1M times each.
-    let mut p = Partition::new(0, FRAMES, 1 << 22, None);
+    let mut p = Partition::new(0, FRAMES, page_map(1 << 22), None);
     for i in 0..FRAMES {
         p.insert(PageId(i as u64), false, i as u64 + 1);
     }

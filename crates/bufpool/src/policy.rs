@@ -64,7 +64,9 @@ pub struct VictimHeap<K> {
     /// `filed[slot]`: the slot has a live entry. Kept apart from the keys,
     /// so that filing a filed slot (a pool hit's touch) reads one byte.
     filed: Vec<bool>,
-    /// `keys[slot]`: a filed slot's filed key.
+    /// `keys[slot]`: a filed slot's filed key. Allocated, with the heap's
+    /// room, when the first slot is filed: an order never filed (the SSD
+    /// table's dirty side under CW, DW and TAC) holds no keys and no heap.
     keys: Vec<K>,
 }
 
@@ -72,9 +74,9 @@ impl<K: Ord + Copy + Default> VictimHeap<K> {
     /// An empty order over `slots` slots.
     pub fn new(slots: usize) -> Self {
         VictimHeap {
-            heap: BinaryHeap::with_capacity(slots),
+            heap: BinaryHeap::new(),
             filed: vec![false; slots],
-            keys: vec![K::default(); slots],
+            keys: Vec::new(),
         }
     }
 
@@ -93,6 +95,10 @@ impl<K: Ord + Copy + Default> VictimHeap<K> {
     /// inlines only the flag test.
     #[inline(never)]
     fn push(&mut self, slot: usize, key: K) {
+        if self.keys.is_empty() {
+            self.keys = vec![K::default(); self.filed.len()];
+            self.heap.reserve(self.filed.len());
+        }
         (self.filed[slot], self.keys[slot]) = (true, key);
         self.heap.push(Reverse((key, slot)));
         if self.heap.len() > 2 * self.filed.len() {

@@ -35,7 +35,7 @@ use crate::config::{DirtyEviction, Policy, Replacement, SsdConfig};
 pub use crate::health::SSD_ERROR_BUDGET;
 use crate::health::{Failure, Health};
 use crate::metrics::SsdMetrics;
-use crate::partition::{Heat, Partition, Record};
+use crate::partition::{page_map, Heat, Partition, Record};
 
 /// Outcome of a hardened warm import ([`SsdManager::import_table_checked`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +108,7 @@ impl SsdManager {
             Replacement::Lru2 => (cfg.partitions, false),
             Replacement::ExtentHeat => (1, true),
         };
+        let map = page_map(pages);
         let parts = (0..n)
             .map(|i| {
                 let f = partition_frames(cfg.frames, n, i);
@@ -115,7 +116,7 @@ impl SsdManager {
                     let (random, sequential) = saved_ns(&io);
                     Heat::new(cfg.tac_extent_pages, pages, random, sequential)
                 });
-                let part = Partition::new(f.start, (f.end - f.start) as usize, pages, heat);
+                let part = Partition::new(f.start, (f.end - f.start) as usize, map.clone(), heat);
                 Mutex::ranked(Rank::SsdPartition, part)
             })
             .collect();
@@ -678,11 +679,10 @@ impl SsdManager {
         let mut part = self.part(pid);
         part.heat(pid, class);
         let idx = part.lookup(pid)?;
-        let rec = *part.record(idx);
-        if !rec.usable(now) {
+        if !part.usable(idx, now) {
             return None;
         }
-        let dirty = rec.dirty;
+        let dirty = part.record(idx).dirty;
         (dirty || self.serves_clean_read(now)).then(|| {
             if let Some(stamp) = self.next_stamp() {
                 part.touch(idx, stamp);
@@ -705,8 +705,8 @@ impl SsdManager {
                 }
                 let (_, part) = held.get_or_insert_with(|| (p, self.part_at(p)));
                 let idx = part.lookup(pid)?;
-                let rec = part.record(idx);
-                rec.usable(now).then(|| (part.frame_no(idx), rec.dirty))
+                part.usable(idx, now)
+                    .then(|| (part.frame_no(idx), part.record(idx).dirty))
             })
             .collect()
     }
@@ -765,7 +765,7 @@ impl PageIo for SsdManager {
         if !rec.valid {
             return;
         }
-        if now < rec.valid_at {
+        if !part.usable(idx, now) {
             // The copy's SSD write had not completed: it is cancelled
             // outright, and the page never reaches the SSD (the §4.2 race
             // that hurts TAC on update-heavy loads).

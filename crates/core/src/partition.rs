@@ -1,12 +1,10 @@
-//! One SSD partition: buffer table, page table, free list, and the clean
-//! and dirty orders (Figure 4).
+//! One SSD partition: buffer table, free list, and the clean and dirty
+//! orders (Figure 4).
 //!
 //! To increase concurrency the SSD buffer pool is partitioned (§3.3.4);
-//! each partition owns a contiguous slice of SSD frames with its own buffer
-//! table, free list and orders. (The paper shares one hash table across
-//! partitions; we route each page id to a fixed partition with a
-//! multiplicative hash, which preserves the single-home invariant with a
-//! per-partition table indexed by page number — see DESIGN.md.)
+//! each partition owns a contiguous slice of SSD frames with its own
+//! records, free list and orders. All partitions share one page map, as
+//! the paper's share one hash table.
 //!
 //! Figure 4 keeps the two orders as one heap array: clean pages by LRU-2
 //! key, whose minimum is the replacement victim, and dirty pages the same
@@ -20,6 +18,10 @@
 //! which a miss only grows. A logically invalid record keeps its frame but
 //! is in no order, until a refresh files it again at its current key.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::Arc;
+
 use turbopool_bufpool::VictimHeap;
 use turbopool_iosim::{Locality, PageId, PageTable, Time};
 
@@ -28,34 +30,26 @@ use turbopool_iosim::{Locality, PageId, PageTable, Time};
 /// unique, so no two LRU-2 records share a key.
 pub type Key = (u64, u64);
 
+/// The page map every partition shares: page number → global SSD frame
+/// number, or `VACANT`.
+pub type PageMap = Arc<[AtomicU32]>;
+const VACANT: u32 = u32::MAX;
+
+/// A page map of `db_pages` vacant slots.
+pub fn page_map(db_pages: u64) -> PageMap {
+    (0..db_pages).map(|_| AtomicU32::new(VACANT)).collect()
+}
+
 /// One SSD buffer-table record (Figure 4): the cached page's id, its dirty
-/// bit, its validity and its last two access stamps. The record's index
-/// within the partition identifies its SSD frame.
+/// bit and its validity. The record's index within the partition
+/// identifies its SSD frame; the rest of its state is a column of its
+/// [`Order`], so a frame costs 32 bytes under LRU-2 and 24 under heat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     pub pid: PageId,
     pub dirty: bool,
     /// False once the copy is logically invalidated (§2.5).
     pub valid: bool,
-    /// Its write completes then; before it a read may not use the copy, and
-    /// dirtying the page cancels it. 0 for a copy served at once.
-    pub valid_at: Time,
-    /// Most recent access stamp.
-    pub last: u64,
-    /// Penultimate access stamp (0 = none).
-    pub prev: u64,
-}
-
-impl Record {
-    /// LRU-2 replacement key: oldest penultimate access evicts first.
-    pub fn kdist(&self) -> Key {
-        (self.prev, self.last)
-    }
-
-    /// May a read at `now` use this copy? It must be valid and written.
-    pub fn usable(&self, now: Time) -> bool {
-        self.valid && now >= self.valid_at
-    }
 }
 
 /// Extent temperatures (TAC, §2.5): a pool miss adds to its page's extent
@@ -86,43 +80,52 @@ impl Heat {
     }
 }
 
-/// The true key of occupied record `idx`.
-#[expect(clippy::expect_used, reason = "an order files occupied records only")]
-fn key(records: &[Option<Record>], heat: Option<&Heat>, idx: usize) -> Key {
-    let r = records[idx].as_ref().expect("occupied record");
-    match heat {
-        Some(h) => (h.temp(r.pid), 0),
-        None => r.kdist(),
-    }
+/// A replacement order: its column of per-frame state, and the clean
+/// (`[0]`) and dirty (`[1]`) orders of the valid records.
+#[derive(Debug)]
+enum Order {
+    /// LRU-2: each frame's access stamps, which are its key.
+    Lru2(Vec<Key>, [VictimHeap<Key>; 2]),
+    /// Extent heat, keyed by temperature alone: when each frame's write
+    /// completes. Before it a read may not use the copy, and dirtying the
+    /// page cancels it; 0 for a copy served at once.
+    Heat(Vec<Time>, [VictimHeap<u64>; 2], Heat),
+}
+
+/// An empty clean and dirty order over `frames` slots.
+fn sides<K: Ord + Copy + Default>(frames: usize) -> [VictimHeap<K>; 2] {
+    [VictimHeap::new(frames), VictimHeap::new(frames)]
 }
 
 /// Partition-local state. The manager wraps each partition in a latch.
 #[derive(Debug)]
 pub struct Partition {
-    /// First global SSD frame number owned by this partition.
-    base_frame: u64,
+    /// The global SSD frame numbers owned: record `idx` is in frame
+    /// `frames.start + idx`.
+    frames: Range<u32>,
+    /// A page's slot is only read or written under the latch of the one
+    /// partition the page routes to, hence `Relaxed`.
+    map: PageMap,
     records: Vec<Option<Record>>,
-    /// Page number → record index, over the whole database.
-    map: PageTable<u32>,
     free: Vec<usize>,
-    /// The clean (`[0]`) and dirty (`[1]`) orders of the valid records, by
-    /// the dirty bit.
-    orders: [VictimHeap<Key>; 2],
-    /// The extent temperatures that key the orders, if not LRU-2.
-    heat: Option<Heat>,
+    order: Order,
 }
 
 impl Partition {
-    /// A partition of `frames` frames from `base_frame` on, for a
-    /// database of `db_pages` pages, ordered by LRU-2 or by `heat`.
-    pub fn new(base_frame: u64, frames: usize, db_pages: u64, heat: Option<Heat>) -> Self {
+    /// A partition of `frames` frames from `base_frame` on, over the shared
+    /// page `map`, ordered by LRU-2 or by `heat`.
+    pub fn new(base_frame: u64, frames: usize, map: PageMap, heat: Option<Heat>) -> Self {
+        let end = base_frame + frames as u64;
+        assert!(end < u64::from(VACANT), "frame numbers fit the page map");
         Partition {
-            base_frame,
+            frames: base_frame as u32..end as u32,
+            map,
             records: vec![None; frames],
-            map: PageTable::new(db_pages, u32::MAX),
             free: (0..frames).rev().collect(),
-            orders: [VictimHeap::new(frames), VictimHeap::new(frames)],
-            heat,
+            order: match heat {
+                None => Order::Lru2(vec![(0, 0); frames], sides(frames)),
+                Some(h) => Order::Heat(vec![0; frames], sides(frames), h),
+            },
         }
     }
 
@@ -133,12 +136,23 @@ impl Partition {
 
     /// Global SSD frame number of record `idx`.
     pub fn frame_no(&self, idx: usize) -> u64 {
-        self.base_frame + idx as u64
+        u64::from(self.frames.start) + idx as u64
     }
 
-    /// Record index holding `pid`, if cached.
+    /// `pid`'s slot in the page map: the frame caching it, in any partition.
+    fn mapped(&self, pid: PageId) -> u32 {
+        self.map
+            .get(pid.0 as usize)
+            .map_or(VACANT, |s| s.load(Relaxed))
+    }
+
+    /// Record index holding `pid`, if cached here: a slot another
+    /// partition stored names a frame outside this one's.
     pub fn lookup(&self, pid: PageId) -> Option<usize> {
-        self.map.get(pid).map(|idx| idx as usize)
+        let frame = self.mapped(pid);
+        self.frames
+            .contains(&frame)
+            .then(|| (frame - self.frames.start) as usize)
     }
 
     /// The record at `idx` (must be occupied).
@@ -159,19 +173,31 @@ impl Partition {
         self.records[idx].as_mut().expect("occupied record")
     }
 
+    /// May a read at `now` use record `idx`'s copy? It must be valid and
+    /// written (an LRU-2 copy is written before it is admitted).
+    pub fn usable(&self, idx: usize, now: Time) -> bool {
+        let written = match &self.order {
+            Order::Heat(at, ..) => now >= at[idx],
+            Order::Lru2(..) => true,
+        };
+        self.record(idx).valid && written
+    }
+
     /// Record an SSD access to `idx` at `stamp`. Only the stamps change:
     /// the key grows, so the entry may stay filed at the older key.
+    /// Nothing in a heat partition.
     pub fn touch(&mut self, idx: usize, stamp: u64) {
-        let r = self.record_mut(idx);
-        debug_assert!(stamp > r.last, "stamps rise under the partition latch");
-        r.prev = r.last;
-        r.last = stamp;
+        if let Order::Lru2(stamps, _) = &mut self.order {
+            let s = &mut stamps[idx];
+            debug_assert!(stamp > s.1, "stamps rise under the partition latch");
+            *s = (s.1, stamp);
+        }
     }
 
     /// Record a memory-pool miss of `pid` read as `class`: heat its extent.
     /// Nothing in an LRU-2 partition.
     pub fn heat(&mut self, pid: PageId, class: Locality) {
-        if let Some(h) = &mut self.heat {
+        if let Order::Heat(.., h) = &mut self.order {
             let saved = h.saved[usize::from(class == Locality::Sequential)];
             let extent = pid.0 / h.extent_pages;
             let temp = h.temps.get(extent).unwrap_or(0) + saved;
@@ -181,21 +207,34 @@ impl Partition {
 
     /// The temperature of `pid`'s extent; 0 in an LRU-2 partition.
     pub fn temp(&self, pid: PageId) -> u64 {
-        self.heat.as_ref().map_or(0, |h| h.temp(pid))
+        match &self.order {
+            Order::Heat(.., h) => h.temp(pid),
+            Order::Lru2(..) => 0,
+        }
     }
 
     /// Forget every temperature (a quarantine's sweep).
     pub fn cool(&mut self) {
-        if let Some(h) = &mut self.heat {
+        if let Order::Heat(.., h) = &mut self.order {
             h.temps.clear();
         }
     }
 
     /// File valid record `idx` in its order at its true key.
     fn file(&mut self, idx: usize) {
-        let k = key(&self.records, self.heat.as_ref(), idx);
-        let dirty = self.record(idx).dirty;
-        self.orders[usize::from(dirty)].file(idx, k);
+        let Record { pid, dirty, .. } = *self.record(idx);
+        match &mut self.order {
+            Order::Lru2(stamps, sides) => sides[usize::from(dirty)].file(idx, stamps[idx]),
+            Order::Heat(_, sides, h) => sides[usize::from(dirty)].file(idx, h.temp(pid)),
+        }
+    }
+
+    /// Take record `idx` out of the order of its side, `dirty`.
+    fn unfile(&mut self, idx: usize, dirty: bool) {
+        match &mut self.order {
+            Order::Lru2(_, sides) => sides[usize::from(dirty)].unfile(idx),
+            Order::Heat(_, sides, _) => sides[usize::from(dirty)].unfile(idx),
+        }
     }
 
     /// Put a new record for `pid` in free frame `idx` and file it.
@@ -204,27 +243,29 @@ impl Partition {
             pid,
             dirty,
             valid: true,
-            valid_at: 0,
-            last: stamp,
-            prev: 0,
         });
-        self.map.insert(pid, idx as u32);
+        self.map[pid.0 as usize].store(self.frames.start + idx as u32, Relaxed);
+        match &mut self.order {
+            Order::Lru2(stamps, _) => stamps[idx] = (0, stamp),
+            Order::Heat(at, ..) => at[idx] = 0,
+        }
         self.file(idx);
     }
 
     /// Cache `pid` in a free frame; returns the record index, or `None`
     /// when the partition is full (caller must evict first).
     pub fn insert(&mut self, pid: PageId, dirty: bool, stamp: u64) -> Option<usize> {
-        debug_assert!(!self.map.contains_key(pid), "page {pid} already cached");
+        debug_assert_eq!(self.mapped(pid), VACANT, "page {pid} already cached");
         let idx = self.free.pop()?;
         self.occupy(idx, pid, dirty, stamp);
         Some(idx)
     }
 
     /// Cache `pid` in a *specific* frame (warm-restart import). Returns
-    /// false if that frame is not free. Only clean pages are importable.
+    /// false if that frame is not free or a partition caches `pid`. Only
+    /// clean pages are importable.
     pub fn insert_at(&mut self, idx: usize, pid: PageId, stamp: u64) -> bool {
-        if self.records[idx].is_some() || self.map.contains_key(pid) {
+        if self.mapped(pid) != VACANT {
             return false;
         }
         let Some(pos) = self.free.iter().position(|&f| f == idx) else {
@@ -237,13 +278,10 @@ impl Partition {
 
     /// Remove record `idx`, freeing its frame; returns the record.
     pub fn remove(&mut self, idx: usize) -> Record {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented contract: idx comes from lookup/insert and is occupied"
-        )]
-        let rec = self.records[idx].take().expect("occupied record");
-        self.map.remove(rec.pid);
-        self.orders[usize::from(rec.dirty)].unfile(idx);
+        let rec = *self.record(idx);
+        self.records[idx] = None;
+        self.map[rec.pid.0 as usize].store(VACANT, Relaxed);
+        self.unfile(idx, rec.dirty);
         self.free.push(idx);
         rec
     }
@@ -251,35 +289,48 @@ impl Partition {
     /// Logically invalidate record `idx` (§2.5): it keeps its frame but
     /// leaves its order, so it is never a victim.
     pub fn invalidate(&mut self, idx: usize) {
-        let dirty = self.record(idx).dirty;
-        self.record_mut(idx).valid = false;
-        self.orders[usize::from(dirty)].unfile(idx);
+        let r = self.record_mut(idx);
+        r.valid = false;
+        let dirty = r.dirty;
+        self.unfile(idx, dirty);
     }
 
     /// Record `idx`'s copy was (re)written, the write completing at
-    /// `valid_at`: it is valid from then on, and an invalid record is filed
-    /// again at its current key. True if it was invalid.
+    /// `valid_at` (kept by a heat order only): it is valid from then on,
+    /// and an invalid record is filed again at its current key. True if
+    /// it was invalid.
     pub fn validate(&mut self, idx: usize, valid_at: Time) -> bool {
-        let r = self.record_mut(idx);
-        let was_invalid = !std::mem::replace(&mut r.valid, true);
-        r.valid_at = valid_at;
+        let was_invalid = !std::mem::replace(&mut self.record_mut(idx).valid, true);
+        if let Order::Heat(at, ..) = &mut self.order {
+            at[idx] = valid_at;
+        }
         if was_invalid {
             self.file(idx);
         }
         was_invalid
     }
 
+    /// The minimum `(key, idx)` of side `dirty`.
+    #[expect(clippy::expect_used, reason = "an order files occupied records only")]
+    fn peek(&mut self, dirty: usize) -> Option<(Key, usize)> {
+        let records = &self.records;
+        match &mut self.order {
+            Order::Lru2(stamps, sides) => sides[dirty].peek(|idx| stamps[idx]),
+            Order::Heat(_, sides, h) => sides[dirty]
+                .peek(|idx| h.temp(records[idx].expect("occupied record").pid))
+                .map(|(temp, idx)| ((temp, 0), idx)),
+        }
+    }
+
     /// The replacement victim among *clean* valid pages: the LRU-2 minimum,
     /// or the page of the coldest extent.
     pub fn peek_clean_victim(&mut self) -> Option<(Key, usize)> {
-        let (records, heat) = (&self.records, self.heat.as_ref());
-        self.orders[0].peek(|idx| key(records, heat, idx))
+        self.peek(0)
     }
 
     /// The oldest *dirty* page — the next one the lazy cleaner flushes.
     pub fn peek_dirty_oldest(&mut self) -> Option<(Key, usize)> {
-        let (records, heat) = (&self.records, self.heat.as_ref());
-        self.orders[1].peek(|idx| key(records, heat, idx))
+        self.peek(1)
     }
 
     /// Mark a dirty record clean (the cleaner flushed it); it is re-filed
@@ -288,7 +339,7 @@ impl Partition {
     pub fn set_clean(&mut self, idx: usize) -> bool {
         let was_dirty = std::mem::take(&mut self.record_mut(idx).dirty);
         if was_dirty {
-            self.orders[1].unfile(idx);
+            self.unfile(idx, true);
             self.file(idx);
         }
         was_dirty
@@ -311,9 +362,24 @@ mod tests {
     const PAGES: u64 = 64;
     use turbopool_iosim::rng::{Rng, SeedableRng, SmallRng};
 
+    /// An LRU-2 partition over a page map of its own.
+    fn lru2(base_frame: u64, frames: usize) -> Partition {
+        Partition::new(base_frame, frames, page_map(PAGES), None)
+    }
+
+    /// A frame's state: its record (an empty frame is a `None`, held in
+    /// the dirty bit's niche) and its order's column, the two stamps of
+    /// LRU-2 or the `valid_at` of extent heat.
+    #[test]
+    fn a_frame_costs_32_bytes_under_lru2_and_24_under_heat() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<Record>>() + size_of::<Key>(), 32);
+        assert_eq!(size_of::<Option<Record>>() + size_of::<Time>(), 24);
+    }
+
     #[test]
     fn insert_lookup_remove() {
-        let mut p = Partition::new(100, 4, PAGES, None);
+        let mut p = lru2(100, 4);
         let idx = p.insert(PageId(7), false, 1).unwrap();
         assert_eq!(p.frame_no(idx), 100 + idx as u64);
         assert_eq!(p.lookup(PageId(7)), Some(idx));
@@ -326,7 +392,7 @@ mod tests {
 
     #[test]
     fn full_partition_rejects_insert() {
-        let mut p = Partition::new(0, 2, PAGES, None);
+        let mut p = lru2(0, 2);
         assert!(p.insert(PageId(1), false, 1).is_some());
         assert!(p.insert(PageId(2), false, 2).is_some());
         assert!(p.insert(PageId(3), false, 3).is_none());
@@ -334,7 +400,7 @@ mod tests {
 
     #[test]
     fn clean_victim_is_lru2_minimum() {
-        let mut p = Partition::new(0, 4, PAGES, None);
+        let mut p = lru2(0, 4);
         let a = p.insert(PageId(1), false, 1).unwrap();
         let b = p.insert(PageId(2), false, 2).unwrap();
         // Page 1 re-accessed twice: hot.
@@ -346,7 +412,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_live_in_the_dirty_heap() {
-        let mut p = Partition::new(0, 4, PAGES, None);
+        let mut p = lru2(0, 4);
         let d = p.insert(PageId(1), true, 1).unwrap();
         let _c = p.insert(PageId(2), false, 2).unwrap();
         assert_eq!(p.peek_dirty_oldest().unwrap().1, d);
@@ -360,7 +426,7 @@ mod tests {
 
     #[test]
     fn insert_at_claims_specific_frame() {
-        let mut p = Partition::new(100, 4, PAGES, None);
+        let mut p = lru2(100, 4);
         assert!(p.insert_at(2, PageId(9), 1));
         assert_eq!(p.lookup(PageId(9)), Some(2));
         assert_eq!(p.frame_no(2), 102);
@@ -371,7 +437,7 @@ mod tests {
 
     #[test]
     fn iter_sees_occupied_only() {
-        let mut p = Partition::new(0, 4, PAGES, None);
+        let mut p = lru2(0, 4);
         let a = p.insert(PageId(1), false, 1).unwrap();
         p.insert(PageId(2), true, 2).unwrap();
         p.remove(a);
@@ -384,7 +450,7 @@ mod tests {
         // A: accesses 1, 4. B: accesses 2, 3. LRU-2 ranks by the
         // penultimate access and evicts A; plain LRU would evict B.
         for dirty in [false, true] {
-            let mut p = Partition::new(0, 4, PAGES, None);
+            let mut p = lru2(0, 4);
             let a = p.insert(PageId(1), dirty, 1).unwrap();
             let b = p.insert(PageId(2), dirty, 2).unwrap();
             p.touch(b, 3);
@@ -401,19 +467,30 @@ mod tests {
     /// Extent width of the heat-keyed model cases.
     const EXTENT: u64 = 4;
 
+    /// A reference record: the partition's record, when its write
+    /// completes (kept by a heat partition only) and the two access stamps
+    /// an LRU-2 partition keys it by.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Model {
+        rec: Record,
+        valid_at: Time,
+        last: u64,
+        prev: u64,
+    }
+
     /// The true key of a reference record: its LRU-2 distance, or its
     /// extent's temperature when the case keeps `temps`.
-    fn model_key(r: &Record, temps: Option<&[u64]>) -> Key {
+    fn model_key(r: &Model, temps: Option<&[u64]>) -> Key {
         match temps {
-            Some(t) => (t[(r.pid.0 / EXTENT) as usize], 0),
-            None => r.kdist(),
+            Some(t) => (t[(r.rec.pid.0 / EXTENT) as usize], 0),
+            None => (r.prev, r.last),
         }
     }
 
     /// The minimum `(key, idx)` among the reference's valid records on one
     /// side, found by scanning.
     fn scan_min(
-        model: &[Option<Record>],
+        model: &[Option<Model>],
         temps: Option<&[u64]>,
         dirty: bool,
     ) -> Option<(Key, usize)> {
@@ -421,18 +498,20 @@ mod tests {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| {
-                r.filter(|r| r.valid && r.dirty == dirty)
+                r.filter(|r| r.rec.valid && r.rec.dirty == dirty)
                     .map(|r| (model_key(&r, temps), i))
             })
             .min()
     }
 
     /// A fresh reference record, as `occupy` writes it.
-    fn fresh(pid: PageId, dirty: bool, stamp: u64) -> Record {
-        Record {
-            pid,
-            dirty,
-            valid: true,
+    fn fresh(pid: PageId, dirty: bool, stamp: u64) -> Model {
+        Model {
+            rec: Record {
+                pid,
+                dirty,
+                valid: true,
+            },
             valid_at: 0,
             last: stamp,
             prev: 0,
@@ -456,17 +535,17 @@ mod tests {
             let heated = case >= 64;
             // A random miss saves 7 ns, a sequential one nothing.
             let heat = heated.then(|| Heat::new(EXTENT, PAGES, 7, 0));
-            let mut p = Partition::new(0, FRAMES, PAGES, heat);
+            let mut p = Partition::new(0, FRAMES, page_map(PAGES), heat);
             let mut temps = heated.then(|| vec![0u64; PAGES.div_ceil(EXTENT) as usize]);
-            let mut model: Vec<Option<Record>> = vec![None; FRAMES];
+            let mut model: Vec<Option<Model>> = vec![None; FRAMES];
             let mut stamp = 0u64;
             for _ in 0..rng.gen_range(1usize..300) {
                 stamp += 1;
                 let pid = PageId(rng.gen_range(0u64..24));
                 let idx = rng.gen_range(0usize..FRAMES);
                 let held = model[idx].is_some();
-                let valid = model[idx].is_some_and(|r| r.valid);
-                let pending = model[idx].is_some_and(|r| r.valid && r.valid_at > stamp);
+                let valid = model[idx].is_some_and(|r| r.rec.valid);
+                let pending = model[idx].is_some_and(|r| r.rec.valid && r.valid_at > stamp);
                 match rng.gen_range(0u8..14) {
                     0 | 1 if p.lookup(pid).is_none() => {
                         let dirty = rng.gen_bool(0.4);
@@ -479,7 +558,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        let want = !held && model.iter().flatten().all(|r| r.pid != pid);
+                        let want = !held && model.iter().flatten().all(|r| r.rec.pid != pid);
                         assert_eq!(p.insert_at(idx, pid, stamp), want);
                         if want {
                             model[idx] = Some(fresh(pid, false, stamp));
@@ -490,10 +569,12 @@ mod tests {
                         let r = model[idx].as_mut().unwrap();
                         (r.prev, r.last) = (r.last, stamp);
                     }
-                    6 | 7 if held => assert_eq!(Some(p.remove(idx)), model[idx].take()),
+                    6 | 7 if held => {
+                        assert_eq!(Some(p.remove(idx)), model[idx].take().map(|r| r.rec));
+                    }
                     8 if valid => {
                         p.set_clean(idx);
-                        model[idx].as_mut().unwrap().dirty = false;
+                        model[idx].as_mut().unwrap().rec.dirty = false;
                     }
                     9 => {
                         let t = temps.as_deref();
@@ -503,19 +584,20 @@ mod tests {
                     // Logical invalidation: the frame stays occupied.
                     10 if valid => {
                         p.invalidate(idx);
-                        model[idx].as_mut().unwrap().valid = false;
+                        model[idx].as_mut().unwrap().rec.valid = false;
                     }
-                    // Refresh: rewritten, valid once the write completes.
+                    // Refresh: rewritten, valid once the write completes
+                    // (LRU-2 serves every copy at once).
                     11 if held => {
                         let at = stamp + rng.gen_range(0u64..8);
                         let r = model[idx].as_mut().unwrap();
-                        assert_eq!(p.validate(idx, at), !r.valid);
-                        (r.valid, r.valid_at) = (true, at);
+                        assert_eq!(p.validate(idx, at), !r.rec.valid);
+                        (r.rec.valid, r.valid_at) = (true, if heated { at } else { 0 });
                     }
                     // Cancel: a copy dirtied before its write completes goes.
                     12 if pending => {
-                        assert!(!p.record(idx).usable(stamp));
-                        assert_eq!(Some(p.remove(idx)), model[idx].take());
+                        assert!(!p.usable(idx, stamp));
+                        assert_eq!(Some(p.remove(idx)), model[idx].take().map(|r| r.rec));
                     }
                     13 => {
                         let random = rng.gen_bool(0.7);
@@ -535,8 +617,8 @@ mod tests {
                 assert_eq!(p.free_frames(), FRAMES - held);
                 for (i, r) in model.iter().enumerate() {
                     if let Some(r) = r {
-                        assert_eq!((p.lookup(r.pid), p.record(i)), (Some(i), r));
-                        assert_eq!(p.record(i).usable(stamp), r.valid && stamp >= r.valid_at);
+                        assert_eq!((p.lookup(r.rec.pid), p.record(i)), (Some(i), &r.rec));
+                        assert_eq!(p.usable(i, stamp), r.rec.valid && stamp >= r.valid_at);
                     }
                 }
             }
@@ -553,11 +635,72 @@ mod tests {
                         "case {case}"
                     );
                     let Some((_, i)) = got else { break };
-                    assert_eq!(Some(p.remove(i)), model[i].take());
+                    assert_eq!(Some(p.remove(i)), model[i].take().map(|r| r.rec));
                 }
             }
             // What is left is invalid: in no order, never a victim.
-            assert!(model.iter().flatten().all(|r| !r.valid), "case {case}");
+            assert!(model.iter().flatten().all(|r| !r.rec.valid), "case {case}");
+        }
+    }
+
+    /// Several partitions over one page map, each owning its own frames:
+    /// seeded inserts, imports, invalidations and removals at random
+    /// partitions, after each of which every partition's lookup of every
+    /// page must match a model of which partition holds which page in
+    /// which record. So no partition sees a page another holds, and none
+    /// clears a slot another stored. A page enters only where no partition
+    /// holds it, as the manager's routing ensures; odd cases key by heat.
+    #[test]
+    fn partitions_share_one_page_map() {
+        const PARTS: usize = 4;
+        const FRAMES: usize = 5;
+        for case in 0u64..32 {
+            let mut rng = SmallRng::seed_from_u64(0x0AE5_4A9D ^ case);
+            let heated = case % 2 == 1;
+            let map = page_map(PAGES);
+            let mut parts: Vec<Partition> = (0..PARTS)
+                .map(|q| {
+                    let heat = heated.then(|| Heat::new(EXTENT, PAGES, 7, 0));
+                    Partition::new((q * FRAMES) as u64, FRAMES, map.clone(), heat)
+                })
+                .collect();
+            // `held[q][idx]`: the page partition `q` holds in record `idx`.
+            let mut held = [[None::<PageId>; FRAMES]; PARTS];
+            for step in 1..=200u64 {
+                let q = rng.gen_range(0..PARTS);
+                let pid = PageId(rng.gen_range(0..PAGES));
+                let idx = rng.gen_range(0..FRAMES);
+                let absent = held.iter().flatten().all(|&h| h != Some(pid));
+                let p = &mut parts[q];
+                match rng.gen_range(0u8..4) {
+                    0 if absent => {
+                        if let Some(i) = p.insert(pid, rng.gen_bool(0.3), step) {
+                            held[q][i] = Some(pid);
+                        }
+                    }
+                    1 => {
+                        let want = absent && held[q][idx].is_none();
+                        assert_eq!(p.insert_at(idx, pid, step), want, "case {case}");
+                        if want {
+                            held[q][idx] = Some(pid);
+                        }
+                    }
+                    // An invalid copy keeps its frame and its slot.
+                    2 if heated && held[q][idx].is_some() => p.invalidate(idx),
+                    3 => {
+                        if let Some(h) = held[q][idx].take() {
+                            assert_eq!(p.remove(idx).pid, h, "case {case}");
+                        }
+                    }
+                    _ => {}
+                }
+                for (q, p) in parts.iter().enumerate() {
+                    for pid in (0..PAGES).map(PageId) {
+                        let want = held[q].iter().position(|&h| h == Some(pid));
+                        assert_eq!(p.lookup(pid), want, "case {case} step {step} part {q}");
+                    }
+                }
+            }
         }
     }
 }

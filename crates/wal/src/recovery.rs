@@ -317,8 +317,8 @@ fn replay<N: Width, W: Width>(
 /// Passes 2 and 3 over `suffix`, the records after the anchor, with log
 /// positions (counted from the suffix's start) and counts stored in `P`.
 /// Pass 1 verified these bytes: no re-hash. Pass 2 collects the committed
-/// transactions and counts each wanted page's writes; pass 3 indexes the
-/// committed ones by page ([`ByPage`]) and redoes each page once, in
+/// transactions ([`Committed`]) and counts each wanted page's writes; pass
+/// 3 indexes the committed ones by page ([`ByPage`]) and redoes each page once, in
 /// ascending page order — one read, its after-images applied in log
 /// order, one write. The order is part of the contract: redo writes are
 /// crash boundaries and fault-plan draws, numbered in the order issued.
@@ -331,13 +331,11 @@ fn redo<P: Width>(
 ) -> Result<Vec<PageId>, IoError> {
     let records = || RecordReader::verified(suffix, 0);
     let wanted = |pid: PageId| only.is_none_or(|pids| pids.contains(&pid));
-    let mut committed: HashSet<TxId> = HashSet::new();
+    let mut commits: Vec<TxId> = Vec::new();
     let mut counts = vec![P::ZERO; db.num_pages() as usize];
     for (_, rec) in records() {
         match rec {
-            RecordRef::Commit { txid } => {
-                committed.insert(txid);
-            }
+            RecordRef::Commit { txid } => commits.push(txid),
             RecordRef::PageWrite { pid, .. } if wanted(pid) => {
                 let n = &mut counts[pid.0 as usize];
                 *n = *n + P::ONE;
@@ -345,10 +343,11 @@ fn redo<P: Width>(
             _ => {}
         }
     }
+    let committed = Committed::new(commits);
     let index = ByPage::build(
         counts,
         records().filter_map(|(pos, rec)| match rec {
-            RecordRef::PageWrite { txid, pid, .. } if wanted(pid) && committed.contains(&txid) => {
+            RecordRef::PageWrite { txid, pid, .. } if wanted(pid) && committed.contains(txid) => {
                 Some((pid, pos))
             }
             _ => None,
@@ -382,6 +381,56 @@ fn redo<P: Width>(
     stats.writes_skipped = index.at.len() - stats.writes_applied;
     stats.pages_written = redone.len();
     Ok(redone)
+}
+
+/// The committed transactions of a replayed suffix, which the placing
+/// pass tests each write against: one bit per id from the lowest committed
+/// id to the highest, or the ids sorted when that span is wider than
+/// [`BITS_PER_COMMIT`] bits per commit (a sorted id costs 64 bits). Ids
+/// rise with each begin, so the span is about the commit count.
+enum Committed {
+    Bits { lo: TxId, words: Vec<u64> },
+    Sorted(Vec<TxId>),
+}
+
+/// The widest span kept as a bitmap, in bits per committed transaction.
+const BITS_PER_COMMIT: u64 = 64;
+
+impl Committed {
+    /// The set of `ids`, in any order, a repeated id counted once.
+    fn new(mut ids: Vec<TxId>) -> Self {
+        let (Some(&lo), Some(&hi)) = (ids.iter().min(), ids.iter().max()) else {
+            return Committed::Sorted(ids);
+        };
+        if hi - lo >= BITS_PER_COMMIT * ids.len() as u64 {
+            ids.sort_unstable();
+            ids.dedup();
+            return Committed::Sorted(ids);
+        }
+        let mut words = vec![0u64; ((hi - lo) / 64 + 1) as usize];
+        for bit in ids.into_iter().map(|id| id - lo) {
+            words[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
+        Committed::Bits { lo, words }
+    }
+
+    fn contains(&self, id: TxId) -> bool {
+        match self {
+            Committed::Bits { lo, words } => id.checked_sub(*lo).is_some_and(|bit| {
+                let word = words.get((bit / 64) as usize).copied().unwrap_or(0);
+                word >> (bit % 64) & 1 == 1
+            }),
+            Committed::Sorted(ids) => ids.binary_search(&id).is_ok(),
+        }
+    }
+
+    /// Distinct committed transactions.
+    fn len(&self) -> usize {
+        match self {
+            Committed::Bits { words, .. } => words.iter().map(|w| w.count_ones() as usize).sum(),
+            Committed::Sorted(ids) => ids.len(),
+        }
+    }
 }
 
 /// An unsigned integer width for [`ByPage`]: its log positions and its
@@ -909,6 +958,58 @@ mod tests {
         let mut buf = [0u8; 16];
         db.read(PageId(2), &mut buf);
         assert_eq!(buf, [1, 1, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4]);
+    }
+
+    #[test]
+    fn the_committed_set_is_a_bitmap_over_its_span() {
+        let set = Committed::new(vec![75, 10, 12, 75]);
+        assert!(matches!(set, Committed::Bits { lo: 10, .. }));
+        let want = [10, 12, 75];
+        for id in [0, 9, 10, 11, 12, 13, 63, 64, 74, 75, 76, 128, u64::MAX] {
+            assert_eq!(set.contains(id), want.contains(&id), "id {id}");
+        }
+        assert_eq!(set.len(), 3, "a repeated commit counts once");
+        assert_eq!(Committed::new(Vec::new()).len(), 0);
+    }
+
+    /// One committed id far below the rest: a bitmap over the span would
+    /// cost a bit per id between, so the ids are kept sorted instead, and
+    /// redo applies exactly the committed writes either way.
+    #[test]
+    fn a_committed_id_far_below_the_rest_is_kept_sorted() {
+        let far = 1_000_000u64;
+        let ids: Vec<TxId> = (far..far + 10).chain([3]).collect();
+        let set = Committed::new(ids.clone());
+        assert!(matches!(set, Committed::Sorted(_)));
+        for id in [2, 3, 4, far - 1, far, far + 9, far + 10] {
+            assert_eq!(set.contains(id), ids.contains(&id), "id {id}");
+        }
+
+        let db = MemStore::new(4, 16);
+        let write = |txid: TxId, pid| LogRecord::PageWrite {
+            txid,
+            pid: PageId(pid),
+            offset: (txid % 12) as u32,
+            data: vec![txid as u8 | 1; 4],
+        };
+        let mut log = vec![write(3, 0), write(far / 2, 1)];
+        for txid in far..far + 10 {
+            log.extend([write(txid, 1 + txid % 3), LogRecord::Commit { txid }]);
+        }
+        log.push(LogRecord::Commit { txid: 3 });
+        let out = run(&encode(&log), &db);
+        assert_eq!(out.stats.txns_redone, 11);
+        assert_eq!(
+            (out.stats.writes_applied, out.stats.writes_skipped),
+            (11, 1)
+        );
+        let mut buf = [0u8; 16];
+        db.read(PageId(0), &mut buf);
+        assert_eq!(
+            buf[3..7],
+            [3; 4],
+            "the lowest committed id's write is redone"
+        );
     }
 
     #[test]
