@@ -41,9 +41,9 @@ pub fn page_map(db_pages: u64) -> PageMap {
 }
 
 /// One SSD buffer-table record (Figure 4): the cached page's id, its dirty
-/// bit and its validity. The record's index within the partition
-/// identifies its SSD frame; the rest of its state is a column of its
-/// [`Order`], so a frame costs 32 bytes under LRU-2 and 24 under heat.
+/// bit and its validity; its index identifies its SSD frame. The rest of
+/// a frame's state is a column of the partition's order: 32 bytes a frame
+/// under LRU-2, 24 under extent heat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     pub pid: PageId,
@@ -104,7 +104,8 @@ pub struct Partition {
     /// `frames.start + idx`.
     frames: Range<u32>,
     /// A page's slot is only read or written under the latch of the one
-    /// partition the page routes to, hence `Relaxed`.
+    /// partition the page routes to; that latch orders the accesses, so
+    /// they are `Relaxed`.
     map: PageMap,
     records: Vec<Option<Record>>,
     free: Vec<usize>,

@@ -317,12 +317,12 @@ fn replay<N: Width, W: Width>(
 /// Passes 2 and 3 over `suffix`, the records after the anchor, with log
 /// positions (counted from the suffix's start) and counts stored in `P`.
 /// Pass 1 verified these bytes: no re-hash. Pass 2 collects the committed
-/// transactions ([`Committed`]) and counts each wanted page's writes; pass
-/// 3 indexes the committed ones by page ([`ByPage`]) and redoes each page once, in
-/// ascending page order — one read, its after-images applied in log
-/// order, one write. The order is part of the contract: redo writes are
-/// crash boundaries and fault-plan draws, numbered in the order issued.
-/// Returns the pages redone, ascending.
+/// transactions ([`Committed`]) and counts each wanted page's writes;
+/// pass 3 indexes the committed ones by page ([`ByPage`]) and redoes each
+/// page once, in ascending page order — one read, its after-images
+/// applied in log order, one write. The order is part of the contract:
+/// redo writes are crash boundaries and fault-plan draws, numbered in the
+/// order issued. Returns the pages redone, ascending.
 fn redo<P: Width>(
     db: &mut dyn RedoStore,
     suffix: &[u8],
@@ -387,7 +387,8 @@ fn redo<P: Width>(
 /// pass tests each write against: one bit per id from the lowest committed
 /// id to the highest, or the ids sorted when that span is wider than
 /// [`BITS_PER_COMMIT`] bits per commit (a sorted id costs 64 bits). Ids
-/// rise with each begin, so the span is about the commit count.
+/// rise with each begin, so the span is about the number of transactions
+/// the suffix saw; one id far below the rest makes it wide.
 enum Committed {
     Bits { lo: TxId, words: Vec<u64> },
     Sorted(Vec<TxId>),
