@@ -687,7 +687,7 @@ mod tests {
                         }
                     }
                     // An invalid copy keeps its frame and its slot.
-                    2 if heated && held[q][idx].is_some() => p.invalidate(idx),
+                    2 if held[q][idx].is_some() => p.invalidate(idx),
                     3 => {
                         if let Some(h) = held[q][idx].take() {
                             assert_eq!(p.remove(idx).pid, h, "case {case}");
