@@ -174,13 +174,15 @@ pub struct Lru2Policy {
     /// Total touches so far; the next stamp is `counter + 1`.
     counter: u64,
     /// Retained LRU-2 history of evicted pages (O'Neil's Retained
-    /// Information Period): re-referenced pages keep their penultimate
-    /// access stamp across evictions, so a hot page that was pushed out
-    /// does not re-enter looking like a scan-once page (which would make
-    /// it the immediate next victim). Bounded to a multiple of the frame
-    /// count. Indexed by page number; `(0, 0)`, the stamps of a slot never
+    /// Information Period): re-referenced pages keep their last access
+    /// stamp across evictions, which the reinstall's touch makes the
+    /// penultimate one, so a hot page that was pushed out does not
+    /// re-enter looking like a scan-once page (which would make it the
+    /// immediate next victim). Only `last` is kept: the touch overwrites
+    /// `prev` before anything reads it. Bounded to a multiple of the frame
+    /// count. Indexed by page number; 0, the stamp of a slot never
     /// touched, marks a page with none.
-    hist: PageTable<(u64, u64)>,
+    hist: PageTable<u64>,
     heap: VictimHeap<KDist>,
     stats: PolicyStats,
 }
@@ -191,7 +193,7 @@ impl Lru2Policy {
         Lru2Policy {
             stamps: vec![(0, 0); frames],
             counter: 0,
-            hist: PageTable::new(db_pages, (0, 0)),
+            hist: PageTable::new(db_pages, 0),
             heap: VictimHeap::new(frames),
             stats: PolicyStats::default(),
         }
@@ -211,28 +213,29 @@ impl Lru2Policy {
         self.heap.file(slot, (last, self.counter));
     }
 
-    /// Remember the evicted page's stamps, pruning the retained set to
+    /// Remember the evicted page's last stamp, pruning the retained set to
     /// 8x the frame count by dropping the stalest half. The median is
     /// found with `select_nth_unstable` — O(n) instead of the old
     /// O(n log n) full sort, selecting the *same* element (the value at
     /// the sorted midpoint), so the retained set is unchanged.
-    fn retain_history(&mut self, pid: PageId, last: u64, prev: u64) {
+    fn retain_history(&mut self, pid: PageId, last: u64) {
         debug_assert!(last > 0, "an evicted page was touched at least once");
-        self.hist.insert(pid, (last, prev));
+        self.hist.insert(pid, last);
         let cap = 8 * self.stamps.len();
         if self.hist.len() > cap {
-            let mut lasts: Vec<u64> = self.hist.values().map(|(l, _)| l).collect();
+            let mut lasts: Vec<u64> = self.hist.values().collect();
             let mid = lasts.len() / 2;
             let (_, &mut median, _) = lasts.select_nth_unstable(mid);
-            self.hist.retain(|(l, _)| l >= median);
+            self.hist.retain(|l| l >= median);
         }
     }
 
     /// Adopt retained history for a page being (re)installed into `slot`,
-    /// so its next touch yields a non-empty penultimate stamp.
+    /// so its next touch yields a non-empty penultimate stamp. Every
+    /// caller touches the slot next, which overwrites `prev`.
     fn adopt(&mut self, slot: usize, pid: PageId) {
-        if let Some(retained) = self.hist.remove(pid) {
-            self.stamps[slot] = retained;
+        if let Some(last) = self.hist.remove(pid) {
+            self.stamps[slot] = (last, 0);
             self.stats.ghost_hits += 1;
         }
     }
@@ -265,8 +268,8 @@ impl Lru2Policy {
     pub fn on_evict(&mut self, slot: usize, pid: PageId) {
         // A no-op when `slot` came from `select_victim`, which unfiled it.
         self.heap.unfile(slot);
-        let (last, prev) = std::mem::take(&mut self.stamps[slot]);
-        self.retain_history(pid, last, prev);
+        let (last, _) = std::mem::take(&mut self.stamps[slot]);
+        self.retain_history(pid, last);
     }
 
     /// The page in `slot` left without eviction semantics (a failed
@@ -849,8 +852,8 @@ mod tests {
                 assert_eq!(new.counter, old.counter);
                 assert_eq!(new.stats.ghost_hits, old.ghost_hits);
                 assert_eq!(
-                    sorted(new.hist.iter().map(|(p, h)| (PageId(p), h))),
-                    sorted(old.hist.iter().map(|(&p, &h)| (p, h))),
+                    sorted(new.hist.iter().map(|(p, last)| (PageId(p), last))),
+                    sorted(old.hist.iter().map(|(&p, &(last, _))| (p, last))),
                     "retained history, seed {seed} frames {frames}"
                 );
             }

@@ -17,7 +17,9 @@ use std::sync::atomic::Ordering;
 
 use turbopool_iosim::{MemStore, PageBuf, PageId};
 
-use crate::btree::{node_capacity, set_extra, write_entries, IndexMeta, INTERNAL, LEAF};
+use crate::btree::{
+    node_capacity, set_extra, sorted_head, write_entries, IndexMeta, INTERNAL, LEAF,
+};
 use crate::db::{Database, HeapId, IndexId};
 use crate::heap::HeapMeta;
 
@@ -116,12 +118,15 @@ where
 
 /// Write one node to page `pid`, built in a fresh image: `kind`, `extra`
 /// (a leaf's next link, an internal node's leftmost child) and `entries`.
+/// The entries are sorted, so the whole node is its sorted head: the
+/// image records that, and no pool fill of the page scans for it.
 fn write_node(store: &MemStore, pid: PageId, kind: u8, extra: u64, entries: &[(u64, u64)]) {
     let mut image = PageBuf::zeroed(store.page_size());
     let b = image.as_mut_slice();
     b[0] = kind;
     set_extra(b, extra);
     write_entries(b, entries);
+    image.record_derived(entries.len() as u64, sorted_head);
     store.write_buf(pid, image);
 }
 
@@ -261,6 +266,26 @@ mod tests {
                 })
                 .collect();
             assert_matches_oracle(&pairs, [0.1, 0.7, 1.0][seed as usize % 3]);
+        }
+    }
+
+    /// Every node the loader writes is sorted, and its image records so:
+    /// a pool fill of it finds its sorted head without a scan.
+    #[test]
+    fn bulk_loaded_nodes_carry_their_sorted_head() {
+        let mut cfg = DbConfig::small_for_tests();
+        cfg.pool.db_pages = 2048;
+        let db = Database::open(cfg);
+        let idx = db.create_index(&mut Clk::new(), "i", 1200);
+        bulk_load_index(&db, idx, (0..5000u64).map(|k| (k, k + 7)), 0.7);
+        let meta = db.index_meta(idx);
+        let used = meta.cursor.load(Ordering::Relaxed);
+        assert!(used > 1, "leaves and an internal level below the root");
+        let store = db.io().disk_store();
+        let nodes = (0..used).map(|i| meta.extent_first.offset(i));
+        for pid in std::iter::once(meta.root).chain(nodes) {
+            let image = store.read_buf(pid);
+            assert_eq!(image.known_derived(), Some(sorted_head(&image)), "{pid}");
         }
     }
 

@@ -79,26 +79,10 @@ pub struct IoManager {
     disk_store: MemStore,
     ssd_dev: SimDevice,
     ssd_store: MemStore,
-    /// Self-identification tag per SSD frame: the page id + 1 of the page
-    /// last written there (0 = never written). Models the page-id header a
-    /// real cache stores inside each cached page — persisted with the page
-    /// at no extra I/O cost, and the basis of warm-restart validation.
-    ssd_tags: Vec<std::sync::atomic::AtomicU64>,
-    /// The image each SSD frame was *meant* to hold (`None` = never
-    /// written), recorded at write submission and verified on every read.
-    /// Models the in-page checksum a real cache stores beside the page-id
-    /// header (same persistence argument as `ssd_tags`): injected torn
-    /// writes and bit flips corrupt the stored bytes but not this intent
-    /// record, so the next read detects the damage instead of returning
-    /// bad bytes. Lives and dies with this `IoManager`, so unlike the
-    /// WAL's FNV-1a record trailer it is not a format.
-    ///
-    /// An undamaged frame holds the very image recorded here, which is
-    /// checked by identity ([`PageBuf::same_image`]) and sums nothing. A
-    /// damaged frame — torn, bit-flipped, or overwritten at rest — holds
-    /// a different image, and only then are the two compared by
-    /// [`fault::frame_sum`].
-    ssd_intents: Vec<RwLock<Option<PageBuf>>>,
+    /// Each SSD frame's intent record, one table under one latch: the
+    /// image the frame was *meant* to hold and the page it caches, both
+    /// recorded at write submission. See [`Intent`].
+    ssd_intents: RwLock<Vec<Intent>>,
     log_dev: SimDevice,
     /// The crash switch and the two devices' fault plans, asked once per
     /// device request.
@@ -110,6 +94,27 @@ pub struct IoManager {
     lost_disk_writes: sync::Mutex<std::collections::HashSet<PageId>>,
     /// Fast-path flag: true while `lost_disk_writes` may be non-empty.
     any_lost_writes: AtomicBool,
+}
+
+/// One SSD frame's intent record. It models the page-id header and the
+/// in-page checksum a real cache stores inside each cached page —
+/// persisted with the page at no extra I/O cost — and lives and dies with
+/// its `IoManager`, so unlike the WAL's FNV-1a record trailer it is not a
+/// format.
+#[derive(Default)]
+struct Intent {
+    /// The image the frame was meant to hold (`None` = never written),
+    /// verified on every read. Injected torn writes and bit flips corrupt
+    /// the stored bytes but not this record, so the next read detects the
+    /// damage instead of returning bad bytes. An undamaged frame holds the
+    /// very image recorded here, which is checked by identity
+    /// ([`PageBuf::same_image`]) and sums nothing. A damaged frame — torn,
+    /// bit-flipped, or overwritten at rest — holds a different image, and
+    /// only then are the two compared by [`fault::frame_sum`].
+    meant: Option<PageBuf>,
+    /// The page id + 1 of the page last written there (0 = never
+    /// written): the basis of warm-restart validation.
+    tag: u64,
 }
 
 /// The one fault-and-crash injector at the device edge: the crash switch
@@ -207,10 +212,7 @@ impl IoManager {
             ssd_dev: SimDevice::new("ssd", setup.ssd_profile),
             ssd_store: MemStore::with_zero(setup.ssd_frames, zero.clone()),
             zero,
-            ssd_tags: (0..setup.ssd_frames)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
-            ssd_intents: (0..setup.ssd_frames).map(|_| RwLock::new(None)).collect(),
+            ssd_intents: RwLock::new((0..setup.ssd_frames).map(|_| Intent::default()).collect()),
             log_dev: SimDevice::new("log", setup.log_profile),
             inject: Injector {
                 attached: AtomicBool::new(false),
@@ -478,8 +480,8 @@ impl IoManager {
         let scale = self.inject.read(FaultDevice::Ssd, clk.now)?;
         let done = self.submit_ssd(clk.now, IoKind::Read, frame, scale);
         let image = self.ssd_store.read_buf(PageId(frame));
-        let intact = self.ssd_intents[frame as usize]
-            .read()
+        let intact = self.ssd_intents.read()[frame as usize]
+            .meant
             .as_ref()
             .is_none_or(|meant| {
                 meant.same_image(&image) || fault::frame_sum(meant) == fault::frame_sum(&image)
@@ -537,7 +539,7 @@ impl IoManager {
                     // The stored image is the intended one. The old intent
                     // goes first, so a slice still lands in the frame's own
                     // image when nothing else shares it.
-                    self.ssd_intents[frame as usize].write().take();
+                    self.ssd_intents.write()[frame as usize].meant.take();
                     self.ssd_store.write(PageId(frame), data);
                     self.ssd_store.read_buf(PageId(frame))
                 };
@@ -579,8 +581,10 @@ impl IoManager {
     /// Update `frame`'s intent records — the image it was meant to hold,
     /// and the page it caches — whatever actually reached the store.
     fn record_ssd_intent(&self, frame: u64, meant: PageBuf, tag: PageId) {
-        *self.ssd_intents[frame as usize].write() = Some(meant);
-        self.ssd_tags[frame as usize].store(tag.0 + 1, Ordering::Relaxed);
+        self.ssd_intents.write()[frame as usize] = Intent {
+            meant: Some(meant),
+            tag: tag.0 + 1,
+        };
     }
 
     /// Synchronously write one SSD frame.
@@ -600,7 +604,7 @@ impl IoManager {
     /// The page id cached in `frame` per its in-page header, if any. This
     /// survives restarts (it lives in the frame itself).
     pub fn ssd_tag(&self, frame: u64) -> Option<PageId> {
-        let t = self.ssd_tags[frame as usize].load(Ordering::Relaxed);
+        let t = self.ssd_intents.read()[frame as usize].tag;
         (t != 0).then(|| PageId(t - 1))
     }
 
@@ -868,8 +872,8 @@ mod tests {
         // reading it back is checked by identity.
         io.write_ssd_sync(&mut clk, 3, &page, PageId(77)).unwrap();
         assert_eq!(io.ssd_store().read_buf(PageId(3)).as_ptr(), page.as_ptr());
-        assert!(io.ssd_intents[3]
-            .read()
+        assert!(io.ssd_intents.read()[3]
+            .meant
             .as_ref()
             .is_some_and(|m| m.same_image(&page)));
         let mut got = io.zero_page();
@@ -886,7 +890,7 @@ mod tests {
     fn slice_writes_record_the_stored_image_and_reuse_it() {
         let io = io();
         let mut clk = Clk::new();
-        let intent = |io: &IoManager| io.ssd_intents[5].read().clone().expect("written");
+        let intent = |io: &IoManager| io.ssd_intents.read()[5].meant.clone().expect("written");
         io.write_ssd_sync(&mut clk, 5, &[0x31; 64], PageId(1))
             .unwrap();
         let stored = io.ssd_store().read_buf(PageId(5));

@@ -324,6 +324,25 @@ impl PageBuf {
             }
         }
     }
+
+    /// Record `v` as what `derive` computes from the bytes, for a caller
+    /// that already knows it (the bulk loader, of a node it wrote sorted),
+    /// so no later [`derived`](Self::derived) computes it. Debug builds
+    /// check it against `derive`, as `derived` checks a cached hit.
+    pub fn record_derived(&mut self, v: u64, derive: fn(&[u8]) -> u64) {
+        debug_assert_eq!(
+            v,
+            derive(&self.data),
+            "recorded value is not the derived one"
+        );
+        *self.derived.get_mut() = v;
+    }
+
+    /// The derived value this handle carries, if one was computed or
+    /// recorded since the bytes last changed.
+    pub fn known_derived(&self) -> Option<u64> {
+        Some(self.derived.load(Ordering::Relaxed)).filter(|&v| v != NO_DERIVED)
+    }
 }
 
 impl Clone for PageBuf {
@@ -624,8 +643,7 @@ mod tests {
         fn first_byte(b: &[u8]) -> u64 {
             u64::from(b[0])
         }
-        let cached =
-            |p: &PageBuf| Some(p.derived.load(Ordering::Relaxed)).filter(|&v| v != NO_DERIVED);
+        let cached = PageBuf::known_derived;
         let mut a = PageBuf::from_slice(&[3u8; 64]);
         assert_eq!(cached(&a), None);
         assert_eq!(a.derived(first_byte), 3);

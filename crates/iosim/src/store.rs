@@ -8,6 +8,12 @@
 //! page, and images are immutable while shared, so what a write stored is
 //! what every later read sees whatever the writer does to its own handle
 //! afterwards.
+//!
+//! A store is one table under one latch, as DESIGN §3 has it for every
+//! table: a read holds it shared for a handle clone, a write exclusively
+//! for a handle swap or one page copy. Each driver domain owns its
+//! database, so no run contends it; a latch per page would cost 16 bytes
+//! a page and buy nothing.
 
 use crate::sync::RwLock;
 
@@ -20,7 +26,11 @@ use crate::page::{PageBuf, PageId, PageSrc};
 pub struct MemStore {
     /// What every never-written page reads as.
     zero: PageBuf,
-    pages: Vec<RwLock<Option<PageBuf>>>,
+    /// Page images by page number (`None` = never written), one latch
+    /// for all of them.
+    pages: RwLock<Vec<Option<PageBuf>>>,
+    /// Capacity in pages, readable without the latch.
+    len: usize,
 }
 
 impl MemStore {
@@ -33,22 +43,24 @@ impl MemStore {
     /// several stores can share one zero image.
     pub fn with_zero(num_pages: u64, zero: PageBuf) -> Self {
         assert!(!zero.is_empty());
-        let mut pages = Vec::with_capacity(num_pages as usize);
-        pages.resize_with(num_pages as usize, || RwLock::new(None));
-        MemStore { zero, pages }
+        let len = num_pages as usize;
+        let pages = RwLock::new(vec![None; len]);
+        MemStore { zero, pages, len }
     }
 
-    fn slot(&self, pid: PageId) -> &RwLock<Option<PageBuf>> {
-        self.pages
-            .get(pid.0 as usize)
-            .unwrap_or_else(|| panic!("page {pid} out of bounds ({} pages)", self.pages.len()))
+    /// `pid`'s slot index; panics past the end.
+    fn slot(&self, pid: PageId) -> usize {
+        let (i, len) = (pid.0 as usize, self.len);
+        assert!(i < len, "page {pid} out of bounds ({len} pages)");
+        i
     }
 
     /// Copy page `pid` into `buf`. Reading a never-written page yields
     /// zeroes, like a freshly created database file.
     pub fn read(&self, pid: PageId, buf: &mut [u8]) {
         assert_eq!(buf.len(), self.zero.len(), "read buffer size mismatch");
-        buf.copy_from_slice(self.slot(pid).read().as_ref().unwrap_or(&self.zero));
+        let i = self.slot(pid);
+        buf.copy_from_slice(self.pages.read()[i].as_ref().unwrap_or(&self.zero));
     }
 
     /// Store `data` as page `pid`: an image is shared, a slice is copied —
@@ -60,29 +72,31 @@ impl MemStore {
         }
         let data = data.bytes();
         assert_eq!(data.len(), self.zero.len(), "write size mismatch");
-        let mut slot = self.slot(pid).write();
-        match &mut *slot {
+        let i = self.slot(pid);
+        match &mut self.pages.write()[i] {
             Some(existing) => existing.copy_from(data),
-            None => *slot = Some(PageBuf::from_slice(data)),
+            slot => *slot = Some(PageBuf::from_slice(data)),
         }
     }
 
     /// A handle on page `pid`'s image — no bytes move. Never-written
     /// pages all share one zero image.
     pub fn read_buf(&self, pid: PageId) -> PageBuf {
-        self.slot(pid).read().as_ref().unwrap_or(&self.zero).clone()
+        let i = self.slot(pid);
+        self.pages.read()[i].as_ref().unwrap_or(&self.zero).clone()
     }
 
     /// Make `image` page `pid`'s image: the store adopts the handle and no
     /// bytes move.
     pub fn write_buf(&self, pid: PageId, image: PageBuf) {
         assert_eq!(image.len(), self.zero.len(), "write size mismatch");
-        *self.slot(pid).write() = Some(image);
+        let i = self.slot(pid);
+        self.pages.write()[i] = Some(image);
     }
 
     /// Capacity in pages.
     pub fn num_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.len as u64
     }
 
     /// Page size in bytes.
@@ -94,7 +108,8 @@ impl MemStore {
     /// the engine uses this to format never-written pages in memory without
     /// charging a pointless read I/O.
     pub fn is_materialized(&self, pid: PageId) -> bool {
-        self.slot(pid).read().is_some()
+        let i = self.slot(pid);
+        self.pages.read()[i].is_some()
     }
 }
 
@@ -214,6 +229,97 @@ mod tests {
         let now = s.read_buf(PageId(0));
         assert!(!now.same_image(&carried));
         assert_eq!(frame_sum(&now), frame_sum(&[4u8; 64]));
+    }
+
+    /// Two writers and two readers on one store, on real OS threads: the
+    /// one store latch must keep every page its own. Each writer owns the
+    /// pages of one parity and rewrites them round after round, by slice
+    /// and by handle alternately; every image names its page and round in
+    /// its header and repeats them in its tail. A reader must only ever
+    /// get the page it asked for, whole, at a round no older than the one
+    /// it saw last; at the end each page holds its writer's last image.
+    #[test]
+    fn concurrent_readers_and_writers_of_distinct_pages_keep_their_own_images() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const PAGES: u64 = 16;
+        const PS: usize = 64;
+        const ROUNDS: u64 = 400;
+        fn image(pid: u64, round: u64) -> [u8; PS] {
+            let mut b = [(pid ^ round) as u8; PS];
+            b[..8].copy_from_slice(&pid.to_le_bytes());
+            b[8..16].copy_from_slice(&round.to_le_bytes());
+            b
+        }
+        /// The round `b` holds if it is a whole image of page `pid`.
+        fn round_of(pid: u64, b: &[u8]) -> u64 {
+            let round = u64::from_le_bytes(b[8..16].try_into().unwrap());
+            assert_eq!(b, image(pid, round), "page {pid}: not its own whole image");
+            round
+        }
+        let store = MemStore::new(PAGES, PS);
+        for pid in 0..PAGES {
+            store.write(PageId(pid), &image(pid, 0));
+        }
+        let writing = AtomicBool::new(true);
+        // Released together, so the readers overlap the writers from the
+        // first write on.
+        let start = Barrier::new(4);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the store latch is only exercised by true parallelism; the store is \
+                      test-local, no simulation state is shared"
+        )]
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|parity| {
+                    let (store, start) = (&store, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for round in 1..=ROUNDS {
+                            for pid in (parity..PAGES).step_by(2) {
+                                let bytes = image(pid, round);
+                                if round % 2 == 0 {
+                                    store.write(PageId(pid), &bytes);
+                                } else {
+                                    store.write(PageId(pid), &PageBuf::from_slice(&bytes));
+                                }
+                                assert_eq!(store.read_buf(PageId(pid)).as_slice(), bytes);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for by_slice in [false, true] {
+                let (store, writing, start) = (&store, &writing, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut seen = [0u64; PAGES as usize];
+                    let mut buf = [0u8; PS];
+                    while writing.load(Ordering::Relaxed) {
+                        for pid in 0..PAGES {
+                            let round = if by_slice {
+                                store.read(PageId(pid), &mut buf);
+                                round_of(pid, &buf)
+                            } else {
+                                round_of(pid, &store.read_buf(PageId(pid)))
+                            };
+                            assert!(round >= seen[pid as usize], "page {pid} went back");
+                            seen[pid as usize] = round;
+                        }
+                    }
+                });
+            }
+            // Readers stop even when a writer failed, so the scope ends.
+            let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            writing.store(false, Ordering::Relaxed);
+            for j in joined {
+                j.unwrap();
+            }
+        });
+        for pid in 0..PAGES {
+            assert_eq!(store.read_buf(PageId(pid)).as_slice(), image(pid, ROUNDS));
+        }
     }
 
     /// One step of the aliasing schedule below.

@@ -12,6 +12,9 @@ echo "==> mutant kit: each mutant's old text occurs exactly once (no build)"
 # per mutant; this step only keeps scripts/mutants.txt from rotting.
 scripts/mutants.sh --check
 
+echo "==> paired-run verdicts on canned numbers (scripts/pairs.sh, no build)"
+scripts/pairs.sh --selftest
+
 echo "==> cargo clippy (the static checks of DESIGN §7.2)"
 # Clippy's default groups are off; what is checked is what the crates'
 # scoped `deny` attributes and `clippy.toml` list. `disallowed_methods`
