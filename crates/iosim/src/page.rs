@@ -643,14 +643,12 @@ mod tests {
         fn first_byte(b: &[u8]) -> u64 {
             u64::from(b[0])
         }
-        let cached =
-            |p: &PageBuf| Some(p.derived.load(Ordering::Relaxed)).filter(|&v| v != NO_DERIVED);
         let mut a = PageBuf::from_slice(&[3u8; 64]);
-        assert_eq!(cached(&a), None);
+        assert_eq!(a.known_derived(), None);
         assert_eq!(a.derived(first_byte), 3);
-        assert_eq!(cached(&a), Some(3));
+        assert_eq!(a.known_derived(), Some(3));
         let b = a.clone();
-        assert_eq!(cached(&b), Some(3), "clone carries the value");
+        assert_eq!(b.known_derived(), Some(3), "clone carries the value");
         // Each of the four mutators forgets it; the next ask sees the new
         // bytes, and the other handle keeps its own.
         let mutators: [fn(&mut PageBuf); 4] = [
@@ -663,25 +661,15 @@ mod tests {
             a.derived(first_byte);
             let shared = a.clone();
             mutate(&mut a);
-            assert_eq!(cached(&a), None, "mutator {i} kept the value");
+            assert_eq!(a.known_derived(), None, "mutator {i} kept the value");
             assert_eq!(a.derived(first_byte), i as u64 + 4, "mutator {i}");
-            assert_eq!(cached(&shared), Some(i as u64 + 3));
+            assert_eq!(shared.known_derived(), Some(i as u64 + 3));
         }
-        assert_eq!(cached(&b), Some(3));
-    }
-
-    /// A recorded value is carried like a computed one, and debug builds
-    /// refuse one the bytes do not derive.
-    #[test]
-    fn recorded_derived_value_is_carried_and_checked() {
-        fn first_byte(b: &[u8]) -> u64 {
-            u64::from(b[0])
-        }
-        let mut a = PageBuf::from_slice(&[3u8; 64]);
-        a.record_derived(3, first_byte);
-        assert_eq!(a.clone().known_derived(), Some(3));
-        a[0] = 4;
-        assert_eq!(a.known_derived(), None);
+        assert_eq!(b.known_derived(), Some(3));
+        // A recorded value is carried like a computed one, and debug builds
+        // refuse one the bytes do not derive.
+        a.record_derived(7, first_byte);
+        assert_eq!(a.clone().known_derived(), Some(7));
         if cfg!(debug_assertions) {
             let wrong = std::panic::catch_unwind(move || a.record_derived(5, first_byte));
             assert!(wrong.is_err(), "a wrong recorded value passed the check");

@@ -2,18 +2,19 @@
 # Paired runs of one benchmark workload, parent against change: the
 # procedure every performance claim follows (ROADMAP 5(c)).
 #
-#   scripts/pairs.sh [--parent REV] [--pairs N] [--seed S] [--seconds T] WORKLOAD
-#   scripts/pairs.sh --aa [--pairs N] [--seed S] [--seconds T] WORKLOAD
+#   scripts/pairs.sh --parent REV --seed S [--pairs N] WORKLOAD
+#   scripts/pairs.sh --aa --seed S [--pairs N] WORKLOAD
 #   scripts/pairs.sh --selftest
 #
 # Builds `turbobench` twice, each in a target directory of its own under
 # PAIRS_DIR (default target/pairs): the parent from `git archive REV`
-# (default HEAD) and the change from the working tree. Then runs N
-# alternating pairs (default 10) on seeds S, S+1, ... (default 5507):
-# parent first on even pairs, change first on odd ones, each run
-# `turbobench --workload WORKLOAD --seed <n> --seconds T --trace 0`
-# (T defaults to the benchmark's own). `--aa` builds only the working
-# tree and runs it against itself, which measures the host's noise.
+# and the change from the working tree. Then runs N alternating pairs
+# (default 10) on seeds S, S+1, ...: parent first on even pairs, change
+# first on odd ones, each run `turbobench --workload WORKLOAD --seed <n>
+# --trace 0` at the benchmark's own run length. `--aa` builds only the
+# working tree and runs it against itself, which measures the host's
+# noise. Both the parent and the first seed are required: a seed that an
+# earlier claim spent (ROADMAP 5(c)) must not be reused by default.
 #
 # Prints one line per pair with both sides' end-to-end metrics, then per
 # metric each side's median [q1–q3] (linear-interpolated quartiles), the
@@ -114,7 +115,7 @@ selftest() {
     echo "pairs.sh selftest: ok"
 }
 
-aa=0 parent=HEAD pairs=10 seed=5507 seconds= workload=
+aa=0 parent= pairs=10 seed= workload=
 while (($#)); do
     case $1 in
         --selftest)
@@ -125,7 +126,6 @@ while (($#)); do
         --parent) parent=${2:?--parent takes a revision} && shift ;;
         --pairs) pairs=${2:?--pairs takes a count} && shift ;;
         --seed) seed=${2:?--seed takes a number} && shift ;;
-        --seconds) seconds=${2:?--seconds takes a number} && shift ;;
         -*)
             echo "unknown flag $1" >&2
             exit 2
@@ -134,8 +134,9 @@ while (($#)); do
     esac
     shift
 done
-[[ -n $workload ]] || {
-    echo "usage: scripts/pairs.sh [--aa] [--parent REV] [--pairs N] [--seed S] [--seconds T] WORKLOAD" >&2
+# Exactly one of --parent and --aa names what the change runs against.
+[[ -n $workload && -n $seed && ($aa == 1 && -z $parent || $aa == 0 && -n $parent) ]] || {
+    echo "usage: scripts/pairs.sh (--parent REV | --aa) --seed S [--pairs N] WORKLOAD" >&2
     exit 2
 }
 
@@ -165,9 +166,7 @@ fi
 
 # run BIN SEED: the run's result line
 run() {
-    local args=(--workload "$workload" --seed "$2" --trace 0)
-    [[ -n $seconds ]] && args+=(--seconds "$seconds")
-    "$1" "${args[@]}" | tail -n 1
+    "$1" --workload "$workload" --seed "$2" --trace 0 | tail -n 1
 }
 # value LINE METRIC: the metric's value in a result line
 value() {
