@@ -1,20 +1,22 @@
 //! Shared infrastructure for the benchmark harnesses.
 //!
 //! Every table and figure of the paper has a `harness = false` bench
-//! target in `benches/` that prints the same rows/series the paper
-//! reports, next to the paper's numbers. The TPC-C/E/H cells themselves
+//! target in `benches/`, or is a view of the `paper` target's one table
+//! of cells ([`paper`]), printed next to the paper's numbers. The cells
 //! run through `turbopool_workload::runs` (`run_oltp` over a list
 //! of cells, `run_tpch` over a list of designs), the same runner the CLI
 //! and the examples use; this library holds what only the harnesses
 //! need: run-length knobs, plain-text table/series rendering and the
-//! two kinds of summary line:
+//! summary lines:
 //!
 //! * `digest <cell> <hex>` — one per cell that owns a database,
 //!   `workload::runs::DbStats::digest` of its counters and driver steps. Deterministic,
 //!   so `scripts/figures.sh` compares them with the rest of the output.
 //! * `timing <bench> wall_s=… steps=… steps_per_s=…` — the bench's last
-//!   line and its one wall-clock line, which `scripts/figures.sh` cuts from
-//!   the compared text and prints as a `results/trajectory.tsv` row.
+//!   line and its one wall-clock line (`paper` prints one per cell group
+//!   first), which `scripts/figures.sh` cuts from the compared text and
+//!   prints as a `results/trajectory.tsv` row.
+//! * `view <name>` — `paper`'s line before each golden file's text.
 //!
 //! Environment knobs:
 //!
@@ -25,6 +27,7 @@
 //! A list runs each cell in a share-nothing driver domain of its own,
 //! one OS thread per cell.
 
+pub mod paper;
 pub mod report;
 
 pub use report::{render_series, Table};

@@ -66,13 +66,13 @@ TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling
 echo "==> brownout bench (quick, asserts CW/DW/LC >= 2x noSSD while degraded)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench brownout
 
-echo "==> fig5 bench (quick: two OLTP lists and the TPC-H runner through workload::runs)"
-TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench fig5
+echo "==> paper bench (quick: one slice of the cell table, every view, through workload::runs)"
+TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench paper
 
 echo "==> recovery bench (quick, prints redo cost and crash coverage)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench recovery
 
-echo "==> golden paper outputs (full length; table1, fig5-fig9, table3, warmstart, ablation vs results/)"
+echo "==> golden paper outputs (full length; table1, paper's fig5-fig9 and table3, warmstart, ablation vs results/)"
 scripts/figures.sh
 
 echo "All checks passed."
