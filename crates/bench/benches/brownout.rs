@@ -124,9 +124,6 @@ fn main() {
                 f.stats().brownout_slowdowns
             );
         }
-        if std::env::var_os("TURBO_SERIES").is_some() {
-            println!("       series: {:?}", run.rec.series_per_minute());
-        }
         rates.push((run.label.clone(), degraded));
     }
 

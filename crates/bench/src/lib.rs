@@ -18,6 +18,10 @@
 //!   prints as a `results/trajectory.tsv` row.
 //! * `view <name>` — `paper`'s line before each golden file's text.
 //!
+//! A check that needs neither a paper figure nor a wall clock is a tier-1
+//! test, not a bench target; each `micro` rung names the open ROADMAP.md
+//! item that reads it.
+//!
 //! Environment knobs:
 //!
 //! * `TURBO_HOURS` — virtual hours per OLTP run (default 10, the paper's
@@ -55,7 +59,7 @@ impl WallTimer {
     }
 
     /// Seconds since `start()`.
-    pub fn secs(&self) -> f64 {
+    fn secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 

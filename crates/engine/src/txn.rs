@@ -718,6 +718,25 @@ mod tests {
         assert_eq!(d[1].0, 63);
     }
 
+    #[test]
+    fn diff_of_an_8k_page_is_one_range_per_distant_field() {
+        // One 8-byte field (a ledger balance), then sixteen 4-byte fields
+        // a record apart.
+        let before: Vec<u8> = (0..8192).map(|i| (i * 131 + 5) as u8).collect();
+        let mut one_field = before.clone();
+        for b in &mut one_field[5000..5008] {
+            *b ^= 0x3C;
+        }
+        assert_eq!(diff_checked(&before, &one_field).len(), 1);
+        let mut scattered = before.clone();
+        for field in 0..16 {
+            for b in &mut scattered[200 + field * 500..][..4] {
+                *b ^= 0x55;
+            }
+        }
+        assert_eq!(diff_checked(&before, &scattered).len(), 16);
+    }
+
     /// Page sizes of the differential tests: below one block, exact
     /// multiples of it, and one (200) that leaves a sub-block tail.
     const SIZES: [usize; 5] = [16, 64, 200, 256, 8192];

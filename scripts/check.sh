@@ -57,20 +57,14 @@ cargo test -q --release --test setup_image -- --ignored
 echo "==> crash-schedule sweep (strided, all five designs)"
 cargo test -q --release --test crash_schedule quick_sweep_all_designs
 
-echo "==> domain determinism: a fleet equals each domain run alone, incl. brownout replay"
+echo "==> domain determinism: a fleet equals each domain run alone, incl. fault and brownout replay"
 cargo test -q --release --test driver_determinism
-
-echo "==> driver scaling bench (quick, asserts equal digests across modes and reps)"
-TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench driver_scaling
 
 echo "==> brownout bench (quick, asserts CW/DW/LC >= 2x noSSD while degraded)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench brownout
 
 echo "==> paper bench (quick: one slice of the cell table, every view, through workload::runs)"
 TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench paper
-
-echo "==> recovery bench (quick, prints redo cost and crash coverage)"
-TURBO_QUICK=1 cargo bench -q -p turbopool-bench --bench recovery
 
 echo "==> golden paper outputs (full length; table1, paper's fig5-fig9 and table3, warmstart, ablation vs results/)"
 scripts/figures.sh

@@ -4,8 +4,10 @@
 //! boundary, then replayed once per boundary with power failing exactly
 //! there — persist and torn — plus double crashes that interrupt recovery
 //! itself. Every incarnation must recover to the state commit attribution
-//! predicts, and the sweep must be bit-identical across reruns. The last
-//! two sweeps run traces that break the SSD partway through.
+//! predicts, and the sweep must be bit-identical across reruns. Each
+//! exhaustive sweep's coverage is pinned, so a change to the explorer's
+//! default trace or rig cannot move it by accident. The last two sweeps
+//! run traces that break the SSD partway through.
 
 use turbopool::core::SsdConfig;
 use turbopool::core::SsdDesign::{self, CleanWrite, DualWrite, LazyCleaning, Tac};
@@ -34,7 +36,7 @@ fn config(ssd: Option<SsdConfig>) -> ExplorerConfig {
 
 /// The default trace of `design` with its index, and `faults` armed just
 /// before the third checkpoint, swept exhaustively.
-fn sweep_through(design: SsdDesign, faults: &[Fault]) -> ExplorerOutcome {
+fn sweep_through(design: SsdDesign, faults: &[Fault], expected: Coverage) -> ExplorerOutcome {
     let cfg = config(ssd(design));
     let mut ops = cfg.trace();
     ops.splice(23..23, faults.iter().map(|&f| Op::Arm(f)));
@@ -43,15 +45,29 @@ fn sweep_through(design: SsdDesign, faults: &[Fault]) -> ExplorerOutcome {
         ..cfg.rig()
     };
     let out = explore_ops(&rig, &ops, cfg.cut_stride, cfg.double_crash_stride);
-    check(&out);
+    check(&out, expected);
     let cut_after = out.first_fault_at.is_some_and(|at| at < out.boundaries);
     assert!(cut_after, "no cut lands after the fault: {out:?}");
     out
 }
 
-fn check(out: &ExplorerOutcome) {
+/// What an exhaustive sweep covered: its durable-write boundaries; of
+/// them the disk pages, SSD frames and log flushes; and the double crashes
+/// that caught recovery mid-redo.
+type Coverage = (u64, u64, u64, u64, u64);
+
+fn check(out: &ExplorerOutcome, expected: Coverage) {
     // Exhaustive coverage: one persist + one torn schedule per boundary.
     assert_eq!(out.schedules_run, out.boundaries * 2);
+    let c = &out.counts;
+    let got = (
+        out.boundaries,
+        c.disk_pages,
+        c.ssd_frames,
+        c.log_flushes,
+        out.double_crash_interrupted,
+    );
+    assert_eq!(got, expected, "the sweep's coverage moved: {out:?}");
     // Every kind of durable write appeared in the trace; a missing kind
     // means the trace no longer exercises that device's crash points.
     assert!(out.counts.log_flushes > 0, "no log-flush boundaries");
@@ -64,27 +80,27 @@ fn check(out: &ExplorerOutcome) {
 
 #[test]
 fn exhaustive_sweep_nossd() {
-    check(&explore(&config(None)));
+    check(&explore(&config(None)), (46, 18, 0, 28, 9));
 }
 
 #[test]
 fn exhaustive_sweep_clean_write() {
-    check(&explore(&config(ssd(CleanWrite))));
+    check(&explore(&config(ssd(CleanWrite))), (54, 18, 8, 28, 9));
 }
 
 #[test]
 fn exhaustive_sweep_dual_write() {
-    check(&explore(&config(ssd(DualWrite))));
+    check(&explore(&config(ssd(DualWrite))), (64, 18, 18, 28, 9));
 }
 
 #[test]
 fn exhaustive_sweep_lazy_cleaning() {
-    check(&explore(&config(ssd(LazyCleaning))));
+    check(&explore(&config(ssd(LazyCleaning))), (57, 13, 16, 28, 11));
 }
 
 #[test]
 fn exhaustive_sweep_tac() {
-    check(&explore(&config(ssd(Tac))));
+    check(&explore(&config(ssd(Tac))), (51, 18, 5, 28, 10));
 }
 
 /// LC's SSD dies holding the sole copy of dirty pages: they are stranded,
@@ -92,7 +108,10 @@ fn exhaustive_sweep_tac() {
 /// on either side of both.
 #[test]
 fn exhaustive_sweep_lazy_cleaning_through_ssd_death() {
-    let m = sweep_through(LazyCleaning, &[Fault::Death]).ssd.unwrap();
+    let coverage = (58, 24, 6, 28, 16);
+    let m = sweep_through(LazyCleaning, &[Fault::Death], coverage)
+        .ssd
+        .unwrap();
     assert_eq!(m.ssd_quarantined, 1);
     assert!(m.stranded_dirty > 0, "the death stranded nothing: {m:?}");
     assert!(m.salvaged_pages > 0, "nothing was salvaged: {m:?}");
@@ -102,9 +121,12 @@ fn exhaustive_sweep_lazy_cleaning_through_ssd_death() {
 /// writes are crash points too.
 #[test]
 fn exhaustive_sweeps_through_transient_errors() {
-    for design in [DualWrite, Tac] {
+    for (design, coverage) in [
+        (DualWrite, (78, 26, 24, 28, 22)),
+        (Tac, (63, 28, 7, 28, 21)),
+    ] {
         let faults = [Fault::Transient(0.2), Fault::DiskTransient(0.2)];
-        let m = sweep_through(design, &faults).ssd.unwrap();
+        let m = sweep_through(design, &faults, coverage).ssd.unwrap();
         assert!(m.ssd_io_errors > 0, "{design:?}: no error fired: {m:?}");
     }
 }

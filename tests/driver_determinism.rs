@@ -4,8 +4,8 @@
 //! run alone in a driver of its own — same client steps, same final
 //! virtual times, same SSD-manager and buffer-pool counters, same device
 //! totals, and byte-identical page images on both the disk and SSD
-//! stores. Brownout and transient-fault scenarios re-run both ways too,
-//! so fault replay keeps its same-seed guarantee.
+//! stores. Brownout, transient-error and bit-flip scenarios re-run both
+//! ways too, so fault replay keeps its same-seed guarantee.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,6 +85,9 @@ impl Client for HeapClient {
 enum Fault {
     None,
     Transient,
+    /// Frames damaged on their way to the SSD: each read of one misses
+    /// its checksum.
+    Bitflip,
     /// A mid-run SSD stall train: the stretched service and the throttle
     /// it trips must replay identically in a fleet and alone.
     Brownout,
@@ -113,23 +116,21 @@ fn build(design: SsdDesign, seed: u64, fault: Fault, fleet: bool) -> Scenario {
         s.partitions = 2;
         cfg.ssd = Some(s);
         let db = Arc::new(Database::open(cfg));
-        if fault == Fault::Transient {
-            db.io()
-                .set_ssd_fault(Some(Arc::new(FaultPlan::new(FaultConfig::transient(
-                    seed ^ domain as u64,
-                    0.05,
-                )))));
-        }
-        if fault == Fault::Brownout {
+        let fault_seed = seed ^ domain as u64;
+        let plan = match fault {
+            Fault::None => None,
+            Fault::Transient => Some(FaultConfig::transient(fault_seed, 0.05)),
+            Fault::Bitflip => Some(FaultConfig {
+                bitflip_prob: 0.05,
+                ..FaultConfig::quiet(fault_seed)
+            }),
             // Continuous brownout covering the whole active period (the
             // clients drain their op budgets well before t=10s); pure
             // function of virtual time, no RNG stream consumed.
-            db.io()
-                .set_ssd_fault(Some(Arc::new(FaultPlan::new(FaultConfig::brownout(
-                    seed ^ domain as u64,
-                    0,
-                    10 * SECOND,
-                )))));
+            Fault::Brownout => Some(FaultConfig::brownout(fault_seed, 0, 10 * SECOND)),
+        };
+        if let Some(plan) = plan {
+            db.io().set_ssd_fault(Some(Arc::new(FaultPlan::new(plan))));
         }
         let mut clk = Clk::new();
         let heap = db.create_heap(&mut clk, "data", 32, 256);
@@ -296,15 +297,25 @@ fn parallel_replay_of_brownout_matches_sequential() {
 
 #[test]
 fn parallel_replay_of_fault_injection_matches_sequential() {
-    // Write-back (LC) exercises the most fault machinery: retries,
-    // checksum misses, dirty-page protection.
-    let seq = sequential_outcome(SsdDesign::LazyCleaning, 0xFA11, Fault::Transient);
-    let par = parallel_outcome(SsdDesign::LazyCleaning, 0xFA11, Fault::Transient);
-    assert_eq!(par, seq, "faulty fleet diverged from its domains run alone");
-    // The faults actually fired — this was not a vacuous comparison.
-    let m = seq.ssd_metrics[0].as_ref().expect("LC has an SSD");
-    assert!(
-        m.ssd_io_errors > 0,
-        "transient plan injected no errors: {m:?}"
-    );
+    // Every design under both error streams: retries, checksum misses,
+    // dirty-page protection (LC) and write-on-read admission (TAC) must
+    // replay identically in a fleet and alone.
+    for design in DESIGNS {
+        for fault in [Fault::Transient, Fault::Bitflip] {
+            let seq = sequential_outcome(design, 0xFA11, fault);
+            let par = parallel_outcome(design, 0xFA11, fault);
+            assert_eq!(par, seq, "{design:?}: faulty fleet diverged from alone");
+            // The faults actually fired: this was not a vacuous comparison.
+            let m = seq.ssd_metrics[0]
+                .as_ref()
+                .expect("every design has an SSD");
+            assert!(m.ssd_io_errors > 0, "{design:?}: no error injected: {m:?}");
+            if fault == Fault::Bitflip {
+                assert!(
+                    m.checksum_misses > 0,
+                    "{design:?}: no flip read back: {m:?}"
+                );
+            }
+        }
+    }
 }

@@ -22,6 +22,10 @@
 //! frame is never recycled under its guard and always holds its own page
 //! (every page is tagged with its own id, and the tag is read twice while
 //! the guard is held), and every pin count is back to zero at the end.
+//!
+//! `a_warm_hit_takes_one_table_latch`: the threads only hit one warm
+//! pool, and the table latch is taken exactly once per `get` (DESIGN §3,
+//! "Latching").
 
 use std::sync::{Arc, Barrier};
 
@@ -114,6 +118,58 @@ fn unpins_race_evictions_on_one_shard() {
             .expect("no fault plan attached");
         assert_eq!(g.read(tag), p);
     }
+}
+
+#[test]
+fn a_warm_hit_takes_one_table_latch() {
+    // Frames == pages, so after one warming pass every `get` is a hit.
+    const PAGES: u64 = 4096;
+    const GETS: u64 = 50_000;
+    let io = Arc::new(IoManager::new(&DeviceSetup::paper(PAGE, PAGES, 1)));
+    let layer: Arc<dyn PageIo> = Arc::new(DirectIo::new(io));
+    let pool = BufferPool::new(BufferPoolConfig::new(PAGES as usize, PAGE, PAGES), layer);
+    let mut clk = Clk::new();
+    for p in 0..PAGES {
+        pool.get(&mut clk, PageId(p), Locality::Random)
+            .expect("no fault plan attached");
+    }
+    let warm = pool.stats();
+
+    let start = Barrier::new(THREADS as usize);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the latch count must hold under true parallelism; the hammered pool is \
+                  test-local, no simulation state is shared"
+    )]
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (pool, start) = (&pool, &start);
+            s.spawn(move || {
+                let mut clk = Clk::new();
+                let mut x = t + 1;
+                start.wait();
+                for _ in 0..GETS {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let g = pool
+                        .get(&mut clk, PageId((x >> 16) % PAGES), Locality::Random)
+                        .expect("no fault plan attached");
+                    std::hint::black_box(&g);
+                }
+            });
+        }
+    });
+
+    let s = pool.stats();
+    assert_eq!(s.misses, warm.misses, "every get was a hit");
+    // `stats()` itself takes the table latch: the closing snapshot's one
+    // acquisition is inside the delta. The probe pins under the latch and
+    // the guard's drop takes none, so the count is exact on every host.
+    let acquisitions = s.shard_acquisitions - warm.shard_acquisitions - 1;
+    assert_eq!(
+        acquisitions,
+        THREADS * GETS,
+        "a warm get must take exactly one table latch"
+    );
 }
 
 /// [`DirectIo`] that hands the CPU away before every read and every
